@@ -6,9 +6,7 @@ import (
 	"math"
 	"sync"
 
-	"viewmat/internal/agg"
 	"viewmat/internal/costmodel"
-	"viewmat/internal/hr"
 	"viewmat/internal/relation"
 )
 
@@ -25,10 +23,10 @@ import (
 // then runs a local-search pass that demotes materializations to
 // query modification while the view set exceeds the storage budget.
 //
-// Every flip happens under the engine write lock — between refresh
-// units and never inside a commit — and ends with a catalog
-// checkpoint, so a crash recovers to either the pre-flip or post-flip
-// catalog, never a hybrid.
+// Every flip (SetStrategy, strategy.go) happens under the engine write
+// lock — between refresh units and never inside a commit — and ends
+// with a catalog checkpoint, so a crash recovers to either the pre-flip
+// or post-flip catalog, never a hybrid.
 
 // Typed advisor errors.
 var (
@@ -233,210 +231,10 @@ func (db *Database) observeCommitLocked(perRel map[string]*deltas, marked map[st
 		for _, d := range marked[name] {
 			hits += len(d.adds) + len(d.dels)
 		}
-		// Screening runs for the differential strategies and
-		// recompute-on-demand; QM and snapshot views place no locks,
-		// so their zero hit counts are absence of signal, not f≈0.
-		screened := vs.strategy != QueryModification && vs.strategy != Snapshot
-		db.adv.view(name).est.ObserveUpdate(float64(written), float64(hits), screened)
+		// Views whose strategy places no t-locks are never screened, so
+		// their zero hit counts are absence of signal, not f≈0.
+		db.adv.view(name).est.ObserveUpdate(float64(written), float64(hits), vs.row().tlocks)
 	}
-}
-
-// isBaseReader mirrors createViewLocked's conflict rule: strategies
-// that read or rewrite base files at their own cadence cannot share a
-// relation with a deferred view.
-func isBaseReader(s Strategy) bool {
-	return s == Immediate || s == Snapshot || s == RecomputeOnDemand
-}
-
-// SetStrategy flips one view to a new maintenance strategy at a safe
-// boundary: it runs under the engine write lock, so it is serialized
-// against commits, refresh units and queries. The view is brought
-// current under its old strategy first, stored state is torn down or
-// built as needed, and the new catalog is checkpointed atomically.
-func (db *Database) SetStrategy(view string, to Strategy) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	vs, ok := db.views[view]
-	if !ok {
-		return fmt.Errorf("core: unknown view %q", view)
-	}
-	if vs.strategy == to {
-		return nil
-	}
-	if err := db.pool.EvictAll(); err != nil {
-		return err
-	}
-	if err := db.setStrategyLocked(vs, to); err != nil {
-		return err
-	}
-	return db.catalogCheckpointLocked()
-}
-
-func (db *Database) setStrategyLocked(vs *viewState, to Strategy) error {
-	from := vs.strategy
-	if from == to {
-		return nil
-	}
-	switch to {
-	case QueryModification, Immediate, Deferred, Snapshot, RecomputeOnDemand:
-	default:
-		return fmt.Errorf("%w: unknown strategy %d", ErrFlipUnsupported, int(to))
-	}
-	name := vs.def.Name
-	if vs.def.Kind == GroupedAggregate {
-		return fmt.Errorf("%w: grouped-aggregate view %q", ErrFlipUnsupported, name)
-	}
-	if to == QueryModification {
-		if kids := db.children[name]; len(kids) > 0 {
-			return fmt.Errorf("%w: %q has children %v (they read its materialization)", ErrHasChildren, name, kids)
-		}
-	}
-	parent := db.parentOf(vs)
-	if parent == nil {
-		// Same conflict rule as CreateView, with this view excluded:
-		// the flip must not leave a relation feeding both a deferred
-		// view and a base-reading one.
-		for _, rn := range vs.def.Relations {
-			for _, other := range db.views {
-				if other == vs || !dependsOn(other, rn) || db.parentOf(other) != nil {
-					continue
-				}
-				if to == Deferred && isBaseReader(other.strategy) ||
-					isBaseReader(to) && other.strategy == Deferred {
-					return fmt.Errorf("%w: relation %q cannot feed both a deferred view and a %s/%s view (%q, %q)",
-						ErrStrategyConflict, rn, to, other.strategy, name, other.def.Name)
-				}
-			}
-		}
-	}
-
-	// 1. Bring the world current under the old strategy, so the flip
-	// is a pure representation change. For base-relation views that
-	// means folding any pending AD changes into the base files (the
-	// deferred cycle rooted at whichever deferred view shares them);
-	// for children it means draining the parent chain. Snapshot and
-	// on-demand views additionally recompute if stale — their
-	// materialization may predate folds that already happened.
-	if parent == nil {
-		if err := db.foldRelationsForQM(vs.def.Relations); err != nil {
-			return err
-		}
-	} else if db.viewStale(vs) {
-		if err := db.refreshStaleLocked(vs); err != nil {
-			return err
-		}
-	}
-	if (from == Snapshot || from == RecomputeOnDemand) &&
-		(vs.staleCommits > 0 || vs.dirty || db.childPending(vs)) {
-		if err := db.inPhase(PhaseDefRefresh, func() error { return db.recomputeView(vs) }); err != nil {
-			return err
-		}
-	}
-
-	// 2. Tear down or build the stored representation.
-	if from != QueryModification && to == QueryModification {
-		switch vs.def.Kind {
-		case Aggregate:
-			if vs.aggFile != nil {
-				db.disk.Remove(name + ".agg")
-			}
-			vs.aggState, vs.aggFile, vs.aggPage = nil, nil, 0
-		default:
-			if vs.mat != nil {
-				db.disk.Remove(name + ".view.btree")
-			}
-			vs.mat = nil
-		}
-		// No children (rejected above), so the delta log has no
-		// consumers; restart it cleanly for any future child.
-		vs.logStart += int64(len(vs.deltaLog))
-		vs.deltaLog = nil
-	}
-	if from == QueryModification && to != QueryModification {
-		switch vs.def.Kind {
-		case Aggregate:
-			vs.aggState = agg.NewState(vs.def.AggKind)
-			vs.aggFile = db.disk.Open(name + ".agg")
-			fr, err := db.pool.Alloc(vs.aggFile)
-			if err != nil {
-				return err
-			}
-			vs.aggPage = fr.PageNum()
-			writeAggPage(fr, vs.aggState)
-			if err := db.pool.Release(fr); err != nil {
-				return err
-			}
-			if err := db.rebuildAggregate(vs); err != nil {
-				return err
-			}
-		default:
-			mat, err := NewMatView(db.disk, db.pool, name, vs.def.OutputSchema(vs.schemas), vs.def.ViewKeyCol)
-			if err != nil {
-				return err
-			}
-			vs.mat = mat
-			if err := db.bulkWrite(func() error { return db.populateView(vs) }); err != nil {
-				return err
-			}
-		}
-		if parent != nil {
-			// The populate read the parent's current rows, which
-			// covers everything logged so far.
-			vs.parentPos = parent.logStart + int64(len(parent.deltaLog))
-			vs.parentGen = parent.logGen
-		}
-	}
-
-	// 3. Re-register screening locks for the new strategy (same rule
-	// as CreateView: differential strategies and recompute-on-demand,
-	// top-level views only).
-	if parent == nil {
-		db.locks.Unregister(name)
-		if to != QueryModification && to != Snapshot {
-			for slot, rn := range vs.def.Relations {
-				db.locks.Register(name, rn, slot, db.rels[rn].KeyCol(), vs.def.Pred, vs.def.TargetColumns(slot))
-			}
-		}
-	}
-
-	// 4. Hypothetical relations: a view becoming deferred needs its
-	// relations wrapped; a view leaving deferred retires any HR no
-	// other deferred view still needs, so writes route to base files
-	// again. The fold in step 1 emptied the AD files.
-	if to == Deferred && parent == nil {
-		for _, rn := range vs.def.Relations {
-			if _, ok := db.hrs[rn]; !ok {
-				h, err := hr.New(db.disk, db.pool, db.rels[rn], db.hrConfig)
-				if err != nil {
-					return err
-				}
-				db.hrs[rn] = h
-			}
-		}
-	}
-	if from == Deferred && parent == nil {
-		for _, rn := range vs.def.Relations {
-			if _, ok := db.hrs[rn]; !ok {
-				continue
-			}
-			needed := false
-			for _, other := range db.views {
-				if other != vs && other.strategy == Deferred && db.parentOf(other) == nil && dependsOn(other, rn) {
-					needed = true
-					break
-				}
-			}
-			if !needed {
-				delete(db.hrs, rn)
-				db.disk.Remove(rn + ".ad")
-			}
-		}
-	}
-
-	vs.strategy = to
-	vs.staleCommits = 0
-	vs.dirty = false
-	return nil
 }
 
 // FlipReport describes one strategy flip AdaptTick applied.
@@ -447,7 +245,7 @@ type FlipReport struct {
 	// PredictedGain is the fractional per-period cost win the model
 	// predicted: (cost under From − cost under To) / cost under From.
 	PredictedGain float64
-	Reason string
+	Reason        string
 }
 
 // AdvisorViewStat is one view's advisor state, for observability.
@@ -653,21 +451,10 @@ func (db *Database) flipAllowedLocked(vs *viewState, to Strategy) bool {
 	if to == vs.strategy {
 		return true
 	}
-	if to == QueryModification && len(db.children[vs.def.Name]) > 0 {
+	if !strategyTable[to].stores && len(db.children[vs.def.Name]) > 0 {
 		return false
 	}
-	for _, rn := range vs.def.Relations {
-		for _, other := range db.views {
-			if other == vs || db.parentOf(other) != nil || !dependsOn(other, rn) {
-				continue
-			}
-			if to == Deferred && isBaseReader(other.strategy) ||
-				isBaseReader(to) && other.strategy == Deferred {
-				return false
-			}
-		}
-	}
-	return true
+	return db.strategyConflictLocked(vs, to) == nil
 }
 
 // measuredParamsLocked derives a full parameter set for one view:

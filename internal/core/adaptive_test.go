@@ -328,7 +328,7 @@ func TestFlipCrashRecoverySweep(t *testing.T) {
 // --- Flips racing a shared-delta refresh -----------------------------------
 
 // TestFlipDuringSharedDeltaRefresh races SetStrategy against RefreshAll
-// over a shared-delta refresh group (ShareDeltasAlways, 4 workers)
+// over a shared-delta refresh group (share gate forced, 4 workers)
 // while the main goroutine commits and queries. The flip boundary is
 // the engine write lock, so a flip lands between refresh units, never
 // inside one; the test asserts the observable consequence — every
@@ -337,8 +337,8 @@ func TestFlipCrashRecoverySweep(t *testing.T) {
 func TestFlipDuringSharedDeltaRefresh(t *testing.T) {
 	opts := testOpts()
 	opts.MaxRefreshWorkers = 4
-	opts.ShareDeltas = ShareDeltasAlways
 	db := NewDatabase(opts)
+	setShareGate(db, gateForced)
 	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
 	if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 		t.Fatal(err)

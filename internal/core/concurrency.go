@@ -11,8 +11,9 @@ import (
 // This file implements the engine's concurrency machinery beyond the
 // plain reader/writer lock in Database.mu:
 //
-//   - viewStale: the read-path staleness test that decides whether a
-//     query can stay on the shared lock or must upgrade to a refresh,
+//   - acquireFresh: the read path's staleness test (viewStale,
+//     strategy.go) decides whether a query can stay on the shared lock
+//     or must upgrade to a refresh,
 //   - refreshStale: a per-view single-flight latch, so N queries
 //     arriving at the same stale deferred view trigger exactly one
 //     differential refresh while the other N−1 wait for its result,
@@ -30,55 +31,6 @@ import (
 type refreshFlight struct {
 	done chan struct{}
 	err  error
-}
-
-// viewStale reports whether reading the view requires mutating work
-// first (a refresh or an HR fold). Caller holds db.mu (read or write).
-func (db *Database) viewStale(vs *viewState) bool {
-	if p := db.parentOf(vs); p != nil {
-		// A child view goes stale with its parent (the parent's refresh
-		// will append log rows for it) or when unconsumed log rows are
-		// already pending.
-		switch vs.strategy {
-		case Deferred, Immediate:
-			return db.viewStale(p) || db.childPending(vs)
-		case Snapshot:
-			return vs.staleCommits > vs.snapshotEvery
-		case RecomputeOnDemand:
-			return vs.dirty
-		case QueryModification:
-			// QM children recompute over the parent's current rows at
-			// query time; they are only as stale as the parent.
-			return db.viewStale(p)
-		}
-		return false
-	}
-	switch vs.strategy {
-	case Deferred:
-		for _, rn := range vs.def.Relations {
-			if h, ok := db.hrs[rn]; ok && h.ADLen() > 0 {
-				return true
-			}
-		}
-	case Snapshot:
-		return vs.staleCommits > vs.snapshotEvery
-	case RecomputeOnDemand:
-		return vs.dirty
-	case QueryModification:
-		// A QM join view folds pending HR changes (left by deferred
-		// siblings over the same relations) into the base files before
-		// its nested-loop scan, which mutates; route it through the
-		// write path. Select-project and aggregate QM reads overlay
-		// pending changes read-only instead.
-		if vs.def.Kind == Join {
-			for _, rn := range vs.def.Relations {
-				if h, ok := db.hrs[rn]; ok && h.ADLen() > 0 {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // acquireFresh returns the view with the engine read lock held,
@@ -162,42 +114,15 @@ func (db *Database) leaderRefresh(name string) error {
 	return db.logRefreshLocked(name, refreshKindStale, clockBefore)
 }
 
-// refreshStaleLocked dispatches the strategy-appropriate refresh.
-// Caller holds the engine write lock.
-func (db *Database) refreshStaleLocked(vs *viewState) error {
-	if parent := db.parentOf(vs); parent != nil {
-		return db.refreshChildStaleLocked(vs, parent)
-	}
-	switch vs.strategy {
-	case Deferred:
-		return db.refreshDeferred(vs)
-	case Snapshot, RecomputeOnDemand:
-		return db.maybeRefreshExtra(vs)
-	case QueryModification:
-		return db.foldRelationsForQM(vs.def.Relations)
-	}
-	return nil
-}
-
 // refreshUnit is one independently schedulable batch of RefreshAll
-// work: either a deferred connected component (represented by one of
-// its views — refreshDeferred pulls in the rest through shared
-// hypothetical relations) or a batch of stale snapshot/recompute views
-// over the same relation list.
+// work: a deferred connected component (represented by one of its
+// views — its read-time refresh pulls in the rest through shared
+// hypothetical relations), a batch of stale snapshot/recompute views
+// over the same relation list, or — when parent is set — sibling
+// children that drain one position of that parent's delta log together.
 type refreshUnit struct {
-	rep    *viewState   // deferred-component representative (nil for an extras batch)
-	extras []*viewState // stale snapshot / recompute-on-demand views
-}
-
-func (u refreshUnit) names() []string {
-	if u.rep != nil {
-		return []string{u.rep.def.Name}
-	}
-	out := make([]string, len(u.extras))
-	for i, vs := range u.extras {
-		out[i] = vs.def.Name
-	}
-	return out
+	views  []*viewState
+	parent *viewState
 }
 
 // RefreshUnitStat records one RefreshAll unit's work: the views it was
@@ -228,7 +153,10 @@ func (db *Database) LastRefreshUnits() []RefreshUnitStat {
 // refreshed in parallel by up to MaxRefreshWorkers workers; deferred
 // views connected through shared hypothetical relations refresh
 // together as one unit — and share delta sub-plans within it — exactly
-// as a query-triggered refresh would.
+// as a query-triggered refresh would. Child views then drain their
+// parents' delta logs level by level, serially: each level depends on
+// the one above, so the topological barrier is inherent, and parents'
+// logs mutate as children drain.
 func (db *Database) RefreshAll() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -239,10 +167,7 @@ func (db *Database) RefreshAll() error {
 	if err := db.pool.EvictAll(); err != nil {
 		return err
 	}
-	stats := make([]RefreshUnitStat, len(units))
-	for i, u := range units {
-		stats[i].Views = u.names()
-	}
+	var stats []RefreshUnitStat
 	defer func() {
 		db.statsMu.Lock()
 		db.lastRefreshUnits = stats
@@ -255,149 +180,156 @@ func (db *Database) RefreshAll() error {
 		// the recovered state (see durability.go).
 		workers = 1
 	}
+	if err := db.runUnitsLocked(units, workers, &stats); err != nil {
+		return err
+	}
+	for _, level := range db.childLevelsLocked() {
+		if err := db.runUnitsLocked(db.staleChildUnitsLocked(level), 1, &stats); err != nil {
+			return err
+		}
+	}
+	db.compactDeltaLogsLocked()
+	return nil
+}
+
+// runUnitsLocked refreshes the units on up to workers goroutines (≤ 1 =
+// in order on the caller's), appending one stat per unit. After a
+// failure no further unit starts on that schedule.
+func (db *Database) runUnitsLocked(units []refreshUnit, workers int, stats *[]RefreshUnitStat) error {
+	out := make([]RefreshUnitStat, len(units))
+	errs := make([]error, len(units))
 	if workers > len(units) {
 		workers = len(units)
 	}
 	if workers <= 1 {
 		for i, u := range units {
-			before := db.meter.Snapshot()
-			scansBefore := db.deltaScans.Load()
-			for _, vs := range u.all() {
-				clockBefore := db.clock.Load()
-				if err := db.refreshStaleLocked(vs); err != nil {
-					return err
-				}
-				if err := db.logRefreshLocked(vs.def.Name, refreshKindStale, clockBefore); err != nil {
-					return err
-				}
+			if out[i], errs[i] = db.runUnitLocked(u); errs[i] != nil {
+				break
 			}
-			stats[i].IO = db.meter.Snapshot().Sub(before)
-			stats[i].DeltaScans = db.deltaScans.Load() - scansBefore
 		}
-		// Child views drain their parents' delta logs level by level,
-		// after the base-level units above refreshed the parents.
-		return db.refreshHierarchyLocked(&stats)
-	}
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				if errs[w] != nil {
-					continue // drain remaining jobs after a failure
-				}
-				before := db.meter.Snapshot()
-				scansBefore := db.deltaScans.Load()
-				for _, vs := range units[i].all() {
-					if errs[w] = db.refreshStaleLocked(vs); errs[w] != nil {
-						break
+	} else {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				failed := false
+				for i := range jobs {
+					if !failed { // drain remaining jobs after a failure
+						out[i], errs[i] = db.runUnitLocked(units[i])
+						failed = errs[i] != nil
 					}
 				}
-				stats[i].IO = db.meter.Snapshot().Sub(before)
-				stats[i].DeltaScans = db.deltaScans.Load() - scansBefore
-			}
-		}(w)
+			}()
+		}
+		for i := range units {
+			jobs <- i
+		}
+		close(jobs)
+		wg.Wait()
 	}
-	for i := range units {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	*stats = append(*stats, out...)
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	// Hierarchy levels are refreshed serially after the parallel base
-	// phase: each level depends on the one above, so the topological
-	// barrier is inherent.
-	return db.refreshHierarchyLocked(&stats)
+	return nil
 }
 
-// all returns the views the unit refreshes directly (the deferred rep,
-// or each extra in turn).
-func (u refreshUnit) all() []*viewState {
-	if u.rep != nil {
-		return []*viewState{u.rep}
+// runUnitLocked refreshes one unit and accounts for it. Each refresh
+// mutates durable state outside a commit, so it is logged per view —
+// replay then re-runs the views one at a time in the same order, which
+// applies the same deltas (a no-op without a WAL, the only case in
+// which workers run this concurrently).
+func (db *Database) runUnitLocked(u refreshUnit) (RefreshUnitStat, error) {
+	st := RefreshUnitStat{Views: make([]string, len(u.views))}
+	for i, vs := range u.views {
+		st.Views[i] = vs.def.Name
 	}
-	return u.extras
+	before := db.meter.Snapshot()
+	scansBefore := db.deltaScans.Load()
+	logged := func(views []*viewState, refresh func() error) error {
+		clockBefore := db.clock.Load()
+		if err := refresh(); err != nil {
+			return err
+		}
+		for _, vs := range views {
+			if err := db.logRefreshLocked(vs.def.Name, refreshKindStale, clockBefore); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var err error
+	if u.parent != nil {
+		err = logged(u.views, func() error {
+			return db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(u.views, u.parent) })
+		})
+	} else {
+		for i := range u.views {
+			vs := u.views[i]
+			if err = logged(u.views[i:i+1], func() error { return db.refreshStaleLocked(vs) }); err != nil {
+				break
+			}
+		}
+	}
+	st.IO = db.meter.Snapshot().Sub(before)
+	st.DeltaScans = db.deltaScans.Load() - scansBefore
+	return st, err
 }
 
-// staleUnitsLocked returns the independent stale refresh units: each
-// connected component of deferred views (over shared relations) with
-// pending HR changes, plus the stale snapshot / recompute-on-demand
-// views batched by their relation list (so recomputes over the same
-// base scan back-to-back rather than racing for its pages). Units touch
-// disjoint base files — deferred components by construction, snapshot
-// recomputes because CreateView rejects base-file readers sharing a
-// relation with deferred views — so they are safe to refresh in
-// parallel. Caller holds the write lock.
+// anyStaleChildLocked reports whether the hierarchy pass has work.
+func (db *Database) anyStaleChildLocked() bool {
+	for _, vs := range db.views {
+		if db.parentOf(vs) != nil && db.viewStale(vs) {
+			return true
+		}
+	}
+	return false
+}
+
+// staleUnitsLocked returns the independent stale top-level refresh
+// units (children refresh in the hierarchy phase, after their parents):
+// each connected component of deferred views (over shared relations)
+// with pending HR changes, plus the stale rebuilt-at-read views batched
+// by their relation list (so recomputes over the same base scan
+// back-to-back rather than racing for its pages). Units touch disjoint
+// base files — deferred components by construction, recomputes because
+// the conflict rule rejects base-file readers sharing a relation with
+// deferred views — so they are safe to refresh in parallel. Caller
+// holds the write lock.
 func (db *Database) staleUnitsLocked() []refreshUnit {
-	names := db.viewNamesLocked()
-	relToViews := map[string][]*viewState{}
-	for _, n := range names {
-		vs := db.views[n]
-		if vs.strategy != Deferred || db.parentOf(vs) != nil {
-			continue
-		}
-		for _, rn := range vs.def.Relations {
-			relToViews[rn] = append(relToViews[rn], vs)
-		}
-	}
 	var units []refreshUnit
-	seen := map[string]bool{}
-	extraIdx := map[string]int{}
-	for _, n := range names {
+	seen := map[*viewState]bool{}
+	batchIdx := map[string]int{}
+	for _, n := range db.viewNamesLocked() {
 		vs := db.views[n]
-		switch vs.strategy {
-		case Deferred:
-			// Children refresh in the hierarchy phase, after their
-			// parents, not as base-level units.
-			if db.parentOf(vs) != nil {
+		row := vs.row()
+		switch {
+		case db.parentOf(vs) != nil:
+			// Refreshed in the hierarchy phase.
+		case row.wrapsHR:
+			if seen[vs] {
 				continue
 			}
-			if seen[n] {
-				continue
+			_, component, pending := db.hrComponentLocked(vs.def.Relations[0])
+			for _, other := range component {
+				seen[other] = true
 			}
-			seen[n] = true
-			stale := false
-			queue := []*viewState{vs}
-			for len(queue) > 0 {
-				cur := queue[0]
-				queue = queue[1:]
-				for _, rn := range cur.def.Relations {
-					if h, ok := db.hrs[rn]; ok && h.ADLen() > 0 {
-						stale = true
-					}
-					for _, other := range relToViews[rn] {
-						if !seen[other.def.Name] {
-							seen[other.def.Name] = true
-							queue = append(queue, other)
-						}
-					}
-				}
+			if pending {
+				units = append(units, refreshUnit{views: []*viewState{vs}})
 			}
-			if stale {
-				units = append(units, refreshUnit{rep: vs})
-			}
-		case Snapshot, RecomputeOnDemand:
-			if db.parentOf(vs) != nil {
-				continue
-			}
-			if !db.viewStale(vs) {
-				continue
-			}
+		case row.rebuilds() && db.viewStale(vs):
 			key := strings.Join(vs.def.Relations, "\x00")
-			i, ok := extraIdx[key]
+			i, ok := batchIdx[key]
 			if !ok {
 				i = len(units)
-				extraIdx[key] = i
+				batchIdx[key] = i
 				units = append(units, refreshUnit{})
 			}
-			units[i].extras = append(units[i].extras, vs)
+			units[i].views = append(units[i].views, vs)
 		}
 	}
 	return units

@@ -101,14 +101,6 @@ func TestMustCommitPanicsOnError(t *testing.T) {
 	tx.MustCommit()
 }
 
-func TestQuerySnapshotViewAlias(t *testing.T) {
-	db := newSPDatabase(t, Snapshot, 30)
-	rows, err := db.QuerySnapshotView("v", nil)
-	if err != nil || len(rows) != 20 {
-		t.Errorf("QuerySnapshotView: %d rows, err %v", len(rows), err)
-	}
-}
-
 func TestDefValidateErrors(t *testing.T) {
 	schemas := []*tuple.Schema{spSchema()}
 	joinSchemasList := func() []*tuple.Schema { a, b := joinSchemas(); return []*tuple.Schema{a, b} }
@@ -198,7 +190,7 @@ func TestDefValidateErrors(t *testing.T) {
 }
 
 func TestQMJoinViewSeesUnfoldedHRChanges(t *testing.T) {
-	// foldRelationsForQM: a QM join view over relations feeding a
+	// foldRelationsLocked: a QM join view over relations feeding a
 	// deferred view must trigger the shared fold before scanning.
 	db := newTestDB(t)
 	s1, s2 := joinSchemas()

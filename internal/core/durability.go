@@ -397,7 +397,7 @@ func (db *Database) applyRecordLocked(rec *walRecord) error {
 			}
 		case refreshKindDeferredNow:
 			if err = db.pool.EvictAll(); err == nil {
-				err = db.refreshDeferred(vs)
+				err = db.foldRelationsLocked(vs.def.Relations)
 			}
 		default:
 			err = fmt.Errorf("core: unknown refresh kind %d", rr.Kind)

@@ -100,8 +100,10 @@ type Database struct {
 	// maxRefreshWorkers bounds RefreshAll's worker pool (≤1 = serial).
 	maxRefreshWorkers int
 
-	// shareDeltas selects the shared-delta refresh mode; guarded by mu.
-	shareDeltas ShareDeltaMode
+	// shareGate, when set, replaces the cost model's share-vs-private
+	// decision for every refresh group. Only tests set it, to pin the
+	// private path or a forced share as their reference; guarded by mu.
+	shareGate func() bool
 
 	// batchSize is the executor batch cap (0 = vectorized default,
 	// 1 = row-at-a-time); fixed at construction.
@@ -238,39 +240,6 @@ func (db *Database) SetJoinVariantBlakeley(view string, on bool) error {
 	return db.catalogCheckpointLocked()
 }
 
-// ShareDeltaMode controls whether RefreshAll and the deferred refresh
-// path materialize a delta sub-plan once per group of views whose
-// differential plans share it, instead of expanding it per view.
-type ShareDeltaMode int
-
-const (
-	// ShareDeltasAuto (the default) shares a group's delta sub-plan
-	// whenever the costmodel estimate says reuse pays — always for
-	// single-relation net-change streams (their build is free), and by
-	// the share-vs-rescan estimate for join expansions.
-	ShareDeltasAuto ShareDeltaMode = iota
-	// ShareDeltasOff disables sharing: every view runs its private
-	// differential plan, exactly the pre-sharing engine.
-	ShareDeltasOff
-	// ShareDeltasAlways shares every eligible group of two or more
-	// views regardless of the estimate (tests and benchmarks).
-	ShareDeltasAlways
-)
-
-// String names the mode.
-func (m ShareDeltaMode) String() string {
-	switch m {
-	case ShareDeltasAuto:
-		return "auto"
-	case ShareDeltasOff:
-		return "off"
-	case ShareDeltasAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("share-deltas(%d)", int(m))
-	}
-}
-
 // Options configures a Database.
 type Options struct {
 	// PageSize in bytes (the paper's B). Default 4000.
@@ -292,10 +261,6 @@ type Options struct {
 	// overlap their I/O waits as they would on a real device. Zero
 	// (the default) leaves all operations CPU-bound.
 	SimulatedIOLatency time.Duration
-	// ShareDeltas selects the shared-delta refresh mode. The zero
-	// value, ShareDeltasAuto, shares when the cost model says reuse
-	// pays; ShareDeltasOff restores strictly per-view refresh.
-	ShareDeltas ShareDeltaMode
 	// BatchSize caps the rows per executor batch. Zero selects the
 	// vectorized default (vec.DefaultBatchSize); 1 runs the executor
 	// row-at-a-time — same results and charges, no vectorized paths.
@@ -334,26 +299,11 @@ func NewDatabase(opts Options) *Database {
 	}
 	db.hrConfig = opts.HR
 	db.maxRefreshWorkers = opts.MaxRefreshWorkers
-	db.shareDeltas = opts.ShareDeltas
 	db.batchSize = opts.BatchSize
 	db.storageBudget = opts.StorageBudget
 	disk.SetIOLatency(opts.SimulatedIOLatency)
 	disk.SetPageLayout(opts.PageLayout)
 	return db
-}
-
-// SetShareDeltas switches the shared-delta refresh mode at runtime.
-func (db *Database) SetShareDeltas(m ShareDeltaMode) {
-	db.mu.Lock()
-	db.shareDeltas = m
-	db.mu.Unlock()
-}
-
-// ShareDeltas returns the configured shared-delta refresh mode.
-func (db *Database) ShareDeltas() ShareDeltaMode {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.shareDeltas
 }
 
 // DeltaScanCount returns how many base-relation delta-expansion passes
@@ -509,11 +459,13 @@ func (db *Database) HR(name string) (*hr.HR, bool) {
 	return h, ok
 }
 
-// CreateView registers a view with the given maintenance strategy.
-// Deferred views wrap each of their base relations in a hypothetical
-// relation (creating it on first need). Mixing Immediate and Deferred
-// views over the same base relation is rejected: the two strategies
-// disagree about when the base files reflect pending changes. A view
+// CreateView registers a view with the given maintenance strategy and
+// attaches what that strategy needs (strategy.go). Deferred views wrap
+// each of their base relations in a hypothetical relation (creating it
+// on first need). Mixing Deferred views with Immediate, Snapshot or
+// RecomputeOnDemand views over the same base relation is rejected with
+// ErrStrategyConflict: the strategies disagree about when the base
+// files reflect pending changes. A view
 // whose single source names another materialized view becomes a child
 // in a view hierarchy (see hierarchy.go).
 func (db *Database) CreateView(def Def, strategy Strategy) error {
@@ -526,6 +478,9 @@ func (db *Database) createViewLocked(def Def, strategy Strategy) error {
 	if _, dup := db.views[def.Name]; dup {
 		return fmt.Errorf("%w: view %q exists", ErrDuplicateView, def.Name)
 	}
+	if _, known := strategyTable[strategy]; !known {
+		return fmt.Errorf("core: view %q: unknown strategy %d", def.Name, int(strategy))
+	}
 	parent, err := db.checkHierarchyLocked(def)
 	if err != nil {
 		return err
@@ -537,108 +492,20 @@ func (db *Database) createViewLocked(def Def, strategy Strategy) error {
 	} else {
 		schemas = make([]*tuple.Schema, 0, len(def.Relations))
 		for _, rn := range def.Relations {
-			r, ok := db.rels[rn]
-			if !ok {
-				return fmt.Errorf("core: view %q references unknown relation %q", def.Name, rn)
-			}
-			schemas = append(schemas, r.Schema())
+			schemas = append(schemas, db.rels[rn].Schema())
 		}
 	}
 	if err := def.Validate(schemas); err != nil {
 		return err
 	}
-	// Deferred views leave the base files stale between folds, so a
-	// relation cannot simultaneously feed a deferred view and any
-	// strategy that reads or rewrites base files at its own cadence
-	// (immediate refresh, snapshot recompute, on-demand recompute).
-	// Query modification coexists: its read paths merge pending HR
-	// changes. Children read their parent's materialization, not base
-	// files, so the conflict does not apply.
-	baseReader := func(s Strategy) bool {
-		return s == Immediate || s == Snapshot || s == RecomputeOnDemand
-	}
-	if parent == nil {
-		for _, rn := range def.Relations {
-			for _, other := range db.views {
-				if !dependsOn(other, rn) {
-					continue
-				}
-				if strategy == Deferred && baseReader(other.strategy) ||
-					baseReader(strategy) && other.strategy == Deferred {
-					return fmt.Errorf("%w: relation %q cannot feed both a deferred view and a %s/%s view (%q, %q)",
-						ErrStrategyConflict, rn, strategy, other.strategy, def.Name, other.def.Name)
-				}
-			}
-		}
-	}
-
 	vs := &viewState{def: def, strategy: strategy, schemas: schemas, plan: PlanAuto}
-
-	if strategy != QueryModification {
-		switch def.Kind {
-		case GroupedAggregate:
-			if err := db.rebuildGroupAgg(vs); err != nil {
-				return err
-			}
-		case Aggregate:
-			vs.aggState = agg.NewState(def.AggKind)
-			vs.aggFile = db.disk.Open(def.Name + ".agg")
-			fr, err := db.pool.Alloc(vs.aggFile)
-			if err != nil {
-				return err
-			}
-			vs.aggPage = fr.PageNum()
-			writeAggPage(fr, vs.aggState)
-			if err := db.pool.Release(fr); err != nil {
-				return err
-			}
-			// An aggregate over existing contents initializes from a
-			// scan (setup cost; callers usually ResetStats after).
-			if err := db.rebuildAggregate(vs); err != nil {
-				return err
-			}
-		default:
-			mat, err := NewMatView(db.disk, db.pool, def.Name, def.OutputSchema(schemas), def.ViewKeyCol)
-			if err != nil {
-				return err
-			}
-			vs.mat = mat
-			if err := db.bulkWrite(func() error { return db.populateView(vs) }); err != nil {
-				return err
-			}
-		}
-		// Screening is used by the differential strategies and by
-		// recompute-on-demand (whose whole point is the [Bune79]
-		// pre-execution analysis). Snapshot views refresh on a clock,
-		// so they place no locks and pay no screening. Children are not
-		// screened: their delta source is the parent's log, not base
-		// writes.
-		if strategy != Snapshot && parent == nil {
-			for slot, rn := range def.Relations {
-				db.locks.Register(def.Name, rn, slot, db.rels[rn].KeyCol(), def.Pred, def.TargetColumns(slot))
-			}
-		}
+	if err := db.strategyConflictLocked(vs, strategy); err != nil {
+		return err
 	}
-
-	if strategy == Deferred && parent == nil {
-		for _, rn := range def.Relations {
-			if _, ok := db.hrs[rn]; !ok {
-				h, err := hr.New(db.disk, db.pool, db.rels[rn], db.hrConfig)
-				if err != nil {
-					return err
-				}
-				db.hrs[rn] = h
-			}
-		}
+	if err := db.attachLocked(vs, strategyRow{}); err != nil {
+		return err
 	}
-
 	vs.baseRels = db.baseRelsOfLocked(def)
-	if parent != nil {
-		// Start consuming the parent's log at its current tail: the
-		// populate above already reflects everything before it.
-		vs.parentPos = parent.logStart + int64(len(parent.deltaLog))
-		vs.parentGen = parent.logGen
-	}
 	db.views[def.Name] = vs
 	db.rebuildChildrenLocked()
 	// Catalog changes are checkpointed, not logged: every later WAL
@@ -683,6 +550,10 @@ func (db *Database) viewNamesLocked() []string {
 	return out
 }
 
+func sortViewsByName(views []*viewState) {
+	sort.Slice(views, func(i, j int) bool { return views[i].def.Name < views[j].def.Name })
+}
+
 // SetDefaultPlan sets the default query-modification plan for a view.
 func (db *Database) SetDefaultPlan(view string, plan QueryPlan) error {
 	db.mu.Lock()
@@ -695,8 +566,10 @@ func (db *Database) SetDefaultPlan(view string, plan QueryPlan) error {
 	return db.catalogCheckpointLocked()
 }
 
-// DropView removes a view, its t-locks and its materialization. Base
-// relations and HRs (possibly shared) are left in place.
+// DropView removes a view together with everything its strategy
+// attached: its t-locks, its materialization, and any hypothetical
+// relation no other deferred view still needs (pending AD changes are
+// folded into the base file first).
 func (db *Database) DropView(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -707,15 +580,8 @@ func (db *Database) DropView(name string) error {
 	if kids := db.children[name]; len(kids) > 0 {
 		return fmt.Errorf("%w: %q has children %v", ErrHasChildren, name, kids)
 	}
-	db.locks.Unregister(name)
-	if vs.mat != nil {
-		db.disk.Remove(name + ".view.btree")
-	}
-	if vs.groups != nil {
-		db.disk.Remove(name + ".groups.btree")
-	}
-	if vs.aggFile != nil {
-		db.disk.Remove(name + ".agg")
+	if err := db.detachLocked(vs, strategyRow{}); err != nil {
+		return err
 	}
 	delete(db.views, name)
 	db.rebuildChildrenLocked()

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"viewmat/internal/pred"
-)
+import "fmt"
 
 // This file implements the two further view-refresh mechanisms the
 // paper's introduction surveys beyond its three contenders:
@@ -108,116 +104,32 @@ func (db *Database) bulkWrite(fn func() error) error {
 	return err
 }
 
-// recomputeView rebuilds a materialized view or aggregate from the
-// current base contents: truncate, then repopulate — every page of the
+// recomputeView rebuilds a view's stored copy from the current
+// contents of its source: truncate, then repopulate — every page of the
 // old copy is dropped and the new copy written out, which is exactly
 // the "completely recomputed" cost profile of [Bune79].
 func (db *Database) recomputeView(vs *viewState) error {
 	defer func() { vs.refreshes++ }()
-	switch vs.def.Kind {
-	case Aggregate:
-		if err := db.rebuildAggregate(vs); err != nil {
-			return err
-		}
-	case GroupedAggregate:
-		if err := db.rebuildGroupAgg(vs); err != nil {
-			return err
-		}
-	default:
-		if err := db.truncateMatView(vs); err != nil {
-			return err
-		}
-		if err := db.bulkWrite(func() error { return db.populateView(vs) }); err != nil {
-			return err
-		}
+	if err := db.newStoreLocked(vs); err != nil {
+		return err
+	}
+	if err := db.fillStoreLocked(vs); err != nil {
+		return err
 	}
 	// A recompute restarts the view's delta-log history: children can no
 	// longer interpret positions in the old log, so bump the generation
 	// (they will recompute from the fresh copy on their next refresh).
 	if len(db.children[vs.def.Name]) > 0 || len(vs.deltaLog) > 0 {
 		vs.logGen++
-		vs.logStart += int64(len(vs.deltaLog))
+		vs.logStart = vs.logEnd()
 		vs.deltaLog = nil
 	}
 	// A child's recompute read the parent's current rows, which covers
 	// everything logged so far.
 	if p := db.parentOf(vs); p != nil {
-		vs.parentPos = p.logStart + int64(len(p.deltaLog))
-		vs.parentGen = p.logGen
+		vs.parentPos, vs.parentGen = p.logEnd(), p.logGen
 	}
 	vs.staleCommits = 0
 	vs.dirty = false
 	return nil
-}
-
-// truncateMatView drops and recreates a view's backing store.
-func (db *Database) truncateMatView(vs *viewState) error {
-	name := vs.def.Name
-	db.disk.Remove(name + ".view.btree")
-	mat, err := NewMatView(db.disk, db.pool, name, vs.def.OutputSchema(vs.schemas), vs.def.ViewKeyCol)
-	if err != nil {
-		return err
-	}
-	vs.mat = mat
-	return nil
-}
-
-// noteExtraStrategyCommit is called at commit time for snapshot and
-// recompute-on-demand views whose relations were touched: snapshots
-// count staleness; recompute-on-demand marks dirty only when the
-// screened tuples actually threaten the view (the per-tuple second
-// stage after the RIU test).
-func (db *Database) noteExtraStrategyCommit(marked map[string]map[int]*deltas, touched map[string]bool) {
-	for _, vs := range db.views {
-		switch vs.strategy {
-		case Snapshot:
-			// baseRels covers children too, whose Relations name a
-			// parent view rather than a base relation.
-			for _, rn := range vs.baseRels {
-				if touched[rn] {
-					vs.staleCommits++
-					break
-				}
-			}
-		case RecomputeOnDemand:
-			if _, hit := marked[vs.def.Name]; hit {
-				vs.dirty = true
-			}
-			// Children place no screening locks, so they never appear in
-			// marked; any commit touching their base lineage dirties them.
-			if db.parentOf(vs) != nil {
-				for _, rn := range vs.baseRels {
-					if touched[rn] {
-						vs.dirty = true
-						break
-					}
-				}
-			}
-		}
-	}
-}
-
-// maybeRefreshExtra runs the read-time refresh rules for the extra
-// strategies.
-func (db *Database) maybeRefreshExtra(vs *viewState) error {
-	switch vs.strategy {
-	case Snapshot:
-		if vs.staleCommits > vs.snapshotEvery {
-			return db.inPhase(PhaseDefRefresh, func() error { return db.recomputeView(vs) })
-		}
-	case RecomputeOnDemand:
-		if vs.dirty {
-			return db.inPhase(PhaseDefRefresh, func() error { return db.recomputeView(vs) })
-		}
-	}
-	return nil
-}
-
-// QuerySnapshotView reads a Snapshot or RecomputeOnDemand view; split
-// from QueryView only in name — the signature and semantics match,
-// including possible staleness for snapshots within their interval.
-// (QueryView accepts these views too; this alias documents intent at
-// call sites that tolerate staleness.)
-func (db *Database) QuerySnapshotView(name string, rg *pred.Range) ([]ResultRow, error) {
-	return db.QueryView(name, rg)
 }

@@ -102,18 +102,11 @@ type GroupRow struct {
 
 // --- engine integration -----------------------------------------------------
 
-// refreshGroupAgg applies Model-3 deltas per group through a
-// DeltaSource→Filter→DeltaApply pipeline whose sink updates exactly
-// the affected group's row (a MIN/MAX extreme delete recomputes that
-// group from the base relation inside the sink's bracket).
-func (db *Database) refreshGroupAgg(vs *viewState, d *deltas) error {
-	src := exec.NewDeltaSource(db.execOpts(), vs.def.Relations[0], d.adds, d.dels)
-	return db.runPlan(vs, PlanPathRefresh, db.groupAggRefreshTree(vs, src))
-}
-
-// groupAggRefreshTree is the grouped-aggregate apply pipeline over an
-// arbitrary delta source (private DeltaSource or shared replay). When
-// child views hang off this view, each group-row change is also logged
+// groupAggRefreshTree applies Model-3 deltas per group through a
+// Filter→DeltaApply pipeline whose sink updates exactly the affected
+// group's row (a MIN/MAX extreme delete recomputes that group from the
+// source inside the sink's bracket). When child views hang off this
+// view, each group-row change is also logged
 // as a logical output delta — delete(old value), insert(new value) in
 // the view's (group, value) output schema — the stream children drain.
 func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.Operator {
@@ -252,26 +245,10 @@ func (db *Database) recomputeGroup(vs *viewState, group tuple.Value, s *agg.Stat
 	return nil
 }
 
-// rebuildGroupAgg rebuilds the whole group store from base contents
-// (populate at CreateView, and the recompute path of Snapshot /
-// RecomputeOnDemand strategies).
-func (db *Database) rebuildGroupAgg(vs *viewState) error {
-	name := vs.def.Name
-	db.disk.Remove(name + ".groups.btree")
-	// schemas[0] is the base relation's schema, or the parent view's
-	// output schema for hierarchy children.
-	groupTyp := vs.schemas[0].Cols[vs.def.GroupBy].Type
-	gs, err := newGroupStore(db.disk, db.pool, name, groupTyp)
-	if err != nil {
-		return err
-	}
-	vs.groups = gs
-	return db.bulkWrite(func() error { return db.fillGroupStore(vs) })
-}
-
 // fillGroupStore scans the source (base relation or parent view), folds
 // every group's state, and flushes the group rows into a fresh group
-// store.
+// store (populate at CreateView, and the recompute path of Snapshot /
+// RecomputeOnDemand strategies).
 func (db *Database) fillGroupStore(vs *viewState) error {
 	gs := vs.groups
 	states := map[string]*agg.State{}

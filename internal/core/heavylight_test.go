@@ -145,7 +145,7 @@ func TestHeavyLightBloomOrdering(t *testing.T) {
 // pre-transaction states from the AD file, which the eager path would
 // bypass.
 func TestHeavyLightJoinOptOut(t *testing.T) {
-	db := newFanJoinDatabase(t, ShareDeltasAuto, Deferred, 60, 10)
+	db := newFanJoinDatabase(t, gateModel, Deferred, 60, 10)
 	if err := db.EnableHeavyLight("r1", 0.1, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -241,6 +241,10 @@ func (db *Database) childLevelsLocked() [][]string {
 	return levels
 }
 
+// logEnd is the absolute position one past the view's last logged
+// delta.
+func (vs *viewState) logEnd() int64 { return vs.logStart + int64(len(vs.deltaLog)) }
+
 // childPending reports whether the parent's delta log holds entries
 // this child has not consumed (or the parent's log restarted under a
 // recompute, which obliges the child to recompute too).
@@ -249,7 +253,7 @@ func (db *Database) childPending(vs *viewState) bool {
 	if p == nil {
 		return false
 	}
-	return vs.parentGen != p.logGen || vs.parentPos < p.logStart+int64(len(p.deltaLog))
+	return vs.parentGen != p.logGen || vs.parentPos < p.logEnd()
 }
 
 // parentRows materializes the parent's current logical contents as
@@ -306,29 +310,51 @@ func (db *Database) sourceFor(vs *viewState, slot int) exec.Operator {
 	return db.baseSource(vs, slot)
 }
 
-// viewDeltaRows converts logged entries to executor rows, preserving
-// application order and polarity.
-func viewDeltaRows(entries []viewDelta) []exec.Row {
-	rows := make([]exec.Row, len(entries))
-	for i, e := range entries {
-		rows[i] = exec.Row{T0: tuple.Tuple{Vals: e.vals}, Insert: e.insert}
-	}
-	return rows
+// logPosition is what sibling children must agree on to drain one
+// replay of their parent's log.
+type logPosition struct {
+	parent string
+	gen    uint64
+	pos    int64
 }
 
-// childApplyTree wires a delta source into the child's apply pipeline —
-// the same screen/project/apply trees base-relation refresh uses, fed
-// from the parent's log instead of an AD file.
-func (db *Database) childApplyTree(vs *viewState, src exec.Operator) (exec.Operator, error) {
-	switch vs.def.Kind {
-	case SelectProject:
-		return db.spRefreshTree(vs, src), nil
-	case Aggregate:
-		return db.aggRefreshTree(vs, src), nil
-	case GroupedAggregate:
-		return db.groupAggRefreshTree(vs, src), nil
+func logPositionOf(vs *viewState) (logPosition, bool) {
+	return logPosition{vs.def.Relations[0], vs.parentGen, vs.parentPos}, true
+}
+
+// drainChildrenLocked brings children standing at one position of their
+// (fresh) parent's delta log current: replay the unseen suffix through
+// each child's apply tree as one refresh group, or recompute when the
+// log restarted (generation bump) or the cost model says a fresh scan
+// of the parent is cheaper. Caller holds the write lock.
+func (db *Database) drainChildrenLocked(views []*viewState, parent *viewState) error {
+	if db.hierarchyFail != nil {
+		for _, vs := range views {
+			if err := db.hierarchyFail(vs.def.Name); err != nil {
+				return err
+			}
+		}
 	}
-	return nil, fmt.Errorf("core: view %q: kind cannot be maintained over a view", vs.def.Name)
+	at := views[0]
+	restarted := at.parentGen != parent.logGen || at.parentPos < parent.logStart
+	pending := int(parent.logEnd() - at.parentPos)
+	if !restarted && pending <= 0 {
+		return nil
+	}
+	if restarted || !db.childDrainEstimateLocked(parent, pending).Drain(costmodel.Default()) {
+		for _, vs := range views {
+			if err := db.recomputeView(vs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return db.refreshGroup(views, deltaFeed{
+		fp:      exec.DeltaFingerprint{Kind: "viewdelta", Rel1: parent.def.Name},
+		parent:  parent,
+		from:    at.parentPos,
+		counted: true,
+	})
 }
 
 // childDrainEstimateLocked assembles the drain-vs-recompute estimate
@@ -345,74 +371,9 @@ func (db *Database) childDrainEstimateLocked(parent *viewState, deltaRows int) c
 	return est
 }
 
-// drainChildLocked brings one child current against its parent's delta
-// log: replay the unseen suffix through the child's apply tree, or
-// recompute when the log restarted (generation bump) or the cost model
-// says a fresh scan of the parent is cheaper. The consumed position
-// advances only after a successful apply, so a failed drain leaves the
-// child unchanged and still pending — retrying converges. Caller holds
-// the write lock; the parent must already be fresh.
-func (db *Database) drainChildLocked(vs, parent *viewState) error {
-	if db.hierarchyFail != nil {
-		if err := db.hierarchyFail(vs.def.Name); err != nil {
-			return err
-		}
-	}
-	if vs.parentGen != parent.logGen || vs.parentPos < parent.logStart {
-		return db.recomputeView(vs)
-	}
-	end := parent.logStart + int64(len(parent.deltaLog))
-	if vs.parentPos >= end {
-		return nil
-	}
-	pending := parent.deltaLog[vs.parentPos-parent.logStart:]
-	if !db.childDrainEstimateLocked(parent, len(pending)).Drain(costmodel.Default()) {
-		return db.recomputeView(vs)
-	}
-	src := exec.NewViewDeltaScan(db.execOpts(), parent.def.Name, viewDeltaRows(pending))
-	tree, err := db.childApplyTree(vs, src)
-	if err != nil {
-		return err
-	}
-	if err := db.runPlan(vs, PlanPathRefresh, tree); err != nil {
-		return err
-	}
-	vs.parentPos = end
-	vs.parentGen = parent.logGen
-	vs.refreshes++
-	return nil
-}
-
-// refreshChildStaleLocked is refreshStaleLocked for child views: make
-// the parent fresh first (recursively, so depth-3 chains converge),
-// then apply the child's own strategy — drain for the differential
-// strategies, threshold-gated recompute for snapshot/on-demand,
-// nothing for query modification (it reads the parent live).
-func (db *Database) refreshChildStaleLocked(vs, parent *viewState) error {
-	if db.viewStale(parent) {
-		if err := db.refreshStaleLocked(parent); err != nil {
-			return err
-		}
-	}
-	switch vs.strategy {
-	case Snapshot, RecomputeOnDemand:
-		return db.maybeRefreshExtra(vs)
-	case QueryModification:
-		return nil
-	}
-	if !db.childPending(vs) {
-		return nil
-	}
-	if err := db.inPhase(PhaseDefRefresh, func() error { return db.drainChildLocked(vs, parent) }); err != nil {
-		return err
-	}
-	db.compactDeltaLogLocked(parent)
-	return nil
-}
-
-// cascadeImmediateChildrenLocked drains every pending Immediate child
-// whose parent is fresh, level by level — the commit-time half of the
-// hierarchy: an immediate parent's refresh grows its log inside the
+// cascadeImmediateChildrenLocked drains every pending commit-triggered
+// child whose parent is fresh, level by level — the commit-time half of
+// the hierarchy: an immediate parent's refresh grows its log inside the
 // commit, and its immediate children consume it before the commit
 // returns. Runs inside applyOps, so WAL replay reproduces it from the
 // commit record alone.
@@ -420,165 +381,48 @@ func (db *Database) cascadeImmediateChildrenLocked() error {
 	for _, level := range db.childLevelsLocked() {
 		for _, n := range level {
 			vs := db.views[n]
-			if vs.strategy != Immediate || !db.childPending(vs) {
+			if vs.row().trigger != onCommit || !db.childPending(vs) {
 				continue
 			}
 			parent := db.parentOf(vs)
-			if parent == nil || db.viewStale(parent) {
+			if db.viewStale(parent) {
 				continue
 			}
-			if err := db.inPhase(PhaseImmRefresh, func() error { return db.drainChildLocked(vs, parent) }); err != nil {
-				return err
-			}
-		}
-	}
-	db.compactDeltaLogsLocked()
-	return nil
-}
-
-// anyStaleChildLocked reports whether the hierarchy pass has work.
-func (db *Database) anyStaleChildLocked() bool {
-	for _, vs := range db.views {
-		if db.parentOf(vs) != nil && db.viewStale(vs) {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshHierarchyLocked is RefreshAll's second phase: after the base
-// views refreshed (in parallel), walk child views level by level so
-// PR 6's shared-delta grouping applies per level — stale differential
-// children at the same log position of the same parent share one
-// replay of the pending suffix, leader-charged exactly like a shared
-// base delta. Snapshot/on-demand/mismatched children refresh
-// individually through the strategy dispatch. Always serial: levels
-// order the work and parents' logs mutate as children drain.
-func (db *Database) refreshHierarchyLocked(stats *[]RefreshUnitStat) error {
-	for _, level := range db.childLevelsLocked() {
-		type groupKey struct {
-			parent string
-			pos    int64
-		}
-		groups := map[groupKey][]*viewState{}
-		var order []groupKey
-		var singles []*viewState
-		for _, n := range level {
-			vs := db.views[n]
-			if !db.viewStale(vs) {
-				continue
-			}
-			parent := db.parentOf(vs)
-			drainable := (vs.strategy == Deferred || vs.strategy == Immediate) &&
-				parent != nil && !db.viewStale(parent) &&
-				vs.parentGen == parent.logGen && vs.parentPos >= parent.logStart &&
-				db.childDrainEstimateLocked(parent, int(parent.logStart+int64(len(parent.deltaLog))-vs.parentPos)).Drain(costmodel.Default())
-			if db.shareDeltas != ShareDeltasOff && drainable {
-				k := groupKey{parent.def.Name, vs.parentPos}
-				if _, ok := groups[k]; !ok {
-					order = append(order, k)
-				}
-				groups[k] = append(groups[k], vs)
-				continue
-			}
-			singles = append(singles, vs)
-		}
-		for _, vs := range singles {
-			if err := db.refreshChildUnitLocked([]*viewState{vs}, stats); err != nil {
-				return err
-			}
-		}
-		for _, k := range order {
-			if err := db.refreshChildUnitLocked(groups[k], stats); err != nil {
-				return err
-			}
-		}
-	}
-	db.compactDeltaLogsLocked()
-	return nil
-}
-
-// refreshChildUnitLocked refreshes one hierarchy unit — a shared-drain
-// group or a single child — recording per-unit stats and WAL records
-// the way RefreshAll's serial phase does.
-func (db *Database) refreshChildUnitLocked(views []*viewState, stats *[]RefreshUnitStat) error {
-	names := make([]string, len(views))
-	for i, vs := range views {
-		names[i] = vs.def.Name
-	}
-	before := db.meter.Snapshot()
-	scansBefore := db.deltaScans.Load()
-	clockBefore := db.clock.Load()
-	var err error
-	if len(views) >= 2 {
-		err = db.refreshChildGroupShared(views)
-	} else {
-		err = db.refreshStaleLocked(views[0])
-	}
-	if err == nil {
-		for _, vs := range views {
-			if err = db.logRefreshLocked(vs.def.Name, refreshKindStale, clockBefore); err != nil {
-				break
-			}
-		}
-	}
-	*stats = append(*stats, RefreshUnitStat{
-		Views:      names,
-		IO:         db.meter.Snapshot().Sub(before),
-		DeltaScans: db.deltaScans.Load() - scansBefore,
-	})
-	return err
-}
-
-// refreshChildGroupShared drains a group of children pending at the
-// same position of the same parent from one materialization of the log
-// suffix: the build (a ViewDeltaScan replay) runs once and is charged
-// to the first consumer by name; every other consumer's plan renders a
-// zero-cost SharedDeltaRef — the same leader/follower attribution
-// refreshGroupShared uses for base deltas.
-func (db *Database) refreshChildGroupShared(views []*viewState) error {
-	for _, vs := range views {
-		if db.hierarchyFail != nil {
-			if err := db.hierarchyFail(vs.def.Name); err != nil {
-				return err
-			}
-		}
-	}
-	parent := db.parentOf(views[0])
-	return db.inPhase(PhaseDefRefresh, func() error {
-		fp := exec.DeltaFingerprint{Kind: "viewdelta", Rel1: parent.def.Name}
-		end := parent.logStart + int64(len(parent.deltaLog))
-		pending := parent.deltaLog[views[0].parentPos-parent.logStart:]
-		src := exec.NewViewDeltaScan(db.execOpts(), parent.def.Name, viewDeltaRows(pending))
-		buildNode, buildDelta, rows, err := db.runTree(src, true)
-		if err != nil {
-			return err
-		}
-		leader := views[0].def.Name
-		for i, vs := range views {
-			tree, err := db.sharedConsumerTree(vs, fp, rows)
+			err := db.inPhase(PhaseImmRefresh, func() error {
+				return db.drainChildrenLocked([]*viewState{vs}, parent)
+			})
 			if err != nil {
 				return err
 			}
-			node, delta, _, runErr := db.runTree(tree, false)
-			var full *exec.PlanNode
-			fullDelta := delta
-			if i == 0 {
-				full = exec.Node("shared-refresh("+vs.def.Name+")", exec.SharedDeltaNode(fp, len(views), buildNode), node)
-				fullDelta = fullDelta.Add(buildDelta)
-			} else {
-				full = exec.Node("shared-refresh("+vs.def.Name+")", exec.SharedDeltaRef(fp, leader), node)
-			}
-			db.recordPlan(vs, PlanPathRefresh, full, fullDelta)
-			if runErr != nil {
-				return runErr
-			}
-			vs.parentPos = end
-			vs.parentGen = parent.logGen
-			vs.refreshes++
 		}
-		return nil
-	})
+	}
+	db.compactDeltaLogsLocked()
+	return nil
+}
+
+// staleChildUnitsLocked is RefreshAll's work at one hierarchy level,
+// after the levels above refreshed: stale differential children at the
+// same log position of the same parent form one unit and share one
+// replay of the pending suffix; snapshot/on-demand children refresh
+// individually by their own rule, ahead of the drains.
+func (db *Database) staleChildUnitsLocked(level []string) []refreshUnit {
+	var units []refreshUnit
+	var draining []*viewState
+	for _, n := range level {
+		vs := db.views[n]
+		if !db.viewStale(vs) {
+			continue
+		}
+		if vs.row().delta {
+			draining = append(draining, vs)
+		} else {
+			units = append(units, refreshUnit{views: []*viewState{vs}})
+		}
+	}
+	for _, g := range groupViews(draining, logPositionOf) {
+		units = append(units, refreshUnit{views: g, parent: db.parentOf(g[0])})
+	}
+	return units
 }
 
 // compactDeltaLogLocked trims the parent's log below the minimum
@@ -587,16 +431,10 @@ func (db *Database) refreshChildGroupShared(views []*viewState) error {
 // contents), so they do not pin it; a generation-mismatched child will
 // recompute and resync, so it does not pin it either.
 func (db *Database) compactDeltaLogLocked(parent *viewState) {
-	min := parent.logStart + int64(len(parent.deltaLog))
+	min := parent.logEnd()
 	for _, cn := range db.children[parent.def.Name] {
 		c := db.views[cn]
-		if c.strategy != Deferred && c.strategy != Immediate {
-			continue
-		}
-		if c.parentGen != parent.logGen {
-			continue
-		}
-		if c.parentPos < min {
+		if c.row().delta && c.parentGen == parent.logGen && c.parentPos < min {
 			min = c.parentPos
 		}
 	}

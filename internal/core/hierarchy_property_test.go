@@ -17,9 +17,9 @@ import (
 // driven by skewed update scripts, proven against a recompute oracle.
 // Five engines replay every script in lockstep:
 //
-//	subject  — the drawn per-view strategies, ShareDeltasAuto,
+//	subject  — the drawn per-view strategies, cost-model share gate,
 //	           vectorized batches, columnar pages, heavy-light on,
-//	unshared — subject with ShareDeltasOff: results must be
+//	unshared — subject with the share gate private: results must be
 //	           byte-identical (positional), proving sharing never
 //	           changes stored contents,
 //	batch1   — subject with BatchSize 1: byte-identical AND
@@ -284,9 +284,6 @@ func runHierarchyProp(nodes []hierNode, steps []propStep) error {
 	subjectOpts := testOpts()
 	subjectOpts.MaxRefreshWorkers = 4
 
-	unsharedOpts := subjectOpts
-	unsharedOpts.ShareDeltas = ShareDeltasOff
-
 	batch1Opts := subjectOpts
 	batch1Opts.BatchSize = 1
 
@@ -294,7 +291,6 @@ func runHierarchyProp(nodes []hierNode, steps []propStep) error {
 	rowOpts.PageLayout = storage.PageLayoutRow
 
 	oracleOpts := testOpts()
-	oracleOpts.ShareDeltas = ShareDeltasOff
 
 	type engine struct {
 		name string
@@ -304,14 +300,15 @@ func runHierarchyProp(nodes []hierNode, steps []propStep) error {
 	specs := []struct {
 		name     string
 		opts     Options
+		gate     func() bool
 		override Strategy
 		hl       bool
 	}{
-		{"subject", subjectOpts, -1, true},
-		{"unshared", unsharedOpts, -1, true},
-		{"batch1", batch1Opts, -1, true},
-		{"rowpages", rowOpts, -1, true},
-		{"oracle", oracleOpts, RecomputeOnDemand, false},
+		{"subject", subjectOpts, gateModel, -1, true},
+		{"unshared", subjectOpts, gatePrivate, -1, true},
+		{"batch1", batch1Opts, gateModel, -1, true},
+		{"rowpages", rowOpts, gateModel, -1, true},
+		{"oracle", oracleOpts, gatePrivate, RecomputeOnDemand, false},
 	}
 	engines := make([]engine, len(specs))
 	for i, sp := range specs {
@@ -319,6 +316,7 @@ func runHierarchyProp(nodes []hierNode, steps []propStep) error {
 		if err != nil {
 			return fmt.Errorf("setup %s: %w", sp.name, err)
 		}
+		setShareGate(db, sp.gate)
 		var live []liveRow
 		for k := 0; k < 30; k++ {
 			live = append(live, liveRow{key: int64(k), id: uint64(k + 1)})

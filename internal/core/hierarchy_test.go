@@ -410,11 +410,10 @@ func replaceKey(model []hRow, k int64, s string) []hRow {
 // subtree, the follower renders a zero-cost reference, and a
 // sharing-disabled engine computes the same contents.
 func TestHierarchySharedChildDrain(t *testing.T) {
-	build := func(mode ShareDeltaMode) *Database {
+	build := func(gate func() bool) *Database {
 		t.Helper()
-		opts := testOpts()
-		opts.ShareDeltas = mode
-		db := NewDatabase(opts)
+		db := NewDatabase(testOpts())
+		setShareGate(db, gate)
 		t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
 		if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 			t.Fatal(err)
@@ -441,7 +440,7 @@ func TestHierarchySharedChildDrain(t *testing.T) {
 		return db
 	}
 
-	shared := build(ShareDeltasAuto)
+	shared := build(gateModel)
 	if err := shared.RefreshAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +475,7 @@ func TestHierarchySharedChildDrain(t *testing.T) {
 		t.Errorf("parent log not compacted after shared drain: %d", n)
 	}
 
-	unshared := build(ShareDeltasOff)
+	unshared := build(gatePrivate)
 	if err := unshared.RefreshAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,6 @@ func Load(r io.Reader) (*Database, error) {
 		// A source name resolves against the base relations first, then
 		// the already-loaded views (the save order is parents-first, so
 		// a child's parent is always present by now).
-		isChild := false
 		schemas := make([]*tuple.Schema, 0, len(def.Relations))
 		for _, rn := range def.Relations {
 			if rel, ok := db.rels[rn]; ok {
@@ -259,7 +258,6 @@ func Load(r io.Reader) (*Database, error) {
 			if !ok || len(def.Relations) != 1 {
 				return nil, fmt.Errorf("%w: view %q references unknown relation %q", ErrSnapshotCorrupt, def.Name, rn)
 			}
-			isChild = true
 			schemas = append(schemas, p.def.OutputSchema(p.schemas))
 		}
 		vs := &viewState{
@@ -312,11 +310,10 @@ func Load(r io.Reader) (*Database, error) {
 			}
 			vs.aggState = state
 		}
-		if vs.strategy != QueryModification && vs.strategy != Snapshot && !isChild {
-			for slot, rn := range def.Relations {
-				db.locks.Register(def.Name, rn, slot, db.rels[rn].KeyCol(), def.Pred, def.TargetColumns(slot))
-			}
+		if _, known := strategyTable[vs.strategy]; !known {
+			return nil, fmt.Errorf("%w: view %q has unknown strategy %d", ErrSnapshotCorrupt, def.Name, vd.Strategy)
 		}
+		db.placeLocksLocked(vs)
 		if len(vd.BaseRels) > 0 {
 			vs.baseRels = vd.BaseRels
 		} else {

@@ -315,7 +315,7 @@ var planScenarios = []struct {
 // on both join sides and refreshes it through the shared-delta path.
 func sharedFanoutScenario(t *testing.T) *Database {
 	t.Helper()
-	db := newFanJoinDatabase(t, ShareDeltasAuto, Deferred, 60, 10)
+	db := newFanJoinDatabase(t, gateModel, Deferred, 60, 10)
 	tx := db.Begin()
 	if _, err := tx.Insert("r1", tuple.I(25), tuple.I(5), tuple.S("x")); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"viewmat/internal/agg"
 	"viewmat/internal/exec"
@@ -159,48 +160,74 @@ func (db *Database) QueryAggregate(name string) (value float64, ok bool, err err
 
 // --- deferred refresh ------------------------------------------------------
 
-// refreshDeferred brings a deferred view (and every other deferred view
-// sharing its hypothetical relations — §4's shared-refresh
-// optimization) up to date: read each HR's net changes once
-// (PhaseADRead), fold them into the base relations (PhaseFold), then
-// run the differential algorithm per view (PhaseDefRefresh).
-func (db *Database) refreshDeferred(root *viewState) error {
-	// Collect the transitive set of deferred views connected to root
-	// through shared relations.
-	viewSet := map[string]*viewState{root.def.Name: root}
-	relSet := map[string]bool{}
+// foldRelationsLocked brings the base files of the named relations to
+// end-of-epoch state: each one behind a hypothetical relation runs the
+// deferred cycle of the views sharing it, so no pending change is lost.
+func (db *Database) foldRelationsLocked(relNames []string) error {
+	for _, rn := range relNames {
+		if _, ok := db.hrs[rn]; !ok {
+			continue
+		}
+		if err := db.refreshDeferredLocked(rn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hrComponentLocked returns everything connected to the HR-wrapped
+// relation rel: every deferred view over it, the other relations those
+// views read, and so on — relations and views both sorted by name —
+// and whether any of those relations' AD files holds pending changes.
+func (db *Database) hrComponentLocked(rel string) (rels []string, views []*viewState, pending bool) {
+	relSet := map[string]bool{rel: true}
+	inSet := map[*viewState]bool{}
 	for changed := true; changed; {
 		changed = false
-		for _, vs := range viewSet {
-			for _, rn := range vs.def.Relations {
-				if _, hasHR := db.hrs[rn]; hasHR && !relSet[rn] {
-					relSet[rn] = true
-					changed = true
-				}
-			}
-		}
-		for name, vs := range db.views {
-			if vs.strategy != Deferred || viewSet[name] != nil {
+		for _, vs := range db.views {
+			if !vs.row().wrapsHR || inSet[vs] || !anyIn(vs.def.Relations, relSet) {
 				continue
 			}
+			inSet[vs] = true
+			changed = true
 			for _, rn := range vs.def.Relations {
-				if relSet[rn] {
-					viewSet[name] = vs
-					changed = true
-					break
+				if _, hasHR := db.hrs[rn]; hasHR {
+					relSet[rn] = true
 				}
 			}
 		}
 	}
-
-	// Anything to do?
-	pending := false
 	for rn := range relSet {
-		if db.hrs[rn].ADLen() > 0 {
-			pending = true
-			break
+		if h, ok := db.hrs[rn]; ok {
+			rels = append(rels, rn)
+			pending = pending || h.ADLen() > 0
 		}
 	}
+	sort.Strings(rels)
+	for vs := range inSet {
+		views = append(views, vs)
+	}
+	sortViewsByName(views)
+	return rels, views, pending
+}
+
+// anyIn reports whether any of the names is in the set.
+func anyIn(names []string, set map[string]bool) bool {
+	for _, n := range names {
+		if set[n] {
+			return true
+		}
+	}
+	return false
+}
+
+// refreshDeferredLocked runs the deferred cycle for the HR-wrapped
+// relation rel and every deferred view connected to it (§4's
+// shared-refresh optimization): each HR's net changes are read once
+// (PhaseADRead) and folded into the base relations (PhaseFold); the
+// net changes are then the feed the views drain (PhaseDefRefresh).
+func (db *Database) refreshDeferredLocked(rel string) error {
+	rels, views, pending := db.hrComponentLocked(rel)
 	if !pending {
 		return nil
 	}
@@ -208,7 +235,7 @@ func (db *Database) refreshDeferred(root *viewState) error {
 	// Read net changes once per HR (C_ADread).
 	nets := map[string]*deltas{}
 	err := db.inPhase(PhaseADRead, func() error {
-		for rn := range relSet {
+		for _, rn := range rels {
 			anet, dnet, err := db.hrs[rn].NetChanges()
 			if err != nil {
 				return err
@@ -224,7 +251,7 @@ func (db *Database) refreshDeferred(root *viewState) error {
 
 	// Fold AD into the bases so files reach end-of-epoch state.
 	err = db.inPhase(PhaseFold, func() error {
-		for rn := range relSet {
+		for _, rn := range rels {
 			if err := db.hrs[rn].FoldWith(nets[rn].adds, nets[rn].dels); err != nil {
 				return err
 			}
@@ -235,10 +262,28 @@ func (db *Database) refreshDeferred(root *viewState) error {
 		return err
 	}
 
-	// Differential refresh per view, with delta sub-plans shared across
-	// views whose fingerprints coincide (see shared_refresh.go).
+	// Views drain in name order, grouped by the delta sub-expression
+	// they share, so the shared and private paths assign view-row ids
+	// identically.
+	feeds := make(map[*viewState]deltaFeed, len(views))
+	for _, vs := range views {
+		slots := map[int]*deltas{}
+		for slot, rn := range vs.def.Relations {
+			slots[slot] = nets[rn]
+		}
+		feeds[vs] = baseFeed(vs, slots, true)
+	}
+	groups := groupViews(views, func(vs *viewState) (exec.DeltaFingerprint, bool) {
+		fp := feeds[vs].fp
+		return fp, fp.Shareable()
+	})
 	return db.inPhase(PhaseDefRefresh, func() error {
-		return db.refreshUnitViews(viewSet, nets)
+		for _, g := range groups {
+			if err := db.refreshGroup(g, feeds[g[0]]); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
@@ -419,7 +464,7 @@ func (db *Database) loopJoin(vs *viewState, rg *pred.Range) ([]ResultRow, error)
 	// refresh so the scan below sees end-of-epoch state.
 	for _, rn := range vs.def.Relations {
 		if h, ok := db.hrs[rn]; ok && h.ADLen() > 0 {
-			if err := db.foldRelationsForQM(vs.def.Relations); err != nil {
+			if err := db.foldRelationsLocked(vs.def.Relations); err != nil {
 				return nil, err
 			}
 			break
@@ -458,26 +503,6 @@ func (db *Database) loopJoin(vs *viewState, rg *pred.Range) ([]ResultRow, error)
 		out = append(out, ResultRow{Vals: row.Vals})
 	}
 	return out, nil
-}
-
-// foldRelationsForQM folds the live HRs feeding a QM join view by
-// running the deferred refresh cycle rooted at any deferred view that
-// shares those relations, so no pending change is lost.
-func (db *Database) foldRelationsForQM(relNames []string) error {
-	for _, rn := range relNames {
-		if _, ok := db.hrs[rn]; !ok {
-			continue
-		}
-		for _, vs := range db.views {
-			if vs.strategy == Deferred && dependsOn(vs, rn) {
-				if err := db.refreshDeferred(vs); err != nil {
-					return err
-				}
-				break
-			}
-		}
-	}
-	return nil
 }
 
 // computeAggregateFromBase evaluates a Model-3 aggregate with query

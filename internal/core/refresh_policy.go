@@ -53,7 +53,7 @@ func (db *Database) RefreshDeferredNow(view string) error {
 	if err := db.pool.EvictAll(); err != nil {
 		return err
 	}
-	if err := db.refreshDeferred(vs); err != nil {
+	if err := db.foldRelationsLocked(vs.def.Relations); err != nil {
 		return err
 	}
 	return db.logRefreshLocked(view, refreshKindDeferredNow, clockBefore)
@@ -61,25 +61,20 @@ func (db *Database) RefreshDeferredNow(view string) error {
 
 // runPeriodicDeferredRefresh is called at the end of Commit: deferred
 // views with a refresh period count touching commits and refresh when
-// the period elapses.
+// the period elapses — in name order, like every other commit-time
+// refresh, so replay reproduces the ids they draw.
 func (db *Database) runPeriodicDeferredRefresh(touched map[string]bool) error {
+	var counting []*viewState
 	for _, vs := range db.views {
-		if vs.strategy != Deferred || vs.refreshEvery == 0 {
-			continue
+		if vs.strategy == Deferred && vs.refreshEvery != 0 && anyIn(vs.def.Relations, touched) {
+			counting = append(counting, vs)
 		}
-		hit := false
-		for _, rn := range vs.def.Relations {
-			if touched[rn] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
+	}
+	sortViewsByName(counting)
+	for _, vs := range counting {
 		vs.staleCommits++
 		if vs.staleCommits >= vs.refreshEvery {
-			if err := db.refreshDeferred(vs); err != nil {
+			if err := db.foldRelationsLocked(vs.def.Relations); err != nil {
 				return err
 			}
 			vs.staleCommits = 0

@@ -33,13 +33,27 @@ func fanJoinDef(name string, lo, hi int64) Def {
 	}
 }
 
+// Settings of the engine's unexported share gate: its own cost-model
+// choice, every refresh group private (the pre-sharing reference), or
+// every eligible group shared regardless of the estimate.
+var (
+	gateModel   func() bool
+	gatePrivate = func() bool { return false }
+	gateForced  = func() bool { return true }
+)
+
+func setShareGate(db *Database, gate func() bool) {
+	db.mu.Lock()
+	db.shareGate = gate
+	db.mu.Unlock()
+}
+
 // newFanJoinDatabase builds r1 (B-tree) and r2 (hash) seeded like
 // newJoinDatabase, with three views over differing r1 slices.
-func newFanJoinDatabase(t testing.TB, mode ShareDeltaMode, strategy Strategy, n, m int) *Database {
+func newFanJoinDatabase(t testing.TB, gate func() bool, strategy Strategy, n, m int) *Database {
 	t.Helper()
-	opts := testOpts()
-	opts.ShareDeltas = mode
-	db := NewDatabase(opts)
+	db := NewDatabase(testOpts())
+	setShareGate(db, gate)
 	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
 	s1, s2 := joinSchemas()
 	if _, err := db.CreateRelationBTree("r1", s1, 0); err != nil {
@@ -100,9 +114,9 @@ func sameRowsExact(t *testing.T, label string, got, want []ResultRow) {
 // scan — and that the shared engine expanded the delta once per group
 // where the unshared engine paid once per view.
 func TestSharedDeltaJoinGroupMatchesUnsharedAndOracle(t *testing.T) {
-	shared := newFanJoinDatabase(t, ShareDeltasAuto, Deferred, 60, 10)
-	unshared := newFanJoinDatabase(t, ShareDeltasOff, Deferred, 60, 10)
-	oracle := newFanJoinDatabase(t, ShareDeltasOff, RecomputeOnDemand, 60, 10)
+	shared := newFanJoinDatabase(t, gateModel, Deferred, 60, 10)
+	unshared := newFanJoinDatabase(t, gatePrivate, Deferred, 60, 10)
+	oracle := newFanJoinDatabase(t, gatePrivate, RecomputeOnDemand, 60, 10)
 	all := []*Database{shared, unshared, oracle}
 
 	// Epoch 1: R1-side churn (inserts in and out of the narrower
@@ -192,7 +206,7 @@ func TestSharedDeltaJoinGroupMatchesUnsharedAndOracle(t *testing.T) {
 // SharedDelta build subtree, and every other consumer renders a
 // zero-cost SharedDeltaRef naming the leader.
 func TestSharedDeltaAttributionInvariant(t *testing.T) {
-	db := newFanJoinDatabase(t, ShareDeltasAuto, Deferred, 60, 10)
+	db := newFanJoinDatabase(t, gateModel, Deferred, 60, 10)
 	var mu sync.Mutex
 	type rec struct {
 		view string
@@ -263,10 +277,9 @@ func TestSharedDeltaAttributionInvariant(t *testing.T) {
 // stream (one "delta" fingerprint group) and still agree with an
 // unshared engine.
 func TestSharedDeltaSPGroupSharesStream(t *testing.T) {
-	build := func(mode ShareDeltaMode) *Database {
-		opts := testOpts()
-		opts.ShareDeltas = mode
-		db := NewDatabase(opts)
+	build := func(gate func() bool) *Database {
+		db := NewDatabase(testOpts())
+		setShareGate(db, gate)
 		t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
 		if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 			t.Fatal(err)
@@ -296,7 +309,7 @@ func TestSharedDeltaSPGroupSharesStream(t *testing.T) {
 		db.ResetStats()
 		return db
 	}
-	shared, unshared := build(ShareDeltasAuto), build(ShareDeltasOff)
+	shared, unshared := build(gateModel), build(gatePrivate)
 	mutate := func(db *Database) {
 		tx := db.Begin()
 		if _, err := tx.Insert("r", tuple.I(15), tuple.I(7), tuple.S("x")); err != nil {
@@ -340,7 +353,7 @@ func TestSharedDeltaSPGroupSharesStream(t *testing.T) {
 // only composes plans for groups of two or more, which is what keeps
 // all pre-existing golden plan trees byte-identical.
 func TestSharedDeltaSingletonKeepsPrivatePlan(t *testing.T) {
-	db := newJoinDatabase(t, Deferred, 30, 10) // ShareDeltasAuto by default
+	db := newJoinDatabase(t, Deferred, 30, 10) // cost-model gate by default
 	tx := db.Begin()
 	if _, err := tx.Insert("r1", tuple.I(70), tuple.I(3), tuple.S("new")); err != nil {
 		t.Fatal(err)

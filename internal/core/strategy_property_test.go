@@ -458,9 +458,9 @@ func TestPropertyModel3StrategiesEquivalent(t *testing.T) {
 // For each model, three engines replay the same random script over a
 // fan of K=3 views with differing predicates on a shared base:
 //
-//	sharing  — Deferred views, ShareDeltasAlways: every query point
+//	sharing  — Deferred views, share gate forced: every query point
 //	           runs RefreshAll through the shared-delta path,
-//	unshared — Deferred views, ShareDeltasOff: the per-view private
+//	unshared — Deferred views, share gate private: the per-view private
 //	           differential plans,
 //	oracle   — RecomputeOnDemand views: full recompute from the base
 //	           files, no differential algebra at all.
@@ -517,10 +517,9 @@ func sharedPropViews(model int) []Def {
 
 // buildSharedPropDB seeds the model's base relation(s) and creates the
 // view fan under the given strategy and sharing mode.
-func buildSharedPropDB(model int, mode ShareDeltaMode, st Strategy) (*Database, []liveRow, error) {
-	opts := testOpts()
-	opts.ShareDeltas = mode
-	db := NewDatabase(opts)
+func buildSharedPropDB(model int, gate func() bool, st Strategy) (*Database, []liveRow, error) {
+	db := NewDatabase(testOpts())
+	setShareGate(db, gate)
 	var live []liveRow
 	if model == 2 {
 		const n, m = 30, 8
@@ -582,16 +581,16 @@ func runSharedModel(model int, steps []propStep) error {
 	}
 	specs := []struct {
 		name string
-		mode ShareDeltaMode
+		gate func() bool
 		st   Strategy
 	}{
-		{"sharing", ShareDeltasAlways, Deferred},
-		{"unshared", ShareDeltasOff, Deferred},
-		{"oracle", ShareDeltasOff, RecomputeOnDemand},
+		{"sharing", gateForced, Deferred},
+		{"unshared", gatePrivate, Deferred},
+		{"oracle", gatePrivate, RecomputeOnDemand},
 	}
 	engines := make([]engine, len(specs))
 	for i, sp := range specs {
-		db, live, err := buildSharedPropDB(model, sp.mode, sp.st)
+		db, live, err := buildSharedPropDB(model, sp.gate, sp.st)
 		if err != nil {
 			return fmt.Errorf("setup %s: %w", sp.name, err)
 		}

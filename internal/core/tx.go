@@ -250,29 +250,45 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 		return err
 	}
 
-	// Snapshot views count staleness; recompute-on-demand views go
-	// dirty when a marked tuple threatened them.
 	touched := map[string]bool{}
 	for rel := range perRel {
 		touched[rel] = true
 	}
-	db.noteExtraStrategyCommit(marked, touched)
+	db.noteCommitLocked(marked, touched)
 	db.observeCommitLocked(perRel, marked)
 
-	// Refresh immediate views (PhaseImmRefresh), charging the C3
-	// bookkeeping overhead per marked tuple (C_overhead).
+	// Drain the marked write-set into the views maintained inside the
+	// commit (PhaseImmRefresh), charging the C3 bookkeeping overhead per
+	// marked tuple (C_overhead): commit-triggered views take all of it;
+	// deferred views take just the heavy-routed subset, whose writes
+	// already reached the base files, leaving the light remainder
+	// pending in the AD file for the next deferred refresh. Views go in
+	// name order: their refreshes draw view-row ids from the shared
+	// clock, so the order is part of the state WAL replay must reproduce.
+	names := make([]string, 0, len(marked))
+	for name := range marked {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	err = db.inPhase(PhaseImmRefresh, func() error {
-		for name, slots := range marked {
-			vs := db.views[name]
-			if vs.strategy != Immediate {
+		for _, name := range names {
+			vs, slots := db.views[name], marked[name]
+			switch row := vs.row(); {
+			case row.trigger == onCommit:
+			case row.wrapsHR && len(router.heavyIDs) > 0:
+				slots = heavySlots(slots, router.heavyIDs)
+			default:
 				continue
 			}
 			var total int64
 			for _, d := range slots {
 				total += int64(len(d.adds) + len(d.dels))
 			}
+			if total == 0 {
+				continue
+			}
 			db.meter.ADTouch(total)
-			if err := db.refreshView(vs, slots); err != nil {
+			if err := db.refreshGroup([]*viewState{vs}, baseFeed(vs, slots, false)); err != nil {
 				return err
 			}
 		}
@@ -282,49 +298,13 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 		return err
 	}
 
-	// Heavy-routed writes already reached the base files; the deferred
-	// views they threaten refresh eagerly with just the heavy subset,
-	// leaving the light remainder pending in the AD file for the next
-	// deferred refresh.
-	if len(router.heavyIDs) > 0 {
-		err = db.inPhase(PhaseImmRefresh, func() error {
-			names := make([]string, 0, len(marked))
-			for name := range marked {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				vs := db.views[name]
-				if vs.strategy != Deferred {
-					continue
-				}
-				hs := heavySlots(marked[name], router.heavyIDs)
-				if len(hs) == 0 {
-					continue
-				}
-				var total int64
-				for _, d := range hs {
-					total += int64(len(d.adds) + len(d.dels))
-				}
-				db.meter.ADTouch(total)
-				if err := db.refreshView(vs, hs); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-
 	// Deferred views with a periodic refresh policy (§4) refresh here.
 	if err := db.runPeriodicDeferredRefresh(touched); err != nil {
 		return err
 	}
 
-	// Immediate children of parents refreshed above consume the new
-	// log entries before the commit returns.
+	// Commit-triggered children of parents refreshed above consume the
+	// new log entries before the commit returns.
 	return db.cascadeImmediateChildrenLocked()
 }
 

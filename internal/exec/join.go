@@ -188,7 +188,7 @@ func (j *LoopJoin) Describe() string {
 // MatchDeltas joins the outer stream against in-memory R2-side delta
 // sets by join-value equality: matching A2 tuples emit inserts,
 // matching D2 tuples emit deletes. flatScreens charges the per-delta
-// handling cost once for the whole stream (refreshJoin's
+// handling cost once for the whole stream (the corrected expansion's
 // C1·(|A2|+|D2|) term) at Open.
 type MatchDeltas struct {
 	base
