@@ -49,9 +49,7 @@ func main() {
 	walDir := flag.String("wal", "", "run a durable demo workload with WAL+snapshots under this directory")
 	recoverDir := flag.String("recover", "", "recover a database from the WAL+snapshots under this directory and report what survived")
 	ckptEvery := flag.Int("checkpoint-every", 8, "commits between automatic checkpoints (with -wal/-recover)")
-	batch := flag.String("batch", "on", "executor batching: on (vectorized) or off (row-at-a-time; identical results and charges)")
-	page := flag.String("page", "col", "data-page layout: col (typed column chunks with zone maps) or row (row-major; identical results, charges differ only by pages zone maps prune)")
-	qmPlan := flag.String("qm-plan", "auto", "query-modification access path: auto, clustered, unclustered, or sequential (sequential scans prune via zone maps under -page=col)")
+	qmPlan := flag.String("qm-plan", "auto", "query-modification access path: auto, clustered, unclustered, or sequential (sequential scans prune via zone maps)")
 	hierarchy := flag.Bool("hierarchy", false, "run the views-over-views demo: a deferred chain with shared sibling drains and heavy-light partitioning (honors -skew and -seed)")
 	flag.Parse()
 
@@ -63,34 +61,6 @@ func main() {
 		return
 	}
 
-	var batchSize int
-	switch *batch {
-	case "on":
-		batchSize = 0
-	case "off":
-		batchSize = 1
-	default:
-		fmt.Fprintf(os.Stderr, "vmsim: -batch must be on or off, got %q\n", *batch)
-		os.Exit(2)
-	}
-	if batchSize == 1 && (*sweep != "" || *allStrategies) {
-		fmt.Fprintln(os.Stderr, "vmsim: -batch=off is not supported with -sweep or -all-strategies")
-		os.Exit(2)
-	}
-	var layout storage.PageLayout
-	switch *page {
-	case "col":
-		layout = storage.PageLayoutCol
-	case "row":
-		layout = storage.PageLayoutRow
-	default:
-		fmt.Fprintf(os.Stderr, "vmsim: -page must be col or row, got %q\n", *page)
-		os.Exit(2)
-	}
-	if layout == storage.PageLayoutRow && (*sweep != "" || *allStrategies) {
-		fmt.Fprintln(os.Stderr, "vmsim: -page=row is not supported with -sweep or -all-strategies")
-		os.Exit(2)
-	}
 	var plan core.QueryPlan
 	switch *qmPlan {
 	case "auto":
@@ -175,7 +145,7 @@ func main() {
 	if *allStrategies {
 		cmps, err = sim.CompareAll(sim.Model(*model), p, *seed, *snapEvery)
 	} else {
-		cmps, err = compare(sim.Model(*model), p, *seed, kind, *skew, batchSize, layout, plan)
+		cmps, err = compare(sim.Model(*model), p, *seed, kind, *skew, plan)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -195,11 +165,11 @@ func main() {
 	for _, c := range cmps {
 		pruned = append(pruned, fmt.Sprintf("%s %.1f/query", c.Strategy, c.PrunedPerQuery))
 	}
-	fmt.Printf("pages pruned (zone maps, layout=%s): %s\n", layout, strings.Join(pruned, ", "))
+	fmt.Printf("pages pruned (zone maps): %s\n", strings.Join(pruned, ", "))
 
 	if *verbose || *plans {
 		for _, st := range []core.Strategy{core.QueryModification, core.Immediate, core.Deferred} {
-			res, err := sim.Run(sim.Config{Model: sim.Model(*model), Strategy: st, Plan: plan, Params: p, Seed: *seed, AggKind: kind, BatchSize: batchSize, PageLayout: layout})
+			res, err := sim.Run(sim.Config{Model: sim.Model(*model), Strategy: st, Plan: plan, Params: p, Seed: *seed, AggKind: kind})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -227,10 +197,10 @@ func main() {
 	}
 }
 
-func compare(model sim.Model, p costmodel.Params, seed int64, kind agg.Kind, skew float64, batchSize int, layout storage.PageLayout, plan core.QueryPlan) ([]sim.Comparison, error) {
+func compare(model sim.Model, p costmodel.Params, seed int64, kind agg.Kind, skew float64, plan core.QueryPlan) ([]sim.Comparison, error) {
 	out := make([]sim.Comparison, 0, 3)
 	for _, st := range []core.Strategy{core.QueryModification, core.Immediate, core.Deferred} {
-		res, err := sim.Run(sim.Config{Model: model, Strategy: st, Plan: plan, Params: p, Seed: seed, AggKind: kind, Skew: skew, BatchSize: batchSize, PageLayout: layout})
+		res, err := sim.Run(sim.Config{Model: model, Strategy: st, Plan: plan, Params: p, Seed: seed, AggKind: kind, Skew: skew})
 		if err != nil {
 			return nil, err
 		}

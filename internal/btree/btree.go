@@ -275,6 +275,7 @@ type colLeaf struct {
 }
 
 func decodeLeafCols(page []byte) (*colLeaf, error) {
+	cnt := int(binary.BigEndian.Uint16(page[1:]))
 	rawNext := binary.BigEndian.Uint32(page[3:])
 	out := &colLeaf{}
 	if rawNext != 0 {
@@ -286,6 +287,9 @@ func decodeLeafCols(page []byte) (*colLeaf, error) {
 		ch, err := colpage.Decode(page[leafHeader:])
 		if err != nil {
 			return nil, fmt.Errorf("btree: columnar leaf: %w", err)
+		}
+		if ch.Rows != cnt {
+			return nil, fmt.Errorf("btree: columnar leaf holds %d tuples, header says %d", ch.Rows, cnt)
 		}
 		out.rows, out.ids, out.cols = ch.Rows, ch.IDs, ch.Cols
 		return out, nil
@@ -653,74 +657,6 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 
 // --- scans ---------------------------------------------------------------
 
-// Iterator walks tuples in key order over a range. It holds no pins
-// between Next calls; each leaf is fetched (and charged) once per
-// visit. Full scans (nil range) prefetch leaves in batches: every leaf
-// of the chain is read eventually anyway, so fetching a window through
-// Pool.GetBatch meters the same one read per leaf while paying the
-// simulated I/O latency once per window instead of once per page.
-// Range scans never prefetch — early termination at Hi means a
-// prefetched leaf could be a read the plain walk never charges.
-type Iterator struct {
-	tree    *Tree
-	rg      *pred.Range
-	pn      storage.PageNum
-	buf     []tuple.Tuple
-	idx     int
-	hasPage bool
-	done    bool
-	ra      bool        // readahead allowed (full scan)
-	pending []*leafNode // decoded leaves fetched ahead, in chain order
-}
-
-// Scan returns an iterator over tuples whose key-column value lies in
-// rg (nil means all). The descent to the first leaf is metered like any
-// search.
-func (t *Tree) Scan(rg *pred.Range) (*Iterator, error) {
-	it := &Iterator{tree: t, rg: rg, ra: rg == nil}
-	var start key
-	if rg != nil && rg.Lo != nil {
-		start = key{val: *rg.Lo} // id 0: before all ids of that value
-		if !rg.LoInc {
-			// Exclusive lower bound: start just above every id of Lo.
-			start = key{val: *rg.Lo, id: ^uint64(0)}
-		}
-	} else {
-		// Unbounded: walk from the leftmost leaf via a charged descent.
-		path, err := t.findLeafLeftmost()
-		if err != nil {
-			return nil, err
-		}
-		it.pn = path
-		it.hasPage = true
-		if err := it.loadPage(); err != nil {
-			return nil, err
-		}
-		return it, nil
-	}
-	path, err := t.findLeaf(start)
-	if err != nil {
-		return nil, err
-	}
-	it.pn = path[len(path)-1]
-	it.hasPage = true
-	if err := it.loadPage(); err != nil {
-		return nil, err
-	}
-	// Skip entries below the range on the first page.
-	for it.idx < len(it.buf) {
-		v := it.buf[it.idx].Vals[t.keyCol]
-		if rg.Contains(v) || tuple.Compare(v, *rg.Lo) >= 0 {
-			break
-		}
-		it.idx++
-	}
-	return it, nil
-}
-
-// ScanAll returns an iterator over the whole tree.
-func (t *Tree) ScanAll() (*Iterator, error) { return t.Scan(nil) }
-
 func (t *Tree) findLeafLeftmost() (storage.PageNum, error) {
 	pn := t.root
 	for {
@@ -741,65 +677,6 @@ func (t *Tree) findLeafLeftmost() (storage.PageNum, error) {
 	}
 }
 
-func (it *Iterator) loadPage() error {
-	if len(it.pending) > 0 {
-		it.setLeaf(it.pending[0])
-		it.pending = it.pending[1:]
-		return nil
-	}
-	if it.ra {
-		if pns := it.tree.chainAhead(it.pn); len(pns) > 1 {
-			return it.loadBatch(pns)
-		}
-	}
-	fr, err := it.tree.pool.Get(it.tree.file, it.pn)
-	if err != nil {
-		return err
-	}
-	defer it.tree.pool.Release(fr)
-	leaf, err := decodeLeaf(fr.Data)
-	if err != nil {
-		return err
-	}
-	it.setLeaf(leaf)
-	return nil
-}
-
-func (it *Iterator) setLeaf(leaf *leafNode) {
-	it.buf = leaf.tuples
-	it.idx = 0
-	it.hasPage = leaf.hasNext
-	it.pn = leaf.next
-}
-
-// loadBatch fetches and decodes a window of leaves in one pool batch
-// (one combined latency sleep; identical metered reads), queueing all
-// but the first for later loadPage calls. Frames are released as soon
-// as each leaf is decoded, so the window holds no pins afterwards.
-func (it *Iterator) loadBatch(pns []storage.PageNum) error {
-	frames, err := it.tree.pool.GetBatch(it.tree.file, pns)
-	if err != nil {
-		return err
-	}
-	leaves := make([]*leafNode, 0, len(frames))
-	for _, fr := range frames {
-		if err == nil {
-			var leaf *leafNode
-			if leaf, err = decodeLeaf(fr.Data); err == nil {
-				leaves = append(leaves, leaf)
-			}
-		}
-		if rerr := it.tree.pool.Release(fr); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	it.pending = leaves
-	return it.loadPage()
-}
-
 // readaheadWindow is how many leaves a full scan may prefetch per
 // batch. Well under the pool capacity so the briefly-pinned window can
 // never force out its own pages or exhaust eviction candidates (the
@@ -816,82 +693,22 @@ func (t *Tree) readaheadWindow() int {
 	return w
 }
 
-// chainAhead returns up to a window of upcoming leaf page numbers
-// starting at pn, discovered by walking next-pointers in the unmetered
-// on-disk image (the LeafPages pattern). It returns nil when prefetch
-// is unsafe or pointless: any dirty pool frame for the file means the
-// on-disk chain may be stale, and a one-page window gains nothing.
-func (t *Tree) chainAhead(pn storage.PageNum) []storage.PageNum {
-	w := t.readaheadWindow()
-	if w == 0 || t.file.HasDirtyFrames() {
-		return nil
-	}
-	pns := make([]storage.PageNum, 0, w)
-	for {
-		pns = append(pns, pn)
-		if len(pns) == w {
-			return pns
-		}
-		page, err := t.file.Peek(pn)
-		if err != nil || !isLeafPage(page[0]) {
-			return nil // truncated or foreign chain: use charged loads
-		}
-		leaf, err := decodeLeaf(page)
-		if err != nil {
-			return nil
-		}
-		if !leaf.hasNext {
-			return pns
-		}
-		pn = leaf.next
-	}
-}
-
-// Next returns the next tuple in the range. ok is false at exhaustion.
-func (it *Iterator) Next() (tuple.Tuple, bool, error) {
-	for {
-		if it.done {
-			return tuple.Tuple{}, false, nil
-		}
-		if it.idx >= len(it.buf) {
-			if !it.hasPage {
-				it.done = true
-				return tuple.Tuple{}, false, nil
-			}
-			if err := it.loadPage(); err != nil {
-				return tuple.Tuple{}, false, err
-			}
-			continue
-		}
-		tp := it.buf[it.idx]
-		it.idx++
-		if it.rg != nil {
-			v := tp.Vals[it.tree.keyCol]
-			if it.rg.Hi != nil {
-				c := tuple.Compare(v, *it.rg.Hi)
-				if c > 0 || (c == 0 && !it.rg.HiInc) {
-					it.done = true
-					return tuple.Tuple{}, false, nil
-				}
-			}
-			if !it.rg.Contains(v) {
-				continue // below Lo (only possible on first page) or excluded
-			}
-		}
-		return tp.Clone(), true, nil
-	}
-}
-
-// --- batch scans ---------------------------------------------------------
-
-// BatchIterator walks the tree in key order decoding leaves straight to
-// columnar form, and — on full scans with prune atoms — consults the
-// zone maps of upcoming columnar leaves to skip pages whose footer
-// disproves the predicate for every row. Pruned pages are never pinned
-// and never charged; they are counted so plans can report them. The
-// charged fallback paths (range scans, dirty files, tiny pools) never
-// prune, keeping their metered behaviour identical to the tuple
-// Iterator's.
+// BatchIterator walks the tree in key order over a range, decoding
+// leaves straight to columnar form. It holds no pins between Fill
+// calls; each leaf is fetched (and charged) once per visit. Full scans
+// (nil range) prefetch leaves in windows: every leaf of the chain is
+// read eventually anyway, so fetching a window through Pool.GetBatch
+// meters the same one read per leaf while paying the simulated I/O
+// latency once per window instead of once per page. Range scans never
+// prefetch — early termination at Hi means a prefetched leaf could be a
+// read the plain walk never charges.
+//
+// On full scans with prune atoms the walk also consults the zone maps
+// of upcoming columnar leaves and skips pages whose footer disproves
+// the predicate for every row. Pruned pages are never pinned and never
+// charged; they are counted so plans can report them. The charged
+// chain-following path (range scans, dirty files, tiny pools) never
+// prunes.
 type BatchIterator struct {
 	tree    *Tree
 	rg      *pred.Range
@@ -1023,14 +840,7 @@ func (it *BatchIterator) loadPage() error {
 		}
 		// Charged, chain-following load: the fallback when readahead is
 		// unsafe (dirty frames, tiny pool) and the range-scan path.
-		fr, err := it.tree.pool.Get(it.tree.file, it.pn)
-		if err != nil {
-			return err
-		}
-		leaf, err := decodeLeafCols(fr.Data)
-		if rerr := it.tree.pool.Release(fr); rerr != nil && err == nil {
-			err = rerr
-		}
+		leaf, err := it.tree.getLeafCols(it.pn)
 		if err != nil {
 			return err
 		}
@@ -1040,13 +850,26 @@ func (it *BatchIterator) loadPage() error {
 	}
 }
 
+// getLeafCols reads one leaf with a plain charged Get.
+func (t *Tree) getLeafCols(pn storage.PageNum) (*colLeaf, error) {
+	fr, err := t.pool.Get(t.file, pn)
+	if err != nil {
+		return nil, err
+	}
+	leaf, err := decodeLeafCols(fr.Data)
+	if rerr := t.pool.Release(fr); rerr != nil && err == nil {
+		err = rerr
+	}
+	return leaf, err
+}
+
 // walkAhead walks the on-disk leaf chain from the cursor via unmetered
 // peeks, splitting the upcoming window into pages to fetch and pages
 // whose zone maps disprove the prune atoms (skipped, counted, never
 // read). On return with ok, the cursor continuation (cont, hasCont) is
 // owned by the walk: it points past every examined page. A walk that
 // hits a peek failure before committing any prune returns !ok so the
-// charged path behaves exactly like the tuple Iterator's; after a
+// charged chain-following path takes over from the cursor; after a
 // prune, it stops at the failing page and lets the charged path surface
 // the real error there.
 func (it *BatchIterator) walkAhead() (fetch []storage.PageNum, cont storage.PageNum, hasCont bool, ok bool) {
@@ -1095,18 +918,11 @@ func (it *BatchIterator) walkAhead() (fetch []storage.PageNum, cont storage.Page
 
 // fetchLeaves reads the walked window — one pool batch when it spans
 // multiple pages (one combined latency sleep, identical metered reads),
-// a plain Get when a single page survived, mirroring the tuple
-// Iterator's charges page for page.
+// a plain Get when a single page survived. Frames are released as soon
+// as each leaf is decoded, so the window holds no pins afterwards.
 func (it *BatchIterator) fetchLeaves(pns []storage.PageNum) error {
 	if len(pns) == 1 {
-		fr, err := it.tree.pool.Get(it.tree.file, pns[0])
-		if err != nil {
-			return err
-		}
-		leaf, err := decodeLeafCols(fr.Data)
-		if rerr := it.tree.pool.Release(fr); rerr != nil && err == nil {
-			err = rerr
-		}
+		leaf, err := it.tree.getLeafCols(pns[0])
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 func newTestTree(t testing.TB, pageSize, poolCap int) (*Tree, *storage.Meter) {
@@ -27,19 +28,17 @@ func mk(id uint64, k int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.S("payload"))
 }
 
-func collect(t testing.TB, it *Iterator) []tuple.Tuple {
+func collect(t testing.TB, it *BatchIterator) []tuple.Tuple {
 	t.Helper()
 	var out []tuple.Tuple
-	for {
-		tp, ok, err := it.Next()
-		if err != nil {
+	for !it.Done() {
+		b := &vec.Batch{}
+		if err := it.Fill(b, vec.DefaultBatchSize); err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			return out
-		}
-		out = append(out, tp)
+		out = b.AppendTuples(out, 0)
 	}
+	return out
 }
 
 func TestInsertAndGet(t *testing.T) {
@@ -84,7 +83,7 @@ func TestDuplicateValuesDifferentIDs(t *testing.T) {
 			t.Fatalf("insert dup value id=%d: %v", id, err)
 		}
 	}
-	it, err := tr.Scan(pred.PointRange(tuple.I(42)))
+	it, err := tr.ScanBatches(pred.PointRange(tuple.I(42)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestScanOrderAfterRandomInserts(t *testing.T) {
 			t.Fatalf("insert: %v", err)
 		}
 	}
-	it, err := tr.ScanAll()
+	it, err := tr.ScanBatches(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestRangeScanBounds(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			it, err := tr.Scan(tc.rg)
+			it, err := tr.ScanBatches(tc.rg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +184,7 @@ func TestDeleteThenScan(t *testing.T) {
 	if ok, _ := tr.Delete(tuple.I(0), 1); ok {
 		t.Error("second delete of same tuple succeeded")
 	}
-	it, _ := tr.ScanAll()
+	it, _ := tr.ScanBatches(nil, nil)
 	got := collect(t, it)
 	if len(got) != 100 {
 		t.Fatalf("after deletes scan found %d, want 100", len(got))
@@ -212,7 +211,7 @@ func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d after deleting all", tr.Len())
 	}
-	it, _ := tr.ScanAll()
+	it, _ := tr.ScanBatches(nil, nil)
 	if got := collect(t, it); len(got) != 0 {
 		t.Errorf("scan of emptied tree found %d tuples", len(got))
 	}
@@ -222,7 +221,7 @@ func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 			t.Fatalf("reinsert: %v", err)
 		}
 	}
-	it, _ = tr.ScanAll()
+	it, _ = tr.ScanBatches(nil, nil)
 	if got := collect(t, it); len(got) != 50 {
 		t.Errorf("after reinsert scan found %d, want 50", len(got))
 	}
@@ -302,7 +301,7 @@ func TestStringKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, _ := tr.ScanAll()
+	it, _ := tr.ScanBatches(nil, nil)
 	got := collect(t, it)
 	want := append([]string(nil), words...)
 	sort.Strings(want)
@@ -341,7 +340,7 @@ func TestPropertyInsertDeleteScan(t *testing.T) {
 				}
 			}
 		}
-		it, err := tr.ScanAll()
+		it, err := tr.ScanBatches(nil, nil)
 		if err != nil {
 			return false
 		}
@@ -377,7 +376,7 @@ func TestPropertyRangeScanAgreesWithFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	itAll, _ := tr.ScanAll()
+	itAll, _ := tr.ScanBatches(nil, nil)
 	all := collect(t, itAll)
 	fn := func(a, b int8, inc uint8) bool {
 		lo, hi := int64(a), int64(b)
@@ -385,7 +384,7 @@ func TestPropertyRangeScanAgreesWithFilter(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		rg := pred.NewRange(tuple.I(lo), tuple.I(hi), inc&1 == 0, inc&2 == 0)
-		it, err := tr.Scan(rg)
+		it, err := tr.ScanBatches(rg, nil)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"viewmat/internal/colpage"
@@ -50,8 +52,8 @@ func drainBatches(t testing.TB, it *BatchIterator) []int64 {
 	return keys
 }
 
-// TestScanBatchesPrunedPagesNeverPinned is the Pool.GetRun regression
-// test: a full scan with prune atoms must not speculatively pin (or
+// TestScanBatchesPrunedPagesNeverPinned is the speculative-pin
+// regression test: a full scan with prune atoms must not speculatively pin (or
 // charge) pages whose zone maps disprove the atoms. The read count of
 // a pruned scan must equal the unpruned scan's reads minus exactly the
 // pruned page count — pruned pages never enter the pool at all — and
@@ -204,6 +206,41 @@ func TestScanBatchesRowLayout(t *testing.T) {
 		if k != int64(i) {
 			t.Fatalf("key %d = %d out of order", i, k)
 		}
+	}
+	p.AssertUnpinned(t)
+}
+
+// TestScanBatchesRejectsHeaderCountMismatch: a columnar leaf whose
+// header row count disagrees with its chunk is corrupt, and the scan
+// must say so rather than trust the chunk.
+func TestScanBatchesRejectsHeaderCountMismatch(t *testing.T) {
+	tr, _, p, _ := newColTree(t, 256, 64, 200)
+	pn, err := tr.leftmostLeafUncharged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := p.Get(tr.file, pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Data[0] != pageLeafCol {
+		t.Fatalf("leftmost leaf has page type %d, want a columnar leaf", fr.Data[0])
+	}
+	binary.BigEndian.PutUint16(fr.Data[1:], binary.BigEndian.Uint16(fr.Data[1:])+1)
+	fr.MarkDirty()
+	if err := p.Release(fr); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	p.EvictAll()
+	it, err := tr.ScanBatches(nil, nil)
+	for err == nil && !it.Done() {
+		err = it.Fill(&vec.Batch{}, vec.DefaultBatchSize)
+	}
+	if err == nil || !strings.Contains(err.Error(), "header says") {
+		t.Errorf("scan over a leaf with a wrong header count: err = %v", err)
 	}
 	p.AssertUnpinned(t)
 }

@@ -42,19 +42,12 @@ func FuzzBTree(f *testing.F) {
 			return s
 		}
 		checkScan := func(rg *pred.Range, lo, hi int64, bounded bool) {
-			it, err := tr.Scan(rg)
+			it, err := tr.ScanBatches(rg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []rec
-			for {
-				tp, ok, err := it.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
+			for _, tp := range collect(t, it) {
 				got = append(got, rec{k: tp.Vals[0].Int(), id: tp.ID})
 			}
 			var want []rec

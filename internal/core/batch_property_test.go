@@ -12,7 +12,7 @@ import (
 
 // Batch-identity property layer: vectorized execution is a pure
 // execution-layer change, so an engine running at the default batch
-// size and an engine running row-at-a-time (BatchSize 1) must be
+// size and an engine running row-at-a-time (setBatch1) must be
 // observationally indistinguishable. For each of the paper's three
 // models, every maintenance strategy replays the same random workload
 // script on both engines in lockstep; at every query point the results
@@ -20,10 +20,13 @@ import (
 // and the cumulative meter snapshots must be equal — same rows, same
 // charges, batch or no batch.
 
-func batchOpts(batchSize int) Options {
-	opts := testOpts()
-	opts.BatchSize = batchSize
-	return opts
+// setBatch1 pins a freshly built engine to the row-at-a-time executor:
+// every batch carries one row and filters evaluate their per-row
+// reference semantics. It is the oracle the batch-identity layers
+// compare the vectorized default with.
+func setBatch1(db *Database) *Database {
+	db.batchSize = 1
+	return db
 }
 
 // meterDiff compares the two engines' cumulative meter snapshots.
@@ -36,11 +39,11 @@ func meterDiff(vec, row *Database) error {
 }
 
 func runBatchModel1(st Strategy, steps []propStep) error {
-	vecDB, err := buildSPDBOpts(batchOpts(0), st, 30)
+	vecDB, err := buildSPDBOn(NewDatabase(testOpts()), st, 30)
 	if err != nil {
 		return err
 	}
-	rowDB, err := buildSPDBOpts(batchOpts(1), st, 30)
+	rowDB, err := buildSPDBOn(setBatch1(NewDatabase(testOpts())), st, 30)
 	if err != nil {
 		return err
 	}
@@ -82,11 +85,11 @@ func runBatchModel1(st Strategy, steps []propStep) error {
 
 func runBatchModel2(st Strategy, steps []propStep) error {
 	const n, m = 30, 8
-	vecDB, err := buildJoinDBOpts(batchOpts(0), st, false, n, m)
+	vecDB, err := buildJoinDBOn(NewDatabase(testOpts()), st, false, n, m)
 	if err != nil {
 		return err
 	}
-	rowDB, err := buildJoinDBOpts(batchOpts(1), st, false, n, m)
+	rowDB, err := buildJoinDBOn(setBatch1(NewDatabase(testOpts())), st, false, n, m)
 	if err != nil {
 		return err
 	}
@@ -127,11 +130,11 @@ func runBatchModel2(st Strategy, steps []propStep) error {
 }
 
 func runBatchModel3(st Strategy, kind agg.Kind, steps []propStep) error {
-	vecDB, err := buildAggDBOpts(batchOpts(0), st, kind, 30)
+	vecDB, err := buildAggDBOn(NewDatabase(testOpts()), st, kind, 30)
 	if err != nil {
 		return err
 	}
-	rowDB, err := buildAggDBOpts(batchOpts(1), st, kind, 30)
+	rowDB, err := buildAggDBOn(setBatch1(NewDatabase(testOpts())), st, kind, 30)
 	if err != nil {
 		return err
 	}

@@ -21,10 +21,13 @@ import (
 // snapshots must be equal — same rows, same pages, same charges,
 // whatever the physical encoding.
 
-func layoutOpts(layout storage.PageLayout) Options {
-	opts := testOpts()
-	opts.PageLayout = layout
-	return opts
+// setRowOracle makes a freshly built engine lay its data pages out
+// row-major (the WAL interchange encoding) instead of as column chunks.
+// It is the oracle the layout-identity layers compare the columnar
+// default with; call it before the engine writes its first page.
+func setRowOracle(db *Database) *Database {
+	db.disk.SetPageLayout(storage.PageLayoutRow)
+	return db
 }
 
 // layoutMeterDiff compares the two engines' cumulative meter snapshots.
@@ -37,11 +40,11 @@ func layoutMeterDiff(col, row *Database) error {
 }
 
 func runColRowModel1(st Strategy, steps []propStep) error {
-	colDB, err := buildSPDBOpts(layoutOpts(storage.PageLayoutCol), st, 30)
+	colDB, err := buildSPDBOn(NewDatabase(testOpts()), st, 30)
 	if err != nil {
 		return err
 	}
-	rowDB, err := buildSPDBOpts(layoutOpts(storage.PageLayoutRow), st, 30)
+	rowDB, err := buildSPDBOn(setRowOracle(NewDatabase(testOpts())), st, 30)
 	if err != nil {
 		return err
 	}
@@ -83,11 +86,11 @@ func runColRowModel1(st Strategy, steps []propStep) error {
 
 func runColRowModel2(st Strategy, steps []propStep) error {
 	const n, m = 30, 8
-	colDB, err := buildJoinDBOpts(layoutOpts(storage.PageLayoutCol), st, false, n, m)
+	colDB, err := buildJoinDBOn(NewDatabase(testOpts()), st, false, n, m)
 	if err != nil {
 		return err
 	}
-	rowDB, err := buildJoinDBOpts(layoutOpts(storage.PageLayoutRow), st, false, n, m)
+	rowDB, err := buildJoinDBOn(setRowOracle(NewDatabase(testOpts())), st, false, n, m)
 	if err != nil {
 		return err
 	}
@@ -128,11 +131,11 @@ func runColRowModel2(st Strategy, steps []propStep) error {
 }
 
 func runColRowModel3(st Strategy, kind agg.Kind, steps []propStep) error {
-	colDB, err := buildAggDBOpts(layoutOpts(storage.PageLayoutCol), st, kind, 30)
+	colDB, err := buildAggDBOn(NewDatabase(testOpts()), st, kind, 30)
 	if err != nil {
 		return err
 	}
-	rowDB, err := buildAggDBOpts(layoutOpts(storage.PageLayoutRow), st, kind, 30)
+	rowDB, err := buildAggDBOn(setRowOracle(NewDatabase(testOpts())), st, kind, 30)
 	if err != nil {
 		return err
 	}

@@ -188,7 +188,6 @@ func (db *Database) RefreshAll() error {
 			return err
 		}
 	}
-	db.compactDeltaLogsLocked()
 	return nil
 }
 

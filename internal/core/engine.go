@@ -105,8 +105,9 @@ type Database struct {
 	// private path or a forced share as their reference; guarded by mu.
 	shareGate func() bool
 
-	// batchSize is the executor batch cap (0 = vectorized default,
-	// 1 = row-at-a-time); fixed at construction.
+	// batchSize is the executor batch cap: 0, the vectorized default,
+	// except in the tests that pin 1 to run the row-at-a-time executor
+	// as their reference. Set before first use, never after.
 	batchSize int
 
 	// deltaScans counts base-relation delta-expansion passes (the probe
@@ -261,18 +262,6 @@ type Options struct {
 	// overlap their I/O waits as they would on a real device. Zero
 	// (the default) leaves all operations CPU-bound.
 	SimulatedIOLatency time.Duration
-	// BatchSize caps the rows per executor batch. Zero selects the
-	// vectorized default (vec.DefaultBatchSize); 1 runs the executor
-	// row-at-a-time — same results and charges, no vectorized paths.
-	BatchSize int
-	// PageLayout selects the physical encoding of data pages. The zero
-	// value, storage.PageLayoutCol, stores typed column chunks with
-	// zone maps; storage.PageLayoutRow restores row-major tuple pages.
-	// Both layouts produce identical results, page counts, and metered
-	// charges (the encoding is capacity-neutral); columnar additionally
-	// decodes straight into executor batches and lets sequential scans
-	// prune pages via zone maps.
-	PageLayout storage.PageLayout
 	// StorageBudget caps the total pages materialized views may hold,
 	// enforced by the adaptive advisor's local-search pass (see
 	// EnableAdaptive); 0 = unlimited. Static engines ignore it.
@@ -299,10 +288,8 @@ func NewDatabase(opts Options) *Database {
 	}
 	db.hrConfig = opts.HR
 	db.maxRefreshWorkers = opts.MaxRefreshWorkers
-	db.batchSize = opts.BatchSize
 	db.storageBudget = opts.StorageBudget
 	disk.SetIOLatency(opts.SimulatedIOLatency)
-	disk.SetPageLayout(opts.PageLayout)
 	return db
 }
 

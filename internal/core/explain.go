@@ -60,70 +60,38 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 		p.FV = hints.QueryFraction
 	}
 
+	// N, S (average stored tuple bytes from the data pages) and f (the
+	// live fraction satisfying the predicate's restrictions on slot 0)
+	// come from one metered pass over the first relation — for a
+	// hierarchy child, over its parent's materialization.
+	source := vs.def.Relations[0]
+	var scan exec.Operator
+	var pages int
 	if parent := db.parentOf(vs); parent != nil {
-		// A hierarchy child's "base relation" is its parent's
-		// materialization: profile N, S and f from the parent's current
-		// rows and pages.
-		rows, err := db.parentRows(parent)
-		if err != nil {
-			return costmodel.Params{}, err
-		}
-		n := len(rows)
-		if n == 0 {
-			return costmodel.Params{}, fmt.Errorf("core: parent view %q is empty; nothing to profile", parent.def.Name)
-		}
-		p.N = float64(n)
-		var pages int
+		scan = db.parentScanOp(parent)
 		if parent.mat != nil {
 			pages = parent.mat.Pages()
-		} else if parent.groups != nil {
+		} else {
 			pages = parent.groups.rel.Pages()
 		}
-		p.S = float64(pages) * p.B / float64(n)
-		if p.S < 1 {
-			p.S = 1
-		}
-		matches := 0
-		for _, row := range rows {
-			if vs.def.Pred.EvalSingle(0, row.T0) {
-				matches++
-			}
-		}
-		p.F = float64(matches) / float64(n)
-		if p.F <= 0 {
-			p.F = 1 / float64(n)
-		}
-		if err := p.Validate(); err != nil {
-			return costmodel.Params{}, fmt.Errorf("core: profiled parameters invalid: %w", err)
-		}
-		return p, nil
+	} else {
+		r0 := db.rels[source]
+		scan, pages = exec.NewSeqScan(db.execOpts(), r0), r0.Pages()
 	}
-
-	r0 := db.rels[vs.def.Relations[0]]
-	n := r0.Len()
+	matching := exec.NewFilter(db.execOpts(), vs.def.Name, scan, singlePred(vs), false)
+	if err := exec.Run(matching); err != nil {
+		return costmodel.Params{}, err
+	}
+	n := scan.Stats().RowsOut
 	if n == 0 {
-		return costmodel.Params{}, fmt.Errorf("core: relation %q is empty; nothing to profile", r0.Name())
+		return costmodel.Params{}, fmt.Errorf("core: %q is empty; nothing to profile", source)
 	}
 	p.N = float64(n)
-	// Average stored tuple size from the relation's data pages.
-	p.S = float64(r0.Pages()) * p.B / float64(n)
+	p.S = float64(pages) * p.B / float64(n)
 	if p.S < 1 {
 		p.S = 1
 	}
-
-	// Live selectivity: the fraction of r0's tuples satisfying the
-	// view predicate's restrictions on slot 0.
-	matches := 0
-	all, err := r0.ScanAll()
-	if err != nil {
-		return costmodel.Params{}, err
-	}
-	for _, tp := range all {
-		if vs.def.Pred.EvalSingle(0, tp) {
-			matches++
-		}
-	}
-	p.F = float64(matches) / float64(n)
+	p.F = float64(matching.Stats().RowsOut) / float64(n)
 	if p.F <= 0 {
 		p.F = 1 / float64(n) // an empty view still needs a valid f
 	}

@@ -184,62 +184,29 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 	return apply
 }
 
-// recomputeGroup rebuilds one group's state from the base relation (a
-// restricted, charged scan) — or, for a hierarchy child, from the
-// parent view's current rows — after a MIN/MAX extreme deletion.
+// recomputeGroup rebuilds one group's state from the source — a
+// restricted, charged scan of the base relation, or of the parent
+// view's current rows for a hierarchy child — after a MIN/MAX extreme
+// deletion. It runs inside the apply sink's bracket, so its reads and
+// its one screen per scanned row land on that operator.
 func (db *Database) recomputeGroup(vs *viewState, group tuple.Value, s *agg.State) error {
-	var vals []float64
-	consume := func(tp tuple.Tuple) {
-		db.meter.Screen(1)
-		if vs.def.Pred.EvalSingle(0, tp) && tuple.Equal(tp.Vals[vs.def.GroupBy], group) {
-			vals = append(vals, tp.Vals[vs.def.AggCol].AsFloat())
-		}
-	}
-	if p := db.parentOf(vs); p != nil {
-		rows, err := db.parentRows(p)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			consume(row.T0)
-		}
-		s.Rebuild(vals)
-		return nil
-	}
-	r := db.rels[vs.def.Relations[0]]
-	if r.Kind() == relation.ClusteredBTree {
-		rg, constrained := vs.def.Pred.IntervalFor(0, r.KeyCol())
-		var scanRg *pred.Range
-		if constrained {
-			scanRg = &rg
-		}
+	src := db.sourceFor(vs, 0)
+	if db.parentOf(vs) == nil {
 		// When the relation is clustered on the grouping column the
 		// scan narrows to just that group.
-		if vs.def.GroupBy == r.KeyCol() {
-			scanRg = pred.PointRange(group)
+		if r := db.rels[vs.def.Relations[0]]; r.Kind() == relation.ClusteredBTree && vs.def.GroupBy == r.KeyCol() {
+			src = exec.NewScan(db.execOpts(), r, pred.PointRange(group))
 		}
-		it, err := r.Iter(scanRg)
-		if err != nil {
-			return err
-		}
-		for {
-			tp, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			consume(tp)
-		}
-	} else {
-		all, err := r.ScanAll()
-		if err != nil {
-			return err
-		}
-		for _, tp := range all {
-			consume(tp)
-		}
+	}
+	var vals []float64
+	filt := exec.NewFilter(db.execOpts(), vs.def.Name, src,
+		exec.Pred{P: vs.def.Pred, Range: pred.PointRange(group), RangeCol: vs.def.GroupBy}, true)
+	fold := exec.NewAggFold(db.execOpts(), vs.def.Name, filt, exec.Fold{
+		Col: vs.def.AggCol,
+		Val: func(v float64, _ bool) { vals = append(vals, v) },
+	})
+	if err := exec.Run(fold); err != nil {
+		return err
 	}
 	s.Rebuild(vals)
 	return nil

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 
+	"viewmat/internal/agg"
 	"viewmat/internal/costmodel"
 	"viewmat/internal/exec"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // View hierarchies: views defined over other views, maintained in the
@@ -256,49 +258,32 @@ func (db *Database) childPending(vs *viewState) bool {
 	return vs.parentGen != p.logGen || vs.parentPos < p.logEnd()
 }
 
-// parentRows materializes the parent's current logical contents as
-// insert-polarity rows: duplicate-expanded matview rows, or one
-// (group, value) row per live group for grouped-aggregate parents.
-func (db *Database) parentRows(p *viewState) ([]exec.Row, error) {
-	if p.mat != nil {
-		stored, err := p.mat.Scan(nil)
-		if err != nil {
-			return nil, err
-		}
-		var rows []exec.Row
-		for _, r := range stored {
-			for i := int64(0); i < r.Count; i++ {
-				rows = append(rows, exec.Row{T0: tuple.Tuple{Vals: r.Vals}, Insert: true})
-			}
-		}
-		return rows, nil
-	}
-	if p.groups != nil {
-		all, err := p.groups.rel.ScanAll()
-		if err != nil {
-			return nil, err
-		}
-		var rows []exec.Row
-		for _, tp := range all {
-			s := stateOf(p.def.AggKind, tp)
-			v, ok := s.Value()
-			if !ok {
-				continue
-			}
-			rows = append(rows, exec.Row{T0: tuple.Tuple{Vals: []tuple.Value{tp.Vals[0], tuple.F(v)}}, Insert: true})
-		}
-		return rows, nil
-	}
-	return nil, fmt.Errorf("core: view %q has no materialization to read", p.def.Name)
-}
-
-// parentScanOp is the charged scan of a parent view's contents — the
-// child-side analogue of baseSource. The generator runs bracketed at
-// Open, so the parent-store reads land on this node.
+// parentScanOp is the charged scan of a parent view's current logical
+// contents — the child-side analogue of baseSource: duplicate-expanded
+// matview rows, or one (group, value) row per live group for
+// grouped-aggregate parents (a group whose aggregate is undefined
+// stands for no row).
 func (db *Database) parentScanOp(p *viewState) exec.Operator {
-	return exec.NewFuncSource(db.execOpts(), fmt.Sprintf("ParentScan(%s)", p.def.Name), func() ([]exec.Row, error) {
-		return db.parentRows(p)
-	})
+	label := fmt.Sprintf("ParentScan(%s)", p.def.Name)
+	if p.mat != nil {
+		return p.mat.scanOp(db.execOpts(), label, nil, true)
+	}
+	kind := p.def.AggKind
+	groupValues := func(cols []vec.Col) ([]vec.Col, []int64) {
+		var vals vec.Col
+		mult := make([]int64, cols[0].Len())
+		for i := range mult {
+			s := agg.NewState(kind)
+			s.Restore(cols[1].Ints[i], cols[2].Floats[i], cols[3].Floats[i], cols[4].Floats[i])
+			v, ok := s.Value()
+			if ok {
+				mult[i] = 1
+			}
+			vals.Append(tuple.F(v))
+		}
+		return []vec.Col{cols[0], vals}, mult
+	}
+	return exec.NewStoredScan(db.execOpts(), label, p.groups.rel, nil, groupValues, true)
 }
 
 // sourceFor is the slot's row source: the parent scan for child views,
@@ -347,14 +332,17 @@ func (db *Database) drainChildrenLocked(views []*viewState, parent *viewState) e
 				return err
 			}
 		}
-		return nil
-	}
-	return db.refreshGroup(views, deltaFeed{
+	} else if err := db.refreshGroup(views, deltaFeed{
 		fp:      exec.DeltaFingerprint{Kind: "viewdelta", Rel1: parent.def.Name},
 		parent:  parent,
 		from:    at.parentPos,
 		counted: true,
-	})
+	}); err != nil {
+		return err
+	}
+	// The children moved past the suffix they pinned.
+	db.compactDeltaLogLocked(parent)
+	return nil
 }
 
 // childDrainEstimateLocked assembles the drain-vs-recompute estimate
@@ -396,7 +384,6 @@ func (db *Database) cascadeImmediateChildrenLocked() error {
 			}
 		}
 	}
-	db.compactDeltaLogsLocked()
 	return nil
 }
 
@@ -429,7 +416,10 @@ func (db *Database) staleChildUnitsLocked(level []string) []refreshUnit {
 // position any differential child still needs. Children on other
 // strategies never read the log (they recompute from the parent's
 // contents), so they do not pin it; a generation-mismatched child will
-// recompute and resync, so it does not pin it either.
+// recompute and resync, so it does not pin it either. It runs inside
+// the refresh that made the trim possible — after a view's own refresh
+// appended (refreshGroup), after children consumed (drainChildrenLocked)
+// — so WAL replay, which re-runs those refreshes, trims identically.
 func (db *Database) compactDeltaLogLocked(parent *viewState) {
 	min := parent.logEnd()
 	for _, cn := range db.children[parent.def.Name] {
@@ -441,15 +431,6 @@ func (db *Database) compactDeltaLogLocked(parent *viewState) {
 	if min > parent.logStart {
 		parent.deltaLog = append([]viewDelta(nil), parent.deltaLog[min-parent.logStart:]...)
 		parent.logStart = min
-	}
-}
-
-// compactDeltaLogsLocked compacts every non-empty parent log.
-func (db *Database) compactDeltaLogsLocked() {
-	for _, n := range db.viewNamesLocked() {
-		if vs := db.views[n]; len(vs.deltaLog) > 0 {
-			db.compactDeltaLogLocked(vs)
-		}
 	}
 }
 

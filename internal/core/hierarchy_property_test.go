@@ -8,7 +8,6 @@ import (
 
 	"viewmat/internal/agg"
 	"viewmat/internal/pred"
-	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/workload"
 )
@@ -22,7 +21,7 @@ import (
 //	unshared — subject with the share gate private: results must be
 //	           byte-identical (positional), proving sharing never
 //	           changes stored contents,
-//	batch1   — subject with BatchSize 1: byte-identical AND
+//	batch1   — subject under setBatch1: byte-identical AND
 //	           meter-identical, proving vectorization is free,
 //	rowpages — subject on row-major pages: byte-identical (columnar
 //	           zone maps may prune reads, so meters may differ),
@@ -148,11 +147,10 @@ func formatHierarchy(nodes []hierNode) string {
 	return out
 }
 
-// buildHierPropDB seeds r and creates the hierarchy under the given
-// options; strategy überride forces every view to one strategy (the
+// buildHierPropDB seeds r and creates the hierarchy on the given fresh
+// engine; strategy override forces every view to one strategy (the
 // oracle), -1 keeps the drawn ones.
-func buildHierPropDB(nodes []hierNode, opts Options, override Strategy, heavyLight bool) (*Database, error) {
-	db := NewDatabase(opts)
+func buildHierPropDB(nodes []hierNode, db *Database, override Strategy, heavyLight bool) (*Database, error) {
 	if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 		return nil, err
 	}
@@ -283,14 +281,7 @@ func compareHierResults(a, b hierResult, n hierNode, exact bool) error {
 func runHierarchyProp(nodes []hierNode, steps []propStep) error {
 	subjectOpts := testOpts()
 	subjectOpts.MaxRefreshWorkers = 4
-
-	batch1Opts := subjectOpts
-	batch1Opts.BatchSize = 1
-
-	rowOpts := subjectOpts
-	rowOpts.PageLayout = storage.PageLayoutRow
-
-	oracleOpts := testOpts()
+	subject := func() *Database { return NewDatabase(subjectOpts) }
 
 	type engine struct {
 		name string
@@ -299,20 +290,20 @@ func runHierarchyProp(nodes []hierNode, steps []propStep) error {
 	}
 	specs := []struct {
 		name     string
-		opts     Options
+		db       *Database
 		gate     func() bool
 		override Strategy
 		hl       bool
 	}{
-		{"subject", subjectOpts, gateModel, -1, true},
-		{"unshared", subjectOpts, gatePrivate, -1, true},
-		{"batch1", batch1Opts, gateModel, -1, true},
-		{"rowpages", rowOpts, gateModel, -1, true},
-		{"oracle", oracleOpts, gatePrivate, RecomputeOnDemand, false},
+		{"subject", subject(), gateModel, -1, true},
+		{"unshared", subject(), gatePrivate, -1, true},
+		{"batch1", setBatch1(subject()), gateModel, -1, true},
+		{"rowpages", setRowOracle(subject()), gateModel, -1, true},
+		{"oracle", NewDatabase(testOpts()), gatePrivate, RecomputeOnDemand, false},
 	}
 	engines := make([]engine, len(specs))
 	for i, sp := range specs {
-		db, err := buildHierPropDB(nodes, sp.opts, sp.override, sp.hl)
+		db, err := buildHierPropDB(nodes, sp.db, sp.override, sp.hl)
 		if err != nil {
 			return fmt.Errorf("setup %s: %w", sp.name, err)
 		}

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 
+	"viewmat/internal/exec"
 	"viewmat/internal/pred"
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // dupCountCol is the name of the hidden duplicate-count column.
@@ -130,40 +132,19 @@ func (v *MatView) setCount(row tuple.Tuple, count int64) error {
 	return v.rel.Insert(tuple.Tuple{ID: row.ID, Vals: vals})
 }
 
-// Row is a distinct view row and its duplicate count.
-type Row struct {
-	Vals  []tuple.Value
-	Count int64
+// scanOp is the charged leaf over the stored copy restricted to rg on
+// the clustering column (nil for all), in key order: the trailing
+// duplicate-count column becomes each row's multiplicity — carried in
+// the batch's Dup lane, or with expand the row repeated that many times.
+func (v *MatView) scanOp(o exec.Options, label string, rg *pred.Range, expand bool) exec.Operator {
+	return exec.NewStoredScan(o, label, v.rel, orFull(rg), splitDupCount, expand)
 }
 
-// Scan returns the distinct rows whose clustering value lies in rg
-// (nil for all), in key order, with their duplicate counts.
-func (v *MatView) Scan(rg *pred.Range) ([]Row, error) {
-	stored, err := v.rel.Scan(orFull(rg))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Row, len(stored))
-	for i, tp := range stored {
-		n := len(tp.Vals) - 1
-		out[i] = Row{Vals: tp.Vals[:n], Count: tp.Vals[n].Int()}
-	}
-	return out, nil
-}
-
-// TotalCount returns the logical cardinality (sum of duplicate counts);
-// unmetered scans are not used — this reads through the pool like any
-// full scan, so callers should treat it as a charged operation.
-func (v *MatView) TotalCount() (int64, error) {
-	rows, err := v.Scan(nil)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, r := range rows {
-		total += r.Count
-	}
-	return total, nil
+// splitDupCount splits stored view columns into the logical columns and
+// the duplicate counts.
+func splitDupCount(cols []vec.Col) ([]vec.Col, []int64) {
+	n := len(cols) - 1
+	return cols[:n], cols[n].Ints
 }
 
 func orFull(rg *pred.Range) *pred.Range {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"viewmat/internal/exec"
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -20,6 +21,27 @@ func newTestMatView(t testing.TB) *MatView {
 	return mv
 }
 
+// matRow is a distinct stored row and its duplicate count.
+type matRow struct {
+	Vals  []tuple.Value
+	Count int64
+}
+
+// scanMat drains the view's stored-copy scan: distinct rows with their
+// counts, or with expand one row per logical duplicate.
+func scanMat(t testing.TB, mv *MatView, rg *pred.Range, expand bool) []matRow {
+	t.Helper()
+	rows, err := exec.Drain(mv.scanOp(exec.Options{}, "MatScan", rg, expand))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]matRow, len(rows))
+	for i, r := range rows {
+		out[i] = matRow{Vals: r.T0.Vals, Count: r.Dup}
+	}
+	return out
+}
+
 func TestMatViewInsertIncrementsDupCount(t *testing.T) {
 	mv := newTestMatView(t)
 	row := []tuple.Value{tuple.I(1), tuple.S("x")}
@@ -31,16 +53,12 @@ func TestMatViewInsertIncrementsDupCount(t *testing.T) {
 	if mv.DistinctRows() != 1 {
 		t.Errorf("DistinctRows = %d, want 1 (duplicates collapsed)", mv.DistinctRows())
 	}
-	rows, err := mv.Scan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Count != 3 {
+	rows := scanMat(t, mv, nil, false)
+	if len(rows) != 1 || rows[0].Count != 3 || len(rows[0].Vals) != 2 {
 		t.Errorf("rows = %v", rows)
 	}
-	total, _ := mv.TotalCount()
-	if total != 3 {
-		t.Errorf("TotalCount = %d", total)
+	if total := len(scanMat(t, mv, nil, true)); total != 3 {
+		t.Errorf("expanded scan = %d rows, want the logical cardinality 3", total)
 	}
 }
 
@@ -52,14 +70,14 @@ func TestMatViewDeleteDecrementsAndRemoves(t *testing.T) {
 	if err := mv.DeleteDelta(row); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := mv.Scan(nil)
+	rows := scanMat(t, mv, nil, false)
 	if len(rows) != 1 || rows[0].Count != 1 {
 		t.Errorf("after one delete rows = %v", rows)
 	}
 	if err := mv.DeleteDelta(row); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ = mv.Scan(nil)
+	rows = scanMat(t, mv, nil, false)
 	if len(rows) != 0 {
 		t.Errorf("after final delete rows = %v", rows)
 	}
@@ -85,7 +103,7 @@ func TestMatViewDistinguishesRowsSharingKey(t *testing.T) {
 	mv.InsertDelta(a, 1)
 	mv.InsertDelta(b, 2)
 	mv.InsertDelta(a, 3)
-	rows, _ := mv.Scan(pred.PointRange(tuple.I(1)))
+	rows := scanMat(t, mv, pred.PointRange(tuple.I(1)), false)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -111,10 +129,7 @@ func TestMatViewScanRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := mv.Scan(pred.NewRange(tuple.I(5), tuple.I(9), true, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := scanMat(t, mv, pred.NewRange(tuple.I(5), tuple.I(9), true, true), false)
 	if len(rows) != 5 {
 		t.Errorf("range scan rows = %d, want 5", len(rows))
 	}

@@ -294,17 +294,7 @@ func (db *Database) refreshDeferredLocked(rel string) error {
 // each stored row is screened against the query predicate at C1 (the
 // model's C1·f·fv·N term).
 func (db *Database) queryMaterialized(vs *viewState, rg *pred.Range) ([]ResultRow, error) {
-	scan := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("MatScan(%s%s)", vs.def.Name, matRangeSuffix(rg)), func() ([]exec.Row, error) {
-		stored, err := vs.mat.Scan(rg)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]exec.Row, len(stored))
-		for i, r := range stored {
-			out[i] = exec.Row{Vals: r.Vals, Dup: r.Count}
-		}
-		return out, nil
-	})
+	scan := vs.mat.scanOp(db.execOpts(), fmt.Sprintf("MatScan(%s%s)", vs.def.Name, matRangeSuffix(rg)), rg, false)
 	screen := exec.NewFilter(db.execOpts(), vs.def.Name, scan, exec.Pred{}, true)
 	node, delta, rows, err := db.runTree(screen, true)
 	db.recordPlan(vs, PlanPathQuery, node, delta)
@@ -317,7 +307,7 @@ func (db *Database) queryMaterialized(vs *viewState, rg *pred.Range) ([]ResultRo
 		// expand so materialized and query-modified results agree as
 		// multisets.
 		for i := int64(0); i < row.Dup; i++ {
-			out = append(out, ResultRow{Vals: row.Vals})
+			out = append(out, ResultRow{Vals: row.T0.Vals})
 		}
 	}
 	return out, nil

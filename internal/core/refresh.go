@@ -205,6 +205,7 @@ func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
 				return err
 			}
 			f.consumed(vs)
+			db.compactDeltaLogLocked(vs)
 		}
 		return nil
 	}
@@ -229,6 +230,7 @@ func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
 			return runErr
 		}
 		f.consumed(vs)
+		db.compactDeltaLogLocked(vs)
 	}
 	return nil
 }

@@ -321,14 +321,9 @@ func (db *Database) refreshStaleLocked(vs *viewState) error {
 	case !row.delta || !db.childPending(vs):
 		return nil
 	}
-	err := db.inPhase(PhaseDefRefresh, func() error {
+	return db.inPhase(PhaseDefRefresh, func() error {
 		return db.drainChildrenLocked([]*viewState{vs}, parent)
 	})
-	if err != nil {
-		return err
-	}
-	db.compactDeltaLogLocked(parent)
-	return nil
 }
 
 // noteCommitLocked is the commit-time bookkeeping of the strategies

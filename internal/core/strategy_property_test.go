@@ -154,11 +154,10 @@ func applyStep(db *Database, live []liveRow, s propStep, rel string,
 // --- Model 1: select-project views ----------------------------------------
 
 func buildSPDB(st Strategy, n int) (*Database, error) {
-	return buildSPDBOpts(testOpts(), st, n)
+	return buildSPDBOn(NewDatabase(testOpts()), st, n)
 }
 
-func buildSPDBOpts(opts Options, st Strategy, n int) (*Database, error) {
-	db := NewDatabase(opts)
+func buildSPDBOn(db *Database, st Strategy, n int) (*Database, error) {
 	if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 		return nil, err
 	}
@@ -247,11 +246,10 @@ func TestPropertyModel1StrategiesEquivalent(t *testing.T) {
 // --- Model 2: join views (updates on R1 only, the paper's shape) ----------
 
 func buildJoinDB(st Strategy, blakeley bool, n, m int) (*Database, error) {
-	return buildJoinDBOpts(testOpts(), st, blakeley, n, m)
+	return buildJoinDBOn(NewDatabase(testOpts()), st, blakeley, n, m)
 }
 
-func buildJoinDBOpts(opts Options, st Strategy, blakeley bool, n, m int) (*Database, error) {
-	db := NewDatabase(opts)
+func buildJoinDBOn(db *Database, st Strategy, blakeley bool, n, m int) (*Database, error) {
 	s1, s2 := joinSchemas()
 	if _, err := db.CreateRelationBTree("r1", s1, 0); err != nil {
 		return nil, err
@@ -363,11 +361,10 @@ func TestPropertyModel2StrategiesEquivalent(t *testing.T) {
 // --- Model 3: aggregate views ---------------------------------------------
 
 func buildAggDB(st Strategy, kind agg.Kind, n int) (*Database, error) {
-	return buildAggDBOpts(testOpts(), st, kind, n)
+	return buildAggDBOn(NewDatabase(testOpts()), st, kind, n)
 }
 
-func buildAggDBOpts(opts Options, st Strategy, kind agg.Kind, n int) (*Database, error) {
-	db := NewDatabase(opts)
+func buildAggDBOn(db *Database, st Strategy, kind agg.Kind, n int) (*Database, error) {
 	if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 		return nil, err
 	}

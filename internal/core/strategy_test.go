@@ -359,3 +359,46 @@ func TestCommitRefreshOrderDeterministic(t *testing.T) {
 		t.Fatal("recovered engine differs from Load(Save) of the live one: replay refreshed the immediate views in another order")
 	}
 }
+
+// TestRefreshAllCompactionIsReplayed: trimming a parent's delta log is
+// part of the refresh that made the trim possible, so WAL replay
+// reproduces it. The fixture is the case an end-of-pass sweep got
+// wrong: a deferred parent whose only child is a Snapshot view — the
+// child never reads the log, so the parent's own refresh must trim what
+// it just appended, in the live engine and in replay alike.
+func TestRefreshAllCompactionIsReplayed(t *testing.T) {
+	walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
+	db := newSPDatabase(t, Deferred, 30)
+	if err := db.CreateView(childSPDef("snap", "v", 12, 28), Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	applyHierarchyScript(t, db, 30)
+	if err := db.RefreshAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := db.ViewDeltaLogLen("v"); n != 0 {
+		t.Errorf("live parent log holds %d rows after RefreshAll; no differential child pins it", n)
+	}
+	var live bytes.Buffer
+	if err := db.Save(&live); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+	if n, _ := rec.ViewDeltaLogLen("v"); n != 0 {
+		t.Errorf("recovered parent log holds %d rows; replay did not trim it", n)
+	}
+	var got bytes.Buffer
+	if err := rec.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), live.Bytes()) {
+		t.Fatal("recovered engine saves different bytes than the live one after RefreshAll")
+	}
+}

@@ -59,8 +59,8 @@ func (r Row) Slot(i int) tuple.Tuple {
 // against, and the batch size rows are vectorized in. BatchSize 0
 // means vec.DefaultBatchSize; BatchSize 1 forces the row-at-a-time
 // adapter everywhere (each batch carries one row and filters evaluate
-// their per-row fallback), which is the `vmsim -batch=off` escape
-// hatch the batch-vs-row property tests compare against.
+// their per-row fallback), which is the reference the batch-vs-row
+// property tests compare against.
 type Options struct {
 	Meter     *storage.Meter
 	BatchSize int

@@ -62,8 +62,8 @@ func (s *Scan) Describe() string {
 // SeqScan reads every tuple of a relation — the sequential plan, and
 // the only clustered access path a hash relation offers. Pages decode
 // straight into columnar batches at Open (inside the bracket, keeping
-// every page read attributed here and the pool activity ordered exactly
-// as the tuple path's). Prune atoms, when set, let the scan skip pages
+// every page read attributed here and ahead of any downstream pool
+// activity). Prune atoms, when set, let the scan skip pages
 // whose zone maps disprove the downstream predicate; skipped pages are
 // never charged and are reported via Stats().Pruned.
 type SeqScan struct {
@@ -116,6 +116,94 @@ func (s *SeqScan) Stats() OpStats {
 	return st
 }
 func (s *SeqScan) Describe() string { return fmt.Sprintf("SeqScan(%s)", s.rel.Name()) }
+
+// StoredScan reads a view's stored copy as the multiset it stands for:
+// a clustered range scan of the store's B+-tree (nil = everything)
+// whose rows each carry a multiplicity. split maps one decoded batch's
+// stored columns to the logical columns and the rows' multiplicities —
+// for a materialized view, everything before the trailing
+// duplicate-count column, and that column. Without expand each stored
+// row comes out once with its multiplicity in the batch's Dup lane (the
+// query path, which screens stored rows); with expand it comes out
+// multiplicity times (a parent scan: child views consume logical rows).
+//
+// The whole range is read at Open inside one bracket, so the page reads
+// land on this operator and finish before anything downstream touches
+// the pool.
+type StoredScan struct {
+	base
+	label  string
+	rel    *relation.Relation
+	rg     *pred.Range
+	split  func([]vec.Col) ([]vec.Col, []int64)
+	expand bool
+	bufs   []*vec.Batch
+	i      int
+	size   int
+}
+
+// NewStoredScan builds a stored-copy scan named label in plan trees.
+func NewStoredScan(o Options, label string, rel *relation.Relation, rg *pred.Range,
+	split func([]vec.Col) ([]vec.Col, []int64), expand bool) *StoredScan {
+	return &StoredScan{base: base{meter: o.Meter}, label: label, rel: rel, rg: rg,
+		split: split, expand: expand, size: o.size()}
+}
+
+func (s *StoredScan) Open() error {
+	s.i, s.bufs = 0, nil
+	return s.bracket(func() error {
+		it, err := s.rel.IterBatches(s.rg, nil)
+		if err != nil {
+			return err
+		}
+		out := &vec.Batch{}
+		for !it.Done() {
+			b := &vec.Batch{}
+			if err := it.Fill(b, s.size); err != nil {
+				return err
+			}
+			if b.NumRows() == 0 {
+				continue
+			}
+			cols, mult := s.split(b.Slots[0])
+			if !s.expand {
+				b.Slots[0], b.Dup = cols, mult
+				s.bufs = append(s.bufs, b)
+				continue
+			}
+			for i, n := range mult {
+				for n > 0 {
+					if out.AppendSlot0(b.IDs[0][i], cols, i, s.size) {
+						n--
+					} else if out.NumRows() < s.size {
+						return fmt.Errorf("exec: %s produced mixed-shape rows", s.label)
+					} else {
+						s.bufs = append(s.bufs, out)
+						out = &vec.Batch{}
+					}
+				}
+			}
+		}
+		if out.NumRows() > 0 {
+			s.bufs = append(s.bufs, out)
+		}
+		return nil
+	})
+}
+
+func (s *StoredScan) NextBatch() (*vec.Batch, error) {
+	if s.i >= len(s.bufs) {
+		return nil, nil
+	}
+	b := s.bufs[s.i]
+	s.i++
+	return s.emitBatch(b), nil
+}
+
+func (s *StoredScan) Close() error         { s.bufs = nil; return nil }
+func (s *StoredScan) Children() []Operator { return nil }
+func (s *StoredScan) Stats() OpStats       { return s.stats() }
+func (s *StoredScan) Describe() string     { return s.label }
 
 // IndexFetch fetches tuples through an unclustered secondary index: a
 // pointer-entry range scan followed by one clustered fetch per pointer
@@ -221,8 +309,8 @@ func (s *DeltaSource) Describe() string {
 }
 
 // FuncSource materializes rows from a generator run (bracketed) at
-// Open, so plan-time work — reading a materialized view, fetching HR
-// net changes — is attributed to the tree that consumes it.
+// Open, so plan-time work — reading an aggregate page, fetching HR net
+// changes — is attributed to the tree that consumes it.
 type FuncSource struct {
 	base
 	label string

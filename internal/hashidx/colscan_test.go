@@ -2,6 +2,7 @@ package hashidx
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"viewmat/internal/colpage"
@@ -142,6 +143,44 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	}
 	if got := len(batchKeys(out)); got != 25 {
 		t.Errorf("scan returned %d rows, want 25", got)
+	}
+	pool.AssertUnpinned(t)
+}
+
+// TestScanAllBatchesRejectsHeaderCountMismatch: a columnar chain page
+// whose header row count disagrees with its chunk is corrupt, and the
+// scan must say so rather than trust the chunk.
+func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
+	d := storage.NewDisk(256)
+	pool := storage.NewPool(d, storage.NewMeter(), 64)
+	ix, err := New(pool, d.Open("h"), 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 24; i++ {
+		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr, err := pool.Get(ix.file, ix.buckets[ix.bucketFor(tuple.I(5))])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Data[0] != pageHashCol {
+		t.Fatalf("bucket page has type %d, want a columnar page", fr.Data[0])
+	}
+	putU16(fr.Data[1:], getU16(fr.Data[1:])+1)
+	fr.MarkDirty()
+	if err := pool.Release(fr); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	pool.EvictAll()
+	_, _, err = ix.ScanAllBatches(0, nil)
+	if err == nil || !strings.Contains(err.Error(), "header says") {
+		t.Errorf("scan over a page with a wrong header count: err = %v", err)
 	}
 	pool.AssertUnpinned(t)
 }

@@ -338,107 +338,6 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (bool, error) {
 	}
 }
 
-// ScanAll returns every tuple in the index, bucket by bucket (one
-// metered read per page). Order is arbitrary but deterministic. When
-// the index has no overflow chains, buckets are fetched in batched
-// runs of consecutive pages (primary buckets are allocated
-// sequentially by New), which meters identically — one read per page,
-// in the same page order — but pays the simulated I/O latency once per
-// run instead of once per page. The HR differential file is scanned
-// this way by every deferred refresh (NetChanges), so delta scans get
-// the readahead too.
-func (ix *Index) ScanAll() ([]tuple.Tuple, error) {
-	if out, ok, err := ix.scanAllBatched(); err != nil {
-		return nil, err
-	} else if ok {
-		return out, nil
-	}
-	var out []tuple.Tuple
-	for _, bpn := range ix.buckets {
-		pn := bpn
-		for {
-			fr, err := ix.pool.Get(ix.file, pn)
-			if err != nil {
-				return nil, err
-			}
-			n, err := decodeNode(fr.Data)
-			if err != nil {
-				ix.pool.Release(fr)
-				return nil, err
-			}
-			for _, tp := range n.tuples {
-				out = append(out, tp.Clone())
-			}
-			hasNext, next := n.hasNext, n.next
-			if err := ix.pool.Release(fr); err != nil {
-				return nil, err
-			}
-			if !hasNext {
-				break
-			}
-			pn = next
-		}
-	}
-	return out, nil
-}
-
-// scanAllBatched is the readahead fast path of ScanAll. It applies
-// only when the file holds exactly the primary buckets (no overflow
-// pages anywhere — overflow would interleave chain walks between
-// bucket reads, changing the access order the plain walk produces) and
-// the pool is large enough that a briefly-pinned window cannot starve
-// eviction. ok reports whether the fast path ran.
-func (ix *Index) scanAllBatched() (out []tuple.Tuple, ok bool, err error) {
-	w := ix.pool.Capacity() / 4
-	if w > 32 {
-		w = 32
-	}
-	if w < 2 || len(ix.buckets) < 2 || ix.file.NumPages() != len(ix.buckets) {
-		return nil, false, nil
-	}
-	for start := 0; start < len(ix.buckets); {
-		// Maximal run of consecutive bucket pages, clamped to the window.
-		end := start + 1
-		for end < len(ix.buckets) && end-start < w && ix.buckets[end] == ix.buckets[end-1]+1 {
-			end++
-		}
-		frames, err := ix.pool.GetRun(ix.file, ix.buckets[start], end-start)
-		if err != nil {
-			return nil, false, err
-		}
-		fallback := false
-		for _, fr := range frames {
-			if err == nil && !fallback {
-				var n *node
-				if n, err = decodeNode(fr.Data); err == nil {
-					if n.hasNext {
-						// Metadata said no overflow but the page links
-						// onward; retry as a plain walk. The pages just
-						// fetched stay resident, so the rescan's Gets
-						// hit and charge nothing extra.
-						fallback = true
-					} else {
-						for _, tp := range n.tuples {
-							out = append(out, tp.Clone())
-						}
-					}
-				}
-			}
-			if rerr := ix.pool.Release(fr); rerr != nil && err == nil {
-				err = rerr
-			}
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if fallback {
-			return nil, false, nil
-		}
-		start = end
-	}
-	return out, true, nil
-}
-
 // Pages returns the total chain pages (primary + overflow), unmetered.
 func (ix *Index) Pages() int {
 	total := 0
@@ -532,6 +431,7 @@ func decodeNodeCols(page []byte) (*chainCols, error) {
 	if !isChainPage(page[0]) {
 		return nil, fmt.Errorf("hashidx: page type %d", page[0])
 	}
+	cnt := int(getU16(page[1:]))
 	rawNext := getU32(page[3:])
 	out := &chainCols{}
 	if rawNext != 0 {
@@ -542,6 +442,9 @@ func decodeNodeCols(page []byte) (*chainCols, error) {
 		ch, err := colpage.Decode(page[pageHeader:])
 		if err != nil {
 			return nil, fmt.Errorf("hashidx: columnar page: %w", err)
+		}
+		if ch.Rows != cnt {
+			return nil, fmt.Errorf("hashidx: columnar page holds %d tuples, header says %d", ch.Rows, cnt)
 		}
 		out.rows, out.ids, out.cols = ch.Rows, ch.IDs, ch.Cols
 		return out, nil
@@ -585,13 +488,20 @@ func appendChainRows(out []*vec.Batch, cur **vec.Batch, nc *chainCols, size int)
 	return out, nil
 }
 
-// ScanAllBatches is ScanAll decoded straight into columnar batches of
-// up to size rows, visiting pages in the identical order with identical
-// metered charges — except pages a prune atom's zone map disproves,
-// which are skipped unread and uncharged (counted in pruned). Pruning
-// applies only on the batched no-overflow fast path against a clean
-// on-disk image; every fallback path reads (and charges) every page,
-// exactly like ScanAll.
+// ScanAllBatches returns every tuple in the index decoded straight into
+// columnar batches of up to size rows, bucket by bucket (one metered
+// read per page). Order is arbitrary but deterministic. When the index
+// has no overflow chains, buckets are fetched in batched runs of
+// consecutive pages (primary buckets are allocated sequentially by
+// New), which meters identically — one read per page, in the same page
+// order — but pays the simulated I/O latency once per run instead of
+// once per page. The HR differential file is scanned this way by every
+// deferred refresh (NetChanges), so delta scans get the readahead too.
+//
+// Pages a prune atom's zone map disproves are skipped unread and
+// uncharged (counted in pruned). Pruning applies only on the batched
+// no-overflow fast path against a clean on-disk image; the chain-
+// following fallback reads (and charges) every page.
 func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
 	if size < 1 {
 		size = vec.DefaultBatchSize
@@ -632,12 +542,16 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 	return out, 0, nil
 }
 
-// scanBatchedCols is the readahead fast path of ScanAllBatches, under
-// the same gates as scanAllBatched. When prune atoms are given and the
-// on-disk image is clean, each run's pages are peeked first and pages
-// whose zone maps disprove the atoms are excluded from the batch read —
-// the run never speculatively pins them (see the Pool.GetRun regression
-// test). Everything else meters identically to scanAllBatched.
+// scanBatchedCols is the readahead fast path of ScanAllBatches. It
+// applies only when the file holds exactly the primary buckets (no
+// overflow pages anywhere — overflow would interleave chain walks
+// between bucket reads, changing the access order the plain walk
+// produces) and the pool is large enough that a briefly-pinned window
+// cannot starve eviction. ok reports whether the fast path ran. When
+// prune atoms are given and the on-disk image is clean, each run's
+// pages are peeked first and pages whose zone maps disprove the atoms
+// are excluded from the batch read — the run never speculatively pins
+// them.
 func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Batch, pruned int64, ok bool, err error) {
 	w := ix.pool.Capacity() / 4
 	if w > 32 {

@@ -9,6 +9,19 @@ import (
 	"viewmat/internal/tuple"
 )
 
+// scanAll gathers every tuple of the index through ScanAllBatches.
+func scanAll(ix *Index) ([]tuple.Tuple, error) {
+	batches, _, err := ix.ScanAllBatches(0, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []tuple.Tuple
+	for _, b := range batches {
+		out = b.AppendTuples(out, 0)
+	}
+	return out, nil
+}
+
 func newTestIndex(t testing.TB, pageSize, poolCap, buckets int) (*Index, *storage.Meter) {
 	t.Helper()
 	d := storage.NewDisk(pageSize)
@@ -78,7 +91,7 @@ func TestOverflowChains(t *testing.T) {
 	if p := ix.Pages(); p < 20 {
 		t.Errorf("Pages = %d, expected long overflow chain", p)
 	}
-	all, err := ix.ScanAll()
+	all, err := scanAll(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +130,7 @@ func TestDeleteFromOverflowPage(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("delete from overflow: ok=%v err=%v", ok, err)
 	}
-	all, _ := ix.ScanAll()
+	all, _ := scanAll(ix)
 	for _, tp := range all {
 		if tp.ID == 40 {
 			t.Error("deleted tuple still present")
@@ -169,7 +182,7 @@ func TestTruncate(t *testing.T) {
 	if got := ix.Pages(); got != 2 {
 		t.Errorf("Pages after truncate = %d, want 2 primaries", got)
 	}
-	all, _ := ix.ScanAll()
+	all, _ := scanAll(ix)
 	if len(all) != 0 {
 		t.Errorf("ScanAll after truncate = %v", all)
 	}
@@ -179,7 +192,7 @@ func TestTruncate(t *testing.T) {
 			t.Fatalf("insert after truncate: %v", err)
 		}
 	}
-	all, _ = ix.ScanAll()
+	all, _ = scanAll(ix)
 	if len(all) != 50 {
 		t.Errorf("after refill ScanAll = %d, want 50", len(all))
 	}
@@ -243,7 +256,7 @@ func TestPropertyMatchesModel(t *testing.T) {
 		if ix.Len() != len(model) {
 			return false
 		}
-		all, err := ix.ScanAll()
+		all, err := scanAll(ix)
 		if err != nil || len(all) != len(model) {
 			return false
 		}

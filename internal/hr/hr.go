@@ -73,7 +73,7 @@ func Open(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg C
 		return nil, err
 	}
 	h := &HR{base: base, ad: ad, filter: bloom.NewForRate(cfg.BloomKeys, cfg.BloomFPRate), pool: pool}
-	entries, err := ad.ScanAll()
+	entries, err := h.adEntries()
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func (h *HR) ReadKey(keyVal tuple.Value) ([]tuple.Tuple, error) {
 // sets; an update contributes its old value to D-net (or cancels an
 // epoch-local append) and its new value to A-net.
 func (h *HR) NetChanges() (anet, dnet []tuple.Tuple, err error) {
-	entries, err := h.ad.ScanAll()
+	entries, err := h.adEntries()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -292,6 +292,20 @@ func (h *HR) NetChanges() (anet, dnet []tuple.Tuple, err error) {
 		}
 	}
 	return anet, dnet, nil
+}
+
+// adEntries reads the whole AD file (one metered read per page) and
+// gathers its entries.
+func (h *HR) adEntries() ([]tuple.Tuple, error) {
+	batches, _, err := h.ad.ScanAllBatches(0, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []tuple.Tuple
+	for _, b := range batches {
+		out = b.AppendTuples(out, 0)
+	}
+	return out, nil
 }
 
 // Fold applies the differential file to the base relation and resets

@@ -6,6 +6,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 func TestAccessorsBTree(t *testing.T) {
@@ -92,28 +93,26 @@ func TestIterStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err := r.Iter(pred.NewRange(tuple.I(5), tuple.I(9), true, true))
+	it, err := r.IterBatches(pred.NewRange(tuple.I(5), tuple.I(9), true, true), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
+	n, fills := 0, 0
+	for !it.Done() {
+		b := &vec.Batch{}
+		if err := it.Fill(b, 2); err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
-		}
-		n++
+		n += b.NumRows()
+		fills++
 	}
-	if n != 5 {
-		t.Errorf("Iter yielded %d, want 5", n)
+	if n != 5 || fills < 3 {
+		t.Errorf("IterBatches yielded %d rows in %d fills, want 5 rows two at a time", n, fills)
 	}
-	// Iter on a hash relation errors.
+	// IterBatches on a hash relation errors.
 	h, _ := NewHash(d, p, "h", empSchema(), 0, 2)
-	if _, err := h.Iter(nil); err == nil {
-		t.Error("Iter on hash relation succeeded")
+	if _, err := h.IterBatches(nil, nil); err == nil {
+		t.Error("IterBatches on hash relation succeeded")
 	}
 }
 

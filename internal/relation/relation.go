@@ -184,45 +184,24 @@ func (r *Relation) LookupKey(v tuple.Value) ([]tuple.Tuple, error) {
 	if r.kind == ClusteredHash {
 		return r.hx.Lookup(v)
 	}
-	it, err := r.bt.Scan(pred.PointRange(v))
+	return gather(r.bt.ScanBatches(pred.PointRange(v), nil))
+}
+
+// gather drains a range scan into tuples, for the callers that act on
+// whole rows: point lookups and the secondary-index pointer walk.
+func gather(it *btree.BatchIterator, err error) ([]tuple.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	return drain(it)
-}
-
-// Scan returns tuples whose clustering-key value lies in rg, in key
-// order. Only B+-tree relations support range scans.
-func (r *Relation) Scan(rg *pred.Range) ([]tuple.Tuple, error) {
-	if r.kind != ClusteredBTree {
-		return nil, fmt.Errorf("relation %s: range scan requires B+-tree clustering", r.name)
-	}
-	it, err := r.bt.Scan(rg)
-	if err != nil {
-		return nil, err
-	}
-	return drain(it)
-}
-
-// Iter returns a streaming iterator over the clustering range (B+-tree
-// only); rg nil means everything.
-func (r *Relation) Iter(rg *pred.Range) (*btree.Iterator, error) {
-	if r.kind != ClusteredBTree {
-		return nil, fmt.Errorf("relation %s: iterator requires B+-tree clustering", r.name)
-	}
-	return r.bt.Scan(rg)
-}
-
-// ScanAll returns every tuple (sequential scan: every data page read).
-func (r *Relation) ScanAll() ([]tuple.Tuple, error) {
-	if r.kind == ClusteredBTree {
-		it, err := r.bt.ScanAll()
-		if err != nil {
+	var out []tuple.Tuple
+	for !it.Done() {
+		b := &vec.Batch{}
+		if err := it.Fill(b, vec.DefaultBatchSize); err != nil {
 			return nil, err
 		}
-		return drain(it)
+		out = b.AppendTuples(out, 0)
 	}
-	return r.hx.ScanAll()
+	return out, nil
 }
 
 // IterBatches returns a columnar iterator over the clustering range
@@ -235,8 +214,8 @@ func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*btree.Bat
 	return r.bt.ScanBatches(rg, prune)
 }
 
-// ScanAllBatches is ScanAll decoded straight into columnar batches of
-// up to size rows, with identical page order and metered charges —
+// ScanAllBatches reads every tuple (sequential scan: every data page
+// read) decoded straight into columnar batches of up to size rows —
 // minus any pages the prune atoms' zone maps disprove, which are
 // skipped unread and reported in pruned.
 func (r *Relation) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
@@ -286,13 +265,15 @@ func (r *Relation) AddSecondary(col int) error {
 		return err
 	}
 	sec := &Secondary{col: col, bt: bt}
-	all, err := r.ScanAll()
+	all, _, err := r.ScanAllBatches(0, nil)
 	if err != nil {
 		return err
 	}
-	for _, tp := range all {
-		if err := bt.Insert(pointerEntry(tp, col, r.keyCol)); err != nil {
-			return err
+	for _, b := range all {
+		for i := 0; i < b.NumRows(); i++ {
+			if err := bt.Insert(pointerEntry(b.TupleAt(0, i), col, r.keyCol)); err != nil {
+				return err
+			}
 		}
 	}
 	r.secondaries[col] = sec
@@ -314,11 +295,7 @@ func (r *Relation) LookupSecondary(col int, rg *pred.Range) ([]tuple.Tuple, erro
 	if !ok {
 		return nil, fmt.Errorf("relation %s: no secondary index on column %d", r.name, col)
 	}
-	it, err := sec.bt.Scan(rg)
-	if err != nil {
-		return nil, err
-	}
-	ptrs, err := drain(it)
+	ptrs, err := gather(sec.bt.ScanBatches(rg, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -334,18 +311,4 @@ func (r *Relation) LookupSecondary(col int, rg *pred.Range) ([]tuple.Tuple, erro
 		out = append(out, tp)
 	}
 	return out, nil
-}
-
-func drain(it *btree.Iterator) ([]tuple.Tuple, error) {
-	var out []tuple.Tuple
-	for {
-		tp, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, tp)
-	}
 }

@@ -23,6 +23,19 @@ func emp(id uint64, dept int64, name string, sal int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(dept), tuple.S(name), tuple.I(sal))
 }
 
+// allTuples gathers a full sequential scan.
+func allTuples(r *Relation) ([]tuple.Tuple, error) {
+	batches, _, err := r.ScanAllBatches(0, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []tuple.Tuple
+	for _, b := range batches {
+		out = b.AppendTuples(out, 0)
+	}
+	return out, nil
+}
+
 func TestBTreeRelationCRUD(t *testing.T) {
 	d, p, _ := testEnv(t)
 	r, err := NewBTree(d, p, "emp", empSchema(), 0)
@@ -37,7 +50,7 @@ func TestBTreeRelationCRUD(t *testing.T) {
 	if r.Len() != 30 {
 		t.Errorf("Len = %d", r.Len())
 	}
-	got, err := r.Scan(pred.PointRange(tuple.I(3)))
+	got, err := gather(r.IterBatches(pred.PointRange(tuple.I(3)), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +98,10 @@ func TestHashRelationCRUD(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0].ID != 8 {
 		t.Errorf("LookupKey(7) = %v err=%v", got, err)
 	}
-	if _, err := r.Scan(pred.FullRange()); err == nil {
+	if _, err := r.IterBatches(pred.FullRange(), nil); err == nil {
 		t.Error("range scan on hash relation should error")
 	}
-	all, err := r.ScanAll()
+	all, err := allTuples(r)
 	if err != nil || len(all) != 20 {
 		t.Errorf("ScanAll = %d tuples err=%v", len(all), err)
 	}
@@ -217,7 +230,7 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 
 	p.EvictAll()
 	before := m.Snapshot()
-	cl, err := r.Scan(pred.NewRange(tuple.I(100), tuple.I(199), true, true))
+	cl, err := gather(r.IterBatches(pred.NewRange(tuple.I(100), tuple.I(199), true, true), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,211 @@
+package relation
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"viewmat/internal/pred"
+	"viewmat/internal/storage"
+	"viewmat/internal/tuple"
+)
+
+// scanState is the pool/file condition a scan starts from.
+type scanState int
+
+const (
+	stateClean    scanState = iota // flushed file, cold pool: full scans read ahead
+	stateDirty                     // unflushed inserts resident: readahead disarmed
+	stateTinyPool                  // pool too small for a readahead window
+)
+
+func (s scanState) String() string {
+	return [...]string{"clean", "dirty-frames", "tiny-pool"}[s]
+}
+
+// scanFixture is one relation under one (kind, layout, state) with the
+// in-memory model of its contents, sorted by (key, id).
+type scanFixture struct {
+	rel   *Relation
+	pool  *storage.Pool
+	meter *storage.Meter
+	model []tuple.Tuple
+}
+
+// newScanFixture builds 300 rows (every third key duplicated) and puts
+// pool and file in the requested state.
+func newScanFixture(t *testing.T, kind Kind, layout storage.PageLayout, state scanState) *scanFixture {
+	t.Helper()
+	frames := 512
+	if state == stateTinyPool {
+		frames = 4
+	}
+	d := storage.NewDisk(256)
+	d.SetPageLayout(layout)
+	m := storage.NewMeter()
+	p := storage.NewPool(d, m, frames)
+	var r *Relation
+	var err error
+	if kind == ClusteredBTree {
+		r, err = NewBTree(d, p, "s", empSchema(), 0)
+	} else {
+		r, err = NewHash(d, p, "s", empSchema(), 0, 16)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &scanFixture{rel: r, pool: p, meter: m}
+	id := uint64(0)
+	add := func(key int64) {
+		id++
+		tp := emp(id, key, fmt.Sprintf("n%d", id), key*10)
+		if err := r.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+		fx.model = append(fx.model, tp)
+	}
+	for k := int64(0); k < 300; k++ {
+		add(k * 2)
+		if k%3 == 0 {
+			add(k * 2)
+		}
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	if state == stateDirty {
+		p.SetWriteThrough(false)
+		for _, k := range []int64{7, 301, 599} {
+			add(k)
+		}
+	}
+	sort.Slice(fx.model, func(i, j int) bool {
+		a, b := fx.model[i], fx.model[j]
+		if c := tuple.Compare(a.Vals[0], b.Vals[0]); c != 0 {
+			return c < 0
+		}
+		return a.ID < b.ID
+	})
+	return fx
+}
+
+// scan runs the one scan path for the fixture's kind: a clustered range
+// scan, or (hash, nil range only) the full bucket scan.
+func (fx *scanFixture) scan(rg *pred.Range) ([]tuple.Tuple, error) {
+	if fx.rel.Kind() == ClusteredHash && rg == nil {
+		return allTuples(fx.rel)
+	}
+	return gather(fx.rel.IterBatches(rg, nil))
+}
+
+// TestScanPathTable drives the batch scan path through every access
+// method, page layout, range shape and pool state: rows must equal the
+// in-memory model, every page visited must be metered exactly once (a
+// miss) or not at all (already resident), the charged chain-following
+// walk (dirty frames, tiny pool) must meter what the readahead walk
+// does, and no case may leak a pin.
+func TestScanPathTable(t *testing.T) {
+	ranges := []struct {
+		name string
+		rg   *pred.Range
+	}{
+		{"nil", nil},
+		{"point", pred.PointRange(tuple.I(120))},
+		{"half-open", pred.NewRange(tuple.I(100), tuple.I(260), true, false)},
+		{"empty", pred.NewRange(tuple.I(50), tuple.I(40), true, true)},
+		{"beyond-last-key", pred.NewRange(tuple.I(5000), tuple.I(6000), true, true)},
+	}
+	kinds := []struct {
+		name string
+		kind Kind
+	}{{"btree", ClusteredBTree}, {"hash", ClusteredHash}}
+	layouts := []struct {
+		name   string
+		layout storage.PageLayout
+	}{{"col", storage.PageLayoutCol}, {"row-oracle", storage.PageLayoutRow}}
+
+	for _, k := range kinds {
+		for _, rc := range ranges {
+			// cleanReads[layout] is the cold clean-file figure the other
+			// states and the other layout must reproduce.
+			cleanReads := map[string]int64{}
+			for _, l := range layouts {
+				for _, state := range []scanState{stateClean, stateDirty, stateTinyPool} {
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", k.name, l.name, rc.name, state), func(t *testing.T) {
+						fx := newScanFixture(t, k.kind, l.layout, state)
+						defer fx.pool.AssertUnpinned(t)
+						residentBefore := fx.pool.Resident()
+						before := fx.meter.Snapshot()
+						got, err := fx.scan(rc.rg)
+						reads := fx.meter.Snapshot().Sub(before).Reads
+						if k.kind == ClusteredHash && rc.rg != nil {
+							if err == nil {
+								t.Fatal("range scan of a hash relation succeeded")
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+
+						var want []tuple.Tuple
+						for _, tp := range fx.model {
+							if rc.rg == nil || rc.rg.Contains(tp.Vals[0]) {
+								want = append(want, tp)
+							}
+						}
+						if k.kind == ClusteredHash {
+							// Bucket order is arbitrary: compare as sets.
+							sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+							sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+						}
+						if len(got) != len(want) {
+							t.Fatalf("scan returned %d rows, model has %d", len(got), len(want))
+						}
+						for i := range got {
+							if got[i].ID != want[i].ID || !tuple.Equal(got[i].Vals[0], want[i].Vals[0]) ||
+								got[i].Vals[1].Str() != want[i].Vals[1].Str() || got[i].Vals[2].Int() != want[i].Vals[2].Int() {
+								t.Fatalf("row %d = %v, model says %v", i, got[i], want[i])
+							}
+						}
+
+						switch state {
+						case stateClean:
+							// Cold pool, nothing evicted: one read per page
+							// visited, each now resident.
+							if visited := int64(fx.pool.Resident() - residentBefore); reads != visited {
+								t.Errorf("reads = %d, pages visited = %d", reads, visited)
+							}
+							if rc.rg == nil {
+								full := int64(fx.rel.Pages())
+								if k.kind == ClusteredBTree {
+									full += int64(fx.rel.IndexHeight()) // the descent
+								}
+								if reads != full {
+									t.Errorf("full scan reads = %d, want every data page plus the descent = %d", reads, full)
+								}
+							}
+							if prev, ok := cleanReads["col"]; ok && prev != reads {
+								t.Errorf("row-oracle pages metered %d reads, columnar %d: layouts must be capacity-neutral", reads, prev)
+							}
+							cleanReads[l.name] = reads
+						case stateDirty:
+							// Pages the inserts left resident are hits; every
+							// other page visited is one read.
+							if visited := int64(fx.pool.Resident() - residentBefore); reads != visited {
+								t.Errorf("reads = %d, newly resident pages = %d", reads, visited)
+							}
+						case stateTinyPool:
+							if reads != cleanReads[l.name] {
+								t.Errorf("chain-following walk metered %d reads, readahead walk %d", reads, cleanReads[l.name])
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}

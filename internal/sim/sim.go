@@ -53,17 +53,6 @@ type Config struct {
 	// Strategy is core.Snapshot; 0 refreshes at every read that
 	// follows a touching commit.
 	SnapshotEvery int
-	// BatchSize caps the rows per executor batch (0 = vectorized
-	// default, 1 = row-at-a-time). Results and metered charges are
-	// identical either way; only wall-clock time changes.
-	BatchSize int
-	// PageLayout selects the on-disk data-page encoding (zero =
-	// columnar default, storage.PageLayoutRow = the row-major escape
-	// hatch). Results are identical either way, and so are metered
-	// charges except for pages zone maps prune (sequential plans under
-	// the columnar layout skip disproven pages without charging them);
-	// columnar also adds vector-direct decode.
-	PageLayout storage.PageLayout
 }
 
 // Result is one run's measurement.
@@ -87,7 +76,7 @@ type Result struct {
 	// costs.
 	PlanTrees map[string]string
 	// PagesPruned counts data pages zone maps skipped unread across
-	// the whole run (always 0 under PageLayoutRow).
+	// the whole run.
 	PagesPruned int64
 }
 
@@ -199,8 +188,6 @@ func setup(cfg Config) (*core.Database, map[int64]uint64, error) {
 	db := core.NewDatabase(core.Options{
 		PageSize:   int(p.B),
 		PoolFrames: poolFramesFor(p),
-		BatchSize:  cfg.BatchSize,
-		PageLayout: cfg.PageLayout,
 		HR: hr.Config{
 			ADBuckets: adBucketsFor(p),
 			BloomKeys: int(4 * p.U() * 2),

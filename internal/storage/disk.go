@@ -33,7 +33,8 @@ const (
 	// as typed column chunks with zone maps (internal/colpage).
 	PageLayoutCol PageLayout = iota
 	// PageLayoutRow is the row-major tuple encoding — the durability /
-	// WAL interchange format and the `vmsim -page=row` escape hatch.
+	// WAL interchange format, the per-page fallback when a chunk does
+	// not fit, and the oracle the layout property tests compare with.
 	PageLayoutRow
 )
 

@@ -312,16 +312,6 @@ func (p *Pool) loadMiss(f *File, key frameKey, sh *poolShard, fl *flight, sleep 
 	return fr, nil
 }
 
-// GetRun pins and returns frames for the n consecutive pages
-// [pn, pn+n) of f, in order. See GetBatch.
-func (p *Pool) GetRun(f *File, pn PageNum, n int) ([]*Frame, error) {
-	pns := make([]PageNum, n)
-	for i := range pns {
-		pns[i] = pn + PageNum(i)
-	}
-	return p.GetBatch(f, pns)
-}
-
 // GetBatch pins and returns frames for the given pages, in order. Each
 // page is charged exactly as a separate Get would charge it — one read
 // per miss, hits free, write-backs for whatever the inserts evict —
@@ -412,7 +402,7 @@ func (fr *Frame) MarkDirty() {
 	}
 }
 
-// Release unpins a frame obtained from Get, GetRun/GetBatch or Alloc.
+// Release unpins a frame obtained from Get, GetBatch or Alloc.
 // In write-through mode the final unpin of a dirty frame writes it
 // back (one metered write).
 func (p *Pool) Release(fr *Frame) error {

@@ -97,9 +97,9 @@ func TestPoolSingleflightChargesOneRead(t *testing.T) {
 	}
 }
 
-// GetRun charges exactly what per-page Gets would: one read per miss,
+// GetBatch charges exactly what per-page Gets would: one read per miss,
 // nothing for hits.
-func TestPoolGetRunChargesLikeGets(t *testing.T) {
+func TestPoolGetBatchChargesLikeGets(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
 	p := NewPool(d, m, 64)
@@ -114,12 +114,16 @@ func TestPoolGetRunChargesLikeGets(t *testing.T) {
 	}
 	p.Release(fr)
 
-	frames, err := p.GetRun(f, 0, n)
+	run := make([]PageNum, n)
+	for i := range run {
+		run[i] = PageNum(i)
+	}
+	frames, err := p.GetBatch(f, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(frames) != n {
-		t.Fatalf("GetRun returned %d frames, want %d", len(frames), n)
+		t.Fatalf("GetBatch returned %d frames, want %d", len(frames), n)
 	}
 	for i, fr := range frames {
 		if fr.PageNum() != PageNum(i) {
@@ -133,7 +137,7 @@ func TestPoolGetRunChargesLikeGets(t *testing.T) {
 		t.Errorf("reads = %d, want %d (9 cold misses + 1 earlier warm read, hit uncharged)", got, n)
 	}
 	// A second run over resident pages charges nothing.
-	frames, err = p.GetRun(f, 0, n)
+	frames, err = p.GetBatch(f, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestPoolGetBatchEvictsGlobalLRU(t *testing.T) {
 		}
 		p.Release(fr)
 	}
-	frames, err := p.GetRun(f, 4, 2) // must evict p0 and p1
+	frames, err := p.GetBatch(f, []PageNum{4, 5}) // must evict p0 and p1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +268,9 @@ func TestPoolDiscardGetRaceStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					if w%2 == 0 {
+					if w == 0 {
+						// One writer: two pins on the shared frame
+						// writing its bytes would race in the test itself.
 						fr.Data[0] = byte(i)
 						fr.MarkDirty()
 					}

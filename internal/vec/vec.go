@@ -262,6 +262,15 @@ func (b *Batch) TupleAt(s, i int) tuple.Tuple {
 	return t
 }
 
+// AppendTuples gathers every physical row's slot-s binding onto dst —
+// for the few scan callers that act on whole rows.
+func (b *Batch) AppendTuples(dst []tuple.Tuple, s int) []tuple.Tuple {
+	for i := 0; i < b.n; i++ {
+		dst = append(dst, b.TupleAt(s, i))
+	}
+	return dst
+}
+
 // OutAt gathers row i's projected values (nil when no Project ran).
 func (b *Batch) OutAt(i int) []tuple.Value {
 	if !b.outSet {
