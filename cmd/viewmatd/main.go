@@ -66,11 +66,15 @@ func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refr
 		db = core.NewDatabase(core.Options{PageSize: pageSize, PoolFrames: poolFrames, MaxRefreshWorkers: refreshWorkers})
 		fmt.Println("volatile engine (no -wal): state dies with the process")
 	} else {
-		var err error
-		db, err = openDurable(walDir, ckptEvery, pageSize, poolFrames, refreshWorkers)
+		var (
+			closeDevs func()
+			err       error
+		)
+		db, closeDevs, err = openDurable(walDir, ckptEvery, pageSize, poolFrames, refreshWorkers)
 		if err != nil {
 			return err
 		}
+		defer closeDevs()
 	}
 
 	stopAdapt := make(chan struct{})
@@ -132,39 +136,47 @@ func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refr
 
 // openDurable recovers an engine from dir's WAL and snapshot store, or
 // creates a fresh durable engine when the directory holds no usable
-// snapshot yet.
-func openDurable(dir string, ckptEvery, pageSize, poolFrames, refreshWorkers int) (*core.Database, error) {
+// snapshot yet. The returned function closes the two files; the engine
+// must not commit after it.
+func openDurable(dir string, ckptEvery, pageSize, poolFrames, refreshWorkers int) (*core.Database, func(), error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	walDev, err := wal.OpenFile(filepath.Join(dir, walFileName))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	snapDev, err := wal.OpenFile(filepath.Join(dir, snapFileName))
 	if err != nil {
 		walDev.Close()
-		return nil, err
+		return nil, nil, err
+	}
+	closeDevs := func() {
+		walDev.Close()
+		snapDev.Close()
 	}
 	opts := core.DurabilityOptions{CheckpointEvery: ckptEvery}
 	db, info, err := core.Recover(walDev, snapDev, opts)
 	switch {
 	case err == nil:
 		db.SetMaxRefreshWorkers(refreshWorkers)
-		fmt.Printf("recovered from %s: snapshot seq %d, %d records replayed, %d skipped", dir, info.SnapshotSeq, info.Replayed, info.Skipped)
+		fmt.Printf("recovered from %s: snapshot seq %d (full frame seq %d + %d delta frames), %d records replayed, %d skipped",
+			dir, info.SnapshotSeq, info.FullSeq, info.Deltas, info.Replayed, info.Skipped)
 		if info.TailDamage != "" {
 			fmt.Printf(", %s tail truncated", info.TailDamage)
 		}
 		fmt.Println()
-		return db, nil
+		return db, closeDevs, nil
 	case errors.Is(err, wal.ErrNoSnapshot):
 		db = core.NewDatabase(core.Options{PageSize: pageSize, PoolFrames: poolFrames, MaxRefreshWorkers: refreshWorkers})
 		if err := db.EnableDurability(walDev, snapDev, opts); err != nil {
-			return nil, err
+			closeDevs()
+			return nil, nil, err
 		}
 		fmt.Printf("fresh durable engine under %s (checkpoint every %d commits)\n", dir, ckptEvery)
-		return db, nil
+		return db, closeDevs, nil
 	default:
-		return nil, fmt.Errorf("recovering from %s: %w", dir, err)
+		closeDevs()
+		return nil, nil, fmt.Errorf("recovering from %s: %w", dir, err)
 	}
 }

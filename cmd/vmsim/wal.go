@@ -158,7 +158,8 @@ func runRecover(dir string, ckptEvery int) error {
 	if err != nil {
 		return fmt.Errorf("recovering from %s: %w", dir, err)
 	}
-	fmt.Printf("recovered from %s: snapshot seq %d, %d records replayed, %d skipped", dir, info.SnapshotSeq, info.Replayed, info.Skipped)
+	fmt.Printf("recovered from %s: snapshot seq %d (full frame seq %d + %d delta frames), %d records replayed, %d skipped",
+		dir, info.SnapshotSeq, info.FullSeq, info.Deltas, info.Replayed, info.Skipped)
 	if info.TailDamage != "" {
 		fmt.Printf(", %s tail truncated", info.TailDamage)
 	}

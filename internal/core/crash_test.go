@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -40,6 +42,11 @@ var crashSweepFull = flag.Bool("crash-sweep-full", false,
 type crashStep struct {
 	name string
 	run  func(h *crashHarness) error
+	// unsynced marks a step whose only log write is a refresh record:
+	// it rides the next commit's sync, so a power cut before that sync
+	// may legally lose the step (the view is then stale, its answers the
+	// same).
+	unsynced bool
 }
 
 // crashHarness carries one run's engine and live-tuple bookkeeping.
@@ -111,14 +118,14 @@ func crashTxStep(name string, ops ...crashOp) crashStep {
 }
 
 func crashQueryStep(name, view string) crashStep {
-	return crashStep{name: name, run: func(h *crashHarness) error {
+	return crashStep{name: name, unsynced: true, run: func(h *crashHarness) error {
 		_, err := h.db.QueryView(view, nil)
 		return err
 	}}
 }
 
 func crashAggQueryStep(name, view string) crashStep {
-	return crashStep{name: name, run: func(h *crashHarness) error {
+	return crashStep{name: name, unsynced: true, run: func(h *crashHarness) error {
 		_, _, err := h.db.QueryAggregate(view)
 		return err
 	}}
@@ -223,7 +230,7 @@ func crashWorkloadSteps() []crashStep {
 			crashOp{op: "ins", rel: "r1", key: 40, val: 2},
 			crashOp{op: "del", rel: "r1", idx: 1}),
 		crashQueryStep("q-vjoin-1", "vjoin"),
-		{name: "refresh-deferred-now", run: func(h *crashHarness) error {
+		{name: "refresh-deferred-now", unsynced: true, run: func(h *crashHarness) error {
 			return h.db.RefreshDeferredNow("vsp")
 		}},
 		crashTxStep("t4",
@@ -246,8 +253,62 @@ func crashWorkloadSteps() []crashStep {
 		crashAggQueryStep("q-vagg-2", "vagg"),
 		crashQueryStep("q-qr", "qr"),
 		crashQueryStep("q-qr1", "qr1"),
+
+		// The tail takes the script across the checkpoint chain: a DDL
+		// checkpoint whose delta removes a file (vjoin's stored copy),
+		// then enough commits that the deltas since the baseline outweigh
+		// the image and the rewrite rule writes a second full frame
+		// (runCrashSweep checks both happened).
+		{name: "drop-vjoin", run: func(h *crashHarness) error {
+			return h.db.DropView("vjoin")
+		}},
+		crashTxStep("t7",
+			crashOp{op: "ins", rel: "r1", key: 42, val: 3},
+			crashOp{op: "upd", rel: "r", idx: 4, key: 17, val: 2}),
+		crashQueryStep("q-vsp-3", "vsp"),
+		crashTxStep("t8",
+			crashOp{op: "ins", rel: "r", key: 14, val: 1},
+			crashOp{op: "del", rel: "r", idx: 7}),
+		crashTxStep("t9",
+			crashOp{op: "upd", rel: "r", idx: 1, key: 19, val: 5},
+			crashOp{op: "ins", rel: "r2", key: 7, val: 7}),
+		crashAggQueryStep("q-vagg-3", "vagg"),
+		crashTxStep("t10",
+			crashOp{op: "ins", rel: "r", key: 21, val: 3},
+			crashOp{op: "ins", rel: "r", key: 23, val: 2}),
+		crashTxStep("t11",
+			crashOp{op: "del", rel: "r", idx: 2},
+			crashOp{op: "upd", rel: "r1", idx: 3, key: 43, val: 1}),
+		crashQueryStep("q-vsp-4", "vsp"),
+		crashTxStep("t12",
+			crashOp{op: "ins", rel: "r", key: 26, val: 4},
+			crashOp{op: "upd", rel: "r", idx: 6, key: 12, val: 6}),
+		crashQueryStep("q-qr-2", "qr"),
+		crashQueryStep("q-qr1-2", "qr1"),
 	}
 	return steps
+}
+
+// snapshotFrameKinds lists the kind of every frame ever appended to a
+// snapshot device, in order (the store itself only remembers the
+// current chain).
+func snapshotFrameKinds(t *testing.T, dev storage.Device) []wal.FrameKind {
+	t.Helper()
+	r, err := wal.NewReader(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []wal.FrameKind
+	for {
+		payload, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return kinds
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, wal.FrameKind(payload[8]))
+	}
 }
 
 // runCrashScript drives the workload against a durability-enabled
@@ -288,6 +349,47 @@ func crashOracle(t *testing.T, cache map[int]*Database, steps []crashStep, n int
 	}
 	cache[n] = h.db
 	return h.db
+}
+
+// crashOracleImage is Save of a fault-free, durability-off replay of the
+// first n steps: what the recovered engine must equal byte for byte.
+// It gets its own replay because the query oracles above are refreshed
+// (so changed) by the very comparisons they serve.
+func crashOracleImage(t *testing.T, cache map[int][]byte, steps []crashStep, n int) []byte {
+	t.Helper()
+	if img, ok := cache[n]; ok {
+		return img
+	}
+	var buf bytes.Buffer
+	if err := crashOracle(t, map[int]*Database{}, steps, n).Save(&buf); err != nil {
+		t.Fatalf("saving the %d-step oracle: %v", n, err)
+	}
+	cache[n] = buf.Bytes()
+	return cache[n]
+}
+
+// crashStateExact checks the recovered engine is byte-identical to the
+// oracle at a legal cut of the script: through the crashing step f
+// (its record or checkpoint frame made it), just before it, or — when
+// the steps before it wrote only refresh records that were still
+// waiting for a sync — before any suffix of those.
+func crashStateExact(t *testing.T, rec *Database, images map[int][]byte, steps []crashStep, f int) error {
+	t.Helper()
+	var got bytes.Buffer
+	if err := rec.Save(&got); err != nil {
+		return err
+	}
+	if bytes.Equal(got.Bytes(), crashOracleImage(t, images, steps, f+1)) {
+		return nil
+	}
+	for n := f; ; n-- {
+		if bytes.Equal(got.Bytes(), crashOracleImage(t, images, steps, n)) {
+			return nil
+		}
+		if n == 0 || !steps[n-1].unsynced {
+			return fmt.Errorf("recovered engine saves %d bytes that match no oracle from step %d to %d", got.Len(), n, f+1)
+		}
+	}
 }
 
 // crashStateDiff compares the logical state visible through every view
@@ -343,7 +445,7 @@ func crashStateDiff(rec, want *Database) error {
 // torn-write width, recovers, and checks the recovered state is the
 // acknowledged prefix (or, for an atomically-durable crashing step,
 // prefix+1).
-func checkCrashPoint(t *testing.T, steps []crashStep, enableIdx, ckptEvery, n, torn int, oracles map[int]*Database) {
+func checkCrashPoint(t *testing.T, steps []crashStep, enableIdx, ckptEvery, n, torn int, oracles map[int]*Database, images map[int][]byte) {
 	t.Helper()
 	plan := storage.NewCrashPlan(n, torn)
 	walDev, snapDev, f, runErr := runCrashScript(steps, plan, ckptEvery)
@@ -362,6 +464,12 @@ func checkCrashPoint(t *testing.T, steps []crashStep, enableIdx, ckptEvery, n, t
 			return
 		}
 		t.Fatalf("sync %d torn %d (step %q): Recover: %v", n, torn, steps[f].name, err)
+	}
+	// Exact first (the comparison below refreshes the recovered views),
+	// then answer by answer as the readable failure mode.
+	if err := crashStateExact(t, rec, images, steps, f); err != nil {
+		t.Errorf("sync %d torn %d, crashed in step %q (full seq %d + %d deltas, replayed %d, skipped %d, tail %q): %v",
+			n, torn, steps[f].name, info.FullSeq, info.Deltas, info.Replayed, info.Skipped, info.TailDamage, err)
 	}
 	if err := crashStateDiff(rec, crashOracle(t, oracles, steps, f)); err != nil {
 		err2 := crashStateDiff(rec, crashOracle(t, oracles, steps, f+1))
@@ -409,9 +517,27 @@ func runCrashSweep(t *testing.T, ckptEvery int, tornWidths []int) {
 	if total < 15 {
 		t.Fatalf("workload produced only %d syncs; the sweep needs a denser schedule", total)
 	}
-	oracles := map[int]*Database{}
+	// The script must cross the whole checkpoint protocol, or the sweep
+	// proves less than it claims: the baseline full frame, at least
+	// three delta frames, and a full frame written by the rewrite rule.
+	kinds := snapshotFrameKinds(t, snapDev.DurableDevice())
+	fulls, deltas := 0, 0
+	for _, k := range kinds {
+		if k == wal.FrameFull {
+			fulls++
+		} else {
+			deltas++
+		}
+	}
+	if kinds[0] != wal.FrameFull || fulls < 2 || deltas < 3 {
+		t.Fatalf("workload wrote frames %v: want the baseline full frame, ≥3 deltas and ≥1 rule-triggered full rewrite", kinds)
+	}
+	oracles, images := map[int]*Database{}, map[int][]byte{}
 	rec, _, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{CheckpointEvery: ckptEvery})
 	if err != nil {
+		t.Fatalf("clean-reboot recovery: %v", err)
+	}
+	if err := crashStateExact(t, rec, images, steps, len(steps)-1); err != nil {
 		t.Fatalf("clean-reboot recovery: %v", err)
 	}
 	if err := crashStateDiff(rec, crashOracle(t, oracles, steps, len(steps))); err != nil {
@@ -420,10 +546,10 @@ func runCrashSweep(t *testing.T, ckptEvery int, tornWidths []int) {
 
 	for n := 1; n <= total; n++ {
 		for _, torn := range tornWidths {
-			checkCrashPoint(t, steps, enableIdx, ckptEvery, n, torn, oracles)
+			checkCrashPoint(t, steps, enableIdx, ckptEvery, n, torn, oracles, images)
 		}
 	}
-	t.Logf("swept %d sync boundaries × torn widths %v (checkpoint every %d commits)", total, tornWidths, ckptEvery)
+	t.Logf("swept %d sync boundaries × torn widths %v (checkpoint every %d commits, snapshot frames %v)", total, tornWidths, ckptEvery, kinds)
 }
 
 // TestCrashRecoverySweep is the tier-1 sweep: every sync boundary,

@@ -24,18 +24,30 @@ import (
 //
 //   - Query-triggered refreshes mutate view state without a commit
 //     (AD folds, differential refreshes, snapshot recomputes), so each
-//     one appends a refresh record naming the view and the trigger.
+//     one appends a refresh record naming the view and the trigger. The
+//     record is not synced on its own: losing it leaves the view stale
+//     but correct, and the log is sequential, so the next commit's sync
+//     hardens it before anything that depends on it.
 //
 //   - Catalog changes (create/drop/tuning) are not logged; they force
 //     an eager checkpoint instead, so every WAL record replays over a
 //     snapshot that already contains the catalog it references.
 //
-//   - A checkpoint is: serialize the engine with Save, append the
-//     snapshot (tagged with the last record's sequence number) to the
-//     append-only snapshot store, sync, then truncate the log. A crash
-//     between the snapshot sync and the truncate leaves stale records
-//     in the log; their sequence numbers are ≤ the snapshot's, and
-//     recovery skips them.
+//   - A checkpoint is: flush the pool, append one frame (tagged with
+//     the last record's sequence number) to the append-only snapshot
+//     store, sync, forget the disk's recorded changes, then truncate
+//     the log. The frame is the catalog header plus either the pages,
+//     extents and free lists the disk recorded as changed since the
+//     previous frame (a delta frame, the usual case) or the whole disk
+//     image (a full frame, exactly Save's output: the first frame, and
+//     whenever the deltas since the last full frame outweigh
+//     fullRewriteFactor images). A crash between the frame's sync and
+//     the truncate leaves stale records in the log; their sequence
+//     numbers are ≤ the frame's, and recovery skips them.
+//
+//   - Recovery reads the last full frame, applies the delta frames
+//     after it to the disk image in memory, restores the engine once
+//     from the last frame's header, and replays the WAL tail.
 //
 // None of this touches the simulated Disk or the cost meter: WAL and
 // snapshot devices live outside the metered world, so enabling
@@ -49,11 +61,16 @@ type durability struct {
 	log   *wal.Log
 	snaps *wal.SnapshotStore
 	// seq numbers records monotonically; the snapshot store remembers
-	// the seq its snapshot covers, so recovery can skip records that
-	// are older than the snapshot it replays over.
+	// the seq each frame covers, so recovery can skip records that are
+	// older than the image it replays over.
 	seq              uint64
 	checkpointEvery  int
 	commitsSinceCkpt int
+	// chained is set once the disk's recorded changes are relative to
+	// the snapshot store's last frame — after this engine's first
+	// durable frame, or after Recover restored from the store — and a
+	// checkpoint may therefore be a delta.
+	chained bool
 }
 
 // DurabilityOptions configures EnableDurability and Recover.
@@ -63,6 +80,14 @@ type DurabilityOptions struct {
 	// checkpoints; Checkpoint can always be called explicitly.
 	CheckpointEvery int
 }
+
+// fullRewriteFactor sets when a checkpoint writes a full frame instead
+// of a delta: once the delta frames since the last full frame exceed
+// this many disk images. A rewrite of size S thus follows at least 2S
+// of deltas, so full frames add at most half again to the delta stream
+// (amortised ≤ 1.5× what changed), and recovery never reads more than
+// one image plus two images' worth of deltas.
+const fullRewriteFactor = 2
 
 // WAL record kinds.
 const (
@@ -121,9 +146,10 @@ type refreshRecordDTO struct {
 }
 
 // EnableDurability attaches a WAL device and a snapshot device to the
-// engine and writes a baseline checkpoint, so recovery always has a
-// snapshot to replay over. From this point every commit and every
-// state-mutating refresh is synced to the WAL before it returns.
+// engine and writes a baseline checkpoint (a full frame), so recovery
+// always has an image to replay over. From this point every commit is
+// synced to the WAL before it returns, and every state-mutating refresh
+// is logged ahead of the next commit's sync.
 //
 // Durability replays as a serial program: with it enabled, RefreshAll
 // runs its units serially regardless of MaxRefreshWorkers, and the
@@ -173,16 +199,26 @@ func (db *Database) Checkpoint() error {
 // checkpointLocked runs the checkpoint protocol; caller holds the
 // engine write lock and db.dur is non-nil.
 func (db *Database) checkpointLocked() error {
+	kind := wal.FrameDelta
+	imageBytes := int64(db.disk.TotalPages()) * int64(db.disk.PageSize())
+	if !db.dur.chained || db.dur.snaps.DeltaBytes() > fullRewriteFactor*imageBytes {
+		kind = wal.FrameFull
+	}
 	var buf bytes.Buffer
-	if err := db.saveLocked(&buf); err != nil {
+	if err := db.encodeSnapshotLocked(&buf, kind == wal.FrameDelta); err != nil {
 		return fmt.Errorf("core: checkpoint snapshot: %w", err)
 	}
-	if err := db.dur.snaps.Append(db.dur.seq, buf.Bytes()); err != nil {
+	if err := db.dur.snaps.Append(db.dur.seq, kind, buf.Bytes()); err != nil {
 		return fmt.Errorf("core: checkpoint append: %w", err)
 	}
-	// The snapshot is durable; stale log records (all seq ≤ the
-	// snapshot's) can go. A crash before this truncate completes just
-	// leaves them to be skipped by seq at recovery.
+	// Only now that the frame is durable may the disk forget what it
+	// held: after a failed append the next checkpoint's delta must
+	// still carry these changes.
+	db.disk.ResetChanges()
+	db.dur.chained = true
+	// Stale log records (all seq ≤ the frame's) can go. A crash before
+	// this truncate completes just leaves them to be skipped by seq at
+	// recovery.
 	if err := db.dur.log.Reset(); err != nil {
 		return fmt.Errorf("core: checkpoint log truncate: %w", err)
 	}
@@ -202,7 +238,8 @@ func (db *Database) catalogCheckpointLocked() error {
 }
 
 // appendRecordLocked assigns the next sequence number, gob-encodes the
-// record and appends it with a sync — the durability barrier. Caller
+// record and appends it. Commit records sync — the durability barrier;
+// refresh records ride the next sync (see the file comment). Caller
 // holds the engine write lock.
 func (db *Database) appendRecordLocked(rec *walRecord) error {
 	d := db.dur
@@ -211,8 +248,13 @@ func (db *Database) appendRecordLocked(rec *walRecord) error {
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return err
 	}
-	if err := d.log.AppendSync(buf.Bytes()); err != nil {
+	if err := d.log.Append(buf.Bytes()); err != nil {
 		return err
+	}
+	if rec.Kind == recCommit {
+		if err := d.log.Sync(); err != nil {
+			return err
+		}
 	}
 	d.seq = rec.Seq
 	return nil
@@ -259,8 +301,13 @@ func (db *Database) logRefreshLocked(view string, kind int, clockBefore uint64) 
 
 // RecoverInfo reports what Recover found and did.
 type RecoverInfo struct {
-	// SnapshotSeq is the sequence number the recovered snapshot covers.
+	// SnapshotSeq is the sequence number the recovered image covers:
+	// that of the last frame of the chain.
 	SnapshotSeq uint64
+	// FullSeq is the sequence number of the full frame the chain starts
+	// from, and Deltas the number of delta frames applied on top of it.
+	FullSeq uint64
+	Deltas  int
 	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int
 	// Skipped counts records older than the snapshot (residue of a
@@ -271,9 +318,10 @@ type RecoverInfo struct {
 	TailDamage string
 }
 
-// Recover rebuilds a database from its durability devices: load the
-// newest snapshot, replay every WAL record newer than it, and stop
-// cleanly at the first torn or corrupt record (the unsynced residue of
+// Recover rebuilds a database from its durability devices: assemble
+// the newest image (the last full frame plus the delta frames after
+// it), replay every WAL record newer than it, and stop cleanly at the
+// first torn or corrupt record (the unsynced residue of
 // the crash — by the commit barrier, nothing that was acknowledged can
 // be in the damaged tail). The damaged tail is then truncated and the
 // returned engine continues logging on the same devices. The meter
@@ -283,16 +331,16 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	if err != nil {
 		return nil, nil, err
 	}
-	snapSeq, snapBytes, err := snaps.Latest()
+	frames, err := snaps.Chain()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recovering: %w", err)
 	}
-	db, err := Load(bytes.NewReader(snapBytes))
+	db, err := restoreChain(frames)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recovering snapshot: %w", err)
 	}
-
-	info := &RecoverInfo{SnapshotSeq: snapSeq}
+	snapSeq := frames[len(frames)-1].Seq
+	info := &RecoverInfo{SnapshotSeq: snapSeq, FullSeq: frames[0].Seq, Deltas: len(frames) - 1}
 	r, err := wal.NewReader(walDev)
 	if err != nil {
 		return nil, nil, err
@@ -344,10 +392,47 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 		return nil, nil, err
 	}
 	db.mu.Lock()
-	db.dur = &durability{log: log, snaps: snaps, seq: lastSeq, checkpointEvery: opts.CheckpointEvery}
+	db.dur = &durability{log: log, snaps: snaps, seq: lastSeq, checkpointEvery: opts.CheckpointEvery, chained: true}
 	db.mu.Unlock()
 	db.ResetStats()
 	return db, info, nil
+}
+
+// restoreChain rebuilds the engine a recovery chain describes: the full
+// frame's disk image with each delta applied in order, under the last
+// frame's catalog header. The restored disk tracks changes from here,
+// so WAL replay and later work land in the next delta frame.
+func restoreChain(frames []wal.SnapshotFrame) (*Database, error) {
+	var (
+		snap *dbSnapshot
+		img  *storage.DiskImage
+	)
+	for i, f := range frames {
+		var err error
+		if snap, err = decodeSnapshot(bytes.NewReader(f.Body)); err != nil {
+			return nil, fmt.Errorf("frame %d of %d (seq %d): %w", i+1, len(frames), f.Seq, err)
+		}
+		switch {
+		case i == 0 && f.Kind == wal.FrameFull && snap.Disk != nil:
+			img = snap.Disk
+		case i > 0 && f.Kind == wal.FrameDelta && snap.Delta != nil:
+			var delta *storage.DiskDelta
+			if delta, err = storage.DecodeDiskDelta(snap.Delta); err == nil {
+				err = img.Apply(delta)
+			}
+		default:
+			err = fmt.Errorf("kind %d does not match its body or its place in the chain", f.Kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: frame %d of %d (seq %d): %v", ErrSnapshotCorrupt, i+1, len(frames), f.Seq, err)
+		}
+	}
+	disk, err := storage.RestoreDisk(img)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	disk.ResetChanges()
+	return restoreDatabase(snap, disk)
 }
 
 // applyRecordLocked replays one WAL record through the normal engine

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"viewmat/internal/agg"
@@ -20,6 +21,18 @@ func durSPVals(key, val int64) []tuple.Value {
 	return []tuple.Value{tuple.I(key), tuple.I(val), tuple.S(sName(int(val)))}
 }
 
+// cleanReboot returns the devices as a machine that shut down cleanly
+// finds them. Refresh records ride the next commit's sync, so unlike a
+// power cut (DurableDevice alone, which the crash sweep models) a clean
+// stop is what writes back a trailing refresh record; the tests that
+// compare a recovered engine byte-for-byte with the live one need it.
+func cleanReboot(walDev, snapDev *storage.FaultDisk) (*storage.FaultDisk, *storage.FaultDisk, error) {
+	if err := walDev.Sync(); err != nil {
+		return nil, nil, err
+	}
+	return walDev.DurableDevice(), snapDev.DurableDevice(), nil
+}
+
 // runRecoverEquivalence is the fault-free durability property: after
 // any workload, rebooting — Recover from the devices' durable images —
 // must reproduce the live engine exactly. "Exactly" is checked at the
@@ -27,7 +40,10 @@ func durSPVals(key, val int64) []tuple.Value {
 // byte-identical to Save of the live one (Save is deterministic), so
 // every page of every file, the catalog, the id clock and all pending
 // AD state coincide; view answers are compared on top as a readable
-// failure mode.
+// failure mode. With ckptEvery > 0 the script must also have crossed
+// the checkpoint chain — recovered through delta frames, or through a
+// full frame the rewrite rule wrote over earlier ones — or the property
+// would only be exercising the baseline frame plus WAL replay.
 func runRecoverEquivalence(steps []propStep, ckptEvery int) error {
 	walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
 	db, err := buildSPDB(Deferred, 30)
@@ -41,6 +57,7 @@ func runRecoverEquivalence(steps []propStep, ckptEvery int) error {
 	for k := 0; k < 30; k++ {
 		live = append(live, liveRow{key: int64(k), id: uint64(k + 1)})
 	}
+	commits := 0
 	for _, s := range steps {
 		if s.op == "query" {
 			if _, err := db.QueryView("v", nil); err != nil {
@@ -52,18 +69,26 @@ func runRecoverEquivalence(steps []propStep, ckptEvery int) error {
 		if err != nil {
 			return err
 		}
+		commits++
 	}
 
 	var want bytes.Buffer
 	if err := db.Save(&want); err != nil {
 		return fmt.Errorf("saving live engine: %w", err)
 	}
-	rec, info, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+	wd, sd, err := cleanReboot(walDev, snapDev)
+	if err != nil {
+		return err
+	}
+	rec, info, err := Recover(wd, sd, DurabilityOptions{})
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
 	if info.TailDamage != "" {
 		return fmt.Errorf("fault-free log reported tail damage %q", info.TailDamage)
+	}
+	if ckptEvery > 0 && commits >= ckptEvery && info.Deltas == 0 && info.FullSeq == 0 {
+		return fmt.Errorf("%d commits with a checkpoint every %d, yet recovery used the baseline frame alone", commits, ckptEvery)
 	}
 	var got bytes.Buffer
 	if err := rec.Save(&got); err != nil {
@@ -88,7 +113,7 @@ func TestPropertyRecoverEquivalentToSaveLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
-	for _, ck := range []int{0, 3} {
+	for _, ck := range []int{0, 1, 3} {
 		for seed := int64(0); seed < 5; seed++ {
 			rng := rand.New(rand.NewSource(seed + 2100))
 			steps := genScript(rng, 5, 40)
@@ -214,6 +239,11 @@ func TestRecoverSkipsRecordsOlderThanSnapshot(t *testing.T) {
 	}
 	if info.Skipped != 2 || info.Replayed != 0 {
 		t.Errorf("skipped %d replayed %d, want 2 skipped 0 replayed", info.Skipped, info.Replayed)
+	}
+	// The image is the baseline full frame (seq 0) plus the explicit
+	// checkpoint's delta, and covers both records.
+	if info.SnapshotSeq != 2 || info.FullSeq != 0 || info.Deltas != 1 {
+		t.Errorf("chain: snapshot seq %d, full seq %d, %d deltas; want 2, 0, 1", info.SnapshotSeq, info.FullSeq, info.Deltas)
 	}
 	want, err := db.QueryView("v", nil)
 	if err != nil {
@@ -381,7 +411,11 @@ func TestRecoverReplaysForcedRefreshes(t *testing.T) {
 	if err := db2.RefreshDeferredNow("v"); err != nil {
 		t.Fatal(err)
 	}
-	rec2, _, err := Recover(walDev2.DurableDevice(), snapDev2.DurableDevice(), DurabilityOptions{})
+	wd2, sd2, err := cleanReboot(walDev2, snapDev2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec2, _, err := Recover(wd2, sd2, DurabilityOptions{})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -525,5 +559,198 @@ func TestRecoverAggregateView(t *testing.T) {
 	}
 	if ok != wantOK || math.Abs(got-want) > 1e-9 {
 		t.Errorf("recovered aggregate = %v (defined=%v), want %v (defined=%v)", got, ok, want, wantOK)
+	}
+}
+
+// TestRefreshRecordRidesNextSync: a query-triggered refresh logs its
+// record without a sync of its own. A power cut before the next commit
+// loses the record and nothing else — the recovered view is stale, its
+// answer the same — and the next commit's sync hardens the record ahead
+// of the commit that follows it.
+func TestRefreshRecordRidesNextSync(t *testing.T) {
+	walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
+	db := newSPDatabase(t, Deferred, 25)
+	if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(k int64) {
+		t.Helper()
+		tx := db.Begin()
+		if _, err := tx.Insert("r", tuple.I(k), tuple.I(1), tuple.S("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(15)
+	syncs := walDev.Syncs()
+	want, err := db.QueryView("v", nil) // refreshes: AD folded, record appended
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := walDev.Syncs(); got != syncs {
+		t.Fatalf("the query-triggered refresh synced the WAL %d times, want 0", got-syncs)
+	}
+
+	rec, info, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatalf("Recover after power cut: %v", err)
+	}
+	t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+	if info.Replayed != 1 {
+		t.Errorf("replayed %d records, want the commit alone", info.Replayed)
+	}
+	if h, _ := rec.HR("r"); h.ADLen() == 0 {
+		t.Error("recovered view is fresh: the unsynced refresh record survived the power cut")
+	}
+	got, err := rec.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "stale recovered view", got, want)
+
+	commit(16)
+	rec2, info2, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatalf("Recover after the next commit: %v", err)
+	}
+	t.Cleanup(func() { rec2.Pool().AssertUnpinned(t) })
+	if info2.Replayed != 3 {
+		t.Errorf("replayed %d records, want commit, refresh, commit", info2.Replayed)
+	}
+	var live, recovered bytes.Buffer
+	if err := db.Save(&live); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec2.Save(&recovered); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recovered.Bytes(), live.Bytes()) {
+		t.Error("recovered engine differs from the live one once the refresh record was synced")
+	}
+}
+
+// TestCheckpointWriteErrorKeepsChanges: a checkpoint whose frame fails
+// to reach the device (the write, or its sync) must leave the disk's
+// recorded changes and the log alone, so that a crash right after it
+// loses nothing and the next checkpoint's delta carries what the failed
+// one held. Run on the fault-injecting in-memory device and on real
+// files.
+func TestCheckpointWriteErrorKeepsChanges(t *testing.T) {
+	boom := errors.New("boom")
+	// faultDevice is what FaultDisk and wal.FileDevice share.
+	type faultDevice interface {
+		storage.Device
+		FailWriteAt(call int, err error)
+		FailSync(call int, err error)
+	}
+	type rig struct {
+		wal    storage.Device
+		snap   faultDevice
+		reboot func(t *testing.T) (storage.Device, storage.Device) // devices as a restart finds them
+	}
+	onFaultDisks := func(t *testing.T) rig {
+		w, s := storage.NewFaultDisk(), storage.NewFaultDisk()
+		return rig{wal: w, snap: s, reboot: func(*testing.T) (storage.Device, storage.Device) {
+			return w.DurableDevice(), s.DurableDevice()
+		}}
+	}
+	onFiles := func(t *testing.T) rig {
+		open := func(path string) *wal.FileDevice {
+			d, err := wal.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			return d
+		}
+		dir := t.TempDir()
+		return rig{wal: open(dir + "/wal.log"), snap: open(dir + "/snap.log"), reboot: func(t *testing.T) (storage.Device, storage.Device) {
+			// Recover on copies: the live engine keeps the originals.
+			cp := t.TempDir()
+			for _, name := range []string{"wal.log", "snap.log"} {
+				b, err := os.ReadFile(dir + "/" + name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(cp+"/"+name, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return open(cp + "/wal.log"), open(cp + "/snap.log")
+		}}
+	}
+	for _, c := range []struct {
+		name      string
+		rig       func(*testing.T) rig
+		failWrite bool
+	}{
+		{"faultdisk/write", onFaultDisks, true},
+		{"faultdisk/sync", onFaultDisks, false},
+		{"files/write", onFiles, true},
+		{"files/sync", onFiles, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := c.rig(t)
+			// Enough rows for many leaves: the commits below land on
+			// different pages, so the retried delta is only complete if it
+			// still holds what the failed one did.
+			db := newSPDatabase(t, Immediate, 400)
+			// The baseline full frame is the snapshot device's first write
+			// and first sync; the checkpoint below is its second of each.
+			if err := db.EnableDurability(r.wal, r.snap, DurabilityOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			commit := func(k int64) {
+				t.Helper()
+				tx := db.Begin()
+				if _, err := tx.Insert("r", tuple.I(k), tuple.I(1), tuple.S("x")); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recoverEqualsLive := func(stage string, wantDeltas int) {
+				t.Helper()
+				var live, got bytes.Buffer
+				if err := db.Save(&live); err != nil {
+					t.Fatal(err)
+				}
+				wd, sd := r.reboot(t)
+				rec, info, err := Recover(wd, sd, DurabilityOptions{})
+				if err != nil {
+					t.Fatalf("%s: Recover: %v", stage, err)
+				}
+				t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+				if info.Deltas != wantDeltas {
+					t.Errorf("%s: recovered through %d delta frames, want %d", stage, info.Deltas, wantDeltas)
+				}
+				if err := rec.Save(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), live.Bytes()) {
+					t.Errorf("%s: recovered engine differs from the live one (%d vs %d bytes)", stage, got.Len(), live.Len())
+				}
+			}
+
+			commit(5000)
+			if c.failWrite {
+				r.snap.FailWriteAt(2, boom)
+			} else {
+				r.snap.FailSync(2, boom)
+			}
+			if err := db.Checkpoint(); !errors.Is(err, boom) {
+				t.Fatalf("Checkpoint with a failing snapshot device: %v, want boom", err)
+			}
+			recoverEqualsLive("right after the failed checkpoint", 0)
+			commit(-7)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatalf("retried checkpoint: %v", err)
+			}
+			commit(200)
+			recoverEqualsLive("after the retried checkpoint", 1)
+		})
 	}
 }

@@ -26,12 +26,16 @@ import (
 func (db *Database) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.saveLocked(w)
+	return db.encodeSnapshotLocked(w, false)
 }
 
-// saveLocked is Save for callers already holding db.mu (the checkpoint
-// path holds the write lock).
-func (db *Database) saveLocked(w io.Writer) error {
+// encodeSnapshotLocked flushes the pool and writes the catalog header
+// with the disk beside it: the whole image (Save, and a full checkpoint
+// frame), or — delta — only what the disk recorded as changed since its
+// last ResetChanges (a delta checkpoint frame). The header is the same
+// either way, so a delta frame restores exactly what a Save at the same
+// moment would. Caller holds db.mu.
+func (db *Database) encodeSnapshotLocked(w io.Writer, delta bool) error {
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -41,7 +45,14 @@ func (db *Database) saveLocked(w io.Writer) error {
 		PoolFrames: db.pool.Capacity(),
 		HRConfig:   db.hrConfig,
 		Clock:      db.clock.Load(),
-		Disk:       db.disk.Snapshot(),
+	}
+	if delta {
+		var err error
+		if snap.Delta, err = db.disk.Delta().AppendBinary(nil); err != nil {
+			return err
+		}
+	} else {
+		snap.Disk = db.disk.Snapshot()
 	}
 	relNames := make([]string, 0, len(db.rels))
 	for n := range db.rels {
@@ -194,6 +205,23 @@ func classifySnapshotErr(err error) error {
 // meter starts at zero (loading is setup, not workload). Failures wrap
 // ErrSnapshotTruncated or ErrSnapshotCorrupt.
 func Load(r io.Reader) (*Database, error) {
+	snap, err := decodeSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	if snap.Disk == nil {
+		return nil, fmt.Errorf("%w: no disk image", ErrSnapshotCorrupt)
+	}
+	disk, err := storage.RestoreDisk(snap.Disk)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	return restoreDatabase(snap, disk)
+}
+
+// decodeSnapshot reads one encoded snapshot — a Save stream or a
+// checkpoint frame body — and checks its version.
+func decodeSnapshot(r io.Reader) (*dbSnapshot, error) {
 	var snap dbSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("%w: decoding: %v", classifySnapshotErr(err), err)
@@ -201,10 +229,21 @@ func Load(r io.Reader) (*Database, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotCorrupt, snap.Version, snapshotVersion)
 	}
-	disk, err := storage.RestoreDisk(snap.Disk)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
+	return &snap, nil
+}
+
+// restoreDatabase rebuilds an engine from a snapshot's catalog header
+// over an already restored disk (the header's own Disk/Delta are not
+// consulted: recovery assembles the disk from a chain of frames). A
+// header that does not fit the disk — a meta naming a page that is not
+// there, an undecodable aggregate page — is a corrupt snapshot like any
+// other, whichever layer notices.
+func restoreDatabase(snap *dbSnapshot, disk *storage.Disk) (_ *Database, err error) {
+	defer func() {
+		if err != nil && !errors.Is(err, ErrSnapshotCorrupt) {
+			err = fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
+		}
+	}()
 	meter := storage.NewMeter()
 	db := &Database{
 		disk:      disk,
@@ -259,6 +298,11 @@ func Load(r io.Reader) (*Database, error) {
 				return nil, fmt.Errorf("%w: view %q references unknown relation %q", ErrSnapshotCorrupt, def.Name, rn)
 			}
 			schemas = append(schemas, p.def.OutputSchema(p.schemas))
+		}
+		// The definition came from outside the program: hold it to what
+		// CreateView would have accepted before anything indexes by it.
+		if err := def.Validate(schemas); err != nil {
+			return nil, err
 		}
 		vs := &viewState{
 			def:           def,
@@ -381,7 +425,11 @@ type dbSnapshot struct {
 	PoolFrames int
 	HRConfig   hr.Config
 	Clock      uint64
+	// Exactly one of Disk and Delta is set: Disk by Save and by a full
+	// checkpoint frame, Delta (a storage.DiskDelta in its own encoding,
+	// which adds no gob type) by a delta checkpoint frame.
 	Disk       *storage.DiskImage
+	Delta      []byte
 	Relations  []relationDTO
 	Views      []viewDTO
 	HRs        []hrDTO

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"viewmat/internal/agg"
+	"viewmat/internal/btree"
+	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
@@ -230,6 +232,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			Version: snapshotVersion, PageSize: 512, PoolFrames: 4,
 			Disk: &storage.DiskImage{PageSize: 512},
 			HRs:  []hrDTO{{Relation: "ghost"}},
+		}), ErrSnapshotCorrupt},
+		{"no disk", encode(dbSnapshot{Version: snapshotVersion, PageSize: 512, PoolFrames: 4}), ErrSnapshotCorrupt},
+		// Both found by FuzzSnapshotChain: a header that decodes but does
+		// not fit its disk, or a view definition CreateView would refuse.
+		{"relation meta names a missing page", encode(dbSnapshot{
+			Version: snapshotVersion, PageSize: 512, PoolFrames: 4,
+			Disk:      &storage.DiskImage{PageSize: 512},
+			Relations: []relationDTO{{Name: "r", Schema: schemaToDTO(spSchema()), Meta: relation.Meta{Kind: relation.ClusteredBTree, BTree: btree.Meta{Root: 2, Height: 1}}}},
+		}), ErrSnapshotCorrupt},
+		{"view over no relation", encode(dbSnapshot{
+			Version: snapshotVersion, PageSize: 512, PoolFrames: 4,
+			Disk:  &storage.DiskImage{PageSize: 512},
+			Views: []viewDTO{{Def: defDTO{Name: "v"}}},
 		}), ErrSnapshotCorrupt},
 	}
 	for _, tc := range cases {

@@ -386,7 +386,11 @@ func TestRefreshAllCompactionIsReplayed(t *testing.T) {
 	if err := db.Save(&live); err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+	wd, sd, err := cleanReboot(walDev, snapDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(wd, sd, DurabilityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

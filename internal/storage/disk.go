@@ -68,8 +68,14 @@ type Disk struct {
 	// counts into wall-clock time so concurrent operations overlap
 	// their I/O waits the way they would on a real device.
 	latencyNs atomic.Int64
-	mu        sync.RWMutex
-	files     map[string]*File
+	// tracking turns on change recording (see delta.go). Off — and free
+	// of any allocation — until the first ResetChanges.
+	tracking atomic.Bool
+	mu       sync.RWMutex
+	files    map[string]*File
+	// removed names the files deleted since the last ResetChanges that
+	// existed at it (guarded by mu; nil while tracking is off).
+	removed map[string]struct{}
 }
 
 // NewDisk creates a disk with the given page size (the paper's B).
@@ -104,7 +110,7 @@ func (d *Disk) Open(name string) *File {
 	defer d.mu.Unlock()
 	f, ok := d.files[name]
 	if !ok {
-		f = &File{name: name, disk: d}
+		f = &File{name: name, disk: d, fresh: d.tracking.Load()}
 		d.files[name] = f
 	}
 	return f
@@ -114,6 +120,11 @@ func (d *Disk) Open(name string) *File {
 func (d *Disk) Remove(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// A file created and removed between two checkpoints never reaches
+	// a delta; one the last checkpoint saw must be named as removed.
+	if f, ok := d.files[name]; ok && d.tracking.Load() && !f.fresh {
+		d.removed[name] = struct{}{}
+	}
 	delete(d.files, name)
 }
 
@@ -161,6 +172,24 @@ type File struct {
 	// safe; orphaned frames may leave the count conservatively high,
 	// which only disables readahead, never corrupts it.
 	dirtyFrames atomic.Int64
+	// Change tracking (delta.go). fresh marks a file created since the
+	// last ResetChanges; dirty holds the pages written, allocated or
+	// freed since then. Both are written under disk.mu and mu together
+	// (fresh) or mu (dirty), and stay zero while tracking is off.
+	fresh bool
+	dirty map[PageNum]struct{}
+}
+
+// markDirty records a page mutation for the next delta. Caller holds
+// f.mu for writing.
+func (f *File) markDirty(pn PageNum) {
+	if !f.disk.tracking.Load() {
+		return
+	}
+	if f.dirty == nil {
+		f.dirty = map[PageNum]struct{}{}
+	}
+	f.dirty[pn] = struct{}{}
 }
 
 // HasDirtyFrames reports whether any pool frame of this file holds
@@ -193,10 +222,13 @@ func (f *File) Alloc() PageNum {
 		pn := f.free[n-1]
 		f.free = f.free[:n-1]
 		f.pages[pn] = make([]byte, f.disk.pageSize)
+		f.markDirty(pn)
 		return pn
 	}
 	f.pages = append(f.pages, make([]byte, f.disk.pageSize))
-	return PageNum(len(f.pages) - 1)
+	pn := PageNum(len(f.pages) - 1)
+	f.markDirty(pn)
+	return pn
 }
 
 // Free releases a page for reuse.
@@ -208,6 +240,7 @@ func (f *File) Free(pn PageNum) {
 	}
 	f.pages[pn] = nil
 	f.free = append(f.free, pn)
+	f.markDirty(pn)
 }
 
 // Peek returns a copy of the page's on-disk bytes without charging the
@@ -247,5 +280,6 @@ func (f *File) writePage(pn PageNum, data []byte) error {
 		return fmt.Errorf("storage: page size %d != %d", len(data), f.disk.pageSize)
 	}
 	copy(f.pages[pn], data)
+	f.markDirty(pn)
 	return nil
 }

@@ -42,40 +42,54 @@ func (d *Disk) Snapshot() *DiskImage {
 	return img
 }
 
-// RestoreDisk rebuilds a Disk from an image, validating page sizes.
+// validate checks one file image against the invariants the allocator
+// relies on: live pages are exactly pageSize bytes, and the free list
+// names each hole of the extent exactly once and nothing else.
+func (fi *FileImage) validate(pageSize int) error {
+	freed := make([]bool, len(fi.Pages))
+	for _, pn := range fi.Free {
+		if int(pn) >= len(fi.Pages) || fi.Pages[pn] != nil {
+			return fmt.Errorf("storage: file %q free list names live page %d", fi.Name, pn)
+		}
+		if freed[pn] {
+			return fmt.Errorf("storage: file %q free list names page %d twice", fi.Name, pn)
+		}
+		freed[pn] = true
+	}
+	for i, p := range fi.Pages {
+		if p == nil {
+			if !freed[i] {
+				return fmt.Errorf("storage: file %q page %d missing and not freed", fi.Name, i)
+			}
+			continue
+		}
+		if len(p) != pageSize {
+			return fmt.Errorf("storage: file %q page %d has %d bytes, want %d", fi.Name, i, len(p), pageSize)
+		}
+	}
+	return nil
+}
+
+// RestoreDisk rebuilds a Disk from an image, validating page sizes and
+// free lists.
 func RestoreDisk(img *DiskImage) (*Disk, error) {
 	if img.PageSize <= 0 {
 		return nil, fmt.Errorf("storage: image has page size %d", img.PageSize)
 	}
 	d := NewDisk(img.PageSize)
-	for _, fi := range img.Files {
+	for i := range img.Files {
+		fi := &img.Files[i]
+		if err := fi.validate(img.PageSize); err != nil {
+			return nil, err
+		}
 		f := d.Open(fi.Name)
 		f.pages = make([][]byte, len(fi.Pages))
 		for i, p := range fi.Pages {
-			if p == nil {
-				continue
+			if p != nil {
+				f.pages[i] = append([]byte(nil), p...)
 			}
-			if len(p) != img.PageSize {
-				return nil, fmt.Errorf("storage: file %q page %d has %d bytes, want %d", fi.Name, i, len(p), img.PageSize)
-			}
-			f.pages[i] = append([]byte(nil), p...)
 		}
 		f.free = append([]PageNum(nil), fi.Free...)
-		for _, pn := range f.free {
-			if int(pn) >= len(f.pages) || f.pages[pn] != nil {
-				return nil, fmt.Errorf("storage: file %q free list names live page %d", fi.Name, pn)
-			}
-		}
-		// Non-free nil pages are corruption.
-		freeSet := map[PageNum]bool{}
-		for _, pn := range f.free {
-			freeSet[pn] = true
-		}
-		for i, p := range f.pages {
-			if p == nil && !freeSet[PageNum(i)] {
-				return nil, fmt.Errorf("storage: file %q page %d missing and not freed", fi.Name, i)
-			}
-		}
 	}
 	return d, nil
 }

@@ -62,30 +62,49 @@ type Log struct {
 // the end of the valid prefix. A torn or corrupt tail (crash residue)
 // is truncated away so stale bytes can never follow a future append.
 func OpenLog(dev storage.Device) (*Log, error) {
-	r, err := NewReader(dev)
+	end, err := scanAndRepair(dev, nil)
 	if err != nil {
 		return nil, err
 	}
+	return &Log{dev: dev, off: end}, nil
+}
+
+// scanAndRepair reads and checksums every frame of dev once, handing
+// each payload (valid only during the call: the buffer is reused) and
+// its offset to visit, and returns where the valid prefix ends. The
+// prefix ends at a clean end, at a torn or corrupt frame, or before a
+// frame visit rejects with ErrCorrupt; whatever follows it is truncated
+// away.
+func scanAndRepair(dev storage.Device, visit func(off int64, payload []byte) error) (int64, error) {
+	r, err := NewReader(dev)
+	if err != nil {
+		return 0, err
+	}
+	var buf []byte
 	for {
-		_, err := r.Next()
-		if err == nil {
+		start := r.Offset()
+		if buf, err = r.next(buf); err == nil && visit != nil {
+			if err = visit(start+headerSize, buf); err != nil {
+				r.off = start
+			}
+		}
+		switch {
+		case err == nil:
 			continue
-		}
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if errors.Is(err, ErrTorn) || errors.Is(err, ErrCorrupt) {
+		case errors.Is(err, io.EOF):
+			return r.Offset(), nil
+		case errors.Is(err, ErrTorn), errors.Is(err, ErrCorrupt):
 			if err := dev.Truncate(r.Offset()); err != nil {
-				return nil, fmt.Errorf("wal: truncating damaged tail: %w", err)
+				return 0, fmt.Errorf("wal: truncating damaged tail: %w", err)
 			}
 			if err := dev.Sync(); err != nil {
-				return nil, err
+				return 0, err
 			}
-			break
+			return r.Offset(), nil
+		default:
+			return 0, err
 		}
-		return nil, err
 	}
-	return &Log{dev: dev, off: r.Offset()}, nil
 }
 
 // Append writes one frame at the tail without syncing.
@@ -139,6 +158,19 @@ func (l *Log) Reset() error {
 	return nil
 }
 
+// rewind cuts the log back to off, dropping frames appended after it.
+// The offset moves back even when the device refuses the truncate, so
+// the next append overwrites what could not be cut.
+func (l *Log) rewind(off int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.off = off
+	if err := l.dev.Truncate(off); err != nil {
+		return err
+	}
+	return l.dev.Sync()
+}
+
 // Offset returns the current tail offset in bytes.
 func (l *Log) Offset() int64 {
 	l.mu.Lock()
@@ -171,7 +203,10 @@ func (r *Reader) Offset() int64 { return r.off }
 // the device, and ErrCorrupt on a checksum or length violation. After
 // any error the reader stays put: replay must stop, and Offset marks
 // the end of the valid prefix.
-func (r *Reader) Next() ([]byte, error) {
+func (r *Reader) Next() ([]byte, error) { return r.next(nil) }
+
+// next is Next reading into buf when it is large enough.
+func (r *Reader) next(buf []byte) ([]byte, error) {
 	rem := r.size - r.off
 	if rem <= 0 {
 		return nil, io.EOF
@@ -202,7 +237,11 @@ func (r *Reader) Next() ([]byte, error) {
 	if r.off+headerSize+int64(length) > r.size {
 		return nil, fmt.Errorf("%w: record of %d bytes runs past device end", ErrTorn, length)
 	}
-	payload := make([]byte, length)
+	payload := buf[:0]
+	if uint32(cap(payload)) < length {
+		payload = make([]byte, length)
+	}
+	payload = payload[:length]
 	if _, err := io.ReadFull(io.NewSectionReader(r.dev, r.off+headerSize, int64(length)), payload); err != nil {
 		return nil, fmt.Errorf("%w: reading payload: %v", ErrTorn, err)
 	}

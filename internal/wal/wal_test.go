@@ -213,26 +213,41 @@ func TestOpenLogRepairsTail(t *testing.T) {
 	}
 }
 
+// lastFrame opens a store on dev and returns the tail of its recovery
+// chain and the chain's length.
+func lastFrame(t *testing.T, dev storage.Device) (SnapshotFrame, int, *SnapshotStore) {
+	t.Helper()
+	s := mustOpenStore(t, dev)
+	frames, err := s.Chain()
+	if err != nil {
+		t.Fatalf("Chain: %v", err)
+	}
+	return frames[len(frames)-1], len(frames), s
+}
+
 func TestSnapshotStoreLatestSurvivesTornCheckpoint(t *testing.T) {
 	dev := storage.NewFaultDisk()
 	s, err := OpenSnapshotStore(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Latest(); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("Latest on empty store: %v, want ErrNoSnapshot", err)
+	if _, err := s.Chain(); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("Chain on empty store: %v, want ErrNoSnapshot", err)
 	}
-	if err := s.Append(3, []byte("snap-a")); err != nil {
+	if err := s.Append(1, FrameDelta, []byte("orphan")); err == nil {
+		t.Fatal("delta frame accepted before any full frame")
+	}
+	if err := s.Append(3, FrameFull, []byte("snap-a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(9, []byte("snap-b")); err != nil {
+	if err := s.Append(9, FrameFull, []byte("snap-b")); err != nil {
 		t.Fatal(err)
 	}
-	seq, body, err := s.Latest()
-	if err != nil || seq != 9 || string(body) != "snap-b" {
-		t.Fatalf("Latest = (%d, %q, %v), want (9, snap-b, nil)", seq, body, err)
+	if f, n, _ := lastFrame(t, dev); n != 1 || f.Seq != 9 || f.Kind != FrameFull || string(f.Body) != "snap-b" {
+		t.Fatalf("chain tail = %+v of %d frames, want full snap-b at seq 9 alone", f, n)
 	}
-	// Tear the tail of a third snapshot: the second must still win.
+	// Tear the tail of a third snapshot: the second must still win, and
+	// the reopened store must append right after it.
 	size, _ := dev.Size()
 	if _, err := dev.WriteAt([]byte{200, 1, 0, 0, 7, 7, 7, 7, 1, 2, 3}, size); err != nil {
 		t.Fatal(err)
@@ -240,10 +255,139 @@ func TestSnapshotStoreLatestSurvivesTornCheckpoint(t *testing.T) {
 	if err := dev.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	seq, body, err = s.Latest()
-	if err != nil || seq != 9 || string(body) != "snap-b" {
-		t.Fatalf("Latest after torn checkpoint = (%d, %q, %v), want (9, snap-b, nil)", seq, body, err)
+	f, n, s2 := lastFrame(t, dev)
+	if n != 1 || f.Seq != 9 || string(f.Body) != "snap-b" {
+		t.Fatalf("chain tail after torn checkpoint = %+v of %d frames, want snap-b at seq 9", f, n)
 	}
+	if got, _ := dev.Size(); got != size {
+		t.Fatalf("torn tail not truncated: device is %d bytes, want %d", got, size)
+	}
+	if err := s2.Append(12, FrameDelta, []byte("delta-c")); err != nil {
+		t.Fatal(err)
+	}
+	if f, n, _ := lastFrame(t, dev); n != 2 || f.Seq != 12 || f.Kind != FrameDelta || string(f.Body) != "delta-c" {
+		t.Fatalf("chain tail = %+v of %d frames, want delta-c at seq 12 after snap-b", f, n)
+	}
+}
+
+// TestSnapshotStoreChain pins what the chain is — the last full frame
+// and the deltas after it, nothing older — that the store keeps it
+// current across appends without rescanning, and that the open scan
+// ends the valid prefix at a well-framed payload that is no snapshot
+// frame.
+func TestSnapshotStoreChain(t *testing.T) {
+	dev := storage.NewFaultDisk()
+	s, err := OpenSnapshotStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fr struct {
+		seq  uint64
+		kind FrameKind
+		body string
+	}
+	script := []fr{{1, FrameFull, "f1"}, {2, FrameDelta, "d2"}, {3, FrameDelta, "d3"}, {4, FrameFull, "f4"}, {5, FrameDelta, "d5-longer"}, {6, FrameDelta, "d6"}}
+	for _, f := range script {
+		if err := s.Append(f.seq, f.kind, []byte(f.body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *SnapshotStore, where string) {
+		t.Helper()
+		frames, err := s.Chain()
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		want := script[3:]
+		if len(frames) != len(want) {
+			t.Fatalf("%s: chain of %d frames, want %d", where, len(frames), len(want))
+		}
+		for i, f := range frames {
+			if f.Seq != want[i].seq || f.Kind != want[i].kind || string(f.Body) != want[i].body {
+				t.Errorf("%s: frame %d = %+v, want %+v", where, i, f, want[i])
+			}
+		}
+		if got, want := s.DeltaBytes(), int64(2*snapHeaderSize+len("d5-longer")+len("d6")); got != want {
+			t.Errorf("%s: DeltaBytes = %d, want %d", where, got, want)
+		}
+	}
+	check(s, "live store")
+	reopened, err := OpenSnapshotStore(dev.DurableDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(reopened, "reopened store")
+
+	// A checksummed frame that is not a snapshot frame (too short, or of
+	// an unknown kind) ends the valid prefix like a corrupt one.
+	for name, payload := range map[string][]byte{
+		"short":        []byte("tiny"),
+		"unknown kind": append(make([]byte, 8), 77, 'x'),
+	} {
+		d := dev.DurableDevice()
+		size, _ := d.Size()
+		l, err := OpenLog(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendSync(payload); err != nil {
+			t.Fatal(err)
+		}
+		again, err := OpenSnapshotStore(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(again, name)
+		if got, _ := d.Size(); got != size {
+			t.Errorf("%s: alien frame not truncated: %d bytes, want %d", name, got, size)
+		}
+	}
+}
+
+// TestSnapshotStoreFailedAppendIsCutOff: a frame whose write or sync
+// fails must not stay in the store — its retry would otherwise follow
+// it, and two deltas against one base would both be applied.
+func TestSnapshotStoreFailedAppendIsCutOff(t *testing.T) {
+	boom := errors.New("boom")
+	for _, fail := range []string{"write", "sync"} {
+		dev := storage.NewFaultDisk()
+		s, err := OpenSnapshotStore(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(1, FrameFull, []byte("full")); err != nil {
+			t.Fatal(err)
+		}
+		if fail == "write" {
+			dev.FailWriteAt(dev.Writes()+1, boom)
+		} else {
+			dev.FailSync(dev.Syncs()+1, boom)
+		}
+		if err := s.Append(2, FrameDelta, []byte("lost-delta-with-a-long-body")); !errors.Is(err, boom) {
+			t.Fatalf("%s failure: Append = %v, want boom", fail, err)
+		}
+		if err := s.Append(3, FrameDelta, []byte("retry")); err != nil {
+			t.Fatalf("%s failure: retry: %v", fail, err)
+		}
+		for where, st := range map[string]*SnapshotStore{"live": s, "reopened": mustOpenStore(t, dev.DurableDevice())} {
+			frames, err := st.Chain()
+			if err != nil {
+				t.Fatalf("%s failure, %s: %v", fail, where, err)
+			}
+			if len(frames) != 2 || frames[1].Seq != 3 || string(frames[1].Body) != "retry" {
+				t.Errorf("%s failure, %s: chain %+v, want full + the retried delta only", fail, where, frames)
+			}
+		}
+	}
+}
+
+func mustOpenStore(t *testing.T, dev storage.Device) *SnapshotStore {
+	t.Helper()
+	s, err := OpenSnapshotStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestFileDevice exercises the real-file backend end to end, including
