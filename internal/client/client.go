@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,6 +46,7 @@ type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	timeout time.Duration
+	broken  error // the failure that closed conn; every later call returns it
 }
 
 // Dial connects with default options.
@@ -70,30 +72,38 @@ func (c *Client) Close() error {
 }
 
 // call sends one request and reads its response, mapping non-OK codes
-// to errors.
-func (c *Client) call(req *proto.Request) (*proto.Response, error) {
+// to errors (the response is then zero). Any other failure leaves the
+// stream in an unknown state — after a timed-out read the late response
+// would be taken for the next call's answer — so it closes the
+// connection and fails every later call too.
+func (c *Client) call(req *proto.Request) (proto.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deadline := time.Now().Add(c.timeout)
-	c.conn.SetDeadline(deadline)
-	if err := proto.WriteRequest(c.conn, req); err != nil {
-		return nil, fmt.Errorf("client: sending %v: %w", req.Op, err)
+	if c.broken != nil {
+		return proto.Response{}, c.broken
 	}
-	resp, err := proto.ReadResponse(c.conn)
+	c.conn.SetDeadline(time.Now().Add(c.timeout))
+	var resp *proto.Response
+	err := proto.WriteRequest(c.conn, req)
+	if err == nil {
+		resp, err = proto.ReadResponse(c.conn)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("client: reading %v response: %w", req.Op, err)
+		c.broken = fmt.Errorf("client: %v: %w", req.Op, err)
+		c.conn.Close()
+		return proto.Response{}, c.broken
 	}
 	switch resp.Code {
 	case proto.CodeOK:
-		return resp, nil
+		return *resp, nil
 	case proto.CodeBusy:
-		return nil, ErrBusy
+		return proto.Response{}, ErrBusy
 	case proto.CodeShutdown:
-		return nil, ErrShuttingDown
+		return proto.Response{}, ErrShuttingDown
 	case proto.CodeBadRequest:
-		return nil, fmt.Errorf("%w: %s", ErrBadRequest, resp.Err)
+		return proto.Response{}, fmt.Errorf("%w: %s", ErrBadRequest, resp.Err)
 	default:
-		return nil, errors.New(resp.Err)
+		return proto.Response{}, errors.New(resp.Err)
 	}
 }
 
@@ -155,24 +165,14 @@ func (c *Client) QueryViewPlan(name string, rg *pred.Range, plan int) ([][]tuple
 		Op: proto.OpQueryView, Name: name,
 		Range: proto.RangeToDTO(rg), Plan: plan,
 	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]tuple.Value, len(resp.Rows))
-	for i, r := range resp.Rows {
-		rows[i] = proto.ValuesFromDTO(r)
-	}
-	return rows, nil
+	return resp.Rows, err
 }
 
 // QueryAggregate reads an aggregate view's value; ok is false when the
 // aggregate is undefined (MIN/MAX/AVG over the empty set).
 func (c *Client) QueryAggregate(name string) (value float64, ok bool, err error) {
 	resp, err := c.call(&proto.Request{Op: proto.OpQueryAggregate, Name: name})
-	if err != nil {
-		return 0, false, err
-	}
-	return resp.Agg, resp.AggOK, nil
+	return resp.Agg, resp.AggOK, err
 }
 
 // RefreshAll brings every stale view current (the idle-time refresh).
@@ -204,20 +204,14 @@ func (c *Client) Health() (core.Health, error) {
 // when the server's advisor is disabled).
 func (c *Client) AdvisorStats() ([]core.AdvisorViewStat, error) {
 	resp, err := c.call(&proto.Request{Op: proto.OpAdvisorStats})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Advisor, nil
+	return resp.Advisor, err
 }
 
 // AdaptTick asks the server to run one adaptive advisor decision
 // round and returns the strategy flips it applied.
 func (c *Client) AdaptTick() ([]core.FlipReport, error) {
 	resp, err := c.call(&proto.Request{Op: proto.OpAdaptTick})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Flips, nil
+	return resp.Flips, err
 }
 
 // Tx buffers one transaction client-side; Commit ships it as a single
@@ -234,19 +228,19 @@ func (c *Client) Begin() *Tx { return &Tx{c: c} }
 // Insert queues an insertion. The tuple's id is assigned server-side
 // and returned by Commit.
 func (tx *Tx) Insert(rel string, vals ...tuple.Value) {
-	tx.ops = append(tx.ops, proto.TxOpDTO{Kind: proto.TxInsert, Rel: rel, Vals: proto.ValuesToDTO(vals)})
+	tx.ops = append(tx.ops, proto.TxOpDTO{Kind: proto.TxInsert, Rel: rel, Vals: slices.Clone(vals)})
 }
 
 // Delete queues the deletion of the tuple with the given clustering-key
 // value and id (from an earlier Commit's returned ids).
 func (tx *Tx) Delete(rel string, key tuple.Value, id uint64) {
-	tx.ops = append(tx.ops, proto.TxOpDTO{Kind: proto.TxDelete, Rel: rel, Key: proto.ValueToDTO(key), ID: id})
+	tx.ops = append(tx.ops, proto.TxOpDTO{Kind: proto.TxDelete, Rel: rel, Key: key, ID: id})
 }
 
 // Update queues the replacement of tuple (key, id) with vals; the
 // replacement's fresh id is returned by Commit.
 func (tx *Tx) Update(rel string, key tuple.Value, id uint64, vals ...tuple.Value) {
-	tx.ops = append(tx.ops, proto.TxOpDTO{Kind: proto.TxUpdate, Rel: rel, Key: proto.ValueToDTO(key), ID: id, Vals: proto.ValuesToDTO(vals)})
+	tx.ops = append(tx.ops, proto.TxOpDTO{Kind: proto.TxUpdate, Rel: rel, Key: key, ID: id, Vals: slices.Clone(vals)})
 }
 
 // Commit applies the buffered ops atomically. On success it returns
@@ -260,8 +254,5 @@ func (tx *Tx) Commit() ([]uint64, error) {
 	}
 	tx.done = true
 	resp, err := tx.c.call(&proto.Request{Op: proto.OpCommit, TxOps: tx.ops})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
+	return resp.IDs, err
 }

@@ -24,6 +24,10 @@
 //	  [1 flags][min value][max value]      zone map (values only when
 //	                                       flags&1; tuple value codec)
 //
+// The value lanes double as the wire form of a query answer: rows.go
+// strings them, without id lane or footer, into a row set that
+// internal/proto ships and decodes straight to tuple.Values.
+//
 // Every decode path is bounds-checked: corrupt or truncated chunks
 // return errors, never panic (see FuzzColPageCodec).
 package colpage
@@ -581,18 +585,9 @@ func decodeLane(body []byte, off, rows int, col *vec.Col) (int, error) {
 		return off, nil
 	case encBytesRaw:
 		// First pass sizes the arena so cell slices never move.
-		total, scan := 0, off
-		for i := 0; i < rows; i++ {
-			if scan+4 > len(body) {
-				return 0, fmt.Errorf("truncated string length %d", i)
-			}
-			l := int(binary.BigEndian.Uint32(body[scan:]))
-			scan += 4
-			if l < 0 || scan+l > len(body) {
-				return 0, fmt.Errorf("truncated string %d", i)
-			}
-			scan += l
-			total += l
+		_, total, err := scanStrings(body, off, rows)
+		if err != nil {
+			return 0, err
 		}
 		arena := make([]byte, 0, total)
 		for i := 0; i < rows; i++ {
@@ -613,18 +608,9 @@ func decodeLane(body []byte, off, rows int, col *vec.Col) (int, error) {
 		if dictN > maxDict {
 			return 0, fmt.Errorf("dict of %d entries", dictN)
 		}
-		total, scan := 0, off
-		for d := 0; d < dictN; d++ {
-			if scan+4 > len(body) {
-				return 0, fmt.Errorf("truncated dict length %d", d)
-			}
-			l := int(binary.BigEndian.Uint32(body[scan:]))
-			scan += 4
-			if l < 0 || scan+l > len(body) {
-				return 0, fmt.Errorf("truncated dict entry %d", d)
-			}
-			scan += l
-			total += l
+		_, total, err := scanStrings(body, off, dictN)
+		if err != nil {
+			return 0, err
 		}
 		arena := make([]byte, 0, total)
 		entries := make([][]byte, dictN)

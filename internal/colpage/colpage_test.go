@@ -2,6 +2,7 @@ package colpage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -268,6 +269,22 @@ func FuzzColPageCodec(f *testing.F) {
 		// them — so acceptance is checked one-way, below.)
 		tuples, terr := DecodeTuples(data)
 		_, _ = ReadZones(data)
+		// The row-set decoder accepts exactly the lanes the chunk decoder
+		// accepts, and reads them to the same values. (A row set has no
+		// way to say "no rows, some columns".)
+		if rows, cols, footOff, err := header(data); err == nil && rows*cols <= 1<<20 && (rows > 0 || cols == 0) {
+			if _, off, err := decodeUintFOR(data[:footOff], chunkHeader, rows); err == nil {
+				set := binary.BigEndian.AppendUint32(nil, uint32(rows))
+				set = binary.BigEndian.AppendUint16(set, uint16(cols))
+				vals, verr := DecodeRows(append(set, data[off:footOff]...), 1<<20)
+				if (verr == nil) != (terr == nil) {
+					t.Fatalf("chunk decoder: %v; row-set decoder on the same lanes: %v", terr, verr)
+				}
+				if verr == nil && !bytes.Equal(rowBytes(vals), rowBytes(rowsOf(tuples))) {
+					t.Fatalf("decoders disagree:\n rows  %v\n chunk %v", vals, tuples)
+				}
+			}
+		}
 		if terr != nil {
 			return
 		}

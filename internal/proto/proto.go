@@ -1,7 +1,8 @@
 // Package proto defines the wire protocol spoken between viewmatd
-// (internal/server) and its Go client (internal/client): gob-encoded
-// request/response messages carried in the same length-prefixed
-// CRC-32C frames the write-ahead log uses (internal/frame).
+// (internal/server) and its Go client (internal/client): request and
+// response messages in a fixed binary encoding (codec.go), carried in
+// the same length-prefixed CRC-32C frames the write-ahead log uses
+// (internal/frame). DESIGN.md §9 has the layout.
 //
 // The protocol is strictly request/response: a client writes one
 // request frame and reads exactly one response frame before sending
@@ -9,30 +10,36 @@
 // the server multiplexes all connections onto one thread-safe
 // core.Database.
 //
-// Engine types whose fields are unexported (tuple.Value, pred atoms)
-// cross the wire as explicit DTOs; conversions live here so the server
-// and client agree on exactly one encoding.
+// The encoding is stateless: a message's bytes depend on its content
+// alone, never on what the process or the connection encoded before.
+// Values cross as tuple.Value in the tuple value codec; predicate atoms
+// and schemas, whose engine types are interfaces or carry unexported
+// state, cross as the explicit DTOs below.
 package proto
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 
 	"viewmat/internal/agg"
 	"viewmat/internal/core"
-	"viewmat/internal/frame"
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
 )
 
-// MaxFrame is the default cap on a message payload. Requests and
-// responses are small (a query result is the largest message); the cap
-// keeps a corrupt or hostile length header from forcing a giant
-// allocation.
+// MaxFrame caps a message payload at 16 MiB. Every message is one
+// frame, so this is also the largest query answer the protocol carries
+// (about two million plain integer cells, more when the column lanes
+// compress); the server answers CodeError for a result over the cap.
+// On the read side it keeps a corrupt or hostile length header from
+// forcing a giant allocation.
 const MaxFrame = 1 << 24
+
+// maxCells caps rows × columns of a query answer — as many cells as a
+// frame could carry as plain 8-byte integers. The frame size alone
+// does not bound it: a constant column's lane stands for 65 535 cells
+// in ten bytes.
+const maxCells = MaxFrame / 8
 
 // ErrDecode marks bytes that arrived in a valid frame but do not
 // decode to a protocol message.
@@ -163,18 +170,46 @@ type Request struct {
 	Plan  int
 }
 
+// Body names the result an OK response carries. The server sets it
+// from the op it answered; a response does not otherwise say which
+// request it belongs to.
+type Body uint8
+
+// Response bodies.
+const (
+	// BodyNone is a bare status: Ping, DDL, RefreshAll, Checkpoint.
+	BodyNone Body = iota
+	// BodyIDs carries IDs (OpCommit).
+	BodyIDs
+	// BodyRows carries Rows (OpQueryView).
+	BodyRows
+	// BodyAgg carries Agg and AggOK (OpQueryAggregate).
+	BodyAgg
+	// BodyHealth carries Health (OpHealth).
+	BodyHealth
+	// BodyAdvisor carries Advisor (OpAdvisorStats).
+	BodyAdvisor
+	// BodyFlips carries Flips (OpAdaptTick).
+	BodyFlips
+)
+
 // Response answers one Request.
 type Response struct {
 	Code Code
 	// Err carries the failure message for non-OK codes.
 	Err string
 
+	// Body says which of the fields below an OK response carries; the
+	// others are not sent.
+	Body Body
+
 	// IDs are the tuple ids assigned by OpCommit, one per insert or
 	// update op, in op order.
 	IDs []uint64
 
-	// Rows is OpQueryView's result.
-	Rows [][]ValueDTO
+	// Rows is OpQueryView's result. Decoded rows slice one flat value
+	// array.
+	Rows [][]tuple.Value
 
 	// Agg and AggOK are OpQueryAggregate's result (AggOK false = the
 	// aggregate is undefined, e.g. AVG over the empty set).
@@ -190,102 +225,7 @@ type Response struct {
 	Flips   []core.FlipReport
 }
 
-// WriteRequest frames and writes one request.
-func WriteRequest(w io.Writer, req *Request) error { return writeMsg(w, req) }
-
-// WriteResponse frames and writes one response.
-func WriteResponse(w io.Writer, resp *Response) error { return writeMsg(w, resp) }
-
-func writeMsg(w io.Writer, msg any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		return fmt.Errorf("proto: encoding: %w", err)
-	}
-	return frame.Write(w, buf.Bytes(), MaxFrame)
-}
-
-// ReadRequest reads and decodes one request frame. Frame-level damage
-// surfaces as the frame package's typed errors; a frame that passes
-// its checksum but does not decode wraps ErrDecode. Neither ever
-// panics, whatever the bytes.
-func ReadRequest(r io.Reader) (*Request, error) {
-	payload, err := frame.Read(r, MaxFrame)
-	if err != nil {
-		return nil, err
-	}
-	var req Request
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
-	}
-	return &req, nil
-}
-
-// ReadResponse reads and decodes one response frame.
-func ReadResponse(r io.Reader) (*Response, error) {
-	payload, err := frame.Read(r, MaxFrame)
-	if err != nil {
-		return nil, err
-	}
-	var resp Response
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
-	}
-	return &resp, nil
-}
-
 // --- DTOs -----------------------------------------------------------------
-
-// ValueDTO is tuple.Value with exported fields.
-type ValueDTO struct {
-	T uint8
-	I int64
-	F float64
-	S string
-}
-
-// ValueToDTO converts a tuple.Value for the wire.
-func ValueToDTO(v tuple.Value) ValueDTO {
-	switch v.Type() {
-	case tuple.Float:
-		return ValueDTO{T: uint8(tuple.Float), F: v.Float()}
-	case tuple.String:
-		return ValueDTO{T: uint8(tuple.String), S: v.Str()}
-	default:
-		return ValueDTO{T: uint8(tuple.Int), I: v.Int()}
-	}
-}
-
-// ValueFromDTO converts a wire value back. Unknown type tags decode as
-// Int so hostile input degrades instead of panicking; schema
-// validation catches the mismatch server-side.
-func ValueFromDTO(d ValueDTO) tuple.Value {
-	switch tuple.Type(d.T) {
-	case tuple.Float:
-		return tuple.F(d.F)
-	case tuple.String:
-		return tuple.S(d.S)
-	default:
-		return tuple.I(d.I)
-	}
-}
-
-// ValuesToDTO converts a row of values.
-func ValuesToDTO(vals []tuple.Value) []ValueDTO {
-	out := make([]ValueDTO, len(vals))
-	for i, v := range vals {
-		out[i] = ValueToDTO(v)
-	}
-	return out
-}
-
-// ValuesFromDTO converts a wire row back.
-func ValuesFromDTO(dtos []ValueDTO) []tuple.Value {
-	out := make([]tuple.Value, len(dtos))
-	for i, d := range dtos {
-		out[i] = ValueFromDTO(d)
-	}
-	return out
-}
 
 // ColumnDTO is one schema column.
 type ColumnDTO struct {
@@ -319,7 +259,7 @@ type AtomDTO struct {
 	// Comparison fields.
 	Rel, Col int
 	Op       uint8
-	Val      ValueDTO
+	Val      tuple.Value
 
 	// Join-equality fields.
 	LRel, LCol, RRel, RCol int
@@ -355,7 +295,7 @@ func DefToDTO(d core.Def) ViewDTO {
 		for _, a := range d.Pred.Atoms {
 			switch at := a.(type) {
 			case pred.Cmp:
-				dto.Atoms = append(dto.Atoms, AtomDTO{Rel: at.Rel, Col: at.Col, Op: uint8(at.Op), Val: ValueToDTO(at.Val)})
+				dto.Atoms = append(dto.Atoms, AtomDTO{Rel: at.Rel, Col: at.Col, Op: uint8(at.Op), Val: at.Val})
 			case pred.JoinEq:
 				dto.Atoms = append(dto.Atoms, AtomDTO{Join: true, LRel: at.LRel, LCol: at.LCol, RRel: at.RRel, RCol: at.RCol})
 			}
@@ -372,7 +312,7 @@ func DefFromDTO(dto ViewDTO) core.Def {
 		if a.Join {
 			atoms = append(atoms, pred.JoinEq{LRel: a.LRel, LCol: a.LCol, RRel: a.RRel, RCol: a.RCol})
 		} else {
-			atoms = append(atoms, pred.Cmp{Rel: a.Rel, Col: a.Col, Op: pred.Op(a.Op), Val: ValueFromDTO(a.Val)})
+			atoms = append(atoms, pred.Cmp{Rel: a.Rel, Col: a.Col, Op: pred.Op(a.Op), Val: a.Val})
 		}
 	}
 	return core.Def{
@@ -392,7 +332,7 @@ func DefFromDTO(dto ViewDTO) core.Def {
 // bounds.
 type RangeDTO struct {
 	HasLo, HasHi bool
-	Lo, Hi       ValueDTO
+	Lo, Hi       tuple.Value
 	LoInc, HiInc bool
 }
 
@@ -403,10 +343,10 @@ func RangeToDTO(rg *pred.Range) *RangeDTO {
 	}
 	out := &RangeDTO{LoInc: rg.LoInc, HiInc: rg.HiInc}
 	if rg.Lo != nil {
-		out.HasLo, out.Lo = true, ValueToDTO(*rg.Lo)
+		out.HasLo, out.Lo = true, *rg.Lo
 	}
 	if rg.Hi != nil {
-		out.HasHi, out.Hi = true, ValueToDTO(*rg.Hi)
+		out.HasHi, out.Hi = true, *rg.Hi
 	}
 	return out
 }
@@ -418,11 +358,11 @@ func RangeFromDTO(d *RangeDTO) *pred.Range {
 	}
 	out := &pred.Range{LoInc: d.LoInc, HiInc: d.HiInc}
 	if d.HasLo {
-		v := ValueFromDTO(d.Lo)
+		v := d.Lo
 		out.Lo = &v
 	}
 	if d.HasHi {
-		v := ValueFromDTO(d.Hi)
+		v := d.Hi
 		out.Hi = &v
 	}
 	return out
@@ -438,11 +378,12 @@ const (
 	TxUpdate
 )
 
-// TxOpDTO is one operation inside an OpCommit request.
+// TxOpDTO is one operation inside an OpCommit request. Only the
+// fields its Kind uses are sent.
 type TxOpDTO struct {
 	Kind uint8
 	Rel  string
-	Vals []ValueDTO
-	Key  ValueDTO
+	Vals []tuple.Value
+	Key  tuple.Value
 	ID   uint64
 }

@@ -2,97 +2,546 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"viewmat/internal/agg"
+	"viewmat/internal/colpage"
 	"viewmat/internal/core"
+	"viewmat/internal/costmodel"
+	"viewmat/internal/frame"
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
 )
 
-func TestRequestRoundTrip(t *testing.T) {
-	def := core.Def{
+func encodeRequest(t testing.TB, req *Request) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteRequest(&buf, req); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func encodeResponse(t testing.TB, resp *Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteResponse(&buf, resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// framed wraps a payload in a valid frame, so a decode test reaches the
+// message decoder and not the checksum.
+func framed(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	f, err := frame.Encode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func joinDef() core.Def {
+	return core.Def{
 		Name:      "vjoin",
 		Kind:      core.Join,
 		Relations: []string{"r1", "r2"},
 		Pred: pred.New(
 			pred.Cmp{Rel: 0, Col: 0, Op: pred.Lt, Val: tuple.I(100)},
+			pred.Cmp{Rel: 1, Col: 1, Op: pred.Eq, Val: tuple.S("x")},
 			pred.JoinEq{LRel: 0, LCol: 1, RRel: 1, RCol: 0},
+			// Atoms of the least size, enough of them that a count check
+			// assuming a larger atom would refuse the message.
+			pred.Cmp{Op: pred.Ne, Val: tuple.S("")}, pred.Cmp{Op: pred.Ne, Val: tuple.S("")},
+			pred.Cmp{Op: pred.Ne, Val: tuple.S("")}, pred.Cmp{Op: pred.Ne, Val: tuple.S("")},
+			pred.Cmp{Op: pred.Ne, Val: tuple.S("")}, pred.Cmp{Op: pred.Ne, Val: tuple.S("")},
 		),
 		Project:    [][]int{{0, 2}, {1}},
 		ViewKeyCol: 0,
 		AggKind:    agg.Sum,
 		AggCol:     1,
+		GroupBy:    -1,
 	}
-	dto := DefToDTO(def)
-	req := &Request{
-		Op:       OpCreateView,
-		View:     &dto,
-		Strategy: int(core.Deferred),
-		TxOps: []TxOpDTO{
-			{Kind: TxInsert, Rel: "r1", Vals: ValuesToDTO([]tuple.Value{tuple.I(4), tuple.F(2.5), tuple.S("x")})},
-			{Kind: TxDelete, Rel: "r1", Key: ValueToDTO(tuple.I(9)), ID: 77},
-		},
-		Range: RangeToDTO(pred.NewRange(tuple.I(1), tuple.I(50), true, false)),
-		Plan:  -1,
+}
+
+// TestRequestRoundTrip sends one request of every Op through the codec.
+func TestRequestRoundTrip(t *testing.T) {
+	view := DefToDTO(joinDef())
+	schema := []ColumnDTO{{Name: "k", Type: uint8(tuple.Int)}, {Name: "s", Type: uint8(tuple.String)}}
+	reqs := []*Request{
+		{Op: OpPing},
+		{Op: OpCreateRelBTree, Name: "r1", Schema: schema, KeyCol: 1},
+		{Op: OpCreateRelHash, Name: "r2", Schema: schema, KeyCol: 0, Buckets: 64},
+		{Op: OpCreateView, View: &view, Strategy: int(core.Deferred)},
+		{Op: OpDropView, Name: "vjoin"},
+		{Op: OpCommit, TxOps: []TxOpDTO{
+			{Kind: TxInsert, Rel: "r1", Vals: []tuple.Value{tuple.I(4), tuple.F(2.5), tuple.S("x")}},
+			{Kind: TxDelete, Rel: "r1", Key: tuple.I(9), ID: 77},
+			{Kind: TxUpdate, Rel: "r2", Key: tuple.S("k"), ID: math.MaxUint64, Vals: []tuple.Value{tuple.S("k"), tuple.I(-1)}},
+			{Kind: TxInsert, Rel: "empty"},
+		}},
+		{Op: OpCommit},
+		{Op: OpQueryView, Name: "v", Plan: -1},
+		{Op: OpQueryView, Name: "v", Plan: int(core.PlanSequential), Range: RangeToDTO(pred.NewRange(tuple.I(1), tuple.I(50), true, false))},
+		{Op: OpQueryView, Name: "v", Range: &RangeDTO{HasHi: true, Hi: tuple.F(0.5), HiInc: true}},
+		{Op: OpQueryView, Name: "v", Range: &RangeDTO{}},
+		{Op: OpQueryAggregate, Name: "vsum"},
+		{Op: OpRefreshAll},
+		{Op: OpCheckpoint},
+		{Op: OpHealth},
+		{Op: OpAdvisorStats},
+		{Op: OpAdaptTick},
+		{Op: OpCreateSecondary, Name: "r1", KeyCol: 2},
+	}
+	seen := map[Op]bool{}
+	for _, req := range reqs {
+		seen[req.Op] = true
+		got, err := ReadRequest(bytes.NewReader(encodeRequest(t, req)))
+		if err != nil {
+			t.Fatalf("%v: %v", req.Op, err)
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Errorf("%v: round trip mutated the request:\n got %+v\nwant %+v", req.Op, got, req)
+		}
+	}
+	for op := OpPing; op <= OpCreateSecondary; op++ {
+		if !seen[op] {
+			t.Errorf("no request of op %v in the table", op)
+		}
 	}
 
-	var buf bytes.Buffer
-	if err := WriteRequest(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
-		t.Fatalf("round trip mutated request:\n got %+v\nwant %+v", got, req)
-	}
-
-	// The Def survives the DTO round trip semantically: same validation
-	// outcome and same rendered predicate.
-	back := DefFromDTO(*got.View)
-	if back.Name != def.Name || back.Kind != def.Kind || back.Pred.String() != def.Pred.String() {
+	// The Def and the range survive their DTOs semantically.
+	back := DefFromDTO(view)
+	if def := joinDef(); back.Name != def.Name || back.Kind != def.Kind || back.Pred.String() != def.Pred.String() {
 		t.Fatalf("Def round trip: got %+v", back)
 	}
-	rg := RangeFromDTO(got.Range)
+	rg := RangeFromDTO(reqs[8].Range)
 	if rg == nil || rg.Lo == nil || rg.Hi == nil || rg.Lo.Int() != 1 || rg.Hi.Int() != 50 || !rg.LoInc || rg.HiInc {
 		t.Fatalf("Range round trip: got %+v", rg)
 	}
 }
 
+// TestResponseRoundTrip sends a response of every Code and every Body
+// through the codec.
 func TestResponseRoundTrip(t *testing.T) {
-	resp := &Response{
-		Code: CodeOK,
-		IDs:  []uint64{3, 9},
-		Rows: [][]ValueDTO{ValuesToDTO([]tuple.Value{tuple.I(1), tuple.S("a")})},
-		Health: &core.Health{
-			Relations: 2, Views: 3, Durable: true,
-		},
+	resps := []*Response{
+		{Code: CodeOK},
+		{Code: CodeBusy, Err: "server busy"},
+		{Code: CodeBadRequest, Err: "create-view: missing definition"},
+		{Code: CodeError, Err: "core: unknown view \"v\""},
+		{Code: CodeShutdown, Err: ""},
+		{Code: CodeOK, Body: BodyIDs, IDs: []uint64{3, 9, math.MaxUint64}},
+		{Code: CodeOK, Body: BodyIDs},
+		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.I(1), tuple.S("a")}, {tuple.I(2), tuple.S("")}}},
+		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{}},
+		{Code: CodeOK, Body: BodyAgg, Agg: -2.5, AggOK: true},
+		{Code: CodeOK, Body: BodyAgg},
+		{Code: CodeOK, Body: BodyHealth, Health: &core.Health{Relations: 2, Views: 3, Durable: true, RefreshWaiters: 7}},
+		{Code: CodeOK, Body: BodyAdvisor, Advisor: []core.AdvisorViewStat{{
+			View: "v", Strategy: "deferred", Observations: 12.5, Flips: 1,
+			Params: costmodel.Params{N: 1000}, Costs: map[string]float64{"deferred": 1, "immediate": 2}, Best: "deferred",
+		}}},
+		{Code: CodeOK, Body: BodyAdvisor},
+		{Code: CodeOK, Body: BodyFlips, Flips: []core.FlipReport{{View: "v", From: "qm", To: "immediate", PredictedGain: 0.4, Reason: "model"}}},
+		{Code: CodeOK, Body: BodyFlips},
 	}
-	var buf bytes.Buffer
-	if err := WriteResponse(&buf, resp); err != nil {
-		t.Fatal(err)
+	codes, bodies := map[Code]bool{}, map[Body]bool{}
+	for _, resp := range resps {
+		codes[resp.Code], bodies[resp.Body] = true, true
+		got, err := ReadResponse(bytes.NewReader(encodeResponse(t, resp)))
+		if err != nil {
+			t.Fatalf("%+v: %v", resp, err)
+		}
+		if !reflect.DeepEqual(got, resp) {
+			t.Errorf("round trip mutated the response:\n got %+v\nwant %+v", got, resp)
+		}
 	}
-	got, err := ReadResponse(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for c := CodeOK; c <= CodeShutdown; c++ {
+		if !codes[c] {
+			t.Errorf("no response of code %d in the table", c)
+		}
 	}
-	if !reflect.DeepEqual(got, resp) {
-		t.Fatalf("round trip mutated response:\n got %+v\nwant %+v", got, resp)
+	for b := BodyNone; b <= BodyFlips; b++ {
+		if !bodies[b] {
+			t.Errorf("no response of body kind %d in the table", b)
+		}
 	}
 }
 
+// TestReadRequestRejectsGarbagePayload: well-framed bytes that are not
+// a message fail with ErrDecode, requests and responses alike — no
+// unknown tag is read as something else, no count is trusted beyond the
+// bytes behind it, nothing may follow a complete body.
 func TestReadRequestRejectsGarbagePayload(t *testing.T) {
-	// A well-framed payload that is not a gob Request must fail with
-	// ErrDecode, not panic.
-	var buf bytes.Buffer
-	if err := writeMsg(&buf, "not a request"); err != nil {
+	u32 := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	str := func(s string) []byte { return cat(u32(uint32(len(s))), []byte(s)) }
+	i64 := func(n int64) []byte { return binary.BigEndian.AppendUint64(nil, uint64(n)) }
+	ping := []byte{byte(OpPing)}
+	query := cat([]byte{byte(OpQueryView)}, str("v"), i64(-1))
+
+	requests := map[string][]byte{
+		"text":                   []byte("not a request"),
+		"op zero":                {0},
+		"unknown op":             {byte(OpCreateSecondary) + 1},
+		"trailing byte":          cat(ping, []byte{0}),
+		"name cut short":         cat([]byte{byte(OpDropView)}, u32(5), []byte("ab")),
+		"name length only":       cat([]byte{byte(OpDropView)}, []byte{0, 0}),
+		"tx-op count too large":  cat([]byte{byte(OpCommit)}, u32(1<<31)),
+		"tx-op count one over":   cat([]byte{byte(OpCommit)}, u32(2), []byte{TxInsert}, str("r"), u32(0)),
+		"unknown tx-op kind":     cat([]byte{byte(OpCommit)}, u32(1), []byte{TxUpdate + 1}, str("r"), u32(0)),
+		"unknown value tag":      cat([]byte{byte(OpCommit)}, u32(1), []byte{TxInsert}, str("r"), u32(1), []byte{3, 0, 0, 0, 0, 0, 0, 0, 0}),
+		"value cut short":        cat([]byte{byte(OpCommit)}, u32(1), []byte{TxInsert}, str("r"), u32(1), []byte{byte(tuple.Int), 0, 0, 0, 0}),
+		"value count too large":  cat([]byte{byte(OpCommit)}, u32(1), []byte{TxInsert}, str("r"), u32(1000)),
+		"unknown range bit":      cat(query, []byte{rangePresent | 1<<5}),
+		"range bits, no range":   cat(query, []byte{rangeHasLo}),
+		"range bound missing":    cat(query, []byte{rangePresent | rangeHasLo}),
+		"range bound unflagged":  cat(query, []byte{rangePresent}, tuple.AppendValue(nil, tuple.I(1))),
+		"schema count too large": cat([]byte{byte(OpCreateRelBTree)}, str("r"), u32(1<<30)),
+		"atom flag not 0 or 1": cat([]byte{byte(OpCreateView)}, str("v"), i64(0), u32(0), u32(1), []byte{2},
+			bytes.Repeat([]byte{0}, 64)),
+	}
+	for name, payload := range requests {
+		if _, err := ReadRequest(bytes.NewReader(framed(t, payload))); !errors.Is(err, ErrDecode) {
+			t.Errorf("request %q: err = %v, want ErrDecode", name, err)
+		}
+	}
+
+	rows, err := colpage.AppendRows(nil, [][]tuple.Value{{tuple.I(1)}, {tuple.I(300)}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRequest(&buf); !errors.Is(err, ErrDecode) {
-		t.Fatalf("err = %v, want ErrDecode", err)
+	okBody := func(b Body, rest ...[]byte) []byte { return cat([]byte{byte(CodeOK), byte(b)}, cat(rest...)) }
+	flipLane := append([]byte(nil), rows...)
+	flipLane[6] = 99 // the first lane's encoding byte
+	responses := map[string][]byte{
+		"unknown code":           {byte(CodeShutdown) + 1},
+		"ok without body kind":   {byte(CodeOK)},
+		"unknown body kind":      okBody(BodyFlips + 1),
+		"status with trailer":    okBody(BodyNone, []byte{0}),
+		"id count too large":     okBody(BodyIDs, u32(2), i64(1)),
+		"ids with trailer":       okBody(BodyIDs, u32(1), i64(1), []byte{0}),
+		"agg flag not 0 or 1":    okBody(BodyAgg, []byte{2}, i64(0)),
+		"agg cut short":          okBody(BodyAgg, []byte{1, 0, 0}),
+		"rows without header":    okBody(BodyRows),
+		"rows cut short":         okBody(BodyRows, rows[:len(rows)-1]),
+		"rows with trailer":      okBody(BodyRows, rows, []byte{0}),
+		"rows, unknown lane":     okBody(BodyRows, flipLane),
+		"rows over the cell cap": okBody(BodyRows, u32(maxCells+1), []byte{0, 1}),
+		"health is not gob":      okBody(BodyHealth, []byte("junk")),
+		"empty gob body":         okBody(BodyFlips),
 	}
+	for name, payload := range responses {
+		if _, err := ReadResponse(bytes.NewReader(framed(t, payload))); !errors.Is(err, ErrDecode) {
+			t.Errorf("response %q: err = %v, want ErrDecode", name, err)
+		}
+	}
+
+	// Frame damage keeps the frame package's errors.
+	f := framed(t, ping)
+	f[len(f)-1] ^= 0xff
+	if _, err := ReadRequest(bytes.NewReader(f)); !errors.Is(err, frame.ErrChecksum) {
+		t.Errorf("flipped payload byte: err = %v, want frame.ErrChecksum", err)
+	}
+}
+
+// TestEncodeRejectsUnknownKinds: what the decoder would refuse, the
+// encoder does not produce.
+func TestEncodeRejectsUnknownKinds(t *testing.T) {
+	var sink bytes.Buffer
+	for _, req := range []*Request{
+		{Op: 0},
+		{Op: OpCreateSecondary + 1},
+		{Op: OpCreateView},
+		{Op: OpCommit, TxOps: []TxOpDTO{{Kind: 9, Rel: "r"}}},
+	} {
+		if err := WriteRequest(&sink, req); err == nil {
+			t.Errorf("WriteRequest(%+v) succeeded", req)
+		}
+	}
+	for _, resp := range []*Response{
+		{Code: CodeShutdown + 1},
+		{Code: CodeOK, Body: BodyFlips + 1},
+		{Code: CodeOK, Body: BodyHealth},
+		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.I(1)}, {}}},
+	} {
+		if err := WriteResponse(&sink, resp); err == nil {
+			t.Errorf("WriteResponse(%+v) succeeded", resp)
+		}
+	}
+	if sink.Len() != 0 {
+		t.Errorf("%d bytes written by failed encodes", sink.Len())
+	}
+}
+
+// TestOversizeResponseIsTooLarge: a response that cannot fit one frame
+// fails with frame.ErrTooLarge and writes nothing, whether it is the
+// bytes or the cell count that is over.
+func TestOversizeResponseIsTooLarge(t *testing.T) {
+	var sink bytes.Buffer
+	big := &Response{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.S(strings.Repeat("x", MaxFrame))}}}
+	if err := WriteResponse(&sink, big); !errors.Is(err, frame.ErrTooLarge) {
+		t.Errorf("over-cap string cell: err = %v, want frame.ErrTooLarge", err)
+	}
+	wide := &Response{Code: CodeOK, Body: BodyRows, Rows: make([][]tuple.Value, maxCells+1)}
+	one := []tuple.Value{tuple.I(1)}
+	for i := range wide.Rows {
+		wide.Rows[i] = one
+	}
+	if err := WriteResponse(&sink, wide); !errors.Is(err, frame.ErrTooLarge) {
+		t.Errorf("over-cap cell count: err = %v, want frame.ErrTooLarge", err)
+	}
+	if sink.Len() != 0 {
+		t.Errorf("%d bytes written by failed encodes", sink.Len())
+	}
+}
+
+// TestRowsBoundaries round-trips query answers at the edges of the row
+// encoding: value for value, bit for bit.
+func TestRowsBoundaries(t *testing.T) {
+	seq := func(n int) [][]tuple.Value {
+		rows := make([][]tuple.Value, n)
+		flat := make([]tuple.Value, 2*n)
+		for i := range rows {
+			flat[2*i], flat[2*i+1] = tuple.I(int64(i)), tuple.I(int64(i%7))
+			rows[i] = flat[2*i : 2*i+2]
+		}
+		return rows
+	}
+	col := func(vals ...tuple.Value) [][]tuple.Value {
+		rows := make([][]tuple.Value, len(vals))
+		for i, v := range vals {
+			rows[i] = []tuple.Value{v}
+		}
+		return rows
+	}
+	dict := make([]tuple.Value, 500)
+	for i := range dict {
+		dict[i] = tuple.S([]string{"red", "green", "blue"}[i%3])
+	}
+	// A second run whose lanes differ in kind from the first's.
+	twoKinds := seq(colpage.MaxChunkRows + 3)
+	for _, r := range twoKinds[colpage.MaxChunkRows:] {
+		r[0], r[1] = tuple.S("tail"), tuple.F(math.NaN())
+	}
+	cases := []struct {
+		name string
+		rows [][]tuple.Value
+		runs int // runs of lanes the answer needs
+	}{
+		{"0 rows", seq(0), 0},
+		{"1 row", seq(1), 1},
+		{"65535 rows", seq(colpage.MaxChunkRows), 1},
+		{"65536 rows", seq(colpage.MaxChunkRows + 1), 2},
+		{"second run of other types", twoKinds, 2},
+		{"mixed-type column", col(tuple.I(1), tuple.S("two"), tuple.F(3), tuple.S(""), tuple.I(-1)), 1},
+		{"empty strings", col(tuple.S(""), tuple.S(""), tuple.S("")), 1},
+		{"one empty string", col(tuple.S("")), 1},
+		{"dictionary strings", col(dict...), 1},
+		{"long string", col(tuple.S("a"), tuple.S(strings.Repeat("z", 70000))), 1},
+		{"NaN and infinities", col(tuple.F(math.NaN()), tuple.F(math.Float64frombits(0x7ff8dead0000beef)),
+			tuple.F(math.Inf(1)), tuple.F(math.Inf(-1)), tuple.F(math.Copysign(0, -1)), tuple.F(0)), 1},
+		{"int extremes", col(tuple.I(math.MinInt64), tuple.I(math.MaxInt64), tuple.I(0)), 1},
+		{"zero columns", [][]tuple.Value{{}, {}, {}}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if runs := (len(tc.rows) + colpage.MaxChunkRows - 1) / colpage.MaxChunkRows; runs != tc.runs {
+				t.Fatalf("case needs %d runs, table says %d", runs, tc.runs)
+			}
+			got, err := ReadResponse(bytes.NewReader(encodeResponse(t, &Response{Code: CodeOK, Body: BodyRows, Rows: tc.rows})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rows) != len(tc.rows) {
+				t.Fatalf("%d rows came back, want %d", len(got.Rows), len(tc.rows))
+			}
+			for i, want := range tc.rows {
+				if len(got.Rows[i]) != len(want) {
+					t.Fatalf("row %d has %d cells, want %d", i, len(got.Rows[i]), len(want))
+				}
+				for c := range want {
+					if g, w := tuple.AppendValue(nil, got.Rows[i][c]), tuple.AppendValue(nil, want[c]); !bytes.Equal(g, w) {
+						t.Fatalf("row %d column %d: got %v (%x), want %v (%x)", i, c, got.Rows[i][c], g, want[c], w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// benchMessages are the four messages of the system benchmark's hot
+// paths (bench/workload.go): wide-mat's [lo,lo+1000) range query on v1
+// with its 1000-row (k, p) answer, and commit-imm's four-update
+// transaction on R(k, a, p) with its four-id answer.
+func benchMessages() (query *Request, rows *Response, commit *Request, ids *Response) {
+	const n, lo = 100000, 4000
+	query = &Request{Op: OpQueryView, Name: "v1", Plan: -1,
+		Range: RangeToDTO(pred.NewRange(tuple.I(lo), tuple.I(lo+1000), true, false))}
+	rows = &Response{Code: CodeOK, Body: BodyRows, Rows: make([][]tuple.Value, 1000)}
+	for i := range rows.Rows {
+		k := int64(lo + i)
+		rows.Rows[i] = []tuple.Value{tuple.I(k), tuple.I(1000 + k%1000)}
+	}
+	commit = &Request{Op: OpCommit}
+	ids = &Response{Code: CodeOK, Body: BodyIDs}
+	for i := 0; i < 4; i++ {
+		k := int64(7919 * (i + 1))
+		commit.TxOps = append(commit.TxOps, TxOpDTO{Kind: TxUpdate, Rel: "R", Key: tuple.I(k), ID: uint64(n + i),
+			Vals: []tuple.Value{tuple.I(k), tuple.I(k * 40503 % n), tuple.I(1000 + k%1000 + 1)}})
+		ids.IDs = append(ids.IDs, uint64(2*n+i))
+	}
+	return
+}
+
+// TestWireSizes pins the frame length of the benchmark's four hot
+// messages. The system benchmark holds wire_bytes_per_op to 1 %; a
+// change to the encoding shows up here first.
+func TestWireSizes(t *testing.T) {
+	query, rows, commit, ids := benchMessages()
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  int
+	}{
+		// 8 frame + 1 op + (4+2) name + 8 plan + 1 flags + 2×9 bounds
+		{"range query", encodeRequest(t, query), 42},
+		// 8 frame + 2 envelope + 6 row-set header + 2 × (1 enc + 8 ref + 1 width + 1000×2)
+		{"1000-row answer", encodeResponse(t, rows), 4036},
+		// 8 frame + 1 op + 4 count + 4 × (1 kind + (4+1) rel + 9 key + 8 id + 4 count + 3×9 values)
+		{"4-update commit", encodeRequest(t, commit), 229},
+		// 8 frame + 2 envelope + 4 count + 4×8
+		{"4-id answer", encodeResponse(t, ids), 46},
+	} {
+		if len(tc.frame) != tc.want {
+			t.Errorf("%s: %d bytes on the wire, want %d", tc.name, len(tc.frame), tc.want)
+		}
+	}
+}
+
+var benchSink any
+
+// BenchmarkCodec times encode and decode of the benchmark's four hot
+// messages; allocs/op repeat exactly.
+func BenchmarkCodec(b *testing.B) {
+	query, rows, commit, ids := benchMessages()
+	for _, m := range []struct {
+		name string
+		req  *Request
+		resp *Response
+	}{
+		{"query", query, nil}, {"rows", nil, rows}, {"commit", commit, nil}, {"ids", nil, ids},
+	} {
+		var frame []byte
+		if m.req != nil {
+			frame = encodeRequest(b, m.req)
+		} else {
+			frame = encodeResponse(b, m.resp)
+		}
+		b.Run(m.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			var sink bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				sink.Reset()
+				var err error
+				if m.req != nil {
+					err = WriteRequest(&sink, m.req)
+				} else {
+					err = WriteResponse(&sink, m.resp)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(m.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			src := bytes.NewReader(frame)
+			for i := 0; i < b.N; i++ {
+				src.Reset(frame)
+				var err error
+				if m.req != nil {
+					benchSink, err = ReadRequest(src)
+				} else {
+					benchSink, err = ReadResponse(src)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzProtoCodec feeds arbitrary payloads, well framed, to both
+// decoders. They never panic and fail only with ErrDecode; whatever
+// decodes re-encodes to a frame that decodes to an equal message.
+func FuzzProtoCodec(f *testing.F) {
+	query, rows, commit, ids := benchMessages()
+	view := DefToDTO(joinDef())
+	for _, req := range []*Request{query, commit, {Op: OpPing}, {Op: OpCreateView, View: &view, Strategy: 2},
+		{Op: OpCreateRelHash, Name: "r", Schema: []ColumnDTO{{Name: "k"}}, Buckets: 8}} {
+		f.Add(encodeRequest(f, req)[frame.HeaderSize:])
+	}
+	rows.Rows = rows.Rows[:40]
+	for _, resp := range []*Response{rows, ids, {Code: CodeBusy, Err: "busy"}, {Code: CodeOK, Body: BodyAgg, Agg: math.NaN()},
+		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.S("a"), tuple.F(1)}, {tuple.S("a"), tuple.I(2)}}},
+		{Code: CodeOK, Body: BodyHealth, Health: &core.Health{Views: 1}},
+		{Code: CodeOK, Body: BodyFlips, Flips: []core.FlipReport{{View: "v"}}}} {
+		f.Add(encodeResponse(f, resp)[frame.HeaderSize:])
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) == 0 {
+			return // not a frame
+		}
+		in := framed(t, payload)
+		if req, err := ReadRequest(bytes.NewReader(in)); err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("ReadRequest: %v, want ErrDecode", err)
+			}
+		} else {
+			first := encodeRequest(t, req)
+			again, err := ReadRequest(bytes.NewReader(first))
+			if err != nil {
+				t.Fatalf("re-encoded request does not decode: %v", err)
+			}
+			// The encoding is a function of the content, so equal bytes
+			// are equal messages, NaN payloads included.
+			if !bytes.Equal(first, encodeRequest(t, again)) {
+				t.Fatalf("request changed in re-encoding:\n first  %+v\n second %+v", req, again)
+			}
+		}
+		if resp, err := ReadResponse(bytes.NewReader(in)); err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("ReadResponse: %v, want ErrDecode", err)
+			}
+		} else {
+			first := encodeResponse(t, resp)
+			again, err := ReadResponse(bytes.NewReader(first))
+			if err != nil {
+				t.Fatalf("re-encoded response does not decode: %v", err)
+			}
+			same := bytes.Equal(first, encodeResponse(t, again))
+			if resp.Code == CodeOK && resp.Body >= BodyHealth {
+				// gob writes map entries in any order; compare the printed
+				// bodies (keys sorted, NaN equal to itself) instead.
+				print := func(r *Response) string { return fmt.Sprintf("%+v %+v %+v", r.Health, r.Advisor, r.Flips) }
+				same = again.Body == resp.Body && print(again) == print(resp)
+			}
+			if !same {
+				t.Fatalf("response changed in re-encoding:\n first  %+v\n second %+v", resp, again)
+			}
+		}
+	})
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkServerThroughput measures end-to-end request throughput
-// through the socket layer — framing, gob, admission, engine — for a
+// through the socket layer — framing, codec, admission, engine — for a
 // mixed read workload, contrasting one connection against sixteen.
 // The req/s metric lands in CI's BENCH_server.json.
 func BenchmarkServerThroughput(b *testing.B) {

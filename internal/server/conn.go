@@ -53,10 +53,17 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // writeResponse writes one response under the write deadline,
-// reporting whether the connection is still usable.
+// reporting whether the connection is still usable. A response too
+// large for one frame fails before any byte is written, so the stream
+// is intact: the client gets CodeError in its place and the connection
+// stays.
 func (s *Server) writeResponse(conn net.Conn, resp *proto.Response) bool {
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := proto.WriteResponse(conn, resp); err != nil {
+	err := proto.WriteResponse(conn, resp)
+	if errors.Is(err, frame.ErrTooLarge) {
+		err = proto.WriteResponse(conn, &proto.Response{Code: proto.CodeError, Err: "result exceeds the 16 MiB frame cap"})
+	}
+	if err != nil {
 		if !isClosedConnErr(err) {
 			s.cfg.Logf("server: write on %s: %v", conn.RemoteAddr(), err)
 		}

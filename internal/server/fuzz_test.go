@@ -11,17 +11,24 @@ import (
 	"viewmat/internal/client"
 	"viewmat/internal/core"
 	"viewmat/internal/frame"
+	"viewmat/internal/pred"
 	"viewmat/internal/proto"
+	"viewmat/internal/tuple"
 )
 
-// fuzzSeedFrames builds representative hostile inputs: a valid frame,
-// truncations, a CRC flip, an oversized length, and raw junk.
+// fuzzSeedFrames builds representative inputs, hostile first: a valid
+// frame, truncations, a CRC flip, an oversized length, raw junk; then
+// the hot-path messages — a commit, a range query — and a query answer
+// with a lane byte flipped under a valid checksum.
 func fuzzSeedFrames(t testing.TB) [][]byte {
-	var buf bytes.Buffer
-	if err := proto.WriteRequest(&buf, &proto.Request{Op: proto.OpPing}); err != nil {
-		t.Fatal(err)
+	request := func(req *proto.Request) []byte {
+		var buf bytes.Buffer
+		if err := proto.WriteRequest(&buf, req); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	valid := buf.Bytes()
+	valid := request(&proto.Request{Op: proto.OpPing})
 
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)-1] ^= 0xff // payload damage → CRC mismatch
@@ -31,6 +38,15 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 	huge := make([]byte, frame.HeaderSize)
 	binary.LittleEndian.PutUint32(huge, 1<<31)
 
+	var answer bytes.Buffer
+	rows := [][]tuple.Value{{tuple.I(1), tuple.S("a")}, {tuple.I(2), tuple.S("b")}}
+	if err := proto.WriteResponse(&answer, &proto.Response{Code: proto.CodeOK, Body: proto.BodyRows, Rows: rows}); err != nil {
+		t.Fatal(err)
+	}
+	flipped := answer.Bytes()
+	flipped[len(flipped)-1] ^= 0xff // a string lane's last byte
+	frame.PutHeader(flipped, flipped[frame.HeaderSize:])
+
 	return [][]byte{
 		valid,
 		corrupt,
@@ -39,6 +55,13 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 		huge,
 		[]byte("GET / HTTP/1.1\r\n\r\n"), // wrong protocol entirely
 		{},
+		request(&proto.Request{Op: proto.OpCommit, TxOps: []proto.TxOpDTO{
+			{Kind: proto.TxInsert, Rel: "r", Vals: []tuple.Value{tuple.I(1), tuple.I(2), tuple.S("s")}},
+			{Kind: proto.TxUpdate, Rel: "r", Key: tuple.I(1), ID: 1, Vals: []tuple.Value{tuple.I(1), tuple.I(3), tuple.S("t")}},
+		}}),
+		request(&proto.Request{Op: proto.OpQueryView, Name: "v", Plan: -1,
+			Range: proto.RangeToDTO(pred.NewRange(tuple.I(0), tuple.I(1000), true, false))}),
+		flipped,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"viewmat/internal/core"
 	"viewmat/internal/proto"
+	"viewmat/internal/tuple"
 )
 
 // process executes one admitted request against the engine. Handler
@@ -64,18 +65,18 @@ func (s *Server) process(req *proto.Request) (resp *proto.Response) {
 		if err != nil {
 			return engineError(err)
 		}
-		out := make([][]proto.ValueDTO, len(rows))
+		out := make([][]tuple.Value, len(rows))
 		for i, r := range rows {
-			out[i] = proto.ValuesToDTO(r.Vals)
+			out[i] = r.Vals
 		}
-		return &proto.Response{Code: proto.CodeOK, Rows: out}
+		return &proto.Response{Code: proto.CodeOK, Body: proto.BodyRows, Rows: out}
 
 	case proto.OpQueryAggregate:
 		v, ok, err := s.db.QueryAggregate(req.Name)
 		if err != nil {
 			return engineError(err)
 		}
-		return &proto.Response{Code: proto.CodeOK, Agg: v, AggOK: ok}
+		return &proto.Response{Code: proto.CodeOK, Body: proto.BodyAgg, Agg: v, AggOK: ok}
 
 	case proto.OpRefreshAll:
 		return statusOnly(s.db.RefreshAll())
@@ -85,10 +86,10 @@ func (s *Server) process(req *proto.Request) (resp *proto.Response) {
 
 	case proto.OpHealth:
 		h := s.db.Health()
-		return &proto.Response{Code: proto.CodeOK, Health: &h}
+		return &proto.Response{Code: proto.CodeOK, Body: proto.BodyHealth, Health: &h}
 
 	case proto.OpAdvisorStats:
-		return &proto.Response{Code: proto.CodeOK, Advisor: s.db.AdvisorStats()}
+		return &proto.Response{Code: proto.CodeOK, Body: proto.BodyAdvisor, Advisor: s.db.AdvisorStats()}
 
 	case proto.OpCreateSecondary:
 		return statusOnly(s.db.CreateSecondaryIndex(req.Name, req.KeyCol))
@@ -98,7 +99,7 @@ func (s *Server) process(req *proto.Request) (resp *proto.Response) {
 		if err != nil {
 			return engineError(err)
 		}
-		return &proto.Response{Code: proto.CodeOK, Flips: flips}
+		return &proto.Response{Code: proto.CodeOK, Body: proto.BodyFlips, Flips: flips}
 
 	default:
 		return badRequest(fmt.Sprintf("unknown op %d", req.Op))
@@ -116,31 +117,29 @@ func (s *Server) processCommit(req *proto.Request) *proto.Response {
 	tx := s.db.Begin()
 	ids := make([]uint64, 0, len(req.TxOps))
 	for i, op := range req.TxOps {
+		var id uint64
+		var err error
 		switch op.Kind {
 		case proto.TxInsert:
-			id, err := tx.Insert(op.Rel, proto.ValuesFromDTO(op.Vals)...)
-			if err != nil {
-				return engineError(fmt.Errorf("op %d: %w", i, err))
-			}
-			ids = append(ids, id)
+			id, err = tx.Insert(op.Rel, op.Vals...)
 		case proto.TxDelete:
-			if err := tx.Delete(op.Rel, proto.ValueFromDTO(op.Key), op.ID); err != nil {
-				return engineError(fmt.Errorf("op %d: %w", i, err))
-			}
+			err = tx.Delete(op.Rel, op.Key, op.ID)
 		case proto.TxUpdate:
-			id, err := tx.Update(op.Rel, proto.ValueFromDTO(op.Key), op.ID, proto.ValuesFromDTO(op.Vals)...)
-			if err != nil {
-				return engineError(fmt.Errorf("op %d: %w", i, err))
-			}
-			ids = append(ids, id)
+			id, err = tx.Update(op.Rel, op.Key, op.ID, op.Vals...)
 		default:
 			return badRequest(fmt.Sprintf("commit: op %d has unknown kind %d", i, op.Kind))
+		}
+		if err != nil {
+			return engineError(fmt.Errorf("op %d: %w", i, err))
+		}
+		if op.Kind != proto.TxDelete {
+			ids = append(ids, id)
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		return engineError(err)
 	}
-	return &proto.Response{Code: proto.CodeOK, IDs: ids}
+	return &proto.Response{Code: proto.CodeOK, Body: proto.BodyIDs, IDs: ids}
 }
 
 func statusOnly(err error) *proto.Response {
