@@ -81,14 +81,14 @@ func main() {
 	}
 
 	if *recoverDir != "" {
-		if err := runRecover(*recoverDir, *ckptEvery); err != nil {
+		if err := runRecover(os.Stdout, *recoverDir, *ckptEvery); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *walDir != "" {
-		if err := runWAL(*walDir, *ckptEvery, 200, 40, 5, *seed); err != nil {
+		if err := runWAL(os.Stdout, *walDir, *ckptEvery, 200, 40, 5, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -2,12 +2,14 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 
 	"viewmat/internal/core"
 	"viewmat/internal/pred"
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/wal"
 )
@@ -64,7 +66,7 @@ func demoViewDef(n int) core.Def {
 // runWAL seeds a fresh durable database under dir and drives commits
 // and queries against it. Existing WAL/snapshot files are replaced: a
 // demo run starts from scratch (use -recover to continue one).
-func runWAL(dir string, ckptEvery int, n, commits, perTx int, seed int64) error {
+func runWAL(out io.Writer, dir string, ckptEvery int, n, commits, perTx int, seed int64) error {
 	for _, f := range []string{walFileName, snapFileName} {
 		if err := os.Remove(filepath.Join(dir, f)); err != nil && !os.IsNotExist(err) {
 			return err
@@ -76,10 +78,23 @@ func runWAL(dir string, ckptEvery int, n, commits, perTx int, seed int64) error 
 	}
 	defer walDev.Close()
 	defer snapDev.Close()
+	fmt.Fprintf(out, "durable engine under %s: %d seed tuples, deferred view, checkpoint every %d commits\n", dir, n, ckptEvery)
+	if _, err := demoWorkload(out, walDev, snapDev, ckptEvery, n, commits, perTx, seed); err != nil {
+		return err
+	}
+	walSize, _ := walDev.Size()
+	snapSize, _ := snapDev.Size()
+	fmt.Fprintf(out, "wal tail %d bytes, snapshot store %d bytes — kill this process at any point and run: vmsim -recover %s\n",
+		walSize, snapSize, dir)
+	return nil
+}
 
+// demoWorkload seeds r, turns durability on over the two devices,
+// creates the deferred view and drives the seeded commit+query stream.
+func demoWorkload(out io.Writer, walDev, snapDev storage.Device, ckptEvery int, n, commits, perTx int, seed int64) (*core.Database, error) {
 	db := core.NewDatabase(core.Options{PageSize: 512, PoolFrames: 64})
 	if _, err := db.CreateRelationBTree("r", demoSchema(), 0); err != nil {
-		return err
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	type live struct {
@@ -91,28 +106,27 @@ func runWAL(dir string, ckptEvery int, n, commits, perTx int, seed int64) error 
 	for i := 0; i < n; i++ {
 		id, err := tx.Insert("r", tuple.I(int64(i)), tuple.I(int64(i*2)), tuple.S(fmt.Sprintf("s%d", i%7)))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rows = append(rows, live{key: int64(i), id: id})
 	}
 	if err := tx.Commit(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := db.EnableDurability(walDev, snapDev, core.DurabilityOptions{CheckpointEvery: ckptEvery}); err != nil {
-		return err
+		return nil, err
 	}
 	if err := db.CreateView(demoViewDef(n), core.Deferred); err != nil {
-		return err
+		return nil, err
 	}
 
-	fmt.Printf("durable engine under %s: %d seed tuples, deferred view, checkpoint every %d commits\n", dir, n, ckptEvery)
 	for c := 0; c < commits; c++ {
 		tx := db.Begin()
 		for j := 0; j < perTx; j++ {
 			if len(rows) > 0 && rng.Intn(3) == 0 {
 				i := rng.Intn(len(rows))
 				if err := tx.Delete("r", tuple.I(rows[i].key), rows[i].id); err != nil {
-					return err
+					return nil, err
 				}
 				rows = append(rows[:i], rows[i+1:]...)
 				continue
@@ -120,34 +134,30 @@ func runWAL(dir string, ckptEvery int, n, commits, perTx int, seed int64) error 
 			key := rng.Int63n(int64(2 * n))
 			id, err := tx.Insert("r", tuple.I(key), tuple.I(rng.Int63n(100)), tuple.S("w"))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			rows = append(rows, live{key: key, id: id})
 		}
 		if err := tx.Commit(); err != nil {
-			return err
+			return nil, err
 		}
 		if (c+1)%4 == 0 {
 			if _, err := db.QueryView("v", nil); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	vrows, err := db.QueryView("v", nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	walSize, _ := walDev.Size()
-	snapSize, _ := snapDev.Size()
-	fmt.Printf("ran %d commits (%d ops each): %d live tuples, %d view rows\n", commits, perTx, len(rows), len(vrows))
-	fmt.Printf("wal tail %d bytes, snapshot store %d bytes — kill this process at any point and run: vmsim -recover %s\n",
-		walSize, snapSize, dir)
-	return nil
+	fmt.Fprintf(out, "ran %d commits (%d ops each): %d live tuples, %d view rows\n", commits, perTx, len(rows), len(vrows))
+	return db, nil
 }
 
 // runRecover rebuilds the database from dir's durable files and
 // reports what recovery found.
-func runRecover(dir string, ckptEvery int) error {
+func runRecover(out io.Writer, dir string, ckptEvery int) error {
 	walDev, snapDev, err := openDurableFiles(dir)
 	if err != nil {
 		return err
@@ -158,18 +168,18 @@ func runRecover(dir string, ckptEvery int) error {
 	if err != nil {
 		return fmt.Errorf("recovering from %s: %w", dir, err)
 	}
-	fmt.Printf("recovered from %s: snapshot seq %d (full frame seq %d + %d delta frames), %d records replayed, %d skipped",
+	fmt.Fprintf(out, "recovered from %s: snapshot seq %d (full frame seq %d + %d delta frames), %d records replayed, %d skipped",
 		dir, info.SnapshotSeq, info.FullSeq, info.Deltas, info.Replayed, info.Skipped)
 	if info.TailDamage != "" {
-		fmt.Printf(", %s tail truncated", info.TailDamage)
+		fmt.Fprintf(out, ", %s tail truncated", info.TailDamage)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	if _, _, ok := db.View("v"); ok {
 		vrows, err := db.QueryView("v", nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("view v answers with %d rows; the engine continues logging to the same files\n", len(vrows))
+		fmt.Fprintf(out, "view v answers with %d rows; the engine continues logging to the same files\n", len(vrows))
 	}
 	return nil
 }

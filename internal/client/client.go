@@ -117,7 +117,7 @@ func (c *Client) Ping() error {
 func (c *Client) CreateRelationBTree(name string, schema *tuple.Schema, keyCol int) error {
 	_, err := c.call(&proto.Request{
 		Op: proto.OpCreateRelBTree, Name: name,
-		Schema: proto.SchemaToDTO(schema), KeyCol: keyCol,
+		Schema: schema, KeyCol: keyCol,
 	})
 	return err
 }
@@ -126,7 +126,7 @@ func (c *Client) CreateRelationBTree(name string, schema *tuple.Schema, keyCol i
 func (c *Client) CreateRelationHash(name string, schema *tuple.Schema, keyCol, buckets int) error {
 	_, err := c.call(&proto.Request{
 		Op: proto.OpCreateRelHash, Name: name,
-		Schema: proto.SchemaToDTO(schema), KeyCol: keyCol, Buckets: buckets,
+		Schema: schema, KeyCol: keyCol, Buckets: buckets,
 	})
 	return err
 }
@@ -140,8 +140,7 @@ func (c *Client) CreateSecondaryIndex(rel string, col int) error {
 
 // CreateView registers a view with the given maintenance strategy.
 func (c *Client) CreateView(def core.Def, strategy core.Strategy) error {
-	dto := proto.DefToDTO(def)
-	_, err := c.call(&proto.Request{Op: proto.OpCreateView, View: &dto, Strategy: int(strategy)})
+	_, err := c.call(&proto.Request{Op: proto.OpCreateView, View: &def, Strategy: int(strategy)})
 	return err
 }
 
@@ -163,7 +162,7 @@ func (c *Client) QueryView(name string, rg *pred.Range) ([][]tuple.Value, error)
 func (c *Client) QueryViewPlan(name string, rg *pred.Range, plan int) ([][]tuple.Value, error) {
 	resp, err := c.call(&proto.Request{
 		Op: proto.OpQueryView, Name: name,
-		Range: proto.RangeToDTO(rg), Plan: plan,
+		Range: rg, Plan: plan,
 	})
 	return resp.Rows, err
 }

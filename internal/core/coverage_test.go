@@ -139,6 +139,39 @@ func TestDefValidateErrors(t *testing.T) {
 			d.Pred = pred.New(pred.JoinEq{LRel: 0, LCol: 1, RRel: 5, RCol: 0})
 			return d
 		}(), joinSchemasList(), "slot"},
+		// Definitions only a hostile request or snapshot would carry: at
+		// the parent commit the first panics and the rest validate.
+		{"predicate slot negative", func() Def {
+			d := spDef("x")
+			d.Pred = pred.New(pred.Cmp{Rel: -1, Col: 0, Op: pred.Lt, Val: tuple.I(1)})
+			return d
+		}(), schemas, "slot -1"},
+		{"unknown kind", func() Def {
+			d := spDef("x")
+			d.Kind = 7
+			return d
+		}(), schemas, "unknown kind 7"},
+		{"unknown operator", func() Def {
+			d := spDef("x")
+			d.Pred = pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Ge + 1, Val: tuple.I(1)})
+			return d
+		}(), schemas, "unknown operator"},
+		{"join slot negative", func() Def {
+			d := joinDef("x")
+			d.Pred = pred.New(pred.JoinEq{LRel: -1, LCol: 1, RRel: 1, RCol: 0})
+			return d
+		}(), joinSchemasList(), "slot -1"},
+		{"join column out of range", func() Def {
+			d := joinDef("x")
+			d.Pred = pred.New(pred.JoinEq{LRel: 0, LCol: 1, RRel: 1, RCol: 40})
+			return d
+		}(), joinSchemasList(), "column 40"},
+		{"join column negative", func() Def {
+			d := joinDef("x")
+			d.Pred = pred.New(pred.JoinEq{LRel: 0, LCol: -1, RRel: 1, RCol: 0})
+			return d
+		}(), joinSchemasList(), "column -1"},
+		{"unknown aggregate kind", aggDef("x", agg.StdDev+1), schemas, "unknown aggregate kind"},
 		{"agg col out of range", func() Def {
 			d := aggDef("x", agg.Sum)
 			d.AggCol = 9

@@ -156,6 +156,12 @@ func crashFullDef(name, rel string, cols int) Def {
 // qr/qr1 are query-modification coverage views over the full key
 // range.
 func crashWorkloadSteps() []crashStep {
+	checkpoint := crashStep{name: "checkpoint", run: func(h *crashHarness) error {
+		if h.walDev == nil {
+			return nil
+		}
+		return h.db.Checkpoint()
+	}}
 	steps := []crashStep{
 		{name: "create-r", run: func(h *crashHarness) error {
 			_, err := h.db.CreateRelationBTree("r", spSchema(), 0)
@@ -236,12 +242,7 @@ func crashWorkloadSteps() []crashStep {
 		crashTxStep("t4",
 			crashOp{op: "ins", rel: "r", key: 11, val: 3},
 			crashOp{op: "upd", rel: "r", idx: 2, key: 28, val: 6}),
-		{name: "checkpoint", run: func(h *crashHarness) error {
-			if h.walDev == nil {
-				return nil
-			}
-			return h.db.Checkpoint()
-		}},
+		checkpoint,
 		crashTxStep("t5",
 			crashOp{op: "ins", rel: "r2", key: 6, val: 6},
 			crashOp{op: "ins", rel: "r1", key: 41, val: 6}),
@@ -273,6 +274,7 @@ func crashWorkloadSteps() []crashStep {
 			crashOp{op: "upd", rel: "r", idx: 1, key: 19, val: 5},
 			crashOp{op: "ins", rel: "r2", key: 7, val: 7}),
 		crashAggQueryStep("q-vagg-3", "vagg"),
+		checkpoint,
 		crashTxStep("t10",
 			crashOp{op: "ins", rel: "r", key: 21, val: 3},
 			crashOp{op: "ins", rel: "r", key: 23, val: 2}),
@@ -280,10 +282,14 @@ func crashWorkloadSteps() []crashStep {
 			crashOp{op: "del", rel: "r", idx: 2},
 			crashOp{op: "upd", rel: "r1", idx: 3, key: 43, val: 1}),
 		crashQueryStep("q-vsp-4", "vsp"),
+		checkpoint,
 		crashTxStep("t12",
 			crashOp{op: "ins", rel: "r", key: 26, val: 4},
 			crashOp{op: "upd", rel: "r", idx: 6, key: 12, val: 6}),
 		crashQueryStep("q-qr-2", "qr"),
+		// The explicit checkpoints are what lets the deltas outweigh the
+		// image when automatic checkpoints are off.
+		checkpoint,
 		crashQueryStep("q-qr1-2", "qr1"),
 	}
 	return steps

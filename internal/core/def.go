@@ -114,11 +114,38 @@ type Def struct {
 	GroupBy int
 }
 
+// Code walks the definition's byte layout — the one a create-view
+// request and a checkpoint header both carry: name, [8 kind], the
+// relation names, the predicate's atoms (pred.CodeAtoms), one counted
+// list of 8-byte columns per projected slot, then [8 key column]
+// [1 aggregate kind] [8 aggregate column] [8 group-by column]. Decoding
+// checks the layout only; Validate holds the result to the schemas.
+func (d *Def) Code(c *tuple.Coder) {
+	c.Str(&d.Name)
+	c.Int((*int)(&d.Kind))
+	tuple.List(c, &d.Relations, 4, (*tuple.Coder).Str)
+	p := d.Pred
+	if c.Decoding() || p == nil {
+		p = &pred.P{}
+	}
+	if pred.CodeAtoms(c, &p.Atoms); c.Decoding() {
+		d.Pred = p
+	}
+	tuple.List(c, &d.Project, 4, func(c *tuple.Coder, cols *[]int) { tuple.List(c, cols, 8, (*tuple.Coder).Int) })
+	c.Int(&d.ViewKeyCol)
+	c.U8((*uint8)(&d.AggKind))
+	c.Int(&d.AggCol)
+	c.Int(&d.GroupBy)
+}
+
 // Validate checks structural well-formedness against the given base
 // schemas (one per relation slot).
 func (d *Def) Validate(schemas []*tuple.Schema) error {
 	if d.Name == "" {
 		return fmt.Errorf("core: view needs a name")
+	}
+	if d.Kind < SelectProject || d.Kind > GroupedAggregate {
+		return fmt.Errorf("core: view %q has unknown kind %d", d.Name, int(d.Kind))
 	}
 	wantRels := 1
 	if d.Kind == Join {
@@ -133,20 +160,25 @@ func (d *Def) Validate(schemas []*tuple.Schema) error {
 	if d.Pred == nil {
 		return fmt.Errorf("core: view %q has no predicate (use pred.True())", d.Name)
 	}
+	// hasCol: slot names a relation of the view and col one of its columns.
+	hasCol := func(slot, col int) bool {
+		return slot >= 0 && slot < wantRels && col >= 0 && col < len(schemas[slot].Cols)
+	}
 	joins := 0
 	for _, a := range d.Pred.Atoms {
 		switch at := a.(type) {
 		case pred.Cmp:
-			if at.Rel >= wantRels {
-				return fmt.Errorf("core: view %q predicate references slot %d", d.Name, at.Rel)
-			}
-			if at.Col < 0 || at.Col >= len(schemas[at.Rel].Cols) {
+			if !hasCol(at.Rel, at.Col) {
 				return fmt.Errorf("core: view %q predicate references column %d of slot %d", d.Name, at.Col, at.Rel)
+			}
+			if at.Op > pred.Ge {
+				return fmt.Errorf("core: view %q predicate has unknown operator %d", d.Name, uint8(at.Op))
 			}
 		case pred.JoinEq:
 			joins++
-			if at.LRel >= wantRels || at.RRel >= wantRels {
-				return fmt.Errorf("core: view %q join references slot out of range", d.Name)
+			if !hasCol(at.LRel, at.LCol) || !hasCol(at.RRel, at.RCol) {
+				return fmt.Errorf("core: view %q joins column %d of slot %d to column %d of slot %d, out of range",
+					d.Name, at.LCol, at.LRel, at.RCol, at.RRel)
 			}
 		}
 	}
@@ -159,6 +191,9 @@ func (d *Def) Validate(schemas []*tuple.Schema) error {
 	if d.Kind == Aggregate || d.Kind == GroupedAggregate {
 		if d.AggCol < 0 || d.AggCol >= len(schemas[0].Cols) {
 			return fmt.Errorf("core: view %q aggregates column %d, out of range", d.Name, d.AggCol)
+		}
+		if d.AggKind > agg.StdDev {
+			return fmt.Errorf("core: view %q has unknown aggregate kind %d", d.Name, uint8(d.AggKind))
 		}
 		if ct := schemas[0].Cols[d.AggCol].Type; d.AggKind != agg.Count && ct == tuple.String {
 			return fmt.Errorf("core: view %q cannot %s a string column", d.Name, d.AggKind)

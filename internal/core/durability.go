@@ -1,13 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
 	"viewmat/internal/storage"
+	"viewmat/internal/tuple"
 	"viewmat/internal/wal"
 )
 
@@ -36,18 +35,19 @@ import (
 //   - A checkpoint is: flush the pool, append one frame (tagged with
 //     the last record's sequence number) to the append-only snapshot
 //     store, sync, forget the disk's recorded changes, then truncate
-//     the log. The frame is the catalog header plus either the pages,
-//     extents and free lists the disk recorded as changed since the
-//     previous frame (a delta frame, the usual case) or the whole disk
-//     image (a full frame, exactly Save's output: the first frame, and
-//     whenever the deltas since the last full frame outweigh
-//     fullRewriteFactor images). A crash between the frame's sync and
+//     the log. The frame is the catalog header plus the pages, extents
+//     and free lists the disk recorded as changed — since the previous
+//     frame (a delta frame, the usual case) or since the empty disk (a
+//     full frame, exactly Save's output: the first frame, and whenever
+//     the deltas since the last full frame outweigh fullRewriteFactor
+//     images). A crash between the frame's sync and
 //     the truncate leaves stale records in the log; their sequence
 //     numbers are ≤ the frame's, and recovery skips them.
 //
-//   - Recovery reads the last full frame, applies the delta frames
-//     after it to the disk image in memory, restores the engine once
-//     from the last frame's header, and replays the WAL tail.
+//   - Recovery applies the last full frame and the delta frames after
+//     it, in order, to an empty disk image in memory, restores the
+//     engine once from the last frame's header, and replays the WAL
+//     tail.
 //
 // None of this touches the simulated Disk or the cost meter: WAL and
 // snapshot devices live outside the metered world, so enabling
@@ -91,58 +91,70 @@ const fullRewriteFactor = 2
 
 // WAL record kinds.
 const (
-	recCommit  = 1
-	recRefresh = 2
+	recCommit  uint8 = 1
+	recRefresh uint8 = 2
 )
 
 // Refresh-record triggers.
 const (
 	// refreshKindStale replays leaderRefresh: evict, then the
 	// strategy-appropriate refresh if the view is (still) stale.
-	refreshKindStale = 1
+	refreshKindStale uint8 = 1
 	// refreshKindSnapshotForce replays RefreshSnapshot's unconditional
 	// recompute.
-	refreshKindSnapshotForce = 2
+	refreshKindSnapshotForce uint8 = 2
 	// refreshKindDeferredNow replays RefreshDeferredNow's idle-time
 	// deferred cycle.
-	refreshKindDeferredNow = 3
+	refreshKindDeferredNow uint8 = 3
 )
 
-// walRecord is the gob-encoded payload of one WAL frame.
+// walRecord is the payload of one WAL frame. ClockBefore is the id clock
+// observed under the engine lock before the work applied; replay
+// restores it first so ids allocated *during* the apply (by immediate
+// and periodic refreshes) come out identical, then advances to
+// ClockAfter.
 type walRecord struct {
-	Seq     uint64
-	Kind    int
-	Commit  *commitRecordDTO
-	Refresh *refreshRecordDTO
+	seq                     uint64
+	kind                    uint8
+	clockBefore, clockAfter uint64
+	// ops is a commit record's transaction: the queued ops with the ids
+	// they were assigned.
+	ops []txOp
+	// view and trigger are a refresh record's: which view a query
+	// refreshed and how (the refreshKind constants).
+	view    string
+	trigger uint8
 }
 
-// walOpDTO mirrors txOp with gob-friendly exported fields.
-type walOpDTO struct {
-	Kind  int
-	Rel   string
-	Vals  []valueDTO
-	Key   *valueDTO
-	ID    uint64
-	NewID uint64
-}
-
-// commitRecordDTO is a transaction's logical log image. ClockBefore is
-// the id clock observed under the engine lock before the ops applied;
-// replay restores it first so ids allocated *during* the apply (by
-// immediate and periodic refreshes) come out identical, then advances
-// to ClockAfter.
-type commitRecordDTO struct {
-	Ops         []walOpDTO
-	ClockBefore uint64
-	ClockAfter  uint64
-}
-
-// refreshRecordDTO logs one query-triggered refresh.
-type refreshRecordDTO struct {
-	View        string
-	Kind        int
-	ClockBefore uint64
-	ClockAfter  uint64
+// code walks a record's byte layout: [8 seq][1 kind], then for a commit
+// the two clocks and the ops — each in CodeTxOp's layout followed by
+// the [8 id] it was assigned (an insert's tuple, an update's
+// replacement; a delete assigns none) — and for a refresh the view
+// name, [1 trigger] and the two clocks.
+func (rec *walRecord) code(c *tuple.Coder) {
+	c.U64(&rec.seq)
+	c.U8(&rec.kind)
+	switch rec.kind {
+	case recCommit:
+		c.U64(&rec.clockBefore)
+		c.U64(&rec.clockAfter)
+		tuple.List(c, &rec.ops, minTxOpSize, func(c *tuple.Coder, op *txOp) {
+			CodeTxOp(c, (*uint8)(&op.kind), &op.rel, &op.key, &op.id, &op.vals)
+			switch op.kind {
+			case opInsert:
+				c.U64(&op.id)
+			case opUpdate:
+				c.U64(&op.newID)
+			}
+		})
+	case recRefresh:
+		c.Str(&rec.view)
+		c.U8(&rec.trigger)
+		c.U64(&rec.clockBefore)
+		c.U64(&rec.clockAfter)
+	default:
+		c.Fail("record of unknown kind %d", rec.kind)
+	}
 }
 
 // EnableDurability attaches a WAL device and a snapshot device to the
@@ -204,11 +216,11 @@ func (db *Database) checkpointLocked() error {
 	if !db.dur.chained || db.dur.snaps.DeltaBytes() > fullRewriteFactor*imageBytes {
 		kind = wal.FrameFull
 	}
-	var buf bytes.Buffer
-	if err := db.encodeSnapshotLocked(&buf, kind == wal.FrameDelta); err != nil {
+	body, err := db.snapshotBodyLocked(kind == wal.FrameFull)
+	if err != nil {
 		return fmt.Errorf("core: checkpoint snapshot: %w", err)
 	}
-	if err := db.dur.snaps.Append(db.dur.seq, kind, buf.Bytes()); err != nil {
+	if err := db.dur.snaps.Append(db.dur.seq, kind, body); err != nil {
 		return fmt.Errorf("core: checkpoint append: %w", err)
 	}
 	// Only now that the frame is durable may the disk forget what it
@@ -237,26 +249,28 @@ func (db *Database) catalogCheckpointLocked() error {
 	return db.checkpointLocked()
 }
 
-// appendRecordLocked assigns the next sequence number, gob-encodes the
-// record and appends it. Commit records sync — the durability barrier;
-// refresh records ride the next sync (see the file comment). Caller
-// holds the engine write lock.
+// appendRecordLocked gives the record the next sequence number and the
+// current id clock as its ClockAfter, and appends it. Commit records
+// sync — the durability barrier; refresh records ride the next sync
+// (see the file comment). Caller holds the engine write lock.
 func (db *Database) appendRecordLocked(rec *walRecord) error {
 	d := db.dur
-	rec.Seq = d.seq + 1
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	rec.seq, rec.clockAfter = d.seq+1, db.clock.Load()
+	enc := tuple.NewEncoder(make([]byte, 0, 256)).Compact()
+	rec.code(&enc)
+	payload, err := enc.Done()
+	if err != nil {
 		return err
 	}
-	if err := d.log.Append(buf.Bytes()); err != nil {
+	if err := d.log.Append(payload); err != nil {
 		return err
 	}
-	if rec.Kind == recCommit {
+	if rec.kind == recCommit {
 		if err := d.log.Sync(); err != nil {
 			return err
 		}
 	}
-	d.seq = rec.Seq
+	d.seq = rec.seq
 	return nil
 }
 
@@ -266,12 +280,7 @@ func (db *Database) logCommitLocked(ops []txOp, clockBefore uint64) error {
 	if db.dur == nil {
 		return nil
 	}
-	rec := &walRecord{Kind: recCommit, Commit: &commitRecordDTO{
-		Ops:         opsToDTO(ops),
-		ClockBefore: clockBefore,
-		ClockAfter:  db.clock.Load(),
-	}}
-	if err := db.appendRecordLocked(rec); err != nil {
+	if err := db.appendRecordLocked(&walRecord{kind: recCommit, ops: ops, clockBefore: clockBefore}); err != nil {
 		return fmt.Errorf("core: logging commit: %w", err)
 	}
 	db.dur.commitsSinceCkpt++
@@ -283,17 +292,11 @@ func (db *Database) logCommitLocked(ops []txOp, clockBefore uint64) error {
 
 // logRefreshLocked appends a refresh record. A no-op when durability is
 // off.
-func (db *Database) logRefreshLocked(view string, kind int, clockBefore uint64) error {
+func (db *Database) logRefreshLocked(view string, trigger uint8, clockBefore uint64) error {
 	if db.dur == nil {
 		return nil
 	}
-	rec := &walRecord{Kind: recRefresh, Refresh: &refreshRecordDTO{
-		View:        view,
-		Kind:        kind,
-		ClockBefore: clockBefore,
-		ClockAfter:  db.clock.Load(),
-	}}
-	if err := db.appendRecordLocked(rec); err != nil {
+	if err := db.appendRecordLocked(&walRecord{kind: recRefresh, view: view, trigger: trigger, clockBefore: clockBefore}); err != nil {
 		return fmt.Errorf("core: logging refresh of %q: %w", view, err)
 	}
 	return nil
@@ -339,6 +342,9 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recovering snapshot: %w", err)
 	}
+	// The disk records changes from here, so WAL replay and later work
+	// land in the next delta frame.
+	db.disk.ResetChanges()
 	snapSeq := frames[len(frames)-1].Seq
 	info := &RecoverInfo{SnapshotSeq: snapSeq, FullSeq: frames[0].Seq, Deltas: len(frames) - 1}
 	r, err := wal.NewReader(walDev)
@@ -365,22 +371,24 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 			return nil, nil, err
 		}
 		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		dec := tuple.NewDecoder(payload).Compact()
+		rec.code(&dec)
+		if _, err := dec.Done(); err != nil {
 			// The frame passed its checksum but the payload does not
 			// decode: damage beyond what the frame layer can detect.
 			// Stop replay here like any other damaged tail.
 			info.TailDamage = "corrupt"
 			break
 		}
-		if rec.Seq <= snapSeq {
+		if rec.seq <= snapSeq {
 			info.Skipped++
 			continue
 		}
 		if err := db.applyRecordLocked(&rec); err != nil {
 			db.mu.Unlock()
-			return nil, nil, fmt.Errorf("core: replaying record %d: %w", rec.Seq, err)
+			return nil, nil, fmt.Errorf("core: replaying record %d: %w", rec.seq, err)
 		}
-		lastSeq = rec.Seq
+		lastSeq = rec.seq
 		info.Replayed++
 	}
 	db.mu.Unlock()
@@ -398,74 +406,24 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	return db, info, nil
 }
 
-// restoreChain rebuilds the engine a recovery chain describes: the full
-// frame's disk image with each delta applied in order, under the last
-// frame's catalog header. The restored disk tracks changes from here,
-// so WAL replay and later work land in the next delta frame.
-func restoreChain(frames []wal.SnapshotFrame) (*Database, error) {
-	var (
-		snap *dbSnapshot
-		img  *storage.DiskImage
-	)
-	for i, f := range frames {
-		var err error
-		if snap, err = decodeSnapshot(bytes.NewReader(f.Body)); err != nil {
-			return nil, fmt.Errorf("frame %d of %d (seq %d): %w", i+1, len(frames), f.Seq, err)
-		}
-		switch {
-		case i == 0 && f.Kind == wal.FrameFull && snap.Disk != nil:
-			img = snap.Disk
-		case i > 0 && f.Kind == wal.FrameDelta && snap.Delta != nil:
-			var delta *storage.DiskDelta
-			if delta, err = storage.DecodeDiskDelta(snap.Delta); err == nil {
-				err = img.Apply(delta)
-			}
-		default:
-			err = fmt.Errorf("kind %d does not match its body or its place in the chain", f.Kind)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: frame %d of %d (seq %d): %v", ErrSnapshotCorrupt, i+1, len(frames), f.Seq, err)
-		}
-	}
-	disk, err := storage.RestoreDisk(img)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	disk.ResetChanges()
-	return restoreDatabase(snap, disk)
-}
-
 // applyRecordLocked replays one WAL record through the normal engine
 // code paths. Caller holds the engine write lock.
 func (db *Database) applyRecordLocked(rec *walRecord) error {
-	switch rec.Kind {
-	case recCommit:
-		c := rec.Commit
-		if c == nil {
-			return fmt.Errorf("core: commit record %d has no body", rec.Seq)
+	db.maxStoreClock(rec.clockBefore)
+	var err error
+	if rec.kind == recCommit {
+		for _, op := range rec.ops {
+			if _, ok := db.rels[op.rel]; !ok {
+				return fmt.Errorf("core: WAL op references unknown relation %q", op.rel)
+			}
 		}
-		db.maxStoreClock(c.ClockBefore)
-		ops, err := db.opsFromDTO(c.Ops)
-		if err != nil {
-			return err
-		}
-		if err := db.applyOpsLocked(ops); err != nil {
-			return err
-		}
-		db.maxStoreClock(c.ClockAfter)
-		return nil
-	case recRefresh:
-		rr := rec.Refresh
-		if rr == nil {
-			return fmt.Errorf("core: refresh record %d has no body", rec.Seq)
-		}
-		vs, ok := db.views[rr.View]
+		err = db.applyOpsLocked(rec.ops)
+	} else {
+		vs, ok := db.views[rec.view]
 		if !ok {
-			return fmt.Errorf("core: refresh record for unknown view %q", rr.View)
+			return fmt.Errorf("core: refresh record for unknown view %q", rec.view)
 		}
-		db.maxStoreClock(rr.ClockBefore)
-		var err error
-		switch rr.Kind {
+		switch rec.trigger {
 		case refreshKindStale:
 			// Mirror leaderRefresh: the record was only written after an
 			// actual refresh, and replay determinism means the view is
@@ -485,16 +443,14 @@ func (db *Database) applyRecordLocked(rec *walRecord) error {
 				err = db.foldRelationsLocked(vs.def.Relations)
 			}
 		default:
-			err = fmt.Errorf("core: unknown refresh kind %d", rr.Kind)
+			err = fmt.Errorf("core: unknown refresh trigger %d", rec.trigger)
 		}
-		if err != nil {
-			return err
-		}
-		db.maxStoreClock(rr.ClockAfter)
-		return nil
-	default:
-		return fmt.Errorf("core: unknown record kind %d", rec.Kind)
 	}
+	if err != nil {
+		return err
+	}
+	db.maxStoreClock(rec.clockAfter)
+	return nil
 }
 
 // maxStoreClock advances the id clock to at least v (never backward —
@@ -509,43 +465,4 @@ func (db *Database) maxStoreClock(v uint64) {
 			return
 		}
 	}
-}
-
-func opsToDTO(ops []txOp) []walOpDTO {
-	out := make([]walOpDTO, len(ops))
-	for i, op := range ops {
-		d := walOpDTO{Kind: int(op.kind), Rel: op.rel, ID: op.id, NewID: op.newID}
-		for _, v := range op.vals {
-			d.Vals = append(d.Vals, valueToDTO(v))
-		}
-		if op.kind != opInsert {
-			k := valueToDTO(op.key)
-			d.Key = &k
-		}
-		out[i] = d
-	}
-	return out
-}
-
-func (db *Database) opsFromDTO(dtos []walOpDTO) ([]txOp, error) {
-	ops := make([]txOp, len(dtos))
-	for i, d := range dtos {
-		if _, ok := db.rels[d.Rel]; !ok {
-			return nil, fmt.Errorf("core: WAL op references unknown relation %q", d.Rel)
-		}
-		op := txOp{kind: txOpKind(d.Kind), rel: d.Rel, id: d.ID, newID: d.NewID}
-		switch op.kind {
-		case opInsert, opDelete, opUpdate:
-		default:
-			return nil, fmt.Errorf("core: WAL op of unknown kind %d", d.Kind)
-		}
-		for _, v := range d.Vals {
-			op.vals = append(op.vals, valueFromDTO(v))
-		}
-		if d.Key != nil {
-			op.key = valueFromDTO(*d.Key)
-		}
-		ops[i] = op
-	}
-	return ops, nil
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
 
+	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/wal"
@@ -74,6 +76,14 @@ func FuzzSnapshotChain(f *testing.F) {
 	f.Add(frames[0].Body, uint8(modeDeltaBody)) // a full body under a delta kind
 	f.Add(frames[0].Body, uint8(modeFullBody))
 	f.Add(frames[1].Body, uint8(modeFullBody))
+	// A well-formed full body whose view definition Def.Validate must
+	// refuse: slot -1 used to index the schemas.
+	hostile, disk, err := decodeSnapshot(frames[0].Body)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hostile.views[0].vs.def.Pred = pred.New(pred.Cmp{Rel: -1}, pred.JoinEq{LRel: -1, RCol: 99})
+	f.Add(encodeSnapshot(f, *hostile, disk), uint8(modeFullBody))
 
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		var dev *storage.FaultDisk
@@ -107,6 +117,46 @@ func FuzzSnapshotChain(f *testing.F) {
 		// Whatever was accepted must be a working engine.
 		if err := rec.Save(io.Discard); err != nil {
 			t.Fatalf("recovered engine cannot save: %v", err)
+		}
+	})
+}
+
+// FuzzWALRecord feeds arbitrary payloads to the WAL record decoder. It
+// never panics, and the layout is canonical: whatever decodes encodes
+// back to the same bytes.
+func FuzzWALRecord(f *testing.F) {
+	encode := func(rec *walRecord) []byte {
+		enc := tuple.NewEncoder(nil).Compact()
+		rec.code(&enc)
+		b, err := enc.Done()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	commit := encode(&walRecord{seq: 9, kind: recCommit, clockBefore: 40, clockAfter: 43, ops: []txOp{
+		{kind: opInsert, rel: "r", vals: []tuple.Value{tuple.I(1), tuple.F(2.5), tuple.S("x")}, id: 41},
+		{kind: opDelete, rel: "r", key: tuple.I(7), id: 12},
+		{kind: opUpdate, rel: "r2", key: tuple.S("k"), id: 3, vals: []tuple.Value{tuple.S("k"), tuple.I(-1)}, newID: 42},
+	}})
+	f.Add(commit)
+	f.Add(commit[:len(commit)-5])
+	f.Add(append(bytes.Clone(commit), 0))
+	f.Add(encode(&walRecord{seq: 10, kind: recRefresh, view: "v", trigger: refreshKindStale, clockBefore: 43, clockAfter: 50}))
+	f.Add([]byte{1, 3}) // seq 1, a kind that does not exist
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec walRecord
+		dec := tuple.NewDecoder(data).Compact()
+		rec.code(&dec)
+		if _, err := dec.Done(); err != nil {
+			return
+		}
+		enc := tuple.NewEncoder(nil).Compact()
+		rec.code(&enc)
+		if again, err := enc.Done(); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("record %+v re-encodes to %x (%v), decoded from %x", rec, again, err, data)
 		}
 	})
 }

@@ -270,12 +270,20 @@ type Options struct {
 
 // NewDatabase creates an empty engine.
 func NewDatabase(opts Options) *Database {
-	disk := storage.NewDisk(opts.PageSize)
+	db := newDatabase(storage.NewDisk(opts.PageSize), opts.PoolFrames, opts.HR)
+	db.maxRefreshWorkers = opts.MaxRefreshWorkers
+	db.storageBudget = opts.StorageBudget
+	db.disk.SetIOLatency(opts.SimulatedIOLatency)
+	return db
+}
+
+// newDatabase builds an engine with an empty catalog over disk: the
+// common start of NewDatabase and of a restore.
+func newDatabase(disk *storage.Disk, poolFrames int, hrConfig hr.Config) *Database {
 	meter := storage.NewMeter()
-	pool := storage.NewPool(disk, meter, opts.PoolFrames)
-	db := &Database{
+	return &Database{
 		disk:      disk,
-		pool:      pool,
+		pool:      storage.NewPool(disk, meter, poolFrames),
 		meter:     meter,
 		locks:     rules.NewTable(meter),
 		rels:      map[string]*relation.Relation{},
@@ -283,14 +291,10 @@ func NewDatabase(opts Options) *Database {
 		views:     map[string]*viewState{},
 		children:  map[string][]string{},
 		heavy:     map[string]*hlTracker{},
+		hrConfig:  hrConfig,
 		breakdown: map[Phase]storage.Stats{},
 		inflight:  map[string]*refreshFlight{},
 	}
-	db.hrConfig = opts.HR
-	db.maxRefreshWorkers = opts.MaxRefreshWorkers
-	db.storageBudget = opts.StorageBudget
-	disk.SetIOLatency(opts.SimulatedIOLatency)
-	return db
 }
 
 // DeltaScanCount returns how many base-relation delta-expansion passes
@@ -465,7 +469,7 @@ func (db *Database) createViewLocked(def Def, strategy Strategy) error {
 	if _, dup := db.views[def.Name]; dup {
 		return fmt.Errorf("%w: view %q exists", ErrDuplicateView, def.Name)
 	}
-	if _, known := strategyTable[strategy]; !known {
+	if !strategy.Valid() {
 		return fmt.Errorf("core: view %q: unknown strategy %d", def.Name, int(strategy))
 	}
 	parent, err := db.checkHierarchyLocked(def)
@@ -528,13 +532,16 @@ func (db *Database) ViewNames() []string {
 }
 
 // viewNamesLocked is ViewNames for callers already holding db.mu.
-func (db *Database) viewNamesLocked() []string {
-	out := make([]string, 0, len(db.views))
-	for n := range db.views {
-		out = append(out, n)
+func (db *Database) viewNamesLocked() []string { return sortedKeys(db.views) }
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
 func sortViewsByName(views []*viewState) {

@@ -105,13 +105,8 @@ type HeavyLightStat struct {
 func (db *Database) HeavyLightStats() []HeavyLightStat {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.heavy))
-	for n := range db.heavy {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]HeavyLightStat, 0, len(names))
-	for _, n := range names {
+	out := make([]HeavyLightStat, 0, len(db.heavy))
+	for _, n := range sortedKeys(db.heavy) {
 		t := db.heavy[n]
 		st := HeavyLightStat{
 			Rel:       n,

@@ -1,182 +1,106 @@
 package core
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"strings"
 
 	"viewmat/internal/agg"
+	"viewmat/internal/btree"
 	"viewmat/internal/costmodel"
+	"viewmat/internal/hashidx"
 	"viewmat/internal/hr"
-	"viewmat/internal/pred"
 	"viewmat/internal/relation"
-	"viewmat/internal/rules"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/wal"
 )
 
 // Save serializes the whole database — catalog, view state and the
-// disk image — to w (encoding/gob). Dirty buffer-pool frames are
-// flushed first so the image is consistent. A database restored with
-// Load answers every query identically and continues from the same
-// tuple-id clock.
+// disk — to w, as the body of a full checkpoint frame. Dirty
+// buffer-pool frames are flushed first so the image is consistent. A
+// database restored with Load answers every query identically and
+// continues from the same tuple-id clock.
 func (db *Database) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.encodeSnapshotLocked(w, false)
-}
-
-// encodeSnapshotLocked flushes the pool and writes the catalog header
-// with the disk beside it: the whole image (Save, and a full checkpoint
-// frame), or — delta — only what the disk recorded as changed since its
-// last ResetChanges (a delta checkpoint frame). The header is the same
-// either way, so a delta frame restores exactly what a Save at the same
-// moment would. Caller holds db.mu.
-func (db *Database) encodeSnapshotLocked(w io.Writer, delta bool) error {
-	if err := db.pool.FlushAll(); err != nil {
+	body, err := db.snapshotBodyLocked(true)
+	if err != nil {
 		return err
 	}
-	snap := dbSnapshot{
-		Version:    snapshotVersion,
-		PageSize:   db.disk.PageSize(),
-		PoolFrames: db.pool.Capacity(),
-		HRConfig:   db.hrConfig,
-		Clock:      db.clock.Load(),
+	_, err = w.Write(body)
+	return err
+}
+
+// snapshotBodyLocked flushes the pool and encodes a checkpoint frame's
+// body: the catalog header with the disk beside it as a DiskDelta —
+// against the empty disk (full: Save, and a full frame), or against the
+// disk's last ResetChanges (a delta frame). The header is the same
+// either way, so a delta frame restores exactly what a Save at the same
+// moment would. Caller holds db.mu.
+func (db *Database) snapshotBodyLocked(full bool) ([]byte, error) {
+	if err := db.pool.FlushAll(); err != nil {
+		return nil, err
 	}
-	if delta {
-		var err error
-		if snap.Delta, err = db.disk.Delta().AppendBinary(nil); err != nil {
-			return err
-		}
-	} else {
-		snap.Disk = db.disk.Snapshot()
+	delta := db.disk.Delta()
+	if full {
+		delta = db.disk.FullDelta()
 	}
-	relNames := make([]string, 0, len(db.rels))
-	for n := range db.rels {
-		relNames = append(relNames, n)
-	}
-	sort.Strings(relNames)
-	for _, n := range relNames {
-		r := db.rels[n]
-		snap.Relations = append(snap.Relations, relationDTO{
-			Name:   n,
-			Schema: schemaToDTO(r.Schema()),
-			Meta:   r.Meta(),
-		})
-	}
-	// Views are saved parents-before-children so Load can resolve a
-	// child's source schema against the already-restored parent.
-	viewNames := db.viewNamesLocked()
-	sort.SliceStable(viewNames, func(i, j int) bool {
-		return db.viewDepth(db.views[viewNames[i]]) < db.viewDepth(db.views[viewNames[j]])
-	})
-	for _, n := range viewNames {
-		vs := db.views[n]
-		dto := viewDTO{
-			Def:           defToDTO(vs.def),
-			Strategy:      int(vs.strategy),
-			Plan:          int(vs.plan),
-			Blakeley:      vs.blakeley,
-			SnapshotEvery: vs.snapshotEvery,
-			RefreshEvery:  vs.refreshEvery,
-			StaleCommits:  vs.staleCommits,
-			Dirty:         vs.dirty,
-			ParentPos:     vs.parentPos,
-			ParentGen:     vs.parentGen,
-			LogStart:      vs.logStart,
-			LogGen:        vs.logGen,
-			BaseRels:      append([]string(nil), vs.baseRels...),
-		}
-		for _, d := range vs.deltaLog {
-			vals := make([]valueDTO, len(d.vals))
-			for i, v := range d.vals {
-				vals[i] = valueToDTO(v)
-			}
-			dto.DeltaLog = append(dto.DeltaLog, viewDeltaDTO{Vals: vals, Insert: d.insert})
-		}
-		if vs.mat != nil {
-			m := vs.mat.rel.Meta()
-			dto.MatMeta = &m
-		}
-		if vs.groups != nil {
-			m := vs.groups.rel.Meta()
-			dto.GroupMeta = &m
-		}
-		if vs.aggState != nil {
-			dto.HasAgg = true
-			dto.AggPage = vs.aggPage
-		}
-		snap.Views = append(snap.Views, dto)
-	}
-	hlNames := make([]string, 0, len(db.heavy))
-	for n := range db.heavy {
-		hlNames = append(hlNames, n)
-	}
-	sort.Strings(hlNames)
-	for _, n := range hlNames {
-		t := db.heavy[n]
-		dto := hlDTO{
-			Rel:       n,
-			Threshold: t.threshold,
-			MinTotal:  t.minTotal,
-			Total:     t.total,
-			HeavyOps:  t.heavyOps,
-			LightOps:  t.lightOps,
-		}
-		keys := make([]string, 0, len(t.counts))
-		for k := range t.counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			dto.Counts = append(dto.Counts, hlCountDTO{Key: k, N: t.counts[k]})
-		}
-		snap.HeavyLight = append(snap.HeavyLight, dto)
-	}
-	hrNames := make([]string, 0, len(db.hrs))
-	for n := range db.hrs {
-		hrNames = append(hrNames, n)
-	}
-	sort.Strings(hrNames)
-	for _, n := range hrNames {
-		snap.HRs = append(snap.HRs, hrDTO{Relation: n, ADMeta: db.hrs[n].ADMeta()})
+	header := db.catalogHeaderLocked()
+	disk, err := delta.AppendBinary(nil)
+	if err != nil {
+		return nil, err
 	}
 	if db.adv != nil {
 		db.adv.mu.Lock()
-		adto := &advisorDTO{
-			Hysteresis:         db.adv.opts.Hysteresis,
-			FlipPenalty:        db.adv.opts.FlipPenalty,
-			MinObservations:    db.adv.opts.MinObservations,
-			HalfLife:           db.adv.opts.HalfLife,
-			SnapshotEvery:      db.adv.opts.SnapshotEvery,
-			StorageBudget:      db.adv.opts.StorageBudget,
-			ExtendedStrategies: db.adv.opts.ExtendedStrategies,
-		}
-		avNames := make([]string, 0, len(db.adv.views))
-		for n := range db.adv.views {
-			avNames = append(avNames, n)
-		}
-		sort.Strings(avNames)
-		for _, n := range avNames {
-			av := db.adv.views[n]
-			adto.Views = append(adto.Views, advViewDTO{
-				Name:       n,
-				Est:        av.est.Snapshot(),
-				FCache:     av.fCache,
-				FlipScore:  av.flipScore,
-				Flips:      av.flips,
-				LastFrom:   int(av.lastFrom),
-				LastTo:     int(av.lastTo),
-				LastReason: av.lastReason,
-			})
-		}
-		db.adv.mu.Unlock()
-		snap.Advisor = adto
+		defer db.adv.mu.Unlock()
 	}
-	return gob.NewEncoder(w).Encode(&snap)
+	enc := tuple.NewEncoder(make([]byte, 0, len(disk)+1024)).Compact()
+	codeSnapshot(&enc, &header, &disk)
+	return enc.Done()
+}
+
+// catalogHeaderLocked collects the header of the engine's current
+// state. The header shares the engine's view states, trackers and
+// advisor; it is encoded before the lock is released.
+func (db *Database) catalogHeaderLocked() catalogHeader {
+	h := catalogHeader{
+		poolFrames: db.pool.Capacity(),
+		hrConfig:   db.hrConfig,
+		clock:      db.clock.Load(),
+		relations:  make(map[string]relationEntry, len(db.rels)),
+		hrs:        make(map[string]hr.ADMeta, len(db.hrs)),
+		heavy:      db.heavy,
+		advisor:    db.adv,
+	}
+	for n, r := range db.rels {
+		h.relations[n] = relationEntry{schema: r.Schema(), meta: r.Meta()}
+	}
+	for n, hyp := range db.hrs {
+		h.hrs[n] = hyp.ADMeta()
+	}
+	// Views are saved parents-before-children so a restore can resolve a
+	// child's source schema against the already-restored parent.
+	names := db.viewNamesLocked()
+	sort.SliceStable(names, func(i, j int) bool {
+		return db.viewDepth(db.views[names[i]]) < db.viewDepth(db.views[names[j]])
+	})
+	for _, n := range names {
+		vs := db.views[n]
+		e := viewEntry{vs: vs, hasAgg: vs.aggState != nil}
+		if vs.mat != nil {
+			m := vs.mat.rel.Meta()
+			e.mat = &m
+		}
+		if vs.groups != nil {
+			m := vs.groups.rel.Meta()
+			e.groups = &m
+		}
+		h.views = append(h.views, e)
+	}
+	return h
 }
 
 // ErrSnapshotTruncated and ErrSnapshotCorrupt classify Load failures:
@@ -189,446 +113,378 @@ var (
 	ErrSnapshotCorrupt   = errors.New("core: snapshot corrupt")
 )
 
-// classifySnapshotErr maps a gob decode failure to truncation (the
-// stream ran out) or corruption (everything else). gob reports a
-// mid-value cut as io.ErrUnexpectedEOF and a cut between fields with
-// messages wrapping "unexpected EOF"; a cut before any byte is io.EOF.
-func classifySnapshotErr(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		strings.Contains(err.Error(), "unexpected EOF") {
-		return ErrSnapshotTruncated
-	}
-	return ErrSnapshotCorrupt
-}
-
 // Load reconstructs a database saved with Save. The restored engine's
 // meter starts at zero (loading is setup, not workload). Failures wrap
 // ErrSnapshotTruncated or ErrSnapshotCorrupt.
 func Load(r io.Reader) (*Database, error) {
-	snap, err := decodeSnapshot(r)
+	body, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if snap.Disk == nil {
-		return nil, fmt.Errorf("%w: no disk image", ErrSnapshotCorrupt)
+	return restoreChain([]wal.SnapshotFrame{{Body: body}})
+}
+
+// snapshotMagic opens every snapshot body; its last byte is the format
+// version. Version 1 was an encoding/gob stream and had no magic.
+const snapshotMagic = "VMS\x02"
+
+// codeSnapshot walks one checkpoint frame's body (all of Save's output):
+// the magic, the catalog header, and the disk's changes — a
+// storage.DiskDelta in its own encoding — behind their length.
+func codeSnapshot(c *tuple.Coder, h *catalogHeader, disk *[]byte) {
+	magic := []byte(snapshotMagic)
+	for i := range magic {
+		c.U8(&magic[i])
 	}
-	disk, err := storage.RestoreDisk(snap.Disk)
+	if string(magic) != snapshotMagic {
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, is not readable)",
+			snapshotMagic[3], magic, snapshotMagic)
+		return
+	}
+	h.code(c)
+	c.Bytes(disk)
+}
+
+// decodeSnapshot decodes one frame body. Running out of bytes is
+// ErrSnapshotTruncated; every other failure is ErrSnapshotCorrupt.
+func decodeSnapshot(body []byte) (*catalogHeader, *storage.DiskDelta, error) {
+	var (
+		header catalogHeader
+		disk   []byte
+	)
+	dec := tuple.NewDecoder(body).Compact()
+	codeSnapshot(&dec, &header, &disk)
+	if _, err := dec.Done(); err != nil {
+		class := ErrSnapshotCorrupt
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			class = ErrSnapshotTruncated
+		}
+		return nil, nil, fmt.Errorf("%w: decoding: %v", class, err)
+	}
+	delta, err := storage.DecodeDiskDelta(disk)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	return &header, delta, nil
+}
+
+// restoreChain rebuilds the engine a chain of frames describes: every
+// body's disk delta applied in order to an empty image — the first is a
+// full frame's, taken against the empty disk — under the last body's
+// catalog header.
+func restoreChain(frames []wal.SnapshotFrame) (*Database, error) {
+	var (
+		header *catalogHeader
+		img    *storage.DiskImage
+	)
+	for i, f := range frames {
+		h, delta, err := decodeSnapshot(f.Body)
+		if err == nil {
+			if img == nil {
+				img = &storage.DiskImage{PageSize: delta.PageSize}
+			}
+			if err = img.Apply(delta); err != nil {
+				err = fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+			}
+		}
+		if err != nil {
+			if len(frames) > 1 {
+				err = fmt.Errorf("frame %d of %d (seq %d): %w", i+1, len(frames), f.Seq, err)
+			}
+			return nil, err
+		}
+		header = h
+	}
+	disk, err := storage.RestoreDisk(img)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	return restoreDatabase(snap, disk)
+	return restoreDatabase(header, disk)
 }
 
-// decodeSnapshot reads one encoded snapshot — a Save stream or a
-// checkpoint frame body — and checks its version.
-func decodeSnapshot(r io.Reader) (*dbSnapshot, error) {
-	var snap dbSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("%w: decoding: %v", classifySnapshotErr(err), err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotCorrupt, snap.Version, snapshotVersion)
-	}
-	return &snap, nil
-}
-
-// restoreDatabase rebuilds an engine from a snapshot's catalog header
-// over an already restored disk (the header's own Disk/Delta are not
-// consulted: recovery assembles the disk from a chain of frames). A
-// header that does not fit the disk — a meta naming a page that is not
-// there, an undecodable aggregate page — is a corrupt snapshot like any
-// other, whichever layer notices.
-func restoreDatabase(snap *dbSnapshot, disk *storage.Disk) (_ *Database, err error) {
+// restoreDatabase rebuilds an engine from a catalog header over an
+// already restored disk. A header that does not fit the disk — a meta
+// naming a page that is not there, an undecodable aggregate page — is a
+// corrupt snapshot like any other, whichever layer notices.
+func restoreDatabase(h *catalogHeader, disk *storage.Disk) (_ *Database, err error) {
 	defer func() {
 		if err != nil && !errors.Is(err, ErrSnapshotCorrupt) {
 			err = fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
 		}
 	}()
-	meter := storage.NewMeter()
-	db := &Database{
-		disk:      disk,
-		pool:      storage.NewPool(disk, meter, snap.PoolFrames),
-		meter:     meter,
-		locks:     rules.NewTable(meter),
-		rels:      map[string]*relation.Relation{},
-		hrs:       map[string]*hr.HR{},
-		views:     map[string]*viewState{},
-		children:  map[string][]string{},
-		heavy:     map[string]*hlTracker{},
-		hrConfig:  snap.HRConfig,
-		breakdown: map[Phase]storage.Stats{},
-		inflight:  map[string]*refreshFlight{},
+	db := newDatabase(disk, h.poolFrames, h.hrConfig)
+	if db.adv = h.advisor; h.heavy != nil {
+		db.heavy = h.heavy
 	}
-	db.clock.Store(snap.Clock)
+	db.clock.Store(h.clock)
 
-	for _, rd := range snap.Relations {
-		rel, err := relation.Open(disk, db.pool, rd.Name, schemaFromDTO(rd.Schema), rd.Meta)
+	for _, name := range sortedKeys(h.relations) {
+		re := h.relations[name]
+		rel, err := relation.Open(disk, db.pool, name, re.schema, re.meta)
 		if err != nil {
-			return nil, fmt.Errorf("core: reopening relation %q: %w", rd.Name, err)
+			return nil, fmt.Errorf("core: reopening relation %q: %w", name, err)
 		}
-		db.rels[rd.Name] = rel
+		db.rels[name] = rel
 	}
-	for _, hd := range snap.HRs {
-		base, ok := db.rels[hd.Relation]
+	for _, name := range sortedKeys(h.hrs) {
+		base, ok := db.rels[name]
 		if !ok {
-			return nil, fmt.Errorf("%w: HR for unknown relation %q", ErrSnapshotCorrupt, hd.Relation)
+			return nil, fmt.Errorf("HR for unknown relation %q", name)
 		}
-		h, err := hr.Open(disk, db.pool, base, snap.HRConfig, hd.ADMeta)
-		if err != nil {
+		if db.hrs[name], err = hr.Open(disk, db.pool, base, h.hrConfig, h.hrs[name]); err != nil {
 			return nil, err
 		}
-		db.hrs[hd.Relation] = h
 	}
-	for _, vd := range snap.Views {
-		def, err := defFromDTO(vd.Def)
-		if err != nil {
-			return nil, err
-		}
+	for _, ve := range h.views {
+		vs, def := ve.vs, &ve.vs.def
 		// A source name resolves against the base relations first, then
 		// the already-loaded views (the save order is parents-first, so
 		// a child's parent is always present by now).
-		schemas := make([]*tuple.Schema, 0, len(def.Relations))
 		for _, rn := range def.Relations {
 			if rel, ok := db.rels[rn]; ok {
-				schemas = append(schemas, rel.Schema())
+				vs.schemas = append(vs.schemas, rel.Schema())
 				continue
 			}
 			p, ok := db.views[rn]
 			if !ok || len(def.Relations) != 1 {
-				return nil, fmt.Errorf("%w: view %q references unknown relation %q", ErrSnapshotCorrupt, def.Name, rn)
+				return nil, fmt.Errorf("view %q references unknown relation %q", def.Name, rn)
 			}
-			schemas = append(schemas, p.def.OutputSchema(p.schemas))
+			vs.schemas = append(vs.schemas, p.def.OutputSchema(p.schemas))
 		}
 		// The definition came from outside the program: hold it to what
 		// CreateView would have accepted before anything indexes by it.
-		if err := def.Validate(schemas); err != nil {
+		if err := def.Validate(vs.schemas); err != nil {
 			return nil, err
 		}
-		vs := &viewState{
-			def:           def,
-			strategy:      Strategy(vd.Strategy),
-			schemas:       schemas,
-			plan:          QueryPlan(vd.Plan),
-			blakeley:      vd.Blakeley,
-			snapshotEvery: vd.SnapshotEvery,
-			refreshEvery:  vd.RefreshEvery,
-			staleCommits:  vd.StaleCommits,
-			dirty:         vd.Dirty,
-			parentPos:     vd.ParentPos,
-			parentGen:     vd.ParentGen,
-			logStart:      vd.LogStart,
-			logGen:        vd.LogGen,
+		if !vs.strategy.Valid() {
+			return nil, fmt.Errorf("view %q has unknown strategy %d", def.Name, int(vs.strategy))
 		}
-		for _, dd := range vd.DeltaLog {
-			vals := make([]tuple.Value, len(dd.Vals))
-			for i, v := range dd.Vals {
-				vals[i] = valueFromDTO(v)
-			}
-			vs.deltaLog = append(vs.deltaLog, viewDelta{vals: vals, insert: dd.Insert})
-		}
-		if vd.MatMeta != nil {
-			mat, err := OpenMatView(disk, db.pool, def.Name, def.OutputSchema(schemas), def.ViewKeyCol, *vd.MatMeta)
-			if err != nil {
+		if ve.mat != nil {
+			if vs.mat, err = OpenMatView(disk, db.pool, def.Name, def.OutputSchema(vs.schemas), def.ViewKeyCol, *ve.mat); err != nil {
 				return nil, fmt.Errorf("core: reopening view %q: %w", def.Name, err)
 			}
-			vs.mat = mat
 		}
-		if vd.GroupMeta != nil {
-			groupTyp := schemas[0].Cols[def.GroupBy].Type
-			rel, err := relation.Open(disk, db.pool, def.Name+".groups", groupStoreSchema(groupTyp), *vd.GroupMeta)
+		if ve.groups != nil {
+			if def.Kind != GroupedAggregate {
+				return nil, fmt.Errorf("%s view %q has a group store", def.Kind, def.Name)
+			}
+			groupTyp := vs.schemas[0].Cols[def.GroupBy].Type
+			rel, err := relation.Open(disk, db.pool, def.Name+".groups", groupStoreSchema(groupTyp), *ve.groups)
 			if err != nil {
 				return nil, fmt.Errorf("core: reopening groups of %q: %w", def.Name, err)
 			}
 			vs.groups = &groupStore{rel: rel, groupTyp: groupTyp}
 		}
-		if vd.HasAgg {
+		if ve.hasAgg {
 			vs.aggFile = disk.Open(def.Name + ".agg")
-			vs.aggPage = vd.AggPage
 			page, err := vs.aggFile.Peek(vs.aggPage)
 			if err != nil {
 				return nil, fmt.Errorf("core: aggregate page for %q: %w", def.Name, err)
 			}
-			state, err := agg.DecodeState(page)
-			if err != nil {
+			if vs.aggState, err = agg.DecodeState(page); err != nil {
 				return nil, fmt.Errorf("core: aggregate state for %q: %w", def.Name, err)
 			}
-			vs.aggState = state
-		}
-		if _, known := strategyTable[vs.strategy]; !known {
-			return nil, fmt.Errorf("%w: view %q has unknown strategy %d", ErrSnapshotCorrupt, def.Name, vd.Strategy)
 		}
 		db.placeLocksLocked(vs)
-		if len(vd.BaseRels) > 0 {
-			vs.baseRels = vd.BaseRels
-		} else {
-			// Pre-hierarchy snapshots carry no lineage; derive it (for
-			// non-children this is just def.Relations).
-			vs.baseRels = db.baseRelsOfLocked(def)
-		}
+		vs.baseRels = db.baseRelsOfLocked(*def)
 		db.views[def.Name] = vs
 	}
 	db.rebuildChildrenLocked()
-	for _, hd := range snap.HeavyLight {
-		t := &hlTracker{
-			threshold: hd.Threshold,
-			minTotal:  hd.MinTotal,
-			total:     hd.Total,
-			counts:    map[string]int64{},
-			heavyOps:  hd.HeavyOps,
-			lightOps:  hd.LightOps,
-		}
-		for _, c := range hd.Counts {
-			t.counts[c.Key] = c.N
-		}
-		db.heavy[hd.Rel] = t
-	}
-	if snap.Advisor != nil {
-		a := snap.Advisor
-		adv := &advisor{
-			opts: AdvisorOptions{
-				Hysteresis:         a.Hysteresis,
-				FlipPenalty:        a.FlipPenalty,
-				MinObservations:    a.MinObservations,
-				HalfLife:           a.HalfLife,
-				SnapshotEvery:      a.SnapshotEvery,
-				StorageBudget:      a.StorageBudget,
-				ExtendedStrategies: a.ExtendedStrategies,
-			}.withDefaults(),
-			views: map[string]*advView{},
-		}
-		for _, avd := range a.Views {
-			av := &advView{
-				est:        costmodel.Estimator{HalfLife: adv.opts.HalfLife},
-				fCache:     avd.FCache,
-				flipScore:  avd.FlipScore,
-				flips:      avd.Flips,
-				lastFrom:   Strategy(avd.LastFrom),
-				lastTo:     Strategy(avd.LastTo),
-				lastReason: avd.LastReason,
-			}
-			av.est.Restore(avd.Est)
-			adv.views[avd.Name] = av
-		}
-		db.adv = adv
-	}
 	db.ResetStats()
 	return db, nil
 }
 
-const snapshotVersion = 1
-
-// --- DTOs (gob-friendly: exported fields, no interfaces) -------------------
-
-type dbSnapshot struct {
-	Version    int
-	PageSize   int
-	PoolFrames int
-	HRConfig   hr.Config
-	Clock      uint64
-	// Exactly one of Disk and Delta is set: Disk by Save and by a full
-	// checkpoint frame, Delta (a storage.DiskDelta in its own encoding,
-	// which adds no gob type) by a delta checkpoint frame.
-	Disk       *storage.DiskImage
-	Delta      []byte
-	Relations  []relationDTO
-	Views      []viewDTO
-	HRs        []hrDTO
-	HeavyLight []hlDTO
-	// Advisor is the adaptive advisor's state, when enabled; absent
-	// from (and ignored in) pre-advisor snapshots — gob tolerates the
-	// missing field in both directions.
-	Advisor *advisorDTO
+// catalogHeader is the part of a snapshot that is not on the disk: the
+// engine's settings and id clock, and per relation, view, hypothetical
+// relation, heavy-light tracker and advisor what it takes to reattach
+// them to their files. Decoded, it holds engine values ready to be
+// adopted by restoreDatabase.
+type catalogHeader struct {
+	poolFrames int
+	hrConfig   hr.Config
+	clock      uint64
+	relations  map[string]relationEntry
+	views      []viewEntry // parents before children
+	hrs        map[string]hr.ADMeta
+	heavy      map[string]*hlTracker
+	advisor    *advisor // nil when the advisor is off
 }
 
-type advisorDTO struct {
-	Hysteresis         float64
-	FlipPenalty        float64
-	MinObservations    float64
-	HalfLife           float64
-	SnapshotEvery      int
-	StorageBudget      int
-	ExtendedStrategies bool
-	Views              []advViewDTO
+type relationEntry struct {
+	schema *tuple.Schema
+	meta   relation.Meta
 }
 
-type advViewDTO struct {
-	Name       string
-	Est        costmodel.EstimatorState
-	FCache     float64
-	FlipScore  float64
-	Flips      int
-	LastFrom   int
-	LastTo     int
-	LastReason string
+// viewEntry is a view's persistent state: the viewState fields code
+// walks, and the metadata of whichever stores the view keeps.
+type viewEntry struct {
+	vs          *viewState
+	mat, groups *relation.Meta
+	hasAgg      bool // an aggregate state lives at vs.aggPage
 }
 
-type colDTO struct {
-	Name string
-	Type uint8
-}
+// Least encoded sizes of the header's list elements, which bound the
+// counts a decoder accepts.
+const (
+	minHashMetaSize  = 4 + 8                               // no buckets, a count
+	minRelationSize  = 4 + 4 + 8 + 8 + minHashMetaSize + 4 // empty name and schema, kind, key, meta, no secondaries
+	minViewSize      = 49 + 81                             // an empty Def, then a view's fixed fields
+	minTrackerSize   = 4 + 8*5 + 4                         // empty name, five numbers, no counts
+	minAdvViewSize   = 4 + 8*12 + 4                        // empty name, twelve numbers, an empty reason
+	minSecondarySize = 8 + 8*3                             // a column and a B+-tree's metadata
+)
 
-type relationDTO struct {
-	Name   string
-	Schema []colDTO
-	Meta   relation.Meta
-}
-
-type viewDTO struct {
-	Def           defDTO
-	Strategy      int
-	Plan          int
-	Blakeley      bool
-	SnapshotEvery int
-	RefreshEvery  int
-	StaleCommits  int
-	Dirty         bool
-	MatMeta       *relation.Meta
-	GroupMeta     *relation.Meta
-	HasAgg        bool
-	AggPage       storage.PageNum
-	ParentPos     int64
-	ParentGen     uint64
-	LogStart      int64
-	LogGen        uint64
-	DeltaLog      []viewDeltaDTO
-	BaseRels      []string
-}
-
-type viewDeltaDTO struct {
-	Vals   []valueDTO
-	Insert bool
-}
-
-type hlCountDTO struct {
-	Key string
-	N   int64
-}
-
-type hlDTO struct {
-	Rel       string
-	Threshold float64
-	MinTotal  int64
-	Total     int64
-	Counts    []hlCountDTO
-	HeavyOps  int64
-	LightOps  int64
-}
-
-type hrDTO struct {
-	Relation string
-	ADMeta   hrADMeta
-}
-
-// hrADMeta aliases hr's AD metadata type for the DTO.
-type hrADMeta = hr.ADMeta
-
-type valueDTO struct {
-	Type uint8
-	I    int64
-	F    float64
-	S    string
-}
-
-type atomDTO struct {
-	IsJoin                 bool
-	Rel, Col               int
-	Op                     uint8
-	Val                    valueDTO
-	LRel, LCol, RRel, RCol int
-}
-
-type defDTO struct {
-	Name       string
-	Kind       int
-	Relations  []string
-	Atoms      []atomDTO
-	Project    [][]int
-	ViewKeyCol int
-	AggKind    uint8
-	AggCol     int
-	GroupBy    int
-}
-
-func schemaToDTO(s *tuple.Schema) []colDTO {
-	out := make([]colDTO, len(s.Cols))
-	for i, c := range s.Cols {
-		out[i] = colDTO{Name: c.Name, Type: uint8(c.Type)}
-	}
-	return out
-}
-
-func schemaFromDTO(cols []colDTO) *tuple.Schema {
-	cc := make([]tuple.Column, len(cols))
-	for i, c := range cols {
-		cc[i] = tuple.Col(c.Name, tuple.Type(c.Type))
-	}
-	return tuple.NewSchema(cc...)
-}
-
-func valueToDTO(v tuple.Value) valueDTO {
-	switch v.Type() {
-	case tuple.Int:
-		return valueDTO{Type: uint8(tuple.Int), I: v.Int()}
-	case tuple.Float:
-		return valueDTO{Type: uint8(tuple.Float), F: v.Float()}
-	default:
-		return valueDTO{Type: uint8(tuple.String), S: v.Str()}
-	}
-}
-
-func valueFromDTO(d valueDTO) tuple.Value {
-	switch tuple.Type(d.Type) {
-	case tuple.Int:
-		return tuple.I(d.I)
-	case tuple.Float:
-		return tuple.F(d.F)
-	default:
-		return tuple.S(d.S)
-	}
-}
-
-func defToDTO(def Def) defDTO {
-	dto := defDTO{
-		Name:       def.Name,
-		Kind:       int(def.Kind),
-		Relations:  append([]string(nil), def.Relations...),
-		Project:    def.Project,
-		ViewKeyCol: def.ViewKeyCol,
-		AggKind:    uint8(def.AggKind),
-		AggCol:     def.AggCol,
-		GroupBy:    def.GroupBy,
-	}
-	for _, a := range def.Pred.Atoms {
-		switch at := a.(type) {
-		case pred.Cmp:
-			dto.Atoms = append(dto.Atoms, atomDTO{Rel: at.Rel, Col: at.Col, Op: uint8(at.Op), Val: valueToDTO(at.Val)})
-		case pred.JoinEq:
-			dto.Atoms = append(dto.Atoms, atomDTO{IsJoin: true, LRel: at.LRel, LCol: at.LCol, RRel: at.RRel, RCol: at.RCol})
+// code walks the header's byte layout; DESIGN.md "Byte formats" has it
+// field by field. Map-shaped parts are sorted by name.
+func (h *catalogHeader) code(c *tuple.Coder) {
+	c.Int(&h.poolFrames)
+	c.Int(&h.hrConfig.ADBuckets)
+	c.Int(&h.hrConfig.BloomKeys)
+	c.Float(&h.hrConfig.BloomFPRate)
+	c.U64(&h.clock)
+	tuple.Map(c, &h.relations, minRelationSize, (*tuple.Coder).Str, func(c *tuple.Coder, re *relationEntry) {
+		if c.Decoding() {
+			re.schema = new(tuple.Schema)
 		}
+		re.schema.Code(c)
+		codeRelationMeta(c, &re.meta)
+	})
+	tuple.List(c, &h.views, minViewSize, codeViewEntry)
+	tuple.Map(c, &h.hrs, 4+minHashMetaSize, (*tuple.Coder).Str, codeHashMeta)
+	tuple.Map(c, &h.heavy, minTrackerSize, (*tuple.Coder).Str, func(c *tuple.Coder, p **hlTracker) {
+		if c.Decoding() {
+			*p = &hlTracker{}
+		}
+		t := *p
+		c.Float(&t.threshold)
+		for _, n := range []*int64{&t.minTotal, &t.total, &t.heavyOps, &t.lightOps} {
+			c.I64(n)
+		}
+		if tuple.Map(c, &t.counts, 4+8, (*tuple.Coder).Str, (*tuple.Coder).I64); c.Decoding() && t.counts == nil {
+			t.counts = map[string]int64{}
+		}
+	})
+	if optional(c, &h.advisor) {
+		h.advisor.code(c)
 	}
-	return dto
 }
 
-func defFromDTO(dto defDTO) (Def, error) {
-	atoms := make([]pred.Atom, 0, len(dto.Atoms))
-	for _, a := range dto.Atoms {
-		if a.IsJoin {
-			atoms = append(atoms, pred.JoinEq{LRel: a.LRel, LCol: a.LCol, RRel: a.RRel, RCol: a.RCol})
-		} else {
-			atoms = append(atoms, pred.Cmp{Rel: a.Rel, Col: a.Col, Op: pred.Op(a.Op), Val: valueFromDTO(a.Val)})
-		}
+// optional walks a presence flag for *p and reports whether the value
+// follows; a decoder allocates it.
+func optional[T any](c *tuple.Coder, p **T) bool {
+	present := *p != nil
+	if c.Bool(&present); present && c.Decoding() {
+		*p = new(T)
 	}
-	return Def{
-		Name:       dto.Name,
-		Kind:       Kind(dto.Kind),
-		Relations:  dto.Relations,
-		Pred:       pred.New(atoms...),
-		Project:    dto.Project,
-		ViewKeyCol: dto.ViewKeyCol,
-		AggKind:    agg.Kind(dto.AggKind),
-		AggCol:     dto.AggCol,
-		GroupBy:    dto.GroupBy,
-	}, nil
+	return present
+}
+
+// codeViewEntry walks a view entry: the definition, the persistent
+// scalars of its state, its delta log, and each store's metadata behind
+// a presence flag.
+func codeViewEntry(c *tuple.Coder, ve *viewEntry) {
+	if c.Decoding() {
+		ve.vs = &viewState{}
+	}
+	vs := ve.vs
+	vs.def.Code(c)
+	c.Int((*int)(&vs.strategy))
+	c.Int((*int)(&vs.plan))
+	c.Bool(&vs.blakeley)
+	c.Int(&vs.snapshotEvery)
+	c.Int(&vs.refreshEvery)
+	c.Int(&vs.staleCommits)
+	c.Bool(&vs.dirty)
+	c.I64(&vs.parentPos)
+	c.U64(&vs.parentGen)
+	c.I64(&vs.logStart)
+	c.U64(&vs.logGen)
+	tuple.List(c, &vs.deltaLog, 4+1, func(c *tuple.Coder, d *viewDelta) {
+		c.Values(&d.vals)
+		c.Bool(&d.insert)
+	})
+	if optional(c, &ve.mat) {
+		codeRelationMeta(c, ve.mat)
+	}
+	if optional(c, &ve.groups) {
+		codeRelationMeta(c, ve.groups)
+	}
+	if c.Bool(&ve.hasAgg); ve.hasAgg {
+		codePageNum(c, &vs.aggPage)
+	}
+}
+
+// code walks the advisor's options and, per observed view, its
+// estimator's accumulators and flip history.
+func (a *advisor) code(c *tuple.Coder) {
+	o := &a.opts
+	for _, f := range []*float64{&o.Hysteresis, &o.FlipPenalty, &o.MinObservations, &o.HalfLife} {
+		c.Float(f)
+	}
+	c.Int(&o.SnapshotEvery)
+	c.Int(&o.StorageBudget)
+	c.Bool(&o.ExtendedStrategies)
+	if c.Decoding() {
+		*o = o.withDefaults()
+	}
+	tuple.Map(c, &a.views, minAdvViewSize, (*tuple.Coder).Str, func(c *tuple.Coder, v **advView) {
+		if c.Decoding() {
+			*v = &advView{est: costmodel.Estimator{HalfLife: o.HalfLife}}
+		}
+		av := *v
+		est := av.est.Snapshot()
+		for _, f := range []*float64{&est.Queries, &est.FvSum, &est.FvObs, &est.Updates, &est.Tuples, &est.ScrTup, &est.Hits,
+			&av.fCache, &av.flipScore} {
+			c.Float(f)
+		}
+		c.Int(&av.flips)
+		c.Int((*int)(&av.lastFrom))
+		c.Int((*int)(&av.lastTo))
+		c.Str(&av.lastReason)
+		if c.Decoding() {
+			av.est.Restore(est)
+		}
+	})
+	if c.Decoding() && a.views == nil {
+		a.views = map[string]*advView{}
+	}
+}
+
+func codePageNum(c *tuple.Coder, p *storage.PageNum) {
+	n := uint64(*p)
+	if c.U64(&n); n > math.MaxUint32 {
+		c.Fail("page number %d out of range", n)
+	} else if c.Decoding() {
+		*p = storage.PageNum(n)
+	}
+}
+
+func codeBTreeMeta(c *tuple.Coder, m *btree.Meta) {
+	codePageNum(c, &m.Root)
+	c.Int(&m.Height)
+	c.Int(&m.Count)
+}
+
+func codeHashMeta(c *tuple.Coder, m *hashidx.Meta) {
+	tuple.List(c, &m.Buckets, 8, codePageNum)
+	c.Int(&m.Count)
+}
+
+// codeRelationMeta walks [8 kind][8 key column], the clustering index's
+// metadata — a B+-tree's or a hash index's, by kind — and the secondary
+// indexes by column.
+func codeRelationMeta(c *tuple.Coder, m *relation.Meta) {
+	c.Int((*int)(&m.Kind))
+	c.Int(&m.KeyCol)
+	switch m.Kind {
+	case relation.ClusteredBTree:
+		codeBTreeMeta(c, &m.BTree)
+	case relation.ClusteredHash:
+		codeHashMeta(c, &m.Hash)
+	default:
+		c.Fail("relation of unknown kind %d", int(m.Kind))
+	}
+	tuple.Map(c, &m.Secondaries, minSecondarySize, (*tuple.Coder).Int, codeBTreeMeta)
 }
 
 // OpenMatView reattaches a materialized view's backing store from a

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"strings"
 	"testing"
 
 	"viewmat/internal/agg"
 	"viewmat/internal/btree"
+	"viewmat/internal/hr"
+	"viewmat/internal/pred"
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -188,6 +191,25 @@ func TestSaveLoadSecondaryIndexes(t *testing.T) {
 	}
 }
 
+// encodeSnapshot lays a header and a disk delta out as a snapshot body.
+func encodeSnapshot(t testing.TB, h catalogHeader, disk *storage.DiskDelta) []byte {
+	t.Helper()
+	var diskBytes []byte
+	if disk != nil {
+		var err error
+		if diskBytes, err = disk.AppendBinary(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := tuple.NewEncoder(nil).Compact()
+	codeSnapshot(&enc, &h, &diskBytes)
+	body, err := enc.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // TestLoadRejectsGarbage checks Load classifies failures: a stream
 // that simply ends early (crash residue, interrupted copy) is
 // ErrSnapshotTruncated, impossible bytes are ErrSnapshotCorrupt.
@@ -198,54 +220,73 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err := newSPDatabase(t, Deferred, 20).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	img := buf.Bytes()
+	img := bytes.Clone(buf.Bytes())
 
-	encode := func(snap dbSnapshot) []byte {
-		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+	empty := &storage.DiskDelta{PageSize: 512}
+	encode := func(h catalogHeader) []byte { return encodeSnapshot(t, h, empty) }
+	wrongVersion := append([]byte(nil), img...)
+	wrongVersion[len(snapshotMagic)-1]++
+	// The parent commit's format: one encoding/gob value of a struct
+	// whose first field is Version = 1.
+	type dbSnapshot struct{ Version, PageSize, PoolFrames int }
+	var version1 bytes.Buffer
+	if err := gob.NewEncoder(&version1).Encode(&dbSnapshot{Version: 1, PageSize: 512, PoolFrames: 4}); err != nil {
+		t.Fatal(err)
 	}
+	// Hostile views ride a real snapshot of relation r alone.
+	bare := newTestDB(t)
+	if _, err := bare.CreateRelationBTree("r", spSchema(), 0); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := bare.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bareHeader, bareDisk, err := decodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := func(ve viewEntry) []byte {
+		h := *bareHeader
+		h.views = []viewEntry{ve}
+		return encodeSnapshot(t, h, bareDisk)
+	}
+	spOverR := Def{Name: "v", Relations: []string{"r"}, Pred: pred.True(), Project: [][]int{{0}}, GroupBy: -1}
+	slotMinus1 := spOverR
+	slotMinus1.Pred = pred.New(pred.Cmp{Rel: -1})
 	cases := []struct {
 		name string
 		data []byte
 		want error
+		msg  string // a fragment the error must carry
 	}{
-		{"empty stream", nil, ErrSnapshotTruncated},
-		{"one byte", img[:1], ErrSnapshotTruncated},
-		{"cut mid-type-descriptor", img[:40], ErrSnapshotTruncated},
-		{"cut mid-value", img[:len(img)/2], ErrSnapshotTruncated},
-		{"all but last byte", img[:len(img)-1], ErrSnapshotTruncated},
-		// gob reads the first byte of ASCII text as a message length
-		// far past the end of the stream, so prose classifies as
-		// truncation — the classification is best-effort below the
-		// type layer.
-		{"ascii garbage", []byte("not a snapshot"), ErrSnapshotTruncated},
-		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt},
-		{"wrong version", encode(dbSnapshot{Version: snapshotVersion + 1}), ErrSnapshotCorrupt},
-		{"bad page size", encode(dbSnapshot{
-			Version: snapshotVersion, PoolFrames: 4,
-			Disk: &storage.DiskImage{PageSize: 0},
-		}), ErrSnapshotCorrupt},
-		{"HR without relation", encode(dbSnapshot{
-			Version: snapshotVersion, PageSize: 512, PoolFrames: 4,
-			Disk: &storage.DiskImage{PageSize: 512},
-			HRs:  []hrDTO{{Relation: "ghost"}},
-		}), ErrSnapshotCorrupt},
-		{"no disk", encode(dbSnapshot{Version: snapshotVersion, PageSize: 512, PoolFrames: 4}), ErrSnapshotCorrupt},
-		// Both found by FuzzSnapshotChain: a header that decodes but does
-		// not fit its disk, or a view definition CreateView would refuse.
-		{"relation meta names a missing page", encode(dbSnapshot{
-			Version: snapshotVersion, PageSize: 512, PoolFrames: 4,
-			Disk:      &storage.DiskImage{PageSize: 512},
-			Relations: []relationDTO{{Name: "r", Schema: schemaToDTO(spSchema()), Meta: relation.Meta{Kind: relation.ClusteredBTree, BTree: btree.Meta{Root: 2, Height: 1}}}},
-		}), ErrSnapshotCorrupt},
-		{"view over no relation", encode(dbSnapshot{
-			Version: snapshotVersion, PageSize: 512, PoolFrames: 4,
-			Disk:  &storage.DiskImage{PageSize: 512},
-			Views: []viewDTO{{Def: defDTO{Name: "v"}}},
-		}), ErrSnapshotCorrupt},
+		{"empty stream", nil, ErrSnapshotTruncated, ""},
+		{"one byte", img[:1], ErrSnapshotTruncated, ""},
+		{"cut mid-header", img[:40], ErrSnapshotTruncated, ""},
+		{"cut mid-value", img[:len(img)/2], ErrSnapshotTruncated, ""},
+		{"all but last byte", img[:len(img)-1], ErrSnapshotTruncated, ""},
+		{"one byte too many", append(append([]byte(nil), img...), 0), ErrSnapshotCorrupt, "trailing"},
+		// Bytes that do not open with the magic are refused at once,
+		// whatever they are.
+		{"ascii garbage", []byte("not a snapshot"), ErrSnapshotCorrupt, "version-2"},
+		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt, "version-2"},
+		{"wrong version", wrongVersion, ErrSnapshotCorrupt, "version-2"},
+		{"parent-format gob stream", version1.Bytes(), ErrSnapshotCorrupt, "version 1"},
+		{"bad page size", encodeSnapshot(t, catalogHeader{poolFrames: 4}, &storage.DiskDelta{}), ErrSnapshotCorrupt, ""},
+		{"HR without relation", encode(catalogHeader{poolFrames: 4, hrs: map[string]hr.ADMeta{"ghost": {}}}), ErrSnapshotCorrupt, ""},
+		{"no disk", encodeSnapshot(t, catalogHeader{poolFrames: 4}, nil), ErrSnapshotCorrupt, ""},
+		{"a delta against a disk that is not there", encodeSnapshot(t, catalogHeader{poolFrames: 4},
+			&storage.DiskDelta{PageSize: 512, Files: []storage.FileDelta{{Name: "r.btree"}}}), ErrSnapshotCorrupt, ""},
+		// Found by FuzzSnapshotChain: a header that decodes but does not
+		// fit its disk, or a view definition CreateView would refuse.
+		{"relation meta names a missing page", encode(catalogHeader{poolFrames: 4, relations: map[string]relationEntry{
+			"r": {schema: spSchema(), meta: relation.Meta{Kind: relation.ClusteredBTree, BTree: btree.Meta{Root: 2, Height: 1}}},
+		}}), ErrSnapshotCorrupt, ""},
+		{"view over no relation", encode(catalogHeader{poolFrames: 4, views: []viewEntry{{vs: &viewState{def: Def{Name: "v"}}}}}), ErrSnapshotCorrupt, ""},
+		{"view predicate on slot -1", view(viewEntry{vs: &viewState{def: slotMinus1}}), ErrSnapshotCorrupt, "slot -1"},
+		{"group store on a select-project view", view(viewEntry{vs: &viewState{def: spOverR},
+			groups: &relation.Meta{BTree: btree.Meta{Height: 1}}}), ErrSnapshotCorrupt, "group store"},
+		{"view of unknown strategy", view(viewEntry{vs: &viewState{def: spOverR, strategy: 50}}), ErrSnapshotCorrupt, "strategy 50"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -253,17 +294,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			if err == nil {
 				t.Fatal("accepted")
 			}
-			if !errors.Is(err, tc.want) {
-				t.Errorf("err = %v, want %v", err, tc.want)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
+				t.Errorf("err = %v, want %v mentioning %q", err, tc.want, tc.msg)
 			}
 		})
 	}
 
-	// Every truncation point must classify as truncated or, rarely,
-	// corrupt — never load successfully and never panic.
+	// Every truncation point classifies as truncated — the decoder ran
+	// out of bytes — and never loads or panics.
 	for cut := 0; cut < len(img); cut += 97 {
-		if _, err := Load(bytes.NewReader(img[:cut])); err == nil {
-			t.Fatalf("cut %d: truncated snapshot loaded", cut)
+		if _, err := Load(bytes.NewReader(img[:cut])); !errors.Is(err, ErrSnapshotTruncated) {
+			t.Fatalf("cut %d: err = %v, want ErrSnapshotTruncated", cut, err)
 		}
 	}
 }

@@ -72,6 +72,15 @@ var strategyTable = map[Strategy]strategyRow{
 
 func (vs *viewState) row() strategyRow { return strategyTable[vs.strategy] }
 
+// Valid reports whether s is a strategy the engine implements: a row of
+// the strategy table. It is the one gate for strategy numbers that come
+// from outside — a create-view request, a SetStrategy call, a restored
+// snapshot.
+func (s Strategy) Valid() bool {
+	_, known := strategyTable[s]
+	return known
+}
+
 // rebuilds: the stored copy is rebuilt from its source at read time
 // (the onEveryN and onDirtyRead triggers) rather than drained into.
 func (r strategyRow) rebuilds() bool { return r.stores && !r.delta }
@@ -383,8 +392,8 @@ func (db *Database) setStrategyLocked(vs *viewState, to Strategy) error {
 		return nil
 	}
 	from, name := vs.row(), vs.def.Name
-	next, known := strategyTable[to]
-	if !known {
+	next := strategyTable[to]
+	if !to.Valid() {
 		return fmt.Errorf("%w: unknown strategy %d", ErrFlipUnsupported, int(to))
 	}
 	if vs.def.Kind == GroupedAggregate {

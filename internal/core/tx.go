@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"viewmat/internal/tuple"
 )
@@ -17,7 +16,9 @@ type Tx struct {
 	done bool
 }
 
-type txOpKind int
+// txOpKind is an op's kind; the values are the kind byte of the op's
+// byte layout (proto.TxInsert, TxDelete, TxUpdate on the wire).
+type txOpKind uint8
 
 const (
 	opInsert txOpKind = iota
@@ -32,6 +33,31 @@ type txOp struct {
 	key   tuple.Value   // delete/update: clustering-key value of target
 	id    uint64        // insert: id assigned; delete/update: id of target
 	newID uint64        // update: id assigned to the replacement
+}
+
+// minTxOpSize is the least encoded size of an op: a kind, an empty
+// relation name and an empty value list.
+const minTxOpSize = 1 + 4 + 4
+
+// CodeTxOp walks one transaction op's byte layout, the one a commit
+// request and a WAL commit record share: [1 kind][relation], then for
+// an insert its values, for a delete the target's key and [8 id], for
+// an update the target's key and [8 id] and the new values. Fields the
+// kind does not use are not walked.
+func CodeTxOp(c *tuple.Coder, kind *uint8, rel *string, key *tuple.Value, id *uint64, vals *[]tuple.Value) {
+	c.U8(kind)
+	c.Str(rel)
+	switch txOpKind(*kind) {
+	case opInsert:
+		c.Values(vals)
+	case opDelete, opUpdate:
+		c.Value(key)
+		if c.U64(id); txOpKind(*kind) == opUpdate {
+			c.Values(vals)
+		}
+	default:
+		c.Fail("tx op of unknown kind %d", *kind)
+	}
 }
 
 // Begin starts a transaction.
@@ -265,13 +291,8 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	// pending in the AD file for the next deferred refresh. Views go in
 	// name order: their refreshes draw view-row ids from the shared
 	// clock, so the order is part of the state WAL replay must reproduce.
-	names := make([]string, 0, len(marked))
-	for name := range marked {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	err = db.inPhase(PhaseImmRefresh, func() error {
-		for _, name := range names {
+		for _, name := range sortedKeys(marked) {
 			vs, slots := db.views[name], marked[name]
 			switch row := vs.row(); {
 			case row.trigger == onCommit:

@@ -500,3 +500,91 @@ func (r *Range) String() string {
 	}
 	return b.String()
 }
+
+// minAtomSize is the least encoded size of an atom: a comparison of an
+// empty string.
+const minAtomSize = 1 + 8 + 8 + 1 + 5
+
+// CodeAtoms walks an atom list's byte layout: [4 count], then per atom
+// a flag byte — 1 for a join equality, followed by LRel LCol RRel RCol;
+// 0 for a comparison, followed by Rel Col [1 op] value — with every
+// slot and column an 8-byte int.
+func CodeAtoms(c *tuple.Coder, atoms *[]Atom) {
+	tuple.List(c, atoms, minAtomSize, func(c *tuple.Coder, a *Atom) {
+		j, isJoin := (*a).(JoinEq)
+		cmp, isCmp := (*a).(Cmp)
+		if !c.Decoding() && !isJoin && !isCmp {
+			c.Fail("atom of unknown type %T", *a)
+			return
+		}
+		var decoded Atom
+		if c.Bool(&isJoin); isJoin {
+			c.Int(&j.LRel)
+			c.Int(&j.LCol)
+			c.Int(&j.RRel)
+			c.Int(&j.RCol)
+			decoded = j
+		} else {
+			c.Int(&cmp.Rel)
+			c.Int(&cmp.Col)
+			c.U8((*uint8)(&cmp.Op))
+			c.Value(&cmp.Val)
+			decoded = cmp
+		}
+		if c.Decoding() {
+			*a = decoded
+		}
+	})
+}
+
+// Flag bits of an encoded range. A bound is present only when its Has
+// bit is set.
+const (
+	rangePresent byte = 1 << iota
+	rangeHasLo
+	rangeHasHi
+	rangeLoInc
+	rangeHiInc
+	rangeFlags = rangeHiInc<<1 - 1
+)
+
+// bit returns b when set and 0 otherwise.
+func bit(set bool, b byte) byte {
+	if set {
+		return b
+	}
+	return 0
+}
+
+// CodeRange walks an optional range's byte layout: one flag byte — 0
+// for no range (nil), else rangePresent with the Has and Inc bits —
+// then the bounds that are present, low first.
+func CodeRange(c *tuple.Coder, rg **Range) {
+	var flags byte
+	if r := *rg; r != nil {
+		flags = rangePresent | bit(r.Lo != nil, rangeHasLo) | bit(r.Hi != nil, rangeHasHi) |
+			bit(r.LoInc, rangeLoInc) | bit(r.HiInc, rangeHiInc)
+	}
+	c.U8(&flags)
+	if flags&^rangeFlags != 0 || (flags != 0 && flags&rangePresent == 0) {
+		c.Fail("range flags %#x", flags)
+		return
+	}
+	if c.Decoding() {
+		if *rg = nil; flags != 0 {
+			*rg = &Range{LoInc: flags&rangeLoInc != 0, HiInc: flags&rangeHiInc != 0}
+		}
+	}
+	bound := func(has byte, v **tuple.Value) {
+		if flags&has != 0 {
+			if c.Decoding() {
+				*v = new(tuple.Value)
+			}
+			c.Value(*v)
+		}
+	}
+	if flags != 0 {
+		bound(rangeHasLo, &(*rg).Lo)
+		bound(rangeHasHi, &(*rg).Hi)
+	}
+}

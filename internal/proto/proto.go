@@ -12,16 +12,15 @@
 //
 // The encoding is stateless: a message's bytes depend on its content
 // alone, never on what the process or the connection encoded before.
-// Values cross as tuple.Value in the tuple value codec; predicate atoms
-// and schemas, whose engine types are interfaces or carry unexported
-// state, cross as the explicit DTOs below.
+// Engine types cross as themselves, each in the one byte layout its own
+// package defines (tuple.Value, tuple.Schema, pred.Range, core.Def) —
+// the layouts a WAL record and a checkpoint header use too.
 package proto
 
 import (
 	"errors"
 	"fmt"
 
-	"viewmat/internal/agg"
 	"viewmat/internal/core"
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
@@ -153,12 +152,12 @@ type Request struct {
 	Name string
 
 	// Schema, KeyCol, Buckets parameterize relation DDL.
-	Schema  []ColumnDTO
+	Schema  *tuple.Schema
 	KeyCol  int
 	Buckets int
 
 	// View and Strategy parameterize OpCreateView.
-	View     *ViewDTO
+	View     *core.Def
 	Strategy int
 
 	// TxOps is OpCommit's op list.
@@ -166,7 +165,7 @@ type Request struct {
 
 	// Range optionally restricts OpQueryView to a key interval; Plan
 	// (< 0 = the view's default) selects the query-modification plan.
-	Range *RangeDTO
+	Range *pred.Range
 	Plan  int
 }
 
@@ -225,150 +224,8 @@ type Response struct {
 	Flips   []core.FlipReport
 }
 
-// --- DTOs -----------------------------------------------------------------
-
-// ColumnDTO is one schema column.
-type ColumnDTO struct {
-	Name string
-	Type uint8
-}
-
-// SchemaToDTO converts a schema for the wire.
-func SchemaToDTO(s *tuple.Schema) []ColumnDTO {
-	out := make([]ColumnDTO, len(s.Cols))
-	for i, c := range s.Cols {
-		out[i] = ColumnDTO{Name: c.Name, Type: uint8(c.Type)}
-	}
-	return out
-}
-
-// SchemaFromDTO converts a wire schema back.
-func SchemaFromDTO(cols []ColumnDTO) *tuple.Schema {
-	out := make([]tuple.Column, len(cols))
-	for i, c := range cols {
-		out[i] = tuple.Column{Name: c.Name, Type: tuple.Type(c.Type)}
-	}
-	return tuple.NewSchema(out...)
-}
-
-// AtomDTO is one predicate atom: a comparison (Join false) or a join
-// equality (Join true).
-type AtomDTO struct {
-	Join bool
-
-	// Comparison fields.
-	Rel, Col int
-	Op       uint8
-	Val      tuple.Value
-
-	// Join-equality fields.
-	LRel, LCol, RRel, RCol int
-}
-
-// ViewDTO is core.Def plus nothing: the definition's predicate atoms
-// are flattened into AtomDTOs.
-type ViewDTO struct {
-	Name       string
-	Kind       int
-	Relations  []string
-	Atoms      []AtomDTO
-	Project    [][]int
-	ViewKeyCol int
-	AggKind    uint8
-	AggCol     int
-	GroupBy    int
-}
-
-// DefToDTO converts a view definition for the wire.
-func DefToDTO(d core.Def) ViewDTO {
-	dto := ViewDTO{
-		Name:       d.Name,
-		Kind:       int(d.Kind),
-		Relations:  append([]string(nil), d.Relations...),
-		Project:    d.Project,
-		ViewKeyCol: d.ViewKeyCol,
-		AggKind:    uint8(d.AggKind),
-		AggCol:     d.AggCol,
-		GroupBy:    d.GroupBy,
-	}
-	if d.Pred != nil {
-		for _, a := range d.Pred.Atoms {
-			switch at := a.(type) {
-			case pred.Cmp:
-				dto.Atoms = append(dto.Atoms, AtomDTO{Rel: at.Rel, Col: at.Col, Op: uint8(at.Op), Val: at.Val})
-			case pred.JoinEq:
-				dto.Atoms = append(dto.Atoms, AtomDTO{Join: true, LRel: at.LRel, LCol: at.LCol, RRel: at.RRel, RCol: at.RCol})
-			}
-		}
-	}
-	return dto
-}
-
-// DefFromDTO converts a wire view definition back. The result is not
-// yet validated; CreateView runs Def.Validate against the live schemas.
-func DefFromDTO(dto ViewDTO) core.Def {
-	atoms := make([]pred.Atom, 0, len(dto.Atoms))
-	for _, a := range dto.Atoms {
-		if a.Join {
-			atoms = append(atoms, pred.JoinEq{LRel: a.LRel, LCol: a.LCol, RRel: a.RRel, RCol: a.RCol})
-		} else {
-			atoms = append(atoms, pred.Cmp{Rel: a.Rel, Col: a.Col, Op: pred.Op(a.Op), Val: a.Val})
-		}
-	}
-	return core.Def{
-		Name:       dto.Name,
-		Kind:       core.Kind(dto.Kind),
-		Relations:  dto.Relations,
-		Pred:       pred.New(atoms...),
-		Project:    dto.Project,
-		ViewKeyCol: dto.ViewKeyCol,
-		AggKind:    agg.Kind(dto.AggKind),
-		AggCol:     dto.AggCol,
-		GroupBy:    dto.GroupBy,
-	}
-}
-
-// RangeDTO is pred.Range with explicit presence flags for the open
-// bounds.
-type RangeDTO struct {
-	HasLo, HasHi bool
-	Lo, Hi       tuple.Value
-	LoInc, HiInc bool
-}
-
-// RangeToDTO converts a query range (nil = unrestricted) for the wire.
-func RangeToDTO(rg *pred.Range) *RangeDTO {
-	if rg == nil {
-		return nil
-	}
-	out := &RangeDTO{LoInc: rg.LoInc, HiInc: rg.HiInc}
-	if rg.Lo != nil {
-		out.HasLo, out.Lo = true, *rg.Lo
-	}
-	if rg.Hi != nil {
-		out.HasHi, out.Hi = true, *rg.Hi
-	}
-	return out
-}
-
-// RangeFromDTO converts a wire range back (nil = unrestricted).
-func RangeFromDTO(d *RangeDTO) *pred.Range {
-	if d == nil {
-		return nil
-	}
-	out := &pred.Range{LoInc: d.LoInc, HiInc: d.HiInc}
-	if d.HasLo {
-		v := d.Lo
-		out.Lo = &v
-	}
-	if d.HasHi {
-		v := d.Hi
-		out.Hi = &v
-	}
-	return out
-}
-
-// Transaction op kinds for TxOpDTO.
+// Transaction op kinds for TxOpDTO: the kind byte of core.CodeTxOp's
+// layout.
 const (
 	// TxInsert inserts Vals.
 	TxInsert uint8 = iota
@@ -378,7 +235,8 @@ const (
 	TxUpdate
 )
 
-// TxOpDTO is one operation inside an OpCommit request. Only the
+// TxOpDTO is one operation inside an OpCommit request, as a client
+// states it: the engine assigns the ids of what it inserts. Only the
 // fields its Kind uses are sent.
 type TxOpDTO struct {
 	Kind uint8

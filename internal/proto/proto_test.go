@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -16,6 +15,7 @@ import (
 	"viewmat/internal/costmodel"
 	"viewmat/internal/frame"
 	"viewmat/internal/pred"
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
 
@@ -73,8 +73,9 @@ func joinDef() core.Def {
 
 // TestRequestRoundTrip sends one request of every Op through the codec.
 func TestRequestRoundTrip(t *testing.T) {
-	view := DefToDTO(joinDef())
-	schema := []ColumnDTO{{Name: "k", Type: uint8(tuple.Int)}, {Name: "s", Type: uint8(tuple.String)}}
+	view := joinDef()
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("s", tuple.String))
+	half := tuple.F(0.5)
 	reqs := []*Request{
 		{Op: OpPing},
 		{Op: OpCreateRelBTree, Name: "r1", Schema: schema, KeyCol: 1},
@@ -89,9 +90,9 @@ func TestRequestRoundTrip(t *testing.T) {
 		}},
 		{Op: OpCommit},
 		{Op: OpQueryView, Name: "v", Plan: -1},
-		{Op: OpQueryView, Name: "v", Plan: int(core.PlanSequential), Range: RangeToDTO(pred.NewRange(tuple.I(1), tuple.I(50), true, false))},
-		{Op: OpQueryView, Name: "v", Range: &RangeDTO{HasHi: true, Hi: tuple.F(0.5), HiInc: true}},
-		{Op: OpQueryView, Name: "v", Range: &RangeDTO{}},
+		{Op: OpQueryView, Name: "v", Plan: int(core.PlanSequential), Range: pred.NewRange(tuple.I(1), tuple.I(50), true, false)},
+		{Op: OpQueryView, Name: "v", Range: &pred.Range{Hi: &half, HiInc: true}},
+		{Op: OpQueryView, Name: "v", Range: &pred.Range{}},
 		{Op: OpQueryAggregate, Name: "vsum"},
 		{Op: OpRefreshAll},
 		{Op: OpCheckpoint},
@@ -117,15 +118,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The Def and the range survive their DTOs semantically.
-	back := DefFromDTO(view)
-	if def := joinDef(); back.Name != def.Name || back.Kind != def.Kind || back.Pred.String() != def.Pred.String() {
-		t.Fatalf("Def round trip: got %+v", back)
-	}
-	rg := RangeFromDTO(reqs[8].Range)
-	if rg == nil || rg.Lo == nil || rg.Hi == nil || rg.Lo.Int() != 1 || rg.Hi.Int() != 50 || !rg.LoInc || rg.HiInc {
-		t.Fatalf("Range round trip: got %+v", rg)
-	}
 }
 
 // TestResponseRoundTrip sends a response of every Code and every Body
@@ -184,6 +176,8 @@ func TestReadRequestRejectsGarbagePayload(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	str := func(s string) []byte { return cat(u32(uint32(len(s))), []byte(s)) }
 	i64 := func(n int64) []byte { return binary.BigEndian.AppendUint64(nil, uint64(n)) }
+	// The range flag byte's bits (pred.CodeRange).
+	const rangePresent, rangeHasLo = 1, 2
 	ping := []byte{byte(OpPing)}
 	query := cat([]byte{byte(OpQueryView)}, str("v"), i64(-1))
 
@@ -204,6 +198,7 @@ func TestReadRequestRejectsGarbagePayload(t *testing.T) {
 		"range bits, no range":   cat(query, []byte{rangeHasLo}),
 		"range bound missing":    cat(query, []byte{rangePresent | rangeHasLo}),
 		"range bound unflagged":  cat(query, []byte{rangePresent}, tuple.AppendValue(nil, tuple.I(1))),
+		"unknown column type":    cat([]byte{byte(OpCreateRelBTree)}, str("r"), u32(1), str("k"), []byte{3}, i64(0)),
 		"schema count too large": cat([]byte{byte(OpCreateRelBTree)}, str("r"), u32(1<<30)),
 		"atom flag not 0 or 1": cat([]byte{byte(OpCreateView)}, str("v"), i64(0), u32(0), u32(1), []byte{2},
 			bytes.Repeat([]byte{0}, 64)),
@@ -235,8 +230,12 @@ func TestReadRequestRejectsGarbagePayload(t *testing.T) {
 		"rows with trailer":      okBody(BodyRows, rows, []byte{0}),
 		"rows, unknown lane":     okBody(BodyRows, flipLane),
 		"rows over the cell cap": okBody(BodyRows, u32(maxCells+1), []byte{0, 1}),
-		"health is not gob":      okBody(BodyHealth, []byte("junk")),
-		"empty gob body":         okBody(BodyFlips),
+		"health cut short":       okBody(BodyHealth, []byte("junk")),
+		"health flag not 0 or 1": okBody(BodyHealth, bytes.Repeat([]byte{0}, 12*8), []byte{2}),
+		"flips without a count":  okBody(BodyFlips),
+		"flip count too large":   okBody(BodyFlips, u32(2), bytes.Repeat([]byte{0}, 24)),
+		"advisor costs out of order": okBody(BodyAdvisor, u32(1), bytes.Repeat([]byte{0}, 6*4+16*8-4),
+			u32(2), str("b"), i64(0), str("a"), i64(0), str("")),
 	}
 	for name, payload := range responses {
 		if _, err := ReadResponse(bytes.NewReader(framed(t, payload))); !errors.Is(err, ErrDecode) {
@@ -384,7 +383,7 @@ func TestRowsBoundaries(t *testing.T) {
 func benchMessages() (query *Request, rows *Response, commit *Request, ids *Response) {
 	const n, lo = 100000, 4000
 	query = &Request{Op: OpQueryView, Name: "v1", Plan: -1,
-		Range: RangeToDTO(pred.NewRange(tuple.I(lo), tuple.I(lo+1000), true, false))}
+		Range: pred.NewRange(tuple.I(lo), tuple.I(lo+1000), true, false)}
 	rows = &Response{Code: CodeOK, Body: BodyRows, Rows: make([][]tuple.Value, 1000)}
 	for i := range rows.Rows {
 		k := int64(lo + i)
@@ -487,16 +486,18 @@ func BenchmarkCodec(b *testing.B) {
 // decodes re-encodes to a frame that decodes to an equal message.
 func FuzzProtoCodec(f *testing.F) {
 	query, rows, commit, ids := benchMessages()
-	view := DefToDTO(joinDef())
+	view := joinDef()
 	for _, req := range []*Request{query, commit, {Op: OpPing}, {Op: OpCreateView, View: &view, Strategy: 2},
-		{Op: OpCreateRelHash, Name: "r", Schema: []ColumnDTO{{Name: "k"}}, Buckets: 8}} {
+		{Op: OpCreateRelHash, Name: "r", Schema: tuple.NewSchema(tuple.Col("k", tuple.Int)), Buckets: 8}} {
 		f.Add(encodeRequest(f, req)[frame.HeaderSize:])
 	}
 	rows.Rows = rows.Rows[:40]
 	for _, resp := range []*Response{rows, ids, {Code: CodeBusy, Err: "busy"}, {Code: CodeOK, Body: BodyAgg, Agg: math.NaN()},
 		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.S("a"), tuple.F(1)}, {tuple.S("a"), tuple.I(2)}}},
-		{Code: CodeOK, Body: BodyHealth, Health: &core.Health{Views: 1}},
-		{Code: CodeOK, Body: BodyFlips, Flips: []core.FlipReport{{View: "v"}}}} {
+		{Code: CodeOK, Body: BodyHealth, Health: &core.Health{Views: 1, Durable: true, Meter: storage.Stats{Reads: 9}}},
+		{Code: CodeOK, Body: BodyAdvisor, Advisor: []core.AdvisorViewStat{{View: "v", Strategy: "deferred",
+			Params: costmodel.Default(), Costs: map[string]float64{"deferred": 1, "immediate": math.NaN()}, Best: "deferred"}}},
+		{Code: CodeOK, Body: BodyFlips, Flips: []core.FlipReport{{View: "v", From: "immediate", To: "deferred", PredictedGain: 0.25}}}} {
 		f.Add(encodeResponse(f, resp)[frame.HeaderSize:])
 	}
 	f.Add([]byte{})
@@ -532,14 +533,7 @@ func FuzzProtoCodec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded response does not decode: %v", err)
 			}
-			same := bytes.Equal(first, encodeResponse(t, again))
-			if resp.Code == CodeOK && resp.Body >= BodyHealth {
-				// gob writes map entries in any order; compare the printed
-				// bodies (keys sorted, NaN equal to itself) instead.
-				print := func(r *Response) string { return fmt.Sprintf("%+v %+v %+v", r.Health, r.Advisor, r.Flips) }
-				same = again.Body == resp.Body && print(again) == print(resp)
-			}
-			if !same {
+			if !bytes.Equal(first, encodeResponse(t, again)) {
 				t.Fatalf("response changed in re-encoding:\n first  %+v\n second %+v", resp, again)
 			}
 		}

@@ -18,8 +18,9 @@ import (
 
 // fuzzSeedFrames builds representative inputs, hostile first: a valid
 // frame, truncations, a CRC flip, an oversized length, raw junk; then
-// the hot-path messages — a commit, a range query — and a query answer
-// with a lane byte flipped under a valid checksum.
+// the hot-path messages — a commit, a range query — a query answer with
+// a lane byte flipped under a valid checksum, and create-view requests
+// carrying definitions Def.Validate must refuse.
 func fuzzSeedFrames(t testing.TB) [][]byte {
 	request := func(req *proto.Request) []byte {
 		var buf bytes.Buffer
@@ -47,7 +48,7 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 	flipped[len(flipped)-1] ^= 0xff // a string lane's last byte
 	frame.PutHeader(flipped, flipped[frame.HeaderSize:])
 
-	return [][]byte{
+	seeds := [][]byte{
 		valid,
 		corrupt,
 		truncated,
@@ -60,9 +61,13 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 			{Kind: proto.TxUpdate, Rel: "r", Key: tuple.I(1), ID: 1, Vals: []tuple.Value{tuple.I(1), tuple.I(3), tuple.S("t")}},
 		}}),
 		request(&proto.Request{Op: proto.OpQueryView, Name: "v", Plan: -1,
-			Range: proto.RangeToDTO(pred.NewRange(tuple.I(0), tuple.I(1000), true, false))}),
+			Range: pred.NewRange(tuple.I(0), tuple.I(1000), true, false)}),
 		flipped,
 	}
+	for i := range hostileDefs() {
+		seeds = append(seeds, request(&proto.Request{Op: proto.OpCreateView, View: &hostileDefs()[i], Strategy: int(core.Immediate)}))
+	}
+	return seeds
 }
 
 // FuzzServerFrame feeds arbitrary bytes to the protocol decoder and to
@@ -75,6 +80,9 @@ func FuzzServerFrame(f *testing.F) {
 	}
 
 	db := core.NewDatabase(testDBOpts())
+	if _, err := db.CreateRelationBTree("r", baseSchema(), 0); err != nil {
+		f.Fatal(err) // the relation the create-view seeds name
+	}
 	_, addr := startServer(f, db, Config{MaxInflight: 8, ReadTimeout: 100 * time.Millisecond})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

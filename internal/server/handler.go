@@ -24,28 +24,26 @@ func (s *Server) process(req *proto.Request) (resp *proto.Response) {
 	case proto.OpPing:
 		return &proto.Response{Code: proto.CodeOK}
 
-	case proto.OpCreateRelBTree:
-		if len(req.Schema) == 0 {
-			return badRequest("create-rel-btree: empty schema")
+	case proto.OpCreateRelBTree, proto.OpCreateRelHash:
+		if req.Schema == nil || len(req.Schema.Cols) == 0 {
+			return badRequest(fmt.Sprintf("%v: empty schema", req.Op))
 		}
-		_, err := s.db.CreateRelationBTree(req.Name, proto.SchemaFromDTO(req.Schema), req.KeyCol)
-		return statusOnly(err)
-
-	case proto.OpCreateRelHash:
-		if len(req.Schema) == 0 {
-			return badRequest("create-rel-hash: empty schema")
+		var err error
+		if req.Op == proto.OpCreateRelBTree {
+			_, err = s.db.CreateRelationBTree(req.Name, req.Schema, req.KeyCol)
+		} else {
+			_, err = s.db.CreateRelationHash(req.Name, req.Schema, req.KeyCol, req.Buckets)
 		}
-		_, err := s.db.CreateRelationHash(req.Name, proto.SchemaFromDTO(req.Schema), req.KeyCol, req.Buckets)
 		return statusOnly(err)
 
 	case proto.OpCreateView:
 		if req.View == nil {
 			return badRequest("create-view: missing definition")
 		}
-		if req.Strategy < int(core.QueryModification) || req.Strategy > int(core.RecomputeOnDemand) {
+		if !core.Strategy(req.Strategy).Valid() {
 			return badRequest(fmt.Sprintf("create-view: unknown strategy %d", req.Strategy))
 		}
-		return statusOnly(s.db.CreateView(proto.DefFromDTO(*req.View), core.Strategy(req.Strategy)))
+		return statusOnly(s.db.CreateView(*req.View, core.Strategy(req.Strategy)))
 
 	case proto.OpDropView:
 		return statusOnly(s.db.DropView(req.Name))
@@ -56,11 +54,10 @@ func (s *Server) process(req *proto.Request) (resp *proto.Response) {
 	case proto.OpQueryView:
 		var rows []core.ResultRow
 		var err error
-		rg := proto.RangeFromDTO(req.Range)
 		if req.Plan < 0 {
-			rows, err = s.db.QueryView(req.Name, rg)
+			rows, err = s.db.QueryView(req.Name, req.Range)
 		} else {
-			rows, err = s.db.QueryViewPlan(req.Name, rg, core.QueryPlan(req.Plan))
+			rows, err = s.db.QueryViewPlan(req.Name, req.Range, core.QueryPlan(req.Plan))
 		}
 		if err != nil {
 			return engineError(err)

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,5 +103,60 @@ func TestClientFailsAfterTimedOutCall(t *testing.T) {
 	// The server is unharmed.
 	if err := dialClient(t, addr).Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hostileDefs are view definitions no honest client sends. Def.Validate
+// used to panic on the first (slot -1 indexed the schemas) and let the
+// others through.
+func hostileDefs() []core.Def {
+	negSlot, kind7, joinCol := spDef("h1", 0, 10), spDef("h2", 0, 10), spDef("h3", 0, 10)
+	negSlot.Pred = pred.New(pred.Cmp{Rel: -1, Col: 0, Op: pred.Lt, Val: tuple.I(1)})
+	kind7.Kind = 7
+	joinCol.Kind, joinCol.Relations, joinCol.Project = core.Join, []string{"r", "r"}, [][]int{{0}, {0}}
+	joinCol.Pred = pred.New(pred.JoinEq{LRel: 0, LCol: 99, RRel: -1, RCol: 0})
+	return []core.Def{negSlot, kind7, joinCol}
+}
+
+// TestCreateViewRefusesHostileRequests: over the socket, a strategy
+// number between the defined ones is a bad request (3–99 used to reach
+// the engine), and a hostile definition is an engine error, not a
+// recovered panic and not a view.
+func TestCreateViewRefusesHostileRequests(t *testing.T) {
+	db := core.NewDatabase(testDBOpts())
+	if _, err := db.CreateRelationBTree("r", baseSchema(), 0); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		logged []string
+	)
+	_, addr := startServer(t, db, Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, format)
+	}})
+	c := dialClient(t, addr)
+	if err := c.CreateView(spDef("v", 0, 10), core.Strategy(50)); !errors.Is(err, client.ErrBadRequest) {
+		t.Errorf("strategy 50: err = %v, want ErrBadRequest", err)
+	}
+	for _, def := range hostileDefs() {
+		err := c.CreateView(def, core.Immediate)
+		if err == nil || errors.Is(err, client.ErrBadRequest) || strings.Contains(err.Error(), "internal:") {
+			t.Errorf("view %q: err = %v, want the engine's refusal", def.Name, err)
+		}
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if names := db.ViewNames(); len(names) != 0 {
+		t.Errorf("views %v were created", names)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "panic") {
+			t.Errorf("server logged %q", line)
+		}
 	}
 }

@@ -12,18 +12,16 @@ import (
 // File.Free, Disk.Open creating a file, Disk.Remove), which pages of
 // which files were touched and which files appeared or disappeared.
 // Delta reads that record out as a DiskDelta; DiskImage.Apply replays
-// it onto the image the previous checkpoint left, and the result equals
-// Snapshot() field for field. The record is dropped only by the next
+// it onto the image the previous checkpoint left, and the result is the
+// disk's state field for field (the tests read that out directly, as
+// their Snapshot oracle). The record is dropped only by the next
 // ResetChanges, which the checkpoint calls after its frame is durable —
 // a checkpoint that fails leaves every change for the next one.
 
 // DiskDelta is the serializable difference between two states of a
-// Disk: the state at the last ResetChanges and the state when Delta was
-// called. It has its own byte encoding (AppendBinary/DecodeDiskDelta)
-// rather than riding encoding/gob like DiskImage: a checkpoint writes
-// one every few commits, and gob numbers every type a process has ever
-// encoded into the bytes of all its later streams — new gob types here
-// would have shifted the WAL's and the wire protocol's byte counts.
+// Disk: the state at the last ResetChanges (for FullDelta, the empty
+// disk) and the state when it was taken. AppendBinary/DecodeDiskDelta
+// are its byte encoding, the only form in which a disk is stored.
 type DiskDelta struct {
 	// PageSize is the size of every page in Files.
 	PageSize int
@@ -57,7 +55,7 @@ type PageDelta struct {
 
 // ResetChanges forgets every recorded change and tracks from the
 // disk's current state on; the first call turns tracking on. The caller
-// must keep writers out between taking the Snapshot or Delta it made
+// must keep writers out between taking the delta it made
 // durable and this call (the engine lock does), or their changes would
 // be in neither.
 func (d *Disk) ResetChanges() {
@@ -74,36 +72,55 @@ func (d *Disk) ResetChanges() {
 }
 
 // Delta returns the changes recorded since the last ResetChanges; page
-// contents are copied. It does not clear them. Like Snapshot it sees
-// the on-disk state only, so callers FlushAll first.
-func (d *Disk) Delta() *DiskDelta {
+// contents are copied. It does not clear them. It sees the on-disk
+// state only, so callers FlushAll first.
+func (d *Disk) Delta() *DiskDelta { return d.delta(false) }
+
+// FullDelta returns the disk's whole state as the delta against an
+// empty disk of the same page size: every file created, every live page
+// present. Applied to an empty DiskImage it yields the disk's image.
+func (d *Disk) FullDelta() *DiskDelta { return d.delta(true) }
+
+func (d *Disk) delta(full bool) *DiskDelta {
 	delta := &DiskDelta{PageSize: d.pageSize}
-	d.mu.RLock()
-	for name := range d.removed {
-		delta.Removed = append(delta.Removed, name)
+	if !full {
+		d.mu.RLock()
+		for name := range d.removed {
+			delta.Removed = append(delta.Removed, name)
+		}
+		d.mu.RUnlock()
+		sort.Strings(delta.Removed)
 	}
-	d.mu.RUnlock()
-	sort.Strings(delta.Removed)
 	for _, name := range d.FileNames() {
 		f := d.file(name)
 		if f == nil {
 			continue
 		}
 		f.mu.RLock()
-		if f.fresh || len(f.dirty) > 0 {
+		if full || f.fresh || len(f.dirty) > 0 {
 			fd := FileDelta{
 				Name:    name,
-				Created: f.fresh,
+				Created: full || f.fresh,
 				Extent:  len(f.pages),
 				Free:    append([]PageNum(nil), f.free...),
 			}
-			for pn := range f.dirty {
+			var nums []PageNum // the pages to carry, in order
+			if full {
+				for i := range f.pages {
+					nums = append(nums, PageNum(i))
+				}
+			} else {
+				for pn := range f.dirty {
+					nums = append(nums, pn)
+				}
+				sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+			}
+			for _, pn := range nums {
 				// A dirty page that is nil now was freed; Free says so.
 				if p := f.pages[pn]; p != nil {
 					fd.Pages = append(fd.Pages, PageDelta{Num: pn, Data: append([]byte(nil), p...)})
 				}
 			}
-			sort.Slice(fd.Pages, func(i, j int) bool { return fd.Pages[i].Num < fd.Pages[j].Num })
 			delta.Files = append(delta.Files, fd)
 		}
 		f.mu.RUnlock()
@@ -167,7 +184,7 @@ func (img *DiskImage) Apply(d *DiskDelta) error {
 			return err
 		}
 	}
-	var out []FileImage // nil when empty, like Snapshot's
+	var out []FileImage // nil when empty
 	for _, fi := range files {
 		out = append(out, *fi)
 	}

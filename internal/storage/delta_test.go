@@ -57,37 +57,52 @@ func deltaScript(seed int64, steps int) error {
 			d.Open(name)
 		}
 	}
-	// Some history before tracking starts: the first image is a full one.
-	for i := 0; i < 10; i++ {
-		step()
-	}
-	img := d.Snapshot()
-	d.ResetChanges()
-	for i := 0; i < steps; i++ {
-		step()
-		if rng.Intn(6) != 0 {
-			continue
-		}
-		delta := d.Delta()
-		if rng.Intn(4) == 0 {
-			continue // the frame never became durable
-		}
+	// apply sends a delta through its byte encoding onto img and holds
+	// the result to Snapshot().
+	apply := func(img *DiskImage, delta *DiskDelta) error {
 		enc, err := delta.AppendBinary(nil)
 		if err != nil {
 			return err
 		}
 		decoded, err := DecodeDiskDelta(enc)
 		if err != nil {
-			return fmt.Errorf("step %d: decoding: %w", i, err)
+			return fmt.Errorf("decoding: %w", err)
 		}
 		if err := img.Apply(decoded); err != nil {
-			return fmt.Errorf("step %d: Apply: %w", i, err)
+			return fmt.Errorf("Apply: %w", err)
 		}
 		if want := d.Snapshot(); !reflect.DeepEqual(img, want) {
-			return fmt.Errorf("step %d: image after Apply differs from Snapshot:\n got  %s\n want %s", i, describeImage(img), describeImage(want))
+			return fmt.Errorf("image after Apply differs from Snapshot:\n got  %s\n want %s", describeImage(img), describeImage(want))
 		}
 		if _, err := RestoreDisk(img); err != nil {
-			return fmt.Errorf("step %d: applied image does not restore: %w", i, err)
+			return fmt.Errorf("applied image does not restore: %w", err)
+		}
+		return nil
+	}
+	// Some history before tracking starts. The first frame is a full one:
+	// the delta against the empty disk.
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	img := &DiskImage{PageSize: deltaTestPageSize}
+	if err := apply(img, d.FullDelta()); err != nil {
+		return fmt.Errorf("first full delta: %w", err)
+	}
+	d.ResetChanges()
+	for i := 0; i < steps; i++ {
+		step()
+		if rng.Intn(6) != 0 {
+			continue
+		}
+		delta, full := d.Delta(), d.FullDelta()
+		if rng.Intn(4) == 0 {
+			continue // the frame never became durable
+		}
+		if rng.Intn(8) == 0 { // a full rewrite starts the chain over
+			img, delta = &DiskImage{PageSize: deltaTestPageSize}, full
+		}
+		if err := apply(img, delta); err != nil {
+			return fmt.Errorf("step %d: %w", i, err)
 		}
 		d.ResetChanges()
 	}

@@ -2,44 +2,22 @@ package storage
 
 import "fmt"
 
-// DiskImage is the serializable form of a Disk: page size plus every
-// file's pages and free list. All fields are exported so the image can
-// travel through encoding/gob; page contents are copied, never
-// aliased.
+// DiskImage is a Disk's state as plain data: page size plus every
+// file's pages and free list. Recovery builds one by applying
+// DiskDeltas in order, the first a FullDelta, and turns it into a Disk
+// with RestoreDisk; it is never serialised itself.
 type DiskImage struct {
 	PageSize int
 	Files    []FileImage
 }
 
-// FileImage is one file's serializable form. Pages holds the physical
+// FileImage is one file of a DiskImage. Pages holds the physical
 // extent in order; freed holes are nil entries, and Free lists their
 // page numbers for allocator reuse.
 type FileImage struct {
 	Name  string
 	Pages [][]byte
 	Free  []PageNum
-}
-
-// Snapshot captures the disk's current on-disk state. Callers that
-// need dirty buffer-pool contents included must FlushAll first.
-func (d *Disk) Snapshot() *DiskImage {
-	img := &DiskImage{PageSize: d.pageSize}
-	for _, name := range d.FileNames() {
-		f := d.file(name)
-		if f == nil {
-			continue
-		}
-		f.mu.RLock()
-		fi := FileImage{Name: name, Pages: make([][]byte, len(f.pages)), Free: append([]PageNum(nil), f.free...)}
-		for i, p := range f.pages {
-			if p != nil {
-				fi.Pages[i] = append([]byte(nil), p...)
-			}
-		}
-		f.mu.RUnlock()
-		img.Files = append(img.Files, fi)
-	}
-	return img
 }
 
 // validate checks one file image against the invariants the allocator

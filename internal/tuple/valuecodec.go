@@ -3,6 +3,7 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -35,30 +36,31 @@ func ValueSize(v Value) int {
 }
 
 // DecodeValue parses one value from the front of src, returning the
-// value and bytes consumed.
+// value and bytes consumed. A src that ends early fails wrapping
+// io.ErrUnexpectedEOF; an unknown tag does not.
 func DecodeValue(src []byte) (Value, int, error) {
 	if len(src) < 1 {
-		return Value{}, 0, fmt.Errorf("tuple: empty value buffer")
+		return Value{}, 0, fmt.Errorf("tuple: empty value buffer: %w", io.ErrUnexpectedEOF)
 	}
 	typ := Type(src[0])
 	switch typ {
 	case Int:
 		if len(src) < 9 {
-			return Value{}, 0, fmt.Errorf("tuple: truncated int value")
+			return Value{}, 0, fmt.Errorf("tuple: truncated int value: %w", io.ErrUnexpectedEOF)
 		}
 		return I(int64(binary.BigEndian.Uint64(src[1:]))), 9, nil
 	case Float:
 		if len(src) < 9 {
-			return Value{}, 0, fmt.Errorf("tuple: truncated float value")
+			return Value{}, 0, fmt.Errorf("tuple: truncated float value: %w", io.ErrUnexpectedEOF)
 		}
 		return F(math.Float64frombits(binary.BigEndian.Uint64(src[1:]))), 9, nil
 	case String:
 		if len(src) < 5 {
-			return Value{}, 0, fmt.Errorf("tuple: truncated string header")
+			return Value{}, 0, fmt.Errorf("tuple: truncated string header: %w", io.ErrUnexpectedEOF)
 		}
 		l := int(binary.BigEndian.Uint32(src[1:]))
 		if len(src) < 5+l {
-			return Value{}, 0, fmt.Errorf("tuple: truncated string payload")
+			return Value{}, 0, fmt.Errorf("tuple: truncated string payload: %w", io.ErrUnexpectedEOF)
 		}
 		return S(string(src[5 : 5+l])), 5 + l, nil
 	default:
