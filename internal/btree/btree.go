@@ -134,18 +134,16 @@ func (t *Tree) LeafPages() int {
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for {
-		n++
-		page, err := t.file.Peek(pn)
-		if err != nil {
+	var page []byte
+	for n := 1; ; n++ {
+		if page, err = t.file.PeekInto(pn, page); err != nil {
 			return n
 		}
-		leaf, err := decodeLeaf(page)
-		if err != nil || !leaf.hasNext {
+		next, hasNext := leafLink(page)
+		if !hasNext {
 			return n
 		}
-		pn = leaf.next
+		pn = next
 	}
 }
 
@@ -231,14 +229,18 @@ func leafSize(n *leafNode) int {
 	return sz
 }
 
+// leafLink reads a leaf header's forward link.
+func leafLink(page []byte) (next storage.PageNum, hasNext bool) {
+	if rawNext := binary.BigEndian.Uint32(page[3:]); rawNext != 0 {
+		return storage.PageNum(rawNext - 1), true
+	}
+	return 0, false
+}
+
 func decodeLeaf(page []byte) (*leafNode, error) {
 	cnt := int(binary.BigEndian.Uint16(page[1:]))
-	rawNext := binary.BigEndian.Uint32(page[3:])
 	n := &leafNode{}
-	if rawNext != 0 {
-		n.hasNext = true
-		n.next = storage.PageNum(rawNext - 1)
-	}
+	n.next, n.hasNext = leafLink(page)
 	if page[0] == pageLeafCol {
 		tuples, err := colpage.DecodeTuples(page[leafHeader:])
 		if err != nil {
@@ -263,60 +265,54 @@ func decodeLeaf(page []byte) (*leafNode, error) {
 	return n, nil
 }
 
-// colLeaf is a leaf decoded straight to columnar form: the id lane plus
-// one vec.Col per column, skipping tuple materialization entirely for
-// columnar pages (row pages are gathered cell by cell).
-type colLeaf struct {
-	next    storage.PageNum
-	hasNext bool
-	rows    int
-	ids     []uint64
-	cols    []vec.Col
+// rowLanes is a run of scanned rows in columnar form: the id lane plus
+// one vec.Col per column — a batch's slot-0 lanes, or the iterator's
+// staging lanes.
+type rowLanes struct {
+	ids  []uint64
+	cols []vec.Col
 }
 
-func decodeLeafCols(page []byte) (*colLeaf, error) {
-	cnt := int(binary.BigEndian.Uint16(page[1:]))
-	rawNext := binary.BigEndian.Uint32(page[3:])
-	out := &colLeaf{}
-	if rawNext != 0 {
-		out.hasNext = true
-		out.next = storage.PageNum(rawNext - 1)
+// reset empties the lanes for reuse, keeping their capacity. Rows moved
+// out of them were copied, and string cells point into per-page arenas
+// that are never reused, so nothing handed out aliases what comes next.
+func (l *rowLanes) reset() {
+	l.ids = l.ids[:0]
+	for c := range l.cols {
+		l.cols[c].Reset()
 	}
+}
+
+// appendLeaf decodes a leaf page's rows onto the lanes, skipping tuple
+// materialization entirely for columnar pages (row pages are gathered
+// cell by cell). Lanes holding no rows take the leaf's arity.
+func (l *rowLanes) appendLeaf(page []byte) error {
+	cnt := int(binary.BigEndian.Uint16(page[1:]))
 	switch page[0] {
 	case pageLeafCol:
-		ch, err := colpage.Decode(page[leafHeader:])
+		before := len(l.ids)
+		ids, cols, err := colpage.DecodeInto(page[leafHeader:], l.ids, l.cols)
 		if err != nil {
-			return nil, fmt.Errorf("btree: columnar leaf: %w", err)
+			return fmt.Errorf("btree: columnar leaf: %w", err)
 		}
-		if ch.Rows != cnt {
-			return nil, fmt.Errorf("btree: columnar leaf holds %d tuples, header says %d", ch.Rows, cnt)
+		if len(ids)-before != cnt {
+			return fmt.Errorf("btree: columnar leaf holds %d tuples, header says %d", len(ids)-before, cnt)
 		}
-		out.rows, out.ids, out.cols = ch.Rows, ch.IDs, ch.Cols
-		return out, nil
+		l.ids, l.cols = ids, cols
+		return nil
 	case pageLeaf:
 		leaf, err := decodeLeaf(page)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out.rows = len(leaf.tuples)
-		if out.rows == 0 {
-			return out, nil
+		ids, cols, err := vec.AppendTupleRows(l.ids, l.cols, leaf.tuples)
+		if err != nil {
+			return fmt.Errorf("btree: mixed arity in leaf: %w", err)
 		}
-		arity := len(leaf.tuples[0].Vals)
-		out.ids = make([]uint64, 0, out.rows)
-		out.cols = make([]vec.Col, arity)
-		for _, tp := range leaf.tuples {
-			if len(tp.Vals) != arity {
-				return nil, fmt.Errorf("btree: mixed arity in leaf")
-			}
-			out.ids = append(out.ids, tp.ID)
-			for c := 0; c < arity; c++ {
-				out.cols[c].Append(tp.Vals[c])
-			}
-		}
-		return out, nil
+		l.ids, l.cols = ids, cols
+		return nil
 	default:
-		return nil, fmt.Errorf("btree: page type %d is not a leaf", page[0])
+		return fmt.Errorf("btree: page type %d is not a leaf", page[0])
 	}
 }
 
@@ -374,9 +370,10 @@ func decodeInternal(page []byte) (*internalNode, error) {
 // Peek reads (statistics walks only).
 func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 	pn := t.root
+	var page []byte
 	for {
-		page, err := t.file.Peek(pn)
-		if err != nil {
+		var err error
+		if page, err = t.file.PeekInto(pn, page); err != nil {
 			return 0, err
 		}
 		if isLeafPage(page[0]) {
@@ -703,6 +700,12 @@ func (t *Tree) readaheadWindow() int {
 // prefetch — early termination at Hi means a prefetched leaf could be a
 // read the plain walk never charges.
 //
+// A leaf the scan wants whole — any leaf of a full scan, an interior
+// leaf of a range scan — decodes straight onto the batch being filled
+// when it fits. Every other leaf (the rest of a window once the batch
+// is full, the leaves a range cuts) decodes onto the iterator's staging
+// lanes, and Fill moves it on in runs of rows.
+//
 // On full scans with prune atoms the walk also consults the zone maps
 // of upcoming columnar leaves and skips pages whose footer disproves
 // the predicate for every row. Pruned pages are never pinned and never
@@ -716,11 +719,16 @@ type BatchIterator struct {
 	pn      storage.PageNum
 	hasPage bool
 	done    bool
-	ra      bool // readahead allowed (full scan)
-	cur     *colLeaf
+	ra      bool     // readahead allowed (full scan)
+	all     bool     // the range keeps every row: no key is looked at
+	stage   rowLanes // rows read but not handed out: those from idx on
 	idx     int
-	pending []*colLeaf // decoded leaves fetched ahead, in chain order
 	pruned  int64
+	// Buffers walkAhead reuses from window to window: the page it peeks
+	// zone maps through and the pages it found to fetch. Neither is
+	// referenced once the loadPage call that filled it returns.
+	peek  []byte
+	fetch []storage.PageNum
 }
 
 // ScanBatches returns a columnar iterator over tuples whose key-column
@@ -728,7 +736,7 @@ type BatchIterator struct {
 // scans: a range scan already terminates early, and pruning mid-range
 // could skip the page holding the range's end.
 func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*BatchIterator, error) {
-	it := &BatchIterator{tree: t, rg: rg, ra: rg == nil}
+	it := &BatchIterator{tree: t, rg: rg, ra: rg == nil, all: rg == nil || rg.Unbounded(), hasPage: true}
 	if it.ra {
 		it.prune = prune
 	}
@@ -738,8 +746,7 @@ func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*BatchIterator
 			return nil, err
 		}
 		it.pn = pn
-		it.hasPage = true
-		return it, it.loadPage()
+		return it, it.loadPage(nil, 0)
 	}
 	start := key{val: *rg.Lo} // id 0: before all ids of that value
 	if !rg.LoInc {
@@ -750,151 +757,209 @@ func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*BatchIterator
 		return nil, err
 	}
 	it.pn = path[len(path)-1]
-	it.hasPage = true
-	if err := it.loadPage(); err != nil {
-		return nil, err
-	}
-	// Skip entries below the range on the first page.
-	for it.cur != nil && it.idx < it.cur.rows {
-		v := it.cur.cols[t.keyCol].Value(it.idx)
-		if rg.Contains(v) || tuple.Compare(v, *rg.Lo) >= 0 {
-			break
-		}
-		it.idx++
-	}
-	return it, nil
+	// Fill skips the first leaf's entries below the range.
+	return it, it.loadPage(nil, 0)
 }
 
 // Pruned returns the number of pages skipped via zone maps so far.
 func (it *BatchIterator) Pruned() int64 { return it.pruned }
 
 // Fill appends rows to b (slot-0-only shape) until the batch holds max
-// rows or the scan is exhausted; check Done afterwards.
+// rows or the scan is exhausted; check Done afterwards. Whenever the
+// rows read so far run out it reads on at once, full batch or not, so
+// the pool sees the page requests at the same points of the scan
+// whatever the batch size.
 func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
-	for {
-		if it.done {
-			return nil
-		}
-		if it.cur == nil || it.idx >= it.cur.rows {
-			if len(it.pending) == 0 && !it.hasPage {
-				it.done = true
-				return nil
-			}
-			if err := it.loadPage(); err != nil {
+	for !it.done {
+		n := len(it.stage.ids)
+		if it.idx >= n {
+			if err := it.loadPage(b, max); err != nil {
 				return err
 			}
 			continue
 		}
-		if it.rg != nil {
-			v := it.cur.cols[it.tree.keyCol].Value(it.idx)
-			if it.rg.Hi != nil {
-				c := tuple.Compare(v, *it.rg.Hi)
-				if c > 0 || (c == 0 && !it.rg.HiInc) {
-					it.done = true
-					return nil
-				}
+		lo, hi, past := it.idx, n, false
+		if !it.all {
+			keys, err := it.keys(it.stage.cols)
+			if err != nil {
+				return err
 			}
-			if !it.rg.Contains(v) {
-				it.idx++ // below Lo (first page only) or excluded
-				continue
-			}
+			lo, hi, past = keptRun(keys, it.rg, it.idx, n)
 		}
-		if !b.AppendSlot0(it.cur.ids[it.idx], it.cur.cols, it.idx, max) {
-			if b.NumRows() >= max {
+		if lo < hi {
+			room := max - b.NumRows()
+			if room <= 0 {
+				it.idx = lo
 				return nil // batch full; resume here next call
 			}
-			return fmt.Errorf("btree: scan produced mixed-shape tuples")
+			take := min(hi-lo, room)
+			if !b.AppendSlot0Rows(it.stage.ids, it.stage.cols, lo, lo+take) {
+				return errMixedShape
+			}
+			if take < hi-lo {
+				it.idx = lo + take
+				return nil
+			}
 		}
-		it.idx++
+		it.idx, it.done = hi, past
 	}
+	return nil
+}
+
+var errMixedShape = fmt.Errorf("btree: scan produced mixed-shape tuples")
+
+// keys returns the key column of scanned rows, which stored bytes may
+// not have.
+func (it *BatchIterator) keys(cols []vec.Col) (*vec.Col, error) {
+	if it.tree.keyCol >= len(cols) {
+		return nil, fmt.Errorf("btree: rows of %d columns have no key column %d", len(cols), it.tree.keyCol)
+	}
+	return &cols[it.tree.keyCol], nil
+}
+
+// keptRun scans key cells [from, to) for the next run of rows the range
+// keeps, rows [lo, hi): those in [from, lo) it excludes (below Lo on
+// the scan's first leaf, or equal to a ≠ constant). past reports that
+// row hi lies beyond Hi, which ends the scan.
+func keptRun(keys *vec.Col, rg *pred.Range, from, to int) (lo, hi int, past bool) {
+	beyond := func(v tuple.Value) bool {
+		if rg.Hi == nil {
+			return false
+		}
+		c := tuple.Compare(v, *rg.Hi)
+		return c > 0 || (c == 0 && !rg.HiInc)
+	}
+	for lo = from; lo < to; lo++ {
+		v := keys.Value(lo)
+		if beyond(v) {
+			return lo, lo, true
+		}
+		if rg.Contains(v) {
+			break
+		}
+	}
+	for hi = lo; hi < to; hi++ {
+		v := keys.Value(hi)
+		if beyond(v) {
+			return lo, hi, true
+		}
+		if !rg.Contains(v) {
+			break
+		}
+	}
+	return lo, hi, false
 }
 
 // Done reports exhaustion.
 func (it *BatchIterator) Done() bool { return it.done }
 
-func (it *BatchIterator) loadPage() error {
+// loadPage reads the next leaf — on a full scan, the next readahead
+// window of leaves — once every row read before it has been handed
+// out. b is the batch being filled (nil at open), max its row limit.
+func (it *BatchIterator) loadPage(b *vec.Batch, max int) error {
+	it.stage.reset()
+	it.idx = 0
 	for {
-		if len(it.pending) > 0 {
-			// Leaves fetched by walkAhead: the chain cursor was already
-			// advanced past them (their own next pointers may point at
-			// pruned pages and must not steer the scan).
-			it.cur, it.idx = it.pending[0], 0
-			it.pending = it.pending[1:]
-			return nil
-		}
 		if !it.hasPage {
 			it.done = true
 			return nil
 		}
 		if it.ra {
-			if fetch, cont, hasCont, ok := it.walkAhead(); ok {
+			if cont, hasCont, ok := it.walkAhead(); ok {
+				// The walk owns the cursor: the fetched leaves' own next
+				// pointers may point at pruned pages and must not steer
+				// the scan.
 				it.pn, it.hasPage = cont, hasCont
-				if len(fetch) == 0 {
+				if len(it.fetch) == 0 {
 					continue // whole window pruned; maybe exhausted now
 				}
-				if err := it.fetchLeaves(fetch); err != nil {
-					return err
-				}
-				continue
+				return it.fetchLeaves(it.fetch, b, max)
 			}
 		}
 		// Charged, chain-following load: the fallback when readahead is
 		// unsafe (dirty frames, tiny pool) and the range-scan path.
-		leaf, err := it.tree.getLeafCols(it.pn)
+		next, hasNext, err := it.getLeaf(it.pn, b, max)
+		it.pn, it.hasPage = next, hasNext
+		return err
+	}
+}
+
+// takeLeaf decodes a pinned leaf page: straight onto b when nothing is
+// staged ahead of it, the whole leaf fits and the range keeps every
+// row; onto the staging lanes otherwise.
+func (it *BatchIterator) takeLeaf(page []byte, b *vec.Batch, max int) error {
+	rows := int(binary.BigEndian.Uint16(page[1:]))
+	if b == nil || len(it.stage.ids) > 0 || rows > max-b.NumRows() {
+		return it.stage.appendLeaf(page)
+	}
+	mark := b.NumRows()
+	dst := rowLanes{ids: b.IDs[0], cols: b.Slots[0]}
+	if err := dst.appendLeaf(page); err != nil {
+		return err
+	}
+	if err := b.SetSlot0(dst.ids, dst.cols); err != nil {
+		return fmt.Errorf("%w: %v", errMixedShape, err)
+	}
+	if !it.all && b.NumRows() > mark {
+		keys, err := it.keys(b.Slots[0])
 		if err != nil {
 			return err
 		}
-		it.cur, it.idx = leaf, 0
-		it.pn, it.hasPage = leaf.next, leaf.hasNext
-		return nil
+		if lo, hi, past := keptRun(keys, it.rg, mark, b.NumRows()); lo != mark || hi != b.NumRows() || past {
+			// The range cuts this leaf (its last, usually): take it back
+			// and let Fill move the kept runs.
+			b.Truncate(mark)
+			return it.stage.appendLeaf(page)
+		}
 	}
+	return nil
 }
 
-// getLeafCols reads one leaf with a plain charged Get.
-func (t *Tree) getLeafCols(pn storage.PageNum) (*colLeaf, error) {
+// getLeaf reads one leaf with a plain charged Get and returns its
+// forward link.
+func (it *BatchIterator) getLeaf(pn storage.PageNum, b *vec.Batch, max int) (next storage.PageNum, hasNext bool, err error) {
+	t := it.tree
 	fr, err := t.pool.Get(t.file, pn)
 	if err != nil {
-		return nil, err
+		return 0, false, err
 	}
-	leaf, err := decodeLeafCols(fr.Data)
+	next, hasNext = leafLink(fr.Data)
+	err = it.takeLeaf(fr.Data, b, max)
 	if rerr := t.pool.Release(fr); rerr != nil && err == nil {
 		err = rerr
 	}
-	return leaf, err
+	return next, hasNext, err
 }
 
 // walkAhead walks the on-disk leaf chain from the cursor via unmetered
-// peeks, splitting the upcoming window into pages to fetch and pages
-// whose zone maps disprove the prune atoms (skipped, counted, never
-// read). On return with ok, the cursor continuation (cont, hasCont) is
+// peeks, splitting the upcoming window into pages to fetch (it.fetch)
+// and pages whose zone maps disprove the prune atoms (skipped, counted,
+// never read). On return with ok, the cursor continuation (cont, hasCont) is
 // owned by the walk: it points past every examined page. A walk that
 // hits a peek failure before committing any prune returns !ok so the
 // charged chain-following path takes over from the cursor; after a
 // prune, it stops at the failing page and lets the charged path surface
 // the real error there.
-func (it *BatchIterator) walkAhead() (fetch []storage.PageNum, cont storage.PageNum, hasCont bool, ok bool) {
+func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok bool) {
 	w := it.tree.readaheadWindow()
 	if w == 0 || it.tree.file.HasDirtyFrames() {
-		return nil, 0, false, false
+		return 0, false, false
 	}
 	pn := it.pn
 	prunedN := 0
+	it.fetch = it.fetch[:0]
 	for {
-		page, err := it.tree.file.Peek(pn)
+		page, err := it.tree.file.PeekInto(pn, it.peek)
 		if err != nil || !isLeafPage(page[0]) {
-			if prunedN == 0 {
-				return nil, 0, false, false // truncated or foreign chain
-			}
-			return fetch, pn, true, true
+			// Truncated or foreign chain.
+			return pn, true, prunedN > 0
 		}
+		it.peek = page
 		skip := false
 		if page[0] == pageLeafCol && len(it.prune) > 0 {
 			z, zerr := colpage.ReadZones(page[leafHeader:])
 			if zerr != nil {
-				if prunedN == 0 {
-					return nil, 0, false, false
-				}
-				return fetch, pn, true, true
+				return pn, true, prunedN > 0
 			}
 			skip = z.Prunable(it.prune)
 		}
@@ -902,15 +967,14 @@ func (it *BatchIterator) walkAhead() (fetch []storage.PageNum, cont storage.Page
 			prunedN++
 			it.pruned++
 		} else {
-			fetch = append(fetch, pn)
+			it.fetch = append(it.fetch, pn)
 		}
-		rawNext := binary.BigEndian.Uint32(page[3:])
-		if rawNext == 0 {
-			return fetch, 0, false, true
+		next, hasNext := leafLink(page)
+		if !hasNext {
+			return 0, false, true
 		}
-		next := storage.PageNum(rawNext - 1)
-		if len(fetch) == w {
-			return fetch, next, true, true
+		if len(it.fetch) == w {
+			return next, true, true
 		}
 		pn = next
 	}
@@ -920,34 +984,22 @@ func (it *BatchIterator) walkAhead() (fetch []storage.PageNum, cont storage.Page
 // multiple pages (one combined latency sleep, identical metered reads),
 // a plain Get when a single page survived. Frames are released as soon
 // as each leaf is decoded, so the window holds no pins afterwards.
-func (it *BatchIterator) fetchLeaves(pns []storage.PageNum) error {
+func (it *BatchIterator) fetchLeaves(pns []storage.PageNum, b *vec.Batch, max int) error {
 	if len(pns) == 1 {
-		leaf, err := it.tree.getLeafCols(pns[0])
-		if err != nil {
-			return err
-		}
-		it.pending = append(it.pending, leaf)
-		return nil
+		_, _, err := it.getLeaf(pns[0], b, max)
+		return err
 	}
 	frames, err := it.tree.pool.GetBatch(it.tree.file, pns)
 	if err != nil {
 		return err
 	}
-	leaves := make([]*colLeaf, 0, len(frames))
 	for _, fr := range frames {
 		if err == nil {
-			var leaf *colLeaf
-			if leaf, err = decodeLeafCols(fr.Data); err == nil {
-				leaves = append(leaves, leaf)
-			}
+			err = it.takeLeaf(fr.Data, b, max)
 		}
 		if rerr := it.tree.pool.Release(fr); rerr != nil && err == nil {
 			err = rerr
 		}
 	}
-	if err != nil {
-		return err
-	}
-	it.pending = append(it.pending, leaves...)
-	return nil
+	return err
 }

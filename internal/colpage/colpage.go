@@ -1,19 +1,20 @@
 // Package colpage is the columnar page encoding: within one data page,
-// tuples are laid out as typed column chunks (tag/int/float/bytes lanes
-// mirroring vec.Col) with lightweight per-column encodings — frame-of-
-// reference or run-length for ints, raw IEEE bits for floats,
-// dictionary or raw for byte strings, and a per-cell tagged fallback
-// for mixed-type columns — plus a footer holding the row count and
-// per-column min/max zone maps.
+// tuples are laid out as typed column chunks (one int, float or bytes
+// lane per column, as in vec.Col) with lightweight per-column encodings
+// — frame-of-reference or run-length for ints, raw IEEE bits for
+// floats, dictionary or raw for byte strings, and a per-cell tagged
+// fallback for mixed-type columns — plus a footer holding the row count
+// and per-column min/max zone maps.
 //
 // The chunk is deliberately capacity-neutral: access methods size and
 // split pages by the row-major encoded size regardless of layout, and a
 // chunk that will not fit in the page falls back to the row encoding
 // for that page. Both layouts therefore produce identical page counts
 // and identical metered I/O; the chunk's wins are decode speed (lanes
-// deserialize straight into vec.Col with no intermediate tuples) and
-// zone-map pruning (a scan can disprove its predicate against the
-// footer of an unread page and skip it entirely).
+// deserialize straight onto vec.Col lanes, one grow and one loop each,
+// with no intermediate tuples) and zone-map pruning (a scan can
+// disprove its predicate against the footer of an unread page and skip
+// it entirely).
 //
 // Chunk wire format, all integers big-endian:
 //
@@ -73,15 +74,6 @@ const maxZoneValue = 40
 // maxDict is the largest distinct-value count a dictionary lane can
 // index with one byte.
 const maxDict = 256
-
-// Chunk is a decoded columnar page region: the id lane plus one
-// vec.Col per column. String cells slice a per-chunk arena that is
-// never mutated after decode, so batches may retain them zero-copy.
-type Chunk struct {
-	Rows int
-	IDs  []uint64
-	Cols []vec.Col
-}
 
 // ColZone is one column's zone map: the tuple.Compare-ordered min and
 // max over the page's rows, when small enough to store.
@@ -409,50 +401,65 @@ func header(chunk []byte) (rows, cols, footOff int, err error) {
 	return rows, cols, footOff, nil
 }
 
-// Decode deserializes a chunk's lanes into columnar form. String cells
-// reference freshly allocated arenas owned by the returned Chunk; they
-// are never mutated afterwards, so downstream batches may alias them.
-func Decode(chunk []byte) (*Chunk, error) {
-	rows, cols, footOff, err := header(chunk)
+// DecodeInto appends a chunk's rows onto ids and cols — one grow and
+// one width-specialised loop per lane, whatever the lanes already hold
+// — and returns both extended. Lanes holding no rows yet take the
+// chunk's column count; otherwise the counts must agree, except that an
+// empty chunk adds nothing whatever its arity. String cells reference
+// arenas allocated here and never touched again. After an error the
+// lanes hold a partial append and must be dropped.
+func DecodeInto(chunk []byte, ids []uint64, cols []vec.Col) ([]uint64, []vec.Col, error) {
+	rows, ncols, footOff, err := header(chunk)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if len(cols) != ncols {
+		switch {
+		case len(ids) == 0:
+			cols = make([]vec.Col, ncols)
+		case rows == 0:
+			_, _, err := DecodeInto(chunk, nil, nil) // validate only
+			return ids, cols, err
+		default:
+			return nil, nil, fmt.Errorf("colpage: chunk of %d columns appended to rows of %d", ncols, len(cols))
+		}
 	}
 	body := chunk[:footOff]
-	off := chunkHeader
-	ids, off, err := decodeUintFOR(body, off, rows)
+	ids, off, err := appendIDs(body, chunkHeader, rows, ids)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := &Chunk{Rows: rows, IDs: ids, Cols: make([]vec.Col, cols)}
-	for c := 0; c < cols; c++ {
-		off, err = decodeLane(body, off, rows, &out.Cols[c])
+	for c := range cols {
+		off, err = decodeLane(body, off, rows, &cols[c])
 		if err != nil {
-			return nil, fmt.Errorf("colpage: column %d: %w", c, err)
+			return nil, nil, fmt.Errorf("colpage: column %d: %w", c, err)
 		}
 	}
 	if off != footOff {
-		return nil, fmt.Errorf("colpage: %d lane bytes trail the columns", footOff-off)
+		return nil, nil, fmt.Errorf("colpage: %d lane bytes trail the columns", footOff-off)
 	}
-	return out, nil
+	return ids, cols, nil
 }
 
-// DecodeTuples is Decode gathered back to row form — the path update
-// operations (decode, modify, re-encode) use.
+// DecodeTuples is DecodeInto gathered back to row form — the path
+// update operations (decode, modify, re-encode) use. The rows' values are
+// carved out of one flat array.
 func DecodeTuples(chunk []byte) ([]tuple.Tuple, error) {
-	ch, err := Decode(chunk)
+	ids, cols, err := DecodeInto(chunk, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]tuple.Tuple, ch.Rows)
-	for i := 0; i < ch.Rows; i++ {
-		tp := tuple.Tuple{ID: ch.IDs[i]}
-		if len(ch.Cols) > 0 {
-			tp.Vals = make([]tuple.Value, len(ch.Cols))
-			for c := range ch.Cols {
-				tp.Vals[c] = ch.Cols[c].Value(i)
-			}
+	w := len(cols)
+	flat := make([]tuple.Value, len(ids)*w)
+	for c := 0; c < w && len(ids) > 0; c++ {
+		cols[c].GatherValues(flat[c:], w, nil)
+	}
+	out := make([]tuple.Tuple, len(ids))
+	for i, id := range ids {
+		out[i].ID = id
+		if w > 0 {
+			out[i].Vals = flat[i*w : (i+1)*w : (i+1)*w]
 		}
-		out[i] = tp
 	}
 	return out, nil
 }
@@ -491,7 +498,13 @@ func ReadZones(chunk []byte) (*Zones, error) {
 	return z, nil
 }
 
+// decodeUintFOR decodes the id lane into a fresh slice.
 func decodeUintFOR(body []byte, off, rows int) ([]uint64, int, error) {
+	return appendIDs(body, off, rows, nil)
+}
+
+// appendIDs appends the id lane's rows onto ids.
+func appendIDs(body []byte, off, rows int, ids []uint64) ([]uint64, int, error) {
 	if off+9 > len(body) {
 		return nil, 0, fmt.Errorf("colpage: truncated id lane")
 	}
@@ -504,15 +517,43 @@ func decodeUintFOR(body []byte, off, rows int) ([]uint64, int, error) {
 	if off+rows*w > len(body) {
 		return nil, 0, fmt.Errorf("colpage: truncated id deltas")
 	}
-	ids := make([]uint64, rows)
-	for i := 0; i < rows; i++ {
-		ids[i] = ref + readBE(body[off:], w)
-		off += w
-	}
-	return ids, off, nil
+	ids = append(ids, make([]uint64, rows)...)
+	readFOR(ids[len(ids)-rows:], body[off:], ref, w)
+	return ids, off + rows*w, nil
 }
 
-// decodeLane deserializes one column into col.
+// readFOR fills dst with ref plus each w-byte big-endian delta of src,
+// the common widths as fixed-size loads.
+func readFOR[T int64 | uint64](dst []T, src []byte, ref uint64, w int) {
+	switch w {
+	case 0:
+		for i := range dst {
+			dst[i] = T(ref)
+		}
+	case 1:
+		for i := range dst {
+			dst[i] = T(ref + uint64(src[i]))
+		}
+	case 2:
+		for i := range dst {
+			dst[i] = T(ref + uint64(binary.BigEndian.Uint16(src[2*i:])))
+		}
+	case 4:
+		for i := range dst {
+			dst[i] = T(ref + uint64(binary.BigEndian.Uint32(src[4*i:])))
+		}
+	case 8:
+		for i := range dst {
+			dst[i] = T(ref + binary.BigEndian.Uint64(src[8*i:]))
+		}
+	default:
+		for i := range dst {
+			dst[i] = T(ref + readBE(src[i*w:], w))
+		}
+	}
+}
+
+// decodeLane appends one column's rows cells onto col.
 func decodeLane(body []byte, off, rows int, col *vec.Col) (int, error) {
 	if off >= len(body) {
 		return 0, fmt.Errorf("truncated lane header")
@@ -543,62 +584,63 @@ func decodeLane(body []byte, off, rows int, col *vec.Col) (int, error) {
 		if off+rows*w > len(body) {
 			return 0, fmt.Errorf("truncated FOR deltas")
 		}
-		for i := 0; i < rows; i++ {
-			col.AppendRaw(tuple.Int, int64(ref+readBE(body[off:], w)), 0, nil)
-			off += w
-		}
-		return off, nil
+		readFOR(col.GrowInts(rows), body[off:], ref, w)
+		return off + rows*w, nil
 	case encIntRLE:
 		if off+2 > len(body) {
 			return 0, fmt.Errorf("truncated RLE header")
 		}
 		runs := int(binary.BigEndian.Uint16(body[off:]))
 		off += 2
+		// Validate the runs before growing the lane by what they claim.
+		if off+10*runs > len(body) {
+			return 0, fmt.Errorf("truncated run %d", (len(body)-off)/10)
+		}
 		total := 0
 		for r := 0; r < runs; r++ {
-			if off+10 > len(body) {
-				return 0, fmt.Errorf("truncated run %d", r)
-			}
-			v := int64(binary.BigEndian.Uint64(body[off:]))
-			n := int(binary.BigEndian.Uint16(body[off+8:]))
-			off += 10
-			if total+n > rows {
+			total += int(binary.BigEndian.Uint16(body[off+10*r+8:]))
+			if total > rows {
 				return 0, fmt.Errorf("runs exceed %d rows", rows)
-			}
-			total += n
-			for k := 0; k < n; k++ {
-				col.AppendRaw(tuple.Int, v, 0, nil)
 			}
 		}
 		if total != rows {
 			return 0, fmt.Errorf("runs cover %d of %d rows", total, rows)
+		}
+		dst := col.GrowInts(rows)
+		for r := 0; r < runs; r++ {
+			v := int64(binary.BigEndian.Uint64(body[off:]))
+			n := int(binary.BigEndian.Uint16(body[off+8:]))
+			off += 10
+			for k := range dst[:n] {
+				dst[k] = v
+			}
+			dst = dst[n:]
 		}
 		return off, nil
 	case encFloatRaw:
 		if off+rows*8 > len(body) {
 			return 0, fmt.Errorf("truncated float lane")
 		}
-		for i := 0; i < rows; i++ {
-			col.AppendRaw(tuple.Float, 0, math.Float64frombits(binary.BigEndian.Uint64(body[off:])), nil)
-			off += 8
+		for i, dst := 0, col.GrowFloats(rows); i < rows; i++ {
+			dst[i] = math.Float64frombits(binary.BigEndian.Uint64(body[off+8*i:]))
 		}
-		return off, nil
+		return off + rows*8, nil
 	case encBytesRaw:
-		// First pass sizes the arena so cell slices never move.
-		_, total, err := scanStrings(body, off, rows)
+		end, _, err := scanStrings(body, off, rows)
 		if err != nil {
 			return 0, err
 		}
-		arena := make([]byte, 0, total)
-		for i := 0; i < rows; i++ {
-			l := int(binary.BigEndian.Uint32(body[off:]))
-			off += 4
-			start := len(arena)
-			arena = append(arena, body[off:off+l]...)
-			col.AppendRaw(tuple.String, 0, 0, arena[start:len(arena):len(arena)])
-			off += l
+		// One copy of the lane, length prefixes included, backs every
+		// cell, so cell slices never move.
+		arena := append([]byte(nil), body[off:end]...)
+		dst := col.GrowBytes(rows)
+		for i, p := 0, 0; i < rows; i++ {
+			l := int(binary.BigEndian.Uint32(arena[p:]))
+			p += 4
+			dst[i] = arena[p : p+l : p+l]
+			p += l
 		}
-		return off, nil
+		return end, nil
 	case encBytesDict:
 		if off+2 > len(body) {
 			return 0, fmt.Errorf("truncated dict header")
@@ -608,32 +650,31 @@ func decodeLane(body []byte, off, rows int, col *vec.Col) (int, error) {
 		if dictN > maxDict {
 			return 0, fmt.Errorf("dict of %d entries", dictN)
 		}
-		_, total, err := scanStrings(body, off, dictN)
+		end, _, err := scanStrings(body, off, dictN)
 		if err != nil {
 			return 0, err
 		}
-		arena := make([]byte, 0, total)
-		entries := make([][]byte, dictN)
-		for d := 0; d < dictN; d++ {
-			l := int(binary.BigEndian.Uint32(body[off:]))
-			off += 4
-			start := len(arena)
-			arena = append(arena, body[off:off+l]...)
-			entries[d] = arena[start:len(arena):len(arena)]
-			off += l
-		}
-		if off+rows > len(body) {
+		if end+rows > len(body) {
 			return 0, fmt.Errorf("truncated dict indexes")
 		}
-		for i := 0; i < rows; i++ {
-			idx := int(body[off])
-			off++
-			if idx >= dictN {
+		arena := append([]byte(nil), body[off:end]...)
+		var entries [maxDict][]byte
+		for d, p := 0, 0; d < dictN; d++ {
+			l := int(binary.BigEndian.Uint32(arena[p:]))
+			p += 4
+			entries[d] = arena[p : p+l : p+l]
+			p += l
+		}
+		for _, idx := range body[end : end+rows] {
+			if int(idx) >= dictN {
 				return 0, fmt.Errorf("dict index %d of %d", idx, dictN)
 			}
-			col.AppendRaw(tuple.String, 0, 0, entries[idx])
 		}
-		return off, nil
+		dst := col.GrowBytes(rows)
+		for i, idx := range body[end : end+rows] {
+			dst[i] = entries[idx]
+		}
+		return end + rows, nil
 	default:
 		return 0, fmt.Errorf("unknown lane encoding %d", enc)
 	}

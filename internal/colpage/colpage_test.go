@@ -9,6 +9,7 @@ import (
 
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // refBytes is the canonical row-codec form of a tuple slice — the
@@ -43,16 +44,21 @@ func roundTrip(t *testing.T, tuples []tuple.Tuple) []byte {
 	if !bytes.Equal(refBytes(got), refBytes(tuples)) {
 		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, tuples)
 	}
-	ch, err := Decode(chunk)
+	ids, cols, err := DecodeInto(chunk, nil, nil)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
-	if ch.Rows != len(tuples) {
-		t.Fatalf("Rows = %d, want %d", ch.Rows, len(tuples))
+	if len(ids) != len(tuples) {
+		t.Fatalf("decoded %d rows, want %d", len(ids), len(tuples))
 	}
 	for i, tp := range tuples {
-		if ch.IDs[i] != tp.ID {
-			t.Fatalf("IDs[%d] = %d, want %d", i, ch.IDs[i], tp.ID)
+		if ids[i] != tp.ID {
+			t.Fatalf("ids[%d] = %d, want %d", i, ids[i], tp.ID)
+		}
+	}
+	for c := range cols {
+		if cols[c].Len() != len(tuples) {
+			t.Fatalf("column %d holds %d cells for %d rows", c, cols[c].Len(), len(tuples))
 		}
 	}
 	return chunk
@@ -98,6 +104,67 @@ func TestRoundTripShapes(t *testing.T) {
 	}
 	for name, tuples := range cases {
 		t.Run(name, func(t *testing.T) { roundTrip(t, tuples) })
+	}
+}
+
+// lanesTuples gathers decoded lanes back to tuples.
+func lanesTuples(ids []uint64, cols []vec.Col) []tuple.Tuple {
+	out := make([]tuple.Tuple, len(ids))
+	for i, id := range ids {
+		out[i].ID = id
+		for c := range cols {
+			out[i].Vals = append(out[i].Vals, cols[c].Value(i))
+		}
+	}
+	return out
+}
+
+// DecodeInto appends onto whatever the lanes hold: every lane encoding
+// after every other, including a chunk whose cells have another type
+// than the lanes' (the column widens) — the result must read as the
+// chunks' rows concatenated.
+func TestDecodeIntoAppends(t *testing.T) {
+	chunks := [][]tuple.Tuple{
+		{tuple.New(1, tuple.I(100), tuple.S("raw-a")), tuple.New(2, tuple.I(101), tuple.S("raw-bb"))}, // FOR, raw
+		{tuple.New(3, tuple.I(7), tuple.S("d")), tuple.New(4, tuple.I(7), tuple.S("d")), tuple.New(5, tuple.I(7), tuple.S("d")),
+			tuple.New(6, tuple.I(7), tuple.S("d")), tuple.New(7, tuple.I(7), tuple.S("d")), tuple.New(8, tuple.I(7), tuple.S("d"))}, // RLE, dict
+		{tuple.New(9, tuple.F(math.NaN()), tuple.S("")), tuple.New(10, tuple.F(-0.5), tuple.S("x"))}, // float onto an int lane
+		{tuple.New(11, tuple.I(1), tuple.I(2)), tuple.New(12, tuple.S("s"), tuple.I(3))},             // mixed lane; ints onto strings
+		nil, // an empty chunk (no columns) adds nothing
+		{tuple.New(13, tuple.I(-1), tuple.S("tail"))},
+	}
+	for first := range chunks {
+		var ids []uint64
+		var cols []vec.Col
+		var want []tuple.Tuple
+		for k := range chunks {
+			tuples := chunks[(first+k)%len(chunks)]
+			var err error
+			if ids, cols, err = DecodeInto(mustEncode(t, tuples), ids, cols); err != nil {
+				t.Fatalf("start %d chunk %d: %v", first, k, err)
+			}
+			want = append(want, tuples...)
+			if got := lanesTuples(ids, cols); !bytes.Equal(refBytes(got), refBytes(want)) {
+				t.Fatalf("start %d after chunk %d:\n got %v\nwant %v", first, k, got, want)
+			}
+		}
+	}
+
+	// Rows of another arity are refused once the lanes hold rows, and
+	// re-shape lanes that hold none.
+	ids, cols, err := DecodeInto(mustEncode(t, chunks[0]), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := mustEncode(t, []tuple.Tuple{tuple.New(20, tuple.I(5))})
+	if _, _, err := DecodeInto(one, ids, cols); err == nil {
+		t.Fatal("a one-column chunk appended to two-column rows")
+	}
+	for c := range cols {
+		cols[c].Reset()
+	}
+	if ids, cols, err = DecodeInto(one, ids[:0], cols); err != nil || len(ids) != 1 || len(cols) != 1 {
+		t.Fatalf("empty lanes did not take the chunk's arity: %d ids, %d cols, %v", len(ids), len(cols), err)
 	}
 }
 
@@ -260,6 +327,14 @@ func FuzzColPageCodec(f *testing.F) {
 		tuple.New(5, tuple.I(7), tuple.I(7)),
 		tuple.New(6, tuple.I(7), tuple.I(8)),
 		tuple.New(7, tuple.I(7), tuple.I(9)),
+	})
+	// A column that turns mixed mid-chunk (the encMixed lane, decoded
+	// onto a column that starts uniform and widens).
+	seed([]tuple.Tuple{
+		tuple.New(8, tuple.I(1), tuple.S("a")),
+		tuple.New(9, tuple.I(2), tuple.S("b")),
+		tuple.New(10, tuple.F(2.5), tuple.S("c")),
+		tuple.New(11, tuple.I(4), tuple.I(9)),
 	})
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 1, 0, 0, 0, 8, 255})

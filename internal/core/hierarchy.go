@@ -269,19 +269,28 @@ func (db *Database) parentScanOp(p *viewState) exec.Operator {
 		return p.mat.scanOp(db.execOpts(), label, nil, true)
 	}
 	kind := p.def.AggKind
-	groupValues := func(cols []vec.Col) ([]vec.Col, []int64) {
+	name := p.def.Name
+	groupValues := func(cols []vec.Col) ([]vec.Col, []int64, error) {
+		// A group row is (group, count, sum, sumSq, extreme): rowOf.
+		if len(cols) != 5 {
+			return nil, nil, &StoredCorruptError{View: name, Detail: fmt.Sprintf("group rows of %d columns, want 5", len(cols))}
+		}
+		for c, t := range [...]tuple.Type{tuple.Int, tuple.Float, tuple.Float, tuple.Float} {
+			if err := checkLane(name, cols, c+1, t); err != nil {
+				return nil, nil, err
+			}
+		}
 		var vals vec.Col
 		mult := make([]int64, cols[0].Len())
+		out := vals.GrowFloats(len(mult))
 		for i := range mult {
 			s := agg.NewState(kind)
 			s.Restore(cols[1].Ints[i], cols[2].Floats[i], cols[3].Floats[i], cols[4].Floats[i])
-			v, ok := s.Value()
-			if ok {
-				mult[i] = 1
+			if v, ok := s.Value(); ok {
+				out[i], mult[i] = v, 1
 			}
-			vals.Append(tuple.F(v))
 		}
-		return []vec.Col{cols[0], vals}, mult
+		return []vec.Col{cols[0], vals}, mult, nil
 	}
 	return exec.NewStoredScan(db.execOpts(), label, p.groups.rel, nil, groupValues, true)
 }

@@ -22,9 +22,32 @@ const dupCountCol = "__dup"
 // removing at 0) and fails on underflow — underflow is how the
 // Appendix A anomaly in Blakeley's delete expansion manifests.
 type MatView struct {
+	name   string
 	rel    *relation.Relation
 	out    *tuple.Schema // logical (count-free) schema
 	keyCol int
+}
+
+// StoredCorruptError reports that rows read back from a view's stored
+// copy do not have the shape the view writes — bytes changed under the
+// engine, typically in a snapshot. The read fails rather than answer
+// from cells of the wrong type.
+type StoredCorruptError struct {
+	View   string
+	Detail string
+}
+
+func (e *StoredCorruptError) Error() string {
+	return fmt.Sprintf("core: stored copy of view %q is corrupt: %s", e.View, e.Detail)
+}
+
+// checkLane reports a corrupt stored copy of view unless stored column
+// c holds type t in every row, the condition for reading its lane.
+func checkLane(view string, cols []vec.Col, c int, t tuple.Type) error {
+	if got, ok := cols[c].Uniform(); !ok || got != t {
+		return &StoredCorruptError{View: view, Detail: fmt.Sprintf("column %d is not %s in every row", c, t)}
+	}
+	return nil
 }
 
 // NewMatView creates the backing store for a materialized view with
@@ -36,7 +59,7 @@ func NewMatView(disk *storage.Disk, pool *storage.Pool, name string, out *tuple.
 	if err != nil {
 		return nil, err
 	}
-	return &MatView{rel: rel, out: out, keyCol: keyCol}, nil
+	return &MatView{name: name, rel: rel, out: out, keyCol: keyCol}, nil
 }
 
 // Schema returns the logical (count-free) output schema.
@@ -137,14 +160,20 @@ func (v *MatView) setCount(row tuple.Tuple, count int64) error {
 // duplicate-count column becomes each row's multiplicity — carried in
 // the batch's Dup lane, or with expand the row repeated that many times.
 func (v *MatView) scanOp(o exec.Options, label string, rg *pred.Range, expand bool) exec.Operator {
-	return exec.NewStoredScan(o, label, v.rel, orFull(rg), splitDupCount, expand)
+	return exec.NewStoredScan(o, label, v.rel, orFull(rg), v.splitDupCount, expand)
 }
 
 // splitDupCount splits stored view columns into the logical columns and
 // the duplicate counts.
-func splitDupCount(cols []vec.Col) ([]vec.Col, []int64) {
-	n := len(cols) - 1
-	return cols[:n], cols[n].Ints
+func (v *MatView) splitDupCount(cols []vec.Col) ([]vec.Col, []int64, error) {
+	n := len(v.out.Cols)
+	if len(cols) != n+1 {
+		return nil, nil, &StoredCorruptError{View: v.name, Detail: fmt.Sprintf("rows of %d columns, want %d", len(cols), n+1)}
+	}
+	if err := checkLane(v.name, cols, n, tuple.Int); err != nil {
+		return nil, nil, err
+	}
+	return cols[:n], cols[n].Ints, nil
 }
 
 func orFull(rg *pred.Range) *pred.Range {

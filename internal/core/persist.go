@@ -496,5 +496,5 @@ func OpenMatView(disk *storage.Disk, pool *storage.Pool, name string, out *tuple
 	if err != nil {
 		return nil, err
 	}
-	return &MatView{rel: rel, out: out, keyCol: keyCol}, nil
+	return &MatView{name: name, rel: rel, out: out, keyCol: keyCol}, nil
 }

@@ -42,7 +42,7 @@ func benchEnv(b *testing.B, name string, n int) (*relation.Relation, *storage.Me
 
 // drainRows pulls a tree to end of stream and returns the live-row
 // count, without gathering per-row structs.
-func drainRows(b *testing.B, root Operator) int {
+func drainRows(b testing.TB, root Operator) int {
 	b.Helper()
 	if err := root.Open(); err != nil {
 		b.Fatal(err)

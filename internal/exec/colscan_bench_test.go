@@ -9,6 +9,7 @@ import (
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // BenchmarkScanColVsRow compares the two page layouts on the scan
@@ -23,7 +24,7 @@ import (
 // layoutEnv is benchEnv with an explicit page layout, flushed so the
 // on-disk pages are current (zone-map pruning peeks at disk and
 // disables itself while dirty frames exist).
-func layoutEnv(b *testing.B, name string, n int, layout storage.PageLayout) (*relation.Relation, *storage.Meter) {
+func layoutEnv(b testing.TB, name string, n int, layout storage.PageLayout) (*relation.Relation, *storage.Meter) {
 	b.Helper()
 	d := storage.NewDisk(4096)
 	d.SetPageLayout(layout)
@@ -44,6 +45,65 @@ func layoutEnv(b *testing.B, name string, n int, layout storage.PageLayout) (*re
 		b.Fatal(err)
 	}
 	return r, m
+}
+
+// The allocation guards pin what the benchmark above measures where no
+// clock is trusted: a scan allocates per batch and per page arena, never
+// per cell or per row, so the counts are small constants of the fixture.
+// The bounds sit above today's counts (615 and 49; 2 105 and 136 under
+// the race detector, whose instrumentation moves stack buffers to the
+// heap) and far below what per-cell and per-row work cost (31 790 and
+// 2 770 with four-lane columns and row-at-a-time fills): one allocation
+// per row, or a handful per leaf, already trips them.
+
+// A full columnar scan of the benchmark's 20 000-row, 354-leaf relation.
+func TestFullScanAllocations(t *testing.T) {
+	const n = 20000
+	rel, m := layoutEnv(t, "alloc-fs", n, storage.PageLayoutCol)
+	o := Options{Meter: m}
+	allocs := testing.AllocsPerRun(5, func() {
+		if got := drainRows(t, NewSeqScan(o, rel)); got != n {
+			t.Fatalf("drained %d rows, want %d", got, n)
+		}
+	})
+	if allocs > 4000 {
+		t.Fatalf("full columnar scan allocated %.0f objects, want at most 4000", allocs)
+	}
+}
+
+// A 1 000-row range read of a stored view gathered to rows by Drain —
+// the materialized query path: scan, charged screen, row gather.
+func TestStoredRangeReadAllocations(t *testing.T) {
+	const n, lo, rows = 20000, 5000, 1000
+	d := storage.NewDisk(4096)
+	m := storage.NewMeter()
+	p := storage.NewPool(d, m, 1<<14)
+	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("__dup", tuple.Int))
+	rel, err := relation.NewBTree(d, p, "alloc-view", schema, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := rel.Insert(tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Meter: m}
+	rg := pred.NewRange(tuple.I(lo), tuple.I(lo+rows), true, false)
+	split := func(cols []vec.Col) ([]vec.Col, []int64, error) { return cols[:2], cols[2].Ints, nil }
+	allocs := testing.AllocsPerRun(20, func() {
+		scan := NewStoredScan(o, "MatScan", rel, rg, split, false)
+		got, err := Drain(NewFilter(o, "view", scan, Pred{}, true))
+		if err != nil || len(got) != rows || got[0].T0.Vals[0].Int() != lo || got[rows-1].Dup != 1 {
+			t.Fatalf("read %d rows (first %v), err %v", len(got), got[0], err)
+		}
+	})
+	if allocs > 250 {
+		t.Fatalf("1000-row stored range read allocated %.0f objects, want at most 250", allocs)
+	}
 }
 
 var benchLayouts = []struct {

@@ -28,6 +28,8 @@
 package exec
 
 import (
+	"slices"
+
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/vec"
@@ -175,6 +177,56 @@ func rowAt(b *vec.Batch, i int) Row {
 	}
 }
 
+// appendLiveRows gathers every live row of b onto out — rowAt for a
+// whole batch, with all the rows' values carved out of one flat array
+// filled column by column instead of up to three slices made per row.
+func appendLiveRows(out []Row, b *vec.Batch) []Row {
+	// A row's stretch of the array: its Out values, then slot 0's, then
+	// slot 1's (an absent group has no columns).
+	groups := [3][]vec.Col{b.Out, b.Slots[0], b.Slots[1]}
+	width := len(groups[0]) + len(groups[1]) + len(groups[2])
+	n := b.LiveCount()
+	flat := make([]tuple.Value, n*width)
+	out = slices.Grow(out, n)
+	if n > 0 {
+		off := 0
+		for _, cols := range groups {
+			for c := range cols {
+				cols[c].GatherValues(flat[off:], width, b.Sel)
+				off++
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		i, pos := b.LiveIndex(k), k*width
+		// carve cuts the next w values off the row's stretch.
+		carve := func(w int) []tuple.Value {
+			pos += w
+			return flat[pos-w : pos : pos]
+		}
+		r := Row{Insert: b.InsertAt(i), Dup: b.DupAt(i)}
+		if b.HasOut() {
+			r.Vals = carve(len(b.Out))
+		}
+		for s := 0; s < 2; s++ {
+			if !b.HasSlot(s) {
+				continue
+			}
+			t := tuple.Tuple{ID: b.IDs[s][i]}
+			if len(b.Slots[s]) > 0 {
+				t.Vals = carve(len(b.Slots[s]))
+			}
+			if s == 0 {
+				r.T0 = t
+			} else {
+				r.T1 = t
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // rowPacker converts a buffered row slice into size-capped batches,
 // splitting at shape changes (sources whose generators mix row shapes
 // stay correct, just in smaller batches).
@@ -216,9 +268,7 @@ func Drain(root Operator) ([]Row, error) {
 		if b == nil {
 			break
 		}
-		for k := 0; k < b.LiveCount(); k++ {
-			out = append(out, rowAt(b, b.LiveIndex(k)))
-		}
+		out = appendLiveRows(out, b)
 	}
 	return out, root.Close()
 }

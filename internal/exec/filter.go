@@ -103,7 +103,11 @@ func (f *Filter) NextBatch() (*vec.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		b.Sel = sel
+		if len(sel) < b.LiveCount() {
+			// When every row passes the batch goes on as it came, so a
+			// dense one stays dense and Compact downstream copies nothing.
+			b.Sel = sel
+		}
 		return f.emitBatch(b), nil
 	}
 }

@@ -122,7 +122,8 @@ func (s *SeqScan) Describe() string { return fmt.Sprintf("SeqScan(%s)", s.rel.Na
 // whose rows each carry a multiplicity. split maps one decoded batch's
 // stored columns to the logical columns and the rows' multiplicities —
 // for a materialized view, everything before the trailing
-// duplicate-count column, and that column. Without expand each stored
+// duplicate-count column, and that column — or reports that the stored
+// bytes do not have the shape the view writes. Without expand each stored
 // row comes out once with its multiplicity in the batch's Dup lane (the
 // query path, which screens stored rows); with expand it comes out
 // multiplicity times (a parent scan: child views consume logical rows).
@@ -135,7 +136,7 @@ type StoredScan struct {
 	label  string
 	rel    *relation.Relation
 	rg     *pred.Range
-	split  func([]vec.Col) ([]vec.Col, []int64)
+	split  func([]vec.Col) ([]vec.Col, []int64, error)
 	expand bool
 	bufs   []*vec.Batch
 	i      int
@@ -144,7 +145,7 @@ type StoredScan struct {
 
 // NewStoredScan builds a stored-copy scan named label in plan trees.
 func NewStoredScan(o Options, label string, rel *relation.Relation, rg *pred.Range,
-	split func([]vec.Col) ([]vec.Col, []int64), expand bool) *StoredScan {
+	split func([]vec.Col) ([]vec.Col, []int64, error), expand bool) *StoredScan {
 	return &StoredScan{base: base{meter: o.Meter}, label: label, rel: rel, rg: rg,
 		split: split, expand: expand, size: o.size()}
 }
@@ -165,23 +166,43 @@ func (s *StoredScan) Open() error {
 			if b.NumRows() == 0 {
 				continue
 			}
-			cols, mult := s.split(b.Slots[0])
+			cols, mult, err := s.split(b.Slots[0])
+			if err != nil {
+				return err
+			}
 			if !s.expand {
 				b.Slots[0], b.Dup = cols, mult
 				s.bufs = append(s.bufs, b)
 				continue
 			}
-			for i, n := range mult {
-				for n > 0 {
-					if out.AppendSlot0(b.IDs[0][i], cols, i, s.size) {
-						n--
-					} else if out.NumRows() < s.size {
-						return fmt.Errorf("exec: %s produced mixed-shape rows", s.label)
-					} else {
+			// emit moves stored rows [lo, hi) onto the output batches.
+			emit := func(lo, hi int) error {
+				for lo < hi {
+					if out.NumRows() >= s.size {
 						s.bufs = append(s.bufs, out)
 						out = &vec.Batch{}
 					}
+					take := min(hi-lo, s.size-out.NumRows())
+					if !out.AppendSlot0Rows(b.IDs[0], cols, lo, lo+take) {
+						return fmt.Errorf("exec: %s produced mixed-shape rows", s.label)
+					}
+					lo += take
 				}
+				return nil
+			}
+			for i := 0; i < len(mult); {
+				// Rows standing for themselves move as one run; any
+				// other row comes out multiplicity times.
+				j, n := i+1, mult[i]
+				for n == 1 && j < len(mult) && mult[j] == 1 {
+					j++
+				}
+				for ; n > 0; n-- {
+					if err := emit(i, j); err != nil {
+						return err
+					}
+				}
+				i = j
 			}
 		}
 		if out.NumRows() > 0 {

@@ -341,12 +341,13 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (bool, error) {
 // Pages returns the total chain pages (primary + overflow), unmetered.
 func (ix *Index) Pages() int {
 	total := 0
+	var page []byte
 	for _, bpn := range ix.buckets {
 		pn := bpn
 		for {
 			total++
-			page, err := ix.file.Peek(pn)
-			if err != nil {
+			var err error
+			if page, err = ix.file.PeekInto(pn, page); err != nil {
 				return total
 			}
 			n, err := decodeNode(page)
@@ -418,74 +419,95 @@ func getU32(b []byte) uint32 {
 
 // --- batch scans ---------------------------------------------------------
 
-// chainCols is a chain page decoded straight to columnar form.
-type chainCols struct {
-	next    storage.PageNum
-	hasNext bool
-	rows    int
-	ids     []uint64
-	cols    []vec.Col
+// chainLink reads a chain page header's forward link.
+func chainLink(page []byte) (next storage.PageNum, hasNext bool) {
+	if rawNext := getU32(page[3:]); rawNext != 0 {
+		return storage.PageNum(rawNext - 1), true
+	}
+	return 0, false
 }
 
-func decodeNodeCols(page []byte) (*chainCols, error) {
+// appendChainPage decodes a chain page's rows onto an id lane and
+// columns, straight from the lanes of a columnar page (a row page is
+// gathered cell by cell). Lanes holding no rows take the page's arity.
+func appendChainPage(page []byte, ids []uint64, cols []vec.Col) ([]uint64, []vec.Col, error) {
 	if !isChainPage(page[0]) {
-		return nil, fmt.Errorf("hashidx: page type %d", page[0])
-	}
-	cnt := int(getU16(page[1:]))
-	rawNext := getU32(page[3:])
-	out := &chainCols{}
-	if rawNext != 0 {
-		out.hasNext = true
-		out.next = storage.PageNum(rawNext - 1)
+		return nil, nil, fmt.Errorf("hashidx: page type %d", page[0])
 	}
 	if page[0] == pageHashCol {
-		ch, err := colpage.Decode(page[pageHeader:])
+		cnt, before := int(getU16(page[1:])), len(ids)
+		ids, cols, err := colpage.DecodeInto(page[pageHeader:], ids, cols)
 		if err != nil {
-			return nil, fmt.Errorf("hashidx: columnar page: %w", err)
+			return nil, nil, fmt.Errorf("hashidx: columnar page: %w", err)
 		}
-		if ch.Rows != cnt {
-			return nil, fmt.Errorf("hashidx: columnar page holds %d tuples, header says %d", ch.Rows, cnt)
+		if len(ids)-before != cnt {
+			return nil, nil, fmt.Errorf("hashidx: columnar page holds %d tuples, header says %d", len(ids)-before, cnt)
 		}
-		out.rows, out.ids, out.cols = ch.Rows, ch.IDs, ch.Cols
-		return out, nil
+		return ids, cols, nil
 	}
 	n, err := decodeNode(page)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out.rows = len(n.tuples)
-	if out.rows == 0 {
-		return out, nil
+	if ids, cols, err = vec.AppendTupleRows(ids, cols, n.tuples); err != nil {
+		return nil, nil, fmt.Errorf("hashidx: mixed arity in chain page: %w", err)
 	}
-	arity := len(n.tuples[0].Vals)
-	out.ids = make([]uint64, 0, out.rows)
-	out.cols = make([]vec.Col, arity)
-	for _, tp := range n.tuples {
-		if len(tp.Vals) != arity {
-			return nil, fmt.Errorf("hashidx: mixed arity in chain page")
-		}
-		out.ids = append(out.ids, tp.ID)
-		for c := 0; c < arity; c++ {
-			out.cols[c].Append(tp.Vals[c])
-		}
-	}
-	return out, nil
+	return ids, cols, nil
 }
 
-// appendChainRows copies a decoded page's rows into size-row batches.
-func appendChainRows(out []*vec.Batch, cur **vec.Batch, nc *chainCols, size int) ([]*vec.Batch, error) {
-	for i := 0; i < nc.rows; i++ {
-		if (*cur).AppendSlot0(nc.ids[i], nc.cols, i, size) {
-			continue
+// batchFiller packs scanned chain pages into batches of up to size
+// rows: a page that fits the current batch whole decodes straight onto
+// it, one that straddles a batch boundary decodes onto the staging
+// lanes and moves on in runs.
+type batchFiller struct {
+	size int
+	out  []*vec.Batch
+	cur  *vec.Batch
+	ids  []uint64 // staging lanes, reused from page to page
+	cols []vec.Col
+}
+
+var errMixedShape = fmt.Errorf("hashidx: scan produced mixed-shape tuples")
+
+func (f *batchFiller) addPage(page []byte) error {
+	if rows := int(getU16(page[1:])); rows <= f.size-f.cur.NumRows() {
+		ids, cols, err := appendChainPage(page, f.cur.IDs[0], f.cur.Slots[0])
+		if err != nil {
+			return err
 		}
-		if (*cur).NumRows() < size {
-			return nil, fmt.Errorf("hashidx: scan produced mixed-shape tuples")
+		if err := f.cur.SetSlot0(ids, cols); err != nil {
+			return fmt.Errorf("%w: %v", errMixedShape, err)
 		}
-		out = append(out, *cur)
-		*cur = &vec.Batch{}
-		i--
+		return nil
 	}
-	return out, nil
+	f.ids = f.ids[:0]
+	for c := range f.cols {
+		f.cols[c].Reset()
+	}
+	var err error
+	if f.ids, f.cols, err = appendChainPage(page, f.ids, f.cols); err != nil {
+		return err
+	}
+	for lo := 0; lo < len(f.ids); {
+		if f.cur.NumRows() >= f.size {
+			f.out = append(f.out, f.cur)
+			f.cur = &vec.Batch{}
+		}
+		hi := min(len(f.ids), lo+f.size-f.cur.NumRows())
+		if !f.cur.AppendSlot0Rows(f.ids, f.cols, lo, hi) {
+			return errMixedShape
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// batches returns everything packed so far.
+func (f *batchFiller) batches() []*vec.Batch {
+	if f.cur.NumRows() > 0 {
+		f.out = append(f.out, f.cur)
+	}
+	return f.out
 }
 
 // ScanAllBatches returns every tuple in the index decoded straight into
@@ -511,8 +533,7 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 	} else if ok {
 		return out, pruned, nil
 	}
-	var out []*vec.Batch
-	cur := &vec.Batch{}
+	fill := batchFiller{size: size, cur: &vec.Batch{}}
 	for _, bpn := range ix.buckets {
 		pn := bpn
 		for {
@@ -520,26 +541,21 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 			if err != nil {
 				return nil, 0, err
 			}
-			nc, err := decodeNodeCols(fr.Data)
+			next, hasNext := chainLink(fr.Data)
+			err = fill.addPage(fr.Data)
 			if rerr := ix.pool.Release(fr); rerr != nil && err == nil {
 				err = rerr
 			}
 			if err != nil {
 				return nil, 0, err
 			}
-			if out, err = appendChainRows(out, &cur, nc, size); err != nil {
-				return nil, 0, err
-			}
-			if !nc.hasNext {
+			if !hasNext {
 				break
 			}
-			pn = nc.next
+			pn = next
 		}
 	}
-	if cur.NumRows() > 0 {
-		out = append(out, cur)
-	}
-	return out, 0, nil
+	return fill.batches(), 0, nil
 }
 
 // scanBatchedCols is the readahead fast path of ScanAllBatches. It
@@ -563,23 +579,27 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 	if ix.file.HasDirtyFrames() {
 		prune = nil // the on-disk zone maps may be stale; read everything
 	}
-	cur := &vec.Batch{}
+	fill := batchFiller{size: size, cur: &vec.Batch{}}
+	var peek []byte
+	fetch := make([]storage.PageNum, 0, w)
 	for start := 0; start < len(ix.buckets); {
 		// Maximal run of consecutive bucket pages, clamped to the window.
 		end := start + 1
 		for end < len(ix.buckets) && end-start < w && ix.buckets[end] == ix.buckets[end-1]+1 {
 			end++
 		}
-		fetch := make([]storage.PageNum, 0, end-start)
+		fetch = fetch[:0]
 		for _, pn := range ix.buckets[start:end] {
 			skip := false
 			if len(prune) > 0 {
-				if page, perr := ix.file.Peek(pn); perr == nil &&
-					page[0] == pageHashCol && getU32(page[3:]) == 0 {
+				if page, perr := ix.file.PeekInto(pn, peek); perr == nil {
+					peek = page
 					// Only overflow-free columnar pages prune; anything
 					// odd is read on the charged path instead.
-					if z, zerr := colpage.ReadZones(page[pageHeader:]); zerr == nil {
-						skip = z.Prunable(prune)
+					if page[0] == pageHashCol && getU32(page[3:]) == 0 {
+						if z, zerr := colpage.ReadZones(page[pageHeader:]); zerr == nil {
+							skip = z.Prunable(prune)
+						}
 					}
 				}
 			}
@@ -589,8 +609,8 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 				fetch = append(fetch, pn)
 			}
 		}
+		start = end
 		if len(fetch) == 0 {
-			start = end
 			continue
 		}
 		frames, err := ix.pool.GetBatch(ix.file, fetch)
@@ -600,16 +620,13 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 		fallback := false
 		for _, fr := range frames {
 			if err == nil && !fallback {
-				var nc *chainCols
-				if nc, err = decodeNodeCols(fr.Data); err == nil {
-					if nc.hasNext {
-						// Metadata said no overflow but the page links
-						// onward; retry as a plain walk (fetched pages
-						// stay resident, so its Gets mostly hit).
-						fallback = true
-					} else {
-						out, err = appendChainRows(out, &cur, nc, size)
-					}
+				if _, hasNext := chainLink(fr.Data); hasNext && isChainPage(fr.Data[0]) {
+					// Metadata said no overflow but the page links
+					// onward; retry as a plain walk (fetched pages
+					// stay resident, so its Gets mostly hit).
+					fallback = true
+				} else {
+					err = fill.addPage(fr.Data)
 				}
 			}
 			if rerr := ix.pool.Release(fr); rerr != nil && err == nil {
@@ -622,10 +639,6 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 		if fallback {
 			return nil, 0, false, nil
 		}
-		start = end
 	}
-	if cur.NumRows() > 0 {
-		out = append(out, cur)
-	}
-	return out, pruned, true, nil
+	return fill.batches(), pruned, true, nil
 }

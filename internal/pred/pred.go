@@ -428,6 +428,12 @@ func (r *Range) Empty() bool {
 	return false
 }
 
+// Unbounded reports whether the range contains every value: no bound
+// on either side and no excluded constant.
+func (r *Range) Unbounded() bool {
+	return r.Lo == nil && r.Hi == nil && len(r.excluded) == 0
+}
+
 // Contains reports whether v lies in the range.
 func (r *Range) Contains(v tuple.Value) bool {
 	if r.Lo != nil {

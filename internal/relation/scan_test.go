@@ -8,6 +8,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // scanState is the pool/file condition a scan starts from.
@@ -206,6 +207,102 @@ func TestScanPathTable(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+
+	// Run-based Fill against the per-row semantics it replaced: every
+	// pair of range ends over leaves of ~50 rows, so ends fall mid-leaf,
+	// exactly on leaf boundaries and inside runs of duplicates spanning
+	// two leaves, at batch sizes below, beside and above a leaf.
+	for _, l := range layouts {
+		t.Run("range-ends/"+l.name, func(t *testing.T) { testRangeEnds(t, l.layout) })
+	}
+}
+
+// testRangeEnds sweeps both ends of a range scan over every key of a
+// four-or-more-leaf tree, inclusive and exclusive, plus one ≠ exclusion
+// mid-range, and compares each batch size's rows with the model
+// filtered row by row. Two keys repeat 120 times — more rows than a
+// 4 KB leaf holds — so each of those runs spans a leaf boundary, and
+// sweeping every key puts range ends on both sides of every boundary.
+func testRangeEnds(t *testing.T, layout storage.PageLayout) {
+	d := storage.NewDisk(4096)
+	d.SetPageLayout(layout)
+	p := storage.NewPool(d, storage.NewMeter(), 64)
+	r, err := NewBTree(d, p, "ends", empSchema(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 30
+	var model []tuple.Tuple
+	id := uint64(0)
+	for k := int64(0); k < keys; k++ {
+		reps := 1
+		switch {
+		case k == 9 || k == 20:
+			reps = 120
+		case k%4 == 1:
+			reps = 5
+		}
+		for i := 0; i < reps; i++ {
+			id++
+			tp := emp(id, k*2, fmt.Sprintf("n%d", id), k)
+			if err := r.Insert(tp); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model, tp) // ascending (key, id): already scan order
+		}
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if pages := r.Pages(); pages < 4 || len(model)/pages > 100 {
+		t.Fatalf("%d rows on %d leaves: the fixture needs several leaves smaller than a duplicate run", len(model), pages)
+	}
+	defer p.AssertUnpinned(t)
+
+	check := func(rg *pred.Range, size int) {
+		t.Helper()
+		it, err := r.IterBatches(rg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []tuple.Tuple
+		for !it.Done() {
+			b := &vec.Batch{}
+			if err := it.Fill(b, size); err != nil {
+				t.Fatal(err)
+			}
+			if !it.Done() && b.NumRows() != size {
+				t.Fatalf("range %v size %d: a batch of %d rows before the scan ended", rg, size, b.NumRows())
+			}
+			got = b.AppendTuples(got, 0)
+		}
+		k := 0
+		for _, tp := range model {
+			if !rg.Contains(tp.Vals[0]) {
+				continue
+			}
+			if k >= len(got) || got[k].ID != tp.ID || !tuple.ValsEqual(got[k], tp) {
+				t.Fatalf("range %v size %d: row %d differs from the model's %v", rg, size, k, tp)
+			}
+			k++
+		}
+		if k != len(got) {
+			t.Fatalf("range %v size %d: %d rows, model has %d", rg, size, len(got), k)
+		}
+	}
+	for _, size := range []int{1, 7, 1024} {
+		for lo := int64(0); lo < keys; lo++ {
+			for hi := lo; hi < keys; hi++ {
+				for inc := 0; inc < 4; inc++ {
+					check(pred.NewRange(tuple.I(lo*2), tuple.I(hi*2), inc&1 != 0, inc&2 != 0), size)
+				}
+			}
+			// A ≠ constant inside a duplicate run cuts the kept rows in two.
+			rg := pred.NewRange(tuple.I(lo*2), tuple.I(2*keys), true, true)
+			rg.Restrict(pred.Ne, tuple.I(40))
+			check(rg, size)
 		}
 	}
 }

@@ -248,13 +248,20 @@ func (f *File) Free(pn PageNum) {
 // that must not pollute measured costs; query paths go through the
 // buffer pool. With a write-back pool the image may lag dirty frames,
 // so callers flush first when exactness matters.
-func (f *File) Peek(pn PageNum) ([]byte, error) {
+func (f *File) Peek(pn PageNum) ([]byte, error) { return f.PeekInto(pn, nil) }
+
+// PeekInto is Peek into buf's backing array (grown when too small), for
+// walks that peek page after page. The bytes are copied under the read
+// lock — writePage mutates pages in place, so an alias of the image
+// could change under the caller — and stay valid until the caller's
+// next PeekInto with the same buffer.
+func (f *File) PeekInto(pn PageNum, buf []byte) ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if int(pn) >= len(f.pages) || f.pages[pn] == nil {
 		return nil, fmt.Errorf("storage: file %q has no page %d", f.name, pn)
 	}
-	return append([]byte(nil), f.pages[pn]...), nil
+	return append(buf[:0], f.pages[pn]...), nil
 }
 
 // readPage returns the raw page bytes (no copy, no charge); only the

@@ -25,8 +25,9 @@ func (b *Batch) EncodeSlot(s int, dst []byte) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(cols)))
 		for c := range cols {
 			col := &cols[c]
-			dst = append(dst, byte(col.Tags[i]))
-			switch col.Tags[i] {
+			t := col.Tag(i)
+			dst = append(dst, byte(t))
+			switch t {
 			case tuple.Int:
 				dst = binary.BigEndian.AppendUint64(dst, uint64(col.Ints[i]))
 			case tuple.Float:
@@ -71,13 +72,13 @@ func DecodeSlot(src []byte) (*Batch, error) {
 				if off+8 > len(src) {
 					return nil, fmt.Errorf("vec: truncated int value %d", c)
 				}
-				col.Append(tuple.I(int64(binary.BigEndian.Uint64(src[off:]))))
+				col.GrowInts(1)[0] = int64(binary.BigEndian.Uint64(src[off:]))
 				off += 8
 			case tuple.Float:
 				if off+8 > len(src) {
 					return nil, fmt.Errorf("vec: truncated float value %d", c)
 				}
-				col.Append(tuple.F(math.Float64frombits(binary.BigEndian.Uint64(src[off:]))))
+				col.GrowFloats(1)[0] = math.Float64frombits(binary.BigEndian.Uint64(src[off:]))
 				off += 8
 			case tuple.String:
 				if off+4 > len(src) {
@@ -88,15 +89,13 @@ func DecodeSlot(src []byte) (*Batch, error) {
 				if off+l > len(src) {
 					return nil, fmt.Errorf("vec: truncated string value %d", c)
 				}
-				col.Append(tuple.S(string(src[off : off+l])))
+				col.GrowBytes(1)[0] = append([]byte(nil), src[off:off+l]...)
 				off += l
 			default:
 				return nil, fmt.Errorf("vec: unknown type tag %d", typ)
 			}
 		}
 		b.IDs[0] = append(b.IDs[0], id)
-		b.Insert = append(b.Insert, false)
-		b.Dup = append(b.Dup, 0)
 		b.n++
 	}
 	return b, nil

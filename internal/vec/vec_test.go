@@ -207,6 +207,13 @@ func FuzzBatchCodec(f *testing.F) {
 		tp(3, tuple.F(math.Inf(1)), tuple.S(strings.Repeat("k", 2048))),
 	}))
 	f.Add(encodeRef([]tuple.Tuple{tp(math.MaxUint64, tuple.I(math.MaxInt64), tuple.I(math.MinInt64))}))
+	// A column that turns mixed mid-stream: uniform lanes, then widened.
+	f.Add(encodeRef([]tuple.Tuple{
+		tp(4, tuple.I(1), tuple.S("a")),
+		tp(5, tuple.I(2), tuple.S("b")),
+		tp(6, tuple.F(2.5), tuple.S("c")),
+		tp(7, tuple.I(4), tuple.I(9)),
+	}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 99})
 	f.Fuzz(func(t *testing.T, data []byte) {
