@@ -10,124 +10,110 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"sort"
 
-	"viewmat/internal/costmodel"
+	"viewmat"
 	"viewmat/internal/report"
 )
 
 func main() {
-	pP := flag.Float64("p", 0.5, "probability an operation is an update (P)")
-	f := flag.Float64("f", 0.1, "view predicate selectivity (f)")
-	fv := flag.Float64("fv", 0.1, "fraction of view retrieved per query (fv)")
-	l := flag.Float64("l", 25, "tuples modified per transaction (l)")
-	n := flag.Float64("n", 100000, "tuples in the base relation (N)")
-	fr2 := flag.Float64("fr2", 0.1, "|R2|/|R1| for join views")
-	c3 := flag.Float64("c3", 1, "A/D upkeep cost per tuple (C3, ms)")
-	extended := flag.Bool("extended", false, "include snapshot and recompute-on-demand (Model 1 only)")
-	snapEvery := flag.Float64("snapshot-every", 10, "snapshot refresh period in transactions (with -extended)")
-	flag.Parse()
-
-	p := costmodel.Default()
-	p.F, p.FV, p.L, p.N, p.FR2, p.C3 = *f, *fv, *l, *n, *fr2, *c3
-	p = p.WithP(*pP)
-	if err := p.Validate(); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	fmt.Printf("workload: P=%.2f f=%g fv=%g l=%g N=%g (u=%.1f updated tuples per query)\n\n",
-		p.P(), p.F, p.FV, p.L, p.N, p.U())
-
-	model1 := costmodel.Model1Costs
-	if *extended {
-		model1 = func(q costmodel.Params) map[costmodel.Algorithm]float64 {
-			return costmodel.Model1CostsExtended(q, *snapEvery)
-		}
-	}
-	models := []struct {
-		name  string
-		costs func(costmodel.Params) map[costmodel.Algorithm]float64
-	}{
-		{"Model 1: select-project view", model1},
-		{"Model 2: two-way join view", costmodel.Model2Costs},
-		{"Model 3: aggregate view", costmodel.Model3Costs},
-	}
-	if *extended {
-		fmt.Println("(extended: snapshot verdicts trade staleness of up to", *snapEvery, "transactions for cost)")
-		fmt.Println()
-	}
-	for _, m := range models {
-		costs := m.costs(p)
-		best, bestCost := costmodel.Best(costs)
-		fmt.Printf("%s\n", m.name)
-		rows := [][]string{}
-		type row struct {
-			alg  costmodel.Algorithm
-			cost float64
-		}
-		var sorted []row
-		for alg, c := range costs {
-			sorted = append(sorted, row{alg, c})
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].cost < sorted[j].cost })
-		for _, r := range sorted {
-			marker := ""
-			if r.alg == best {
-				marker = "  <- recommended"
-			}
-			rows = append(rows, []string{string(r.alg), fmt.Sprintf("%.1f", r.cost), marker})
-		}
-		fmt.Print(report.Table([]string{"strategy", "ms/query", ""}, rows))
-		if cross, ok := nearestCrossover(p, m.costs, best); ok {
-			fmt.Printf("nearest crossover: at P ≈ %.3f the recommendation changes (current P = %.2f, margin %.1f ms)\n",
-				cross, p.P(), secondBestMargin(costs, bestCost))
-		} else {
-			fmt.Printf("recommendation stable across P for these parameters (margin %.1f ms)\n",
-				secondBestMargin(costs, bestCost))
-		}
-		fmt.Println()
-	}
 }
 
-// nearestCrossover scans P for the closest point where the best
-// algorithm changes.
-func nearestCrossover(p costmodel.Params, costs func(costmodel.Params) map[costmodel.Algorithm]float64, best costmodel.Algorithm) (float64, bool) {
-	cur := p.P()
-	bestDist := 2.0
-	found := 0.0
-	ok := false
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("advisor", flag.ContinueOnError)
+	pP := fs.Float64("p", 0.5, "probability an operation is an update (P)")
+	f := fs.Float64("f", 0.1, "view predicate selectivity (f)")
+	fv := fs.Float64("fv", 0.1, "fraction of view retrieved per query (fv)")
+	l := fs.Float64("l", 25, "tuples modified per transaction (l)")
+	n := fs.Float64("n", 100000, "tuples in the base relation (N)")
+	fr2 := fs.Float64("fr2", 0.1, "|R2|/|R1| for join views")
+	c3 := fs.Float64("c3", 1, "A/D upkeep cost per tuple (C3, ms)")
+	extended := fs.Bool("extended", false, "include snapshot and recompute-on-demand (Model 1 only)")
+	snapEvery := fs.Float64("snapshot-every", 10, "snapshot refresh period in transactions (with -extended)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	p := viewmat.DefaultParams()
+	p.F, p.FV, p.L, p.N, p.FR2, p.C3 = *f, *fv, *l, *n, *fr2, *c3
+	p = p.WithP(*pP)
+	if err := p.Validate(); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "workload: P=%.2f f=%g fv=%g l=%g N=%g (u=%.1f updated tuples per query)\n\n",
+		p.P(), p.F, p.FV, p.L, p.N, p.U())
+	if *extended {
+		fmt.Fprintln(w, "(extended: snapshot verdicts trade staleness of up to", *snapEvery, "transactions for cost)")
+		fmt.Fprintln(w)
+	}
+	for _, m := range []struct {
+		name string
+		kind viewmat.ViewKind
+	}{
+		{"Model 1: select-project view", viewmat.SelectProject},
+		{"Model 2: two-way join view", viewmat.Join},
+		{"Model 3: aggregate view", viewmat.Aggregate},
+	} {
+		advise := func(q viewmat.Params) (viewmat.Recommendation, error) {
+			if *extended && m.kind == viewmat.SelectProject {
+				return viewmat.AdviseExtended(q, *snapEvery)
+			}
+			return viewmat.Advise(m.kind, q)
+		}
+		rec, err := advise(p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s\n", m.name)
+		ranked := rec.Ranked()
+		rows := [][]string{}
+		for _, name := range ranked {
+			marker := ""
+			if name == rec.Best {
+				marker = "  <- recommended"
+			}
+			rows = append(rows, []string{name, fmt.Sprintf("%.1f", rec.Costs[name]), marker})
+		}
+		fmt.Fprint(w, report.Table([]string{"strategy", "ms/query", ""}, rows))
+		// The margin to the cheapest strictly dearer strategy.
+		margin := 0.0
+		for _, name := range ranked {
+			if d := rec.Costs[name] - rec.Costs[rec.Best]; d > 0 {
+				margin = d
+				break
+			}
+		}
+		if cross, ok := nearestCrossover(p, advise, rec.Best); ok {
+			fmt.Fprintf(w, "nearest crossover: at P ≈ %.3f the recommendation changes (current P = %.2f, margin %.1f ms)\n",
+				cross, p.P(), margin)
+		} else {
+			fmt.Fprintf(w, "recommendation stable across P for these parameters (margin %.1f ms)\n", margin)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// nearestCrossover scans P for the closest point where the
+// recommendation changes.
+func nearestCrossover(p viewmat.Params, advise func(viewmat.Params) (viewmat.Recommendation, error), best string) (float64, bool) {
+	bestDist, found, ok := 2.0, 0.0, false
 	for i := 1; i < 200; i++ {
 		pv := float64(i) / 200
-		b, _ := costmodel.Best(costs(p.WithP(pv)))
-		if b != best {
-			if d := abs(pv - cur); d < bestDist {
-				bestDist = d
-				found = pv
-				ok = true
-			}
+		rec, err := advise(p.WithP(pv))
+		if err != nil || rec.Best == best {
+			continue
+		}
+		if d := math.Abs(pv - p.P()); d < bestDist {
+			bestDist, found, ok = d, pv, true
 		}
 	}
 	return found, ok
-}
-
-func secondBestMargin(costs map[costmodel.Algorithm]float64, bestCost float64) float64 {
-	margin := -1.0
-	for _, c := range costs {
-		if c > bestCost && (margin < 0 || c-bestCost < margin) {
-			margin = c - bestCost
-		}
-	}
-	if margin < 0 {
-		return 0
-	}
-	return margin
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

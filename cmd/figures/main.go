@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"viewmat/internal/costmodel"
@@ -20,18 +21,24 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure id (params, 1-9, empdept) or 'all'")
-	format := flag.String("format", "text", "output format: text or csv")
-	measured := flag.Bool("measured", false, "regenerate figures 1, 5 and 8 from measured engine runs (scaled N) instead of the analytic model")
-	scaleN := flag.Float64("n", 3000, "relation size for -measured runs")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fig := fs.String("fig", "all", "figure id (params, 1-9, empdept) or 'all'")
+	format := fs.String("format", "text", "output format: text or csv")
+	measured := fs.Bool("measured", false, "regenerate figures 1, 5 and 8 from measured engine runs (scaled N) instead of the analytic model")
+	scaleN := fs.Float64("n", 3000, "relation size for -measured runs")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *measured {
-		if err := printMeasured(*fig, *format, *scaleN); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return printMeasured(w, *fig, *format, *scaleN)
 	}
 
 	var figs []*figures.Figure
@@ -40,37 +47,37 @@ func main() {
 	} else {
 		f, err := figures.ByID(*fig)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
 		figs = []*figures.Figure{f}
 	}
 	for i, f := range figs {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		switch *format {
 		case "csv":
-			fmt.Print(report.CSV(f))
+			fmt.Fprint(w, report.CSV(f))
 		default:
-			fmt.Print(report.Render(f))
+			fmt.Fprint(w, report.Render(f))
 		}
 	}
+	return nil
 }
 
 // printMeasured regenerates the P- and l-axis figures from engine runs
 // at a reduced scale (measured scope cost next to the model's
 // prediction at the same scaled parameters).
-func printMeasured(fig, format string, n float64) error {
+func printMeasured(w io.Writer, fig, format string, n float64) error {
 	base := costmodel.Default()
 	base.N = n
 	base.K, base.Q, base.L = 20, 20, 10
 
 	emit := func(f *figures.Figure) {
 		if format == "csv" {
-			fmt.Print(report.CSV(f))
+			fmt.Fprint(w, report.CSV(f))
 		} else {
-			fmt.Print(report.Render(f))
+			fmt.Fprint(w, report.Render(f))
 		}
 	}
 	wantAll := fig == "all"
@@ -88,7 +95,7 @@ func printMeasured(fig, format string, n float64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		emit(sim.MeasuredFigure("5m", "measured Figure 5 (Model 2 vs P, scaled)", "P", points))
 		ran = true
 	}
@@ -97,7 +104,7 @@ func printMeasured(fig, format string, n float64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		emit(sim.MeasuredFigure("8m", "measured Figure 8 (Model 3 vs l, scaled)", "l", points))
 		ran = true
 	}

@@ -523,33 +523,18 @@ func clampSelectivity(f, n float64) float64 {
 // from measured parameters: the model table matching the view's kind,
 // each strategy taking its cheapest algorithm variant.
 func (db *Database) strategyCostsLocked(vs *viewState, p costmodel.Params, opts AdvisorOptions) map[Strategy]float64 {
-	model := 1
-	switch vs.def.Kind {
-	case Join:
-		model = 2
-	case Aggregate:
-		model = 3
-	}
-	var table map[costmodel.Algorithm]float64
+	every := 0.0
 	if opts.ExtendedStrategies {
-		table = costmodel.CostsFor(model, p, float64(opts.SnapshotEvery))
-	} else {
-		switch model {
-		case 2:
-			table = costmodel.Model2Costs(p)
-		case 3:
-			table = costmodel.Model3Costs(p)
-		default:
-			table = costmodel.Model1Costs(p)
-		}
+		every = float64(opts.SnapshotEvery)
 	}
+	table := costmodel.CostsFor(vs.def.Kind.Model(), p, every)
 	qmAlg := db.qmAlgLocked(vs)
 	out := make(map[Strategy]float64, len(table))
 	for alg, c := range table {
 		if math.IsNaN(c) || math.IsInf(c, 0) {
 			continue
 		}
-		s := strategyForAlg(alg)
+		s := StrategyFor(alg)
 		// The tables price every QM access path; the engine only has
 		// the one the physical design admits. Pricing QM at the
 		// cheapest hypothetical path (usually clustered) would make
@@ -593,22 +578,38 @@ func (db *Database) qmAlgLocked(vs *viewState) costmodel.Algorithm {
 	}
 }
 
-// strategyForAlg maps a cost-table algorithm to the engine strategy
-// that implements it (the QM variants — clustered, unclustered,
-// sequential, loopjoin — all collapse to QueryModification).
-func strategyForAlg(a costmodel.Algorithm) Strategy {
-	switch a {
-	case costmodel.AlgImmediate:
-		return Immediate
-	case costmodel.AlgDeferred:
-		return Deferred
-	case costmodel.AlgSnapshot:
-		return Snapshot
-	case costmodel.AlgRecomputeOnDemand:
-		return RecomputeOnDemand
-	default:
-		return QueryModification
+// algStrategy is the one algorithm↔strategy mapping: the cost tables'
+// maintenance rows and the engine strategies that implement them.
+// Every other row is a query-modification access path.
+var algStrategy = map[costmodel.Algorithm]Strategy{
+	costmodel.AlgImmediate:         Immediate,
+	costmodel.AlgDeferred:          Deferred,
+	costmodel.AlgSnapshot:          Snapshot,
+	costmodel.AlgRecomputeOnDemand: RecomputeOnDemand,
+}
+
+// StrategyFor maps a cost-table algorithm to the engine strategy that
+// implements it (the QM variants — clustered, unclustered, sequential,
+// loopjoin — all collapse to QueryModification).
+func StrategyFor(a costmodel.Algorithm) Strategy {
+	if s, ok := algStrategy[a]; ok {
+		return s
 	}
+	return QueryModification
+}
+
+// strategyCostKey is the reverse: the cost-table row an engine strategy
+// is priced at for the given view kind.
+func strategyCostKey(s Strategy, k Kind) string {
+	for alg, st := range algStrategy {
+		if st == s {
+			return string(alg)
+		}
+	}
+	if k == Join {
+		return string(costmodel.AlgLoopJoin)
+	}
+	return string(costmodel.AlgClustered)
 }
 
 // viewPagesLocked is the storage charge of one view under a strategy:

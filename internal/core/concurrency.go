@@ -238,10 +238,12 @@ func (db *Database) runUnitsLocked(units []refreshUnit, workers int, stats *[]Re
 }
 
 // runUnitLocked refreshes one unit and accounts for it. Each refresh
-// mutates durable state outside a commit, so it is logged per view —
-// replay then re-runs the views one at a time in the same order, which
-// applies the same deltas (a no-op without a WAL, the only case in
-// which workers run this concurrently).
+// mutates durable state outside a commit, so it is logged as it ran —
+// top-level views one record each, siblings drained together as one
+// group record — and replay re-runs the same refreshes in the same
+// order, which applies the same deltas and draws the same tuple ids (a
+// no-op without a WAL, the only case in which workers run this
+// concurrently).
 func (db *Database) runUnitLocked(u refreshUnit) (RefreshUnitStat, error) {
 	st := RefreshUnitStat{Views: make([]string, len(u.views))}
 	for i, vs := range u.views {
@@ -249,27 +251,20 @@ func (db *Database) runUnitLocked(u refreshUnit) (RefreshUnitStat, error) {
 	}
 	before := db.meter.Snapshot()
 	scansBefore := db.deltaScans.Load()
-	logged := func(views []*viewState, refresh func() error) error {
-		clockBefore := db.clock.Load()
-		if err := refresh(); err != nil {
-			return err
-		}
-		for _, vs := range views {
-			if err := db.logRefreshLocked(vs.def.Name, refreshKindStale, clockBefore); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var err error
 	if u.parent != nil {
-		err = logged(u.views, func() error {
-			return db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(u.views, u.parent) })
-		})
+		clockBefore := db.clock.Load()
+		err = db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(u.views, u.parent) })
+		if err == nil {
+			err = db.logRefreshGroupLocked(st.Views, clockBefore)
+		}
 	} else {
-		for i := range u.views {
-			vs := u.views[i]
-			if err = logged(u.views[i:i+1], func() error { return db.refreshStaleLocked(vs) }); err != nil {
+		for _, vs := range u.views {
+			clockBefore := db.clock.Load()
+			if err = db.refreshStaleLocked(vs); err == nil {
+				err = db.logRefreshLocked(vs.def.Name, refreshKindStale, clockBefore)
+			}
+			if err != nil {
 				break
 			}
 		}

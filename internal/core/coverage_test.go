@@ -381,7 +381,7 @@ func TestBlakeleyInsertPathStillCorrect(t *testing.T) {
 	// under both variants.
 	correct := newJoinDatabase(t, Immediate, 10, 10)
 	buggy := newJoinDatabase(t, Immediate, 10, 10)
-	if err := buggy.SetJoinVariantBlakeley("j", true); err != nil {
+	if err := setJoinVariantBlakeley(buggy, "j", true); err != nil {
 		t.Fatal(err)
 	}
 	mutate := func(db *Database) {
@@ -410,7 +410,7 @@ func TestBlakeleyDeleteOnlyR1IsCorrect(t *testing.T) {
 	// Deleting from only one relation does not trigger the anomaly:
 	// D1×D2 and R1×D2 are empty, so D1×R2 deletes exactly once.
 	buggy := newJoinDatabase(t, Immediate, 10, 10)
-	if err := buggy.SetJoinVariantBlakeley("j", true); err != nil {
+	if err := setJoinVariantBlakeley(buggy, "j", true); err != nil {
 		t.Fatal(err)
 	}
 	tx := buggy.Begin()

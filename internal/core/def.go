@@ -46,6 +46,22 @@ func (k Kind) String() string {
 	}
 }
 
+// Model is the number of the paper's cost model that prices the kind:
+// 1 select-project, 2 join, 3 aggregate, and 0 for a kind the paper has
+// no model for (which costmodel.CostsFor prices as Model 1).
+func (k Kind) Model() int {
+	switch k {
+	case SelectProject:
+		return 1
+	case Join:
+		return 2
+	case Aggregate:
+		return 3
+	default:
+		return 0
+	}
+}
+
 // Strategy selects how a view is materialized and kept current.
 type Strategy int
 

@@ -93,6 +93,10 @@ const fullRewriteFactor = 2
 const (
 	recCommit  uint8 = 1
 	recRefresh uint8 = 2
+	// recRefreshGroup is RefreshAll draining sibling children through one
+	// replay of their parent's log. Replay must drain the same group: it
+	// draws tuple ids for all of them between the record's two clocks.
+	recRefreshGroup uint8 = 3
 )
 
 // Refresh-record triggers.
@@ -124,13 +128,16 @@ type walRecord struct {
 	// refreshed and how (the refreshKind constants).
 	view    string
 	trigger uint8
+	// views are a group refresh record's: the siblings drained together.
+	views []string
 }
 
 // code walks a record's byte layout: [8 seq][1 kind], then for a commit
 // the two clocks and the ops — each in CodeTxOp's layout followed by
 // the [8 id] it was assigned (an insert's tuple, an update's
-// replacement; a delete assigns none) — and for a refresh the view
-// name, [1 trigger] and the two clocks.
+// replacement; a delete assigns none) — for a refresh the view name,
+// [1 trigger] and the two clocks, and for a group refresh the view
+// names and the two clocks.
 func (rec *walRecord) code(c *tuple.Coder) {
 	c.U64(&rec.seq)
 	c.U8(&rec.kind)
@@ -150,6 +157,10 @@ func (rec *walRecord) code(c *tuple.Coder) {
 	case recRefresh:
 		c.Str(&rec.view)
 		c.U8(&rec.trigger)
+		c.U64(&rec.clockBefore)
+		c.U64(&rec.clockAfter)
+	case recRefreshGroup:
+		tuple.List(c, &rec.views, 1, (*tuple.Coder).Str)
 		c.U64(&rec.clockBefore)
 		c.U64(&rec.clockAfter)
 	default:
@@ -302,6 +313,18 @@ func (db *Database) logRefreshLocked(view string, trigger uint8, clockBefore uin
 	return nil
 }
 
+// logRefreshGroupLocked appends a group refresh record for siblings
+// RefreshAll drained together. A no-op when durability is off.
+func (db *Database) logRefreshGroupLocked(views []string, clockBefore uint64) error {
+	if db.dur == nil {
+		return nil
+	}
+	if err := db.appendRecordLocked(&walRecord{kind: recRefreshGroup, views: views, clockBefore: clockBefore}); err != nil {
+		return fmt.Errorf("core: logging refresh of %q: %w", views, err)
+	}
+	return nil
+}
+
 // RecoverInfo reports what Recover found and did.
 type RecoverInfo struct {
 	// SnapshotSeq is the sequence number the recovered image covers:
@@ -411,14 +434,31 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 func (db *Database) applyRecordLocked(rec *walRecord) error {
 	db.maxStoreClock(rec.clockBefore)
 	var err error
-	if rec.kind == recCommit {
+	switch rec.kind {
+	case recCommit:
 		for _, op := range rec.ops {
 			if _, ok := db.rels[op.rel]; !ok {
 				return fmt.Errorf("core: WAL op references unknown relation %q", op.rel)
 			}
 		}
 		err = db.applyOpsLocked(rec.ops)
-	} else {
+	case recRefreshGroup:
+		// Mirror runUnitLocked: the parent's own record came first, so it
+		// is fresh here and the siblings stand where they stood.
+		var group []*viewState
+		var parent *viewState
+		for _, name := range rec.views {
+			vs := db.views[name]
+			if vs == nil || db.parentOf(vs) == nil || parent != nil && db.parentOf(vs) != parent {
+				return fmt.Errorf("core: group refresh record names %q, not a sibling child view", name)
+			}
+			group, parent = append(group, vs), db.parentOf(vs)
+		}
+		if parent == nil {
+			return fmt.Errorf("core: empty group refresh record")
+		}
+		err = db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(group, parent) })
+	default:
 		vs, ok := db.views[rec.view]
 		if !ok {
 			return fmt.Errorf("core: refresh record for unknown view %q", rec.view)

@@ -143,8 +143,9 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(commit[:len(commit)-5])
 	f.Add(append(bytes.Clone(commit), 0))
 	f.Add(encode(&walRecord{seq: 10, kind: recRefresh, view: "v", trigger: refreshKindStale, clockBefore: 43, clockAfter: 50}))
-	f.Add([]byte{1, 3}) // seq 1, a kind that does not exist
+	f.Add([]byte{1, 9}) // seq 1, a kind that does not exist
 	f.Add([]byte{})
+	f.Add(encode(&walRecord{seq: 11, kind: recRefreshGroup, views: []string{"c1", "c2"}, clockBefore: 118, clockAfter: 135}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec walRecord

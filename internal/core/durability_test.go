@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -15,117 +14,6 @@ import (
 	"viewmat/internal/wal"
 )
 
-// spVals builds Model-1 tuples for the random scripts, matching the
-// strategy property tests.
-func durSPVals(key, val int64) []tuple.Value {
-	return []tuple.Value{tuple.I(key), tuple.I(val), tuple.S(sName(int(val)))}
-}
-
-// cleanReboot returns the devices as a machine that shut down cleanly
-// finds them. Refresh records ride the next commit's sync, so unlike a
-// power cut (DurableDevice alone, which the crash sweep models) a clean
-// stop is what writes back a trailing refresh record; the tests that
-// compare a recovered engine byte-for-byte with the live one need it.
-func cleanReboot(walDev, snapDev *storage.FaultDisk) (*storage.FaultDisk, *storage.FaultDisk, error) {
-	if err := walDev.Sync(); err != nil {
-		return nil, nil, err
-	}
-	return walDev.DurableDevice(), snapDev.DurableDevice(), nil
-}
-
-// runRecoverEquivalence is the fault-free durability property: after
-// any workload, rebooting — Recover from the devices' durable images —
-// must reproduce the live engine exactly. "Exactly" is checked at the
-// strongest level available: Save of the recovered engine is
-// byte-identical to Save of the live one (Save is deterministic), so
-// every page of every file, the catalog, the id clock and all pending
-// AD state coincide; view answers are compared on top as a readable
-// failure mode. With ckptEvery > 0 the script must also have crossed
-// the checkpoint chain — recovered through delta frames, or through a
-// full frame the rewrite rule wrote over earlier ones — or the property
-// would only be exercising the baseline frame plus WAL replay.
-func runRecoverEquivalence(steps []propStep, ckptEvery int) error {
-	walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
-	db, err := buildSPDB(Deferred, 30)
-	if err != nil {
-		return err
-	}
-	if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{CheckpointEvery: ckptEvery}); err != nil {
-		return err
-	}
-	var live []liveRow
-	for k := 0; k < 30; k++ {
-		live = append(live, liveRow{key: int64(k), id: uint64(k + 1)})
-	}
-	commits := 0
-	for _, s := range steps {
-		if s.op == "query" {
-			if _, err := db.QueryView("v", nil); err != nil {
-				return err
-			}
-			continue
-		}
-		live, err = applyStep(db, live, s, "r", durSPVals)
-		if err != nil {
-			return err
-		}
-		commits++
-	}
-
-	var want bytes.Buffer
-	if err := db.Save(&want); err != nil {
-		return fmt.Errorf("saving live engine: %w", err)
-	}
-	wd, sd, err := cleanReboot(walDev, snapDev)
-	if err != nil {
-		return err
-	}
-	rec, info, err := Recover(wd, sd, DurabilityOptions{})
-	if err != nil {
-		return fmt.Errorf("recover: %w", err)
-	}
-	if info.TailDamage != "" {
-		return fmt.Errorf("fault-free log reported tail damage %q", info.TailDamage)
-	}
-	if ckptEvery > 0 && commits >= ckptEvery && info.Deltas == 0 && info.FullSeq == 0 {
-		return fmt.Errorf("%d commits with a checkpoint every %d, yet recovery used the baseline frame alone", commits, ckptEvery)
-	}
-	var got bytes.Buffer
-	if err := rec.Save(&got); err != nil {
-		return fmt.Errorf("saving recovered engine: %w", err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		return fmt.Errorf("recovered snapshot differs from the live engine's (%d vs %d bytes; replayed %d records over snapshot seq %d)",
-			got.Len(), want.Len(), info.Replayed, info.SnapshotSeq)
-	}
-	a, err := rec.QueryView("v", nil)
-	if err != nil {
-		return err
-	}
-	b, err := db.QueryView("v", nil)
-	if err != nil {
-		return err
-	}
-	return diffRows(a, b)
-}
-
-func TestPropertyRecoverEquivalentToSaveLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property test")
-	}
-	for _, ck := range []int{0, 1, 3} {
-		for seed := int64(0); seed < 5; seed++ {
-			rng := rand.New(rand.NewSource(seed + 2100))
-			steps := genScript(rng, 5, 40)
-			if err := runRecoverEquivalence(steps, ck); err != nil {
-				min := shrinkScript(steps, func(s []propStep) bool { return runRecoverEquivalence(s, ck) != nil })
-				t.Fatalf("ckpt-every %d seed %d: %v\nminimal workload script:\n%s",
-					ck, seed, runRecoverEquivalence(min, ck), formatScript(min))
-			}
-		}
-	}
-}
-
 // TestRecoverFidelityMeterUnchanged pins the cost-model fidelity
 // argument: the WAL and snapshot devices live outside the metered
 // simulated disk, so running the identical workload with durability on
@@ -133,38 +21,24 @@ func TestPropertyRecoverEquivalentToSaveLoad(t *testing.T) {
 // (A checkpoint's FlushAll only pre-pays page writes the next EvictAll
 // would have charged; both flush points are outside any phase.)
 func TestRecoverFidelityMeterUnchanged(t *testing.T) {
+	fx := model1Fx()
 	rng := rand.New(rand.NewSource(77))
-	steps := genScript(rng, 8, 40)
+	steps, _ := genScript(rng, fx.keyStream(rng), 1, churn(8)...)
 
 	run := func(withWAL bool) (storage.Stats, map[Phase]storage.Stats, []ResultRow, error) {
-		db, err := buildSPDB(Deferred, 30)
+		e, err := fx.build(&engineConfig{strategy: Deferred, wal: withWAL, ckptEvery: 3})
 		if err != nil {
 			return storage.Stats{}, nil, nil, err
 		}
-		if withWAL {
-			if err := db.EnableDurability(storage.NewFaultDisk(), storage.NewFaultDisk(), DurabilityOptions{CheckpointEvery: 3}); err != nil {
-				return storage.Stats{}, nil, nil, err
-			}
-		}
+		db := e.db
 		// Equalize setup residue: the baseline checkpoint flushed the
 		// WAL-on pool; flush the WAL-off pool too, then zero the meters.
 		if err := db.Pool().FlushAll(); err != nil {
 			return storage.Stats{}, nil, nil, err
 		}
 		db.ResetStats()
-		var live []liveRow
-		for k := 0; k < 30; k++ {
-			live = append(live, liveRow{key: int64(k), id: uint64(k + 1)})
-		}
 		for _, s := range steps {
-			if s.op == "query" {
-				if _, err := db.QueryView("v", nil); err != nil {
-					return storage.Stats{}, nil, nil, err
-				}
-				continue
-			}
-			live, err = applyStep(db, live, s, "r", durSPVals)
-			if err != nil {
+			if err := e.apply(fx, s); err != nil {
 				return storage.Stats{}, nil, nil, err
 			}
 		}

@@ -93,8 +93,9 @@ type Database struct {
 	// guarded by mu.
 	heavy map[string]*hlTracker
 
-	// hierarchyFail, when set, is a test failpoint invoked at the start
-	// of every child-view drain; guarded by mu.
+	// hierarchyFail, when set, is invoked with the child's name at the
+	// start of every child-view drain, and an error it returns aborts the
+	// refresh before any row is applied. Only tests set it; guarded by mu.
 	hierarchyFail func(view string) error
 
 	// maxRefreshWorkers bounds RefreshAll's worker pool (≤1 = serial).
@@ -177,7 +178,8 @@ type viewState struct {
 	plan QueryPlan // default plan for QueryModification
 
 	// blakeley selects the uncorrected delete expansion of [Blak86]
-	// for join refresh — the Appendix A anomaly demonstration.
+	// for join refresh — the Appendix A anomaly demonstration. Only
+	// tests set it (setJoinVariantBlakeley); it persists with the catalog.
 	blakeley bool
 
 	// snapshotEvery is the staleness budget (in commits) of a
@@ -219,26 +221,6 @@ type viewState struct {
 	// "refresh", "populate"); guarded by Database.statsMu because query
 	// paths record under the engine read lock.
 	plans map[string]*PlanCapture
-}
-
-// SetJoinVariantBlakeley switches a join view's refresh between the
-// corrected differential expansion (§2.1, the default) and Blakeley's
-// original expansion, which Appendix A shows can over-decrement
-// duplicate counts. It exists to reproduce that demonstration.
-func (db *Database) SetJoinVariantBlakeley(view string, on bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	vs, ok := db.views[view]
-	if !ok {
-		return fmt.Errorf("core: unknown view %q", view)
-	}
-	if vs.def.Kind != Join {
-		return fmt.Errorf("core: view %q is not a join view", view)
-	}
-	vs.blakeley = on
-	// The variant changes future refresh results, so it must be in the
-	// recovery snapshot before any logged refresh depends on it.
-	return db.catalogCheckpointLocked()
 }
 
 // Options configures a Database.

@@ -145,15 +145,12 @@ func (db *Database) Explain(view string, hints WorkloadHints) (*Explanation, err
 	if err != nil {
 		return nil, err
 	}
-	var costs map[costmodel.Algorithm]float64
-	switch vs.def.Kind {
-	case Join:
-		costs = costmodel.Model2Costs(p)
-	case Aggregate:
-		costs = costmodel.Model3Costs(p)
-	default:
-		costs = costmodel.Model1CostsExtended(p, float64(max(vs.snapshotEvery, 1)))
+	// The extended strategies are priced for Model-1 views only.
+	model, every := vs.def.Kind.Model(), 0.0
+	if model < 2 {
+		every = float64(max(vs.snapshotEvery, 1))
 	}
+	costs := costmodel.CostsFor(model, p, every)
 	best, _ := costmodel.Best(costs)
 	ex := &Explanation{
 		View:       view,
@@ -196,25 +193,5 @@ func annotatePredictions(n *exec.PlanNode, p costmodel.Params) {
 	}
 	for _, c := range n.Children {
 		annotatePredictions(c, p)
-	}
-}
-
-// strategyCostKey maps an engine strategy to its cost-table row for
-// the given view kind.
-func strategyCostKey(s Strategy, k Kind) string {
-	switch s {
-	case Immediate:
-		return string(costmodel.AlgImmediate)
-	case Deferred:
-		return string(costmodel.AlgDeferred)
-	case Snapshot:
-		return string(costmodel.AlgSnapshot)
-	case RecomputeOnDemand:
-		return string(costmodel.AlgRecomputeOnDemand)
-	default:
-		if k == Join {
-			return string(costmodel.AlgLoopJoin)
-		}
-		return string(costmodel.AlgClustered)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"viewmat/internal/agg"
 	"viewmat/internal/exec"
@@ -239,8 +240,16 @@ func (db *Database) fillGroupStore(vs *viewState) error {
 		s.Insert(row.T0.Vals[vs.def.AggCol].AsFloat())
 	}})
 	flush := exec.NewStateWrite(db.execOpts(), vs.def.Name+".groups", func() error {
-		for key, s := range states {
-			if err := gs.put(groups[key], s, nil, db.nextID()); err != nil {
+		// In group order, not map order: the rows draw tuple ids and fill
+		// B-tree pages, and a rebuild must lay them out the same way every
+		// run (and under WAL replay).
+		keys := make([]string, 0, len(states))
+		for key := range states {
+			keys = append(keys, key)
+		}
+		sort.Slice(keys, func(i, j int) bool { return tuple.Compare(groups[keys[i]], groups[keys[j]]) < 0 })
+		for _, key := range keys {
+			if err := gs.put(groups[key], states[key], nil, db.nextID()); err != nil {
 				return err
 			}
 		}

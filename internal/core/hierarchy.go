@@ -443,17 +443,6 @@ func (db *Database) compactDeltaLogLocked(parent *viewState) {
 	}
 }
 
-// SetHierarchyFailpoint installs a hook invoked at the start of every
-// child drain with the child's name; a non-nil return aborts the
-// refresh before any row is applied. Tests use it to prove a failed
-// mid-hierarchy refresh leaves no pinned frames and no partially
-// applied child. Pass nil to clear.
-func (db *Database) SetHierarchyFailpoint(fn func(view string) error) {
-	db.mu.Lock()
-	db.hierarchyFail = fn
-	db.mu.Unlock()
-}
-
 // ViewChildren returns the names of the views defined directly over
 // the named view, sorted.
 func (db *Database) ViewChildren(name string) ([]string, error) {

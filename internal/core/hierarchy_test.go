@@ -511,7 +511,7 @@ func TestHierarchyFailpointLeavesCleanState(t *testing.T) {
 	model := applyHierarchyScript(t, db, 50)
 
 	boom := errors.New("injected hierarchy failure")
-	db.SetHierarchyFailpoint(func(view string) error {
+	setHierarchyFailpoint(db, func(view string) error {
 		if view == "gc" {
 			return boom
 		}
@@ -531,7 +531,7 @@ func TestHierarchyFailpointLeavesCleanState(t *testing.T) {
 		t.Errorf("gc stale=%v err=%v, want stale", stale, err)
 	}
 
-	db.SetHierarchyFailpoint(nil)
+	setHierarchyFailpoint(db, nil)
 	if err := db.RefreshAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestHierarchyFailpointInSharedGroup(t *testing.T) {
 	model := applyHierarchyScript(t, db, 50)
 
 	boom := errors.New("injected group failure")
-	db.SetHierarchyFailpoint(func(view string) error {
+	setHierarchyFailpoint(db, func(view string) error {
 		if view == "c1" {
 			return boom
 		}
@@ -571,7 +571,7 @@ func TestHierarchyFailpointInSharedGroup(t *testing.T) {
 		}
 	}
 
-	db.SetHierarchyFailpoint(nil)
+	setHierarchyFailpoint(db, nil)
 	if err := db.RefreshAll(); err != nil {
 		t.Fatal(err)
 	}

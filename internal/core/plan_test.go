@@ -176,7 +176,7 @@ var planScenarios = []struct {
 	}},
 	{"blakeley-join", func(t *testing.T) (*Database, string) {
 		db := newJoinDatabase(t, Immediate, 60, 12)
-		if err := db.SetJoinVariantBlakeley("j", true); err != nil {
+		if err := setJoinVariantBlakeley(db, "j", true); err != nil {
 			t.Fatal(err)
 		}
 		tx := db.Begin()
@@ -489,7 +489,7 @@ func TestOperatorStatsMatchMeter(t *testing.T) {
 
 	t.Run("join-blakeley", func(t *testing.T) {
 		db := newJoinDatabase(t, Immediate, 60, 12)
-		if err := db.SetJoinVariantBlakeley("j", true); err != nil {
+		if err := setJoinVariantBlakeley(db, "j", true); err != nil {
 			t.Fatal(err)
 		}
 		check(t, db, func() {

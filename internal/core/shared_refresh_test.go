@@ -33,21 +33,6 @@ func fanJoinDef(name string, lo, hi int64) Def {
 	}
 }
 
-// Settings of the engine's unexported share gate: its own cost-model
-// choice, every refresh group private (the pre-sharing reference), or
-// every eligible group shared regardless of the estimate.
-var (
-	gateModel   func() bool
-	gatePrivate = func() bool { return false }
-	gateForced  = func() bool { return true }
-)
-
-func setShareGate(db *Database, gate func() bool) {
-	db.mu.Lock()
-	db.shareGate = gate
-	db.mu.Unlock()
-}
-
 // newFanJoinDatabase builds r1 (B-tree) and r2 (hash) seeded like
 // newJoinDatabase, with three views over differing r1 slices.
 func newFanJoinDatabase(t testing.TB, gate func() bool, strategy Strategy, n, m int) *Database {
@@ -95,15 +80,8 @@ var fanViews = []string{"j0", "j1", "j2"}
 // view contents must match row for row, not just as multisets.
 func sameRowsExact(t *testing.T, label string, got, want []ResultRow) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d vs %d rows", label, len(got), len(want))
-	}
-	for i := range got {
-		g := tuple.Tuple{Vals: got[i].Vals}.ValueKey()
-		w := tuple.Tuple{Vals: want[i].Vals}.ValueKey()
-		if g != w {
-			t.Fatalf("%s: row %d differs: %q vs %q", label, i, g, w)
-		}
+	if err := diffRowsExact(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 

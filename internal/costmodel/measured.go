@@ -188,18 +188,22 @@ func clampRange(v, lo, hi float64) float64 {
 	return math.Min(v, hi)
 }
 
-// CostsFor dispatches to the model table matching a view kind's
-// numeric model (1 = select-project, 2 = join, 3 = aggregate),
-// including the extended strategies (snapshot, recompute-on-demand)
-// priced at the given snapshot period. It is the advisor's single
-// entry point from measured parameters to a full cost table.
+// CostsFor is the one switch from a view kind's numeric model (1 =
+// select-project, 2 = join, 3 = aggregate; anything else prices as
+// Model 1) to its cost table: the paper's strategies when snapshotEvery
+// ≤ 0, plus the extended ones (snapshot, recompute-on-demand) priced at
+// that snapshot period otherwise. Advise, Explain, the online advisor
+// and cmd/advisor all price through it.
 func CostsFor(model int, p Params, snapshotEvery float64) map[Algorithm]float64 {
+	paper, extended := Model1Costs, Model1CostsExtended
 	switch model {
 	case 2:
-		return Model2CostsExtended(p, snapshotEvery)
+		paper, extended = Model2Costs, Model2CostsExtended
 	case 3:
-		return Model3CostsExtended(p, snapshotEvery)
-	default:
-		return Model1CostsExtended(p, snapshotEvery)
+		paper, extended = Model3Costs, Model3CostsExtended
 	}
+	if snapshotEvery <= 0 {
+		return paper(p)
+	}
+	return extended(p, snapshotEvery)
 }

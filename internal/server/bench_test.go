@@ -14,7 +14,6 @@ import (
 // BenchmarkServerThroughput measures end-to-end request throughput
 // through the socket layer — framing, codec, admission, engine — for a
 // mixed read workload, contrasting one connection against sixteen.
-// The req/s metric lands in CI's BENCH_server.json.
 func BenchmarkServerThroughput(b *testing.B) {
 	for _, nClients := range []int{1, 16} {
 		b.Run(fmt.Sprintf("clients=%d", nClients), func(b *testing.B) {
