@@ -145,7 +145,7 @@ func main() {
 	if *allStrategies {
 		cmps, err = sim.CompareAll(sim.Model(*model), p, *seed, *snapEvery)
 	} else {
-		cmps, err = compare(sim.Model(*model), p, *seed, kind, *skew, plan)
+		cmps, err = sim.CompareStrategies(sim.Config{Model: sim.Model(*model), Plan: plan, Params: p, Seed: *seed, AggKind: kind, Skew: *skew}, sim.PaperStrategies)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -168,7 +168,7 @@ func main() {
 	fmt.Printf("pages pruned (zone maps): %s\n", strings.Join(pruned, ", "))
 
 	if *verbose || *plans {
-		for _, st := range []core.Strategy{core.QueryModification, core.Immediate, core.Deferred} {
+		for _, st := range sim.PaperStrategies {
 			res, err := sim.Run(sim.Config{Model: sim.Model(*model), Strategy: st, Plan: plan, Params: p, Seed: *seed, AggKind: kind})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -195,25 +195,6 @@ func main() {
 			}
 		}
 	}
-}
-
-func compare(model sim.Model, p costmodel.Params, seed int64, kind agg.Kind, skew float64, plan core.QueryPlan) ([]sim.Comparison, error) {
-	out := make([]sim.Comparison, 0, 3)
-	for _, st := range []core.Strategy{core.QueryModification, core.Immediate, core.Deferred} {
-		res, err := sim.Run(sim.Config{Model: model, Strategy: st, Plan: plan, Params: p, Seed: seed, AggKind: kind, Skew: skew})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sim.Comparison{
-			Strategy:       st.String(),
-			Measured:       res.AvgPerQuery,
-			ModelScope:     res.ModelScopeAvg,
-			Model:          res.Model,
-			PagesPruned:    res.PagesPruned,
-			PrunedPerQuery: float64(res.PagesPruned) / float64(res.Queries),
-		})
-	}
-	return out, nil
 }
 
 func parseFloats(csv string) ([]float64, error) {

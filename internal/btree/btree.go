@@ -22,19 +22,15 @@ import (
 	"viewmat/internal/vec"
 )
 
-const (
-	pageLeaf     = 1
-	pageInternal = 2
-	// pageLeafCol is a leaf whose tuples are stored as a columnar chunk
-	// (internal/colpage) after the common leaf header. Which type a leaf
-	// is written as follows the disk's PageLayout policy at encode time;
-	// readers dispatch on the type byte, so mixed-layout files work.
-	pageLeafCol = 4
-)
+const pageInternal = 2
 
-// isLeafPage reports whether a page type byte marks a leaf (either
-// layout).
-func isLeafPage(b byte) bool { return b == pageLeaf || b == pageLeafCol }
+// leafPages are the type bytes of a leaf, which is a colpage data page:
+// the codec, the page→lanes decode and the zone peek live there, shared
+// with hashidx's chain pages.
+var leafPages = colpage.PageTypes{Row: 1, Col: 4}
+
+// leafNode is the decoded form of a leaf page.
+type leafNode = colpage.DataPage
 
 // Tree is a clustered B+-tree. Not safe for concurrent use; the engine
 // serializes operations (the paper's model is single-user).
@@ -65,13 +61,6 @@ func (k key) less(o key) bool {
 }
 
 func keyOf(t tuple.Tuple, keyCol int) key { return key{val: t.Vals[keyCol], id: t.ID} }
-
-// leafNode is the decoded form of a leaf page.
-type leafNode struct {
-	next    storage.PageNum // +1 encoded; 0 = none
-	hasNext bool
-	tuples  []tuple.Tuple
-}
 
 // internalNode is the decoded form of an internal page: children[i]
 // covers keys in [seps[i-1], seps[i]) with seps[-1] = −inf.
@@ -139,7 +128,7 @@ func (t *Tree) LeafPages() int {
 		if page, err = t.file.PeekInto(pn, page); err != nil {
 			return n
 		}
-		next, hasNext := leafLink(page)
+		next, hasNext := colpage.PageLink(page)
 		if !hasNext {
 			return n
 		}
@@ -170,150 +159,11 @@ func decodeKey(src []byte) (key, int, error) {
 
 func keySize(k key) int { return tuple.ValueSize(k.val) + 8 }
 
-// leaf layout, both types: [1 type][2 count][4 next+1][payload]. Row
-// leaves (pageLeaf) pack encoded tuples; columnar leaves (pageLeafCol)
-// hold one colpage chunk.
-const leafHeader = 7
-
 // encodeLeaf writes the leaf under the disk's layout policy. The
 // capacity decision (split/no-split) was already made by the caller
-// against the row-encoded size, so a columnar chunk that happens not to
-// fit — pathological strings can make the chunk larger — falls back to
-// the row encoding for this page without changing the tree shape.
+// against the row-encoded size.
 func (t *Tree) encodeLeaf(page []byte, n *leafNode) {
-	if t.pool.PageLayout() == storage.PageLayoutCol && encodeLeafCol(page, n) {
-		return
-	}
-	encodeLeafRow(page, n)
-}
-
-func putLeafHeader(page []byte, typ byte, n *leafNode) {
-	page[0] = typ
-	binary.BigEndian.PutUint16(page[1:], uint16(len(n.tuples)))
-	next := uint32(0)
-	if n.hasNext {
-		next = uint32(n.next) + 1
-	}
-	binary.BigEndian.PutUint32(page[3:], next)
-}
-
-func encodeLeafCol(page []byte, n *leafNode) bool {
-	used, err := colpage.Encode(page[leafHeader:], n.tuples)
-	if err != nil {
-		return false // caller rewrites the whole page row-major
-	}
-	putLeafHeader(page, pageLeafCol, n)
-	for i := leafHeader + used; i < len(page); i++ {
-		page[i] = 0
-	}
-	return true
-}
-
-func encodeLeafRow(page []byte, n *leafNode) {
-	putLeafHeader(page, pageLeaf, n)
-	off := leafHeader
-	for _, tp := range n.tuples {
-		b := tp.Encode(page[off:off])
-		off += len(b)
-	}
-	for i := off; i < len(page); i++ {
-		page[i] = 0
-	}
-}
-
-func leafSize(n *leafNode) int {
-	sz := leafHeader
-	for _, tp := range n.tuples {
-		sz += tp.EncodedSize()
-	}
-	return sz
-}
-
-// leafLink reads a leaf header's forward link.
-func leafLink(page []byte) (next storage.PageNum, hasNext bool) {
-	if rawNext := binary.BigEndian.Uint32(page[3:]); rawNext != 0 {
-		return storage.PageNum(rawNext - 1), true
-	}
-	return 0, false
-}
-
-func decodeLeaf(page []byte) (*leafNode, error) {
-	cnt := int(binary.BigEndian.Uint16(page[1:]))
-	n := &leafNode{}
-	n.next, n.hasNext = leafLink(page)
-	if page[0] == pageLeafCol {
-		tuples, err := colpage.DecodeTuples(page[leafHeader:])
-		if err != nil {
-			return nil, fmt.Errorf("btree: columnar leaf: %w", err)
-		}
-		if len(tuples) != cnt {
-			return nil, fmt.Errorf("btree: columnar leaf holds %d tuples, header says %d", len(tuples), cnt)
-		}
-		n.tuples = tuples
-		return n, nil
-	}
-	n.tuples = make([]tuple.Tuple, 0, cnt)
-	off := leafHeader
-	for i := 0; i < cnt; i++ {
-		tp, used, err := tuple.Decode(page[off:])
-		if err != nil {
-			return nil, fmt.Errorf("btree: leaf tuple %d: %w", i, err)
-		}
-		n.tuples = append(n.tuples, tp)
-		off += used
-	}
-	return n, nil
-}
-
-// rowLanes is a run of scanned rows in columnar form: the id lane plus
-// one vec.Col per column — a batch's slot-0 lanes, or the iterator's
-// staging lanes.
-type rowLanes struct {
-	ids  []uint64
-	cols []vec.Col
-}
-
-// reset empties the lanes for reuse, keeping their capacity. Rows moved
-// out of them were copied, and string cells point into per-page arenas
-// that are never reused, so nothing handed out aliases what comes next.
-func (l *rowLanes) reset() {
-	l.ids = l.ids[:0]
-	for c := range l.cols {
-		l.cols[c].Reset()
-	}
-}
-
-// appendLeaf decodes a leaf page's rows onto the lanes, skipping tuple
-// materialization entirely for columnar pages (row pages are gathered
-// cell by cell). Lanes holding no rows take the leaf's arity.
-func (l *rowLanes) appendLeaf(page []byte) error {
-	cnt := int(binary.BigEndian.Uint16(page[1:]))
-	switch page[0] {
-	case pageLeafCol:
-		before := len(l.ids)
-		ids, cols, err := colpage.DecodeInto(page[leafHeader:], l.ids, l.cols)
-		if err != nil {
-			return fmt.Errorf("btree: columnar leaf: %w", err)
-		}
-		if len(ids)-before != cnt {
-			return fmt.Errorf("btree: columnar leaf holds %d tuples, header says %d", len(ids)-before, cnt)
-		}
-		l.ids, l.cols = ids, cols
-		return nil
-	case pageLeaf:
-		leaf, err := decodeLeaf(page)
-		if err != nil {
-			return err
-		}
-		ids, cols, err := vec.AppendTupleRows(l.ids, l.cols, leaf.tuples)
-		if err != nil {
-			return fmt.Errorf("btree: mixed arity in leaf: %w", err)
-		}
-		l.ids, l.cols = ids, cols
-		return nil
-	default:
-		return fmt.Errorf("btree: page type %d is not a leaf", page[0])
-	}
+	leafPages.EncodePage(page, n, t.pool.PageLayout())
 }
 
 // internal layout: [1 type][2 count=children][4 child0][key1][4 child1]...
@@ -344,24 +194,36 @@ func internalSize(n *internalNode) int {
 	return sz
 }
 
+// decodeInternal decodes an internal page. Pages reach the engine from
+// snapshot files, i.e. from outside, so the type byte and every read are
+// checked.
 func decodeInternal(page []byte) (*internalNode, error) {
+	if len(page) < internalHeader {
+		return nil, fmt.Errorf("btree: internal page of %d bytes", len(page))
+	}
+	if page[0] != pageInternal {
+		return nil, fmt.Errorf("btree: page type %d is not an internal page", page[0])
+	}
 	cnt := int(binary.BigEndian.Uint16(page[1:]))
 	if cnt < 1 {
 		return nil, fmt.Errorf("btree: internal page with %d children", cnt)
 	}
 	n := &internalNode{children: make([]storage.PageNum, 0, cnt), seps: make([]key, 0, cnt-1)}
 	off := internalHeader
-	n.children = append(n.children, storage.PageNum(binary.BigEndian.Uint32(page[off:])))
-	off += 4
-	for i := 1; i < cnt; i++ {
-		k, used, err := decodeKey(page[off:])
-		if err != nil {
-			return nil, fmt.Errorf("btree: internal sep %d: %w", i, err)
+	for i := 0; i < cnt; i++ {
+		if i > 0 {
+			k, used, err := decodeKey(page[off:])
+			if err != nil {
+				return nil, fmt.Errorf("btree: internal sep %d: %w", i, err)
+			}
+			off += used
+			n.seps = append(n.seps, k)
 		}
-		off += used
+		if len(page)-off < 4 {
+			return nil, fmt.Errorf("btree: internal page truncated at child %d", i)
+		}
 		n.children = append(n.children, storage.PageNum(binary.BigEndian.Uint32(page[off:])))
 		off += 4
-		n.seps = append(n.seps, k)
 	}
 	return n, nil
 }
@@ -376,7 +238,7 @@ func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 		if page, err = t.file.PeekInto(pn, page); err != nil {
 			return 0, err
 		}
-		if isLeafPage(page[0]) {
+		if leafPages.Has(page[0]) {
 			return pn, nil
 		}
 		in, err := decodeInternal(page)
@@ -404,27 +266,30 @@ func (n *internalNode) childFor(k key) int {
 	return lo
 }
 
-// findLeaf descends from the root to the leaf covering k, returning the
-// page numbers of the path (metered: one read per level unless cached).
-func (t *Tree) findLeaf(k key) ([]storage.PageNum, error) {
-	path := make([]storage.PageNum, 0, t.height)
+// findLeaf descends from the root to the leaf covering k — a nil k is
+// −∞, the leftmost leaf — and returns its page number (metered: one
+// read per level unless cached).
+func (t *Tree) findLeaf(k *key) (storage.PageNum, error) {
 	pn := t.root
 	for {
-		path = append(path, pn)
 		fr, err := t.pool.Get(t.file, pn)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if isLeafPage(fr.Data[0]) {
+		if leafPages.Has(fr.Data[0]) {
 			t.pool.Release(fr)
-			return path, nil
+			return pn, nil
 		}
 		in, err := decodeInternal(fr.Data)
 		t.pool.Release(fr)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		pn = in.children[in.childFor(k)]
+		child := 0
+		if k != nil {
+			child = in.childFor(*k)
+		}
+		pn = in.children[child]
 	}
 }
 
@@ -433,7 +298,7 @@ func (t *Tree) findLeaf(k key) ([]storage.PageNum, error) {
 // Insert adds a tuple. Duplicate (value, id) pairs are rejected: ids
 // are unique engine-wide, so a collision indicates a bug upstream.
 func (t *Tree) Insert(tp tuple.Tuple) error {
-	if leafHeader+tp.EncodedSize() > t.pool.PageSize() {
+	if colpage.DataPageHeader+tp.EncodedSize() > t.pool.PageSize() {
 		return fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), t.pool.PageSize())
 	}
 	k := keyOf(tp, t.keyCol)
@@ -465,43 +330,43 @@ func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage
 	if err != nil {
 		return key{}, 0, false, err
 	}
-	if isLeafPage(fr.Data[0]) {
-		leaf, err := decodeLeaf(fr.Data)
+	if leafPages.Has(fr.Data[0]) {
+		leaf, err := leafPages.DecodePage(fr.Data)
 		if err != nil {
 			t.pool.Release(fr)
 			return key{}, 0, false, err
 		}
 		idx := leafLowerBound(leaf, k, t.keyCol)
-		if idx < len(leaf.tuples) {
-			ek := keyOf(leaf.tuples[idx], t.keyCol)
+		if idx < len(leaf.Tuples) {
+			ek := keyOf(leaf.Tuples[idx], t.keyCol)
 			if !k.less(ek) && !ek.less(k) {
 				t.pool.Release(fr)
 				return key{}, 0, false, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
 			}
 		}
-		leaf.tuples = append(leaf.tuples, tuple.Tuple{})
-		copy(leaf.tuples[idx+1:], leaf.tuples[idx:])
-		leaf.tuples[idx] = tp
-		if leafSize(leaf) <= len(fr.Data) {
+		leaf.Tuples = append(leaf.Tuples, tuple.Tuple{})
+		copy(leaf.Tuples[idx+1:], leaf.Tuples[idx:])
+		leaf.Tuples[idx] = tp
+		if leaf.Size() <= len(fr.Data) {
 			t.encodeLeaf(fr.Data, leaf)
 			fr.MarkDirty()
 			return key{}, 0, false, t.pool.Release(fr)
 		}
 		// Split: right sibling takes the upper half.
-		mid := len(leaf.tuples) / 2
-		right := &leafNode{next: leaf.next, hasNext: leaf.hasNext, tuples: append([]tuple.Tuple(nil), leaf.tuples[mid:]...)}
-		leaf.tuples = leaf.tuples[:mid]
+		mid := len(leaf.Tuples) / 2
+		right := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Tuples: append([]tuple.Tuple(nil), leaf.Tuples[mid:]...)}
+		leaf.Tuples = leaf.Tuples[:mid]
 		rfr, err := t.pool.Alloc(t.file)
 		if err != nil {
 			t.pool.Release(fr)
 			return key{}, 0, false, err
 		}
-		leaf.next, leaf.hasNext = rfr.PageNum(), true
+		leaf.Next, leaf.HasNext = rfr.PageNum(), true
 		t.encodeLeaf(rfr.Data, right)
 		rfr.MarkDirty()
 		t.encodeLeaf(fr.Data, leaf)
 		fr.MarkDirty()
-		sep := keyOf(right.tuples[0], t.keyCol)
+		sep := keyOf(right.Tuples[0], t.keyCol)
 		if err := t.pool.Release(rfr); err != nil {
 			t.pool.Release(fr)
 			return key{}, 0, false, err
@@ -574,10 +439,10 @@ func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage
 
 // leafLowerBound returns the first index whose key is ≥ k.
 func leafLowerBound(leaf *leafNode, k key, keyCol int) int {
-	lo, hi := 0, len(leaf.tuples)
+	lo, hi := 0, len(leaf.Tuples)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if keyOf(leaf.tuples[mid], keyCol).less(k) {
+		if keyOf(leaf.Tuples[mid], keyCol).less(k) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -596,29 +461,28 @@ func leafLowerBound(leaf *leafNode, k key, keyCol int) int {
 // (paired inserts and deletes), so underflow stays bounded in practice.
 func (t *Tree) Delete(val tuple.Value, id uint64) (bool, error) {
 	k := key{val: val, id: id}
-	path, err := t.findLeaf(k)
+	leafPN, err := t.findLeaf(&k)
 	if err != nil {
 		return false, err
 	}
-	leafPN := path[len(path)-1]
 	fr, err := t.pool.Get(t.file, leafPN)
 	if err != nil {
 		return false, err
 	}
-	leaf, err := decodeLeaf(fr.Data)
+	leaf, err := leafPages.DecodePage(fr.Data)
 	if err != nil {
 		t.pool.Release(fr)
 		return false, err
 	}
 	idx := leafLowerBound(leaf, k, t.keyCol)
-	if idx >= len(leaf.tuples) {
+	if idx >= len(leaf.Tuples) {
 		return false, t.pool.Release(fr)
 	}
-	ek := keyOf(leaf.tuples[idx], t.keyCol)
+	ek := keyOf(leaf.Tuples[idx], t.keyCol)
 	if k.less(ek) || ek.less(k) {
 		return false, t.pool.Release(fr)
 	}
-	leaf.tuples = append(leaf.tuples[:idx], leaf.tuples[idx+1:]...)
+	leaf.Tuples = append(leaf.Tuples[:idx], leaf.Tuples[idx+1:]...)
 	t.encodeLeaf(fr.Data, leaf)
 	fr.MarkDirty()
 	t.count--
@@ -628,67 +492,31 @@ func (t *Tree) Delete(val tuple.Value, id uint64) (bool, error) {
 // Get returns the tuple with the exact (value, id) key, if present.
 func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	k := key{val: val, id: id}
-	path, err := t.findLeaf(k)
+	leafPN, err := t.findLeaf(&k)
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
-	fr, err := t.pool.Get(t.file, path[len(path)-1])
+	fr, err := t.pool.Get(t.file, leafPN)
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
 	defer t.pool.Release(fr)
-	leaf, err := decodeLeaf(fr.Data)
+	leaf, err := leafPages.DecodePage(fr.Data)
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
 	idx := leafLowerBound(leaf, k, t.keyCol)
-	if idx >= len(leaf.tuples) {
+	if idx >= len(leaf.Tuples) {
 		return tuple.Tuple{}, false, nil
 	}
-	ek := keyOf(leaf.tuples[idx], t.keyCol)
+	ek := keyOf(leaf.Tuples[idx], t.keyCol)
 	if k.less(ek) || ek.less(k) {
 		return tuple.Tuple{}, false, nil
 	}
-	return leaf.tuples[idx].Clone(), true, nil
+	return leaf.Tuples[idx].Clone(), true, nil
 }
 
 // --- scans ---------------------------------------------------------------
-
-func (t *Tree) findLeafLeftmost() (storage.PageNum, error) {
-	pn := t.root
-	for {
-		fr, err := t.pool.Get(t.file, pn)
-		if err != nil {
-			return 0, err
-		}
-		if isLeafPage(fr.Data[0]) {
-			t.pool.Release(fr)
-			return pn, nil
-		}
-		in, err := decodeInternal(fr.Data)
-		t.pool.Release(fr)
-		if err != nil {
-			return 0, err
-		}
-		pn = in.children[0]
-	}
-}
-
-// readaheadWindow is how many leaves a full scan may prefetch per
-// batch. Well under the pool capacity so the briefly-pinned window can
-// never force out its own pages or exhaust eviction candidates (the
-// batch eviction pass then picks exactly the victims an incremental
-// walk would); zero disables readahead on tiny pools.
-func (t *Tree) readaheadWindow() int {
-	w := t.pool.Capacity() / 4
-	if w > 32 {
-		w = 32
-	}
-	if w < 2 {
-		return 0
-	}
-	return w
-}
 
 // BatchIterator walks the tree in key order over a range, decoding
 // leaves straight to columnar form. It holds no pins between Fill
@@ -719,9 +547,9 @@ type BatchIterator struct {
 	pn      storage.PageNum
 	hasPage bool
 	done    bool
-	ra      bool     // readahead allowed (full scan)
-	all     bool     // the range keeps every row: no key is looked at
-	stage   rowLanes // rows read but not handed out: those from idx on
+	ra      bool          // readahead allowed (full scan)
+	all     bool          // the range keeps every row: no key is looked at
+	stage   colpage.Lanes // rows read but not handed out: those from idx on
 	idx     int
 	pruned  int64
 	// Buffers walkAhead reuses from window to window: the page it peeks
@@ -740,23 +568,17 @@ func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*BatchIterator
 	if it.ra {
 		it.prune = prune
 	}
-	if rg == nil || rg.Lo == nil {
-		pn, err := t.findLeafLeftmost()
-		if err != nil {
-			return nil, err
+	var start *key
+	if rg != nil && rg.Lo != nil {
+		start = &key{val: *rg.Lo} // id 0: before all ids of that value
+		if !rg.LoInc {
+			start.id = ^uint64(0)
 		}
-		it.pn = pn
-		return it, it.loadPage(nil, 0)
 	}
-	start := key{val: *rg.Lo} // id 0: before all ids of that value
-	if !rg.LoInc {
-		start = key{val: *rg.Lo, id: ^uint64(0)}
-	}
-	path, err := t.findLeaf(start)
-	if err != nil {
+	var err error
+	if it.pn, err = t.findLeaf(start); err != nil {
 		return nil, err
 	}
-	it.pn = path[len(path)-1]
 	// Fill skips the first leaf's entries below the range.
 	return it, it.loadPage(nil, 0)
 }
@@ -771,7 +593,7 @@ func (it *BatchIterator) Pruned() int64 { return it.pruned }
 // whatever the batch size.
 func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
 	for !it.done {
-		n := len(it.stage.ids)
+		n := len(it.stage.IDs)
 		if it.idx >= n {
 			if err := it.loadPage(b, max); err != nil {
 				return err
@@ -780,7 +602,7 @@ func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
 		}
 		lo, hi, past := it.idx, n, false
 		if !it.all {
-			keys, err := it.keys(it.stage.cols)
+			keys, err := it.keys(it.stage.Cols)
 			if err != nil {
 				return err
 			}
@@ -793,8 +615,8 @@ func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
 				return nil // batch full; resume here next call
 			}
 			take := min(hi-lo, room)
-			if !b.AppendSlot0Rows(it.stage.ids, it.stage.cols, lo, lo+take) {
-				return errMixedShape
+			if err := it.stage.MoveRows(b, lo, lo+take); err != nil {
+				return err
 			}
 			if take < hi-lo {
 				it.idx = lo + take
@@ -805,8 +627,6 @@ func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
 	}
 	return nil
 }
-
-var errMixedShape = fmt.Errorf("btree: scan produced mixed-shape tuples")
 
 // keys returns the key column of scanned rows, which stored bytes may
 // not have.
@@ -857,7 +677,7 @@ func (it *BatchIterator) Done() bool { return it.done }
 // window of leaves — once every row read before it has been handed
 // out. b is the batch being filled (nil at open), max its row limit.
 func (it *BatchIterator) loadPage(b *vec.Batch, max int) error {
-	it.stage.reset()
+	it.stage.Reset()
 	it.idx = 0
 	for {
 		if !it.hasPage {
@@ -884,35 +704,29 @@ func (it *BatchIterator) loadPage(b *vec.Batch, max int) error {
 	}
 }
 
-// takeLeaf decodes a pinned leaf page: straight onto b when nothing is
-// staged ahead of it, the whole leaf fits and the range keeps every
-// row; onto the staging lanes otherwise.
+// takeLeaf decodes a pinned leaf page: straight onto b when the data
+// page rule allows it and the range keeps every row of the leaf; onto
+// the staging lanes otherwise.
 func (it *BatchIterator) takeLeaf(page []byte, b *vec.Batch, max int) error {
-	rows := int(binary.BigEndian.Uint16(page[1:]))
-	if b == nil || len(it.stage.ids) > 0 || rows > max-b.NumRows() {
-		return it.stage.appendLeaf(page)
+	mark := 0
+	if b != nil {
+		mark = b.NumRows()
 	}
-	mark := b.NumRows()
-	dst := rowLanes{ids: b.IDs[0], cols: b.Slots[0]}
-	if err := dst.appendLeaf(page); err != nil {
+	direct, err := leafPages.Take(page, b, max, &it.stage)
+	if err != nil || !direct || it.all || b.NumRows() == mark {
 		return err
 	}
-	if err := b.SetSlot0(dst.ids, dst.cols); err != nil {
-		return fmt.Errorf("%w: %v", errMixedShape, err)
+	keys, err := it.keys(b.Slots[0])
+	if err != nil {
+		return err
 	}
-	if !it.all && b.NumRows() > mark {
-		keys, err := it.keys(b.Slots[0])
-		if err != nil {
-			return err
-		}
-		if lo, hi, past := keptRun(keys, it.rg, mark, b.NumRows()); lo != mark || hi != b.NumRows() || past {
-			// The range cuts this leaf (its last, usually): take it back
-			// and let Fill move the kept runs.
-			b.Truncate(mark)
-			return it.stage.appendLeaf(page)
-		}
+	if lo, hi, past := keptRun(keys, it.rg, mark, b.NumRows()); lo != mark || hi != b.NumRows() || past {
+		// The range cuts this leaf (its last, usually): take it back
+		// and let Fill move the kept runs.
+		b.Truncate(mark)
+		_, err = leafPages.Take(page, nil, 0, &it.stage)
 	}
-	return nil
+	return err
 }
 
 // getLeaf reads one leaf with a plain charged Get and returns its
@@ -923,7 +737,7 @@ func (it *BatchIterator) getLeaf(pn storage.PageNum, b *vec.Batch, max int) (nex
 	if err != nil {
 		return 0, false, err
 	}
-	next, hasNext = leafLink(fr.Data)
+	next, hasNext = colpage.PageLink(fr.Data)
 	err = it.takeLeaf(fr.Data, b, max)
 	if rerr := t.pool.Release(fr); rerr != nil && err == nil {
 		err = rerr
@@ -941,7 +755,7 @@ func (it *BatchIterator) getLeaf(pn storage.PageNum, b *vec.Batch, max int) (nex
 // prune, it stops at the failing page and lets the charged path surface
 // the real error there.
 func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok bool) {
-	w := it.tree.readaheadWindow()
+	w := colpage.Window(it.tree.pool)
 	if w == 0 || it.tree.file.HasDirtyFrames() {
 		return 0, false, false
 	}
@@ -950,18 +764,14 @@ func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok boo
 	it.fetch = it.fetch[:0]
 	for {
 		page, err := it.tree.file.PeekInto(pn, it.peek)
-		if err != nil || !isLeafPage(page[0]) {
+		if err != nil || !leafPages.Has(page[0]) {
 			// Truncated or foreign chain.
 			return pn, true, prunedN > 0
 		}
 		it.peek = page
-		skip := false
-		if page[0] == pageLeafCol && len(it.prune) > 0 {
-			z, zerr := colpage.ReadZones(page[leafHeader:])
-			if zerr != nil {
-				return pn, true, prunedN > 0
-			}
-			skip = z.Prunable(it.prune)
+		skip, err := leafPages.Prunable(page, it.prune)
+		if err != nil {
+			return pn, true, prunedN > 0
 		}
 		if skip {
 			prunedN++
@@ -969,7 +779,7 @@ func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok boo
 		} else {
 			it.fetch = append(it.fetch, pn)
 		}
-		next, hasNext := leafLink(page)
+		next, hasNext := colpage.PageLink(page)
 		if !hasNext {
 			return 0, false, true
 		}

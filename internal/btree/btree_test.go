@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -433,5 +435,61 @@ func TestTreeKeyCol(t *testing.T) {
 	tr, _ := newTestTree(t, 256, 16)
 	if tr.KeyCol() != 0 {
 		t.Errorf("KeyCol = %d", tr.KeyCol())
+	}
+}
+
+// TestDecodeInternalRejectsDamage: pages come from snapshot files, so an
+// internal page is checked like any other input — a child pointer that
+// runs off the page is an error, not a panic, and a page that is not an
+// internal page is not descended through.
+func TestDecodeInternalRejectsDamage(t *testing.T) {
+	// Two children; the separator's string value is sized so the key
+	// ends exactly at the page end and child 1 has no bytes left.
+	page := make([]byte, 256)
+	const strLen = 256 - internalHeader - 4 - (1 + 4) - 8
+	encodeInternal(page, &internalNode{
+		children: []storage.PageNum{1, 2},
+		seps:     []key{{val: tuple.S(strings.Repeat("k", strLen-4)), id: 9}},
+	})
+	if _, err := decodeInternal(page); err != nil {
+		t.Fatalf("well-formed internal page: %v", err)
+	}
+	binary.BigEndian.PutUint32(page[internalHeader+4+1:], strLen) // key grows over child 1
+	if _, err := decodeInternal(page); err == nil || !strings.Contains(err.Error(), "btree: ") {
+		t.Errorf("child pointer past the page end: err = %v", err)
+	}
+
+	tr, _ := newTestTree(t, 256, 64)
+	for i := int64(0); i < 100; i++ {
+		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 2 {
+		t.Fatal("fixture has no internal page")
+	}
+	leaf, err := tr.findLeaf(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pn := range []storage.PageNum{leaf, tr.root} {
+		fr, err := tr.pool.Get(tr.file, pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pn == tr.root {
+			fr.Data[0] = 9 // neither a leaf nor an internal page
+			fr.MarkDirty()
+		}
+		_, derr := decodeInternal(fr.Data)
+		if err := tr.pool.Release(fr); err != nil {
+			t.Fatal(err)
+		}
+		if derr == nil || !strings.Contains(derr.Error(), "not an internal page") {
+			t.Errorf("decodeInternal of page %d: err = %v", pn, derr)
+		}
+	}
+	if _, _, err := tr.Get(tuple.I(5), 6); err == nil || !strings.Contains(err.Error(), "not an internal page") {
+		t.Errorf("descent through a root of type 9: err = %v", err)
 	}
 }

@@ -126,7 +126,7 @@ func TestScanBatchesPrunedPagesNeverPinned(t *testing.T) {
 // soundly re-arms).
 func TestScanBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	tr, _, pool, m := newColTree(t, 256, 512, 500)
-	pool.SetWriteThrough(false)
+	pool.BeginBulk()
 	// Dirty a page: an insert rewrites its leaf in the pool only.
 	if err := tr.Insert(mk(9001, 9001)); err != nil {
 		t.Fatal(err)
@@ -212,7 +212,8 @@ func TestScanBatchesRowLayout(t *testing.T) {
 
 // TestScanBatchesRejectsHeaderCountMismatch: a columnar leaf whose
 // header row count disagrees with its chunk is corrupt, and the scan
-// must say so rather than trust the chunk.
+// must say so rather than trust the chunk (the codec's own table is
+// colpage.TestDataPageRejectsDamage; this is the way there from a scan).
 func TestScanBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	tr, _, p, _ := newColTree(t, 256, 64, 200)
 	pn, err := tr.leftmostLeafUncharged()
@@ -223,7 +224,7 @@ func TestScanBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Data[0] != pageLeafCol {
+	if fr.Data[0] != leafPages.Col {
 		t.Fatalf("leftmost leaf has page type %d, want a columnar leaf", fr.Data[0])
 	}
 	binary.BigEndian.PutUint16(fr.Data[1:], binary.BigEndian.Uint16(fr.Data[1:])+1)

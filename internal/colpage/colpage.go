@@ -25,9 +25,11 @@
 //	  [1 flags][min value][max value]      zone map (values only when
 //	                                       flags&1; tuple value codec)
 //
-// The value lanes double as the wire form of a query answer: rows.go
-// strings them, without id lane or footer, into a row set that
-// internal/proto ships and decodes straight to tuple.Values.
+// The data page around the chunk — the header a B+-tree leaf and a hash
+// chain page share, with the chunk or row-major tuples as its payload —
+// is datapage.go. The value lanes double as the wire form of a query
+// answer: rows.go strings them, without id lane or footer, into a row
+// set that internal/proto ships and decodes straight to tuple.Values.
 //
 // Every decode path is bounds-checked: corrupt or truncated chunks
 // return errors, never panic (see FuzzColPageCodec).

@@ -302,7 +302,8 @@ func (db *Database) execOpts() exec.Options {
 	return exec.Options{Meter: db.meter, BatchSize: db.batchSize}
 }
 
-// Pool exposes the buffer pool (experiments tune write policy).
+// Pool exposes the buffer pool: tests assert it holds no pins, flush it
+// and reach pages through it. The engine offers no write-policy knob.
 func (db *Database) Pool() *storage.Pool { return db.pool }
 
 // Disk exposes the simulated disk.

@@ -308,7 +308,6 @@ func (db *Database) QueryGroups(name string, rg *pred.Range) ([]GroupRow, error)
 // siblings concatenated after it), screened per tuple, folded per
 // group.
 func (db *Database) groupsFromBase(vs *viewState, rg *pred.Range) ([]GroupRow, error) {
-	skip := map[uint64]bool{}
 	var source exec.Operator
 	if p := db.parentOf(vs); p != nil {
 		// A QM child folds the parent's current rows; there is no HR to
@@ -317,26 +316,9 @@ func (db *Database) groupsFromBase(vs *viewState, rg *pred.Range) ([]GroupRow, e
 	} else {
 		source = exec.NewSeqScan(db.execOpts(), db.rels[vs.def.Relations[0]])
 	}
-	if h, ok := db.hrs[vs.def.Relations[0]]; ok && h.ADLen() > 0 {
-		pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", vs.def.Relations[0]), func() ([]exec.Row, error) {
-			anet, dnet, err := h.NetChanges()
-			if err != nil {
-				return nil, err
-			}
-			for _, tp := range dnet {
-				skip[tp.ID] = true
-			}
-			rows := make([]exec.Row, len(anet))
-			for i, tp := range anet {
-				rows[i] = exec.Row{T0: tp, Insert: true}
-			}
-			return rows, nil
-		})
-		// Pending adds stream ahead of the base scan so the skip set is
-		// filled before any base row is screened (the group fold is
-		// order-independent).
-		source = exec.NewSeq("pending+base", pending, source)
-	}
+	// The group fold is order-independent, so pending adds may stream
+	// ahead of the base scan.
+	source, skip := db.withPendingAD(vs.def.Relations[0], source)
 	states := map[string]*agg.State{}
 	groups := map[string]tuple.Value{}
 	filt := exec.NewFilter(db.execOpts(), vs.def.Name, source,

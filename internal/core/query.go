@@ -495,36 +495,42 @@ func (db *Database) loopJoin(vs *viewState, rg *pred.Range) ([]ResultRow, error)
 	return out, nil
 }
 
+// withPendingAD overlays a relation's un-folded HR changes on a
+// query-modification scan of it, so QM aggregates sharing the relation
+// with deferred views stay correct: pending adds stream ahead of the
+// base scan, which fills the returned skip set with the pending deletes
+// before any base row is screened; the caller's filter consults it
+// (exec.Pred.SkipIDs).
+func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator, map[uint64]bool) {
+	skip := map[uint64]bool{}
+	h, ok := db.hrs[rel]
+	if !ok || h.ADLen() == 0 {
+		return base, skip
+	}
+	pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", rel), func() ([]exec.Row, error) {
+		anet, dnet, err := h.NetChanges()
+		if err != nil {
+			return nil, err
+		}
+		for _, tp := range dnet {
+			skip[tp.ID] = true
+		}
+		rows := make([]exec.Row, len(anet))
+		for i, tp := range anet {
+			rows[i] = exec.Row{T0: tp, Insert: true}
+		}
+		return rows, nil
+	})
+	return exec.NewSeq("pending+base", pending, base), skip
+}
+
 // computeAggregateFromBase evaluates a Model-3 aggregate with query
 // modification: a clustered scan over the predicate interval (with any
 // un-folded HR changes concatenated ahead of it), screening and
 // folding each tuple.
 func (db *Database) computeAggregateFromBase(vs *viewState) (float64, bool, error) {
 	state := agg.NewState(vs.def.AggKind)
-	skipDeleted := map[uint64]bool{}
-
-	source := db.sourceFor(vs, 0)
-	if h, hasHR := db.hrs[vs.def.Relations[0]]; hasHR && h.ADLen() > 0 {
-		// Overlay un-folded HR changes so QM aggregates sharing a
-		// relation with deferred views stay correct: pending adds are
-		// streamed ahead of the base scan, pending deletes fill the
-		// skip set the filter below consults.
-		pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", vs.def.Relations[0]), func() ([]exec.Row, error) {
-			anet, dnet, err := h.NetChanges()
-			if err != nil {
-				return nil, err
-			}
-			for _, tp := range dnet {
-				skipDeleted[tp.ID] = true
-			}
-			rows := make([]exec.Row, len(anet))
-			for i, tp := range anet {
-				rows[i] = exec.Row{T0: tp, Insert: true}
-			}
-			return rows, nil
-		})
-		source = exec.NewSeq("pending+base", pending, source)
-	}
+	source, skipDeleted := db.withPendingAD(vs.def.Relations[0], db.sourceFor(vs, 0))
 	filter := exec.NewFilter(db.execOpts(), vs.def.Name, source,
 		exec.Pred{P: vs.def.Pred, SkipIDs: skipDeleted}, true)
 	fold := exec.NewAggFold(db.execOpts(), vs.def.Name, filter, exec.Fold{

@@ -1,6 +1,7 @@
 package hashidx
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 	"testing"
@@ -130,7 +131,7 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.EvictAll()
-	pool.SetWriteThrough(false)
+	pool.BeginBulk()
 	if err := ix.Insert(mk(100, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,8 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 
 // TestScanAllBatchesRejectsHeaderCountMismatch: a columnar chain page
 // whose header row count disagrees with its chunk is corrupt, and the
-// scan must say so rather than trust the chunk.
+// scan must say so rather than trust the chunk (the codec's own table is
+// colpage.TestDataPageRejectsDamage; this is the way there from a scan).
 func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	d := storage.NewDisk(256)
 	pool := storage.NewPool(d, storage.NewMeter(), 64)
@@ -166,10 +168,10 @@ func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Data[0] != pageHashCol {
+	if fr.Data[0] != chainPages.Col {
 		t.Fatalf("bucket page has type %d, want a columnar page", fr.Data[0])
 	}
-	putU16(fr.Data[1:], getU16(fr.Data[1:])+1)
+	binary.BigEndian.PutUint16(fr.Data[1:], binary.BigEndian.Uint16(fr.Data[1:])+1)
 	fr.MarkDirty()
 	if err := pool.Release(fr); err != nil {
 		t.Fatal(err)
@@ -183,4 +185,64 @@ func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 		t.Errorf("scan over a page with a wrong header count: err = %v", err)
 	}
 	pool.AssertUnpinned(t)
+}
+
+// TestScanAllBatchesRowLayout: row-major chain pages scan through the
+// same interface (mixed-layout files are legal) — on the bucket-run fast
+// path and down overflow chains, whole pages and pages that straddle a
+// batch boundary — with no pruning ever (row pages carry no zone maps).
+func TestScanAllBatchesRowLayout(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		buckets, rows int
+		overflow      bool
+	}{
+		{"bucket runs", 8, 24, false},
+		{"overflow chains", 2, 60, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := storage.NewDisk(256)
+			d.SetPageLayout(storage.PageLayoutRow)
+			pool := storage.NewPool(d, storage.NewMeter(), 64)
+			ix, err := New(pool, d.Open("h"), 0, c.buckets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.rows; i++ {
+				if err := ix.Insert(mk(uint64(i+1), int64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ix.file.NumPages() > c.buckets; got != c.overflow {
+				t.Fatalf("fixture has %d pages for %d buckets", ix.file.NumPages(), c.buckets)
+			}
+			if err := pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			pool.EvictAll()
+			const size = 5
+			out, pruned, err := ix.ScanAllBatches(size, []colpage.Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(1000)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pruned != 0 {
+				t.Errorf("row-layout scan pruned %d pages", pruned)
+			}
+			for i, b := range out {
+				if b.NumRows() == 0 || b.NumRows() > size {
+					t.Errorf("batch %d holds %d rows", i, b.NumRows())
+				}
+			}
+			keys := batchKeys(out)
+			if len(keys) != c.rows {
+				t.Fatalf("row-layout scan returned %d rows, want %d", len(keys), c.rows)
+			}
+			for i, k := range keys {
+				if k != int64(i) {
+					t.Fatalf("key %d = %d", i, k)
+				}
+			}
+			pool.AssertUnpinned(t)
+		})
+	}
 }

@@ -20,21 +20,10 @@ import (
 	"viewmat/internal/vec"
 )
 
-const (
-	pageHash = 3
-	// pageHashCol is a chain page stored as a columnar chunk
-	// (internal/colpage) after the common header. Which type a page is
-	// written as follows the disk's PageLayout policy at encode time;
-	// readers dispatch on the type byte, so mixed-layout files work.
-	pageHashCol = 5
-)
-
-// isChainPage reports whether a page type byte marks a chain page
-// (either layout).
-func isChainPage(b byte) bool { return b == pageHash || b == pageHashCol }
-
-// header: [1 type][2 count][4 next+1]
-const pageHeader = 7
+// chainPages are the type bytes of a chain page, which is a colpage data
+// page: the codec, the page→lanes decode and the zone peek live there,
+// shared with btree's leaves.
+var chainPages = colpage.PageTypes{Row: 3, Col: 5}
 
 // Index is a clustered hash index storing full tuples. Not safe for
 // concurrent use.
@@ -47,11 +36,7 @@ type Index struct {
 }
 
 // node is a decoded chain page.
-type node struct {
-	next    storage.PageNum
-	hasNext bool
-	tuples  []tuple.Tuple
-}
+type node = colpage.DataPage
 
 // Meta is an index's persistent metadata: the primary bucket page
 // numbers and the live tuple count.
@@ -113,90 +98,9 @@ func (ix *Index) KeyCol() int { return ix.keyCol }
 
 // encodeNode writes the chain page under the disk's layout policy. The
 // capacity decision was made by the caller against the row-encoded
-// size, so a columnar chunk that does not fit falls back to the row
-// encoding for this page.
+// size.
 func (ix *Index) encodeNode(page []byte, n *node) {
-	if ix.pool.PageLayout() == storage.PageLayoutCol && encodeNodeCol(page, n) {
-		return
-	}
-	encodeNodeRow(page, n)
-}
-
-func putNodeHeader(page []byte, typ byte, n *node) {
-	page[0] = typ
-	putU16(page[1:], uint16(len(n.tuples)))
-	next := uint32(0)
-	if n.hasNext {
-		next = uint32(n.next) + 1
-	}
-	putU32(page[3:], next)
-}
-
-func encodeNodeCol(page []byte, n *node) bool {
-	used, err := colpage.Encode(page[pageHeader:], n.tuples)
-	if err != nil {
-		return false // caller rewrites the whole page row-major
-	}
-	putNodeHeader(page, pageHashCol, n)
-	for i := pageHeader + used; i < len(page); i++ {
-		page[i] = 0
-	}
-	return true
-}
-
-func encodeNodeRow(page []byte, n *node) {
-	putNodeHeader(page, pageHash, n)
-	off := pageHeader
-	for _, tp := range n.tuples {
-		b := tp.Encode(page[off:off])
-		off += len(b)
-	}
-	for i := off; i < len(page); i++ {
-		page[i] = 0
-	}
-}
-
-func nodeSize(n *node) int {
-	sz := pageHeader
-	for _, tp := range n.tuples {
-		sz += tp.EncodedSize()
-	}
-	return sz
-}
-
-func decodeNode(page []byte) (*node, error) {
-	if !isChainPage(page[0]) {
-		return nil, fmt.Errorf("hashidx: page type %d", page[0])
-	}
-	cnt := int(getU16(page[1:]))
-	rawNext := getU32(page[3:])
-	n := &node{}
-	if rawNext != 0 {
-		n.hasNext = true
-		n.next = storage.PageNum(rawNext - 1)
-	}
-	if page[0] == pageHashCol {
-		tuples, err := colpage.DecodeTuples(page[pageHeader:])
-		if err != nil {
-			return nil, fmt.Errorf("hashidx: columnar page: %w", err)
-		}
-		if len(tuples) != cnt {
-			return nil, fmt.Errorf("hashidx: columnar page holds %d tuples, header says %d", len(tuples), cnt)
-		}
-		n.tuples = tuples
-		return n, nil
-	}
-	n.tuples = make([]tuple.Tuple, 0, cnt)
-	off := pageHeader
-	for i := 0; i < cnt; i++ {
-		tp, used, err := tuple.Decode(page[off:])
-		if err != nil {
-			return nil, fmt.Errorf("hashidx: tuple %d: %w", i, err)
-		}
-		n.tuples = append(n.tuples, tp)
-		off += used
-	}
-	return n, nil
+	chainPages.EncodePage(page, n, ix.pool.PageLayout())
 }
 
 // bucketFor hashes a key value to a bucket.
@@ -210,7 +114,7 @@ func (ix *Index) bucketFor(v tuple.Value) int {
 // (allocating an overflow page if the chain is full). Each chain page
 // inspected costs one metered read; the modified page costs one write.
 func (ix *Index) Insert(tp tuple.Tuple) error {
-	if pageHeader+tp.EncodedSize() > ix.pool.PageSize() {
+	if colpage.DataPageHeader+tp.EncodedSize() > ix.pool.PageSize() {
 		return fmt.Errorf("hashidx: tuple of %d bytes exceeds page capacity", tp.EncodedSize())
 	}
 	pn := ix.buckets[ix.bucketFor(tp.Vals[ix.keyCol])]
@@ -219,21 +123,21 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 		if err != nil {
 			return err
 		}
-		n, err := decodeNode(fr.Data)
+		n, err := chainPages.DecodePage(fr.Data)
 		if err != nil {
 			ix.pool.Release(fr)
 			return err
 		}
-		n.tuples = append(n.tuples, tp)
-		if nodeSize(n) <= len(fr.Data) {
+		n.Tuples = append(n.Tuples, tp)
+		if n.Size() <= len(fr.Data) {
 			ix.encodeNode(fr.Data, n)
 			fr.MarkDirty()
 			ix.count++
 			return ix.pool.Release(fr)
 		}
-		n.tuples = n.tuples[:len(n.tuples)-1]
-		if n.hasNext {
-			pn = n.next
+		n.Tuples = n.Tuples[:len(n.Tuples)-1]
+		if n.HasNext {
+			pn = n.Next
 			if err := ix.pool.Release(fr); err != nil {
 				return err
 			}
@@ -245,9 +149,9 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 			ix.pool.Release(fr)
 			return err
 		}
-		ix.encodeNode(ofr.Data, &node{tuples: []tuple.Tuple{tp}})
+		ix.encodeNode(ofr.Data, &node{Tuples: []tuple.Tuple{tp}})
 		ofr.MarkDirty()
-		n.next, n.hasNext = ofr.PageNum(), true
+		n.Next, n.HasNext = ofr.PageNum(), true
 		ix.encodeNode(fr.Data, n)
 		fr.MarkDirty()
 		ix.count++
@@ -269,17 +173,17 @@ func (ix *Index) Lookup(v tuple.Value) ([]tuple.Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := decodeNode(fr.Data)
+		n, err := chainPages.DecodePage(fr.Data)
 		if err != nil {
 			ix.pool.Release(fr)
 			return nil, err
 		}
-		for _, tp := range n.tuples {
+		for _, tp := range n.Tuples {
 			if tuple.Equal(tp.Vals[ix.keyCol], v) {
 				out = append(out, tp.Clone())
 			}
 		}
-		hasNext, next := n.hasNext, n.next
+		hasNext, next := n.HasNext, n.Next
 		if err := ix.pool.Release(fr); err != nil {
 			return nil, err
 		}
@@ -313,21 +217,21 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		n, err := decodeNode(fr.Data)
+		n, err := chainPages.DecodePage(fr.Data)
 		if err != nil {
 			ix.pool.Release(fr)
 			return false, err
 		}
-		for i, tp := range n.tuples {
+		for i, tp := range n.Tuples {
 			if tp.ID == id && tuple.Equal(tp.Vals[ix.keyCol], v) {
-				n.tuples = append(n.tuples[:i], n.tuples[i+1:]...)
+				n.Tuples = append(n.Tuples[:i], n.Tuples[i+1:]...)
 				ix.encodeNode(fr.Data, n)
 				fr.MarkDirty()
 				ix.count--
 				return true, ix.pool.Release(fr)
 			}
 		}
-		hasNext, next := n.hasNext, n.next
+		hasNext, next := n.HasNext, n.Next
 		if err := ix.pool.Release(fr); err != nil {
 			return false, err
 		}
@@ -350,11 +254,11 @@ func (ix *Index) Pages() int {
 			if page, err = ix.file.PeekInto(pn, page); err != nil {
 				return total
 			}
-			n, err := decodeNode(page)
-			if err != nil || !n.hasNext {
+			n, err := chainPages.DecodePage(page)
+			if err != nil || !n.HasNext {
 				break
 			}
-			pn = n.next
+			pn = n.Next
 		}
 	}
 	return total
@@ -368,13 +272,13 @@ func (ix *Index) Truncate() error {
 		if err != nil {
 			return err
 		}
-		n, err := decodeNode(fr.Data)
+		n, err := chainPages.DecodePage(fr.Data)
 		if err != nil {
 			ix.pool.Release(fr)
 			return err
 		}
 		overflow := []storage.PageNum{}
-		next, hasNext := n.next, n.hasNext
+		next, hasNext := n.Next, n.HasNext
 		ix.encodeNode(fr.Data, &node{})
 		fr.MarkDirty()
 		if err := ix.pool.Release(fr); err != nil {
@@ -385,13 +289,13 @@ func (ix *Index) Truncate() error {
 			if err != nil {
 				return err
 			}
-			on, err := decodeNode(ofr.Data)
+			on, err := chainPages.DecodePage(ofr.Data)
 			if err != nil {
 				ix.pool.Release(ofr)
 				return err
 			}
 			overflow = append(overflow, next)
-			next, hasNext = on.next, on.hasNext
+			next, hasNext = on.Next, on.HasNext
 			if err := ix.pool.Release(ofr); err != nil {
 				return err
 			}
@@ -405,100 +309,35 @@ func (ix *Index) Truncate() error {
 	return nil
 }
 
-func putU16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }
-func getU16(b []byte) uint16    { return uint16(b[0])<<8 | uint16(b[1]) }
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-func getU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
 // --- batch scans ---------------------------------------------------------
-
-// chainLink reads a chain page header's forward link.
-func chainLink(page []byte) (next storage.PageNum, hasNext bool) {
-	if rawNext := getU32(page[3:]); rawNext != 0 {
-		return storage.PageNum(rawNext - 1), true
-	}
-	return 0, false
-}
-
-// appendChainPage decodes a chain page's rows onto an id lane and
-// columns, straight from the lanes of a columnar page (a row page is
-// gathered cell by cell). Lanes holding no rows take the page's arity.
-func appendChainPage(page []byte, ids []uint64, cols []vec.Col) ([]uint64, []vec.Col, error) {
-	if !isChainPage(page[0]) {
-		return nil, nil, fmt.Errorf("hashidx: page type %d", page[0])
-	}
-	if page[0] == pageHashCol {
-		cnt, before := int(getU16(page[1:])), len(ids)
-		ids, cols, err := colpage.DecodeInto(page[pageHeader:], ids, cols)
-		if err != nil {
-			return nil, nil, fmt.Errorf("hashidx: columnar page: %w", err)
-		}
-		if len(ids)-before != cnt {
-			return nil, nil, fmt.Errorf("hashidx: columnar page holds %d tuples, header says %d", len(ids)-before, cnt)
-		}
-		return ids, cols, nil
-	}
-	n, err := decodeNode(page)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ids, cols, err = vec.AppendTupleRows(ids, cols, n.tuples); err != nil {
-		return nil, nil, fmt.Errorf("hashidx: mixed arity in chain page: %w", err)
-	}
-	return ids, cols, nil
-}
 
 // batchFiller packs scanned chain pages into batches of up to size
 // rows: a page that fits the current batch whole decodes straight onto
 // it, one that straddles a batch boundary decodes onto the staging
 // lanes and moves on in runs.
 type batchFiller struct {
-	size int
-	out  []*vec.Batch
-	cur  *vec.Batch
-	ids  []uint64 // staging lanes, reused from page to page
-	cols []vec.Col
+	size  int
+	out   []*vec.Batch
+	cur   *vec.Batch
+	stage colpage.Lanes // reused from page to page
 }
 
-var errMixedShape = fmt.Errorf("hashidx: scan produced mixed-shape tuples")
-
 func (f *batchFiller) addPage(page []byte) error {
-	if rows := int(getU16(page[1:])); rows <= f.size-f.cur.NumRows() {
-		ids, cols, err := appendChainPage(page, f.cur.IDs[0], f.cur.Slots[0])
-		if err != nil {
-			return err
-		}
-		if err := f.cur.SetSlot0(ids, cols); err != nil {
-			return fmt.Errorf("%w: %v", errMixedShape, err)
-		}
-		return nil
-	}
-	f.ids = f.ids[:0]
-	for c := range f.cols {
-		f.cols[c].Reset()
-	}
-	var err error
-	if f.ids, f.cols, err = appendChainPage(page, f.ids, f.cols); err != nil {
+	if direct, err := chainPages.Take(page, f.cur, f.size, &f.stage); err != nil || direct {
 		return err
 	}
-	for lo := 0; lo < len(f.ids); {
+	for lo, n := 0, len(f.stage.IDs); lo < n; {
 		if f.cur.NumRows() >= f.size {
 			f.out = append(f.out, f.cur)
 			f.cur = &vec.Batch{}
 		}
-		hi := min(len(f.ids), lo+f.size-f.cur.NumRows())
-		if !f.cur.AppendSlot0Rows(f.ids, f.cols, lo, hi) {
-			return errMixedShape
+		hi := min(n, lo+f.size-f.cur.NumRows())
+		if err := f.stage.MoveRows(f.cur, lo, hi); err != nil {
+			return err
 		}
 		lo = hi
 	}
+	f.stage.Reset()
 	return nil
 }
 
@@ -541,7 +380,7 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 			if err != nil {
 				return nil, 0, err
 			}
-			next, hasNext := chainLink(fr.Data)
+			next, hasNext := colpage.PageLink(fr.Data)
 			err = fill.addPage(fr.Data)
 			if rerr := ix.pool.Release(fr); rerr != nil && err == nil {
 				err = rerr
@@ -569,11 +408,8 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 // are excluded from the batch read — the run never speculatively pins
 // them.
 func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Batch, pruned int64, ok bool, err error) {
-	w := ix.pool.Capacity() / 4
-	if w > 32 {
-		w = 32
-	}
-	if w < 2 || len(ix.buckets) < 2 || ix.file.NumPages() != len(ix.buckets) {
+	w := colpage.Window(ix.pool)
+	if w == 0 || len(ix.buckets) < 2 || ix.file.NumPages() != len(ix.buckets) {
 		return nil, 0, false, nil
 	}
 	if ix.file.HasDirtyFrames() {
@@ -596,10 +432,8 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 					peek = page
 					// Only overflow-free columnar pages prune; anything
 					// odd is read on the charged path instead.
-					if page[0] == pageHashCol && getU32(page[3:]) == 0 {
-						if z, zerr := colpage.ReadZones(page[pageHeader:]); zerr == nil {
-							skip = z.Prunable(prune)
-						}
+					if _, linked := colpage.PageLink(page); !linked {
+						skip, _ = chainPages.Prunable(page, prune)
 					}
 				}
 			}
@@ -620,7 +454,7 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 		fallback := false
 		for _, fr := range frames {
 			if err == nil && !fallback {
-				if _, hasNext := chainLink(fr.Data); hasNext && isChainPage(fr.Data[0]) {
+				if _, hasNext := colpage.PageLink(fr.Data); hasNext && chainPages.Has(fr.Data[0]) {
 					// Metadata said no overflow but the page links
 					// onward; retry as a plain walk (fetched pages
 					// stay resident, so its Gets mostly hit).

@@ -78,7 +78,7 @@ func newScanFixture(t *testing.T, kind Kind, layout storage.PageLayout, state sc
 		t.Fatal(err)
 	}
 	if state == stateDirty {
-		p.SetWriteThrough(false)
+		p.BeginBulk()
 		for _, k := range []int64{7, 301, 599} {
 			add(k)
 		}

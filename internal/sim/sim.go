@@ -323,87 +323,27 @@ func adBucketsFor(p costmodel.Params) int {
 	return b
 }
 
-// Predict returns the analytic model's TOTAL for the configuration.
+// Predict returns the analytic model's TOTAL for the configuration: the
+// row of costmodel.CostsFor its strategy — for query modification, its
+// access path — is priced at.
 func Predict(cfg Config) float64 {
-	p := cfg.Params
-	every := float64(cfg.SnapshotEvery)
-	switch cfg.Model {
-	case Model2:
-		switch cfg.Strategy {
-		case core.Deferred:
-			return costmodel.TotalDeferred2(p)
-		case core.Immediate:
-			return costmodel.TotalImmediate2(p)
-		case core.Snapshot:
-			return costmodel.TotalSnapshot2(p, every)
-		case core.RecomputeOnDemand:
-			return costmodel.TotalRecomputeOnDemand2(p)
-		default:
-			return costmodel.TotalLoopJoin(p)
-		}
-	case Model3:
-		switch cfg.Strategy {
-		case core.Deferred:
-			return costmodel.TotalDeferred3(p)
-		case core.Immediate:
-			return costmodel.TotalImmediate3(p)
-		case core.Snapshot:
-			return costmodel.TotalSnapshot3(p, every)
-		case core.RecomputeOnDemand:
-			return costmodel.TotalRecomputeOnDemand3(p)
-		default:
-			return costmodel.TotalRecompute3(p)
-		}
-	default:
-		switch cfg.Strategy {
-		case core.Deferred:
-			return costmodel.TotalDeferred1(p)
-		case core.Immediate:
-			return costmodel.TotalImmediate1(p)
-		case core.Snapshot:
-			return costmodel.TotalSnapshot1(p, every)
-		case core.RecomputeOnDemand:
-			return costmodel.TotalRecomputeOnDemand1(p)
-		default:
-			switch cfg.Plan {
-			case core.PlanUnclustered:
-				return costmodel.TotalUnclustered(p)
-			case core.PlanSequential:
-				return costmodel.TotalSequential(p)
-			default:
-				return costmodel.TotalClustered(p)
+	costs := costmodel.CostsFor(int(cfg.Model), cfg.Params, max(1, float64(cfg.SnapshotEvery)))
+	if cfg.Strategy != core.QueryModification {
+		for alg, cost := range costs {
+			if core.StrategyFor(alg) == cfg.Strategy {
+				return cost
 			}
 		}
 	}
-}
-
-// CompareAll is Compare over all five strategies, including the two
-// extensions (snapshot runs with the given refresh period; its reads
-// may be stale by design).
-func CompareAll(model Model, params costmodel.Params, seed int64, snapshotEvery int) ([]Comparison, error) {
-	strategies := []core.Strategy{
-		core.QueryModification, core.Immediate, core.Deferred,
-		core.Snapshot, core.RecomputeOnDemand,
+	switch {
+	case cfg.Model == Model2:
+		return costs[costmodel.AlgLoopJoin]
+	case cfg.Model != Model3 && cfg.Plan == core.PlanUnclustered:
+		return costs[costmodel.AlgUnclustered]
+	case cfg.Model != Model3 && cfg.Plan == core.PlanSequential:
+		return costs[costmodel.AlgSequential]
 	}
-	out := make([]Comparison, 0, len(strategies))
-	for _, st := range strategies {
-		res, err := Run(Config{
-			Model: model, Strategy: st, Params: params, Seed: seed,
-			AggKind: agg.Sum, SnapshotEvery: snapshotEvery,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %v/%v: %w", model, st, err)
-		}
-		out = append(out, Comparison{
-			Strategy:       st.String(),
-			Measured:       res.AvgPerQuery,
-			ModelScope:     res.ModelScopeAvg,
-			Model:          res.Model,
-			PagesPruned:    res.PagesPruned,
-			PrunedPerQuery: float64(res.PagesPruned) / float64(res.Queries),
-		})
-	}
-	return out, nil
+	return costs[costmodel.AlgClustered]
 }
 
 // Comparison holds one strategy's measured and predicted costs.
@@ -420,26 +360,23 @@ type Comparison struct {
 	PrunedPerQuery float64
 }
 
-// Compare runs every strategy for a model at the same parameters and
-// seed, returning measured-vs-model rows (sorted by measured cost at
-// the caller's discretion).
-func Compare(model Model, params costmodel.Params, seed int64) ([]Comparison, error) {
-	return CompareAgg(params, seed, agg.Sum, model)
-}
+// PaperStrategies are the three strategies the paper compares;
+// AllStrategies adds the two extensions.
+var (
+	PaperStrategies = []core.Strategy{core.QueryModification, core.Immediate, core.Deferred}
+	AllStrategies   = []core.Strategy{core.QueryModification, core.Immediate, core.Deferred, core.Snapshot, core.RecomputeOnDemand}
+)
 
-// CompareAgg is Compare for Model 3 with an explicit aggregate kind;
-// an optional model override allows reuse for Models 1 and 2.
-func CompareAgg(params costmodel.Params, seed int64, kind agg.Kind, modelOpt ...Model) ([]Comparison, error) {
-	model := Model3
-	if len(modelOpt) > 0 {
-		model = modelOpt[0]
-	}
-	strategies := []core.Strategy{core.QueryModification, core.Immediate, core.Deferred}
+// CompareStrategies runs cfg once per strategy (cfg.Strategy is
+// ignored), at the same parameters and seed, returning measured-vs-model
+// rows in the order given.
+func CompareStrategies(cfg Config, strategies []core.Strategy) ([]Comparison, error) {
 	out := make([]Comparison, 0, len(strategies))
 	for _, st := range strategies {
-		res, err := Run(Config{Model: model, Strategy: st, Params: params, Seed: seed, AggKind: kind})
+		cfg.Strategy = st
+		res, err := Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("sim: %v/%v: %w", model, st, err)
+			return nil, fmt.Errorf("sim: %v/%v: %w", cfg.Model, st, err)
 		}
 		out = append(out, Comparison{
 			Strategy:       st.String(),
@@ -451,4 +388,16 @@ func CompareAgg(params costmodel.Params, seed int64, kind agg.Kind, modelOpt ...
 		})
 	}
 	return out, nil
+}
+
+// Compare is CompareStrategies over the paper's three, summing for
+// Model 3.
+func Compare(model Model, params costmodel.Params, seed int64) ([]Comparison, error) {
+	return CompareStrategies(Config{Model: model, Params: params, Seed: seed, AggKind: agg.Sum}, PaperStrategies)
+}
+
+// CompareAll is Compare over all five strategies (snapshot runs with
+// the given refresh period; its reads may be stale by design).
+func CompareAll(model Model, params costmodel.Params, seed int64, snapshotEvery int) ([]Comparison, error) {
+	return CompareStrategies(Config{Model: model, Params: params, Seed: seed, AggKind: agg.Sum, SnapshotEvery: snapshotEvery}, AllStrategies)
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"viewmat/internal/core"
 	"viewmat/internal/costmodel"
 	"viewmat/internal/figures"
 )
@@ -32,7 +31,7 @@ func SweepP(model Model, base costmodel.Params, ps []float64, seed int64) ([]Swe
 			Model:    map[string]float64{},
 			WholeSys: map[string]float64{},
 		}
-		for _, st := range []core.Strategy{core.QueryModification, core.Immediate, core.Deferred} {
+		for _, st := range PaperStrategies {
 			res, err := Run(Config{Model: model, Strategy: st, Params: params, Seed: seed})
 			if err != nil {
 				return nil, fmt.Errorf("sim: sweep P=%v %v: %w", pv, st, err)
@@ -60,7 +59,7 @@ func SweepL(base costmodel.Params, ls []float64, seed int64) ([]SweepPoint, erro
 			Model:    map[string]float64{},
 			WholeSys: map[string]float64{},
 		}
-		for _, st := range []core.Strategy{core.QueryModification, core.Immediate, core.Deferred} {
+		for _, st := range PaperStrategies {
 			res, err := Run(Config{Model: Model3, Strategy: st, Params: params, Seed: seed})
 			if err != nil {
 				return nil, fmt.Errorf("sim: sweep l=%v %v: %w", l, st, err)

@@ -56,9 +56,8 @@ type Pool struct {
 	resident atomic.Int64 // total frames across all shards
 	tick     atomic.Int64 // pool-wide access clock ordering frames for eviction
 
-	policyMu     sync.Mutex
-	writeThrough bool
-	bulkDepth    int // >0 suspends write-through (nested bulk writes)
+	policyMu  sync.Mutex
+	bulkDepth int // >0 suspends write-through (nested bulk writes)
 }
 
 // poolShard is one slice of the frame table. unpinned counts the
@@ -116,18 +115,19 @@ const DefaultPoolCapacity = 256
 const defaultPoolShards = 16
 
 // NewPool creates a pool over the disk charging the meter. capacity
-// ≤ 0 selects DefaultPoolCapacity. The pool starts in write-through
-// mode: a dirty frame is written back when its last pin is released,
-// matching the model's read+write charge per updated page.
+// ≤ 0 selects DefaultPoolCapacity. The pool writes through — a dirty
+// frame is written back when its last pin is released, matching the
+// model's read+write charge per updated page — except inside
+// BeginBulk/EndBulk.
 func NewPool(disk *Disk, meter *Meter, capacity int) *Pool {
-	return NewPoolShards(disk, meter, capacity, defaultPoolShards)
+	return newPoolShards(disk, meter, capacity, defaultPoolShards)
 }
 
-// NewPoolShards is NewPool with an explicit shard count (rounded up to
+// newPoolShards is NewPool with an explicit shard count (rounded up to
 // a power of two, minimum 1). A single shard reproduces the old
-// one-big-mutex pool's contention profile and exists for benchmarks
-// and tests; charges are identical at every shard count.
-func NewPoolShards(disk *Disk, meter *Meter, capacity, shards int) *Pool {
+// one-big-mutex pool's contention profile for the in-package benchmark;
+// charges are identical at every shard count.
+func newPoolShards(disk *Disk, meter *Meter, capacity, shards int) *Pool {
 	if capacity <= 0 {
 		capacity = DefaultPoolCapacity
 	}
@@ -136,12 +136,11 @@ func NewPoolShards(disk *Disk, meter *Meter, capacity, shards int) *Pool {
 		n <<= 1
 	}
 	p := &Pool{
-		disk:         disk,
-		meter:        meter,
-		capacity:     capacity,
-		shardMask:    uint32(n - 1),
-		shards:       make([]poolShard, n),
-		writeThrough: true,
+		disk:      disk,
+		meter:     meter,
+		capacity:  capacity,
+		shardMask: uint32(n - 1),
+		shards:    make([]poolShard, n),
 	}
 	for i := range p.shards {
 		p.shards[i].frames = map[frameKey]*list.Element{}
@@ -163,21 +162,12 @@ func (p *Pool) shardOf(key frameKey) *poolShard {
 	return &p.shards[h&p.shardMask]
 }
 
-// SetWriteThrough toggles write-through (true: dirty pages are written
-// when unpinned) versus write-back (dirty pages are written at eviction
-// or FlushAll). Write-back is the §4 "idle disk time" ablation.
-func (p *Pool) SetWriteThrough(on bool) {
-	p.policyMu.Lock()
-	p.writeThrough = on
-	p.policyMu.Unlock()
-}
-
-// BeginBulk suspends write-through until the matching EndBulk, so a
-// rebuild that touches each page many times is charged one write per
-// dirty page at the closing flush. Calls nest; concurrent bulk writers
-// (parallel refresh workers) each hold the suspension without toggling
-// each other's mode — the reason this is a depth counter rather than
-// SetWriteThrough(false).
+// BeginBulk suspends write-through until the matching EndBulk — dirty
+// pages are then written at eviction or FlushAll — so a rebuild that
+// touches each page many times is charged one write per dirty page at
+// the closing flush. Calls nest; concurrent bulk writers (parallel
+// refresh workers) each hold the suspension without toggling each
+// other's mode — the reason this is a depth counter rather than a flag.
 func (p *Pool) BeginBulk() {
 	p.policyMu.Lock()
 	p.bulkDepth++
@@ -200,7 +190,7 @@ func (p *Pool) EndBulk() {
 func (p *Pool) effectiveWriteThrough() bool {
 	p.policyMu.Lock()
 	defer p.policyMu.Unlock()
-	return p.writeThrough && p.bulkDepth == 0
+	return p.bulkDepth == 0
 }
 
 // Capacity returns the pool's frame capacity.

@@ -25,7 +25,7 @@ func benchConcurrentGet(b *testing.B, shards int) {
 	const workers = 8
 	d := NewDisk(256)
 	m := NewMeter()
-	p := NewPoolShards(d, m, nPages, shards)
+	p := newPoolShards(d, m, nPages, shards)
 	f := d.Open("r")
 	for i := 0; i < nPages; i++ {
 		f.Alloc()

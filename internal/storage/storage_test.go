@@ -151,7 +151,7 @@ func TestPoolWriteBackDefersWrites(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
 	p := NewPool(d, m, 8)
-	p.SetWriteThrough(false)
+	p.BeginBulk()
 	f := d.Open("r")
 	pn := f.Alloc()
 
@@ -179,7 +179,7 @@ func TestPoolEvictionWritesDirtyAndRechargesRead(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
 	p := NewPool(d, m, 2)
-	p.SetWriteThrough(false)
+	p.BeginBulk()
 	f := d.Open("r")
 	pns := []PageNum{f.Alloc(), f.Alloc(), f.Alloc()}
 
@@ -439,7 +439,7 @@ func TestDiscard(t *testing.T) {
 	d := NewDisk(32)
 	m := NewMeter()
 	p := NewPool(d, m, 4)
-	p.SetWriteThrough(false)
+	p.BeginBulk()
 	f := d.Open("x")
 	pn := f.Alloc()
 	fr, _ := p.Get(f, pn)
@@ -458,7 +458,7 @@ func TestDiscard(t *testing.T) {
 	p.Discard(f, pn)
 	// Discard of a pinned frame orphans it: the holder keeps the
 	// frame, but the final release must not write the stale image.
-	p.SetWriteThrough(true)
+	p.EndBulk()
 	fr2, _ := p.Get(f, pn)
 	fr2.Data[0] = 0x55
 	fr2.MarkDirty()
