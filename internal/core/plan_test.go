@@ -10,6 +10,7 @@ import (
 
 	"viewmat/internal/agg"
 	"viewmat/internal/exec"
+	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
@@ -309,6 +310,196 @@ var planScenarios = []struct {
 		}
 		return db, "v"
 	}},
+	{"recompute-join", func(t *testing.T) (*Database, string) {
+		// A join view's full rebuild: the populate-shaped loop join over
+		// the restricted outer, uncharged, into a fresh store.
+		db := newJoinDatabase(t, RecomputeOnDemand, 60, 12)
+		tx := db.Begin()
+		if _, err := tx.Insert("r1", tuple.I(70), tuple.I(5), tuple.S("px")); err != nil {
+			t.Fatal(err)
+		}
+		tx.MustCommit()
+		if _, err := db.QueryView("j", nil); err != nil {
+			t.Fatal(err)
+		}
+		return db, "j"
+	}},
+	{"agg-create-fill", func(t *testing.T) (*Database, string) {
+		// The scalar aggregate's create-time fill is the charged
+		// rebuild-agg pipeline, recorded on the refresh path.
+		return newAggDatabase(t, Immediate, agg.Sum, 50), "sumv"
+	}},
+	{"recompute-groups", func(t *testing.T) (*Database, string) {
+		// The grouped rebuild: fold every group from the source, flush
+		// the group rows in group order.
+		db := newGroupDatabase(t, RecomputeOnDemand, agg.Sum, 60)
+		tx := db.Begin()
+		if _, err := tx.Insert("r", tuple.I(7), tuple.I(2), tuple.S("x")); err != nil {
+			t.Fatal(err)
+		}
+		tx.MustCommit()
+		if _, err := db.QueryGroups("g", nil); err != nil {
+			t.Fatal(err)
+		}
+		return db, "g"
+	}},
+	{"immediate-groups-min-recompute", func(t *testing.T) (*Database, string) {
+		// Deleting a group's MIN recomputes that one group inside the
+		// apply sink: a restricted scan of r, one screen per scanned row,
+		// all charged to DeltaApply(g.groups).
+		db := newGroupDatabase(t, Immediate, agg.Min, 50)
+		tx := db.Begin()
+		if err := tx.Delete("r", tuple.I(2), 3); err != nil {
+			t.Fatal(err)
+		}
+		tx.MustCommit()
+		return db, "g"
+	}},
+	{"immediate-groups-min-recompute-clustered", func(t *testing.T) (*Database, string) {
+		// Clustered on the grouping column, the one-group recompute
+		// narrows to a point scan of that group.
+		db := newTestDB(t)
+		s := tuple.NewSchema(tuple.Col("g", tuple.Int), tuple.Col("v", tuple.Int))
+		if _, err := db.CreateRelationBTree("r", s, 0); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		var victim uint64
+		for g := int64(0); g < 4; g++ {
+			for j := int64(0); j < 25; j++ {
+				id, err := tx.Insert("r", tuple.I(g), tuple.I(j))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g == 2 && j == 0 {
+					victim = id
+				}
+			}
+		}
+		tx.MustCommit()
+		def := Def{Name: "gmin", Kind: GroupedAggregate, Relations: []string{"r"}, Pred: pred.True(),
+			AggKind: agg.Min, AggCol: 1, GroupBy: 0}
+		if err := db.CreateView(def, Immediate); err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		tx = db.Begin()
+		if err := tx.Delete("r", tuple.I(2), victim); err != nil {
+			t.Fatal(err)
+		}
+		tx.MustCommit()
+		return db, "gmin"
+	}},
+	{"qm-agg-pending-overlay", func(t *testing.T) (*Database, string) {
+		db := pendingOverlayScenario(t, aggDef("sumv", agg.Sum))
+		if _, _, err := db.QueryAggregate("sumv"); err != nil {
+			t.Fatal(err)
+		}
+		return db, "sumv"
+	}},
+	{"qm-groups-pending-overlay", func(t *testing.T) (*Database, string) {
+		db := pendingOverlayScenario(t, gaDef("g", agg.Sum))
+		if _, err := db.QueryGroups("g", nil); err != nil {
+			t.Fatal(err)
+		}
+		return db, "g"
+	}},
+	{"qm-child-sp", func(t *testing.T) (*Database, string) {
+		// A query-modification child rewrites onto its parent's stored
+		// rows: ParentScan, the charged screen (child predicate and query
+		// range), project.
+		db := newSPDatabase(t, Immediate, 200)
+		if err := db.CreateView(childSPDef("c", "v", 12, 28), QueryModification); err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		lo, hi := tuple.I(14), tuple.I(20)
+		if _, err := db.QueryView("c", &pred.Range{Lo: &lo, Hi: &hi, LoInc: true}); err != nil {
+			t.Fatal(err)
+		}
+		return db, "c"
+	}},
+	{"qm-child-sp-over-groups", func(t *testing.T) (*Database, string) {
+		// Over a grouped-aggregate parent the ParentScan yields one
+		// (group, value) row per live group.
+		db := newGroupDatabase(t, Immediate, agg.Sum, 50)
+		if err := db.CreateView(childSPDef("c", "g", 2, 100), QueryModification); err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		if _, err := db.QueryView("c", nil); err != nil {
+			t.Fatal(err)
+		}
+		return db, "c"
+	}},
+	{"qm-child-agg", func(t *testing.T) (*Database, string) {
+		db := newSPDatabase(t, Immediate, 200)
+		def := Def{Name: "ca", Kind: Aggregate, Relations: []string{"v"},
+			Pred:    pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Ge, Val: tuple.I(12)}),
+			AggKind: agg.Sum, AggCol: 0}
+		if err := db.CreateView(def, QueryModification); err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		if _, _, err := db.QueryAggregate("ca"); err != nil {
+			t.Fatal(err)
+		}
+		return db, "ca"
+	}},
+	{"qm-child-groups", func(t *testing.T) (*Database, string) {
+		db := newSPDatabase(t, Immediate, 200)
+		def := Def{Name: "cg", Kind: GroupedAggregate, Relations: []string{"v"},
+			Pred:    pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Ge, Val: tuple.I(0)}),
+			AggKind: agg.Count, AggCol: 0, GroupBy: 1}
+		if err := db.CreateView(def, QueryModification); err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		if _, err := db.QueryGroups("cg", nil); err != nil {
+			t.Fatal(err)
+		}
+		return db, "cg"
+	}},
+}
+
+// pendingOverlayScenario builds a query-modification view over r beside
+// a deferred sibling and parks one insert and one delete in the HR, so
+// the view's read streams the pending adds ahead of the base scan and
+// skips the pending deletes.
+func pendingOverlayScenario(t *testing.T, def Def) *Database {
+	t.Helper()
+	db := newTestDB(t)
+	if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	var victim uint64
+	for i := 0; i < 60; i++ {
+		id, err := tx.Insert("r", tuple.I(int64(i)), tuple.I(int64(i%5)), tuple.S(sName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 20 {
+			victim = id
+		}
+	}
+	tx.MustCommit()
+	if err := db.CreateView(def, QueryModification); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateView(spDef("d"), Deferred); err != nil {
+		t.Fatal(err)
+	}
+	db.ResetStats()
+	tx = db.Begin()
+	if _, err := tx.Insert("r", tuple.I(15), tuple.I(1), tuple.S("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("r", tuple.I(20), victim); err != nil {
+		t.Fatal(err)
+	}
+	tx.MustCommit()
+	return db
 }
 
 // sharedFanoutScenario stales the 3-views-one-base fixture with churn
