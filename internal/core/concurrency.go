@@ -76,7 +76,6 @@ func (db *Database) refreshStale(name string) error {
 	fl := &refreshFlight{done: make(chan struct{})}
 	db.inflight[name] = fl
 	db.flightMu.Unlock()
-	db.flightLeaders.Add(1)
 
 	fl.err = db.leaderRefresh(name)
 
@@ -100,8 +99,11 @@ func (db *Database) leaderRefresh(name string) error {
 		return fmt.Errorf("core: unknown view %q", name)
 	}
 	if !db.viewStale(vs) {
+		// A caller that saw the view stale but reached the latch only after
+		// the refresh it would have joined was over has led nothing.
 		return nil
 	}
+	db.flightLeaders.Add(1)
 	clockBefore := db.clock.Load()
 	if err := db.pool.EvictAll(); err != nil {
 		return err

@@ -565,32 +565,6 @@ func (db *Database) DropView(name string) error {
 	return db.catalogCheckpointLocked()
 }
 
-// populateView builds a fresh materialization from current base
-// contents (used at CreateView over non-empty relations).
-func (db *Database) populateView(vs *viewState) error {
-	switch vs.def.Kind {
-	case SelectProject:
-		filt := exec.NewFilter(db.execOpts(), vs.def.Name, db.sourceFor(vs, 0), singlePred(vs), false)
-		proj := db.projectSP(vs, filt)
-		return db.runPlan(vs, PlanPathPopulate, db.matInsert(vs, proj))
-	case Join:
-		c, err := db.joinCtx(vs)
-		if err != nil {
-			return err
-		}
-		outer := exec.NewFilter(db.execOpts(), vs.def.Name+".outer", db.baseSource(vs, 0), singlePred(vs), false)
-		join := exec.NewLoopJoin(db.execOpts(), exec.LoopJoinSpec{
-			Input:   outer,
-			Inner:   c.r2,
-			JoinVal: c.outerVal,
-			On:      c.onFull,
-		})
-		proj := db.projectJoinOp(c, join)
-		return db.runPlan(vs, PlanPathPopulate, db.matInsert(vs, proj))
-	}
-	return nil
-}
-
 // joinCol returns the join atom's column for the given relation slot.
 func joinCol(j pred.JoinEq, slot int) int {
 	if j.LRel == slot {

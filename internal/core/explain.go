@@ -65,24 +65,24 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 	// come from one metered pass over the first relation — for a
 	// hierarchy child, over its parent's materialization.
 	source := vs.def.Relations[0]
-	var scan exec.Operator
 	var pages int
-	if parent := db.parentOf(vs); parent != nil {
-		scan = db.parentScanOp(parent)
-		if parent.mat != nil {
-			pages = parent.mat.Pages()
-		} else {
-			pages = parent.groups.rel.Pages()
-		}
+	if parent := db.parentOf(vs); parent == nil {
+		pages = db.rels[source].Pages()
+	} else if parent.mat != nil {
+		pages = parent.mat.Pages()
 	} else {
-		r0 := db.rels[source]
-		scan, pages = exec.NewSeqScan(db.execOpts(), r0), r0.Pages()
+		pages = parent.groups.rel.Pages()
 	}
-	matching := exec.NewFilter(db.execOpts(), vs.def.Name, scan, singlePred(vs), false)
-	if err := exec.Run(matching); err != nil {
+	// The derivation's source and uncharged screen, with no shape on top:
+	// the whole file, so the rows the predicate rejects are counted too.
+	all, err := db.derive(vs, derivation{wholeFile: true})
+	if err != nil {
 		return costmodel.Params{}, err
 	}
-	n := scan.Stats().RowsOut
+	if err := exec.Run(all.screen); err != nil {
+		return costmodel.Params{}, err
+	}
+	n := all.source.Stats().RowsOut
 	if n == 0 {
 		return costmodel.Params{}, fmt.Errorf("core: %q is empty; nothing to profile", source)
 	}
@@ -91,7 +91,7 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 	if p.S < 1 {
 		p.S = 1
 	}
-	p.F = float64(matching.Stats().RowsOut) / float64(n)
+	p.F = float64(all.screen.Stats().RowsOut) / float64(n)
 	if p.F <= 0 {
 		p.F = 1 / float64(n) // an empty view still needs a valid f
 	}

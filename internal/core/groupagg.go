@@ -101,6 +101,62 @@ type GroupRow struct {
 	Count int64
 }
 
+// groupOf is the group a grouping-column value belongs to. Groups are
+// the classes of tuple.Compare == 0 — what the group store's key lookup
+// finds — and ±0.0 is the one pair of distinct values Compare calls
+// equal, so both name the group +0.0. Every writer of a group value goes
+// through here; with that, == agrees with Compare and can key a map.
+func groupOf(v tuple.Value) tuple.Value {
+	if v.Type() == tuple.Float && v.Float() == 0 {
+		return tuple.F(0)
+	}
+	return v
+}
+
+// groupState is one group and its aggregate state.
+type groupState struct {
+	group tuple.Value
+	state *agg.State
+}
+
+// groupFold folds (group, value) pairs into one aggregate state per
+// group: the grouped kind's shape in a derivation.
+type groupFold map[tuple.Value]*agg.State
+
+func (f groupFold) add(kind agg.Kind, group tuple.Value, v float64) {
+	group = groupOf(group)
+	s, ok := f[group]
+	if !ok {
+		s = agg.NewState(kind)
+		f[group] = s
+	}
+	s.Insert(v)
+}
+
+// sorted returns the folded groups in group order, not map order: a
+// rebuild's rows draw tuple ids and fill B-tree pages, and must lay them
+// out the same way every run (and under WAL replay).
+func (f groupFold) sorted() []groupState {
+	out := make([]groupState, 0, len(f))
+	for g, s := range f {
+		out = append(out, groupState{g, s})
+	}
+	sort.Slice(out, func(i, j int) bool { return tuple.Compare(out[i].group, out[j].group) < 0 })
+	return out
+}
+
+// groupRows renders group states as query results; a group whose
+// aggregate is undefined answers no row.
+func groupRows(groups []groupState) []GroupRow {
+	rows := make([]GroupRow, 0, len(groups))
+	for _, g := range groups {
+		if v, ok := g.state.Value(); ok {
+			rows = append(rows, GroupRow{Group: g.group, Value: v, Count: g.state.Count()})
+		}
+	}
+	return rows
+}
+
 // --- engine integration -----------------------------------------------------
 
 // groupAggRefreshTree applies Model-3 deltas per group through a
@@ -134,7 +190,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 	apply := exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
 		func(row exec.Row) error {
 			tp := row.T0
-			group := tp.Vals[vs.def.GroupBy]
+			group := groupOf(tp.Vals[vs.def.GroupBy])
 			stored, found, err := vs.groups.get(group)
 			if err != nil {
 				return err
@@ -160,7 +216,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 		},
 		func(row exec.Row) error {
 			tp := row.T0
-			group := tp.Vals[vs.def.GroupBy]
+			group := groupOf(tp.Vals[vs.def.GroupBy])
 			stored, found, err := vs.groups.get(group)
 			if err != nil {
 				return err
@@ -171,7 +227,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 			s := stateOf(kind, stored)
 			oldV, oldOK := s.Value()
 			if s.Delete(tp.Vals[vs.def.AggCol].AsFloat()) {
-				if err := db.recomputeGroup(vs, group, s); err != nil {
+				if s, err = db.recomputeGroup(vs, group); err != nil {
 					return err
 				}
 			}
@@ -185,176 +241,69 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 	return apply
 }
 
-// recomputeGroup rebuilds one group's state from the source — a
-// restricted, charged scan of the base relation, or of the parent
-// view's current rows for a hierarchy child — after a MIN/MAX extreme
-// deletion. It runs inside the apply sink's bracket, so its reads and
-// its one screen per scanned row land on that operator.
-func (db *Database) recomputeGroup(vs *viewState, group tuple.Value, s *agg.State) error {
-	src := db.sourceFor(vs, 0)
-	if db.parentOf(vs) == nil {
-		// When the relation is clustered on the grouping column the
-		// scan narrows to just that group.
-		if r := db.rels[vs.def.Relations[0]]; r.Kind() == relation.ClusteredBTree && vs.def.GroupBy == r.KeyCol() {
-			src = exec.NewScan(db.execOpts(), r, pred.PointRange(group))
-		}
+// recomputeGroup rebuilds one group's state after a MIN/MAX extreme
+// deletion: the view derived for that group alone, charged — a scan
+// narrowed to the group when the relation is clustered on the grouping
+// column, the rebuild source otherwise. It runs inside the apply sink's
+// bracket, so its reads and its one screen per scanned row land on that
+// operator.
+func (db *Database) recomputeGroup(vs *viewState, group tuple.Value) (*agg.State, error) {
+	d := derivation{rg: pred.PointRange(group), charged: true}
+	if r, ok := db.rels[vs.def.Relations[0]]; ok && r.Kind() == relation.ClusteredBTree && r.KeyCol() == vs.def.GroupBy {
+		d.plan = PlanClustered
 	}
-	var vals []float64
-	filt := exec.NewFilter(db.execOpts(), vs.def.Name, src,
-		exec.Pred{P: vs.def.Pred, Range: pred.PointRange(group), RangeCol: vs.def.GroupBy}, true)
-	fold := exec.NewAggFold(db.execOpts(), vs.def.Name, filt, exec.Fold{
-		Col: vs.def.AggCol,
-		Val: func(v float64, _ bool) { vals = append(vals, v) },
-	})
-	if err := exec.Run(fold); err != nil {
-		return err
+	one, err := db.derive(vs, d)
+	if err != nil {
+		return nil, err
 	}
-	s.Rebuild(vals)
-	return nil
+	if err := exec.Run(one.root); err != nil {
+		return nil, err
+	}
+	if s, ok := one.groups[group]; ok {
+		return s, nil
+	}
+	return agg.NewState(vs.def.AggKind), nil
 }
 
-// fillGroupStore scans the source (base relation or parent view), folds
-// every group's state, and flushes the group rows into a fresh group
+// fillGroupStore derives every group's state from the source (base
+// relation or parent view) and flushes the group rows into a fresh group
 // store (populate at CreateView, and the recompute path of Snapshot /
 // RecomputeOnDemand strategies).
 func (db *Database) fillGroupStore(vs *viewState) error {
-	gs := vs.groups
-	states := map[string]*agg.State{}
-	groups := map[string]tuple.Value{}
-	var scan exec.Operator
-	if p := db.parentOf(vs); p != nil {
-		scan = db.parentScanOp(p)
-	} else {
-		scan = exec.NewSeqScan(db.execOpts(), db.rels[vs.def.Relations[0]])
+	all, err := db.derive(vs, derivation{wholeFile: true, charged: true})
+	if err != nil {
+		return err
 	}
-	filt := exec.NewFilter(db.execOpts(), vs.def.Name, scan, singlePred(vs), true)
-	fold := exec.NewAggFold(db.execOpts(), vs.def.Name+".groups", filt, exec.Fold{Row: func(row exec.Row) {
-		g := row.T0.Vals[vs.def.GroupBy]
-		key := g.String()
-		s, ok := states[key]
-		if !ok {
-			s = agg.NewState(vs.def.AggKind)
-			states[key] = s
-			groups[key] = g
-		}
-		s.Insert(row.T0.Vals[vs.def.AggCol].AsFloat())
-	}})
 	flush := exec.NewStateWrite(db.execOpts(), vs.def.Name+".groups", func() error {
-		// In group order, not map order: the rows draw tuple ids and fill
-		// B-tree pages, and a rebuild must lay them out the same way every
-		// run (and under WAL replay).
-		keys := make([]string, 0, len(states))
-		for key := range states {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(i, j int) bool { return tuple.Compare(groups[keys[i]], groups[keys[j]]) < 0 })
-		for _, key := range keys {
-			if err := gs.put(groups[key], states[key], nil, db.nextID()); err != nil {
+		for _, g := range all.groups.sorted() {
+			if err := vs.groups.put(g.group, g.state, nil, db.nextID()); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq("rebuild-groups("+vs.def.Name+")", fold, flush))
+	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq("rebuild-groups("+vs.def.Name+")", all.root, flush))
 }
 
 // QueryGroups answers a grouped-aggregate query restricted to a group
 // range (nil = every group), refreshing per the view's strategy.
 func (db *Database) QueryGroups(name string, rg *pred.Range) ([]GroupRow, error) {
-	vs, refreshed, err := db.acquireFresh(name)
-	if err != nil {
-		return nil, err
-	}
-	defer db.mu.RUnlock()
-	if vs.def.Kind != GroupedAggregate {
-		return nil, fmt.Errorf("core: view %q is not a grouped aggregate", name)
-	}
-	if !refreshed {
-		if err := db.pool.EvictAll(); err != nil {
-			return nil, err
-		}
-	}
-	db.bumpQueries()
-
-	var rows []GroupRow
-	err = db.inPhase(PhaseQuery, func() error {
-		if vs.strategy == QueryModification {
-			var err error
-			rows, err = db.groupsFromBase(vs, rg)
-			return err
-		}
-		scan := exec.NewScan(db.execOpts(), vs.groups.rel, orFull(rg))
-		screen := exec.NewFilter(db.execOpts(), vs.def.Name+".groups", scan, exec.Pred{}, true)
-		node, delta, stored, err := db.runTree(screen, true)
-		db.recordPlan(vs, PlanPathQuery, node, delta)
-		if err != nil {
-			return err
-		}
-		for _, row := range stored {
-			s := stateOf(vs.def.AggKind, row.T0)
-			v, ok := s.Value()
-			if !ok {
-				continue
-			}
-			rows = append(rows, GroupRow{Group: row.T0.Vals[0], Value: v, Count: s.Count()})
-		}
-		return nil
-	})
-	return rows, err
+	ans, err := db.read(name, "QueryGroups", rg, nil)
+	return ans.groups, err
 }
 
-// groupsFromBase evaluates a grouped aggregate with query
-// modification: a full scan (with un-folded HR adds from deferred
-// siblings concatenated after it), screened per tuple, folded per
-// group.
-func (db *Database) groupsFromBase(vs *viewState, rg *pred.Range) ([]GroupRow, error) {
-	var source exec.Operator
-	if p := db.parentOf(vs); p != nil {
-		// A QM child folds the parent's current rows; there is no HR to
-		// overlay (pending base changes surface via the parent).
-		source = db.parentScanOp(p)
-	} else {
-		source = exec.NewSeqScan(db.execOpts(), db.rels[vs.def.Relations[0]])
-	}
-	// The group fold is order-independent, so pending adds may stream
-	// ahead of the base scan.
-	source, skip := db.withPendingAD(vs.def.Relations[0], source)
-	states := map[string]*agg.State{}
-	groups := map[string]tuple.Value{}
-	filt := exec.NewFilter(db.execOpts(), vs.def.Name, source,
-		exec.Pred{P: vs.def.Pred, SkipIDs: skip, Range: rg, RangeCol: vs.def.GroupBy}, true)
-	fold := exec.NewAggFold(db.execOpts(), vs.def.Name+".groups", filt, exec.Fold{Row: func(row exec.Row) {
-		g := row.T0.Vals[vs.def.GroupBy]
-		key := g.String()
-		s, ok := states[key]
-		if !ok {
-			s = agg.NewState(vs.def.AggKind)
-			states[key] = s
-			groups[key] = g
-		}
-		s.Insert(row.T0.Vals[vs.def.AggCol].AsFloat())
-	}})
-	node, delta, _, err := db.runTree(fold, false)
-	db.recordPlan(vs, PlanPathQuery, node, delta)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]GroupRow, 0, len(states))
-	for key, s := range states {
-		v, ok := s.Value()
-		if !ok {
-			continue
-		}
-		rows = append(rows, GroupRow{Group: groups[key], Value: v, Count: s.Count()})
-	}
-	sortGroupRows(rows)
-	return rows, nil
+// groupsRead plans a read of the stored group rows.
+func (db *Database) groupsRead(vs *viewState, rg *pred.Range) *derived {
+	scan := exec.NewScan(db.execOpts(), vs.groups.rel, orFull(rg))
+	return &derived{root: exec.NewFilter(db.execOpts(), vs.def.Name+".groups", scan, exec.Pred{}, true)}
 }
 
-func sortGroupRows(rows []GroupRow) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && tuple.Compare(rows[j].Group, rows[j-1].Group) < 0; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
+// storedGroups decodes stored group rows, which the scan yields in
+// group order.
+func storedGroups(kind agg.Kind, rows []exec.Row) []groupState {
+	out := make([]groupState, len(rows))
+	for i, row := range rows {
+		out[i] = groupState{row.T0.Vals[0], stateOf(kind, row.T0)}
 	}
+	return out
 }

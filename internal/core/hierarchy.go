@@ -259,7 +259,7 @@ func (db *Database) childPending(vs *viewState) bool {
 }
 
 // parentScanOp is the charged scan of a parent view's current logical
-// contents — the child-side analogue of baseSource: duplicate-expanded
+// contents — a child's source in a derivation: duplicate-expanded
 // matview rows, or one (group, value) row per live group for
 // grouped-aggregate parents (a group whose aggregate is undefined
 // stands for no row).
@@ -293,15 +293,6 @@ func (db *Database) parentScanOp(p *viewState) exec.Operator {
 		return []vec.Col{cols[0], vals}, mult, nil
 	}
 	return exec.NewStoredScan(db.execOpts(), label, p.groups.rel, nil, groupValues, true)
-}
-
-// sourceFor is the slot's row source: the parent scan for child views,
-// baseSource (clustered-restricted or sequential) otherwise.
-func (db *Database) sourceFor(vs *viewState, slot int) exec.Operator {
-	if p := db.parentOf(vs); p != nil {
-		return db.parentScanOp(p)
-	}
-	return db.baseSource(vs, slot)
 }
 
 // logPosition is what sibling children must agree on to drain one

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -240,16 +241,19 @@ func shrinkScript(steps []step, fails func([]step) bool) []step {
 
 // fixture is a catalog: seeded base relations and the views over them.
 // The base is r(k, a, s) with n rows, or — when m > 0 — r1(k, jv, p) with
-// n rows joined to r2(jv, info) with m rows.
+// n rows joined to r2(jv, info) with m rows. With floatGroups r's second
+// column is a FLOAT drawn from {0.0, -0.0, 1.0}: a grouping column on
+// which two distinct values are one group.
 type fixture struct {
-	name     string
-	n, m     int
-	rels     []string // the relations scripts mutate; step.rel indexes it
-	keySpace []int64  // per mutated relation, for the uniform key stream
-	keys     []int64  // when set, keys cycle through this stream instead
-	views    []Def
-	drawn    []Strategy // per-view strategies of configs that ask for them
-	describe string     // printed with a failure
+	name        string
+	n, m        int
+	floatGroups bool
+	rels        []string // the relations scripts mutate; step.rel indexes it
+	keySpace    []int64  // per mutated relation, for the uniform key stream
+	keys        []int64  // when set, keys cycle through this stream instead
+	views       []Def
+	drawn       []Strategy // per-view strategies of configs that ask for them
+	describe    string     // printed with a failure
 }
 
 func spFx(name string, n int, keySpace int64, views ...Def) *fixture {
@@ -267,6 +271,14 @@ func joinFx(name string, n, m int, keySpace int64, views ...Def) *fixture {
 func twoSidedFx() *fixture {
 	fx := joinFx("model2-two-sided", 30, 8, 90, joinDef("j"))
 	fx.rels, fx.keySpace = []string{"r1", "r2"}, []int64{90, 12}
+	return fx
+}
+
+// groupedFx is a GROUP BY over the float column, MIN so that deleting a
+// group's extreme recomputes it, or SUM.
+func groupedFx(kind agg.Kind, n int) *fixture {
+	fx := spFx("grouped-"+kind.String(), n, 40, gaDef("g", kind))
+	fx.floatGroups = true
 	return fx
 }
 
@@ -332,6 +344,9 @@ func static(fx *fixture) func(*rand.Rand, int64) *fixture {
 // vals builds a mutation's tuple for the rel-th mutated relation.
 func (fx *fixture) vals(rel int, key, val int64) []tuple.Value {
 	switch {
+	case fx.floatGroups:
+		g := []float64{0, math.Copysign(0, -1), 1}[val%3]
+		return []tuple.Value{tuple.I(key), tuple.F(g), tuple.S(sName(int(val)))}
 	case fx.m == 0:
 		return []tuple.Value{tuple.I(key), tuple.I(val), tuple.S(sName(int(val)))}
 	case rel == 0:
@@ -379,7 +394,16 @@ type engineConfig struct {
 	ckptEvery     int
 
 	refreshAll bool // a query point runs RefreshAll before it reads
+
+	// reference: not an engine at all. The script's tuples are kept in Go
+	// slices and every view is evaluated over them in plain Go at each
+	// query point (the reference type below): the one oracle that shares
+	// no planner or executor code with the engines it is compared to.
+	reference bool
 }
+
+// referenceConfig is the plain-Go evaluator as a row's last config.
+var referenceConfig = engineConfig{name: "reference", reference: true}
 
 func plain(sts ...Strategy) []engineConfig {
 	out := make([]engineConfig, len(sts))
@@ -408,6 +432,7 @@ type answer struct {
 type engine struct {
 	cfg *engineConfig
 	db  *Database
+	ref *reference // in place of db under cfg.reference
 	// live lists each mutated relation's tuples in script order, so an
 	// index picks the same victim on every engine though ids differ.
 	live      [][]liveRow
@@ -417,20 +442,55 @@ type engine struct {
 	wal, snap *storage.FaultDisk
 }
 
-func (fx *fixture) build(cfg *engineConfig) (*engine, error) {
-	opts := cfg.opts
-	if opts.PageSize == 0 {
-		opts = testOpts()
-	}
-	db := NewDatabase(opts)
-	for _, seam := range cfg.seams {
-		seam(db)
-	}
-	e := &engine{cfg: cfg, db: db, live: make([][]liveRow, len(fx.rels))}
+// writer is where a script's mutations go: an engine transaction, or
+// the reference's tuple lists.
+type writer interface {
+	Insert(rel string, vals ...tuple.Value) (uint64, error)
+	Delete(rel string, key tuple.Value, id uint64) error
+	Update(rel string, key tuple.Value, id uint64, vals ...tuple.Value) (uint64, error)
+}
 
-	tx := db.Begin()
+func (fx *fixture) build(cfg *engineConfig) (*engine, error) {
+	e := &engine{cfg: cfg, live: make([][]liveRow, len(fx.rels))}
+	var w writer
+	if cfg.reference {
+		e.ref = &reference{rels: map[string][]tuple.Tuple{"r": nil}}
+		if fx.m > 0 {
+			e.ref.rels = map[string][]tuple.Tuple{"r1": nil, "r2": nil}
+		}
+		w = e.ref
+	} else {
+		opts := cfg.opts
+		if opts.PageSize == 0 {
+			opts = testOpts()
+		}
+		e.db = NewDatabase(opts)
+		for _, seam := range cfg.seams {
+			seam(e.db)
+		}
+		var err error
+		if fx.m > 0 {
+			s1, s2 := joinSchemas()
+			if _, err = e.db.CreateRelationBTree("r1", s1, 0); err == nil {
+				_, err = e.db.CreateRelationHash("r2", s2, 0, 8)
+			}
+		} else {
+			schema := spSchema()
+			if fx.floatGroups {
+				schema = tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("g", tuple.Float), tuple.Col("s", tuple.String))
+			}
+			_, err = e.db.CreateRelationBTree("r", schema, 0)
+		}
+		if err != nil {
+			return nil, err
+		}
+		e.tx = e.db.Begin()
+		w = e.tx
+	}
+	db := e.db
+
 	seed := func(rel string, key int64, vals ...tuple.Value) error {
-		id, err := tx.Insert(rel, vals...)
+		id, err := w.Insert(rel, vals...)
 		for i, name := range fx.rels {
 			if name == rel {
 				e.live[i] = append(e.live[i], liveRow{key: key, id: id})
@@ -439,13 +499,6 @@ func (fx *fixture) build(cfg *engineConfig) (*engine, error) {
 		return err
 	}
 	if fx.m > 0 {
-		s1, s2 := joinSchemas()
-		if _, err := db.CreateRelationBTree("r1", s1, 0); err != nil {
-			return nil, err
-		}
-		if _, err := db.CreateRelationHash("r2", s2, 0, 8); err != nil {
-			return nil, err
-		}
 		for j := int64(0); j < int64(fx.m); j++ {
 			if err := seed("r2", j, tuple.I(j), tuple.S("info"+sName(int(j)))); err != nil {
 				return nil, err
@@ -457,15 +510,21 @@ func (fx *fixture) build(cfg *engineConfig) (*engine, error) {
 			}
 		}
 	} else {
-		if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
-			return nil, err
-		}
 		for i := int64(0); i < int64(fx.n); i++ {
-			if err := seed("r", i, tuple.I(i), tuple.I(i*2), tuple.S(sName(int(i)))); err != nil {
+			vals := []tuple.Value{tuple.I(i), tuple.I(i * 2), tuple.S(sName(int(i)))}
+			if fx.floatGroups {
+				vals = fx.vals(0, i, i*2)
+			}
+			if err := seed("r", i, vals...); err != nil {
 				return nil, err
 			}
 		}
 	}
+	if cfg.reference {
+		return e, nil
+	}
+	tx := e.tx
+	e.tx = nil
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
@@ -519,26 +578,30 @@ func (e *engine) apply(fx *fixture, s step) error {
 		if s.op != "ins" && len(live) == 0 {
 			return nil
 		}
-		if e.tx == nil {
-			e.tx = e.db.Begin()
+		w := writer(e.ref)
+		if e.ref == nil {
+			if e.tx == nil {
+				e.tx = e.db.Begin()
+			}
+			w = e.tx
 		}
 		rel := fx.rels[s.rel]
 		switch s.op {
 		case "ins":
-			id, err := e.tx.Insert(rel, fx.vals(s.rel, s.key, s.val)...)
+			id, err := w.Insert(rel, fx.vals(s.rel, s.key, s.val)...)
 			if err != nil {
 				return err
 			}
 			e.live[s.rel] = append(live, liveRow{key: s.key, id: id})
 		case "del":
 			i := s.idx % len(live)
-			if err := e.tx.Delete(rel, tuple.I(live[i].key), live[i].id); err != nil {
+			if err := w.Delete(rel, tuple.I(live[i].key), live[i].id); err != nil {
 				return err
 			}
 			e.live[s.rel] = append(live[:i], live[i+1:]...)
 		case "upd":
 			i := s.idx % len(live)
-			id, err := e.tx.Update(rel, tuple.I(live[i].key), live[i].id, fx.vals(s.rel, s.key, s.val)...)
+			id, err := w.Update(rel, tuple.I(live[i].key), live[i].id, fx.vals(s.rel, s.key, s.val)...)
 			if err != nil {
 				return err
 			}
@@ -563,7 +626,13 @@ func (e *engine) apply(fx *fixture, s step) error {
 		}
 		e.answers = e.answers[:0]
 		for _, d := range fx.views {
-			a, err := readView(e.db, d)
+			var a answer
+			var err error
+			if e.ref != nil {
+				a, err = e.ref.answer(d)
+			} else {
+				a, err = readView(e.db, d)
+			}
 			if err != nil {
 				return fmt.Errorf("read %s: %w", d.Name, err)
 			}
@@ -592,6 +661,120 @@ func readView(db *Database, d Def) (a answer, err error) {
 		a.rows, err = db.QueryView(d.Name, nil)
 	}
 	return a, err
+}
+
+// reference is the evaluator behind referenceConfig: each relation's
+// live tuples, and a view's answer computed from them by definition —
+// predicate, then project / equi-join / fold — with no exec operator,
+// no planner and no agg.State. Query modification and recompute-on-demand
+// share one derivation; this is the oracle that shares nothing with it.
+type reference struct {
+	next uint64
+	rels map[string][]tuple.Tuple
+}
+
+func (r *reference) Insert(rel string, vals ...tuple.Value) (uint64, error) {
+	r.next++
+	r.rels[rel] = append(r.rels[rel], tuple.Tuple{ID: r.next, Vals: vals})
+	return r.next, nil
+}
+
+func (r *reference) Delete(rel string, _ tuple.Value, id uint64) error {
+	for i, t := range r.rels[rel] {
+		if t.ID == id {
+			r.rels[rel] = append(r.rels[rel][:i:i], r.rels[rel][i+1:]...)
+			return nil
+		}
+	}
+	return fmt.Errorf("reference: no tuple %d in %s", id, rel)
+}
+
+func (r *reference) Update(rel string, key tuple.Value, id uint64, vals ...tuple.Value) (uint64, error) {
+	if err := r.Delete(rel, key, id); err != nil {
+		return 0, err
+	}
+	return r.Insert(rel, vals...)
+}
+
+func (r *reference) answer(d Def) (a answer, err error) {
+	outer, ok := r.rels[d.Relations[0]]
+	if !ok {
+		return a, fmt.Errorf("reference: view %s reads %s, not a base relation", d.Name, d.Relations[0])
+	}
+	pick := func(t tuple.Tuple, cols []int) []tuple.Value {
+		out := make([]tuple.Value, len(cols))
+		for i, c := range cols {
+			out[i] = t.Vals[c]
+		}
+		return out
+	}
+	var kept []tuple.Tuple // σ over slot 0
+	for _, t := range outer {
+		if d.Pred.EvalSingle(0, t) {
+			kept = append(kept, t)
+		}
+	}
+	switch d.Kind {
+	case SelectProject:
+		for _, t := range kept {
+			a.rows = append(a.rows, ResultRow{Vals: pick(t, d.Project[0])})
+		}
+	case Join:
+		for _, t1 := range kept {
+			for _, t2 := range r.rels[d.Relations[1]] {
+				if d.Pred.EvalJoined(t1, t2) {
+					a.rows = append(a.rows, ResultRow{Vals: append(pick(t1, d.Project[0]), pick(t2, d.Project[1])...)})
+				}
+			}
+		}
+	case Aggregate:
+		a.val, a.ok, err = refFold(d.AggKind, kept, d.AggCol)
+	case GroupedAggregate:
+		// Groups are runs of tuple.Compare-equal grouping values; ±0.0 is
+		// one group, named +0.0.
+		sort.SliceStable(kept, func(i, j int) bool {
+			return tuple.Compare(kept[i].Vals[d.GroupBy], kept[j].Vals[d.GroupBy]) < 0
+		})
+		for lo := 0; lo < len(kept) && err == nil; {
+			hi := lo + 1
+			for hi < len(kept) && tuple.Compare(kept[lo].Vals[d.GroupBy], kept[hi].Vals[d.GroupBy]) == 0 {
+				hi++
+			}
+			g := kept[lo].Vals[d.GroupBy]
+			if g.Type() == tuple.Float && g.Float() == 0 {
+				g = tuple.F(0)
+			}
+			var v float64
+			var defined bool
+			if v, defined, err = refFold(d.AggKind, kept[lo:hi], d.AggCol); defined {
+				a.groups = append(a.groups, GroupRow{Group: g, Value: v, Count: int64(hi - lo)})
+			}
+			lo = hi
+		}
+	}
+	return a, err
+}
+
+// refFold is the aggregate by its textbook definition.
+func refFold(kind agg.Kind, ts []tuple.Tuple, col int) (v float64, ok bool, err error) {
+	n, sum, lo, hi := float64(len(ts)), 0.0, math.Inf(1), math.Inf(-1)
+	for _, t := range ts {
+		x := t.Vals[col].AsFloat()
+		sum, lo, hi = sum+x, math.Min(lo, x), math.Max(hi, x)
+	}
+	switch kind {
+	case agg.Count:
+		return n, true, nil
+	case agg.Sum:
+		return sum, true, nil
+	case agg.Avg:
+		return sum / math.Max(n, 1), n > 0, nil
+	case agg.Min:
+		return lo, n > 0, nil
+	case agg.Max:
+		return hi, n > 0, nil
+	}
+	return 0, false, fmt.Errorf("reference: no definition of %s", kind)
 }
 
 // --- relations -----------------------------------------------------------------
@@ -997,7 +1180,26 @@ func lockstepTable() []row {
 		rows = append(rows, row{test: "TestPropertyModel3StrategiesEquivalent/" + kind.String(), fixture: static(model3Fx(kind)),
 			configs: plain(paperThree...), seeds: [2]int64{1300, 1302}, phases: churn(4)})
 	}
+	// Grouping on a float column where 0.0 and -0.0 are two values and
+	// one group. The literal script is the case that showed the
+	// strategies disagreeing: the rebuild folds keyed groups by their
+	// printed value ("0" is not "-0") while the group store looks them up
+	// by tuple.Compare (0 == -0), so query modification and snapshot
+	// answered {0: 5, -0: 6, 1: 1}, immediate {0: 9, -0: 2, 1: 1} and
+	// deferred {-0: 9, -0: 2, 1: 1} over r(k, g) = (0, 0.0), (1, 1.0),
+	// (2, -0.0) plus (4, -0.0), (5, 0.0). Every strategy answers
+	// {0: 11, 1: 1}.
+	for _, kind := range []agg.Kind{agg.Sum, agg.Min} {
+		rows = append(rows, row{test: "TestPropertyGroupedStrategiesEquivalent/" + kind.String(), fixture: static(groupedFx(kind, 30)),
+			configs: plain(fiveStrategies...), seeds: [2]int64{1700, 1703}, phases: churn(5)})
+	}
+	rows = append(rows, row{test: "TestPropertyGroupedStrategiesEquivalent/regression/negative-zero-is-one-group",
+		fixture: static(groupedFx(agg.Sum, 3)), configs: plain(fiveStrategies...), seeds: [2]int64{0, 0},
+		script: []step{{op: "ins", key: 4, val: 1}, {op: "ins", key: 5, val: 0}, {op: "query"}}})
+	// ...and like the plain-Go reference, which unlike the engines'
+	// oracles of each other shares no code with any of them.
 	for i := range rows {
+		rows[i].configs = append(rows[i].configs, referenceConfig)
 		rows[i].rels = against(rows[i].configs, "multiset")
 	}
 
@@ -1160,6 +1362,7 @@ func runRows(t *testing.T) {
 func TestPropertyModel1StrategiesEquivalent(t *testing.T)  { runRows(t) }
 func TestPropertyModel2StrategiesEquivalent(t *testing.T)  { runRows(t) }
 func TestPropertyModel3StrategiesEquivalent(t *testing.T)  { runRows(t) }
+func TestPropertyGroupedStrategiesEquivalent(t *testing.T) { runRows(t) }
 func TestPropertyJoinStrategiesEquivalent(t *testing.T)    { runRows(t) }
 func TestPropertyStrategiesEquivalent(t *testing.T)        { runRows(t) }
 func TestPropertySharedDeltaEquivalent(t *testing.T)       { runRows(t) }

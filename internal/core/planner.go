@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"viewmat/internal/agg"
 	"viewmat/internal/exec"
 	"viewmat/internal/pred"
 	"viewmat/internal/relation"
@@ -159,9 +160,9 @@ func singlePred(vs *viewState) exec.Pred {
 	return exec.Pred{P: vs.def.Pred}
 }
 
-// projectSP projects the slot-0 binding through the view's target
-// list in column-gather form.
-func (db *Database) projectSP(vs *viewState, input exec.Operator) exec.Operator {
+// project projects the (one- or two-slot) binding through the view's
+// target list in column-gather form.
+func (db *Database) project(vs *viewState, input exec.Operator) exec.Operator {
 	return exec.NewProjectCols(db.execOpts(), vs.def.Name, input, vs.def.ProjectSpec())
 }
 
@@ -206,25 +207,196 @@ func (db *Database) matInsert(vs *viewState, input exec.Operator) exec.Operator 
 
 // restrictedScan is the clustered scan over the view predicate's
 // interval on the relation's clustering column — the R1-side scan both
-// join-refresh expansions, the aggregate rebuild and populate share.
+// join-refresh expansions and the derivation's rebuild source share.
 func (db *Database) restrictedScan(vs *viewState, slot int) exec.Operator {
 	r := db.rels[vs.def.Relations[slot]]
-	rg, constrained := vs.def.Pred.IntervalFor(slot, r.KeyCol())
-	var scanRg *pred.Range
-	if constrained {
-		scanRg = &rg
-	}
-	return exec.NewScan(db.execOpts(), r, scanRg)
+	return exec.NewScan(db.execOpts(), r, combineRange(vs.def.Pred, slot, r.KeyCol(), nil))
 }
 
-// baseSource is restrictedScan when the relation is clustered, a full
-// sequential scan otherwise (hash relations offer no ordered path).
-func (db *Database) baseSource(vs *viewState, slot int) exec.Operator {
-	r := db.rels[vs.def.Relations[slot]]
-	if r.Kind() == relation.ClusteredBTree {
-		return db.restrictedScan(vs, slot)
+// --- the derivation ---------------------------------------------------------
+
+// derivation is what a consumer asks of derive; consumers differ in
+// this and in the sink they put on the result. The zero value is the
+// whole view from its rebuild source, unbilled — what populate asks.
+type derivation struct {
+	// rg restricts the view's key column (keySource); nil = whole view.
+	rg *pred.Range
+	// plan is the access path to the base relation. PlanAuto is the
+	// rebuild source: restrictedScan, or a sequential scan of a hash
+	// relation, which offers no ordered path (planRead resolves a
+	// query's PlanAuto before it gets here). A child has one path, its
+	// parent's rows, and ignores plan and wholeFile.
+	plan QueryPlan
+	// wholeFile scans the base relation sequentially, skipping nothing:
+	// the grouped kind, and the profiler, which counts rejected rows too.
+	wholeFile bool
+	// charged bills the screen, and a join's per-match screen, at C1.
+	charged bool
+	// pending overlays the base relation's un-folded HR changes, so a
+	// read beside deferred siblings sees them. A child has none (they
+	// surface through its parent) and a join ignores it: pending changes
+	// make it stale, and the refresh that then runs folds them.
+	pending bool
+}
+
+// derived is a planned derivation. Running root yields the view's rows
+// or folds them into state / groups; the profiler reads the row counts
+// of the two stages below the shape.
+type derived struct {
+	source, screen, root exec.Operator
+	state                *agg.State // Aggregate
+	groups               groupFold  // GroupedAggregate
+}
+
+// derive plans vs's logical content from its sources — the one place
+// a view's source, predicate screen and shape are assembled.
+func (db *Database) derive(vs *viewState, d derivation) (*derived, error) {
+	def := &vs.def
+	slot, col := vs.keySource()
+	if slot != 0 && d.plan != PlanAuto {
+		return nil, fmt.Errorf("core: view %q clusters on a column of its inner relation", def.Name)
 	}
-	return exec.NewSeqScan(db.execOpts(), r)
+	source, err := db.deriveSource(vs, d, col)
+	if err != nil {
+		return nil, err
+	}
+	folds := def.Kind == Aggregate || def.Kind == GroupedAggregate
+	var skip map[uint64]bool
+	if d.pending && folds {
+		// The folds are order-independent, so pending adds may stream
+		// ahead of the base scan.
+		source, skip = db.withPendingAD(def.Relations[0], source)
+	}
+	label := def.Name
+	if def.Kind == Join {
+		label += ".outer"
+	}
+	screen := exec.NewFilter(db.execOpts(), label, source,
+		exec.Pred{P: def.Pred, SkipIDs: skip, Range: d.rg, RangeCol: col}, d.charged)
+	out := &derived{source: source, screen: screen}
+
+	switch def.Kind {
+	case SelectProject:
+		out.root = db.project(vs, screen)
+		if d.pending {
+			out.root = db.overlayPendingSP(vs, d.rg, col, out.root)
+		}
+	case Join:
+		// Nested loops: each surviving outer tuple hash-probes the inner
+		// R2, whose pages stay in the buffer pool (§3.4.3's large-memory
+		// assumption).
+		c, err := db.joinCtx(vs)
+		if err != nil {
+			return nil, err
+		}
+		out.root = db.project(vs, exec.NewLoopJoin(db.execOpts(), exec.LoopJoinSpec{
+			Input:       screen,
+			Inner:       c.r2,
+			JoinVal:     c.outerVal,
+			On:          c.onFull,
+			ChargeMatch: d.charged,
+		}))
+	case Aggregate:
+		out.state = agg.NewState(def.AggKind)
+		out.root = exec.NewAggFold(db.execOpts(), def.Name, screen, exec.Fold{
+			Col: def.AggCol,
+			Val: func(v float64, _ bool) { out.state.Insert(v) },
+		})
+	case GroupedAggregate:
+		out.groups = groupFold{}
+		out.root = exec.NewAggFold(db.execOpts(), def.Name+".groups", screen, exec.Fold{Row: func(row exec.Row) {
+			out.groups.add(def.AggKind, row.T0.Vals[def.GroupBy], row.T0.Vals[def.AggCol].AsFloat())
+		}})
+	default:
+		return nil, fmt.Errorf("core: unknown view kind %v", def.Kind)
+	}
+	return out, nil
+}
+
+// deriveSource is the bottom of a derivation: the scan the rows come
+// from. col is the column d.rg restricts.
+func (db *Database) deriveSource(vs *viewState, d derivation, col int) (exec.Operator, error) {
+	if p := db.parentOf(vs); p != nil {
+		// Access paths are a base-file concept; a child scans its
+		// parent's current rows.
+		return db.parentScanOp(p), nil
+	}
+	r := db.rels[vs.def.Relations[0]]
+	clustered := r.Kind() == relation.ClusteredBTree
+	narrowed := combineRange(vs.def.Pred, 0, col, d.rg)
+	switch {
+	case d.wholeFile, d.plan == PlanAuto && !clustered:
+		return exec.NewSeqScan(db.execOpts(), r), nil
+	case d.plan == PlanAuto:
+		return db.restrictedScan(vs, 0), nil
+	case d.plan == PlanClustered:
+		if !clustered || r.KeyCol() != col {
+			return nil, fmt.Errorf("core: clustered plan needs clustering on column %d of %q", col, r.Name())
+		}
+		return exec.NewScan(db.execOpts(), r, narrowed), nil
+	case d.plan == PlanUnclustered:
+		return exec.NewIndexFetch(db.execOpts(), r, col, orFull(narrowed)), nil
+	case d.plan == PlanSequential:
+		// The screen above keeps only rows matching the view predicate
+		// (and query range), so the scan may skip pages whose zone maps
+		// disprove that conjunction — skipped pages are never charged.
+		return exec.NewSeqScanPruned(db.execOpts(), r, exec.PruneAtoms(vs.def.Pred, d.rg, col)), nil
+	case d.plan == PlanLoopJoin && vs.def.Kind == Join:
+		// Clustered scan of the restricted outer R1.
+		return exec.NewScan(db.execOpts(), r, orFull(narrowed)), nil
+	}
+	return nil, fmt.Errorf("core: plan %v not applicable to %s view", d.plan, vs.def.Kind)
+}
+
+// overlayPendingSP stacks the MergePending operator over a
+// select-project derivation when un-folded HR changes exist, so QM
+// views sharing a relation with deferred views stay correct. Relations
+// without a live HR (the common case) pay nothing and keep the plain
+// pipeline.
+func (db *Database) overlayPendingSP(vs *viewState, rg *pred.Range, col int, input exec.Operator) exec.Operator {
+	h, hasHR := db.hrs[vs.def.Relations[0]]
+	if !hasHR || h.ADLen() == 0 {
+		return input
+	}
+	return exec.NewMergePending(db.execOpts(), vs.def.Name, input,
+		func() ([]tuple.Tuple, []tuple.Tuple, error) { return h.NetChanges() },
+		func(tp tuple.Tuple) bool {
+			return vs.def.Pred.EvalSingle(0, tp) && (rg == nil || rg.Contains(tp.Vals[col]))
+		},
+		func(tp tuple.Tuple) []tuple.Value {
+			return vs.def.ProjectTuples(tp, tuple.Tuple{})
+		},
+		func(vals []tuple.Value) string { return tuple.Tuple{Vals: vals}.ValueKey() },
+	)
+}
+
+// withPendingAD overlays a relation's un-folded HR changes on a scan of
+// it feeding a fold, so QM aggregates sharing the relation with
+// deferred views stay correct: pending adds stream ahead of the base
+// scan, which fills the returned skip set with the pending deletes
+// before any base row is screened; the derivation's screen consults it
+// (exec.Pred.SkipIDs).
+func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator, map[uint64]bool) {
+	skip := map[uint64]bool{}
+	h, ok := db.hrs[rel]
+	if !ok || h.ADLen() == 0 {
+		return base, skip
+	}
+	pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", rel), func() ([]exec.Row, error) {
+		anet, dnet, err := h.NetChanges()
+		if err != nil {
+			return nil, err
+		}
+		for _, tp := range dnet {
+			skip[tp.ID] = true
+		}
+		rows := make([]exec.Row, len(anet))
+		for i, tp := range anet {
+			rows[i] = exec.Row{T0: tp, Insert: true}
+		}
+		return rows, nil
+	})
+	return exec.NewSeq("pending+base", pending, base), skip
 }
 
 // --- join delta expansion ---------------------------------------------------
@@ -265,16 +437,10 @@ func (c joinPlanCtx) onFullPred() exec.Pred {
 // outerVal extracts the outer row's join value.
 func (c joinPlanCtx) outerVal(row exec.Row) tuple.Value { return row.T0.Vals[c.col1] }
 
-// projectJoinOp projects the two-slot binding through the view's
-// target list in column-gather form.
-func (db *Database) projectJoinOp(c joinPlanCtx, input exec.Operator) exec.Operator {
-	return exec.NewProjectCols(db.execOpts(), c.vs.def.Name, input, c.vs.def.ProjectSpec())
-}
-
 // applyJoin finishes a join-delta pipeline: project the surviving
 // joined bindings and fold them into the materialized store.
 func (db *Database) applyJoin(c joinPlanCtx, input exec.Operator) exec.Operator {
-	return db.matApply(c.vs, db.projectJoinOp(c, input))
+	return db.matApply(c.vs, db.project(c.vs, input))
 }
 
 // probeDeltas builds the delta-side probe pipeline shared by both

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"viewmat/internal/agg"
 	"viewmat/internal/exec"
 	"viewmat/internal/pred"
 	"viewmat/internal/relation"
@@ -60,102 +59,178 @@ type ResultRow struct {
 // view's clustering column (nil = whole view), using the view's default
 // plan for query modification.
 func (db *Database) QueryView(name string, rg *pred.Range) ([]ResultRow, error) {
-	db.mu.RLock()
-	vs, ok := db.views[name]
-	if !ok {
-		db.mu.RUnlock()
-		return nil, fmt.Errorf("core: unknown view %q", name)
-	}
-	plan := vs.plan
-	db.mu.RUnlock()
-	return db.QueryViewPlan(name, rg, plan)
+	ans, err := db.read(name, "QueryView", rg, nil)
+	return ans.rows, err
 }
 
 // QueryViewPlan is QueryView with an explicit query-modification plan
 // (ignored for materialized strategies).
 func (db *Database) QueryViewPlan(name string, rg *pred.Range, plan QueryPlan) ([]ResultRow, error) {
-	vs, refreshed, err := db.acquireFresh(name)
-	if err != nil {
-		return nil, err
-	}
-	defer db.mu.RUnlock()
-	if vs.def.Kind == Aggregate {
-		return nil, fmt.Errorf("core: view %q is an aggregate; use QueryAggregate", name)
-	}
-	if vs.def.Kind == GroupedAggregate {
-		return nil, fmt.Errorf("core: view %q is a grouped aggregate; use QueryGroups", name)
-	}
-	if !refreshed {
-		if err := db.pool.EvictAll(); err != nil {
-			return nil, err
-		}
-	}
-	db.bumpQueries()
-
-	var rows []ResultRow
-	err = db.inPhase(PhaseQuery, func() error {
-		var err error
-		switch vs.strategy {
-		case QueryModification:
-			rows, err = db.queryModified(vs, rg, plan)
-		default:
-			rows, err = db.queryMaterialized(vs, rg)
-		}
-		return err
-	})
-	if err == nil {
-		db.observeViewQuery(vs, len(rows))
-	}
-	return rows, err
+	ans, err := db.read(name, "QueryView", rg, &plan)
+	return ans.rows, err
 }
 
 // QueryAggregate returns the current value of an aggregate view; ok is
 // false when the aggregate is undefined (empty set for AVG/MIN/MAX).
 func (db *Database) QueryAggregate(name string) (value float64, ok bool, err error) {
+	ans, err := db.read(name, "QueryAggregate", nil, nil)
+	return ans.value, ans.ok, err
+}
+
+// --- the read entry ----------------------------------------------------------
+
+// viewAnswer is one read's answer; a query method takes its kind's part.
+type viewAnswer struct {
+	rows   []ResultRow // SelectProject, Join
+	value  float64     // Aggregate
+	ok     bool
+	groups []GroupRow // GroupedAggregate
+}
+
+// readTable is how a read of each view kind is planned: over the stored
+// copy when the view's strategy keeps one (strategyRow.stores), derived
+// from the sources — query modification — when not. planRead adds the
+// query's range and a select-project query's access path to derive.
+var readTable = map[Kind]struct {
+	method string // the query method that answers this kind
+	stored func(*Database, *viewState, *pred.Range) *derived
+	derive derivation
+}{
+	SelectProject:    {"QueryView", (*Database).matRead, derivation{charged: true, pending: true}},
+	Join:             {"QueryView", (*Database).matRead, derivation{plan: PlanLoopJoin, charged: true}},
+	Aggregate:        {"QueryAggregate", (*Database).aggRead, derivation{charged: true, pending: true}},
+	GroupedAggregate: {"QueryGroups", (*Database).groupsRead, derivation{wholeFile: true, charged: true, pending: true}},
+}
+
+// read is the one read entry: every query of every view kind under
+// every strategy. It takes the view fresh under the read lock, refuses
+// a query method that does not answer the view's kind, starts from a
+// cold pool unless a refresh just ran, runs the planned tree in
+// PhaseQuery, retains the plan and gathers the answer.
+func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (viewAnswer, error) {
 	vs, refreshed, err := db.acquireFresh(name)
 	if err != nil {
-		return 0, false, err
+		return viewAnswer{}, err
 	}
 	defer db.mu.RUnlock()
-	if vs.def.Kind != Aggregate {
-		return 0, false, fmt.Errorf("core: view %q is not an aggregate", name)
+	kind := vs.def.Kind
+	if answers := readTable[kind].method; answers != method {
+		return viewAnswer{}, fmt.Errorf("core: view %q is a %s view; use %s", name, kind, answers)
 	}
 	if !refreshed {
 		if err := db.pool.EvictAll(); err != nil {
-			return 0, false, err
+			return viewAnswer{}, err
 		}
 	}
 	db.bumpQueries()
 
+	var ans viewAnswer
 	err = db.inPhase(PhaseQuery, func() error {
-		switch vs.strategy {
-		case QueryModification:
-			value, ok, err = db.computeAggregateFromBase(vs)
+		p, err := db.planRead(vs, rg, plan)
+		if err != nil {
 			return err
-		default:
-			// Read the one-page aggregate state (C_query3 = C2). The
-			// in-memory state is authoritative and identical to the
-			// page; the page read is the charged operation.
-			read := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("AggRead(%s)", vs.def.Name), func() ([]exec.Row, error) {
-				fr, err := db.pool.Get(vs.aggFile, vs.aggPage)
-				if err != nil {
-					return nil, err
-				}
-				return nil, db.pool.Release(fr)
-			})
-			node, delta, _, err := db.runTree(read, false)
-			db.recordPlan(vs, PlanPathQuery, node, delta)
-			if err != nil {
-				return err
-			}
-			value, ok = vs.aggState.Value()
-			return nil
 		}
+		// The folds leave their answer in p; the other trees answer with
+		// the rows they produce.
+		node, delta, rows, err := db.runTree(p.root, p.state == nil && p.groups == nil)
+		db.recordPlan(vs, PlanPathQuery, node, delta)
+		if err != nil {
+			return err
+		}
+		switch {
+		case p.state != nil:
+			ans.value, ans.ok = p.state.Value()
+		case p.groups != nil:
+			ans.groups = groupRows(p.groups.sorted())
+		case kind == GroupedAggregate:
+			ans.groups = groupRows(storedGroups(vs.def.AggKind, rows))
+		default:
+			ans.rows = resultRows(rows, vs.row().stores)
+		}
+		return nil
 	})
-	if err == nil {
+	switch {
+	case err != nil || kind == GroupedAggregate:
+	case kind == Aggregate:
 		db.observeViewQuery(vs, 1)
+	default:
+		db.observeViewQuery(vs, len(ans.rows))
 	}
-	return value, ok, err
+	return ans, err
+}
+
+// planRead picks a read's cell of readTable. A select-project query's
+// access path is its plan (nil: the view's default), PlanAuto resolved
+// against the base relation's physical design as PlanAuto documents.
+func (db *Database) planRead(vs *viewState, rg *pred.Range, plan *QueryPlan) (*derived, error) {
+	how := readTable[vs.def.Kind]
+	if vs.row().stores {
+		return how.stored(db, vs, rg), nil
+	}
+	d := how.derive
+	d.rg = rg
+	if vs.def.Kind == SelectProject {
+		if d.plan = vs.plan; plan != nil {
+			d.plan = *plan
+		}
+		r, base := db.rels[vs.def.Relations[0]]
+		_, col := vs.keySource()
+		switch {
+		case d.plan != PlanAuto || !base:
+		case r.Kind() == relation.ClusteredBTree && r.KeyCol() == col:
+			d.plan = PlanClustered
+		case r.HasSecondary(col):
+			d.plan = PlanUnclustered
+		default:
+			d.plan = PlanSequential
+		}
+	}
+	return db.derive(vs, d)
+}
+
+// resultRows gathers a tree's output rows as query results. A stored
+// row stands for Dup logical duplicates (§2.1); expand so materialized
+// and query-modified results agree as multisets.
+func resultRows(rows []exec.Row, stored bool) []ResultRow {
+	out := make([]ResultRow, 0, len(rows))
+	for i := range rows {
+		row := &rows[i]
+		vals, dup := row.Vals, int64(1)
+		if stored {
+			vals, dup = row.T0.Vals, row.Dup
+		}
+		for ; dup > 0; dup-- {
+			out = append(out, ResultRow{Vals: vals})
+		}
+	}
+	return out
+}
+
+// matRead plans a read of the stored rows through a MatScan→Screen
+// plan: the scan's page reads land on the source, and each stored row is
+// screened against the query predicate at C1 (the model's C1·f·fv·N
+// term).
+func (db *Database) matRead(vs *viewState, rg *pred.Range) *derived {
+	label := "MatScan(" + vs.def.Name + ")"
+	if rg != nil {
+		label = "MatScan(" + vs.def.Name + " restricted)"
+	}
+	scan := vs.mat.scanOp(db.execOpts(), label, rg, false)
+	return &derived{root: exec.NewFilter(db.execOpts(), vs.def.Name, scan, exec.Pred{}, true)}
+}
+
+// aggRead plans the read of the one-page aggregate state (C_query3 =
+// C2). The in-memory state is authoritative and identical to the page;
+// the page read is the charged operation.
+func (db *Database) aggRead(vs *viewState, _ *pred.Range) *derived {
+	read := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("AggRead(%s)", vs.def.Name), func() ([]exec.Row, error) {
+		fr, err := db.pool.Get(vs.aggFile, vs.aggPage)
+		if err != nil {
+			return nil, err
+		}
+		return nil, db.pool.Release(fr)
+	})
+	return &derived{root: read, state: vs.aggState}
 }
 
 // --- deferred refresh ------------------------------------------------------
@@ -287,46 +362,15 @@ func (db *Database) refreshDeferredLocked(rel string) error {
 	})
 }
 
-// --- materialized reads ----------------------------------------------------
-
-// queryMaterialized reads rows from the stored view through a
-// MatScan→Screen plan: the scan's page reads land on the source, and
-// each stored row is screened against the query predicate at C1 (the
-// model's C1·f·fv·N term).
-func (db *Database) queryMaterialized(vs *viewState, rg *pred.Range) ([]ResultRow, error) {
-	scan := vs.mat.scanOp(db.execOpts(), fmt.Sprintf("MatScan(%s%s)", vs.def.Name, matRangeSuffix(rg)), rg, false)
-	screen := exec.NewFilter(db.execOpts(), vs.def.Name, scan, exec.Pred{}, true)
-	node, delta, rows, err := db.runTree(screen, true)
-	db.recordPlan(vs, PlanPathQuery, node, delta)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ResultRow, 0, len(rows))
-	for _, row := range rows {
-		// The stored row stands for Dup logical duplicates (§2.1);
-		// expand so materialized and query-modified results agree as
-		// multisets.
-		for i := int64(0); i < row.Dup; i++ {
-			out = append(out, ResultRow{Vals: row.T0.Vals})
-		}
-	}
-	return out, nil
-}
-
-// matRangeSuffix labels a materialized scan's restriction for plan
-// rendering.
-func matRangeSuffix(rg *pred.Range) string {
-	if rg == nil {
-		return ""
-	}
-	return " restricted"
-}
-
 // --- query modification ----------------------------------------------------
 
 // keySource maps the view's clustering column back to its source
-// (slot, base column).
+// (slot, base column); a grouped aggregate clusters on its grouping
+// column.
 func (vs *viewState) keySource() (slot, col int) {
+	if vs.def.Kind == GroupedAggregate {
+		return 0, vs.def.GroupBy
+	}
 	i := 0
 	for s, idx := range vs.def.Project {
 		for _, c := range idx {
@@ -337,214 +381,6 @@ func (vs *viewState) keySource() (slot, col int) {
 		}
 	}
 	return 0, 0
-}
-
-// queryModified rewrites the view query onto the base relations: the
-// planner resolves the access path (source operator), stacks the
-// charged predicate screen, the projection and — when a deferred
-// sibling left un-folded HR changes — the pending-overlay operator,
-// then drains the tree.
-func (db *Database) queryModified(vs *viewState, rg *pred.Range, plan QueryPlan) ([]ResultRow, error) {
-	if vs.def.Kind == Join {
-		return db.loopJoin(vs, rg)
-	}
-	slot, col := vs.keySource()
-	if slot != 0 {
-		return nil, fmt.Errorf("core: view %q clusters on a non-slot-0 column", vs.def.Name)
-	}
-	if p := db.parentOf(vs); p != nil {
-		// A QM child rewrites onto its parent's materialization: scan
-		// the parent's current rows, screen against the child predicate
-		// and query range, project. Access-path plans are a base-file
-		// concept and do not apply.
-		filter := exec.NewFilter(db.execOpts(), vs.def.Name, db.parentScanOp(p),
-			exec.Pred{P: vs.def.Pred, Range: rg, RangeCol: col}, true)
-		root := db.projectSP(vs, filter)
-		node, delta, rows, err := db.runTree(root, true)
-		db.recordPlan(vs, PlanPathQuery, node, delta)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]ResultRow, 0, len(rows))
-		for _, row := range rows {
-			out = append(out, ResultRow{Vals: row.Vals})
-		}
-		return out, nil
-	}
-	r := db.rels[vs.def.Relations[0]]
-	if plan == PlanAuto {
-		switch {
-		case r.Kind() == relation.ClusteredBTree && r.KeyCol() == col:
-			plan = PlanClustered
-		case r.HasSecondary(col):
-			plan = PlanUnclustered
-		default:
-			plan = PlanSequential
-		}
-	}
-
-	var source exec.Operator
-	switch plan {
-	case PlanClustered:
-		if r.Kind() != relation.ClusteredBTree || r.KeyCol() != col {
-			return nil, fmt.Errorf("core: clustered plan needs clustering on column %d of %q", col, r.Name())
-		}
-		source = exec.NewScan(db.execOpts(), r, combineRange(vs.def.Pred, 0, col, rg))
-	case PlanUnclustered:
-		source = exec.NewIndexFetch(db.execOpts(), r, col, orFull(combineRange(vs.def.Pred, 0, col, rg)))
-	case PlanSequential:
-		// The screen below keeps only rows matching the view predicate
-		// (and query range), so the scan may skip pages whose zone maps
-		// disprove that conjunction — skipped pages are never charged.
-		source = exec.NewSeqScanPruned(db.execOpts(), r, exec.PruneAtoms(vs.def.Pred, rg, col))
-	default:
-		return nil, fmt.Errorf("core: plan %v not applicable to %s view", plan, vs.def.Kind)
-	}
-
-	match := func(tp tuple.Tuple) bool {
-		if !vs.def.Pred.EvalSingle(0, tp) {
-			return false
-		}
-		return rg == nil || rg.Contains(tp.Vals[col])
-	}
-	// One charged screen per candidate: the test against the
-	// (modified) view predicate.
-	filter := exec.NewFilter(db.execOpts(), vs.def.Name, source,
-		exec.Pred{P: vs.def.Pred, Range: rg, RangeCol: col}, true)
-	root := db.overlayPendingSP(vs, match, db.projectSP(vs, filter))
-
-	node, delta, rows, err := db.runTree(root, true)
-	db.recordPlan(vs, PlanPathQuery, node, delta)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ResultRow, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, ResultRow{Vals: row.Vals})
-	}
-	return out, nil
-}
-
-// overlayPendingSP stacks the MergePending operator over a
-// query-modification pipeline when un-folded HR changes exist, so QM
-// views sharing a relation with deferred views stay correct. Relations
-// without a live HR (the common case) pay nothing and keep the plain
-// pipeline.
-func (db *Database) overlayPendingSP(vs *viewState, match func(tuple.Tuple) bool, input exec.Operator) exec.Operator {
-	h, hasHR := db.hrs[vs.def.Relations[0]]
-	if !hasHR || h.ADLen() == 0 {
-		return input
-	}
-	return exec.NewMergePending(db.execOpts(), vs.def.Name, input,
-		func() ([]tuple.Tuple, []tuple.Tuple, error) { return h.NetChanges() },
-		match,
-		func(tp tuple.Tuple) []tuple.Value {
-			return vs.def.ProjectTuples(tp, tuple.Tuple{})
-		},
-		func(vals []tuple.Value) string { return tuple.Tuple{Vals: vals}.ValueKey() },
-	)
-}
-
-// loopJoin evaluates a join view by nested loops: clustered scan of the
-// restricted outer R1, hash-probe of the inner R2 (whose pages stay in
-// the buffer pool, per §3.4.3's large-memory assumption).
-func (db *Database) loopJoin(vs *viewState, rg *pred.Range) ([]ResultRow, error) {
-	// A live HR on either base relation (from a deferred sibling view)
-	// would make the base files stale; trigger the shared fold-and-
-	// refresh so the scan below sees end-of-epoch state.
-	for _, rn := range vs.def.Relations {
-		if h, ok := db.hrs[rn]; ok && h.ADLen() > 0 {
-			if err := db.foldRelationsLocked(vs.def.Relations); err != nil {
-				return nil, err
-			}
-			break
-		}
-	}
-	c, err := db.joinCtx(vs)
-	if err != nil {
-		return nil, err
-	}
-	r1 := db.rels[vs.def.Relations[0]]
-	slot, keyCol := vs.keySource()
-	if slot != 0 {
-		return nil, fmt.Errorf("core: join view %q clusters on inner column", vs.def.Name)
-	}
-
-	scan := exec.NewScan(db.execOpts(), r1, orFull(combineRange(vs.def.Pred, 0, keyCol, rg)))
-	// One charged screen per outer tuple, then per probed match.
-	outer := exec.NewFilter(db.execOpts(), vs.def.Name+".outer", scan,
-		exec.Pred{P: vs.def.Pred, Range: rg, RangeCol: keyCol}, true)
-	join := exec.NewLoopJoin(db.execOpts(), exec.LoopJoinSpec{
-		Input:       outer,
-		Inner:       c.r2,
-		JoinVal:     c.outerVal,
-		On:          c.onFull,
-		ChargeMatch: true,
-	})
-	root := db.projectJoinOp(c, join)
-
-	node, delta, rows, err := db.runTree(root, true)
-	db.recordPlan(vs, PlanPathQuery, node, delta)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ResultRow, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, ResultRow{Vals: row.Vals})
-	}
-	return out, nil
-}
-
-// withPendingAD overlays a relation's un-folded HR changes on a
-// query-modification scan of it, so QM aggregates sharing the relation
-// with deferred views stay correct: pending adds stream ahead of the
-// base scan, which fills the returned skip set with the pending deletes
-// before any base row is screened; the caller's filter consults it
-// (exec.Pred.SkipIDs).
-func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator, map[uint64]bool) {
-	skip := map[uint64]bool{}
-	h, ok := db.hrs[rel]
-	if !ok || h.ADLen() == 0 {
-		return base, skip
-	}
-	pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", rel), func() ([]exec.Row, error) {
-		anet, dnet, err := h.NetChanges()
-		if err != nil {
-			return nil, err
-		}
-		for _, tp := range dnet {
-			skip[tp.ID] = true
-		}
-		rows := make([]exec.Row, len(anet))
-		for i, tp := range anet {
-			rows[i] = exec.Row{T0: tp, Insert: true}
-		}
-		return rows, nil
-	})
-	return exec.NewSeq("pending+base", pending, base), skip
-}
-
-// computeAggregateFromBase evaluates a Model-3 aggregate with query
-// modification: a clustered scan over the predicate interval (with any
-// un-folded HR changes concatenated ahead of it), screening and
-// folding each tuple.
-func (db *Database) computeAggregateFromBase(vs *viewState) (float64, bool, error) {
-	state := agg.NewState(vs.def.AggKind)
-	source, skipDeleted := db.withPendingAD(vs.def.Relations[0], db.sourceFor(vs, 0))
-	filter := exec.NewFilter(db.execOpts(), vs.def.Name, source,
-		exec.Pred{P: vs.def.Pred, SkipIDs: skipDeleted}, true)
-	fold := exec.NewAggFold(db.execOpts(), vs.def.Name, filter, exec.Fold{
-		Col: vs.def.AggCol,
-		Val: func(v float64, _ bool) { state.Insert(v) },
-	})
-
-	node, delta, _, err := db.runTree(fold, false)
-	db.recordPlan(vs, PlanPathQuery, node, delta)
-	if err != nil {
-		return 0, false, err
-	}
-	v, ok := state.Value()
-	return v, ok, nil
 }
 
 // combineRange intersects the view predicate's interval on (slot, col)

@@ -153,7 +153,7 @@ func (db *Database) applyTree(vs *viewState, src exec.Operator) (exec.Operator, 
 		// the filter is uncharged; only the view I/O lands on the
 		// DeltaApply sink (the model's C2·(3+Hvi)·X term).
 		filt := exec.NewFilter(db.execOpts(), vs.def.Name, src, singlePred(vs), false)
-		return db.matApply(vs, db.projectSP(vs, filt)), nil
+		return db.matApply(vs, db.project(vs, filt)), nil
 	case Aggregate:
 		return db.aggRefreshTree(vs, src), nil
 	case GroupedAggregate:
@@ -509,20 +509,18 @@ func (db *Database) aggRefreshTree(vs *viewState, src exec.Operator) exec.Operat
 
 // rebuildAggregate recomputes the aggregate state from the (end-state)
 // source — the base relation, or the parent view's materialization for
-// hierarchy children — with a charged scan restricted to the predicate
-// interval, then persists it.
+// hierarchy children — with the view derived whole and charged, a scan
+// restricted to the predicate interval, then persists it.
 func (db *Database) rebuildAggregate(vs *viewState) error {
-	var vals []float64
-	filt := exec.NewFilter(db.execOpts(), vs.def.Name, db.sourceFor(vs, 0), singlePred(vs), true)
-	fold := exec.NewAggFold(db.execOpts(), vs.def.Name, filt, exec.Fold{
-		Col: vs.def.AggCol,
-		Val: func(v float64, _ bool) { vals = append(vals, v) },
-	})
+	all, err := db.derive(vs, derivation{charged: true})
+	if err != nil {
+		return err
+	}
 	write := exec.NewStateWrite(db.execOpts(), vs.def.Name+".aggpage", func() error {
-		vs.aggState.Rebuild(vals)
+		*vs.aggState = *all.state
 		return db.writeAggState(vs)
 	})
-	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq("rebuild-agg("+vs.def.Name+")", fold, write))
+	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq("rebuild-agg("+vs.def.Name+")", all.root, write))
 }
 
 // writeAggState persists the aggregate state to its single page.

@@ -261,17 +261,23 @@ func (db *Database) dropStoreLocked(vs *viewState) {
 
 // fillStoreLocked populates vs's (empty) stored copy from the current
 // contents of its source — base relations, or the parent view for a
-// child. A store over existing contents initializes from a scan (setup
-// cost; callers usually ResetStats after).
+// child: the view derived whole, with the kind's sink on top. A store
+// over existing contents initializes from a scan (setup cost; callers
+// usually ResetStats after).
 func (db *Database) fillStoreLocked(vs *viewState) error {
 	switch vs.def.Kind {
 	case GroupedAggregate:
 		return db.bulkWrite(func() error { return db.fillGroupStore(vs) })
 	case Aggregate:
 		return db.rebuildAggregate(vs)
-	default:
-		return db.bulkWrite(func() error { return db.populateView(vs) })
 	}
+	return db.bulkWrite(func() error {
+		all, err := db.derive(vs, derivation{})
+		if err != nil {
+			return err
+		}
+		return db.runPlan(vs, PlanPathPopulate, db.matInsert(vs, all.root))
+	})
 }
 
 // --- triggers ----------------------------------------------------------------
@@ -294,9 +300,9 @@ func (db *Database) viewStale(vs *viewState) bool {
 	}
 	if !row.stores && vs.def.Kind != Join {
 		// Select-project and aggregate query modification overlays
-		// pending HR changes read-only. A join folds them into the base
-		// files before its nested-loop scan, which mutates; it goes
-		// through the write path like a deferred view.
+		// pending HR changes read-only. A join needs them folded into
+		// the base files before its nested-loop scan, which mutates; it
+		// goes through the write path like a deferred view.
 		return false
 	}
 	for _, rn := range vs.def.Relations {
