@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -21,7 +22,7 @@ import (
 // tail folds lazily at RefreshAll. The printed refresh trees show the
 // delta-of-a-delta operators: ViewDeltaScan replaying the parent's
 // log, SharedDelta charging one replay to the leader sibling.
-func runHierarchy(skew float64, seed int64) error {
+func runHierarchy(w io.Writer, skew float64, seed int64) error {
 	const (
 		nRows    = 400
 		keySpace = 200
@@ -70,8 +71,8 @@ func runHierarchy(skew float64, seed int64) error {
 	if err := db.EnableHeavyLight("r", threshold, 8); err != nil {
 		return err
 	}
-	fmt.Printf("hierarchy demo: r(%d rows) -> v -> {c0, c1} -> {perkey, total}\n", nRows)
-	fmt.Printf("update burst: %d keys, skew %g, heavy-light threshold %.3f\n\n", burst, skew, threshold)
+	fmt.Fprintf(w, "hierarchy demo: r(%d rows) -> v -> {c0, c1} -> {perkey, total}\n", nRows)
+	fmt.Fprintf(w, "update burst: %d keys, skew %g, heavy-light threshold %.3f\n\n", burst, skew, threshold)
 
 	for i, k := range keys {
 		tx := db.Begin()
@@ -116,10 +117,10 @@ func runHierarchy(skew float64, seed int64) error {
 		return err
 	}
 	rows = append(rows, []string{"total", fmt.Sprintf("sum=%.0f (defined=%v)", total, ok), ""})
-	fmt.Print(report.Table([]string{"view", "rows", "children"}, rows))
+	fmt.Fprint(w, report.Table([]string{"view", "rows", "children"}, rows))
 
 	for _, st := range db.HeavyLightStats() {
-		fmt.Printf("\nheavy-light %q: %d ops = %d eager (hot) + %d lazy (AD file); hot keys: %s\n",
+		fmt.Fprintf(w, "\nheavy-light %q: %d ops = %d eager (hot) + %d lazy (AD file); hot keys: %s\n",
 			st.Rel, st.Total, st.HeavyOps, st.LightOps, strings.Join(st.HotKeys, " "))
 	}
 
@@ -133,9 +134,9 @@ func runHierarchy(skew float64, seed int64) error {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		fmt.Printf("\n%s operator trees:\n", name)
+		fmt.Fprintf(w, "\n%s operator trees:\n", name)
 		for _, p := range paths {
-			fmt.Printf("[%s]\n%s", p, ex.PlanTrees[p])
+			fmt.Fprintf(w, "[%s]\n%s", p, ex.PlanTrees[p])
 		}
 	}
 
@@ -145,10 +146,10 @@ func runHierarchy(skew float64, seed int64) error {
 		phases = append(phases, string(ph))
 	}
 	sort.Strings(phases)
-	fmt.Println("\nmetered charges by phase:")
+	fmt.Fprintln(w, "\nmetered charges by phase:")
 	for _, ph := range phases {
 		s := bd[core.Phase(ph)]
-		fmt.Printf("  %-12s reads=%d writes=%d screens=%d adTouches=%d\n",
+		fmt.Fprintf(w, "  %-12s reads=%d writes=%d screens=%d adTouches=%d\n",
 			ph, s.Reads, s.Writes, s.Screens, s.ADTouches)
 	}
 	return nil

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"sort"
@@ -29,36 +30,42 @@ import (
 )
 
 func main() {
-	model := flag.Int("model", 1, "view model: 1 (select-project), 2 (join), 3 (aggregate)")
-	n := flag.Float64("n", 5000, "tuples in the base relation (N)")
-	k := flag.Float64("k", 20, "update transactions (k)")
-	q := flag.Float64("q", 20, "view queries (q)")
-	l := flag.Float64("l", 10, "tuples modified per transaction (l)")
-	f := flag.Float64("f", 0.1, "view predicate selectivity (f)")
-	fv := flag.Float64("fv", 0.1, "fraction of view retrieved per query (fv)")
-	fr2 := flag.Float64("fr2", 0.1, "|R2|/|R1| (fR2)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	skew := flag.Float64("skew", 0, "update-key Zipf skew (0 = uniform)")
-	aggName := flag.String("agg", "sum", "model-3 aggregate: count, sum, avg, min, max")
-	sweep := flag.String("sweep", "", "comma-separated P values: measure all strategies at each (engine-side Figure 1/5)")
-	verbose := flag.Bool("v", false, "print the per-phase cost breakdown for each strategy")
-	plans := flag.Bool("plans", false, "print each strategy's last executed operator trees (query/refresh/populate)")
-	allStrategies := flag.Bool("all-strategies", false, "also measure snapshot and recompute-on-demand")
-	snapEvery := flag.Int("snapshot-every", 5, "snapshot refresh period in commits (with -all-strategies)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-	walDir := flag.String("wal", "", "run a durable demo workload with WAL+snapshots under this directory")
-	recoverDir := flag.String("recover", "", "recover a database from the WAL+snapshots under this directory and report what survived")
-	ckptEvery := flag.Int("checkpoint-every", 8, "commits between automatic checkpoints (with -wal/-recover)")
-	qmPlan := flag.String("qm-plan", "auto", "query-modification access path: auto, clustered, unclustered, or sequential (sequential scans prune via zone maps)")
-	hierarchy := flag.Bool("hierarchy", false, "run the views-over-views demo: a deferred chain with shared sibling drains and heavy-light partitioning (honors -skew and -seed)")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("vmsim", flag.ContinueOnError)
+	model := fs.Int("model", 1, "view model: 1 (select-project), 2 (join), 3 (aggregate)")
+	n := fs.Float64("n", 5000, "tuples in the base relation (N)")
+	k := fs.Float64("k", 20, "update transactions (k)")
+	q := fs.Float64("q", 20, "view queries (q)")
+	l := fs.Float64("l", 10, "tuples modified per transaction (l)")
+	f := fs.Float64("f", 0.1, "view predicate selectivity (f)")
+	fv := fs.Float64("fv", 0.1, "fraction of view retrieved per query (fv)")
+	fr2 := fs.Float64("fr2", 0.1, "|R2|/|R1| (fR2)")
+	seed := fs.Int64("seed", 1, "workload seed")
+	skew := fs.Float64("skew", 0, "update-key Zipf skew (0 = uniform)")
+	aggName := fs.String("agg", "sum", "model-3 aggregate: count, sum, avg, min, max")
+	sweep := fs.String("sweep", "", "comma-separated P values: measure all strategies at each (engine-side Figure 1/5)")
+	verbose := fs.Bool("v", false, "print the per-phase cost breakdown for each strategy")
+	plans := fs.Bool("plans", false, "print each strategy's last executed operator trees (query/refresh/populate)")
+	allStrategies := fs.Bool("all-strategies", false, "also measure snapshot and recompute-on-demand")
+	snapEvery := fs.Int("snapshot-every", 5, "snapshot refresh period in commits (with -all-strategies)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+	walDir := fs.String("wal", "", "run a durable demo workload with WAL+snapshots under this directory")
+	recoverDir := fs.String("recover", "", "recover a database from the WAL+snapshots under this directory and report what survived")
+	ckptEvery := fs.Int("checkpoint-every", 8, "commits between automatic checkpoints (with -wal/-recover)")
+	qmPlan := fs.String("qm-plan", "auto", "query-modification access path: auto, clustered, unclustered, or sequential (sequential scans prune via zone maps)")
+	hierarchy := fs.Bool("hierarchy", false, "run the views-over-views demo: a deferred chain with shared sibling drains and heavy-light partitioning (honors -skew and -seed)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *hierarchy {
-		if err := runHierarchy(*skew, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return runHierarchy(w, *skew, *seed)
 	}
 
 	var plan core.QueryPlan
@@ -72,39 +79,27 @@ func main() {
 	case "sequential":
 		plan = core.PlanSequential
 	default:
-		fmt.Fprintf(os.Stderr, "vmsim: -qm-plan must be auto, clustered, unclustered, or sequential, got %q\n", *qmPlan)
-		os.Exit(2)
+		return fmt.Errorf("vmsim: -qm-plan must be auto, clustered, unclustered, or sequential, got %q", *qmPlan)
 	}
 	if plan != core.PlanAuto && (*sweep != "" || *allStrategies) {
-		fmt.Fprintln(os.Stderr, "vmsim: -qm-plan is not supported with -sweep or -all-strategies")
-		os.Exit(2)
+		return fmt.Errorf("vmsim: -qm-plan is not supported with -sweep or -all-strategies")
 	}
 
 	if *recoverDir != "" {
-		if err := runRecover(os.Stdout, *recoverDir, *ckptEvery); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return runRecover(w, *recoverDir, *ckptEvery)
 	}
 	if *walDir != "" {
-		if err := runWAL(os.Stdout, *walDir, *ckptEvery, 200, 40, 5, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return runWAL(w, *walDir, *ckptEvery, 200, 40, 5, *seed)
 	}
 
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
 		defer pf.Close()
 		if err := pprof.StartCPUProfile(pf); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -112,32 +107,28 @@ func main() {
 	p := costmodel.Default()
 	p.N, p.K, p.Q, p.L, p.F, p.FV, p.FR2 = *n, *k, *q, *l, *f, *fv, *fr2
 	if err := p.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 	kind, err := parseAgg(*aggName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 
-	fmt.Printf("model %d, N=%g k=%g q=%g l=%g f=%g fv=%g (P=%.2f, u=%g), seed %d\n\n",
+	fmt.Fprintf(w, "model %d, N=%g k=%g q=%g l=%g f=%g fv=%g (P=%.2f, u=%g), seed %d\n\n",
 		*model, p.N, p.K, p.Q, p.L, p.F, p.FV, p.P(), p.U(), *seed)
 
 	if *sweep != "" {
 		ps, err := parseFloats(*sweep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
 		points, err := sim.SweepP(sim.Model(*model), p, ps, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fig := sim.MeasuredFigure("sweep", fmt.Sprintf("measured model-%d sweep", *model), "P", points)
-		fmt.Print(report.Render(fig))
-		return
+		fmt.Fprint(w, report.Render(fig))
+		return nil
 	}
 
 	rows := [][]string{}
@@ -148,8 +139,7 @@ func main() {
 		cmps, err = sim.CompareStrategies(sim.Config{Model: sim.Model(*model), Plan: plan, Params: p, Seed: *seed, AggKind: kind, Skew: *skew}, sim.PaperStrategies)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	for _, c := range cmps {
 		rows = append(rows, []string{
@@ -159,42 +149,42 @@ func main() {
 			fmt.Sprintf("%.1f", c.Model),
 		})
 	}
-	fmt.Print(report.Table([]string{"strategy", "measured ms/query", "scope ms/query", "model ms/query"}, rows))
-	fmt.Println("\nscope = measured minus base-update phases (commit-write, fold); compare to model.")
+	fmt.Fprint(w, report.Table([]string{"strategy", "measured ms/query", "scope ms/query", "model ms/query"}, rows))
+	fmt.Fprintln(w, "\nscope = measured minus base-update phases (commit-write, fold); compare to model.")
 	pruned := make([]string, 0, len(cmps))
 	for _, c := range cmps {
 		pruned = append(pruned, fmt.Sprintf("%s %.1f/query", c.Strategy, c.PrunedPerQuery))
 	}
-	fmt.Printf("pages pruned (zone maps): %s\n", strings.Join(pruned, ", "))
+	fmt.Fprintf(w, "pages pruned (zone maps): %s\n", strings.Join(pruned, ", "))
 
 	if *verbose || *plans {
 		for _, st := range sim.PaperStrategies {
 			res, err := sim.Run(sim.Config{Model: sim.Model(*model), Strategy: st, Plan: plan, Params: p, Seed: *seed, AggKind: kind})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			if *verbose {
 				phases := map[string]storage.Stats{}
 				for ph, s := range res.Breakdown {
 					phases[string(ph)] = s
 				}
-				fmt.Printf("\n%s breakdown:\n", st)
-				fmt.Print(report.Breakdown(phases, p.C1, p.C2, p.C3))
+				fmt.Fprintf(w, "\n%s breakdown:\n", st)
+				fmt.Fprint(w, report.Breakdown(phases, p.C1, p.C2, p.C3))
 			}
 			if *plans {
-				fmt.Printf("\n%s operator trees:\n", st)
+				fmt.Fprintf(w, "\n%s operator trees:\n", st)
 				paths := make([]string, 0, len(res.PlanTrees))
 				for path := range res.PlanTrees {
 					paths = append(paths, path)
 				}
 				sort.Strings(paths)
 				for _, path := range paths {
-					fmt.Printf("[%s]\n%s", path, res.PlanTrees[path])
+					fmt.Fprintf(w, "[%s]\n%s", path, res.PlanTrees[path])
 				}
 			}
 		}
 	}
+	return nil
 }
 
 func parseFloats(csv string) ([]float64, error) {
