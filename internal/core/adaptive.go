@@ -156,13 +156,6 @@ func (db *Database) DisableAdaptive() {
 	db.mu.Unlock()
 }
 
-// AdaptiveEnabled reports whether the advisor is observing.
-func (db *Database) AdaptiveEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.adv != nil
-}
-
 // observeViewQuery records one query against a top-level view: the
 // fraction of the view it retrieved feeds the fv estimate. Called
 // under the engine read lock (write lock callers are also safe).

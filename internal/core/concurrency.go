@@ -19,7 +19,11 @@ import (
 //     differential refresh while the other N−1 wait for its result,
 //   - RefreshAll: the §4 "idle time" refresh generalized to the whole
 //     catalog, with independent stale views refreshed in parallel by a
-//     bounded worker pool (Options.MaxRefreshWorkers).
+//     bounded worker pool (Options.MaxRefreshWorkers),
+//   - runUnitLocked: the one function through which every refresh
+//     outside a commit runs and is logged — the leader's, RefreshAll's,
+//     an explicit RefreshSnapshot or RefreshDeferredNow, and WAL replay
+//     of any of them.
 //
 // The paper's deferred strategy wins precisely when many update
 // transactions interleave with occasional view reads; these pieces are
@@ -104,27 +108,54 @@ func (db *Database) leaderRefresh(name string) error {
 		return nil
 	}
 	db.flightLeaders.Add(1)
-	clockBefore := db.clock.Load()
 	if err := db.pool.EvictAll(); err != nil {
 		return err
 	}
-	if err := db.refreshStaleLocked(vs); err != nil {
-		return err
-	}
-	// The refresh mutated durable state outside a commit; make it
-	// replayable before any later record depends on its outcome.
-	return db.logRefreshLocked(name, refreshKindStale, clockBefore)
+	return db.runUnitLocked(refreshUnit{views: []*viewState{vs}})
 }
 
-// refreshUnit is one independently schedulable batch of RefreshAll
-// work: a deferred connected component (represented by one of its
-// views — its read-time refresh pulls in the rest through shared
-// hypothetical relations), a batch of stale snapshot/recompute views
-// over the same relation list, or — when parent is set — sibling
-// children that drain one position of that parent's delta log together.
+// refreshNow is an explicit refresh of one view of the given strategy
+// (RefreshSnapshot, RefreshDeferredNow): charged from a cold cache like
+// a query-triggered one, and forced — the caller's say-so stands in for
+// the strategy's trigger.
+func (db *Database) refreshNow(view string, want Strategy) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	vs, ok := db.views[view]
+	if !ok {
+		return fmt.Errorf("core: unknown view %q", view)
+	}
+	if vs.strategy != want {
+		return fmt.Errorf("core: view %q is not a %s view", view, want)
+	}
+	if err := db.pool.EvictAll(); err != nil {
+		return err
+	}
+	return db.runUnitLocked(refreshUnit{views: []*viewState{vs}, force: true})
+}
+
+// refreshUnit is one refresh outside a commit, and exactly what a
+// refresh WAL record holds: the views brought current, in order, and
+// whether the strategy's own staleness test is skipped. RefreshAll
+// schedules units that are independent of each other — a deferred
+// connected component (represented by one of its views: its fold pulls
+// in the rest through shared hypothetical relations), a batch of stale
+// snapshot/recompute views over the same relation list, or sibling
+// children standing at one position of their parent's delta log; a
+// query's read-time refresh and an explicit refresh are units of one
+// view.
 type refreshUnit struct {
-	views  []*viewState
-	parent *viewState
+	views []*viewState
+	force bool
+}
+
+// names are the unit's views as a record and a stat name them.
+func (u refreshUnit) names() []string {
+	out := make([]string, len(u.views))
+	for i, vs := range u.views {
+		out[i] = vs.def.Name
+	}
+	return out
 }
 
 // RefreshUnitStat records one RefreshAll unit's work: the views it was
@@ -199,12 +230,21 @@ func (db *Database) RefreshAll() error {
 func (db *Database) runUnitsLocked(units []refreshUnit, workers int, stats *[]RefreshUnitStat) error {
 	out := make([]RefreshUnitStat, len(units))
 	errs := make([]error, len(units))
+	run := func(i int) bool {
+		out[i].Views = units[i].names()
+		before := db.meter.Snapshot()
+		scansBefore := db.deltaScans.Load()
+		errs[i] = db.runUnitLocked(units[i])
+		out[i].IO = db.meter.Snapshot().Sub(before)
+		out[i].DeltaScans = db.deltaScans.Load() - scansBefore
+		return errs[i] == nil
+	}
 	if workers > len(units) {
 		workers = len(units)
 	}
 	if workers <= 1 {
-		for i, u := range units {
-			if out[i], errs[i] = db.runUnitLocked(u); errs[i] != nil {
+		for i := range units {
+			if !run(i) {
 				break
 			}
 		}
@@ -215,11 +255,10 @@ func (db *Database) runUnitsLocked(units []refreshUnit, workers int, stats *[]Re
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				failed := false
+				ok := true
 				for i := range jobs {
-					if !failed { // drain remaining jobs after a failure
-						out[i], errs[i] = db.runUnitLocked(units[i])
-						failed = errs[i] != nil
+					if ok { // drain remaining jobs after a failure
+						ok = run(i)
 					}
 				}
 			}()
@@ -239,41 +278,55 @@ func (db *Database) runUnitsLocked(units []refreshUnit, workers int, stats *[]Re
 	return nil
 }
 
-// runUnitLocked refreshes one unit and accounts for it. Each refresh
-// mutates durable state outside a commit, so it is logged as it ran —
-// top-level views one record each, siblings drained together as one
-// group record — and replay re-runs the same refreshes in the same
-// order, which applies the same deltas and draws the same tuple ids (a
-// no-op without a WAL, the only case in which workers run this
-// concurrently).
-func (db *Database) runUnitLocked(u refreshUnit) (RefreshUnitStat, error) {
-	st := RefreshUnitStat{Views: make([]string, len(u.views))}
-	for i, vs := range u.views {
-		st.Views[i] = vs.def.Name
-	}
-	before := db.meter.Snapshot()
-	scansBefore := db.deltaScans.Load()
-	var err error
-	if u.parent != nil {
-		clockBefore := db.clock.Load()
-		err = db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(u.views, u.parent) })
-		if err == nil {
-			err = db.logRefreshGroupLocked(st.Views, clockBefore)
+// runUnitLocked is the one refresh entry outside a commit: every live
+// caller (a query's single-flight leader, RefreshAll, RefreshSnapshot,
+// RefreshDeferredNow) and WAL replay run a unit here and nowhere else.
+// The refresh mutates durable state outside a commit, so it is logged
+// as it ran, bracketed by the id clock before and after; replay hands
+// the record's unit back to this function, which applies the same
+// deltas and draws the same tuple ids (logging is a no-op without a
+// WAL — during replay, and the only case in which RefreshAll's workers
+// run this concurrently).
+//
+// Siblings standing at one position of their fresh parent's log drain
+// it together, as one refresh group sharing one replay of the suffix;
+// anything else is brought current view by view, in order, by the
+// strategy's rule.
+func (db *Database) runUnitLocked(u refreshUnit) error {
+	clockBefore := db.clock.Load()
+	if parent := db.siblingParentLocked(u.views); parent != nil {
+		err := db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(u.views, parent) })
+		if err != nil {
+			return err
 		}
 	} else {
 		for _, vs := range u.views {
-			clockBefore := db.clock.Load()
-			if err = db.refreshStaleLocked(vs); err == nil {
-				err = db.logRefreshLocked(vs.def.Name, refreshKindStale, clockBefore)
-			}
-			if err != nil {
-				break
+			if err := db.refreshStaleLocked(vs, u.force); err != nil {
+				return err
 			}
 		}
 	}
-	st.IO = db.meter.Snapshot().Sub(before)
-	st.DeltaScans = db.deltaScans.Load() - scansBefore
-	return st, err
+	return db.logRefreshLocked(u, clockBefore)
+}
+
+// siblingParentLocked returns the view whose delta log the views drain
+// together — they are two or more differential children of it, all at
+// one log position, and it is fresh — or nil.
+func (db *Database) siblingParentLocked(views []*viewState) *viewState {
+	if len(views) < 2 {
+		return nil
+	}
+	parent := db.parentOf(views[0])
+	if parent == nil || db.viewStale(parent) {
+		return nil
+	}
+	at, _ := logPositionOf(views[0])
+	for _, vs := range views {
+		if pos, _ := logPositionOf(vs); !vs.row().delta || pos != at {
+			return nil
+		}
+	}
+	return parent
 }
 
 // anyStaleChildLocked reports whether the hierarchy pass has work.
@@ -337,13 +390,6 @@ func (db *Database) SetMaxRefreshWorkers(n int) {
 	db.mu.Lock()
 	db.maxRefreshWorkers = n
 	db.mu.Unlock()
-}
-
-// MaxRefreshWorkers returns the configured RefreshAll worker bound.
-func (db *Database) MaxRefreshWorkers() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.maxRefreshWorkers
 }
 
 // ViewIsStale reports whether a query against the view would trigger

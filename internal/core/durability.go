@@ -21,9 +21,10 @@ import (
 //     screening, immediate refreshes and periodic deferred refreshes
 //     are all regenerated rather than logged physically.
 //
-//   - Query-triggered refreshes mutate view state without a commit
-//     (AD folds, differential refreshes, snapshot recomputes), so each
-//     one appends a refresh record naming the view and the trigger. The
+//   - Refreshes outside a commit mutate view state (AD folds,
+//     differential refreshes, snapshot recomputes). Each is one unit
+//     run by runUnitLocked, which appends a refresh record naming the
+//     unit's views; replay hands the record back to runUnitLocked. The
 //     record is not synced on its own: losing it leaves the view stale
 //     but correct, and the log is sequential, so the next commit's sync
 //     hardens it before anything that depends on it.
@@ -89,27 +90,13 @@ type DurabilityOptions struct {
 // one image plus two images' worth of deltas.
 const fullRewriteFactor = 2
 
-// WAL record kinds.
+// WAL record kinds. 2 and 3 were the per-trigger refresh record and the
+// sibling-group refresh record of earlier builds; the numbers stay
+// retired so that a log written then is refused as an unknown kind
+// rather than misread as a unit.
 const (
 	recCommit  uint8 = 1
-	recRefresh uint8 = 2
-	// recRefreshGroup is RefreshAll draining sibling children through one
-	// replay of their parent's log. Replay must drain the same group: it
-	// draws tuple ids for all of them between the record's two clocks.
-	recRefreshGroup uint8 = 3
-)
-
-// Refresh-record triggers.
-const (
-	// refreshKindStale replays leaderRefresh: evict, then the
-	// strategy-appropriate refresh if the view is (still) stale.
-	refreshKindStale uint8 = 1
-	// refreshKindSnapshotForce replays RefreshSnapshot's unconditional
-	// recompute.
-	refreshKindSnapshotForce uint8 = 2
-	// refreshKindDeferredNow replays RefreshDeferredNow's idle-time
-	// deferred cycle.
-	refreshKindDeferredNow uint8 = 3
+	recRefresh uint8 = 4
 )
 
 // walRecord is the payload of one WAL frame. ClockBefore is the id clock
@@ -124,20 +111,17 @@ type walRecord struct {
 	// ops is a commit record's transaction: the queued ops with the ids
 	// they were assigned.
 	ops []txOp
-	// view and trigger are a refresh record's: which view a query
-	// refreshed and how (the refreshKind constants).
-	view    string
-	trigger uint8
-	// views are a group refresh record's: the siblings drained together.
+	// views and force are a refresh record's: the refreshUnit that ran,
+	// its views by name.
 	views []string
+	force bool
 }
 
 // code walks a record's byte layout: [8 seq][1 kind], then for a commit
 // the two clocks and the ops — each in CodeTxOp's layout followed by
 // the [8 id] it was assigned (an insert's tuple, an update's
-// replacement; a delete assigns none) — for a refresh the view name,
-// [1 trigger] and the two clocks, and for a group refresh the view
-// names and the two clocks.
+// replacement; a delete assigns none) — and for a refresh the view
+// names, [1 force] and the two clocks.
 func (rec *walRecord) code(c *tuple.Coder) {
 	c.U64(&rec.seq)
 	c.U8(&rec.kind)
@@ -155,12 +139,8 @@ func (rec *walRecord) code(c *tuple.Coder) {
 			}
 		})
 	case recRefresh:
-		c.Str(&rec.view)
-		c.U8(&rec.trigger)
-		c.U64(&rec.clockBefore)
-		c.U64(&rec.clockAfter)
-	case recRefreshGroup:
 		tuple.List(c, &rec.views, 1, (*tuple.Coder).Str)
+		c.Bool(&rec.force)
 		c.U64(&rec.clockBefore)
 		c.U64(&rec.clockAfter)
 	default:
@@ -301,26 +281,15 @@ func (db *Database) logCommitLocked(ops []txOp, clockBefore uint64) error {
 	return nil
 }
 
-// logRefreshLocked appends a refresh record. A no-op when durability is
-// off.
-func (db *Database) logRefreshLocked(view string, trigger uint8, clockBefore uint64) error {
+// logRefreshLocked appends the refresh record of a unit that ran. A
+// no-op when durability is off.
+func (db *Database) logRefreshLocked(u refreshUnit, clockBefore uint64) error {
 	if db.dur == nil {
 		return nil
 	}
-	if err := db.appendRecordLocked(&walRecord{kind: recRefresh, view: view, trigger: trigger, clockBefore: clockBefore}); err != nil {
-		return fmt.Errorf("core: logging refresh of %q: %w", view, err)
-	}
-	return nil
-}
-
-// logRefreshGroupLocked appends a group refresh record for siblings
-// RefreshAll drained together. A no-op when durability is off.
-func (db *Database) logRefreshGroupLocked(views []string, clockBefore uint64) error {
-	if db.dur == nil {
-		return nil
-	}
-	if err := db.appendRecordLocked(&walRecord{kind: recRefreshGroup, views: views, clockBefore: clockBefore}); err != nil {
-		return fmt.Errorf("core: logging refresh of %q: %w", views, err)
+	rec := walRecord{kind: recRefresh, views: u.names(), force: u.force, clockBefore: clockBefore}
+	if err := db.appendRecordLocked(&rec); err != nil {
+		return fmt.Errorf("core: logging refresh of %q: %w", rec.views, err)
 	}
 	return nil
 }
@@ -442,49 +411,16 @@ func (db *Database) applyRecordLocked(rec *walRecord) error {
 			}
 		}
 		err = db.applyOpsLocked(rec.ops)
-	case recRefreshGroup:
-		// Mirror runUnitLocked: the parent's own record came first, so it
-		// is fresh here and the siblings stand where they stood.
-		var group []*viewState
-		var parent *viewState
+	case recRefresh:
+		u := refreshUnit{force: rec.force}
 		for _, name := range rec.views {
-			vs := db.views[name]
-			if vs == nil || db.parentOf(vs) == nil || parent != nil && db.parentOf(vs) != parent {
-				return fmt.Errorf("core: group refresh record names %q, not a sibling child view", name)
+			vs, ok := db.views[name]
+			if !ok {
+				return fmt.Errorf("core: refresh record for unknown view %q", name)
 			}
-			group, parent = append(group, vs), db.parentOf(vs)
+			u.views = append(u.views, vs)
 		}
-		if parent == nil {
-			return fmt.Errorf("core: empty group refresh record")
-		}
-		err = db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(group, parent) })
-	default:
-		vs, ok := db.views[rec.view]
-		if !ok {
-			return fmt.Errorf("core: refresh record for unknown view %q", rec.view)
-		}
-		switch rec.trigger {
-		case refreshKindStale:
-			// Mirror leaderRefresh: the record was only written after an
-			// actual refresh, and replay determinism means the view is
-			// stale again here; the guard keeps a hypothetical mismatch
-			// from mutating state the original run did not.
-			if db.viewStale(vs) {
-				if err = db.pool.EvictAll(); err == nil {
-					err = db.refreshStaleLocked(vs)
-				}
-			}
-		case refreshKindSnapshotForce:
-			if err = db.pool.EvictAll(); err == nil {
-				err = db.inPhase(PhaseDefRefresh, func() error { return db.recomputeView(vs) })
-			}
-		case refreshKindDeferredNow:
-			if err = db.pool.EvictAll(); err == nil {
-				err = db.foldRelationsLocked(vs.def.Relations)
-			}
-		default:
-			err = fmt.Errorf("core: unknown refresh trigger %d", rec.trigger)
-		}
+		err = db.runUnitLocked(u)
 	}
 	if err != nil {
 		return err

@@ -142,10 +142,13 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(commit)
 	f.Add(commit[:len(commit)-5])
 	f.Add(append(bytes.Clone(commit), 0))
-	f.Add(encode(&walRecord{seq: 10, kind: recRefresh, view: "v", trigger: refreshKindStale, clockBefore: 43, clockAfter: 50}))
+	f.Add(encode(&walRecord{seq: 10, kind: recRefresh, views: []string{"v"}, clockBefore: 43, clockAfter: 50}))
 	f.Add([]byte{1, 9}) // seq 1, a kind that does not exist
 	f.Add([]byte{})
-	f.Add(encode(&walRecord{seq: 11, kind: recRefreshGroup, views: []string{"c1", "c2"}, clockBefore: 118, clockAfter: 135}))
+	f.Add(encode(&walRecord{seq: 11, kind: recRefresh, views: []string{"c1", "c2"}, force: true, clockBefore: 118, clockAfter: 135}))
+	for _, old := range retiredRefreshRecords {
+		f.Add(old)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec walRecord
@@ -160,4 +163,58 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("record %+v re-encodes to %x (%v), decoded from %x", rec, again, err, data)
 		}
 	})
+}
+
+// retiredRefreshRecords are refresh records as the build before the
+// one-unit record wrote them: kind 2 (seq 10, view "v", trigger 1,
+// clocks 43 and 50) and kind 3 (seq 11, siblings "c1" and "c2", clocks
+// 118 and 135).
+var retiredRefreshRecords = [][]byte{
+	{10, 2, 1, 'v', 1, 43, 50},
+	{11, 3, 2, 2, 'c', '1', 2, 'c', '2', 118, 135, 1},
+}
+
+// TestRetiredRefreshKindsRefused: a log holding a refresh record of a
+// retired kind ends at that record like any corrupt tail — it is never
+// read as a unit of the new layout, so the view it names stays stale.
+func TestRetiredRefreshKindsRefused(t *testing.T) {
+	for _, old := range retiredRefreshRecords {
+		var rec walRecord
+		dec := tuple.NewDecoder(old).Compact()
+		rec.code(&dec)
+		if _, err := dec.Done(); err == nil {
+			t.Fatalf("retired record %x decoded as %+v", old, rec)
+		}
+
+		walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
+		db := newSPDatabase(t, Deferred, 20)
+		if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		if _, err := tx.Insert("r", tuple.I(15), tuple.I(1), tuple.S("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// The commit is seq 1, so the old record's seq is past the snapshot.
+		if err := db.dur.log.Append(old); err != nil {
+			t.Fatal(err)
+		}
+		wd, sd, err := cleanReboot(walDev, snapDev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, info, err := Recover(wd, sd, DurabilityOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.TailDamage != "corrupt" || info.Replayed != 1 {
+			t.Errorf("record %x: info = %+v, want the commit replayed and a corrupt tail", old, info)
+		}
+		if stale, err := got.ViewIsStale("v"); err != nil || !stale {
+			t.Errorf("record %x: view stale = %v, %v after recovery; the retired record was applied", old, stale, err)
+		}
+	}
 }

@@ -55,25 +55,11 @@ func (db *Database) SetSnapshotInterval(view string, commits int) error {
 }
 
 // RefreshSnapshot forces an immediate full recomputation of a snapshot
-// view (the DBA's "refresh snapshot" command of [Lind86]).
+// view (the DBA's "refresh snapshot" command of [Lind86]). A snapshot
+// over a view is rebuilt from that view brought current first, like
+// every other refresh of a child.
 func (db *Database) RefreshSnapshot(view string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	vs, ok := db.views[view]
-	if !ok {
-		return fmt.Errorf("core: unknown view %q", view)
-	}
-	if vs.strategy != Snapshot {
-		return fmt.Errorf("core: view %q is not a snapshot view", view)
-	}
-	clockBefore := db.clock.Load()
-	if err := db.pool.EvictAll(); err != nil {
-		return err
-	}
-	if err := db.inPhase(PhaseDefRefresh, func() error { return db.recomputeView(vs) }); err != nil {
-		return err
-	}
-	return db.logRefreshLocked(view, refreshKindSnapshotForce, clockBefore)
+	return db.refreshNow(view, Snapshot)
 }
 
 // SnapshotStaleness returns how many commits have modified the

@@ -19,7 +19,7 @@ import (
 // higher-order delta: it was already screened, projected and
 // duplicate-counted by the parent, so a child consumes it exactly as it
 // would a base-relation net-change stream, except that polarity order
-// must be preserved (see exec.ViewDeltaScan).
+// must be preserved (see exec.NewViewDeltaScan).
 //
 // The hierarchy is a DAG by construction: CreateView requires parents
 // to exist, and the batch API CreateViews topologically orders forward
@@ -407,7 +407,7 @@ func (db *Database) staleChildUnitsLocked(level []string) []refreshUnit {
 		}
 	}
 	for _, g := range groupViews(draining, logPositionOf) {
-		units = append(units, refreshUnit{views: g, parent: db.parentOf(g[0])})
+		units = append(units, refreshUnit{views: g})
 	}
 	return units
 }

@@ -138,6 +138,7 @@ type phaseMix struct {
 	split   bool   // commit after every mutation: each is its own transaction
 	queries int    // query points per round; 0 = one every second round
 	advisor bool   // a refresh step on rounds ≡ 3 mod 7 and a tick after every round
+	refresh bool   // a refresh step between the transactions and the queries of every odd round
 }
 
 // churn is rounds of 1–3 single-mutation transactions and a query point.
@@ -197,6 +198,9 @@ func genScript(rng *rand.Rand, key func(rel int) int64, nrels int, phases ...pha
 				if !mix.split {
 					steps = append(steps, step{op: "commit"})
 				}
+			}
+			if mix.refresh && r%2 == 1 {
+				steps = append(steps, step{op: "refresh"})
 			}
 			nq := mix.queries
 			if nq == 0 && r%2 == 0 {
@@ -283,6 +287,12 @@ func groupedFx(kind agg.Kind, n int) *fixture {
 }
 
 func model1Fx() *fixture { return spFx("model1", 30, 40, spDef("v")) }
+
+// chainFx is v over r and two children over v, which stand at one
+// position of its delta log whenever they were refreshed together.
+func chainFx() *fixture {
+	return spFx("chain", 30, 40, spDef("v"), childSPDef("c1", "v", 12, 20), childSPDef("c2", "v", 15, 28))
+}
 func model2Fx() *fixture { return joinFx("model2", 30, 8, 90, joinDef("j")) }
 func model3Fx(kind agg.Kind) *fixture {
 	return spFx("model3-"+kind.String(), 30, 40, aggDef("sumv", kind))
@@ -389,7 +399,7 @@ type engineConfig struct {
 	snapshotEvery int  // staleness budget of Snapshot views; 0 keeps them comparable to the consistent strategies
 	blakeley      bool // join views refresh by Blakeley's uncorrected expansion
 	heavyLight    bool // heavy-light partitioning on the first mutated relation
-	adaptive      bool // the online advisor; tick and refresh steps act on this engine
+	adaptive      bool // the online advisor; tick steps act on this engine, and refresh steps on it and on wal engines
 	wal           bool // durability on in-memory devices, checkpointing every ckptEvery commits (0 = never)
 	ckptEvery     int
 
@@ -644,8 +654,30 @@ func (e *engine) apply(fx *fixture, s step) error {
 			return err
 		}
 	case "refresh":
-		if e.cfg.adaptive {
-			return e.db.RefreshAll()
+		if e.cfg.adaptive || e.cfg.wal {
+			return e.refreshExplicitly(fx)
+		}
+	}
+	return nil
+}
+
+// refreshExplicitly brings every view current by the explicit call its
+// strategy has, so that between them the scripts reach every caller of
+// the refresh entry that a query point (the read-time refresh, and
+// RefreshAll under refreshAll) does not.
+func (e *engine) refreshExplicitly(fx *fixture) error {
+	for _, d := range fx.views {
+		var err error
+		switch _, st, _ := e.db.View(d.Name); st {
+		case Snapshot:
+			err = e.db.RefreshSnapshot(d.Name)
+		case Deferred:
+			err = e.db.RefreshDeferredNow(d.Name)
+		default:
+			err = e.db.RefreshAll()
+		}
+		if err != nil {
+			return fmt.Errorf("refresh %s: %w", d.Name, err)
 		}
 	}
 	return nil
@@ -1267,9 +1299,13 @@ func lockstepTable() []row {
 				{"subject", "rowpages", "positional"}, {"subject", "oracle", "multiset"}, {"subject", "batch1", "meters"}}})
 	}
 
-	// Recovery: Recover ≡ live, byte for byte, at every query point.
+	// Recovery: Recover ≡ live, byte for byte, at every query point. The
+	// odd rounds refresh explicitly before they query, the even ones leave
+	// it to the read, so every producer of a refresh record is replayed.
+	refreshing := churn(5)
+	refreshing[0].refresh = true
 	recovers := func(test string, fx func(*rand.Rand, int64) *fixture, lo, hi int64, script []step, cfgs ...engineConfig) {
-		r := row{test: test, fixture: fx, configs: cfgs, seeds: [2]int64{lo, hi}, phases: churn(5), script: script}
+		r := row{test: test, fixture: fx, configs: cfgs, seeds: [2]int64{lo, hi}, phases: refreshing, script: script}
 		for i := range cfgs {
 			cfgs[i].wal = true
 			cfgs[i].name += fmt.Sprintf("+wal@%d", cfgs[i].ckptEvery)
@@ -1279,6 +1315,8 @@ func lockstepTable() []row {
 	}
 	for _, ck := range []int{0, 1, 3} {
 		recovers("TestPropertyRecoverEquivalentToSaveLoad", static(model1Fx()), 2100, 2104, nil,
+			engineConfig{name: "deferred", strategy: Deferred, ckptEvery: ck})
+		recovers("TestPropertyRecoverEquivalentToSaveLoad", static(chainFx()), 2100, 2104, nil,
 			engineConfig{name: "deferred", strategy: Deferred, ckptEvery: ck})
 	}
 	for _, ck := range []int{0, 3} {
@@ -1292,6 +1330,13 @@ func lockstepTable() []row {
 		recovers("TestLockstepRecover/model1", static(model1Fx()), 500, 505, nil, all()...)
 		recovers("TestLockstepRecover/model2", static(model2Fx()), 900, 905, nil, all()...)
 		recovers("TestLockstepRecover/model3", static(model3Fx(agg.Sum)), 1300, 1305, nil, all()...)
+		// A chain has no query-modification parent. The two extra configs
+		// are what only they reach: siblings drained as one unit by
+		// RefreshAll, and a forced rebuild of a snapshot inside its budget,
+		// which replay repeats only if the record kept the force.
+		recovers("TestLockstepRecover/chain", static(chainFx()), 500, 505, nil, append(all()[1:],
+			engineConfig{name: "deferred+refreshAll", strategy: Deferred, refreshAll: true, ckptEvery: ck},
+			engineConfig{name: "snapshot@3", strategy: Snapshot, snapshotEvery: 3, ckptEvery: ck})...)
 		for _, hl := range []bool{false, true} {
 			c := engineConfig{name: fmt.Sprintf("drawn+hl=%v", hl), opts: four, drawn: true, heavyLight: hl, refreshAll: true, ckptEvery: ck}
 			recovers("TestLockstepRecover/hierarchy", hierFx, 4200, 4205, nil, c)

@@ -40,45 +40,26 @@ func (db *Database) SetDeferredRefreshEvery(view string, n int) error {
 // arriving after an idle-time refresh finds the view current and pays
 // only the read.
 func (db *Database) RefreshDeferredNow(view string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	vs, ok := db.views[view]
-	if !ok {
-		return fmt.Errorf("core: unknown view %q", view)
-	}
-	if vs.strategy != Deferred {
-		return fmt.Errorf("core: view %q is not deferred", view)
-	}
-	clockBefore := db.clock.Load()
-	if err := db.pool.EvictAll(); err != nil {
-		return err
-	}
-	if err := db.foldRelationsLocked(vs.def.Relations); err != nil {
-		return err
-	}
-	return db.logRefreshLocked(view, refreshKindDeferredNow, clockBefore)
+	return db.refreshNow(view, Deferred)
 }
 
 // runPeriodicDeferredRefresh is called at the end of Commit: deferred
-// views with a refresh period count touching commits and refresh when
-// the period elapses — in name order, like every other commit-time
+// views whose refresh period has elapsed (noteCommitLocked counted this
+// commit) refresh — in name order, like every other commit-time
 // refresh, so replay reproduces the ids they draw.
-func (db *Database) runPeriodicDeferredRefresh(touched map[string]bool) error {
-	var counting []*viewState
+func (db *Database) runPeriodicDeferredRefresh() error {
+	var due []*viewState
 	for _, vs := range db.views {
-		if vs.strategy == Deferred && vs.refreshEvery != 0 && anyIn(vs.def.Relations, touched) {
-			counting = append(counting, vs)
+		if vs.strategy == Deferred && vs.refreshEvery != 0 && vs.staleCommits >= vs.refreshEvery {
+			due = append(due, vs)
 		}
 	}
-	sortViewsByName(counting)
-	for _, vs := range counting {
-		vs.staleCommits++
-		if vs.staleCommits >= vs.refreshEvery {
-			if err := db.foldRelationsLocked(vs.def.Relations); err != nil {
-				return err
-			}
-			vs.staleCommits = 0
+	sortViewsByName(due)
+	for _, vs := range due {
+		if err := db.refreshStaleLocked(vs, false); err != nil {
+			return err
 		}
+		vs.staleCommits = 0
 	}
 	return nil
 }

@@ -162,3 +162,91 @@ func dbCurrentID(t *testing.T, db *Database, k int64) uint64 {
 	}
 	return tuples[0].ID
 }
+
+// newChildDatabase is newSPDatabase plus a child c = σ(12 ≤ k < 20)(v)
+// of the given strategy.
+func newChildDatabase(t *testing.T, parent, child Strategy) *Database {
+	t.Helper()
+	db := newSPDatabase(t, parent, 50)
+	if err := db.CreateView(childSPDef("c", "v", 12, 20), child); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// An idle-time refresh of a deferred child goes through its parent:
+// the AD file is folded, the parent logs the delta and the child drains
+// it.
+func TestRefreshDeferredNowOnChild(t *testing.T) {
+	db := newChildDatabase(t, Deferred, Deferred)
+	insertInView(t, db, 15)
+	if stale, _ := db.ViewIsStale("c"); !stale {
+		t.Fatal("child is not stale after a commit into its range")
+	}
+	if err := db.RefreshDeferredNow("c"); err != nil {
+		t.Fatal(err)
+	}
+	if stale, _ := db.ViewIsStale("c"); stale {
+		t.Error("child is still stale after RefreshDeferredNow")
+	}
+	if h, _ := db.HR("r"); h.ADLen() != 0 {
+		t.Errorf("AD holds %d tuples after RefreshDeferredNow on the child", h.ADLen())
+	}
+	db.ResetStats()
+	rows, err := db.QueryView("c", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 9 {
+		t.Errorf("rows = %d, want 9", len(rows))
+	}
+	bd := db.Breakdown()
+	if bd[PhaseADRead].Reads != 0 || bd[PhaseDefRefresh].IOs() != 0 || bd[PhaseFold].IOs() != 0 {
+		t.Errorf("query after idle refresh still paid refresh costs: %v", bd)
+	}
+}
+
+// A deferred child's refresh period counts commits to its base lineage
+// (its Relations name the parent view, which no commit touches).
+func TestPeriodicRefreshOnChild(t *testing.T) {
+	db := newChildDatabase(t, Deferred, Deferred)
+	if err := db.SetDeferredRefreshEvery("c", 2); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := db.HR("r")
+	insertInView(t, db, 15)
+	if h.ADLen() == 0 {
+		t.Fatal("first commit should sit in AD")
+	}
+	insertInView(t, db, 16)
+	if h.ADLen() != 0 {
+		t.Errorf("AD holds %d tuples: the second commit should have refreshed the child through its parent", h.ADLen())
+	}
+	if stale, _ := db.ViewIsStale("c"); stale {
+		t.Error("child is stale after its refresh period elapsed")
+	}
+}
+
+// RefreshSnapshot on a snapshot over a view brings the parent current
+// first, as every other refresh of a child does: the new copy shows the
+// commit the deferred parent had not applied yet.
+func TestRefreshSnapshotOnChildRefreshesParent(t *testing.T) {
+	db := newChildDatabase(t, Deferred, Snapshot)
+	if err := db.SetSnapshotInterval("c", 1000); err != nil { // only the forced refresh runs
+		t.Fatal(err)
+	}
+	insertInView(t, db, 15)
+	if err := db.RefreshSnapshot("c"); err != nil {
+		t.Fatal(err)
+	}
+	if stale, _ := db.ViewIsStale("v"); stale {
+		t.Error("parent is still stale after RefreshSnapshot on its child")
+	}
+	rows, err := db.QueryView("c", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 9 {
+		t.Errorf("rows = %d, want 9 (8 seeds and the k=15 commit)", len(rows))
+	}
+}

@@ -313,21 +313,25 @@ func (db *Database) viewStale(vs *viewState) bool {
 	return false
 }
 
-// refreshStaleLocked brings one view current by its strategy's
-// read-time rule: make the parent fresh first (recursively, so deep
-// chains converge), then rebuild, drain, or fold. Caller holds the
-// engine write lock.
-func (db *Database) refreshStaleLocked(vs *viewState) error {
+// refreshStaleLocked is the one bring-current rule: make the parent
+// fresh first (recursively, so deep chains converge — a child is only
+// ever refreshed through its parent), then rebuild, fold, or drain by
+// the strategy's row. force skips the one test that is the strategy's
+// own — a rebuilt-at-read view's staleness budget or dirty bit — for the
+// callers that refresh on a person's say-so rather than the trigger's;
+// a fold and a drain find out for themselves whether anything is
+// pending. Caller holds the engine write lock.
+func (db *Database) refreshStaleLocked(vs *viewState, force bool) error {
 	parent := db.parentOf(vs)
 	if parent != nil && db.viewStale(parent) {
-		if err := db.refreshStaleLocked(parent); err != nil {
+		if err := db.refreshStaleLocked(parent, false); err != nil {
 			return err
 		}
 	}
 	row := vs.row()
 	switch {
 	case row.rebuilds():
-		if !db.viewStale(vs) {
+		if !force && !db.viewStale(vs) {
 			return nil
 		}
 		return db.inPhase(PhaseDefRefresh, func() error { return db.recomputeView(vs) })
@@ -342,10 +346,10 @@ func (db *Database) refreshStaleLocked(vs *viewState) error {
 }
 
 // noteCommitLocked is the commit-time bookkeeping of the strategies
-// that rebuild at read time: every-n views count commits that touched
-// their lineage; dirty-at-read views go dirty only when the screened
-// tuples actually threaten the view (the per-tuple second stage after
-// the RIU test).
+// whose trigger counts: every-n views, and deferred views with a refresh
+// period (§4), count commits that touched their lineage; dirty-at-read
+// views go dirty only when the screened tuples actually threaten the
+// view (the per-tuple second stage after the RIU test).
 func (db *Database) noteCommitLocked(marked map[string]map[int]*deltas, touched map[string]bool) {
 	for _, vs := range db.views {
 		switch vs.row().trigger {
@@ -353,6 +357,10 @@ func (db *Database) noteCommitLocked(marked map[string]map[int]*deltas, touched 
 			// baseRels covers children too, whose Relations name a
 			// parent view rather than a base relation.
 			if anyIn(vs.baseRels, touched) {
+				vs.staleCommits++
+			}
+		case onStaleRead:
+			if vs.refreshEvery != 0 && anyIn(vs.baseRels, touched) {
 				vs.staleCommits++
 			}
 		case onDirtyRead:
@@ -419,17 +427,11 @@ func (db *Database) setStrategyLocked(vs *viewState, to Strategy) error {
 	// additionally rebuild if at all behind — their copy may predate
 	// folds that already happened, and may be inside its staleness
 	// budget, which the new strategy does not share.
-	if db.parentOf(vs) == nil {
-		if err := db.foldRelationsLocked(vs.def.Relations); err != nil {
-			return err
-		}
-	} else if db.viewStale(vs) {
-		if err := db.refreshStaleLocked(vs); err != nil {
-			return err
-		}
+	if err := db.refreshStaleLocked(vs, false); err != nil {
+		return err
 	}
 	if from.rebuilds() && (vs.staleCommits > 0 || vs.dirty || db.childPending(vs)) {
-		if err := db.inPhase(PhaseDefRefresh, func() error { return db.recomputeView(vs) }); err != nil {
+		if err := db.refreshStaleLocked(vs, true); err != nil {
 			return err
 		}
 	}

@@ -320,7 +320,7 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	}
 
 	// Deferred views with a periodic refresh policy (§4) refresh here.
-	if err := db.runPeriodicDeferredRefresh(touched); err != nil {
+	if err := db.runPeriodicDeferredRefresh(); err != nil {
 		return err
 	}
 

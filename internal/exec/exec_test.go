@@ -111,7 +111,7 @@ func TestUnchargedFilterChargesNothing(t *testing.T) {
 
 func TestSeqOpensInputsLazily(t *testing.T) {
 	var order []string
-	gen := func(name string, n int) *FuncSource {
+	gen := func(name string, n int) *MemSource {
 		return NewFuncSource(Options{BatchSize: 1}, name, func() ([]Row, error) {
 			order = append(order, name)
 			rows := make([]Row, n)

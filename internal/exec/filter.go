@@ -329,21 +329,14 @@ func opHoldsCmp(op pred.Op, c int) bool {
 }
 
 // Project computes each row's output values from its slot bindings.
-// Projection is pure tuple assembly; the model charges it nothing. The
-// column-spec form gathers output columns straight from the slot
-// vectors (projection as metadata); the closure form gathers each row
-// and calls the caller's target list.
+// Projection is pure tuple assembly; the model charges it nothing: the
+// output columns are gathered straight from the slot vectors
+// (projection as metadata).
 type Project struct {
 	base
 	label string
 	input Operator
-	fn    func(Row) []tuple.Value
 	cols  [][2]int // (slot, column) per output value
-}
-
-// NewProject builds a projection with the caller's target-list closure.
-func NewProject(o Options, label string, input Operator, fn func(Row) []tuple.Value) *Project {
-	return &Project{label: label, input: input, fn: fn}
 }
 
 // NewProjectCols builds a projection that copies (slot, column) pairs
@@ -361,25 +354,11 @@ func (p *Project) NextBatch() (*vec.Batch, error) {
 		return nil, err
 	}
 	out := b.Compact()
-	if p.fn != nil {
-		cols := make([]vec.Col, 0, 4)
-		for i := 0; i < out.NumRows(); i++ {
-			vals := p.fn(rowAt(out, i))
-			if i == 0 {
-				cols = make([]vec.Col, len(vals))
-			}
-			for c := range vals {
-				cols[c].Append(vals[c])
-			}
-		}
-		out.SetOut(cols)
-	} else {
-		cols := make([]vec.Col, len(p.cols))
-		for c, sc := range p.cols {
-			cols[c] = out.Slots[sc[0]][sc[1]]
-		}
-		out.SetOut(cols)
+	cols := make([]vec.Col, len(p.cols))
+	for c, sc := range p.cols {
+		cols[c] = out.Slots[sc[0]][sc[1]]
 	}
+	out.SetOut(cols)
 	return p.emitBatch(out), nil
 }
 

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"fmt"
-
-	"viewmat/internal/vec"
-)
+import "fmt"
 
 // Shared-delta plan nodes: when several views in one refresh unit have
 // differential plans whose delta sub-expression is identical (same base
@@ -52,37 +48,13 @@ func (fp DeltaFingerprint) String() string {
 	return fmt.Sprintf("delta %s", fp.Rel1)
 }
 
-// SharedDeltaScan replays an already-materialized shared delta to one
+// NewSharedDeltaScan replays an already-materialized shared delta to one
 // consumer's apply pipeline. The rows were produced (and their charges
 // attributed) by the build tree that ran once for the whole group, so
 // this source charges nothing — the consumer's own screening and apply
 // costs accrue downstream.
-type SharedDeltaScan struct {
-	base
-	fp   DeltaFingerprint
-	pack rowPacker
-}
-
-// NewSharedDeltaScan builds a replay source over the shared rows.
-func NewSharedDeltaScan(o Options, fp DeltaFingerprint, rows []Row) *SharedDeltaScan {
-	return &SharedDeltaScan{fp: fp, pack: rowPacker{rows: rows, size: o.size()}}
-}
-
-func (s *SharedDeltaScan) Open() error { s.pack.i = 0; return nil }
-
-func (s *SharedDeltaScan) NextBatch() (*vec.Batch, error) {
-	b := s.pack.next()
-	if b == nil {
-		return nil, nil
-	}
-	return s.emitBatch(b), nil
-}
-
-func (s *SharedDeltaScan) Close() error         { return nil }
-func (s *SharedDeltaScan) Children() []Operator { return nil }
-func (s *SharedDeltaScan) Stats() OpStats       { return s.stats() }
-func (s *SharedDeltaScan) Describe() string {
-	return fmt.Sprintf("SharedDeltaScan(%s rows=%d)", s.fp, len(s.pack.rows))
+func NewSharedDeltaScan(o Options, fp DeltaFingerprint, rows []Row) *MemSource {
+	return NewMemSource(o, fmt.Sprintf("SharedDeltaScan(%s rows=%d)", fp, len(rows)), rows)
 }
 
 // SharedDeltaNode wraps the executed build subtree for the one view

@@ -284,68 +284,63 @@ func packTuples(buf []tuple.Tuple, i *int, size int) *vec.Batch {
 	return b
 }
 
-// DeltaSource streams a transaction's (or epoch's) net change sets as
-// rows with polarity: the A set first (Insert=true), then the D set.
-type DeltaSource struct {
-	base
-	label      string
-	adds, dels []tuple.Tuple
-	i          int
-	size       int
-}
-
-// NewDeltaSource builds a delta stream labeled for plan rendering.
-func NewDeltaSource(o Options, label string, adds, dels []tuple.Tuple) *DeltaSource {
-	return &DeltaSource{label: label, adds: adds, dels: dels, size: o.size()}
-}
-
-func (s *DeltaSource) Open() error { return nil }
-
-func (s *DeltaSource) NextBatch() (*vec.Batch, error) {
-	total := len(s.adds) + len(s.dels)
-	if s.i >= total {
-		return nil, nil
-	}
-	b := &vec.Batch{}
-	for s.i < total {
-		var r Row
-		if s.i < len(s.adds) {
-			r = Row{T0: s.adds[s.i], Insert: true}
-		} else {
-			r = Row{T0: s.dels[s.i-len(s.adds)]}
-		}
-		if !appendRow(b, r, s.size) {
-			break
-		}
-		s.i++
-	}
-	return s.emitBatch(b), nil
-}
-
-func (s *DeltaSource) Close() error         { return nil }
-func (s *DeltaSource) Children() []Operator { return nil }
-func (s *DeltaSource) Stats() OpStats       { return s.stats() }
-func (s *DeltaSource) Describe() string {
-	return fmt.Sprintf("DeltaSource(%s a=%d d=%d)", s.label, len(s.adds), len(s.dels))
-}
-
-// FuncSource materializes rows from a generator run (bracketed) at
-// Open, so plan-time work — reading an aggregate page, fetching HR net
-// changes — is attributed to the tree that consumes it.
-type FuncSource struct {
+// MemSource is the one source over rows held in memory: given when the
+// plan is built, or made by a generator run (bracketed) at Open, so
+// plan-time work — reading an aggregate page, fetching HR net changes —
+// is attributed to the tree that consumes it. Rows given up front were
+// produced, and charged, elsewhere; replaying them charges nothing and
+// every Open replays them from the start.
+type MemSource struct {
 	base
 	label string
 	gen   func() ([]Row, error)
 	pack  rowPacker
 }
 
-// NewFuncSource builds a generator-backed source.
-func NewFuncSource(o Options, label string, gen func() ([]Row, error)) *FuncSource {
-	return &FuncSource{base: base{meter: o.Meter}, label: label, gen: gen, pack: rowPacker{size: o.size()}}
+// NewMemSource builds a source over rows, emitted in the order given.
+func NewMemSource(o Options, label string, rows []Row) *MemSource {
+	return &MemSource{label: label, pack: rowPacker{rows: rows, size: o.size()}}
 }
 
-func (s *FuncSource) Open() error {
+// NewFuncSource builds a generator-backed source.
+func NewFuncSource(o Options, label string, gen func() ([]Row, error)) *MemSource {
+	return &MemSource{base: base{meter: o.Meter}, label: label, gen: gen, pack: rowPacker{size: o.size()}}
+}
+
+// NewDeltaSource streams a transaction's (or epoch's) net change sets as
+// rows with polarity: the A set first (Insert=true), then the D set.
+func NewDeltaSource(o Options, label string, adds, dels []tuple.Tuple) *MemSource {
+	rows := make([]Row, 0, len(adds)+len(dels))
+	for _, tp := range adds {
+		rows = append(rows, Row{T0: tp, Insert: true})
+	}
+	for _, tp := range dels {
+		rows = append(rows, Row{T0: tp})
+	}
+	return NewMemSource(o, fmt.Sprintf("DeltaSource(%s a=%d d=%d)", label, len(adds), len(dels)), rows)
+}
+
+// NewViewDeltaScan replays a parent view's materialized delta log to one
+// child view's apply pipeline — the delta-of-delta source of DBToaster-
+// style higher-order maintenance: the parent's own differential refresh
+// produced (and was charged for) these rows, so the child's screening
+// and apply costs accrue downstream, keeping the tree==meter invariant
+// exact.
+//
+// Unlike NewDeltaSource (all inserts then all deletes — fine for net
+// changes against a base relation), the parent's log is replayed in
+// its original order: a matview row inserted and then deleted inside
+// one refresh would underflow the child's duplicate counts if the
+// polarities were regrouped.
+func NewViewDeltaScan(o Options, parent string, rows []Row) *MemSource {
+	return NewMemSource(o, fmt.Sprintf("ViewDeltaScan(%s rows=%d)", parent, len(rows)), rows)
+}
+
+func (s *MemSource) Open() error {
 	s.pack.i = 0
+	if s.gen == nil {
+		return nil
+	}
 	return s.bracket(func() error {
 		buf, err := s.gen()
 		s.pack.rows = buf
@@ -353,7 +348,7 @@ func (s *FuncSource) Open() error {
 	})
 }
 
-func (s *FuncSource) NextBatch() (*vec.Batch, error) {
+func (s *MemSource) NextBatch() (*vec.Batch, error) {
 	b := s.pack.next()
 	if b == nil {
 		return nil, nil
@@ -361,10 +356,15 @@ func (s *FuncSource) NextBatch() (*vec.Batch, error) {
 	return s.emitBatch(b), nil
 }
 
-func (s *FuncSource) Close() error         { s.pack.rows = nil; return nil }
-func (s *FuncSource) Children() []Operator { return nil }
-func (s *FuncSource) Stats() OpStats       { return s.stats() }
-func (s *FuncSource) Describe() string     { return s.label }
+func (s *MemSource) Close() error {
+	if s.gen != nil {
+		s.pack.rows = nil
+	}
+	return nil
+}
+func (s *MemSource) Children() []Operator { return nil }
+func (s *MemSource) Stats() OpStats       { return s.stats() }
+func (s *MemSource) Describe() string     { return s.label }
 
 // Seq streams each input in order, opening an input only when the
 // previous one is exhausted. It serves two roles: concatenating

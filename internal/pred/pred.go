@@ -295,21 +295,6 @@ func (p *P) IntervalFor(rel, col int) (rg Range, constrained bool) {
 	return *r, constrained
 }
 
-// RelationsMentioned returns the set of relation slots referenced.
-func (p *P) RelationsMentioned() map[int]bool {
-	out := map[int]bool{}
-	for _, a := range p.Atoms {
-		switch at := a.(type) {
-		case Cmp:
-			out[at.Rel] = true
-		case JoinEq:
-			out[at.LRel] = true
-			out[at.RRel] = true
-		}
-	}
-	return out
-}
-
 // ColumnsRead returns, for the given relation slot, the set of column
 // positions the predicate reads. This is the compile-time half of the
 // readily-ignorable-update (RIU) test of [Bune79]: a command that

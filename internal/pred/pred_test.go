@@ -316,20 +316,6 @@ func TestOpStringAll(t *testing.T) {
 	}
 }
 
-func TestRelationsMentioned(t *testing.T) {
-	p := New(
-		Cmp{Rel: 0, Col: 0, Op: Eq, Val: tuple.I(1)},
-		JoinEq{LRel: 1, LCol: 0, RRel: 2, RCol: 0},
-	)
-	got := p.RelationsMentioned()
-	if len(got) != 3 || !got[0] || !got[1] || !got[2] {
-		t.Errorf("RelationsMentioned = %v", got)
-	}
-	if got := True().RelationsMentioned(); len(got) != 0 {
-		t.Errorf("True mentions %v", got)
-	}
-}
-
 func TestRangeString(t *testing.T) {
 	cases := []struct {
 		rg   *Range

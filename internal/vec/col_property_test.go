@@ -159,17 +159,14 @@ func checkCol(t *testing.T, c *Col, ref []tuple.Value) {
 }
 
 // checkBatch holds a batch whose slot 0 is (col, ordinal) to the
-// reference through the batch-level readers: the page encoding, Gather
-// and Compact.
+// reference through the batch-level readers: Gather and Compact.
 func checkBatch(t *testing.T, rng *rand.Rand, c *Col, ref []tuple.Value) {
 	t.Helper()
 	ids := make([]uint64, len(ref))
 	var ord Col
-	tuples := make([]tuple.Tuple, len(ref))
 	for i := range ref {
 		ids[i] = uint64(1000 + i)
 		ord.Append(tuple.I(int64(i)))
-		tuples[i] = tuple.New(ids[i], ref[i], tuple.I(int64(i)))
 	}
 	if len(ref) == 0 {
 		return
@@ -178,19 +175,6 @@ func checkBatch(t *testing.T, rng *rand.Rand, c *Col, ref []tuple.Value) {
 	if !b.AppendSlot0Rows(ids, []Col{*c, ord}, 0, len(ref)) {
 		t.Fatal("AppendSlot0Rows rejected an empty batch's first rows")
 	}
-	enc, err := b.EncodeSlot(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, encodeRef(tuples)) {
-		t.Fatalf("EncodeSlot diverged from tuple.Encode over %v", ref)
-	}
-	back, err := DecodeSlot(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCol(t, &back.Slots[0][0], ref)
-
 	checkGathered := func(g *Batch, rows []int) {
 		t.Helper()
 		if g.NumRows() != len(rows) || g.Sel != nil || g.Insert != nil || g.Dup != nil {

@@ -5,11 +5,6 @@
 // insert/delete polarity bitmap, and duplicate counts. Filters and agg
 // folds iterate the typed lanes directly; row-at-a-time consumers
 // gather single tuples back out through TupleAt/OutAt.
-//
-// The package also carries a round-trip codec between a batch slot and
-// the tuple page encoding (see EncodeSlot/DecodeSlot in codec.go), so
-// columnar results can be laid out on pages or shipped over the frame
-// codec without converting through []tuple.Tuple.
 package vec
 
 import (

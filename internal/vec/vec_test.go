@@ -1,9 +1,7 @@
 package vec
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"viewmat/internal/tuple"
@@ -111,180 +109,6 @@ func TestColFloat64MirrorsAsFloat(t *testing.T) {
 	}
 	if _, ok := c.Uniform(); ok {
 		t.Fatal("mixed column reported uniform")
-	}
-}
-
-func encodeRef(tuples []tuple.Tuple) []byte {
-	var dst []byte
-	for _, t := range tuples {
-		dst = t.Encode(dst)
-	}
-	return dst
-}
-
-func TestEncodeSlotMatchesTupleEncode(t *testing.T) {
-	tuples := []tuple.Tuple{
-		tp(1, tuple.I(42), tuple.S(""), tuple.F(math.NaN())),
-		tp(math.MaxUint64, tuple.I(math.MaxInt64), tuple.S(strings.Repeat("z", 3000)), tuple.F(math.Inf(-1))),
-		tp(3, tuple.I(-1), tuple.S("mid"), tuple.F(0)),
-	}
-	b := &Batch{}
-	for i := range tuples {
-		if !b.TryAppend(&tuples[i], nil, nil, true, 0, 8) {
-			t.Fatalf("append %d rejected", i)
-		}
-	}
-	got, err := b.EncodeSlot(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := encodeRef(tuples); !bytes.Equal(got, want) {
-		t.Fatalf("EncodeSlot diverged from tuple.Encode\ngot  %x\nwant %x", got, want)
-	}
-	// Selection restricts the encoding to live rows.
-	b.Sel = []int{2}
-	got, err = b.EncodeSlot(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := encodeRef(tuples[2:]); !bytes.Equal(got, want) {
-		t.Fatal("selected EncodeSlot diverged")
-	}
-	if _, err := b.EncodeSlot(1, nil); err == nil {
-		t.Fatal("EncodeSlot of absent slot succeeded")
-	}
-}
-
-func TestDecodeSlotRoundTrip(t *testing.T) {
-	tuples := []tuple.Tuple{
-		tp(9, tuple.S("a"), tuple.I(1)),
-		tp(10, tuple.S(""), tuple.I(-7)),
-	}
-	b, err := DecodeSlot(encodeRef(tuples))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", b.NumRows())
-	}
-	for i, want := range tuples {
-		got := b.TupleAt(0, i)
-		if got.ID != want.ID || len(got.Vals) != len(want.Vals) {
-			t.Fatalf("row %d: %+v", i, got)
-		}
-		for c := range want.Vals {
-			if !tuple.Equal(got.Vals[c], want.Vals[c]) {
-				t.Fatalf("row %d col %d: %v != %v", i, c, got.Vals[c], want.Vals[c])
-			}
-		}
-	}
-	// Truncations and junk must error, not panic.
-	enc := encodeRef(tuples)
-	for cut := 1; cut < len(enc); cut += 7 {
-		if _, err := DecodeSlot(enc[:cut]); err == nil {
-			// A cut can land exactly on a tuple boundary; that's a
-			// valid shorter stream.
-			if cut != len(encodeRef(tuples[:1])) {
-				t.Fatalf("truncation at %d accepted", cut)
-			}
-		}
-	}
-	if _, err := DecodeSlot([]byte{0xff, 0xff, 0xff}); err == nil {
-		t.Fatal("junk accepted")
-	}
-}
-
-// FuzzBatchCodec cross-checks the column-direct batch codec against the
-// reference tuple codec on arbitrary byte streams: whatever the
-// reference decoder accepts, the batch codec must round-trip to the
-// same bytes and the same values, and the batch decoder must never
-// accept a stream the reference rejects (or vice versa, modulo the
-// batch codec's same-arity requirement).
-func FuzzBatchCodec(f *testing.F) {
-	f.Add(encodeRef([]tuple.Tuple{tp(1, tuple.I(42))}))
-	f.Add(encodeRef([]tuple.Tuple{
-		tp(2, tuple.F(math.NaN()), tuple.S("")),
-		tp(3, tuple.F(math.Inf(1)), tuple.S(strings.Repeat("k", 2048))),
-	}))
-	f.Add(encodeRef([]tuple.Tuple{tp(math.MaxUint64, tuple.I(math.MaxInt64), tuple.I(math.MinInt64))}))
-	// A column that turns mixed mid-stream: uniform lanes, then widened.
-	f.Add(encodeRef([]tuple.Tuple{
-		tp(4, tuple.I(1), tuple.S("a")),
-		tp(5, tuple.I(2), tuple.S("b")),
-		tp(6, tuple.F(2.5), tuple.S("c")),
-		tp(7, tuple.I(4), tuple.I(9)),
-	}))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 99})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Reference parse: a stream of tuples, all bytes consumed, all
-		// rows the same arity (the batch codec's contract).
-		var ref []tuple.Tuple
-		off, refOK := 0, true
-		for off < len(data) {
-			tup, n, err := tuple.Decode(data[off:])
-			if err != nil {
-				refOK = false
-				break
-			}
-			ref = append(ref, tup)
-			off += n
-		}
-		sameArity := true
-		for _, r := range ref {
-			if len(r.Vals) != len(ref[0].Vals) {
-				sameArity = false
-			}
-		}
-
-		b, err := DecodeSlot(data)
-		if refOK && sameArity {
-			if err != nil {
-				t.Fatalf("reference accepts, DecodeSlot rejects: %v", err)
-			}
-			if b.NumRows() != len(ref) {
-				t.Fatalf("rows %d != %d", b.NumRows(), len(ref))
-			}
-			for i, want := range ref {
-				got := b.TupleAt(0, i)
-				if got.ID != want.ID {
-					t.Fatalf("row %d id %d != %d", i, got.ID, want.ID)
-				}
-				for c := range want.Vals {
-					gv, wv := got.Vals[c], want.Vals[c]
-					if gv.Type() != wv.Type() {
-						t.Fatalf("row %d col %d type %v != %v", i, c, gv.Type(), wv.Type())
-					}
-					// NaN-safe value comparison: compare re-encodings.
-					if !bytes.Equal(tuple.AppendValue(nil, gv), tuple.AppendValue(nil, wv)) {
-						t.Fatalf("row %d col %d value %v != %v", i, c, gv, wv)
-					}
-				}
-			}
-			re, err := b.EncodeSlot(0, nil)
-			if len(ref) == 0 {
-				// An empty stream decodes to a slot-less batch.
-				if err == nil {
-					t.Fatal("EncodeSlot of empty batch found a slot")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("round trip diverged\nin  %x\nout %x", data, re)
-			}
-		} else if err == nil {
-			t.Fatalf("DecodeSlot accepted a stream the reference rejects (refOK=%v sameArity=%v)", refOK, sameArity)
-		}
-	})
-}
-
-func TestBatchCodecArityMismatch(t *testing.T) {
-	enc := encodeRef([]tuple.Tuple{tp(1, tuple.I(1)), tp(2, tuple.I(1), tuple.I(2))})
-	if _, err := DecodeSlot(enc); err == nil || !strings.Contains(err.Error(), "columns") {
-		t.Fatalf("arity change err = %v", err)
 	}
 }
 
