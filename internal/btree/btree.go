@@ -116,20 +116,21 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) Len() int { return t.count }
 
 // LeafPages returns the number of leaf pages (the paper's view size in
-// blocks) by walking the leaf chain via unmetered Peek reads; it is a
+// blocks) by walking the leaf chain via unmetered views; it is a
 // statistics accessor, not a query, and charges nothing.
 func (t *Tree) LeafPages() int {
 	pn, err := t.leftmostLeafUncharged()
 	if err != nil {
 		return 0
 	}
-	var page []byte
 	for n := 1; ; n++ {
-		if page, err = t.file.PeekInto(pn, page); err != nil {
-			return n
-		}
-		next, hasNext := colpage.PageLink(page)
-		if !hasNext {
+		var next storage.PageNum
+		hasNext := false
+		err := t.file.View(pn, func(page []byte) error {
+			next, hasNext = colpage.PageLink(page)
+			return nil
+		})
+		if err != nil || !hasNext {
 			return n
 		}
 		pn = next
@@ -229,23 +230,30 @@ func decodeInternal(page []byte) (*internalNode, error) {
 }
 
 // leftmostLeafUncharged descends to the leftmost leaf via unmetered
-// Peek reads (statistics walks only).
+// views (statistics walks only).
 func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 	pn := t.root
-	var page []byte
 	for {
-		var err error
-		if page, err = t.file.PeekInto(pn, page); err != nil {
-			return 0, err
-		}
-		if leafPages.Has(page[0]) {
-			return pn, nil
-		}
-		in, err := decodeInternal(page)
+		leaf := false
+		var child storage.PageNum
+		err := t.file.View(pn, func(page []byte) error {
+			if leaf = leafPages.Has(page[0]); leaf {
+				return nil
+			}
+			in, err := decodeInternal(page)
+			if err != nil {
+				return err
+			}
+			child = in.children[0]
+			return nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		pn = in.children[0]
+		if leaf {
+			return pn, nil
+		}
+		pn = child
 	}
 }
 
@@ -552,10 +560,11 @@ type BatchIterator struct {
 	stage   colpage.Lanes // rows read but not handed out: those from idx on
 	idx     int
 	pruned  int64
-	// Buffers walkAhead reuses from window to window: the page it peeks
-	// zone maps through and the pages it found to fetch. Neither is
-	// referenced once the loadPage call that filled it returns.
-	peek  []byte
+	// What walkAhead reuses from page to page and window to window: the
+	// zone maps it decodes each peeked footer into and the pages it found
+	// to fetch. Neither is referenced once the loadPage call that filled
+	// it returns.
+	zones colpage.Zones
 	fetch []storage.PageNum
 }
 
@@ -746,7 +755,8 @@ func (it *BatchIterator) getLeaf(pn storage.PageNum, b *vec.Batch, max int) (nex
 }
 
 // walkAhead walks the on-disk leaf chain from the cursor via unmetered
-// peeks, splitting the upcoming window into pages to fetch (it.fetch)
+// views (header and footer read in place, nothing copied), splitting
+// the upcoming window into pages to fetch (it.fetch)
 // and pages whose zone maps disprove the prune atoms (skipped, counted,
 // never read). On return with ok, the cursor continuation (cont, hasCont) is
 // owned by the walk: it points past every examined page. A walk that
@@ -763,14 +773,20 @@ func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok boo
 	prunedN := 0
 	it.fetch = it.fetch[:0]
 	for {
-		page, err := it.tree.file.PeekInto(pn, it.peek)
-		if err != nil || !leafPages.Has(page[0]) {
-			// Truncated or foreign chain.
-			return pn, true, prunedN > 0
-		}
-		it.peek = page
-		skip, err := leafPages.Prunable(page, it.prune)
-		if err != nil {
+		leaf, skip := false, false
+		var next storage.PageNum
+		hasNext := false
+		err := it.tree.file.View(pn, func(page []byte) error {
+			if leaf = leafPages.Has(page[0]); !leaf {
+				return nil
+			}
+			next, hasNext = colpage.PageLink(page)
+			var err error
+			skip, err = leafPages.Prunable(page, it.prune, &it.zones)
+			return err
+		})
+		if err != nil || !leaf {
+			// Truncated or foreign chain, or a footer that does not parse.
 			return pn, true, prunedN > 0
 		}
 		if skip {
@@ -779,7 +795,6 @@ func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok boo
 		} else {
 			it.fetch = append(it.fetch, pn)
 		}
-		next, hasNext := colpage.PageLink(page)
 		if !hasNext {
 			return 0, false, true
 		}

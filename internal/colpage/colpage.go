@@ -466,19 +466,32 @@ func DecodeTuples(chunk []byte) ([]tuple.Tuple, error) {
 	return out, nil
 }
 
-// ReadZones decodes only the chunk header and footer — the page-prune
-// fast path, which must stay cheap because it runs against unmetered
-// peeks of pages the scan may never charge.
-func ReadZones(chunk []byte) (*Zones, error) {
+// ReadZones decodes only the chunk header and footer into z, reusing
+// the capacity of z.Cols — the page-prune fast path, which must stay
+// cheap because it runs against unmetered views of pages the scan may
+// never charge, page after page into one struct. Every zone of the
+// chunk is overwritten, present or not, so nothing of the page z last
+// held survives; after an error z is partial and must not be consulted.
+// The bounds are copies: z aliases nothing of the chunk.
+func ReadZones(chunk []byte, z *Zones) error {
 	rows, cols, footOff, err := header(chunk)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	z := &Zones{Rows: rows, Cols: make([]ColZone, cols)}
+	if cols > len(chunk)-footOff { // a zone is at least its flags byte
+		return fmt.Errorf("colpage: truncated zone %d", len(chunk)-footOff)
+	}
+	z.Rows = rows
+	if cap(z.Cols) < cols {
+		z.Cols = make([]ColZone, cols)
+	} else {
+		z.Cols = z.Cols[:cols]
+		clear(z.Cols)
+	}
 	off := footOff
 	for c := 0; c < cols; c++ {
 		if off >= len(chunk) {
-			return nil, fmt.Errorf("colpage: truncated zone %d", c)
+			return fmt.Errorf("colpage: truncated zone %d", c)
 		}
 		flags := chunk[off]
 		off++
@@ -487,17 +500,17 @@ func ReadZones(chunk []byte) (*Zones, error) {
 		}
 		minV, n, err := tuple.DecodeValue(chunk[off:])
 		if err != nil {
-			return nil, fmt.Errorf("colpage: zone %d min: %w", c, err)
+			return fmt.Errorf("colpage: zone %d min: %w", c, err)
 		}
 		off += n
 		maxV, n, err := tuple.DecodeValue(chunk[off:])
 		if err != nil {
-			return nil, fmt.Errorf("colpage: zone %d max: %w", c, err)
+			return fmt.Errorf("colpage: zone %d max: %w", c, err)
 		}
 		off += n
 		z.Cols[c] = ColZone{Present: true, Min: minV, Max: maxV}
 	}
-	return z, nil
+	return nil
 }
 
 // decodeUintFOR decodes the id lane into a fresh slice.

@@ -3,6 +3,7 @@ package colpage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -214,7 +215,7 @@ func TestZones(t *testing.T) {
 		tuple.New(2, tuple.I(10), tuple.S("a"), tuple.S("tiny")),
 		tuple.New(3, tuple.I(20), tuple.S("z"), tuple.S("small")),
 	}
-	z, err := ReadZones(mustEncode(t, tuples))
+	z, err := readZones(mustEncode(t, tuples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestZonesMatchScan(t *testing.T) {
 		tuple.New(3, tuple.I(15), tuple.S("c")),
 	}
 	chunk := mustEncode(t, tuples)
-	z, err := ReadZones(chunk)
+	z, err := readZones(chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +304,101 @@ func TestZonesMatchScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// readZones is ReadZones into a fresh struct.
+func readZones(chunk []byte) (*Zones, error) {
+	z := &Zones{}
+	return z, ReadZones(chunk, z)
+}
+
+// wideChunk is wider than every seed of the fuzzers and stores every
+// zone: the page a reused Zones last held before the page under test.
+var wideChunk = func() []byte {
+	tuples := make([]tuple.Tuple, 3)
+	for i := range tuples {
+		vals := make([]tuple.Value, 12)
+		for c := range vals {
+			vals[c] = tuple.I(int64(100*c + i))
+		}
+		tuples[i] = tuple.New(uint64(i+1), vals...)
+	}
+	buf := make([]byte, 4096)
+	n, err := Encode(buf, tuples)
+	if err != nil {
+		panic(err)
+	}
+	return buf[:n]
+}()
+
+// zoneReuse decodes chunk's zones into a struct last filled from
+// wideChunk and into a fresh one, and reports any difference: a stale
+// Present flag or column of the previous page must not reach the next
+// page's prune decision.
+func zoneReuse(chunk []byte) error {
+	reused := &Zones{}
+	if err := ReadZones(wideChunk, reused); err != nil || len(reused.Cols) != 12 || !reused.Cols[11].Present {
+		return fmt.Errorf("wide chunk's zones: %+v, %v", reused, err)
+	}
+	fresh, ferr := readZones(chunk)
+	rerr := ReadZones(chunk, reused)
+	if (ferr == nil) != (rerr == nil) {
+		return fmt.Errorf("fresh zone decode: %v; reused: %v", ferr, rerr)
+	}
+	if ferr == nil && !bytes.Equal(zoneBytes(fresh), zoneBytes(reused)) {
+		return fmt.Errorf("reused zones differ from a fresh decode:\n fresh  %+v\n reused %+v", fresh, reused)
+	}
+	return nil
+}
+
+// zoneBytes is the equality form of zones (bit-exact for NaN bounds).
+func zoneBytes(z *Zones) []byte {
+	out := binary.BigEndian.AppendUint64(nil, uint64(z.Rows))
+	out = binary.BigEndian.AppendUint64(out, uint64(len(z.Cols)))
+	for _, cz := range z.Cols {
+		if cz.Present {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
+		}
+		out = tuple.AppendValue(tuple.AppendValue(out, cz.Min), cz.Max)
+	}
+	return out
+}
+
+// The string cells DecodeInto hands out, raw and dictionary lanes
+// alike, slice arenas of their own: a chunk read in place from a page
+// that is then overwritten — a pool slot recycled and poisoned, an
+// on-disk image rewritten — leaves every decoded cell as it was.
+func TestDecodedStringsOwnTheirBytes(t *testing.T) {
+	var tuples []tuple.Tuple
+	for i := 0; i < 40; i++ {
+		tuples = append(tuples, tuple.New(uint64(i+1), tuple.S(fmt.Sprintf("raw-%03d", i)), tuple.S([]string{"red", "green"}[i%2])))
+	}
+	chunk := mustEncode(t, tuples)
+	ids, cols, err := DecodeInto(chunk, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := chunkHeader + 9 + len(ids) // ids 1..40: one-byte deltas
+	for c, enc := range []byte{encBytesRaw, encBytesDict} {
+		if chunk[off] != enc {
+			t.Fatalf("column %d has lane encoding %d, want %d", c, chunk[off], enc)
+		}
+		if off, err = decodeLane(chunk, off, len(ids), &vec.Col{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := refBytes(lanesTuples(ids, cols))
+	for i := range chunk {
+		chunk[i] = 0xA5
+	}
+	if got := refBytes(lanesTuples(ids, cols)); !bytes.Equal(got, want) {
+		t.Fatal("decoded string cells changed with the chunk they were read from")
+	}
+	if !bytes.Equal(want, refBytes(tuples)) {
+		t.Fatal("decode does not match the encoded rows")
 	}
 }
 
@@ -343,7 +439,9 @@ func FuzzColPageCodec(f *testing.F) {
 		// accept chunks whose value lanes are corrupt — it never reads
 		// them — so acceptance is checked one-way, below.)
 		tuples, terr := DecodeTuples(data)
-		_, _ = ReadZones(data)
+		if err := zoneReuse(data); err != nil {
+			t.Fatal(err)
+		}
 		// The row-set decoder accepts exactly the lanes the chunk decoder
 		// accepts, and reads them to the same values. (A row set has no
 		// way to say "no rows, some columns".)
@@ -385,9 +483,12 @@ func FuzzColPageCodec(f *testing.F) {
 		}
 		// Zone maps of an accepted chunk must decode and must be sound:
 		// stored bounds actually bound the rows.
-		z, err := ReadZones(buf[:n])
+		z, err := readZones(buf[:n])
 		if err != nil {
 			t.Fatalf("ReadZones on valid chunk: %v", err)
+		}
+		if err := zoneReuse(buf[:n]); err != nil {
+			t.Fatal(err)
 		}
 		for c, cz := range z.Cols {
 			if !cz.Present {

@@ -217,15 +217,15 @@ func (pt PageTypes) Take(page []byte, b *vec.Batch, max int, stage *Lanes) (dire
 
 // Prunable reports whether page is a columnar page whose zone maps
 // disprove the atoms for every row, so a scan may skip it unread. It
-// reads the header and footer only: it runs against unmetered peeks of
-// pages the scan may never charge. A footer that does not parse is an
-// error (and not prunable).
-func (pt PageTypes) Prunable(page []byte, atoms []Atom) (bool, error) {
+// reads the header and footer only, into z (the walker's, reused page
+// after page): it runs against unmetered views of pages the scan may
+// never charge. A footer that does not parse is an error (and not
+// prunable).
+func (pt PageTypes) Prunable(page []byte, atoms []Atom, z *Zones) (bool, error) {
 	if len(atoms) == 0 || len(page) < DataPageHeader || page[0] != pt.Col {
 		return false, nil
 	}
-	z, err := ReadZones(page[DataPageHeader:])
-	if err != nil {
+	if err := ReadZones(page[DataPageHeader:], z); err != nil {
 		return false, err
 	}
 	return z.Prunable(atoms), nil

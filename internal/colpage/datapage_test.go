@@ -190,12 +190,12 @@ func TestDataPagePrunable(t *testing.T) {
 		{"row page has no zones", row, miss, false},
 		{"another owner's page", pinnedPage(t, testPageTypes["leaf"], 0), miss, false},
 	} {
-		if got, err := pt.Prunable(c.page, c.atoms); err != nil || got != c.want {
+		if got, err := pt.Prunable(c.page, c.atoms, &Zones{}); err != nil || got != c.want {
 			t.Errorf("%s: Prunable = %v, %v; want %v", c.name, got, err, c.want)
 		}
 	}
 	binary.BigEndian.PutUint32(col[DataPageHeader+4:], 1<<20) // footer offset off the page
-	if got, err := pt.Prunable(col, miss); err == nil || got {
+	if got, err := pt.Prunable(col, miss, &Zones{}); err == nil || got {
 		t.Errorf("damaged footer: Prunable = %v, %v", got, err)
 	}
 }
@@ -252,7 +252,22 @@ func fuzzDataPage(pt PageTypes, data []byte, atoms []Atom) error {
 	_, serr := pt.Take(data, nil, 0, &staged)
 	b := &vec.Batch{}
 	direct, berr := pt.Take(data, b, math.MaxUint16, &Lanes{})
-	_, _ = pt.Prunable(data, atoms)
+	// The zone peek reads into the walker's reused struct: after a wider
+	// page with every zone present it must decide, and hold, exactly what
+	// a fresh struct does.
+	wide := &Zones{}
+	if err := ReadZones(wideChunk, wide); err != nil {
+		return err
+	}
+	fresh, ferr := pt.Prunable(data, atoms, &Zones{})
+	if reused, rerr := pt.Prunable(data, atoms, wide); reused != fresh || (rerr == nil) != (ferr == nil) {
+		return fmt.Errorf("prune decision on reused zones %v, %v; on fresh %v, %v", reused, rerr, fresh, ferr)
+	}
+	if len(data) >= DataPageHeader && data[0] == pt.Col {
+		if err := zoneReuse(data[DataPageHeader:]); err != nil {
+			return err
+		}
+	}
 	if derr != nil {
 		if serr == nil || berr == nil {
 			return fmt.Errorf("lanes accepted a page the tuple decode rejects (%v): staged %v, direct %v", derr, serr, berr)

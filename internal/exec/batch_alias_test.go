@@ -16,23 +16,26 @@ import (
 // arena is never mutated or reused after decode, so a batch the
 // consumer retains stays valid while the scan refills later batches.
 // This test pins that contract: the bytes lane of an emitted batch
-// must not alias any buffer a subsequent NextBatch writes through.
+// must not alias any buffer a subsequent NextBatch writes through —
+// nor any pool frame: on an 8-frame pool the ~50-leaf scan recycles
+// every slot several times over, and a recycled slot is poisoned in a
+// test binary, so a cell slicing a frame would read 0xA5 by the end.
 
-// aliasEnv builds a relation whose string column is distinct per row
-// (an overwrite through a shared buffer cannot go unnoticed).
-func aliasEnv(t *testing.T, layout storage.PageLayout) (*relation.Relation, *storage.Meter) {
+// aliasEnv builds a relation of 300 rows over a pool of the given
+// frames whose string column holds name(i) for row i.
+func aliasEnv(t *testing.T, layout storage.PageLayout, frames int, name func(i int) string) (*relation.Relation, *storage.Meter) {
 	t.Helper()
 	d := storage.NewDisk(512)
 	d.SetPageLayout(layout)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 1024)
+	p := storage.NewPool(d, m, frames)
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("name", tuple.String))
 	rel, err := relation.NewBTree(d, p, "a", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		tp := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%7)), tuple.S(fmt.Sprintf("cell-%04d", i)))
+		tp := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%7)), tuple.S(name(i)))
 		if err := rel.Insert(tp); err != nil {
 			t.Fatal(err)
 		}
@@ -90,12 +93,28 @@ func testBytesLaneStability(t *testing.T, root Operator) {
 }
 
 func TestBatchBytesLaneStableAcrossRefills(t *testing.T) {
+	// Distinct per row, so an overwrite through a shared buffer cannot go
+	// unnoticed; a raw bytes lane on columnar leaves.
+	distinct := func(i int) string { return fmt.Sprintf("cell-%04d", i) }
 	for _, layout := range []storage.PageLayout{storage.PageLayoutCol, storage.PageLayoutRow} {
 		t.Run(layout.String(), func(t *testing.T) {
-			rel, m := aliasEnv(t, layout)
+			rel, m := aliasEnv(t, layout, 1024, distinct)
 			o := Options{Meter: m, BatchSize: 64}
 			t.Run("seqscan", func(t *testing.T) { testBytesLaneStability(t, NewSeqScan(o, rel)) })
 			t.Run("scan", func(t *testing.T) { testBytesLaneStability(t, NewScan(o, rel, nil)) })
+			// Frames recycled under the scan, under both string lanes a
+			// columnar leaf has: raw, and a dictionary of three entries.
+			for lane, name := range map[string]func(int) string{
+				"raw":  distinct,
+				"dict": func(i int) string { return []string{"red", "green", "blue"}[i%3] },
+			} {
+				t.Run("recycled-frames/"+lane, func(t *testing.T) {
+					rel, m := aliasEnv(t, layout, 8, name)
+					o := Options{Meter: m, BatchSize: 64}
+					testBytesLaneStability(t, NewSeqScan(o, rel))
+					testBytesLaneStability(t, NewScan(o, rel, nil))
+				})
+			}
 		})
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"viewmat/internal/colpage"
@@ -69,6 +70,84 @@ func TestFullScanAllocations(t *testing.T) {
 	if allocs > 4000 {
 		t.Fatalf("full columnar scan allocated %.0f objects, want at most 4000", allocs)
 	}
+}
+
+// A cold full scan: the scan-qm relation (k, a = k·40503 mod N, p) at
+// N = 100 000 on 4 000-byte pages — ~1 850 leaves — against a 256-frame
+// pool evicted before every run, so every leaf read is a miss. The warm
+// guards above never miss; this one pins what a miss and a zone peek
+// cost. A miss copies into a recycled frame slot and allocates only the
+// frame, its recency entry and its flight; a peek reads the footer in
+// place into the walker's reused zones and allocates nothing. Unpruned
+// and with the atom a < 1000 (which prunes 851 leaves): 8 562 / 4 664
+// allocations a scan, 16 420 / 8 910 under the race detector — against
+// 10 385 / 9 336 (18 245 / 13 582) when every miss allocated a fresh
+// page and every peek a fresh zone map.
+func TestColdScanAllocations(t *testing.T) {
+	const n, aMul = 100000, 40503
+	d := storage.NewDisk(4000)
+	m := storage.NewMeter()
+	p := storage.NewPool(d, m, 256)
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("p", tuple.Int))
+	rel, err := relation.NewBTree(d, p, "alloc-cold", schema, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.BeginBulk()
+	for k := int64(0); k < n; k++ {
+		if err := rel.Insert(tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.EndBulk()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	race := raceBuild()
+	o := Options{Meter: m}
+	for _, c := range []struct {
+		name         string
+		atoms        []colpage.Atom
+		max, raceMax float64
+	}{
+		{"unpruned", nil, 9000, 17300},
+		{"a<1000", []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(1000)}}, 5000, 9600},
+	} {
+		var pruned int64
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := p.EvictAll(); err != nil {
+				t.Fatal(err)
+			}
+			scan := NewSeqScanPruned(o, rel, c.atoms)
+			got := drainRows(t, scan)
+			if pruned = scan.Stats().Pruned; c.atoms == nil && got != n || c.atoms != nil && (got >= n || pruned == 0) {
+				t.Fatalf("%s: drained %d rows, %d pages pruned", c.name, got, pruned)
+			}
+		})
+		max := c.max
+		if race {
+			max = c.raceMax
+		}
+		t.Logf("%s: %.0f allocations a cold scan, %d leaves pruned (race detector: %v)", c.name, allocs, pruned, race)
+		if allocs > max {
+			t.Errorf("%s: cold scan allocated %.0f objects, want at most %.0f", c.name, allocs, max)
+		}
+	}
+}
+
+// raceBuild reports whether the test binary runs under the race
+// detector, whose instrumentation moves stack buffers to the heap.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // A 1 000-row range read of a stored view gathered to rows by Drain —

@@ -245,20 +245,24 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (bool, error) {
 // Pages returns the total chain pages (primary + overflow), unmetered.
 func (ix *Index) Pages() int {
 	total := 0
-	var page []byte
 	for _, bpn := range ix.buckets {
 		pn := bpn
 		for {
 			total++
-			var err error
-			if page, err = ix.file.PeekInto(pn, page); err != nil {
+			var next storage.PageNum
+			hasNext := false
+			if err := ix.file.View(pn, func(page []byte) error {
+				if n, err := chainPages.DecodePage(page); err == nil {
+					next, hasNext = n.Next, n.HasNext
+				}
+				return nil
+			}); err != nil {
 				return total
 			}
-			n, err := chainPages.DecodePage(page)
-			if err != nil || !n.HasNext {
+			if !hasNext {
 				break
 			}
-			pn = n.Next
+			pn = next
 		}
 	}
 	return total
@@ -416,7 +420,7 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 		prune = nil // the on-disk zone maps may be stale; read everything
 	}
 	fill := batchFiller{size: size, cur: &vec.Batch{}}
-	var peek []byte
+	var zones colpage.Zones // each peeked footer's, reused page to page
 	fetch := make([]storage.PageNum, 0, w)
 	for start := 0; start < len(ix.buckets); {
 		// Maximal run of consecutive bucket pages, clamped to the window.
@@ -428,14 +432,15 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 		for _, pn := range ix.buckets[start:end] {
 			skip := false
 			if len(prune) > 0 {
-				if page, perr := ix.file.PeekInto(pn, peek); perr == nil {
-					peek = page
-					// Only overflow-free columnar pages prune; anything
-					// odd is read on the charged path instead.
+				// Only overflow-free columnar pages prune; anything odd
+				// (a missing page, a footer that does not parse) is read
+				// on the charged path instead.
+				_ = ix.file.View(pn, func(page []byte) error {
 					if _, linked := colpage.PageLink(page); !linked {
-						skip, _ = chainPages.Prunable(page, prune)
+						skip, _ = chainPages.Prunable(page, prune, &zones)
 					}
-				}
+					return nil
+				})
 			}
 			if skip {
 				pruned++

@@ -168,7 +168,7 @@ type File struct {
 	// dirtyFrames counts pool frames of this file whose image is newer
 	// than the on-disk page (maintained by Frame.MarkDirty and the
 	// pool's write-back/discard paths). When zero, the on-disk image is
-	// exact and unmetered Peek walks (readahead chain discovery) are
+	// exact and unmetered View walks (readahead chain discovery) are
 	// safe; orphaned frames may leave the count conservatively high,
 	// which only disables readahead, never corrupts it.
 	dirtyFrames atomic.Int64
@@ -243,36 +243,34 @@ func (f *File) Free(pn PageNum) {
 	f.markDirty(pn)
 }
 
-// Peek returns a copy of the page's on-disk bytes without charging the
-// meter. It exists for statistics walks (page counts, invariant checks)
-// that must not pollute measured costs; query paths go through the
-// buffer pool. With a write-back pool the image may lag dirty frames,
-// so callers flush first when exactness matters.
-func (f *File) Peek(pn PageNum) ([]byte, error) { return f.PeekInto(pn, nil) }
-
-// PeekInto is Peek into buf's backing array (grown when too small), for
-// walks that peek page after page. The bytes are copied under the read
-// lock — writePage mutates pages in place, so an alias of the image
-// could change under the caller — and stay valid until the caller's
-// next PeekInto with the same buffer.
-func (f *File) PeekInto(pn PageNum, buf []byte) ([]byte, error) {
+// View runs fn on the page's on-disk image under the file's read lock,
+// without copying it or charging the meter — the one way anything reads
+// a page image: the pool's miss copies it into a frame, and the
+// unmetered walks (readahead chain discovery, zone-map peeks, page
+// counts) read a header or footer in place. fn must not keep the slice
+// or anything aliasing it: writePage mutates the image in place once
+// the lock drops. fn must not touch this file's pages or the pool (it
+// runs under the read lock). With a write-back pool the image may lag
+// dirty frames, so callers flush first when exactness matters.
+func (f *File) View(pn PageNum, fn func(page []byte) error) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if int(pn) >= len(f.pages) || f.pages[pn] == nil {
-		return nil, fmt.Errorf("storage: file %q has no page %d", f.name, pn)
+		return fmt.Errorf("storage: file %q has no page %d", f.name, pn)
 	}
-	return append(buf[:0], f.pages[pn]...), nil
+	return fn(f.pages[pn])
 }
 
-// readPage returns the raw page bytes (no copy, no charge); only the
-// buffer pool calls this.
-func (f *File) readPage(pn PageNum) ([]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if int(pn) >= len(f.pages) || f.pages[pn] == nil {
-		return nil, fmt.Errorf("storage: file %q has no page %d", f.name, pn)
-	}
-	return f.pages[pn], nil
+// Peek returns a copy of the page's on-disk bytes without charging the
+// meter, for callers that want the image itself (open-time checks,
+// tests); walks that read a few bytes a page use View.
+func (f *File) Peek(pn PageNum) ([]byte, error) {
+	var out []byte
+	err := f.View(pn, func(page []byte) error {
+		out = append([]byte(nil), page...)
+		return nil
+	})
+	return out, err
 }
 
 // writePage stores page bytes (no charge); only the buffer pool calls

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 )
 
@@ -45,6 +46,21 @@ import (
 // clock (Frame.lastUsed), reproducing the single-list LRU victim order
 // exactly. Serial operations therefore meter byte-identical Stats; only
 // wall-clock behavior under concurrency changes.
+//
+// Frame arena: page buffers are made on demand and recycled, so a miss
+// copies into a slot a frame left instead of allocating one. A frame's
+// buffer goes back to the arena the moment the frame has left the table
+// and has no pin — eviction, EvictAll, Discard of an unpinned frame, the
+// final Release of an orphan, Alloc replacing a stale frame — and the
+// frame's Data is set to nil, so a reader that kept the frame past its
+// last unpin panics instead of reading whatever page the slot holds
+// next. In test binaries the buffer is also overwritten with a poison
+// pattern, so a reader that kept the slice itself reads garbage. The
+// free list holds at most capacity buffers: frames exceed the capacity
+// only transiently — a miss inserts before it evicts, a GetBatch window
+// before its one eviction pass — and a buffer freed beyond the cap is
+// left to the garbage collector, so the pool never holds more than
+// capacity buffers plus that overshoot.
 type Pool struct {
 	disk     *Disk
 	meter    *Meter
@@ -58,7 +74,22 @@ type Pool struct {
 
 	policyMu  sync.Mutex
 	bulkDepth int // >0 suspends write-through (nested bulk writes)
+
+	slotMu sync.Mutex // innermost, like policyMu
+	slots  [][]byte   // recycled page buffers, at most capacity
+	// Page buffers the pool holds — in frames, on their way into one,
+	// or free — now and at most (the arena tests read them).
+	live, peak int
 }
+
+// poisonSlots turns on poison-on-recycle in every test binary, so every
+// test that drives a pool — the property layers, the crash sweep, the
+// race runs — reads a stale slot as garbage, never as a plausible page.
+var poisonSlots = testing.Testing()
+
+// poisonByte fills a recycled slot under test: as a page type byte it
+// names no page the engine writes, so a stale decode fails loudly.
+const poisonByte = 0xA5
 
 // poolShard is one slice of the frame table. unpinned counts the
 // shard's eviction candidates so the evictor can skip fully-pinned
@@ -86,8 +117,10 @@ type frameKey struct {
 }
 
 // Frame is a page resident in the pool. Data is the mutable page
-// image; callers that modify it must call MarkDirty and must keep the
-// frame pinned while using it.
+// image, an arena slot; callers that modify it must call MarkDirty, and
+// every caller must keep the frame pinned while using it and keep no
+// alias of Data past its Release (the slot is recycled, and Data nil,
+// once the frame leaves the table unpinned).
 type Frame struct {
 	key   frameKey
 	file  *File
@@ -273,12 +306,18 @@ func (p *Pool) get(f *File, pn PageNum, sleep bool) (*Frame, bool, error) {
 	}
 }
 
-// loadMiss fills a missing frame as the leader of flight fl. The disk
-// read and the latency sleep happen with no lock held, so a slow miss
+// loadMiss fills a missing frame as the leader of flight fl, copying
+// the page into an arena slot under the file's read lock. The disk read
+// and the latency sleep happen with no pool lock held, so a slow miss
 // never delays hits on other pages.
 func (p *Pool) loadMiss(f *File, key frameKey, sh *poolShard, fl *flight, sleep bool) (*Frame, error) {
-	src, err := f.readPage(key.pn)
+	buf := p.takeSlot()
+	err := f.View(key.pn, func(src []byte) error {
+		copy(buf, src)
+		return nil
+	})
 	if err != nil {
+		p.putSlot(buf)
 		sh.mu.Lock()
 		delete(sh.flights, key)
 		sh.mu.Unlock()
@@ -290,7 +329,7 @@ func (p *Pool) loadMiss(f *File, key frameKey, sh *poolShard, fl *flight, sleep 
 	if sleep {
 		p.sleepIO(1)
 	}
-	fr := &Frame{key: key, file: f, Data: append([]byte(nil), src...)}
+	fr := &Frame{key: key, file: f, Data: buf}
 	fr.pins.Store(1)
 	sh.mu.Lock()
 	fr.lastUsed = p.tick.Add(1)
@@ -346,11 +385,14 @@ func (p *Pool) GetBatch(f *File, pns []PageNum) ([]*Frame, error) {
 // Alloc allocates a fresh page in the file and returns it pinned. The
 // page is born dirty (it must eventually be written) but its first
 // write is charged like any other: on unpin (write-through) or
-// eviction (write-back). No read is charged for a newborn page.
+// eviction (write-back). No read is charged for a newborn page, which
+// is zeroed like the disk's, whatever its slot held before.
 func (p *Pool) Alloc(f *File) (*Frame, error) {
 	pn := f.Alloc()
 	key := frameKey{f.Name(), pn}
-	fr := &Frame{key: key, file: f, Data: make([]byte, p.disk.PageSize())}
+	buf := p.takeSlot()
+	clear(buf)
+	fr := &Frame{key: key, file: f, Data: buf}
 	fr.pins.Store(1)
 	fr.MarkDirty()
 	sh := p.shardOf(key)
@@ -363,6 +405,7 @@ func (p *Pool) Alloc(f *File) (*Frame, error) {
 		delete(sh.frames, key)
 		if stale.pins.Load() == 0 {
 			sh.unpinned--
+			p.recycle(stale)
 		} else {
 			stale.orphan = true
 		}
@@ -407,6 +450,8 @@ func (p *Pool) Release(fr *Frame) error {
 		if fr.orphan {
 			// Discarded while pinned: the page may be freed or
 			// reallocated, so the stale image must never be written.
+			// This was the last holder; the slot is free now.
+			p.recycle(fr)
 			sh.mu.Unlock()
 			return nil
 		}
@@ -504,6 +549,7 @@ func (p *Pool) evictOverflow() (int, error) {
 		delete(sh.frames, fr.key)
 		sh.unpinned--
 		p.resident.Add(-1)
+		p.recycle(fr)
 		sh.mu.Unlock()
 		stalls = 0
 	}
@@ -561,10 +607,11 @@ func (p *Pool) Discard(f *File, pn PageNum) {
 		fr.file.dirtyFrames.Add(-1)
 	}
 	if fr.pins.Load() > 0 {
-		fr.orphan = true
+		fr.orphan = true // its slot returns at the final Release
 		return
 	}
 	sh.unpinned--
+	p.recycle(fr)
 }
 
 // FlushAll writes back every dirty unpinned frame (charging writes)
@@ -621,10 +668,53 @@ func (p *Pool) EvictAll() error {
 			delete(sh.frames, fr.key)
 			sh.unpinned--
 			p.resident.Add(-1)
+			p.recycle(fr)
 		}
 		sh.mu.Unlock()
 	}
 	return nil
+}
+
+// takeSlot returns a page buffer for a frame about to enter the table:
+// a recycled one when the arena has one, a new one otherwise. Its bytes
+// are whatever the slot last held; the caller overwrites all of them.
+func (p *Pool) takeSlot() []byte {
+	p.slotMu.Lock()
+	defer p.slotMu.Unlock()
+	if n := len(p.slots); n > 0 {
+		buf := p.slots[n-1]
+		p.slots = p.slots[:n-1]
+		return buf
+	}
+	p.live++
+	p.peak = max(p.peak, p.live)
+	return make([]byte, p.disk.PageSize())
+}
+
+// recycle returns the buffer of a frame that has left the table and has
+// no pin to the arena. Nothing may read the frame's bytes after this:
+// its Data is nil from here on.
+func (p *Pool) recycle(fr *Frame) {
+	buf := fr.Data
+	fr.Data = nil
+	p.putSlot(buf)
+}
+
+// putSlot adds a buffer no frame owns to the arena, poisoned under
+// test, or drops it when the arena already holds capacity buffers.
+func (p *Pool) putSlot(buf []byte) {
+	if poisonSlots {
+		for i := range buf {
+			buf[i] = poisonByte
+		}
+	}
+	p.slotMu.Lock()
+	if len(p.slots) < p.capacity {
+		p.slots = append(p.slots, buf)
+	} else {
+		p.live--
+	}
+	p.slotMu.Unlock()
 }
 
 // PinnedFrames describes every pinned frame ("file:page(pins=n)",
@@ -647,8 +737,8 @@ func (p *Pool) PinnedFrames() []string {
 }
 
 // AssertUnpinned fails the test if any frame is still pinned — a pin
-// leak. The parameter is the minimal slice of testing.TB needed, so
-// non-test code importing storage does not pull in testing.
+// leak. The parameter is the minimal slice of testing.TB needed, so a
+// test can hand it a recorder (testing.TB has an unexported method).
 func (p *Pool) AssertUnpinned(t interface {
 	Helper()
 	Errorf(format string, args ...any)

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -240,15 +242,23 @@ type recordingT struct{ failures int }
 func (r *recordingT) Helper()               {}
 func (r *recordingT) Errorf(string, ...any) { r.failures++ }
 
-// Discard racing Get/Release on the same key must be memory-safe:
-// pinned frames are orphaned, and an orphaned frame's final release
-// never writes back. Run under -race.
+// Discard racing Get/Release on the same keys must be memory-safe:
+// pinned frames are orphaned, an orphaned frame's final release never
+// writes back, and a holder's bytes stay its page's until its own
+// Release — a slot recycled early would read as poison or as the other
+// page. Run under -race.
 func TestPoolDiscardGetRaceStress(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
 	p := NewPool(d, m, 16)
 	f := d.Open("r")
-	pn := f.Alloc()
+	pns := []PageNum{f.Alloc(), f.Alloc()}
+	fills := []byte{0x5A, 0x3C} // bytes 8.. of each page; byte 0 is the writer's
+	for i, pn := range pns {
+		if err := f.writePage(pn, bytes.Repeat([]byte{fills[i]}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const workers = 4
 	const iters = 300
@@ -259,11 +269,12 @@ func TestPoolDiscardGetRaceStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
+				pg := (w + i/3) % 2
 				switch (w + i) % 3 {
 				case 0:
-					p.Discard(f, pn)
+					p.Discard(f, pns[pg])
 				default:
-					fr, err := p.Get(f, pn)
+					fr, err := p.Get(f, pns[pg])
 					if err != nil {
 						errs <- err
 						return
@@ -273,6 +284,11 @@ func TestPoolDiscardGetRaceStress(t *testing.T) {
 						// writing its bytes would race in the test itself.
 						fr.Data[0] = byte(i)
 						fr.MarkDirty()
+					}
+					runtime.Gosched() // let a Discard land while pinned
+					if len(fr.Data) != 64 || !bytes.Equal(fr.Data[8:], bytes.Repeat([]byte{fills[pg]}, 56)) {
+						errs <- fmt.Errorf("worker %d: page %d's holder reads %x", w, pns[pg], fr.Data)
+						return
 					}
 					if err := p.Release(fr); err != nil {
 						errs <- err
@@ -290,9 +306,264 @@ func TestPoolDiscardGetRaceStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Discard(f, pn)
+	for _, pn := range pns {
+		p.Discard(f, pn)
+	}
 	if got := p.Resident(); got != 0 {
 		t.Errorf("resident after final discard = %d, want 0", got)
 	}
 	p.AssertUnpinned(t)
+}
+
+// arena reports the page buffers the pool holds now and at most, and
+// how many of them are free.
+func (p *Pool) arena() (live, peak, free int) {
+	p.slotMu.Lock()
+	defer p.slotMu.Unlock()
+	return p.live, p.peak, len(p.slots)
+}
+
+// The arena stays bounded through everything that moves frames: a bulk
+// load of ten times the capacity, concurrent cold scans in windows,
+// EvictAll, and Discard of a pinned frame. A buffer is made only when
+// none is free, i.e. when every one is in a frame, and frames exceed
+// the capacity only by the windows concurrent batches insert before
+// their eviction pass (a single Get or Alloc is a window of one).
+func TestPoolArenaBounded(t *testing.T) {
+	const capacity, scanners, window = 16, 2, 4
+	const pages = 10 * capacity
+	d := NewDisk(64)
+	p := NewPool(d, NewMeter(), capacity)
+	f := d.Open("r")
+	check := func(stage string) {
+		t.Helper()
+		if _, peak, free := p.arena(); peak > capacity+scanners*window || free > capacity {
+			t.Fatalf("%s: up to %d buffers held (bound %d), %d free (bound %d)",
+				stage, peak, capacity+scanners*window, free, capacity)
+		}
+	}
+	p.BeginBulk()
+	for i := 0; i < pages; i++ {
+		fr, err := p.Alloc(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Data[0], fr.Data[1] = byte(i), byte(i>>8)
+		fr.MarkDirty()
+		if err := p.Release(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.EndBulk()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("bulk load")
+	if err := p.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("EvictAll after the load")
+
+	var wg sync.WaitGroup
+	for s := 0; s < scanners; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			pns := make([]PageNum, window)
+			for lo := 0; lo < 3*pages; lo += window {
+				for k := range pns {
+					pns[k] = PageNum((lo + k + s*pages/2) % pages)
+				}
+				frames, err := p.GetBatch(f, pns)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, fr := range frames {
+					if got := PageNum(fr.Data[0]) | PageNum(fr.Data[1])<<8; got != fr.PageNum() {
+						t.Errorf("frame of page %d holds page %d", fr.PageNum(), got)
+					}
+					if err := p.Release(fr); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	check("concurrent cold scans")
+	if err := p.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("EvictAll after the scans")
+
+	fr, err := p.Get(f, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Discard(f, 7)
+	if err := p.Release(fr); err != nil {
+		t.Fatal(err)
+	}
+	check("Discard of a pinned frame")
+	if live, _, free := p.arena(); p.Resident() != 0 || free != live || live > capacity {
+		t.Errorf("idle pool: %d resident, %d of %d buffers free (cap %d)", p.Resident(), free, live, capacity)
+	}
+}
+
+// An orphan (a frame discarded while pinned) keeps its slot, bytes
+// intact, for as long as any holder has it: the slot returns at the
+// final Release, not at Discard and not at an earlier one.
+func TestPoolArenaOrphanSlotReturnsAtFinalRelease(t *testing.T) {
+	d := NewDisk(64)
+	p := NewPool(d, NewMeter(), 4)
+	f := d.Open("r")
+	pn := f.Alloc()
+	if err := f.writePage(pn, bytes.Repeat([]byte{7}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Get(f, pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Get(f, pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, free0 := p.arena()
+	p.Discard(f, pn)
+	if _, _, free := p.arena(); free != free0 {
+		t.Fatalf("Discard of a pinned frame freed its slot (%d → %d free)", free0, free)
+	}
+	if err := p.Release(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, free := p.arena(); free != free0 || !bytes.Equal(b.Data, bytes.Repeat([]byte{7}, 64)) {
+		t.Fatalf("after the first of two releases: %d free (want %d), holder reads %x", free, free0, b.Data)
+	}
+	if err := p.Release(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, free := p.arena(); free != free0+1 || b.Data != nil {
+		t.Fatalf("after the final release: %d free (want %d), Data nil %v", free, free0+1, b.Data == nil)
+	}
+}
+
+// Alloc hands out a zeroed page even when its slot last held a dirty
+// page (and, in a test binary, poison).
+func TestPoolArenaAllocZeroesRecycledSlot(t *testing.T) {
+	d := NewDisk(64)
+	p := NewPool(d, NewMeter(), 4)
+	f := d.Open("r")
+	fr, err := p.Alloc(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fr.Data {
+		fr.Data[i] = 0xFF
+	}
+	fr.MarkDirty()
+	if err := p.Release(fr); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	live, _, free := p.arena()
+	if free != 1 {
+		t.Fatalf("%d free slots after evicting the one frame", free)
+	}
+	fr, err = p.Alloc(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release(fr)
+	if again, _, _ := p.arena(); again != live {
+		t.Fatalf("Alloc made a buffer (%d → %d held) instead of reusing the free slot", live, again)
+	}
+	if !bytes.Equal(fr.Data, make([]byte, 64)) {
+		t.Fatalf("Alloc on a recycled slot: %x, want zeros", fr.Data)
+	}
+}
+
+// A read of a frame after its last unpin is caught at every point a
+// frame leaves the table: the frame's Data is nil, so a read through it
+// panics, and the slice a careless reader kept reads poison, not the
+// page (nor, once the slot is reused, silently another page).
+func TestPoolArenaStaleReadCaught(t *testing.T) {
+	if !poisonSlots {
+		t.Fatal("poison-on-recycle is off in a test binary")
+	}
+	release := func(t *testing.T, p *Pool, fr *Frame) {
+		if err := p.Release(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		leave func(t *testing.T, p *Pool, f *File, fr *Frame)
+	}{
+		{"EvictAll", func(t *testing.T, p *Pool, f *File, fr *Frame) {
+			release(t, p, fr)
+			if err := p.EvictAll(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"eviction", func(t *testing.T, p *Pool, f *File, fr *Frame) {
+			release(t, p, fr)
+			for pn := PageNum(1); pn <= 2; pn++ { // a two-frame pool
+				g, err := p.Get(f, pn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				release(t, p, g)
+			}
+		}},
+		{"Discard", func(t *testing.T, p *Pool, f *File, fr *Frame) {
+			release(t, p, fr)
+			p.Discard(f, fr.PageNum())
+		}},
+		{"orphan's final Release", func(t *testing.T, p *Pool, f *File, fr *Frame) {
+			p.Discard(f, fr.PageNum())
+			release(t, p, fr)
+		}},
+		{"Alloc over a stale frame", func(t *testing.T, p *Pool, f *File, fr *Frame) {
+			release(t, p, fr)
+			f.Free(fr.PageNum()) // freed without Discard: the frame goes stale
+			g, err := p.Alloc(f)
+			if err != nil || g.PageNum() != fr.PageNum() {
+				t.Fatalf("Alloc = page %v, %v; want the freed page %d", g, err, fr.PageNum())
+			}
+			release(t, p, g)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDisk(64)
+			p := NewPool(d, NewMeter(), 2)
+			f := d.Open("r")
+			for i := 0; i < 3; i++ {
+				if err := f.writePage(f.Alloc(), bytes.Repeat([]byte{0x11}, 64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fr, err := p.Get(f, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := fr.Data
+			c.leave(t, p, f, fr)
+			if fr.Data != nil {
+				t.Fatal("a recycled frame kept its Data")
+			}
+			if !bytes.Equal(kept, bytes.Repeat([]byte{poisonByte}, 64)) {
+				t.Fatalf("the slice kept past Release reads %x, not poison", kept)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("a read through a recycled frame did not panic")
+				}
+			}()
+			_ = fr.Data[0]
+		})
+	}
 }

@@ -58,7 +58,7 @@ func TestDiskFileAllocFree(t *testing.T) {
 	if f.NumPages() != 1 {
 		t.Errorf("NumPages after free = %d, want 1", f.NumPages())
 	}
-	if _, err := f.readPage(p0); err == nil {
+	if _, err := f.Peek(p0); err == nil {
 		t.Error("read of freed page succeeded")
 	}
 	p2 := f.Alloc() // reuses the freed slot
@@ -66,7 +66,7 @@ func TestDiskFileAllocFree(t *testing.T) {
 		t.Errorf("expected page reuse: got %d, want %d", p2, p0)
 	}
 	// Reused page must come back zeroed.
-	b, err := f.readPage(p2)
+	b, err := f.Peek(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPoolWriteThroughChargesOnUnpin(t *testing.T) {
 		t.Errorf("writes after unpin = %d, want 1", got)
 	}
 	// Durability: the byte is on disk.
-	b, _ := f.readPage(pn)
+	b, _ := f.Peek(pn)
 	if b[0] != 0xAB {
 		t.Error("write-through did not persist data")
 	}
