@@ -323,10 +323,11 @@ func (t *Tree) Insert(tp tuple.Tuple) error {
 		root := &internalNode{children: []storage.PageNum{t.root, newChild}, seps: []key{sep}}
 		encodeInternal(fr.Data, root)
 		fr.MarkDirty()
+		rootPN := fr.PageNum() // read before the Release: the frame may be recycled
 		if err := t.pool.Release(fr); err != nil {
 			return err
 		}
-		t.root = fr.PageNum()
+		t.root = rootPN
 		t.height++
 	}
 	t.count++
@@ -379,7 +380,7 @@ func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage
 			t.pool.Release(fr)
 			return key{}, 0, false, err
 		}
-		return sep, rfr.PageNum(), true, t.pool.Release(fr)
+		return sep, leaf.Next, true, t.pool.Release(fr)
 	}
 
 	in, err := decodeInternal(fr.Data)
@@ -438,11 +439,12 @@ func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage
 	rfr.MarkDirty()
 	encodeInternal(fr.Data, in)
 	fr.MarkDirty()
+	rightPN := rfr.PageNum() // read before the Release: the frame may be recycled
 	if err := t.pool.Release(rfr); err != nil {
 		t.pool.Release(fr)
 		return key{}, 0, false, err
 	}
-	return upKey, rfr.PageNum(), true, t.pool.Release(fr)
+	return upKey, rightPN, true, t.pool.Release(fr)
 }
 
 // leafLowerBound returns the first index whose key is ≥ k.
@@ -547,11 +549,16 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // the predicate for every row. Pruned pages are never pinned and never
 // charged; they are counted so plans can report them. The charged
 // chain-following path (range scans, dirty files, tiny pools) never
-// prunes.
+// prunes. Every leaf a full scan does read, on either path, has its rows
+// tested against the atoms before they are decoded (colpage.DecodeWhere).
+// The test reads the pinned frame, so dirty frames do not disarm it.
+// Only the rows that pass are filled; the count of the rest rides on the
+// filled batch (vec.Batch.Dropped).
 type BatchIterator struct {
 	tree    *Tree
 	rg      *pred.Range
-	prune   []colpage.Atom
+	prune   []colpage.Atom // full scans: zone-map pruning and the row test
+	dropped int            // rows the atoms dropped, not yet on a filled batch
 	pn      storage.PageNum
 	hasPage bool
 	done    bool
@@ -599,8 +606,10 @@ func (it *BatchIterator) Pruned() int64 { return it.pruned }
 // rows or the scan is exhausted; check Done afterwards. Whenever the
 // rows read so far run out it reads on at once, full batch or not, so
 // the pool sees the page requests at the same points of the scan
-// whatever the batch size.
+// whatever the batch size. The rows the prune atoms dropped since the
+// last Fill are added to b.Dropped.
 func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
+	defer func() { b.Dropped, it.dropped = b.Dropped+it.dropped, 0 }()
 	for !it.done {
 		n := len(it.stage.IDs)
 		if it.idx >= n {
@@ -713,15 +722,17 @@ func (it *BatchIterator) loadPage(b *vec.Batch, max int) error {
 	}
 }
 
-// takeLeaf decodes a pinned leaf page: straight onto b when the data
-// page rule allows it and the range keeps every row of the leaf; onto
-// the staging lanes otherwise.
+// takeLeaf decodes a pinned leaf page — on a full scan, the rows the
+// prune atoms keep: straight onto b when the data page rule allows it and
+// the range keeps every row of the leaf; onto the staging lanes
+// otherwise.
 func (it *BatchIterator) takeLeaf(page []byte, b *vec.Batch, max int) error {
 	mark := 0
 	if b != nil {
 		mark = b.NumRows()
 	}
-	direct, err := leafPages.Take(page, b, max, &it.stage)
+	direct, dropped, err := leafPages.Take(page, it.prune, b, max, &it.stage)
+	it.dropped += dropped
 	if err != nil || !direct || it.all || b.NumRows() == mark {
 		return err
 	}
@@ -733,7 +744,7 @@ func (it *BatchIterator) takeLeaf(page []byte, b *vec.Batch, max int) error {
 		// The range cuts this leaf (its last, usually): take it back
 		// and let Fill move the kept runs.
 		b.Truncate(mark)
-		_, err = leafPages.Take(page, nil, 0, &it.stage)
+		_, _, err = leafPages.Take(page, nil, nil, 0, &it.stage)
 	}
 	return err
 }

@@ -36,10 +36,9 @@ func newColTree(t testing.TB, pageSize, poolCap, rows int) (*Tree, *storage.Disk
 }
 
 // drainBatches pulls a BatchIterator dry, returning the slot-0 key
-// values in emission order.
-func drainBatches(t testing.TB, it *BatchIterator) []int64 {
+// values in emission order and the rows the prune atoms dropped.
+func drainBatches(t testing.TB, it *BatchIterator) (keys []int64, dropped int) {
 	t.Helper()
-	var keys []int64
 	for !it.Done() {
 		b := &vec.Batch{}
 		if err := it.Fill(b, vec.DefaultBatchSize); err != nil {
@@ -48,8 +47,20 @@ func drainBatches(t testing.TB, it *BatchIterator) []int64 {
 		for i := 0; i < b.NumRows(); i++ {
 			keys = append(keys, b.TupleAt(0, i).Vals[0].Int())
 		}
+		dropped += b.Dropped
 	}
-	return keys
+	return keys, dropped
+}
+
+// below returns the keys less than n, in the order given.
+func below(keys []int64, n int64) []int64 {
+	var out []int64
+	for _, k := range keys {
+		if k < n {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // TestScanBatchesPrunedPagesNeverPinned is the speculative-pin
@@ -68,7 +79,7 @@ func TestScanBatchesPrunedPagesNeverPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prunedKeys := drainBatches(t, it)
+	prunedKeys, dropped := drainBatches(t, it)
 	prunedReads := m.Snapshot().Sub(before).Reads
 	if it.Pruned() == 0 {
 		t.Fatal("scan pruned nothing; fixture too small to exercise pruning")
@@ -80,7 +91,7 @@ func TestScanBatchesPrunedPagesNeverPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullKeys := drainBatches(t, full)
+	fullKeys, _ := drainBatches(t, full)
 	fullReads := m.Snapshot().Sub(before).Reads
 	if full.Pruned() != 0 {
 		t.Fatalf("unpruned scan reported %d pruned pages", full.Pruned())
@@ -94,59 +105,70 @@ func TestScanBatchesPrunedPagesNeverPinned(t *testing.T) {
 		t.Fatalf("full scan returned %d rows, want %d", len(fullKeys), rows)
 	}
 
-	// The pruned scan returns every surviving page's rows: a superset
-	// of the matching rows, identical once both are filtered.
-	match := func(keys []int64) []int64 {
-		var out []int64
-		for _, k := range keys {
-			if k < 50 {
-				out = append(out, k)
-			}
-		}
-		return out
+	// The pruned scan returns the matching rows alone, in key order,
+	// and counts the rest of every page it read as dropped.
+	fm := below(fullKeys, 50)
+	if len(prunedKeys) != 50 || len(fm) != 50 {
+		t.Fatalf("pruned scan returned %d rows, full scan %d matching, want 50", len(prunedKeys), len(fm))
 	}
-	pm, fm := match(prunedKeys), match(fullKeys)
-	if len(pm) != len(fm) || len(pm) != 50 {
-		t.Fatalf("pruned scan kept %d matching rows, full scan %d, want 50", len(pm), len(fm))
-	}
-	for i := range pm {
-		if pm[i] != fm[i] {
-			t.Fatalf("matching row %d: pruned %d vs full %d", i, pm[i], fm[i])
+	for i := range fm {
+		if prunedKeys[i] != fm[i] {
+			t.Fatalf("matching row %d: pruned %d vs full %d", i, prunedKeys[i], fm[i])
 		}
+	}
+	if int64(dropped) >= rows-50 || dropped == 0 {
+		t.Errorf("pruned scan dropped %d rows; want some, fewer than the %d on pruned pages too", dropped, rows-50)
 	}
 	pool.AssertUnpinned(t)
 }
 
 // TestScanBatchesPruningDisarmedByDirtyFrames: while dirty frames
 // exist the on-disk zone maps may be stale, so the scan must read
-// every page (identical charges to the unpruned scan). Write-through
-// is off so the dirtying insert stays pool-only, and the pool is
-// large enough that the dirty frame is never evicted (an eviction
+// every page (identical charges to the unpruned scan) — but the row
+// test reads the pinned frames, dirty or not, so it stays armed. Write-
+// through is off so the dirtying insert stays pool-only, and the pool
+// is large enough that the dirty frame is never evicted (an eviction
 // writes it back, making the disk current — at which point pruning
 // soundly re-arms).
 func TestScanBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
-	tr, _, pool, m := newColTree(t, 256, 512, 500)
-	pool.BeginBulk()
-	// Dirty a page: an insert rewrites its leaf in the pool only.
-	if err := tr.Insert(mk(9001, 9001)); err != nil {
-		t.Fatal(err)
+	// scan runs a full scan over a freshly dirtied tree, the same tree
+	// every call, and returns its keys, dropped rows and page reads.
+	scan := func(atoms []colpage.Atom) (keys []int64, dropped int, reads int64) {
+		tr, _, pool, m := newColTree(t, 256, 512, 500)
+		pool.BeginBulk()
+		// Dirty a page: an insert rewrites its leaf in the pool only.
+		if err := tr.Insert(mk(9001, 9001)); err != nil {
+			t.Fatal(err)
+		}
+		before := m.Snapshot()
+		it, err := tr.ScanBatches(nil, atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, dropped = drainBatches(t, it)
+		if it.Pruned() != 0 {
+			t.Errorf("scan over dirty frames pruned %d pages", it.Pruned())
+		}
+		pool.AssertUnpinned(t)
+		return keys, dropped, m.Snapshot().Sub(before).Reads
 	}
-	before := m.Snapshot()
-	it, err := tr.ScanBatches(nil, []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(50)}})
-	if err != nil {
-		t.Fatal(err)
+	all, _, fullReads := scan(nil)
+	keys, dropped, reads := scan([]colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(50)}})
+	if len(keys)+dropped != 501 || len(all) != 501 {
+		t.Errorf("selecting scan returned %d rows and dropped %d, unselecting %d; want 501 in all", len(keys), dropped, len(all))
 	}
-	keys := drainBatches(t, it)
-	if it.Pruned() != 0 {
-		t.Errorf("scan over dirty frames pruned %d pages", it.Pruned())
+	if reads != fullReads || reads == 0 {
+		t.Errorf("selecting scan read %d pages, unselecting %d", reads, fullReads)
 	}
-	if len(keys) != 501 {
-		t.Errorf("scan returned %d rows, want 501", len(keys))
+	if want := below(all, 50); len(keys) != 50 || len(want) != 50 {
+		t.Errorf("selecting scan returned %d rows, want the 50 below 50", len(keys))
+	} else {
+		for i := range want {
+			if keys[i] != want[i] {
+				t.Fatalf("row %d: key %d, want %d", i, keys[i], want[i])
+			}
+		}
 	}
-	if reads := m.Snapshot().Sub(before).Reads; reads == 0 {
-		t.Error("scan charged no reads")
-	}
-	pool.AssertUnpinned(t)
 }
 
 // TestScanBatchesRangePruneEquivalence: a range scan ignores prune
@@ -159,9 +181,9 @@ func TestScanBatchesRangeIgnoresPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := drainBatches(t, it)
-	if it.Pruned() != 0 {
-		t.Errorf("range scan pruned %d pages", it.Pruned())
+	keys, dropped := drainBatches(t, it)
+	if it.Pruned() != 0 || dropped != 0 {
+		t.Errorf("range scan pruned %d pages, dropped %d rows", it.Pruned(), dropped)
 	}
 	if len(keys) != 51 || keys[0] != 100 || keys[len(keys)-1] != 150 {
 		t.Errorf("range scan returned %d keys [%v..%v], want 51 [100..150]",
@@ -172,7 +194,8 @@ func TestScanBatchesRangeIgnoresPrune(t *testing.T) {
 
 // TestScanBatchesRowLayout: the BatchIterator decodes row-major pages
 // through the same interface (mixed-layout files are legal), with no
-// pruning ever (row pages carry no zone maps).
+// pruning ever (row pages carry no zone maps) but the same row test as
+// a columnar leaf: the rows the atoms reject are dropped after decoding.
 func TestScanBatchesRowLayout(t *testing.T) {
 	d := storage.NewDisk(256)
 	m := storage.NewMeter()
@@ -195,12 +218,12 @@ func TestScanBatchesRowLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := drainBatches(t, it)
+	keys, dropped := drainBatches(t, it)
 	if it.Pruned() != 0 {
 		t.Errorf("row-layout scan pruned %d pages", it.Pruned())
 	}
-	if len(keys) != 300 {
-		t.Errorf("row-layout scan returned %d rows, want 300", len(keys))
+	if len(keys) != 10 || dropped != 290 {
+		t.Errorf("row-layout scan returned %d rows and dropped %d, want 10 and 290", len(keys), dropped)
 	}
 	for i, k := range keys {
 		if k != int64(i) {

@@ -403,17 +403,33 @@ func header(chunk []byte) (rows, cols, footOff int, err error) {
 	return rows, cols, footOff, nil
 }
 
-// DecodeInto appends a chunk's rows onto ids and cols — one grow and
-// one width-specialised loop per lane, whatever the lanes already hold
-// — and returns both extended. Lanes holding no rows yet take the
-// chunk's column count; otherwise the counts must agree, except that an
-// empty chunk adds nothing whatever its arity. String cells reference
-// arenas allocated here and never touched again. After an error the
-// lanes hold a partial append and must be dropped.
+// DecodeInto appends a chunk's rows onto ids and cols and returns both
+// extended: DecodeWhere with every row selected.
 func DecodeInto(chunk []byte, ids []uint64, cols []vec.Col) ([]uint64, []vec.Col, error) {
+	ids, cols, _, err := DecodeWhere(chunk, nil, ids, cols)
+	return ids, cols, err
+}
+
+// DecodeWhere appends onto ids and cols the chunk's rows for which every
+// atom holds, and returns both extended with the number of rows the
+// atoms dropped — late materialization. It locates and validates every
+// lane first (FOR widths, run coverage, dictionary indexes, string
+// extents, trailing bytes), so a corrupt chunk is an error whether or not
+// a row of it survives; then tests the atoms on their columns' encoded
+// lanes (select.go); then decodes the ids and cells of the surviving rows
+// alone, one grow and one width-specialised loop per lane. With no atoms
+// every row survives: the full decode. An atom on a column the chunk
+// does not have drops nothing.
+//
+// Lanes holding no rows yet take the chunk's column count; otherwise the
+// counts must agree, except that an empty chunk adds nothing whatever its
+// arity. String cells reference arenas allocated here and never touched
+// again. After an error the lanes hold a partial append and must be
+// dropped.
+func DecodeWhere(chunk []byte, atoms []Atom, ids []uint64, cols []vec.Col) ([]uint64, []vec.Col, int, error) {
 	rows, ncols, footOff, err := header(chunk)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if len(cols) != ncols {
 		switch {
@@ -421,26 +437,47 @@ func DecodeInto(chunk []byte, ids []uint64, cols []vec.Col) ([]uint64, []vec.Col
 			cols = make([]vec.Col, ncols)
 		case rows == 0:
 			_, _, err := DecodeInto(chunk, nil, nil) // validate only
-			return ids, cols, err
+			return ids, cols, 0, err
 		default:
-			return nil, nil, fmt.Errorf("colpage: chunk of %d columns appended to rows of %d", ncols, len(cols))
+			return nil, nil, 0, fmt.Errorf("colpage: chunk of %d columns appended to rows of %d", ncols, len(cols))
 		}
 	}
 	body := chunk[:footOff]
-	ids, off, err := appendIDs(body, chunkHeader, rows, ids)
+	var idLane lane
+	off, err := idLane.locateFOR(body, chunkHeader, rows)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, fmt.Errorf("colpage: id lane: %w", err)
 	}
-	for c := range cols {
-		off, err = decodeLane(body, off, rows, &cols[c])
-		if err != nil {
-			return nil, nil, fmt.Errorf("colpage: column %d: %w", c, err)
+	var laneBuf [8]lane
+	lanes := laneBuf[:0]
+	if ncols > len(laneBuf) {
+		lanes = make([]lane, 0, ncols)
+	}
+	lanes = lanes[:ncols]
+	for c := range lanes {
+		if off, err = lanes[c].locate(body, off, rows); err != nil {
+			return nil, nil, 0, fmt.Errorf("colpage: column %d: %w", c, err)
 		}
 	}
 	if off != footOff {
-		return nil, nil, fmt.Errorf("colpage: %d lane bytes trail the columns", footOff-off)
+		return nil, nil, 0, fmt.Errorf("colpage: %d lane bytes trail the columns", footOff-off)
 	}
-	return ids, cols, nil
+	n := rows
+	var sel []int // nil: every row
+	if len(atoms) > 0 {
+		var selBuf [256]int // cleared only for a scan that selects
+		if sel = selectRows(body, lanes, rows, atoms, selBuf[:0]); sel != nil {
+			n = len(sel)
+		}
+	}
+	if n > 0 {
+		ids = append(ids, make([]uint64, n)...)
+		gatherFOR(ids[len(ids)-n:], body[idLane.off:], idLane.ref, idLane.w, sel)
+		for c := range cols {
+			lanes[c].gather(body, rows, sel, &cols[c])
+		}
+	}
+	return ids, cols, rows - n, nil
 }
 
 // DecodeTuples is DecodeInto gathered back to row form — the path
@@ -515,26 +552,226 @@ func ReadZones(chunk []byte, z *Zones) error {
 
 // decodeUintFOR decodes the id lane into a fresh slice.
 func decodeUintFOR(body []byte, off, rows int) ([]uint64, int, error) {
-	return appendIDs(body, off, rows, nil)
+	var l lane
+	end, err := l.locateFOR(body, off, rows)
+	if err != nil {
+		return nil, 0, fmt.Errorf("colpage: id lane: %w", err)
+	}
+	ids := make([]uint64, rows)
+	readFOR(ids, body[l.off:], l.ref, l.w)
+	return ids, end, nil
 }
 
-// appendIDs appends the id lane's rows onto ids.
-func appendIDs(body []byte, off, rows int, ids []uint64) ([]uint64, int, error) {
+// lane is one value lane located in a chunk body and validated: every
+// byte a decode of it reads lies inside the body, RLE runs cover the
+// rows exactly, dictionary indexes name entries. enc says which of the
+// other fields hold.
+type lane struct {
+	enc byte
+	// off and end bound the payload: FOR deltas, RLE runs, floats,
+	// strings — for a dictionary, its entries, with the row indexes
+	// following at end.
+	off, end int
+	ref      uint64   // FOR frame of reference
+	w        int      // FOR delta width
+	n        int      // RLE runs; dictionary entries
+	mixed    *vec.Col // encMixed: the cells, decoded to validate them
+}
+
+// locateFOR locates a frame-of-reference lane at off,
+// [8 ref][1 width][rows×width], into l and returns the offset past it.
+func (l *lane) locateFOR(body []byte, off, rows int) (int, error) {
 	if off+9 > len(body) {
-		return nil, 0, fmt.Errorf("colpage: truncated id lane")
+		return 0, fmt.Errorf("truncated FOR header")
 	}
-	ref := binary.BigEndian.Uint64(body[off:])
-	w := int(body[off+8])
-	off += 9
-	if w > 8 {
-		return nil, 0, fmt.Errorf("colpage: id width %d", w)
+	l.enc, l.off, l.ref, l.w = encIntFOR, off+9, binary.BigEndian.Uint64(body[off:]), int(body[off+8])
+	if l.w > 8 {
+		return 0, fmt.Errorf("FOR width %d", l.w)
 	}
-	if off+rows*w > len(body) {
-		return nil, 0, fmt.Errorf("colpage: truncated id deltas")
+	if l.end = l.off + rows*l.w; l.end > len(body) {
+		return 0, fmt.Errorf("truncated FOR deltas")
 	}
-	ids = append(ids, make([]uint64, rows)...)
-	readFOR(ids[len(ids)-rows:], body[off:], ref, w)
-	return ids, off + rows*w, nil
+	return l.end, nil
+}
+
+// locate locates one column's [1 enc][payload] at off into l, checking
+// everything a decode of its rows cells would read, and returns the
+// offset past it.
+func (l *lane) locate(body []byte, off, rows int) (int, error) {
+	if off >= len(body) {
+		return 0, fmt.Errorf("truncated lane header")
+	}
+	l.enc, l.off = body[off], off+1
+	off++
+	switch l.enc {
+	case encMixed:
+		l.mixed = &vec.Col{}
+		for i := 0; i < rows; i++ {
+			v, n, err := tuple.DecodeValue(body[off:])
+			if err != nil {
+				return 0, fmt.Errorf("cell %d: %w", i, err)
+			}
+			off += n
+			l.mixed.Append(v)
+		}
+	case encIntFOR:
+		return l.locateFOR(body, off, rows)
+	case encIntRLE:
+		if off+2 > len(body) {
+			return 0, fmt.Errorf("truncated RLE header")
+		}
+		l.n = int(binary.BigEndian.Uint16(body[off:]))
+		l.off = off + 2
+		if off = l.off + 10*l.n; off > len(body) {
+			return 0, fmt.Errorf("truncated run %d", (len(body)-l.off)/10)
+		}
+		total := 0
+		for r := 0; r < l.n; r++ {
+			total += int(binary.BigEndian.Uint16(body[l.off+10*r+8:]))
+			if total > rows {
+				return 0, fmt.Errorf("runs exceed %d rows", rows)
+			}
+		}
+		if total != rows {
+			return 0, fmt.Errorf("runs cover %d of %d rows", total, rows)
+		}
+	case encFloatRaw:
+		if off += rows * 8; off > len(body) {
+			return 0, fmt.Errorf("truncated float lane")
+		}
+	case encBytesRaw:
+		var err error
+		if off, _, err = scanStrings(body, off, rows); err != nil {
+			return 0, err
+		}
+	case encBytesDict:
+		if off+2 > len(body) {
+			return 0, fmt.Errorf("truncated dict header")
+		}
+		l.n = int(binary.BigEndian.Uint16(body[off:]))
+		l.off = off + 2
+		if l.n > maxDict {
+			return 0, fmt.Errorf("dict of %d entries", l.n)
+		}
+		end, _, err := scanStrings(body, l.off, l.n)
+		if err != nil {
+			return 0, err
+		}
+		if end+rows > len(body) {
+			return 0, fmt.Errorf("truncated dict indexes")
+		}
+		for _, idx := range body[end : end+rows] {
+			if int(idx) >= l.n {
+				return 0, fmt.Errorf("dict index %d of %d", idx, l.n)
+			}
+		}
+		l.end = end
+		return end + rows, nil
+	default:
+		return 0, fmt.Errorf("unknown lane encoding %d", l.enc)
+	}
+	l.end = off
+	return off, nil
+}
+
+// rowAt is the row the k-th selected cell comes from; a nil selection
+// selects every row.
+func rowAt(sel []int, k int) int {
+	if sel == nil {
+		return k
+	}
+	return sel[k]
+}
+
+// gather appends the lane's cells of the selected rows (ascending; nil
+// selects all rows) onto col, one grow per lane.
+func (l *lane) gather(body []byte, rows int, sel []int, col *vec.Col) {
+	n := rows
+	if sel != nil {
+		n = len(sel)
+	}
+	switch l.enc {
+	case encMixed:
+		if sel == nil {
+			col.AppendRange(l.mixed, 0, rows)
+		} else {
+			col.AppendRows(l.mixed, sel)
+		}
+	case encIntFOR:
+		gatherFOR(col.GrowInts(n), body[l.off:], l.ref, l.w, sel)
+	case encIntRLE:
+		dst := col.GrowInts(n)
+		for r, k, end := 0, 0, 0; k < n; r++ {
+			p := l.off + 10*r
+			v := int64(binary.BigEndian.Uint64(body[p:]))
+			end += int(binary.BigEndian.Uint16(body[p+8:]))
+			if sel == nil {
+				for ; k < end; k++ {
+					dst[k] = v
+				}
+				continue
+			}
+			for ; k < n && sel[k] < end; k++ {
+				dst[k] = v
+			}
+		}
+	case encFloatRaw:
+		dst := col.GrowFloats(n)
+		for k := range dst {
+			dst[k] = math.Float64frombits(binary.BigEndian.Uint64(body[l.off+8*rowAt(sel, k):]))
+		}
+	case encBytesRaw:
+		dst := col.GrowBytes(n)
+		if sel == nil {
+			// One copy of the lane, length prefixes included, backs every
+			// cell, so cell slices never move.
+			arena := append([]byte(nil), body[l.off:l.end]...)
+			for i, p := 0, 0; i < rows; i++ {
+				ln := int(binary.BigEndian.Uint32(arena[p:]))
+				p += 4
+				dst[i] = arena[p : p+ln : p+ln]
+				p += ln
+			}
+			return
+		}
+		// The selected cells alone are copied, into one arena sized by a
+		// first walk of the lane.
+		total := 0
+		for i, p, k := 0, l.off, 0; k < n; i++ {
+			ln := int(binary.BigEndian.Uint32(body[p:]))
+			if i == sel[k] {
+				total += ln
+				k++
+			}
+			p += 4 + ln
+		}
+		arena := make([]byte, 0, total)
+		for i, p, k := 0, l.off, 0; k < n; i++ {
+			ln := int(binary.BigEndian.Uint32(body[p:]))
+			p += 4
+			if i == sel[k] {
+				start := len(arena)
+				arena = append(arena, body[p:p+ln]...)
+				dst[k] = arena[start:len(arena):len(arena)]
+				k++
+			}
+			p += ln
+		}
+	case encBytesDict:
+		arena := append([]byte(nil), body[l.off:l.end]...)
+		var entries [maxDict][]byte
+		for d, p := 0, 0; d < l.n; d++ {
+			ln := int(binary.BigEndian.Uint32(arena[p:]))
+			p += 4
+			entries[d] = arena[p : p+ln : p+ln]
+			p += ln
+		}
+		idx := body[l.end : l.end+rows]
+		dst := col.GrowBytes(n)
+		for k := range dst {
+			dst[k] = entries[idx[rowAt(sel, k)]]
+		}
+	}
 }
 
 // readFOR fills dst with ref plus each w-byte big-endian delta of src,
@@ -553,6 +790,10 @@ func readFOR[T int64 | uint64](dst []T, src []byte, ref uint64, w int) {
 		for i := range dst {
 			dst[i] = T(ref + uint64(binary.BigEndian.Uint16(src[2*i:])))
 		}
+	case 3:
+		for i := range dst {
+			dst[i] = T(ref + be24(src[3*i:]))
+		}
 	case 4:
 		for i := range dst {
 			dst[i] = T(ref + uint64(binary.BigEndian.Uint32(src[4*i:])))
@@ -568,130 +809,42 @@ func readFOR[T int64 | uint64](dst []T, src []byte, ref uint64, w int) {
 	}
 }
 
-// decodeLane appends one column's rows cells onto col.
-func decodeLane(body []byte, off, rows int, col *vec.Col) (int, error) {
-	if off >= len(body) {
-		return 0, fmt.Errorf("truncated lane header")
+// gatherFOR is readFOR for the selected rows of src: dst[k] is row
+// sel[k]'s cell. A nil selection is readFOR itself.
+func gatherFOR[T int64 | uint64](dst []T, src []byte, ref uint64, w int, sel []int) {
+	if sel == nil {
+		readFOR(dst, src, ref, w)
+		return
 	}
-	enc := body[off]
-	off++
-	switch enc {
-	case encMixed:
-		for i := 0; i < rows; i++ {
-			v, n, err := tuple.DecodeValue(body[off:])
-			if err != nil {
-				return 0, fmt.Errorf("cell %d: %w", i, err)
-			}
-			off += n
-			col.Append(v)
+	switch w {
+	case 0:
+		for k := range dst {
+			dst[k] = T(ref)
 		}
-		return off, nil
-	case encIntFOR:
-		if off+9 > len(body) {
-			return 0, fmt.Errorf("truncated FOR header")
+	case 1:
+		for k, i := range sel {
+			dst[k] = T(ref + uint64(src[i]))
 		}
-		ref := binary.BigEndian.Uint64(body[off:])
-		w := int(body[off+8])
-		off += 9
-		if w > 8 {
-			return 0, fmt.Errorf("FOR width %d", w)
+	case 2:
+		for k, i := range sel {
+			dst[k] = T(ref + uint64(binary.BigEndian.Uint16(src[2*i:])))
 		}
-		if off+rows*w > len(body) {
-			return 0, fmt.Errorf("truncated FOR deltas")
+	case 3:
+		for k, i := range sel {
+			dst[k] = T(ref + be24(src[3*i:]))
 		}
-		readFOR(col.GrowInts(rows), body[off:], ref, w)
-		return off + rows*w, nil
-	case encIntRLE:
-		if off+2 > len(body) {
-			return 0, fmt.Errorf("truncated RLE header")
+	case 4:
+		for k, i := range sel {
+			dst[k] = T(ref + uint64(binary.BigEndian.Uint32(src[4*i:])))
 		}
-		runs := int(binary.BigEndian.Uint16(body[off:]))
-		off += 2
-		// Validate the runs before growing the lane by what they claim.
-		if off+10*runs > len(body) {
-			return 0, fmt.Errorf("truncated run %d", (len(body)-off)/10)
+	case 8:
+		for k, i := range sel {
+			dst[k] = T(ref + binary.BigEndian.Uint64(src[8*i:]))
 		}
-		total := 0
-		for r := 0; r < runs; r++ {
-			total += int(binary.BigEndian.Uint16(body[off+10*r+8:]))
-			if total > rows {
-				return 0, fmt.Errorf("runs exceed %d rows", rows)
-			}
-		}
-		if total != rows {
-			return 0, fmt.Errorf("runs cover %d of %d rows", total, rows)
-		}
-		dst := col.GrowInts(rows)
-		for r := 0; r < runs; r++ {
-			v := int64(binary.BigEndian.Uint64(body[off:]))
-			n := int(binary.BigEndian.Uint16(body[off+8:]))
-			off += 10
-			for k := range dst[:n] {
-				dst[k] = v
-			}
-			dst = dst[n:]
-		}
-		return off, nil
-	case encFloatRaw:
-		if off+rows*8 > len(body) {
-			return 0, fmt.Errorf("truncated float lane")
-		}
-		for i, dst := 0, col.GrowFloats(rows); i < rows; i++ {
-			dst[i] = math.Float64frombits(binary.BigEndian.Uint64(body[off+8*i:]))
-		}
-		return off + rows*8, nil
-	case encBytesRaw:
-		end, _, err := scanStrings(body, off, rows)
-		if err != nil {
-			return 0, err
-		}
-		// One copy of the lane, length prefixes included, backs every
-		// cell, so cell slices never move.
-		arena := append([]byte(nil), body[off:end]...)
-		dst := col.GrowBytes(rows)
-		for i, p := 0, 0; i < rows; i++ {
-			l := int(binary.BigEndian.Uint32(arena[p:]))
-			p += 4
-			dst[i] = arena[p : p+l : p+l]
-			p += l
-		}
-		return end, nil
-	case encBytesDict:
-		if off+2 > len(body) {
-			return 0, fmt.Errorf("truncated dict header")
-		}
-		dictN := int(binary.BigEndian.Uint16(body[off:]))
-		off += 2
-		if dictN > maxDict {
-			return 0, fmt.Errorf("dict of %d entries", dictN)
-		}
-		end, _, err := scanStrings(body, off, dictN)
-		if err != nil {
-			return 0, err
-		}
-		if end+rows > len(body) {
-			return 0, fmt.Errorf("truncated dict indexes")
-		}
-		arena := append([]byte(nil), body[off:end]...)
-		var entries [maxDict][]byte
-		for d, p := 0, 0; d < dictN; d++ {
-			l := int(binary.BigEndian.Uint32(arena[p:]))
-			p += 4
-			entries[d] = arena[p : p+l : p+l]
-			p += l
-		}
-		for _, idx := range body[end : end+rows] {
-			if int(idx) >= dictN {
-				return 0, fmt.Errorf("dict index %d of %d", idx, dictN)
-			}
-		}
-		dst := col.GrowBytes(rows)
-		for i, idx := range body[end : end+rows] {
-			dst[i] = entries[idx]
-		}
-		return end + rows, nil
 	default:
-		return 0, fmt.Errorf("unknown lane encoding %d", enc)
+		for k, i := range sel {
+			dst[k] = T(ref + readBE(src[i*w:], w))
+		}
 	}
 }
 
@@ -713,6 +866,12 @@ func appendBE(dst []byte, v uint64, w int) []byte {
 		dst = append(dst, byte(v>>(8*uint(i))))
 	}
 	return dst
+}
+
+// be24 reads a 3-byte big-endian unsigned integer with one bounds check.
+func be24(src []byte) uint64 {
+	_ = src[2]
+	return uint64(src[0])<<16 | uint64(src[1])<<8 | uint64(src[2])
 }
 
 // readBE reads a w-byte big-endian unsigned integer.

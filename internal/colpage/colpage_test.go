@@ -386,7 +386,8 @@ func TestDecodedStringsOwnTheirBytes(t *testing.T) {
 		if chunk[off] != enc {
 			t.Fatalf("column %d has lane encoding %d, want %d", c, chunk[off], enc)
 		}
-		if off, err = decodeLane(chunk, off, len(ids), &vec.Col{}); err != nil {
+		var l lane
+		if off, err = l.locate(chunk, off, len(ids)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,7 +405,8 @@ func TestDecodedStringsOwnTheirBytes(t *testing.T) {
 
 // FuzzColPageCodec feeds arbitrary bytes to the chunk decoder: corrupt
 // chunks must error (never panic), and anything that decodes must
-// re-encode byte-identically through the deterministic encoder.
+// re-encode byte-identically through the deterministic encoder. Every
+// chunk also runs the selected-decode differential (checkSelected).
 func FuzzColPageCodec(f *testing.F) {
 	seed := func(tuples []tuple.Tuple) {
 		buf := make([]byte, 8192)
@@ -440,6 +442,9 @@ func FuzzColPageCodec(f *testing.F) {
 		// them — so acceptance is checked one-way, below.)
 		tuples, terr := DecodeTuples(data)
 		if err := zoneReuse(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkSelected(data); err != nil {
 			t.Fatal(err)
 		}
 		// The row-set decoder accepts exactly the lanes the chunk decoder

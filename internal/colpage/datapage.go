@@ -164,55 +164,73 @@ func (l *Lanes) MoveRows(b *vec.Batch, lo, hi int) error {
 
 var errMixedShape = fmt.Errorf("colpage: scan produced mixed-shape tuples")
 
-// appendPage decodes a page of rows tuples (rows already validated) onto
-// the lanes, skipping tuple materialization entirely for a columnar page
-// (a row page is gathered cell by cell). Lanes holding no rows take the
+// appendPage decodes onto the lanes the rows of a page of rows tuples
+// (rows already validated) for which every atom holds, and returns how
+// many the atoms dropped. A columnar page goes through DecodeWhere, which
+// materializes no tuple and decodes only the survivors; a row page
+// decodes to tuples, is checked whole — one arity throughout, matching
+// what the lanes hold — and has its survivors gathered cell by cell, so
+// both layouts return the same rows. Lanes holding no rows take the
 // page's arity. After an error the lanes hold a partial append.
-func (pt PageTypes) appendPage(page []byte, rows int, l *Lanes) error {
+func (pt PageTypes) appendPage(page []byte, rows int, atoms []Atom, l *Lanes) (int, error) {
 	if page[0] == pt.Col {
-		before := len(l.IDs)
-		ids, cols, err := DecodeInto(page[DataPageHeader:], l.IDs, l.Cols)
+		ids, cols, dropped, err := DecodeWhere(page[DataPageHeader:], atoms, l.IDs, l.Cols)
 		if err != nil {
-			return fmt.Errorf("colpage: columnar data page: %w", err)
+			return 0, fmt.Errorf("colpage: columnar data page: %w", err)
 		}
-		if len(ids)-before != rows {
-			return errHeaderCount(len(ids)-before, rows)
+		if held := len(ids) - len(l.IDs) + dropped; held != rows {
+			return 0, errHeaderCount(held, rows)
 		}
 		l.IDs, l.Cols = ids, cols
-		return nil
+		return dropped, nil
 	}
 	n, err := pt.DecodePage(page)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	ids, cols, err := vec.AppendTupleRows(l.IDs, l.Cols, n.Tuples)
-	if err != nil {
-		return fmt.Errorf("colpage: mixed arity in data page: %w", err)
+	arity := len(l.Cols)
+	if len(l.IDs) == 0 && len(n.Tuples) > 0 {
+		arity = len(n.Tuples[0].Vals)
 	}
-	l.IDs, l.Cols = ids, cols
-	return nil
+	kept := n.Tuples[:0]
+	for _, tp := range n.Tuples {
+		if len(tp.Vals) != arity {
+			return 0, fmt.Errorf("colpage: mixed arity in data page: a tuple of %d values among rows of %d", len(tp.Vals), arity)
+		}
+		if holdsAll(atoms, tp.Vals) {
+			kept = append(kept, tp)
+		}
+	}
+	if l.IDs, l.Cols, err = vec.AppendTupleRows(l.IDs, l.Cols, kept); err != nil {
+		return 0, fmt.Errorf("colpage: mixed arity in data page: %w", err)
+	}
+	return rows - len(kept), nil
 }
 
-// Take decodes a scanned page's rows: straight onto b's slot-0 lanes
-// (direct) when nothing is staged ahead of the page and all of it fits
-// below max rows, onto the staging lanes otherwise — from where the
-// caller moves the rows on in runs (MoveRows). A nil b always stages.
-func (pt PageTypes) Take(page []byte, b *vec.Batch, max int, stage *Lanes) (direct bool, err error) {
+// Take decodes the rows of a scanned page for which every atom holds —
+// every row, without atoms — and returns how many the atoms dropped: a
+// scan's pushed-down predicate, tested before anything is decoded. The
+// rows land straight on b's slot-0 lanes (direct) when nothing is staged
+// ahead of the page and all of its rows would fit below max rows, on the
+// staging lanes otherwise — from where the caller moves them on in runs
+// (MoveRows). A nil b always stages.
+func (pt PageTypes) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
 	rows, err := pt.rows(page)
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	if b == nil || len(stage.IDs) > 0 || rows > max-b.NumRows() {
-		return false, pt.appendPage(page, rows, stage)
+		dropped, err = pt.appendPage(page, rows, atoms, stage)
+		return false, dropped, err
 	}
 	dst := Lanes{IDs: b.IDs[0], Cols: b.Slots[0]}
-	if err := pt.appendPage(page, rows, &dst); err != nil {
-		return false, err
+	if dropped, err = pt.appendPage(page, rows, atoms, &dst); err != nil {
+		return false, 0, err
 	}
 	if err := b.SetSlot0(dst.IDs, dst.Cols); err != nil {
-		return false, fmt.Errorf("%w: %v", errMixedShape, err)
+		return false, 0, fmt.Errorf("%w: %v", errMixedShape, err)
 	}
-	return true, nil
+	return true, dropped, nil
 }
 
 // Prunable reports whether page is a columnar page whose zone maps

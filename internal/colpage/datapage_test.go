@@ -92,7 +92,7 @@ func TestDataPageBytes(t *testing.T) {
 					t.Errorf("PageLink = %d, %v", next, hasNext)
 				}
 				var l Lanes
-				if direct, err := pt.Take(got, nil, 0, &l); err != nil || direct {
+				if direct, _, err := pt.Take(got, nil, nil, 0, &l); err != nil || direct {
 					t.Fatalf("Take onto staging lanes: direct %v, err %v", direct, err)
 				}
 				if !bytes.Equal(refBytes(lanesTuples(l.IDs, l.Cols)), refBytes(pin.page.Tuples)) {
@@ -120,7 +120,7 @@ func TestTakeStagesOrDecodesDirect(t *testing.T) {
 		{max: 5, direct: false, inB: 4, inStg: 2}, // one row of room
 		{max: 8, direct: false, inB: 4, inStg: 4}, // room, but rows are staged ahead
 	} {
-		direct, err := pt.Take(page, b, step.max, &stage)
+		direct, _, err := pt.Take(page, nil, b, step.max, &stage)
 		if err != nil || direct != step.direct || b.NumRows() != step.inB || len(stage.IDs) != step.inStg {
 			t.Fatalf("Take(max %d): direct %v, err %v, batch %d rows, staged %d; want %+v",
 				step.max, direct, err, b.NumRows(), len(stage.IDs), step)
@@ -130,7 +130,7 @@ func TestTakeStagesOrDecodesDirect(t *testing.T) {
 		t.Fatalf("MoveRows: %v, batch %d rows", err, b.NumRows())
 	}
 	stage.Reset()
-	if direct, err := pt.Take(page, b, 9, &stage); err != nil || !direct {
+	if direct, _, err := pt.Take(page, nil, b, 9, &stage); err != nil || !direct {
 		t.Fatalf("Take after Reset: direct %v, err %v", direct, err)
 	}
 }
@@ -142,9 +142,9 @@ func TestTakeStagesOrDecodesDirect(t *testing.T) {
 func TestDataPageRejectsDamage(t *testing.T) {
 	decoders := map[string]func(PageTypes, []byte) error{
 		"tuples": func(pt PageTypes, page []byte) error { _, err := pt.DecodePage(page); return err },
-		"staged": func(pt PageTypes, page []byte) error { _, err := pt.Take(page, nil, 0, &Lanes{}); return err },
+		"staged": func(pt PageTypes, page []byte) error { _, _, err := pt.Take(page, nil, nil, 0, &Lanes{}); return err },
 		"direct": func(pt PageTypes, page []byte) error {
-			_, err := pt.Take(page, &vec.Batch{}, 100, &Lanes{})
+			_, _, err := pt.Take(page, nil, &vec.Batch{}, 100, &Lanes{})
 			return err
 		},
 	}
@@ -211,9 +211,10 @@ func mixedArity(tuples []tuple.Tuple) bool {
 
 // FuzzDataPage feeds arbitrary bytes to both decodes under both type
 // pairs: neither may panic, whatever one accepts the other reads to the
-// same rows (the lanes alone refuse a row page of mixed arity), and a
-// decoded page that fits re-encodes, under either layout, to a page
-// that is a fixpoint of decode∘encode.
+// same rows (the lanes alone refuse a row page of mixed arity), a
+// selecting Take keeps exactly the rows the atoms hold for
+// (checkSelectedPage), and a decoded page that fits re-encodes, under
+// either layout, to a page that is a fixpoint of decode∘encode.
 func FuzzDataPage(f *testing.F) {
 	for _, pt := range testPageTypes {
 		for i := range pinnedPages {
@@ -249,9 +250,9 @@ func FuzzDataPage(f *testing.F) {
 func fuzzDataPage(pt PageTypes, data []byte, atoms []Atom) error {
 	n, derr := pt.DecodePage(data)
 	var staged Lanes
-	_, serr := pt.Take(data, nil, 0, &staged)
+	_, _, serr := pt.Take(data, nil, nil, 0, &staged)
 	b := &vec.Batch{}
-	direct, berr := pt.Take(data, b, math.MaxUint16, &Lanes{})
+	direct, _, berr := pt.Take(data, nil, b, math.MaxUint16, &Lanes{})
 	// The zone peek reads into the walker's reused struct: after a wider
 	// page with every zone present it must decide, and hold, exactly what
 	// a fresh struct does.
@@ -267,6 +268,9 @@ func fuzzDataPage(pt PageTypes, data []byte, atoms []Atom) error {
 		if err := zoneReuse(data[DataPageHeader:]); err != nil {
 			return err
 		}
+	}
+	if err := checkSelectedPage(pt, data); err != nil {
+		return err
 	}
 	if derr != nil {
 		if serr == nil || berr == nil {

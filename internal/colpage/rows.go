@@ -100,9 +100,10 @@ func DecodeRows(src []byte, maxCells int) ([][]tuple.Value, error) {
 	return out, nil
 }
 
-// decodeLaneValues is decodeLane with tuple.Values as the sink: cell i
-// of the lane lands in out[i*stride]. It accepts exactly the lanes
-// decodeLane accepts (TestRowSetMatchesChunk holds them together).
+// decodeLaneValues decodes one lane of rows cells with tuple.Values as
+// the sink: cell i of the lane lands in out[i*stride]. It accepts exactly
+// the lanes a chunk decode accepts (TestRowSetMatchesChunk and
+// FuzzColPageCodec hold them together).
 func decodeLaneValues(body []byte, off, rows int, out []tuple.Value, stride int) (int, error) {
 	if off >= len(body) {
 		return 0, fmt.Errorf("truncated lane header")

@@ -48,6 +48,31 @@ func layoutEnv(b testing.TB, name string, n int, layout storage.PageLayout) (*re
 	return r, m
 }
 
+// scatteredEnv is layoutEnv over the bench's scan-qm shape: rows (k, a,
+// p) with a = k·40503 mod n a permutation of [0, n) scattered across the
+// key-ordered leaves, so zone maps on a rarely prune a page.
+func scatteredEnv(b testing.TB, name string, n int, layout storage.PageLayout) (*relation.Relation, *storage.Meter) {
+	b.Helper()
+	d := storage.NewDisk(4096)
+	d.SetPageLayout(layout)
+	m := storage.NewMeter()
+	p := storage.NewPool(d, m, 1<<14)
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("p", tuple.Int))
+	r, err := relation.NewBTree(d, p, name, schema, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := int64(0); k < int64(n); k++ {
+		if err := r.Insert(tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*40503%int64(n)), tuple.I((k*7919+17)%1000))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := p.FlushAll(); err != nil {
+		b.Fatal(err)
+	}
+	return r, m
+}
+
 // The allocation guards pin what the benchmark above measures where no
 // clock is trusted: a scan allocates per batch and per page arena, never
 // per cell or per row, so the counts are small constants of the fixture.
@@ -79,10 +104,12 @@ func TestFullScanAllocations(t *testing.T) {
 // cost. A miss copies into a recycled frame slot and allocates only the
 // frame, its recency entry and its flight; a peek reads the footer in
 // place into the walker's reused zones and allocates nothing. Unpruned
-// and with the atom a < 1000 (which prunes 851 leaves): 8 562 / 4 664
-// allocations a scan, 16 420 / 8 910 under the race detector — against
-// 10 385 / 9 336 (18 245 / 13 582) when every miss allocated a fresh
-// page and every peek a fresh zone map.
+// and with the atom a < 1000 (which prunes 851 leaves and, in the 1 002
+// read, decodes only the rows it keeps): 8 562 / 4 142 allocations a
+// scan, 16 422 / 8 151 under the race detector — against 8 562 / 4 664
+// (16 420 / 8 910) when every read leaf was decoded whole, and 10 385 /
+// 9 336 (18 245 / 13 582) when every miss allocated a fresh page and
+// every peek a fresh zone map.
 func TestColdScanAllocations(t *testing.T) {
 	const n, aMul = 100000, 40503
 	d := storage.NewDisk(4000)
@@ -111,7 +138,7 @@ func TestColdScanAllocations(t *testing.T) {
 		max, raceMax float64
 	}{
 		{"unpruned", nil, 9000, 17300},
-		{"a<1000", []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(1000)}}, 5000, 9600},
+		{"a<1000", []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(1000)}}, 4500, 8800},
 	} {
 		var pruned int64
 		allocs := testing.AllocsPerRun(3, func() {
@@ -238,6 +265,33 @@ func BenchmarkScanColVsRow(b *testing.B) {
 		}
 		relCol, mCol := layoutEnv(b, "sel-col", n, storage.PageLayoutCol)
 		relRow, mRow := layoutEnv(b, "sel-row", n, storage.PageLayoutRow)
+		b.Run("col", func(b *testing.B) { run(b, relCol, mCol, atoms) })
+		b.Run("col-noprune", func(b *testing.B) { run(b, relCol, mCol, nil) })
+		b.Run("row", func(b *testing.B) { run(b, relRow, mRow, nil) })
+	})
+
+	// Scattered filter: a < n/100 keeps 1 % of rows, spread over nearly
+	// every leaf — the scan-qm shape, where zone maps prune little and
+	// the selection does the work. "col" pushes the atom into the scan,
+	// which tests it on the encoded a lane and decodes only survivors;
+	// "col-noprune" decodes every row for the filter; "row" is the
+	// row-major baseline.
+	b.Run("filter-scattered", func(b *testing.B) {
+		const cut = n / 100
+		p := pred.New(pred.Cmp{Col: 1, Op: pred.Lt, Val: tuple.I(cut)})
+		atoms := []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(cut)}}
+		run := func(b *testing.B, rel *relation.Relation, m *storage.Meter, prune []colpage.Atom) {
+			o := Options{Meter: m}
+			for i := 0; i < b.N; i++ {
+				f := NewFilter(o, "a<n/100", NewSeqScanPruned(o, rel, prune), Pred{P: p}, true)
+				if got := drainRows(b, f); got != cut {
+					b.Fatalf("drained %d rows, want %d", got, cut)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		}
+		relCol, mCol := scatteredEnv(b, "scat-col", n, storage.PageLayoutCol)
+		relRow, mRow := scatteredEnv(b, "scat-row", n, storage.PageLayoutRow)
 		b.Run("col", func(b *testing.B) { run(b, relCol, mCol, atoms) })
 		b.Run("col-noprune", func(b *testing.B) { run(b, relCol, mCol, nil) })
 		b.Run("row", func(b *testing.B) { run(b, relRow, mRow, nil) })

@@ -119,9 +119,10 @@ type base struct {
 	cost    storage.Stats
 }
 
-// emitBatch counts an output batch and its live rows.
+// emitBatch counts an output batch and its live rows — with the rows a
+// selecting scan dropped undecoded, which are rows scanned all the same.
 func (b *base) emitBatch(bt *vec.Batch) *vec.Batch {
-	b.rows += int64(bt.LiveCount())
+	b.rows += int64(bt.LiveCount() + bt.Dropped)
 	b.batches++
 	return bt
 }

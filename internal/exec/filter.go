@@ -62,7 +62,9 @@ func (p Pred) row(r Row) bool {
 // input row costs one C1 screen — the model's per-tuple screening /
 // handling cost — whether or not it passes; uncharged filters
 // reproduce paths where the screening CPU was already paid when the
-// tuples were marked.
+// tuples were marked. The input rows include those a selecting scan
+// below tested and dropped undecoded (vec.Batch.Dropped): they are
+// screened here, and go no further.
 type Filter struct {
 	base
 	label   string
@@ -89,7 +91,11 @@ func (f *Filter) NextBatch() (*vec.Batch, error) {
 			return nil, nil
 		}
 		if f.charge {
-			f.screen(int64(b.LiveCount()))
+			f.screen(int64(b.LiveCount() + b.Dropped))
+		}
+		b.Dropped = 0
+		if b.LiveCount() == 0 {
+			continue
 		}
 		if f.p.empty() {
 			return f.emitBatch(b), nil
@@ -218,7 +224,7 @@ func cmpKernel(col *vec.Col, op pred.Op, val tuple.Value, sel []int) []int {
 		case tuple.Int:
 			v := val.Int()
 			for _, i := range sel {
-				if opHoldsCmp(op, compareInt(col.Ints[i], v)) {
+				if op.HoldsCmp(compareInt(col.Ints[i], v)) {
 					out = append(out, i)
 				}
 			}
@@ -226,7 +232,7 @@ func cmpKernel(col *vec.Col, op pred.Op, val tuple.Value, sel []int) []int {
 		case tuple.Float:
 			v := val.Float()
 			for _, i := range sel {
-				if opHoldsCmp(op, compareFloat(col.Floats[i], v)) {
+				if op.HoldsCmp(compareFloat(col.Floats[i], v)) {
 					out = append(out, i)
 				}
 			}
@@ -234,7 +240,7 @@ func cmpKernel(col *vec.Col, op pred.Op, val tuple.Value, sel []int) []int {
 		case tuple.String:
 			v := []byte(val.Str())
 			for _, i := range sel {
-				if opHoldsCmp(op, bytes.Compare(col.Bytes[i], v)) {
+				if op.HoldsCmp(bytes.Compare(col.Bytes[i], v)) {
 					out = append(out, i)
 				}
 			}
@@ -308,24 +314,6 @@ func compareFloat(a, b float64) int {
 		return 1
 	}
 	return 0
-}
-
-func opHoldsCmp(op pred.Op, c int) bool {
-	switch op {
-	case pred.Eq:
-		return c == 0
-	case pred.Ne:
-		return c != 0
-	case pred.Lt:
-		return c < 0
-	case pred.Le:
-		return c <= 0
-	case pred.Gt:
-		return c > 0
-	case pred.Ge:
-		return c >= 0
-	}
-	return false
 }
 
 // Project computes each row's output values from its slot bindings.

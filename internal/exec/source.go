@@ -65,7 +65,12 @@ func (s *Scan) Describe() string {
 // every page read attributed here and ahead of any downstream pool
 // activity). Prune atoms, when set, let the scan skip pages
 // whose zone maps disprove the downstream predicate; skipped pages are
-// never charged and are reported via Stats().Pruned.
+// never charged and are reported via Stats().Pruned. In every page it
+// does read, the scan tests the atoms on the encoded lanes and decodes
+// only the rows that pass (late materialization). The rows it drops are
+// scanned rows all the same: they count in RowsOut and ride on the
+// batches (vec.Batch.Dropped) to the charged Filter above, which screens
+// them.
 type SeqScan struct {
 	base
 	rel    *relation.Relation
@@ -82,8 +87,9 @@ func NewSeqScan(o Options, rel *relation.Relation) *SeqScan {
 }
 
 // NewSeqScanPruned builds a full sequential scan that may skip pages
-// the prune atoms' zone maps disprove. The caller must only pass atoms
-// entailed by the predicate it will apply to the scan's output.
+// the prune atoms' zone maps disprove and drops the rows they reject.
+// The caller must only pass atoms entailed by the predicate of the
+// Filter it stacks on the scan's output.
 func NewSeqScanPruned(o Options, rel *relation.Relation, prune []colpage.Atom) *SeqScan {
 	s := NewSeqScan(o, rel)
 	s.prune = prune

@@ -25,6 +25,15 @@ func batchKeys(bs []*vec.Batch) []int64 {
 	return keys
 }
 
+// batchDropped sums the rows ScanAllBatches' atoms dropped.
+func batchDropped(bs []*vec.Batch) int {
+	n := 0
+	for _, b := range bs {
+		n += b.Dropped
+	}
+	return n
+}
+
 // TestScanAllBatchesPruning: the batched bucket-run fast path must not
 // pin or charge pages whose zone maps disprove the prune atoms — the
 // Pool.GetBatch run is built from surviving pages only. Empty bucket
@@ -93,27 +102,28 @@ func TestScanAllBatchesPruning(t *testing.T) {
 	}
 
 	// Selective prune: pages whose whole key range is >= 12 are
-	// skipped; the survivors must still contain every key < 12.
+	// skipped, and the rows >= 12 of the pages read are dropped: the
+	// survivors are exactly the keys < 12.
 	pool.EvictAll()
-	out, _, err = ix.ScanAllBatches(0, []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(12)}})
+	out, pruned, err = ix.ScanAllBatches(0, []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(12)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[int64]bool{}
-	for _, k := range batchKeys(out) {
-		seen[k] = true
+	keys = batchKeys(out)
+	if len(keys) != 12 || keys[0] != 0 || keys[11] != 11 {
+		t.Errorf("selective scan returned keys %v, want 0..11", keys)
 	}
-	for k := int64(0); k < 12; k++ {
-		if !seen[k] {
-			t.Errorf("selective prune lost matching key %d", k)
-		}
+	// Every row of the pages read is returned or dropped.
+	if dropped := batchDropped(out); dropped == 0 || len(keys)+dropped > rows || pruned == 0 && len(keys)+dropped != rows {
+		t.Errorf("selective scan dropped %d rows (%d pages pruned)", dropped, pruned)
 	}
 	pool.AssertUnpinned(t)
 }
 
 // TestScanAllBatchesPruningDisarmedByDirtyFrames mirrors the btree
 // test: stale on-disk zone maps (dirty pool frames) must disable
-// pruning entirely.
+// pruning entirely, while the row test, which reads the pinned frames,
+// stays armed.
 func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	d := storage.NewDisk(256)
 	m := storage.NewMeter()
@@ -142,8 +152,8 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	if pruned != 0 {
 		t.Errorf("scan over dirty frames pruned %d pages", pruned)
 	}
-	if got := len(batchKeys(out)); got != 25 {
-		t.Errorf("scan returned %d rows, want 25", got)
+	if got, dropped := len(batchKeys(out)), batchDropped(out); got != 0 || dropped != 25 {
+		t.Errorf("scan returned %d rows and dropped %d, want 0 and 25", got, dropped)
 	}
 	pool.AssertUnpinned(t)
 }
@@ -190,7 +200,8 @@ func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 // TestScanAllBatchesRowLayout: row-major chain pages scan through the
 // same interface (mixed-layout files are legal) — on the bucket-run fast
 // path and down overflow chains, whole pages and pages that straddle a
-// batch boundary — with no pruning ever (row pages carry no zone maps).
+// batch boundary — with no pruning ever (row pages carry no zone maps)
+// but the same row test as a columnar page.
 func TestScanAllBatchesRowLayout(t *testing.T) {
 	for _, c := range []struct {
 		name          string
@@ -221,7 +232,8 @@ func TestScanAllBatchesRowLayout(t *testing.T) {
 			}
 			pool.EvictAll()
 			const size = 5
-			out, pruned, err := ix.ScanAllBatches(size, []colpage.Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(1000)}})
+			const cut = 10
+			out, pruned, err := ix.ScanAllBatches(size, []colpage.Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(cut)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,11 +246,11 @@ func TestScanAllBatchesRowLayout(t *testing.T) {
 				}
 			}
 			keys := batchKeys(out)
-			if len(keys) != c.rows {
-				t.Fatalf("row-layout scan returned %d rows, want %d", len(keys), c.rows)
+			if len(keys) != c.rows-cut || batchDropped(out) != cut {
+				t.Fatalf("row-layout scan returned %d rows and dropped %d, want %d and %d", len(keys), batchDropped(out), c.rows-cut, cut)
 			}
 			for i, k := range keys {
-				if k != int64(i) {
+				if k != int64(cut+i) {
 					t.Fatalf("key %d = %d", i, k)
 				}
 			}

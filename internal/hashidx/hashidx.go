@@ -79,10 +79,10 @@ func New(pool *storage.Pool, file *storage.File, keyCol, numBuckets int) (*Index
 		}
 		ix.encodeNode(fr.Data, &node{})
 		fr.MarkDirty()
+		ix.buckets[i] = fr.PageNum()
 		if err := pool.Release(fr); err != nil {
 			return nil, err
 		}
-		ix.buckets[i] = fr.PageNum()
 	}
 	return ix, nil
 }
@@ -315,19 +315,23 @@ func (ix *Index) Truncate() error {
 
 // --- batch scans ---------------------------------------------------------
 
-// batchFiller packs scanned chain pages into batches of up to size
-// rows: a page that fits the current batch whole decodes straight onto
-// it, one that straddles a batch boundary decodes onto the staging
-// lanes and moves on in runs.
+// batchFiller packs the rows of scanned chain pages that the atoms keep
+// into batches of up to size rows: a page that fits the current batch
+// whole decodes straight onto it, one that straddles a batch boundary
+// decodes onto the staging lanes and moves on in runs. The count of rows
+// the atoms drop rides on the batch being filled.
 type batchFiller struct {
 	size  int
+	atoms []colpage.Atom
 	out   []*vec.Batch
 	cur   *vec.Batch
 	stage colpage.Lanes // reused from page to page
 }
 
 func (f *batchFiller) addPage(page []byte) error {
-	if direct, err := chainPages.Take(page, f.cur, f.size, &f.stage); err != nil || direct {
+	direct, dropped, err := chainPages.Take(page, f.atoms, f.cur, f.size, &f.stage)
+	f.cur.Dropped += dropped
+	if err != nil || direct {
 		return err
 	}
 	for lo, n := 0, len(f.stage.IDs); lo < n; {
@@ -346,12 +350,7 @@ func (f *batchFiller) addPage(page []byte) error {
 }
 
 // batches returns everything packed so far.
-func (f *batchFiller) batches() []*vec.Batch {
-	if f.cur.NumRows() > 0 {
-		f.out = append(f.out, f.cur)
-	}
-	return f.out
-}
+func (f *batchFiller) batches() []*vec.Batch { return vec.AppendFilled(f.out, f.cur) }
 
 // ScanAllBatches returns every tuple in the index decoded straight into
 // columnar batches of up to size rows, bucket by bucket (one metered
@@ -366,7 +365,9 @@ func (f *batchFiller) batches() []*vec.Batch {
 // Pages a prune atom's zone map disproves are skipped unread and
 // uncharged (counted in pruned). Pruning applies only on the batched
 // no-overflow fast path against a clean on-disk image; the chain-
-// following fallback reads (and charges) every page.
+// following fallback reads (and charges) every page. Either walk tests
+// the rows of every page it reads against the atoms before decoding
+// them, and fills only those that pass (see batchFiller).
 func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
 	if size < 1 {
 		size = vec.DefaultBatchSize
@@ -376,7 +377,7 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 	} else if ok {
 		return out, pruned, nil
 	}
-	fill := batchFiller{size: size, cur: &vec.Batch{}}
+	fill := batchFiller{size: size, atoms: prune, cur: &vec.Batch{}}
 	for _, bpn := range ix.buckets {
 		pn := bpn
 		for {
@@ -410,16 +411,17 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 // prune atoms are given and the on-disk image is clean, each run's
 // pages are peeked first and pages whose zone maps disprove the atoms
 // are excluded from the batch read — the run never speculatively pins
-// them.
+// them. The row test reads the pinned frames, so it stays armed over
+// dirty frames.
 func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Batch, pruned int64, ok bool, err error) {
 	w := colpage.Window(ix.pool)
 	if w == 0 || len(ix.buckets) < 2 || ix.file.NumPages() != len(ix.buckets) {
 		return nil, 0, false, nil
 	}
+	fill := batchFiller{size: size, atoms: prune, cur: &vec.Batch{}}
 	if ix.file.HasDirtyFrames() {
 		prune = nil // the on-disk zone maps may be stale; read everything
 	}
-	fill := batchFiller{size: size, cur: &vec.Batch{}}
 	var zones colpage.Zones // each peeked footer's, reused page to page
 	fetch := make([]storage.PageNum, 0, w)
 	for start := 0; start < len(ix.buckets); {

@@ -58,8 +58,12 @@ func (o Op) String() string {
 func (o Op) Holds(a, b tuple.Value) bool { return o.holds(a, b) }
 
 // holds reports whether "a op b" is true under tuple.Compare ordering.
-func (o Op) holds(a, b tuple.Value) bool {
-	c := tuple.Compare(a, b)
+func (o Op) holds(a, b tuple.Value) bool { return o.HoldsCmp(tuple.Compare(a, b)) }
+
+// HoldsCmp reports whether "a op b" is true given c = tuple.Compare(a,
+// b) — the form the typed kernels use once they have compared a cell
+// without boxing it.
+func (o Op) HoldsCmp(c int) bool {
 	switch o {
 	case Eq:
 		return c == 0

@@ -217,7 +217,9 @@ func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*btree.Bat
 // ScanAllBatches reads every tuple (sequential scan: every data page
 // read) decoded straight into columnar batches of up to size rows —
 // minus any pages the prune atoms' zone maps disprove, which are
-// skipped unread and reported in pruned.
+// skipped unread and reported in pruned, and minus the rows of the pages
+// read that the atoms reject, which are counted on the batches
+// (vec.Batch.Dropped) instead of decoded.
 func (r *Relation) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
 	if size < 1 {
 		size = vec.DefaultBatchSize
@@ -235,9 +237,7 @@ func (r *Relation) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch,
 		if err := it.Fill(b, size); err != nil {
 			return nil, 0, err
 		}
-		if b.NumRows() > 0 {
-			out = append(out, b)
-		}
+		out = vec.AppendFilled(out, b)
 	}
 	return out, it.Pruned(), nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"math"
@@ -77,6 +78,8 @@ type Pool struct {
 
 	slotMu sync.Mutex // innermost, like policyMu
 	slots  [][]byte   // recycled page buffers, at most capacity
+	poison []byte     // one page of poisonByte, copied over each recycled slot; never written
+
 	// Page buffers the pool holds — in frames, on their way into one,
 	// or free — now and at most (the arena tests read them).
 	live, peak int
@@ -179,6 +182,9 @@ func newPoolShards(disk *Disk, meter *Meter, capacity, shards int) *Pool {
 		p.shards[i].frames = map[frameKey]*list.Element{}
 		p.shards[i].lru = list.New()
 		p.shards[i].flights = map[frameKey]*flight{}
+	}
+	if poisonSlots {
+		p.poison = bytes.Repeat([]byte{poisonByte}, disk.PageSize())
 	}
 	return p
 }
@@ -704,9 +710,7 @@ func (p *Pool) recycle(fr *Frame) {
 // test, or drops it when the arena already holds capacity buffers.
 func (p *Pool) putSlot(buf []byte) {
 	if poisonSlots {
-		for i := range buf {
-			buf[i] = poisonByte
-		}
+		copy(buf, p.poison)
 	}
 	p.slotMu.Lock()
 	if len(p.slots) < p.capacity {

@@ -49,7 +49,9 @@ func cellsChangingAt(rng *rand.Rand, n, at int, first, second tuple.Type) []tupl
 
 // The append paths: cell by cell; typed bulk grows, one per run of a
 // type; AppendRange of source columns cut at cuts (a cut run may hold
-// the type change); AppendRows gathering a shuffled source.
+// the type change); AppendRows gathering a shuffled source; and
+// selected appends, AppendRows picking ascending survivors out of a
+// source among dropped cells.
 var colBuilders = []struct {
 	name  string
 	build func(rng *rand.Rand, ref []tuple.Value) *Col
@@ -115,6 +117,31 @@ var colBuilders = []struct {
 		half := len(rows) / 2
 		c.AppendRows(src, rows[:half])
 		c.AppendRows(src, rows[half:])
+		return c
+	}},
+	// How a selecting page decode gathers survivors: each run of the
+	// reference lies in a source of its own among dropped cells of any
+	// type, and an ascending selection picks it out — so a dropped cell
+	// of another type must not widen the column.
+	{"append-selected", func(rng *rand.Rand, ref []tuple.Value) *Col {
+		c := &Col{}
+		for lo := 0; lo < len(ref); {
+			hi := lo + 1 + rng.Intn(len(ref)-lo)
+			src := &Col{}
+			var sel []int
+			for _, v := range ref[lo:hi] {
+				for d := rng.Intn(3); d > 0; d-- {
+					src.Append(cellOf(rng, tuple.Type(rng.Intn(3))))
+				}
+				sel = append(sel, src.Len())
+				src.Append(v)
+			}
+			for d := rng.Intn(2); d > 0; d-- {
+				src.Append(cellOf(rng, tuple.Type(rng.Intn(3))))
+			}
+			c.AppendRows(src, sel)
+			lo = hi
+		}
 		return c
 	}},
 }

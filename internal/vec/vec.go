@@ -316,10 +316,29 @@ type Batch struct {
 	Insert []bool      // true = insert delta; nil = all false
 	Dup    []int64     // duplicate count carried by materialized rows (0 = 1); nil = all 0
 	Sel    []int       // live row indexes, ascending; nil = all live
+	// Dropped counts rows a selecting scan tested against its pushed-down
+	// atoms and dropped undecoded: scanned rows the batch stands for but
+	// holds no lane of. Operators count them as rows passed until the
+	// charged Filter above the scan screens them (C1 per tested row) and
+	// clears the count.
+	Dropped int
 }
 
 // NumRows returns the physical row count (ignoring the selection).
 func (b *Batch) NumRows() int { return b.n }
+
+// AppendFilled appends a batch a scan has filled to out. One holding no
+// row stands only for the rows its leaf dropped, whose count then rides
+// on out's last batch; it goes on alone only when it is the first.
+func AppendFilled(out []*Batch, b *Batch) []*Batch {
+	switch {
+	case b.n > 0 || b.Dropped > 0 && len(out) == 0:
+		return append(out, b)
+	case b.Dropped > 0:
+		out[len(out)-1].Dropped += b.Dropped
+	}
+	return out
+}
 
 // LiveCount returns the number of selected rows.
 func (b *Batch) LiveCount() int {

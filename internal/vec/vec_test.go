@@ -126,3 +126,26 @@ func TestSetOutReplacesProjection(t *testing.T) {
 		t.Fatalf("OutAt = %v", b.OutAt(0))
 	}
 }
+
+// A scan's filled batches reach the executor through AppendFilled: the
+// rows a fill holding no survivor dropped ride on the batch before it,
+// so no empty batch follows one with rows, and none is lost.
+func TestAppendFilledCarriesDroppedRows(t *testing.T) {
+	full := func(dropped int) *Batch {
+		b := &Batch{Dropped: dropped}
+		t1 := tp(1, tuple.I(5))
+		b.TryAppend(&t1, nil, nil, false, 0, 4)
+		return b
+	}
+	out := AppendFilled(nil, &Batch{})
+	if len(out) != 0 {
+		t.Fatalf("an empty fill was kept: %d batches", len(out))
+	}
+	out = AppendFilled(out, &Batch{Dropped: 3}) // nothing ahead to ride on
+	out = AppendFilled(out, full(2))
+	out = AppendFilled(out, &Batch{Dropped: 4})
+	out = AppendFilled(out, &Batch{})
+	if len(out) != 2 || out[0].NumRows() != 0 || out[0].Dropped != 3 || out[1].NumRows() != 1 || out[1].Dropped != 6 {
+		t.Fatalf("batches: %d, first %d rows + %d dropped", len(out), out[0].NumRows(), out[0].Dropped)
+	}
+}
