@@ -280,24 +280,30 @@ func (n *internalNode) childFor(k key) int {
 func (t *Tree) findLeaf(k *key) (storage.PageNum, error) {
 	pn := t.root
 	for {
-		fr, err := t.pool.Get(t.file, pn)
+		leaf := false
+		var child storage.PageNum
+		err := t.pool.Read(t.file, pn, func(page []byte) error {
+			if leaf = leafPages.Has(page[0]); leaf {
+				return nil
+			}
+			in, err := decodeInternal(page)
+			if err != nil {
+				return err
+			}
+			i := 0
+			if k != nil {
+				i = in.childFor(*k)
+			}
+			child = in.children[i]
+			return nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		if leafPages.Has(fr.Data[0]) {
-			t.pool.Release(fr)
+		if leaf {
 			return pn, nil
 		}
-		in, err := decodeInternal(fr.Data)
-		t.pool.Release(fr)
-		if err != nil {
-			return 0, err
-		}
-		child := 0
-		if k != nil {
-			child = in.childFor(*k)
-		}
-		pn = in.children[child]
+		pn = child
 	}
 }
 
@@ -506,24 +512,23 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
-	fr, err := t.pool.Get(t.file, leafPN)
-	if err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	defer t.pool.Release(fr)
-	leaf, err := leafPages.DecodePage(fr.Data)
-	if err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	idx := leafLowerBound(leaf, k, t.keyCol)
-	if idx >= len(leaf.Tuples) {
-		return tuple.Tuple{}, false, nil
-	}
-	ek := keyOf(leaf.Tuples[idx], t.keyCol)
-	if k.less(ek) || ek.less(k) {
-		return tuple.Tuple{}, false, nil
-	}
-	return leaf.Tuples[idx].Clone(), true, nil
+	var found tuple.Tuple
+	ok := false
+	err = t.pool.Read(t.file, leafPN, func(page []byte) error {
+		leaf, err := leafPages.DecodePage(page)
+		if err != nil {
+			return err
+		}
+		idx := leafLowerBound(leaf, k, t.keyCol)
+		if idx >= len(leaf.Tuples) {
+			return nil
+		}
+		if ek := keyOf(leaf.Tuples[idx], t.keyCol); !k.less(ek) && !ek.less(k) {
+			found, ok = leaf.Tuples[idx].Clone(), true
+		}
+		return nil
+	})
+	return found, ok, err
 }
 
 // --- scans ---------------------------------------------------------------
@@ -532,7 +537,7 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // leaves straight to columnar form. It holds no pins between Fill
 // calls; each leaf is fetched (and charged) once per visit. Full scans
 // (nil range) prefetch leaves in windows: every leaf of the chain is
-// read eventually anyway, so fetching a window through Pool.GetBatch
+// read eventually anyway, so fetching a window through Pool.ReadBatch
 // meters the same one read per leaf while paying the simulated I/O
 // latency once per window instead of once per page. Range scans never
 // prefetch — early termination at Hi means a prefetched leaf could be a
@@ -551,7 +556,9 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // chain-following path (range scans, dirty files, tiny pools) never
 // prunes. Every leaf a full scan does read, on either path, has its rows
 // tested against the atoms before they are decoded (colpage.DecodeWhere).
-// The test reads the pinned frame, so dirty frames do not disarm it.
+// The test reads the page the pool hands the read — the frame's bytes
+// for a page a writer holds dirty, the image otherwise — so dirty frames
+// do not disarm it.
 // Only the rows that pass are filled; the count of the rest rides on the
 // filled batch (vec.Batch.Dropped).
 type BatchIterator struct {
@@ -722,10 +729,10 @@ func (it *BatchIterator) loadPage(b *vec.Batch, max int) error {
 	}
 }
 
-// takeLeaf decodes a pinned leaf page — on a full scan, the rows the
-// prune atoms keep: straight onto b when the data page rule allows it and
-// the range keeps every row of the leaf; onto the staging lanes
-// otherwise.
+// takeLeaf decodes a leaf page the pool is reading — on a full scan, the
+// rows the prune atoms keep: straight onto b when the data page rule
+// allows it and the range keeps every row of the leaf; onto the staging
+// lanes otherwise.
 func (it *BatchIterator) takeLeaf(page []byte, b *vec.Batch, max int) error {
 	mark := 0
 	if b != nil {
@@ -749,19 +756,13 @@ func (it *BatchIterator) takeLeaf(page []byte, b *vec.Batch, max int) error {
 	return err
 }
 
-// getLeaf reads one leaf with a plain charged Get and returns its
+// getLeaf reads one leaf with a plain charged Read and returns its
 // forward link.
 func (it *BatchIterator) getLeaf(pn storage.PageNum, b *vec.Batch, max int) (next storage.PageNum, hasNext bool, err error) {
-	t := it.tree
-	fr, err := t.pool.Get(t.file, pn)
-	if err != nil {
-		return 0, false, err
-	}
-	next, hasNext = colpage.PageLink(fr.Data)
-	err = it.takeLeaf(fr.Data, b, max)
-	if rerr := t.pool.Release(fr); rerr != nil && err == nil {
-		err = rerr
-	}
+	err = it.tree.pool.Read(it.tree.file, pn, func(page []byte) error {
+		next, hasNext = colpage.PageLink(page)
+		return it.takeLeaf(page, b, max)
+	})
 	return next, hasNext, err
 }
 
@@ -818,24 +819,14 @@ func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok boo
 
 // fetchLeaves reads the walked window — one pool batch when it spans
 // multiple pages (one combined latency sleep, identical metered reads),
-// a plain Get when a single page survived. Frames are released as soon
-// as each leaf is decoded, so the window holds no pins afterwards.
+// a plain Read when a single page survived. Each page is released as
+// soon as its leaf is decoded, so the window holds no pins afterwards.
 func (it *BatchIterator) fetchLeaves(pns []storage.PageNum, b *vec.Batch, max int) error {
 	if len(pns) == 1 {
 		_, _, err := it.getLeaf(pns[0], b, max)
 		return err
 	}
-	frames, err := it.tree.pool.GetBatch(it.tree.file, pns)
-	if err != nil {
-		return err
-	}
-	for _, fr := range frames {
-		if err == nil {
-			err = it.takeLeaf(fr.Data, b, max)
-		}
-		if rerr := it.tree.pool.Release(fr); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	return err
+	return it.tree.pool.ReadBatch(it.tree.file, pns, func(_ int, page []byte) error {
+		return it.takeLeaf(page, b, max)
+	})
 }

@@ -364,14 +364,21 @@ func appendBytesLane(dst []byte, tuples []tuple.Tuple, c int) []byte {
 }
 
 // appendZone writes column c's footer entry: [1 flags][min][max], the
-// bounds present only when both fit the zone budget.
+// bounds present only when both fit the zone budget and no cell is a
+// NaN. tuple.Compare orders a NaN equal to every value, so no bounds
+// hold a column that has one: [NaN, NaN] would prune f < 0 from a page
+// holding −3, and the bounds of the other cells would prune f = 5 from
+// a page whose NaN row satisfies it.
 func appendZone(dst []byte, tuples []tuple.Tuple, c int) []byte {
 	if len(tuples) == 0 {
 		return append(dst, 0)
 	}
 	minV, maxV := tuples[0].Vals[c], tuples[0].Vals[c]
-	for _, tp := range tuples[1:] {
+	for _, tp := range tuples {
 		v := tp.Vals[c]
+		if v.Type() == tuple.Float && math.IsNaN(v.Float()) {
+			return append(dst, 0)
+		}
 		if tuple.Compare(v, minV) < 0 {
 			minV = v
 		}

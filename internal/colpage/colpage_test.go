@@ -405,7 +405,8 @@ func TestDecodedStringsOwnTheirBytes(t *testing.T) {
 
 // FuzzColPageCodec feeds arbitrary bytes to the chunk decoder: corrupt
 // chunks must error (never panic), and anything that decodes must
-// re-encode byte-identically through the deterministic encoder. Every
+// re-encode byte-identically through the deterministic encoder, whose
+// zone maps bound the rows and prune only atoms no row satisfies. Every
 // chunk also runs the selected-decode differential (checkSelected).
 func FuzzColPageCodec(f *testing.F) {
 	seed := func(tuples []tuple.Tuple) {
@@ -420,6 +421,11 @@ func FuzzColPageCodec(f *testing.F) {
 	seed([]tuple.Tuple{
 		tuple.New(1, tuple.F(math.NaN()), tuple.S("")),
 		tuple.New(2, tuple.F(math.Inf(-1)), tuple.S(strings.Repeat("k", 300))),
+	})
+	seed([]tuple.Tuple{ // a NaN past the first row
+		tuple.New(3, tuple.F(5)),
+		tuple.New(4, tuple.F(math.NaN())),
+		tuple.New(5, tuple.F(-3)),
 	})
 	seed([]tuple.Tuple{
 		tuple.New(5, tuple.I(7), tuple.I(7)),
@@ -503,6 +509,11 @@ func FuzzColPageCodec(f *testing.F) {
 				if tuple.Compare(tp.Vals[c], cz.Min) < 0 || tuple.Compare(tp.Vals[c], cz.Max) > 0 {
 					t.Fatalf("zone bounds violated in column %d", c)
 				}
+			}
+		}
+		for _, atoms := range atomSets(tuples, len(z.Cols)) {
+			if z.Prunable(atoms) && len(keepWhere(tuples, atoms)) > 0 {
+				t.Fatalf("zones prune %v from a chunk with rows it keeps", atoms)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -282,6 +283,46 @@ func TestQueryModificationPlans(t *testing.T) {
 	seqIO := db.Breakdown()[PhaseQuery].Reads
 	if clusteredIO >= seqIO {
 		t.Errorf("clustered scan (%d reads) should beat sequential (%d reads)", clusteredIO, seqIO)
+	}
+}
+
+// A sequential scan reads every page holding a row its screen keeps,
+// NaN or no NaN. tuple.Compare orders a NaN equal to every value, so a
+// page whose first Float cell was NaN once stored the zone [NaN, NaN],
+// and the scan pruned it for f < 0 though it held −3; a column holding a
+// NaN now stores no zone.
+func TestSequentialScanReadsPageWithNaN(t *testing.T) {
+	db := newTestDB(t)
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("f", tuple.Float))
+	if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for k, f := range []float64{math.NaN(), -3, 2, 5, math.NaN(), 8} {
+		if _, err := tx.Insert("r", tuple.I(int64(k)), tuple.F(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	def := Def{
+		Name:       "neg",
+		Kind:       SelectProject,
+		Relations:  []string{"r"},
+		Pred:       pred.New(pred.Cmp{Rel: 0, Col: 1, Op: pred.Lt, Val: tuple.F(0)}),
+		Project:    [][]int{{0, 1}},
+		ViewKeyCol: 0,
+	}
+	if err := db.CreateView(def, QueryModification); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.QueryViewPlan("neg", nil, PlanSequential)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Vals[0].Int() != 1 || rows[0].Vals[1].Float() != -3 {
+		t.Fatalf("f < 0 by a sequential scan: %v, want the one row (1, -3)", rows)
 	}
 }
 

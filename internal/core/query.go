@@ -224,11 +224,7 @@ func (db *Database) matRead(vs *viewState, rg *pred.Range) *derived {
 // the page read is the charged operation.
 func (db *Database) aggRead(vs *viewState, _ *pred.Range) *derived {
 	read := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("AggRead(%s)", vs.def.Name), func() ([]exec.Row, error) {
-		fr, err := db.pool.Get(vs.aggFile, vs.aggPage)
-		if err != nil {
-			return nil, err
-		}
-		return nil, db.pool.Release(fr)
+		return nil, db.pool.Read(vs.aggFile, vs.aggPage, func([]byte) error { return nil })
 	})
 	return &derived{root: read, state: vs.aggState}
 }

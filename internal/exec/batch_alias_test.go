@@ -19,15 +19,19 @@ import (
 // must not alias any buffer a subsequent NextBatch writes through —
 // nor any pool frame: on an 8-frame pool the ~50-leaf scan recycles
 // every slot several times over, and a recycled slot is poisoned in a
-// test binary, so a cell slicing a frame would read 0xA5 by the end.
+// test binary, so a cell slicing a frame would read 0xA5 by the end —
+// nor any page image a scan read in place, which the in-place rows
+// overwrite with 0xA5 once the scan is done.
 
 // aliasEnv builds a relation of 300 rows over a pool of the given
-// frames whose string column holds name(i) for row i.
-func aliasEnv(t *testing.T, layout storage.PageLayout, frames int, name func(i int) string) (*relation.Relation, *storage.Meter) {
+// frames whose string column holds name(i) for row i. scribble
+// overwrites every page image of the relation with 0xA5 through the
+// pool's writer API.
+func aliasEnv(t *testing.T, layout storage.PageLayout, frames int, name func(i int) string) (rel *relation.Relation, m *storage.Meter, scribble func()) {
 	t.Helper()
 	d := storage.NewDisk(512)
 	d.SetPageLayout(layout)
-	m := storage.NewMeter()
+	m = storage.NewMeter()
 	p := storage.NewPool(d, m, frames)
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("name", tuple.String))
 	rel, err := relation.NewBTree(d, p, "a", schema, 0)
@@ -40,13 +44,30 @@ func aliasEnv(t *testing.T, layout storage.PageLayout, frames int, name func(i i
 			t.Fatal(err)
 		}
 	}
-	return rel, m
+	scribble = func() {
+		for _, name := range d.FileNames() {
+			f := d.Open(name)
+			for pn := storage.PageNum(0); pn < f.Extent(); pn++ {
+				fr, err := p.Get(f, pn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(fr.Data, bytes.Repeat([]byte{0xA5}, len(fr.Data)))
+				fr.MarkDirty()
+				if err := p.Release(fr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return rel, m, scribble
 }
 
 // testBytesLaneStability drains root (small batches force several
 // refills), snapshotting each batch's string cells at emission time,
-// then re-checks every retained batch after the scan completes.
-func testBytesLaneStability(t *testing.T, root Operator) {
+// then re-checks every retained batch after the scan completes and after
+// (unless nil) scribble.
+func testBytesLaneStability(t *testing.T, root Operator, scribble func()) {
 	t.Helper()
 	if err := root.Open(); err != nil {
 		t.Fatal(err)
@@ -70,6 +91,9 @@ func testBytesLaneStability(t *testing.T, root Operator) {
 	}
 	if err := root.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if scribble != nil {
+		scribble()
 	}
 	if len(batches) < 3 {
 		t.Fatalf("fixture emitted %d batches; need several to cross refills", len(batches))
@@ -98,10 +122,10 @@ func TestBatchBytesLaneStableAcrossRefills(t *testing.T) {
 	distinct := func(i int) string { return fmt.Sprintf("cell-%04d", i) }
 	for _, layout := range []storage.PageLayout{storage.PageLayoutCol, storage.PageLayoutRow} {
 		t.Run(layout.String(), func(t *testing.T) {
-			rel, m := aliasEnv(t, layout, 1024, distinct)
+			rel, m, _ := aliasEnv(t, layout, 1024, distinct)
 			o := Options{Meter: m, BatchSize: 64}
-			t.Run("seqscan", func(t *testing.T) { testBytesLaneStability(t, NewSeqScan(o, rel)) })
-			t.Run("scan", func(t *testing.T) { testBytesLaneStability(t, NewScan(o, rel, nil)) })
+			t.Run("seqscan", func(t *testing.T) { testBytesLaneStability(t, NewSeqScan(o, rel), nil) })
+			t.Run("scan", func(t *testing.T) { testBytesLaneStability(t, NewScan(o, rel, nil), nil) })
 			// Frames recycled under the scan, under both string lanes a
 			// columnar leaf has: raw, and a dictionary of three entries.
 			for lane, name := range map[string]func(int) string{
@@ -109,11 +133,23 @@ func TestBatchBytesLaneStableAcrossRefills(t *testing.T) {
 				"dict": func(i int) string { return []string{"red", "green", "blue"}[i%3] },
 			} {
 				t.Run("recycled-frames/"+lane, func(t *testing.T) {
-					rel, m := aliasEnv(t, layout, 8, name)
+					rel, m, _ := aliasEnv(t, layout, 8, name)
 					o := Options{Meter: m, BatchSize: 64}
-					testBytesLaneStability(t, NewSeqScan(o, rel))
-					testBytesLaneStability(t, NewScan(o, rel, nil))
+					testBytesLaneStability(t, NewSeqScan(o, rel), nil)
+					testBytesLaneStability(t, NewScan(o, rel, nil), nil)
 				})
+				// The scans read every leaf the 8-frame pool no longer holds
+				// in place from its image; the images (and frames) are then
+				// overwritten under the retained batches.
+				for scan, open := range map[string]func(*relation.Relation, Options) Operator{
+					"seqscan": func(rel *relation.Relation, o Options) Operator { return NewSeqScan(o, rel) },
+					"scan":    func(rel *relation.Relation, o Options) Operator { return NewScan(o, rel, nil) },
+				} {
+					t.Run("in-place/"+lane+"/"+scan, func(t *testing.T) {
+						rel, m, scribble := aliasEnv(t, layout, 8, name)
+						testBytesLaneStability(t, open(rel, Options{Meter: m, BatchSize: 64}), scribble)
+					})
+				}
 			}
 		})
 	}

@@ -36,7 +36,7 @@ func batchDropped(bs []*vec.Batch) int {
 
 // TestScanAllBatchesPruning: the batched bucket-run fast path must not
 // pin or charge pages whose zone maps disprove the prune atoms — the
-// Pool.GetBatch run is built from surviving pages only. Empty bucket
+// Pool.ReadBatch run is built from surviving pages only. Empty bucket
 // pages carry no zones and are always read.
 func TestScanAllBatchesPruning(t *testing.T) {
 	d := storage.NewDisk(256)

@@ -169,22 +169,22 @@ func (ix *Index) Lookup(v tuple.Value) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
 	pn := ix.buckets[ix.bucketFor(v)]
 	for {
-		fr, err := ix.pool.Get(ix.file, pn)
-		if err != nil {
-			return nil, err
-		}
-		n, err := chainPages.DecodePage(fr.Data)
-		if err != nil {
-			ix.pool.Release(fr)
-			return nil, err
-		}
-		for _, tp := range n.Tuples {
-			if tuple.Equal(tp.Vals[ix.keyCol], v) {
-				out = append(out, tp.Clone())
+		var next storage.PageNum
+		hasNext := false
+		err := ix.pool.Read(ix.file, pn, func(page []byte) error {
+			n, err := chainPages.DecodePage(page)
+			if err != nil {
+				return err
 			}
-		}
-		hasNext, next := n.HasNext, n.Next
-		if err := ix.pool.Release(fr); err != nil {
+			for _, tp := range n.Tuples {
+				if tuple.Equal(tp.Vals[ix.keyCol], v) {
+					out = append(out, tp.Clone())
+				}
+			}
+			next, hasNext = n.Next, n.HasNext
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		if !hasNext {
@@ -289,18 +289,15 @@ func (ix *Index) Truncate() error {
 			return err
 		}
 		for hasNext {
-			ofr, err := ix.pool.Get(ix.file, next)
-			if err != nil {
-				return err
-			}
-			on, err := chainPages.DecodePage(ofr.Data)
-			if err != nil {
-				ix.pool.Release(ofr)
-				return err
-			}
 			overflow = append(overflow, next)
-			next, hasNext = on.Next, on.HasNext
-			if err := ix.pool.Release(ofr); err != nil {
+			if err := ix.pool.Read(ix.file, next, func(page []byte) error {
+				on, err := chainPages.DecodePage(page)
+				if err != nil {
+					return err
+				}
+				next, hasNext = on.Next, on.HasNext
+				return nil
+			}); err != nil {
 				return err
 			}
 		}
@@ -381,16 +378,12 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 	for _, bpn := range ix.buckets {
 		pn := bpn
 		for {
-			fr, err := ix.pool.Get(ix.file, pn)
-			if err != nil {
-				return nil, 0, err
-			}
-			next, hasNext := colpage.PageLink(fr.Data)
-			err = fill.addPage(fr.Data)
-			if rerr := ix.pool.Release(fr); rerr != nil && err == nil {
-				err = rerr
-			}
-			if err != nil {
+			var next storage.PageNum
+			hasNext := false
+			if err := ix.pool.Read(ix.file, pn, func(page []byte) error {
+				next, hasNext = colpage.PageLink(page)
+				return fill.addPage(page)
+			}); err != nil {
 				return nil, 0, err
 			}
 			if !hasNext {
@@ -411,8 +404,8 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 // prune atoms are given and the on-disk image is clean, each run's
 // pages are peeked first and pages whose zone maps disprove the atoms
 // are excluded from the batch read — the run never speculatively pins
-// them. The row test reads the pinned frames, so it stays armed over
-// dirty frames.
+// them. The row test reads the page the pool hands the read (a dirty
+// frame's bytes, or the image), so it stays armed over dirty frames.
 func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Batch, pruned int64, ok bool, err error) {
 	w := colpage.Window(ix.pool)
 	if w == 0 || len(ix.buckets) < 2 || ix.file.NumPages() != len(ix.buckets) {
@@ -454,27 +447,20 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 		if len(fetch) == 0 {
 			continue
 		}
-		frames, err := ix.pool.GetBatch(ix.file, fetch)
-		if err != nil {
-			return nil, 0, false, err
-		}
 		fallback := false
-		for _, fr := range frames {
-			if err == nil && !fallback {
-				if _, hasNext := colpage.PageLink(fr.Data); hasNext && chainPages.Has(fr.Data[0]) {
-					// Metadata said no overflow but the page links
-					// onward; retry as a plain walk (fetched pages
-					// stay resident, so its Gets mostly hit).
-					fallback = true
-				} else {
-					err = fill.addPage(fr.Data)
-				}
+		if err := ix.pool.ReadBatch(ix.file, fetch, func(_ int, page []byte) error {
+			if fallback {
+				return nil
 			}
-			if rerr := ix.pool.Release(fr); rerr != nil && err == nil {
-				err = rerr
+			if _, hasNext := colpage.PageLink(page); hasNext && chainPages.Has(page[0]) {
+				// Metadata said no overflow but the page links onward;
+				// retry as a plain walk (fetched pages stay resident, so
+				// its reads mostly hit).
+				fallback = true
+				return nil
 			}
-		}
-		if err != nil {
+			return fill.addPage(page)
+		}); err != nil {
 			return nil, 0, false, err
 		}
 		if fallback {

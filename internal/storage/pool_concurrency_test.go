@@ -99,16 +99,20 @@ func TestPoolSingleflightChargesOneRead(t *testing.T) {
 	}
 }
 
-// GetBatch charges exactly what per-page Gets would: one read per miss,
-// nothing for hits.
+// ReadBatch charges exactly what per-page Gets would: one read per miss,
+// nothing for hits; and it hands fn each page of the window, in order.
 func TestPoolGetBatchChargesLikeGets(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
 	p := NewPool(d, m, 64)
 	f := d.Open("r")
 	const n = 10
-	for i := 0; i < n; i++ {
-		f.Alloc()
+	run := make([]PageNum, n)
+	for i := range run {
+		run[i] = f.Alloc()
+		if err := f.writePage(run[i], bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fr, err := p.Get(f, 3) // pre-warm one page of the run
 	if err != nil {
@@ -116,36 +120,27 @@ func TestPoolGetBatchChargesLikeGets(t *testing.T) {
 	}
 	p.Release(fr)
 
-	run := make([]PageNum, n)
-	for i := range run {
-		run[i] = PageNum(i)
-	}
-	frames, err := p.GetBatch(f, run)
-	if err != nil {
+	seen := 0
+	if err := p.ReadBatch(f, run, func(i int, page []byte) error {
+		if i != seen || page[0] != byte(i) {
+			t.Errorf("call %d: fn(%d) on a page holding %d", seen, i, page[0])
+		}
+		seen++
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != n {
-		t.Fatalf("GetBatch returned %d frames, want %d", len(frames), n)
-	}
-	for i, fr := range frames {
-		if fr.PageNum() != PageNum(i) {
-			t.Errorf("frame %d has page %d", i, fr.PageNum())
-		}
-		if err := p.Release(fr); err != nil {
-			t.Fatal(err)
-		}
+	if seen != n {
+		t.Fatalf("ReadBatch ran fn on %d pages, want %d", seen, n)
 	}
 	if got := m.Snapshot().Reads; got != n {
 		t.Errorf("reads = %d, want %d (9 cold misses + 1 earlier warm read, hit uncharged)", got, n)
 	}
 	// A second run over resident pages charges nothing.
-	frames, err = p.GetBatch(f, run)
-	if err != nil {
+	if err := p.ReadBatch(f, run, func(int, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	for _, fr := range frames {
-		p.Release(fr)
-	}
+	p.AssertUnpinned(t)
 	if got := m.Snapshot().Reads; got != n {
 		t.Errorf("reads after warm rerun = %d, want %d", got, n)
 	}
@@ -153,6 +148,7 @@ func TestPoolGetBatchChargesLikeGets(t *testing.T) {
 
 // A batch insert evicts the same victims sequential Gets would: the
 // globally least-recently-used unpinned frames, regardless of shard.
+// TestPoolMatchesOneListLRU checks the same on random scripts.
 func TestPoolGetBatchEvictsGlobalLRU(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
@@ -169,12 +165,9 @@ func TestPoolGetBatchEvictsGlobalLRU(t *testing.T) {
 		}
 		p.Release(fr)
 	}
-	frames, err := p.GetBatch(f, []PageNum{4, 5}) // must evict p0 and p1
-	if err != nil {
+	// must evict p0 and p1
+	if err := p.ReadBatch(f, []PageNum{4, 5}, func(int, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
-	}
-	for _, fr := range frames {
-		p.Release(fr)
 	}
 	reads := m.Snapshot().Reads // 6 so far
 	for _, pn := range []PageNum{2, 3} {
@@ -374,18 +367,14 @@ func TestPoolArenaBounded(t *testing.T) {
 				for k := range pns {
 					pns[k] = PageNum((lo + k + s*pages/2) % pages)
 				}
-				frames, err := p.GetBatch(f, pns)
-				if err != nil {
+				if err := p.ReadBatch(f, pns, func(i int, page []byte) error {
+					if got := PageNum(page[0]) | PageNum(page[1])<<8; got != pns[i] {
+						t.Errorf("page %d reads as page %d", pns[i], got)
+					}
+					return nil
+				}); err != nil {
 					t.Error(err)
 					return
-				}
-				for _, fr := range frames {
-					if got := PageNum(fr.Data[0]) | PageNum(fr.Data[1])<<8; got != fr.PageNum() {
-						t.Errorf("frame of page %d holds page %d", fr.PageNum(), got)
-					}
-					if err := p.Release(fr); err != nil {
-						t.Error(err)
-					}
 				}
 			}
 		}(s)
