@@ -486,23 +486,23 @@ func BenchmarkConcurrentMixImmediate(b *testing.B) { benchConcurrentMix(b, core.
 func BenchmarkConcurrentMixDeferred(b *testing.B)  { benchConcurrentMix(b, core.Deferred, 4) }
 
 // benchRefreshAll measures RefreshAll over nViews independent stale
-// snapshot views (each a full recompute — the heaviest refresh unit)
-// with the given worker bound. Staleness is rebuilt off-timer each
-// iteration. Simulated per-page I/O latency puts the refresh in the
-// disk-bound regime the paper models, which is where parallel workers
-// pay off: they overlap I/O waits, so ≥4 workers should beat serial
-// even on a single CPU.
-func benchRefreshAll(b *testing.B, nViews, workers int) {
+// views with the given worker bound. A snapshot view refreshes by full
+// recompute (the heaviest refresh unit), a deferred view by folding its
+// relation's AD file and applying the net changes. Staleness is rebuilt
+// off-timer each iteration. With per-page latency the refresh is in the
+// disk-bound regime the paper models, where workers overlap I/O waits;
+// without it the arms measure what the pool buys on CPU alone.
+func benchRefreshAll(b *testing.B, strategy core.Strategy, nViews, workers int, latency time.Duration) {
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("s", tuple.String))
 	build := func() *core.Database {
 		db := core.NewDatabase(core.Options{
 			PageSize:           512,
 			PoolFrames:         512,
 			MaxRefreshWorkers:  workers,
-			SimulatedIOLatency: 200 * time.Microsecond,
+			SimulatedIOLatency: latency,
 		})
 		for v := 0; v < nViews; v++ {
-			rel := "r" + string(rune('0'+v))
+			rel := fmt.Sprintf("r%d", v)
 			if _, err := db.CreateRelationBTree(rel, schema, 0); err != nil {
 				b.Fatal(err)
 			}
@@ -516,21 +516,20 @@ func benchRefreshAll(b *testing.B, nViews, workers int) {
 				b.Fatal(err)
 			}
 			def := core.Def{
-				Name:       "v" + string(rune('0'+v)),
+				Name:       fmt.Sprintf("v%d", v),
 				Kind:       core.SelectProject,
 				Relations:  []string{rel},
 				Pred:       pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Ge, Val: tuple.I(0)}),
 				Project:    [][]int{{0, 2}},
 				ViewKeyCol: 0,
 			}
-			if err := db.CreateView(def, core.Snapshot); err != nil {
+			if err := db.CreateView(def, strategy); err != nil {
 				b.Fatal(err)
 			}
 		}
 		tx := db.Begin()
 		for v := 0; v < nViews; v++ {
-			rel := "r" + string(rune('0'+v))
-			if _, err := tx.Insert(rel, tuple.I(int64(1000+v)), tuple.I(1), tuple.S("n")); err != nil {
+			if _, err := tx.Insert(fmt.Sprintf("r%d", v), tuple.I(int64(1000+v)), tuple.I(1), tuple.S("n")); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -550,8 +549,26 @@ func benchRefreshAll(b *testing.B, nViews, workers int) {
 	}
 }
 
-func BenchmarkRefreshAllSerial(b *testing.B)   { benchRefreshAll(b, 8, 1) }
-func BenchmarkRefreshAllWorkers4(b *testing.B) { benchRefreshAll(b, 8, 4) }
+func BenchmarkRefreshAllSerial(b *testing.B) {
+	benchRefreshAll(b, core.Snapshot, 8, 1, 200*time.Microsecond)
+}
+func BenchmarkRefreshAllWorkers4(b *testing.B) {
+	benchRefreshAll(b, core.Snapshot, 8, 4, 200*time.Microsecond)
+}
+
+// benchRefreshAllNoLatency runs the zero-latency grid — snapshot and
+// deferred views, 8 and 64 of them — at one worker bound, as
+// sub-benchmarks named strategy/views=n.
+func benchRefreshAllNoLatency(b *testing.B, workers int) {
+	for _, st := range []core.Strategy{core.Snapshot, core.Deferred} {
+		for _, n := range []int{8, 64} {
+			b.Run(fmt.Sprintf("%s/views=%d", st, n), func(b *testing.B) { benchRefreshAll(b, st, n, workers, 0) })
+		}
+	}
+}
+
+func BenchmarkRefreshAllSerialNoLatency(b *testing.B)   { benchRefreshAllNoLatency(b, 1) }
+func BenchmarkRefreshAllWorkers4NoLatency(b *testing.B) { benchRefreshAllNoLatency(b, 4) }
 
 // benchHierarchyRefresh measures end-to-end maintenance of a view
 // chain of the given depth (root over the base relation plus depth-1
@@ -560,10 +577,8 @@ func BenchmarkRefreshAllWorkers4(b *testing.B) { benchRefreshAll(b, 8, 4) }
 // deepest view. The delta variant maintains children by draining the
 // parent's delta log (deferred chain); the recompute variant rebuilds
 // them from the parent materialization every cycle (zero-interval
-// snapshots). Under skew the base relation is heavy-light partitioned
-// with the threshold the workload generator suggests, so hot keys pay
-// their refresh inside the timed commits — which is the point of the
-// comparison, not a leak.
+// snapshots). The Zipf arms measure the same plain deferred chain
+// under a skewed update burst.
 func benchHierarchyRefresh(b *testing.B, depth int, skew float64, recompute bool) {
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("s", tuple.String))
 	const keySpace = 200
@@ -622,11 +637,6 @@ func benchHierarchyRefresh(b *testing.B, depth int, skew float64, recompute bool
 				if err := db.SetSnapshotInterval(fmt.Sprintf("h%d", d), 0); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-		if skew > 1 {
-			if err := db.EnableHeavyLight("r", workload.SuggestThreshold(keys, 0.5), 8); err != nil {
-				b.Fatal(err)
 			}
 		}
 		return db

@@ -14,14 +14,13 @@ import (
 	"viewmat/internal/workload"
 )
 
-// runHierarchy demos views over views with heavy-light partitioning:
-// a deferred root over the base relation, two sibling children that
-// drain the root's delta log as one shared group, a grouped-aggregate
-// grandchild, and a scalar total. A zipfian update burst classifies
-// the hot keys, which refresh eagerly inside their commits; the long
-// tail folds lazily at RefreshAll. The printed refresh trees show the
-// delta-of-a-delta operators: ViewDeltaScan replaying the parent's
-// log, SharedDelta charging one replay to the leader sibling.
+// runHierarchy demos views over views: a deferred root over the base
+// relation, two sibling children that drain the root's delta log as
+// one shared group, a grouped-aggregate grandchild, and a scalar
+// total. A zipfian update burst accumulates in the AD file and folds
+// at RefreshAll. The printed refresh trees show the delta-of-a-delta
+// operators: ViewDeltaScan replaying the parent's log, SharedDelta
+// charging one replay to the leader sibling.
 func runHierarchy(w io.Writer, skew float64, seed int64) error {
 	const (
 		nRows    = 400
@@ -67,12 +66,8 @@ func runHierarchy(w io.Writer, skew float64, seed int64) error {
 	}
 
 	keys := workload.KeyStream(burst, keySpace, skew, seed)
-	threshold := workload.SuggestThreshold(keys, 0.5)
-	if err := db.EnableHeavyLight("r", threshold, 8); err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "hierarchy demo: r(%d rows) -> v -> {c0, c1} -> {perkey, total}\n", nRows)
-	fmt.Fprintf(w, "update burst: %d keys, skew %g, heavy-light threshold %.3f\n\n", burst, skew, threshold)
+	fmt.Fprintf(w, "update burst: %d keys, skew %g\n\n", burst, skew)
 
 	for i, k := range keys {
 		tx := db.Begin()
@@ -82,9 +77,8 @@ func runHierarchy(w io.Writer, skew float64, seed int64) error {
 		if err := tx.Commit(); err != nil {
 			return err
 		}
-		// Periodic folds give the router its cadence: a fold drains the
-		// AD file and resets the ordering filter, after which keys the
-		// tracker has seen enough of route eagerly.
+		// A fold every 20 commits: the last refresh trees below show one
+		// 20-commit window of the root's delta log.
 		if (i+1)%20 == 0 {
 			if err := db.RefreshAll(); err != nil {
 				return err
@@ -118,11 +112,6 @@ func runHierarchy(w io.Writer, skew float64, seed int64) error {
 	}
 	rows = append(rows, []string{"total", fmt.Sprintf("sum=%.0f (defined=%v)", total, ok), ""})
 	fmt.Fprint(w, report.Table([]string{"view", "rows", "children"}, rows))
-
-	for _, st := range db.HeavyLightStats() {
-		fmt.Fprintf(w, "\nheavy-light %q: %d ops = %d eager (hot) + %d lazy (AD file); hot keys: %s\n",
-			st.Rel, st.Total, st.HeavyOps, st.LightOps, strings.Join(st.HotKeys, " "))
-	}
 
 	for _, name := range []string{"c0", "c1"} {
 		ex, err := db.Explain(name, core.WorkloadHints{})

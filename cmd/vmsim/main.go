@@ -59,7 +59,7 @@ func run(w io.Writer, args []string) error {
 	recoverDir := fs.String("recover", "", "recover a database from the WAL+snapshots under this directory and report what survived")
 	ckptEvery := fs.Int("checkpoint-every", 8, "commits between automatic checkpoints (with -wal/-recover)")
 	qmPlan := fs.String("qm-plan", "auto", "query-modification access path: auto, clustered, unclustered, or sequential (sequential scans prune via zone maps)")
-	hierarchy := fs.Bool("hierarchy", false, "run the views-over-views demo: a deferred chain with shared sibling drains and heavy-light partitioning (honors -skew and -seed)")
+	hierarchy := fs.Bool("hierarchy", false, "run the views-over-views demo: a deferred chain with shared sibling drains under a skewed update burst (honors -skew and -seed)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

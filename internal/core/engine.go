@@ -89,10 +89,6 @@ type Database struct {
 	// it (sorted); maintained by rebuildChildrenLocked.
 	children map[string][]string
 
-	// heavy holds the per-relation heavy-light trackers (heavylight.go);
-	// guarded by mu.
-	heavy map[string]*hlTracker
-
 	// hierarchyFail, when set, is invoked with the child's name at the
 	// start of every child-view drain, and an error it returns aborts the
 	// refresh before any row is applied. Only tests set it; guarded by mu.
@@ -272,7 +268,6 @@ func newDatabase(disk *storage.Disk, poolFrames int, hrConfig hr.Config) *Databa
 		hrs:       map[string]*hr.HR{},
 		views:     map[string]*viewState{},
 		children:  map[string][]string{},
-		heavy:     map[string]*hlTracker{},
 		hrConfig:  hrConfig,
 		breakdown: map[Phase]storage.Stats{},
 		inflight:  map[string]*refreshFlight{},
@@ -470,6 +465,9 @@ func (db *Database) createViewLocked(def Def, strategy Strategy) error {
 		}
 	}
 	if err := def.Validate(schemas); err != nil {
+		return err
+	}
+	if err := db.refuseNaNGroupsLocked(def); err != nil {
 		return err
 	}
 	vs := &viewState{def: def, strategy: strategy, schemas: schemas, plan: PlanAuto}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"viewmat/internal/agg"
@@ -106,11 +108,103 @@ type GroupRow struct {
 // finds — and ±0.0 is the one pair of distinct values Compare calls
 // equal, so both name the group +0.0. Every writer of a group value goes
 // through here; with that, == agrees with Compare and can key a map.
+// NaN, which Compare calls equal to everything, never gets here: see
+// ErrNaNGroupKey.
 func groupOf(v tuple.Value) tuple.Value {
 	if v.Type() == tuple.Float && v.Float() == 0 {
 		return tuple.F(0)
 	}
 	return v
+}
+
+// ErrNaNGroupKey refuses a NaN in a column a grouped-aggregate view
+// groups on, directly or through its parent chain: Tx.Insert and
+// Tx.Update refuse such a row, Commit refuses it again if the view was
+// created after the row was queued, and CreateView refuses such a view
+// over rows that already hold one. tuple.Compare calls NaN equal to every
+// value, so a fold would keep one group per NaN row while the group
+// store's key lookup matched any group, and the strategies would
+// disagree.
+var ErrNaNGroupKey = errors.New("core: NaN in a grouping column")
+
+func isNaN(v tuple.Value) bool { return v.Type() == tuple.Float && math.IsNaN(v.Float()) }
+
+// baseColumnLocked follows column col of source — a base relation or a
+// view — down the parent chain to the base relation column it comes
+// from. A grouped parent's value column leads to the column it
+// aggregates, a NaN in which makes the value NaN.
+func (db *Database) baseColumnLocked(source string, col int) (string, int) {
+	for {
+		p, ok := db.views[source]
+		if _, base := db.rels[source]; base || !ok {
+			return source, col
+		}
+		switch {
+		case p.def.Kind != GroupedAggregate:
+			sc := p.def.ProjectSpec()[col]
+			source, col = p.def.Relations[sc[0]], sc[1]
+		case col == 0:
+			source, col = p.def.Relations[0], p.def.GroupBy
+		default:
+			source, col = p.def.Relations[0], p.def.AggCol
+		}
+	}
+}
+
+// nanGroupKeyError names the view that groups on column col of rel.
+func (db *Database) nanGroupKeyError(view, rel string, col int) error {
+	return fmt.Errorf("%w: view %q groups on %s.%s, which would hold NaN",
+		ErrNaNGroupKey, view, rel, db.rels[rel].Schema().Cols[col].Name)
+}
+
+// refuseNaNGroupKeyLocked refuses a row of rel holding a NaN in a column
+// some grouped-aggregate view groups on. Rows without a NaN, all of them
+// in practice, return at the first loop.
+func (db *Database) refuseNaNGroupKeyLocked(rel string, vals []tuple.Value) error {
+	hasNaN := false
+	for _, v := range vals {
+		hasNaN = hasNaN || isNaN(v)
+	}
+	if !hasNaN {
+		return nil
+	}
+	for _, name := range db.viewNamesLocked() {
+		vs := db.views[name]
+		if vs.def.Kind != GroupedAggregate {
+			continue
+		}
+		if r, c := db.baseColumnLocked(vs.def.Relations[0], vs.def.GroupBy); r == rel && isNaN(vals[c]) {
+			return db.nanGroupKeyError(name, rel, c)
+		}
+	}
+	return nil
+}
+
+// refuseNaNGroupsLocked refuses a grouped-aggregate definition whose
+// grouping column's base column already holds a NaN in some current row
+// — the base file under the relation's pending AD changes. Only a FLOAT
+// column can, so only one is scanned (setup cost, like the populate).
+func (db *Database) refuseNaNGroupsLocked(def Def) error {
+	if def.Kind != GroupedAggregate {
+		return nil
+	}
+	rel, col := db.baseColumnLocked(def.Relations[0], def.GroupBy)
+	r := db.rels[rel]
+	if r.Schema().Cols[col].Type != tuple.Float {
+		return nil
+	}
+	src, skip := db.withPendingAD(rel, exec.NewSeqScan(db.execOpts(), r))
+	found := false
+	screen := exec.NewFilter(db.execOpts(), def.Name, src, exec.Pred{P: pred.True(), SkipIDs: skip}, false)
+	if err := exec.Run(exec.NewAggFold(db.execOpts(), def.Name+".nan", screen, exec.Fold{Row: func(row exec.Row) {
+		found = found || isNaN(row.T0.Vals[col])
+	}})); err != nil {
+		return err
+	}
+	if found {
+		return db.nanGroupKeyError(def.Name, rel, col)
+	}
+	return nil
 }
 
 // groupState is one group and its aggregate state.

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"viewmat/internal/agg"
@@ -442,5 +446,211 @@ func TestGroupedDeferredRefreshEveryRoundTripsThroughSave(t *testing.T) {
 	}
 	if h.ADLen() != 0 {
 		t.Error("third commit did not trigger the restored periodic refresh")
+	}
+}
+
+// nanGroupScript is the write sequence of the NaN grouping-key rule over
+// r(k INT, g FLOAT, a INT) holding (0, 1.0, 1) and (1, 2.0, 10) under
+// SUM(a) GROUP BY g: the rows whose g is NaN must be refused, the rest
+// committed. Before the rule, immediate and deferred answered
+// {2:11101} {2:10} (group 1 lost) while the others answered
+// {1:1} {2:10010} {NaN:100} {NaN:1000}.
+var nanGroupScript = []struct {
+	update bool // of the row keyed k, else an insert
+	k      int64
+	g      float64
+	a      int64
+}{
+	{k: 2, g: math.NaN(), a: 100},
+	{k: 3, g: math.NaN(), a: 1000},
+	{k: 4, g: 2, a: 10000},
+	{update: true, k: 0, g: math.NaN(), a: 1},
+	{update: true, k: 1, g: 3, a: 10},
+}
+
+func floatGroupSchema() *tuple.Schema {
+	return tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("g", tuple.Float), tuple.Col("a", tuple.Int))
+}
+
+func sumByG(name, rel string) Def {
+	return Def{Name: name, Kind: GroupedAggregate, Relations: []string{rel}, Pred: pred.True(), AggKind: agg.Sum, AggCol: 2, GroupBy: 1}
+}
+
+// nanRefusing is the plain-Go reference's reading of the rule: a write
+// whose grouping column holds a NaN does not happen.
+type nanRefusing struct{ *reference }
+
+func (r nanRefusing) Insert(rel string, vals ...tuple.Value) (uint64, error) {
+	if math.IsNaN(vals[1].Float()) {
+		return 0, ErrNaNGroupKey
+	}
+	return r.reference.Insert(rel, vals...)
+}
+
+func (r nanRefusing) Update(rel string, key tuple.Value, id uint64, vals ...tuple.Value) (uint64, error) {
+	if math.IsNaN(vals[1].Float()) {
+		return 0, ErrNaNGroupKey
+	}
+	return r.reference.Update(rel, key, id, vals...)
+}
+
+// TestNaNGroupKeyRefused runs nanGroupScript in one transaction on the
+// five strategies and the plain-Go reference: every config refuses the
+// same writes, the engines naming the view, and all answer the same
+// groups afterwards.
+func TestNaNGroupKeyRefused(t *testing.T) {
+	def := sumByG("byg", "r")
+	var wantRefused []bool
+	var want []GroupRow
+	for _, cfg := range append(plain(fiveStrategies...), referenceConfig) {
+		var w writer
+		var db *Database
+		if cfg.reference {
+			w = nanRefusing{&reference{rels: map[string][]tuple.Tuple{"r": nil}}}
+		} else {
+			db = newTestDB(t)
+			if _, err := db.CreateRelationBTree("r", floatGroupSchema(), 0); err != nil {
+				t.Fatal(err)
+			}
+			w = db.Begin()
+		}
+		ids := map[int64]uint64{}
+		for _, row := range [][3]float64{{0, 1, 1}, {1, 2, 10}} {
+			id, err := w.Insert("r", tuple.I(int64(row[0])), tuple.F(row[1]), tuple.I(int64(row[2])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[int64(row[0])] = id
+		}
+		if db != nil {
+			if err := w.(*Tx).Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CreateView(def, cfg.strategy); err != nil {
+				t.Fatal(err)
+			}
+			w = db.Begin()
+		}
+		var refused []bool
+		for _, s := range nanGroupScript {
+			vals := []tuple.Value{tuple.I(s.k), tuple.F(s.g), tuple.I(s.a)}
+			var id uint64
+			var err error
+			if s.update {
+				id, err = w.Update("r", tuple.I(s.k), ids[s.k], vals...)
+			} else {
+				id, err = w.Insert("r", vals...)
+			}
+			if err == nil {
+				ids[s.k] = id
+			} else if !errors.Is(err, ErrNaNGroupKey) || db != nil && !strings.Contains(err.Error(), `"byg"`) {
+				t.Fatalf("%s: write %+v: %v, want ErrNaNGroupKey naming view byg", cfg.name, s, err)
+			}
+			refused = append(refused, err != nil)
+		}
+		var got []GroupRow
+		if db != nil {
+			if err := w.(*Tx).Commit(); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if got, err = db.QueryGroups("byg", nil); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			a, err := w.(nanRefusing).answer(def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = a.groups
+		}
+		if want == nil {
+			wantRefused, want = refused, got
+			if !reflect.DeepEqual(refused, []bool{true, true, false, true, false}) {
+				t.Fatalf("%s refused %v", cfg.name, refused)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(refused, wantRefused) {
+			t.Errorf("%s refused %v, %s refused %v", cfg.name, refused, "query-modification", wantRefused)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s answers %v, query-modification %v", cfg.name, got, want)
+		}
+	}
+	if fmt.Sprint(want) != "[{1 1 1} {2 10000 1} {3 10 1}]" {
+		t.Errorf("answers %v", want)
+	}
+}
+
+// TestNaNGroupKeyRefusedThroughParents holds the rule through a parent
+// chain — a grouped child over a select-project view groups on the base
+// column its parent copies — at CreateView, over rows that already hold
+// a NaN there, and at Commit, for a NaN queued before the view existed.
+func TestNaNGroupKeyRefusedThroughParents(t *testing.T) {
+	for _, st := range paperThree[1:] {
+		db := newTestDB(t)
+		if _, err := db.CreateRelationBTree("r", floatGroupSchema(), 0); err != nil {
+			t.Fatal(err)
+		}
+		parent := Def{Name: "v", Kind: SelectProject, Relations: []string{"r"}, Pred: pred.True(), Project: [][]int{{0, 2, 1}}}
+		if err := db.CreateViews([]ViewSpec{{parent, st}, {Def{Name: "child", Kind: GroupedAggregate, Relations: []string{"v"},
+			Pred: pred.True(), AggKind: agg.Sum, AggCol: 1, GroupBy: 2}, st}}); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		if _, err := tx.Insert("r", tuple.I(1), tuple.F(math.NaN()), tuple.I(1)); !errors.Is(err, ErrNaNGroupKey) || !strings.Contains(err.Error(), `"child"`) {
+			t.Errorf("%v: insert through the chain: %v, want ErrNaNGroupKey naming child", st, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		// A relation no grouped view reads takes the NaN; a grouped view
+		// created over it afterwards is refused, and nothing is created.
+		if _, err := db.CreateRelationBTree("s", floatGroupSchema(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateView(Def{Name: "sv", Kind: SelectProject, Relations: []string{"s"}, Pred: pred.True(), Project: [][]int{{0, 1}}}, st); err != nil {
+			t.Fatal(err)
+		}
+		tx = db.Begin()
+		if _, err := tx.Insert("s", tuple.I(1), tuple.F(math.NaN()), tuple.I(1)); err != nil {
+			t.Fatalf("%v: NaN no grouped view reads: %v", st, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []Def{sumByG("direct", "s"), {Name: "viaparent", Kind: GroupedAggregate, Relations: []string{"sv"},
+			Pred: pred.True(), AggKind: agg.Count, AggCol: 0, GroupBy: 1}} {
+			if err := db.CreateView(d, st); !errors.Is(err, ErrNaNGroupKey) || !strings.Contains(err.Error(), `"`+d.Name+`"`) {
+				t.Errorf("%v: CreateView %s over a NaN: %v, want ErrNaNGroupKey naming it", st, d.Name, err)
+			}
+			if _, _, ok := db.View(d.Name); ok {
+				t.Errorf("%v: refused view %s was created", st, d.Name)
+			}
+		}
+
+		// A NaN queued before a grouped view over its column existed is
+		// refused at Commit, and the transaction applies nothing.
+		if _, err := db.CreateRelationBTree("u", floatGroupSchema(), 0); err != nil {
+			t.Fatal(err)
+		}
+		tx = db.Begin()
+		if _, err := tx.Insert("u", tuple.I(1), tuple.F(1), tuple.I(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Insert("u", tuple.I(2), tuple.F(math.NaN()), tuple.I(2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateView(sumByG("late", "u"), st); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); !errors.Is(err, ErrNaNGroupKey) || !strings.Contains(err.Error(), `"late"`) {
+			t.Errorf("%v: commit after the view: %v, want ErrNaNGroupKey naming late", st, err)
+		}
+		if rows, err := db.QueryGroups("late", nil); err != nil || len(rows) != 0 {
+			t.Errorf("%v: groups after the refused commit = %v, %v; want none", st, rows, err)
+		}
 	}
 }

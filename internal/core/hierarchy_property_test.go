@@ -132,7 +132,7 @@ func formatHierarchy(nodes []hierNode) string {
 // hierFx draws the fixture for one seed of the hierarchy rows (4200 up):
 // the DAG from rng — ahead of the script, which the same rng draws next
 // — and a key stream whose skew cycles uniform, 1.5, 2.0 with the seed,
-// so the heavy-light router sees real skew.
+// so the same keys pile up in the AD file between folds.
 func hierFx(rng *rand.Rand, seed int64) *fixture {
 	nodes := genHierarchy(rng)
 	fx := spFx("hierarchy", 30, 40)

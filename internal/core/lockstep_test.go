@@ -398,7 +398,6 @@ type engineConfig struct {
 	// Applied once the catalog exists.
 	snapshotEvery int  // staleness budget of Snapshot views; 0 keeps them comparable to the consistent strategies
 	blakeley      bool // join views refresh by Blakeley's uncorrected expansion
-	heavyLight    bool // heavy-light partitioning on the first mutated relation
 	adaptive      bool // the online advisor; tick steps act on this engine, and refresh steps on it and on wal engines
 	wal           bool // durability on in-memory devices, checkpointing every ckptEvery commits (0 = never)
 	ckptEvery     int
@@ -559,11 +558,6 @@ func (fx *fixture) build(cfg *engineConfig) (*engine, error) {
 			if err := setJoinVariantBlakeley(db, sp.Def.Name, true); err != nil {
 				return nil, err
 			}
-		}
-	}
-	if cfg.heavyLight {
-		if err := db.EnableHeavyLight(fx.rels[0], 0.25, 8); err != nil {
-			return nil, err
 		}
 	}
 	if cfg.adaptive {
@@ -1279,15 +1273,14 @@ func lockstepTable() []row {
 
 	// Hierarchy: a random view DAG under skewed updates. The subject runs
 	// the drawn strategies with the cost-model share gate, vectorized
-	// batches, columnar pages and heavy-light on; sharing, vectorization
-	// and the layout must not change stored bytes (vectorization not a
-	// charge either; zone maps may prune columnar reads, so the layout
-	// twin's charges may differ), and everything must mean what full
-	// recomputation with no partitioning means.
+	// batches and columnar pages; sharing, vectorization and the layout
+	// must not change stored bytes (vectorization not a charge either;
+	// zone maps may prune columnar reads, so the layout twin's charges may
+	// differ), and everything must mean what full recomputation means.
 	four := testOpts()
 	four.MaxRefreshWorkers = 4
 	subject := func(name string, seams ...func(*Database)) engineConfig {
-		return engineConfig{name: name, opts: four, seams: seams, drawn: true, heavyLight: true, refreshAll: true}
+		return engineConfig{name: name, opts: four, seams: seams, drawn: true, refreshAll: true}
 	}
 	hier := []engineConfig{subject("subject"), subject("unshared", gated(gatePrivate)),
 		subject("batch1", setBatch1), subject("rowpages", setRowOracle),
@@ -1337,18 +1330,16 @@ func lockstepTable() []row {
 		recovers("TestLockstepRecover/chain", static(chainFx()), 500, 505, nil, append(all()[1:],
 			engineConfig{name: "deferred+refreshAll", strategy: Deferred, refreshAll: true, ckptEvery: ck},
 			engineConfig{name: "snapshot@3", strategy: Snapshot, snapshotEvery: 3, ckptEvery: ck})...)
-		for _, hl := range []bool{false, true} {
-			c := engineConfig{name: fmt.Sprintf("drawn+hl=%v", hl), opts: four, drawn: true, heavyLight: hl, refreshAll: true, ckptEvery: ck}
-			recovers("TestLockstepRecover/hierarchy", hierFx, 4200, 4205, nil, c)
-			// The two counterexamples the hierarchy rows found, as shrunk:
-			// a sibling group drained together was logged one record per
-			// view, so replay drained them apart and drew other tuple ids;
-			// a rebuilt grouped aggregate flushed its groups in map order.
-			recovers("TestLockstepRecover/regression/sibling-group-is-one-record", hierFx, 4202, 4202,
-				[]step{{op: "del", idx: 243508}, {op: "query"}}, c)
-			recovers("TestLockstepRecover/regression/group-rows-flush-in-group-order", hierFx, 4204, 4204,
-				[]step{{op: "upd", idx: 14725, key: 0, val: 2}, {op: "query"}}, c)
-		}
+		drawn := engineConfig{name: "drawn", opts: four, drawn: true, refreshAll: true, ckptEvery: ck}
+		recovers("TestLockstepRecover/hierarchy", hierFx, 4200, 4205, nil, drawn)
+		// The two counterexamples the hierarchy rows found, as shrunk: a
+		// sibling group drained together was logged one record per view, so
+		// replay drained them apart and drew other tuple ids; a rebuilt
+		// grouped aggregate flushed its groups in map order.
+		recovers("TestLockstepRecover/regression/sibling-group-is-one-record", hierFx, 4202, 4202,
+			[]step{{op: "del", idx: 243508}, {op: "query"}}, drawn)
+		recovers("TestLockstepRecover/regression/group-rows-flush-in-group-order", hierFx, 4204, 4204,
+			[]step{{op: "upd", idx: 14725, key: 0, val: 2}, {op: "query"}}, drawn)
 	}
 
 	// The online advisor: flipping strategies under a workload that

@@ -63,8 +63,8 @@ func (db *Database) snapshotBodyLocked(full bool) ([]byte, error) {
 }
 
 // catalogHeaderLocked collects the header of the engine's current
-// state. The header shares the engine's view states, trackers and
-// advisor; it is encoded before the lock is released.
+// state. The header shares the engine's view states and advisor; it is
+// encoded before the lock is released.
 func (db *Database) catalogHeaderLocked() catalogHeader {
 	h := catalogHeader{
 		poolFrames: db.pool.Capacity(),
@@ -72,7 +72,6 @@ func (db *Database) catalogHeaderLocked() catalogHeader {
 		clock:      db.clock.Load(),
 		relations:  make(map[string]relationEntry, len(db.rels)),
 		hrs:        make(map[string]hr.ADMeta, len(db.hrs)),
-		heavy:      db.heavy,
 		advisor:    db.adv,
 	}
 	for n, r := range db.rels {
@@ -125,8 +124,10 @@ func Load(r io.Reader) (*Database, error) {
 }
 
 // snapshotMagic opens every snapshot body; its last byte is the format
-// version. Version 1 was an encoding/gob stream and had no magic.
-const snapshotMagic = "VMS\x02"
+// version. Version 1 was an encoding/gob stream and had no magic;
+// version 2's catalog header carried per-relation key-frequency
+// trackers.
+const snapshotMagic = "VMS\x03"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
@@ -137,7 +138,7 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, disk *[]byte) {
 		c.U8(&magic[i])
 	}
 	if string(magic) != snapshotMagic {
-		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, is not readable)",
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 snapshots are not readable)",
 			snapshotMagic[3], magic, snapshotMagic)
 		return
 	}
@@ -213,9 +214,7 @@ func restoreDatabase(h *catalogHeader, disk *storage.Disk) (_ *Database, err err
 		}
 	}()
 	db := newDatabase(disk, h.poolFrames, h.hrConfig)
-	if db.adv = h.advisor; h.heavy != nil {
-		db.heavy = h.heavy
-	}
+	db.adv = h.advisor
 	db.clock.Store(h.clock)
 
 	for _, name := range sortedKeys(h.relations) {
@@ -296,9 +295,9 @@ func restoreDatabase(h *catalogHeader, disk *storage.Disk) (_ *Database, err err
 
 // catalogHeader is the part of a snapshot that is not on the disk: the
 // engine's settings and id clock, and per relation, view, hypothetical
-// relation, heavy-light tracker and advisor what it takes to reattach
-// them to their files. Decoded, it holds engine values ready to be
-// adopted by restoreDatabase.
+// relation and advisor what it takes to reattach them to their files.
+// Decoded, it holds engine values ready to be adopted by
+// restoreDatabase.
 type catalogHeader struct {
 	poolFrames int
 	hrConfig   hr.Config
@@ -306,7 +305,6 @@ type catalogHeader struct {
 	relations  map[string]relationEntry
 	views      []viewEntry // parents before children
 	hrs        map[string]hr.ADMeta
-	heavy      map[string]*hlTracker
 	advisor    *advisor // nil when the advisor is off
 }
 
@@ -329,7 +327,6 @@ const (
 	minHashMetaSize  = 4 + 8                               // no buckets, a count
 	minRelationSize  = 4 + 4 + 8 + 8 + minHashMetaSize + 4 // empty name and schema, kind, key, meta, no secondaries
 	minViewSize      = 49 + 81                             // an empty Def, then a view's fixed fields
-	minTrackerSize   = 4 + 8*5 + 4                         // empty name, five numbers, no counts
 	minAdvViewSize   = 4 + 8*12 + 4                        // empty name, twelve numbers, an empty reason
 	minSecondarySize = 8 + 8*3                             // a column and a B+-tree's metadata
 )
@@ -351,19 +348,6 @@ func (h *catalogHeader) code(c *tuple.Coder) {
 	})
 	tuple.List(c, &h.views, minViewSize, codeViewEntry)
 	tuple.Map(c, &h.hrs, 4+minHashMetaSize, (*tuple.Coder).Str, codeHashMeta)
-	tuple.Map(c, &h.heavy, minTrackerSize, (*tuple.Coder).Str, func(c *tuple.Coder, p **hlTracker) {
-		if c.Decoding() {
-			*p = &hlTracker{}
-		}
-		t := *p
-		c.Float(&t.threshold)
-		for _, n := range []*int64{&t.minTotal, &t.total, &t.heavyOps, &t.lightOps} {
-			c.I64(n)
-		}
-		if tuple.Map(c, &t.counts, 4+8, (*tuple.Coder).Str, (*tuple.Coder).I64); c.Decoding() && t.counts == nil {
-			t.counts = map[string]int64{}
-		}
-	})
 	if optional(c, &h.advisor) {
 		h.advisor.code(c)
 	}

@@ -226,6 +226,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	encode := func(h catalogHeader) []byte { return encodeSnapshot(t, h, empty) }
 	wrongVersion := append([]byte(nil), img...)
 	wrongVersion[len(snapshotMagic)-1]++
+	// Version 2: this layout but a catalog header with a tracker map.
+	version2 := append([]byte(nil), img...)
+	version2[len(snapshotMagic)-1] = 2
 	// The parent commit's format: one encoding/gob value of a struct
 	// whose first field is Version = 1.
 	type dbSnapshot struct{ Version, PageSize, PoolFrames int }
@@ -271,6 +274,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"ascii garbage", []byte("not a snapshot"), ErrSnapshotCorrupt, "version-2"},
 		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt, "version-2"},
 		{"wrong version", wrongVersion, ErrSnapshotCorrupt, "version-2"},
+		{"version-2 body", version2, ErrSnapshotCorrupt, "version-2"},
 		{"parent-format gob stream", version1.Bytes(), ErrSnapshotCorrupt, "version 1"},
 		{"bad page size", encodeSnapshot(t, catalogHeader{poolFrames: 4}, &storage.DiskDelta{}), ErrSnapshotCorrupt, ""},
 		{"HR without relation", encode(catalogHeader{poolFrames: 4, hrs: map[string]hr.ADMeta{"ghost": {}}}), ErrSnapshotCorrupt, ""},

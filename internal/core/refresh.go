@@ -11,9 +11,8 @@ import (
 )
 
 // This file is the maintenance pipeline: every differential refresh in
-// the engine — immediate refresh inside a commit, the heavy-routed
-// eager refresh of deferred views, query-time deferred refresh,
-// hierarchy drains and RefreshAll — is "a delta feed drained through
+// the engine — immediate refresh inside a commit, query-time deferred
+// refresh, hierarchy drains and RefreshAll — is "a delta feed drained through
 // one apply tree per view". The strategies differ only in where the A
 // and D sets come from (the feed) and when the drain runs (the trigger,
 // strategy.go).
@@ -51,8 +50,8 @@ type deltaFeed struct {
 	fp exec.DeltaFingerprint
 
 	// slots are the base-relation A/D sets by view slot ("delta",
-	// "join"): the commit's marked write-set, its heavy-routed subset,
-	// or the folded AD net changes.
+	// "join"): the commit's marked write-set or the folded AD net
+	// changes.
 	slots map[int]*deltas
 
 	// parent is the view whose log suffix from position from a

@@ -63,16 +63,25 @@ func CodeTxOp(c *tuple.Coder, kind *uint8, rel *string, key *tuple.Value, id *ui
 // Begin starts a transaction.
 func (db *Database) Begin() *Tx { return &Tx{db: db} }
 
+// checkRow holds a row bound for rel to its schema and to
+// ErrNaNGroupKey.
+func (db *Database) checkRow(rel string, vals []tuple.Value) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	r, ok := db.rels[rel]
+	if !ok {
+		return fmt.Errorf("core: unknown relation %q", rel)
+	}
+	if err := r.Schema().Validate(vals); err != nil {
+		return err
+	}
+	return db.refuseNaNGroupKeyLocked(rel, vals)
+}
+
 // Insert queues an insertion and returns the id the new tuple will
 // carry.
 func (tx *Tx) Insert(rel string, vals ...tuple.Value) (uint64, error) {
-	tx.db.mu.RLock()
-	r, ok := tx.db.rels[rel]
-	tx.db.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("core: unknown relation %q", rel)
-	}
-	if err := r.Schema().Validate(vals); err != nil {
+	if err := tx.db.checkRow(rel, vals); err != nil {
 		return 0, err
 	}
 	id := tx.db.nextID()
@@ -96,13 +105,7 @@ func (tx *Tx) Delete(rel string, key tuple.Value, id uint64) error {
 // Update queues the replacement of the tuple (key, id) with new values;
 // the replacement receives a fresh id, which is returned.
 func (tx *Tx) Update(rel string, key tuple.Value, id uint64, vals ...tuple.Value) (uint64, error) {
-	tx.db.mu.RLock()
-	r, ok := tx.db.rels[rel]
-	tx.db.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("core: unknown relation %q", rel)
-	}
-	if err := r.Schema().Validate(vals); err != nil {
+	if err := tx.db.checkRow(rel, vals); err != nil {
 		return 0, err
 	}
 	newID := tx.db.nextID()
@@ -130,6 +133,12 @@ func (tx *Tx) Commit() error {
 	db := tx.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	// A grouped view created since an op was queued may group on it.
+	for _, op := range tx.ops {
+		if err := db.refuseNaNGroupKeyLocked(op.rel, op.vals); err != nil {
+			return err
+		}
+	}
 	clockBefore := db.clock.Load()
 	if err := db.applyOpsLocked(tx.ops); err != nil {
 		return err
@@ -165,11 +174,8 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 		}
 	}
 
-	// Apply writes (PhaseCommitWrite). The router sends hot keys of
-	// heavy-light-tracked relations straight to the base files; those
-	// tuples skip the AD file and refresh their deferred views eagerly
-	// below.
-	router := db.newHLRouter()
+	// Apply writes (PhaseCommitWrite): an HR-wrapped relation's writes
+	// go to its AD file, every other relation's to its base file.
 	err := db.inPhase(PhaseCommitWrite, func() error {
 		for i := range ops {
 			op := &ops[i]
@@ -178,12 +184,7 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 			switch op.kind {
 			case opInsert:
 				tp := tuple.Tuple{ID: op.id, Vals: op.vals}
-				if router.routeHeavy(op.rel, h, insertKey(r, op.vals)) {
-					if err := r.Insert(tp); err != nil {
-						return err
-					}
-					router.heavyIDs[tp.ID] = true
-				} else if h != nil {
+				if h != nil {
 					if err := h.Append(tp); err != nil {
 						return err
 					}
@@ -195,12 +196,7 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 				var old tuple.Tuple
 				var ok bool
 				var err error
-				if router.routeHeavy(op.rel, h, op.key) {
-					old, ok, err = r.Delete(op.key, op.id)
-					if err == nil && ok {
-						router.heavyIDs[old.ID] = true
-					}
-				} else if h != nil {
+				if h != nil {
 					old, ok, err = h.Delete(op.key, op.id)
 				} else {
 					old, ok, err = r.Delete(op.key, op.id)
@@ -217,14 +213,7 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 				var old tuple.Tuple
 				var ok bool
 				var err error
-				if router.routeHeavy(op.rel, h, op.key) {
-					old, ok, err = r.Delete(op.key, op.id)
-					if err == nil && ok {
-						err = r.Insert(newTp)
-						router.heavyIDs[old.ID] = true
-						router.heavyIDs[newTp.ID] = true
-					}
-				} else if h != nil {
+				if h != nil {
 					old, ok, err = h.Update(op.key, op.id, newTp)
 				} else {
 					old, ok, err = r.Delete(op.key, op.id)
@@ -285,20 +274,14 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 
 	// Drain the marked write-set into the views maintained inside the
 	// commit (PhaseImmRefresh), charging the C3 bookkeeping overhead per
-	// marked tuple (C_overhead): commit-triggered views take all of it;
-	// deferred views take just the heavy-routed subset, whose writes
-	// already reached the base files, leaving the light remainder
-	// pending in the AD file for the next deferred refresh. Views go in
-	// name order: their refreshes draw view-row ids from the shared
-	// clock, so the order is part of the state WAL replay must reproduce.
+	// marked tuple (C_overhead). Deferred views leave theirs pending in
+	// the AD file for the next deferred refresh. Views go in name order:
+	// their refreshes draw view-row ids from the shared clock, so the
+	// order is part of the state WAL replay must reproduce.
 	err = db.inPhase(PhaseImmRefresh, func() error {
 		for _, name := range sortedKeys(marked) {
 			vs, slots := db.views[name], marked[name]
-			switch row := vs.row(); {
-			case row.trigger == onCommit:
-			case row.wrapsHR && len(router.heavyIDs) > 0:
-				slots = heavySlots(slots, router.heavyIDs)
-			default:
+			if vs.row().trigger != onCommit {
 				continue
 			}
 			var total int64

@@ -42,7 +42,6 @@ func historyDB(t *testing.T, extra bool) (db *core.Database, walDev *storage.Fau
 	if extra {
 		must(db.CreateView(core.Def{Name: "vsum", Kind: core.Aggregate, Relations: []string{"r"}, Pred: pred.True(),
 			AggKind: agg.Sum, AggCol: 1}, core.Deferred))
-		must(db.EnableHeavyLight("r", 0.5, 4))
 		must(db.EnableAdaptive(core.AdvisorOptions{}))
 	}
 	tx := db.Begin()

@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// Skewed update-key streams for the heavy-light ablation: a raw key
-// sequence (no transaction framing), its per-key frequencies, and a
-// threshold suggestion for core.EnableHeavyLight derived from the
-// observed hot-key mass. Generation is deterministic per seed.
+// Skewed update-key streams: a raw key sequence (no transaction
+// framing) and its per-key frequencies, for the hierarchy demo and
+// benchmarks that measure deferred maintenance under skew. Generation
+// is deterministic per seed.
 
 // KeyStream draws n update keys over [0, keySpace). skew ≤ 1 draws
 // uniformly; skew > 1 draws Zipf ranks with that s parameter,
@@ -60,32 +60,4 @@ func HotMass(keys []int64, topK int) float64 {
 		hot += c
 	}
 	return float64(hot) / float64(len(keys))
-}
-
-// SuggestThreshold derives a per-key frequency threshold for
-// core.EnableHeavyLight from a sample stream: the smallest per-key
-// share that still admits the keys carrying hotShare of the sample's
-// mass. Under heavy skew only the head keys clear it; a uniform
-// sample yields a threshold ordinary keys reach (every key is equally
-// "hot"), so shrink hotShare — or skip heavy-light entirely — when
-// the sample shows no skew.
-func SuggestThreshold(keys []int64, hotShare float64) float64 {
-	if len(keys) == 0 {
-		return 1
-	}
-	counts := KeyCounts(keys)
-	freqs := make([]int, 0, len(counts))
-	for _, c := range counts {
-		freqs = append(freqs, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(freqs)))
-	total := float64(len(keys))
-	cum := 0
-	for _, c := range freqs {
-		cum += c
-		if float64(cum) >= hotShare*total {
-			return float64(c) / total
-		}
-	}
-	return float64(freqs[len(freqs)-1]) / total
 }

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestKeyStreamDeterministic(t *testing.T) {
 	a := KeyStream(1000, 500, 1.5, 42)
@@ -77,39 +74,5 @@ func TestKeyStreamSkew(t *testing.T) {
 	}
 	if z := HotMass(KeyStream(n, space, 1.5, 7), topK); z < 0.5 {
 		t.Fatalf("zipf 1.5 hot mass %v too flat", z)
-	}
-}
-
-func TestSuggestThreshold(t *testing.T) {
-	skewed := KeyStream(20000, 1000, 1.5, 11)
-	th := SuggestThreshold(skewed, 0.5)
-	if th <= 0 || th > 1 {
-		t.Fatalf("threshold %v outside (0, 1]", th)
-	}
-	// The admitted keys (share ≥ threshold) must carry at least the
-	// requested mass.
-	counts := KeyCounts(skewed)
-	total := float64(len(skewed))
-	mass := 0.0
-	for _, c := range counts {
-		if float64(c)/total >= th {
-			mass += float64(c) / total
-		}
-	}
-	if mass < 0.5 {
-		t.Fatalf("keys over threshold carry %v < 0.5 of the stream", mass)
-	}
-
-	// Uniform streams suggest a threshold no key reaches only if the
-	// requested share is small; at any rate it must stay in range.
-	uni := SuggestThreshold(KeyStream(20000, 1000, 0, 11), 0.5)
-	if uni <= 0 || uni > 1 {
-		t.Fatalf("uniform threshold %v outside (0, 1]", uni)
-	}
-	if math.IsNaN(uni) || math.IsNaN(th) {
-		t.Fatal("NaN threshold")
-	}
-	if empty := SuggestThreshold(nil, 0.5); empty != 1 {
-		t.Fatalf("empty stream threshold = %v, want 1", empty)
 	}
 }
