@@ -12,8 +12,10 @@
 package btree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
@@ -41,9 +43,6 @@ type Tree struct {
 	root   storage.PageNum
 	height int // levels including the leaf level
 	count  int // live tuples
-	// IndexEntryBytes emulates the paper's parameter n (bytes per
-	// B+-tree index record) for reporting; actual separator keys are
-	// variable-size.
 }
 
 // key orders leaf entries: by column value, then by tuple id.
@@ -52,12 +51,13 @@ type key struct {
 	id  uint64
 }
 
-func (k key) less(o key) bool {
-	c := tuple.Compare(k.val, o.val)
-	if c != 0 {
-		return c < 0
+func (k key) less(o key) bool { return k.compare(o) < 0 }
+
+func (k key) compare(o key) int {
+	if c := tuple.Compare(k.val, o.val); c != 0 {
+		return c
 	}
-	return k.id < o.id
+	return cmp.Compare(k.id, o.id)
 }
 
 func keyOf(t tuple.Tuple, keyCol int) key { return key{val: t.Vals[keyCol], id: t.ID} }
@@ -195,19 +195,29 @@ func internalSize(n *internalNode) int {
 	return sz
 }
 
-// decodeInternal decodes an internal page. Pages reach the engine from
-// snapshot files, i.e. from outside, so the type byte and every read are
-// checked.
-func decodeInternal(page []byte) (*internalNode, error) {
+// internalChildren checks an internal page's header and returns its
+// child count. Pages reach the engine from snapshot files, i.e. from
+// outside, so the type byte and every read are checked.
+func internalChildren(page []byte) (int, error) {
 	if len(page) < internalHeader {
-		return nil, fmt.Errorf("btree: internal page of %d bytes", len(page))
+		return 0, fmt.Errorf("btree: internal page of %d bytes", len(page))
 	}
 	if page[0] != pageInternal {
-		return nil, fmt.Errorf("btree: page type %d is not an internal page", page[0])
+		return 0, fmt.Errorf("btree: page type %d is not an internal page", page[0])
 	}
 	cnt := int(binary.BigEndian.Uint16(page[1:]))
 	if cnt < 1 {
-		return nil, fmt.Errorf("btree: internal page with %d children", cnt)
+		return 0, fmt.Errorf("btree: internal page with %d children", cnt)
+	}
+	return cnt, nil
+}
+
+// decodeInternal decodes an internal page, for a split to edit it.
+// Descents route on the encoded page instead (route).
+func decodeInternal(page []byte) (*internalNode, error) {
+	cnt, err := internalChildren(page)
+	if err != nil {
+		return nil, err
 	}
 	n := &internalNode{children: make([]storage.PageNum, 0, cnt), seps: make([]key, 0, cnt-1)}
 	off := internalHeader
@@ -229,6 +239,72 @@ func decodeInternal(page []byte) (*internalNode, error) {
 	return n, nil
 }
 
+// sepAtMost reports whether the separator key encoded at the front of src
+// is ≤ k — never, for a nil k (−∞) — and returns the bytes it spans,
+// checked as decodeKey checks them. Nothing is decoded: the value is
+// compared where it lies.
+func sepAtMost(src []byte, k *key) (bool, int, error) {
+	var v tuple.Value
+	if k != nil {
+		v = k.val
+	}
+	c, n, err := tuple.CompareEncoded(src, v)
+	if err != nil {
+		return false, 0, err
+	}
+	if len(src) < n+8 {
+		return false, 0, fmt.Errorf("btree: truncated key id")
+	}
+	if k == nil {
+		return false, n + 8, nil
+	}
+	if c == 0 {
+		c = cmp.Compare(binary.BigEndian.Uint64(src[n:]), k.id)
+	}
+	return c <= 0, n + 8, nil
+}
+
+// route walks an encoded internal page in place and returns the child
+// covering k: the last child whose separator is ≤ k, the first for a nil
+// k. When alt is given, together reports whether alt is covered by that
+// child too. It allocates nothing, and it walks the whole page whatever
+// the probe, making every check decodeInternal makes, so a damaged page
+// fails every descent through it.
+func route(page []byte, k, alt *key) (child storage.PageNum, together bool, err error) {
+	cnt, err := internalChildren(page)
+	if err != nil {
+		return 0, false, err
+	}
+	// kOn (altOn): the probe is ≥ every separator walked so far, so the
+	// child after the last of them covers it so far.
+	kOn, altOn := true, alt != nil
+	together = altOn
+	off := internalHeader
+	for i := 0; i < cnt; i++ {
+		if i > 0 {
+			le, n, err := sepAtMost(page[off:], k)
+			if err != nil {
+				return 0, false, fmt.Errorf("btree: internal sep %d: %w", i, err)
+			}
+			if altOn {
+				altOn, _, _ = sepAtMost(page[off:], alt) // the same bytes, checked above
+			}
+			if kOn = kOn && le; kOn != altOn {
+				together = false
+			}
+			off += n
+		}
+		if len(page)-off < 4 {
+			return 0, false, fmt.Errorf("btree: internal page truncated at child %d", i)
+		}
+		if kOn {
+			child = storage.PageNum(binary.BigEndian.Uint32(page[off:]))
+		}
+		off += 4
+	}
+	return child, together, nil
+}
+
 // leftmostLeafUncharged descends to the leftmost leaf via unmetered
 // views (statistics walks only).
 func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
@@ -240,12 +316,9 @@ func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 			if leaf = leafPages.Has(page[0]); leaf {
 				return nil
 			}
-			in, err := decodeInternal(page)
-			if err != nil {
-				return err
-			}
-			child = in.children[0]
-			return nil
+			var err error
+			child, _, err = route(page, nil, nil)
+			return err
 		})
 		if err != nil {
 			return 0, err
@@ -259,26 +332,20 @@ func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 
 // --- descent -------------------------------------------------------------
 
-// childFor returns the child index covering k: the last child whose
-// separator is ≤ k.
-func (n *internalNode) childFor(k key) int {
-	lo, hi := 0, len(n.seps) // binary search for first sep > k
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if k.less(n.seps[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // findLeaf descends from the root to the leaf covering k — a nil k is
 // −∞, the leftmost leaf — and returns its page number (metered: one
 // read per level unless cached).
 func (t *Tree) findLeaf(k *key) (storage.PageNum, error) {
+	pn, _, err := t.descend(k, nil)
+	return pn, err
+}
+
+// descend is findLeaf routing a second key, alt, alongside k: together
+// reports whether the leaf covering k covers alt as well. Each internal
+// page is routed on in place (route), so a descent allocates nothing.
+func (t *Tree) descend(k, alt *key) (leafPN storage.PageNum, together bool, err error) {
 	pn := t.root
+	together = alt != nil
 	for {
 		leaf := false
 		var child storage.PageNum
@@ -286,25 +353,29 @@ func (t *Tree) findLeaf(k *key) (storage.PageNum, error) {
 			if leaf = leafPages.Has(page[0]); leaf {
 				return nil
 			}
-			in, err := decodeInternal(page)
-			if err != nil {
-				return err
-			}
-			i := 0
-			if k != nil {
-				i = in.childFor(*k)
-			}
-			child = in.children[i]
-			return nil
+			var same bool
+			var err error
+			child, same, err = route(page, k, alt)
+			together = together && same
+			return err
 		})
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		if leaf {
-			return pn, nil
+			return pn, together, nil
 		}
 		pn = child
 	}
+}
+
+// leafFind returns the index of the first tuple of the leaf whose key is
+// ≥ k, and whether that tuple's key is k.
+func leafFind(leaf *leafNode, k key, keyCol int) (int, bool) {
+	idx, found := slices.BinarySearchFunc(leaf.Tuples, k, func(tp tuple.Tuple, k key) int {
+		return keyOf(tp, keyCol).compare(k)
+	})
+	return idx, found
 }
 
 // --- insert --------------------------------------------------------------
@@ -340,87 +411,92 @@ func (t *Tree) Insert(tp tuple.Tuple) error {
 	return nil
 }
 
+// insertAt inserts tp into the subtree rooted at pn and reports the
+// separator and right sibling a split of pn leaves for its parent. The
+// way down routes on each internal page in place; only a split decodes
+// one (insertSep).
 func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage.PageNum, bool, error) {
+	leaf := false
+	var child storage.PageNum
+	if err := t.pool.Read(t.file, pn, func(page []byte) error {
+		if leaf = leafPages.Has(page[0]); leaf {
+			return nil
+		}
+		var err error
+		child, _, err = route(page, &k, nil)
+		return err
+	}); err != nil {
+		return key{}, 0, false, err
+	}
+	if leaf {
+		return t.insertLeaf(pn, tp, k)
+	}
+	sep, newChild, split, err := t.insertAt(child, tp, k)
+	if err != nil || !split {
+		return key{}, 0, false, err
+	}
+	return t.insertSep(pn, sep, newChild)
+}
+
+// insertLeaf inserts tp into leaf pn, splitting it when tp does not fit.
+func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage.PageNum, bool, error) {
 	fr, err := t.pool.Get(t.file, pn)
 	if err != nil {
 		return key{}, 0, false, err
 	}
-	if leafPages.Has(fr.Data[0]) {
-		leaf, err := leafPages.DecodePage(fr.Data)
-		if err != nil {
-			t.pool.Release(fr)
-			return key{}, 0, false, err
-		}
-		idx := leafLowerBound(leaf, k, t.keyCol)
-		if idx < len(leaf.Tuples) {
-			ek := keyOf(leaf.Tuples[idx], t.keyCol)
-			if !k.less(ek) && !ek.less(k) {
-				t.pool.Release(fr)
-				return key{}, 0, false, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
-			}
-		}
-		leaf.Tuples = append(leaf.Tuples, tuple.Tuple{})
-		copy(leaf.Tuples[idx+1:], leaf.Tuples[idx:])
-		leaf.Tuples[idx] = tp
-		if leaf.Size() <= len(fr.Data) {
-			t.encodeLeaf(fr.Data, leaf)
-			fr.MarkDirty()
-			return key{}, 0, false, t.pool.Release(fr)
-		}
-		// Split: right sibling takes the upper half.
-		mid := len(leaf.Tuples) / 2
-		right := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Tuples: append([]tuple.Tuple(nil), leaf.Tuples[mid:]...)}
-		leaf.Tuples = leaf.Tuples[:mid]
-		rfr, err := t.pool.Alloc(t.file)
-		if err != nil {
-			t.pool.Release(fr)
-			return key{}, 0, false, err
-		}
-		leaf.Next, leaf.HasNext = rfr.PageNum(), true
-		t.encodeLeaf(rfr.Data, right)
-		rfr.MarkDirty()
+	leaf, err := leafPages.DecodePage(fr.Data)
+	if err != nil {
+		t.pool.Release(fr)
+		return key{}, 0, false, err
+	}
+	idx, dup := leafFind(leaf, k, t.keyCol)
+	if dup {
+		t.pool.Release(fr)
+		return key{}, 0, false, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
+	}
+	leaf.Tuples = slices.Insert(leaf.Tuples, idx, tp)
+	if leaf.Size() <= len(fr.Data) {
 		t.encodeLeaf(fr.Data, leaf)
 		fr.MarkDirty()
-		sep := keyOf(right.Tuples[0], t.keyCol)
-		if err := t.pool.Release(rfr); err != nil {
-			t.pool.Release(fr)
-			return key{}, 0, false, err
-		}
-		return sep, leaf.Next, true, t.pool.Release(fr)
+		return key{}, 0, false, t.pool.Release(fr)
 	}
+	// Split: right sibling takes the upper half.
+	mid := len(leaf.Tuples) / 2
+	right := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Tuples: append([]tuple.Tuple(nil), leaf.Tuples[mid:]...)}
+	leaf.Tuples = leaf.Tuples[:mid]
+	rfr, err := t.pool.Alloc(t.file)
+	if err != nil {
+		t.pool.Release(fr)
+		return key{}, 0, false, err
+	}
+	leaf.Next, leaf.HasNext = rfr.PageNum(), true
+	t.encodeLeaf(rfr.Data, right)
+	rfr.MarkDirty()
+	t.encodeLeaf(fr.Data, leaf)
+	fr.MarkDirty()
+	sep := keyOf(right.Tuples[0], t.keyCol)
+	if err := t.pool.Release(rfr); err != nil {
+		t.pool.Release(fr)
+		return key{}, 0, false, err
+	}
+	return sep, leaf.Next, true, t.pool.Release(fr)
+}
 
+// insertSep inserts (sep, newChild), a child's split, into internal page
+// pn, splitting pn in turn when it overflows.
+func (t *Tree) insertSep(pn storage.PageNum, sep key, newChild storage.PageNum) (key, storage.PageNum, bool, error) {
+	fr, err := t.pool.Get(t.file, pn)
+	if err != nil {
+		return key{}, 0, false, err
+	}
 	in, err := decodeInternal(fr.Data)
 	if err != nil {
 		t.pool.Release(fr)
 		return key{}, 0, false, err
 	}
-	childIdx := in.childFor(k)
-	child := in.children[childIdx]
-	t.pool.Release(fr)
-
-	sep, newChild, split, err := t.insertAt(child, tp, k)
-	if err != nil || !split {
-		return key{}, 0, false, err
-	}
-
-	// Child split: insert (sep, newChild) after childIdx. Re-fetch the
-	// frame (it may have been evicted during the child's work).
-	fr, err = t.pool.Get(t.file, pn)
-	if err != nil {
-		return key{}, 0, false, err
-	}
-	in, err = decodeInternal(fr.Data)
-	if err != nil {
-		t.pool.Release(fr)
-		return key{}, 0, false, err
-	}
-	childIdx = in.childFor(sep)
-	in.seps = append(in.seps, key{})
-	copy(in.seps[childIdx+1:], in.seps[childIdx:])
-	in.seps[childIdx] = sep
-	in.children = append(in.children, 0)
-	copy(in.children[childIdx+2:], in.children[childIdx+1:])
-	in.children[childIdx+1] = newChild
+	childIdx := in.childFor(sep)
+	in.seps = slices.Insert(in.seps, childIdx, sep)
+	in.children = slices.Insert(in.children, childIdx+1, newChild)
 
 	if internalSize(in) <= len(fr.Data) {
 		encodeInternal(fr.Data, in)
@@ -453,56 +529,101 @@ func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage
 	return upKey, rightPN, true, t.pool.Release(fr)
 }
 
-// leafLowerBound returns the first index whose key is ≥ k.
-func leafLowerBound(leaf *leafNode, k key, keyCol int) int {
-	lo, hi := 0, len(leaf.Tuples)
+// childFor returns the index of the child of a decoded internal node
+// covering k: the last child whose separator is ≤ k.
+func (n *internalNode) childFor(k key) int {
+	lo, hi := 0, len(n.seps) // binary search for first sep > k
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if keyOf(leaf.Tuples[mid], keyCol).less(k) {
-			lo = mid + 1
-		} else {
+		if k.less(n.seps[mid]) {
 			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
 	return lo
 }
 
-// --- delete --------------------------------------------------------------
+// --- delete and update ---------------------------------------------------
 
-// Delete removes the tuple with the given key value and id, reporting
-// whether it was found. Leaves are allowed to underflow (no merging):
-// the linked leaf chain and separators stay valid, which is all the
-// scan and search paths require. Space is reclaimed when a relation is
-// rebuilt; the paper's workloads keep relation sizes stationary
-// (paired inserts and deletes), so underflow stays bounded in practice.
-func (t *Tree) Delete(val tuple.Value, id uint64) (bool, error) {
-	k := key{val: val, id: id}
-	leafPN, err := t.findLeaf(&k)
+// Delete removes the tuple with the given key value and id and returns
+// it, reporting whether it was found: one descent, one leaf decode.
+// Leaves are allowed to underflow (no merging): the linked leaf chain
+// and separators stay valid, which is all the scan and search paths
+// require. Space is reclaimed when a relation is rebuilt; the paper's
+// workloads keep relation sizes stationary (paired inserts and deletes),
+// so underflow stays bounded in practice.
+func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	return t.replace(key{val: val, id: id}, nil)
+}
+
+// Update replaces the tuple with the given key value and id by tp and
+// returns the tuple it replaced, reporting whether that was found. When
+// tp belongs in the same leaf and fits there, the leaf is decoded and
+// encoded once; otherwise the update is the Delete and the Insert it
+// stands for. Either way it is charged what they would be charged.
+func (t *Tree) Update(val tuple.Value, id uint64, tp tuple.Tuple) (tuple.Tuple, bool, error) {
+	return t.replace(key{val: val, id: id}, &tp)
+}
+
+// replace is Delete when tp is nil and Update otherwise.
+func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
+	var nk *key
+	if tp != nil {
+		x := keyOf(*tp, t.keyCol)
+		nk = &x
+	}
+	leafPN, together, err := t.descend(&k, nk)
 	if err != nil {
-		return false, err
+		return tuple.Tuple{}, false, err
 	}
 	fr, err := t.pool.Get(t.file, leafPN)
 	if err != nil {
-		return false, err
+		return tuple.Tuple{}, false, err
 	}
 	leaf, err := leafPages.DecodePage(fr.Data)
 	if err != nil {
 		t.pool.Release(fr)
-		return false, err
+		return tuple.Tuple{}, false, err
 	}
-	idx := leafLowerBound(leaf, k, t.keyCol)
-	if idx >= len(leaf.Tuples) {
-		return false, t.pool.Release(fr)
+	idx, found := leafFind(leaf, k, t.keyCol)
+	if !found {
+		return tuple.Tuple{}, false, t.pool.Release(fr)
 	}
-	ek := keyOf(leaf.Tuples[idx], t.keyCol)
-	if k.less(ek) || ek.less(k) {
-		return false, t.pool.Release(fr)
+	old := leaf.Tuples[idx] // its values are the decode's own: nothing else holds them
+	leaf.Tuples = slices.Delete(leaf.Tuples, idx, idx+1)
+	t.count--
+	if together && leaf.Size()+tp.EncodedSize() <= len(fr.Data) {
+		if at, dup := leafFind(leaf, *nk, t.keyCol); !dup {
+			leaf.Tuples = slices.Insert(leaf.Tuples, at, *tp)
+			t.encodeLeaf(fr.Data, leaf)
+			fr.MarkDirty()
+			// Delete then Insert would each release this leaf dirty, and
+			// under write-through each release writes it back: release it
+			// for the delete, then take it again, clean and resident (a hit),
+			// and release it dirty for the insert.
+			if err := t.pool.Release(fr); err != nil {
+				return tuple.Tuple{}, false, err
+			}
+			if fr, err = t.pool.Get(t.file, leafPN); err != nil {
+				return tuple.Tuple{}, false, err
+			}
+			fr.MarkDirty()
+			t.count++
+			return old, true, t.pool.Release(fr)
+		}
 	}
-	leaf.Tuples = append(leaf.Tuples[:idx], leaf.Tuples[idx+1:]...)
 	t.encodeLeaf(fr.Data, leaf)
 	fr.MarkDirty()
-	t.count--
-	return true, t.pool.Release(fr)
+	if err := t.pool.Release(fr); err != nil {
+		return tuple.Tuple{}, false, err
+	}
+	if tp != nil {
+		if err := t.Insert(*tp); err != nil {
+			return tuple.Tuple{}, false, err
+		}
+	}
+	return old, true, nil
 }
 
 // Get returns the tuple with the exact (value, id) key, if present.
@@ -519,11 +640,7 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 		if err != nil {
 			return err
 		}
-		idx := leafLowerBound(leaf, k, t.keyCol)
-		if idx >= len(leaf.Tuples) {
-			return nil
-		}
-		if ek := keyOf(leaf.Tuples[idx], t.keyCol); !k.less(ek) && !ek.less(k) {
+		if idx, hit := leafFind(leaf, k, t.keyCol); hit {
 			found, ok = leaf.Tuples[idx].Clone(), true
 		}
 		return nil

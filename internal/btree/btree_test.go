@@ -2,7 +2,9 @@ package btree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -94,7 +96,7 @@ func TestDuplicateValuesDifferentIDs(t *testing.T) {
 		t.Errorf("scan found %d duplicates, want 40", len(got))
 	}
 	// Each individually deletable by id.
-	ok, err := tr.Delete(tuple.I(42), 17)
+	_, ok, err := tr.Delete(tuple.I(42), 17)
 	if err != nil || !ok {
 		t.Fatalf("delete dup: ok=%v err=%v", ok, err)
 	}
@@ -178,12 +180,12 @@ func TestDeleteThenScan(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 200; i += 2 {
-		ok, err := tr.Delete(tuple.I(i), uint64(i+1))
+		_, ok, err := tr.Delete(tuple.I(i), uint64(i+1))
 		if err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if ok, _ := tr.Delete(tuple.I(0), 1); ok {
+	if _, ok, _ := tr.Delete(tuple.I(0), 1); ok {
 		t.Error("second delete of same tuple succeeded")
 	}
 	it, _ := tr.ScanBatches(nil, nil)
@@ -206,7 +208,7 @@ func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 150; i++ {
-		if ok, err := tr.Delete(tuple.I(i), uint64(i+1)); err != nil || !ok {
+		if _, ok, err := tr.Delete(tuple.I(i), uint64(i+1)); err != nil || !ok {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
@@ -332,7 +334,7 @@ func TestPropertyInsertDeleteScan(t *testing.T) {
 			} else { // delete a random live tuple with this key, if any
 				for id, lk := range live {
 					if lk == k {
-						ok, err := tr.Delete(tuple.I(k), id)
+						_, ok, err := tr.Delete(tuple.I(k), id)
 						if err != nil || !ok {
 							return false
 						}
@@ -491,5 +493,187 @@ func TestDecodeInternalRejectsDamage(t *testing.T) {
 	}
 	if _, _, err := tr.Get(tuple.I(5), 6); err == nil || !strings.Contains(err.Error(), "not an internal page") {
 		t.Errorf("descent through a root of type 9: err = %v", err)
+	}
+}
+
+// TestDescentRejectsCorruptInternalPages: a descent routes on the
+// encoded internal page where it lies, and makes every check
+// decodeInternal makes over the whole page, whatever the probe — so a
+// damaged root fails every descent through it with an error, never a
+// panic, and leaves no pin behind.
+func TestDescentRejectsCorruptInternalPages(t *testing.T) {
+	// The root's first separator starts after the header and child 0.
+	const sep0 = internalHeader + 4
+	cases := []struct {
+		name   string
+		damage func(page []byte, used int)
+		want   string
+	}{
+		{"not an internal page", func(page []byte, _ int) { page[0] = 9 }, "not an internal page"},
+		{"zero children", func(page []byte, _ int) { binary.BigEndian.PutUint16(page[1:], 0) }, "with 0 children"},
+		{"bad value tag", func(page []byte, _ int) { page[sep0] = 0xEE }, "unknown value tag"},
+		// An int separator retagged as a string whose length runs off the page.
+		{"truncated separator", func(page []byte, _ int) {
+			page[sep0] = byte(tuple.String)
+			binary.BigEndian.PutUint32(page[sep0+1:], 0xFFFF)
+		}, "truncated string payload"},
+		// One more child than the page holds: a string separator that ends
+		// three bytes before the page does, leaving no room for its child.
+		{"child pointer past the page", func(page []byte, used int) {
+			binary.BigEndian.PutUint16(page[1:], binary.BigEndian.Uint16(page[1:])+1)
+			page[used] = byte(tuple.String)
+			binary.BigEndian.PutUint32(page[used+1:], uint32(len(page)-used-1-4-8-3))
+		}, "truncated at child"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, _ := newTestTree(t, 256, 64)
+			for i := int64(0); i < 100; i++ {
+				if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr.Height() < 2 {
+				t.Fatal("fixture has no internal page")
+			}
+			fr, err := tr.pool.Get(tr.file, tr.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := decodeInternal(fr.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.damage(fr.Data, internalSize(in))
+			fr.MarkDirty()
+			if err := tr.pool.Release(fr); err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: err = %v, want one naming %q", what, err, c.want)
+				}
+			}
+			for _, k := range []*key{nil, {val: tuple.I(-1)}, {val: tuple.I(50), id: 51}, {val: tuple.I(1 << 40)}} {
+				_, err := tr.findLeaf(k)
+				check(fmt.Sprintf("findLeaf(%v)", k), err)
+			}
+			check("Insert", tr.Insert(mk(1000, 7)))
+			_, _, err = tr.Delete(tuple.I(99), 100)
+			check("Delete", err)
+			_, _, err = tr.Update(tuple.I(0), 1, mk(1001, 0))
+			check("Update", err)
+			_, err = tr.leftmostLeafUncharged()
+			check("leftmostLeafUncharged", err)
+			tr.pool.AssertUnpinned(t)
+		})
+	}
+}
+
+// TestFindLeafAllocations: a descent through a tree of height ≥ 3 routes
+// on the encoded internal pages in place, so it allocates nothing.
+func TestFindLeafAllocations(t *testing.T) {
+	tr, _ := newTestTree(t, 256, 1024)
+	for i := int64(0); i < 2000; i++ {
+		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d, want ≥ 3", tr.Height())
+	}
+	k := key{val: tuple.I(1234), id: 1235}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := tr.findLeaf(&k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations a descent of height %d", allocs, tr.Height())
+	if allocs != 0 {
+		t.Errorf("findLeaf allocated %.0f objects, want 0", allocs)
+	}
+}
+
+// TestUpdateChargesDeleteThenInsert: Update is charged what Delete then
+// Insert are charged and leaves the same bytes on disk — when the
+// replacement lands in the old tuple's leaf (one decode, one encode),
+// when it belongs in another leaf, when it no longer fits and the leaf
+// splits, and when the old tuple is absent.
+func TestUpdateChargesDeleteThenInsert(t *testing.T) {
+	wide := func(id uint64, k int64) tuple.Tuple {
+		return tuple.New(id, tuple.I(k), tuple.S(strings.Repeat("w", 120)))
+	}
+	cases := []struct {
+		name    string
+		k       int64
+		id      uint64
+		replace tuple.Tuple
+		split   bool
+	}{
+		{"same key, new id", 40, 41, mk(5000, 40), false},
+		{"same key and id", 40, 41, tuple.New(41, tuple.I(40), tuple.S("rewritten")), false},
+		{"another leaf", 40, 41, mk(5000, 190), false},
+		{"a key below the leaf", 120, 121, mk(5000, 3), false},
+		{"no room: the leaf splits", 40, 41, wide(5000, 40), true},
+		{"absent", 40, 999, mk(5000, 40), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			build := func() (*Tree, *storage.Meter, *storage.Disk) {
+				d := storage.NewDisk(200)
+				m := storage.NewMeter()
+				tr, err := New(storage.NewPool(d, m, 256), d.Open("t"), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := int64(0); i < 200; i++ {
+					if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tr.pool.EvictAll(); err != nil {
+					t.Fatal(err)
+				}
+				return tr, m, d
+			}
+			up, upM, upD := build()
+			ref, refM, refD := build()
+			leaves := up.LeafPages()
+
+			before := upM.Snapshot()
+			old, ok, err := up.Update(tuple.I(c.k), c.id, c.replace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			upCost := upM.Snapshot().Sub(before)
+
+			before = refM.Snapshot()
+			want, wantOK, err := ref.Delete(tuple.I(c.k), c.id)
+			if err == nil && wantOK {
+				err = ref.Insert(c.replace)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			refCost := refM.Snapshot().Sub(before)
+
+			if ok != wantOK || old.ID != want.ID || !tuple.ValsEqual(old, want) {
+				t.Errorf("Update returned %v, %v; Delete returned %v, %v", old, ok, want, wantOK)
+			}
+			if upCost != refCost {
+				t.Errorf("Update charged %+v, Delete then Insert %+v", upCost, refCost)
+			}
+			if up.Len() != ref.Len() || up.Height() != ref.Height() {
+				t.Errorf("Update left %d tuples at height %d, Delete then Insert %d at %d", up.Len(), up.Height(), ref.Len(), ref.Height())
+			}
+			if split := up.LeafPages() > leaves; split != c.split {
+				t.Errorf("leaves %d → %d: split = %v, want %v", leaves, up.LeafPages(), split, c.split)
+			}
+			if !reflect.DeepEqual(upD.FullDelta(), refD.FullDelta()) {
+				t.Error("Update and Delete then Insert left different pages")
+			}
+			up.pool.AssertUnpinned(t)
+		})
 	}
 }

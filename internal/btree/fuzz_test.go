@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"viewmat/internal/pred"
@@ -9,16 +11,35 @@ import (
 	"viewmat/internal/tuple"
 )
 
-// FuzzBTree drives random insert/delete/range-scan sequences against
-// the tree and checks every observation against a flat slice-and-sort
-// oracle. Keys are drawn from a narrow signed-byte space so duplicate
+// FuzzBTree drives random insert/delete/update/range-scan sequences
+// against the tree and checks every observation against a flat
+// slice-and-sort oracle. Keys are drawn from a narrow space so duplicate
 // key values (distinguished only by tuple id, the tree's tiebreak) are
-// common, and the 256-byte page size forces splits and merges early.
+// common, and the 256-byte page size forces splits early. A leading byte
+// with its high bit set selects string keys of varying width, so the
+// internal pages' separators are variable-width and the in-place descent
+// compares strings where they lie; any other input is an int-keyed
+// script, which is what every input was before string keys (the first
+// three seeds run as they always did).
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 1, 0, 3, 250, 0, 130, 2, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 0})
 	f.Add([]byte{3, 3, 2, 9})
+	f.Add([]byte{0x80, 0, 5, 0, 5, 0, 77, 0, 12, 0, 200, 4, 3, 5, 1, 0, 9, 3, 2, 2, 5})
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 0, 4, 0, 5, 1, 3, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		strKeys := len(data) > 0 && data[0]&0x80 != 0
+		if strKeys {
+			data = data[1:]
+		}
+		keyOfArg := func(arg byte) tuple.Value {
+			if strKeys {
+				// Widths 1–7 over a dozen values: long and short separators,
+				// and prefixes of one another.
+				return tuple.S(strings.Repeat("k", int(arg%6)) + fmt.Sprint(arg%12))
+			}
+			return tuple.I(int64(int8(arg)))
+		}
 		d := storage.NewDisk(256)
 		pool := storage.NewPool(d, storage.NewMeter(), 64)
 		tr, err := New(pool, d.Open("t"), 0)
@@ -27,42 +48,44 @@ func FuzzBTree(f *testing.F) {
 		}
 
 		type rec struct {
-			k  int64
+			k  tuple.Value
 			id uint64
+			p  string
 		}
+		recOf := func(tp tuple.Tuple) rec { return rec{k: tp.Vals[0], id: tp.ID, p: tp.Vals[1].Str()} }
+		same := func(a, b rec) bool { return tuple.Equal(a.k, b.k) && a.id == b.id && a.p == b.p }
 		var live []rec
 		sortedLive := func() []rec {
 			s := append([]rec(nil), live...)
 			sort.Slice(s, func(i, j int) bool {
-				if s[i].k != s[j].k {
-					return s[i].k < s[j].k
+				if c := tuple.Compare(s[i].k, s[j].k); c != 0 {
+					return c < 0
 				}
 				return s[i].id < s[j].id
 			})
 			return s
 		}
-		checkScan := func(rg *pred.Range, lo, hi int64, bounded bool) {
+		checkScan := func(rg *pred.Range) {
 			it, err := tr.ScanBatches(rg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []rec
 			for _, tp := range collect(t, it) {
-				got = append(got, rec{k: tp.Vals[0].Int(), id: tp.ID})
+				got = append(got, recOf(tp))
 			}
 			var want []rec
 			for _, r := range sortedLive() {
-				if bounded && (r.k < lo || r.k >= hi) {
-					continue
+				if rg == nil || rg.Contains(r.k) {
+					want = append(want, r)
 				}
-				want = append(want, r)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("scan[%d,%d): %d tuples, oracle says %d", lo, hi, len(got), len(want))
+				t.Fatalf("scan %v: %d tuples, oracle says %d", rg, len(got), len(want))
 			}
 			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("scan[%d,%d) position %d: got %+v, oracle %+v", lo, hi, i, got[i], want[i])
+				if !same(got[i], want[i]) {
+					t.Fatalf("scan %v position %d: got %+v, oracle %+v", rg, i, got[i], want[i])
 				}
 			}
 		}
@@ -71,57 +94,85 @@ func FuzzBTree(f *testing.F) {
 		for len(data) >= 2 {
 			op, arg := data[0], data[1]
 			data = data[2:]
-			switch op % 4 {
-			case 0: // insert (dup-heavy key space)
-				k := int64(int8(arg))
-				id := nextID
+			switch op % 8 {
+			case 0, 6: // insert (dup-heavy key space)
+				r := rec{k: keyOfArg(arg), id: nextID, p: "p"}
 				nextID++
-				if err := tr.Insert(tuple.New(id, tuple.I(k), tuple.S("p"))); err != nil {
-					t.Fatalf("insert (%d,%d): %v", k, id, err)
+				if err := tr.Insert(tuple.New(r.id, r.k, tuple.S(r.p))); err != nil {
+					t.Fatalf("insert %+v: %v", r, err)
 				}
-				live = append(live, rec{k: k, id: id})
-			case 1: // delete an existing tuple
+				live = append(live, r)
+			case 1, 7: // delete an existing tuple
 				if len(live) == 0 {
 					continue
 				}
 				j := int(arg) % len(live)
 				victim := live[j]
-				ok, err := tr.Delete(tuple.I(victim.k), victim.id)
+				old, ok, err := tr.Delete(victim.k, victim.id)
 				if err != nil {
-					t.Fatalf("delete (%d,%d): %v", victim.k, victim.id, err)
+					t.Fatalf("delete %+v: %v", victim, err)
 				}
 				if !ok {
-					t.Fatalf("delete (%d,%d): tree says absent, oracle says live", victim.k, victim.id)
+					t.Fatalf("delete %+v: tree says absent, oracle says live", victim)
+				}
+				if !same(recOf(old), victim) {
+					t.Fatalf("delete %+v returned %+v", victim, recOf(old))
 				}
 				live = append(live[:j], live[j+1:]...)
 			case 2: // delete a tuple that was never inserted
-				ok, err := tr.Delete(tuple.I(int64(int8(arg))), nextID+1<<40)
+				_, ok, err := tr.Delete(keyOfArg(arg), nextID+1<<40)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if ok {
-					t.Fatalf("deleted absent tuple (key %d)", int8(arg))
+					t.Fatalf("deleted absent tuple (key %v)", keyOfArg(arg))
 				}
 			case 3: // bounded range scan vs oracle
-				lo := int64(int8(arg))
-				hi := lo + 16
-				loV, hiV := tuple.I(lo), tuple.I(hi)
-				checkScan(&pred.Range{Lo: &loV, LoInc: true, Hi: &hiV, HiInc: false}, lo, hi, true)
+				lo := keyOfArg(arg)
+				hi := tuple.I(lo.Int() + 16)
+				if strKeys {
+					hi = tuple.S(lo.Str() + "~")
+				}
+				checkScan(&pred.Range{Lo: &lo, LoInc: true, Hi: &hi, HiInc: false})
+			case 4, 5: // update an existing tuple: to a new key and id, or in place
+				if len(live) == 0 {
+					continue
+				}
+				j := int(arg) % len(live)
+				victim := live[j]
+				r := rec{k: keyOfArg(arg * 7), id: nextID, p: "u" + strings.Repeat("x", int(arg%9))}
+				if op%8 == 5 {
+					r.k, r.id = victim.k, victim.id // a duplicate count rewritten
+				} else {
+					nextID++
+				}
+				old, ok, err := tr.Update(victim.k, victim.id, tuple.New(r.id, r.k, tuple.S(r.p)))
+				if err != nil {
+					t.Fatalf("update %+v to %+v: %v", victim, r, err)
+				}
+				if !ok {
+					t.Fatalf("update %+v: tree says absent, oracle says live", victim)
+				}
+				if !same(recOf(old), victim) {
+					t.Fatalf("update %+v returned %+v", victim, recOf(old))
+				}
+				live[j] = r
 			}
 			if tr.Len() != len(live) {
 				t.Fatalf("Len = %d, oracle has %d live tuples", tr.Len(), len(live))
 			}
 		}
 		// Final full scan and point lookups.
-		checkScan(nil, 0, 0, false)
+		checkScan(nil)
 		for _, r := range live {
-			tp, ok, err := tr.Get(tuple.I(r.k), r.id)
+			tp, ok, err := tr.Get(r.k, r.id)
 			if err != nil || !ok {
-				t.Fatalf("Get(%d,%d): ok=%v err=%v", r.k, r.id, ok, err)
+				t.Fatalf("Get(%+v): ok=%v err=%v", r, ok, err)
 			}
-			if tp.ID != r.id || tp.Vals[0].Int() != r.k {
-				t.Fatalf("Get(%d,%d) returned (%d,%d)", r.k, r.id, tp.Vals[0].Int(), tp.ID)
+			if !same(recOf(tp), r) {
+				t.Fatalf("Get(%+v) returned %+v", r, recOf(tp))
 			}
 		}
+		pool.AssertUnpinned(t)
 	})
 }

@@ -489,7 +489,8 @@ func DecodeWhere(chunk []byte, atoms []Atom, ids []uint64, cols []vec.Col) ([]ui
 
 // DecodeTuples is DecodeInto gathered back to row form — the path
 // update operations (decode, modify, re-encode) use. The rows' values are
-// carved out of one flat array.
+// carved out of one flat array, and the slice has room for one more row:
+// an update inserts at most one before it re-encodes.
 func DecodeTuples(chunk []byte) ([]tuple.Tuple, error) {
 	ids, cols, err := DecodeInto(chunk, nil, nil)
 	if err != nil {
@@ -500,7 +501,7 @@ func DecodeTuples(chunk []byte) ([]tuple.Tuple, error) {
 	for c := 0; c < w && len(ids) > 0; c++ {
 		cols[c].GatherValues(flat[c:], w, nil)
 	}
-	out := make([]tuple.Tuple, len(ids))
+	out := make([]tuple.Tuple, len(ids), len(ids)+1)
 	for i, id := range ids {
 		out[i].ID = id
 		if w > 0 {

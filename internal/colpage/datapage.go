@@ -122,7 +122,7 @@ func (pt PageTypes) DecodePage(page []byte) (*DataPage, error) {
 		}
 		return n, nil
 	}
-	n.Tuples = make([]tuple.Tuple, 0, rows)
+	n.Tuples = make([]tuple.Tuple, 0, rows+1) // room for an update's insert, as DecodeTuples leaves
 	off := DataPageHeader
 	for i := 0; i < rows; i++ {
 		tp, used, err := tuple.Decode(page[off:])

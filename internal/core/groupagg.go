@@ -79,21 +79,26 @@ func (g *groupStore) get(group tuple.Value) (tuple.Tuple, bool, error) {
 	return matches[0], true, nil
 }
 
-// put replaces (or inserts) a group's row; an empty state removes it.
+// put replaces (or inserts) a group's row; an empty state removes it. A
+// replaced row keeps its key and id, so one visit to its leaf.
 func (g *groupStore) put(group tuple.Value, s *agg.State, old *tuple.Tuple, id uint64) error {
-	if old != nil {
-		if _, ok, err := g.rel.Delete(group, old.ID); err != nil || !ok {
-			return fmt.Errorf("core: group row rewrite lost %v: ok=%v err=%v", group, ok, err)
+	if old == nil {
+		if s.Count() == 0 {
+			return nil
 		}
+		return g.rel.Insert(tuple.Tuple{ID: id, Vals: rowOf(group, s)})
 	}
+	var ok bool
+	var err error
 	if s.Count() == 0 {
-		return nil
+		_, ok, err = g.rel.Delete(group, old.ID)
+	} else {
+		_, ok, err = g.rel.Update(group, old.ID, tuple.Tuple{ID: old.ID, Vals: rowOf(group, s)})
 	}
-	useID := id
-	if old != nil {
-		useID = old.ID
+	if err != nil || !ok {
+		return fmt.Errorf("core: group row rewrite lost %v: ok=%v err=%v", group, ok, err)
 	}
-	return g.rel.Insert(tuple.Tuple{ID: useID, Vals: rowOf(group, s)})
+	return nil
 }
 
 // GroupRow is one grouped-aggregate result.

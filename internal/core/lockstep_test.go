@@ -1222,6 +1222,24 @@ func lockstepTable() []row {
 	rows = append(rows, row{test: "TestPropertyGroupedStrategiesEquivalent/regression/negative-zero-is-one-group",
 		fixture: static(groupedFx(agg.Sum, 3)), configs: plain(fiveStrategies...), seeds: [2]int64{0, 0},
 		script: []step{{op: "ins", key: 4, val: 1}, {op: "ins", key: 5, val: 0}, {op: "query"}}})
+	// One commit on one leaf: the seed load leaves r's keys 14–20 on one
+	// leaf with room for seven more rows; eight inserts split it, and then
+	// updates land on both halves — key 14 on the left, key 20 on the
+	// right, key 17 twice in a row (the second update replaces the first's
+	// replacement) — and move an inserted row to another leaf. Same-key
+	// updates rewrite their leaf in one visit; the twin inserts at keys 15
+	// and 16 are one view row (equal s) whose duplicate count is rewritten
+	// the same way in the stored view.
+	splitCommit := []step{
+		{op: "ins", key: 15, val: 1}, {op: "ins", key: 15, val: 8}, {op: "ins", key: 16, val: 2}, {op: "ins", key: 16, val: 9},
+		{op: "ins", key: 17, val: 3}, {op: "ins", key: 18, val: 4}, {op: "ins", key: 18, val: 5}, {op: "ins", key: 19, val: 6},
+		{op: "upd", idx: 14, key: 14, val: 10}, {op: "upd", idx: 20, key: 20, val: 11},
+		{op: "upd", idx: 17, key: 17, val: 12}, {op: "upd", idx: 17, key: 17, val: 19},
+		{op: "upd", idx: 30, key: 25, val: 13}, {op: "commit"}, {op: "query"},
+		{op: "upd", idx: 15, key: 15, val: 1}, {op: "upd", idx: 15, key: 15, val: 22}, {op: "query"},
+	}
+	rows = append(rows, row{test: "TestPropertyModel1StrategiesEquivalent/regression/one-commit-splits-a-leaf-and-updates-a-key-twice",
+		fixture: static(model1Fx()), configs: plain(fiveStrategies...), seeds: [2]int64{0, 0}, script: splitCommit})
 	// ...and like the plain-Go reference, which unlike the engines'
 	// oracles of each other shares no code with any of them.
 	for i := range rows {

@@ -145,14 +145,15 @@ func (v *MatView) DeleteDelta(vals []tuple.Value) error {
 	return err
 }
 
-// setCount rewrites a stored row with a new duplicate count.
+// setCount rewrites a stored row with a new duplicate count: the same
+// key and id, so one visit to its leaf.
 func (v *MatView) setCount(row tuple.Tuple, count int64) error {
-	if _, ok, err := v.rel.Delete(row.Vals[v.keyCol], row.ID); err != nil || !ok {
-		return fmt.Errorf("matview: rewrite lost row: ok=%v err=%v", ok, err)
-	}
 	vals := append([]tuple.Value(nil), row.Vals...)
 	vals[len(vals)-1] = tuple.I(count)
-	return v.rel.Insert(tuple.Tuple{ID: row.ID, Vals: vals})
+	if _, ok, err := v.rel.Update(row.Vals[v.keyCol], row.ID, tuple.Tuple{ID: row.ID, Vals: vals}); err != nil || !ok {
+		return fmt.Errorf("matview: rewrite lost row: ok=%v err=%v", ok, err)
+	}
+	return nil
 }
 
 // scanOp is the charged leaf over the stored copy restricted to rg on

@@ -44,21 +44,21 @@ func (db *Database) snapshotBodyLocked(full bool) ([]byte, error) {
 	if err := db.pool.FlushAll(); err != nil {
 		return nil, err
 	}
-	delta := db.disk.Delta()
+	var delta *storage.DiskDelta
 	if full {
 		delta = db.disk.FullDelta()
+	} else {
+		delta = db.disk.Delta()
 	}
 	header := db.catalogHeaderLocked()
-	disk, err := delta.AppendBinary(nil)
-	if err != nil {
-		return nil, err
-	}
 	if db.adv != nil {
 		db.adv.mu.Lock()
 		defer db.adv.mu.Unlock()
 	}
-	enc := tuple.NewEncoder(make([]byte, 0, len(disk)+1024)).Compact()
-	codeSnapshot(&enc, &header, &disk)
+	// One buffer for the body: the header is small, and the delta's pages
+	// are encoded once, straight into the room made for them.
+	enc := tuple.NewEncoder(make([]byte, 0, delta.EncodedSize()+1024)).Compact()
+	codeSnapshot(&enc, &header, delta, nil)
 	return enc.Done()
 }
 
@@ -131,8 +131,10 @@ const snapshotMagic = "VMS\x03"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
-// storage.DiskDelta in its own encoding — behind their length.
-func codeSnapshot(c *tuple.Coder, h *catalogHeader, disk *[]byte) {
+// storage.DiskDelta in its own encoding — behind their length. An
+// encoder given delta lays its encoding out in place; otherwise the
+// encoding is *disk's bytes, which a decoder fills.
+func codeSnapshot(c *tuple.Coder, h *catalogHeader, delta *storage.DiskDelta, disk *[]byte) {
 	magic := []byte(snapshotMagic)
 	for i := range magic {
 		c.U8(&magic[i])
@@ -143,6 +145,10 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, disk *[]byte) {
 		return
 	}
 	h.code(c)
+	if delta != nil && !c.Decoding() {
+		c.Sized(delta.EncodedSize(), delta.AppendBinary)
+		return
+	}
 	c.Bytes(disk)
 }
 
@@ -154,7 +160,7 @@ func decodeSnapshot(body []byte) (*catalogHeader, *storage.DiskDelta, error) {
 		disk   []byte
 	)
 	dec := tuple.NewDecoder(body).Compact()
-	codeSnapshot(&dec, &header, &disk)
+	codeSnapshot(&dec, &header, nil, &disk)
 	if _, err := dec.Done(); err != nil {
 		class := ErrSnapshotCorrupt
 		if errors.Is(err, io.ErrUnexpectedEOF) {

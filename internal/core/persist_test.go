@@ -194,15 +194,9 @@ func TestSaveLoadSecondaryIndexes(t *testing.T) {
 // encodeSnapshot lays a header and a disk delta out as a snapshot body.
 func encodeSnapshot(t testing.TB, h catalogHeader, disk *storage.DiskDelta) []byte {
 	t.Helper()
-	var diskBytes []byte
-	if disk != nil {
-		var err error
-		if diskBytes, err = disk.AppendBinary(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var none []byte // the disk field of a body given no delta
 	enc := tuple.NewEncoder(nil).Compact()
-	codeSnapshot(&enc, &h, &diskBytes)
+	codeSnapshot(&enc, &h, disk, &none)
 	body, err := enc.Done()
 	if err != nil {
 		t.Fatal(err)

@@ -216,10 +216,7 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 				if h != nil {
 					old, ok, err = h.Update(op.key, op.id, newTp)
 				} else {
-					old, ok, err = r.Delete(op.key, op.id)
-					if err == nil && ok {
-						err = r.Insert(newTp)
-					}
+					old, ok, err = r.Update(op.key, op.id, newTp)
 				}
 				if err != nil {
 					return err

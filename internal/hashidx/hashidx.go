@@ -208,19 +208,19 @@ func (ix *Index) Get(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	return tuple.Tuple{}, false, nil
 }
 
-// Delete removes the tuple with key value v and the given id,
-// reporting whether it was found.
-func (ix *Index) Delete(v tuple.Value, id uint64) (bool, error) {
+// Delete removes the tuple with key value v and the given id and
+// returns it, reporting whether it was found.
+func (ix *Index) Delete(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	pn := ix.buckets[ix.bucketFor(v)]
 	for {
 		fr, err := ix.pool.Get(ix.file, pn)
 		if err != nil {
-			return false, err
+			return tuple.Tuple{}, false, err
 		}
 		n, err := chainPages.DecodePage(fr.Data)
 		if err != nil {
 			ix.pool.Release(fr)
-			return false, err
+			return tuple.Tuple{}, false, err
 		}
 		for i, tp := range n.Tuples {
 			if tp.ID == id && tuple.Equal(tp.Vals[ix.keyCol], v) {
@@ -228,15 +228,15 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (bool, error) {
 				ix.encodeNode(fr.Data, n)
 				fr.MarkDirty()
 				ix.count--
-				return true, ix.pool.Release(fr)
+				return tp, true, ix.pool.Release(fr)
 			}
 		}
 		hasNext, next := n.HasNext, n.Next
 		if err := ix.pool.Release(fr); err != nil {
-			return false, err
+			return tuple.Tuple{}, false, err
 		}
 		if !hasNext {
-			return false, nil
+			return tuple.Tuple{}, false, nil
 		}
 		pn = next
 	}

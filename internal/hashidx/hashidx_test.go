@@ -105,11 +105,14 @@ func TestDelete(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		ix.Insert(mk(uint64(i+1), i))
 	}
-	ok, err := ix.Delete(tuple.I(20), 21)
+	old, ok, err := ix.Delete(tuple.I(20), 21)
 	if err != nil || !ok {
 		t.Fatalf("delete: ok=%v err=%v", ok, err)
 	}
-	if ok, _ := ix.Delete(tuple.I(20), 21); ok {
+	if want := mk(21, 20); old.ID != want.ID || !tuple.ValsEqual(old, want) {
+		t.Errorf("delete returned %v, want the removed tuple %v", old, want)
+	}
+	if _, ok, _ := ix.Delete(tuple.I(20), 21); ok {
 		t.Error("second delete succeeded")
 	}
 	if got, _ := ix.Lookup(tuple.I(20)); len(got) != 0 {
@@ -126,7 +129,7 @@ func TestDeleteFromOverflowPage(t *testing.T) {
 		ix.Insert(mk(uint64(i+1), i))
 	}
 	// The last-inserted tuples live deep in the chain.
-	ok, err := ix.Delete(tuple.I(39), 40)
+	_, ok, err := ix.Delete(tuple.I(39), 40)
 	if err != nil || !ok {
 		t.Fatalf("delete from overflow: ok=%v err=%v", ok, err)
 	}
@@ -151,7 +154,7 @@ func TestSameKeyUpdateStaysOnSamePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Snapshot()
-	if ok, err := ix.Delete(tuple.I(5), 1); err != nil || !ok {
+	if _, ok, err := ix.Delete(tuple.I(5), 1); err != nil || !ok {
 		t.Fatal("delete failed")
 	}
 	if err := ix.Insert(mk(2, 5)); err != nil {
@@ -243,7 +246,7 @@ func TestPropertyMatchesModel(t *testing.T) {
 			} else {
 				for id, mk2 := range model {
 					if mk2 == k {
-						ok, err := ix.Delete(tuple.I(k), id)
+						_, ok, err := ix.Delete(tuple.I(k), id)
 						if err != nil || !ok {
 							return false
 						}

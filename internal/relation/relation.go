@@ -149,26 +149,48 @@ func (r *Relation) Insert(tp tuple.Tuple) error {
 
 // Delete removes the tuple with the clustering-key value and id. The
 // full tuple is returned so callers (HR, views) can record what was
-// deleted.
+// deleted: the access method hands back what it removed, so the tuple's
+// page is visited once.
 func (r *Relation) Delete(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	tp, ok, err := r.Get(keyVal, id)
-	if err != nil || !ok {
-		return tuple.Tuple{}, ok, err
-	}
+	var tp tuple.Tuple
+	var ok bool
+	var err error
 	if r.kind == ClusteredBTree {
-		_, err = r.bt.Delete(keyVal, id)
+		tp, ok, err = r.bt.Delete(keyVal, id)
 	} else {
-		_, err = r.hx.Delete(keyVal, id)
+		tp, ok, err = r.hx.Delete(keyVal, id)
 	}
-	if err != nil {
+	if err != nil || !ok {
 		return tuple.Tuple{}, false, err
 	}
 	for _, sec := range r.secondaries {
-		if _, err := sec.bt.Delete(tp.Vals[sec.col], id); err != nil {
+		if _, _, err := sec.bt.Delete(tp.Vals[sec.col], id); err != nil {
 			return tuple.Tuple{}, false, err
 		}
 	}
 	return tp, true, nil
+}
+
+// Update replaces the tuple with the clustering-key value and id by tp
+// and returns the tuple it replaced. It is Delete then Insert, charged
+// as they are; on a B+-tree without secondary indexes the clustering
+// index does both in one visit to the leaf when tp belongs there
+// (btree.Tree.Update).
+func (r *Relation) Update(keyVal tuple.Value, id uint64, tp tuple.Tuple) (tuple.Tuple, bool, error) {
+	if r.kind != ClusteredBTree || len(r.secondaries) > 0 {
+		old, ok, err := r.Delete(keyVal, id)
+		if err == nil && ok {
+			err = r.Insert(tp)
+		}
+		if err != nil {
+			return tuple.Tuple{}, false, err
+		}
+		return old, ok, nil
+	}
+	if err := r.schema.Validate(tp.Vals); err != nil {
+		return tuple.Tuple{}, false, fmt.Errorf("relation %s: %w", r.name, err)
+	}
+	return r.bt.Update(keyVal, id, tp)
 }
 
 // Get fetches the tuple with the clustering-key value and id.

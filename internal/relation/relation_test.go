@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"reflect"
 	"testing"
 
 	"viewmat/internal/pred"
@@ -249,5 +250,119 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 	}
 	if unclusteredReads < 2*clusteredReads {
 		t.Errorf("expected unclustered (%d reads) ≫ clustered (%d reads)", unclusteredReads, clusteredReads)
+	}
+}
+
+// TestUpdateIsDeleteThenInsert: Relation.Update returns the tuple it
+// replaced and is charged, and leaves, what Delete then Insert would —
+// on a B+-tree (where the clustering index does it in one leaf visit), on
+// a B+-tree with a secondary index and on a hash relation (where it is
+// Delete then Insert).
+func TestUpdateIsDeleteThenInsert(t *testing.T) {
+	for _, kind := range []string{"btree", "btree+secondary", "hash"} {
+		t.Run(kind, func(t *testing.T) {
+			build := func() (*Relation, *storage.Meter, *storage.Disk) {
+				d, p, m := testEnv(t)
+				var r *Relation
+				var err error
+				if kind == "hash" {
+					r, err = NewHash(d, p, "emp", empSchema(), 0, 4)
+				} else {
+					r, err = NewBTree(d, p, "emp", empSchema(), 0)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := int64(0); i < 60; i++ {
+					if err := r.Insert(emp(uint64(i+1), i, "e", 100*i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if kind == "btree+secondary" {
+					if err := r.AddSecondary(2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := p.EvictAll(); err != nil {
+					t.Fatal(err)
+				}
+				return r, m, d
+			}
+			up, upM, upD := build()
+			ref, refM, refD := build()
+			for i, c := range []struct {
+				key int64
+				id  uint64
+				to  tuple.Tuple
+			}{
+				{20, 21, emp(100, 20, "raise", 9999)}, // same key
+				{30, 31, emp(101, 55, "moved", 1)},    // another key
+				{20, 100, emp(102, 20, "again", 5)},   // the first update's replacement
+				{40, 999, emp(103, 40, "ghost", 0)},   // absent
+			} {
+				before := upM.Snapshot()
+				old, ok, err := up.Update(tuple.I(c.key), c.id, c.to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				upCost := upM.Snapshot().Sub(before)
+				before = refM.Snapshot()
+				want, wantOK, err := ref.Delete(tuple.I(c.key), c.id)
+				if err == nil && wantOK {
+					err = ref.Insert(c.to)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				refCost := refM.Snapshot().Sub(before)
+				if ok != wantOK || old.ID != want.ID || !tuple.ValsEqual(old, want) {
+					t.Errorf("update %d returned %v, %v; Delete returned %v, %v", i, old, ok, want, wantOK)
+				}
+				if upCost != refCost {
+					t.Errorf("update %d charged %+v, Delete then Insert %+v", i, upCost, refCost)
+				}
+			}
+			if !reflect.DeepEqual(upD.FullDelta(), refD.FullDelta()) {
+				t.Error("Update and Delete then Insert left different pages")
+			}
+			if kind == "btree+secondary" {
+				got, err := up.LookupSecondary(2, pred.PointRange(tuple.I(5)))
+				if err != nil || len(got) != 1 || got[0].ID != 102 {
+					t.Errorf("secondary lookup of the last replacement = %v, %v", got, err)
+				}
+			}
+		})
+	}
+}
+
+// TestHashDeleteReadsTheChainUpToItsTuple: a delete from a hash relation
+// is one walk of the bucket's chain that stops at the page holding the
+// tuple — not a lookup of the whole chain first. On one bucket of 60
+// rows (a chain of several pages) a cold delete of the first row reads
+// one page and writes it.
+func TestHashDeleteReadsTheChainUpToItsTuple(t *testing.T) {
+	d, p, m := testEnv(t)
+	r, err := NewHash(d, p, "emp", empSchema(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 60; i++ {
+		if err := r.Insert(emp(uint64(i+1), i, "e", 100*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Pages() < 3 {
+		t.Fatalf("the bucket's chain has %d pages, want several", r.Pages())
+	}
+	if err := p.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Snapshot()
+	old, ok, err := r.Delete(tuple.I(0), 1)
+	if err != nil || !ok || old.Vals[2].Int() != 0 {
+		t.Fatalf("delete: %v, %v, %v", old, ok, err)
+	}
+	if got := m.Snapshot().Sub(before); got.Reads != 1 || got.Writes != 1 {
+		t.Errorf("delete from the chain's first page charged %+v, want 1 read and 1 write", got)
 	}
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -91,7 +93,9 @@ func (d *Disk) delta(full bool) *DiskDelta {
 		d.mu.RUnlock()
 		sort.Strings(delta.Removed)
 	}
-	for _, name := range d.FileNames() {
+	names := d.FileNames()
+	delta.Files = make([]FileDelta, 0, len(names))
+	for _, name := range names {
 		f := d.file(name)
 		if f == nil {
 			continue
@@ -102,23 +106,26 @@ func (d *Disk) delta(full bool) *DiskDelta {
 				Name:    name,
 				Created: full || f.fresh,
 				Extent:  len(f.pages),
-				Free:    append([]PageNum(nil), f.free...),
+				Free:    clone(f.free),
 			}
 			var nums []PageNum // the pages to carry, in order
 			if full {
-				for i := range f.pages {
-					nums = append(nums, PageNum(i))
+				nums = make([]PageNum, len(f.pages))
+				for i := range nums {
+					nums[i] = PageNum(i)
 				}
 			} else {
+				nums = make([]PageNum, 0, len(f.dirty))
 				for pn := range f.dirty {
 					nums = append(nums, pn)
 				}
-				sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+				slices.Sort(nums)
 			}
+			fd.Pages = make([]PageDelta, 0, len(nums))
 			for _, pn := range nums {
 				// A dirty page that is nil now was freed; Free says so.
 				if p := f.pages[pn]; p != nil {
-					fd.Pages = append(fd.Pages, PageDelta{Num: pn, Data: append([]byte(nil), p...)})
+					fd.Pages = append(fd.Pages, PageDelta{Num: pn, Data: clone(p)})
 				}
 			}
 			delta.Files = append(delta.Files, fd)
@@ -126,6 +133,17 @@ func (d *Disk) delta(full bool) *DiskDelta {
 		f.mu.RUnlock()
 	}
 	return delta
+}
+
+// clone copies s into a slice of its own, exactly its size (nil for
+// none): one allocation, never regrown.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
 }
 
 // Apply brings the image from the state a delta was taken against to
@@ -203,19 +221,18 @@ func (img *DiskImage) Apply(d *DiskDelta) error {
 // Pages carry no length of their own, so one of another size than
 // PageSize cannot be encoded (DiskImage.Apply would refuse it anyway).
 func (d *DiskDelta) AppendBinary(dst []byte) ([]byte, error) {
-	str := func(s string) {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+	if n := d.EncodedSize(); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
 	}
 	dst = binary.AppendUvarint(dst, uint64(d.PageSize))
 	dst = binary.AppendUvarint(dst, uint64(len(d.Removed)))
 	for _, name := range d.Removed {
-		str(name)
+		dst = appendName(dst, name)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(d.Files)))
 	for i := range d.Files {
 		fd := &d.Files[i]
-		str(fd.Name)
+		dst = appendName(dst, fd.Name)
 		created := byte(0)
 		if fd.Created {
 			created = 1
@@ -237,6 +254,36 @@ func (d *DiskDelta) AppendBinary(dst []byte) ([]byte, error) {
 	}
 	return dst, nil
 }
+
+func appendName(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// EncodedSize returns the length of the delta's AppendBinary encoding,
+// so that it is built in one buffer of the right size.
+func (d *DiskDelta) EncodedSize() int {
+	name := func(s string) int { return uvarintLen(len(s)) + len(s) }
+	n := uvarintLen(d.PageSize) + uvarintLen(len(d.Removed))
+	for _, s := range d.Removed {
+		n += name(s)
+	}
+	n += uvarintLen(len(d.Files))
+	for i := range d.Files {
+		fd := &d.Files[i]
+		n += name(fd.Name) + 1 + uvarintLen(fd.Extent) + uvarintLen(len(fd.Free))
+		for _, pn := range fd.Free {
+			n += uvarintLen(int(pn))
+		}
+		n += uvarintLen(len(fd.Pages))
+		for _, p := range fd.Pages {
+			n += uvarintLen(int(p.Num)) + d.PageSize
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x int) int { return max(1, (bits.Len64(uint64(x))+6)/7) }
 
 // maxDeltaPageSize bounds the page size a delta encoding may claim; it
 // only keeps the decoder's arithmetic in range (Apply compares the

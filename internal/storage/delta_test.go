@@ -64,6 +64,9 @@ func deltaScript(seed int64, steps int) error {
 		if err != nil {
 			return err
 		}
+		if n := delta.EncodedSize(); n != len(enc) {
+			return fmt.Errorf("EncodedSize says %d bytes, the encoding has %d", n, len(enc))
+		}
 		decoded, err := DecodeDiskDelta(enc)
 		if err != nil {
 			return fmt.Errorf("decoding: %w", err)
@@ -299,6 +302,13 @@ func TestDecodeDiskDeltaRejectsDamage(t *testing.T) {
 	got, err := DecodeDiskDelta(enc)
 	if err != nil || !reflect.DeepEqual(got, d) {
 		t.Fatalf("round trip: %+v, %v; want %+v", got, err, d)
+	}
+	// The encoding is sized up front: one buffer, never regrown.
+	if n := d.EncodedSize(); n != len(enc) {
+		t.Errorf("EncodedSize = %d, encoding is %d bytes", n, len(enc))
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = d.AppendBinary(nil) }); n != 1 {
+		t.Errorf("AppendBinary allocated %.0f times, want once", n)
 	}
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeDiskDelta(enc[:cut]); err == nil {

@@ -246,6 +246,23 @@ func (c *Coder) Append(f func(dst []byte) ([]byte, error)) {
 	}
 }
 
+// Sized lets an encoder's caller lay out a length-prefixed byte string
+// of its own in place: n is its length, and f appends exactly n bytes to
+// the bytes so far, for which room is made first — so a large encoding is
+// built once, in the buffer it ends up in. A decoder's counterpart is
+// Bytes.
+func (c *Coder) Sized(n int, f func(dst []byte) ([]byte, error)) {
+	if c.dec || c.err != nil {
+		return
+	}
+	c.count(n, 1)
+	c.b = slices.Grow(c.b, n)
+	start := len(c.b)
+	if c.Append(f); c.err == nil && len(c.b)-start != n {
+		c.Fail("%d bytes laid out, %d announced", len(c.b)-start, n)
+	}
+}
+
 // Value walks one value: AppendValue's form, or when compact [1 tag] and
 // the payload as I64, Float or Str walk it.
 func (c *Coder) Value(p *Value) {

@@ -26,6 +26,7 @@ func FuzzValueCodec(f *testing.F) {
 	f.Add([]byte{99, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, n, err := DecodeValue(data)
+		checkCompareEncoded(t, data, v, n, err)
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("rejected with n=%d", n)
@@ -52,4 +53,31 @@ func FuzzValueCodec(f *testing.F) {
 			t.Fatalf("second round trip diverged for %v", v)
 		}
 	})
+}
+
+// compareProbes are values of every type, and a NaN, that an encoded
+// value is compared with.
+var compareProbes = []Value{I(0), I(-7), F(0.5), F(math.Copysign(0, -1)), F(math.NaN()), S(""), S("m"), S("héllo")}
+
+// checkCompareEncoded holds CompareEncoded to what decoding and then
+// comparing gives: the same failures, the same span, the same order.
+func checkCompareEncoded(t *testing.T, data []byte, v Value, n int, decErr error) {
+	t.Helper()
+	probes := compareProbes
+	if decErr == nil {
+		probes = append(probes[:len(probes):len(probes)], v)
+	}
+	for _, p := range probes {
+		c, m, err := CompareEncoded(data, p)
+		switch {
+		case (err == nil) != (decErr == nil):
+			t.Fatalf("CompareEncoded(%x, %v) err = %v, DecodeValue err = %v", data, p, err, decErr)
+		case err != nil:
+			if err.Error() != decErr.Error() {
+				t.Fatalf("CompareEncoded fails with %q, DecodeValue with %q", err, decErr)
+			}
+		case m != n || c != Compare(v, p):
+			t.Fatalf("CompareEncoded(%v, %v) = %d over %d bytes, want %d over %d", v, p, c, m, Compare(v, p), n)
+		}
+	}
 }
