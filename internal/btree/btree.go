@@ -27,8 +27,8 @@ import (
 const pageInternal = 2
 
 // leafPages are the type bytes of a leaf, which is a colpage data page:
-// the codec, the page→lanes decode and the zone peek live there, shared
-// with hashidx's chain pages.
+// the codec, the page→lanes decode and the leaf directory live there,
+// shared with hashidx's chain pages.
 var leafPages = colpage.PageTypes{Row: 1, Col: 4}
 
 // leafNode is the decoded form of a leaf page.
@@ -39,6 +39,7 @@ type leafNode = colpage.DataPage
 type Tree struct {
 	pool   *storage.Pool
 	file   *storage.File
+	dir    *colpage.Directory // every leaf's link and zone maps
 	keyCol int
 	root   storage.PageNum
 	height int // levels including the leaf level
@@ -83,7 +84,8 @@ func (t *Tree) Meta() Meta {
 }
 
 // Open attaches to an existing tree stored in file, trusting the
-// caller-supplied metadata (from a prior Meta call).
+// caller-supplied metadata (from a prior Meta call), and rebuilds the leaf
+// directory from the file's images.
 func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Tree, error) {
 	if m.Height < 1 || m.Count < 0 {
 		return nil, fmt.Errorf("btree: invalid metadata %+v", m)
@@ -91,18 +93,18 @@ func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Tree, er
 	if _, err := file.Peek(m.Root); err != nil {
 		return nil, fmt.Errorf("btree: root page missing: %w", err)
 	}
-	return &Tree{pool: pool, file: file, keyCol: keyCol, root: m.Root, height: m.Height, count: m.Count}, nil
+	return &Tree{pool: pool, file: file, dir: colpage.NewDirectory(leafPages, file), keyCol: keyCol, root: m.Root, height: m.Height, count: m.Count}, nil
 }
 
 // New creates an empty tree whose leaves are clustered on keyCol.
 func New(pool *storage.Pool, file *storage.File, keyCol int) (*Tree, error) {
-	t := &Tree{pool: pool, file: file, keyCol: keyCol, height: 1}
+	t := &Tree{pool: pool, file: file, dir: colpage.NewDirectory(leafPages, file), keyCol: keyCol, height: 1}
 	fr, err := pool.Alloc(file)
 	if err != nil {
 		return nil, err
 	}
 	t.root = fr.PageNum()
-	t.encodeLeaf(fr.Data, &leafNode{})
+	t.encodeLeaf(fr, &leafNode{})
 	fr.MarkDirty()
 	return t, pool.Release(fr)
 }
@@ -160,11 +162,12 @@ func decodeKey(src []byte) (key, int, error) {
 
 func keySize(k key) int { return tuple.ValueSize(k.val) + 8 }
 
-// encodeLeaf writes the leaf under the disk's layout policy. The
+// encodeLeaf writes the leaf over the frame's bytes under the disk's
+// layout policy, and records its link and zone maps in the directory. The
 // capacity decision (split/no-split) was already made by the caller
 // against the row-encoded size.
-func (t *Tree) encodeLeaf(page []byte, n *leafNode) {
-	leafPages.EncodePage(page, n, t.pool.PageLayout())
+func (t *Tree) encodeLeaf(fr *storage.Frame, n *leafNode) {
+	t.dir.Encode(fr.PageNum(), fr.Data, n, t.pool.PageLayout())
 }
 
 // internal layout: [1 type][2 count=children][4 child0][key1][4 child1]...
@@ -456,7 +459,7 @@ func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (key, stora
 	}
 	leaf.Tuples = slices.Insert(leaf.Tuples, idx, tp)
 	if leaf.Size() <= len(fr.Data) {
-		t.encodeLeaf(fr.Data, leaf)
+		t.encodeLeaf(fr, leaf)
 		fr.MarkDirty()
 		return key{}, 0, false, t.pool.Release(fr)
 	}
@@ -470,9 +473,9 @@ func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (key, stora
 		return key{}, 0, false, err
 	}
 	leaf.Next, leaf.HasNext = rfr.PageNum(), true
-	t.encodeLeaf(rfr.Data, right)
+	t.encodeLeaf(rfr, right)
 	rfr.MarkDirty()
-	t.encodeLeaf(fr.Data, leaf)
+	t.encodeLeaf(fr, leaf)
 	fr.MarkDirty()
 	sep := keyOf(right.Tuples[0], t.keyCol)
 	if err := t.pool.Release(rfr); err != nil {
@@ -596,7 +599,7 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 	if together && leaf.Size()+tp.EncodedSize() <= len(fr.Data) {
 		if at, dup := leafFind(leaf, *nk, t.keyCol); !dup {
 			leaf.Tuples = slices.Insert(leaf.Tuples, at, *tp)
-			t.encodeLeaf(fr.Data, leaf)
+			t.encodeLeaf(fr, leaf)
 			fr.MarkDirty()
 			// Delete then Insert would each release this leaf dirty, and
 			// under write-through each release writes it back: release it
@@ -613,7 +616,7 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 			return old, true, t.pool.Release(fr)
 		}
 	}
-	t.encodeLeaf(fr.Data, leaf)
+	t.encodeLeaf(fr, leaf)
 	fr.MarkDirty()
 	if err := t.pool.Release(fr); err != nil {
 		return tuple.Tuple{}, false, err
@@ -668,11 +671,13 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 //
 // On full scans with prune atoms the walk also consults the zone maps
 // of upcoming columnar leaves and skips pages whose footer disproves
-// the predicate for every row. Pruned pages are never pinned and never
-// charged; they are counted so plans can report them. The charged
-// chain-following path (range scans, dirty files, tiny pools) never
-// prunes. Every leaf a full scan does read, on either path, has its rows
-// tested against the atoms before they are decoded (colpage.DecodeWhere).
+// the predicate for every row. The walk reads links and zone maps from
+// the tree's leaf directory, not from the pages. Pruned pages are never
+// pinned and never charged; they are counted so plans can report them.
+// The charged chain-following path (range scans, dirty files, tiny
+// pools) never prunes. Every leaf a full scan does read, on either path,
+// has its rows tested against the atoms before they are decoded
+// (colpage.DecodeWhere).
 // The test reads the page the pool hands the read — the frame's bytes
 // for a page a writer holds dirty, the image otherwise — so dirty frames
 // do not disarm it.
@@ -691,11 +696,8 @@ type BatchIterator struct {
 	stage   colpage.Lanes // rows read but not handed out: those from idx on
 	idx     int
 	pruned  int64
-	// What walkAhead reuses from page to page and window to window: the
-	// zone maps it decodes each peeked footer into and the pages it found
-	// to fetch. Neither is referenced once the loadPage call that filled
-	// it returns.
-	zones colpage.Zones
+	// The pages walkAhead found to fetch, reused window to window; not
+	// referenced once the loadPage call that filled it returns.
 	fetch []storage.PageNum
 }
 
@@ -827,7 +829,11 @@ func (it *BatchIterator) loadPage(b *vec.Batch, max int) error {
 			return nil
 		}
 		if it.ra {
-			if cont, hasCont, ok := it.walkAhead(); ok {
+			cont, hasCont, ok, err := it.walkAhead()
+			if err != nil {
+				return err
+			}
+			if ok {
 				// The walk owns the cursor: the fetched leaves' own next
 				// pointers may point at pruned pages and must not steer
 				// the scan.
@@ -883,40 +889,40 @@ func (it *BatchIterator) getLeaf(pn storage.PageNum, b *vec.Batch, max int) (nex
 	return next, hasNext, err
 }
 
-// walkAhead walks the on-disk leaf chain from the cursor via unmetered
-// views (header and footer read in place, nothing copied), splitting
-// the upcoming window into pages to fetch (it.fetch)
-// and pages whose zone maps disprove the prune atoms (skipped, counted,
-// never read). On return with ok, the cursor continuation (cont, hasCont) is
-// owned by the walk: it points past every examined page. A walk that
-// hits a peek failure before committing any prune returns !ok so the
+// walkAhead walks the leaf chain from the cursor in the tree's leaf
+// directory — links and zone maps in memory, no page opened — splitting
+// the upcoming window into pages to fetch (it.fetch) and pages whose zone
+// maps disprove the prune atoms (skipped, counted, never read). It runs
+// only while the file has no dirty frame, as it did when it peeked the
+// images: the directory does hold a dirty frame's zones, but pruning on
+// them would skip pages the image walk read, and so move the metered
+// count. On return with ok, the cursor continuation
+// (cont, hasCont) is owned by the walk: it points past every examined
+// page. A walk that meets a page the directory has no leaf for, or whose
+// zone maps do not parse, before committing any prune returns !ok so the
 // charged chain-following path takes over from the cursor; after a
-// prune, it stops at the failing page and lets the charged path surface
-// the real error there.
-func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok bool) {
+// prune, it stops at that page and lets the charged path surface the real
+// error there. err is a test binary's directory check failing.
+func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont, ok bool, err error) {
 	w := colpage.Window(it.tree.pool)
 	if w == 0 || it.tree.file.HasDirtyFrames() {
-		return 0, false, false
+		return 0, false, false, nil
 	}
 	pn := it.pn
 	prunedN := 0
 	it.fetch = it.fetch[:0]
 	for {
-		leaf, skip := false, false
-		var next storage.PageNum
-		hasNext := false
-		err := it.tree.file.View(pn, func(page []byte) error {
-			if leaf = leafPages.Has(page[0]); !leaf {
-				return nil
-			}
-			next, hasNext = colpage.PageLink(page)
-			var err error
-			skip, err = leafPages.Prunable(page, it.prune, &it.zones)
-			return err
-		})
-		if err != nil || !leaf {
+		e, err := it.tree.dir.Lookup(pn)
+		if err != nil {
+			return 0, false, false, err
+		}
+		skip := false
+		if e != nil {
+			skip, err = e.Prunable(it.prune)
+		}
+		if e == nil || err != nil {
 			// Truncated or foreign chain, or a footer that does not parse.
-			return pn, true, prunedN > 0
+			return pn, true, prunedN > 0, nil
 		}
 		if skip {
 			prunedN++
@@ -924,13 +930,13 @@ func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont bool, ok boo
 		} else {
 			it.fetch = append(it.fetch, pn)
 		}
-		if !hasNext {
-			return 0, false, true
+		if !e.HasNext {
+			return 0, false, true, nil
 		}
 		if len(it.fetch) == w {
-			return next, true, true
+			return e.Next, true, true, nil
 		}
-		pn = next
+		pn = e.Next
 	}
 }
 

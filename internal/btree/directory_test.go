@@ -1,0 +1,202 @@
+package btree
+
+import (
+	"encoding/binary"
+	"sync"
+	"testing"
+
+	"viewmat/internal/colpage"
+	"viewmat/internal/pred"
+	"viewmat/internal/storage"
+	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
+)
+
+// checkDirectory flushes the tree's pool and compares the leaf directory
+// its writers kept with one rebuilt from the page images.
+func checkDirectory(tr *Tree) error {
+	if err := tr.pool.FlushAll(); err != nil {
+		return err
+	}
+	return tr.dir.Diff(colpage.NewDirectory(leafPages, tr.file))
+}
+
+// restored reopens tr over a copy of its disk carried through a full
+// delta, the way restoring a checkpoint reopens every tree.
+func restored(t *testing.T, tr *Tree, d *storage.Disk) *Tree {
+	t.Helper()
+	if err := tr.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	img := &storage.DiskImage{PageSize: d.PageSize()}
+	if err := img.Apply(d.FullDelta()); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := storage.RestoreDisk(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Open(storage.NewPool(d2, storage.NewMeter(), 64), d2.Open(tr.file.Name()), tr.keyCol, tr.Meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestRestoreRebuildsTheDirectoryWritersKept: the directory Open rebuilds
+// from a restored disk is the one the writers kept — over splits, deletes,
+// updates, string bounds that move, and leaves of both layouts.
+func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
+	d := storage.NewDisk(256)
+	tr, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("t"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 400; i++ {
+		if i == 300 {
+			d.SetPageLayout(storage.PageLayoutRow) // the rest of the writes leave row pages
+		}
+		k := i * 7919 % 400
+		if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(k), tuple.S(string(rune('a'+k%26))))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.SetPageLayout(storage.PageLayoutCol)
+	for i := int64(0); i < 100; i++ {
+		k := i * 7919 % 400
+		if _, _, err := tr.Delete(tuple.I(k), uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(100); i < 150; i++ {
+		k := i * 7919 % 400
+		if _, _, err := tr.Update(tuple.I(k), uint64(i+1), tuple.New(uint64(i+1), tuple.I(k), tuple.S("zz"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkDirectory(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored(t, tr, d).dir.Diff(tr.dir); err != nil {
+		t.Errorf("rebuilt directory differs from the kept one: %v", err)
+	}
+}
+
+// TestRestoredLeafWithUnreadableZonesStopsTheWalk: a restored leaf whose
+// footer does not parse opens, as it did when walks peeked the images,
+// and a pruning scan stops its walk there and reads it on the charged
+// path — it is not pruned, and the scan answers right.
+func TestRestoredLeafWithUnreadableZonesStopsTheWalk(t *testing.T) {
+	tr, d, p, _ := newColTree(t, 256, 64, 500)
+	atoms := []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(50)}}
+	scan := func(tr *Tree) (keys []int64, pruned int64) {
+		it, err := tr.ScanBatches(nil, atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, _ = drainBatches(t, it)
+		return keys, it.Pruned()
+	}
+	_, intact := scan(restored(t, tr, d))
+
+	// Damage the first zone of the last leaf, one every scan prunes: its
+	// min bound's value tag names no type.
+	pn, err := tr.leftmostLeafUncharged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		page, err := tr.file.Peek(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, ok := colpage.PageLink(page)
+		if !ok {
+			break
+		}
+		pn = next
+	}
+	fr, err := p.Get(tr.file, pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := fr.Data[colpage.DataPageHeader:]
+	foot := binary.BigEndian.Uint32(chunk[4:])
+	if fr.Data[0] != leafPages.Col || chunk[foot]&1 == 0 {
+		t.Fatalf("last leaf: type %d, first zone flags %d; want a columnar leaf with a zone", fr.Data[0], chunk[foot])
+	}
+	chunk[foot+1] = 0xEE
+	fr.MarkDirty()
+	if err := p.Release(fr); err != nil {
+		t.Fatal(err)
+	}
+
+	back := restored(t, tr, d)
+	keys, pruned := scan(back)
+	if pruned != intact-1 {
+		t.Errorf("scan pruned %d leaves, want %d: one fewer than over the intact image", pruned, intact-1)
+	}
+	if len(keys) != 50 {
+		t.Errorf("scan returned %d rows, want 50", len(keys))
+	}
+	back.pool.AssertUnpinned(t)
+}
+
+// TestWalkWindowAllocations: one readahead walk window — a window's
+// lookups in the leaf directory and the zone-map tests on them — allocates
+// nothing, in a test binary with the directory check on too.
+func TestWalkWindowAllocations(t *testing.T) {
+	tr, _, _, _ := newColTree(t, 256, 64, 2000)
+	it, err := tr.ScanBatches(nil, []colpage.Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(1000)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok, err := it.walkAhead(); err != nil || !ok || len(it.fetch) == 0 && it.pruned == 0 {
+			t.Fatalf("walk: ok %v, err %v, %d fetched, %d pruned", ok, err, len(it.fetch), it.pruned)
+		}
+	})
+	t.Logf("%.0f allocations a walk window", allocs)
+	if allocs != 0 {
+		t.Errorf("a walk window allocated %.0f objects, want 0", allocs)
+	}
+}
+
+// TestConcurrentPrunedScans: scans read the directory from several
+// goroutines at once — as queries do under the engine's read lock — and
+// each sees what a lone scan sees.
+func TestConcurrentPrunedScans(t *testing.T) {
+	tr, _, p, _ := newColTree(t, 256, 256, 2000)
+	atoms := []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(300)}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				it, err := tr.ScanBatches(nil, atoms)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var keys []int64
+				for !it.Done() {
+					b := &vec.Batch{}
+					if err := it.Fill(b, vec.DefaultBatchSize); err != nil {
+						t.Error(err)
+						return
+					}
+					for r := 0; r < b.NumRows(); r++ {
+						keys = append(keys, b.TupleAt(0, r).Vals[0].Int())
+					}
+				}
+				if len(keys) != 300 || it.Pruned() == 0 {
+					t.Errorf("scan returned %d rows with %d leaves pruned, want 300 and some", len(keys), it.Pruned())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	p.AssertUnpinned(t)
+}

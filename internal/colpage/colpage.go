@@ -39,6 +39,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
@@ -156,7 +158,12 @@ func (z *Zones) Prunable(atoms []Atom) bool {
 // dst's logical content, the caller overwrites on fallback — when the
 // chunk cannot be represented (mixed arity, too many rows) or does not
 // fit in len(dst); the caller then writes the row encoding instead.
-func Encode(dst []byte, tuples []tuple.Tuple) (int, error) {
+func Encode(dst []byte, tuples []tuple.Tuple) (int, error) { return encode(dst, tuples, nil) }
+
+// encode is Encode, also handing z, when non-nil, the zone maps it writes
+// to the footer: what ReadZones would read back, with string bounds that
+// alias nothing of the tuples (ColZone.keep). After an error z is partial.
+func encode(dst []byte, tuples []tuple.Tuple, z *Zones) (int, error) {
 	rows := len(tuples)
 	if rows > math.MaxUint16 {
 		return 0, fmt.Errorf("colpage: %d rows exceed chunk capacity", rows)
@@ -173,7 +180,7 @@ func Encode(dst []byte, tuples []tuple.Tuple) (int, error) {
 	if cols > math.MaxUint16 {
 		return 0, fmt.Errorf("colpage: %d columns exceed chunk capacity", cols)
 	}
-	out := appendChunk(dst[:0:len(dst)], tuples, rows, cols)
+	out := appendChunk(dst[:0:len(dst)], tuples, rows, cols, z)
 	if len(out) > len(dst) || (len(out) > 0 && len(dst) > 0 && &out[0] != &dst[0]) {
 		return 0, fmt.Errorf("colpage: chunk of %d bytes exceeds page region %d", len(out), len(dst))
 	}
@@ -181,9 +188,10 @@ func Encode(dst []byte, tuples []tuple.Tuple) (int, error) {
 }
 
 // appendChunk builds the chunk by appending to dst (which must start
-// empty at the chunk origin). The caller detects overflow by checking
-// whether append reallocated past dst's capacity.
-func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int) []byte {
+// empty at the chunk origin), handing z (when non-nil) the footer's zone
+// maps. The caller detects overflow by checking whether append
+// reallocated past dst's capacity.
+func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int, z *Zones) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	binary.BigEndian.PutUint16(dst[0:], uint16(rows))
 	binary.BigEndian.PutUint16(dst[2:], uint16(cols))
@@ -197,8 +205,17 @@ func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int) []byte {
 		dst = appendColumn(dst, tuples, c)
 	}
 	binary.BigEndian.PutUint32(dst[4:], uint32(len(dst)))
+	if z != nil {
+		// Growing keeps the zones already held, whose string bounds keep
+		// may reuse.
+		z.Rows, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
+	}
 	for c := 0; c < cols; c++ {
-		dst = appendZone(dst, tuples, c)
+		cz := zoneOf(tuples, c)
+		dst = appendZone(dst, cz)
+		if z != nil {
+			z.Cols[c].keep(cz)
+		}
 	}
 	return dst
 }
@@ -363,21 +380,21 @@ func appendBytesLane(dst []byte, tuples []tuple.Tuple, c int) []byte {
 	return dst
 }
 
-// appendZone writes column c's footer entry: [1 flags][min][max], the
-// bounds present only when both fit the zone budget and no cell is a
-// NaN. tuple.Compare orders a NaN equal to every value, so no bounds
-// hold a column that has one: [NaN, NaN] would prune f < 0 from a page
-// holding −3, and the bounds of the other cells would prune f = 5 from
-// a page whose NaN row satisfies it.
-func appendZone(dst []byte, tuples []tuple.Tuple, c int) []byte {
+// zoneOf computes column c's zone map: the bounds are present only when
+// both fit the zone budget and no cell is a NaN. tuple.Compare orders a
+// NaN equal to every value, so no bounds hold a column that has one:
+// [NaN, NaN] would prune f < 0 from a page holding −3, and the bounds of
+// the other cells would prune f = 5 from a page whose NaN row satisfies
+// it. String bounds alias the tuples.
+func zoneOf(tuples []tuple.Tuple, c int) ColZone {
 	if len(tuples) == 0 {
-		return append(dst, 0)
+		return ColZone{}
 	}
 	minV, maxV := tuples[0].Vals[c], tuples[0].Vals[c]
 	for _, tp := range tuples {
 		v := tp.Vals[c]
 		if v.Type() == tuple.Float && math.IsNaN(v.Float()) {
-			return append(dst, 0)
+			return ColZone{}
 		}
 		if tuple.Compare(v, minV) < 0 {
 			minV = v
@@ -387,11 +404,36 @@ func appendZone(dst []byte, tuples []tuple.Tuple, c int) []byte {
 		}
 	}
 	if tuple.ValueSize(minV) > maxZoneValue || tuple.ValueSize(maxV) > maxZoneValue {
+		return ColZone{}
+	}
+	return ColZone{Present: true, Min: minV, Max: maxV}
+}
+
+// appendZone writes a column's footer entry: [1 flags][min][max], the
+// bounds only when present.
+func appendZone(dst []byte, cz ColZone) []byte {
+	if !cz.Present {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
-	dst = tuple.AppendValue(dst, minV)
-	return tuple.AppendValue(dst, maxV)
+	dst = tuple.AppendValue(dst, cz.Min)
+	return tuple.AppendValue(dst, cz.Max)
+}
+
+// keep stores cz in *z without aliasing the tuples it was computed from:
+// a string bound is cloned, unless *z already holds an equal one — so
+// re-encoding a page whose bounds did not move allocates nothing.
+func (z *ColZone) keep(cz ColZone) {
+	own := func(held, v tuple.Value) tuple.Value {
+		if v.Type() != tuple.String {
+			return v
+		}
+		if held.Type() == tuple.String && held.Str() == v.Str() {
+			return held
+		}
+		return tuple.S(strings.Clone(v.Str()))
+	}
+	*z = ColZone{Present: cz.Present, Min: own(z.Min, cz.Min), Max: own(z.Max, cz.Max)}
 }
 
 // --- decode --------------------------------------------------------------
@@ -512,9 +554,8 @@ func DecodeTuples(chunk []byte) ([]tuple.Tuple, error) {
 }
 
 // ReadZones decodes only the chunk header and footer into z, reusing
-// the capacity of z.Cols — the page-prune fast path, which must stay
-// cheap because it runs against unmetered views of pages the scan may
-// never charge, page after page into one struct. Every zone of the
+// the capacity of z.Cols — what the leaf directory is rebuilt from and
+// checked against, page after page into one struct. Every zone of the
 // chunk is overwritten, present or not, so nothing of the page z last
 // held survives; after an error z is partial and must not be consulted.
 // The bounds are copies: z aliases nothing of the chunk.
@@ -526,36 +567,48 @@ func ReadZones(chunk []byte, z *Zones) error {
 	if cols > len(chunk)-footOff { // a zone is at least its flags byte
 		return fmt.Errorf("colpage: truncated zone %d", len(chunk)-footOff)
 	}
-	z.Rows = rows
-	if cap(z.Cols) < cols {
-		z.Cols = make([]ColZone, cols)
-	} else {
-		z.Cols = z.Cols[:cols]
-		clear(z.Cols)
-	}
+	z.Rows, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
 	off := footOff
-	for c := 0; c < cols; c++ {
+	for c := range z.Cols {
 		if off >= len(chunk) {
 			return fmt.Errorf("colpage: truncated zone %d", c)
 		}
 		flags := chunk[off]
 		off++
+		cz := &z.Cols[c]
 		if flags&1 == 0 {
+			*cz = ColZone{}
 			continue
 		}
-		minV, n, err := tuple.DecodeValue(chunk[off:])
+		n, err := readBound(chunk[off:], &cz.Min)
 		if err != nil {
 			return fmt.Errorf("colpage: zone %d min: %w", c, err)
 		}
 		off += n
-		maxV, n, err := tuple.DecodeValue(chunk[off:])
-		if err != nil {
+		if n, err = readBound(chunk[off:], &cz.Max); err != nil {
 			return fmt.Errorf("colpage: zone %d max: %w", c, err)
 		}
 		off += n
-		z.Cols[c] = ColZone{Present: true, Min: minV, Max: maxV}
+		cz.Present = true
 	}
 	return nil
+}
+
+// readBound decodes the zone bound at the front of src into *v. A string
+// bound *v already holds is kept, so reading a footer into zones that
+// hold its bounds — a check of the leaf directory — allocates nothing.
+func readBound(src []byte, v *tuple.Value) (int, error) {
+	if v.Type() == tuple.String {
+		if c, n, err := tuple.CompareEncoded(src, *v); err == nil && c == 0 {
+			return n, nil
+		}
+	}
+	dec, n, err := tuple.DecodeValue(src)
+	if err != nil {
+		return 0, err
+	}
+	*v = dec
+	return n, nil
 }
 
 // decodeUintFOR decodes the id lane into a fresh slice.

@@ -59,9 +59,15 @@ func (n *DataPage) Size() int {
 // page. A column chunk that does not fit — pathological strings can make
 // it larger than the rows — falls back to the row layout for this page.
 func (pt PageTypes) EncodePage(page []byte, n *DataPage, layout storage.PageLayout) {
+	pt.encodePage(page, n, layout, nil)
+}
+
+// encodePage is EncodePage, also handing z (when non-nil) the zone maps
+// of a columnar page, and reporting whether the page is one.
+func (pt PageTypes) encodePage(page []byte, n *DataPage, layout storage.PageLayout, z *Zones) (col bool) {
 	typ, off := pt.Row, DataPageHeader
 	if layout == storage.PageLayoutCol {
-		if used, err := Encode(page[DataPageHeader:], n.Tuples); err == nil {
+		if used, err := encode(page[DataPageHeader:], n.Tuples, z); err == nil {
 			typ, off = pt.Col, DataPageHeader+used
 		}
 	}
@@ -78,6 +84,7 @@ func (pt PageTypes) EncodePage(page []byte, n *DataPage, layout storage.PageLayo
 	}
 	binary.BigEndian.PutUint32(page[3:], next)
 	clear(page[off:])
+	return typ == pt.Col
 }
 
 // PageLink reads a data page header's forward link.
@@ -235,10 +242,10 @@ func (pt PageTypes) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage
 
 // Prunable reports whether page is a columnar page whose zone maps
 // disprove the atoms for every row, so a scan may skip it unread. It
-// reads the header and footer only, into z (the walker's, reused page
-// after page): it runs against unmetered views of pages the scan may
-// never charge. A footer that does not parse is an error (and not
-// prunable).
+// reads the header and footer only, into z (reusable page after page). A
+// footer that does not parse is an error (and not prunable). This is the
+// rule on an image; the walks answer it from the leaf directory
+// (DirEntry.Prunable) without reading the page.
 func (pt PageTypes) Prunable(page []byte, atoms []Atom, z *Zones) (bool, error) {
 	if len(atoms) == 0 || len(page) < DataPageHeader || page[0] != pt.Col {
 		return false, nil

@@ -1,0 +1,244 @@
+package colpage
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"viewmat/internal/storage"
+	"viewmat/internal/tuple"
+)
+
+// This file is the leaf directory: what the header and footer of each of
+// an access method's data pages say — the forward link and the zone maps —
+// kept in memory beside the pages, the way a column store keeps page
+// ranges as metadata rather than inside each page. The readahead walks
+// (btree.BatchIterator, hashidx.ScanAllBatches) read it instead of opening
+// every page of the chain to find the ones worth fetching.
+
+// Directory holds one entry per data page of one file, by page number.
+// Writers keep it: every data page is encoded through Encode, which
+// records the link it writes and the zone maps the encoder computed, and
+// a freed page is dropped. It is derived state — in no snapshot — and is
+// built from the file's images when the access method attaches to the
+// file (NewDirectory), one unmetered pass.
+//
+// It has no lock of its own. An entry is written only where its page's
+// frame bytes are written, which the engine's write lock serializes
+// against every reader; walks read it under the read lock. A walk
+// consults it only while the file has no dirty frame, so the entry it
+// reads says what the page's image says: the last encode of every page
+// has been written back. Every test binary checks exactly that, per
+// lookup (checkDirectory).
+type Directory struct {
+	types   PageTypes
+	file    *storage.File
+	entries []DirEntry
+
+	// The check's image-side entry, reused lookup to lookup.
+	checkMu sync.Mutex
+	image   DirEntry
+}
+
+// DirEntry is one page's entry.
+type DirEntry struct {
+	Next    storage.PageNum
+	HasNext bool
+	kind    entryKind
+	zones   Zones // a columnar page's
+}
+
+type entryKind uint8
+
+const (
+	// entryNone: no data page of the owner — an internal page, a freed
+	// page, one never written. A walk stops there.
+	entryNone entryKind = iota
+	// entryRow: a row-layout page, which carries no zone maps and never
+	// prunes.
+	entryRow
+	// entryCol: a columnar page, zones its footer.
+	entryCol
+	// entryBadZones: a columnar page whose footer does not parse — only
+	// a restored image has one. A walk that needs its zones stops there.
+	entryBadZones
+)
+
+var errBadZones = errors.New("colpage: the page's zone maps do not parse")
+
+// NewDirectory returns the directory of f's data pages, which carry the
+// type bytes types, read from the file's images: one unmetered pass over
+// its pages, reading headers and footers in place — none for a new file.
+func NewDirectory(types PageTypes, f *storage.File) *Directory {
+	d := &Directory{types: types, file: f, entries: make([]DirEntry, f.Extent())}
+	for pn := range d.entries {
+		e := &d.entries[pn]
+		_ = f.View(storage.PageNum(pn), func(page []byte) error {
+			types.readEntry(page, e)
+			return nil
+		}) // a freed page keeps entryNone
+	}
+	return d
+}
+
+// Encode writes n over page, the frame bytes of page pn, as EncodePage
+// does, and records the page's link and zone maps. A rewrite of a page
+// reuses its entry: it allocates nothing unless a string bound moved.
+func (d *Directory) Encode(pn storage.PageNum, page []byte, n *DataPage, layout storage.PageLayout) {
+	if int(pn) >= len(d.entries) {
+		d.entries = slices.Grow(d.entries, int(pn)+1-len(d.entries))[:pn+1]
+	}
+	e := &d.entries[pn]
+	e.kind = entryRow
+	if d.types.encodePage(page, n, layout, &e.zones) {
+		e.kind = entryCol
+	}
+	e.Next, e.HasNext = 0, n.HasNext
+	if n.HasNext {
+		e.Next = n.Next
+	}
+}
+
+// Drop forgets a freed page.
+func (d *Directory) Drop(pn storage.PageNum) {
+	if int(pn) < len(d.entries) {
+		d.entries[pn] = DirEntry{}
+	}
+}
+
+// readEntry sets e to what page's header and footer say, reusing
+// e.zones.Cols.
+func (pt PageTypes) readEntry(page []byte, e *DirEntry) {
+	e.kind, e.Next, e.HasNext = entryNone, 0, false
+	if len(page) < DataPageHeader || !pt.Has(page[0]) {
+		return
+	}
+	e.Next, e.HasNext = PageLink(page)
+	switch {
+	case page[0] == pt.Row:
+		e.kind = entryRow
+	case ReadZones(page[DataPageHeader:], &e.zones) != nil:
+		e.kind = entryBadZones
+	default:
+		e.kind = entryCol
+	}
+}
+
+// Lookup returns page pn's entry, or nil when pn is no data page of the
+// owner. The entry is the directory's own: the caller reads it and keeps
+// nothing. In a test binary a lookup while the file is clean is checked
+// against the page's image, and a disagreement is the error.
+func (d *Directory) Lookup(pn storage.PageNum) (*DirEntry, error) {
+	e := d.at(int(pn))
+	if checkDirectory() && !d.file.HasDirtyFrames() {
+		if err := d.check(pn, e); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// check compares e, pn's entry (nil: none), with what pn's image says.
+func (d *Directory) check(pn storage.PageNum, e *DirEntry) error {
+	d.checkMu.Lock()
+	defer d.checkMu.Unlock()
+	img := &d.image
+	img.kind = entryNone
+	if e != nil {
+		// Start from the entry's bounds: reading equal string bounds over
+		// them allocates nothing (ReadZones).
+		img.zones.Cols = append(img.zones.Cols[:0], e.zones.Cols...)
+	}
+	_ = d.file.View(pn, func(page []byte) error {
+		d.types.readEntry(page, img)
+		return nil
+	})
+	if !e.same(img) {
+		return fmt.Errorf("colpage: directory entry of %s page %d is %v, its image says %v", d.file.Name(), pn, e, img)
+	}
+	return nil
+}
+
+// Diff reports the first page whose entry differs between d and o — for
+// tests comparing the directory writers kept with one read from the
+// images.
+func (d *Directory) Diff(o *Directory) error {
+	for pn := range max(len(d.entries), len(o.entries)) {
+		if a, b := d.at(pn), o.at(pn); !a.same(b) {
+			return fmt.Errorf("colpage: page %d: entry %v, the other directory %v", pn, a, b)
+		}
+	}
+	return nil
+}
+
+// at is pn's entry, nil for none.
+func (d *Directory) at(pn int) *DirEntry {
+	if pn < len(d.entries) && d.entries[pn].kind != entryNone {
+		return &d.entries[pn]
+	}
+	return nil
+}
+
+// same reports whether two entries (nil: none) say the same of a page.
+func (e *DirEntry) same(o *DirEntry) bool {
+	if e.none() || o.none() {
+		return e.none() && o.none()
+	}
+	if e.kind != o.kind || e.Next != o.Next || e.HasNext != o.HasNext {
+		return false
+	}
+	if e.kind != entryCol {
+		return true
+	}
+	return e.zones.Rows == o.zones.Rows && slices.EqualFunc(e.zones.Cols, o.zones.Cols, func(a, b ColZone) bool {
+		return a.Present == b.Present && (!a.Present || tuple.Equal(a.Min, b.Min) && tuple.Equal(a.Max, b.Max))
+	})
+}
+
+func (e *DirEntry) none() bool { return e == nil || e.kind == entryNone }
+
+// String renders the entry for a check's error.
+func (e *DirEntry) String() string {
+	if e.none() {
+		return "none"
+	}
+	s := fmt.Sprintf("{next %d %v", e.Next, e.HasNext)
+	switch e.kind {
+	case entryRow:
+		s += " row"
+	case entryBadZones:
+		s += " zones unreadable"
+	default:
+		s += fmt.Sprintf(" zones %+v", e.zones)
+	}
+	return s + "}"
+}
+
+// Prunable reports whether the page's zone maps disprove the atoms for
+// every row — PageTypes.Prunable's answer for the page's image, without
+// reading it: never for a row page, an error for zones that do not
+// parse.
+func (e *DirEntry) Prunable(atoms []Atom) (bool, error) {
+	switch {
+	case len(atoms) == 0 || e.kind == entryRow:
+		return false, nil
+	case e.kind == entryBadZones:
+		return false, errBadZones
+	}
+	return e.zones.Prunable(atoms), nil
+}
+
+// checkDirectory turns on, in every test binary that is not running
+// benchmarks, the check that each directory lookup agrees with the page's
+// image while the file is clean. A benchmark leaves it off, so its
+// profile shows the walk a server runs.
+var checkDirectory = sync.OnceValue(func() bool {
+	if !testing.Testing() {
+		return false
+	}
+	bench := flag.Lookup("test.bench")
+	return bench == nil || bench.Value.String() == ""
+})

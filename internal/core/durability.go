@@ -207,11 +207,11 @@ func (db *Database) checkpointLocked() error {
 	if !db.dur.chained || db.dur.snaps.DeltaBytes() > fullRewriteFactor*imageBytes {
 		kind = wal.FrameFull
 	}
-	body, err := db.snapshotBodyLocked(kind == wal.FrameFull)
+	buf, err := db.snapshotBodyLocked(kind == wal.FrameFull, wal.FrameReserve)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint snapshot: %w", err)
 	}
-	if err := db.dur.snaps.Append(db.dur.seq, kind, body); err != nil {
+	if err := db.dur.snaps.AppendFramed(db.dur.seq, kind, buf); err != nil {
 		return fmt.Errorf("core: checkpoint append: %w", err)
 	}
 	// Only now that the frame is durable may the disk forget what it

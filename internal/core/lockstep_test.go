@@ -39,7 +39,7 @@ import (
 func setBatch1(db *Database) { db.batchSize = 1 }
 
 // setRowOracle makes a fresh engine lay its data pages out row-major
-// (the WAL interchange encoding) instead of as column chunks. Call it
+// (the chunk's per-page fallback) instead of as column chunks. Call it
 // before the engine writes its first page.
 func setRowOracle(db *Database) { db.disk.SetPageLayout(storage.PageLayoutRow) }
 

@@ -26,7 +26,7 @@ import (
 func (db *Database) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	body, err := db.snapshotBodyLocked(true)
+	body, err := db.snapshotBodyLocked(true, 0)
 	if err != nil {
 		return err
 	}
@@ -39,8 +39,10 @@ func (db *Database) Save(w io.Writer) error {
 // against the empty disk (full: Save, and a full frame), or against the
 // disk's last ResetChanges (a delta frame). The header is the same
 // either way, so a delta frame restores exactly what a Save at the same
-// moment would. Caller holds db.mu.
-func (db *Database) snapshotBodyLocked(full bool) ([]byte, error) {
+// moment would. The body starts reserve bytes into the buffer returned,
+// the room a checkpoint's frame headers are written into
+// (wal.FrameReserve). Caller holds db.mu.
+func (db *Database) snapshotBodyLocked(full bool, reserve int) ([]byte, error) {
 	if err := db.pool.FlushAll(); err != nil {
 		return nil, err
 	}
@@ -55,9 +57,9 @@ func (db *Database) snapshotBodyLocked(full bool) ([]byte, error) {
 		db.adv.mu.Lock()
 		defer db.adv.mu.Unlock()
 	}
-	// One buffer for the body: the header is small, and the delta's pages
+	// One buffer for the frame: the header is small, and the delta's pages
 	// are encoded once, straight into the room made for them.
-	enc := tuple.NewEncoder(make([]byte, 0, delta.EncodedSize()+1024)).Compact()
+	enc := tuple.NewEncoder(make([]byte, reserve, reserve+delta.EncodedSize()+1024)).Compact()
 	codeSnapshot(&enc, &header, delta, nil)
 	return enc.Done()
 }

@@ -1,0 +1,51 @@
+package core
+
+import (
+	"testing"
+
+	"viewmat/internal/pred"
+	"viewmat/internal/tuple"
+)
+
+// BenchmarkScanQM runs scan-qm's query in process: R(k, a, p) of
+// N = 100 000 rows, a = k·40503 mod N, loaded in 2 000-row transactions
+// (half-full leaves, ~1 850 of them) on 4 000-byte pages against a
+// 256-frame pool, and a query-modification view σ(a < N/100) π(a, p)
+// read whole — a full scan whose zone maps rule out 851 leaves and whose
+// 1 002 others are read and tested on the encoded a lane. It is the
+// workload's CPU profile without a socket (the verify skill says how to
+// take it).
+func BenchmarkScanQM(b *testing.B) {
+	const n, aMul = 100000, 40503
+	db := NewDatabase(Options{PageSize: 4000, PoolFrames: 256})
+	r := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("p", tuple.Int))
+	if _, err := db.CreateRelationBTree("R", r, 0); err != nil {
+		b.Fatal(err)
+	}
+	for lo := int64(0); lo < n; lo += 2000 {
+		tx := db.Begin()
+		for k := lo; k < min(lo+2000, n); k++ {
+			if _, err := tx.Insert("R", tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vq := Def{
+		Name: "vq", Kind: SelectProject, Relations: []string{"R"},
+		Pred:    pred.New(pred.Cmp{Rel: 0, Col: 1, Op: pred.Lt, Val: tuple.I(n / 100)}),
+		Project: [][]int{{1, 2}}, ViewKeyCol: 0,
+	}
+	if err := db.CreateView(vq, QueryModification); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := db.QueryView("vq", nil)
+		if err != nil || len(rows) != n/100 {
+			b.Fatalf("query answered %d rows, err %v; want %d", len(rows), err, n/100)
+		}
+	}
+}

@@ -76,7 +76,7 @@ func scatteredEnv(b testing.TB, name string, n int, layout storage.PageLayout) (
 // The allocation guards pin what the benchmark above measures where no
 // clock is trusted: a scan allocates per batch and per page arena, never
 // per cell or per row, so the counts are small constants of the fixture.
-// The bounds sit a margin above today's counts (603 and 48; 2 093 and 135
+// The bounds sit a margin above today's counts (597 and 42; 2 087 and 129
 // under the race detector, whose instrumentation moves stack buffers to
 // the heap) and far below what per-cell and per-row work cost (31 790 and
 // 2 770 with four-lane columns and row-at-a-time fills): one allocation
@@ -109,19 +109,19 @@ func TestFullScanAllocations(t *testing.T) {
 // A cold full scan: the scan-qm relation (k, a = k·40503 mod N, p) at
 // N = 100 000 on 4 000-byte pages — ~1 850 leaves — against a 256-frame
 // pool evicted before every run, so every leaf read is a miss. The warm
-// guards above never miss; this one pins what a miss and a zone peek
-// cost. A miss reads the leaf in place from its image into a recycled
-// pool entry, and the window's eviction pass gathers into recycled
-// scratch: it allocates nothing. A peek reads the footer in place into
-// the walker's reused zones and allocates nothing either. Unpruned and
-// with the atom a < 1000 (which prunes 851 leaves and, in the 1 002
-// read, decodes only the rows it keeps): 1 093 / 102 allocations a scan,
-// 9 169 / 4 200 under the race detector — against 8 562 / 4 142 (16 422
-// / 8 151) when every miss copied the page into a frame and allocated
-// the frame, its recency entry and its single-flight channel, 8 562 /
-// 4 664 (16 420 / 8 910) when every read leaf was decoded whole, and
-// 10 385 / 9 336 (18 245 / 13 582) when every miss allocated a fresh page
-// and every peek a fresh zone map.
+// guards above never miss; this one pins what a miss and the readahead
+// walk cost. A miss reads the leaf in place from its image into a
+// recycled pool entry, and the window's eviction pass gathers into
+// recycled scratch: it allocates nothing. The walk reads links and zone
+// maps from the tree's leaf directory and allocates nothing either.
+// Unpruned and with the atom a < 1000 (which prunes 851 leaves and, in
+// the 1 002 read, decodes only the rows it keeps): 1 086 / 95
+// allocations a scan, 9 128 / 4 204 under the race detector — against
+// 8 562 / 4 142 (16 422 / 8 151) when every miss copied the page into a
+// frame and allocated the frame, its recency entry and its single-flight
+// channel, 8 562 / 4 664 (16 420 / 8 910) when every read leaf was
+// decoded whole, and 10 385 / 9 336 (18 245 / 13 582) when every miss
+// allocated a fresh page and every peek a fresh zone map.
 func TestColdScanAllocations(t *testing.T) {
 	const n, aMul = 100000, 40503
 	d := storage.NewDisk(4000)

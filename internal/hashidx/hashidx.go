@@ -21,8 +21,8 @@ import (
 )
 
 // chainPages are the type bytes of a chain page, which is a colpage data
-// page: the codec, the page→lanes decode and the zone peek live there,
-// shared with btree's leaves.
+// page: the codec, the page→lanes decode and the page directory live
+// there, shared with btree's leaves.
 var chainPages = colpage.PageTypes{Row: 3, Col: 5}
 
 // Index is a clustered hash index storing full tuples. Not safe for
@@ -30,6 +30,7 @@ var chainPages = colpage.PageTypes{Row: 3, Col: 5}
 type Index struct {
 	pool    *storage.Pool
 	file    *storage.File
+	dir     *colpage.Directory // every chain page's link and zone maps
 	keyCol  int
 	buckets []storage.PageNum
 	count   int
@@ -51,7 +52,8 @@ func (ix *Index) Meta() Meta {
 }
 
 // Open attaches to an existing index stored in file, trusting
-// caller-supplied metadata (from a prior Meta call).
+// caller-supplied metadata (from a prior Meta call), and rebuilds the
+// page directory from the file's images.
 func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Index, error) {
 	if len(m.Buckets) == 0 || m.Count < 0 {
 		return nil, fmt.Errorf("hashidx: invalid metadata %+v", m)
@@ -61,7 +63,7 @@ func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Index, e
 			return nil, fmt.Errorf("hashidx: bucket page %d missing: %w", pn, err)
 		}
 	}
-	return &Index{pool: pool, file: file, keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}, nil
+	return &Index{pool: pool, file: file, dir: colpage.NewDirectory(chainPages, file), keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}, nil
 }
 
 // New creates an index with the given number of primary bucket pages,
@@ -71,13 +73,13 @@ func New(pool *storage.Pool, file *storage.File, keyCol, numBuckets int) (*Index
 	if numBuckets < 1 {
 		numBuckets = 1
 	}
-	ix := &Index{pool: pool, file: file, keyCol: keyCol, buckets: make([]storage.PageNum, numBuckets)}
+	ix := &Index{pool: pool, file: file, dir: colpage.NewDirectory(chainPages, file), keyCol: keyCol, buckets: make([]storage.PageNum, numBuckets)}
 	for i := range ix.buckets {
 		fr, err := pool.Alloc(file)
 		if err != nil {
 			return nil, err
 		}
-		ix.encodeNode(fr.Data, &node{})
+		ix.encodeNode(fr, &node{})
 		fr.MarkDirty()
 		ix.buckets[i] = fr.PageNum()
 		if err := pool.Release(fr); err != nil {
@@ -96,11 +98,12 @@ func (ix *Index) Buckets() int { return len(ix.buckets) }
 // KeyCol returns the clustering column.
 func (ix *Index) KeyCol() int { return ix.keyCol }
 
-// encodeNode writes the chain page under the disk's layout policy. The
-// capacity decision was made by the caller against the row-encoded
-// size.
-func (ix *Index) encodeNode(page []byte, n *node) {
-	chainPages.EncodePage(page, n, ix.pool.PageLayout())
+// encodeNode writes the chain page over the frame's bytes under the
+// disk's layout policy, and records its link and zone maps in the
+// directory. The capacity decision was made by the caller against the
+// row-encoded size.
+func (ix *Index) encodeNode(fr *storage.Frame, n *node) {
+	ix.dir.Encode(fr.PageNum(), fr.Data, n, ix.pool.PageLayout())
 }
 
 // bucketFor hashes a key value to a bucket.
@@ -130,7 +133,7 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 		}
 		n.Tuples = append(n.Tuples, tp)
 		if n.Size() <= len(fr.Data) {
-			ix.encodeNode(fr.Data, n)
+			ix.encodeNode(fr, n)
 			fr.MarkDirty()
 			ix.count++
 			return ix.pool.Release(fr)
@@ -149,10 +152,10 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 			ix.pool.Release(fr)
 			return err
 		}
-		ix.encodeNode(ofr.Data, &node{Tuples: []tuple.Tuple{tp}})
+		ix.encodeNode(ofr, &node{Tuples: []tuple.Tuple{tp}})
 		ofr.MarkDirty()
 		n.Next, n.HasNext = ofr.PageNum(), true
-		ix.encodeNode(fr.Data, n)
+		ix.encodeNode(fr, n)
 		fr.MarkDirty()
 		ix.count++
 		if err := ix.pool.Release(ofr); err != nil {
@@ -225,7 +228,7 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 		for i, tp := range n.Tuples {
 			if tp.ID == id && tuple.Equal(tp.Vals[ix.keyCol], v) {
 				n.Tuples = append(n.Tuples[:i], n.Tuples[i+1:]...)
-				ix.encodeNode(fr.Data, n)
+				ix.encodeNode(fr, n)
 				fr.MarkDirty()
 				ix.count--
 				return tp, true, ix.pool.Release(fr)
@@ -283,7 +286,7 @@ func (ix *Index) Truncate() error {
 		}
 		overflow := []storage.PageNum{}
 		next, hasNext := n.Next, n.HasNext
-		ix.encodeNode(fr.Data, &node{})
+		ix.encodeNode(fr, &node{})
 		fr.MarkDirty()
 		if err := ix.pool.Release(fr); err != nil {
 			return err
@@ -304,6 +307,7 @@ func (ix *Index) Truncate() error {
 		for _, pn := range overflow {
 			ix.pool.Discard(ix.file, pn)
 			ix.file.Free(pn)
+			ix.dir.Drop(pn)
 		}
 	}
 	ix.count = 0
@@ -402,10 +406,11 @@ func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, i
 // produces) and the pool is large enough that a briefly-pinned window
 // cannot starve eviction. ok reports whether the fast path ran. When
 // prune atoms are given and the on-disk image is clean, each run's
-// pages are peeked first and pages whose zone maps disprove the atoms
-// are excluded from the batch read — the run never speculatively pins
-// them. The row test reads the page the pool hands the read (a dirty
-// frame's bytes, or the image), so it stays armed over dirty frames.
+// pages are looked up in the page directory first and pages whose zone
+// maps disprove the atoms are excluded from the batch read — the run
+// never speculatively pins them. The row test reads the page the pool
+// hands the read (a dirty frame's bytes, or the image), so it stays armed
+// over dirty frames.
 func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Batch, pruned int64, ok bool, err error) {
 	w := colpage.Window(ix.pool)
 	if w == 0 || len(ix.buckets) < 2 || ix.file.NumPages() != len(ix.buckets) {
@@ -415,7 +420,6 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 	if ix.file.HasDirtyFrames() {
 		prune = nil // the on-disk zone maps may be stale; read everything
 	}
-	var zones colpage.Zones // each peeked footer's, reused page to page
 	fetch := make([]storage.PageNum, 0, w)
 	for start := 0; start < len(ix.buckets); {
 		// Maximal run of consecutive bucket pages, clamped to the window.
@@ -428,14 +432,15 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 			skip := false
 			if len(prune) > 0 {
 				// Only overflow-free columnar pages prune; anything odd
-				// (a missing page, a footer that does not parse) is read
-				// on the charged path instead.
-				_ = ix.file.View(pn, func(page []byte) error {
-					if _, linked := colpage.PageLink(page); !linked {
-						skip, _ = chainPages.Prunable(page, prune, &zones)
-					}
-					return nil
-				})
+				// (a page the directory has none for, a footer that does
+				// not parse) is read on the charged path instead.
+				e, err := ix.dir.Lookup(pn)
+				if err != nil {
+					return nil, 0, false, err
+				}
+				if e != nil && !e.HasNext {
+					skip, _ = e.Prunable(prune)
+				}
 			}
 			if skip {
 				pruned++

@@ -189,6 +189,9 @@ func TestTruncate(t *testing.T) {
 	if len(all) != 0 {
 		t.Errorf("ScanAll after truncate = %v", all)
 	}
+	if err := checkDirectory(ix); err != nil {
+		t.Errorf("after truncate: %v", err)
+	}
 	// Index stays usable and reuses freed pages.
 	for i := int64(0); i < 50; i++ {
 		if err := ix.Insert(mk(uint64(100+i), i)); err != nil {
@@ -229,7 +232,8 @@ func TestOversizedTupleRejected(t *testing.T) {
 }
 
 // Property: the index agrees with a map-based model under arbitrary
-// insert/delete interleavings.
+// insert/delete interleavings, and its page directory with one rebuilt
+// from the flushed images.
 func TestPropertyMatchesModel(t *testing.T) {
 	fn := func(ops []int16) bool {
 		ix, _ := newTestIndex(t, 128, 128, 4)
@@ -278,6 +282,10 @@ func TestPropertyMatchesModel(t *testing.T) {
 			if err != nil || len(got) != want {
 				return false
 			}
+		}
+		if err := checkDirectory(ix); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}

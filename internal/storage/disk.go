@@ -32,9 +32,10 @@ const (
 	// PageLayoutCol (the zero value, the default) lays data pages out
 	// as typed column chunks with zone maps (internal/colpage).
 	PageLayoutCol PageLayout = iota
-	// PageLayoutRow is the row-major tuple encoding — the durability /
-	// WAL interchange format, the per-page fallback when a chunk does
-	// not fit, and the oracle the layout property tests compare with.
+	// PageLayoutRow is the row-major tuple encoding — the per-page
+	// fallback when a chunk does not fit, and the oracle the layout
+	// property tests compare with. (The WAL is logical: it never holds a
+	// page.)
 	PageLayoutRow
 )
 

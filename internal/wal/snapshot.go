@@ -96,21 +96,38 @@ func (s *SnapshotStore) note(ref frameRef, payload []byte) error {
 	return nil
 }
 
-// Append durably stores a checkpoint frame tagged with seq: frames it,
-// appends after the previous frame, and syncs before returning. A frame
-// whose write or sync fails is cut off again, so the frame that retries
-// it replaces it instead of following it (two deltas against the same
-// base must not both be applied).
+// FrameReserve is the room a checkpoint body's buffer keeps in front of
+// the body for AppendFramed: the frame header, then the snapshot header.
+const FrameReserve = headerSize + snapHeaderSize
+
+// Append durably stores a checkpoint frame tagged with seq: the body
+// copied once behind the headers, then AppendFramed.
 func (s *SnapshotStore) Append(seq uint64, kind FrameKind, body []byte) error {
+	buf := make([]byte, FrameReserve+len(body))
+	copy(buf[FrameReserve:], body)
+	return s.AppendFramed(seq, kind, buf)
+}
+
+// AppendFramed durably stores buf[FrameReserve:], a body encoded behind
+// the room FrameReserve keeps, as a checkpoint frame tagged with seq: it
+// writes both headers into that room and the frame with one WriteAt after
+// the previous frame, never copying the body, and syncs before
+// returning. A frame whose write or sync fails is cut off again, so the
+// frame that retries it replaces it instead of following it (two deltas
+// against the same base must not both be applied).
+func (s *SnapshotStore) AppendFramed(seq uint64, kind FrameKind, buf []byte) error {
 	if kind == FrameDelta && len(s.chain) == 0 {
 		return fmt.Errorf("wal: delta frame before any full frame")
 	}
-	payload := make([]byte, snapHeaderSize+len(body))
+	payload := buf[headerSize:]
 	binary.LittleEndian.PutUint64(payload[:8], seq)
 	payload[8] = byte(kind)
-	copy(payload[snapHeaderSize:], body)
 	start := s.log.Offset()
-	if err := s.log.AppendSync(payload); err != nil {
+	err := s.log.appendFrame(buf)
+	if err == nil {
+		err = s.log.Sync()
+	}
+	if err != nil {
 		// Best effort: on a device too broken to truncate, rewinding the
 		// offset alone still makes the next frame overwrite this one.
 		_ = s.log.rewind(start)

@@ -109,16 +109,23 @@ func scanAndRepair(dev storage.Device, visit func(off int64, payload []byte) err
 
 // Append writes one frame at the tail without syncing.
 func (l *Log) Append(payload []byte) error {
+	f := make([]byte, headerSize+len(payload))
+	copy(f[headerSize:], payload)
+	return l.appendFrame(f)
+}
+
+// appendFrame writes f, a payload behind headerSize bytes of room, as one
+// frame at the tail without syncing: the header goes into the room, and
+// the payload is not copied.
+func (l *Log) appendFrame(f []byte) error {
+	payload := f[headerSize:]
 	if len(payload) == 0 {
 		return fmt.Errorf("wal: empty payload")
 	}
 	if len(payload) > MaxRecordSize {
 		return fmt.Errorf("wal: payload of %d bytes exceeds max %d", len(payload), MaxRecordSize)
 	}
-	f, err := frame.Encode(payload)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
+	frame.PutHeader(f, payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, err := l.dev.WriteAt(f, l.off); err != nil {
