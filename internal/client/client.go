@@ -32,6 +32,9 @@ var (
 	// ErrBadRequest: the server could not decode or validate the
 	// request.
 	ErrBadRequest = errors.New("client: bad request")
+	// ErrWrongBody: an OK answer carried a body other than the call's.
+	// The stream can no longer be trusted, so the client is closed.
+	ErrWrongBody = errors.New("client: answer body does not match the call")
 )
 
 // Options tunes a Client.
@@ -72,11 +75,12 @@ func (c *Client) Close() error {
 }
 
 // call sends one request and reads its response, mapping non-OK codes
-// to errors (the response is then zero). Any other failure leaves the
-// stream in an unknown state — after a timed-out read the late response
-// would be taken for the next call's answer — so it closes the
-// connection and fails every later call too.
-func (c *Client) call(req *proto.Request) (proto.Response, error) {
+// to errors (the response is then zero). An OK response must carry the
+// body the call expects. Any other failure leaves the stream in an
+// unknown state — after a timed-out read the late response would be
+// taken for the next call's answer — so it closes the connection and
+// fails every later call too.
+func (c *Client) call(req *proto.Request, body proto.Body) (proto.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken != nil {
@@ -87,6 +91,9 @@ func (c *Client) call(req *proto.Request) (proto.Response, error) {
 	err := proto.WriteRequest(c.conn, req)
 	if err == nil {
 		resp, err = proto.ReadResponse(c.conn)
+	}
+	if err == nil && resp.Code == proto.CodeOK && resp.Body != body {
+		err = fmt.Errorf("%w: body kind %d, want %d", ErrWrongBody, resp.Body, body)
 	}
 	if err != nil {
 		c.broken = fmt.Errorf("client: %v: %w", req.Op, err)
@@ -109,7 +116,7 @@ func (c *Client) call(req *proto.Request) (proto.Response, error) {
 
 // Ping checks the server is alive.
 func (c *Client) Ping() error {
-	_, err := c.call(&proto.Request{Op: proto.OpPing})
+	_, err := c.call(&proto.Request{Op: proto.OpPing}, proto.BodyNone)
 	return err
 }
 
@@ -118,7 +125,7 @@ func (c *Client) CreateRelationBTree(name string, schema *tuple.Schema, keyCol i
 	_, err := c.call(&proto.Request{
 		Op: proto.OpCreateRelBTree, Name: name,
 		Schema: schema, KeyCol: keyCol,
-	})
+	}, proto.BodyNone)
 	return err
 }
 
@@ -127,26 +134,26 @@ func (c *Client) CreateRelationHash(name string, schema *tuple.Schema, keyCol, b
 	_, err := c.call(&proto.Request{
 		Op: proto.OpCreateRelHash, Name: name,
 		Schema: schema, KeyCol: keyCol, Buckets: buckets,
-	})
+	}, proto.BodyNone)
 	return err
 }
 
 // CreateSecondaryIndex adds a secondary index on col of a base
 // relation.
 func (c *Client) CreateSecondaryIndex(rel string, col int) error {
-	_, err := c.call(&proto.Request{Op: proto.OpCreateSecondary, Name: rel, KeyCol: col})
+	_, err := c.call(&proto.Request{Op: proto.OpCreateSecondary, Name: rel, KeyCol: col}, proto.BodyNone)
 	return err
 }
 
 // CreateView registers a view with the given maintenance strategy.
 func (c *Client) CreateView(def core.Def, strategy core.Strategy) error {
-	_, err := c.call(&proto.Request{Op: proto.OpCreateView, View: &def, Strategy: int(strategy)})
+	_, err := c.call(&proto.Request{Op: proto.OpCreateView, View: &def, Strategy: int(strategy)}, proto.BodyNone)
 	return err
 }
 
 // DropView removes a view.
 func (c *Client) DropView(name string) error {
-	_, err := c.call(&proto.Request{Op: proto.OpDropView, Name: name})
+	_, err := c.call(&proto.Request{Op: proto.OpDropView, Name: name}, proto.BodyNone)
 	return err
 }
 
@@ -163,53 +170,50 @@ func (c *Client) QueryViewPlan(name string, rg *pred.Range, plan int) ([][]tuple
 	resp, err := c.call(&proto.Request{
 		Op: proto.OpQueryView, Name: name,
 		Range: rg, Plan: plan,
-	})
+	}, proto.BodyRows)
 	return resp.Rows, err
 }
 
 // QueryAggregate reads an aggregate view's value; ok is false when the
 // aggregate is undefined (MIN/MAX/AVG over the empty set).
 func (c *Client) QueryAggregate(name string) (value float64, ok bool, err error) {
-	resp, err := c.call(&proto.Request{Op: proto.OpQueryAggregate, Name: name})
+	resp, err := c.call(&proto.Request{Op: proto.OpQueryAggregate, Name: name}, proto.BodyAgg)
 	return resp.Agg, resp.AggOK, err
 }
 
 // RefreshAll brings every stale view current (the idle-time refresh).
 func (c *Client) RefreshAll() error {
-	_, err := c.call(&proto.Request{Op: proto.OpRefreshAll})
+	_, err := c.call(&proto.Request{Op: proto.OpRefreshAll}, proto.BodyNone)
 	return err
 }
 
 // Checkpoint forces a durability checkpoint (errors if the server runs
 // without -wal).
 func (c *Client) Checkpoint() error {
-	_, err := c.call(&proto.Request{Op: proto.OpCheckpoint})
+	_, err := c.call(&proto.Request{Op: proto.OpCheckpoint}, proto.BodyNone)
 	return err
 }
 
 // Health fetches the engine health snapshot.
 func (c *Client) Health() (core.Health, error) {
-	resp, err := c.call(&proto.Request{Op: proto.OpHealth})
+	resp, err := c.call(&proto.Request{Op: proto.OpHealth}, proto.BodyHealth)
 	if err != nil {
 		return core.Health{}, err
 	}
-	if resp.Health == nil {
-		return core.Health{}, errors.New("client: health response missing body")
-	}
-	return *resp.Health, nil
+	return *resp.Health, nil // a BodyHealth answer always decodes one
 }
 
 // AdvisorStats fetches the adaptive advisor's per-view state (nil
 // when the server's advisor is disabled).
 func (c *Client) AdvisorStats() ([]core.AdvisorViewStat, error) {
-	resp, err := c.call(&proto.Request{Op: proto.OpAdvisorStats})
+	resp, err := c.call(&proto.Request{Op: proto.OpAdvisorStats}, proto.BodyAdvisor)
 	return resp.Advisor, err
 }
 
 // AdaptTick asks the server to run one adaptive advisor decision
 // round and returns the strategy flips it applied.
 func (c *Client) AdaptTick() ([]core.FlipReport, error) {
-	resp, err := c.call(&proto.Request{Op: proto.OpAdaptTick})
+	resp, err := c.call(&proto.Request{Op: proto.OpAdaptTick}, proto.BodyFlips)
 	return resp.Flips, err
 }
 
@@ -252,6 +256,6 @@ func (tx *Tx) Commit() ([]uint64, error) {
 		return nil, errors.New("client: transaction already committed")
 	}
 	tx.done = true
-	resp, err := tx.c.call(&proto.Request{Op: proto.OpCommit, TxOps: tx.ops})
+	resp, err := tx.c.call(&proto.Request{Op: proto.OpCommit, TxOps: tx.ops}, proto.BodyIDs)
 	return resp.IDs, err
 }

@@ -202,7 +202,7 @@ func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int, z *Zones) []b
 	}
 	dst = appendUintFOR(dst, ids)
 	for c := 0; c < cols; c++ {
-		dst = appendColumn(dst, tuples, c)
+		dst = appendColumn(dst, &cells{n: rows, tuples: tuples, c: c})
 	}
 	binary.BigEndian.PutUint32(dst[4:], uint32(len(dst)))
 	if z != nil {
@@ -246,61 +246,155 @@ func appendUintFOR(dst []byte, vals []uint64) []byte {
 	return dst
 }
 
-// appendColumn picks the smallest applicable encoding for column c and
-// writes [1 enc][payload]. The choice is deterministic, so re-encoding
-// a decoded chunk reproduces it byte for byte.
-func appendColumn(dst []byte, tuples []tuple.Tuple, c int) []byte {
-	rows := len(tuples)
-	uniform := rows > 0
-	var t tuple.Type
-	if rows > 0 {
-		t = tuples[0].Vals[c].Type()
-		for _, tp := range tuples[1:] {
-			if tp.Vals[c].Type() != t {
-				uniform = false
-				break
-			}
+// cells is one column as the lane encoder reads it, from either place a
+// lane is written from: column c of a page chunk's tuples, or cells
+// [lo, lo+n) of an answer's dense lane (a row set). appendColumn over it
+// is the one encoder of both, so a row set's lanes are byte for byte a
+// chunk's for the same rows. Each accessor branches on the source, a
+// branch that goes the same way for a whole lane; a type parameter
+// instead would call the accessors through a dictionary, several times
+// slower per cell.
+type cells struct {
+	n      int
+	tuples []tuple.Tuple // a chunk's rows; nil for an answer's lane
+	c      int
+	col    *vec.Col
+	lo     int
+}
+
+func (s *cells) typ(i int) tuple.Type {
+	if s.tuples == nil {
+		return s.col.Tag(s.lo + i)
+	}
+	return s.tuples[i].Vals[s.c].Type()
+}
+
+func (s *cells) int(i int) int64 {
+	if s.tuples == nil {
+		return s.col.Ints[s.lo+i]
+	}
+	return s.tuples[i].Vals[s.c].Int()
+}
+
+func (s *cells) float(i int) float64 {
+	if s.tuples == nil {
+		return s.col.Floats[s.lo+i]
+	}
+	return s.tuples[i].Vals[s.c].Float()
+}
+
+// value is cell i boxed, for the tagged fallback lane.
+func (s *cells) value(i int) tuple.Value {
+	if s.tuples == nil {
+		return s.col.Value(s.lo + i)
+	}
+	return s.tuples[i].Vals[s.c]
+}
+
+// strLen and appendStr read string cell i.
+func (s *cells) strLen(i int) int {
+	if s.tuples == nil {
+		return len(s.col.Bytes[s.lo+i])
+	}
+	return len(s.tuples[i].Vals[s.c].Str())
+}
+
+func (s *cells) appendStr(dst []byte, i int) []byte {
+	if s.tuples == nil {
+		return append(dst, s.col.Bytes[s.lo+i]...)
+	}
+	return append(dst, s.tuples[i].Vals[s.c].Str()...)
+}
+
+// dictEntry looks string cell i up in dict; with add an absent cell
+// becomes entry len(dict). It reports the entry and whether the cell was
+// (or now is) in dict.
+func (s *cells) dictEntry(dict map[string]int, i int, add bool) (int, bool) {
+	var d int
+	var ok bool
+	if s.tuples == nil {
+		d, ok = dict[string(s.col.Bytes[s.lo+i])]
+	} else {
+		d, ok = dict[s.tuples[i].Vals[s.c].Str()]
+	}
+	if ok || !add {
+		return d, ok
+	}
+	d = len(dict)
+	if s.tuples == nil {
+		dict[string(s.col.Bytes[s.lo+i])] = d
+	} else {
+		dict[s.tuples[i].Vals[s.c].Str()] = d
+	}
+	return d, true
+}
+
+// uniform reports the type every cell shares, when one does. A widened
+// answer lane is checked cell by cell, as a chunk's tuples are: its
+// cells in [lo, lo+n) may agree even where the whole lane does not.
+func (s *cells) uniform() (tuple.Type, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	if s.tuples == nil {
+		if t, ok := s.col.Uniform(); ok {
+			return t, true
 		}
 	}
+	t := s.typ(0)
+	for i := 1; i < s.n; i++ {
+		if s.typ(i) != t {
+			return 0, false
+		}
+	}
+	return t, true
+}
+
+// appendColumn picks the smallest applicable encoding for a column and
+// writes [1 enc][payload]. The choice is deterministic, so re-encoding
+// a decoded chunk reproduces it byte for byte.
+func appendColumn(dst []byte, s *cells) []byte {
+	t, uniform := s.uniform()
 	if !uniform {
 		dst = append(dst, encMixed)
-		for _, tp := range tuples {
-			dst = tuple.AppendValue(dst, tp.Vals[c])
+		for i := 0; i < s.n; i++ {
+			dst = tuple.AppendValue(dst, s.value(i))
 		}
 		return dst
 	}
 	switch t {
 	case tuple.Int:
-		return appendIntLane(dst, tuples, c)
+		return appendIntLane(dst, s)
 	case tuple.Float:
 		dst = append(dst, encFloatRaw)
-		for _, tp := range tuples {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(tp.Vals[c].Float()))
+		for i := 0; i < s.n; i++ {
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.float(i)))
 		}
 		return dst
 	default:
-		return appendBytesLane(dst, tuples, c)
+		return appendBytesLane(dst, s)
 	}
 }
 
 // appendIntLane chooses run-length when it beats frame-of-reference
 // (low-cardinality runs — clustering keys after bulk loads, enum-ish
 // payload columns) and FOR otherwise.
-func appendIntLane(dst []byte, tuples []tuple.Tuple, c int) []byte {
-	rows := len(tuples)
-	minV, maxV := tuples[0].Vals[c].Int(), tuples[0].Vals[c].Int()
+func appendIntLane(dst []byte, s *cells) []byte {
+	rows := s.n
+	minV, maxV := s.int(0), s.int(0)
 	runs := 1
-	for i := 1; i < rows; i++ {
-		v := tuples[i].Vals[c].Int()
+	for i, prev := 1, minV; i < rows; i++ {
+		v := s.int(i)
 		if v < minV {
 			minV = v
 		}
 		if v > maxV {
 			maxV = v
 		}
-		if v != tuples[i-1].Vals[c].Int() {
+		if v != prev {
 			runs++
 		}
+		prev = v
 	}
 	w := bytesFor(uint64(maxV) - uint64(minV))
 	forSize := 9 + rows*w
@@ -310,9 +404,9 @@ func appendIntLane(dst []byte, tuples []tuple.Tuple, c int) []byte {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(runs))
 		i := 0
 		for i < rows {
-			v := tuples[i].Vals[c].Int()
+			v := s.int(i)
 			j := i + 1
-			for j < rows && tuples[j].Vals[c].Int() == v {
+			for j < rows && s.int(j) == v {
 				j++
 			}
 			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
@@ -324,35 +418,60 @@ func appendIntLane(dst []byte, tuples []tuple.Tuple, c int) []byte {
 	dst = append(dst, encIntFOR)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(minV))
 	dst = append(dst, byte(w))
-	for _, tp := range tuples {
-		dst = appendBE(dst, uint64(tp.Vals[c].Int())-uint64(minV), w)
+	ref, off := uint64(minV), len(dst)
+	if w&(w-1) != 0 { // 3, 5, 6 or 7 bytes: no fixed-size store
+		for i := 0; i < rows; i++ {
+			dst = appendBE(dst, uint64(s.int(i))-ref, w)
+		}
+		return dst
+	}
+	// One grow, then fixed-size stores.
+	dst = slices.Grow(dst, rows*w)[:off+rows*w]
+	out := dst[off:]
+	switch w {
+	case 1:
+		for i := range out {
+			out[i] = byte(uint64(s.int(i)) - ref)
+		}
+	case 2:
+		for i := 0; i < rows; i++ {
+			binary.BigEndian.PutUint16(out[2*i:], uint16(uint64(s.int(i))-ref))
+		}
+	case 4:
+		for i := 0; i < rows; i++ {
+			binary.BigEndian.PutUint32(out[4*i:], uint32(uint64(s.int(i))-ref))
+		}
+	case 8:
+		for i := 0; i < rows; i++ {
+			binary.BigEndian.PutUint64(out[8*i:], uint64(s.int(i))-ref)
+		}
 	}
 	return dst
 }
 
 // appendBytesLane chooses a one-byte-index dictionary when the column
 // has few distinct values and the dictionary is smaller than raw.
-func appendBytesLane(dst []byte, tuples []tuple.Tuple, c int) []byte {
-	rows := len(tuples)
+func appendBytesLane(dst []byte, s *cells) []byte {
+	rows := s.n
 	dict := make(map[string]int, 8)
-	var order []string
+	var order []int // the row each entry first appears in
 	rawSize := 0
-	for _, tp := range tuples {
-		s := tp.Vals[c].Str()
-		rawSize += 4 + len(s)
-		if _, ok := dict[s]; !ok && len(dict) < maxDict {
-			dict[s] = len(order)
-			order = append(order, s)
+	for i := 0; i < rows; i++ {
+		rawSize += 4 + s.strLen(i)
+		if len(dict) < maxDict {
+			if d, _ := s.dictEntry(dict, i, true); d == len(order) {
+				order = append(order, i)
+			}
 		}
 	}
-	if len(dict) <= maxDict && len(order) > 0 {
+	if len(order) > 0 {
 		dictSize := 2 + rows
-		for _, s := range order {
-			dictSize += 4 + len(s)
+		for _, i := range order {
+			dictSize += 4 + s.strLen(i)
 		}
 		allCovered := len(dict) < maxDict || func() bool {
-			for _, tp := range tuples {
-				if _, ok := dict[tp.Vals[c].Str()]; !ok {
+			for i := 0; i < rows; i++ {
+				if _, ok := s.dictEntry(dict, i, false); !ok {
 					return false
 				}
 			}
@@ -361,21 +480,21 @@ func appendBytesLane(dst []byte, tuples []tuple.Tuple, c int) []byte {
 		if allCovered && dictSize < rawSize {
 			dst = append(dst, encBytesDict)
 			dst = binary.BigEndian.AppendUint16(dst, uint16(len(order)))
-			for _, s := range order {
-				dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-				dst = append(dst, s...)
+			for _, i := range order {
+				dst = binary.BigEndian.AppendUint32(dst, uint32(s.strLen(i)))
+				dst = s.appendStr(dst, i)
 			}
-			for _, tp := range tuples {
-				dst = append(dst, byte(dict[tp.Vals[c].Str()]))
+			for i := 0; i < rows; i++ {
+				d, _ := s.dictEntry(dict, i, false)
+				dst = append(dst, byte(d))
 			}
 			return dst
 		}
 	}
 	dst = append(dst, encBytesRaw)
-	for _, tp := range tuples {
-		s := tp.Vals[c].Str()
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-		dst = append(dst, s...)
+	for i := 0; i < rows; i++ {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(s.strLen(i)))
+		dst = s.appendStr(dst, i)
 	}
 	return dst
 }

@@ -6,11 +6,13 @@ import (
 	"math"
 
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // A row set is a query result on the wire (internal/proto): the value
 // lanes of the page chunk without its id lane and zone footer — result
-// rows carry no ids and nobody prunes an answer.
+// rows carry no ids and nobody prunes an answer. It is written from the
+// answer's column lanes (AppendLanes) by the chunk's own lane encoder.
 //
 //	[4 rows][2 cols]                 header, big-endian
 //	per run of ≤ MaxChunkRows rows:  cols × [1 enc][payload]
@@ -26,40 +28,94 @@ const MaxChunkRows = math.MaxUint16
 // rowSetHeader is the fixed prefix: [4 rows][2 cols].
 const rowSetHeader = 6
 
-// AppendRows appends rows, which must all have the same arity, to dst
-// as a row set.
-func AppendRows(dst []byte, rows [][]tuple.Value) ([]byte, error) {
-	if len(rows) > math.MaxUint32 {
-		return nil, fmt.Errorf("colpage: %d rows exceed row-set capacity", len(rows))
+// AppendLanes appends an answer held as column lanes — rows cells in
+// each of cols, every column dense — to dst as a row set.
+func AppendLanes(dst []byte, rows int, cols []vec.Col) ([]byte, error) {
+	if rows > math.MaxUint32 {
+		return nil, fmt.Errorf("colpage: %d rows exceed row-set capacity", rows)
 	}
-	cols := 0
+	if rows == 0 {
+		cols = nil // a row set has no way to say "no rows, some columns"
+	}
+	if len(cols) > math.MaxUint16 {
+		return nil, fmt.Errorf("colpage: %d columns exceed row-set capacity", len(cols))
+	}
+	for c := range cols {
+		if cols[c].Len() != rows {
+			return nil, fmt.Errorf("colpage: column %d holds %d cells for %d rows", c, cols[c].Len(), rows)
+		}
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(rows))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(cols)))
+	for lo := 0; lo < rows; lo += MaxChunkRows {
+		n := min(rows-lo, MaxChunkRows)
+		for c := range cols {
+			dst = appendColumn(dst, &cells{n: n, col: &cols[c], lo: lo})
+		}
+	}
+	return dst, nil
+}
+
+// AppendRows appends rows, which must all have the same arity, to dst
+// as a row set: AppendLanes over the rows' columns.
+func AppendRows(dst []byte, rows [][]tuple.Value) ([]byte, error) {
+	var cols []vec.Col
 	if len(rows) > 0 {
-		cols = len(rows[0])
+		cols = make([]vec.Col, len(rows[0]))
 		for _, r := range rows[1:] {
-			if len(r) != cols {
-				return nil, fmt.Errorf("colpage: mixed arity (%d vs %d)", len(r), cols)
+			if len(r) != len(cols) {
+				return nil, fmt.Errorf("colpage: mixed arity (%d vs %d)", len(r), len(cols))
 			}
 		}
 	}
-	if cols > math.MaxUint16 {
-		return nil, fmt.Errorf("colpage: %d columns exceed row-set capacity", cols)
+	for c := range cols {
+		appendLane(&cols[c], rows, c)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rows)))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(cols))
-	// The lane encoders read tuples; wrapping the rows costs one slice,
-	// reused across runs.
-	tuples := make([]tuple.Tuple, min(len(rows), MaxChunkRows))
-	for len(rows) > 0 {
-		n := min(len(rows), MaxChunkRows)
-		for i, r := range rows[:n] {
-			tuples[i].Vals = r
+	return AppendLanes(dst, len(rows), cols)
+}
+
+// appendLane appends column c of rows onto col: typed, a string column's
+// cells in one arena, when every cell shares a type; cell by cell,
+// widening, when not.
+func appendLane(col *vec.Col, rows [][]tuple.Value, c int) {
+	t := rows[0][c].Type()
+	uniform := true
+	switch t {
+	case tuple.Int:
+		dst := col.GrowInts(len(rows))
+		for i, r := range rows {
+			uniform = uniform && r[c].Type() == t
+			dst[i] = r[c].Int()
 		}
-		for c := 0; c < cols; c++ {
-			dst = appendColumn(dst, tuples[:n], c)
+	case tuple.Float:
+		dst := col.GrowFloats(len(rows))
+		for i, r := range rows {
+			uniform = uniform && r[c].Type() == t
+			dst[i] = r[c].Float()
 		}
-		rows = rows[n:]
+	default:
+		total := 0
+		for _, r := range rows {
+			uniform = uniform && r[c].Type() == t
+			total += len(r[c].Str())
+		}
+		if !uniform {
+			break
+		}
+		arena := make([]byte, 0, total)
+		dst := col.GrowBytes(len(rows))
+		for i, r := range rows {
+			start := len(arena)
+			arena = append(arena, r[c].Str()...)
+			dst[i] = arena[start:len(arena):len(arena)]
+		}
 	}
-	return dst, nil
+	if !uniform {
+		col.Reset()
+		for _, r := range rows {
+			col.Append(r[c])
+		}
+	}
 }
 
 // DecodeRows decodes a row set that fills src exactly. All cells live

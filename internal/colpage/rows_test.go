@@ -3,11 +3,14 @@ package colpage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // rowsOf strips the ids off tuples.
@@ -112,6 +115,117 @@ func TestDecodeRowsChecksBeforeAllocating(t *testing.T) {
 	if _, err := DecodeRows(set[:rowSetHeader], 1<<20); err == nil {
 		t.Fatal("four billion empty rows accepted")
 	}
+}
+
+// FuzzRowSetLanes is the differential for the one lane encoder: an answer
+// built the way a read builds it — the live rows of several batches
+// (vec.Batch.AppendLive), through a selection vector and, for a stored
+// view, expanded by Dup counts of 0, 1 and more — must encode
+// (AppendLanes) to exactly the bytes of AppendRows over the same rows
+// gathered to tuple.Values, and DecodeRows must read them back. kinds
+// picks one column per byte: small-range ints, wide ints, floats with
+// NaN, ±0 and infinities, strings on either side of the 256-entry
+// dictionary bound, and mixed types (a widened column).
+func FuzzRowSetLanes(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1})
+	f.Add(int64(2), []byte{2, 3, 4})
+	f.Add(int64(3), []byte{3, 3})
+	f.Add(int64(4), []byte{4})
+	f.Add(int64(5), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, kinds []byte) {
+		if len(kinds) > 6 {
+			kinds = kinds[:6]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		cards := make([]int, len(kinds)) // distinct strings per string column
+		for c := range cards {
+			cards[c] = 1 + rng.Intn(12)
+			if rng.Intn(2) == 0 {
+				cards[c] = maxDict - 6 + rng.Intn(12)
+			}
+		}
+		cell := func(c int) tuple.Value {
+			switch kinds[c] % 5 {
+			case 0:
+				return tuple.I(int64(rng.Intn(4)))
+			case 1:
+				return tuple.I([]int64{math.MinInt64, math.MaxInt64, 0, -1}[rng.Intn(4)] + rng.Int63n(1000))
+			case 2:
+				return tuple.F([]float64{math.NaN(), math.Float64frombits(0x7ff8dead0000beef), 0, math.Copysign(0, -1),
+					math.Inf(1), math.Inf(-1), rng.NormFloat64()}[rng.Intn(7)])
+			case 3:
+				return tuple.S(fmt.Sprintf("s%d", rng.Intn(cards[c])))
+			default:
+				return []tuple.Value{tuple.I(rng.Int63()), tuple.F(rng.Float64()), tuple.S(strings.Repeat("m", rng.Intn(4)))}[rng.Intn(3)]
+			}
+		}
+		byDup := rng.Intn(2) == 0
+		lanes := make([]vec.Col, len(kinds))
+		var want [][]tuple.Value
+		var idx []int
+		n := 0
+		for batches := 1 + rng.Intn(3); batches > 0; batches-- {
+			b := &vec.Batch{}
+			dupMode := rng.Intn(3) // no Dup lane (all 0), all 1, or 0..3
+			for rows := rng.Intn(400); rows > 0; rows-- {
+				vals := make([]tuple.Value, len(kinds))
+				for c := range vals {
+					vals[c] = cell(c)
+				}
+				dup := int64(dupMode)
+				if dupMode == 2 {
+					dup = int64(rng.Intn(4))
+				}
+				b.TryAppend(&tuple.Tuple{ID: 1, Vals: vals}, nil, nil, false, dup, 1<<20)
+			}
+			if rng.Intn(2) == 0 {
+				b.Sel = []int{}
+				for i := 0; i < b.NumRows(); i++ {
+					if rng.Intn(3) > 0 {
+						b.Sel = append(b.Sel, i)
+					}
+				}
+			}
+			src := b.Slots[0]
+			if src == nil {
+				src = make([]vec.Col, len(kinds)) // a batch of no rows
+			}
+			var got int
+			got, idx = b.AppendLive(lanes, src, byDup, idx)
+			n += got
+			for k := 0; k < b.LiveCount(); k++ {
+				i := b.LiveIndex(k)
+				reps := int64(1)
+				if byDup {
+					reps = b.DupAt(i)
+				}
+				for ; reps > 0; reps-- {
+					want = append(want, b.TupleAt(0, i).Vals)
+				}
+			}
+		}
+		if n != len(want) {
+			t.Fatalf("AppendLive counted %d rows, the gather %d", n, len(want))
+		}
+		set, err := AppendLanes(nil, n, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowSet, err := AppendRows(nil, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(set, rowSet) {
+			t.Fatalf("lane encoder and AppendRows disagree on %d rows:\n lanes %x\n rows  %x", n, set, rowSet)
+		}
+		got, err := DecodeRows(set, n*max(len(kinds), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || !bytes.Equal(rowBytes(got), rowBytes(want)) {
+			t.Fatalf("round trip of %d rows changed them", n)
+		}
+	})
 }
 
 func TestDecodeRowsRejectsDamage(t *testing.T) {

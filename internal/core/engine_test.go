@@ -24,6 +24,12 @@ func newTestDB(t testing.TB) *Database {
 	return db
 }
 
+// queryPlan is QueryView under an explicit query-modification plan.
+func queryPlan(db *Database, name string, rg *pred.Range, plan QueryPlan) ([]ResultRow, error) {
+	ans, err := db.QueryViewLanes(name, rg, &plan)
+	return ans.Rows(), err
+}
+
 // spSchema: r(k INT, a INT, s STRING) clustered on k.
 func spSchema() *tuple.Schema {
 	return tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("s", tuple.String))
@@ -261,23 +267,23 @@ func TestQueryModificationPlans(t *testing.T) {
 	if err := r.AddSecondary(1); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryViewPlan("v", nil, PlanClustered)
+	want, err := queryPlan(db, "v", nil, PlanClustered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := db.QueryViewPlan("v", nil, PlanSequential)
+	seq, err := queryPlan(db, "v", nil, PlanSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRows(t, "sequential", seq, want)
 
 	db.ResetStats()
-	if _, err := db.QueryViewPlan("v", nil, PlanClustered); err != nil {
+	if _, err := queryPlan(db, "v", nil, PlanClustered); err != nil {
 		t.Fatal(err)
 	}
 	clusteredIO := db.Breakdown()[PhaseQuery].Reads
 	db.ResetStats()
-	if _, err := db.QueryViewPlan("v", nil, PlanSequential); err != nil {
+	if _, err := queryPlan(db, "v", nil, PlanSequential); err != nil {
 		t.Fatal(err)
 	}
 	seqIO := db.Breakdown()[PhaseQuery].Reads
@@ -317,7 +323,7 @@ func TestSequentialScanReadsPageWithNaN(t *testing.T) {
 	if err := db.CreateView(def, QueryModification); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.QueryViewPlan("neg", nil, PlanSequential)
+	rows, err := queryPlan(db, "neg", nil, PlanSequential)
 	if err != nil {
 		t.Fatal(err)
 	}

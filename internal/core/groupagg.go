@@ -399,10 +399,11 @@ func (db *Database) groupsRead(vs *viewState, rg *pred.Range) *derived {
 
 // storedGroups decodes stored group rows, which the scan yields in
 // group order.
-func storedGroups(kind agg.Kind, rows []exec.Row) []groupState {
+func storedGroups(kind agg.Kind, a Answer) []groupState {
+	rows := a.Rows()
 	out := make([]groupState, len(rows))
 	for i, row := range rows {
-		out[i] = groupState{row.T0.Vals[0], stateOf(kind, row.T0)}
+		out[i] = groupState{row.Vals[0], stateOf(kind, tuple.Tuple{Vals: row.Vals})}
 	}
 	return out
 }

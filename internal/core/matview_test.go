@@ -31,10 +31,11 @@ type matRow struct {
 // counts, or with expand one row per logical duplicate.
 func scanMat(t testing.TB, mv *MatView, rg *pred.Range, expand bool) []matRow {
 	t.Helper()
-	rows, err := exec.Drain(mv.scanOp(exec.Options{}, "MatScan", rg, expand))
+	batches, err := exec.Drain(mv.scanOp(exec.Options{}, "MatScan", rg, expand))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := exec.LiveRows(batches)
 	out := make([]matRow, len(rows))
 	for i, r := range rows {
 		out[i] = matRow{Vals: r.T0.Vals, Count: r.Dup}

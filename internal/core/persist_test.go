@@ -185,7 +185,7 @@ func TestSaveLoadSecondaryIndexes(t *testing.T) {
 	if !rr.HasSecondary(1) {
 		t.Fatal("secondary index lost")
 	}
-	rows, err := restored.QueryViewPlan("v", nil, PlanClustered)
+	rows, err := queryPlan(restored, "v", nil, PlanClustered)
 	if err != nil || len(rows) != 20 {
 		t.Errorf("restored QM query: %d rows, err %v", len(rows), err)
 	}

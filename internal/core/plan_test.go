@@ -55,21 +55,21 @@ var planScenarios = []struct {
 }{
 	{"qm-sp-clustered", func(t *testing.T) (*Database, string) {
 		db := newSPDatabase(t, QueryModification, 200)
-		if _, err := db.QueryViewPlan("v", nil, PlanClustered); err != nil {
+		if _, err := queryPlan(db, "v", nil, PlanClustered); err != nil {
 			t.Fatal(err)
 		}
 		return db, "v"
 	}},
 	{"qm-sp-unclustered", func(t *testing.T) (*Database, string) {
 		db := newUnclusteredSPDatabase(t, 200)
-		if _, err := db.QueryViewPlan("v", nil, PlanUnclustered); err != nil {
+		if _, err := queryPlan(db, "v", nil, PlanUnclustered); err != nil {
 			t.Fatal(err)
 		}
 		return db, "v"
 	}},
 	{"qm-sp-sequential", func(t *testing.T) (*Database, string) {
 		db := newSPDatabase(t, QueryModification, 200)
-		if _, err := db.QueryViewPlan("v", nil, PlanSequential); err != nil {
+		if _, err := queryPlan(db, "v", nil, PlanSequential); err != nil {
 			t.Fatal(err)
 		}
 		return db, "v"
@@ -623,7 +623,7 @@ func TestOperatorStatsMatchMeter(t *testing.T) {
 		db := newSPDatabase(t, QueryModification, 200)
 		check(t, db, func() {
 			for _, plan := range []QueryPlan{PlanClustered, PlanSequential} {
-				if _, err := db.QueryViewPlan("v", nil, plan); err != nil {
+				if _, err := queryPlan(db, "v", nil, plan); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -633,7 +633,7 @@ func TestOperatorStatsMatchMeter(t *testing.T) {
 	t.Run("sp-unclustered", func(t *testing.T) {
 		db := newUnclusteredSPDatabase(t, 200)
 		check(t, db, func() {
-			if _, err := db.QueryViewPlan("v", nil, PlanUnclustered); err != nil {
+			if _, err := queryPlan(db, "v", nil, PlanUnclustered); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // This file is the planner half of the planner/executor split: the
@@ -41,21 +42,21 @@ const (
 )
 
 // runTree executes an operator tree to completion, capturing the plan
-// and the meter delta spanning the run. keep retains the produced rows
-// (query paths); maintenance paths discard them as they stream.
-// The capture is taken even when execution fails, so a partial plan is
-// still inspectable.
-func (db *Database) runTree(root exec.Operator, keep bool) (*exec.PlanNode, storage.Stats, []exec.Row, error) {
+// and the meter delta spanning the run. keep retains the produced
+// batches (query paths and the shared feed build); maintenance paths
+// discard them as they stream. The capture is taken even when execution
+// fails, so a partial plan is still inspectable.
+func (db *Database) runTree(root exec.Operator, keep bool) (*exec.PlanNode, storage.Stats, []*vec.Batch, error) {
 	before := db.meter.Snapshot()
-	var rows []exec.Row
+	var batches []*vec.Batch
 	var err error
 	if keep {
-		rows, err = exec.Drain(root)
+		batches, err = exec.Drain(root)
 	} else {
 		err = exec.Run(root)
 	}
 	delta := db.meter.Snapshot().Sub(before)
-	return exec.Capture(root), delta, rows, err
+	return exec.Capture(root), delta, batches, err
 }
 
 // recordPlan retains a capture as the view's last executed plan on the

@@ -8,6 +8,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/relation"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // QueryPlan selects the access path for query-modification execution
@@ -55,19 +56,50 @@ type ResultRow struct {
 	Vals []tuple.Value
 }
 
+// Answer is a select-project or join view's answer in the executor's
+// column lanes: Cols holds one dense column per output column of the
+// view, N cells each. A string cell owns its bytes (the scans copy them
+// out of the page image), so an answer stays valid after the read that
+// made it has released the engine.
+type Answer struct {
+	N    int
+	Cols []vec.Col
+}
+
+// Rows gathers the answer into rows, each row's values carved out of one
+// flat array filled column by column.
+func (a Answer) Rows() []ResultRow {
+	w := len(a.Cols)
+	flat := make([]tuple.Value, a.N*w)
+	for c := 0; c < w && a.N > 0; c++ {
+		a.Cols[c].GatherValues(flat[c:], w, nil)
+	}
+	out := make([]ResultRow, a.N)
+	for i := range out {
+		if w > 0 {
+			out[i].Vals = flat[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	return out
+}
+
 // QueryView answers a query against the view restricted to rg over the
 // view's clustering column (nil = whole view), using the view's default
 // plan for query modification.
 func (db *Database) QueryView(name string, rg *pred.Range) ([]ResultRow, error) {
-	ans, err := db.read(name, "QueryView", rg, nil)
-	return ans.rows, err
+	ans, err := db.QueryViewLanes(name, rg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ans.Rows(), nil
 }
 
-// QueryViewPlan is QueryView with an explicit query-modification plan
-// (ignored for materialized strategies).
-func (db *Database) QueryViewPlan(name string, rg *pred.Range, plan QueryPlan) ([]ResultRow, error) {
-	ans, err := db.read(name, "QueryView", rg, &plan)
-	return ans.rows, err
+// QueryViewLanes is QueryView answering in lanes, with an explicit
+// query-modification plan (nil: the view's default; ignored for
+// materialized strategies).
+func (db *Database) QueryViewLanes(name string, rg *pred.Range, plan *QueryPlan) (Answer, error) {
+	ans, err := db.read(name, "QueryView", rg, plan)
+	return ans.lanes, err
 }
 
 // QueryAggregate returns the current value of an aggregate view; ok is
@@ -81,8 +113,8 @@ func (db *Database) QueryAggregate(name string) (value float64, ok bool, err err
 
 // viewAnswer is one read's answer; a query method takes its kind's part.
 type viewAnswer struct {
-	rows   []ResultRow // SelectProject, Join
-	value  float64     // Aggregate
+	lanes  Answer  // SelectProject, Join
+	value  float64 // Aggregate
 	ok     bool
 	groups []GroupRow // GroupedAggregate
 }
@@ -131,8 +163,8 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 			return err
 		}
 		// The folds leave their answer in p; the other trees answer with
-		// the rows they produce.
-		node, delta, rows, err := db.runTree(p.root, p.state == nil && p.groups == nil)
+		// the batches they produce.
+		node, delta, batches, err := db.runTree(p.root, p.state == nil && p.groups == nil)
 		db.recordPlan(vs, PlanPathQuery, node, delta)
 		if err != nil {
 			return err
@@ -142,10 +174,17 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 			ans.value, ans.ok = p.state.Value()
 		case p.groups != nil:
 			ans.groups = groupRows(p.groups.sorted())
-		case kind == GroupedAggregate:
-			ans.groups = groupRows(storedGroups(vs.def.AggKind, rows))
 		default:
-			ans.rows = resultRows(rows, vs.row().stores)
+			stored := vs.row().stores
+			a, err := answerOf(name, batches, stored, stored && kind != GroupedAggregate)
+			if err != nil {
+				return err
+			}
+			if kind == GroupedAggregate {
+				ans.groups = groupRows(storedGroups(vs.def.AggKind, a))
+			} else {
+				ans.lanes = a
+			}
 		}
 		return nil
 	})
@@ -154,9 +193,34 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 	case kind == Aggregate:
 		db.observeViewQuery(vs, 1)
 	default:
-		db.observeViewQuery(vs, len(ans.rows))
+		db.observeViewQuery(vs, ans.lanes.N)
 	}
 	return ans, err
+}
+
+// answerOf gathers a read tree's batches into its answer's lanes. A
+// stored copy answers with slot 0, a derived view with its projection
+// (slot 0 when none ran). With byDup a stored row stands for Dup logical
+// duplicates (§2.1) and is expanded, so materialized and query-modified
+// answers agree as multisets.
+func answerOf(view string, batches []*vec.Batch, stored, byDup bool) (Answer, error) {
+	var a Answer
+	var idx []int
+	for _, b := range batches {
+		src := b.Slots[0]
+		if !stored && b.HasOut() {
+			src = b.Out
+		}
+		if a.Cols == nil {
+			a.Cols = make([]vec.Col, len(src))
+		} else if len(src) != len(a.Cols) {
+			return Answer{}, fmt.Errorf("core: view %q answered rows of %d and of %d columns", view, len(a.Cols), len(src))
+		}
+		var n int
+		n, idx = b.AppendLive(a.Cols, src, byDup, idx)
+		a.N += n
+	}
+	return a, nil
 }
 
 // planRead picks a read's cell of readTable. A select-project query's
@@ -186,24 +250,6 @@ func (db *Database) planRead(vs *viewState, rg *pred.Range, plan *QueryPlan) (*d
 		}
 	}
 	return db.derive(vs, d)
-}
-
-// resultRows gathers a tree's output rows as query results. A stored
-// row stands for Dup logical duplicates (§2.1); expand so materialized
-// and query-modified results agree as multisets.
-func resultRows(rows []exec.Row, stored bool) []ResultRow {
-	out := make([]ResultRow, 0, len(rows))
-	for i := range rows {
-		row := &rows[i]
-		vals, dup := row.Vals, int64(1)
-		if stored {
-			vals, dup = row.T0.Vals, row.Dup
-		}
-		for ; dup > 0; dup-- {
-			out = append(out, ResultRow{Vals: vals})
-		}
-	}
-	return out
 }
 
 // matRead plans a read of the stored rows through a MatScan→Screen

@@ -208,10 +208,11 @@ func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
 		}
 		return nil
 	}
-	buildNode, buildDelta, rows, err := db.runTree(db.feedSource(f, views), true)
+	buildNode, buildDelta, batches, err := db.runTree(db.feedSource(f, views), true)
 	if err != nil {
 		return err
 	}
+	rows := exec.LiveRows(batches)
 	leader := views[0].def.Name
 	for i, vs := range views {
 		tree, err := db.applyTree(vs, exec.NewSharedDeltaScan(db.execOpts(), f.fp, rows))

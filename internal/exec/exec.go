@@ -251,15 +251,16 @@ func (p *rowPacker) next() *vec.Batch {
 	return b
 }
 
-// Drain opens root, pulls it dry, closes it, and returns every live
-// row produced, gathered back to row form. The first error aborts the
-// drain (after closing).
-func Drain(root Operator) ([]Row, error) {
+// Drain opens root, pulls it dry, closes it, and returns every batch
+// produced that holds a live row, as produced: columns, selection and
+// side lanes untouched. The first error aborts the drain (after
+// closing).
+func Drain(root Operator) ([]*vec.Batch, error) {
 	if err := root.Open(); err != nil {
 		root.Close()
 		return nil, err
 	}
-	var out []Row
+	var out []*vec.Batch
 	for {
 		b, err := root.NextBatch()
 		if err != nil {
@@ -269,9 +270,21 @@ func Drain(root Operator) ([]Row, error) {
 		if b == nil {
 			break
 		}
-		out = appendLiveRows(out, b)
+		if b.LiveCount() > 0 {
+			out = append(out, b)
+		}
 	}
 	return out, root.Close()
+}
+
+// LiveRows gathers the live rows of batches back to row form, for the
+// callers that act on whole rows.
+func LiveRows(batches []*vec.Batch) []Row {
+	var out []Row
+	for _, b := range batches {
+		out = appendLiveRows(out, b)
+	}
+	return out
 }
 
 // Run drains root discarding rows — for maintenance pipelines whose

@@ -7,7 +7,13 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
+
+// gathered is Drain's answer gathered back to rows.
+func gathered(batches []*vec.Batch, err error) ([]Row, error) {
+	return LiveRows(batches), err
+}
 
 func tp(id uint64, vals ...int64) tuple.Tuple {
 	t := tuple.Tuple{ID: id}
@@ -19,7 +25,7 @@ func tp(id uint64, vals ...int64) tuple.Tuple {
 
 func TestDeltaSourcePolarityAndOrder(t *testing.T) {
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 10), tp(2, 20)}, []tuple.Tuple{tp(3, 30)})
-	rows, err := Drain(src)
+	rows, err := gathered(Drain(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +55,7 @@ func TestFilterChargesOneScreenPerInputRow(t *testing.T) {
 		o := Options{Meter: m, BatchSize: bs}
 		src := NewDeltaSource(o, "r", []tuple.Tuple{tp(1, 5), tp(2, 15), tp(3, 25)}, nil)
 		f := NewFilter(o, "keep>10", src, Pred{Fn: func(r Row) bool { return r.T0.Vals[0].Int() > 10 }}, true)
-		rows, err := Drain(f)
+		rows, err := gathered(Drain(f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +85,7 @@ func TestVectorizedFilterMatchesRowSemantics(t *testing.T) {
 	for mode, bs := range map[int]int{0: 0, 1: 1} {
 		src := NewDeltaSource(Options{BatchSize: bs}, "r", mixed, nil)
 		f := NewFilter(Options{BatchSize: bs}, "p", src, Pred{P: p}, false)
-		rows, err := Drain(f)
+		rows, err := gathered(Drain(f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +174,7 @@ func TestMergePendingCancelsAndAppends(t *testing.T) {
 		func(t tuple.Tuple) []tuple.Value { return t.Vals },
 		func(vals []tuple.Value) string { return tuple.Tuple{Vals: vals}.ValueKey() },
 	)
-	rows, err := Drain(mp)
+	rows, err := gathered(Drain(mp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func TestCrossDeltasEmitsInsertThenDeletePairs(t *testing.T) {
 		[]tuple.Tuple{tp(1, 5)}, []tuple.Tuple{tp(2, 5), tp(3, 6)},
 		[]tuple.Tuple{tp(4, 6)}, []tuple.Tuple{tp(5, 6)},
 		0, 0, nil)
-	rows, err := Drain(cd)
+	rows, err := gathered(Drain(cd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +221,7 @@ func TestMatchDeltasFlatScreensAndPolarity(t *testing.T) {
 	md := NewMatchDeltas(o, outer,
 		[]tuple.Tuple{tp(2, 7)}, []tuple.Tuple{tp(3, 7), tp(4, 8)},
 		func(r Row) tuple.Value { return r.T0.Vals[0] }, 0, nil, 5)
-	rows, err := Drain(md)
+	rows, err := gathered(Drain(md))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +277,7 @@ func TestDeltaApplyStopsAtFirstError(t *testing.T) {
 func TestProjectColsGathersFromSlots(t *testing.T) {
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 10, 11), tp(2, 20, 21)}, nil)
 	p := NewProjectCols(Options{}, "v", src, [][2]int{{0, 1}, {0, 0}})
-	rows, err := Drain(p)
+	rows, err := gathered(Drain(p))
 	if err != nil {
 		t.Fatal(err)
 	}

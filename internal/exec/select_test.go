@@ -116,7 +116,7 @@ func runSelect(t *testing.T, rel *relation.Relation, o Options, full *pred.P, pu
 		scan = NewSeqScanPruned(o, rel, PruneAtoms(pred.New(pushed...), nil, 0))
 	}
 	f := NewFilter(o, "sel", scan, Pred{P: full}, true)
-	rows, err := Drain(f)
+	rows, err := gathered(Drain(f))
 	if err != nil {
 		t.Fatal(err)
 	}

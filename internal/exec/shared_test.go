@@ -41,7 +41,7 @@ func TestSharedDeltaScanReplaysRowsUncharged(t *testing.T) {
 
 	// Two consecutive consumers replay the same rows (Open resets).
 	for pass := 0; pass < 2; pass++ {
-		got, err := Drain(s)
+		got, err := gathered(Drain(s))
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}

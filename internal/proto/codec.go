@@ -41,11 +41,9 @@ func WriteRequest(w io.Writer, req *Request) error {
 // too large for one frame fails with frame.ErrTooLarge before anything
 // is written.
 func WriteResponse(w io.Writer, resp *Response) error {
-	size := 256
-	if len(resp.Rows) > 0 {
-		// Room for two-byte cells; append grows it for wider ones.
-		size += 2 * len(resp.Rows) * len(resp.Rows[0])
-	}
+	// Room for two-byte cells; append grows it for wider ones.
+	rows, cols := resp.answerShape()
+	size := 256 + 2*rows*cols
 	payload, err := encode(size, resp, codeResponse)
 	if err != nil {
 		return fmt.Errorf("proto: encoding response: %w", err)
@@ -170,9 +168,10 @@ func codeBody(c *tuple.Coder, resp *Response) {
 			if resp.Rows = rows; err != nil {
 				c.Fail("%v", err)
 			}
-		} else if len(resp.Rows) > 0 && len(resp.Rows)*max(len(resp.Rows[0]), 1) > maxCells {
-			c.Fail("%w: result of %d rows × %d columns exceeds %d cells",
-				frame.ErrTooLarge, len(resp.Rows), len(resp.Rows[0]), maxCells)
+		} else if rows, cols := resp.answerShape(); rows*max(cols, 1) > maxCells {
+			c.Fail("%w: result of %d rows × %d columns exceeds %d cells", frame.ErrTooLarge, rows, cols, maxCells)
+		} else if resp.Lanes != nil {
+			c.Append(func(b []byte) ([]byte, error) { return colpage.AppendLanes(b, resp.Lanes.N, resp.Lanes.Cols) })
 		} else {
 			c.Append(func(b []byte) ([]byte, error) { return colpage.AppendRows(b, resp.Rows) })
 		}
@@ -196,6 +195,18 @@ func codeBody(c *tuple.Coder, resp *Response) {
 	default:
 		c.Fail("unknown body kind %d", uint8(resp.Body))
 	}
+}
+
+// answerShape is the rows × columns of the query answer the encoder
+// writes: Lanes when set, else Rows.
+func (resp *Response) answerShape() (rows, cols int) {
+	switch {
+	case resp.Lanes != nil:
+		return resp.Lanes.N, len(resp.Lanes.Cols)
+	case len(resp.Rows) > 0:
+		return len(resp.Rows), len(resp.Rows[0])
+	}
+	return 0, 0
 }
 
 // codeHealth walks a Health answer: six 8-byte ints (relations, views,

@@ -37,7 +37,8 @@ const MaxFrame = 1 << 24
 // maxCells caps rows × columns of a query answer — as many cells as a
 // frame could carry as plain 8-byte integers. The frame size alone
 // does not bound it: a constant column's lane stands for 65 535 cells
-// in ten bytes.
+// in ten bytes. The encoder holds an answer to it too, so the server
+// never sends a row set its client must refuse.
 const maxCells = MaxFrame / 8
 
 // ErrDecode marks bytes that arrived in a valid frame but do not
@@ -206,9 +207,16 @@ type Response struct {
 	// update op, in op order.
 	IDs []uint64
 
-	// Rows is OpQueryView's result. Decoded rows slice one flat value
-	// array.
+	// Rows is OpQueryView's result as rows: what the decoder builds, each
+	// row slicing one flat value array, and what a caller holding rows
+	// hands the encoder.
 	Rows [][]tuple.Value
+
+	// Lanes, when non-nil, is OpQueryView's result as the engine answers
+	// it, in column lanes; the encoder writes it in place of Rows, to the
+	// same bytes the same rows in Rows would make. Only the encoder reads
+	// it.
+	Lanes *core.Answer
 
 	// Agg and AggOK are OpQueryAggregate's result (AggOK false = the
 	// aggregate is undefined, e.g. AVG over the empty set).

@@ -11,6 +11,39 @@ import (
 	"viewmat/internal/tuple"
 )
 
+// BenchmarkWideMat is the system benchmark's wide-mat workload in one
+// process, the read path's profile target: two clients over loopback,
+// each issuing 1 000-row range reads of the Immediate Model-1 view of a
+// 20 000-row relation at ranges spread over the view.
+func BenchmarkWideMat(b *testing.B) {
+	const n, clients = 20000, 2
+	_, addr := startServer(b, wideMat(b, n), Config{})
+	conns := make([]*client.Client, clients)
+	for i := range conns {
+		conns[i] = dialClient(b, addr)
+	}
+	var wg sync.WaitGroup
+	per := b.N/clients + 1
+	b.ResetTimer()
+	for i, c := range conns {
+		wg.Add(1)
+		go func(i int, c *client.Client) {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				lo := int64((i*per+j)*7919) % (n/2 - 1000)
+				rows, err := c.QueryView("v1", wideRange(lo).Range)
+				if err != nil || len(rows) != 1000 {
+					b.Errorf("client %d: %d rows, %v", i, len(rows), err)
+					return
+				}
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(per*clients)/b.Elapsed().Seconds(), "req/s")
+}
+
 // BenchmarkServerThroughput measures end-to-end request throughput
 // through the socket layer — framing, codec, admission, engine — for a
 // mixed read workload, contrasting one connection against sixteen.

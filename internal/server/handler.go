@@ -5,7 +5,6 @@ import (
 
 	"viewmat/internal/core"
 	"viewmat/internal/proto"
-	"viewmat/internal/tuple"
 )
 
 // process executes one admitted request against the engine. Handler
@@ -52,21 +51,16 @@ func (s *Server) process(req *proto.Request) (resp *proto.Response) {
 		return s.processCommit(req)
 
 	case proto.OpQueryView:
-		var rows []core.ResultRow
-		var err error
-		if req.Plan < 0 {
-			rows, err = s.db.QueryView(req.Name, req.Range)
-		} else {
-			rows, err = s.db.QueryViewPlan(req.Name, req.Range, core.QueryPlan(req.Plan))
+		var plan *core.QueryPlan // nil: the view's default
+		if req.Plan >= 0 {
+			p := core.QueryPlan(req.Plan)
+			plan = &p
 		}
+		ans, err := s.db.QueryViewLanes(req.Name, req.Range, plan)
 		if err != nil {
 			return engineError(err)
 		}
-		out := make([][]tuple.Value, len(rows))
-		for i, r := range rows {
-			out[i] = r.Vals
-		}
-		return &proto.Response{Code: proto.CodeOK, Body: proto.BodyRows, Rows: out}
+		return &proto.Response{Code: proto.CodeOK, Body: proto.BodyRows, Lanes: &ans}
 
 	case proto.OpQueryAggregate:
 		v, ok, err := s.db.QueryAggregate(req.Name)

@@ -126,7 +126,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 			} else {
 				rg := pred.NewRange(tuple.I(op.QueryLo), tuple.I(op.QueryHi), true, true)
-				if _, err := db.QueryViewPlan(viewName, rg, cfg.Plan); err != nil {
+				if _, err := db.QueryViewLanes(viewName, rg, &cfg.Plan); err != nil {
 					return nil, err
 				}
 			}

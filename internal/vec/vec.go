@@ -578,6 +578,46 @@ func (b *Batch) OutAt(i int) []tuple.Value {
 	return vals
 }
 
+// AppendLive appends the batch's live rows of src — its Out columns or
+// one slot's — onto dst, column c onto dst[c], lane to lane, and returns
+// how many rows it appended. Each row goes once or, with byDup, Dup times
+// (a stored row standing for its duplicates; a count of 0 appends none).
+// idx is scratch for the row indexes and comes back for the next call.
+func (b *Batch) AppendLive(dst, src []Col, byDup bool, idx []int) (int, []int) {
+	rows, n, all := b.Sel, b.LiveCount(), b.Sel == nil
+	if byDup && !b.liveOnce() {
+		idx = idx[:0]
+		for k := 0; k < b.LiveCount(); k++ {
+			i := b.LiveIndex(k)
+			for d := b.DupAt(i); d > 0; d-- {
+				idx = append(idx, i)
+			}
+		}
+		rows, n, all = idx, len(idx), false
+	}
+	for c := range src {
+		if all {
+			dst[c].AppendRange(&src[c], 0, b.n)
+		} else {
+			dst[c].AppendRows(&src[c], rows)
+		}
+	}
+	return n, idx
+}
+
+// liveOnce reports whether every live row's duplicate count is 1.
+func (b *Batch) liveOnce() bool {
+	if b.Dup == nil {
+		return b.LiveCount() == 0
+	}
+	for k := 0; k < b.LiveCount(); k++ {
+		if b.Dup[b.LiveIndex(k)] != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // InsertAt returns row i's delta polarity.
 func (b *Batch) InsertAt(i int) bool { return b.Insert != nil && b.Insert[i] }
 
