@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"viewmat/internal/colpage"
@@ -26,10 +27,10 @@ import (
 
 const pageInternal = 2
 
-// leafPages are the type bytes of a leaf, which is a colpage data page:
+// leafPages is the type byte of a leaf, which is a colpage data page:
 // the codec, the page→lanes decode and the leaf directory live there,
 // shared with hashidx's chain pages.
-var leafPages = colpage.PageTypes{Row: 1, Col: 4}
+const leafPages colpage.PageType = 4
 
 // leafNode is the decoded form of a leaf page.
 type leafNode = colpage.DataPage
@@ -162,12 +163,11 @@ func decodeKey(src []byte) (key, int, error) {
 
 func keySize(k key) int { return tuple.ValueSize(k.val) + 8 }
 
-// encodeLeaf writes the leaf over the frame's bytes under the disk's
-// layout policy, and records its link and zone maps in the directory. The
-// capacity decision (split/no-split) was already made by the caller
-// against the row-encoded size.
+// encodeLeaf writes the leaf over the frame's bytes and records its link
+// and zone maps in the directory. The caller has checked that it fits
+// (leafNode.Size).
 func (t *Tree) encodeLeaf(fr *storage.Frame, n *leafNode) {
-	t.dir.Encode(fr.PageNum(), fr.Data, n, t.pool.PageLayout())
+	t.dir.Encode(fr.PageNum(), fr.Data, n)
 }
 
 // internal layout: [1 type][2 count=children][4 child0][key1][4 child1]...
@@ -190,7 +190,12 @@ func encodeInternal(page []byte, n *internalNode) {
 	}
 }
 
+// internalSize is the encoded size of an internal page; one of more
+// children than its 16-bit count holds fits no page.
 func internalSize(n *internalNode) int {
+	if len(n.children) > math.MaxUint16 {
+		return math.MaxInt
+	}
 	sz := internalHeader + 4
 	for _, sep := range n.seps {
 		sz += keySize(sep) + 4
@@ -316,7 +321,7 @@ func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 		leaf := false
 		var child storage.PageNum
 		err := t.file.View(pn, func(page []byte) error {
-			if leaf = leafPages.Has(page[0]); leaf {
+			if leaf = page[0] == byte(leafPages); leaf {
 				return nil
 			}
 			var err error
@@ -353,7 +358,7 @@ func (t *Tree) descend(k, alt *key) (leafPN storage.PageNum, together bool, err 
 		leaf := false
 		var child storage.PageNum
 		err := t.pool.Read(t.file, pn, func(page []byte) error {
-			if leaf = leafPages.Has(page[0]); leaf {
+			if leaf = page[0] == byte(leafPages); leaf {
 				return nil
 			}
 			var same bool
@@ -386,103 +391,129 @@ func leafFind(leaf *leafNode, k key, keyCol int) (int, bool) {
 // Insert adds a tuple. Duplicate (value, id) pairs are rejected: ids
 // are unique engine-wide, so a collision indicates a bug upstream.
 func (t *Tree) Insert(tp tuple.Tuple) error {
-	if colpage.DataPageHeader+tp.EncodedSize() > t.pool.PageSize() {
+	if !colpage.FitsAlone(tp, t.pool.PageSize()) {
 		return fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), t.pool.PageSize())
 	}
 	k := keyOf(tp, t.keyCol)
-	sep, newChild, split, err := t.insertAt(t.root, tp, k)
-	if err != nil {
-		return err
-	}
-	if split {
-		// Grow a new root.
-		fr, err := t.pool.Alloc(t.file)
+	for placed := false; !placed; {
+		sep, newChild, split, ok, err := t.insertAt(t.root, tp, k)
 		if err != nil {
 			return err
 		}
-		root := &internalNode{children: []storage.PageNum{t.root, newChild}, seps: []key{sep}}
-		encodeInternal(fr.Data, root)
-		fr.MarkDirty()
-		rootPN := fr.PageNum() // read before the Release: the frame may be recycled
-		if err := t.pool.Release(fr); err != nil {
-			return err
+		placed = ok
+		if split {
+			// Grow a new root.
+			fr, err := t.pool.Alloc(t.file)
+			if err != nil {
+				return err
+			}
+			root := &internalNode{children: []storage.PageNum{t.root, newChild}, seps: []key{sep}}
+			encodeInternal(fr.Data, root)
+			fr.MarkDirty()
+			rootPN := fr.PageNum() // read before the Release: the frame may be recycled
+			if err := t.pool.Release(fr); err != nil {
+				return err
+			}
+			t.root = rootPN
+			t.height++
 		}
-		t.root = rootPN
-		t.height++
 	}
 	t.count++
 	return nil
 }
 
 // insertAt inserts tp into the subtree rooted at pn and reports the
-// separator and right sibling a split of pn leaves for its parent. The
-// way down routes on each internal page in place; only a split decodes
-// one (insertSep).
-func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage.PageNum, bool, error) {
+// separator and right sibling a split of pn leaves for its parent, and
+// whether tp was placed: a leaf split that could not place it leaves the
+// caller to insert it again (insertLeaf). The way down routes on each
+// internal page in place; only a split decodes one (insertSep).
+func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, right storage.PageNum, split, placed bool, err error) {
 	leaf := false
 	var child storage.PageNum
 	if err := t.pool.Read(t.file, pn, func(page []byte) error {
-		if leaf = leafPages.Has(page[0]); leaf {
+		if leaf = page[0] == byte(leafPages); leaf {
 			return nil
 		}
 		var err error
 		child, _, err = route(page, &k, nil)
 		return err
 	}); err != nil {
-		return key{}, 0, false, err
+		return key{}, 0, false, false, err
 	}
 	if leaf {
 		return t.insertLeaf(pn, tp, k)
 	}
-	sep, newChild, split, err := t.insertAt(child, tp, k)
-	if err != nil || !split {
-		return key{}, 0, false, err
+	if sep, right, split, placed, err = t.insertAt(child, tp, k); err != nil || !split {
+		return key{}, 0, false, placed, err
 	}
-	return t.insertSep(pn, sep, newChild)
+	sep, right, split, err = t.insertSep(pn, sep, right)
+	return sep, right, split, placed, err
 }
 
-// insertLeaf inserts tp into leaf pn, splitting it when tp does not fit.
-func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (key, storage.PageNum, bool, error) {
+// insertLeaf inserts tp into leaf pn, splitting it when tp does not fit:
+// in the middle, or at the cut nearest it where both halves fit. When no
+// cut does — tp fits beside neither of its neighbours — the leaf splits
+// at tp's place without it, and tp is left unplaced: inserted again, it
+// lands last on the left half, which then splits it off.
+func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, right storage.PageNum, split, placed bool, err error) {
 	fr, err := t.pool.Get(t.file, pn)
 	if err != nil {
-		return key{}, 0, false, err
+		return key{}, 0, false, false, err
 	}
 	leaf, err := leafPages.DecodePage(fr.Data)
 	if err != nil {
 		t.pool.Release(fr)
-		return key{}, 0, false, err
+		return key{}, 0, false, false, err
 	}
 	idx, dup := leafFind(leaf, k, t.keyCol)
 	if dup {
 		t.pool.Release(fr)
-		return key{}, 0, false, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
+		return key{}, 0, false, false, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
 	}
 	leaf.Tuples = slices.Insert(leaf.Tuples, idx, tp)
 	if leaf.Size() <= len(fr.Data) {
 		t.encodeLeaf(fr, leaf)
 		fr.MarkDirty()
-		return key{}, 0, false, t.pool.Release(fr)
+		return key{}, 0, false, true, t.pool.Release(fr)
 	}
-	// Split: right sibling takes the upper half.
-	mid := len(leaf.Tuples) / 2
-	right := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Tuples: append([]tuple.Tuple(nil), leaf.Tuples[mid:]...)}
+	mid, placed := splitPoint(leaf.Tuples, len(fr.Data))
+	if !placed {
+		leaf.Tuples, mid = slices.Delete(leaf.Tuples, idx, idx+1), idx
+	}
+	sib := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Tuples: append([]tuple.Tuple(nil), leaf.Tuples[mid:]...)}
 	leaf.Tuples = leaf.Tuples[:mid]
 	rfr, err := t.pool.Alloc(t.file)
 	if err != nil {
 		t.pool.Release(fr)
-		return key{}, 0, false, err
+		return key{}, 0, false, false, err
 	}
 	leaf.Next, leaf.HasNext = rfr.PageNum(), true
-	t.encodeLeaf(rfr, right)
+	t.encodeLeaf(rfr, sib)
 	rfr.MarkDirty()
 	t.encodeLeaf(fr, leaf)
 	fr.MarkDirty()
-	sep := keyOf(right.Tuples[0], t.keyCol)
+	sep = keyOf(sib.Tuples[0], t.keyCol)
 	if err := t.pool.Release(rfr); err != nil {
 		t.pool.Release(fr)
-		return key{}, 0, false, err
+		return key{}, 0, false, false, err
 	}
-	return sep, leaf.Next, true, t.pool.Release(fr)
+	return sep, leaf.Next, true, placed, t.pool.Release(fr)
+}
+
+// splitPoint returns where to cut tuples, too many for one page of
+// pageSize bytes, so that both halves fit: in the middle if it can, else
+// at the cut nearest it; false when no cut fits both.
+func splitPoint(tuples []tuple.Tuple, pageSize int) (int, bool) {
+	fits := func(ts []tuple.Tuple) bool { return (&leafNode{Tuples: ts}).Size() <= pageSize }
+	mid := len(tuples) / 2
+	for d := 0; d < len(tuples); d++ {
+		for _, m := range [2]int{mid - d, mid + d} {
+			if m > 0 && m < len(tuples) && fits(tuples[:m]) && fits(tuples[m:]) {
+				return m, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // insertSep inserts (sep, newChild), a child's split, into internal page
@@ -596,24 +627,27 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 	old := leaf.Tuples[idx] // its values are the decode's own: nothing else holds them
 	leaf.Tuples = slices.Delete(leaf.Tuples, idx, idx+1)
 	t.count--
-	if together && leaf.Size()+tp.EncodedSize() <= len(fr.Data) {
+	if together {
 		if at, dup := leafFind(leaf, *nk, t.keyCol); !dup {
 			leaf.Tuples = slices.Insert(leaf.Tuples, at, *tp)
-			t.encodeLeaf(fr, leaf)
-			fr.MarkDirty()
-			// Delete then Insert would each release this leaf dirty, and
-			// under write-through each release writes it back: release it
-			// for the delete, then take it again, clean and resident (a hit),
-			// and release it dirty for the insert.
-			if err := t.pool.Release(fr); err != nil {
-				return tuple.Tuple{}, false, err
+			if leaf.Size() <= len(fr.Data) {
+				t.encodeLeaf(fr, leaf)
+				fr.MarkDirty()
+				// Delete then Insert would each release this leaf dirty, and
+				// under write-through each release writes it back: release it
+				// for the delete, then take it again, clean and resident (a
+				// hit), and release it dirty for the insert.
+				if err := t.pool.Release(fr); err != nil {
+					return tuple.Tuple{}, false, err
+				}
+				if fr, err = t.pool.Get(t.file, leafPN); err != nil {
+					return tuple.Tuple{}, false, err
+				}
+				fr.MarkDirty()
+				t.count++
+				return old, true, t.pool.Release(fr)
 			}
-			if fr, err = t.pool.Get(t.file, leafPN); err != nil {
-				return tuple.Tuple{}, false, err
-			}
-			fr.MarkDirty()
-			t.count++
-			return old, true, t.pool.Release(fr)
+			leaf.Tuples = slices.Delete(leaf.Tuples, at, at+1)
 		}
 	}
 	t.encodeLeaf(fr, leaf)

@@ -292,6 +292,61 @@ func TestOversizedTupleRejected(t *testing.T) {
 	}
 }
 
+// TestSplitFitsBothHalves: a leaf splits where both halves fit, however
+// unevenly its tuples are sized. The first script split [76, 3 869, 126]
+// in the middle, by count, and wrote 4 050 bytes of the right half over a
+// 4 000-byte frame. In the second the 3 900-byte string fits beside
+// neither neighbour, so the leaf splits three ways.
+func TestSplitFitsBothHalves(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		width  map[int64]int // key → the width of its string
+		order  []int64       // the keys in insertion order
+		leaves int
+	}{
+		{"uneven halves", map[int64]int{1: 76, 2: 3869, 3: 126}, []int64{1, 2, 3}, 3},
+		{"three ways", map[int64]int{1: 100, 2: 3900, 3: 100}, []int64{1, 3, 2}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, _ := newTestTree(t, 4000, 16)
+			for i, k := range c.order {
+				if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(k), tuple.S(strings.Repeat("s", c.width[k])))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, err := tr.ScanBatches(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := collect(t, it)
+			if len(got) != len(c.order) || tr.Len() != len(c.order) {
+				t.Fatalf("scan returned %d tuples, Len %d; want %d", len(got), tr.Len(), len(c.order))
+			}
+			for i, tp := range got {
+				if k := int64(i + 1); tp.Vals[0].Int() != k || len(tp.Vals[1].Str()) != c.width[k] {
+					t.Fatalf("position %d: key %v, %d bytes of string; want key %d, %d bytes", i, tp.Vals[0], len(tp.Vals[1].Str()), k, c.width[k])
+				}
+			}
+			if n := tr.LeafPages(); n != c.leaves {
+				t.Errorf("%d leaves, want %d", n, c.leaves)
+			}
+			if err := checkDirectory(tr); err != nil {
+				t.Fatal(err)
+			}
+			tr.pool.AssertUnpinned(t)
+		})
+	}
+}
+
+// TestInternalSizeCountsFitTheHeader: an internal page counts its
+// children in 16 bits, so a node of more fits no page.
+func TestInternalSizeCountsFitTheHeader(t *testing.T) {
+	n := &internalNode{children: make([]storage.PageNum, 1<<16), seps: make([]key, 1<<16-1)}
+	if sz := internalSize(n); sz <= 4<<20 {
+		t.Fatalf("%d children: size %d admits a 4 MiB page", len(n.children), sz)
+	}
+}
+
 func TestStringKeys(t *testing.T) {
 	d := storage.NewDisk(256)
 	p := storage.NewPool(d, storage.NewMeter(), 64)

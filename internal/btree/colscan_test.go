@@ -171,9 +171,9 @@ func TestScanBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	}
 }
 
-// TestScanBatchesRangePruneEquivalence: a range scan ignores prune
-// atoms (pruning applies only to full scans) and must return exactly
-// the range under both layouts.
+// TestScanBatchesRangeIgnoresPrune: a range scan ignores prune atoms
+// (pruning applies only to full scans) and must return exactly the
+// range.
 func TestScanBatchesRangeIgnoresPrune(t *testing.T) {
 	tr, _, pool, _ := newColTree(t, 256, 64, 300)
 	rg := pred.NewRange(tuple.I(100), tuple.I(150), true, true)
@@ -192,47 +192,6 @@ func TestScanBatchesRangeIgnoresPrune(t *testing.T) {
 	pool.AssertUnpinned(t)
 }
 
-// TestScanBatchesRowLayout: the BatchIterator decodes row-major pages
-// through the same interface (mixed-layout files are legal), with no
-// pruning ever (row pages carry no zone maps) but the same row test as
-// a columnar leaf: the rows the atoms reject are dropped after decoding.
-func TestScanBatchesRowLayout(t *testing.T) {
-	d := storage.NewDisk(256)
-	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 64)
-	d.SetPageLayout(storage.PageLayoutRow)
-	tr, err := New(p, d.Open("t"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if err := tr.Insert(mk(uint64(i+1), int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	p.EvictAll()
-	it, err := tr.ScanBatches(nil, []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(10)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, dropped := drainBatches(t, it)
-	if it.Pruned() != 0 {
-		t.Errorf("row-layout scan pruned %d pages", it.Pruned())
-	}
-	if len(keys) != 10 || dropped != 290 {
-		t.Errorf("row-layout scan returned %d rows and dropped %d, want 10 and 290", len(keys), dropped)
-	}
-	for i, k := range keys {
-		if k != int64(i) {
-			t.Fatalf("key %d = %d out of order", i, k)
-		}
-	}
-	p.AssertUnpinned(t)
-}
-
 // TestScanBatchesRejectsHeaderCountMismatch: a columnar leaf whose
 // header row count disagrees with its chunk is corrupt, and the scan
 // must say so rather than trust the chunk (the codec's own table is
@@ -247,7 +206,7 @@ func TestScanBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Data[0] != leafPages.Col {
+	if fr.Data[0] != byte(leafPages) {
 		t.Fatalf("leftmost leaf has page type %d, want a columnar leaf", fr.Data[0])
 	}
 	binary.BigEndian.PutUint16(fr.Data[1:], binary.BigEndian.Uint16(fr.Data[1:])+1)

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,7 +46,8 @@ func restored(t *testing.T, tr *Tree, d *storage.Disk) *Tree {
 
 // TestRestoreRebuildsTheDirectoryWritersKept: the directory Open rebuilds
 // from a restored disk is the one the writers kept — over splits, deletes,
-// updates, string bounds that move, and leaves of both layouts.
+// updates, string bounds that move, and leaves written without their zone
+// maps.
 func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	d := storage.NewDisk(256)
 	tr, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("t"), 0)
@@ -53,15 +55,17 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 400; i++ {
-		if i == 300 {
-			d.SetPageLayout(storage.PageLayoutRow) // the rest of the writes leave row pages
-		}
 		k := i * 7919 % 400
-		if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(k), tuple.S(string(rune('a'+k%26))))); err != nil {
+		s := string(rune('a' + k%26))
+		if i >= 300 {
+			// Past every key, zone bounds of 40 bytes: three such rows
+			// fill a leaf, whose zone maps then do not fit it.
+			k, s = i+100, strings.Repeat(s, 35)
+		}
+		if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(k), tuple.S(s))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d.SetPageLayout(storage.PageLayoutCol)
 	for i := int64(0); i < 100; i++ {
 		k := i * 7919 % 400
 		if _, _, err := tr.Delete(tuple.I(k), uint64(i+1)); err != nil {
@@ -76,6 +80,19 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	}
 	if err := checkDirectory(tr); err != nil {
 		t.Fatal(err)
+	}
+	zoneless := 0
+	for pn := storage.PageNum(0); pn < tr.file.Extent(); pn++ {
+		_ = tr.file.View(pn, func(page []byte) error {
+			var z colpage.Zones
+			if page[0] == byte(leafPages) && colpage.ReadZones(page[colpage.DataPageHeader:], &z) == nil && z.Rows > 0 && !z.Cols[1].Present {
+				zoneless++
+			}
+			return nil
+		})
+	}
+	if zoneless == 0 {
+		t.Fatal("no leaf was written without its zone maps")
 	}
 	if err := restored(t, tr, d).dir.Diff(tr.dir); err != nil {
 		t.Errorf("rebuilt directory differs from the kept one: %v", err)
@@ -122,7 +139,7 @@ func TestRestoredLeafWithUnreadableZonesStopsTheWalk(t *testing.T) {
 	}
 	chunk := fr.Data[colpage.DataPageHeader:]
 	foot := binary.BigEndian.Uint32(chunk[4:])
-	if fr.Data[0] != leafPages.Col || chunk[foot]&1 == 0 {
+	if fr.Data[0] != byte(leafPages) || chunk[foot]&1 == 0 {
 		t.Fatalf("last leaf: type %d, first zone flags %d; want a columnar leaf with a zone", fr.Data[0], chunk[foot])
 	}
 	chunk[foot+1] = 0xEE

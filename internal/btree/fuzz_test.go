@@ -16,22 +16,37 @@ import (
 // slice-and-sort oracle. Keys are drawn from a narrow space so duplicate
 // key values (distinguished only by tuple id, the tree's tiebreak) are
 // common, and the 256-byte page size forces splits early. A leading byte
-// with its high bit set selects string keys of varying width, so the
-// internal pages' separators are variable-width and the in-place descent
-// compares strings where they lie; any other input is an int-keyed
-// script, which is what every input was before string keys (the first
-// three seeds run as they always did). After every op the leaf directory
-// the writers kept must equal one rebuilt from the flushed images.
+// with its high bit set is a mode byte: it selects string keys of varying
+// width, so the internal pages' separators are variable-width and the
+// in-place descent compares strings where they lie (int keys if bit 0x20
+// is set too), and with bit 0x40 payloads of 0 to 170 bytes, so a leaf
+// holds anything from one tuple to a dozen and a split must find a cut
+// where both halves fit. Any other input is an int-keyed script of short
+// payloads, which is what every input was before the mode byte (the
+// first three seeds run as they always did). After every op the leaf
+// directory the writers kept must equal one rebuilt from the flushed
+// images.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 1, 0, 3, 250, 0, 130, 2, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 0})
 	f.Add([]byte{3, 3, 2, 9})
 	f.Add([]byte{0x80, 0, 5, 0, 5, 0, 77, 0, 12, 0, 200, 4, 3, 5, 1, 0, 9, 3, 2, 2, 5})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 0, 4, 0, 5, 1, 3, 0, 1, 0})
+	f.Add([]byte{0xE0, 0, 1, 0, 169, 0, 3, 0, 2, 0, 160, 4, 7, 5, 1, 0, 255, 1, 0, 3, 0})
+	f.Add([]byte{0xC0, 0, 10, 0, 170, 0, 11, 6, 169, 4, 2, 5, 3, 7, 0, 0, 9, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strKeys := len(data) > 0 && data[0]&0x80 != 0
-		if strKeys {
+		var strKeys, wide bool
+		if len(data) > 0 && data[0]&0x80 != 0 {
+			strKeys, wide = data[0]&0x20 == 0, data[0]&0x40 != 0
 			data = data[1:]
+		}
+		// payload is the string a tuple carries for arg: short, unless
+		// the script is wide.
+		payload := func(prefix string, arg byte, short int) string {
+			if wide {
+				return prefix + strings.Repeat("x", int(arg)%171)
+			}
+			return prefix + strings.Repeat("x", short)
 		}
 		keyOfArg := func(arg byte) tuple.Value {
 			if strKeys {
@@ -97,7 +112,7 @@ func FuzzBTree(f *testing.F) {
 			data = data[2:]
 			switch op % 8 {
 			case 0, 6: // insert (dup-heavy key space)
-				r := rec{k: keyOfArg(arg), id: nextID, p: "p"}
+				r := rec{k: keyOfArg(arg), id: nextID, p: payload("p", arg, 0)}
 				nextID++
 				if err := tr.Insert(tuple.New(r.id, r.k, tuple.S(r.p))); err != nil {
 					t.Fatalf("insert %+v: %v", r, err)
@@ -141,7 +156,7 @@ func FuzzBTree(f *testing.F) {
 				}
 				j := int(arg) % len(live)
 				victim := live[j]
-				r := rec{k: keyOfArg(arg * 7), id: nextID, p: "u" + strings.Repeat("x", int(arg%9))}
+				r := rec{k: keyOfArg(arg * 7), id: nextID, p: payload("u", arg*13, int(arg%9))}
 				if op%8 == 5 {
 					r.k, r.id = victim.k, victim.id // a duplicate count rewritten
 				} else {

@@ -7,14 +7,13 @@
 // and per-column min/max zone maps.
 //
 // The chunk is deliberately capacity-neutral: access methods size and
-// split pages by the row-major encoded size regardless of layout, and a
-// chunk that will not fit in the page falls back to the row encoding
-// for that page. Both layouts therefore produce identical page counts
-// and identical metered I/O; the chunk's wins are decode speed (lanes
-// deserialize straight onto vec.Col lanes, one grow and one loop each,
-// with no intermediate tuples) and zone-map pruning (a scan can
-// disprove its predicate against the footer of an unread page and skip
-// it entirely).
+// split pages by the row-major encoded size plus the most a chunk can
+// spend beyond it (DataPage.Size), which is nothing on a full page of
+// short rows, so page counts and metered I/O are those of the paper's
+// tuples per page. The chunk's wins are decode speed (lanes deserialize
+// straight onto vec.Col lanes, one grow and one loop each, with no
+// intermediate tuples) and zone-map pruning (a scan can disprove its
+// predicate against the footer of an unread page and skip it entirely).
 //
 // Chunk wire format, all integers big-endian:
 //
@@ -26,10 +25,10 @@
 //	                                       flags&1; tuple value codec)
 //
 // The data page around the chunk — the header a B+-tree leaf and a hash
-// chain page share, with the chunk or row-major tuples as its payload —
-// is datapage.go. The value lanes double as the wire form of a query
-// answer: rows.go strings them, without id lane or footer, into a row
-// set that internal/proto ships and decodes straight to tuple.Values.
+// chain page share, with the chunk as its payload — is datapage.go. The
+// value lanes double as the wire form of a query answer: rows.go strings
+// them, without id lane or footer, into a row set that internal/proto
+// ships and decodes straight to tuple.Values.
 //
 // Every decode path is bounds-checked: corrupt or truncated chunks
 // return errors, never panic (see FuzzColPageCodec).
@@ -154,16 +153,17 @@ func (z *Zones) Prunable(atoms []Atom) bool {
 // --- encode --------------------------------------------------------------
 
 // Encode lays tuples out as a column chunk in dst (a page region),
-// returning the number of bytes used. It errors — without corrupting
-// dst's logical content, the caller overwrites on fallback — when the
-// chunk cannot be represented (mixed arity, too many rows) or does not
-// fit in len(dst); the caller then writes the row encoding instead.
-func Encode(dst []byte, tuples []tuple.Tuple) (int, error) { return encode(dst, tuples, nil) }
+// returning the number of bytes used. It errors — leaving dst's bytes
+// partly written — when the chunk cannot be represented (mixed arity,
+// too many rows) or does not fit in len(dst).
+func Encode(dst []byte, tuples []tuple.Tuple) (int, error) { return encode(dst, tuples, nil, true) }
 
 // encode is Encode, also handing z, when non-nil, the zone maps it writes
 // to the footer: what ReadZones would read back, with string bounds that
-// alias nothing of the tuples (ColZone.keep). After an error z is partial.
-func encode(dst []byte, tuples []tuple.Tuple, z *Zones) (int, error) {
+// alias nothing of the tuples (ColZone.keep). Without zones every footer
+// entry is absent (flags 0), which no column's bounds can outgrow. After
+// an error z is partial.
+func encode(dst []byte, tuples []tuple.Tuple, z *Zones, zones bool) (int, error) {
 	rows := len(tuples)
 	if rows > math.MaxUint16 {
 		return 0, fmt.Errorf("colpage: %d rows exceed chunk capacity", rows)
@@ -180,7 +180,7 @@ func encode(dst []byte, tuples []tuple.Tuple, z *Zones) (int, error) {
 	if cols > math.MaxUint16 {
 		return 0, fmt.Errorf("colpage: %d columns exceed chunk capacity", cols)
 	}
-	out := appendChunk(dst[:0:len(dst)], tuples, rows, cols, z)
+	out := appendChunk(dst[:0:len(dst)], tuples, rows, cols, z, zones)
 	if len(out) > len(dst) || (len(out) > 0 && len(dst) > 0 && &out[0] != &dst[0]) {
 		return 0, fmt.Errorf("colpage: chunk of %d bytes exceeds page region %d", len(out), len(dst))
 	}
@@ -189,9 +189,9 @@ func encode(dst []byte, tuples []tuple.Tuple, z *Zones) (int, error) {
 
 // appendChunk builds the chunk by appending to dst (which must start
 // empty at the chunk origin), handing z (when non-nil) the footer's zone
-// maps. The caller detects overflow by checking whether append
-// reallocated past dst's capacity.
-func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int, z *Zones) []byte {
+// maps, every one absent without zones. The caller detects overflow by
+// checking whether append reallocated past dst's capacity.
+func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int, z *Zones, zones bool) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	binary.BigEndian.PutUint16(dst[0:], uint16(rows))
 	binary.BigEndian.PutUint16(dst[2:], uint16(cols))
@@ -211,7 +211,10 @@ func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int, z *Zones) []b
 		z.Rows, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
 	}
 	for c := 0; c < cols; c++ {
-		cz := zoneOf(tuples, c)
+		var cz ColZone
+		if zones {
+			cz = zoneOf(tuples, c)
+		}
 		dst = appendZone(dst, cz)
 		if z != nil {
 			z.Cols[c].keep(cz)

@@ -3,6 +3,7 @@ package colpage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -13,29 +14,18 @@ import (
 // hash chain page both are, which the paper prices the same way (C2 per
 // data page) whichever access method owns it.
 //
-//	[1 type][2 count][4 next+1][payload]
+//	[1 type][2 count][4 next+1][column chunk]
 //
 // count is the number of tuples, next+1 the forward link (0 = none). The
-// type byte names the owner and the payload's layout: one column chunk
-// (Encode) or the tuples row-major (tuple.Encode), each access method
-// having its own byte for either. Which layout a page is written in
-// follows the disk's PageLayout at encode time; readers dispatch on the
-// type byte, so files of mixed layout work.
+// type byte names the owner; the payload is one column chunk (Encode).
 
 // DataPageHeader is the size of the fixed prefix before the payload.
 const DataPageHeader = 7
 
-// PageTypes is the pair of type bytes one access method writes its data
-// pages under. The values are in every checkpoint; every decode rejects
-// a page that carries neither.
-type PageTypes struct {
-	Row byte // payload is row-major encoded tuples
-	Col byte // payload is one column chunk
-}
-
-// Has reports whether typ marks a data page of this access method, in
-// either layout.
-func (pt PageTypes) Has(typ byte) bool { return typ == pt.Row || typ == pt.Col }
+// PageType is the type byte one access method writes its data pages
+// under. The values are in every checkpoint; every decode rejects a page
+// that carries another.
+type PageType byte
 
 // DataPage is the decoded form of a data page.
 type DataPage struct {
@@ -44,47 +34,71 @@ type DataPage struct {
 	Tuples  []tuple.Tuple
 }
 
-// Size returns the page's size in the row layout, which is what callers
-// split and overflow by under both layouts: page counts, and so metered
-// I/O, do not depend on the layout.
+// Size returns the bytes callers split and overflow the page by: the
+// tuples row-major (tuple.EncodedSize, the paper's S per tuple) plus the
+// most a column chunk of them can take beyond that (chunkSlack), so every
+// page a caller admits encodes (EncodePage). The slack is 0 on every page
+// of 2r ≥ 17 + 2c rows, so page counts are the row encoding's wherever
+// pages fill with short rows. A page of more tuples than the header's
+// 16-bit count holds fits no page.
 func (n *DataPage) Size() int {
-	sz := DataPageHeader
+	r := len(n.Tuples)
+	if r > math.MaxUint16 {
+		return math.MaxInt
+	}
+	sz, c := DataPageHeader, 0
 	for _, tp := range n.Tuples {
 		sz += tp.EncodedSize()
 	}
-	return sz
+	if r > 0 {
+		c = len(n.Tuples[0].Vals)
+	}
+	return sz + chunkSlack(r, c)
+}
+
+// FitsAlone reports whether a page holding tp alone fits pageSize bytes:
+// whether an access method can store tp at all.
+func FitsAlone(tp tuple.Tuple, pageSize int) bool {
+	return (&DataPage{Tuples: []tuple.Tuple{tp}}).Size() <= pageSize
+}
+
+// chunkSlack bounds how many bytes a chunk of r rows of c columns without
+// zone maps takes beyond the same rows row-major. Against the rows' ids,
+// arities and tagged cells, the chunk spends its header and the id lane's
+// FOR header (8 + 9), an encoding byte and a zone flag per column (2c),
+// and, on an int column of fewer than 9 rows, a FOR header (9) that can
+// outweigh the tag byte a row saves (9 − r); it saves at least the 2-byte
+// arity a row (−2r). Floats, strings and mixed lanes never take more than
+// their tagged cells.
+func chunkSlack(r, c int) int {
+	return max(0, 17+2*c-2*r+c*max(0, 9-r))
 }
 
 // EncodePage writes n, which the caller has checked fits (Size), over
-// page. A column chunk that does not fit — pathological strings can make
-// it larger than the rows — falls back to the row layout for this page.
-func (pt PageTypes) EncodePage(page []byte, n *DataPage, layout storage.PageLayout) {
-	pt.encodePage(page, n, layout, nil)
-}
+// page.
+func (pt PageType) EncodePage(page []byte, n *DataPage) { pt.encodePage(page, n, nil) }
 
-// encodePage is EncodePage, also handing z (when non-nil) the zone maps
-// of a columnar page, and reporting whether the page is one.
-func (pt PageTypes) encodePage(page []byte, n *DataPage, layout storage.PageLayout, z *Zones) (col bool) {
-	typ, off := pt.Row, DataPageHeader
-	if layout == storage.PageLayoutCol {
-		if used, err := encode(page[DataPageHeader:], n.Tuples, z); err == nil {
-			typ, off = pt.Col, DataPageHeader+used
-		}
+// encodePage is EncodePage, also handing z (when non-nil) the page's zone
+// maps. Zone bounds, up to two 40-byte values a column, are not in Size:
+// when the chunk with them does not fit, the page is written without
+// them (its columns never prune), which always fits. A page Size does not
+// admit, or of mixed arity, is a caller's bug and panics.
+func (pt PageType) encodePage(page []byte, n *DataPage, z *Zones) {
+	used, err := encode(page[DataPageHeader:], n.Tuples, z, true)
+	if err != nil {
+		used, err = encode(page[DataPageHeader:], n.Tuples, z, false)
 	}
-	if typ == pt.Row {
-		for _, tp := range n.Tuples {
-			off += len(tp.Encode(page[off:off]))
-		}
+	if err != nil {
+		panic(fmt.Sprintf("colpage: data page of size %d does not encode in %d bytes: %v", n.Size(), len(page), err))
 	}
-	page[0] = typ
+	page[0] = byte(pt)
 	binary.BigEndian.PutUint16(page[1:], uint16(len(n.Tuples)))
 	next := uint32(0)
 	if n.HasNext {
 		next = uint32(n.Next) + 1
 	}
 	binary.BigEndian.PutUint32(page[3:], next)
-	clear(page[off:])
-	return typ == pt.Col
+	clear(page[DataPageHeader+used:])
 }
 
 // PageLink reads a data page header's forward link.
@@ -97,12 +111,12 @@ func PageLink(page []byte) (next storage.PageNum, hasNext bool) {
 
 // rows validates the header — pages reach the engine from snapshot
 // files, i.e. from outside — and returns its tuple count.
-func (pt PageTypes) rows(page []byte) (int, error) {
+func (pt PageType) rows(page []byte) (int, error) {
 	if len(page) < DataPageHeader {
 		return 0, fmt.Errorf("colpage: data page of %d bytes", len(page))
 	}
-	if !pt.Has(page[0]) {
-		return 0, fmt.Errorf("colpage: page type %d is not a data page (type %d or %d)", page[0], pt.Row, pt.Col)
+	if page[0] != byte(pt) {
+		return 0, fmt.Errorf("colpage: page type %d is not a data page (type %d)", page[0], pt)
 	}
 	return int(binary.BigEndian.Uint16(page[1:])), nil
 }
@@ -113,31 +127,18 @@ func errHeaderCount(held, rows int) error {
 
 // DecodePage decodes a page to tuples — the path update operations
 // (decode, modify, re-encode) use.
-func (pt PageTypes) DecodePage(page []byte) (*DataPage, error) {
+func (pt PageType) DecodePage(page []byte) (*DataPage, error) {
 	rows, err := pt.rows(page)
 	if err != nil {
 		return nil, err
 	}
 	n := &DataPage{}
 	n.Next, n.HasNext = PageLink(page)
-	if page[0] == pt.Col {
-		if n.Tuples, err = DecodeTuples(page[DataPageHeader:]); err != nil {
-			return nil, fmt.Errorf("colpage: columnar data page: %w", err)
-		}
-		if len(n.Tuples) != rows {
-			return nil, errHeaderCount(len(n.Tuples), rows)
-		}
-		return n, nil
+	if n.Tuples, err = DecodeTuples(page[DataPageHeader:]); err != nil {
+		return nil, fmt.Errorf("colpage: columnar data page: %w", err)
 	}
-	n.Tuples = make([]tuple.Tuple, 0, rows+1) // room for an update's insert, as DecodeTuples leaves
-	off := DataPageHeader
-	for i := 0; i < rows; i++ {
-		tp, used, err := tuple.Decode(page[off:])
-		if err != nil {
-			return nil, fmt.Errorf("colpage: data page tuple %d: %w", i, err)
-		}
-		n.Tuples = append(n.Tuples, tp)
-		off += used
+	if len(n.Tuples) != rows {
+		return nil, errHeaderCount(len(n.Tuples), rows)
 	}
 	return n, nil
 }
@@ -173,45 +174,19 @@ var errMixedShape = fmt.Errorf("colpage: scan produced mixed-shape tuples")
 
 // appendPage decodes onto the lanes the rows of a page of rows tuples
 // (rows already validated) for which every atom holds, and returns how
-// many the atoms dropped. A columnar page goes through DecodeWhere, which
-// materializes no tuple and decodes only the survivors; a row page
-// decodes to tuples, is checked whole — one arity throughout, matching
-// what the lanes hold — and has its survivors gathered cell by cell, so
-// both layouts return the same rows. Lanes holding no rows take the
-// page's arity. After an error the lanes hold a partial append.
-func (pt PageTypes) appendPage(page []byte, rows int, atoms []Atom, l *Lanes) (int, error) {
-	if page[0] == pt.Col {
-		ids, cols, dropped, err := DecodeWhere(page[DataPageHeader:], atoms, l.IDs, l.Cols)
-		if err != nil {
-			return 0, fmt.Errorf("colpage: columnar data page: %w", err)
-		}
-		if held := len(ids) - len(l.IDs) + dropped; held != rows {
-			return 0, errHeaderCount(held, rows)
-		}
-		l.IDs, l.Cols = ids, cols
-		return dropped, nil
-	}
-	n, err := pt.DecodePage(page)
+// many the atoms dropped. DecodeWhere materializes no tuple and decodes
+// only the survivors. Lanes holding no rows take the page's arity. After
+// an error the lanes hold a partial append.
+func appendPage(page []byte, rows int, atoms []Atom, l *Lanes) (int, error) {
+	ids, cols, dropped, err := DecodeWhere(page[DataPageHeader:], atoms, l.IDs, l.Cols)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("colpage: columnar data page: %w", err)
 	}
-	arity := len(l.Cols)
-	if len(l.IDs) == 0 && len(n.Tuples) > 0 {
-		arity = len(n.Tuples[0].Vals)
+	if held := len(ids) - len(l.IDs) + dropped; held != rows {
+		return 0, errHeaderCount(held, rows)
 	}
-	kept := n.Tuples[:0]
-	for _, tp := range n.Tuples {
-		if len(tp.Vals) != arity {
-			return 0, fmt.Errorf("colpage: mixed arity in data page: a tuple of %d values among rows of %d", len(tp.Vals), arity)
-		}
-		if holdsAll(atoms, tp.Vals) {
-			kept = append(kept, tp)
-		}
-	}
-	if l.IDs, l.Cols, err = vec.AppendTupleRows(l.IDs, l.Cols, kept); err != nil {
-		return 0, fmt.Errorf("colpage: mixed arity in data page: %w", err)
-	}
-	return rows - len(kept), nil
+	l.IDs, l.Cols = ids, cols
+	return dropped, nil
 }
 
 // Take decodes the rows of a scanned page for which every atom holds —
@@ -221,17 +196,17 @@ func (pt PageTypes) appendPage(page []byte, rows int, atoms []Atom, l *Lanes) (i
 // ahead of the page and all of its rows would fit below max rows, on the
 // staging lanes otherwise — from where the caller moves them on in runs
 // (MoveRows). A nil b always stages.
-func (pt PageTypes) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
+func (pt PageType) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
 	rows, err := pt.rows(page)
 	if err != nil {
 		return false, 0, err
 	}
 	if b == nil || len(stage.IDs) > 0 || rows > max-b.NumRows() {
-		dropped, err = pt.appendPage(page, rows, atoms, stage)
+		dropped, err = appendPage(page, rows, atoms, stage)
 		return false, dropped, err
 	}
 	dst := Lanes{IDs: b.IDs[0], Cols: b.Slots[0]}
-	if dropped, err = pt.appendPage(page, rows, atoms, &dst); err != nil {
+	if dropped, err = appendPage(page, rows, atoms, &dst); err != nil {
 		return false, 0, err
 	}
 	if err := b.SetSlot0(dst.IDs, dst.Cols); err != nil {
@@ -240,14 +215,14 @@ func (pt PageTypes) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage
 	return true, dropped, nil
 }
 
-// Prunable reports whether page is a columnar page whose zone maps
+// Prunable reports whether page is a data page of pt whose zone maps
 // disprove the atoms for every row, so a scan may skip it unread. It
 // reads the header and footer only, into z (reusable page after page). A
 // footer that does not parse is an error (and not prunable). This is the
 // rule on an image; the walks answer it from the leaf directory
 // (DirEntry.Prunable) without reading the page.
-func (pt PageTypes) Prunable(page []byte, atoms []Atom, z *Zones) (bool, error) {
-	if len(atoms) == 0 || len(page) < DataPageHeader || page[0] != pt.Col {
+func (pt PageType) Prunable(page []byte, atoms []Atom, z *Zones) (bool, error) {
+	if len(atoms) == 0 || len(page) < DataPageHeader || page[0] != byte(pt) {
 		return false, nil
 	}
 	if err := ReadZones(page[DataPageHeader:], z); err != nil {

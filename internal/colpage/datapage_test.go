@@ -10,15 +10,14 @@ import (
 	"testing"
 
 	"viewmat/internal/pred"
-	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/vec"
 )
 
-// The two type pairs in use: btree's leaves and hashidx's chain pages.
-var testPageTypes = map[string]PageTypes{
-	"leaf":  {Row: 1, Col: 4},
-	"chain": {Row: 3, Col: 5},
+// The two type bytes in use: btree's leaves and hashidx's chain pages.
+var ownerTypes = map[string]PageType{
+	"leaf":  4,
+	"chain": 5,
 }
 
 var pinTuples = []tuple.Tuple{
@@ -26,58 +25,48 @@ var pinTuples = []tuple.Tuple{
 	tuple.New(9, tuple.I(40), tuple.S("c"), tuple.F(-2)),
 }
 
-// pinnedPages are 128-byte data pages as the parent of the commit that
-// introduced this file wrote them (btree.encodeLeaf and
-// hashidx.encodeNode, which agreed on every byte but the first): hex
-// from byte 1 on, trailing zeros trimmed.
+// pinnedPages are 128-byte data pages: hex from byte 1 on, trailing
+// zeros trimmed. "col" is as the parent of the commit that introduced
+// this file wrote it (btree.encodeLeaf and hashidx.encodeNode, which
+// agreed on every byte but the first).
 var pinnedPages = []struct {
-	name   string
-	layout storage.PageLayout
-	page   DataPage
-	col    bool // written under the pair's Col byte
-	body   string
+	name string
+	page DataPage
+	body string
 }{
-	{"col", storage.PageLayoutCol, DataPage{Next: 5, HasNext: true, Tuples: pinTuples}, true,
+	{"col", DataPage{Next: 5, HasNext: true, Tuples: pinTuples},
 		"000200000006000200030000003c000000000000000701000201fffffffffffffffd01002b04000000026162" +
 			"0000000163033ff8000000000000c0000000000000000100fffffffffffffffd000000000000000028010200" +
 			"00000261620200000001630101c000000000000000013ff8"},
-	{"row", storage.PageLayoutRow, DataPage{Next: 5, HasNext: true, Tuples: pinTuples}, false,
-		"0002000000060000000000000007000300fffffffffffffffd02000000026162013ff8000000000000" +
-			"0000000000000009000300000000000000002802000000016301c0"},
-	// The zone map would store this string twice more: the chunk does
-	// not fit the page, the rows do.
-	{"col-falls-back-to-row", storage.PageLayoutCol,
-		DataPage{Tuples: []tuple.Tuple{tuple.New(1, tuple.S("a string the zone map stores twice"))}}, false,
-		"0001000000000000000000000001000102000000226120737472696e6720746865207a6f6e65206d6170207374" +
-			"6f726573207477696365"},
+	// The zone map would store this string twice more: the chunk with it
+	// does not fit the page, the chunk without it (flags 0) does.
+	{"col-without-zones", DataPage{Tuples: []tuple.Tuple{tuple.New(1, tuple.S("a string the zone map stores twice"))}},
+		"0001000000000001000100000038000000000000000100040000002261207374" +
+			"72696e6720746865207a6f6e65206d61702073746f726573207477696365"},
 }
 
-func pinnedPage(t testing.TB, pt PageTypes, i int) []byte {
+func pinnedPage(t testing.TB, pt PageType, i int) []byte {
 	t.Helper()
-	pin := pinnedPages[i]
-	body, err := hex.DecodeString(pin.body)
+	body, err := hex.DecodeString(pinnedPages[i].body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	page := make([]byte, 128)
-	page[0] = pt.Row
-	if pin.col {
-		page[0] = pt.Col
-	}
+	page[0] = byte(pt)
 	copy(page[1:], body)
 	return page
 }
 
-// TestDataPageBytes pins the page bytes: per type pair, one page per
-// layout plus the columnar→row fallback, and each decodes back to what
-// was written, as tuples and as lanes.
+// TestDataPageBytes pins the page bytes: per type byte, a page with its
+// zone maps and one without, and each decodes back to what was written,
+// as tuples and as lanes.
 func TestDataPageBytes(t *testing.T) {
-	for name, pt := range testPageTypes {
+	for name, pt := range ownerTypes {
 		for i, pin := range pinnedPages {
 			t.Run(name+"/"+pin.name, func(t *testing.T) {
 				want := pinnedPage(t, pt, i)
 				got := bytes.Repeat([]byte{0xAA}, len(want)) // stale bytes must be cleared
-				pt.EncodePage(got, &pin.page, pin.layout)
+				pt.EncodePage(got, &pin.page)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("page bytes moved:\n got %x\nwant %x", got, want)
 				}
@@ -103,10 +92,109 @@ func TestDataPageBytes(t *testing.T) {
 	}
 }
 
+// fullWidth is r rows of c int columns whose every FOR lane, the id lane
+// included, is 8 bytes a row: each column alternates between the int
+// extremes, and the ids span 0 to MaxUint64.
+func fullWidth(r, c int) []tuple.Tuple {
+	out := make([]tuple.Tuple, r)
+	for i := range out {
+		vals := make([]tuple.Value, c)
+		for j := range vals {
+			vals[j] = tuple.I(math.MinInt64)
+			if i%2 == 1 {
+				vals[j] = tuple.I(math.MaxInt64)
+			}
+		}
+		out[i] = tuple.New(uint64(i), vals...)
+	}
+	if r > 0 {
+		out[r-1].ID = math.MaxUint64
+	}
+	return out
+}
+
+// TestDataPageSizeBound: every page encodes in the bytes Size says it
+// takes, on the cases where the bound is tight — no rows, and full-width
+// int lanes on either side of r = 9, where the FOR headers stop
+// outweighing the tag bytes — and where the zone maps alone overflow it,
+// so the page is written without them.
+func TestDataPageSizeBound(t *testing.T) {
+	wideRow := make([]tuple.Value, 300)
+	for c := range wideRow {
+		wideRow[c] = []tuple.Value{tuple.I(int64(c)), tuple.F(float64(c)), tuple.S(strings.Repeat("w", c%7))}[c%3]
+	}
+	bound := strings.Repeat("b", maxZoneValue-5) // a string whose zone bound is the largest stored
+	for _, c := range []struct {
+		name     string
+		tuples   []tuple.Tuple
+		tight    bool // the zone-less page takes all of Size
+		zoneless bool // the page with its zone maps does not fit Size
+	}{
+		{"no rows", nil, true, false},
+		{"one row of many columns", []tuple.Tuple{tuple.New(1, wideRow...)}, false, true},
+		{"8 rows of full-width ints", fullWidth(8, 3), true, true},
+		{"9 rows of full-width ints", fullWidth(9, 3), true, true},
+		{"40-byte string bounds", []tuple.Tuple{tuple.New(1, tuple.S(bound)), tuple.New(2, tuple.S(bound[1:]+"c"))}, false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := &DataPage{Tuples: c.tuples}
+			size := n.Size()
+			used, err := encode(make([]byte, size-DataPageHeader), c.tuples, nil, false)
+			if err != nil || DataPageHeader+used > size || c.tight && DataPageHeader+used != size {
+				t.Fatalf("zone-less chunk of %d bytes (%v) in a page of Size %d (tight: %v)", DataPageHeader+used, err, size, c.tight)
+			}
+			if _, err := encode(make([]byte, size-DataPageHeader), c.tuples, nil, true); (err != nil) != c.zoneless {
+				t.Fatalf("chunk with zone maps in Size %d: %v, want it to fit: %v", size, err, !c.zoneless)
+			}
+			pt := ownerTypes["leaf"]
+			page := make([]byte, size)
+			var z Zones
+			pt.encodePage(page, n, &z)
+			back, err := pt.DecodePage(page)
+			if err != nil || !bytes.Equal(refBytes(back.Tuples), refBytes(c.tuples)) {
+				t.Fatalf("decoded %v, %v", back, err)
+			}
+			var read Zones
+			if err := ReadZones(page[DataPageHeader:], &read); err != nil {
+				t.Fatal(err)
+			}
+			for col, cz := range read.Cols {
+				if cz.Present != z.Cols[col].Present || c.zoneless && cz.Present {
+					t.Fatalf("column %d: zone present %v, the encoder said %v", col, cz.Present, z.Cols[col].Present)
+				}
+			}
+		})
+	}
+}
+
+// TestDataPageSizeCountsFitTheHeader: the header counts tuples in 16
+// bits, so a page of more tuples fits no page, however large, and one of
+// as many as it counts encodes and decodes back.
+func TestDataPageSizeCountsFitTheHeader(t *testing.T) {
+	const page = 2 << 20
+	tuples := make([]tuple.Tuple, math.MaxUint16+1)
+	for i := range tuples {
+		tuples[i] = tuple.New(uint64(i), tuple.I(int64(i)))
+	}
+	if sz := (&DataPage{Tuples: tuples}).Size(); sz <= page {
+		t.Fatalf("%d tuples: Size %d admits a %d-byte page", len(tuples), sz, page)
+	}
+	full := &DataPage{Tuples: tuples[:math.MaxUint16]}
+	if sz := full.Size(); sz > page {
+		t.Fatalf("%d tuples: Size %d", len(full.Tuples), sz)
+	}
+	pt := ownerTypes["chain"]
+	buf := make([]byte, page)
+	pt.EncodePage(buf, full)
+	if n, err := pt.DecodePage(buf); err != nil || !bytes.Equal(refBytes(n.Tuples), refBytes(full.Tuples)) {
+		t.Fatalf("decoded %d tuples, %v", len(n.Tuples), err)
+	}
+}
+
 // TestTakeStagesOrDecodesDirect: a page decodes straight onto the batch
 // only when nothing is staged ahead of it and all of it fits.
 func TestTakeStagesOrDecodesDirect(t *testing.T) {
-	pt := testPageTypes["leaf"]
+	pt := ownerTypes["leaf"]
 	page := pinnedPage(t, pt, 0) // two rows
 	var stage Lanes
 	b := &vec.Batch{}
@@ -136,24 +224,24 @@ func TestTakeStagesOrDecodesDirect(t *testing.T) {
 }
 
 // TestDataPageRejectsDamage: every decode checks the type byte against
-// the access method's pair — a leaf is not a chain page, an internal
-// B+-tree page (type 2) is neither — and a columnar page's header count
-// against its chunk.
+// the access method's — a leaf is not a chain page, an internal B+-tree
+// page (type 2) and the retired row-major pages (types 1 and 3) are
+// neither — and the header count against the chunk.
 func TestDataPageRejectsDamage(t *testing.T) {
-	decoders := map[string]func(PageTypes, []byte) error{
-		"tuples": func(pt PageTypes, page []byte) error { _, err := pt.DecodePage(page); return err },
-		"staged": func(pt PageTypes, page []byte) error { _, _, err := pt.Take(page, nil, nil, 0, &Lanes{}); return err },
-		"direct": func(pt PageTypes, page []byte) error {
+	decoders := map[string]func(PageType, []byte) error{
+		"tuples": func(pt PageType, page []byte) error { _, err := pt.DecodePage(page); return err },
+		"staged": func(pt PageType, page []byte) error { _, _, err := pt.Take(page, nil, nil, 0, &Lanes{}); return err },
+		"direct": func(pt PageType, page []byte) error {
 			_, _, err := pt.Take(page, nil, &vec.Batch{}, 100, &Lanes{})
 			return err
 		},
 	}
-	for name, pt := range testPageTypes {
+	for name, pt := range ownerTypes {
 		for dname, decode := range decoders {
 			t.Run(name+"/"+dname, func(t *testing.T) {
 				for i, pin := range pinnedPages {
 					page := pinnedPage(t, pt, i)
-					for _, typ := range []byte{0, 2, pt.Row ^ 2, pt.Col ^ 1} { // ^: the other pair's bytes
+					for _, typ := range []byte{0, 1, 2, 3, byte(pt) ^ 1} { // ^1: the other owner's byte
 						page[0] = typ
 						if err := decode(pt, page); err == nil || !strings.Contains(err.Error(), "not a data page") {
 							t.Errorf("%s page under type byte %d: err = %v", pin.name, typ, err)
@@ -174,10 +262,10 @@ func TestDataPageRejectsDamage(t *testing.T) {
 }
 
 func TestDataPagePrunable(t *testing.T) {
-	pt := testPageTypes["chain"]
+	pt := ownerTypes["chain"]
 	miss := []Atom{{Col: 0, Op: pred.Gt, Val: tuple.I(40)}}
 	hit := []Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(40)}}
-	col, row := pinnedPage(t, pt, 0), pinnedPage(t, pt, 1)
+	col, bare := pinnedPage(t, pt, 0), pinnedPage(t, pt, 1)
 	for _, c := range []struct {
 		name  string
 		page  []byte
@@ -187,8 +275,8 @@ func TestDataPagePrunable(t *testing.T) {
 		{"disproved", col, miss, true},
 		{"satisfiable", col, hit, false},
 		{"no atoms", col, nil, false},
-		{"row page has no zones", row, miss, false},
-		{"another owner's page", pinnedPage(t, testPageTypes["leaf"], 0), miss, false},
+		{"zone-less page", bare, []Atom{{Col: 0, Op: pred.Gt, Val: tuple.S("b")}}, false},
+		{"another owner's page", pinnedPage(t, ownerTypes["leaf"], 0), miss, false},
 	} {
 		if got, err := pt.Prunable(c.page, c.atoms, &Zones{}); err != nil || got != c.want {
 			t.Errorf("%s: Prunable = %v, %v; want %v", c.name, got, err, c.want)
@@ -200,23 +288,13 @@ func TestDataPagePrunable(t *testing.T) {
 	}
 }
 
-func mixedArity(tuples []tuple.Tuple) bool {
-	for _, tp := range tuples {
-		if len(tp.Vals) != len(tuples[0].Vals) {
-			return true
-		}
-	}
-	return false
-}
-
 // FuzzDataPage feeds arbitrary bytes to both decodes under both type
-// pairs: neither may panic, whatever one accepts the other reads to the
-// same rows (the lanes alone refuse a row page of mixed arity), a
-// selecting Take keeps exactly the rows the atoms hold for
-// (checkSelectedPage), and a decoded page that fits re-encodes, under
-// either layout, to a page that is a fixpoint of decode∘encode.
+// bytes: neither may panic, whatever one accepts the other reads to the
+// same rows, a selecting Take keeps exactly the rows the atoms hold for
+// (checkSelectedPage), and every decoded page Size admits encodes as a
+// chunk to a page that is a fixpoint of decode∘encode.
 func FuzzDataPage(f *testing.F) {
-	for _, pt := range testPageTypes {
+	for _, pt := range ownerTypes {
 		for i := range pinnedPages {
 			f.Add(pinnedPage(f, pt, i))
 		}
@@ -226,11 +304,15 @@ func FuzzDataPage(f *testing.F) {
 			{tuple.New(1, tuple.F(math.NaN()), tuple.S("")), tuple.New(2, tuple.F(math.Inf(-1)), tuple.S(strings.Repeat("k", 300)))},
 			{tuple.New(8, tuple.I(1), tuple.S("a")), tuple.New(10, tuple.F(2.5), tuple.I(9))},
 			{tuple.New(7), tuple.New(8)},
-			{tuple.New(1, tuple.I(1)), tuple.New(2)}, // mixed arity: row layout only
+			fullWidth(8, 2),
+			fullWidth(9, 1),
+			{tuple.New(1, tuple.S(strings.Repeat("z", 35))), tuple.New(2, tuple.S(strings.Repeat("y", 35)))},
 		} {
-			for _, layout := range []storage.PageLayout{storage.PageLayoutCol, storage.PageLayoutRow} {
-				page := make([]byte, 512)
-				pt.EncodePage(page, &DataPage{Next: 3, HasNext: len(tuples) > 2, Tuples: tuples}, layout)
+			// A roomy page, and one of the bytes Size says.
+			n := &DataPage{Next: 3, HasNext: len(tuples) > 2, Tuples: tuples}
+			for _, size := range []int{512, n.Size()} {
+				page := make([]byte, size)
+				pt.EncodePage(page, n)
 				f.Add(page)
 			}
 		}
@@ -239,7 +321,7 @@ func FuzzDataPage(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 0, 0, 0, 0})
 	atoms := []Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(0)}}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for name, pt := range testPageTypes {
+		for name, pt := range ownerTypes {
 			if err := fuzzDataPage(pt, data, atoms); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -247,7 +329,7 @@ func FuzzDataPage(f *testing.F) {
 	})
 }
 
-func fuzzDataPage(pt PageTypes, data []byte, atoms []Atom) error {
+func fuzzDataPage(pt PageType, data []byte, atoms []Atom) error {
 	n, derr := pt.DecodePage(data)
 	var staged Lanes
 	_, _, serr := pt.Take(data, nil, nil, 0, &staged)
@@ -264,7 +346,7 @@ func fuzzDataPage(pt PageTypes, data []byte, atoms []Atom) error {
 	if reused, rerr := pt.Prunable(data, atoms, wide); reused != fresh || (rerr == nil) != (ferr == nil) {
 		return fmt.Errorf("prune decision on reused zones %v, %v; on fresh %v, %v", reused, rerr, fresh, ferr)
 	}
-	if len(data) >= DataPageHeader && data[0] == pt.Col {
+	if len(data) >= DataPageHeader && data[0] == byte(pt) {
 		if err := zoneReuse(data[DataPageHeader:]); err != nil {
 			return err
 		}
@@ -278,39 +360,31 @@ func fuzzDataPage(pt PageTypes, data []byte, atoms []Atom) error {
 		}
 		return nil
 	}
-	if (serr == nil) != (berr == nil) {
-		return fmt.Errorf("staged decode: %v; direct decode: %v", serr, berr)
+	if serr != nil || berr != nil {
+		return fmt.Errorf("tuple decode accepted a page the lanes reject: staged %v, direct %v", serr, berr)
 	}
-	if serr != nil {
-		if data[0] == pt.Col || !mixedArity(n.Tuples) {
-			return fmt.Errorf("tuple decode accepted a page the lanes reject: %v", serr)
-		}
-	} else {
-		want := refBytes(n.Tuples)
-		if !direct || !bytes.Equal(refBytes(lanesTuples(staged.IDs, staged.Cols)), want) ||
-			!bytes.Equal(refBytes(lanesTuples(b.IDs[0], b.Slots[0])), want) {
-			return fmt.Errorf("decodes disagree (direct %v):\n tuples %v\n staged %v\n batch  %v",
-				direct, n.Tuples, lanesTuples(staged.IDs, staged.Cols), lanesTuples(b.IDs[0], b.Slots[0]))
-		}
+	want := refBytes(n.Tuples)
+	if !direct || !bytes.Equal(refBytes(lanesTuples(staged.IDs, staged.Cols)), want) ||
+		!bytes.Equal(refBytes(lanesTuples(b.IDs[0], b.Slots[0])), want) {
+		return fmt.Errorf("decodes disagree (direct %v):\n tuples %v\n staged %v\n batch  %v",
+			direct, n.Tuples, lanesTuples(staged.IDs, staged.Cols), lanesTuples(b.IDs[0], b.Slots[0]))
 	}
 	if n.Size() > len(data) {
-		return nil // a chunk can hold rows that would not fit row-major; no caller encodes those
+		return nil // a chunk can hold rows Size does not admit; no caller encodes those
 	}
-	for _, layout := range []storage.PageLayout{storage.PageLayoutCol, storage.PageLayoutRow} {
-		p1 := make([]byte, len(data))
-		pt.EncodePage(p1, n, layout)
-		n1, err := pt.DecodePage(p1)
-		if err != nil {
-			return fmt.Errorf("decode of %v re-encode: %v", layout, err)
-		}
-		if n1.Next != n.Next || n1.HasNext != n.HasNext || !bytes.Equal(refBytes(n1.Tuples), refBytes(n.Tuples)) {
-			return fmt.Errorf("%v re-encode changed the page: %+v → %+v", layout, n, n1)
-		}
-		p2 := make([]byte, len(data))
-		pt.EncodePage(p2, n1, layout)
-		if !bytes.Equal(p1, p2) {
-			return fmt.Errorf("%v encode is not a fixpoint:\n%x\n%x", layout, p1, p2)
-		}
+	p1 := make([]byte, len(data))
+	pt.EncodePage(p1, n) // panics if the chunk does not fit
+	n1, err := pt.DecodePage(p1)
+	if err != nil {
+		return fmt.Errorf("decode of the re-encode: %v", err)
+	}
+	if n1.Next != n.Next || n1.HasNext != n.HasNext || !bytes.Equal(refBytes(n1.Tuples), want) {
+		return fmt.Errorf("re-encode changed the page: %+v → %+v", n, n1)
+	}
+	p2 := make([]byte, len(data))
+	pt.EncodePage(p2, n1)
+	if !bytes.Equal(p1, p2) {
+		return fmt.Errorf("encode is not a fixpoint:\n%x\n%x", p1, p2)
 	}
 	return nil
 }

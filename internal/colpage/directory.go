@@ -34,7 +34,7 @@ import (
 // has been written back. Every test binary checks exactly that, per
 // lookup (checkDirectory).
 type Directory struct {
-	types   PageTypes
+	typ     PageType
 	file    *storage.File
 	entries []DirEntry
 
@@ -57,27 +57,24 @@ const (
 	// entryNone: no data page of the owner — an internal page, a freed
 	// page, one never written. A walk stops there.
 	entryNone entryKind = iota
-	// entryRow: a row-layout page, which carries no zone maps and never
-	// prunes.
-	entryRow
-	// entryCol: a columnar page, zones its footer.
+	// entryCol: a data page, zones its footer.
 	entryCol
-	// entryBadZones: a columnar page whose footer does not parse — only
-	// a restored image has one. A walk that needs its zones stops there.
+	// entryBadZones: a data page whose footer does not parse — only a
+	// restored image has one. A walk that needs its zones stops there.
 	entryBadZones
 )
 
 var errBadZones = errors.New("colpage: the page's zone maps do not parse")
 
 // NewDirectory returns the directory of f's data pages, which carry the
-// type bytes types, read from the file's images: one unmetered pass over
+// type byte typ, read from the file's images: one unmetered pass over
 // its pages, reading headers and footers in place — none for a new file.
-func NewDirectory(types PageTypes, f *storage.File) *Directory {
-	d := &Directory{types: types, file: f, entries: make([]DirEntry, f.Extent())}
+func NewDirectory(typ PageType, f *storage.File) *Directory {
+	d := &Directory{typ: typ, file: f, entries: make([]DirEntry, f.Extent())}
 	for pn := range d.entries {
 		e := &d.entries[pn]
 		_ = f.View(storage.PageNum(pn), func(page []byte) error {
-			types.readEntry(page, e)
+			typ.readEntry(page, e)
 			return nil
 		}) // a freed page keeps entryNone
 	}
@@ -87,16 +84,13 @@ func NewDirectory(types PageTypes, f *storage.File) *Directory {
 // Encode writes n over page, the frame bytes of page pn, as EncodePage
 // does, and records the page's link and zone maps. A rewrite of a page
 // reuses its entry: it allocates nothing unless a string bound moved.
-func (d *Directory) Encode(pn storage.PageNum, page []byte, n *DataPage, layout storage.PageLayout) {
+func (d *Directory) Encode(pn storage.PageNum, page []byte, n *DataPage) {
 	if int(pn) >= len(d.entries) {
 		d.entries = slices.Grow(d.entries, int(pn)+1-len(d.entries))[:pn+1]
 	}
 	e := &d.entries[pn]
-	e.kind = entryRow
-	if d.types.encodePage(page, n, layout, &e.zones) {
-		e.kind = entryCol
-	}
-	e.Next, e.HasNext = 0, n.HasNext
+	d.typ.encodePage(page, n, &e.zones)
+	e.kind, e.Next, e.HasNext = entryCol, 0, n.HasNext
 	if n.HasNext {
 		e.Next = n.Next
 	}
@@ -111,19 +105,15 @@ func (d *Directory) Drop(pn storage.PageNum) {
 
 // readEntry sets e to what page's header and footer say, reusing
 // e.zones.Cols.
-func (pt PageTypes) readEntry(page []byte, e *DirEntry) {
+func (pt PageType) readEntry(page []byte, e *DirEntry) {
 	e.kind, e.Next, e.HasNext = entryNone, 0, false
-	if len(page) < DataPageHeader || !pt.Has(page[0]) {
+	if len(page) < DataPageHeader || page[0] != byte(pt) {
 		return
 	}
 	e.Next, e.HasNext = PageLink(page)
-	switch {
-	case page[0] == pt.Row:
-		e.kind = entryRow
-	case ReadZones(page[DataPageHeader:], &e.zones) != nil:
+	e.kind = entryCol
+	if ReadZones(page[DataPageHeader:], &e.zones) != nil {
 		e.kind = entryBadZones
-	default:
-		e.kind = entryCol
 	}
 }
 
@@ -153,7 +143,7 @@ func (d *Directory) check(pn storage.PageNum, e *DirEntry) error {
 		img.zones.Cols = append(img.zones.Cols[:0], e.zones.Cols...)
 	}
 	_ = d.file.View(pn, func(page []byte) error {
-		d.types.readEntry(page, img)
+		d.typ.readEntry(page, img)
 		return nil
 	})
 	if !e.same(img) {
@@ -206,24 +196,18 @@ func (e *DirEntry) String() string {
 		return "none"
 	}
 	s := fmt.Sprintf("{next %d %v", e.Next, e.HasNext)
-	switch e.kind {
-	case entryRow:
-		s += " row"
-	case entryBadZones:
-		s += " zones unreadable"
-	default:
-		s += fmt.Sprintf(" zones %+v", e.zones)
+	if e.kind == entryBadZones {
+		return s + " zones unreadable}"
 	}
-	return s + "}"
+	return s + fmt.Sprintf(" zones %+v}", e.zones)
 }
 
 // Prunable reports whether the page's zone maps disprove the atoms for
-// every row — PageTypes.Prunable's answer for the page's image, without
-// reading it: never for a row page, an error for zones that do not
-// parse.
+// every row — PageType.Prunable's answer for the page's image, without
+// reading it: an error for zones that do not parse.
 func (e *DirEntry) Prunable(atoms []Atom) (bool, error) {
 	switch {
-	case len(atoms) == 0 || e.kind == entryRow:
+	case len(atoms) == 0:
 		return false, nil
 	case e.kind == entryBadZones:
 		return false, errBadZones

@@ -248,14 +248,3 @@ func bandOf(op pred.Op, v int64) (band intBand, ok bool) {
 
 // holds reports whether the band holds for the cell whose bits are x.
 func (b intBand) holds(x uint64) bool { return (x-b.lo <= b.span) != b.out }
-
-// holdsAll reports whether every atom holds for a row's values — the
-// same test on a decoded row, for pages that are not column chunks.
-func holdsAll(atoms []Atom, vals []tuple.Value) bool {
-	for _, a := range atoms {
-		if a.Col >= 0 && a.Col < len(vals) && !a.Op.Holds(vals[a.Col], a.Val) {
-			return false
-		}
-	}
-	return true
-}

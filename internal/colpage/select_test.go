@@ -40,9 +40,7 @@ func atomSets(rows []tuple.Tuple, ncols int) [][]Atom {
 		var vals []tuple.Value
 		if len(rows) > 0 {
 			for _, tp := range []tuple.Tuple{rows[0], rows[len(rows)/2], rows[len(rows)-1]} {
-				if c < len(tp.Vals) { // a row page may mix arities
-					vals = append(vals, tp.Vals[c])
-				}
+				vals = append(vals, tp.Vals[c])
 			}
 		}
 		vals = append(vals, edgeValues...)
@@ -119,8 +117,8 @@ func checkSelected(chunk []byte) error {
 }
 
 // checkSelectedPage runs the page differential: Take with atoms, staged
-// and direct, against the tuple decode filtered — both layouts.
-func checkSelectedPage(pt PageTypes, page []byte) error {
+// and direct, against the tuple decode filtered.
+func checkSelectedPage(pt PageType, page []byte) error {
 	n, derr := pt.DecodePage(page)
 	_, _, err := pt.Take(page, nil, nil, 0, &Lanes{})
 	var rows []tuple.Tuple

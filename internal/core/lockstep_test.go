@@ -19,8 +19,8 @@ import (
 
 // The property harness. The paper's comparison rests on the strategies
 // being observationally equivalent and differing only in cost, and the
-// engine adds sharing, batching, a page layout, an online advisor and
-// recovery, none of which may change an answer or a stored byte. Every
+// engine adds sharing, batching, an online advisor and recovery, none
+// of which may change an answer or a stored byte. Every
 // such claim is one row of lockstepTable: a fixture (a catalog), engine
 // configs built over it, and relations that must hold between those
 // engines at every query point of a seeded random script. One step
@@ -37,11 +37,6 @@ import (
 // batch carries one row and filters evaluate their per-row reference
 // semantics.
 func setBatch1(db *Database) { db.batchSize = 1 }
-
-// setRowOracle makes a fresh engine lay its data pages out row-major
-// (the chunk's per-page fallback) instead of as column chunks. Call it
-// before the engine writes its first page.
-func setRowOracle(db *Database) { db.disk.SetPageLayout(storage.PageLayoutRow) }
 
 // Settings of the share gate: the engine's own cost-model choice, every
 // refresh group private (the pre-sharing reference), or every eligible
@@ -1260,54 +1255,44 @@ func lockstepTable() []row {
 			seeds: [2]int64{2100, 2103}, phases: churn(5)})
 	}
 
-	// Twins: the one-row executor and row-major pages change neither a
-	// stored byte nor a charge, under any strategy.
-	for _, tw := range []struct {
-		test, tag string
-		seam      func(*Database)
-		seed      int64
-	}{
-		{"TestPropertyBatchRowIdentity", "batch1", setBatch1, 2100},
-		{"TestPropertyColRowIdentity", "rowpages", setRowOracle, 3100},
-	} {
-		twins := func(test string, fx *fixture, st Strategy, lo, hi int64, rounds int) {
-			cfgs := plain(st, st)
-			cfgs[1].name, cfgs[1].seams = st.String()+"+"+tw.tag, []func(*Database){tw.seam}
-			rows = append(rows, row{test: tw.test + test, fixture: static(fx), configs: cfgs,
-				rels: against(cfgs, "positional", "meters"), seeds: [2]int64{lo, hi}, phases: churn(rounds)})
-		}
-		for _, st := range fiveStrategies {
-			twins("Model1/"+st.String(), model1Fx(), st, tw.seed, tw.seed+3, 5)
-		}
+	// Twins: the one-row executor changes neither a stored byte nor a
+	// charge, under any strategy.
+	twins := func(test string, fx *fixture, st Strategy, lo, hi int64, rounds int) {
+		cfgs := plain(st, st)
+		cfgs[1].name, cfgs[1].seams = st.String()+"+batch1", []func(*Database){setBatch1}
+		rows = append(rows, row{test: "TestPropertyBatchRowIdentity" + test, fixture: static(fx), configs: cfgs,
+			rels: against(cfgs, "positional", "meters"), seeds: [2]int64{lo, hi}, phases: churn(rounds)})
+	}
+	for _, st := range fiveStrategies {
+		twins("Model1/"+st.String(), model1Fx(), st, 2100, 2103, 5)
+	}
+	for _, st := range paperThree {
+		twins("Model2/"+st.String(), model2Fx(), st, 2400, 2403, 5)
+	}
+	for _, kind := range []agg.Kind{agg.Sum, agg.Min, agg.Max} {
 		for _, st := range paperThree {
-			twins("Model2/"+st.String(), model2Fx(), st, tw.seed+300, tw.seed+303, 5)
-		}
-		for _, kind := range []agg.Kind{agg.Sum, agg.Min, agg.Max} {
-			for _, st := range paperThree {
-				twins("Model3/"+kind.String(), model3Fx(kind), st, tw.seed+600, tw.seed+602, 4)
-			}
+			twins("Model3/"+kind.String(), model3Fx(kind), st, 2700, 2702, 4)
 		}
 	}
 
 	// Hierarchy: a random view DAG under skewed updates. The subject runs
-	// the drawn strategies with the cost-model share gate, vectorized
-	// batches and columnar pages; sharing, vectorization and the layout
-	// must not change stored bytes (vectorization not a charge either;
-	// zone maps may prune columnar reads, so the layout twin's charges may
-	// differ), and everything must mean what full recomputation means.
+	// the drawn strategies with the cost-model share gate and vectorized
+	// batches; sharing and vectorization must not change stored bytes
+	// (vectorization not a charge either), and everything must mean what
+	// full recomputation means.
 	four := testOpts()
 	four.MaxRefreshWorkers = 4
 	subject := func(name string, seams ...func(*Database)) engineConfig {
 		return engineConfig{name: name, opts: four, seams: seams, drawn: true, refreshAll: true}
 	}
 	hier := []engineConfig{subject("subject"), subject("unshared", gated(gatePrivate)),
-		subject("batch1", setBatch1), subject("rowpages", setRowOracle),
+		subject("batch1", setBatch1),
 		{name: "oracle", strategy: RecomputeOnDemand, seams: []func(*Database){gated(gatePrivate)}, refreshAll: true}}
 	for seed := int64(4200); seed <= 4205; seed++ {
 		rows = append(rows, row{test: fmt.Sprintf("TestPropertyHierarchyRecomputeOracle/seed%d", seed-4200), fixture: hierFx,
 			configs: hier, seeds: [2]int64{seed, seed}, phases: churn(5),
 			rels: []invariant{{"subject", "unshared", "positional"}, {"subject", "batch1", "positional"},
-				{"subject", "rowpages", "positional"}, {"subject", "oracle", "multiset"}, {"subject", "batch1", "meters"}}})
+				{"subject", "oracle", "multiset"}, {"subject", "batch1", "meters"}}})
 	}
 
 	// Recovery: Recover ≡ live, byte for byte, at every query point. The
@@ -1423,9 +1408,6 @@ func TestPropertySharedDeltaEquivalent(t *testing.T)       { runRows(t) }
 func TestPropertyBatchRowIdentityModel1(t *testing.T)      { runRows(t) }
 func TestPropertyBatchRowIdentityModel2(t *testing.T)      { runRows(t) }
 func TestPropertyBatchRowIdentityModel3(t *testing.T)      { runRows(t) }
-func TestPropertyColRowIdentityModel1(t *testing.T)        { runRows(t) }
-func TestPropertyColRowIdentityModel2(t *testing.T)        { runRows(t) }
-func TestPropertyColRowIdentityModel3(t *testing.T)        { runRows(t) }
 func TestPropertyHierarchyRecomputeOracle(t *testing.T)    { runRows(t) }
 func TestPropertyRecoverEquivalentToSaveLoad(t *testing.T) { runRows(t) }
 func TestLockstepRecover(t *testing.T)                     { runRows(t) }

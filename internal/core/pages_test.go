@@ -1,0 +1,152 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"viewmat/internal/pred"
+	"viewmat/internal/storage"
+	"viewmat/internal/tuple"
+)
+
+// Rows that fill a 4 000-byte page in one to a few tuples: the pages where
+// a column chunk's slack over the rows (colpage.DataPage.Size) is largest
+// and a leaf split has the least room.
+
+// stringDB is an engine over r(k INT, s STRING), clustered on k, with an
+// immediate view v = π(k, s) r, so every commit writes both trees.
+func stringDB(t *testing.T) *Database {
+	t.Helper()
+	db := NewDatabase(Options{PageSize: 4000, PoolFrames: 64})
+	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("s", tuple.String))
+	if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	def := Def{Name: "v", Kind: SelectProject, Relations: []string{"r"}, Pred: pred.True(), Project: [][]int{{0, 1}}, ViewKeyCol: 0}
+	if err := db.CreateView(def, Immediate); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// checkStrings compares v's answer with model, key → string.
+func checkStrings(db *Database, model map[int64]string) error {
+	rows, err := db.QueryView("v", nil)
+	if err != nil {
+		return err
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Vals[0].Int() < rows[j].Vals[0].Int() })
+	if len(rows) != len(model) {
+		return fmt.Errorf("v has %d rows, the model %d", len(rows), len(model))
+	}
+	for _, r := range rows {
+		if s, ok := model[r.Vals[0].Int()]; !ok || r.Vals[1].Str() != s {
+			return fmt.Errorf("v holds key %v with %d bytes of string; the model %d bytes (present %v)", r.Vals[0], len(r.Vals[1].Str()), len(s), ok)
+		}
+	}
+	return nil
+}
+
+// TestCommitSplitsALeafOfUnevenRows: three commits of strings 76, 3 869
+// and 126 bytes long once split a leaf in the middle, by count, and wrote
+// 4 050 bytes of the right half over a 4 000-byte frame.
+func TestCommitSplitsALeafOfUnevenRows(t *testing.T) {
+	db := stringDB(t)
+	model := map[int64]string{}
+	for i, w := range []int{76, 3869, 126} {
+		k, s := int64(i+1), strings.Repeat("s", w)
+		tx := db.Begin()
+		if _, err := tx.Insert("r", tuple.I(k), tuple.S(s)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		model[k] = s
+	}
+	if err := checkStrings(db, model); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNearFullStringPagesRecover drives inserts, updates and deletes of
+// strings up to 3 900 bytes long through commits, a checkpoint and
+// recovery: every answer is the model's, and the recovered engine saves
+// the live one's bytes.
+func TestNearFullStringPagesRecover(t *testing.T) {
+	db := stringDB(t)
+	walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
+	if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(34))
+	ids := map[int64]uint64{}
+	model := map[int64]string{}
+	for c := 0; c < 60; c++ {
+		tx := db.Begin()
+		touched := map[int64]bool{}
+		for op := 0; op < 1+rng.Intn(3); op++ {
+			k := int64(rng.Intn(12))
+			if touched[k] {
+				continue
+			}
+			touched[k] = true
+			s := strings.Repeat(string(rune('a'+c%26)), []int{0, 40, 900, 1900, 3900}[rng.Intn(5)])
+			var err error
+			switch _, live := model[k]; {
+			case !live:
+				ids[k], err = tx.Insert("r", tuple.I(k), tuple.S(s))
+				model[k] = s
+			case rng.Intn(3) == 0:
+				err = tx.Delete("r", tuple.I(k), ids[k])
+				delete(model, k)
+			default:
+				ids[k], err = tx.Update("r", tuple.I(k), ids[k], tuple.I(k), tuple.S(s))
+				model[k] = s
+			}
+			if err != nil {
+				t.Fatalf("commit %d: %v", c, err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", c, err)
+		}
+		if err := checkStrings(db, model); err != nil {
+			t.Fatalf("after commit %d: %v", c, err)
+		}
+		if c == 30 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wd, sd, err := cleanReboot(walDev, snapDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, info, err := Recover(wd, sd, DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed == 0 || info.SnapshotSeq == 0 {
+		t.Errorf("recovery replayed %d records over snapshot seq %d; want the checkpoint and a log tail", info.Replayed, info.SnapshotSeq)
+	}
+	if err := checkStrings(rec, model); err != nil {
+		t.Fatalf("recovered: %v", err)
+	}
+	var want, got bytes.Buffer
+	if err := db.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("recovered engine saves %d bytes, the live one %d, and they differ", got.Len(), want.Len())
+	}
+}

@@ -128,8 +128,9 @@ func Load(r io.Reader) (*Database, error) {
 // snapshotMagic opens every snapshot body; its last byte is the format
 // version. Version 1 was an encoding/gob stream and had no magic;
 // version 2's catalog header carried per-relation key-frequency
-// trackers.
-const snapshotMagic = "VMS\x03"
+// trackers; version 3's disk could hold row-major data pages (types 1
+// and 3), which no decoder reads any more.
+const snapshotMagic = "VMS\x04"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
@@ -142,7 +143,7 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, delta *storage.DiskDelta, di
 		c.U8(&magic[i])
 	}
 	if string(magic) != snapshotMagic {
-		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 snapshots are not readable)",
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 and version-3 snapshots are not readable)",
 			snapshotMagic[3], magic, snapshotMagic)
 		return
 	}

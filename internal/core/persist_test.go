@@ -223,6 +223,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Version 2: this layout but a catalog header with a tracker map.
 	version2 := append([]byte(nil), img...)
 	version2[len(snapshotMagic)-1] = 2
+	// Version 3: this layout, but its pages may be row-major.
+	version3 := append([]byte(nil), img...)
+	version3[len(snapshotMagic)-1] = 3
 	// The parent commit's format: one encoding/gob value of a struct
 	// whose first field is Version = 1.
 	type dbSnapshot struct{ Version, PageSize, PoolFrames int }
@@ -269,6 +272,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt, "version-2"},
 		{"wrong version", wrongVersion, ErrSnapshotCorrupt, "version-2"},
 		{"version-2 body", version2, ErrSnapshotCorrupt, "version-2"},
+		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-4 snapshot"},
 		{"parent-format gob stream", version1.Bytes(), ErrSnapshotCorrupt, "version 1"},
 		{"bad page size", encodeSnapshot(t, catalogHeader{poolFrames: 4}, &storage.DiskDelta{}), ErrSnapshotCorrupt, ""},
 		{"HR without relation", encode(catalogHeader{poolFrames: 4, hrs: map[string]hr.ADMeta{"ghost": {}}}), ErrSnapshotCorrupt, ""},

@@ -27,10 +27,9 @@ import (
 // frames whose string column holds name(i) for row i. scribble
 // overwrites every page image of the relation with 0xA5 through the
 // pool's writer API.
-func aliasEnv(t *testing.T, layout storage.PageLayout, frames int, name func(i int) string) (rel *relation.Relation, m *storage.Meter, scribble func()) {
+func aliasEnv(t *testing.T, frames int, name func(i int) string) (rel *relation.Relation, m *storage.Meter, scribble func()) {
 	t.Helper()
 	d := storage.NewDisk(512)
-	d.SetPageLayout(layout)
 	m = storage.NewMeter()
 	p := storage.NewPool(d, m, frames)
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("name", tuple.String))
@@ -64,10 +63,11 @@ func aliasEnv(t *testing.T, layout storage.PageLayout, frames int, name func(i i
 }
 
 // testBytesLaneStability drains root (small batches force several
-// refills), snapshotting each batch's string cells at emission time,
+// refills), snapshotting each batch's string cells at emission time and
+// checking each against name(key), the string the row was written with,
 // then re-checks every retained batch after the scan completes and after
 // (unless nil) scribble.
-func testBytesLaneStability(t *testing.T, root Operator, scribble func()) {
+func testBytesLaneStability(t *testing.T, root Operator, name func(i int) string, scribble func()) {
 	t.Helper()
 	if err := root.Open(); err != nil {
 		t.Fatal(err)
@@ -85,6 +85,9 @@ func testBytesLaneStability(t *testing.T, root Operator, scribble func()) {
 		snap := make([][]byte, b.NumRows())
 		for i := 0; i < b.NumRows(); i++ {
 			snap[i] = append([]byte(nil), b.Slots[0][2].Bytes[i]...)
+			if want := name(int(b.Slots[0][0].Ints[i])); string(snap[i]) != want {
+				t.Fatalf("row of key %d: cell %q, written as %q", b.Slots[0][0].Ints[i], snap[i], want)
+			}
 		}
 		batches = append(batches, b)
 		snaps = append(snaps, snap)
@@ -120,37 +123,35 @@ func TestBatchBytesLaneStableAcrossRefills(t *testing.T) {
 	// Distinct per row, so an overwrite through a shared buffer cannot go
 	// unnoticed; a raw bytes lane on columnar leaves.
 	distinct := func(i int) string { return fmt.Sprintf("cell-%04d", i) }
-	for _, layout := range []storage.PageLayout{storage.PageLayoutCol, storage.PageLayoutRow} {
-		t.Run(layout.String(), func(t *testing.T) {
-			rel, m, _ := aliasEnv(t, layout, 1024, distinct)
-			o := Options{Meter: m, BatchSize: 64}
-			t.Run("seqscan", func(t *testing.T) { testBytesLaneStability(t, NewSeqScan(o, rel), nil) })
-			t.Run("scan", func(t *testing.T) { testBytesLaneStability(t, NewScan(o, rel, nil), nil) })
-			// Frames recycled under the scan, under both string lanes a
-			// columnar leaf has: raw, and a dictionary of three entries.
-			for lane, name := range map[string]func(int) string{
-				"raw":  distinct,
-				"dict": func(i int) string { return []string{"red", "green", "blue"}[i%3] },
+	t.Run("col", func(t *testing.T) {
+		rel, m, _ := aliasEnv(t, 1024, distinct)
+		o := Options{Meter: m, BatchSize: 64}
+		t.Run("seqscan", func(t *testing.T) { testBytesLaneStability(t, NewSeqScan(o, rel), distinct, nil) })
+		t.Run("scan", func(t *testing.T) { testBytesLaneStability(t, NewScan(o, rel, nil), distinct, nil) })
+		// Frames recycled under the scan, under both string lanes a
+		// columnar leaf has: raw, and a dictionary of three entries.
+		for lane, name := range map[string]func(int) string{
+			"raw":  distinct,
+			"dict": func(i int) string { return []string{"red", "green", "blue"}[i%3] },
+		} {
+			t.Run("recycled-frames/"+lane, func(t *testing.T) {
+				rel, m, _ := aliasEnv(t, 8, name)
+				o := Options{Meter: m, BatchSize: 64}
+				testBytesLaneStability(t, NewSeqScan(o, rel), name, nil)
+				testBytesLaneStability(t, NewScan(o, rel, nil), name, nil)
+			})
+			// The scans read every leaf the 8-frame pool no longer holds
+			// in place from its image; the images (and frames) are then
+			// overwritten under the retained batches.
+			for scan, open := range map[string]func(*relation.Relation, Options) Operator{
+				"seqscan": func(rel *relation.Relation, o Options) Operator { return NewSeqScan(o, rel) },
+				"scan":    func(rel *relation.Relation, o Options) Operator { return NewScan(o, rel, nil) },
 			} {
-				t.Run("recycled-frames/"+lane, func(t *testing.T) {
-					rel, m, _ := aliasEnv(t, layout, 8, name)
-					o := Options{Meter: m, BatchSize: 64}
-					testBytesLaneStability(t, NewSeqScan(o, rel), nil)
-					testBytesLaneStability(t, NewScan(o, rel, nil), nil)
+				t.Run("in-place/"+lane+"/"+scan, func(t *testing.T) {
+					rel, m, scribble := aliasEnv(t, 8, name)
+					testBytesLaneStability(t, open(rel, Options{Meter: m, BatchSize: 64}), name, scribble)
 				})
-				// The scans read every leaf the 8-frame pool no longer holds
-				// in place from its image; the images (and frames) are then
-				// overwritten under the retained batches.
-				for scan, open := range map[string]func(*relation.Relation, Options) Operator{
-					"seqscan": func(rel *relation.Relation, o Options) Operator { return NewSeqScan(o, rel) },
-					"scan":    func(rel *relation.Relation, o Options) Operator { return NewScan(o, rel, nil) },
-				} {
-					t.Run("in-place/"+lane+"/"+scan, func(t *testing.T) {
-						rel, m, scribble := aliasEnv(t, layout, 8, name)
-						testBytesLaneStability(t, open(rel, Options{Meter: m, BatchSize: 64}), scribble)
-					})
-				}
 			}
-		})
-	}
+		}
+	})
 }

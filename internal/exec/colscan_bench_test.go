@@ -13,22 +13,16 @@ import (
 	"viewmat/internal/vec"
 )
 
-// BenchmarkScanColVsRow compares the two page layouts on the scan
-// shapes that motivated the columnar encoding: a full sequential scan
-// (vector-direct lane decode vs per-tuple row decode), a selective
-// filter with and without zone-map pruning, and an aggregate fold.
-// Page counts and metered charges are identical across layouts by
-// construction — the encoding is capacity-neutral and the property
-// layer proves it — so the deltas here are pure decode speed plus the
-// pages pruning never touches.
+// BenchmarkScanCol measures the columnar scan on the shapes that
+// motivated it: a full sequential scan (vector-direct lane decode), a
+// selective filter with and without zone-map pruning, a scattered filter
+// with and without the encoded-lane row test, and an aggregate fold.
 
-// layoutEnv is benchEnv with an explicit page layout, flushed so the
-// on-disk pages are current (zone-map pruning peeks at disk and
-// disables itself while dirty frames exist).
-func layoutEnv(b testing.TB, name string, n int, layout storage.PageLayout) (*relation.Relation, *storage.Meter) {
+// flushedEnv is benchEnv flushed so the on-disk pages are current
+// (zone-map pruning disables itself while dirty frames exist).
+func flushedEnv(b testing.TB, name string, n int) (*relation.Relation, *storage.Meter) {
 	b.Helper()
 	d := storage.NewDisk(4096)
-	d.SetPageLayout(layout)
 	m := storage.NewMeter()
 	p := storage.NewPool(d, m, 1<<14)
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("name", tuple.String))
@@ -48,13 +42,12 @@ func layoutEnv(b testing.TB, name string, n int, layout storage.PageLayout) (*re
 	return r, m
 }
 
-// scatteredEnv is layoutEnv over the bench's scan-qm shape: rows (k, a,
+// scatteredEnv is flushedEnv over the bench's scan-qm shape: rows (k, a,
 // p) with a = k·40503 mod n a permutation of [0, n) scattered across the
 // key-ordered leaves, so zone maps on a rarely prune a page.
-func scatteredEnv(b testing.TB, name string, n int, layout storage.PageLayout) (*relation.Relation, *storage.Meter) {
+func scatteredEnv(b testing.TB, name string, n int) (*relation.Relation, *storage.Meter) {
 	b.Helper()
 	d := storage.NewDisk(4096)
-	d.SetPageLayout(layout)
 	m := storage.NewMeter()
 	p := storage.NewPool(d, m, 1<<14)
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("p", tuple.Int))
@@ -93,7 +86,7 @@ func allocBound(max, raceMax float64) float64 {
 // A full columnar scan of the benchmark's 20 000-row, 354-leaf relation.
 func TestFullScanAllocations(t *testing.T) {
 	const n = 20000
-	rel, m := layoutEnv(t, "alloc-fs", n, storage.PageLayoutCol)
+	rel, m := flushedEnv(t, "alloc-fs", n)
 	o := Options{Meter: m}
 	allocs := testing.AllocsPerRun(5, func() {
 		if got := drainRows(t, NewSeqScan(o, rel)); got != n {
@@ -230,38 +223,26 @@ func TestStoredRangeReadAllocations(t *testing.T) {
 	}
 }
 
-var benchLayouts = []struct {
-	name   string
-	layout storage.PageLayout
-}{
-	{"col", storage.PageLayoutCol},
-	{"row", storage.PageLayoutRow},
-}
-
-func BenchmarkScanColVsRow(b *testing.B) {
+func BenchmarkScanCol(b *testing.B) {
 	const n = 20000
 
 	b.Run("full-scan", func(b *testing.B) {
-		for _, lt := range benchLayouts {
-			rel, m := layoutEnv(b, "fs-"+lt.name, n, lt.layout)
-			b.Run(lt.name, func(b *testing.B) {
-				o := Options{Meter: m}
-				for i := 0; i < b.N; i++ {
-					got := drainRows(b, NewSeqScan(o, rel))
-					if got != n {
-						b.Fatalf("drained %d rows, want %d", got, n)
-					}
+		rel, m := flushedEnv(b, "fs", n)
+		b.Run("col", func(b *testing.B) {
+			o := Options{Meter: m}
+			for i := 0; i < b.N; i++ {
+				if got := drainRows(b, NewSeqScan(o, rel)); got != n {
+					b.Fatalf("drained %d rows, want %d", got, n)
 				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	})
 
 	// Selective filter: key < 400 keeps 2% of rows, clustered at the
 	// front of the key-ordered leaf chain — the shape zone maps excel
 	// at. "col" pushes the interval into the scan as prune atoms;
-	// "col-noprune" decodes every columnar page; "row" is the
-	// row-major baseline.
+	// "col-noprune" decodes every page.
 	b.Run("filter-selective", func(b *testing.B) {
 		const cut = 400
 		p := pred.New(pred.Cmp{Col: 0, Op: pred.Lt, Val: tuple.I(cut)})
@@ -281,19 +262,16 @@ func BenchmarkScanColVsRow(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 			b.ReportMetric(float64(pruned), "pruned-pages")
 		}
-		relCol, mCol := layoutEnv(b, "sel-col", n, storage.PageLayoutCol)
-		relRow, mRow := layoutEnv(b, "sel-row", n, storage.PageLayoutRow)
-		b.Run("col", func(b *testing.B) { run(b, relCol, mCol, atoms) })
-		b.Run("col-noprune", func(b *testing.B) { run(b, relCol, mCol, nil) })
-		b.Run("row", func(b *testing.B) { run(b, relRow, mRow, nil) })
+		rel, m := flushedEnv(b, "sel", n)
+		b.Run("col", func(b *testing.B) { run(b, rel, m, atoms) })
+		b.Run("col-noprune", func(b *testing.B) { run(b, rel, m, nil) })
 	})
 
 	// Scattered filter: a < n/100 keeps 1 % of rows, spread over nearly
 	// every leaf — the scan-qm shape, where zone maps prune little and
 	// the selection does the work. "col" pushes the atom into the scan,
 	// which tests it on the encoded a lane and decodes only survivors;
-	// "col-noprune" decodes every row for the filter; "row" is the
-	// row-major baseline.
+	// "col-noprune" decodes every row for the filter.
 	b.Run("filter-scattered", func(b *testing.B) {
 		const cut = n / 100
 		p := pred.New(pred.Cmp{Col: 1, Op: pred.Lt, Val: tuple.I(cut)})
@@ -308,40 +286,36 @@ func BenchmarkScanColVsRow(b *testing.B) {
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		}
-		relCol, mCol := scatteredEnv(b, "scat-col", n, storage.PageLayoutCol)
-		relRow, mRow := scatteredEnv(b, "scat-row", n, storage.PageLayoutRow)
-		b.Run("col", func(b *testing.B) { run(b, relCol, mCol, atoms) })
-		b.Run("col-noprune", func(b *testing.B) { run(b, relCol, mCol, nil) })
-		b.Run("row", func(b *testing.B) { run(b, relRow, mRow, nil) })
+		rel, m := scatteredEnv(b, "scat", n)
+		b.Run("col", func(b *testing.B) { run(b, rel, m, atoms) })
+		b.Run("col-noprune", func(b *testing.B) { run(b, rel, m, nil) })
 	})
 
 	b.Run("agg-fold", func(b *testing.B) {
 		p := pred.New(pred.Cmp{Col: 1, Op: pred.Lt, Val: tuple.I(750)})
-		for _, lt := range benchLayouts {
-			rel, m := layoutEnv(b, "agg-"+lt.name, n, lt.layout)
-			b.Run(lt.name, func(b *testing.B) {
-				o := Options{Meter: m}
-				var want float64
-				for i := 0; i < b.N; i++ {
-					var sum float64
-					filt := NewFilter(o, "val<750", NewSeqScan(o, rel), Pred{P: p}, true)
-					fold := NewAggFold(o, "sum", filt, Fold{Col: 1, Val: func(v float64, insert bool) {
-						if insert {
-							sum += v
-						} else {
-							sum -= v
-						}
-					}})
-					drainRows(b, fold)
-					if i == 0 {
-						want = sum
+		rel, m := flushedEnv(b, "agg", n)
+		b.Run("col", func(b *testing.B) {
+			o := Options{Meter: m}
+			var want float64
+			for i := 0; i < b.N; i++ {
+				var sum float64
+				filt := NewFilter(o, "val<750", NewSeqScan(o, rel), Pred{P: p}, true)
+				fold := NewAggFold(o, "sum", filt, Fold{Col: 1, Val: func(v float64, insert bool) {
+					if insert {
+						sum += v
+					} else {
+						sum -= v
 					}
-					if sum != want || sum == 0 {
-						b.Fatalf("sum = %v, want %v", sum, want)
-					}
+				}})
+				drainRows(b, fold)
+				if i == 0 {
+					want = sum
 				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-			})
-		}
+				if sum != want || sum == 0 {
+					b.Fatalf("sum = %v, want %v", sum, want)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	})
 }

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"viewmat/internal/pred"
@@ -19,25 +21,33 @@ import (
 // selecting scan must return the same rows in the same order, and — where
 // no zone map prunes a page — the same scan RowsOut, Filter screens and
 // page reads. Where pages are pruned, the reads fall by the pruned pages
-// and the screens still equal the rows the scan tested.
+// and the screens still equal the rows the scan tested. Both answers are
+// the relation's rows the whole predicate holds for.
 
 // selectFixture is one relation under one storage configuration.
 type selectFixture struct {
 	name   string
-	hash   int                // 0: B+-tree; else hash buckets
-	layout storage.PageLayout // page layout the relation is written in
-	frames int                // pool capacity; 4 disables readahead and so pruning
-	dirty  bool               // one insert left dirty in the pool: pruning disarmed
+	hash   int  // 0: B+-tree; else hash buckets
+	frames int  // pool capacity; 4 disables readahead and so pruning
+	dirty  bool // one insert left dirty in the pool: pruning disarmed
 }
 
 const selectRows = 300
+
+// selectRow is row k of every fixture's relation.
+func selectRow(k int64) tuple.Tuple {
+	f := float64(k%13) - 6.5
+	if k%9 == 0 {
+		f = math.Copysign(0, -1)
+	}
+	return tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*41%selectRows), tuple.S(fmt.Sprintf("s%d", k%7)), tuple.F(f))
+}
 
 // build loads the fixture's relation. Two builds of one fixture are in
 // identical states, frame for frame.
 func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, *storage.Meter) {
 	t.Helper()
 	d := storage.NewDisk(512)
-	d.SetPageLayout(fx.layout)
 	m := storage.NewMeter()
 	p := storage.NewPool(d, m, fx.frames)
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("s", tuple.String), tuple.Col("f", tuple.Float))
@@ -51,15 +61,8 @@ func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := func(k int64) tuple.Tuple {
-		f := float64(k%13) - 6.5
-		if k%9 == 0 {
-			f = math.Copysign(0, -1)
-		}
-		return tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*41%selectRows), tuple.S(fmt.Sprintf("s%d", k%7)), tuple.F(f))
-	}
 	for k := int64(0); k < selectRows; k++ {
-		if err := rel.Insert(row(k)); err != nil {
+		if err := rel.Insert(selectRow(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +74,7 @@ func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, 
 	}
 	if fx.dirty {
 		p.BeginBulk()
-		if err := rel.Insert(row(selectRows)); err != nil {
+		if err := rel.Insert(selectRow(selectRows)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,9 +102,26 @@ func drawAtom(rng *rand.Rand) pred.Cmp {
 	return pred.Cmp{Rel: 0, Col: col, Op: ops[rng.Intn(len(ops))], Val: val}
 }
 
+// model is the plain-Go answer: the fixture's rows the predicate holds
+// for, row-encoded in id order.
+func (fx selectFixture) model(p *pred.P) []byte {
+	n := int64(selectRows)
+	if fx.dirty {
+		n++
+	}
+	var enc []byte
+	for k := int64(0); k < n; k++ {
+		if tp := selectRow(k); p.EvalSingle(0, tp) {
+			enc = tp.Encode(enc)
+		}
+	}
+	return enc
+}
+
 // selectRun is what one scan+Filter tree reports.
 type selectRun struct {
 	rows          []byte // the answer, row-encoded in order
+	byID          []byte // the answer, row-encoded in id order
 	scanned       int64  // the scan's RowsOut
 	screens       int64  // the Filter's C1 screens
 	reads, pruned int64  // the scan's page reads and pruned pages
@@ -120,12 +140,16 @@ func runSelect(t *testing.T, rel *relation.Relation, o Options, full *pred.P, pu
 	if err != nil {
 		t.Fatal(err)
 	}
-	var enc []byte
+	var enc, byID []byte
 	for _, r := range rows {
 		enc = r.T0.Encode(enc)
 	}
+	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.T0.ID, b.T0.ID) })
+	for _, r := range rows {
+		byID = r.T0.Encode(byID)
+	}
 	st := scan.Stats()
-	return selectRun{rows: enc, scanned: st.RowsOut, screens: f.Stats().Cost.Screens, reads: st.Cost.Reads, pruned: st.Pruned}
+	return selectRun{rows: enc, byID: byID, scanned: st.RowsOut, screens: f.Stats().Cost.Screens, reads: st.Cost.Reads, pruned: st.Pruned}
 }
 
 func TestSeqScanSelectionMatchesFullScan(t *testing.T) {
@@ -134,18 +158,13 @@ func TestSeqScanSelectionMatchesFullScan(t *testing.T) {
 		name string
 		hash int
 	}{{"btree", 0}, {"hash", 64}, {"hash-overflow", 4}} {
-		for _, lt := range []struct {
+		for _, pm := range []struct {
 			name   string
-			layout storage.PageLayout
-		}{{"col", storage.PageLayoutCol}, {"row", storage.PageLayoutRow}} {
-			for _, pm := range []struct {
-				name   string
-				frames int
-				dirty  bool
-			}{{"window", 256, false}, {"tiny-pool", 4, false}, {"dirty", 256, true}} {
-				fixtures = append(fixtures, selectFixture{name: am.name + "/" + lt.name + "/" + pm.name,
-					hash: am.hash, layout: lt.layout, frames: pm.frames, dirty: pm.dirty})
-			}
+			frames int
+			dirty  bool
+		}{{"window", 256, false}, {"tiny-pool", 4, false}, {"dirty", 256, true}} {
+			fixtures = append(fixtures, selectFixture{name: am.name + "/col/" + pm.name,
+				hash: am.hash, frames: pm.frames, dirty: pm.dirty})
 		}
 	}
 	for fi, fx := range fixtures {
@@ -171,6 +190,9 @@ func TestSeqScanSelectionMatchesFullScan(t *testing.T) {
 					if !bytes.Equal(sel.rows, all.rows) {
 						t.Fatalf("%s: the selecting scan's answer differs", where)
 					}
+					if !bytes.Equal(all.byID, fx.model(full)) {
+						t.Fatalf("%s: the answer differs from the rows the predicate holds for", where)
+					}
 					if sel.screens != sel.scanned || all.screens != all.scanned {
 						t.Fatalf("%s: screens %d / %d for %d / %d rows scanned", where, sel.screens, all.screens, sel.scanned, all.scanned)
 					}
@@ -186,7 +208,7 @@ func TestSeqScanSelectionMatchesFullScan(t *testing.T) {
 					prunedAny = prunedAny || sel.pruned > 0
 				}
 			}
-			armed := !fx.dirty && fx.frames >= 8 && fx.layout == storage.PageLayoutCol && fx.hash != 4
+			armed := !fx.dirty && fx.frames >= 8 && fx.hash != 4
 			if prunedAny != armed {
 				t.Errorf("pages pruned: %v; pruning armed: %v", prunedAny, armed)
 			}

@@ -20,10 +20,10 @@ import (
 	"viewmat/internal/vec"
 )
 
-// chainPages are the type bytes of a chain page, which is a colpage data
+// chainPages is the type byte of a chain page, which is a colpage data
 // page: the codec, the page→lanes decode and the page directory live
 // there, shared with btree's leaves.
-var chainPages = colpage.PageTypes{Row: 3, Col: 5}
+const chainPages colpage.PageType = 5
 
 // Index is a clustered hash index storing full tuples. Not safe for
 // concurrent use.
@@ -98,12 +98,11 @@ func (ix *Index) Buckets() int { return len(ix.buckets) }
 // KeyCol returns the clustering column.
 func (ix *Index) KeyCol() int { return ix.keyCol }
 
-// encodeNode writes the chain page over the frame's bytes under the
-// disk's layout policy, and records its link and zone maps in the
-// directory. The capacity decision was made by the caller against the
-// row-encoded size.
+// encodeNode writes the chain page over the frame's bytes and records its
+// link and zone maps in the directory. The caller has checked that it
+// fits (node.Size).
 func (ix *Index) encodeNode(fr *storage.Frame, n *node) {
-	ix.dir.Encode(fr.PageNum(), fr.Data, n, ix.pool.PageLayout())
+	ix.dir.Encode(fr.PageNum(), fr.Data, n)
 }
 
 // bucketFor hashes a key value to a bucket.
@@ -117,7 +116,7 @@ func (ix *Index) bucketFor(v tuple.Value) int {
 // (allocating an overflow page if the chain is full). Each chain page
 // inspected costs one metered read; the modified page costs one write.
 func (ix *Index) Insert(tp tuple.Tuple) error {
-	if colpage.DataPageHeader+tp.EncodedSize() > ix.pool.PageSize() {
+	if !colpage.FitsAlone(tp, ix.pool.PageSize()) {
 		return fmt.Errorf("hashidx: tuple of %d bytes exceeds page capacity", tp.EncodedSize())
 	}
 	pn := ix.buckets[ix.bucketFor(tp.Vals[ix.keyCol])]
@@ -457,7 +456,7 @@ func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Bat
 			if fallback {
 				return nil
 			}
-			if _, hasNext := colpage.PageLink(page); hasNext && chainPages.Has(page[0]) {
+			if _, hasNext := colpage.PageLink(page); hasNext && page[0] == byte(chainPages) {
 				// Metadata said no overflow but the page links onward;
 				// retry as a plain walk (fetched pages stay resident, so
 				// its reads mostly hit).

@@ -24,8 +24,8 @@ func (s scanState) String() string {
 	return [...]string{"clean", "dirty-frames", "tiny-pool"}[s]
 }
 
-// scanFixture is one relation under one (kind, layout, state) with the
-// in-memory model of its contents, sorted by (key, id).
+// scanFixture is one relation under one (kind, state) with the in-memory
+// model of its contents, sorted by (key, id).
 type scanFixture struct {
 	rel   *Relation
 	pool  *storage.Pool
@@ -35,14 +35,13 @@ type scanFixture struct {
 
 // newScanFixture builds 300 rows (every third key duplicated) and puts
 // pool and file in the requested state.
-func newScanFixture(t *testing.T, kind Kind, layout storage.PageLayout, state scanState) *scanFixture {
+func newScanFixture(t *testing.T, kind Kind, state scanState) *scanFixture {
 	t.Helper()
 	frames := 512
 	if state == stateTinyPool {
 		frames = 4
 	}
 	d := storage.NewDisk(256)
-	d.SetPageLayout(layout)
 	m := storage.NewMeter()
 	p := storage.NewPool(d, m, frames)
 	var r *Relation
@@ -103,11 +102,11 @@ func (fx *scanFixture) scan(rg *pred.Range) ([]tuple.Tuple, error) {
 }
 
 // TestScanPathTable drives the batch scan path through every access
-// method, page layout, range shape and pool state: rows must equal the
-// in-memory model, every page visited must be metered exactly once (a
-// miss) or not at all (already resident), the charged chain-following
-// walk (dirty frames, tiny pool) must meter what the readahead walk
-// does, and no case may leak a pin.
+// method, range shape and pool state: rows must equal the in-memory
+// model, every page visited must be metered exactly once (a miss) or not
+// at all (already resident), the charged chain-following walk (dirty
+// frames, tiny pool) must meter what the readahead walk does, and no case
+// may leak a pin. "col" names the one page format.
 func TestScanPathTable(t *testing.T) {
 	ranges := []struct {
 		name string
@@ -123,89 +122,80 @@ func TestScanPathTable(t *testing.T) {
 		name string
 		kind Kind
 	}{{"btree", ClusteredBTree}, {"hash", ClusteredHash}}
-	layouts := []struct {
-		name   string
-		layout storage.PageLayout
-	}{{"col", storage.PageLayoutCol}, {"row-oracle", storage.PageLayoutRow}}
 
 	for _, k := range kinds {
 		for _, rc := range ranges {
-			// cleanReads[layout] is the cold clean-file figure the other
-			// states and the other layout must reproduce.
-			cleanReads := map[string]int64{}
-			for _, l := range layouts {
-				for _, state := range []scanState{stateClean, stateDirty, stateTinyPool} {
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", k.name, l.name, rc.name, state), func(t *testing.T) {
-						fx := newScanFixture(t, k.kind, l.layout, state)
-						defer fx.pool.AssertUnpinned(t)
-						residentBefore := fx.pool.Resident()
-						before := fx.meter.Snapshot()
-						got, err := fx.scan(rc.rg)
-						reads := fx.meter.Snapshot().Sub(before).Reads
-						if k.kind == ClusteredHash && rc.rg != nil {
-							if err == nil {
-								t.Fatal("range scan of a hash relation succeeded")
-							}
-							return
+			// cleanReads is the cold clean-file figure the other states
+			// must reproduce.
+			var cleanReads int64
+			for _, state := range []scanState{stateClean, stateDirty, stateTinyPool} {
+				t.Run(fmt.Sprintf("%s/col/%s/%s", k.name, rc.name, state), func(t *testing.T) {
+					fx := newScanFixture(t, k.kind, state)
+					defer fx.pool.AssertUnpinned(t)
+					residentBefore := fx.pool.Resident()
+					before := fx.meter.Snapshot()
+					got, err := fx.scan(rc.rg)
+					reads := fx.meter.Snapshot().Sub(before).Reads
+					if k.kind == ClusteredHash && rc.rg != nil {
+						if err == nil {
+							t.Fatal("range scan of a hash relation succeeded")
 						}
-						if err != nil {
-							t.Fatal(err)
-						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
 
-						var want []tuple.Tuple
-						for _, tp := range fx.model {
-							if rc.rg == nil || rc.rg.Contains(tp.Vals[0]) {
-								want = append(want, tp)
-							}
+					var want []tuple.Tuple
+					for _, tp := range fx.model {
+						if rc.rg == nil || rc.rg.Contains(tp.Vals[0]) {
+							want = append(want, tp)
 						}
-						if k.kind == ClusteredHash {
-							// Bucket order is arbitrary: compare as sets.
-							sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
-							sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+					}
+					if k.kind == ClusteredHash {
+						// Bucket order is arbitrary: compare as sets.
+						sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+						sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+					}
+					if len(got) != len(want) {
+						t.Fatalf("scan returned %d rows, model has %d", len(got), len(want))
+					}
+					for i := range got {
+						if got[i].ID != want[i].ID || !tuple.Equal(got[i].Vals[0], want[i].Vals[0]) ||
+							got[i].Vals[1].Str() != want[i].Vals[1].Str() || got[i].Vals[2].Int() != want[i].Vals[2].Int() {
+							t.Fatalf("row %d = %v, model says %v", i, got[i], want[i])
 						}
-						if len(got) != len(want) {
-							t.Fatalf("scan returned %d rows, model has %d", len(got), len(want))
-						}
-						for i := range got {
-							if got[i].ID != want[i].ID || !tuple.Equal(got[i].Vals[0], want[i].Vals[0]) ||
-								got[i].Vals[1].Str() != want[i].Vals[1].Str() || got[i].Vals[2].Int() != want[i].Vals[2].Int() {
-								t.Fatalf("row %d = %v, model says %v", i, got[i], want[i])
-							}
-						}
+					}
 
-						switch state {
-						case stateClean:
-							// Cold pool, nothing evicted: one read per page
-							// visited, each now resident.
-							if visited := int64(fx.pool.Resident() - residentBefore); reads != visited {
-								t.Errorf("reads = %d, pages visited = %d", reads, visited)
+					switch state {
+					case stateClean:
+						// Cold pool, nothing evicted: one read per page
+						// visited, each now resident.
+						if visited := int64(fx.pool.Resident() - residentBefore); reads != visited {
+							t.Errorf("reads = %d, pages visited = %d", reads, visited)
+						}
+						if rc.rg == nil {
+							full := int64(fx.rel.Pages())
+							if k.kind == ClusteredBTree {
+								full += int64(fx.rel.IndexHeight()) // the descent
 							}
-							if rc.rg == nil {
-								full := int64(fx.rel.Pages())
-								if k.kind == ClusteredBTree {
-									full += int64(fx.rel.IndexHeight()) // the descent
-								}
-								if reads != full {
-									t.Errorf("full scan reads = %d, want every data page plus the descent = %d", reads, full)
-								}
-							}
-							if prev, ok := cleanReads["col"]; ok && prev != reads {
-								t.Errorf("row-oracle pages metered %d reads, columnar %d: layouts must be capacity-neutral", reads, prev)
-							}
-							cleanReads[l.name] = reads
-						case stateDirty:
-							// Pages the inserts left resident are hits; every
-							// other page visited is one read.
-							if visited := int64(fx.pool.Resident() - residentBefore); reads != visited {
-								t.Errorf("reads = %d, newly resident pages = %d", reads, visited)
-							}
-						case stateTinyPool:
-							if reads != cleanReads[l.name] {
-								t.Errorf("chain-following walk metered %d reads, readahead walk %d", reads, cleanReads[l.name])
+							if reads != full {
+								t.Errorf("full scan reads = %d, want every data page plus the descent = %d", reads, full)
 							}
 						}
-					})
-				}
+						cleanReads = reads
+					case stateDirty:
+						// Pages the inserts left resident are hits; every
+						// other page visited is one read.
+						if visited := int64(fx.pool.Resident() - residentBefore); reads != visited {
+							t.Errorf("reads = %d, newly resident pages = %d", reads, visited)
+						}
+					case stateTinyPool:
+						if reads != cleanReads {
+							t.Errorf("chain-following walk metered %d reads, readahead walk %d", reads, cleanReads)
+						}
+					}
+				})
 			}
 		}
 	}
@@ -214,9 +204,7 @@ func TestScanPathTable(t *testing.T) {
 	// pair of range ends over leaves of ~50 rows, so ends fall mid-leaf,
 	// exactly on leaf boundaries and inside runs of duplicates spanning
 	// two leaves, at batch sizes below, beside and above a leaf.
-	for _, l := range layouts {
-		t.Run("range-ends/"+l.name, func(t *testing.T) { testRangeEnds(t, l.layout) })
-	}
+	t.Run("range-ends/col", testRangeEnds)
 }
 
 // testRangeEnds sweeps both ends of a range scan over every key of a
@@ -225,9 +213,8 @@ func TestScanPathTable(t *testing.T) {
 // filtered row by row. Two keys repeat 120 times — more rows than a
 // 4 KB leaf holds — so each of those runs spans a leaf boundary, and
 // sweeping every key puts range ends on both sides of every boundary.
-func testRangeEnds(t *testing.T, layout storage.PageLayout) {
+func testRangeEnds(t *testing.T) {
 	d := storage.NewDisk(4096)
-	d.SetPageLayout(layout)
 	p := storage.NewPool(d, storage.NewMeter(), 64)
 	r, err := NewBTree(d, p, "ends", empSchema(), 0)
 	if err != nil {

@@ -14,43 +14,6 @@ const DefaultPageSize = 4000
 // PageNum identifies a page within a file.
 type PageNum uint32
 
-// PageLayout selects the physical encoding access methods use for data
-// pages. It is a disk-wide policy read at page-encode time, so one
-// engine runs one layout uniformly; pages written under the other
-// layout remain readable (decoders dispatch on the page type byte).
-//
-// The layout is deliberately capacity-neutral: page split and overflow
-// decisions are always made against the row-major encoded size, so both
-// layouts produce identical page counts, identical access patterns, and
-// byte-identical metered charges. Columnar is purely a faster physical
-// encoding — compression yields free space within a page, never more
-// tuples per page — which is what keeps the paper's tuples-per-page
-// cost model intact across layouts.
-type PageLayout int
-
-const (
-	// PageLayoutCol (the zero value, the default) lays data pages out
-	// as typed column chunks with zone maps (internal/colpage).
-	PageLayoutCol PageLayout = iota
-	// PageLayoutRow is the row-major tuple encoding — the per-page
-	// fallback when a chunk does not fit, and the oracle the layout
-	// property tests compare with. (The WAL is logical: it never holds a
-	// page.)
-	PageLayoutRow
-)
-
-// String names the layout.
-func (l PageLayout) String() string {
-	switch l {
-	case PageLayoutCol:
-		return "col"
-	case PageLayoutRow:
-		return "row"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
 // Disk is a simulated disk: a set of named files of fixed-size pages.
 // Reads and writes are charged to the attached Meter by the buffer
 // pool, not by the Disk itself — the Disk is the "platter".
@@ -61,9 +24,6 @@ func (l PageLayout) String() string {
 // are still single-writer per file, enforced by the engine lock.
 type Disk struct {
 	pageSize int
-	// layout is the page encoding policy access methods consult when
-	// writing data pages (atomic: statistics walks race with setters).
-	layout atomic.Int32
 	// latencyNs, when non-zero, is slept per physical page transfer
 	// (by the buffer pool, outside its lock), turning the metered
 	// counts into wall-clock time so concurrent operations overlap
@@ -89,13 +49,6 @@ func NewDisk(pageSize int) *Disk {
 
 // PageSize returns the disk's page size in bytes.
 func (d *Disk) PageSize() int { return d.pageSize }
-
-// SetPageLayout sets the page encoding policy for subsequently written
-// data pages. Existing pages stay readable under either setting.
-func (d *Disk) SetPageLayout(l PageLayout) { d.layout.Store(int32(l)) }
-
-// PageLayout returns the page encoding policy.
-func (d *Disk) PageLayout() PageLayout { return PageLayout(d.layout.Load()) }
 
 // SetIOLatency sets the simulated per-page transfer time (0 disables,
 // the default). Metered costs are unaffected; only wall-clock behavior

@@ -296,9 +296,6 @@ func (p *Pool) Capacity() int { return p.capacity }
 // PageSize returns the underlying disk's page size.
 func (p *Pool) PageSize() int { return p.disk.PageSize() }
 
-// PageLayout returns the underlying disk's page encoding policy.
-func (p *Pool) PageLayout() PageLayout { return p.disk.PageLayout() }
-
 // Resident returns the number of pages currently in the pool.
 func (p *Pool) Resident() int { return int(p.resident.Load()) }
 

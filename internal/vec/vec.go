@@ -438,25 +438,6 @@ func (b *Batch) AppendSlot0Rows(ids []uint64, src []Col, lo, hi int) bool {
 	return true
 }
 
-// AppendTupleRows appends tuples as rows onto an id lane and columns,
-// cell by cell — how a row-layout page becomes lanes. Lanes holding no
-// rows take the tuples' arity; a tuple of another arity is an error.
-func AppendTupleRows(ids []uint64, cols []Col, tuples []tuple.Tuple) ([]uint64, []Col, error) {
-	for _, tp := range tuples {
-		if len(ids) == 0 && len(cols) != len(tp.Vals) {
-			cols = make([]Col, len(tp.Vals))
-		}
-		if len(tp.Vals) != len(cols) {
-			return nil, nil, fmt.Errorf("vec: tuple of %d values appended to rows of %d columns", len(tp.Vals), len(cols))
-		}
-		ids = append(ids, tp.ID)
-		for c, v := range tp.Vals {
-			cols[c].Append(v)
-		}
-	}
-	return ids, cols, nil
-}
-
 // SetSlot0 installs ids and cols — b.IDs[0] and b.Slots[0] with whole
 // rows appended onto them in place, which is how a page decodes
 // straight into its destination batch — as the batch's slot-0 rows. It
