@@ -537,15 +537,15 @@ func (t *Tree) insertSep(pn storage.PageNum, sep key, newChild storage.PageNum) 
 		fr.MarkDirty()
 		return key{}, 0, false, t.pool.Release(fr)
 	}
-	// Split internal node: middle separator moves up.
-	midSep := len(in.seps) / 2
-	upKey := in.seps[midSep]
+	// Split internal node: the separator cutSep picks moves up.
+	cut := in.cutSep(childIdx, len(fr.Data))
+	upKey := in.seps[cut]
 	right := &internalNode{
-		children: append([]storage.PageNum(nil), in.children[midSep+1:]...),
-		seps:     append([]key(nil), in.seps[midSep+1:]...),
+		children: append([]storage.PageNum(nil), in.children[cut+1:]...),
+		seps:     append([]key(nil), in.seps[cut+1:]...),
 	}
-	in.children = in.children[:midSep+1]
-	in.seps = in.seps[:midSep]
+	in.children = in.children[:cut+1]
+	in.seps = in.seps[:cut]
 	rfr, err := t.pool.Alloc(t.file)
 	if err != nil {
 		t.pool.Release(fr)
@@ -561,6 +561,27 @@ func (t *Tree) insertSep(pn storage.PageNum, sep key, newChild storage.PageNum) 
 		return key{}, 0, false, err
 	}
 	return upKey, rightPN, true, t.pool.Release(fr)
+}
+
+// cutSep returns the separator of n, a node too large for one page of
+// pageSize bytes, to move up in a split, leaving seps[:cut] on the left
+// and seps[cut+1:] on the right: the one nearest the middle where both
+// halves fit, the rule splitPoint applies to leaves. The separator just
+// inserted, seps[ins], is always such a cut — each half is then part of
+// the node before the insert, which fitted — so one is always found.
+func (n *internalNode) cutSep(ins, pageSize int) int {
+	fits := func(children []storage.PageNum, seps []key) bool {
+		return internalSize(&internalNode{children: children, seps: seps}) <= pageSize
+	}
+	mid := len(n.seps) / 2
+	for d := 0; d <= mid; d++ {
+		for _, m := range [2]int{mid - d, mid + d} {
+			if m < len(n.seps) && fits(n.children[:m+1], n.seps[:m]) && fits(n.children[m+1:], n.seps[m+1:]) {
+				return m
+			}
+		}
+	}
+	return ins
 }
 
 // childFor returns the index of the child of a decoded internal node

@@ -338,6 +338,57 @@ func TestSplitFitsBothHalves(t *testing.T) {
 	}
 }
 
+// TestInternalSplitFitsBothHalves: an internal page splits at the
+// separator nearest the middle where both halves fit, however unevenly
+// its separators are sized. Clustered on a string column, ~1 900-byte
+// keys among 5-byte ones make separators of which two fill a 4 000-byte
+// page; a cut by count put three on one half and wrote 5 691 bytes over
+// the frame.
+func TestInternalSplitFitsBothHalves(t *testing.T) {
+	d := storage.NewDisk(4000)
+	tr, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("s"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(38))
+	var want []string
+	for i := 0; i < 60; i++ {
+		width := 4
+		if rng.Intn(3) == 0 {
+			width = 1800 + rng.Intn(151)
+		}
+		k := string(rune('a'+rng.Intn(26))) + strings.Repeat("k", width)
+		if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.S(k))); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, k)
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: the script no longer splits an internal page", tr.Height())
+	}
+	sort.Strings(want)
+	it, err := tr.ScanBatches(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, it)
+	if len(got) != len(want) {
+		t.Fatalf("scan returned %d tuples, want %d", len(got), len(want))
+	}
+	for i, tp := range got {
+		if tp.Vals[1].Str() != want[i] {
+			t.Fatalf("position %d: a key of %d bytes, want one of %d", i, len(tp.Vals[1].Str()), len(want[i]))
+		}
+		if _, ok, err := tr.Get(tp.Vals[1], tp.ID); err != nil || !ok {
+			t.Fatalf("Get of the key at position %d: found %v, %v", i, ok, err)
+		}
+	}
+	if err := checkDirectory(tr); err != nil {
+		t.Fatal(err)
+	}
+	tr.pool.AssertUnpinned(t)
+}
+
 // TestInternalSizeCountsFitTheHeader: an internal page counts its
 // children in 16 bits, so a node of more fits no page.
 func TestInternalSizeCountsFitTheHeader(t *testing.T) {

@@ -21,11 +21,13 @@ import (
 // in-place descent compares strings where they lie (int keys if bit 0x20
 // is set too), and with bit 0x40 payloads of 0 to 170 bytes, so a leaf
 // holds anything from one tuple to a dozen and a split must find a cut
-// where both halves fit. Any other input is an int-keyed script of short
-// payloads, which is what every input was before the mode byte (the
-// first three seeds run as they always did). After every op the leaf
-// directory the writers kept must equal one rebuilt from the flushed
-// images.
+// where both halves fit. With bit 0x10 the keys are strings of 0 to
+// 1 950 bytes on 4 000-byte pages, so two separators can fill an
+// internal page and its split too must find a cut where both halves
+// fit. Any other input is an int-keyed script of short payloads, which
+// is what every input was before the mode byte (the first three seeds
+// run as they always did). After every op the leaf directory the
+// writers kept must equal one rebuilt from the flushed images.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 1, 0, 3, 250, 0, 130, 2, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 0})
@@ -34,10 +36,22 @@ func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 0, 4, 0, 5, 1, 3, 0, 1, 0})
 	f.Add([]byte{0xE0, 0, 1, 0, 169, 0, 3, 0, 2, 0, 160, 4, 7, 5, 1, 0, 255, 1, 0, 3, 0})
 	f.Add([]byte{0xC0, 0, 10, 0, 170, 0, 11, 6, 169, 4, 2, 5, 3, 7, 0, 0, 9, 3, 1})
+	// Wide keys: 60 inserts of 0-, 50- and 1 800–1 950-byte keys, then a
+	// scan, a delete and two updates. A split by count wrote an internal
+	// page of three wide separators, 5 554 bytes, over its frame.
+	f.Add([]byte{
+		144, 0, 40, 0, 0, 0, 1, 0, 0, 0, 1, 0, 77, 0, 40, 0, 118, 0, 41, 0, 81, 0, 41, 0,
+		40, 0, 119, 0, 80, 0, 117, 0, 38, 0, 40, 0, 1, 0, 80, 0, 41, 0, 37, 0, 36, 0, 41, 0,
+		80, 0, 37, 0, 41, 0, 36, 0, 0, 0, 1, 0, 80, 0, 80, 0, 0, 0, 1, 0, 117, 0, 1, 0,
+		0, 0, 40, 0, 0, 0, 1, 0, 40, 0, 80, 0, 41, 0, 81, 0, 119, 0, 81, 0, 41, 0, 41, 0,
+		39, 0, 0, 0, 0, 0, 0, 0, 79, 0, 79, 0, 1, 0, 41, 0, 1, 0, 80, 0, 38, 0, 77, 0,
+		81, 3, 0, 1, 5, 4, 9, 5, 3, 3, 77,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var strKeys, wide bool
+		var strKeys, wide, wideKeys bool
 		if len(data) > 0 && data[0]&0x80 != 0 {
-			strKeys, wide = data[0]&0x20 == 0, data[0]&0x40 != 0
+			wideKeys = data[0]&0x10 != 0
+			strKeys, wide = data[0]&0x20 == 0 || wideKeys, data[0]&0x40 != 0
 			data = data[1:]
 		}
 		// payload is the string a tuple carries for arg: short, unless
@@ -49,6 +63,10 @@ func FuzzBTree(f *testing.F) {
 			return prefix + strings.Repeat("x", short)
 		}
 		keyOfArg := func(arg byte) tuple.Value {
+			if wideKeys {
+				// Widths 0–1 950 in steps of 50, in three letters.
+				return tuple.S(strings.Repeat(string(rune('a'+arg%3)), int(arg%40)*50))
+			}
 			if strKeys {
 				// Widths 1–7 over a dozen values: long and short separators,
 				// and prefixes of one another.
@@ -56,7 +74,11 @@ func FuzzBTree(f *testing.F) {
 			}
 			return tuple.I(int64(int8(arg)))
 		}
-		d := storage.NewDisk(256)
+		pageSize := 256
+		if wideKeys {
+			pageSize = 4000
+		}
+		d := storage.NewDisk(pageSize)
 		pool := storage.NewPool(d, storage.NewMeter(), 64)
 		tr, err := New(pool, d.Open("t"), 0)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"viewmat/internal/pred"
@@ -14,7 +15,10 @@ import (
 // read whole — a full scan whose zone maps rule out 851 leaves and whose
 // 1 002 others are read and tested on the encoded a lane. It is the
 // workload's CPU profile without a socket (the verify skill says how to
-// take it).
+// take it). clients=1 issues the b.N queries from one goroutine;
+// clients=2 splits them between two goroutines querying at once — the
+// benchmark's two clients in process — so its ns/op is wall time per
+// query, comparable with clients=1's.
 func BenchmarkScanQM(b *testing.B) {
 	const n, aMul = 100000, 40503
 	db := NewDatabase(Options{PageSize: 4000, PoolFrames: 256})
@@ -41,11 +45,29 @@ func BenchmarkScanQM(b *testing.B) {
 	if err := db.CreateView(vq, QueryModification); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := db.QueryView("vq", nil)
-		if err != nil || len(rows) != n/100 {
-			b.Fatalf("query answered %d rows, err %v; want %d", len(rows), err, n/100)
-		}
+	for _, clients := range []int{1, 2} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			errs := make(chan error, clients)
+			for c := 0; c < clients; c++ {
+				go func() {
+					for i := c; i < b.N; i += clients {
+						rows, err := db.QueryView("vq", nil)
+						if err == nil && len(rows) != n/100 {
+							err = fmt.Errorf("query answered %d rows; want %d", len(rows), n/100)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			for c := 0; c < clients; c++ {
+				if err := <-errs; err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// Pool is a sharded LRU buffer pool with pinning. All page access in
-// the engine goes through a Pool, which charges the Meter: one read per
+// Pool is an LRU buffer pool with pinning. All page access in the
+// engine goes through a Pool, which charges the Meter: one read per
 // miss, one write per dirty page written back.
 //
 // Cost-model fidelity: Hanson's formulas count *distinct* pages touched
@@ -28,38 +28,32 @@ import (
 // only on which pages are resident, in LRU order, so the pool keeps an
 // entry per resident page, and a frame buffer only where a writer needs
 // one. Read and ReadBatch pin an entry exactly as Get does — same
-// clock tick, recency position, capacity slot, single-flight and one
-// metered read per miss — and run the caller's function on the page
-// while it is pinned: on the entry's bytes when a writer gave it some
-// (Alloc, a dirty frame, a Get), on the on-disk image in place
-// (File.View) otherwise. So a clean miss copies nothing, and a page
-// whose frame is newer than its image is never read from the image.
-// Get and Alloc are the writer API: they return a *Frame whose Data is
-// the page, and a Get that hits a reader's entry fills it from the
-// image under the shard lock — a hit, charged nothing.
+// recency position, capacity slot and one metered read per miss — and
+// run the caller's function on the page while it is pinned: on the
+// entry's bytes when a writer gave it some (Alloc, a dirty frame, a
+// Get), on the on-disk image in place (File.View) otherwise. So a clean
+// miss copies nothing, and a page whose frame is newer than its image is
+// never read from the image. Get and Alloc are the writer API: they
+// return a *Frame whose Data is the page, and a Get that hits a reader's
+// entry fills it from the image under the pool lock — a hit, charged
+// nothing.
 //
-// Concurrency: the entry table is split across power-of-two shards,
-// each with its own mutex, entry map and recency list, so concurrent
-// readers and parallel refresh workers contend only when they touch
-// pages that hash to the same shard. Pin counts are atomic (their
-// transitions still happen under the owning shard's lock, which keeps
-// the per-shard unpinned count exact). A miss never performs disk I/O
-// or sleeps the simulated latency under any lock: the missing reader
-// marks the page as loading, drops the shard lock, reads and sleeps,
-// and publishes the entry; concurrent missers of the same page wait on
-// the shard's condition variable and are charged nothing, so exactly
-// one read is metered per physical fetch. Frame *data* is not guarded
-// here: the engine's reader/writer lock guarantees that a frame's bytes
-// are only mutated while its file is owned by exactly one writer
-// goroutine.
-//
-// Why sharding cannot change what is charged: charges depend only on
-// hit/miss outcomes and eviction victims. Hits and misses depend on
-// residency, which sharding does not alter, and eviction selects the
-// globally least-recently-used unpinned entries via a pool-wide access
-// clock (Frame.lastUsed), reproducing the single-list LRU victim order
-// exactly. Serial operations therefore meter byte-identical Stats; only
-// wall-clock behavior under concurrency changes.
+// Concurrency: one mutex guards one entry map and one recency list, and
+// every operation takes it once — a ReadBatch window twice, once to pin
+// the whole window and evict its overflow, once to release it (the
+// replacement bookkeeping of an access batch done under one lock, as in
+// BP-Wrapper, rather than a lock partitioned). The list order is the LRU
+// order, so eviction takes the unpinned entries off its old end. No
+// latency is slept under the lock. A reader's miss does no I/O: it
+// checks that the page exists and publishes a bytes-less entry, and its
+// latency is slept after the unlock. A writer's miss copies the image
+// with no pool lock held: it marks the page as loading, drops the lock,
+// reads and sleeps, and publishes the entry; concurrent missers of the
+// same page wait on the pool's condition variable and are charged
+// nothing, so exactly one read is metered per physical fetch. Frame
+// *data* is not guarded here: the engine's reader/writer lock guarantees
+// that a frame's bytes are only mutated while its file is owned by
+// exactly one writer goroutine.
 //
 // Frame arena: page buffers and entries are made on demand and
 // recycled. A buffer goes back to the arena the moment its frame has
@@ -72,24 +66,28 @@ import (
 // itself reads garbage. Only writers take buffers (Alloc, and a Get of
 // a page with none), so the arena holds write frames only. The free
 // lists hold at most capacity buffers and capacity entries: entries
-// exceed the capacity only transiently — a miss inserts before it
-// evicts, a ReadBatch window before its one eviction pass — and
-// anything freed beyond the cap is left to the garbage collector.
+// exceed the capacity only transiently — a writer's miss publishes
+// before it evicts, and a pool full of pinned entries stays over until
+// a release — and anything freed beyond the cap is left to the garbage
+// collector.
 type Pool struct {
 	disk     *Disk
 	meter    *Meter
 	capacity int
 
-	shardMask uint32
-	shards    []poolShard
-
-	resident atomic.Int64 // total entries across all shards
-	tick     atomic.Int64 // pool-wide access clock ordering entries for eviction
-
-	policyMu  sync.Mutex
+	// mu guards the table, the list, the loading set, every entry's
+	// pins, inPlace, orphan and links, and bulkDepth.
+	mu       sync.Mutex
+	frames   map[frameKey]*Frame
+	mru, lru *Frame // the recency list runs from mru through Frame.older to lru
+	// loading holds the pages a writer's miss is fetching; missers of
+	// the same page wait on loaded (whose lock is mu), which each fetch
+	// broadcasts when it ends, and re-enter the hit path.
+	loading   map[frameKey]struct{}
+	loaded    sync.Cond
 	bulkDepth int // >0 suspends write-through (nested bulk writes)
 
-	slotMu sync.Mutex // innermost, like policyMu
+	slotMu sync.Mutex // innermost
 	slots  [][]byte   // recycled page buffers, at most capacity
 	spare  []*Frame   // recycled entries, at most capacity
 	poison []byte     // one page of poisonByte, copied over each recycled slot; never written
@@ -120,25 +118,6 @@ var checkInPlace = testing.Testing()
 // names no page the engine writes, so a stale decode fails loudly.
 const poisonByte = 0xA5
 
-// poolShard is one slice of the entry table. Its recency list runs
-// from mru (most recently used) through Frame.older to lru; because
-// every touch stamps the pool clock under the shard lock, the list is
-// also in descending tick order. unpinned counts the shard's eviction
-// candidates so the evictor can skip fully-pinned shards without
-// walking them, and a pool that is full of pinned entries is detected
-// without an O(resident) scan.
-type poolShard struct {
-	mu       sync.Mutex
-	frames   map[frameKey]*Frame
-	mru, lru *Frame
-	unpinned int // entries with zero pins
-	// loading holds the pages being fetched by a miss; missers of the
-	// same page wait on loaded (whose lock is mu), which each fetch
-	// broadcasts when it ends, and re-enter the hit path.
-	loading map[frameKey]struct{}
-	loaded  sync.Cond
-}
-
 type frameKey struct {
 	file string
 	pn   PageNum
@@ -155,11 +134,8 @@ type Frame struct {
 	file  *File
 	Data  []byte
 	dirty atomic.Bool
-	pins  atomic.Int32 // transitions under the owning shard's lock
-	// The fields below are guarded by the owning shard's lock.
-	//
-	// lastUsed orders entries pool-wide for eviction.
-	lastUsed int64
+	// The fields below are guarded by the pool lock.
+	pins int32
 	// orphan marks a frame discarded while pinned: it is no longer in
 	// the table and its final Release must not write it back (the page
 	// may have been freed and reallocated).
@@ -167,7 +143,7 @@ type Frame struct {
 	// inPlace counts the pins of reads running on the image rather than
 	// on Data.
 	inPlace int32
-	// newer and older link the entry into its shard's recency list.
+	// newer and older link the entry into the recency list.
 	newer, older *Frame
 }
 
@@ -176,85 +152,51 @@ type Frame struct {
 // that holds R2 during a nested-loop join (§3.4.3).
 const DefaultPoolCapacity = 256
 
-// defaultPoolShards is the default shard count; a small power of two
-// well above the engine's worker parallelism keeps same-shard
-// collisions rare without bloating per-pool memory.
-const defaultPoolShards = 16
-
 // NewPool creates a pool over the disk charging the meter. capacity
 // ≤ 0 selects DefaultPoolCapacity. The pool writes through — a dirty
 // frame is written back when its last pin is released, matching the
 // model's read+write charge per updated page — except inside
 // BeginBulk/EndBulk.
 func NewPool(disk *Disk, meter *Meter, capacity int) *Pool {
-	return newPoolShards(disk, meter, capacity, defaultPoolShards)
-}
-
-// newPoolShards is NewPool with an explicit shard count (rounded up to
-// a power of two, minimum 1). A single shard reproduces the old
-// one-big-mutex pool's contention profile for the in-package benchmark;
-// charges are identical at every shard count.
-func newPoolShards(disk *Disk, meter *Meter, capacity, shards int) *Pool {
 	if capacity <= 0 {
 		capacity = DefaultPoolCapacity
 	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
 	p := &Pool{
-		disk:      disk,
-		meter:     meter,
-		capacity:  capacity,
-		shardMask: uint32(n - 1),
-		shards:    make([]poolShard, n),
+		disk:     disk,
+		meter:    meter,
+		capacity: capacity,
+		frames:   map[frameKey]*Frame{},
+		loading:  map[frameKey]struct{}{},
 	}
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.frames = map[frameKey]*Frame{}
-		sh.loading = map[frameKey]struct{}{}
-		sh.loaded.L = &sh.mu
-	}
+	p.loaded.L = &p.mu
 	if poisonSlots {
 		p.poison = bytes.Repeat([]byte{poisonByte}, disk.PageSize())
 	}
 	return p
 }
 
-// shardOf hashes a key to its shard (FNV-1a over file name and page).
-func (p *Pool) shardOf(key frameKey) *poolShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key.file); i++ {
-		h ^= uint32(key.file[i])
-		h *= 16777619
-	}
-	h ^= uint32(key.pn)
-	h *= 16777619
-	return &p.shards[h&p.shardMask]
-}
-
-// pushFront links fr in as the shard's most recently used entry.
-func (sh *poolShard) pushFront(fr *Frame) {
-	fr.newer, fr.older = nil, sh.mru
-	if sh.mru != nil {
-		sh.mru.newer = fr
+// pushFront links fr in as the most recently used entry.
+func (p *Pool) pushFront(fr *Frame) {
+	fr.newer, fr.older = nil, p.mru
+	if p.mru != nil {
+		p.mru.newer = fr
 	} else {
-		sh.lru = fr
+		p.lru = fr
 	}
-	sh.mru = fr
+	p.mru = fr
 }
 
-// unlink takes fr out of the shard's recency list.
-func (sh *poolShard) unlink(fr *Frame) {
+// unlink takes fr out of the recency list.
+func (p *Pool) unlink(fr *Frame) {
 	if fr.newer != nil {
 		fr.newer.older = fr.older
 	} else {
-		sh.mru = fr.older
+		p.mru = fr.older
 	}
 	if fr.older != nil {
 		fr.older.newer = fr.newer
 	} else {
-		sh.lru = fr.newer
+		p.lru = fr.newer
 	}
 	fr.newer, fr.older = nil, nil
 }
@@ -266,28 +208,19 @@ func (sh *poolShard) unlink(fr *Frame) {
 // refresh workers) each hold the suspension without toggling each
 // other's mode — the reason this is a depth counter rather than a flag.
 func (p *Pool) BeginBulk() {
-	p.policyMu.Lock()
+	p.mu.Lock()
 	p.bulkDepth++
-	p.policyMu.Unlock()
+	p.mu.Unlock()
 }
 
 // EndBulk closes a BeginBulk. The caller is expected to FlushAll (or
 // let eviction flush) afterwards; EndBulk itself writes nothing.
 func (p *Pool) EndBulk() {
-	p.policyMu.Lock()
+	p.mu.Lock()
 	if p.bulkDepth > 0 {
 		p.bulkDepth--
 	}
-	p.policyMu.Unlock()
-}
-
-// effectiveWriteThrough reports whether a final unpin should write back
-// immediately. Safe to call under a shard lock (policyMu is always
-// innermost).
-func (p *Pool) effectiveWriteThrough() bool {
-	p.policyMu.Lock()
-	defer p.policyMu.Unlock()
-	return p.bulkDepth == 0
+	p.mu.Unlock()
 }
 
 // Capacity returns the pool's frame capacity.
@@ -297,7 +230,11 @@ func (p *Pool) Capacity() int { return p.capacity }
 func (p *Pool) PageSize() int { return p.disk.PageSize() }
 
 // Resident returns the number of pages currently in the pool.
-func (p *Pool) Resident() int { return int(p.resident.Load()) }
+func (p *Pool) Resident() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.frames)
+}
 
 // sleepIO simulates the wall-clock cost of n physical page transfers.
 // Callers invoke it with no pool lock held, so concurrent operations
@@ -313,27 +250,28 @@ func (p *Pool) sleepIO(n int) {
 
 // Get pins and returns the frame for (file, pn) with the page's bytes,
 // reading it from disk (one metered read) on a miss — the writer's
-// access; readers use Read. The read, its simulated latency and any
-// eviction write-backs all happen without holding a shard lock.
+// access; readers use Read. The read and its simulated latency happen
+// without holding the pool lock, the eviction's write-back latency after
+// it.
 func (p *Pool) Get(f *File, pn PageNum) (*Frame, error) {
-	fr, _, missed, err := p.pin(f, pn, true, true)
+	p.mu.Lock()
+	fr, _, _, err := p.pinLocked(f, pn, true)
+	wrote := 0
+	if err == nil {
+		wrote, err = p.evictLocked()
+	}
+	p.mu.Unlock()
+	p.sleepIO(wrote)
 	if err != nil {
 		return nil, err
-	}
-	if missed {
-		wrote, err := p.evictOverflow()
-		if err != nil {
-			return nil, err
-		}
-		p.sleepIO(wrote)
 	}
 	return fr, nil
 }
 
-// Read runs fn on page (file, pn) while it is pinned, then releases it.
-// It is charged exactly as a Get followed by a Release: one read on a
-// miss, with the same clock tick, recency position, capacity slot and
-// single-flight. A page a writer gave bytes (Alloc, a dirty frame, a
+// Read runs fn on page (file, pn) while it is pinned, then releases it:
+// a ReadBatch of one page. It is charged exactly as a Get followed by a
+// Release: one read on a miss, with the same recency position and
+// capacity slot. A page a writer gave bytes (Alloc, a dirty frame, a
 // Get) is read from them; any other is read in place, from its image
 // under the file's read lock (File.View), so a miss copies nothing.
 // fn must keep nothing aliasing page and must not touch the pool or the
@@ -347,18 +285,7 @@ func (p *Pool) Get(f *File, pn PageNum) (*Frame, error) {
 // frame, and they get bytes), so the read runs on them. Every test
 // binary checks both (checkInPlace).
 func (p *Pool) Read(f *File, pn PageNum, fn func(page []byte) error) error {
-	fr, inPlace, missed, err := p.pin(f, pn, false, true)
-	if err != nil {
-		return err
-	}
-	if missed {
-		wrote, err := p.evictOverflow()
-		if err != nil {
-			return p.errRelease(err, fr, inPlace)
-		}
-		p.sleepIO(wrote)
-	}
-	return p.errRelease(p.view(fr, inPlace, fn), fr, inPlace)
+	return p.ReadBatch(f, []PageNum{pn}, func(_ int, page []byte) error { return fn(page) })
 }
 
 // ReadBatch runs fn(i, page) on each page pns[i] in turn, the whole
@@ -368,14 +295,15 @@ func (p *Pool) Read(f *File, pn PageNum, fn func(page []byte) error) error {
 // and eviction writes is slept once. That single combined sleep is the
 // readahead win: a sequential scan pays one timer wait per window
 // instead of one per page. Callers must keep the batch well under the
-// pool capacity. Each page is released once fn has run on it; after the
-// first error fn runs no more and the rest are released.
+// pool capacity. After the first error fn runs no more.
 //
-// Eviction runs once after all inserts. The victims are the same
-// entries an insert-by-insert pass would have chosen: window entries are
-// pinned and carry the newest access ticks, so they are never
-// candidates, and the globally least-recently-used unpinned entries are
-// evicted in the same order either way.
+// The pool lock is taken twice: once to pin every page, charge its
+// misses and evict the overflow, once to release the window after fn
+// has run on each page. The victims are the same entries an
+// insert-by-insert pass would have chosen: window entries are pinned and
+// at the new end of the list, so they are never candidates, and the
+// least-recently-used unpinned entries are evicted in the same order
+// either way.
 func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) error) error {
 	type held struct {
 		fr      *Frame
@@ -383,10 +311,11 @@ func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) err
 	}
 	var window [32]held // colpage.Window's cap: a scan's window stays on the stack
 	pinned := window[:0]
-	misses := 0
+	misses, wrote := 0, 0
 	var err error
+	p.mu.Lock()
 	for _, pn := range pns {
-		fr, inPlace, missed, perr := p.pin(f, pn, false, false)
+		fr, inPlace, missed, perr := p.pinLocked(f, pn, false)
 		if perr != nil {
 			err = perr
 			break
@@ -397,70 +326,99 @@ func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) err
 		pinned = append(pinned, held{fr, inPlace})
 	}
 	if err == nil {
-		var wrote int
-		if wrote, err = p.evictOverflow(); err == nil {
-			p.sleepIO(misses + wrote)
-		}
+		wrote, err = p.evictLocked()
 	}
+	p.mu.Unlock()
+	p.sleepIO(misses + wrote)
 	for i, h := range pinned {
-		if err == nil {
-			err = p.view(h.fr, h.inPlace, func(page []byte) error { return fn(i, page) })
+		if err != nil {
+			break
 		}
-		err = p.errRelease(err, h.fr, h.inPlace)
+		err = p.view(h.fr, h.inPlace, func(page []byte) error { return fn(i, page) })
 	}
+	wrote = 0
+	p.mu.Lock()
+	for _, h := range pinned {
+		w, rerr := p.unpinLocked(h.fr, h.inPlace)
+		if wrote += w; err == nil {
+			err = rerr
+		}
+	}
+	p.mu.Unlock()
+	p.sleepIO(wrote)
 	return err
 }
 
-// pin pins the entry for (f, pn), charging one read on a miss. A
-// writer's pin (withBytes) gets a frame holding the page: a miss copies
-// the image into an arena slot, and a hit on a reader's entry fills it
-// from the image, uncharged. A reader's miss leaves an entry without
-// bytes; inPlace reports that the reader's pinned entry has none, so
-// the reader runs on the image. When sleep is set the miss latency is
-// slept here (with no lock held); either way the caller owns the
-// eviction pass — Get and Read run one per miss, ReadBatch one for the
-// whole window.
-func (p *Pool) pin(f *File, pn PageNum, withBytes, sleep bool) (fr *Frame, inPlace, missed bool, err error) {
+// pinLocked pins the entry for (f, pn), charging one read on a miss,
+// with the pool lock held. A writer's pin (withBytes) gets a frame
+// holding the page: a miss copies the image into an arena slot with the
+// lock dropped (and sleeps its latency), and a hit on a reader's entry
+// fills it from the image, uncharged. A reader's miss does no I/O: it
+// publishes an entry without bytes once the page is known to exist, and
+// the caller sleeps its latency after unlocking. inPlace reports that
+// the reader's pinned entry has no bytes, so the reader runs on the
+// image. The caller owns the eviction pass.
+func (p *Pool) pinLocked(f *File, pn PageNum, withBytes bool) (fr *Frame, inPlace, missed bool, err error) {
 	key := frameKey{f.Name(), pn}
-	sh := p.shardOf(key)
-	sh.mu.Lock()
 	for {
-		if hit, ok := sh.frames[key]; ok {
+		if hit, ok := p.frames[key]; ok {
 			if withBytes && hit.Data == nil {
-				// A reader's entry: fill it for the writer, under the
-				// shard lock, charging nothing.
+				// A reader's entry: fill it for the writer, charging
+				// nothing.
 				if hit.Data, err = p.readImage(f, pn); err != nil {
-					sh.mu.Unlock()
 					return nil, false, false, err
 				}
 			}
-			sh.unlink(hit)
-			sh.pushFront(hit)
-			hit.lastUsed = p.tick.Add(1)
-			if hit.pins.Add(1) == 1 {
-				sh.unpinned--
-			}
+			p.unlink(hit)
+			p.pushFront(hit)
+			hit.pins++
 			if inPlace = hit.Data == nil; inPlace {
 				hit.inPlace++
 			}
-			sh.mu.Unlock()
 			return hit, inPlace, false, nil
 		}
-		if _, ok := sh.loading[key]; !ok {
+		if _, ok := p.loading[key]; !ok {
 			break
 		}
-		// Another goroutine is already fetching this page: wait for it
-		// and re-enter the hit path. No additional read is charged — the
+		// A writer is already fetching this page: wait for it and
+		// re-enter the hit path. No additional read is charged — the
 		// leader's single read covers every waiter. (A leader that fails
 		// publishes nothing, and each waiter then tries for itself.)
-		sh.loaded.Wait()
+		p.loaded.Wait()
 	}
-	sh.loading[key] = struct{}{}
-	sh.mu.Unlock()
-	if fr, err = p.loadMiss(f, key, sh, withBytes, sleep); err != nil {
+	var buf []byte
+	if withBytes {
+		p.loading[key] = struct{}{}
+		p.mu.Unlock()
+		if buf, err = p.readImage(f, pn); err == nil {
+			p.chargeRead(key)
+			p.sleepIO(1)
+		}
+		p.mu.Lock()
+		delete(p.loading, key)
+		p.loaded.Broadcast()
+	} else if err = f.View(pn, func([]byte) error { return nil }); err == nil {
+		p.chargeRead(key)
+	}
+	if err != nil {
 		return nil, false, false, err
 	}
-	return fr, fr.Data == nil, true, nil
+	fr = p.newFrame(key, f, buf)
+	fr.pins = 1
+	if inPlace = buf == nil; inPlace {
+		fr.inPlace = 1
+	}
+	p.pushFront(fr)
+	p.frames[key] = fr
+	return fr, inPlace, true, nil
+}
+
+// chargeRead meters one page read.
+func (p *Pool) chargeRead(key frameKey) {
+	p.meter.Read(1)
+	if p.traceIO != nil {
+		p.traceIO(false, key)
+	}
 }
 
 // readImage copies page pn's image into an arena slot, under the
@@ -475,50 +433,6 @@ func (p *Pool) readImage(f *File, pn PageNum) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// loadMiss publishes the entry of a page the caller is fetching (it
-// holds the page's loading mark), pinned once: for a writer, with the
-// image copied into an arena slot under the file's read lock; for a
-// reader, with no bytes once the page is known to exist. The disk read
-// and the latency sleep happen with no pool lock held, so a slow miss
-// never delays hits on other pages.
-func (p *Pool) loadMiss(f *File, key frameKey, sh *poolShard, withBytes, sleep bool) (*Frame, error) {
-	var buf []byte
-	var err error
-	if withBytes {
-		buf, err = p.readImage(f, key.pn)
-	} else {
-		err = f.View(key.pn, func([]byte) error { return nil })
-	}
-	if err != nil {
-		sh.mu.Lock()
-		delete(sh.loading, key)
-		sh.loaded.Broadcast()
-		sh.mu.Unlock()
-		return nil, err
-	}
-	p.meter.Read(1)
-	if p.traceIO != nil {
-		p.traceIO(false, key)
-	}
-	if sleep {
-		p.sleepIO(1)
-	}
-	fr := p.newFrame(key, f, buf)
-	fr.pins.Store(1)
-	sh.mu.Lock()
-	fr.lastUsed = p.tick.Add(1)
-	if buf == nil {
-		fr.inPlace = 1
-	}
-	sh.pushFront(fr)
-	sh.frames[key] = fr
-	delete(sh.loading, key)
-	p.resident.Add(1)
-	sh.loaded.Broadcast()
-	sh.mu.Unlock()
-	return fr, nil
 }
 
 // view runs fn on a pinned entry's page: on its bytes, or in place on
@@ -537,15 +451,6 @@ func (p *Pool) view(fr *Frame, inPlace bool, fn func(page []byte) error) error {
 	return err
 }
 
-// errRelease releases a reader's pin and returns err, or the release's
-// error when err is nil.
-func (p *Pool) errRelease(err error, fr *Frame, inPlace bool) error {
-	if rerr := p.unpin(fr, inPlace); err == nil {
-		err = rerr
-	}
-	return err
-}
-
 // Alloc allocates a fresh page in the file and returns it pinned. The
 // page is born dirty (it must eventually be written) but its first
 // write is charged like any other: on unpin (write-through) or
@@ -557,33 +462,22 @@ func (p *Pool) Alloc(f *File) (*Frame, error) {
 	buf := p.takeSlot()
 	clear(buf)
 	fr := p.newFrame(key, f, buf)
-	fr.pins.Store(1)
+	fr.pins = 1
 	fr.MarkDirty()
-	sh := p.shardOf(key)
-	sh.mu.Lock()
-	if stale, ok := sh.frames[key]; ok {
+	p.mu.Lock()
+	if stale, ok := p.frames[key]; ok {
 		// A stale entry for a previously freed page number that was
 		// never discarded; drop it rather than leaking a list entry.
-		sh.unlink(stale)
-		delete(sh.frames, key)
-		if stale.pins.Load() == 0 {
-			sh.unpinned--
-			p.recycle(stale)
-		} else {
-			stale.orphan = true
-		}
-		p.resident.Add(-1)
+		p.drop(stale)
 	}
-	fr.lastUsed = p.tick.Add(1)
-	sh.pushFront(fr)
-	sh.frames[key] = fr
-	p.resident.Add(1)
-	sh.mu.Unlock()
-	wrote, err := p.evictOverflow()
+	p.pushFront(fr)
+	p.frames[key] = fr
+	wrote, err := p.evictLocked()
+	p.mu.Unlock()
+	p.sleepIO(wrote)
 	if err != nil {
 		return nil, err
 	}
-	p.sleepIO(wrote)
 	return fr, nil
 }
 
@@ -602,48 +496,47 @@ func (fr *Frame) MarkDirty() {
 // Release unpins a frame obtained from Get or Alloc. In write-through
 // mode the final unpin of a dirty frame writes it back (one metered
 // write).
-func (p *Pool) Release(fr *Frame) error { return p.unpin(fr, false) }
+func (p *Pool) Release(fr *Frame) error {
+	p.mu.Lock()
+	wrote, err := p.unpinLocked(fr, false)
+	p.mu.Unlock()
+	p.sleepIO(wrote)
+	return err
+}
 
-// unpin drops one pin of fr — an in-place read's when inPlace is set.
-func (p *Pool) unpin(fr *Frame, inPlace bool) error {
-	sh := p.shardOf(fr.key)
-	sh.mu.Lock()
-	if fr.pins.Load() <= 0 {
-		sh.mu.Unlock()
-		return fmt.Errorf("storage: release of unpinned frame %v", fr.key)
+// unpinLocked drops one pin of fr — an in-place read's when inPlace is
+// set — and reports whether it wrote the frame back.
+func (p *Pool) unpinLocked(fr *Frame, inPlace bool) (wrote int, err error) {
+	if fr.pins <= 0 {
+		return 0, fmt.Errorf("storage: release of unpinned frame %v", fr.key)
 	}
 	if inPlace {
 		fr.inPlace--
 	}
-	wrote := 0
-	if fr.pins.Add(-1) == 0 {
-		if fr.orphan {
-			// Discarded while pinned: the page may be freed or
-			// reallocated, so the stale image must never be written.
-			// This was the last holder; the entry is free now.
-			p.recycle(fr)
-			sh.mu.Unlock()
-			return nil
-		}
-		sh.unpinned++
-		if fr.dirty.Load() && p.effectiveWriteThrough() {
-			if err := p.writeBack(fr); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			wrote = 1
-		}
+	if fr.pins--; fr.pins > 0 {
+		return 0, nil
 	}
-	sh.mu.Unlock()
-	p.sleepIO(wrote)
-	return nil
+	if fr.orphan {
+		// Discarded while pinned: the page may be freed or reallocated,
+		// so the stale image must never be written. This was the last
+		// holder; the entry is free now.
+		p.recycle(fr)
+		return 0, nil
+	}
+	if fr.dirty.Load() && p.bulkDepth == 0 {
+		if err := p.writeBack(fr); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	return 0, nil
 }
 
 // writeBack flushes a dirty frame to disk, charging one write. The
 // write is an in-memory copy on the simulated disk, so performing it
-// under the shard lock is cheap; the latency sleep is the caller's
-// job, after unlocking. Every caller writes back an unpinned frame, so
-// no in-place read of the page is pinned; a test binary checks it.
+// under the pool lock is cheap; the latency sleep is the caller's job,
+// after unlocking. Every caller writes back an unpinned frame, so no
+// in-place read of the page is pinned; a test binary checks it.
 func (p *Pool) writeBack(fr *Frame) error {
 	if checkInPlace && fr.inPlace > 0 {
 		return fmt.Errorf("storage: write-back of page %v under %d in-place read(s)", fr.key, fr.inPlace)
@@ -661,138 +554,63 @@ func (p *Pool) writeBack(fr *Frame) error {
 	return nil
 }
 
-// victim is an eviction candidate as a sweep saw it: the entry, and the
-// key and tick it had then, which the eviction re-checks under the
-// shard lock (the entry may have been touched, pinned, dropped or
-// recycled since).
-type victim struct {
-	fr   *Frame
-	key  frameKey
-	tick int64
-}
-
-// sweepRun is one shard's candidates, cands[next:end], oldest first.
-type sweepRun struct {
-	shard     int
-	next, end int
-}
-
-// sweep is the scratch one eviction pass gathers into, recycled through
-// sweeps so a pass allocates nothing.
-type sweep struct {
-	cands []victim
-	runs  []sweepRun
-}
-
-var sweeps = sync.Pool{New: func() any { return new(sweep) }}
-
-// evictOverflow evicts the globally least-recently-used unpinned
-// entries until the pool is within capacity, returning how many dirty
-// pages it wrote back (the caller charges their latency afterwards).
-// One pass serves the whole overflow, need entries: a sweep locks each
-// shard once and takes its oldest ≤ need unpinned entries, which its
-// recency list already holds in tick order; a merge of those runs by
-// tick then evicts the need oldest — the entries, and the write-back
-// order, that evicting one global minimum at a time would give. Each
-// eviction re-checks its entry under the shard lock, and the pass sweeps
-// again only if a race left the pool over capacity.
-func (p *Pool) evictOverflow() (int, error) {
-	if p.resident.Load() <= int64(p.capacity) {
-		return 0, nil
-	}
-	s := sweeps.Get().(*sweep)
-	defer sweeps.Put(s)
-	wrote, stalls := 0, 0
-	for {
-		need := int(p.resident.Load()) - p.capacity
-		if need <= 0 {
-			return wrote, nil
+// evictLocked evicts the least-recently-used unpinned entries, oldest
+// first and each written back first when dirty, until the pool is within
+// capacity, returning how many it wrote back (the caller charges their
+// latency after unlocking). One walk from the list's old end serves the
+// whole overflow. When every entry is pinned — concurrent windows can
+// hold them all for a moment — it drops the lock briefly and walks
+// again, a few times, before declaring the pool stuck.
+func (p *Pool) evictLocked() (wrote int, err error) {
+	fr, stalls := p.lru, 0
+	for len(p.frames) > p.capacity {
+		if fr == nil {
+			if stalls++; stalls > 4 {
+				return wrote, p.pinnedFullError()
+			}
+			p.mu.Unlock()
+			runtime.Gosched()
+			p.mu.Lock()
+			fr = p.lru
+			continue
 		}
-		s.cands, s.runs = s.cands[:0], s.runs[:0]
-		for i := range p.shards {
-			sh := &p.shards[i]
-			start := len(s.cands)
-			sh.mu.Lock()
-			if sh.unpinned > 0 {
-				for fr := sh.lru; fr != nil && len(s.cands)-start < need; fr = fr.newer {
-					if fr.pins.Load() == 0 {
-						s.cands = append(s.cands, victim{fr, fr.key, fr.lastUsed})
-					}
-				}
-			}
-			sh.mu.Unlock()
-			if len(s.cands) > start {
-				s.runs = append(s.runs, sweepRun{i, start, len(s.cands)})
-			}
+		victim := fr
+		fr = fr.newer
+		if victim.pins > 0 {
+			continue
 		}
-		if len(s.cands) == 0 {
-			// Concurrent batches can hold every entry pinned for a
-			// moment; retry briefly before declaring the pool stuck.
-			if stalls++; stalls <= 4 {
-				runtime.Gosched()
-				continue
-			}
-			return wrote, p.pinnedFullError()
-		}
-		stalls = 0
-		for ; need > 0 && p.resident.Load() > int64(p.capacity); need-- {
-			oldest := -1
-			for r, run := range s.runs {
-				if run.next < run.end && (oldest < 0 || s.cands[run.next].tick < s.cands[s.runs[oldest].next].tick) {
-					oldest = r
-				}
-			}
-			if oldest < 0 {
-				break
-			}
-			run := &s.runs[oldest]
-			v := s.cands[run.next]
-			run.next++
-			w, err := p.evict(&p.shards[run.shard], v)
-			wrote += w
-			if err != nil {
+		if victim.dirty.Load() {
+			if err := p.writeBack(victim); err != nil {
 				return wrote, err
 			}
+			wrote++
 		}
+		p.drop(victim)
 	}
+	return wrote, nil
 }
 
-// evict drops a sweep's candidate if it is still the unpinned entry of
-// its key with the tick the sweep saw, writing it back first when dirty.
-func (p *Pool) evict(sh *poolShard, v victim) (wrote int, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fr := v.fr
-	if sh.frames[v.key] != fr || fr.lastUsed != v.tick || fr.pins.Load() != 0 {
-		return 0, nil // touched, pinned or gone since the sweep
+// drop takes fr out of the table: back to the arena when it has no pin,
+// orphaned otherwise (its slot returns at the final Release).
+func (p *Pool) drop(fr *Frame) {
+	p.unlink(fr)
+	delete(p.frames, fr.key)
+	if fr.pins > 0 {
+		fr.orphan = true
+		return
 	}
-	if fr.dirty.Load() {
-		if err := p.writeBack(fr); err != nil {
-			return 0, err
-		}
-		wrote = 1
-	}
-	sh.unlink(fr)
-	delete(sh.frames, v.key)
-	sh.unpinned--
-	p.resident.Add(-1)
 	p.recycle(fr)
-	return wrote, nil
 }
 
 // pinnedFullError reports an over-capacity pool with no evictable
 // entry, naming the files holding pins so a pin leak is attributable.
+// The pool lock is held.
 func (p *Pool) pinnedFullError() error {
 	pins := map[string]int{}
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for fr := sh.mru; fr != nil; fr = fr.older {
-			if n := fr.pins.Load(); n > 0 {
-				pins[fr.key.file] += int(n)
-			}
+	for fr := p.mru; fr != nil; fr = fr.older {
+		if fr.pins > 0 {
+			pins[fr.key.file] += int(fr.pins)
 		}
-		sh.mu.Unlock()
 	}
 	names := make([]string, 0, len(pins))
 	for n := range pins {
@@ -814,26 +632,16 @@ func (p *Pool) pinnedFullError() error {
 // instead: the holders keep their (now detached) frame, and its final
 // Release skips the write-back.
 func (p *Pool) Discard(f *File, pn PageNum) {
-	key := frameKey{f.Name(), pn}
-	sh := p.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fr, ok := sh.frames[key]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fr, ok := p.frames[frameKey{f.Name(), pn}]
 	if !ok {
 		return
 	}
-	sh.unlink(fr)
-	delete(sh.frames, key)
-	p.resident.Add(-1)
 	if fr.dirty.CompareAndSwap(true, false) {
 		fr.file.dirtyFrames.Add(-1)
 	}
-	if fr.pins.Load() > 0 {
-		fr.orphan = true // its slot returns at the final Release
-		return
-	}
-	sh.unpinned--
-	p.recycle(fr)
+	p.drop(fr)
 }
 
 // FlushAll writes back every dirty unpinned frame (charging writes)
@@ -841,21 +649,14 @@ func (p *Pool) Discard(f *File, pn PageNum) {
 // still mutating them and will trigger the write-back at release or
 // eviction.
 func (p *Pool) FlushAll() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		err := p.flushShardLocked(sh)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.flushLocked()
 }
 
-func (p *Pool) flushShardLocked(sh *poolShard) error {
-	for fr := sh.mru; fr != nil; fr = fr.older {
-		if fr.pins.Load() == 0 && fr.dirty.Load() {
+func (p *Pool) flushLocked() error {
+	for fr := p.mru; fr != nil; fr = fr.older {
+		if fr.pins == 0 && fr.dirty.Load() {
 			if err := p.writeBack(fr); err != nil {
 				return err
 			}
@@ -871,26 +672,17 @@ func (p *Pool) flushShardLocked(sh *poolShard) error {
 // cold-cache posture is necessarily approximate, and evicting an
 // in-use page would be unsound.
 func (p *Pool) EvictAll() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		if err := p.flushShardLocked(sh); err != nil {
-			sh.mu.Unlock()
-			return err
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.flushLocked(); err != nil {
+		return err
+	}
+	for fr := p.mru; fr != nil; {
+		older := fr.older
+		if fr.pins == 0 {
+			p.drop(fr)
 		}
-		var older *Frame
-		for fr := sh.mru; fr != nil; fr = older {
-			older = fr.older
-			if fr.pins.Load() > 0 {
-				continue
-			}
-			sh.unlink(fr)
-			delete(sh.frames, fr.key)
-			sh.unpinned--
-			p.resident.Add(-1)
-			p.recycle(fr)
-		}
-		sh.mu.Unlock()
+		fr = older
 	}
 	return nil
 }
@@ -910,8 +702,7 @@ func (p *Pool) newFrame(key frameKey, f *File, data []byte) *Frame {
 	}
 	fr.key, fr.file, fr.Data = key, f, data
 	fr.dirty.Store(false)
-	fr.pins.Store(0)
-	fr.lastUsed, fr.orphan, fr.inPlace = 0, false, 0
+	fr.pins, fr.orphan, fr.inPlace = 0, false, 0
 	return fr
 }
 
@@ -965,16 +756,13 @@ func (p *Pool) putSlot(buf []byte) {
 // PinnedFrames describes every pinned entry ("file:page(pins=n)",
 // sorted), for diagnostics and the pin-leak test helper.
 func (p *Pool) PinnedFrames() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var out []string
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for fr := sh.mru; fr != nil; fr = fr.older {
-			if n := fr.pins.Load(); n > 0 {
-				out = append(out, fmt.Sprintf("%s:%d(pins=%d)", fr.key.file, fr.key.pn, n))
-			}
+	for fr := p.mru; fr != nil; fr = fr.older {
+		if fr.pins > 0 {
+			out = append(out, fmt.Sprintf("%s:%d(pins=%d)", fr.key.file, fr.key.pn, fr.pins))
 		}
-		sh.mu.Unlock()
 	}
 	sort.Strings(out)
 	return out

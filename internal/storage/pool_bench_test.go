@@ -1,31 +1,19 @@
 package storage
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
 // BenchmarkPoolConcurrentGet measures 8 goroutines hammering the hit
-// path of a fully warmed pool. shards=1 reproduces the old
-// one-big-mutex pool's contention profile (every Get serializes on a
-// single lock); shards=16 is the production configuration. On a
-// multi-core runner the sharded pool's throughput scales with the
-// cores; metered charges are identical at every shard count.
+// path of a fully warmed pool: every Get and Release takes the pool's
+// one lock once. Metered charges are those of a serial run.
 func BenchmarkPoolConcurrentGet(b *testing.B) {
-	for _, shards := range []int{16, 1} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchConcurrentGet(b, shards)
-		})
-	}
-}
-
-func benchConcurrentGet(b *testing.B, shards int) {
 	const nPages = 1024
 	const workers = 8
 	d := NewDisk(256)
 	m := NewMeter()
-	p := newPoolShards(d, m, nPages, shards)
+	p := NewPool(d, m, nPages)
 	f := d.Open("r")
 	for i := 0; i < nPages; i++ {
 		f.Alloc()

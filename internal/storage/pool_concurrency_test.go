@@ -11,7 +11,7 @@ import (
 )
 
 // A slow miss must not delay a hit on a different page: the miss's
-// disk read and latency sleep happen with no shard lock held. This is
+// disk read and latency sleep happen with no pool lock held. This is
 // the regression test for the old pool, which performed the read while
 // holding the (only) pool mutex.
 func TestPoolSlowMissDoesNotBlockOtherPages(t *testing.T) {
@@ -147,8 +147,8 @@ func TestPoolGetBatchChargesLikeGets(t *testing.T) {
 }
 
 // A batch insert evicts the same victims sequential Gets would: the
-// globally least-recently-used unpinned frames, regardless of shard.
-// TestPoolMatchesOneListLRU checks the same on random scripts.
+// least-recently-used unpinned frames. TestPoolMatchesOneListLRU checks
+// the same on random scripts.
 func TestPoolGetBatchEvictsGlobalLRU(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
@@ -306,6 +306,102 @@ func TestPoolDiscardGetRaceStress(t *testing.T) {
 		t.Errorf("resident after final discard = %d, want 0", got)
 	}
 	p.AssertUnpinned(t)
+}
+
+// Two readers ReadBatch overlapping windows of one file while a writer
+// Gets, dirties, Releases and Discards other pages of it, and now and
+// then Discards a page the readers are reading (orphaning their
+// in-place pins). Windows, writer frames and orphans share the one list,
+// so each reader's eviction pass writes back and recycles the writer's
+// frames and the writer's misses evict the readers' entries. Every read
+// must see its page's bytes, every writer Get the value it last wrote
+// (write-through put it on the image before any Discard), and the pool
+// must end unpinned and within capacity. Run under -race.
+func TestPoolReadBatchDiscardRaceStress(t *testing.T) {
+	const readPages, writePages, window, capacity = 40, 8, 6, 2*6 + 4
+	d := NewDisk(64)
+	p := NewPool(d, NewMeter(), capacity)
+	f := d.Open("r")
+	image := func(pn PageNum) []byte {
+		page := bytes.Repeat([]byte{0x5A}, 64)
+		page[1] = byte(pn)
+		return page
+	}
+	for pn := PageNum(0); pn < readPages+writePages; pn++ {
+		if err := f.writePage(f.Alloc(), image(pn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			pns := make([]PageNum, window)
+			for lo := 0; lo < 100*readPages; lo += window / 2 {
+				for k := range pns {
+					pns[k] = PageNum((lo + k + s*window/2) % readPages)
+				}
+				if err := p.ReadBatch(f, pns, func(i int, page []byte) error {
+					if !bytes.Equal(page, image(pns[i])) {
+						return fmt.Errorf("reader %d: page %d reads %x", s, pns[i], page)
+					}
+					return nil
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(s)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := bytes.Repeat([]byte{0x5A}, writePages) // each page's byte 0
+		for i := 0; i < 3000; i++ {
+			w := i % writePages
+			pn := PageNum(readPages + w)
+			if i%7 == 0 {
+				p.Discard(f, PageNum(i%readPages))
+			}
+			fr, err := p.Get(f, pn)
+			if err != nil {
+				errs <- err
+				return
+			}
+			want := image(pn)
+			want[0] = last[w]
+			if !bytes.Equal(fr.Data, want) {
+				errs <- fmt.Errorf("writer: page %d reads %x, want %x", pn, fr.Data, want)
+				return
+			}
+			last[w] = byte(i)
+			fr.Data[0] = last[w]
+			fr.MarkDirty()
+			runtime.Gosched()
+			if err := p.Release(fr); err != nil {
+				errs <- err
+				return
+			}
+			if i%3 == 0 {
+				p.Discard(f, pn)
+			}
+		}
+		errs <- nil
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.AssertUnpinned(t)
+	if got := p.Resident(); got > p.Capacity() {
+		t.Errorf("resident %d over capacity %d", got, p.Capacity())
+	}
 }
 
 // arena reports the page buffers the pool holds now and at most, and

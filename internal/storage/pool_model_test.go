@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// refLRU is the pool the sharded one must equal on a serial script: one
-// recency list and one lock, a victim found by walking the list from its
-// old end, an eviction per overflowing entry. It models page contents as
+// refLRU is the pool the Pool must equal on a serial script, written
+// for plainness rather than speed: one recency slice and one lock, a
+// victim found by searching the slice from its old end, an eviction per
+// overflowing entry. It models page contents as
 // each page's first byte, on disk and in each entry.
 type refLRU struct {
 	mu       sync.Mutex
@@ -147,36 +148,28 @@ func (r *refLRU) state() string {
 	return b.String()
 }
 
-// modelState renders a pool's resident entries in pool-wide recency
-// order, oldest first — the order the reference's one list keeps.
+// modelState renders a pool's resident entries in recency order, oldest
+// first — the order the reference's list keeps.
 func (p *Pool) modelState() string {
-	var all []*Frame
-	for i := range p.shards {
-		for fr := p.shards[i].mru; fr != nil; fr = fr.older {
-			all = append(all, fr)
-		}
-	}
-	slices.SortFunc(all, func(a, b *Frame) int { return int(a.lastUsed - b.lastUsed) })
 	var b strings.Builder
-	for _, fr := range all {
-		fmt.Fprintf(&b, "%d(pins=%d dirty=%v) ", fr.key.pn, fr.pins.Load(), fr.dirty.Load())
+	for fr := p.lru; fr != nil; fr = fr.newer {
+		fmt.Fprintf(&b, "%d(pins=%d dirty=%v) ", fr.key.pn, fr.pins, fr.dirty.Load())
 	}
 	return b.String()
 }
 
 // modelPool is a pool under a differential script with what it charged.
 type modelPool struct {
-	name   string
 	p      *Pool
 	f      *File
 	m      *Meter
 	events []string
 }
 
-func newModelPool(name string, shards, capacity, pages int) *modelPool {
+func newModelPool(capacity, pages int) *modelPool {
 	d := NewDisk(16)
-	mp := &modelPool{name: name, m: NewMeter(), f: d.Open("r")}
-	mp.p = newPoolShards(d, mp.m, capacity, shards)
+	mp := &modelPool{m: NewMeter(), f: d.Open("r")}
+	mp.p = NewPool(d, mp.m, capacity)
 	mp.p.traceIO = func(write bool, key frameKey) {
 		op := "r"
 		if write {
@@ -204,32 +197,32 @@ func (mp *modelPool) diskState() []byte {
 	return out
 }
 
-// The sharded pool is a one-list LRU: on random serial scripts of every
-// pool operation — Get, Read, ReadBatch, Alloc, writes with MarkDirty,
-// Release, EvictAll, BeginBulk/EndBulk, Discard — pools of 1 and 16
-// shards charge the same hits and misses in the same order, evict the
-// same victims, write back in the same order (EvictAll, which flushes
-// shard by shard, in the same set), read the same bytes, keep the same
-// entries in the same recency order and meter the same Stats as the
-// reference. Reads run in place on the image and writers on frame
-// bytes, so the bytes each Read sees also check that a dirty frame is
-// never read from its stale image.
+// The pool is the reference's one-list LRU: on random serial scripts of
+// every pool operation — Get, Read, ReadBatch, Alloc, writes with
+// MarkDirty, Release, EvictAll, BeginBulk/EndBulk, Discard — it charges
+// the same hits and misses in the same order, evicts the same victims,
+// writes back in the same order (EvictAll in the same set), reads the
+// same bytes, keeps the same entries in the same recency order and
+// meters the same Stats as the reference. The ReadBatch windows include
+// ones that repeat a page and ones whose misses overflow the capacity by
+// more than one page, so one eviction pass takes several victims. Reads
+// run in place on the image and writers on frame bytes, so the bytes
+// each Read sees also check that a dirty frame is never read from its
+// stale image.
 func TestPoolMatchesOneListLRU(t *testing.T) {
 	const scripts, steps = 300, 80
-	const capacity, pages, maxHeld = 5, 12, 2
+	const capacity, pages, maxHeld = 6, 14, 2
+	repeats, overflows := 0, 0 // windows that repeat a page; that overflow by more than one
 	for seed := int64(1); seed <= scripts; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ref := &refLRU{capacity: capacity}
 		for i := 0; i < pages; i++ {
 			ref.disk = append(ref.disk, byte(i+1))
 		}
-		pools := []*modelPool{
-			newModelPool("1 shard", 1, capacity, pages),
-			newModelPool("16 shards", 16, capacity, pages),
-		}
+		mp := newModelPool(capacity, pages)
 		type handle struct {
-			ref    *refEntry
-			frames []*Frame
+			ref   *refEntry
+			frame *Frame
 		}
 		var held []handle
 		var log []string
@@ -239,9 +232,7 @@ func TestPoolMatchesOneListLRU(t *testing.T) {
 		}
 		pagePick := func() PageNum { return PageNum(rng.Intn(len(ref.disk))) }
 		for step := 0; step < steps; step++ {
-			for _, mp := range pools {
-				mp.events = mp.events[:0]
-			}
+			mp.events = mp.events[:0]
 			ref.events = ref.events[:0]
 			sortEvents := false
 			switch op := rng.Intn(10); {
@@ -252,86 +243,66 @@ func TestPoolMatchesOneListLRU(t *testing.T) {
 				if err != nil {
 					fail("%v", err)
 				}
-				h := handle{ref: e}
-				for _, mp := range pools {
-					fr, err := mp.p.Get(mp.f, pn)
-					if err != nil {
-						fail("%s: %v", mp.name, err)
-					}
-					if fr.Data[0] != e.val {
-						fail("%s: Get of page %d reads %d, want %d", mp.name, pn, fr.Data[0], e.val)
-					}
-					h.frames = append(h.frames, fr)
+				fr, err := mp.p.Get(mp.f, pn)
+				if err != nil {
+					fail("%v", err)
 				}
-				held = append(held, h)
+				if fr.Data[0] != e.val {
+					fail("Get of page %d reads %d, want %d", pn, fr.Data[0], e.val)
+				}
+				held = append(held, handle{e, fr})
 			case op == 1 && len(held) < maxHeld: // Alloc
 				log = append(log, "alloc")
 				e, err := ref.alloc()
 				if err != nil {
 					fail("%v", err)
 				}
-				h := handle{ref: e}
-				for _, mp := range pools {
-					fr, err := mp.p.Alloc(mp.f)
-					if err != nil {
-						fail("%s: %v", mp.name, err)
-					}
-					if fr.PageNum() != e.pn {
-						fail("%s: Alloc gave page %d, want %d", mp.name, fr.PageNum(), e.pn)
-					}
-					h.frames = append(h.frames, fr)
+				fr, err := mp.p.Alloc(mp.f)
+				if err != nil {
+					fail("%v", err)
 				}
-				held = append(held, h)
+				if fr.PageNum() != e.pn {
+					fail("Alloc gave page %d, want %d", fr.PageNum(), e.pn)
+				}
+				held = append(held, handle{e, fr})
 			case op == 2 && len(held) > 0: // a holder writes its page
 				i, v := rng.Intn(len(held)), byte(100+rng.Intn(100))
 				h := held[i]
 				log = append(log, fmt.Sprintf("write %d=%d", h.ref.pn, v))
 				h.ref.val, h.ref.dirty = v, !h.ref.orphan
-				for _, fr := range h.frames {
-					fr.Data[0] = v
-					fr.MarkDirty()
-				}
+				h.frame.Data[0] = v
+				h.frame.MarkDirty()
 			case op == 3 && len(held) > 0: // Release
 				i := rng.Intn(len(held))
 				h := held[i]
 				held = slices.Delete(held, i, i+1)
 				log = append(log, fmt.Sprintf("release %d", h.ref.pn))
 				ref.release(h.ref)
-				for k, mp := range pools {
-					if err := mp.p.Release(h.frames[k]); err != nil {
-						fail("%s: %v", mp.name, err)
-					}
+				if err := mp.p.Release(h.frame); err != nil {
+					fail("%v", err)
 				}
 			case op == 4: // EvictAll
 				log = append(log, "evictall")
 				sortEvents = true
 				ref.evictAll()
-				for _, mp := range pools {
-					if err := mp.p.EvictAll(); err != nil {
-						fail("%s: %v", mp.name, err)
-					}
+				if err := mp.p.EvictAll(); err != nil {
+					fail("%v", err)
 				}
 			case op == 5: // BeginBulk or EndBulk
 				if rng.Intn(2) == 0 {
 					log = append(log, "beginbulk")
 					ref.bulk++
-					for _, mp := range pools {
-						mp.p.BeginBulk()
-					}
+					mp.p.BeginBulk()
 				} else {
 					log = append(log, "endbulk")
 					ref.bulk = max(ref.bulk-1, 0)
-					for _, mp := range pools {
-						mp.p.EndBulk()
-					}
+					mp.p.EndBulk()
 				}
 			case op == 6: // Discard
 				pn := pagePick()
 				log = append(log, fmt.Sprintf("discard %d", pn))
 				ref.discard(pn)
-				for _, mp := range pools {
-					mp.p.Discard(mp.f, pn)
-				}
+				mp.p.Discard(mp.f, pn)
 			case op <= 7: // Read
 				pn := pagePick()
 				log = append(log, fmt.Sprintf("read %d", pn))
@@ -339,70 +310,74 @@ func TestPoolMatchesOneListLRU(t *testing.T) {
 				if err != nil {
 					fail("%v", err)
 				}
-				for _, mp := range pools {
-					if err := mp.p.Read(mp.f, pn, func(page []byte) error {
-						if page[0] != want[0] {
-							return fmt.Errorf("Read of page %d reads %d, want %d", pn, page[0], want[0])
-						}
-						return nil
-					}); err != nil {
-						fail("%s: %v", mp.name, err)
+				if err := mp.p.Read(mp.f, pn, func(page []byte) error {
+					if page[0] != want[0] {
+						return fmt.Errorf("Read of page %d reads %d, want %d", pn, page[0], want[0])
+					}
+					return nil
+				}); err != nil {
+					fail("%v", err)
+				}
+			default: // ReadBatch of up to capacity−maxHeld pages, some repeated
+				pns := make([]PageNum, 1+rng.Intn(capacity-maxHeld))
+				misses := map[PageNum]bool{}
+				for i := range pns {
+					if pns[i] = pagePick(); i > 0 && rng.Intn(4) == 0 {
+						pns[i] = pns[rng.Intn(i)]
+						repeats++
+					}
+					misses[pns[i]] = ref.find(pns[i]) < 0
+				}
+				extra := len(ref.lru) - capacity
+				for _, miss := range misses {
+					if miss {
+						extra++
 					}
 				}
-			default: // ReadBatch, a page maybe repeated
-				pns := make([]PageNum, 1+rng.Intn(3))
-				for i := range pns {
-					pns[i] = pagePick()
+				if extra > 1 {
+					overflows++
 				}
 				log = append(log, fmt.Sprintf("readbatch %v", pns))
 				want, err := ref.read(pns)
 				if err != nil {
 					fail("%v", err)
 				}
-				for _, mp := range pools {
-					if err := mp.p.ReadBatch(mp.f, pns, func(i int, page []byte) error {
-						if page[0] != want[i] {
-							return fmt.Errorf("ReadBatch of page %d reads %d, want %d", pns[i], page[0], want[i])
-						}
-						return nil
-					}); err != nil {
-						fail("%s: %v", mp.name, err)
+				if err := mp.p.ReadBatch(mp.f, pns, func(i int, page []byte) error {
+					if page[0] != want[i] {
+						return fmt.Errorf("ReadBatch of page %d reads %d, want %d", pns[i], page[0], want[i])
 					}
+					return nil
+				}); err != nil {
+					fail("%v", err)
 				}
 			}
-			wantEvents := ref.events
+			wantEvents, got := ref.events, mp.events
 			if sortEvents {
 				slices.Sort(wantEvents)
+				slices.Sort(got)
 			}
-			for _, mp := range pools {
-				got := mp.events
-				if sortEvents {
-					slices.Sort(got)
-				}
-				if !slices.Equal(got, wantEvents) {
-					fail("%s: charged %v, reference %v", mp.name, got, wantEvents)
-				}
-				if got, want := mp.m.Snapshot(), ref.stats; got != want {
-					fail("%s: stats %v, reference %v", mp.name, got, want)
-				}
-				if got, want := mp.p.modelState(), ref.state(); got != want {
-					fail("%s: resident %s\nreference %s", mp.name, got, want)
-				}
-				if got := mp.diskState(); !bytes.Equal(got, ref.disk) {
-					fail("%s: disk %v, reference %v", mp.name, got, ref.disk)
-				}
+			if !slices.Equal(got, wantEvents) {
+				fail("charged %v, reference %v", got, wantEvents)
+			}
+			if got, want := mp.m.Snapshot(), ref.stats; got != want {
+				fail("stats %v, reference %v", got, want)
+			}
+			if got, want := mp.p.modelState(), ref.state(); got != want {
+				fail("resident %s\nreference %s", got, want)
+			}
+			if got := mp.diskState(); !bytes.Equal(got, ref.disk) {
+				fail("disk %v, reference %v", got, ref.disk)
 			}
 		}
 		for _, h := range held {
-			for k, mp := range pools {
-				if err := mp.p.Release(h.frames[k]); err != nil {
-					t.Fatal(err)
-				}
+			if err := mp.p.Release(h.frame); err != nil {
+				t.Fatal(err)
 			}
 		}
-		for _, mp := range pools {
-			mp.p.AssertUnpinned(t)
-		}
+		mp.p.AssertUnpinned(t)
+	}
+	if repeats == 0 || overflows == 0 {
+		t.Fatalf("the scripts ran %d windows repeating a page and %d overflowing by more than one; want both", repeats, overflows)
 	}
 }
 
@@ -419,11 +394,9 @@ func TestPoolInPlaceWriteBackCaught(t *testing.T) {
 	f := d.Open("r")
 	pn := f.Alloc()
 	err := p.Read(f, pn, func([]byte) error {
-		key := frameKey{f.Name(), pn}
-		sh := p.shardOf(key)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		fr := sh.frames[key]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		fr := p.frames[frameKey{f.Name(), pn}]
 		fr.Data = bytes.Repeat([]byte{9}, 64) // as if a writer had filled it
 		return p.writeBack(fr)
 	})

@@ -223,11 +223,9 @@ func TestPoolPinnedFramesAreNotEvicted(t *testing.T) {
 	p.Release(frC)
 
 	resident := func(pn PageNum) bool {
-		key := frameKey{"r", pn}
-		sh := p.shardOf(key)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		_, ok := sh.frames[key]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		_, ok := p.frames[frameKey{"r", pn}]
 		return ok
 	}
 	if !resident(a) {
