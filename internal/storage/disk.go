@@ -132,6 +132,11 @@ type File struct {
 	// (fresh) or mu (dirty), and stay zero while tracking is off.
 	fresh bool
 	dirty map[PageNum]struct{}
+	// frames is the buffer pool's entry table for this file, indexed by
+	// page number: the pool's entry for each resident page, nil for the
+	// rest. It is guarded by the pool's lock, not mu, and grown by the
+	// pool; a file's pages are cached by one pool.
+	frames []*Frame
 }
 
 // markDirty records a page mutation for the next delta. Caller holds
@@ -209,10 +214,20 @@ func (f *File) Free(pn PageNum) {
 func (f *File) View(pn PageNum, fn func(page []byte) error) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if int(pn) >= len(f.pages) || f.pages[pn] == nil {
-		return fmt.Errorf("storage: file %q has no page %d", f.name, pn)
+	page, err := f.pageLocked(pn)
+	if err != nil {
+		return err
 	}
-	return fn(f.pages[pn])
+	return fn(page)
+}
+
+// pageLocked returns page pn's image, or an error when the file has no
+// such page. The caller holds mu.
+func (f *File) pageLocked(pn PageNum) ([]byte, error) {
+	if int(pn) >= len(f.pages) || f.pages[pn] == nil {
+		return nil, fmt.Errorf("storage: file %q has no page %d", f.name, pn)
+	}
+	return f.pages[pn], nil
 }
 
 // Peek returns a copy of the page's on-disk bytes without charging the
@@ -232,8 +247,8 @@ func (f *File) Peek(pn PageNum) ([]byte, error) {
 func (f *File) writePage(pn PageNum, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if int(pn) >= len(f.pages) || f.pages[pn] == nil {
-		return fmt.Errorf("storage: file %q has no page %d", f.name, pn)
+	if _, err := f.pageLocked(pn); err != nil {
+		return err
 	}
 	if len(data) != f.disk.pageSize {
 		return fmt.Errorf("storage: page size %d != %d", len(data), f.disk.pageSize)

@@ -31,65 +31,77 @@ import (
 // recency position, capacity slot and one metered read per miss — and
 // run the caller's function on the page while it is pinned: on the
 // entry's bytes when a writer gave it some (Alloc, a dirty frame, a
-// Get), on the on-disk image in place (File.View) otherwise. So a clean
-// miss copies nothing, and a page whose frame is newer than its image is
-// never read from the image. Get and Alloc are the writer API: they
-// return a *Frame whose Data is the page, and a Get that hits a reader's
-// entry fills it from the image under the pool lock — a hit, charged
-// nothing.
+// Get), on the on-disk image in place, under the file's read lock,
+// otherwise. So a clean miss copies nothing, and a page whose frame is
+// newer than its image is never read from the image. Get and Alloc are
+// the writer API: they return a *Frame whose Data is the page, and a Get
+// that hits a reader's entry fills it from the image under the pool lock
+// — a hit, charged nothing.
 //
-// Concurrency: one mutex guards one entry map and one recency list, and
-// every operation takes it once — a ReadBatch window twice, once to pin
-// the whole window and evict its overflow, once to release it (the
-// replacement bookkeeping of an access batch done under one lock, as in
-// BP-Wrapper, rather than a lock partitioned). The list order is the LRU
-// order, so eviction takes the unpinned entries off its old end. No
-// latency is slept under the lock. A reader's miss does no I/O: it
-// checks that the page exists and publishes a bytes-less entry, and its
-// latency is slept after the unlock. A writer's miss copies the image
-// with no pool lock held: it marks the page as loading, drops the lock,
-// reads and sleeps, and publishes the entry; concurrent missers of the
-// same page wait on the pool's condition variable and are charged
-// nothing, so exactly one read is metered per physical fetch. Frame
-// *data* is not guarded here: the engine's reader/writer lock guarantees
-// that a frame's bytes are only mutated while its file is owned by
-// exactly one writer goroutine.
+// Entries are indexed by page number: each File carries the pool's
+// table of its resident pages (File.frames, a slice guarded by the pool
+// lock), so a lookup, an insert and a drop index an array and hash
+// nothing. A file's table is sized from its page count at first use and
+// doubles when the file outgrows it.
+//
+// Concurrency: one mutex guards the tables, the resident count and one
+// recency list, and every operation takes it once — a ReadBatch window
+// twice, once to pin the whole window and evict its overflow, once to
+// release it (the replacement bookkeeping of an access batch done under
+// one lock, as in BP-Wrapper, rather than a lock partitioned). The list
+// order is the LRU order, so eviction takes the unpinned entries off its
+// old end. No latency is slept under the lock. A reader's miss does no
+// I/O: it checks that the page exists, under the file's read lock that
+// the window's pin pass takes once (lock order: pool, then file), and
+// publishes a bytes-less entry; the window's misses are metered with one
+// charge, and their latency is slept after the unlock. The pin pass
+// drops the file lock before the eviction pass, whose write-backs take
+// files' write locks, and the window's pages are then read under one
+// more hold of the file's read lock, with no pool lock. A writer's miss
+// copies the image with no pool lock held: it marks the page as loading,
+// drops the lock, reads and sleeps, and publishes the entry; concurrent
+// missers of the same page wait on the pool's condition variable and are
+// charged nothing, so exactly one read is metered per physical fetch.
+// Frame *data* is not guarded here: the engine's reader/writer lock
+// guarantees that a frame's bytes are only mutated while its file is
+// owned by exactly one writer goroutine.
 //
 // Frame arena: page buffers and entries are made on demand and
-// recycled. A buffer goes back to the arena the moment its frame has
-// left the table and has no pin — eviction, EvictAll, Discard of an
-// unpinned frame, the final Release of an orphan, Alloc replacing a
-// stale frame — and the frame's Data is set to nil, so a writer that
-// kept the frame past its last unpin panics instead of reading whatever
-// page the slot holds next. In test binaries the buffer is also
-// overwritten with a poison pattern, so a caller that kept the slice
-// itself reads garbage. Only writers take buffers (Alloc, and a Get of
-// a page with none), so the arena holds write frames only. The free
-// lists hold at most capacity buffers and capacity entries: entries
-// exceed the capacity only transiently — a writer's miss publishes
-// before it evicts, and a pool full of pinned entries stays over until
-// a release — and anything freed beyond the cap is left to the garbage
-// collector.
+// recycled, entries under the pool lock and buffers under their own. A
+// buffer goes back to the arena the moment its frame has left the table
+// and has no pin — eviction, EvictAll, Discard of an unpinned frame, the
+// final Release of an orphan, Alloc replacing a stale frame — and the
+// frame's Data is set to nil, so a writer that kept the frame past its
+// last unpin panics instead of reading whatever page the slot holds
+// next. In test binaries the buffer is also overwritten with a poison
+// pattern, so a caller that kept the slice itself reads garbage. Only
+// writers take buffers (Alloc, and a Get of a page with none), so the
+// arena holds write frames only. The free lists hold at most capacity
+// buffers and capacity entries: entries exceed the capacity only
+// transiently — a writer's miss publishes before it evicts, and a pool
+// full of pinned entries stays over until a release — and anything
+// freed beyond the cap is left to the garbage collector.
 type Pool struct {
 	disk     *Disk
 	meter    *Meter
 	capacity int
 
-	// mu guards the table, the list, the loading set, every entry's
-	// pins, inPlace, orphan and links, and bulkDepth.
+	// mu guards every file's entry table (File.frames), resident, the
+	// list, the loading set, every entry's pins, inPlace, orphan and
+	// links, bulkDepth and spare.
 	mu       sync.Mutex
-	frames   map[frameKey]*Frame
+	resident int    // entries in the tables, the list's length
 	mru, lru *Frame // the recency list runs from mru through Frame.older to lru
 	// loading holds the pages a writer's miss is fetching; missers of
 	// the same page wait on loaded (whose lock is mu), which each fetch
 	// broadcasts when it ends, and re-enter the hit path.
-	loading   map[frameKey]struct{}
+	loading   map[loadKey]struct{}
 	loaded    sync.Cond
-	bulkDepth int // >0 suspends write-through (nested bulk writes)
+	bulkDepth int      // >0 suspends write-through (nested bulk writes)
+	spare     []*Frame // recycled entries, at most capacity
 
-	slotMu sync.Mutex // innermost
+	slotMu sync.Mutex // innermost; guards slots, live and peak
 	slots  [][]byte   // recycled page buffers, at most capacity
-	spare  []*Frame   // recycled entries, at most capacity
 	poison []byte     // one page of poisonByte, copied over each recycled slot; never written
 
 	// Page buffers the pool holds — in frames, on their way into one,
@@ -118,8 +130,15 @@ var checkInPlace = testing.Testing()
 // names no page the engine writes, so a stale decode fails loudly.
 const poisonByte = 0xA5
 
+// frameKey names a page for the trace and for messages.
 type frameKey struct {
 	file string
+	pn   PageNum
+}
+
+// loadKey names a page a writer's miss is fetching.
+type loadKey struct {
+	file *File
 	pn   PageNum
 }
 
@@ -130,8 +149,8 @@ type frameKey struct {
 // past its Release (both are recycled once the frame leaves the table
 // unpinned). A reader's entry has no Data.
 type Frame struct {
-	key   frameKey
 	file  *File
+	pn    PageNum
 	Data  []byte
 	dirty atomic.Bool
 	// The fields below are guarded by the pool lock.
@@ -165,14 +184,44 @@ func NewPool(disk *Disk, meter *Meter, capacity int) *Pool {
 		disk:     disk,
 		meter:    meter,
 		capacity: capacity,
-		frames:   map[frameKey]*Frame{},
-		loading:  map[frameKey]struct{}{},
+		loading:  map[loadKey]struct{}{},
 	}
 	p.loaded.L = &p.mu
 	if poisonSlots {
 		p.poison = bytes.Repeat([]byte{poisonByte}, disk.PageSize())
 	}
 	return p
+}
+
+// entry returns f's entry for page pn, nil when the page is not
+// resident. The pool lock is held.
+func (f *File) entry(pn PageNum) *Frame {
+	if int(pn) < len(f.frames) {
+		return f.frames[pn]
+	}
+	return nil
+}
+
+// insert enters fr in its file's table as the most recently used entry.
+// A table too short for the page grows to at least the file's page
+// count, pages (a lower bound will do), and at least doubles, so a file
+// that grows a page at a time reallocates its table only O(log n) times.
+func (p *Pool) insert(fr *Frame, pages int) {
+	f := fr.file
+	if int(fr.pn) >= len(f.frames) {
+		grown := make([]*Frame, max(pages, int(fr.pn)+1, 2*len(f.frames)))
+		copy(grown, f.frames)
+		f.frames = grown
+	}
+	f.frames[fr.pn] = fr
+	p.resident++
+	p.pushFront(fr)
+}
+
+// touch moves a hit entry to the new end of the list.
+func (p *Pool) touch(fr *Frame) {
+	p.unlink(fr)
+	p.pushFront(fr)
 }
 
 // pushFront links fr in as the most recently used entry.
@@ -233,7 +282,7 @@ func (p *Pool) PageSize() int { return p.disk.PageSize() }
 func (p *Pool) Resident() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.frames)
+	return p.resident
 }
 
 // sleepIO simulates the wall-clock cost of n physical page transfers.
@@ -255,7 +304,7 @@ func (p *Pool) sleepIO(n int) {
 // it.
 func (p *Pool) Get(f *File, pn PageNum) (*Frame, error) {
 	p.mu.Lock()
-	fr, _, _, err := p.pinLocked(f, pn, true)
+	fr, err := p.pinWriteLocked(f, pn)
 	wrote := 0
 	if err == nil {
 		wrote, err = p.evictLocked()
@@ -273,9 +322,8 @@ func (p *Pool) Get(f *File, pn PageNum) (*Frame, error) {
 // Release: one read on a miss, with the same recency position and
 // capacity slot. A page a writer gave bytes (Alloc, a dirty frame, a
 // Get) is read from them; any other is read in place, from its image
-// under the file's read lock (File.View), so a miss copies nothing.
-// fn must keep nothing aliasing page and must not touch the pool or the
-// file's pages.
+// under the file's read lock, so a miss copies nothing. fn must keep
+// nothing aliasing page and must not touch the pool or the file's pages.
 //
 // Reading an image in place is sound because a pin holds two things
 // still. No write-back happens while the in-place pin is held: write-
@@ -291,31 +339,31 @@ func (p *Pool) Read(f *File, pn PageNum, fn func(page []byte) error) error {
 // ReadBatch runs fn(i, page) on each page pns[i] in turn, the whole
 // window pinned first. Each page is charged exactly as a separate Read
 // would charge it — one read per miss, hits free, write-backs for
-// whatever the inserts evict — but the simulated latency of all misses
-// and eviction writes is slept once. That single combined sleep is the
-// readahead win: a sequential scan pays one timer wait per window
-// instead of one per page. Callers must keep the batch well under the
-// pool capacity. After the first error fn runs no more.
+// whatever the inserts evict — but the window's misses are metered with
+// one charge, and the simulated latency of all misses and eviction
+// writes is slept once. That single combined sleep is the readahead win:
+// a sequential scan pays one timer wait per window instead of one per
+// page. Callers must keep the batch well under the pool capacity. After
+// the first error fn runs no more.
 //
 // The pool lock is taken twice: once to pin every page, charge its
 // misses and evict the overflow, once to release the window after fn
-// has run on each page. The victims are the same entries an
-// insert-by-insert pass would have chosen: window entries are pinned and
-// at the new end of the list, so they are never candidates, and the
-// least-recently-used unpinned entries are evicted in the same order
-// either way.
+// has run on each page. The file's read lock is taken twice too: inside
+// the first hold of the pool lock for the pin pass, where a miss checks
+// that its page exists, and with no pool lock for the pass that runs fn.
+// The victims are the same entries an insert-by-insert pass would have
+// chosen: window entries are pinned and at the new end of the list, so
+// they are never candidates, and the least-recently-used unpinned
+// entries are evicted in the same order either way.
 func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) error) error {
-	type held struct {
-		fr      *Frame
-		inPlace bool
-	}
 	var window [32]held // colpage.Window's cap: a scan's window stays on the stack
 	pinned := window[:0]
 	misses, wrote := 0, 0
 	var err error
 	p.mu.Lock()
+	f.mu.RLock()
 	for _, pn := range pns {
-		fr, inPlace, missed, perr := p.pinLocked(f, pn, false)
+		fr, inPlace, missed, perr := p.pinReadLocked(f, pn)
 		if perr != nil {
 			err = perr
 			break
@@ -325,16 +373,18 @@ func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) err
 		}
 		pinned = append(pinned, held{fr, inPlace})
 	}
+	// A dirty victim's write-back takes its file's write lock.
+	f.mu.RUnlock()
+	if misses > 0 {
+		p.meter.Read(int64(misses))
+	}
 	if err == nil {
 		wrote, err = p.evictLocked()
 	}
 	p.mu.Unlock()
 	p.sleepIO(misses + wrote)
-	for i, h := range pinned {
-		if err != nil {
-			break
-		}
-		err = p.view(h.fr, h.inPlace, func(page []byte) error { return fn(i, page) })
+	if err == nil {
+		err = p.viewWindow(f, pinned, fn)
 	}
 	wrote = 0
 	p.mu.Lock()
@@ -349,33 +399,63 @@ func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) err
 	return err
 }
 
-// pinLocked pins the entry for (f, pn), charging one read on a miss,
-// with the pool lock held. A writer's pin (withBytes) gets a frame
-// holding the page: a miss copies the image into an arena slot with the
-// lock dropped (and sleeps its latency), and a hit on a reader's entry
-// fills it from the image, uncharged. A reader's miss does no I/O: it
-// publishes an entry without bytes once the page is known to exist, and
-// the caller sleeps its latency after unlocking. inPlace reports that
-// the reader's pinned entry has no bytes, so the reader runs on the
-// image. The caller owns the eviction pass.
-func (p *Pool) pinLocked(f *File, pn PageNum, withBytes bool) (fr *Frame, inPlace, missed bool, err error) {
-	key := frameKey{f.Name(), pn}
+// pinReadLocked pins a reader's entry for (f, pn), with the pool lock
+// and f's read lock held. A miss does no I/O: it publishes an entry
+// without bytes once the page is known to exist, and the caller charges
+// the read and sleeps its latency after unlocking. inPlace reports that
+// the pinned entry has no bytes, so the reader runs on the image. The
+// caller owns the eviction pass.
+func (p *Pool) pinReadLocked(f *File, pn PageNum) (fr *Frame, inPlace, missed bool, err error) {
 	for {
-		if hit, ok := p.frames[key]; ok {
-			if withBytes && hit.Data == nil {
-				// A reader's entry: fill it for the writer, charging
-				// nothing.
-				if hit.Data, err = p.readImage(f, pn); err != nil {
-					return nil, false, false, err
-				}
-			}
-			p.unlink(hit)
-			p.pushFront(hit)
+		if hit := f.entry(pn); hit != nil {
+			p.touch(hit)
 			hit.pins++
 			if inPlace = hit.Data == nil; inPlace {
 				hit.inPlace++
 			}
 			return hit, inPlace, false, nil
+		}
+		if _, ok := p.loading[loadKey{f, pn}]; !ok {
+			break
+		}
+		// A writer is fetching this page, under the file's read lock: let
+		// go of it while waiting, so a writer queued on the file cannot
+		// hold up that fetch.
+		f.mu.RUnlock()
+		p.loaded.Wait()
+		f.mu.RLock()
+	}
+	if _, err := f.pageLocked(pn); err != nil {
+		return nil, false, false, err
+	}
+	if p.traceIO != nil {
+		p.traceIO(false, frameKey{f.name, pn})
+	}
+	fr = p.newFrame(f, pn, nil)
+	fr.pins, fr.inPlace = 1, 1
+	p.insert(fr, len(f.pages))
+	return fr, true, true, nil
+}
+
+// pinWriteLocked pins the frame for (f, pn) with the page's bytes, with
+// the pool lock held. A miss copies the image into an arena slot with
+// the lock dropped, charging one read and sleeping its latency; a hit on
+// a reader's entry fills it from the image, uncharged. The caller owns
+// the eviction pass.
+func (p *Pool) pinWriteLocked(f *File, pn PageNum) (fr *Frame, err error) {
+	key := loadKey{f, pn}
+	for {
+		if hit := f.entry(pn); hit != nil {
+			if hit.Data == nil {
+				// A reader's entry: fill it for the writer, charging
+				// nothing.
+				if hit.Data, err = p.readImage(f, pn); err != nil {
+					return nil, err
+				}
+			}
+			p.touch(hit)
+			hit.pins++
+			return hit, nil
 		}
 		if _, ok := p.loading[key]; !ok {
 			break
@@ -386,39 +466,26 @@ func (p *Pool) pinLocked(f *File, pn PageNum, withBytes bool) (fr *Frame, inPlac
 		// publishes nothing, and each waiter then tries for itself.)
 		p.loaded.Wait()
 	}
-	var buf []byte
-	if withBytes {
-		p.loading[key] = struct{}{}
-		p.mu.Unlock()
-		if buf, err = p.readImage(f, pn); err == nil {
-			p.chargeRead(key)
-			p.sleepIO(1)
+	p.loading[key] = struct{}{}
+	p.mu.Unlock()
+	buf, err := p.readImage(f, pn)
+	if err == nil {
+		p.meter.Read(1)
+		if p.traceIO != nil {
+			p.traceIO(false, frameKey{f.name, pn})
 		}
-		p.mu.Lock()
-		delete(p.loading, key)
-		p.loaded.Broadcast()
-	} else if err = f.View(pn, func([]byte) error { return nil }); err == nil {
-		p.chargeRead(key)
+		p.sleepIO(1)
 	}
+	p.mu.Lock()
+	delete(p.loading, key)
+	p.loaded.Broadcast()
 	if err != nil {
-		return nil, false, false, err
+		return nil, err
 	}
-	fr = p.newFrame(key, f, buf)
+	fr = p.newFrame(f, pn, buf)
 	fr.pins = 1
-	if inPlace = buf == nil; inPlace {
-		fr.inPlace = 1
-	}
-	p.pushFront(fr)
-	p.frames[key] = fr
-	return fr, inPlace, true, nil
-}
-
-// chargeRead meters one page read.
-func (p *Pool) chargeRead(key frameKey) {
-	p.meter.Read(1)
-	if p.traceIO != nil {
-		p.traceIO(false, key)
-	}
+	p.insert(fr, int(pn)+1)
+	return fr, nil
 }
 
 // readImage copies page pn's image into an arena slot, under the
@@ -435,18 +502,42 @@ func (p *Pool) readImage(f *File, pn PageNum) ([]byte, error) {
 	return buf, nil
 }
 
-// view runs fn on a pinned entry's page: on its bytes, or in place on
-// the image when the pin is an in-place one.
-func (p *Pool) view(fr *Frame, inPlace bool, fn func(page []byte) error) error {
-	if !inPlace {
-		return fn(fr.Data)
+// held is one pinned page of a ReadBatch window.
+type held struct {
+	fr      *Frame
+	inPlace bool
+}
+
+// viewWindow runs fn(i, page) on each page of a pinned window of f, in
+// order, under one hold of f's read lock (released even if fn panics),
+// until fn fails.
+func (p *Pool) viewWindow(f *File, pinned []held, fn func(i int, page []byte) error) error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	for i, h := range pinned {
+		if err := p.viewLocked(h.fr, h.inPlace, i, fn); err != nil {
+			return err
+		}
 	}
-	err := fr.file.View(fr.key.pn, fn)
+	return nil
+}
+
+// viewLocked runs fn(i, page) on a pinned entry's page, with its file's
+// read lock held: on its bytes, or in place on the image when the pin is
+// an in-place one.
+func (p *Pool) viewLocked(fr *Frame, inPlace bool, i int, fn func(i int, page []byte) error) error {
+	if !inPlace {
+		return fn(i, fr.Data)
+	}
+	page, err := fr.file.pageLocked(fr.pn)
+	if err == nil {
+		err = fn(i, page)
+	}
 	// The pin keeps the frame from being written back, so a dirty bit
 	// seen now was set while the image was being read: a writer changed
 	// the page under an in-place read of it.
 	if checkInPlace && err == nil && fr.dirty.Load() {
-		err = fmt.Errorf("storage: page %v read in place while a writer dirtied its frame", fr.key)
+		err = fmt.Errorf("storage: page %v read in place while a writer dirtied its frame", fr.key())
 	}
 	return err
 }
@@ -458,20 +549,18 @@ func (p *Pool) view(fr *Frame, inPlace bool, fn func(page []byte) error) error {
 // is zeroed like the disk's, whatever its slot held before.
 func (p *Pool) Alloc(f *File) (*Frame, error) {
 	pn := f.Alloc()
-	key := frameKey{f.Name(), pn}
 	buf := p.takeSlot()
 	clear(buf)
-	fr := p.newFrame(key, f, buf)
+	p.mu.Lock()
+	fr := p.newFrame(f, pn, buf)
 	fr.pins = 1
 	fr.MarkDirty()
-	p.mu.Lock()
-	if stale, ok := p.frames[key]; ok {
+	if stale := f.entry(pn); stale != nil {
 		// A stale entry for a previously freed page number that was
 		// never discarded; drop it rather than leaking a list entry.
 		p.drop(stale)
 	}
-	p.pushFront(fr)
-	p.frames[key] = fr
+	p.insert(fr, int(pn)+1)
 	wrote, err := p.evictLocked()
 	p.mu.Unlock()
 	p.sleepIO(wrote)
@@ -482,7 +571,16 @@ func (p *Pool) Alloc(f *File) (*Frame, error) {
 }
 
 // PageNum returns the page number of the frame.
-func (fr *Frame) PageNum() PageNum { return fr.key.pn }
+func (fr *Frame) PageNum() PageNum { return fr.pn }
+
+// key names the frame's page for the trace and for messages.
+func (fr *Frame) key() frameKey {
+	var name string
+	if fr.file != nil { // nil once recycled
+		name = fr.file.name
+	}
+	return frameKey{name, fr.pn}
+}
 
 // MarkDirty records that the frame's data has been modified. The first
 // marking also bumps the file's dirty-frame count, which gates the
@@ -508,7 +606,7 @@ func (p *Pool) Release(fr *Frame) error {
 // set — and reports whether it wrote the frame back.
 func (p *Pool) unpinLocked(fr *Frame, inPlace bool) (wrote int, err error) {
 	if fr.pins <= 0 {
-		return 0, fmt.Errorf("storage: release of unpinned frame %v", fr.key)
+		return 0, fmt.Errorf("storage: release of unpinned frame %v", fr.key())
 	}
 	if inPlace {
 		fr.inPlace--
@@ -539,14 +637,14 @@ func (p *Pool) unpinLocked(fr *Frame, inPlace bool) (wrote int, err error) {
 // in-place read of the page is pinned; a test binary checks it.
 func (p *Pool) writeBack(fr *Frame) error {
 	if checkInPlace && fr.inPlace > 0 {
-		return fmt.Errorf("storage: write-back of page %v under %d in-place read(s)", fr.key, fr.inPlace)
+		return fmt.Errorf("storage: write-back of page %v under %d in-place read(s)", fr.key(), fr.inPlace)
 	}
-	if err := fr.file.writePage(fr.key.pn, fr.Data); err != nil {
+	if err := fr.file.writePage(fr.pn, fr.Data); err != nil {
 		return err
 	}
 	p.meter.Write(1)
 	if p.traceIO != nil {
-		p.traceIO(true, fr.key)
+		p.traceIO(true, fr.key())
 	}
 	if fr.dirty.CompareAndSwap(true, false) {
 		fr.file.dirtyFrames.Add(-1)
@@ -563,7 +661,7 @@ func (p *Pool) writeBack(fr *Frame) error {
 // again, a few times, before declaring the pool stuck.
 func (p *Pool) evictLocked() (wrote int, err error) {
 	fr, stalls := p.lru, 0
-	for len(p.frames) > p.capacity {
+	for p.resident > p.capacity {
 		if fr == nil {
 			if stalls++; stalls > 4 {
 				return wrote, p.pinnedFullError()
@@ -594,7 +692,8 @@ func (p *Pool) evictLocked() (wrote int, err error) {
 // orphaned otherwise (its slot returns at the final Release).
 func (p *Pool) drop(fr *Frame) {
 	p.unlink(fr)
-	delete(p.frames, fr.key)
+	fr.file.frames[fr.pn] = nil
+	p.resident--
 	if fr.pins > 0 {
 		fr.orphan = true
 		return
@@ -609,7 +708,7 @@ func (p *Pool) pinnedFullError() error {
 	pins := map[string]int{}
 	for fr := p.mru; fr != nil; fr = fr.older {
 		if fr.pins > 0 {
-			pins[fr.key.file] += int(fr.pins)
+			pins[fr.file.name] += int(fr.pins)
 		}
 	}
 	names := make([]string, 0, len(pins))
@@ -634,8 +733,8 @@ func (p *Pool) pinnedFullError() error {
 func (p *Pool) Discard(f *File, pn PageNum) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fr, ok := p.frames[frameKey{f.Name(), pn}]
-	if !ok {
+	fr := f.entry(pn)
+	if fr == nil {
 		return
 	}
 	if fr.dirty.CompareAndSwap(true, false) {
@@ -687,20 +786,18 @@ func (p *Pool) EvictAll() error {
 	return nil
 }
 
-// newFrame returns an entry for key, recycled when the arena has one,
-// holding data (nil for a reader's entry) and nothing else.
-func (p *Pool) newFrame(key frameKey, f *File, data []byte) *Frame {
+// newFrame returns an entry for (f, pn), recycled when the arena has
+// one, holding data (nil for a reader's entry) and nothing else. The
+// pool lock is held.
+func (p *Pool) newFrame(f *File, pn PageNum, data []byte) *Frame {
 	var fr *Frame
-	p.slotMu.Lock()
 	if n := len(p.spare); n > 0 {
 		fr = p.spare[n-1]
 		p.spare = p.spare[:n-1]
-	}
-	p.slotMu.Unlock()
-	if fr == nil {
+	} else {
 		fr = new(Frame)
 	}
-	fr.key, fr.file, fr.Data = key, f, data
+	fr.file, fr.pn, fr.Data = f, pn, data
 	fr.dirty.Store(false)
 	fr.pins, fr.orphan, fr.inPlace = 0, false, 0
 	return fr
@@ -725,17 +822,16 @@ func (p *Pool) takeSlot() []byte {
 // recycle returns an entry that has left the table and has no pin to
 // the arena, with its buffer if it has one. Nothing may use the frame
 // after this: its Data and file are nil until it is handed out again.
+// The pool lock is held.
 func (p *Pool) recycle(fr *Frame) {
 	if fr.Data != nil {
 		p.putSlot(fr.Data)
 		fr.Data = nil
 	}
 	fr.file = nil
-	p.slotMu.Lock()
 	if len(p.spare) < p.capacity {
 		p.spare = append(p.spare, fr)
 	}
-	p.slotMu.Unlock()
 }
 
 // putSlot adds a buffer no frame owns to the arena, poisoned under
@@ -761,7 +857,7 @@ func (p *Pool) PinnedFrames() []string {
 	var out []string
 	for fr := p.mru; fr != nil; fr = fr.older {
 		if fr.pins > 0 {
-			out = append(out, fmt.Sprintf("%s:%d(pins=%d)", fr.key.file, fr.key.pn, fr.pins))
+			out = append(out, fmt.Sprintf("%s:%d(pins=%d)", fr.file.name, fr.pn, fr.pins))
 		}
 	}
 	sort.Strings(out)

@@ -316,7 +316,8 @@ func TestPoolDiscardGetRaceStress(t *testing.T) {
 // frames and the writer's misses evict the readers' entries. Every read
 // must see its page's bytes, every writer Get the value it last wrote
 // (write-through put it on the image before any Discard), and the pool
-// must end unpinned and within capacity. Run under -race.
+// must end unpinned and within capacity, its entry table agreeing with
+// its list. Run under -race.
 func TestPoolReadBatchDiscardRaceStress(t *testing.T) {
 	const readPages, writePages, window, capacity = 40, 8, 6, 2*6 + 4
 	d := NewDisk(64)
@@ -401,6 +402,9 @@ func TestPoolReadBatchDiscardRaceStress(t *testing.T) {
 	p.AssertUnpinned(t)
 	if got := p.Resident(); got > p.Capacity() {
 		t.Errorf("resident %d over capacity %d", got, p.Capacity())
+	}
+	if err := p.checkTable(f); err != nil {
+		t.Error(err)
 	}
 }
 

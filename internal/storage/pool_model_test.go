@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // refLRU is the pool the Pool must equal on a serial script, written
@@ -153,9 +154,45 @@ func (r *refLRU) state() string {
 func (p *Pool) modelState() string {
 	var b strings.Builder
 	for fr := p.lru; fr != nil; fr = fr.newer {
-		fmt.Fprintf(&b, "%d(pins=%d dirty=%v) ", fr.key.pn, fr.pins, fr.dirty.Load())
+		fmt.Fprintf(&b, "%d(pins=%d dirty=%v) ", fr.pn, fr.pins, fr.dirty.Load())
 	}
 	return b.String()
+}
+
+// checkTable checks that the entry tables of files and the recency list
+// agree: every list entry sits in its file's slot for its page, every
+// entry in the files' tables is on the list, and Resident is the list's
+// length. Every list entry must belong to one of files.
+func (p *Pool) checkTable(files ...*File) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	listed := map[*Frame]bool{}
+	for fr := p.mru; fr != nil; fr = fr.older {
+		if !slices.Contains(files, fr.file) {
+			return fmt.Errorf("list entry %v belongs to no file checked", fr.key())
+		}
+		if fr.file.entry(fr.pn) != fr {
+			return fmt.Errorf("list entry %v is not in its file's slot", fr.key())
+		}
+		listed[fr] = true
+	}
+	for _, f := range files {
+		for pn, fr := range f.frames {
+			if fr == nil {
+				continue
+			}
+			if fr.file != f || fr.pn != PageNum(pn) {
+				return fmt.Errorf("slot %s:%d holds entry %v", f.name, pn, fr.key())
+			}
+			if !listed[fr] {
+				return fmt.Errorf("slot %s:%d holds an entry that is not on the list", f.name, pn)
+			}
+		}
+	}
+	if p.resident != len(listed) {
+		return fmt.Errorf("resident %d, list length %d", p.resident, len(listed))
+	}
+	return nil
 }
 
 // modelPool is a pool under a differential script with what it charged.
@@ -203,7 +240,8 @@ func (mp *modelPool) diskState() []byte {
 // the same hits and misses in the same order, evicts the same victims,
 // writes back in the same order (EvictAll in the same set), reads the
 // same bytes, keeps the same entries in the same recency order and
-// meters the same Stats as the reference. The ReadBatch windows include
+// meters the same Stats as the reference; after every step the pool's
+// page-indexed entry table agrees with its list. The ReadBatch windows include
 // ones that repeat a page and ones whose misses overflow the capacity by
 // more than one page, so one eviction pass takes several victims. Reads
 // run in place on the image and writers on frame bytes, so the bytes
@@ -368,6 +406,9 @@ func TestPoolMatchesOneListLRU(t *testing.T) {
 			if got := mp.diskState(); !bytes.Equal(got, ref.disk) {
 				fail("disk %v, reference %v", got, ref.disk)
 			}
+			if err := mp.p.checkTable(mp.f); err != nil {
+				fail("%v", err)
+			}
 		}
 		for _, h := range held {
 			if err := mp.p.Release(h.frame); err != nil {
@@ -396,7 +437,7 @@ func TestPoolInPlaceWriteBackCaught(t *testing.T) {
 	err := p.Read(f, pn, func([]byte) error {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		fr := p.frames[frameKey{f.Name(), pn}]
+		fr := f.entry(pn)
 		fr.Data = bytes.Repeat([]byte{9}, 64) // as if a writer had filled it
 		return p.writeBack(fr)
 	})
@@ -489,4 +530,76 @@ func TestPoolInPlaceReadOfBulkDirtyPage(t *testing.T) {
 	}
 	check("flushed", 7)
 	p.AssertUnpinned(t)
+}
+
+// A file removed and reopened under the same name is a new, empty file
+// to the pool: an entry of the removed file's page never answers a read
+// of the new file's. The read of the new file's page 0 fails until the
+// page is allocated, and then reads the new bytes, charged as a miss.
+func TestPoolTableRemovedFileReopened(t *testing.T) {
+	d := NewDisk(64)
+	m := NewMeter()
+	p := NewPool(d, m, 4)
+	old := d.Open("x")
+	if err := old.writePage(old.Alloc(), bytes.Repeat([]byte{1}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Read(old, 0, func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	d.Remove("x")
+	f := d.Open("x")
+	before := m.Snapshot()
+	err := p.Read(f, 0, func(page []byte) error {
+		return fmt.Errorf("the new, empty file read page 0 as %x", page)
+	})
+	if err == nil || !strings.Contains(err.Error(), "has no page 0") {
+		t.Fatalf("read of the reopened file's page 0: %v, want \"has no page 0\"", err)
+	}
+	if got := m.Snapshot().Sub(before); got != (Stats{}) {
+		t.Fatalf("the failed read charged %v", got)
+	}
+	if err := f.writePage(f.Alloc(), bytes.Repeat([]byte{2}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Read(f, 0, func(page []byte) error {
+		if page[0] != 2 {
+			return fmt.Errorf("the reopened file's page 0 reads %d, want 2", page[0])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().Sub(before).Reads; got != 1 {
+		t.Fatalf("the new page's read charged %d reads, want 1", got)
+	}
+	if err := p.checkTable(old, f); err != nil {
+		t.Fatal(err)
+	}
+	p.AssertUnpinned(t)
+}
+
+// A read whose function panics lets go of the file's read lock, as
+// File.View always did: a caller that recovers (the server turns a
+// request's panic into an error) can still write the file. The panicked
+// window's pins stay, as they always have.
+func TestPoolReadPanicReleasesFileLock(t *testing.T) {
+	d := NewDisk(64)
+	p := NewPool(d, NewMeter(), 4)
+	f := d.Open("r")
+	pn := f.Alloc()
+	func() {
+		defer func() { _ = recover() }()
+		_ = p.Read(f, pn, func([]byte) error { panic("decode failed") })
+	}()
+	done := make(chan struct{})
+	go func() {
+		f.Alloc() // takes the file's write lock
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the file's read lock is still held after a read's panic")
+	}
 }

@@ -225,8 +225,7 @@ func TestPoolPinnedFramesAreNotEvicted(t *testing.T) {
 	resident := func(pn PageNum) bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		_, ok := p.frames[frameKey{"r", pn}]
-		return ok
+		return f.entry(pn) != nil
 	}
 	if !resident(a) {
 		t.Error("pinned frame was evicted")
