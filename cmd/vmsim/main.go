@@ -58,30 +58,38 @@ func run(w io.Writer, args []string) error {
 	walDir := fs.String("wal", "", "run a durable demo workload with WAL+snapshots under this directory")
 	recoverDir := fs.String("recover", "", "recover a database from the WAL+snapshots under this directory and report what survived")
 	ckptEvery := fs.Int("checkpoint-every", 8, "commits between automatic checkpoints (with -wal/-recover)")
-	qmPlan := fs.String("qm-plan", "auto", "query-modification access path: auto, clustered, unclustered, or sequential (sequential scans prune via zone maps)")
+	qmPlan := fs.String("qm-plan", "auto", "model-1 query-modification access path: auto, clustered, or sequential (sequential scans prune via zone maps)")
 	hierarchy := fs.Bool("hierarchy", false, "run the views-over-views demo: a deferred chain with shared sibling drains under a skewed update burst (honors -skew and -seed)")
+	phaseShift := fs.Bool("phase-shift", false, "run static query modification, static immediate and the adaptive advisor over a query-heavy then update-heavy stream, on models 1-3 at fixed parameters (honors -seed)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
+	if *phaseShift {
+		var others []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "phase-shift" && f.Name != "seed" {
+				others = append(others, "-"+f.Name)
+			}
+		})
+		if len(others) > 0 {
+			return fmt.Errorf("vmsim: -phase-shift runs at fixed parameters and takes only -seed, not %s", strings.Join(others, " "))
+		}
+		return runPhaseShift(w, *seed)
+	}
 	if *hierarchy {
 		return runHierarchy(w, *skew, *seed)
 	}
 
-	var plan core.QueryPlan
-	switch *qmPlan {
-	case "auto":
-		plan = core.PlanAuto
-	case "clustered":
-		plan = core.PlanClustered
-	case "unclustered":
-		plan = core.PlanUnclustered
-	case "sequential":
-		plan = core.PlanSequential
-	default:
-		return fmt.Errorf("vmsim: -qm-plan must be auto, clustered, unclustered, or sequential, got %q", *qmPlan)
-	}
-	if plan != core.PlanAuto && (*sweep != "" || *allStrategies) {
+	// Only Model 1's select-project view reads the plan, and its relation
+	// has no secondary index, so there is no unclustered path to choose.
+	plan, ok := map[string]core.QueryPlan{"auto": core.PlanAuto, "clustered": core.PlanClustered, "sequential": core.PlanSequential}[*qmPlan]
+	switch {
+	case !ok:
+		return fmt.Errorf("vmsim: -qm-plan must be auto, clustered, or sequential, got %q", *qmPlan)
+	case plan != core.PlanAuto && *model != 1:
+		return fmt.Errorf("vmsim: -qm-plan applies to -model 1 only")
+	case plan != core.PlanAuto && (*sweep != "" || *allStrategies):
 		return fmt.Errorf("vmsim: -qm-plan is not supported with -sweep or -all-strategies")
 	}
 
@@ -183,6 +191,43 @@ func run(w io.Writer, args []string) error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// runPhaseShift prints sim.PhaseShift on Models 1-3: each arm's
+// model-ms per operation by phase, whole and after settling, over the
+// whole run, and the adaptive arm's flips.
+func runPhaseShift(w io.Writer, seed int64) error {
+	phases := make([]string, len(sim.ShiftPhases))
+	for i, ph := range sim.ShiftPhases {
+		phases[i] = fmt.Sprintf("%g:%g:%g", ph.K, ph.Q, ph.L)
+	}
+	fmt.Fprintf(w, "phase shift, k:q:l %s, N=%g f=%g fv=%g zipf %g; adaptive ticks every %d ops; settled = each phase's second half; seed %d\n",
+		strings.Join(phases, " then "), float64(sim.ShiftN), sim.ShiftF, sim.ShiftFV, sim.ShiftSkew, sim.ShiftTick, seed)
+	for _, model := range []sim.Model{sim.Model1, sim.Model2, sim.Model3} {
+		arms, err := sim.PhaseShift(model, seed)
+		if err != nil {
+			return err
+		}
+		header := []string{"arm (model-ms/op)"}
+		for i := range sim.ShiftPhases {
+			header = append(header, fmt.Sprintf("phase %d", i), "settled")
+		}
+		header = append(header, "run")
+		rows := [][]string{}
+		var flips []string
+		for _, arm := range arms {
+			row := []string{arm.Name}
+			for i, ph := range arm.Phases {
+				row = append(row, fmt.Sprintf("%.1f", ph.Whole), fmt.Sprintf("%.1f", ph.Settled))
+				for _, f := range ph.Flips {
+					flips = append(flips, fmt.Sprintf("  phase %d, after %d ops: %s -> %s, %s\n", i, f.Op, f.From, f.To, f.Reason))
+				}
+			}
+			rows = append(rows, append(row, fmt.Sprintf("%.1f", arm.Run)))
+		}
+		fmt.Fprintf(w, "\nmodel %d\n%sadaptive flips:\n%s", model, report.Table(header, rows), strings.Join(flips, ""))
 	}
 	return nil
 }

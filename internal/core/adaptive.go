@@ -224,9 +224,13 @@ func (db *Database) observeCommitLocked(perRel map[string]*deltas, marked map[st
 		for _, d := range marked[name] {
 			hits += len(d.adds) + len(d.dels)
 		}
-		// Views whose strategy places no t-locks are never screened, so
-		// their zero hit counts are absence of signal, not f≈0.
-		db.adv.view(name).est.ObserveUpdate(float64(written), float64(hits), vs.row().tlocks)
+		// The model's l counts tuple modifications, each a delete plus an
+		// insert (the 2·l delta tuples its formulas price), so a
+		// transaction is l = written/2; hits halve with it, keeping f's
+		// ratio. Views whose strategy places no t-locks are never
+		// screened, so their zero hit counts are absence of signal, not
+		// f≈0.
+		db.adv.view(name).est.ObserveUpdate(float64(written)/2, float64(hits)/2, vs.row().tlocks)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -153,6 +154,45 @@ func TestAdaptTickRequiresEnable(t *testing.T) {
 	db.DisableAdaptive()
 	if _, err := db.AdaptTick(); !errors.Is(err, ErrAdaptiveDisabled) {
 		t.Fatalf("AdaptTick after DisableAdaptive: got %v, want ErrAdaptiveDisabled", err)
+	}
+}
+
+// TestAdvisorObservesTuplesPerTransaction: a transaction that updates l
+// tuples writes 2·l delta tuples (a delete and an insert each), and the
+// advisor must measure it as the model's l, not 2·l.
+func TestAdvisorObservesTuplesPerTransaction(t *testing.T) {
+	const txns, l = 20, 3
+	for _, st := range []Strategy{QueryModification, Immediate, Deferred} {
+		t.Run(st.String(), func(t *testing.T) {
+			db := newSPDatabase(t, st, 30)
+			if err := db.EnableAdaptive(AdvisorOptions{MinObservations: 4}); err != nil {
+				t.Fatal(err)
+			}
+			ids := map[int64]uint64{}
+			for k := int64(0); k < 30; k++ {
+				ids[k] = uint64(k + 1)
+			}
+			for i := int64(0); i < txns; i++ {
+				tx := db.Begin()
+				for j := int64(0); j < l; j++ {
+					key := (i*l + j) % 30
+					id, err := tx.Update("r", tuple.I(key), ids[key], tuple.I(key), tuple.I(i), tuple.S("u"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[key] = id
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.AdaptTick(); err != nil {
+				t.Fatal(err)
+			}
+			if got := db.AdvisorStats()[0].Params.L; math.Abs(got-l) > 1e-9 {
+				t.Errorf("measured l = %v after %d transactions of %d tuples each", got, txns, l)
+			}
+		})
 	}
 }
 

@@ -105,31 +105,10 @@ func Run(cfg Config) (*Result, error) {
 	db.ResetStats()
 
 	p := cfg.Params
+	update := applyUpdate(cfg)
 	for _, op := range ops {
-		switch op.Kind {
-		case workload.OpUpdate:
-			tx := db.Begin()
-			for i, key := range op.Keys {
-				newID, err := applyUpdate(tx, cfg, key, ids[key], op.NewPayload[i])
-				if err != nil {
-					return nil, err
-				}
-				ids[key] = newID
-			}
-			if err := tx.Commit(); err != nil {
-				return nil, err
-			}
-		case workload.OpQuery:
-			if cfg.Model == Model3 {
-				if _, _, err := db.QueryAggregate(viewName); err != nil {
-					return nil, err
-				}
-			} else {
-				rg := pred.NewRange(tuple.I(op.QueryLo), tuple.I(op.QueryHi), true, true)
-				if _, err := db.QueryViewLanes(viewName, rg, &cfg.Plan); err != nil {
-					return nil, err
-				}
-			}
+		if err := step(db, cfg, ids, update, op); err != nil {
+			return nil, err
 		}
 	}
 
@@ -153,16 +132,45 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// applyUpdate issues one tuple modification for the configured model.
-func applyUpdate(tx *core.Tx, cfg Config, key int64, curID uint64, payload int64) (uint64, error) {
-	switch cfg.Model {
-	case Model2:
-		// R1(k, jv, pay): keep k and jv, change pay.
-		jv := key % int64(cfg.Params.FR2*cfg.Params.N)
-		return tx.Update("r1", tuple.I(key), curID, tuple.I(key), tuple.I(jv), tuple.I(payload))
-	default:
-		// R(k, a, pay): keep k, change a (the aggregated column) and pay.
-		return tx.Update("r", tuple.I(key), curID, tuple.I(key), tuple.I(payload%1000), tuple.S(widePayload(payload)))
+// updater rewrites the base tuple with clustering key key and tuple id
+// id, returning the new tuple's id.
+type updater func(tx *core.Tx, key int64, id uint64, payload int64) (uint64, error)
+
+// step replays one workload operation: an update as one transaction of
+// its tuple modifications, a query as one read of the view.
+func step(db *core.Database, cfg Config, ids map[int64]uint64, update updater, op workload.Operation) error {
+	if op.Kind == workload.OpUpdate {
+		tx := db.Begin()
+		for i, key := range op.Keys {
+			newID, err := update(tx, key, ids[key], op.NewPayload[i])
+			if err != nil {
+				return err
+			}
+			ids[key] = newID
+		}
+		return tx.Commit()
+	}
+	if cfg.Model == Model3 {
+		_, _, err := db.QueryAggregate(viewName)
+		return err
+	}
+	rg := pred.NewRange(tuple.I(op.QueryLo), tuple.I(op.QueryHi), true, true)
+	_, err := db.QueryViewLanes(viewName, rg, &cfg.Plan)
+	return err
+}
+
+// applyUpdate is the configured model's tuple modification.
+func applyUpdate(cfg Config) updater {
+	return func(tx *core.Tx, key int64, curID uint64, payload int64) (uint64, error) {
+		switch cfg.Model {
+		case Model2:
+			// R1(k, jv, pay): keep k and jv, change pay.
+			jv := key % int64(cfg.Params.FR2*cfg.Params.N)
+			return tx.Update("r1", tuple.I(key), curID, tuple.I(key), tuple.I(jv), tuple.I(payload))
+		default:
+			// R(k, a, pay): keep k, change a (the aggregated column) and pay.
+			return tx.Update("r", tuple.I(key), curID, tuple.I(key), tuple.I(payload%1000), tuple.S(widePayload(payload)))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"viewmat/internal/costmodel"
@@ -163,5 +164,69 @@ func TestSkewDeterministic(t *testing.T) {
 				t.Fatal("skewed generation not deterministic")
 			}
 		}
+	}
+}
+
+func phasedParams(k, q, l float64) costmodel.Params {
+	p := costmodel.Default()
+	p.N, p.K, p.Q, p.L = 1500, k, q, l
+	return p
+}
+
+func TestGeneratePhasedBoundaries(t *testing.T) {
+	phases := []Phase{
+		{Params: phasedParams(30, 270, 4), Skew: 1.2},
+		{Params: phasedParams(270, 30, 4), Skew: 1.2},
+		{Params: phasedParams(5, 5, 2)},
+	}
+	ops, starts, err := GeneratePhased(1, phases...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 300, 600}; !reflect.DeepEqual(starts, want) {
+		t.Fatalf("phase starts %v, want %v", starts, want)
+	}
+	if len(ops) != 610 {
+		t.Fatalf("%d operations, want 610", len(ops))
+	}
+	for i, ph := range phases {
+		end := len(ops)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		seg := ops[starts[i]:end]
+		u, q := Counts(seg)
+		if u != int(ph.Params.K) || q != int(ph.Params.Q) {
+			t.Errorf("phase %d: %d updates, %d queries; want %v, %v", i, u, q, ph.Params.K, ph.Params.Q)
+		}
+		for _, op := range seg {
+			if op.Kind == OpUpdate && len(op.Keys) != int(ph.Params.L) {
+				t.Fatalf("phase %d: update of %d keys, want %v", i, len(op.Keys), ph.Params.L)
+			}
+		}
+	}
+}
+
+func TestGeneratePhasedRefusals(t *testing.T) {
+	if _, _, err := GeneratePhased(1); err == nil {
+		t.Error("no phases accepted")
+	}
+	other := phasedParams(4, 4, 2)
+	other.N = 3000
+	if _, _, err := GeneratePhased(1, Phase{Params: phasedParams(4, 4, 2)}, Phase{Params: other}); err == nil {
+		t.Error("a phase that changes N accepted")
+	}
+}
+
+func TestGeneratePhasedDeterministic(t *testing.T) {
+	phases := []Phase{{Params: phasedParams(30, 270, 4), Skew: 1.2}, {Params: phasedParams(270, 30, 4), Skew: 1.2}}
+	a, _, _ := GeneratePhased(7, phases...)
+	b, _, _ := GeneratePhased(7, phases...)
+	c, _, _ := GeneratePhased(8, phases...)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("the same seed gave two streams")
+	}
+	if reflect.DeepEqual(a, c) {
+		t.Error("seeds 7 and 8 gave the same stream")
 	}
 }
