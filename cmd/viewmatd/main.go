@@ -51,16 +51,15 @@ func main() {
 	refreshWorkers := flag.Int("refresh-workers", 4, "RefreshAll worker pool bound")
 	adaptive := flag.Bool("adaptive", false, "enable the online adaptive strategy advisor")
 	adaptEvery := flag.Duration("adapt-every", 2*time.Second, "interval between advisor decision rounds (with -adaptive)")
-	storageBudget := flag.Int("storage-budget", 0, "page budget for materialized views under -adaptive (0 = unlimited)")
 	flag.Parse()
 
-	if err := run(*addr, *walDir, *ckptEvery, *maxInflight, *pageSize, *poolFrames, *refreshWorkers, *adaptive, *adaptEvery, *storageBudget); err != nil {
+	if err := run(*addr, *walDir, *ckptEvery, *maxInflight, *pageSize, *poolFrames, *refreshWorkers, *adaptive, *adaptEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "viewmatd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refreshWorkers int, adaptive bool, adaptEvery time.Duration, storageBudget int) error {
+func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refreshWorkers int, adaptive bool, adaptEvery time.Duration) error {
 	var db *core.Database
 	if walDir == "" {
 		db = core.NewDatabase(core.Options{PageSize: pageSize, PoolFrames: poolFrames, MaxRefreshWorkers: refreshWorkers})
@@ -77,11 +76,11 @@ func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refr
 		defer closeDevs()
 	}
 
+	if err := setAdaptive(db, adaptive); err != nil {
+		return err
+	}
 	stopAdapt := make(chan struct{})
 	if adaptive {
-		if err := db.EnableAdaptive(core.AdvisorOptions{StorageBudget: storageBudget}); err != nil {
-			return err
-		}
 		go func() {
 			tick := time.NewTicker(adaptEvery)
 			defer tick.Stop()
@@ -100,7 +99,7 @@ func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refr
 				}
 			}
 		}()
-		fmt.Printf("adaptive advisor on (tick %v, storage budget %d pages)\n", adaptEvery, storageBudget)
+		fmt.Printf("adaptive advisor on (tick %v)\n", adaptEvery)
 	}
 	defer close(stopAdapt)
 
@@ -131,6 +130,21 @@ func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refr
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	fmt.Println("drained; bye")
+	return nil
+}
+
+// setAdaptive makes the engine's advisor follow the -adaptive flag. A
+// recovered engine may already carry one, restored with its catalog: on,
+// it keeps observing from its restored estimators; off, it is discarded,
+// since no ticker would ever run it.
+func setAdaptive(db *core.Database, on bool) error {
+	if !on {
+		db.DisableAdaptive()
+		return nil
+	}
+	if err := db.EnableAdaptive(core.AdvisorOptions{}); err != nil && !errors.Is(err, core.ErrAdaptiveEnabled) {
+		return err
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -162,4 +163,64 @@ func TestOpenDurable(t *testing.T) {
 		t.Fatalf("recovery chain %v after the torn checkpoint, want the %d frames from before it", after, len(kinds))
 	}
 	commitRow(t, db, 31)
+}
+
+// TestRestartFollowsAdaptiveFlag: a checkpoint carries the advisor, so
+// a recovered engine comes back with it. Restarted with -adaptive, the
+// engine keeps the restored estimators (EnableAdaptive must not refuse
+// it); restarted without, the advisor is discarded, since no ticker
+// would ever run it.
+func TestRestartFollowsAdaptiveFlag(t *testing.T) {
+	dir := t.TempDir()
+	db, closeDevs := reopen(t, dir, 0)
+	if err := setAdaptive(db, true); err != nil {
+		t.Fatal(err)
+	}
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("s", tuple.String))
+	if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	def := core.Def{
+		Name:      "v",
+		Kind:      core.SelectProject,
+		Relations: []string{"r"},
+		Pred:      pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Lt, Val: tuple.I(50)}),
+		Project:   [][]int{{0, 2}},
+	}
+	if err := db.CreateView(def, core.Immediate); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 20; k++ {
+		commitRow(t, db, k*5)
+		answers(t, db)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := db.AdvisorStats()
+	if len(want) != 1 || want[0].Observations == 0 {
+		t.Fatalf("advisor observed nothing before the checkpoint: %+v", want)
+	}
+	closeDevs()
+
+	db, closeDevs = reopen(t, dir, 0)
+	if err := setAdaptive(db, true); err != nil {
+		t.Fatalf("restart with -adaptive: %v", err)
+	}
+	if got := db.AdvisorStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restart with -adaptive: AdvisorStats %+v, want the checkpointed %+v", got, want)
+	}
+	closeDevs()
+
+	db, closeDevs = reopen(t, dir, 0)
+	defer closeDevs()
+	if err := setAdaptive(db, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.AdvisorStats(); got != nil {
+		t.Errorf("restart without -adaptive: advisor still on, %+v", got)
+	}
+	if _, err := db.AdaptTick(); !errors.Is(err, core.ErrAdaptiveDisabled) {
+		t.Errorf("restart without -adaptive: AdaptTick = %v, want ErrAdaptiveDisabled", err)
+	}
 }

@@ -19,9 +19,7 @@ import (
 // model tables against the measured parameters and flips a view's
 // strategy when the predicted win clears a hysteresis threshold that
 // rises with recent flip activity (Markov-style replacement scoring —
-// a view that keeps flipping has to show a bigger win to flip again),
-// then runs a local-search pass that demotes materializations to
-// query modification while the view set exceeds the storage budget.
+// a view that keeps flipping has to show a bigger win to flip again).
 //
 // Every flip (SetStrategy, strategy.go) happens under the engine write
 // lock — between refresh units and never inside a commit — and ends
@@ -33,6 +31,9 @@ var (
 	// ErrAdaptiveDisabled is returned by AdaptTick when EnableAdaptive
 	// has not been called.
 	ErrAdaptiveDisabled = errors.New("core: adaptive advisor not enabled")
+	// ErrAdaptiveEnabled is returned by EnableAdaptive when an advisor
+	// is already on — one restored with the catalog included.
+	ErrAdaptiveEnabled = errors.New("core: adaptive advisor already enabled")
 	// ErrFlipUnsupported is returned for strategy flips the engine
 	// does not perform (grouped-aggregate views, unknown strategies).
 	ErrFlipUnsupported = errors.New("core: strategy flip unsupported")
@@ -49,54 +50,28 @@ const flipScoreDecay = 0.84
 type AdvisorOptions struct {
 	// Hysteresis is the minimum fractional predicted win — (current
 	// cost − best cost) / current cost — required to flip a view that
-	// has not flipped recently. Default 0.2.
+	// has not flipped recently. Recent flips raise the bar: the
+	// effective threshold is Hysteresis·(1 + flipScore), where
+	// flipScore decays by flipScoreDecay per tick and gains 1 per flip.
+	// Default 0.2.
 	Hysteresis float64
-	// FlipPenalty scales how much recent flips raise the bar: the
-	// effective threshold is Hysteresis·(1 + FlipPenalty·flipScore),
-	// where flipScore decays by flipScoreDecay per tick and gains 1
-	// per flip. Default 1.
-	FlipPenalty float64
 	// MinObservations is the decayed observation count a view needs
 	// before the advisor will consider it. Default 16.
 	MinObservations float64
 	// HalfLife is the estimator decay half-life in observed
 	// operations. Default costmodel.DefaultHalfLife.
 	HalfLife float64
-	// SnapshotEvery is the staleness budget (commits) configured —
-	// and priced — when the advisor flips a view to Snapshot.
-	// Default 16. Only meaningful with ExtendedStrategies.
-	SnapshotEvery int
-	// StorageBudget caps the total pages held by materialized views;
-	// 0 falls back to Options.StorageBudget (0 = unlimited). While
-	// the view set exceeds the budget, the local-search pass demotes
-	// the materialization with the least regret per page freed to
-	// query modification.
-	StorageBudget int
-	// ExtendedStrategies adds Snapshot and RecomputeOnDemand to the
-	// candidate set (priced at SnapshotEvery). Off, the advisor
-	// chooses among the paper's three strategies — the set the
-	// offline Advise oracle covers.
-	ExtendedStrategies bool
 }
 
 func (o AdvisorOptions) withDefaults() AdvisorOptions {
 	if o.Hysteresis <= 0 || math.IsNaN(o.Hysteresis) {
 		o.Hysteresis = 0.2
 	}
-	if o.FlipPenalty <= 0 || math.IsNaN(o.FlipPenalty) {
-		o.FlipPenalty = 1
-	}
 	if o.MinObservations <= 0 || math.IsNaN(o.MinObservations) {
 		o.MinObservations = 16
 	}
 	if o.HalfLife <= 0 || math.IsNaN(o.HalfLife) {
 		o.HalfLife = costmodel.DefaultHalfLife
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 16
-	}
-	if o.StorageBudget < 0 {
-		o.StorageBudget = 0
 	}
 	return o
 }
@@ -138,12 +113,13 @@ func (a *advisor) view(name string) *advView {
 
 // EnableAdaptive turns on per-view workload observation. Flips happen
 // only when AdaptTick is called (the daemon runs it on a timer; tests
-// call it at chosen boundaries).
+// call it at chosen boundaries). An advisor already on, restored or
+// not, is kept: ErrAdaptiveEnabled.
 func (db *Database) EnableAdaptive(opts AdvisorOptions) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.adv != nil {
-		return errors.New("core: adaptive advisor already enabled")
+		return ErrAdaptiveEnabled
 	}
 	db.adv = &advisor{opts: opts.withDefaults(), views: map[string]*advView{}}
 	return nil
@@ -268,10 +244,9 @@ type AdvisorViewStat struct {
 var strategyOrder = []Strategy{QueryModification, Immediate, Deferred, Snapshot, RecomputeOnDemand}
 
 // AdaptTick runs one advisor decision round: re-derive each observed
-// view's measured parameters, price every strategy, flip views whose
-// predicted win clears the hysteresis threshold, then demote
-// materializations while the view set exceeds the storage budget.
-// Runs entirely under the engine write lock — a safe flip boundary by
+// view's measured parameters, price the paper's three strategies, and
+// flip views whose predicted win clears the hysteresis threshold. Runs
+// entirely under the engine write lock — a safe flip boundary by
 // construction.
 func (db *Database) AdaptTick() ([]FlipReport, error) {
 	db.mu.Lock()
@@ -289,7 +264,6 @@ func (db *Database) AdaptTick() ([]FlipReport, error) {
 		assigned Strategy
 	}
 	var cands []*candidate
-	fixedPages := 0.0
 	db.adv.mu.Lock()
 	for _, name := range db.viewNamesLocked() {
 		vs := db.views[name]
@@ -299,17 +273,14 @@ func (db *Database) AdaptTick() ([]FlipReport, error) {
 		av := db.adv.view(name)
 		av.flipScore *= flipScoreDecay
 		eligible := vs.def.Kind != GroupedAggregate && av.est.Observations() >= opts.MinObservations
-		var p costmodel.Params
-		if eligible {
-			var err error
-			p, err = db.measuredParamsLocked(vs, av)
-			eligible = err == nil
-		}
 		if !eligible {
-			fixedPages += db.viewPagesLocked(vs, vs.strategy, costmodel.Params{})
 			continue
 		}
-		costs := db.strategyCostsLocked(vs, p, opts)
+		p, err := db.measuredParamsLocked(vs, av)
+		if err != nil {
+			continue
+		}
+		costs := db.strategyCostsLocked(vs, p)
 		av.lastParams = p
 		av.lastCosts = make(map[string]float64, len(costs))
 		bestS, bestC := vs.strategy, math.Inf(1)
@@ -348,49 +319,11 @@ func (db *Database) AdaptTick() ([]FlipReport, error) {
 		if bestS == c.vs.strategy {
 			continue
 		}
-		threshold := opts.Hysteresis * (1 + opts.FlipPenalty*c.av.flipScore)
+		threshold := opts.Hysteresis * (1 + c.av.flipScore)
 		if haveCur && cur > 0 && (cur-bestC)/cur <= threshold {
 			continue
 		}
 		c.assigned = bestS
-	}
-
-	// Budgeted local search (storage-constrained selection): while the
-	// assignment exceeds the page budget, demote the materialization
-	// with the least regret per page freed to query modification.
-	budget := opts.StorageBudget
-	if budget == 0 {
-		budget = db.storageBudget
-	}
-	if budget > 0 {
-		for {
-			total := fixedPages
-			for _, c := range cands {
-				total += db.viewPagesLocked(c.vs, c.assigned, c.params)
-			}
-			if total <= float64(budget) {
-				break
-			}
-			var pick *candidate
-			pickRegret := math.Inf(1)
-			for _, c := range cands {
-				if c.assigned == QueryModification || !db.flipAllowedLocked(c.vs, QueryModification) {
-					continue
-				}
-				pages := db.viewPagesLocked(c.vs, c.assigned, c.params)
-				if pages <= 0 {
-					continue
-				}
-				regret := (c.costs[QueryModification] - c.costs[c.assigned]) / pages
-				if regret < pickRegret {
-					pick, pickRegret = c, regret
-				}
-			}
-			if pick == nil {
-				break // nothing left to demote; budget unsatisfiable
-			}
-			pick.assigned = QueryModification
-		}
 	}
 
 	var reports []FlipReport
@@ -413,9 +346,6 @@ func (db *Database) AdaptTick() ([]FlipReport, error) {
 				continue
 			}
 			return reports, err
-		}
-		if c.assigned == Snapshot && c.vs.snapshotEvery == 0 {
-			c.vs.snapshotEvery = opts.SnapshotEvery
 		}
 		gain := 0.0
 		if cur, ok := c.costs[from]; ok && cur > 0 {
@@ -466,24 +396,7 @@ func (db *Database) measuredParamsLocked(vs *viewState, av *advView) (costmodel.
 	if !ok || r0.Len() == 0 {
 		return p, fmt.Errorf("core: view %q has no base data to measure", vs.def.Name)
 	}
-	p.N = float64(r0.Len())
-	pages := r0.Pages()
-	if pages < 1 {
-		pages = 1
-	}
-	p.S = float64(pages) * p.B / p.N
-	if p.S < 1 {
-		p.S = 1
-	}
-	if vs.def.Kind == Join && len(vs.def.Relations) > 1 {
-		if r2, ok := db.rels[vs.def.Relations[1]]; ok && r2.Len() > 0 {
-			fr2 := float64(r2.Len()) / p.N
-			if fr2 > 1 {
-				fr2 = 1
-			}
-			p.FR2 = fr2
-		}
-	}
+	db.sizeParamsLocked(&p, vs, r0.Len(), r0.Pages())
 	p = av.est.Apply(p)
 
 	// Selectivity, best source first: the materialization's exact row
@@ -516,33 +429,46 @@ func clampSelectivity(f, n float64) float64 {
 	return math.Min(f, 1)
 }
 
-// strategyCostsLocked prices every candidate strategy for one view
-// from measured parameters: the model table matching the view's kind,
-// each strategy taking its cheapest algorithm variant.
-func (db *Database) strategyCostsLocked(vs *viewState, p costmodel.Params, opts AdvisorOptions) map[Strategy]float64 {
-	every := 0.0
-	if opts.ExtendedStrategies {
-		every = float64(opts.SnapshotEvery)
+// sizeParamsLocked sets the parameters a view's source fixes: N = n
+// tuples, S = the average stored tuple bytes of its pages (at least 1),
+// and for a join fR2 = |R2|/N, at most 1. The profiler and the advisor
+// both size through it.
+func (db *Database) sizeParamsLocked(p *costmodel.Params, vs *viewState, n, pages int) {
+	p.N = float64(n)
+	p.S = max(float64(max(pages, 1))*p.B/p.N, 1)
+	if vs.def.Kind == Join && len(vs.def.Relations) > 1 {
+		if r2, ok := db.rels[vs.def.Relations[1]]; ok && r2.Len() > 0 {
+			p.FR2 = min(float64(r2.Len())/p.N, 1)
+		}
 	}
-	table := costmodel.CostsFor(vs.def.Kind.Model(), p, every)
+}
+
+// runnableCostsLocked is the one price list of a view, read by Explain
+// and AdaptTick alike: the kind's costmodel.CostsFor table at p (the
+// extended strategies priced at snapshotEvery when it is positive),
+// less the rows that are not finite and every query-modification row
+// but the access path the engine runs (qmAlgLocked). The tables price
+// every QM path; pricing QM at the cheapest hypothetical one (usually
+// clustered) would make it unbeatable on paper while the real plan
+// fetches through a secondary index or scans sequentially.
+func (db *Database) runnableCostsLocked(vs *viewState, p costmodel.Params, snapshotEvery float64) map[costmodel.Algorithm]float64 {
+	table := costmodel.CostsFor(vs.def.Kind.Model(), p, snapshotEvery)
 	qmAlg := db.qmAlgLocked(vs)
+	for alg, c := range table {
+		if math.IsNaN(c) || math.IsInf(c, 0) || StrategyFor(alg) == QueryModification && alg != qmAlg {
+			delete(table, alg)
+		}
+	}
+	return table
+}
+
+// strategyCostsLocked prices the paper's three strategies for one view
+// at measured parameters: one runnable row each.
+func (db *Database) strategyCostsLocked(vs *viewState, p costmodel.Params) map[Strategy]float64 {
+	table := db.runnableCostsLocked(vs, p, 0)
 	out := make(map[Strategy]float64, len(table))
 	for alg, c := range table {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			continue
-		}
-		s := StrategyFor(alg)
-		// The tables price every QM access path; the engine only has
-		// the one the physical design admits. Pricing QM at the
-		// cheapest hypothetical path (usually clustered) would make
-		// it unbeatable on paper while the real plan fetches through
-		// a secondary index or scans sequentially.
-		if s == QueryModification && alg != qmAlg {
-			continue
-		}
-		if cur, ok := out[s]; !ok || c < cur {
-			out[s] = c
-		}
+		out[StrategyFor(alg)] = c
 	}
 	return out
 }
@@ -593,46 +519,6 @@ func StrategyFor(a costmodel.Algorithm) Strategy {
 		return s
 	}
 	return QueryModification
-}
-
-// strategyCostKey is the reverse: the cost-table row an engine strategy
-// is priced at for the given view kind.
-func strategyCostKey(s Strategy, k Kind) string {
-	for alg, st := range algStrategy {
-		if st == s {
-			return string(alg)
-		}
-	}
-	if k == Join {
-		return string(costmodel.AlgLoopJoin)
-	}
-	return string(costmodel.AlgClustered)
-}
-
-// viewPagesLocked is the storage charge of one view under a strategy:
-// zero for query modification, one page for a scalar aggregate, the
-// materialization's actual page count when it exists, and the model
-// estimate f·N·S/B otherwise.
-func (db *Database) viewPagesLocked(vs *viewState, s Strategy, p costmodel.Params) float64 {
-	if s == QueryModification {
-		return 0
-	}
-	switch vs.def.Kind {
-	case Aggregate:
-		return 1
-	case GroupedAggregate:
-		if vs.groups != nil {
-			return float64(vs.groups.rel.Pages())
-		}
-		return 1
-	}
-	if vs.mat != nil {
-		return float64(vs.mat.Pages())
-	}
-	if p.N == 0 || p.B == 0 {
-		return 1
-	}
-	return math.Ceil(p.F * p.N * p.S / p.B)
 }
 
 // AdvisorStats reports per-view advisor state: observation counts,

@@ -147,10 +147,6 @@ type Database struct {
 	// observe.
 	adv *advisor
 
-	// storageBudget is the default page budget for the advisor's
-	// local-search pass (0 = unlimited); fixed at construction.
-	storageBudget int
-
 	// Queries and Commits count operations for averaging; guarded by
 	// statsMu while operations are in flight.
 	Queries int
@@ -240,17 +236,12 @@ type Options struct {
 	// overlap their I/O waits as they would on a real device. Zero
 	// (the default) leaves all operations CPU-bound.
 	SimulatedIOLatency time.Duration
-	// StorageBudget caps the total pages materialized views may hold,
-	// enforced by the adaptive advisor's local-search pass (see
-	// EnableAdaptive); 0 = unlimited. Static engines ignore it.
-	StorageBudget int
 }
 
 // NewDatabase creates an empty engine.
 func NewDatabase(opts Options) *Database {
 	db := newDatabase(storage.NewDisk(opts.PageSize), opts.PoolFrames, opts.HR)
 	db.maxRefreshWorkers = opts.MaxRefreshWorkers
-	db.storageBudget = opts.StorageBudget
 	db.disk.SetIOLatency(opts.SimulatedIOLatency)
 	return db
 }

@@ -86,24 +86,10 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 	if n == 0 {
 		return costmodel.Params{}, fmt.Errorf("core: %q is empty; nothing to profile", source)
 	}
-	p.N = float64(n)
-	p.S = float64(pages) * p.B / float64(n)
-	if p.S < 1 {
-		p.S = 1
-	}
+	db.sizeParamsLocked(&p, vs, int(n), pages)
 	p.F = float64(all.screen.Stats().RowsOut) / float64(n)
 	if p.F <= 0 {
 		p.F = 1 / float64(n) // an empty view still needs a valid f
-	}
-
-	if vs.def.Kind == Join {
-		r2 := db.rels[vs.def.Relations[1]]
-		if r2.Len() > 0 {
-			p.FR2 = float64(r2.Len()) / float64(n)
-			if p.FR2 > 1 {
-				p.FR2 = 1
-			}
-		}
 	}
 	if err := p.Validate(); err != nil {
 		return costmodel.Params{}, fmt.Errorf("core: profiled parameters invalid: %w", err)
@@ -120,7 +106,7 @@ type Explanation struct {
 	Params     costmodel.Params
 	Costs      map[string]float64
 	Cheapest   string
-	CurrentKey string // the cost-table key the current strategy maps to
+	CurrentKey string // the Costs row of the current strategy ("" if none)
 
 	// PlanTrees renders the most recently executed physical operator
 	// tree per path ("query", "refresh", "populate") with per-operator
@@ -131,9 +117,10 @@ type Explanation struct {
 	PlanTrees map[string]string
 }
 
-// Explain profiles a view and prices every strategy the cost model
-// covers for its kind, so an operator can see whether the configured
-// strategy matches the model's recommendation.
+// Explain profiles a view and prices every strategy the engine can run
+// for it (runnableCostsLocked, the table AdaptTick reads), so an
+// operator can see whether the configured strategy matches the model's
+// recommendation.
 func (db *Database) Explain(view string, hints WorkloadHints) (*Explanation, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -146,22 +133,24 @@ func (db *Database) Explain(view string, hints WorkloadHints) (*Explanation, err
 		return nil, err
 	}
 	// The extended strategies are priced for Model-1 views only.
-	model, every := vs.def.Kind.Model(), 0.0
-	if model < 2 {
+	every := 0.0
+	if vs.def.Kind.Model() < 2 {
 		every = float64(max(vs.snapshotEvery, 1))
 	}
-	costs := costmodel.CostsFor(model, p, every)
+	costs := db.runnableCostsLocked(vs, p, every)
 	best, _ := costmodel.Best(costs)
 	ex := &Explanation{
-		View:       view,
-		Current:    vs.strategy,
-		Params:     p,
-		Costs:      map[string]float64{},
-		Cheapest:   string(best),
-		CurrentKey: strategyCostKey(vs.strategy, vs.def.Kind),
+		View:     view,
+		Current:  vs.strategy,
+		Params:   p,
+		Costs:    map[string]float64{},
+		Cheapest: string(best),
 	}
 	for alg, c := range costs {
 		ex.Costs[string(alg)] = c
+		if StrategyFor(alg) == vs.strategy {
+			ex.CurrentKey = string(alg)
+		}
 	}
 
 	ex.PlanTrees = map[string]string{}

@@ -2,9 +2,13 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"viewmat/internal/agg"
+	"viewmat/internal/costmodel"
+	"viewmat/internal/pred"
+	"viewmat/internal/tuple"
 )
 
 func TestProfileViewDerivesParameters(t *testing.T) {
@@ -110,22 +114,119 @@ func TestExplainJoinAndAggregate(t *testing.T) {
 	}
 }
 
-func TestStrategyCostKeyMapping(t *testing.T) {
-	cases := map[Strategy]string{
-		Immediate:         "immediate",
-		Deferred:          "deferred",
-		Snapshot:          "snapshot",
-		RecomputeOnDemand: "recompute-on-demand",
+// newScanQMDatabase builds a query-modification view V = π(a, k)
+// σ(a < 90)(r) over 300 rows of r(k, a = k, s) clustered on k: a has no
+// index, so a query scans r sequentially.
+func newScanQMDatabase(t *testing.T) *Database {
+	t.Helper()
+	db := newTestDB(t)
+	if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
+		t.Fatal(err)
 	}
-	for s, want := range cases {
-		if got := strategyCostKey(s, SelectProject); got != want {
-			t.Errorf("strategyCostKey(%v) = %q, want %q", s, got, want)
+	tx := db.Begin()
+	for i := 0; i < 300; i++ {
+		if _, err := tx.Insert("r", tuple.I(int64(i)), tuple.I(int64(i)), tuple.S(sName(i))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := strategyCostKey(QueryModification, Join); got != "loopjoin" {
-		t.Errorf("QM join key = %q", got)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	if got := strategyCostKey(QueryModification, SelectProject); got != "clustered" {
-		t.Errorf("QM sp key = %q", got)
+	def := Def{
+		Name:       "v",
+		Kind:       SelectProject,
+		Relations:  []string{"r"},
+		Pred:       pred.New(pred.Cmp{Rel: 0, Col: 1, Op: pred.Lt, Val: tuple.I(90)}),
+		Project:    [][]int{{1, 0}},
+		ViewKeyCol: 0,
+	}
+	if err := db.CreateView(def, QueryModification); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestExplainPricesTheRunnablePath: Explain reads the advisor's price
+// list, so a query-modification view is priced at the access path its
+// plan runs, not at the cheapest path the tables list. Here r is
+// clustered on k and the view selects on the unindexed a, so the query
+// scans sequentially.
+func TestExplainPricesTheRunnablePath(t *testing.T) {
+	db := newScanQMDatabase(t)
+	if _, err := db.QueryView("v", nil); err != nil {
+		t.Fatal(err)
+	}
+	hints := WorkloadHints{UpdateTxns: 5, Queries: 100, TuplesPerTxn: 4, QueryFraction: 0.1}
+	ex, err := db.Explain("v", hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree := ex.PlanTrees[PlanPathQuery]; !strings.Contains(tree, "SeqScan") {
+		t.Fatalf("query plan is not a sequential scan:\n%s", tree)
+	}
+	if ex.CurrentKey != "sequential" {
+		t.Errorf("CurrentKey = %q, want sequential", ex.CurrentKey)
+	}
+	for _, alg := range []string{"clustered", "unclustered", "loopjoin"} {
+		if c, ok := ex.Costs[alg]; ok {
+			t.Errorf("Costs holds the QM path %s (%.1f) the engine does not run", alg, c)
+		}
+	}
+	db.mu.RLock()
+	costs := db.strategyCostsLocked(db.views["v"], ex.Params)
+	db.mu.RUnlock()
+	best := QueryModification
+	for _, s := range strategyOrder {
+		if c, ok := costs[s]; ok && c < costs[best] {
+			best = s
+		}
+	}
+	if got := StrategyFor(costmodel.Algorithm(ex.Cheapest)); got != best {
+		t.Errorf("Explain's cheapest is %s (%s), the advisor ranks %s first (costs %v)", ex.Cheapest, got, best, costs)
+	}
+}
+
+// TestStrategyCostKeyMapping: Explain's CurrentKey names the cost-table
+// row of the view's strategy. Each maintenance strategy reads its own
+// row; query modification reads the access path the physical design
+// admits, and that row is in Costs.
+func TestStrategyCostKeyMapping(t *testing.T) {
+	hints := WorkloadHints{UpdateTxns: 5, Queries: 100, TuplesPerTxn: 4, QueryFraction: 0.1}
+	db := newSPDatabase(t, QueryModification, 300)
+	for _, tc := range []struct {
+		s    Strategy
+		want string
+	}{{Immediate, "immediate"}, {Deferred, "deferred"}, {Snapshot, "snapshot"}, {RecomputeOnDemand, "recompute-on-demand"}} {
+		if err := db.SetStrategy("v", tc.s); err != nil {
+			t.Fatal(err)
+		}
+		ex, err := db.Explain("v", hints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.CurrentKey != tc.want {
+			t.Errorf("%v: CurrentKey = %q, want %q", tc.s, ex.CurrentKey, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		name, view, want string
+		db               *Database
+	}{
+		{"clustered on the selection column", "v", "clustered", newSPDatabase(t, QueryModification, 300)},
+		{"secondary index on the selection column", "v", "unclustered", newUnclusteredSPDatabase(t, 300)},
+		{"no index on the selection column", "v", "sequential", newScanQMDatabase(t)},
+		{"join", "j", "loopjoin", newJoinDatabase(t, QueryModification, 40, 8)},
+	} {
+		ex, err := tc.db.Explain(tc.view, hints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.CurrentKey != tc.want {
+			t.Errorf("QM, %s: CurrentKey = %q, want %q", tc.name, ex.CurrentKey, tc.want)
+		}
+		if _, ok := ex.Costs[ex.CurrentKey]; !ok {
+			t.Errorf("QM, %s: Costs has no %q row: %v", tc.name, ex.CurrentKey, ex.Costs)
+		}
 	}
 }

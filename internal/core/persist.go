@@ -129,8 +129,9 @@ func Load(r io.Reader) (*Database, error) {
 // version. Version 1 was an encoding/gob stream and had no magic;
 // version 2's catalog header carried per-relation key-frequency
 // trackers; version 3's disk could hold row-major data pages (types 1
-// and 3), which no decoder reads any more.
-const snapshotMagic = "VMS\x04"
+// and 3), which no decoder reads any more; version 4's advisor header
+// carried four options the advisor no longer has.
+const snapshotMagic = "VMS\x05"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
@@ -143,7 +144,7 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, delta *storage.DiskDelta, di
 		c.U8(&magic[i])
 	}
 	if string(magic) != snapshotMagic {
-		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 and version-3 snapshots are not readable)",
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-4 snapshots are not readable)",
 			snapshotMagic[3], magic, snapshotMagic)
 		return
 	}
@@ -336,7 +337,7 @@ const (
 	minHashMetaSize  = 4 + 8                               // no buckets, a count
 	minRelationSize  = 4 + 4 + 8 + 8 + minHashMetaSize + 4 // empty name and schema, kind, key, meta, no secondaries
 	minViewSize      = 49 + 81                             // an empty Def, then a view's fixed fields
-	minAdvViewSize   = 4 + 8*12 + 4                        // empty name, twelve numbers, an empty reason
+	minAdvViewSize   = 4 + 8*25 + 3*4                      // empty name, 25 numbers, an empty reason, cost map and best
 	minSecondarySize = 8 + 8*3                             // a column and a B+-tree's metadata
 )
 
@@ -408,15 +409,13 @@ func codeViewEntry(c *tuple.Coder, ve *viewEntry) {
 }
 
 // code walks the advisor's options and, per observed view, its
-// estimator's accumulators and flip history.
+// estimator's accumulators, flip history and last decision (the
+// measured parameters, costs and winner AdvisorStats reports).
 func (a *advisor) code(c *tuple.Coder) {
 	o := &a.opts
-	for _, f := range []*float64{&o.Hysteresis, &o.FlipPenalty, &o.MinObservations, &o.HalfLife} {
+	for _, f := range []*float64{&o.Hysteresis, &o.MinObservations, &o.HalfLife} {
 		c.Float(f)
 	}
-	c.Int(&o.SnapshotEvery)
-	c.Int(&o.StorageBudget)
-	c.Bool(&o.ExtendedStrategies)
 	if c.Decoding() {
 		*o = o.withDefaults()
 	}
@@ -425,15 +424,18 @@ func (a *advisor) code(c *tuple.Coder) {
 			*v = &advView{est: costmodel.Estimator{HalfLife: o.HalfLife}}
 		}
 		av := *v
-		est := av.est.Snapshot()
+		est, p := av.est.Snapshot(), &av.lastParams
 		for _, f := range []*float64{&est.Queries, &est.FvSum, &est.FvObs, &est.Updates, &est.Tuples, &est.ScrTup, &est.Hits,
-			&av.fCache, &av.flipScore} {
+			&av.fCache, &av.flipScore,
+			&p.N, &p.S, &p.B, &p.K, &p.L, &p.Q, &p.IdxRec, &p.F, &p.FV, &p.FR2, &p.C1, &p.C2, &p.C3} {
 			c.Float(f)
 		}
 		c.Int(&av.flips)
 		c.Int((*int)(&av.lastFrom))
 		c.Int((*int)(&av.lastTo))
 		c.Str(&av.lastReason)
+		tuple.Map(c, &av.lastCosts, 4+8, (*tuple.Coder).Str, (*tuple.Coder).Float)
+		c.Str(&av.lastBest)
 		if c.Decoding() {
 			av.est.Restore(est)
 		}

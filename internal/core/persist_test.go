@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -226,6 +227,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Version 3: this layout, but its pages may be row-major.
 	version3 := append([]byte(nil), img...)
 	version3[len(snapshotMagic)-1] = 3
+	// Version 4: this layout, but an advisor header with four more options.
+	version4 := append([]byte(nil), img...)
+	version4[len(snapshotMagic)-1] = 4
 	// The parent commit's format: one encoding/gob value of a struct
 	// whose first field is Version = 1.
 	type dbSnapshot struct{ Version, PageSize, PoolFrames int }
@@ -272,7 +276,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt, "version-2"},
 		{"wrong version", wrongVersion, ErrSnapshotCorrupt, "version-2"},
 		{"version-2 body", version2, ErrSnapshotCorrupt, "version-2"},
-		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-4 snapshot"},
+		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-5 snapshot"},
+		{"version-4 body", version4, ErrSnapshotCorrupt, "not a version-5 snapshot"},
 		{"parent-format gob stream", version1.Bytes(), ErrSnapshotCorrupt, "version 1"},
 		{"bad page size", encodeSnapshot(t, catalogHeader{poolFrames: 4}, &storage.DiskDelta{}), ErrSnapshotCorrupt, ""},
 		{"HR without relation", encode(catalogHeader{poolFrames: 4, hrs: map[string]hr.ADMeta{"ghost": {}}}), ErrSnapshotCorrupt, ""},
@@ -318,5 +323,72 @@ func TestSaveLoadRoundTripsTwice(t *testing.T) {
 	rows, err := second.QueryView("v", nil)
 	if err != nil || len(rows) != 20 {
 		t.Errorf("double round trip: %d rows, err %v", len(rows), err)
+	}
+}
+
+// TestSaveLoadKeepsAdvisor: the advisor's options, estimators and flip
+// history ride in the snapshot header, so a loaded engine reports the
+// same AdvisorStats and its next AdaptTick decides what the live
+// engine's does. A query-heavy phase flips the sequentially scanned
+// view to a materialization; an update-heavy phase then makes the model
+// prefer query modification again, decided after the round trip.
+func TestSaveLoadKeepsAdvisor(t *testing.T) {
+	db := newScanQMDatabase(t)
+	if err := db.EnableAdaptive(AdvisorOptions{Hysteresis: 0.05, MinObservations: 8, HalfLife: 24}); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(1000)
+	commit := func(rows int) {
+		tx := db.Begin()
+		for i := 0; i < rows; i++ {
+			if _, err := tx.Insert("r", tuple.I(next), tuple.I(next%120), tuple.S("w")); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := func() {
+		if _, err := db.QueryView("v", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if i%10 == 0 {
+			commit(2)
+		}
+		query()
+	}
+	flips, err := db.AdaptTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flips) != 1 || flips[0].From != QueryModification.String() {
+		t.Fatalf("query-heavy phase: flips %+v, want one away from query modification", flips)
+	}
+	for i := 0; i < 60; i++ {
+		commit(8)
+	}
+	query()
+
+	restored := saveLoad(t, db)
+	if got, want := restored.AdvisorStats(), db.AdvisorStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored AdvisorStats\n%+v\nwant\n%+v", got, want)
+	}
+	want, err := db.AdaptTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("update-heavy phase flipped nothing; the round trip is not exercised")
+	}
+	got, err := restored.AdaptTick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored AdaptTick = %+v, want %+v", got, want)
 	}
 }

@@ -113,7 +113,8 @@ type Params = costmodel.Params
 type WorkloadHints = core.WorkloadHints
 
 // Explanation is Explain's report: profiled parameters and the cost of
-// every strategy the model covers for the view's kind.
+// every strategy the engine can run for the view, priced from the table
+// the adaptive advisor reads.
 type Explanation = core.Explanation
 
 // Adaptive advisor surface (see Database.EnableAdaptive, AdaptTick,
@@ -134,6 +135,9 @@ type (
 var (
 	// ErrAdaptiveDisabled is returned by AdaptTick before EnableAdaptive.
 	ErrAdaptiveDisabled = core.ErrAdaptiveDisabled
+	// ErrAdaptiveEnabled is returned by EnableAdaptive when an advisor
+	// is already on, e.g. one Load restored.
+	ErrAdaptiveEnabled = core.ErrAdaptiveEnabled
 	// ErrFlipUnsupported marks strategy flips the engine refuses.
 	ErrFlipUnsupported = core.ErrFlipUnsupported
 )
