@@ -581,3 +581,106 @@ func TestCrashRecoverySweepFull(t *testing.T) {
 		})
 	}
 }
+
+// runCrashPair runs all but the last two steps serially, then those two
+// on goroutines of their own so that their records share one sync: the
+// last step commits while the sync the one before it leads is held.
+// Besides the devices and the two steps' errors it returns the sync
+// count before the pair and, in write order, the unsynced WAL bytes
+// ahead of the pair's records (refresh records riding the next sync)
+// and the two records' frame lengths.
+func runCrashPair(t *testing.T, steps []crashStep, plan *storage.CrashPlan, ckptEvery int) (walDev, snapDev *storage.FaultDisk, prefixSyncs int, pending [3]int64, errs [2]error) {
+	t.Helper()
+	walDev, snapDev = storage.NewFaultDisk(), storage.NewFaultDisk()
+	plan.Attach(walDev)
+	plan.Attach(snapDev)
+	h := &crashHarness{
+		db:        NewDatabase(testOpts()),
+		live:      map[string][]liveRow{},
+		walDev:    walDev,
+		snapDev:   snapDev,
+		ckptEvery: ckptEvery,
+	}
+	n := len(steps) - 2
+	for _, s := range steps[:n] {
+		if err := s.run(h); err != nil {
+			t.Fatalf("step %q: %v", s.name, err)
+		}
+	}
+	prefixSyncs = plan.Syncs()
+	size := func(d *storage.FaultDisk) int64 {
+		n, err := d.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	start := size(walDev)
+	held, release := walDev.HoldSyncs()
+	defer release()
+	a := make(chan error, 1)
+	go func() { a <- steps[n].run(h) }()
+	<-held
+	mid := size(walDev)
+	b := make(chan error, 1)
+	go func() { b <- steps[n+1].run(h) }()
+	waitFor(t, "the second commit's append", func() bool { return size(walDev) > mid })
+	end := size(walDev)
+	release()
+	pending = [3]int64{start - size(walDev.DurableDevice()), mid - start, end - mid}
+	return walDev, snapDev, prefixSyncs, pending, [2]error{<-a, <-b}
+}
+
+// TestCrashRecoveryGroupCommit is the sweep's group-commit row: two
+// commits whose records share one sync, and a power cut during that
+// sync that keeps the first record whole and tears the second at each
+// byte. Neither commit was acknowledged, so recovery must give the
+// acknowledged prefix or prefix + 1, the sweep's legality rule. The
+// second commit crosses CheckpointEvery, so its frame, encoded before
+// the crash, is in flight when the crash comes.
+func TestCrashRecoveryGroupCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep")
+	}
+	const ckptEvery = 3
+	all := crashWorkloadSteps()
+	at := map[string]int{}
+	for i, s := range all {
+		at[s.name] = i
+	}
+	// t2 and t3 are the second and third commits after the last DDL
+	// checkpoint; q-vsp-1 before t2 leaves a refresh record unsynced.
+	steps := append(all[:at["t2"]:at["t2"]], all[at["t2"]], all[at["t3"]])
+	f := len(steps) - 2
+
+	_, _, prefixSyncs, pending, errs := runCrashPair(t, steps, storage.NewCrashPlan(0, 0), ckptEvery)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("fault-free pair: %v, %v", errs[0], errs[1])
+	}
+	if pending[1] == 0 || pending[2] == 0 {
+		t.Fatalf("pair records of %d and %d bytes", pending[1], pending[2])
+	}
+	oracles, images := map[int]*Database{}, map[int][]byte{}
+	for k := int64(0); k < pending[2]; k++ {
+		torn := pending[0] + pending[1] + k
+		walDev, snapDev, _, _, errs := runCrashPair(t, steps, storage.NewCrashPlan(prefixSyncs+1, int(torn)), ckptEvery)
+		for i, err := range errs {
+			if !errors.Is(err, storage.ErrCrashed) {
+				t.Fatalf("torn %d: commit %q returned %v, want a crash", torn, steps[f+i].name, err)
+			}
+		}
+		rec, info, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{CheckpointEvery: ckptEvery})
+		if err != nil {
+			t.Fatalf("torn %d: Recover: %v", torn, err)
+		}
+		if err := crashStateExact(t, rec, images, steps, f); err != nil {
+			t.Errorf("torn %d (replayed %d, skipped %d, tail %q): %v", torn, info.Replayed, info.Skipped, info.TailDamage, err)
+		}
+		if err := crashStateDiff(rec, crashOracle(t, oracles, steps, f)); err != nil {
+			if err2 := crashStateDiff(rec, crashOracle(t, oracles, steps, f+1)); err2 != nil {
+				t.Fatalf("torn %d:\n  vs acknowledged prefix: %v\n  vs prefix+1: %v", torn, err, err2)
+			}
+		}
+	}
+	t.Logf("tore the second of two %d- and %d-byte records sharing sync %d at each byte", pending[1], pending[2], prefixSyncs+1)
+}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -15,35 +17,46 @@ import (
 //
 //   - Tx.Commit appends one logical WAL record per transaction — the
 //     queued ops with their pre-assigned tuple ids, bracketed by the
-//     id-clock values before and after the apply — and syncs before
-//     returning. Replay re-executes the record through the same engine
-//     code path (applyOpsLocked), so base writes, AD appends, t-lock
-//     screening, immediate refreshes and periodic deferred refreshes
-//     are all regenerated rather than logged physically.
+//     id-clock values before and after the apply — under the engine
+//     lock, releases the lock, and returns once a sync covers the
+//     record (group commit, awaitDurable: one sync covers every record
+//     appended before it, whichever commit led it). Replay re-executes
+//     the record through the same engine code path (applyOpsLocked), so
+//     base writes, AD appends, t-lock screening, immediate refreshes and
+//     periodic deferred refreshes are all regenerated rather than logged
+//     physically. A read waits, after releasing the lock, until the last
+//     commit it saw is durable, so no client is shown state a crash
+//     could take back.
 //
 //   - Refreshes outside a commit mutate view state (AD folds,
 //     differential refreshes, snapshot recomputes). Each is one unit
 //     run by runUnitLocked, which appends a refresh record naming the
 //     unit's views; replay hands the record back to runUnitLocked. The
 //     record is not synced on its own: losing it leaves the view stale
-//     but correct, and the log is sequential, so the next commit's sync
-//     hardens it before anything that depends on it.
+//     but correct, and the log is sequential, so any later sync hardens
+//     it before anything that depends on it.
 //
 //   - Catalog changes (create/drop/tuning) are not logged; they force
 //     an eager checkpoint instead, so every WAL record replays over a
 //     snapshot that already contains the catalog it references.
 //
-//   - A checkpoint is: flush the pool, append one frame (tagged with
-//     the last record's sequence number) to the append-only snapshot
-//     store, sync, forget the disk's recorded changes, then truncate
-//     the log. The frame is the catalog header plus the pages, extents
-//     and free lists the disk recorded as changed — since the previous
-//     frame (a delta frame, the usual case) or since the empty disk (a
-//     full frame, exactly Save's output: the first frame, and whenever
-//     the deltas since the last full frame outweigh fullRewriteFactor
-//     images). A crash between the frame's sync and
-//     the truncate leaves stale records in the log; their sequence
-//     numbers are ≤ the frame's, and recovery skips them.
+//   - A checkpoint has two halves. Under the engine lock: flush the
+//     pool, encode one frame (tagged with the last record's sequence
+//     number) and let the disk forget its recorded changes. Then,
+//     under the checkpoint mutex alone: append the frame to the
+//     append-only snapshot store, sync it, and truncate the log if its
+//     tail is still where the frame's last record ended. The frame is
+//     the catalog header plus the pages, extents and free lists the
+//     disk recorded as changed — since the previous frame (a delta
+//     frame, the usual case) or since the empty disk (a full frame,
+//     exactly Save's output: the first frame, whenever the deltas since
+//     the last full frame outweigh fullRewriteFactor images, and after
+//     a frame that failed to land). A commit crossing CheckpointEvery
+//     writes its frame after releasing the lock; explicit Checkpoint,
+//     DDL and EnableDurability run both halves back to back. Records
+//     left in the log — a crash between the frame's sync and the
+//     truncate, or records appended while the frame was in flight —
+//     with sequence numbers ≤ the frame's are skipped by recovery.
 //
 //   - Recovery applies the last full frame and the delta frames after
 //     it, in order, to an empty disk image in memory, restores the
@@ -56,20 +69,39 @@ import (
 // fidelity test in durability_test.go pins this).
 
 // durability is the engine's attachment to its WAL and snapshot
-// devices. Guarded by Database.mu (records are appended only while the
-// engine write lock is held, which also serializes them).
+// devices. log and checkpointEvery never change; each other field
+// names its guard: Database.mu, syncMu, ckptMu, or atomic.
 type durability struct {
-	log   *wal.Log
-	snaps *wal.SnapshotStore
-	// seq numbers records monotonically; the snapshot store remembers
-	// the seq each frame covers, so recovery can skip records that are
-	// older than the image it replays over.
-	seq              uint64
-	checkpointEvery  int
+	log             *wal.Log
+	checkpointEvery int
+
+	// Guarded by Database.mu, whose write side appends every record and
+	// so also orders them. lastCommit is the seq of the last commit
+	// record appended, the one a read waits for.
+	lastCommit       uint64
 	commitsSinceCkpt int
-	// chained is set once the disk's recorded changes are relative to
-	// the snapshot store's last frame — after this engine's first
-	// durable frame, or after Recover restored from the store — and a
+
+	// Atomic. seq numbers records monotonically: it is the seq of the
+	// last record appended, stored under Database.mu once its Append
+	// returned. The snapshot store remembers the seq each frame covers,
+	// so recovery can skip records that are older than the image it
+	// replays over.
+	seq atomic.Uint64
+
+	// syncMu admits one group-commit sync at a time. durable, atomic so
+	// that a covered waiter need not take syncMu, is stored only under
+	// it: every record up to durable has been synced.
+	syncMu  sync.Mutex
+	durable atomic.Uint64
+
+	// ckptMu is taken when a frame is encoded, under Database.mu, and
+	// released once it is written, so frames land in encode order. It
+	// guards snaps and chained.
+	ckptMu sync.Mutex
+	snaps  *wal.SnapshotStore
+	// chained is set while the disk's recorded changes are relative to
+	// the snapshot store's last frame — after this engine's frame
+	// landed, or after Recover restored from the store — and a
 	// checkpoint may therefore be a delta.
 	chained bool
 }
@@ -152,7 +184,7 @@ func (rec *walRecord) code(c *tuple.Coder) {
 // engine and writes a baseline checkpoint (a full frame), so recovery
 // always has an image to replay over. From this point every commit is
 // synced to the WAL before it returns, and every state-mutating refresh
-// is logged ahead of the next commit's sync.
+// is logged ahead of the next sync.
 //
 // Durability replays as a serial program: with it enabled, RefreshAll
 // runs its units serially regardless of MaxRefreshWorkers, and the
@@ -199,33 +231,67 @@ func (db *Database) Checkpoint() error {
 	return db.checkpointLocked()
 }
 
-// checkpointLocked runs the checkpoint protocol; caller holds the
-// engine write lock and db.dur is non-nil.
+// checkpointLocked runs both halves of the checkpoint back to back;
+// caller holds the engine write lock and db.dur is non-nil.
 func (db *Database) checkpointLocked() error {
+	f, err := db.encodeFrameLocked()
+	if err != nil {
+		return err
+	}
+	return db.dur.writeFrame(f)
+}
+
+// ckptFrame is a checkpoint encoded and not yet written.
+type ckptFrame struct {
+	seq  uint64
+	kind wal.FrameKind
+	buf  []byte
+	// logEnd is the log's tail at the encode: where the frame's last
+	// record ended.
+	logEnd int64
+}
+
+// encodeFrameLocked is the checkpoint's first half: it takes ckptMu,
+// which writeFrame releases, and encodes the frame. Once it returns
+// the disk's recorded changes are the frame's to carry. Caller holds
+// the engine write lock and db.dur is non-nil.
+func (db *Database) encodeFrameLocked() (ckptFrame, error) {
+	d := db.dur
+	d.ckptMu.Lock()
 	kind := wal.FrameDelta
 	imageBytes := int64(db.disk.TotalPages()) * int64(db.disk.PageSize())
-	if !db.dur.chained || db.dur.snaps.DeltaBytes() > fullRewriteFactor*imageBytes {
+	if !d.chained || d.snaps.DeltaBytes() > fullRewriteFactor*imageBytes {
 		kind = wal.FrameFull
 	}
 	buf, err := db.snapshotBodyLocked(kind == wal.FrameFull, wal.FrameReserve)
 	if err != nil {
-		return fmt.Errorf("core: checkpoint snapshot: %w", err)
+		d.ckptMu.Unlock()
+		return ckptFrame{}, fmt.Errorf("core: checkpoint snapshot: %w", err)
 	}
-	if err := db.dur.snaps.AppendFramed(db.dur.seq, kind, buf); err != nil {
+	db.disk.ResetChanges()
+	d.commitsSinceCkpt = 0
+	return ckptFrame{seq: d.seq.Load(), kind: kind, buf: buf, logEnd: d.log.Offset()}, nil
+}
+
+// writeFrame is the checkpoint's second half, which needs no engine
+// lock: append and sync the frame, then truncate the log unless a
+// record arrived since the encode. It releases ckptMu.
+func (d *durability) writeFrame(f ckptFrame) error {
+	defer d.ckptMu.Unlock()
+	if err := d.snaps.AppendFramed(f.seq, f.kind, f.buf); err != nil {
+		// The disk already forgot what this frame carried, and a delta
+		// against a frame that never landed cannot be applied: the next
+		// frame is full.
+		d.chained = false
 		return fmt.Errorf("core: checkpoint append: %w", err)
 	}
-	// Only now that the frame is durable may the disk forget what it
-	// held: after a failed append the next checkpoint's delta must
-	// still carry these changes.
-	db.disk.ResetChanges()
-	db.dur.chained = true
+	d.chained = true
 	// Stale log records (all seq ≤ the frame's) can go. A crash before
 	// this truncate completes just leaves them to be skipped by seq at
 	// recovery.
-	if err := db.dur.log.Reset(); err != nil {
+	if err := d.log.ResetAt(f.logEnd); err != nil {
 		return fmt.Errorf("core: checkpoint log truncate: %w", err)
 	}
-	db.dur.commitsSinceCkpt = 0
 	return nil
 }
 
@@ -241,12 +307,12 @@ func (db *Database) catalogCheckpointLocked() error {
 }
 
 // appendRecordLocked gives the record the next sequence number and the
-// current id clock as its ClockAfter, and appends it. Commit records
-// sync — the durability barrier; refresh records ride the next sync
-// (see the file comment). Caller holds the engine write lock.
+// current id clock as its ClockAfter, and appends it without a sync: a
+// commit waits for one in awaitDurable, a refresh record rides the
+// next (see the file comment). Caller holds the engine write lock.
 func (db *Database) appendRecordLocked(rec *walRecord) error {
 	d := db.dur
-	rec.seq, rec.clockAfter = d.seq+1, db.clock.Load()
+	rec.seq, rec.clockAfter = d.seq.Load()+1, db.clock.Load()
 	enc := tuple.NewEncoder(make([]byte, 0, 256)).Compact()
 	rec.code(&enc)
 	payload, err := enc.Done()
@@ -256,29 +322,90 @@ func (db *Database) appendRecordLocked(rec *walRecord) error {
 	if err := d.log.Append(payload); err != nil {
 		return err
 	}
+	d.seq.Store(rec.seq)
 	if rec.kind == recCommit {
-		if err := d.log.Sync(); err != nil {
-			return err
-		}
+		d.lastCommit = rec.seq
 	}
-	d.seq = rec.seq
 	return nil
 }
 
-// logCommitLocked appends a transaction's commit record and runs the
-// periodic checkpoint policy. A no-op when durability is off.
-func (db *Database) logCommitLocked(ops []txOp, clockBefore uint64) error {
-	if db.dur == nil {
+// awaitDurable returns once every record up to seq is synced: group
+// commit. The first waiter to take syncMu notes the last record
+// appended, syncs, and marks everything up to it durable; the waiters
+// queued behind it find their record covered, or lead the next sync
+// for the records appended during this one. Needs no engine lock, and
+// is one atomic load when seq is durable already. A nil d (durability
+// off) has nothing to wait for.
+func (d *durability) awaitDurable(seq uint64) error {
+	if d == nil || d.durable.Load() >= seq {
 		return nil
 	}
-	if err := db.appendRecordLocked(&walRecord{kind: recCommit, ops: ops, clockBefore: clockBefore}); err != nil {
-		return fmt.Errorf("core: logging commit: %w", err)
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
+	if d.durable.Load() >= seq {
+		return nil
 	}
-	db.dur.commitsSinceCkpt++
-	if db.dur.checkpointEvery > 0 && db.dur.commitsSinceCkpt >= db.dur.checkpointEvery {
-		return db.checkpointLocked()
+	upTo := d.seq.Load()
+	if err := d.log.Sync(); err != nil {
+		return err
 	}
+	d.durable.Store(upTo)
 	return nil
+}
+
+// commitWait is what a commit still owes its caller once the engine
+// lock is released: a sync covering its record, and the checkpoint
+// frame it encoded, if it crossed CheckpointEvery. The zero value (no
+// durability) owes nothing.
+type commitWait struct {
+	d     *durability
+	seq   uint64
+	frame ckptFrame
+}
+
+// settle waits for the commit's record to be durable, then writes its
+// frame. The frame is written even when the sync failed: ckptMu must
+// be released, and the frame holds nothing the log would not. The
+// first error is returned.
+func (w commitWait) settle() error {
+	if w.d == nil {
+		return nil
+	}
+	err := w.d.awaitDurable(w.seq)
+	if err != nil {
+		err = fmt.Errorf("core: logging commit: %w", err)
+	}
+	if w.frame.buf != nil {
+		if ferr := w.d.writeFrame(w.frame); err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
+
+// logCommitLocked appends a transaction's commit record and runs the
+// periodic checkpoint policy, encoding the frame when the commit
+// crosses CheckpointEvery; the returned commitWait does the rest after
+// the lock is released. A no-op when durability is off.
+func (db *Database) logCommitLocked(ops []txOp, clockBefore uint64) (commitWait, error) {
+	d := db.dur
+	if d == nil {
+		return commitWait{}, nil
+	}
+	if err := db.appendRecordLocked(&walRecord{kind: recCommit, ops: ops, clockBefore: clockBefore}); err != nil {
+		return commitWait{}, fmt.Errorf("core: logging commit: %w", err)
+	}
+	w := commitWait{d: d, seq: d.lastCommit}
+	d.commitsSinceCkpt++
+	if d.checkpointEvery > 0 && d.commitsSinceCkpt >= d.checkpointEvery {
+		f, err := db.encodeFrameLocked()
+		if err != nil {
+			// The record is appended: the commit still waits for its sync.
+			return w, err
+		}
+		w.frame = f
+	}
+	return w, nil
 }
 
 // logRefreshLocked appends the refresh record of a unit that ran. A
@@ -391,8 +518,11 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	if err != nil {
 		return nil, nil, err
 	}
+	d := &durability{log: log, snaps: snaps, checkpointEvery: opts.CheckpointEvery, chained: true}
+	d.seq.Store(lastSeq)
+	d.durable.Store(lastSeq)
 	db.mu.Lock()
-	db.dur = &durability{log: log, snaps: snaps, seq: lastSeq, checkpointEvery: opts.CheckpointEvery, chained: true}
+	db.dur = d
 	db.mu.Unlock()
 	db.ResetStats()
 	return db, info, nil

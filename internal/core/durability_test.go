@@ -437,10 +437,12 @@ func TestRecoverAggregateView(t *testing.T) {
 }
 
 // TestRefreshRecordRidesNextSync: a query-triggered refresh logs its
-// record without a sync of its own. A power cut before the next commit
+// record without a sync of its own. A power cut before the next sync
 // loses the record and nothing else — the recovered view is stale, its
-// answer the same — and the next commit's sync hardens the record ahead
-// of the commit that follows it.
+// answer the same — and the record is durable once any later sync
+// covers it, whichever commit led that sync: the next commit's own, or
+// one already in flight when the record was appended, led by a commit
+// whose record came first.
 func TestRefreshRecordRidesNextSync(t *testing.T) {
 	walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
 	db := newSPDatabase(t, Deferred, 25)
@@ -458,7 +460,7 @@ func TestRefreshRecordRidesNextSync(t *testing.T) {
 		}
 	}
 	commit(15)
-	syncs := walDev.Syncs()
+	syncs, writes := walDev.Syncs(), walDev.Writes()
 	want, err := db.QueryView("v", nil) // refreshes: AD folded, record appended
 	if err != nil {
 		t.Fatal(err)
@@ -503,14 +505,60 @@ func TestRefreshRecordRidesNextSync(t *testing.T) {
 	if !bytes.Equal(recovered.Bytes(), live.Bytes()) {
 		t.Error("recovered engine differs from the live one once the refresh record was synced")
 	}
+
+	// Commit 17 leads a sync that is held; meanwhile a query refreshes v
+	// and appends its record behind 17's. The one sync covers both.
+	syncs, writes = walDev.Syncs(), walDev.Writes()
+	held, release := walDev.HoldSyncs()
+	defer release()
+	a := goInsertKey(db, 17)
+	<-held
+	q := make(chan error, 1)
+	go func() {
+		_, err := db.QueryView("v", nil)
+		q <- err
+	}()
+	waitFor(t, "the refresh record's append", func() bool { return walDev.Writes() > writes+1 })
+	release()
+	if err := <-a; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-q; err != nil {
+		t.Fatal(err)
+	}
+	if got := walDev.Syncs() - syncs; got != 1 {
+		t.Errorf("commit 17 and the refresh behind it took %d syncs, want the one commit 17 led", got)
+	}
+	rec3, info3, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatalf("Recover after the shared sync: %v", err)
+	}
+	t.Cleanup(func() { rec3.Pool().AssertUnpinned(t) })
+	if info3.Replayed != 5 {
+		t.Errorf("replayed %d records, want commit, refresh, commit, commit, refresh", info3.Replayed)
+	}
+	live.Reset()
+	recovered.Reset()
+	if err := db.Save(&live); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec3.Save(&recovered); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recovered.Bytes(), live.Bytes()) {
+		t.Error("recovered engine differs from the live one after a sync another commit led covered the refresh record")
+	}
 }
 
 // TestCheckpointWriteErrorKeepsChanges: a checkpoint whose frame fails
-// to reach the device (the write, or its sync) must leave the disk's
-// recorded changes and the log alone, so that a crash right after it
-// loses nothing and the next checkpoint's delta carries what the failed
-// one held. Run on the fault-injecting in-memory device and on real
-// files.
+// to reach the device (the write, or its sync) must leave the log
+// alone, so that a crash right after it loses nothing, and the next
+// checkpoint must be a full frame, since the disk already forgot what
+// the failed frame carried and a delta against it could not be applied.
+// The checkpoint is an explicit one, or the frame a commit crossing
+// CheckpointEvery writes after releasing the engine lock; that commit
+// reports the failure. Run on the fault-injecting in-memory device and
+// on real files.
 func TestCheckpointWriteErrorKeepsChanges(t *testing.T) {
 	boom := errors.New("boom")
 	// faultDevice is what FaultDisk and wal.FileDevice share.
@@ -559,32 +607,56 @@ func TestCheckpointWriteErrorKeepsChanges(t *testing.T) {
 		name      string
 		rig       func(*testing.T) rig
 		failWrite bool
+		// byCommit has a commit write the checkpoints (CheckpointEvery 2)
+		// instead of Checkpoint.
+		byCommit bool
 	}{
-		{"faultdisk/write", onFaultDisks, true},
-		{"faultdisk/sync", onFaultDisks, false},
-		{"files/write", onFiles, true},
-		{"files/sync", onFiles, false},
+		{"faultdisk/write", onFaultDisks, true, false},
+		{"faultdisk/sync", onFaultDisks, false, false},
+		{"files/write", onFiles, true, false},
+		{"files/sync", onFiles, false, false},
+		{"faultdisk/write/commit", onFaultDisks, true, true},
+		{"faultdisk/sync/commit", onFaultDisks, false, true},
+		{"files/write/commit", onFiles, true, true},
+		{"files/sync/commit", onFiles, false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := c.rig(t)
 			// Enough rows for many leaves: the commits below land on
-			// different pages, so the retried delta is only complete if it
+			// different pages, so the retried frame is only complete if it
 			// still holds what the failed one did.
 			db := newSPDatabase(t, Immediate, 400)
+			opts := DurabilityOptions{}
+			if c.byCommit {
+				opts.CheckpointEvery = 2
+			}
 			// The baseline full frame is the snapshot device's first write
 			// and first sync; the checkpoint below is its second of each.
-			if err := db.EnableDurability(r.wal, r.snap, DurabilityOptions{}); err != nil {
+			if err := db.EnableDurability(r.wal, r.snap, opts); err != nil {
 				t.Fatal(err)
 			}
-			commit := func(k int64) {
+			tryCommit := func(k int64) error {
 				t.Helper()
 				tx := db.Begin()
 				if _, err := tx.Insert("r", tuple.I(k), tuple.I(1), tuple.S("x")); err != nil {
 					t.Fatal(err)
 				}
-				if err := tx.Commit(); err != nil {
+				return tx.Commit()
+			}
+			commit := func(k int64) {
+				t.Helper()
+				if err := tryCommit(k); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// checkpoint checkpoints explicitly, or commits the key k,
+			// the commit that crosses CheckpointEvery.
+			checkpoint := func(k int64) error {
+				t.Helper()
+				if c.byCommit {
+					return tryCommit(k)
+				}
+				return db.Checkpoint()
 			}
 			recoverEqualsLive := func(stage string, wantDeltas int) {
 				t.Helper()
@@ -615,16 +687,19 @@ func TestCheckpointWriteErrorKeepsChanges(t *testing.T) {
 			} else {
 				r.snap.FailSync(2, boom)
 			}
-			if err := db.Checkpoint(); !errors.Is(err, boom) {
-				t.Fatalf("Checkpoint with a failing snapshot device: %v, want boom", err)
+			if err := checkpoint(-3); !errors.Is(err, boom) {
+				t.Fatalf("checkpoint with a failing snapshot device: %v, want boom", err)
 			}
 			recoverEqualsLive("right after the failed checkpoint", 0)
 			commit(-7)
-			if err := db.Checkpoint(); err != nil {
+			if err := checkpoint(-8); err != nil {
 				t.Fatalf("retried checkpoint: %v", err)
 			}
+			if kinds := snapshotFrameKinds(t, r.snap); kinds[len(kinds)-1] != wal.FrameFull {
+				t.Errorf("frames %v: the one after a failed frame must be full", kinds)
+			}
 			commit(200)
-			recoverEqualsLive("after the retried checkpoint", 1)
+			recoverEqualsLive("after the retried checkpoint", 0)
 		})
 	}
 }

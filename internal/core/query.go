@@ -138,13 +138,26 @@ var readTable = map[Kind]struct {
 // every strategy. It takes the view fresh under the read lock, refuses
 // a query method that does not answer the view's kind, starts from a
 // cold pool unless a refresh just ran, runs the planned tree in
-// PhaseQuery, retains the plan and gathers the answer.
-func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (viewAnswer, error) {
+// PhaseQuery, retains the plan and gathers the answer; after releasing
+// the lock it waits until the last commit it saw is durable.
+func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (ans viewAnswer, err error) {
 	vs, refreshed, err := db.acquireFresh(name)
 	if err != nil {
 		return viewAnswer{}, err
 	}
-	defer db.mu.RUnlock()
+	// The answer may show commits whose records are not yet synced: once
+	// the lock is released, wait until the last one this read saw is, so
+	// no client is shown state a crash could take back.
+	d, seen := db.dur, uint64(0)
+	if d != nil {
+		seen = d.lastCommit
+	}
+	defer func() {
+		db.mu.RUnlock()
+		if err == nil {
+			err = d.awaitDurable(seen)
+		}
+	}()
 	kind := vs.def.Kind
 	if answers := readTable[kind].method; answers != method {
 		return viewAnswer{}, fmt.Errorf("core: view %q is a %s view; use %s", name, kind, answers)
@@ -156,7 +169,6 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 	}
 	db.bumpQueries()
 
-	var ans viewAnswer
 	err = db.inPhase(PhaseQuery, func() error {
 		p, err := db.planRead(vs, rg, plan)
 		if err != nil {

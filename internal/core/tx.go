@@ -130,22 +130,32 @@ func (tx *Tx) Commit() error {
 		return fmt.Errorf("core: transaction already finished")
 	}
 	tx.done = true
-	db := tx.db
+	// With durability on, the commit is acknowledged only once a sync
+	// covers its logical record, waited for after the engine lock is
+	// released (see durability.go).
+	w, err := tx.db.commit(tx.ops)
+	if serr := w.settle(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// commit applies and logs a transaction under the engine write lock,
+// and returns what it still owes once the lock is released.
+func (db *Database) commit(ops []txOp) (commitWait, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	// A grouped view created since an op was queued may group on it.
-	for _, op := range tx.ops {
+	for _, op := range ops {
 		if err := db.refuseNaNGroupKeyLocked(op.rel, op.vals); err != nil {
-			return err
+			return commitWait{}, err
 		}
 	}
 	clockBefore := db.clock.Load()
-	if err := db.applyOpsLocked(tx.ops); err != nil {
-		return err
+	if err := db.applyOpsLocked(ops); err != nil {
+		return commitWait{}, err
 	}
-	// With durability on, the commit is acknowledged only once its
-	// logical record is synced to the WAL (see durability.go).
-	return db.logCommitLocked(tx.ops, clockBefore)
+	return db.logCommitLocked(ops, clockBefore)
 }
 
 // applyOpsLocked runs a transaction's queued ops through the full

@@ -34,7 +34,8 @@ type span struct {
 //     survivor image is available via DurableDevice for recovery.
 //
 // Faults are injected per call number (1-based): FailWriteAt,
-// TornWriteAt, FailSync, CrashAtSync. A set of FaultDisks can share a
+// TornWriteAt, FailSync, CrashAtSync. HoldSyncs keeps syncs in flight
+// until the test releases them. A set of FaultDisks can share a
 // CrashPlan so "crash at the Nth sync" counts syncs across all the
 // devices of one simulated machine. A FaultDisk with no faults
 // configured is simply an in-memory Device.
@@ -56,6 +57,14 @@ type FaultDisk struct {
 	crashTorn   int
 
 	plan *CrashPlan
+	hold *syncHold
+}
+
+// syncHold is an armed HoldSyncs: each Sync that meets it offers itself
+// on held, then waits for gate to close.
+type syncHold struct {
+	held chan struct{}
+	gate chan struct{}
 }
 
 // NewFaultDisk returns an empty fault-free device; arm faults with the
@@ -123,6 +132,26 @@ func (d *FaultDisk) CrashNow(tornBytes int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.crashLocked(tornBytes)
+}
+
+// HoldSyncs makes every Sync from now on block, before it hardens or
+// counts anything, until release is called; meanwhile reads, writes and
+// truncates go on. Each blocked Sync offers itself on held, which the
+// test may receive from to wait until a sync is in flight. Release is
+// safe to call more than once.
+func (d *FaultDisk) HoldSyncs() (held <-chan struct{}, release func()) {
+	h := &syncHold{held: make(chan struct{}), gate: make(chan struct{})}
+	d.mu.Lock()
+	d.hold = h
+	d.mu.Unlock()
+	return h.held, sync.OnceFunc(func() {
+		d.mu.Lock()
+		if d.hold == h {
+			d.hold = nil
+		}
+		d.mu.Unlock()
+		close(h.gate)
+	})
 }
 
 // Crashed reports whether the device has crashed.
@@ -247,6 +276,16 @@ func (d *FaultDisk) WriteAt(p []byte, off int64) (int, error) {
 
 // Sync hardens all pending writes, or trips a configured sync fault.
 func (d *FaultDisk) Sync() error {
+	d.mu.Lock()
+	h := d.hold
+	d.mu.Unlock()
+	if h != nil {
+		select {
+		case h.held <- struct{}{}:
+		case <-h.gate:
+		}
+		<-h.gate
+	}
 	if p := d.planOf(); p != nil {
 		if err := p.onSync(d); err != nil {
 			return err

@@ -50,8 +50,10 @@ var (
 func Checksum(payload []byte) uint32 { return frame.Checksum(payload) }
 
 // Log is an appender of checksummed frames on a Device. Appends are
-// buffered by the device until Sync; AppendSync is the commit barrier.
-// Safe for concurrent use.
+// buffered by the device until a Sync covers them: the engine's commit
+// barrier is an Append plus a later Sync, by this or another caller.
+// Sync holds no lock across the device sync, so appends go on while
+// one is in flight. Safe for concurrent use.
 type Log struct {
 	mu  sync.Mutex
 	dev storage.Device
@@ -135,14 +137,11 @@ func (l *Log) appendFrame(f []byte) error {
 	return nil
 }
 
-// Sync hardens all appended frames.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dev.Sync()
-}
+// Sync hardens every frame whose Append returned before it was called.
+// Frames appended while it runs may or may not be covered.
+func (l *Log) Sync() error { return l.dev.Sync() }
 
-// AppendSync appends one frame and syncs — the commit barrier.
+// AppendSync appends one frame and syncs.
 func (l *Log) AppendSync(payload []byte) error {
 	if err := l.Append(payload); err != nil {
 		return err
@@ -150,19 +149,25 @@ func (l *Log) AppendSync(payload []byte) error {
 	return l.Sync()
 }
 
-// Reset truncates the log to empty (the checkpoint's log-truncation
-// step; the snapshot is synced first, so nothing here is needed).
-func (l *Log) Reset() error {
+// ResetAt truncates the log to empty if its tail is still at off: the
+// checkpoint's log-truncation step, where off is where the frame's last
+// record ended. A record appended since then is newer than the
+// checkpoint, so the log keeps everything until the next checkpoint.
+func (l *Log) ResetAt(off int64) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.dev.Truncate(0); err != nil {
-		return err
+	if l.off != off {
+		l.mu.Unlock()
+		return nil
 	}
-	if err := l.dev.Sync(); err != nil {
+	if err := l.dev.Truncate(0); err != nil {
+		l.mu.Unlock()
 		return err
 	}
 	l.off = 0
-	return nil
+	l.mu.Unlock()
+	// Appends may land at the new tail before this sync; it hardens
+	// them with the truncate.
+	return l.dev.Sync()
 }
 
 // rewind cuts the log back to off, dropping frames appended after it.

@@ -213,6 +213,67 @@ func TestOpenLogRepairsTail(t *testing.T) {
 	}
 }
 
+// TestAppendDuringSync: an Append completes while a Sync on the same log
+// is blocked in the device, and a later Sync hardens it.
+func TestAppendDuringSync(t *testing.T) {
+	dev := storage.NewFaultDisk()
+	l, _ := OpenLog(dev)
+	if err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	held, release := dev.HoldSyncs()
+	defer release()
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync() }()
+	<-held
+	if err := l.Append([]byte("second")); err != nil {
+		t.Fatalf("Append during a blocked Sync: %v", err)
+	}
+	release()
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readAll(t, dev.DurableDevice())
+	if !errors.Is(err, io.EOF) || len(got) != 2 || string(got[1]) != "second" {
+		t.Fatalf("durable records %q, err %v; want first and second", got, err)
+	}
+}
+
+// TestResetAt: ResetAt empties the log only when its tail is at the
+// given offset; otherwise it leaves every frame in place.
+func TestResetAt(t *testing.T) {
+	dev := storage.NewFaultDisk()
+	l, _ := OpenLog(dev)
+	if err := l.AppendSync([]byte("covered")); err != nil {
+		t.Fatal(err)
+	}
+	end := l.Offset()
+	if err := l.AppendSync([]byte("newer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ResetAt(end); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readAll(t, dev.DurableDevice()); len(got) != 2 || l.Offset() == 0 {
+		t.Fatalf("ResetAt behind the tail left records %q at offset %d, want both kept", got, l.Offset())
+	}
+	if err := l.ResetAt(l.Offset()); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := dev.DurableDevice().Size(); size != 0 || l.Offset() != 0 {
+		t.Fatalf("ResetAt at the tail left %d bytes, offset %d; want an empty log", size, l.Offset())
+	}
+	if err := l.AppendSync([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readAll(t, dev); !errors.Is(err, io.EOF) || len(got) != 1 || string(got[0]) != "after" {
+		t.Fatalf("after the reset: records %q err %v", got, err)
+	}
+}
+
 // lastFrame opens a store on dev and returns the tail of its recovery
 // chain and the chain's length.
 func lastFrame(t *testing.T, dev storage.Device) (SnapshotFrame, int, *SnapshotStore) {
