@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
@@ -724,6 +725,12 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // is full, the leaves a range cuts) decodes onto the iterator's staging
 // lanes, and Fill moves it on in runs of rows.
 //
+// A range scan works per leaf, not per row: the rows a leaf keeps are
+// found by binary search over its sorted key lane (keptRun), and a Fill
+// that starts an empty batch sizes the batch's lanes once for the rows
+// the range can still hand it, read from the leaf directory (reserve).
+// A full scan does neither.
+//
 // On full scans with prune atoms the walk also consults the zone maps
 // of upcoming columnar leaves and skips pages whose footer disproves
 // the predicate for every row. The walk reads links and zone maps from
@@ -791,6 +798,11 @@ func (it *BatchIterator) Pruned() int64 { return it.pruned }
 // last Fill are added to b.Dropped.
 func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
 	defer func() { b.Dropped, it.dropped = b.Dropped+it.dropped, 0 }()
+	if !it.all && b.NumRows() == 0 {
+		if err := it.reserve(b, max); err != nil {
+			return err
+		}
+	}
 	for !it.done {
 		n := len(it.stage.IDs)
 		if it.idx >= n {
@@ -836,11 +848,80 @@ func (it *BatchIterator) keys(cols []vec.Col) (*vec.Col, error) {
 	return &cols[it.tree.keyCol], nil
 }
 
-// keptRun scans key cells [from, to) for the next run of rows the range
+// reserve sizes an empty batch's lanes, on a bounded range scan, for
+// the rows this Fill can hand it: the staged rows not yet handed out
+// plus the rows of the leaves after them whose key zone does not start
+// beyond Hi, at most max — read from the leaf directory, not the pages.
+// It reserves nothing unless the range runs on past the staged leaf, so
+// a point lookup allocates what it did without it. The count is a hint:
+// a dirty frame's entry can make it loose, never wrong, and it moves no
+// page request.
+func (it *BatchIterator) reserve(b *vec.Batch, max int) error {
+	n := len(it.stage.IDs)
+	if it.idx >= n || !it.hasPage {
+		return nil
+	}
+	keys, err := it.keys(it.stage.Cols)
+	if err != nil || beyondHi(keys, it.rg, n-1) {
+		return err
+	}
+	rows := 0
+	for pn := it.pn; n-it.idx+rows < max; {
+		e, err := it.tree.dir.Lookup(pn)
+		if err != nil {
+			return err
+		}
+		if e == nil {
+			break
+		}
+		z, ok := e.Zones()
+		if !ok || it.tree.keyCol >= len(z.Cols) || !z.Cols[it.tree.keyCol].Present {
+			break
+		}
+		if it.rg.Hi != nil && pastHi(it.rg, tuple.Compare(z.Cols[it.tree.keyCol].Min, *it.rg.Hi)) {
+			break
+		}
+		rows += z.Rows
+		if !e.HasNext {
+			break
+		}
+		pn = e.Next
+	}
+	if rows > 0 {
+		b.Reserve(it.stage.Cols, min(n-it.idx+rows, max))
+	}
+	return nil
+}
+
+// keptRun finds in key cells [from, to) the next run of rows the range
 // keeps, rows [lo, hi): those in [from, lo) it excludes (below Lo on
 // the scan's first leaf, or equal to a ≠ constant). past reports that
 // row hi lies beyond Hi, which ends the scan.
+//
+// A leaf's key lane is sorted under tuple.Compare, so without ≠
+// constants the kept rows are one run, found by two binary searches: lo
+// is the first row not below Lo, hi the first beyond Hi. A leaf whose
+// first and last rows both lie in the range — every interior leaf —
+// is kept whole after two compares. A lane holding any Float cell takes
+// the per-row loop (keptRunRows): tuple.Compare calls NaN equal to
+// every value, so a leaf holding one need not be sorted.
 func keptRun(keys *vec.Col, rg *pred.Range, from, to int) (lo, hi int, past bool) {
+	if from >= to || rg.HasExclusions() || holdsFloat(keys, from, to) {
+		return keptRunRows(keys, rg, from, to)
+	}
+	if !belowLo(keys, rg, from) && !beyondHi(keys, rg, to-1) {
+		return from, to, false
+	}
+	lo = from + sort.Search(to-from, func(k int) bool { return !belowLo(keys, rg, from+k) })
+	hi = from + sort.Search(to-from, func(k int) bool { return beyondHi(keys, rg, from+k) })
+	// An empty range (Lo beyond Hi) can put a row beyond Hi before the
+	// first not below Lo: the scan ends there.
+	return min(lo, hi), hi, hi < to
+}
+
+// keptRunRows is keptRun row by row, boxing every key: any lane, any
+// range.
+func keptRunRows(keys *vec.Col, rg *pred.Range, from, to int) (lo, hi int, past bool) {
 	beyond := func(v tuple.Value) bool {
 		if rg.Hi == nil {
 			return false
@@ -867,6 +948,37 @@ func keptRun(keys *vec.Col, rg *pred.Range, from, to int) (lo, hi int, past bool
 		}
 	}
 	return lo, hi, false
+}
+
+// belowLo reports whether key cell i lies below the range's Lo.
+func belowLo(keys *vec.Col, rg *pred.Range, i int) bool {
+	if rg.Lo == nil {
+		return false
+	}
+	c := keys.Compare(i, *rg.Lo)
+	return c < 0 || (c == 0 && !rg.LoInc)
+}
+
+// beyondHi reports whether key cell i lies beyond the range's Hi.
+func beyondHi(keys *vec.Col, rg *pred.Range, i int) bool {
+	return rg.Hi != nil && pastHi(rg, keys.Compare(i, *rg.Hi))
+}
+
+// pastHi reports whether a value that compares c against the range's Hi
+// lies beyond it.
+func pastHi(rg *pred.Range, c int) bool { return c > 0 || (c == 0 && !rg.HiInc) }
+
+// holdsFloat reports whether any of key cells [from, to) is a Float.
+func holdsFloat(keys *vec.Col, from, to int) bool {
+	if t, ok := keys.Uniform(); ok {
+		return t == tuple.Float
+	}
+	for i := from; i < to; i++ {
+		if keys.Tag(i) == tuple.Float {
+			return true
+		}
+	}
+	return false
 }
 
 // Done reports exhaustion.

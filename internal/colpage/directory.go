@@ -215,6 +215,12 @@ func (e *DirEntry) Prunable(atoms []Atom) (bool, error) {
 	return e.zones.Prunable(atoms), nil
 }
 
+// Zones returns the page's zone maps — the directory's own, to read and
+// not keep — or false when its footer does not parse.
+func (e *DirEntry) Zones() (*Zones, bool) {
+	return &e.zones, e.kind == entryCol
+}
+
 // checkDirectory turns on, in every test binary that is not running
 // benchmarks, the check that each directory lookup agrees with the page's
 // image while the file is clean. A benchmark leaves it off, so its

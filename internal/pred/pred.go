@@ -330,8 +330,9 @@ func (p *P) ColumnsRead(rel int) map[int]bool {
 type Range struct {
 	Lo, Hi       *tuple.Value
 	LoInc, HiInc bool
-	// excluded values from Ne atoms matter for emptiness only when the
-	// range is pinned to a single point.
+	// excluded holds the constants of Ne atoms. Contains drops them
+	// wherever they fall; Empty needs them only when the range is pinned
+	// to a single point.
 	excluded []tuple.Value
 }
 
@@ -422,6 +423,10 @@ func (r *Range) Empty() bool {
 func (r *Range) Unbounded() bool {
 	return r.Lo == nil && r.Hi == nil && len(r.excluded) == 0
 }
+
+// HasExclusions reports whether the range excludes a ≠ constant, so the
+// values it contains need not form one interval.
+func (r *Range) HasExclusions() bool { return len(r.excluded) > 0 }
 
 // Contains reports whether v lies in the range.
 func (r *Range) Contains(v tuple.Value) bool {

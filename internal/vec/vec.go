@@ -8,6 +8,7 @@
 package vec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -235,6 +236,35 @@ func (c *Col) Value(i int) tuple.Value {
 	}
 }
 
+// Compare orders cell i against v as tuple.Compare(c.Value(i), v)
+// does, without boxing the cell.
+func (c *Col) Compare(i int, v tuple.Value) int {
+	switch t := c.Tag(i); {
+	case t != v.Type():
+		if t < v.Type() {
+			return -1
+		}
+		return 1
+	case t == tuple.Int:
+		return cmp.Compare(c.Ints[i], v.Int())
+	case t == tuple.Float:
+		switch a, b := c.Floats[i], v.Float(); {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+		return 0 // NaN included, as tuple.Compare has it
+	}
+	switch a, b := c.Bytes[i], v.Str(); {
+	case string(a) < b:
+		return -1
+	case string(a) > b:
+		return 1
+	}
+	return 0
+}
+
 // Float64 converts cell i with tuple.Value.AsFloat semantics (strings
 // fold to NaN) — the aggregate-fold fast path.
 func (c *Col) Float64(i int) float64 {
@@ -427,7 +457,9 @@ func (b *Batch) AppendSlot0Rows(ids []uint64, src []Col, lo, hi int) bool {
 	}
 	if b.n == 0 {
 		b.slotSet[0] = true
-		b.Slots[0] = make([]Col, len(src))
+		if len(b.Slots[0]) != len(src) {
+			b.Slots[0] = make([]Col, len(src))
+		}
 	}
 	b.IDs[0] = append(b.IDs[0], ids[lo:hi]...)
 	for c := range src {
@@ -436,6 +468,33 @@ func (b *Batch) AppendSlot0Rows(ids []uint64, src []Col, lo, hi int) bool {
 	b.n += hi - lo
 	b.padSideLanes()
 	return true
+}
+
+// Reserve readies an empty batch for up to rows slot-0-only rows shaped
+// like the columns like, whichever way they arrive (AppendSlot0Rows, or
+// a page decoded onto b.IDs[0] and b.Slots[0] and installed by
+// SetSlot0): the id lane, and the lane of the type each uniform column
+// of like holds, are allocated at that capacity now, so rows of those
+// types up to that count grow no lane again. It is a hint — rows past
+// it, or of another type, grow the lanes as usual — and a batch holding
+// rows ignores it.
+func (b *Batch) Reserve(like []Col, rows int) {
+	if b.n > 0 {
+		return
+	}
+	b.IDs[0] = make([]uint64, 0, rows)
+	b.Slots[0] = make([]Col, len(like))
+	for c := range like {
+		switch t, ok := like[c].Uniform(); {
+		case !ok:
+		case t == tuple.Int:
+			b.Slots[0][c].Ints = make([]int64, 0, rows)
+		case t == tuple.Float:
+			b.Slots[0][c].Floats = make([]float64, 0, rows)
+		default:
+			b.Slots[0][c].Bytes = make([][]byte, 0, rows)
+		}
+	}
 }
 
 // SetSlot0 installs ids and cols — b.IDs[0] and b.Slots[0] with whole

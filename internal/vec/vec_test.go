@@ -149,3 +149,68 @@ func TestAppendFilledCarriesDroppedRows(t *testing.T) {
 		t.Fatalf("batches: %d, first %d rows + %d dropped", len(out), out[0].NumRows(), out[0].Dropped)
 	}
 }
+
+// Compare orders an unboxed cell exactly as tuple.Compare orders the
+// boxed one, across types and with NaN, ±0 and ±Inf on either side.
+func TestColCompareMatchesTupleCompare(t *testing.T) {
+	vals := []tuple.Value{
+		tuple.I(math.MinInt64), tuple.I(-1), tuple.I(0), tuple.I(7), tuple.I(math.MaxInt64),
+		tuple.F(math.NaN()), tuple.F(math.Inf(-1)), tuple.F(math.Copysign(0, -1)), tuple.F(0), tuple.F(2.5), tuple.F(math.Inf(1)),
+		tuple.S(""), tuple.S("a"), tuple.S("ab"), tuple.S("b"),
+	}
+	var mixed Col
+	for _, v := range vals {
+		mixed.Append(v)
+	}
+	for i, a := range vals {
+		var uniform Col
+		uniform.Append(a)
+		for _, b := range vals {
+			want := tuple.Compare(a, b)
+			if got := mixed.Compare(i, b); got != want {
+				t.Errorf("widened cell %v against %v: %d, tuple.Compare says %d", a, b, got, want)
+			}
+			if got := uniform.Compare(0, b); got != want {
+				t.Errorf("uniform cell %v against %v: %d, tuple.Compare says %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// A reserved batch takes rows by either path — a run appended by
+// AppendSlot0Rows, then whole rows grown onto its lanes and installed
+// by SetSlot0 — into the lanes Reserve allocated: the id lane and the
+// lane of each column's type, none of them regrown.
+func TestReserveGrowsNoLane(t *testing.T) {
+	src := []Col{{}, {}}
+	for i := 0; i < 10; i++ {
+		src[0].Append(tuple.I(int64(i)))
+		src[1].Append(tuple.S("x"))
+	}
+	ids := make([]uint64, 10)
+	b := &Batch{}
+	b.Reserve(src, 40)
+	if b.HasSlot(0) || b.NumRows() != 0 {
+		t.Fatal("Reserve set a shape or rows")
+	}
+	idLane, intLane, strLane := b.IDs[0][:1], b.Slots[0][0].Ints[:1], b.Slots[0][1].Bytes[:1]
+	for lo := 0; lo < 10; lo += 5 {
+		if !b.AppendSlot0Rows(ids, src, lo, lo+5) {
+			t.Fatal("AppendSlot0Rows refused the reserved batch")
+		}
+	}
+	for r := 0; r < 3; r++ {
+		lanes, cols := append(b.IDs[0], ids...), b.Slots[0]
+		copy(cols[0].GrowInts(10), src[0].Ints)
+		copy(cols[1].GrowBytes(10), src[1].Bytes)
+		if err := b.SetSlot0(lanes, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.NumRows() != 40 {
+		t.Fatalf("%d rows, want 40", b.NumRows())
+	}
+	if &idLane[0] != &b.IDs[0][0] || &intLane[0] != &b.Slots[0][0].Ints[0] || &strLane[0] != &b.Slots[0][1].Bytes[0] {
+		t.Error("40 rows onto a batch reserved for 40 regrew a lane")
+	}
+}
