@@ -4,11 +4,11 @@
 // aggregated, and a function for computing the current value of the
 // aggregate from the state."
 //
-// Sum, count and average are fully incremental. Min and max — an
-// extension beyond the paper's list — are incremental on insert but may
-// require recomputation when the current extreme is deleted; Delete
-// reports this so the caller can rescan (a charged operation in the
-// engine).
+// Sum, count and average are fully incremental over finite values. Min
+// and max — an extension beyond the paper's list — are incremental on
+// insert but may require recomputation when the current extreme is
+// deleted, and every kind does when a NaN or ±Inf is; Delete reports
+// this so the caller can rescan (a charged operation in the engine).
 //
 // The state encodes to a few dozen bytes, which is the paper's point:
 // the whole aggregate state fits in (far less than) one disk block, so
@@ -65,8 +65,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Incremental reports whether the kind supports deletion without ever
-// needing recomputation.
+// Incremental reports whether the kind supports deletion of a finite
+// value without ever needing recomputation.
 func (k Kind) Incremental() bool {
 	switch k {
 	case Count, Sum, Avg, Var, StdDev:
@@ -93,27 +93,28 @@ func (s *State) Kind() Kind { return s.kind }
 // Count returns the number of values currently aggregated.
 func (s *State) Count() int64 { return s.count }
 
-// Insert folds one value into the state.
+// Insert folds one value into the state. MIN and MAX fold with
+// math.Min and math.Max, so a NaN propagates as it does through SUM, in
+// any order of insertion.
 func (s *State) Insert(v float64) {
-	switch s.kind {
-	case Min:
-		if s.count == 0 || v < s.extreme {
-			s.extreme = v
-		}
-	case Max:
-		if s.count == 0 || v > s.extreme {
-			s.extreme = v
-		}
+	switch {
+	case s.count == 0 && (s.kind == Min || s.kind == Max):
+		s.extreme = v
+	case s.kind == Min:
+		s.extreme = math.Min(s.extreme, v)
+	case s.kind == Max:
+		s.extreme = math.Max(s.extreme, v)
 	}
 	s.count++
 	s.sum += v
 	s.sumSq += v * v
 }
 
-// Delete removes one value from the state. For Min/Max it reports
-// needRecompute = true when the deleted value was (at) the current
-// extreme, in which case the caller must rebuild the state from the
-// underlying set (Rebuild or a fresh NewState + Inserts).
+// Delete removes one value from the state. It reports needRecompute =
+// true, in which case the caller must rebuild the state from the
+// underlying set (Rebuild or a fresh NewState + Inserts), when the
+// deleted value was (at) a Min/Max's current extreme, and for every kind
+// when it was a NaN or ±Inf: no subtraction takes one out of a sum.
 func (s *State) Delete(v float64) (needRecompute bool) {
 	s.count--
 	s.sum -= v
@@ -124,6 +125,9 @@ func (s *State) Delete(v float64) (needRecompute bool) {
 		s.sumSq = 0
 		s.extreme = 0
 		return false
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return true
 	}
 	switch s.kind {
 	case Min:

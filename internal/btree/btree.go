@@ -898,15 +898,13 @@ func (it *BatchIterator) reserve(b *vec.Batch, max int) error {
 // the scan's first leaf, or equal to a ≠ constant). past reports that
 // row hi lies beyond Hi, which ends the scan.
 //
-// A leaf's key lane is sorted under tuple.Compare, so without ≠
-// constants the kept rows are one run, found by two binary searches: lo
-// is the first row not below Lo, hi the first beyond Hi. A leaf whose
-// first and last rows both lie in the range — every interior leaf —
-// is kept whole after two compares. A lane holding any Float cell takes
-// the per-row loop (keptRunRows): tuple.Compare calls NaN equal to
-// every value, so a leaf holding one need not be sorted.
+// A leaf's key lane is sorted under tuple.Compare, a total order, so
+// without ≠ constants the kept rows are one run, found by two binary
+// searches: lo is the first row not below Lo, hi the first beyond Hi. A
+// leaf whose first and last rows both lie in the range — every interior
+// leaf — is kept whole after two compares.
 func keptRun(keys *vec.Col, rg *pred.Range, from, to int) (lo, hi int, past bool) {
-	if from >= to || rg.HasExclusions() || holdsFloat(keys, from, to) {
+	if from >= to || rg.HasExclusions() {
 		return keptRunRows(keys, rg, from, to)
 	}
 	if !belowLo(keys, rg, from) && !beyondHi(keys, rg, to-1) {
@@ -967,19 +965,6 @@ func beyondHi(keys *vec.Col, rg *pred.Range, i int) bool {
 // pastHi reports whether a value that compares c against the range's Hi
 // lies beyond it.
 func pastHi(rg *pred.Range, c int) bool { return c > 0 || (c == 0 && !rg.HiInc) }
-
-// holdsFloat reports whether any of key cells [from, to) is a Float.
-func holdsFloat(keys *vec.Col, from, to int) bool {
-	if t, ok := keys.Uniform(); ok {
-		return t == tuple.Float
-	}
-	for i := from; i < to; i++ {
-		if keys.Tag(i) == tuple.Float {
-			return true
-		}
-	}
-	return false
-}
 
 // Done reports exhaustion.
 func (it *BatchIterator) Done() bool { return it.done }

@@ -502,12 +502,9 @@ func appendBytesLane(dst []byte, s *cells) []byte {
 	return dst
 }
 
-// zoneOf computes column c's zone map: the bounds are present only when
-// both fit the zone budget and no cell is a NaN. tuple.Compare orders a
-// NaN equal to every value, so no bounds hold a column that has one:
-// [NaN, NaN] would prune f < 0 from a page holding −3, and the bounds of
-// the other cells would prune f = 5 from a page whose NaN row satisfies
-// it. String bounds alias the tuples.
+// zoneOf computes column c's zone map under tuple.Compare: the bounds
+// are present only when both fit the zone budget. String bounds alias
+// the tuples.
 func zoneOf(tuples []tuple.Tuple, c int) ColZone {
 	if len(tuples) == 0 {
 		return ColZone{}
@@ -515,9 +512,6 @@ func zoneOf(tuples []tuple.Tuple, c int) ColZone {
 	minV, maxV := tuples[0].Vals[c], tuples[0].Vals[c]
 	for _, tp := range tuples {
 		v := tp.Vals[c]
-		if v.Type() == tuple.Float && math.IsNaN(v.Float()) {
-			return ColZone{}
-		}
 		if tuple.Compare(v, minV) < 0 {
 			minV = v
 		}

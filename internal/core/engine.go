@@ -458,9 +458,6 @@ func (db *Database) createViewLocked(def Def, strategy Strategy) error {
 	if err := def.Validate(schemas); err != nil {
 		return err
 	}
-	if err := db.refuseNaNGroupsLocked(def); err != nil {
-		return err
-	}
 	vs := &viewState{def: def, strategy: strategy, schemas: schemas, plan: PlanAuto}
 	if err := db.strategyConflictLocked(vs, strategy); err != nil {
 		return err

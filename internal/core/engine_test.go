@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -293,10 +294,10 @@ func TestQueryModificationPlans(t *testing.T) {
 }
 
 // A sequential scan reads every page holding a row its screen keeps,
-// NaN or no NaN. tuple.Compare orders a NaN equal to every value, so a
-// page whose first Float cell was NaN once stored the zone [NaN, NaN],
-// and the scan pruned it for f < 0 though it held −3; a column holding a
-// NaN now stores no zone.
+// NaN or no NaN. When tuple.Compare called a NaN equal to every value, a
+// page whose first Float cell was NaN stored the zone [NaN, NaN], and
+// the scan pruned it for f < 0 though it held −3; under
+// tuple.CompareFloat the zone is [−3, NaN].
 func TestSequentialScanReadsPageWithNaN(t *testing.T) {
 	db := newTestDB(t)
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("f", tuple.Float))
@@ -404,6 +405,41 @@ func TestJoinViewInitialContents(t *testing.T) {
 			if !strings.HasPrefix(r.Vals[2].Str(), "info") {
 				t.Errorf("%v: missing r2 column: %v", st, r)
 			}
+		}
+	}
+}
+
+// TestJoinMatchesSignedZeroThroughHashIndex joins r1's +0 to r2's −0 on
+// a Float jv, r2 hashed into 7 buckets: tuple.Equal calls them equal, so
+// every strategy answers the one row. The index once hashed the raw
+// IEEE bits, which put −0 in another bucket than +0, and a QM join
+// probing it for +0 answered nothing.
+func TestJoinMatchesSignedZeroThroughHashIndex(t *testing.T) {
+	for _, st := range paperThree {
+		db := newTestDB(t)
+		s1 := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("jv", tuple.Float), tuple.Col("p", tuple.String))
+		s2 := tuple.NewSchema(tuple.Col("jv", tuple.Float), tuple.Col("info", tuple.String))
+		if _, err := db.CreateRelationBTree("r1", s1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateRelationHash("r2", s2, 0, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateView(joinDef("j"), st); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		if _, err := tx.Insert("r2", tuple.F(math.Copysign(0, -1)), tuple.S("neg")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Insert("r1", tuple.I(1), tuple.F(0), tuple.S("pos")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := db.QueryView("j", nil); err != nil || len(rows) != 1 {
+			t.Errorf("%v: +0 ⋈ −0 answers %v (%v), want one row", st, rows, err)
 		}
 	}
 }
@@ -621,6 +657,74 @@ func TestAggregateMinRecomputeOnExtremeDelete(t *testing.T) {
 	v, ok, _ = db.QueryAggregate("sumv")
 	if !ok || v != 22 {
 		t.Errorf("MIN after extreme delete = %v ok=%v, want 22", v, ok)
+	}
+}
+
+// TestNonFiniteAggregates: MIN, MAX, SUM and AVG over {1} answer as the
+// reference's textbook fold after a NaN or +Inf row joins and again
+// after it leaves, on every strategy, scalar and grouped. Folding MIN
+// and MAX with < and > made {1, NaN} answer 1 or NaN by arrival order,
+// and a sum that had taken a NaN or ±Inf stayed NaN after its delete.
+func TestNonFiniteAggregates(t *testing.T) {
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("g", tuple.Int), tuple.Col("f", tuple.Float))
+	for _, kind := range []agg.Kind{agg.Min, agg.Max, agg.Sum, agg.Avg} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			for _, st := range paperThree {
+				name := fmt.Sprintf("%v/%v/%v", kind, bad, st)
+				db := newTestDB(t)
+				if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
+					t.Fatal(err)
+				}
+				rows := []tuple.Tuple{{Vals: []tuple.Value{tuple.I(0), tuple.I(0), tuple.F(1)}}}
+				tx := db.Begin()
+				if _, err := tx.Insert("r", rows[0].Vals...); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				scalar := Def{Name: "s", Kind: Aggregate, Relations: []string{"r"}, Pred: pred.True(), AggKind: kind, AggCol: 2}
+				grouped := Def{Name: "g", Kind: GroupedAggregate, Relations: []string{"r"}, Pred: pred.True(), AggKind: kind, AggCol: 2, GroupBy: 1}
+				for _, d := range []Def{scalar, grouped} {
+					if err := db.CreateView(d, st); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check := func(when string) {
+					t.Helper()
+					want, _, err := refFold(kind, rows, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := func(v float64) bool { return v == want || math.IsNaN(v) && math.IsNaN(want) }
+					if v, ok, err := db.QueryAggregate("s"); err != nil || !ok || !same(v) {
+						t.Errorf("%s %s: scalar = %v (ok=%v, %v), want %v", name, when, v, ok, err, want)
+					}
+					if g, err := db.QueryGroups("g", nil); err != nil || len(g) != 1 || !same(g[0].Value) {
+						t.Errorf("%s %s: groups = %v (%v), want one of %v", name, when, g, err, want)
+					}
+				}
+				tx = db.Begin()
+				id, err := tx.Insert("r", tuple.I(1), tuple.I(0), tuple.F(bad))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				rows = append(rows, tuple.Tuple{Vals: []tuple.Value{tuple.I(1), tuple.I(0), tuple.F(bad)}})
+				check("with the row")
+				tx = db.Begin()
+				if err := tx.Delete("r", tuple.I(1), id); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				rows = rows[:1]
+				check("after its delete")
+			}
+		}
 	}
 }
 

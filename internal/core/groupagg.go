@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"viewmat/internal/agg"
@@ -108,110 +106,6 @@ type GroupRow struct {
 	Count int64
 }
 
-// groupOf is the group a grouping-column value belongs to. Groups are
-// the classes of tuple.Compare == 0 — what the group store's key lookup
-// finds — and ±0.0 is the one pair of distinct values Compare calls
-// equal, so both name the group +0.0. Every writer of a group value goes
-// through here; with that, == agrees with Compare and can key a map.
-// NaN, which Compare calls equal to everything, never gets here: see
-// ErrNaNGroupKey.
-func groupOf(v tuple.Value) tuple.Value {
-	if v.Type() == tuple.Float && v.Float() == 0 {
-		return tuple.F(0)
-	}
-	return v
-}
-
-// ErrNaNGroupKey refuses a NaN in a column a grouped-aggregate view
-// groups on, directly or through its parent chain: Tx.Insert and
-// Tx.Update refuse such a row, Commit refuses it again if the view was
-// created after the row was queued, and CreateView refuses such a view
-// over rows that already hold one. tuple.Compare calls NaN equal to every
-// value, so a fold would keep one group per NaN row while the group
-// store's key lookup matched any group, and the strategies would
-// disagree.
-var ErrNaNGroupKey = errors.New("core: NaN in a grouping column")
-
-func isNaN(v tuple.Value) bool { return v.Type() == tuple.Float && math.IsNaN(v.Float()) }
-
-// baseColumnLocked follows column col of source — a base relation or a
-// view — down the parent chain to the base relation column it comes
-// from. A grouped parent's value column leads to the column it
-// aggregates, a NaN in which makes the value NaN.
-func (db *Database) baseColumnLocked(source string, col int) (string, int) {
-	for {
-		p, ok := db.views[source]
-		if _, base := db.rels[source]; base || !ok {
-			return source, col
-		}
-		switch {
-		case p.def.Kind != GroupedAggregate:
-			sc := p.def.ProjectSpec()[col]
-			source, col = p.def.Relations[sc[0]], sc[1]
-		case col == 0:
-			source, col = p.def.Relations[0], p.def.GroupBy
-		default:
-			source, col = p.def.Relations[0], p.def.AggCol
-		}
-	}
-}
-
-// nanGroupKeyError names the view that groups on column col of rel.
-func (db *Database) nanGroupKeyError(view, rel string, col int) error {
-	return fmt.Errorf("%w: view %q groups on %s.%s, which would hold NaN",
-		ErrNaNGroupKey, view, rel, db.rels[rel].Schema().Cols[col].Name)
-}
-
-// refuseNaNGroupKeyLocked refuses a row of rel holding a NaN in a column
-// some grouped-aggregate view groups on. Rows without a NaN, all of them
-// in practice, return at the first loop.
-func (db *Database) refuseNaNGroupKeyLocked(rel string, vals []tuple.Value) error {
-	hasNaN := false
-	for _, v := range vals {
-		hasNaN = hasNaN || isNaN(v)
-	}
-	if !hasNaN {
-		return nil
-	}
-	for _, name := range db.viewNamesLocked() {
-		vs := db.views[name]
-		if vs.def.Kind != GroupedAggregate {
-			continue
-		}
-		if r, c := db.baseColumnLocked(vs.def.Relations[0], vs.def.GroupBy); r == rel && isNaN(vals[c]) {
-			return db.nanGroupKeyError(name, rel, c)
-		}
-	}
-	return nil
-}
-
-// refuseNaNGroupsLocked refuses a grouped-aggregate definition whose
-// grouping column's base column already holds a NaN in some current row
-// — the base file under the relation's pending AD changes. Only a FLOAT
-// column can, so only one is scanned (setup cost, like the populate).
-func (db *Database) refuseNaNGroupsLocked(def Def) error {
-	if def.Kind != GroupedAggregate {
-		return nil
-	}
-	rel, col := db.baseColumnLocked(def.Relations[0], def.GroupBy)
-	r := db.rels[rel]
-	if r.Schema().Cols[col].Type != tuple.Float {
-		return nil
-	}
-	src, skip := db.withPendingAD(rel, exec.NewSeqScan(db.execOpts(), r))
-	found := false
-	screen := exec.NewFilter(db.execOpts(), def.Name, src, exec.Pred{P: pred.True(), SkipIDs: skip}, false)
-	if err := exec.Run(exec.NewAggFold(db.execOpts(), def.Name+".nan", screen, exec.Fold{Row: func(row exec.Row) {
-		found = found || isNaN(row.T0.Vals[col])
-	}})); err != nil {
-		return err
-	}
-	if found {
-		return db.nanGroupKeyError(def.Name, rel, col)
-	}
-	return nil
-}
-
 // groupState is one group and its aggregate state.
 type groupState struct {
 	group tuple.Value
@@ -219,17 +113,25 @@ type groupState struct {
 }
 
 // groupFold folds (group, value) pairs into one aggregate state per
-// group: the grouped kind's shape in a derivation.
-type groupFold map[tuple.Value]*agg.State
+// group: the grouped kind's shape in a derivation. Groups are the
+// classes of tuple.Compare == 0, what the group store's key lookup
+// finds, each named by its canonical value (−0 joins +0, every NaN one
+// group). A map compares keys with ==, which NaN never satisfies, so it
+// is keyed by the canonical value's encoding (groupKey).
+type groupFold map[string]*groupState
+
+// groupKey is the groupFold key of a canonical group value.
+func groupKey(group tuple.Value) string { return string(tuple.AppendValue(nil, group)) }
 
 func (f groupFold) add(kind agg.Kind, group tuple.Value, v float64) {
-	group = groupOf(group)
-	s, ok := f[group]
+	group = tuple.Canonical(group)
+	k := groupKey(group)
+	g, ok := f[k]
 	if !ok {
-		s = agg.NewState(kind)
-		f[group] = s
+		g = &groupState{group, agg.NewState(kind)}
+		f[k] = g
 	}
-	s.Insert(v)
+	g.state.Insert(v)
 }
 
 // sorted returns the folded groups in group order, not map order: a
@@ -237,8 +139,8 @@ func (f groupFold) add(kind agg.Kind, group tuple.Value, v float64) {
 // out the same way every run (and under WAL replay).
 func (f groupFold) sorted() []groupState {
 	out := make([]groupState, 0, len(f))
-	for g, s := range f {
-		out = append(out, groupState{g, s})
+	for _, g := range f {
+		out = append(out, *g)
 	}
 	sort.Slice(out, func(i, j int) bool { return tuple.Compare(out[i].group, out[j].group) < 0 })
 	return out
@@ -289,7 +191,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 	apply := exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
 		func(row exec.Row) error {
 			tp := row.T0
-			group := groupOf(tp.Vals[vs.def.GroupBy])
+			group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
 			stored, found, err := vs.groups.get(group)
 			if err != nil {
 				return err
@@ -315,7 +217,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 		},
 		func(row exec.Row) error {
 			tp := row.T0
-			group := groupOf(tp.Vals[vs.def.GroupBy])
+			group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
 			stored, found, err := vs.groups.get(group)
 			if err != nil {
 				return err
@@ -358,8 +260,8 @@ func (db *Database) recomputeGroup(vs *viewState, group tuple.Value) (*agg.State
 	if err := exec.Run(one.root); err != nil {
 		return nil, err
 	}
-	if s, ok := one.groups[group]; ok {
-		return s, nil
+	if g, ok := one.groups[groupKey(group)]; ok {
+		return g.state, nil
 	}
 	return agg.NewState(vs.def.AggKind), nil
 }

@@ -2,15 +2,13 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
-	"reflect"
-	"strings"
 	"testing"
 
 	"viewmat/internal/agg"
 	"viewmat/internal/pred"
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
 
@@ -449,12 +447,13 @@ func TestGroupedDeferredRefreshEveryRoundTripsThroughSave(t *testing.T) {
 	}
 }
 
-// nanGroupScript is the write sequence of the NaN grouping-key rule over
-// r(k INT, g FLOAT, a INT) holding (0, 1.0, 1) and (1, 2.0, 10) under
-// SUM(a) GROUP BY g: the rows whose g is NaN must be refused, the rest
-// committed. Before the rule, immediate and deferred answered
-// {2:11101} {2:10} (group 1 lost) while the others answered
-// {1:1} {2:10010} {NaN:100} {NaN:1000}.
+// nanGroupScript is a write sequence over r(k INT, g FLOAT, a INT)
+// holding (0, 1.0, 1) and (1, 2.0, 10) under SUM(a) GROUP BY g. Three
+// rows end with g NaN, of two payloads: one group under
+// tuple.CompareFloat. Before that order, when tuple.Compare called NaN
+// equal to every value, immediate and deferred answered {2:11101}
+// {2:10} (group 1 lost) while the others answered {1:1} {2:10010}
+// {NaN:100} {NaN:1000}.
 var nanGroupScript = []struct {
 	update bool // of the row keyed k, else an insert
 	k      int64
@@ -462,11 +461,14 @@ var nanGroupScript = []struct {
 	a      int64
 }{
 	{k: 2, g: math.NaN(), a: 100},
-	{k: 3, g: math.NaN(), a: 1000},
+	{k: 3, g: math.Float64frombits(0x7ff8dead0000beef), a: 1000},
 	{k: 4, g: 2, a: 10000},
 	{update: true, k: 0, g: math.NaN(), a: 1},
 	{update: true, k: 1, g: 3, a: 10},
 }
+
+// nanGroupAnswer is every config's answer after nanGroupScript.
+const nanGroupAnswer = "[{2 10000 1} {3 10 1} {NaN 1101 3}]"
 
 func floatGroupSchema() *tuple.Schema {
 	return tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("g", tuple.Float), tuple.Col("a", tuple.Int))
@@ -476,118 +478,95 @@ func sumByG(name, rel string) Def {
 	return Def{Name: name, Kind: GroupedAggregate, Relations: []string{rel}, Pred: pred.True(), AggKind: agg.Sum, AggCol: 2, GroupBy: 1}
 }
 
-// nanRefusing is the plain-Go reference's reading of the rule: a write
-// whose grouping column holds a NaN does not happen.
-type nanRefusing struct{ *reference }
-
-func (r nanRefusing) Insert(rel string, vals ...tuple.Value) (uint64, error) {
-	if math.IsNaN(vals[1].Float()) {
-		return 0, ErrNaNGroupKey
-	}
-	return r.reference.Insert(rel, vals...)
-}
-
-func (r nanRefusing) Update(rel string, key tuple.Value, id uint64, vals ...tuple.Value) (uint64, error) {
-	if math.IsNaN(vals[1].Float()) {
-		return 0, ErrNaNGroupKey
-	}
-	return r.reference.Update(rel, key, id, vals...)
-}
-
-// TestNaNGroupKeyRefused runs nanGroupScript in one transaction on the
-// five strategies and the plain-Go reference: every config refuses the
-// same writes, the engines naming the view, and all answer the same
-// groups afterwards.
-func TestNaNGroupKeyRefused(t *testing.T) {
-	def := sumByG("byg", "r")
-	var wantRefused []bool
-	var want []GroupRow
-	for _, cfg := range append(plain(fiveStrategies...), referenceConfig) {
-		var w writer
-		var db *Database
-		if cfg.reference {
-			w = nanRefusing{&reference{rels: map[string][]tuple.Tuple{"r": nil}}}
-		} else {
-			db = newTestDB(t)
-			if _, err := db.CreateRelationBTree("r", floatGroupSchema(), 0); err != nil {
-				t.Fatal(err)
-			}
-			w = db.Begin()
+// runNaNGroupScript writes r's two seed rows through seed, then
+// nanGroupScript through w, and returns the row ids by key.
+func runNaNGroupScript(t *testing.T, seed func() writer, w func() writer) map[int64]uint64 {
+	t.Helper()
+	ids := map[int64]uint64{}
+	sw := seed()
+	for _, row := range [][3]float64{{0, 1, 1}, {1, 2, 10}} {
+		id, err := sw.Insert("r", tuple.I(int64(row[0])), tuple.F(row[1]), tuple.I(int64(row[2])))
+		if err != nil {
+			t.Fatal(err)
 		}
-		ids := map[int64]uint64{}
-		for _, row := range [][3]float64{{0, 1, 1}, {1, 2, 10}} {
-			id, err := w.Insert("r", tuple.I(int64(row[0])), tuple.F(row[1]), tuple.I(int64(row[2])))
+		ids[int64(row[0])] = id
+	}
+	ww := w()
+	for _, s := range nanGroupScript {
+		vals := []tuple.Value{tuple.I(s.k), tuple.F(s.g), tuple.I(s.a)}
+		var id uint64
+		var err error
+		if s.update {
+			id, err = ww.Update("r", tuple.I(s.k), ids[s.k], vals...)
+		} else {
+			id, err = ww.Insert("r", vals...)
+		}
+		if err != nil {
+			t.Fatalf("write %+v: %v", s, err)
+		}
+		ids[s.k] = id
+	}
+	return ids
+}
+
+// beginTx starts a transaction of db in *tx and returns it as a writer.
+func beginTx(db *Database, tx **Tx) func() writer {
+	return func() writer {
+		*tx = db.Begin()
+		return *tx
+	}
+}
+
+// TestNaNGroupKeys runs nanGroupScript in one transaction on the five
+// strategies and the plain-Go reference: no write is refused, and every
+// config answers one NaN group beside the others.
+func TestNaNGroupKeys(t *testing.T) {
+	def := sumByG("byg", "r")
+	for _, cfg := range append(plain(fiveStrategies...), referenceConfig) {
+		var got []GroupRow
+		if cfg.reference {
+			ref := &reference{rels: map[string][]tuple.Tuple{"r": nil}}
+			runNaNGroupScript(t, func() writer { return ref }, func() writer { return ref })
+			a, err := ref.answer(def)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids[int64(row[0])] = id
-		}
-		if db != nil {
-			if err := w.(*Tx).Commit(); err != nil {
+			got = a.groups
+		} else {
+			db := newTestDB(t)
+			if _, err := db.CreateRelationBTree("r", floatGroupSchema(), 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.CreateView(def, cfg.strategy); err != nil {
-				t.Fatal(err)
-			}
-			w = db.Begin()
-		}
-		var refused []bool
-		for _, s := range nanGroupScript {
-			vals := []tuple.Value{tuple.I(s.k), tuple.F(s.g), tuple.I(s.a)}
-			var id uint64
-			var err error
-			if s.update {
-				id, err = w.Update("r", tuple.I(s.k), ids[s.k], vals...)
-			} else {
-				id, err = w.Insert("r", vals...)
-			}
-			if err == nil {
-				ids[s.k] = id
-			} else if !errors.Is(err, ErrNaNGroupKey) || db != nil && !strings.Contains(err.Error(), `"byg"`) {
-				t.Fatalf("%s: write %+v: %v, want ErrNaNGroupKey naming view byg", cfg.name, s, err)
-			}
-			refused = append(refused, err != nil)
-		}
-		var got []GroupRow
-		if db != nil {
-			if err := w.(*Tx).Commit(); err != nil {
+			var tx *Tx
+			runNaNGroupScript(t, beginTx(db, &tx), func() writer {
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.CreateView(def, cfg.strategy); err != nil {
+					t.Fatal(err)
+				}
+				tx = db.Begin()
+				return tx
+			})
+			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			var err error
 			if got, err = db.QueryGroups("byg", nil); err != nil {
 				t.Fatal(err)
 			}
-		} else {
-			a, err := w.(nanRefusing).answer(def)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = a.groups
 		}
-		if want == nil {
-			wantRefused, want = refused, got
-			if !reflect.DeepEqual(refused, []bool{true, true, false, true, false}) {
-				t.Fatalf("%s refused %v", cfg.name, refused)
-			}
-			continue
+		if fmt.Sprint(got) != nanGroupAnswer {
+			t.Errorf("%s answers %v, want %s", cfg.name, got, nanGroupAnswer)
 		}
-		if !reflect.DeepEqual(refused, wantRefused) {
-			t.Errorf("%s refused %v, %s refused %v", cfg.name, refused, "query-modification", wantRefused)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s answers %v, query-modification %v", cfg.name, got, want)
-		}
-	}
-	if fmt.Sprint(want) != "[{1 1 1} {2 10000 1} {3 10 1}]" {
-		t.Errorf("answers %v", want)
 	}
 }
 
-// TestNaNGroupKeyRefusedThroughParents holds the rule through a parent
-// chain — a grouped child over a select-project view groups on the base
-// column its parent copies — at CreateView, over rows that already hold
-// a NaN there, and at Commit, for a NaN queued before the view existed.
-func TestNaNGroupKeyRefusedThroughParents(t *testing.T) {
+// TestNaNGroupKeysThroughParents runs nanGroupScript under a grouped
+// child of a select-project view that copies g, and creates grouped
+// views, direct and through a parent, over rows that already hold NaN
+// in the column they group on.
+func TestNaNGroupKeysThroughParents(t *testing.T) {
 	for _, st := range paperThree[1:] {
 		db := newTestDB(t)
 		if _, err := db.CreateRelationBTree("r", floatGroupSchema(), 0); err != nil {
@@ -598,16 +577,16 @@ func TestNaNGroupKeyRefusedThroughParents(t *testing.T) {
 			Pred: pred.True(), AggKind: agg.Sum, AggCol: 1, GroupBy: 2}, st}}); err != nil {
 			t.Fatal(err)
 		}
-		tx := db.Begin()
-		if _, err := tx.Insert("r", tuple.I(1), tuple.F(math.NaN()), tuple.I(1)); !errors.Is(err, ErrNaNGroupKey) || !strings.Contains(err.Error(), `"child"`) {
-			t.Errorf("%v: insert through the chain: %v, want ErrNaNGroupKey naming child", st, err)
-		}
+		var tx *Tx
+		runNaNGroupScript(t, beginTx(db, &tx), func() writer { return tx })
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		if got, err := db.QueryGroups("child", nil); err != nil || fmt.Sprint(got) != nanGroupAnswer {
+			t.Errorf("%v: child answers %v, %v; want %s", st, got, err, nanGroupAnswer)
+		}
 
-		// A relation no grouped view reads takes the NaN; a grouped view
-		// created over it afterwards is refused, and nothing is created.
+		// Grouped views created over rows already holding NaN.
 		if _, err := db.CreateRelationBTree("s", floatGroupSchema(), 0); err != nil {
 			t.Fatal(err)
 		}
@@ -615,42 +594,78 @@ func TestNaNGroupKeyRefusedThroughParents(t *testing.T) {
 			t.Fatal(err)
 		}
 		tx = db.Begin()
-		if _, err := tx.Insert("s", tuple.I(1), tuple.F(math.NaN()), tuple.I(1)); err != nil {
-			t.Fatalf("%v: NaN no grouped view reads: %v", st, err)
+		for k, g := range []float64{math.NaN(), 4, math.Float64frombits(0x7ff8dead0000beef)} {
+			if _, err := tx.Insert("s", tuple.I(int64(k)), tuple.F(g), tuple.I(1)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range []Def{sumByG("direct", "s"), {Name: "viaparent", Kind: GroupedAggregate, Relations: []string{"sv"},
 			Pred: pred.True(), AggKind: agg.Count, AggCol: 0, GroupBy: 1}} {
-			if err := db.CreateView(d, st); !errors.Is(err, ErrNaNGroupKey) || !strings.Contains(err.Error(), `"`+d.Name+`"`) {
-				t.Errorf("%v: CreateView %s over a NaN: %v, want ErrNaNGroupKey naming it", st, d.Name, err)
+			if err := db.CreateView(d, st); err != nil {
+				t.Fatalf("%v: CreateView %s over a NaN: %v", st, d.Name, err)
 			}
-			if _, _, ok := db.View(d.Name); ok {
-				t.Errorf("%v: refused view %s was created", st, d.Name)
+			if got, err := db.QueryGroups(d.Name, nil); err != nil || fmt.Sprint(got) != "[{4 1 1} {NaN 2 2}]" {
+				t.Errorf("%v: %s answers %v, %v; want [{4 1 1} {NaN 2 2}]", st, d.Name, got, err)
 			}
 		}
+	}
+}
 
-		// A NaN queued before a grouped view over its column existed is
-		// refused at Commit, and the transaction applies nothing.
-		if _, err := db.CreateRelationBTree("u", floatGroupSchema(), 0); err != nil {
+// TestNaNGroupKeysPersist holds the NaN group through Save/Load and
+// through a checkpoint and Recover: each copy answers it, and a later
+// delete from it finds its stored row.
+func TestNaNGroupKeysPersist(t *testing.T) {
+	for _, st := range paperThree {
+		walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
+		db := newTestDB(t)
+		if _, err := db.CreateRelationBTree("r", floatGroupSchema(), 0); err != nil {
 			t.Fatal(err)
 		}
-		tx = db.Begin()
-		if _, err := tx.Insert("u", tuple.I(1), tuple.F(1), tuple.I(1)); err != nil {
+		if err := db.CreateView(sumByG("byg", "r"), st); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.Insert("u", tuple.I(2), tuple.F(math.NaN()), tuple.I(2)); err != nil {
+		if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.CreateView(sumByG("late", "u"), st); err != nil {
+		var tx *Tx
+		ids := runNaNGroupScript(t, beginTx(db, &tx), func() writer {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx = db.Begin()
+			return tx
+		})
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Commit(); !errors.Is(err, ErrNaNGroupKey) || !strings.Contains(err.Error(), `"late"`) {
-			t.Errorf("%v: commit after the view: %v, want ErrNaNGroupKey naming late", st, err)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
-		if rows, err := db.QueryGroups("late", nil); err != nil || len(rows) != 0 {
-			t.Errorf("%v: groups after the refused commit = %v, %v; want none", st, rows, err)
+		wd, sd, err := cleanReboot(walDev, snapDev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, _, err := Recover(wd, sd, DurabilityOptions{})
+		if err != nil {
+			t.Fatalf("%v: Recover: %v", st, err)
+		}
+		for name, c := range map[string]*Database{"live": db, "loaded": saveLoad(t, db), "recovered": recovered} {
+			if got, err := c.QueryGroups("byg", nil); err != nil || fmt.Sprint(got) != nanGroupAnswer {
+				t.Errorf("%v %s: answers %v, %v; want %s", st, name, got, err, nanGroupAnswer)
+			}
+			tx := c.Begin()
+			if err := tx.Delete("r", tuple.I(3), ids[3]); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("%v %s: delete from the NaN group: %v", st, name, err)
+			}
+			if got, err := c.QueryGroups("byg", nil); err != nil || fmt.Sprint(got) != "[{2 10000 1} {3 10 1} {NaN 101 2}]" {
+				t.Errorf("%v %s: after the delete answers %v, %v; want [{2 10000 1} {3 10 1} {NaN 101 2}]", st, name, got, err)
+			}
 		}
 	}
 }

@@ -241,8 +241,9 @@ func shrinkScript(steps []step, fails func([]step) bool) []step {
 // fixture is a catalog: seeded base relations and the views over them.
 // The base is r(k, a, s) with n rows, or — when m > 0 — r1(k, jv, p) with
 // n rows joined to r2(jv, info) with m rows. With floatGroups r's second
-// column is a FLOAT drawn from {0.0, -0.0, 1.0}: a grouping column on
-// which two distinct values are one group.
+// column is a FLOAT drawn from {0.0, -0.0, 1.0} and, for every seventh
+// value, NaN of two payloads: a grouping column on which distinct values
+// are one group.
 type fixture struct {
 	name        string
 	n, m        int
@@ -351,6 +352,9 @@ func (fx *fixture) vals(rel int, key, val int64) []tuple.Value {
 	switch {
 	case fx.floatGroups:
 		g := []float64{0, math.Copysign(0, -1), 1}[val%3]
+		if val%7 == 6 {
+			g = []float64{math.NaN(), math.Float64frombits(0x7ff8dead0000beef)}[val/7%2]
+		}
 		return []tuple.Value{tuple.I(key), tuple.F(g), tuple.S(sName(int(val)))}
 	case fx.m == 0:
 		return []tuple.Value{tuple.I(key), tuple.I(val), tuple.S(sName(int(val)))}

@@ -130,8 +130,10 @@ func Load(r io.Reader) (*Database, error) {
 // version 2's catalog header carried per-relation key-frequency
 // trackers; version 3's disk could hold row-major data pages (types 1
 // and 3), which no decoder reads any more; version 4's advisor header
-// carried four options the advisor no longer has.
-const snapshotMagic = "VMS\x05"
+// carried four options the advisor no longer has; version 5's Float
+// keys ordered NaN equal to every value and hashed −0 apart from +0, so
+// its trees and hash chains need not hold under tuple.CompareFloat.
+const snapshotMagic = "VMS\x06"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
@@ -144,7 +146,7 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, delta *storage.DiskDelta, di
 		c.U8(&magic[i])
 	}
 	if string(magic) != snapshotMagic {
-		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-4 snapshots are not readable)",
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-5 snapshots are not readable)",
 			snapshotMagic[3], magic, snapshotMagic)
 		return
 	}

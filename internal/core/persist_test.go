@@ -230,6 +230,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Version 4: this layout, but an advisor header with four more options.
 	version4 := append([]byte(nil), img...)
 	version4[len(snapshotMagic)-1] = 4
+	// Version 5: this layout, but Float keys ordered and hashed apart
+	// from tuple.CompareFloat.
+	version5 := append([]byte(nil), img...)
+	version5[len(snapshotMagic)-1] = 5
 	// The parent commit's format: one encoding/gob value of a struct
 	// whose first field is Version = 1.
 	type dbSnapshot struct{ Version, PageSize, PoolFrames int }
@@ -276,8 +280,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt, "version-2"},
 		{"wrong version", wrongVersion, ErrSnapshotCorrupt, "version-2"},
 		{"version-2 body", version2, ErrSnapshotCorrupt, "version-2"},
-		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-5 snapshot"},
-		{"version-4 body", version4, ErrSnapshotCorrupt, "not a version-5 snapshot"},
+		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-6 snapshot"},
+		{"version-4 body", version4, ErrSnapshotCorrupt, "not a version-6 snapshot"},
+		{"version-5 body", version5, ErrSnapshotCorrupt, "not a version-6 snapshot"},
 		{"parent-format gob stream", version1.Bytes(), ErrSnapshotCorrupt, "version 1"},
 		{"bad page size", encodeSnapshot(t, catalogHeader{poolFrames: 4}, &storage.DiskDelta{}), ErrSnapshotCorrupt, ""},
 		{"HR without relation", encode(catalogHeader{poolFrames: 4, hrs: map[string]hr.ADMeta{"ghost": {}}}), ErrSnapshotCorrupt, ""},

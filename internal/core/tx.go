@@ -63,8 +63,7 @@ func CodeTxOp(c *tuple.Coder, kind *uint8, rel *string, key *tuple.Value, id *ui
 // Begin starts a transaction.
 func (db *Database) Begin() *Tx { return &Tx{db: db} }
 
-// checkRow holds a row bound for rel to its schema and to
-// ErrNaNGroupKey.
+// checkRow holds a row bound for rel to its schema.
 func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -72,10 +71,7 @@ func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	if !ok {
 		return fmt.Errorf("core: unknown relation %q", rel)
 	}
-	if err := r.Schema().Validate(vals); err != nil {
-		return err
-	}
-	return db.refuseNaNGroupKeyLocked(rel, vals)
+	return r.Schema().Validate(vals)
 }
 
 // Insert queues an insertion and returns the id the new tuple will
@@ -145,12 +141,6 @@ func (tx *Tx) Commit() error {
 func (db *Database) commit(ops []txOp) (commitWait, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// A grouped view created since an op was queued may group on it.
-	for _, op := range ops {
-		if err := db.refuseNaNGroupKeyLocked(op.rel, op.vals); err != nil {
-			return commitWait{}, err
-		}
-	}
 	clockBefore := db.clock.Load()
 	if err := db.applyOpsLocked(ops); err != nil {
 		return commitWait{}, err

@@ -232,7 +232,7 @@ func cmpKernel(col *vec.Col, op pred.Op, val tuple.Value, sel []int) []int {
 		case tuple.Float:
 			v := val.Float()
 			for _, i := range sel {
-				if op.HoldsCmp(compareFloat(col.Floats[i], v)) {
+				if op.HoldsCmp(tuple.CompareFloat(col.Floats[i], v)) {
 					out = append(out, i)
 				}
 			}
@@ -272,7 +272,7 @@ func eqKernel(l, r *vec.Col, sel []int) []int {
 			return out
 		case tuple.Float:
 			for _, i := range sel {
-				if compareFloat(l.Floats[i], r.Floats[i]) == 0 {
+				if tuple.CompareFloat(l.Floats[i], r.Floats[i]) == 0 {
 					out = append(out, i)
 				}
 			}
@@ -295,18 +295,6 @@ func eqKernel(l, r *vec.Col, sel []int) []int {
 }
 
 func compareInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// compareFloat mirrors tuple.Compare's float ordering, including its
-// treatment of NaN (neither < nor >, hence "equal").
-func compareFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1

@@ -105,10 +105,12 @@ func (ix *Index) encodeNode(fr *storage.Frame, n *node) {
 	ix.dir.Encode(fr.PageNum(), fr.Data, n)
 }
 
-// bucketFor hashes a key value to a bucket.
+// bucketFor hashes a key value to a bucket: its canonical form, so
+// every value tuple.Equal matches (−0 and +0, NaNs of any payload)
+// hashes alike.
 func (ix *Index) bucketFor(v tuple.Value) int {
 	h := fnv.New64a()
-	h.Write(tuple.AppendValue(nil, v))
+	h.Write(tuple.AppendValue(nil, tuple.Canonical(v)))
 	return int(h.Sum64() % uint64(len(ix.buckets)))
 }
 

@@ -1,6 +1,7 @@
 package hashidx
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -220,6 +221,34 @@ func TestStringKeyedIndex(t *testing.T) {
 	got, _ := ix.Lookup(tuple.S("carol"))
 	if len(got) != 1 || got[0].ID != 3 {
 		t.Errorf("Lookup(carol) = %v", got)
+	}
+}
+
+// TestFloatKeyClassesShareABucket: a Lookup, Get and Delete find a row
+// under any key tuple.Equal matches — +0 finds −0, and math.NaN() a NaN
+// of another payload — at bucket counts where the raw IEEE bits of the
+// two hash apart.
+func TestFloatKeyClassesShareABucket(t *testing.T) {
+	for _, pair := range [][2]float64{
+		{math.Copysign(0, -1), 0},
+		{math.Float64frombits(0x7ff8dead0000beef), math.NaN()},
+	} {
+		for _, buckets := range []int{3, 7, 13, 100} {
+			ix, _ := newTestIndex(t, 256, 64, buckets)
+			stored, probe := tuple.F(pair[0]), tuple.F(pair[1])
+			if err := ix.Insert(tuple.New(1, stored, tuple.S("pay"))); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ix.Lookup(probe); err != nil || len(got) != 1 {
+				t.Errorf("%d buckets: Lookup(%v) of a stored %v = %v, %v", buckets, probe, stored, got, err)
+			}
+			if _, ok, err := ix.Get(probe, 1); err != nil || !ok {
+				t.Errorf("%d buckets: Get(%v, 1) of a stored %v missed: %v", buckets, probe, stored, err)
+			}
+			if _, ok, err := ix.Delete(probe, 1); err != nil || !ok || ix.Len() != 0 {
+				t.Errorf("%d buckets: Delete(%v, 1) of a stored %v missed: %v", buckets, probe, stored, err)
+			}
+		}
 	}
 }
 

@@ -135,7 +135,9 @@ func stripRole(tp tuple.Tuple) tuple.Tuple {
 
 func role(tp tuple.Tuple) int64 { return tp.Vals[len(tp.Vals)-1].Int() }
 
-func (h *HR) bloomKey(v tuple.Value) string { return v.String() }
+// bloomKey is the filter's key of a key value: its canonical form, so
+// −0 and +0 (which tuple.Equal matches) are one key.
+func (h *HR) bloomKey(v tuple.Value) string { return tuple.Canonical(v).String() }
 
 // Append records the insertion of tp: one AD entry with role appended.
 // The tuple's id must be fresh (engine-assigned from the monotonic

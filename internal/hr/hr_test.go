@@ -2,6 +2,7 @@ package hr
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -44,6 +45,31 @@ func TestAppendVisibleThroughHR(t *testing.T) {
 	got, err := h.ReadKey(tuple.I(10))
 	if err != nil || len(got) != 1 || got[0].Vals[1].Int() != 100 {
 		t.Errorf("ReadKey = %v err=%v", got, err)
+	}
+}
+
+// TestSignedZeroKeyThroughBloom: a row appended under key −0 is read,
+// fetched and deleted through the HR under +0, which tuple.Equal
+// matches; the Bloom filter once keyed −0 apart and hid the AD entry.
+func TestSignedZeroKeyThroughBloom(t *testing.T) {
+	d := storage.NewDisk(512)
+	p := storage.NewPool(d, storage.NewMeter(), 128)
+	base, err := relation.NewBTree(d, p, "r", tuple.NewSchema(tuple.Col("k", tuple.Float), tuple.Col("v", tuple.Int)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(d, p, base, Config{ADBuckets: 2, BloomKeys: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Append(tuple.New(1, tuple.F(math.Copysign(0, -1)), tuple.I(100))); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.ReadKey(tuple.F(0)); err != nil || len(got) != 1 {
+		t.Errorf("ReadKey(+0) of a row keyed −0 = %v, %v", got, err)
+	}
+	if _, ok, err := h.Delete(tuple.F(0), 1); err != nil || !ok {
+		t.Errorf("Delete(+0, 1) of a row keyed −0: ok=%v err=%v", ok, err)
 	}
 }
 

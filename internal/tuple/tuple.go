@@ -203,19 +203,52 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case Float:
-		switch {
-		case a.f < b.f:
-			return -1
-		case a.f > b.f:
-			return 1
-		}
-		return 0
+		return CompareFloat(a.f, b.f)
 	default:
 		return strings.Compare(a.s, b.s)
 	}
 }
 
-// Equal reports whether two values are identical in type and payload.
+// CompareFloat is the engine's one order on floats: -1, 0, or +1. It is
+// total. −0 equals +0, and every NaN, whatever its payload, is one value
+// greater than every other float, +∞ included — where PostgreSQL puts
+// it, and unlike Go's cmp.Compare, which puts NaN below −∞ and so would
+// have f < 0 keep NaN rows.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case math.IsNaN(a) && math.IsNaN(b):
+		return 0
+	case math.IsNaN(a):
+		return 1
+	}
+	return -1
+}
+
+// Canonical is the one member of v's class under Compare: −0 becomes +0
+// and every NaN math.NaN(); any other value is v itself. Two values
+// compare equal exactly when their canonical encodings (AppendValue) are
+// equal, so a hash or a map key of the canonical encoding agrees with
+// Compare. (A Value's == does not: NaN is never == NaN.)
+func Canonical(v Value) Value {
+	if v.typ == Float {
+		switch {
+		case v.f == 0:
+			return F(0)
+		case math.IsNaN(v.f):
+			return F(math.NaN())
+		}
+	}
+	return v
+}
+
+// Equal reports whether two values compare equal: the same type and,
+// for a float, the same class under CompareFloat.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // String renders the value for diagnostics.

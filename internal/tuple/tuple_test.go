@@ -205,6 +205,53 @@ func TestPropertyCompareTransitiveStrings(t *testing.T) {
 	}
 }
 
+// floatPalette holds every class CompareFloat tells apart at its edges:
+// NaNs of several payloads and both signs, both zeros, both infinities,
+// and finite values between them.
+var floatPalette = []float64{
+	math.NaN(), math.Float64frombits(0x7ff8dead0000beef), math.Float64frombits(0xfff0000000000001), math.Float64frombits(0x7ff0000000000001),
+	math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0,
+	-math.MaxFloat64, -1.5, -math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, 1, 2.5, math.MaxFloat64,
+}
+
+// TestPropertyCompareNaNAndSignedZero: over random triples from
+// floatPalette, Compare is antisymmetric and transitive, two values
+// compare equal exactly when their canonical encodings are equal, NaN
+// sorts above +Inf, and −0 equals +0.
+func TestPropertyCompareNaNAndSignedZero(t *testing.T) {
+	enc := func(f float64) string { return string(AppendValue(nil, Canonical(F(f)))) }
+	f := func(i, j, k uint8) bool {
+		a, b, c := F(floatPalette[int(i)%len(floatPalette)]), F(floatPalette[int(j)%len(floatPalette)]), F(floatPalette[int(k)%len(floatPalette)])
+		if Compare(a, b) != -Compare(b, a) {
+			return false
+		}
+		if (Compare(a, b) == 0) != (enc(a.Float()) == enc(b.Float())) {
+			return false
+		}
+		if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	for _, tc := range []struct {
+		a, b float64
+		want int
+	}{
+		{math.NaN(), math.Inf(1), 1},
+		{math.Inf(1), math.Float64frombits(0xfff0000000000001), -1},
+		{math.NaN(), math.Float64frombits(0x7ff8dead0000beef), 0},
+		{math.Copysign(0, -1), 0, 0},
+		{math.Inf(-1), -math.MaxFloat64, -1},
+	} {
+		if got := CompareFloat(tc.a, tc.b); got != tc.want {
+			t.Errorf("CompareFloat(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	tp := New(1, I(42), F(3.14), S("some string value"))
 	var buf []byte

@@ -87,13 +87,7 @@ func CompareEncoded(src []byte, v Value) (cmp, n int, err error) {
 			return 1, n, nil
 		}
 	case Float:
-		a := math.Float64frombits(binary.BigEndian.Uint64(src[1:]))
-		switch {
-		case a < v.f:
-			return -1, n, nil
-		case a > v.f:
-			return 1, n, nil
-		}
+		return CompareFloat(math.Float64frombits(binary.BigEndian.Uint64(src[1:])), v.f), n, nil
 	default:
 		switch s := src[5:n]; {
 		case string(s) < v.s:

@@ -58,7 +58,7 @@ func TestPropertyValueCodec(t *testing.T) {
 // its decoding would, across types and at the float edges, and comparing
 // allocates nothing — a string is compared where it lies.
 func TestCompareEncoded(t *testing.T) {
-	vals := []Value{I(math.MinInt64), I(-1), I(0), I(3), F(math.Inf(-1)), F(-0.0), F(0), F(2.5), F(math.NaN()),
+	vals := []Value{I(math.MinInt64), I(-1), I(0), I(3), F(math.Inf(-1)), F(math.Copysign(0, -1)), F(0), F(2.5), F(math.Inf(1)), F(math.NaN()), F(math.Float64frombits(0x7ff8dead0000beef)),
 		S(""), S("a"), S("ab"), S("b")}
 	for _, a := range vals {
 		enc := AppendValue(nil, a)

@@ -248,13 +248,7 @@ func (c *Col) Compare(i int, v tuple.Value) int {
 	case t == tuple.Int:
 		return cmp.Compare(c.Ints[i], v.Int())
 	case t == tuple.Float:
-		switch a, b := c.Floats[i], v.Float(); {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0 // NaN included, as tuple.Compare has it
+		return tuple.CompareFloat(c.Floats[i], v.Float())
 	}
 	switch a, b := c.Bytes[i], v.Str(); {
 	case string(a) < b:
