@@ -44,8 +44,9 @@ type Tree struct {
 	dir    *colpage.Directory // every leaf's link and zone maps
 	keyCol int
 	root   storage.PageNum
-	height int // levels including the leaf level
-	count  int // live tuples
+	height int      // levels including the leaf level
+	count  int      // live tuples
+	edit   leafNode // the leaf a write is editing, its lanes reused write to write
 }
 
 // key orders leaf entries: by column value, then by tuple id.
@@ -378,13 +379,31 @@ func (t *Tree) descend(k, alt *key) (leafPN storage.PageNum, together bool, err 
 	}
 }
 
-// leafFind returns the index of the first tuple of the leaf whose key is
-// ≥ k, and whether that tuple's key is k.
+// decodeLeaf decodes a leaf page into leaf, for an edit or a point read.
+// Its rows, which reach the engine from snapshot files, must have the key
+// column.
+func (t *Tree) decodeLeaf(page []byte, leaf *leafNode) error {
+	if err := leafPages.DecodePage(page, leaf); err != nil {
+		return err
+	}
+	if len(leaf.IDs) > 0 && t.keyCol >= len(leaf.Cols) {
+		return fmt.Errorf("btree: leaf rows of %d columns have no key column %d", len(leaf.Cols), t.keyCol)
+	}
+	return nil
+}
+
+// leafFind returns the index of the first row of the leaf whose key is
+// ≥ k, and whether that row's key is k: a binary search over the key and
+// id lanes.
 func leafFind(leaf *leafNode, k key, keyCol int) (int, bool) {
-	idx, found := slices.BinarySearchFunc(leaf.Tuples, k, func(tp tuple.Tuple, k key) int {
-		return keyOf(tp, keyCol).compare(k)
-	})
-	return idx, found
+	at := func(i int) int {
+		if c := leaf.Cols[keyCol].Compare(i, k.val); c != 0 {
+			return c
+		}
+		return cmp.Compare(leaf.IDs[i], k.id)
+	}
+	i := sort.Search(len(leaf.IDs), func(i int) bool { return at(i) >= 0 })
+	return i, i < len(leaf.IDs) && at(i) == 0
 }
 
 // --- insert --------------------------------------------------------------
@@ -461,8 +480,8 @@ func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, r
 	if err != nil {
 		return key{}, 0, false, false, err
 	}
-	leaf, err := leafPages.DecodePage(fr.Data)
-	if err != nil {
+	leaf := &t.edit
+	if err := t.decodeLeaf(fr.Data, leaf); err != nil {
 		t.pool.Release(fr)
 		return key{}, 0, false, false, err
 	}
@@ -471,18 +490,18 @@ func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, r
 		t.pool.Release(fr)
 		return key{}, 0, false, false, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
 	}
-	leaf.Tuples = slices.Insert(leaf.Tuples, idx, tp)
+	leaf.InsertRow(idx, tp)
 	if leaf.Size() <= len(fr.Data) {
 		t.encodeLeaf(fr, leaf)
 		fr.MarkDirty()
 		return key{}, 0, false, true, t.pool.Release(fr)
 	}
-	mid, placed := splitPoint(leaf.Tuples, len(fr.Data))
+	mid, placed := splitPoint(&leaf.Lanes, len(fr.Data))
 	if !placed {
-		leaf.Tuples, mid = slices.Delete(leaf.Tuples, idx, idx+1), idx
+		leaf.DeleteRow(idx)
+		mid = idx
 	}
-	sib := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Tuples: append([]tuple.Tuple(nil), leaf.Tuples[mid:]...)}
-	leaf.Tuples = leaf.Tuples[:mid]
+	sib := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Lanes: leaf.Cut(mid)}
 	rfr, err := t.pool.Alloc(t.file)
 	if err != nil {
 		t.pool.Release(fr)
@@ -493,7 +512,7 @@ func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, r
 	rfr.MarkDirty()
 	t.encodeLeaf(fr, leaf)
 	fr.MarkDirty()
-	sep = keyOf(sib.Tuples[0], t.keyCol)
+	sep = key{val: sib.Cols[t.keyCol].Value(0), id: sib.IDs[0]}
 	if err := t.pool.Release(rfr); err != nil {
 		t.pool.Release(fr)
 		return key{}, 0, false, false, err
@@ -501,15 +520,15 @@ func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, r
 	return sep, leaf.Next, true, placed, t.pool.Release(fr)
 }
 
-// splitPoint returns where to cut tuples, too many for one page of
+// splitPoint returns where to cut rows, too many for one page of
 // pageSize bytes, so that both halves fit: in the middle if it can, else
 // at the cut nearest it; false when no cut fits both.
-func splitPoint(tuples []tuple.Tuple, pageSize int) (int, bool) {
-	fits := func(ts []tuple.Tuple) bool { return (&leafNode{Tuples: ts}).Size() <= pageSize }
-	mid := len(tuples) / 2
-	for d := 0; d < len(tuples); d++ {
+func splitPoint(rows *colpage.Lanes, pageSize int) (int, bool) {
+	n := len(rows.IDs)
+	mid := n / 2
+	for d := 0; d < n; d++ {
 		for _, m := range [2]int{mid - d, mid + d} {
-			if m > 0 && m < len(tuples) && fits(tuples[:m]) && fits(tuples[m:]) {
+			if m > 0 && m < n && rows.PageSize(0, m) <= pageSize && rows.PageSize(m, n) <= pageSize {
 				return m, true
 			}
 		}
@@ -637,8 +656,8 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
-	leaf, err := leafPages.DecodePage(fr.Data)
-	if err != nil {
+	leaf := &t.edit
+	if err := t.decodeLeaf(fr.Data, leaf); err != nil {
 		t.pool.Release(fr)
 		return tuple.Tuple{}, false, err
 	}
@@ -646,12 +665,12 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 	if !found {
 		return tuple.Tuple{}, false, t.pool.Release(fr)
 	}
-	old := leaf.Tuples[idx] // its values are the decode's own: nothing else holds them
-	leaf.Tuples = slices.Delete(leaf.Tuples, idx, idx+1)
+	old := leaf.Row(idx)
+	leaf.DeleteRow(idx)
 	t.count--
 	if together {
 		if at, dup := leafFind(leaf, *nk, t.keyCol); !dup {
-			leaf.Tuples = slices.Insert(leaf.Tuples, at, *tp)
+			leaf.InsertRow(at, *tp)
 			if leaf.Size() <= len(fr.Data) {
 				t.encodeLeaf(fr, leaf)
 				fr.MarkDirty()
@@ -669,7 +688,7 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 				t.count++
 				return old, true, t.pool.Release(fr)
 			}
-			leaf.Tuples = slices.Delete(leaf.Tuples, at, at+1)
+			leaf.DeleteRow(at)
 		}
 	}
 	t.encodeLeaf(fr, leaf)
@@ -695,12 +714,12 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	var found tuple.Tuple
 	ok := false
 	err = t.pool.Read(t.file, leafPN, func(page []byte) error {
-		leaf, err := leafPages.DecodePage(page)
-		if err != nil {
+		var leaf leafNode // not t.edit: a read may run beside another
+		if err := t.decodeLeaf(page, &leaf); err != nil {
 			return err
 		}
-		if idx, hit := leafFind(leaf, k, t.keyCol); hit {
-			found, ok = leaf.Tuples[idx].Clone(), true
+		if idx, hit := leafFind(&leaf, k, t.keyCol); hit {
+			found, ok = leaf.Row(idx), true
 		}
 		return nil
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -699,6 +700,82 @@ func TestFindLeafAllocations(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("findLeaf allocated %.0f objects, want 0", allocs)
 	}
+}
+
+// TestLeafEditAllocations pins what one leaf edit allocates on a warm
+// tree — an insert, a delete, and an update that stays in its leaf, none
+// of them splitting one: the edit decodes the leaf onto lanes the tree
+// reuses, splices one row and encodes the lanes back. An edit that boxed
+// the whole page again would show here: while edits decoded the leaf to
+// tuples, the three allocated 12, 11 and 15 objects. The bounds are
+// today's counts: they may fall, and must not rise.
+func TestLeafEditAllocations(t *testing.T) {
+	tr, _ := newTestTree(t, 1024, 256)
+	for i := int64(0); i < 2000; i++ {
+		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves := tr.LeafPages()
+	// Each run edits rows of key 1000 with ids after its own (1001), which
+	// land in its leaf: eleven of them (AllocsPerRun's warm-up and ten
+	// runs) fit beside its rows.
+	ins, del, upd := uint64(100000), uint64(100000), 0
+	for _, op := range []struct {
+		name      string
+		max, race float64 // the race detector's count, which wanders by one
+		run       func() error
+	}{
+		{"insert", 4, 10, func() error { ins++; return tr.Insert(mk(ins, 1000)) }},
+		{"delete", 5, 9, func() error {
+			del++
+			_, ok, err := tr.Delete(tuple.I(1000), del)
+			if err == nil && !ok {
+				err = fmt.Errorf("row %d not found", del)
+			}
+			return err
+		}},
+		{"update", 10, 17, func() error {
+			upd++
+			_, ok, err := tr.Update(tuple.I(1000), 1001, tuple.New(1001, tuple.I(1000), tuple.S(fmt.Sprint("payload", upd%2))))
+			if err == nil && !ok {
+				err = fmt.Errorf("row 1001 not found")
+			}
+			return err
+		}},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := op.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		max := op.max
+		if raceEnabled() {
+			max = op.race
+		}
+		t.Logf("%.0f allocations a leaf %s (race detector: %v)", allocs, op.name, raceEnabled())
+		if allocs > max {
+			t.Errorf("a leaf %s allocated %.0f objects, want at most %.0f", op.name, allocs, max)
+		}
+	}
+	if got := tr.LeafPages(); got != leaves {
+		t.Fatalf("the edits split a leaf: %d leaves, then %d", leaves, got)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation moves stack buffers to the heap.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestUpdateChargesDeleteThenInsert: Update is charged what Delete then

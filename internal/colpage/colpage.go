@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
@@ -152,35 +151,29 @@ func (z *Zones) Prunable(atoms []Atom) bool {
 
 // --- encode --------------------------------------------------------------
 
-// Encode lays tuples out as a column chunk in dst (a page region),
-// returning the number of bytes used. It errors — leaving dst's bytes
-// partly written — when the chunk cannot be represented (mixed arity,
-// too many rows) or does not fit in len(dst).
-func Encode(dst []byte, tuples []tuple.Tuple) (int, error) { return encode(dst, tuples, nil, true) }
-
-// encode is Encode, also handing z, when non-nil, the zone maps it writes
-// to the footer: what ReadZones would read back, with string bounds that
-// alias nothing of the tuples (ColZone.keep). Without zones every footer
-// entry is absent (flags 0), which no column's bounds can outgrow. After
-// an error z is partial.
-func encode(dst []byte, tuples []tuple.Tuple, z *Zones, zones bool) (int, error) {
-	rows := len(tuples)
-	if rows > math.MaxUint16 {
-		return 0, fmt.Errorf("colpage: %d rows exceed chunk capacity", rows)
+// encode lays rows out as a column chunk in dst (a page region),
+// returning the number of bytes used and handing z, when non-nil, the
+// zone maps it writes to the footer: what ReadZones would read back, with
+// string bounds that alias nothing of the lanes (ColZone.keep). Without
+// zones every footer entry is absent (flags 0), which no column's bounds
+// can outgrow. It errors — leaving dst's bytes partly written and z
+// partial — when the chunk cannot be represented (too many rows or
+// columns, lanes that disagree on the row count) or does not fit in
+// len(dst).
+func encode(dst []byte, l *Lanes, z *Zones, zones bool) (int, error) {
+	rows, cols := len(l.IDs), len(l.Cols)
+	if rows == 0 {
+		cols = 0 // a chunk of no rows has no columns
 	}
-	cols := 0
-	if rows > 0 {
-		cols = len(tuples[0].Vals)
-		for _, tp := range tuples[1:] {
-			if len(tp.Vals) != cols {
-				return 0, fmt.Errorf("colpage: mixed arity (%d vs %d)", len(tp.Vals), cols)
-			}
+	if rows > math.MaxUint16 || cols > math.MaxUint16 {
+		return 0, fmt.Errorf("colpage: %d rows of %d columns exceed chunk capacity", rows, cols)
+	}
+	for c := range cols {
+		if l.Cols[c].Len() != rows {
+			return 0, fmt.Errorf("colpage: column %d holds %d cells for %d rows", c, l.Cols[c].Len(), rows)
 		}
 	}
-	if cols > math.MaxUint16 {
-		return 0, fmt.Errorf("colpage: %d columns exceed chunk capacity", cols)
-	}
-	out := appendChunk(dst[:0:len(dst)], tuples, rows, cols, z, zones)
+	out := appendChunk(dst[:0:len(dst)], l, rows, cols, z, zones)
 	if len(out) > len(dst) || (len(out) > 0 && len(dst) > 0 && &out[0] != &dst[0]) {
 		return 0, fmt.Errorf("colpage: chunk of %d bytes exceeds page region %d", len(out), len(dst))
 	}
@@ -191,18 +184,13 @@ func encode(dst []byte, tuples []tuple.Tuple, z *Zones, zones bool) (int, error)
 // empty at the chunk origin), handing z (when non-nil) the footer's zone
 // maps, every one absent without zones. The caller detects overflow by
 // checking whether append reallocated past dst's capacity.
-func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int, z *Zones, zones bool) []byte {
+func appendChunk(dst []byte, l *Lanes, rows, cols int, z *Zones, zones bool) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	binary.BigEndian.PutUint16(dst[0:], uint16(rows))
 	binary.BigEndian.PutUint16(dst[2:], uint16(cols))
-
-	ids := make([]uint64, rows)
-	for i, tp := range tuples {
-		ids[i] = tp.ID
-	}
-	dst = appendUintFOR(dst, ids)
-	for c := 0; c < cols; c++ {
-		dst = appendColumn(dst, &cells{n: rows, tuples: tuples, c: c})
+	dst = appendUintFOR(dst, l.IDs)
+	for c := range cols {
+		dst = appendColumn(dst, &l.Cols[c], 0, rows)
 	}
 	binary.BigEndian.PutUint32(dst[4:], uint32(len(dst)))
 	if z != nil {
@@ -210,14 +198,14 @@ func appendChunk(dst []byte, tuples []tuple.Tuple, rows, cols int, z *Zones, zon
 		// may reuse.
 		z.Rows, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
 	}
-	for c := 0; c < cols; c++ {
-		var cz ColZone
+	for c := range cols {
+		lo, hi := -1, -1 // absent
 		if zones {
-			cz = zoneOf(tuples, c)
+			lo, hi = zoneOf(&l.Cols[c])
 		}
-		dst = appendZone(dst, cz)
+		dst = appendZone(dst, &l.Cols[c], lo, hi)
 		if z != nil {
-			z.Cols[c].keep(cz)
+			z.Cols[c].keep(&l.Cols[c], lo, hi)
 		}
 	}
 	return dst
@@ -249,145 +237,51 @@ func appendUintFOR(dst []byte, vals []uint64) []byte {
 	return dst
 }
 
-// cells is one column as the lane encoder reads it, from either place a
-// lane is written from: column c of a page chunk's tuples, or cells
-// [lo, lo+n) of an answer's dense lane (a row set). appendColumn over it
-// is the one encoder of both, so a row set's lanes are byte for byte a
-// chunk's for the same rows. Each accessor branches on the source, a
-// branch that goes the same way for a whole lane; a type parameter
-// instead would call the accessors through a dictionary, several times
-// slower per cell.
-type cells struct {
-	n      int
-	tuples []tuple.Tuple // a chunk's rows; nil for an answer's lane
-	c      int
-	col    *vec.Col
-	lo     int
-}
-
-func (s *cells) typ(i int) tuple.Type {
-	if s.tuples == nil {
-		return s.col.Tag(s.lo + i)
-	}
-	return s.tuples[i].Vals[s.c].Type()
-}
-
-func (s *cells) int(i int) int64 {
-	if s.tuples == nil {
-		return s.col.Ints[s.lo+i]
-	}
-	return s.tuples[i].Vals[s.c].Int()
-}
-
-func (s *cells) float(i int) float64 {
-	if s.tuples == nil {
-		return s.col.Floats[s.lo+i]
-	}
-	return s.tuples[i].Vals[s.c].Float()
-}
-
-// value is cell i boxed, for the tagged fallback lane.
-func (s *cells) value(i int) tuple.Value {
-	if s.tuples == nil {
-		return s.col.Value(s.lo + i)
-	}
-	return s.tuples[i].Vals[s.c]
-}
-
-// strLen and appendStr read string cell i.
-func (s *cells) strLen(i int) int {
-	if s.tuples == nil {
-		return len(s.col.Bytes[s.lo+i])
-	}
-	return len(s.tuples[i].Vals[s.c].Str())
-}
-
-func (s *cells) appendStr(dst []byte, i int) []byte {
-	if s.tuples == nil {
-		return append(dst, s.col.Bytes[s.lo+i]...)
-	}
-	return append(dst, s.tuples[i].Vals[s.c].Str()...)
-}
-
-// dictEntry looks string cell i up in dict; with add an absent cell
-// becomes entry len(dict). It reports the entry and whether the cell was
-// (or now is) in dict.
-func (s *cells) dictEntry(dict map[string]int, i int, add bool) (int, bool) {
-	var d int
-	var ok bool
-	if s.tuples == nil {
-		d, ok = dict[string(s.col.Bytes[s.lo+i])]
-	} else {
-		d, ok = dict[s.tuples[i].Vals[s.c].Str()]
-	}
-	if ok || !add {
-		return d, ok
-	}
-	d = len(dict)
-	if s.tuples == nil {
-		dict[string(s.col.Bytes[s.lo+i])] = d
-	} else {
-		dict[s.tuples[i].Vals[s.c].Str()] = d
-	}
-	return d, true
-}
-
-// uniform reports the type every cell shares, when one does. A widened
-// answer lane is checked cell by cell, as a chunk's tuples are: its
-// cells in [lo, lo+n) may agree even where the whole lane does not.
-func (s *cells) uniform() (tuple.Type, bool) {
-	if s.n == 0 {
-		return 0, false
-	}
-	if s.tuples == nil {
-		if t, ok := s.col.Uniform(); ok {
-			return t, true
+// appendColumn writes cells [lo, lo+n) of a dense lane — all of a page's
+// column, or one run of an answer's (a row set) — as [1 enc][payload],
+// picking the smallest applicable encoding. It is the one lane encoder of
+// both, so a row set's lanes are byte for byte a chunk's for the same
+// rows. The choice is deterministic, so re-encoding a decoded chunk
+// reproduces it byte for byte.
+func appendColumn(dst []byte, col *vec.Col, lo, n int) []byte {
+	t, uniform := col.Uniform()
+	if !uniform {
+		// A widened lane's cells in the range may still share a type.
+		t, uniform = col.Tag(lo), true
+		for i := lo + 1; uniform && i < lo+n; i++ {
+			uniform = col.Tag(i) == t
 		}
 	}
-	t := s.typ(0)
-	for i := 1; i < s.n; i++ {
-		if s.typ(i) != t {
-			return 0, false
-		}
-	}
-	return t, true
-}
-
-// appendColumn picks the smallest applicable encoding for a column and
-// writes [1 enc][payload]. The choice is deterministic, so re-encoding
-// a decoded chunk reproduces it byte for byte.
-func appendColumn(dst []byte, s *cells) []byte {
-	t, uniform := s.uniform()
 	if !uniform {
 		dst = append(dst, encMixed)
-		for i := 0; i < s.n; i++ {
-			dst = tuple.AppendValue(dst, s.value(i))
+		for i := lo; i < lo+n; i++ {
+			dst = appendCell(dst, col, i)
 		}
 		return dst
 	}
 	switch t {
 	case tuple.Int:
-		return appendIntLane(dst, s)
+		return appendIntLane(dst, col.Ints[lo:lo+n])
 	case tuple.Float:
 		dst = append(dst, encFloatRaw)
-		for i := 0; i < s.n; i++ {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.float(i)))
+		for _, f := range col.Floats[lo : lo+n] {
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 		}
 		return dst
 	default:
-		return appendBytesLane(dst, s)
+		return appendBytesLane(dst, col.Bytes[lo:lo+n])
 	}
 }
 
 // appendIntLane chooses run-length when it beats frame-of-reference
 // (low-cardinality runs — clustering keys after bulk loads, enum-ish
 // payload columns) and FOR otherwise.
-func appendIntLane(dst []byte, s *cells) []byte {
-	rows := s.n
-	minV, maxV := s.int(0), s.int(0)
+func appendIntLane(dst []byte, vals []int64) []byte {
+	rows := len(vals)
+	minV, maxV := vals[0], vals[0]
 	runs := 1
 	for i, prev := 1, minV; i < rows; i++ {
-		v := s.int(i)
+		v := vals[i]
 		if v < minV {
 			minV = v
 		}
@@ -407,9 +301,9 @@ func appendIntLane(dst []byte, s *cells) []byte {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(runs))
 		i := 0
 		for i < rows {
-			v := s.int(i)
+			v := vals[i]
 			j := i + 1
-			for j < rows && s.int(j) == v {
+			for j < rows && vals[j] == v {
 				j++
 			}
 			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
@@ -423,8 +317,8 @@ func appendIntLane(dst []byte, s *cells) []byte {
 	dst = append(dst, byte(w))
 	ref, off := uint64(minV), len(dst)
 	if w&(w-1) != 0 { // 3, 5, 6 or 7 bytes: no fixed-size store
-		for i := 0; i < rows; i++ {
-			dst = appendBE(dst, uint64(s.int(i))-ref, w)
+		for _, v := range vals {
+			dst = appendBE(dst, uint64(v)-ref, w)
 		}
 		return dst
 	}
@@ -433,20 +327,20 @@ func appendIntLane(dst []byte, s *cells) []byte {
 	out := dst[off:]
 	switch w {
 	case 1:
-		for i := range out {
-			out[i] = byte(uint64(s.int(i)) - ref)
+		for i, v := range vals {
+			out[i] = byte(uint64(v) - ref)
 		}
 	case 2:
-		for i := 0; i < rows; i++ {
-			binary.BigEndian.PutUint16(out[2*i:], uint16(uint64(s.int(i))-ref))
+		for i, v := range vals {
+			binary.BigEndian.PutUint16(out[2*i:], uint16(uint64(v)-ref))
 		}
 	case 4:
-		for i := 0; i < rows; i++ {
-			binary.BigEndian.PutUint32(out[4*i:], uint32(uint64(s.int(i))-ref))
+		for i, v := range vals {
+			binary.BigEndian.PutUint32(out[4*i:], uint32(uint64(v)-ref))
 		}
 	case 8:
-		for i := 0; i < rows; i++ {
-			binary.BigEndian.PutUint64(out[8*i:], uint64(s.int(i))-ref)
+		for i, v := range vals {
+			binary.BigEndian.PutUint64(out[8*i:], uint64(v)-ref)
 		}
 	}
 	return dst
@@ -454,102 +348,100 @@ func appendIntLane(dst []byte, s *cells) []byte {
 
 // appendBytesLane chooses a one-byte-index dictionary when the column
 // has few distinct values and the dictionary is smaller than raw.
-func appendBytesLane(dst []byte, s *cells) []byte {
-	rows := s.n
+func appendBytesLane(dst []byte, vals [][]byte) []byte {
 	dict := make(map[string]int, 8)
 	var order []int // the row each entry first appears in
-	rawSize := 0
-	for i := 0; i < rows; i++ {
-		rawSize += 4 + s.strLen(i)
-		if len(dict) < maxDict {
-			if d, _ := s.dictEntry(dict, i, true); d == len(order) {
-				order = append(order, i)
-			}
+	rawSize, dictSize, covered := 0, 2+len(vals), true
+	for i, v := range vals {
+		rawSize += 4 + len(v)
+		if _, ok := dict[string(v)]; ok {
+			continue
+		}
+		if covered = len(dict) < maxDict; covered {
+			dict[string(v)] = len(order)
+			order = append(order, i)
+			dictSize += 4 + len(v)
 		}
 	}
-	if len(order) > 0 {
-		dictSize := 2 + rows
+	if covered && dictSize < rawSize {
+		dst = append(dst, encBytesDict)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(order)))
 		for _, i := range order {
-			dictSize += 4 + s.strLen(i)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(vals[i])))
+			dst = append(dst, vals[i]...)
 		}
-		allCovered := len(dict) < maxDict || func() bool {
-			for i := 0; i < rows; i++ {
-				if _, ok := s.dictEntry(dict, i, false); !ok {
-					return false
-				}
-			}
-			return true
-		}()
-		if allCovered && dictSize < rawSize {
-			dst = append(dst, encBytesDict)
-			dst = binary.BigEndian.AppendUint16(dst, uint16(len(order)))
-			for _, i := range order {
-				dst = binary.BigEndian.AppendUint32(dst, uint32(s.strLen(i)))
-				dst = s.appendStr(dst, i)
-			}
-			for i := 0; i < rows; i++ {
-				d, _ := s.dictEntry(dict, i, false)
-				dst = append(dst, byte(d))
-			}
-			return dst
+		for _, v := range vals {
+			dst = append(dst, byte(dict[string(v)]))
 		}
+		return dst
 	}
 	dst = append(dst, encBytesRaw)
-	for i := 0; i < rows; i++ {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(s.strLen(i)))
-		dst = s.appendStr(dst, i)
+	for _, v := range vals {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v)))
+		dst = append(dst, v...)
 	}
 	return dst
 }
 
-// zoneOf computes column c's zone map under tuple.Compare: the bounds
-// are present only when both fit the zone budget. String bounds alias
-// the tuples.
-func zoneOf(tuples []tuple.Tuple, c int) ColZone {
-	if len(tuples) == 0 {
-		return ColZone{}
-	}
-	minV, maxV := tuples[0].Vals[c], tuples[0].Vals[c]
-	for _, tp := range tuples {
-		v := tp.Vals[c]
-		if tuple.Compare(v, minV) < 0 {
-			minV = v
+// zoneOf finds the cells holding col's bounds under tuple.Compare, the
+// first of each: -1, -1 (absent) unless both fit the zone budget.
+func zoneOf(col *vec.Col) (lo, hi int) {
+	for i := 1; i < col.Len(); i++ {
+		if col.CompareCells(i, lo) < 0 {
+			lo = i
 		}
-		if tuple.Compare(v, maxV) > 0 {
-			maxV = v
+		if col.CompareCells(i, hi) > 0 {
+			hi = i
 		}
 	}
-	if tuple.ValueSize(minV) > maxZoneValue || tuple.ValueSize(maxV) > maxZoneValue {
-		return ColZone{}
+	if cellSize(col, lo) > maxZoneValue || cellSize(col, hi) > maxZoneValue {
+		return -1, -1
 	}
-	return ColZone{Present: true, Min: minV, Max: maxV}
+	return lo, hi
 }
 
 // appendZone writes a column's footer entry: [1 flags][min][max], the
-// bounds only when present.
-func appendZone(dst []byte, cz ColZone) []byte {
-	if !cz.Present {
+// bounds — cells lo and hi of col — only when present (lo ≥ 0).
+func appendZone(dst []byte, col *vec.Col, lo, hi int) []byte {
+	if lo < 0 {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
-	dst = tuple.AppendValue(dst, cz.Min)
-	return tuple.AppendValue(dst, cz.Max)
+	dst = appendCell(dst, col, lo)
+	return appendCell(dst, col, hi)
 }
 
-// keep stores cz in *z without aliasing the tuples it was computed from:
-// a string bound is cloned, unless *z already holds an equal one — so
-// re-encoding a page whose bounds did not move allocates nothing.
-func (z *ColZone) keep(cz ColZone) {
-	own := func(held, v tuple.Value) tuple.Value {
-		if v.Type() != tuple.String {
-			return v
-		}
-		if held.Type() == tuple.String && held.Str() == v.Str() {
+// appendCell appends cell i of col as tuple.AppendValue appends its
+// value, without boxing it.
+func appendCell(dst []byte, col *vec.Col, i int) []byte {
+	t := col.Tag(i)
+	dst = append(dst, byte(t))
+	switch t {
+	case tuple.Int:
+		return binary.BigEndian.AppendUint64(dst, uint64(col.Ints[i]))
+	case tuple.Float:
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(col.Floats[i]))
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(col.Bytes[i])))
+	return append(dst, col.Bytes[i]...)
+}
+
+// keep stores in *z the zone whose bounds are cells lo and hi of col
+// (absent for lo < 0), aliasing nothing of the lanes: a string bound is
+// copied out, unless *z already holds an equal one — so re-encoding a
+// page whose bounds did not move allocates nothing.
+func (z *ColZone) keep(col *vec.Col, lo, hi int) {
+	if lo < 0 {
+		*z = ColZone{}
+		return
+	}
+	own := func(held tuple.Value, i int) tuple.Value {
+		if col.Tag(i) == tuple.String && held.Type() == tuple.String && held.Str() == string(col.Bytes[i]) {
 			return held
 		}
-		return tuple.S(strings.Clone(v.Str()))
+		return col.Value(i)
 	}
-	*z = ColZone{Present: cz.Present, Min: own(z.Min, cz.Min), Max: own(z.Max, cz.Max)}
+	*z = ColZone{Present: true, Min: own(z.Min, lo), Max: own(z.Max, hi)}
 }
 
 // --- decode --------------------------------------------------------------
@@ -645,30 +537,6 @@ func DecodeWhere(chunk []byte, atoms []Atom, ids []uint64, cols []vec.Col) ([]ui
 	return ids, cols, rows - n, nil
 }
 
-// DecodeTuples is DecodeInto gathered back to row form — the path
-// update operations (decode, modify, re-encode) use. The rows' values are
-// carved out of one flat array, and the slice has room for one more row:
-// an update inserts at most one before it re-encodes.
-func DecodeTuples(chunk []byte) ([]tuple.Tuple, error) {
-	ids, cols, err := DecodeInto(chunk, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	w := len(cols)
-	flat := make([]tuple.Value, len(ids)*w)
-	for c := 0; c < w && len(ids) > 0; c++ {
-		cols[c].GatherValues(flat[c:], w, nil)
-	}
-	out := make([]tuple.Tuple, len(ids), len(ids)+1)
-	for i, id := range ids {
-		out[i].ID = id
-		if w > 0 {
-			out[i].Vals = flat[i*w : (i+1)*w : (i+1)*w]
-		}
-	}
-	return out, nil
-}
-
 // ReadZones decodes only the chunk header and footer into z, reusing
 // the capacity of z.Cols — what the leaf directory is rebuilt from and
 // checked against, page after page into one struct. Every zone of the
@@ -725,18 +593,6 @@ func readBound(src []byte, v *tuple.Value) (int, error) {
 	}
 	*v = dec
 	return n, nil
-}
-
-// decodeUintFOR decodes the id lane into a fresh slice.
-func decodeUintFOR(body []byte, off, rows int) ([]uint64, int, error) {
-	var l lane
-	end, err := l.locateFOR(body, off, rows)
-	if err != nil {
-		return nil, 0, fmt.Errorf("colpage: id lane: %w", err)
-	}
-	ids := make([]uint64, rows)
-	readFOR(ids, body[l.off:], l.ref, l.w)
-	return ids, end, nil
 }
 
 // lane is one value lane located in a chunk body and validated: every

@@ -23,39 +23,43 @@ func refBytes(tuples []tuple.Tuple) []byte {
 	return out
 }
 
+// lanesOf is tuples, which share an arity, as the lanes a page's rows
+// are encoded from.
+func lanesOf(tuples []tuple.Tuple) Lanes {
+	var l Lanes
+	for i, tp := range tuples {
+		l.InsertRow(i, tp)
+	}
+	return l
+}
+
+// encodeChunk encodes tuples as a chunk in dst, zone maps and all.
+func encodeChunk(dst []byte, tuples []tuple.Tuple) (int, error) {
+	l := lanesOf(tuples)
+	return encode(dst, &l, nil, true)
+}
+
 func mustEncode(t *testing.T, tuples []tuple.Tuple) []byte {
 	t.Helper()
 	buf := make([]byte, 64*1024)
-	n, err := Encode(buf, tuples)
+	n, err := encodeChunk(buf, tuples)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
 	return buf[:n]
 }
 
-// roundTrip encodes, decodes both ways, and checks the result matches
-// the input under the reference codec.
+// roundTrip encodes, decodes, and checks the result matches the input
+// under the reference codec.
 func roundTrip(t *testing.T, tuples []tuple.Tuple) []byte {
 	t.Helper()
 	chunk := mustEncode(t, tuples)
-	got, err := DecodeTuples(chunk)
-	if err != nil {
-		t.Fatalf("DecodeTuples: %v", err)
-	}
-	if !bytes.Equal(refBytes(got), refBytes(tuples)) {
-		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, tuples)
-	}
 	ids, cols, err := DecodeInto(chunk, nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeInto: %v", err)
 	}
-	if len(ids) != len(tuples) {
-		t.Fatalf("decoded %d rows, want %d", len(ids), len(tuples))
-	}
-	for i, tp := range tuples {
-		if ids[i] != tp.ID {
-			t.Fatalf("ids[%d] = %d, want %d", i, ids[i], tp.ID)
-		}
+	if got := lanesTuples(ids, cols); !bytes.Equal(refBytes(got), refBytes(tuples)) {
+		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, tuples)
 	}
 	for c := range cols {
 		if cols[c].Len() != len(tuples) {
@@ -177,35 +181,31 @@ func repeatStrings(n int, vals ...string) []tuple.Tuple {
 	return out
 }
 
-// TestEncodeDeterministic: re-encoding a decoded chunk reproduces the
-// original bytes — the property the fuzz target leans on.
+// TestEncodeDeterministic: re-encoding a decoded chunk's lanes
+// reproduces the original bytes — the property the fuzz target leans on.
 func TestEncodeDeterministic(t *testing.T) {
-	tuples := repeatStrings(100, "a", "b", "c")
-	chunk := roundTrip(t, tuples)
-	decoded, err := DecodeTuples(chunk)
+	chunk := roundTrip(t, repeatStrings(100, "a", "b", "c"))
+	ids, cols, err := DecodeInto(chunk, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again := mustEncode(t, decoded)
-	if !bytes.Equal(chunk, again) {
-		t.Fatalf("re-encode not byte-identical: %d vs %d bytes", len(chunk), len(again))
+	again := make([]byte, len(chunk))
+	if n, err := encode(again, &Lanes{IDs: ids, Cols: cols}, nil, true); err != nil || !bytes.Equal(chunk, again[:n]) {
+		t.Fatalf("re-encode not byte-identical: %d vs %d bytes (%v)", len(chunk), n, err)
 	}
 }
 
 func TestEncodeErrors(t *testing.T) {
-	mixed := []tuple.Tuple{tuple.New(1, tuple.I(1)), tuple.New(2, tuple.I(1), tuple.I(2))}
-	if _, err := Encode(make([]byte, 4096), mixed); err == nil {
-		t.Fatal("mixed arity accepted")
+	ragged := lanesOf([]tuple.Tuple{tuple.New(1, tuple.I(1)), tuple.New(2, tuple.I(2))})
+	ragged.Cols[0].Truncate(1)
+	if _, err := encode(make([]byte, 4096), &ragged, nil, true); err == nil {
+		t.Fatal("a column shorter than the id lane accepted")
 	}
-	big := repeatStrings(200, strings.Repeat("x", 100))
-	if _, err := Encode(make([]byte, 64), big); err == nil {
-		t.Fatal("oversized chunk accepted")
-	}
-	// A failed Encode must not have grown past the region (the caller
-	// overwrites the region with the row encoding afterwards).
-	buf := make([]byte, 64)
-	if n, err := Encode(buf, big); err == nil || n != 0 {
-		t.Fatalf("overflow Encode = (%d, %v)", n, err)
+	big := lanesOf(repeatStrings(200, strings.Repeat("x", 100)))
+	// A failed encode must not have grown past the region (the caller
+	// retries the region without zone maps).
+	if n, err := encode(make([]byte, 64), &big, nil, true); err == nil || n != 0 {
+		t.Fatalf("overflow encode = (%d, %v)", n, err)
 	}
 }
 
@@ -325,7 +325,7 @@ var wideChunk = func() []byte {
 		tuples[i] = tuple.New(uint64(i+1), vals...)
 	}
 	buf := make([]byte, 4096)
-	n, err := Encode(buf, tuples)
+	n, err := encodeChunk(buf, tuples)
 	if err != nil {
 		panic(err)
 	}
@@ -411,7 +411,7 @@ func TestDecodedStringsOwnTheirBytes(t *testing.T) {
 func FuzzColPageCodec(f *testing.F) {
 	seed := func(tuples []tuple.Tuple) {
 		buf := make([]byte, 8192)
-		if n, err := Encode(buf, tuples); err == nil {
+		if n, err := encodeChunk(buf, tuples); err == nil {
 			f.Add(buf[:n])
 		}
 	}
@@ -446,7 +446,8 @@ func FuzzColPageCodec(f *testing.F) {
 		// Neither decoder may panic on arbitrary input. (ReadZones may
 		// accept chunks whose value lanes are corrupt — it never reads
 		// them — so acceptance is checked one-way, below.)
-		tuples, terr := DecodeTuples(data)
+		ids, cols, terr := DecodeInto(data, nil, nil)
+		tuples := lanesTuples(ids, cols)
 		if err := zoneReuse(data); err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +458,7 @@ func FuzzColPageCodec(f *testing.F) {
 		// accepts, and reads them to the same values. (A row set has no
 		// way to say "no rows, some columns".)
 		if rows, cols, footOff, err := header(data); err == nil && rows*cols <= 1<<20 && (rows > 0 || cols == 0) {
-			if _, off, err := decodeUintFOR(data[:footOff], chunkHeader, rows); err == nil {
+			if off, err := (&lane{}).locateFOR(data[:footOff], chunkHeader, rows); err == nil {
 				set := binary.BigEndian.AppendUint32(nil, uint32(rows))
 				set = binary.BigEndian.AppendUint16(set, uint16(cols))
 				vals, verr := DecodeRows(append(set, data[off:footOff]...), 1<<20)
@@ -472,23 +473,23 @@ func FuzzColPageCodec(f *testing.F) {
 		if terr != nil {
 			return
 		}
-		// Accepted: the canonical re-encode must round-trip to the same
-		// rows, and re-encoding *that* must be byte-identical (the
-		// encoder is deterministic, so decode∘encode is a fixpoint).
+		// Accepted: re-encoding the decoded lanes must round-trip to the
+		// same rows, and re-encoding *those* lanes must be byte-identical
+		// (the encoder is deterministic, so decode∘encode is a fixpoint).
 		buf := make([]byte, len(data)+8192)
-		n, err := Encode(buf, tuples)
+		n, err := encode(buf, &Lanes{IDs: ids, Cols: cols}, nil, true)
 		if err != nil {
 			t.Fatalf("re-encode of decoded chunk failed: %v", err)
 		}
-		again, err := DecodeTuples(buf[:n])
+		ids2, cols2, err := DecodeInto(buf[:n], nil, nil)
 		if err != nil {
 			t.Fatalf("decode of re-encode failed: %v", err)
 		}
-		if !bytes.Equal(refBytes(again), refBytes(tuples)) {
+		if !bytes.Equal(refBytes(lanesTuples(ids2, cols2)), refBytes(tuples)) {
 			t.Fatalf("re-encode changed rows")
 		}
 		buf2 := make([]byte, len(data)+8192)
-		n2, err := Encode(buf2, again)
+		n2, err := encode(buf2, &Lanes{IDs: ids2, Cols: cols2}, nil, true)
 		if err != nil || n2 != n || !bytes.Equal(buf[:n], buf2[:n2]) {
 			t.Fatalf("encoder not deterministic: n=%d n2=%d err=%v", n, n2, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -17,7 +18,9 @@ import (
 //	[1 type][2 count][4 next+1][column chunk]
 //
 // count is the number of tuples, next+1 the forward link (0 = none). The
-// type byte names the owner; the payload is one column chunk (Encode).
+// type byte names the owner; the payload is one column chunk
+// (colpage.go), written from the page's lanes and read back onto lanes:
+// a page has no other in-memory form.
 
 // DataPageHeader is the size of the fixed prefix before the payload.
 const DataPageHeader = 7
@@ -27,39 +30,61 @@ const DataPageHeader = 7
 // that carries another.
 type PageType byte
 
-// DataPage is the decoded form of a data page.
+// DataPage is the in-memory form of a data page: its forward link and
+// its rows as lanes. Writers decode it (DecodePage), edit the lanes a row
+// at a time (InsertRow, DeleteRow, Cut) and encode it back (EncodePage).
 type DataPage struct {
 	Next    storage.PageNum
 	HasNext bool
-	Tuples  []tuple.Tuple
+	Lanes
 }
 
-// Size returns the bytes callers split and overflow the page by: the
-// tuples row-major (tuple.EncodedSize, the paper's S per tuple) plus the
-// most a column chunk of them can take beyond that (chunkSlack), so every
-// page a caller admits encodes (EncodePage). The slack is 0 on every page
-// of 2r ≥ 17 + 2c rows, so page counts are the row encoding's wherever
-// pages fill with short rows. A page of more tuples than the header's
-// 16-bit count holds fits no page.
-func (n *DataPage) Size() int {
-	r := len(n.Tuples)
+// Size returns the bytes callers split and overflow the page by
+// (Lanes.PageSize of all its rows).
+func (n *DataPage) Size() int { return n.PageSize(0, len(n.IDs)) }
+
+// PageSize returns the bytes a page holding rows [lo, hi) of the lanes
+// takes as callers split and overflow it: the rows row-major
+// (tuple.EncodedSize, the paper's S per tuple) plus the most a column
+// chunk of them can take beyond that (chunkSlack), so every page a caller
+// admits encodes (EncodePage). The slack is 0 on every page of 2r ≥ 17 +
+// 2c rows, so page counts are the row encoding's wherever pages fill with
+// short rows. A page of more rows than the header's 16-bit count holds
+// fits no page.
+func (l *Lanes) PageSize(lo, hi int) int {
+	r := hi - lo
 	if r > math.MaxUint16 {
 		return math.MaxInt
 	}
-	sz, c := DataPageHeader, 0
-	for _, tp := range n.Tuples {
-		sz += tp.EncodedSize()
+	if r == 0 {
+		return DataPageHeader + chunkSlack(0, 0)
 	}
-	if r > 0 {
-		c = len(n.Tuples[0].Vals)
+	sz := DataPageHeader + r*(8+2) // each row's id and arity
+	for c := range l.Cols {
+		col := &l.Cols[c]
+		if t, ok := col.Uniform(); ok && t != tuple.String {
+			sz += r * (1 + 8)
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			sz += cellSize(col, i)
+		}
 	}
-	return sz + chunkSlack(r, c)
+	return sz + chunkSlack(r, len(l.Cols))
+}
+
+// cellSize is the bytes tuple.AppendValue takes for cell i of col.
+func cellSize(col *vec.Col, i int) int {
+	if col.Tag(i) == tuple.String {
+		return 1 + 4 + len(col.Bytes[i])
+	}
+	return 1 + 8
 }
 
 // FitsAlone reports whether a page holding tp alone fits pageSize bytes:
 // whether an access method can store tp at all.
 func FitsAlone(tp tuple.Tuple, pageSize int) bool {
-	return (&DataPage{Tuples: []tuple.Tuple{tp}}).Size() <= pageSize
+	return DataPageHeader+tp.EncodedSize()+chunkSlack(1, len(tp.Vals)) <= pageSize
 }
 
 // chunkSlack bounds how many bytes a chunk of r rows of c columns without
@@ -82,17 +107,18 @@ func (pt PageType) EncodePage(page []byte, n *DataPage) { pt.encodePage(page, n,
 // maps. Zone bounds, up to two 40-byte values a column, are not in Size:
 // when the chunk with them does not fit, the page is written without
 // them (its columns never prune), which always fits. A page Size does not
-// admit, or of mixed arity, is a caller's bug and panics.
+// admit, or whose lanes disagree on the row count, is a caller's bug and
+// panics.
 func (pt PageType) encodePage(page []byte, n *DataPage, z *Zones) {
-	used, err := encode(page[DataPageHeader:], n.Tuples, z, true)
+	used, err := encode(page[DataPageHeader:], &n.Lanes, z, true)
 	if err != nil {
-		used, err = encode(page[DataPageHeader:], n.Tuples, z, false)
+		used, err = encode(page[DataPageHeader:], &n.Lanes, z, false)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("colpage: data page of size %d does not encode in %d bytes: %v", n.Size(), len(page), err))
 	}
 	page[0] = byte(pt)
-	binary.BigEndian.PutUint16(page[1:], uint16(len(n.Tuples)))
+	binary.BigEndian.PutUint16(page[1:], uint16(len(n.IDs)))
 	next := uint32(0)
 	if n.HasNext {
 		next = uint32(n.Next) + 1
@@ -107,6 +133,16 @@ func PageLink(page []byte) (next storage.PageNum, hasNext bool) {
 		return storage.PageNum(raw - 1), true
 	}
 	return 0, false
+}
+
+// Link reads a data page's forward link, checking the header as every
+// decode does — for a walk of a chain that needs no row of it.
+func (pt PageType) Link(page []byte) (next storage.PageNum, hasNext bool, err error) {
+	if _, err := pt.rows(page); err != nil {
+		return 0, false, err
+	}
+	next, hasNext = PageLink(page)
+	return next, hasNext, nil
 }
 
 // rows validates the header — pages reach the engine from snapshot
@@ -125,27 +161,23 @@ func errHeaderCount(held, rows int) error {
 	return fmt.Errorf("colpage: columnar data page holds %d tuples, header says %d", held, rows)
 }
 
-// DecodePage decodes a page to tuples — the path update operations
-// (decode, modify, re-encode) use.
-func (pt PageType) DecodePage(page []byte) (*DataPage, error) {
+// DecodePage decodes a page into n, its link and its rows, reusing the
+// capacity of n's lanes — the first step of an edit (decode, modify,
+// re-encode). After an error n holds a partial decode.
+func (pt PageType) DecodePage(page []byte, n *DataPage) error {
 	rows, err := pt.rows(page)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := &DataPage{}
 	n.Next, n.HasNext = PageLink(page)
-	if n.Tuples, err = DecodeTuples(page[DataPageHeader:]); err != nil {
-		return nil, fmt.Errorf("colpage: columnar data page: %w", err)
-	}
-	if len(n.Tuples) != rows {
-		return nil, errHeaderCount(len(n.Tuples), rows)
-	}
-	return n, nil
+	n.Reset()
+	_, err = appendPage(page, rows, nil, &n.Lanes)
+	return err
 }
 
-// Lanes is a run of scanned rows in columnar form: the id lane plus one
-// vec.Col per column — a batch's slot-0 lanes, or a scan's staging
-// lanes.
+// Lanes is a run of rows in columnar form: the id lane plus one vec.Col
+// per column — a data page's rows, a batch's slot-0 lanes, or a scan's
+// staging lanes.
 type Lanes struct {
 	IDs  []uint64
 	Cols []vec.Col
@@ -171,6 +203,47 @@ func (l *Lanes) MoveRows(b *vec.Batch, lo, hi int) error {
 }
 
 var errMixedShape = fmt.Errorf("colpage: scan produced mixed-shape tuples")
+
+// Row boxes row i as a tuple, its values copied out of the lanes.
+func (l *Lanes) Row(i int) tuple.Tuple { return vec.Row(l.IDs, l.Cols, i) }
+
+// InsertRow puts tp in as row i, moving the rows from i on up one. Lanes
+// holding no rows take tp's arity; otherwise a tp of another arity is a
+// caller's bug and panics.
+func (l *Lanes) InsertRow(i int, tp tuple.Tuple) {
+	if len(l.IDs) == 0 {
+		l.Cols = slices.Grow(l.Cols[:0], len(tp.Vals))[:len(tp.Vals)]
+		for c := range l.Cols {
+			l.Cols[c].Reset()
+		}
+	} else if len(tp.Vals) != len(l.Cols) {
+		panic(fmt.Sprintf("colpage: row of %d columns inserted into rows of %d", len(tp.Vals), len(l.Cols)))
+	}
+	l.IDs = slices.Insert(l.IDs, i, tp.ID)
+	for c, v := range tp.Vals {
+		l.Cols[c].Insert(i, v)
+	}
+}
+
+// DeleteRow removes row i, moving the rows after it down one.
+func (l *Lanes) DeleteRow(i int) {
+	l.IDs = slices.Delete(l.IDs, i, i+1)
+	for c := range l.Cols {
+		l.Cols[c].Delete(i)
+	}
+}
+
+// Cut moves rows [m, len) out into lanes of their own, which it returns,
+// leaving rows [0, m).
+func (l *Lanes) Cut(m int) Lanes {
+	out := Lanes{IDs: append([]uint64(nil), l.IDs[m:]...), Cols: make([]vec.Col, len(l.Cols))}
+	for c := range l.Cols {
+		out.Cols[c].AppendRange(&l.Cols[c], m, len(l.IDs))
+		l.Cols[c].Truncate(m)
+	}
+	l.IDs = l.IDs[:m]
+	return out
+}
 
 // appendPage decodes onto the lanes the rows of a page of rows tuples
 // (rows already validated) for which every atom holds, and returns how

@@ -50,7 +50,7 @@ func AppendLanes(dst []byte, rows int, cols []vec.Col) ([]byte, error) {
 	for lo := 0; lo < rows; lo += MaxChunkRows {
 		n := min(rows-lo, MaxChunkRows)
 		for c := range cols {
-			dst = appendColumn(dst, &cells{n: n, col: &cols[c], lo: lo})
+			dst = appendColumn(dst, &cols[c], lo, n)
 		}
 	}
 	return dst, nil
@@ -69,53 +69,11 @@ func AppendRows(dst []byte, rows [][]tuple.Value) ([]byte, error) {
 		}
 	}
 	for c := range cols {
-		appendLane(&cols[c], rows, c)
+		for _, r := range rows {
+			cols[c].Append(r[c])
+		}
 	}
 	return AppendLanes(dst, len(rows), cols)
-}
-
-// appendLane appends column c of rows onto col: typed, a string column's
-// cells in one arena, when every cell shares a type; cell by cell,
-// widening, when not.
-func appendLane(col *vec.Col, rows [][]tuple.Value, c int) {
-	t := rows[0][c].Type()
-	uniform := true
-	switch t {
-	case tuple.Int:
-		dst := col.GrowInts(len(rows))
-		for i, r := range rows {
-			uniform = uniform && r[c].Type() == t
-			dst[i] = r[c].Int()
-		}
-	case tuple.Float:
-		dst := col.GrowFloats(len(rows))
-		for i, r := range rows {
-			uniform = uniform && r[c].Type() == t
-			dst[i] = r[c].Float()
-		}
-	default:
-		total := 0
-		for _, r := range rows {
-			uniform = uniform && r[c].Type() == t
-			total += len(r[c].Str())
-		}
-		if !uniform {
-			break
-		}
-		arena := make([]byte, 0, total)
-		dst := col.GrowBytes(len(rows))
-		for i, r := range rows {
-			start := len(arena)
-			arena = append(arena, r[c].Str()...)
-			dst[i] = arena[start:len(arena):len(arena)]
-		}
-	}
-	if !uniform {
-		col.Reset()
-		for _, r := range rows {
-			col.Append(r[c])
-		}
-	}
 }
 
 // DecodeRows decodes a row set that fills src exactly. All cells live

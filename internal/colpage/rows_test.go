@@ -38,7 +38,7 @@ func laneBytes(t testing.TB, chunk []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, off, err := decodeUintFOR(chunk[:footOff], chunkHeader, rows)
+	off, err := (&lane{}).locateFOR(chunk[:footOff], chunkHeader, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,14 +117,14 @@ func checkSelected(chunk []byte) error {
 }
 
 // checkSelectedPage runs the page differential: Take with atoms, staged
-// and direct, against the tuple decode filtered.
+// and direct, against the page decode filtered.
 func checkSelectedPage(pt PageType, page []byte) error {
-	n, derr := pt.DecodePage(page)
+	n, derr := decodePage(pt, page)
 	_, _, err := pt.Take(page, nil, nil, 0, &Lanes{})
 	var rows []tuple.Tuple
 	ncols := 0
-	if derr == nil && len(n.Tuples) > 0 {
-		rows, ncols = n.Tuples, len(n.Tuples[0].Vals)
+	if derr == nil && len(n.IDs) > 0 {
+		rows, ncols = lanesTuples(n.IDs, n.Cols), len(n.Cols)
 	}
 	for _, atoms := range atomSets(rows, ncols) {
 		var staged Lanes
@@ -139,10 +139,10 @@ func checkSelectedPage(pt PageType, page []byte) error {
 		}
 		want := refBytes(keepWhere(rows, atoms))
 		if got := refBytes(lanesTuples(staged.IDs, staged.Cols)); !bytes.Equal(got, want) {
-			return fmt.Errorf("atoms %v: staged rows differ from the tuple decode filtered", atoms)
+			return fmt.Errorf("atoms %v: staged rows differ from the page decode filtered", atoms)
 		}
 		if got := refBytes(lanesTuples(b.IDs[0], b.Slots[0])); !direct || !bytes.Equal(got, want) {
-			return fmt.Errorf("atoms %v: direct (%v) rows differ from the tuple decode filtered", atoms, direct)
+			return fmt.Errorf("atoms %v: direct (%v) rows differ from the page decode filtered", atoms, direct)
 		}
 		if kept := len(keepWhere(rows, atoms)); dropped != len(rows)-kept || bdropped != dropped {
 			return fmt.Errorf("atoms %v: dropped %d staged, %d direct; %d of %d rows kept", atoms, dropped, bdropped, kept, len(rows))
@@ -198,7 +198,7 @@ func TestDecodeWhereEveryEncoding(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			chunk := mustEncode(t, c.tuples)
 			if rows, cols, _, err := header(chunk); err == nil && cols > 0 {
-				_, off, _ := decodeUintFOR(chunk, chunkHeader, rows)
+				off, _ := (&lane{}).locateFOR(chunk, chunkHeader, rows)
 				var l lane
 				if _, err := l.locate(chunk, off, rows); err != nil || l.enc != c.enc || c.w != anyWidth && l.w != c.w {
 					t.Fatalf("column 0 is lane encoding %d of width %d (%v), want %d of width %d", l.enc, l.w, err, c.enc, c.w)

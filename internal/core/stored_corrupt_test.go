@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -19,10 +18,11 @@ import (
 // Save/Load, and require the typed error — not a panic, and not an
 // answer with the damaged rows silently missing.
 
-// rewriteLeaves re-encodes every columnar leaf of file through edit.
+// rewriteLeaves re-encodes every leaf of file with each row put through
+// edit.
 func rewriteLeaves(t *testing.T, db *Database, file string, edit func(tuple.Tuple) tuple.Tuple) {
 	t.Helper()
-	const leafCol, leafHeader = 4, 7 // btree's columnar leaf: [1 type][2 count][4 next+1][chunk]
+	const leafCol colpage.PageType = 4 // btree's leaf, a colpage data page
 	f := db.Disk().Open(file)
 	edited := 0
 	for pn := storage.PageNum(0); pn < f.Extent(); pn++ {
@@ -30,23 +30,19 @@ func rewriteLeaves(t *testing.T, db *Database, file string, edit func(tuple.Tupl
 		if err != nil {
 			continue // a freed page
 		}
-		if fr.Data[0] == leafCol {
-			tuples, err := colpage.DecodeTuples(fr.Data[leafHeader:])
-			if err != nil {
+		if fr.Data[0] == byte(leafCol) {
+			leaf := &colpage.DataPage{}
+			if err := leafCol.DecodePage(fr.Data, leaf); err != nil {
 				t.Fatal(err)
 			}
-			for i := range tuples {
-				tuples[i] = edit(tuples[i])
+			var rows colpage.Lanes
+			for i := range leaf.IDs {
+				rows.InsertRow(i, edit(leaf.Row(i)))
 			}
-			for i := leafHeader; i < len(fr.Data); i++ {
-				fr.Data[i] = 0
-			}
-			if _, err := colpage.Encode(fr.Data[leafHeader:], tuples); err != nil {
-				t.Fatal(err)
-			}
-			binary.BigEndian.PutUint16(fr.Data[1:], uint16(len(tuples)))
+			leaf.Lanes = rows
+			leafCol.EncodePage(fr.Data, leaf)
 			fr.MarkDirty()
-			edited += len(tuples)
+			edited += len(rows.IDs)
 		}
 		if err := db.Pool().Release(fr); err != nil {
 			t.Fatal(err)

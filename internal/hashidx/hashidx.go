@@ -34,6 +34,7 @@ type Index struct {
 	keyCol  int
 	buckets []storage.PageNum
 	count   int
+	edit    node // the page a write is editing, its lanes reused write to write
 }
 
 // node is a decoded chain page.
@@ -114,6 +115,18 @@ func (ix *Index) bucketFor(v tuple.Value) int {
 	return int(h.Sum64() % uint64(len(ix.buckets)))
 }
 
+// decode decodes a chain page into n, for an edit or a lookup. Its rows,
+// which reach the engine from snapshot files, must have the key column.
+func (ix *Index) decode(page []byte, n *node) error {
+	if err := chainPages.DecodePage(page, n); err != nil {
+		return err
+	}
+	if len(n.IDs) > 0 && ix.keyCol >= len(n.Cols) {
+		return fmt.Errorf("hashidx: chain rows of %d columns have no key column %d", len(n.Cols), ix.keyCol)
+	}
+	return nil
+}
+
 // Insert adds a tuple, placing it on the first chain page with space
 // (allocating an overflow page if the chain is full). Each chain page
 // inspected costs one metered read; the modified page costs one write.
@@ -127,19 +140,20 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 		if err != nil {
 			return err
 		}
-		n, err := chainPages.DecodePage(fr.Data)
-		if err != nil {
+		n := &ix.edit
+		if err := ix.decode(fr.Data, n); err != nil {
 			ix.pool.Release(fr)
 			return err
 		}
-		n.Tuples = append(n.Tuples, tp)
+		last := len(n.IDs)
+		n.InsertRow(last, tp)
 		if n.Size() <= len(fr.Data) {
 			ix.encodeNode(fr, n)
 			fr.MarkDirty()
 			ix.count++
 			return ix.pool.Release(fr)
 		}
-		n.Tuples = n.Tuples[:len(n.Tuples)-1]
+		n.DeleteRow(last)
 		if n.HasNext {
 			pn = n.Next
 			if err := ix.pool.Release(fr); err != nil {
@@ -153,7 +167,9 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 			ix.pool.Release(fr)
 			return err
 		}
-		ix.encodeNode(ofr, &node{Tuples: []tuple.Tuple{tp}})
+		var o node
+		o.InsertRow(0, tp)
+		ix.encodeNode(ofr, &o)
 		ofr.MarkDirty()
 		n.Next, n.HasNext = ofr.PageNum(), true
 		ix.encodeNode(fr, n)
@@ -167,49 +183,59 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 	}
 }
 
-// Lookup returns all tuples whose key column equals v, walking the
-// bucket's chain (one metered read per chain page).
-func (ix *Index) Lookup(v tuple.Value) ([]tuple.Tuple, error) {
-	var out []tuple.Tuple
+// matches walks the chain of v's bucket (one metered read per chain
+// page) and hands fn each row whose key column equals v, on the page's
+// decoded lanes, which fn must not keep.
+func (ix *Index) matches(v tuple.Value, fn func(rows *colpage.Lanes, i int)) error {
+	var n node // not ix.edit: a read may run beside another
 	pn := ix.buckets[ix.bucketFor(v)]
 	for {
 		var next storage.PageNum
 		hasNext := false
 		err := ix.pool.Read(ix.file, pn, func(page []byte) error {
-			n, err := chainPages.DecodePage(page)
-			if err != nil {
+			if err := ix.decode(page, &n); err != nil {
 				return err
 			}
-			for _, tp := range n.Tuples {
-				if tuple.Equal(tp.Vals[ix.keyCol], v) {
-					out = append(out, tp.Clone())
+			for i := range n.IDs {
+				if n.Cols[ix.keyCol].Compare(i, v) == 0 {
+					fn(&n.Lanes, i)
 				}
 			}
 			next, hasNext = n.Next, n.HasNext
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		if !hasNext {
-			return out, nil
+		if err != nil || !hasNext {
+			return err
 		}
 		pn = next
 	}
 }
 
-// Get returns the tuple with key value v and the given id.
+// Lookup returns all tuples whose key column equals v, walking the
+// bucket's chain (one metered read per chain page).
+func (ix *Index) Lookup(v tuple.Value) ([]tuple.Tuple, error) {
+	var out []tuple.Tuple
+	err := ix.matches(v, func(rows *colpage.Lanes, i int) { out = append(out, rows.Row(i)) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Get returns the tuple with key value v and the given id: a walk of the
+// whole chain, as Lookup's, that boxes that row alone.
 func (ix *Index) Get(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	matches, err := ix.Lookup(v)
+	var found tuple.Tuple
+	ok := false
+	err := ix.matches(v, func(rows *colpage.Lanes, i int) {
+		if !ok && rows.IDs[i] == id {
+			found, ok = rows.Row(i), true
+		}
+	})
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
-	for _, tp := range matches {
-		if tp.ID == id {
-			return tp, true, nil
-		}
-	}
-	return tuple.Tuple{}, false, nil
+	return found, ok, nil
 }
 
 // Delete removes the tuple with key value v and the given id and
@@ -221,14 +247,15 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 		if err != nil {
 			return tuple.Tuple{}, false, err
 		}
-		n, err := chainPages.DecodePage(fr.Data)
-		if err != nil {
+		n := &ix.edit
+		if err := ix.decode(fr.Data, n); err != nil {
 			ix.pool.Release(fr)
 			return tuple.Tuple{}, false, err
 		}
-		for i, tp := range n.Tuples {
-			if tp.ID == id && tuple.Equal(tp.Vals[ix.keyCol], v) {
-				n.Tuples = append(n.Tuples[:i], n.Tuples[i+1:]...)
+		for i := range n.IDs {
+			if n.IDs[i] == id && n.Cols[ix.keyCol].Compare(i, v) == 0 {
+				tp := n.Row(i)
+				n.DeleteRow(i)
 				ix.encodeNode(fr, n)
 				fr.MarkDirty()
 				ix.count--
@@ -247,6 +274,7 @@ func (ix *Index) Delete(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 }
 
 // Pages returns the total chain pages (primary + overflow), unmetered.
+// A page whose header is not a chain page's ends its chain.
 func (ix *Index) Pages() int {
 	total := 0
 	for _, bpn := range ix.buckets {
@@ -256,9 +284,7 @@ func (ix *Index) Pages() int {
 			var next storage.PageNum
 			hasNext := false
 			if err := ix.file.View(pn, func(page []byte) error {
-				if n, err := chainPages.DecodePage(page); err == nil {
-					next, hasNext = n.Next, n.HasNext
-				}
+				next, hasNext, _ = chainPages.Link(page)
 				return nil
 			}); err != nil {
 				return total
@@ -273,20 +299,20 @@ func (ix *Index) Pages() int {
 }
 
 // Truncate removes every tuple but keeps the primary buckets, freeing
-// overflow pages. This is the HR reset (A := ∅, D := ∅) fast path.
+// overflow pages. This is the HR reset (A := ∅, D := ∅) fast path. The
+// chains are walked by their pages' links; no row is decoded.
 func (ix *Index) Truncate() error {
 	for _, bpn := range ix.buckets {
 		fr, err := ix.pool.Get(ix.file, bpn)
 		if err != nil {
 			return err
 		}
-		n, err := chainPages.DecodePage(fr.Data)
+		next, hasNext, err := chainPages.Link(fr.Data)
 		if err != nil {
 			ix.pool.Release(fr)
 			return err
 		}
 		overflow := []storage.PageNum{}
-		next, hasNext := n.Next, n.HasNext
 		ix.encodeNode(fr, &node{})
 		fr.MarkDirty()
 		if err := ix.pool.Release(fr); err != nil {
@@ -295,12 +321,9 @@ func (ix *Index) Truncate() error {
 		for hasNext {
 			overflow = append(overflow, next)
 			if err := ix.pool.Read(ix.file, next, func(page []byte) error {
-				on, err := chainPages.DecodePage(page)
-				if err != nil {
-					return err
-				}
-				next, hasNext = on.Next, on.HasNext
-				return nil
+				var err error
+				next, hasNext, err = chainPages.Link(page)
+				return err
 			}); err != nil {
 				return err
 			}

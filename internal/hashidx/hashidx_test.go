@@ -1,8 +1,10 @@
 package hashidx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -321,6 +323,79 @@ func TestPropertyMatchesModel(t *testing.T) {
 	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestChainEditAllocations pins what one chain page edit or point read
+// allocates on a warm index — an insert, a delete and a Get, none of them
+// growing a chain: the edit decodes the page onto lanes the index
+// reuses, splices one row and encodes the lanes back, and a Get boxes the
+// one row it returns. An edit that boxed the whole page again
+// would show here: while pages decoded to tuples and a Get cloned every
+// key match, the three allocated 14, 28 and 13 objects. The bounds are
+// today's counts: they may fall, and must not rise.
+func TestChainEditAllocations(t *testing.T) {
+	ix, _ := newTestIndex(t, 1024, 64, 16)
+	for i := int64(0); i < 200; i++ {
+		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := ix.Pages()
+	// Eleven rows of key 7 (AllocsPerRun's warm-up and ten runs) fit on
+	// its bucket's page beside its rows.
+	ins, del := uint64(100000), uint64(100000)
+	for _, op := range []struct {
+		name      string
+		max, race float64 // the race detector's count, which wanders by one
+		run       func() error
+	}{
+		{"insert", 6, 12, func() error { ins++; return ix.Insert(mk(ins, 7)) }},
+		{"get", 10, 14, func() error {
+			if _, ok, err := ix.Get(tuple.I(7), 100005); err != nil || !ok {
+				return fmt.Errorf("row 100005: %v, %v", ok, err)
+			}
+			return nil
+		}},
+		{"delete", 7, 11, func() error {
+			del++
+			if _, ok, err := ix.Delete(tuple.I(7), del); err != nil || !ok {
+				return fmt.Errorf("row %d: %v, %v", del, ok, err)
+			}
+			return nil
+		}},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := op.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		max := op.max
+		if raceEnabled() {
+			max = op.race
+		}
+		t.Logf("%.0f allocations a chain page %s (race detector: %v)", allocs, op.name, raceEnabled())
+		if allocs > max {
+			t.Errorf("a chain page %s allocated %.0f objects, want at most %.0f", op.name, allocs, max)
+		}
+	}
+	if got := ix.Pages(); got != pages {
+		t.Fatalf("the edits grew a chain: %d pages, then %d", pages, got)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation moves stack buffers to the heap.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 func BenchmarkInsert(b *testing.B) {

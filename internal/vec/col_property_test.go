@@ -302,6 +302,45 @@ func TestColTruncateAndReset(t *testing.T) {
 	checkCol(t, u, []tuple.Value{tuple.I(0), tuple.I(1), tuple.I(9)})
 }
 
+// Insert and Delete are a data page edit's one-row splices: after any
+// sequence of them, on a column built by any append path, the column
+// reads as the same splices of a plain []tuple.Value, and CompareCells
+// orders its cells as tuple.Compare orders their values.
+func TestColInsertDeleteMatchesSlice(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(12)
+		ref := cellsChangingAt(rng, n, rng.Intn(n+1), tuple.Type(rng.Intn(3)), tuple.Type(rng.Intn(3)))
+		c := colBuilders[rng.Intn(len(colBuilders))].build(rng, ref)
+		for step := 0; step < 20; step++ {
+			if len(ref) > 0 && rng.Intn(2) == 0 {
+				i := rng.Intn(len(ref))
+				c.Delete(i)
+				ref = append(ref[:i:i], ref[i+1:]...)
+			} else {
+				i, v := rng.Intn(len(ref)+1), cellOf(rng, tuple.Type(rng.Intn(3)))
+				c.Insert(i, v)
+				ref = append(ref[:i:i], append([]tuple.Value{v}, ref[i:]...)...)
+			}
+			checkColLoose(t, c, ref)
+			if typ, ok := c.Uniform(); ok {
+				for i, v := range ref {
+					if v.Type() != typ {
+						t.Fatalf("seed %d: Uniform says %v, cell %d is %v", seed, typ, i, v)
+					}
+				}
+			}
+			for i := range ref {
+				for j := range ref {
+					if got, want := c.CompareCells(i, j), tuple.Compare(ref[i], ref[j]); got != want {
+						t.Fatalf("seed %d: CompareCells(%d, %d) = %d, want %d (%v vs %v)", seed, i, j, got, want, ref[i], ref[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // checkColLoose is checkCol without the Uniform expectation, for
 // columns that stay widened after the odd cell was truncated away.
 func checkColLoose(t *testing.T, c *Col, ref []tuple.Value) {

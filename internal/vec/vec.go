@@ -8,9 +8,11 @@
 package vec
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"viewmat/internal/tuple"
@@ -200,6 +202,44 @@ func (c *Col) appendCell(src *Col, i int) {
 	}
 }
 
+// Insert puts v in as cell i, moving the cells from i on up one: a
+// one-row splice, widening as Append does.
+func (c *Col) Insert(i int, v tuple.Value) {
+	c.Append(v)
+	moveLast(c.tags, i, c.n)
+	moveLast(c.Ints, i, c.n)
+	moveLast(c.Floats, i, c.n)
+	moveLast(c.Bytes, i, c.n)
+}
+
+// moveLast moves the last of n entries of s to index i, shifting the
+// rest up — when s is a live lane, one entry a cell.
+func moveLast[T any](s []T, i, n int) {
+	if len(s) == n {
+		last := s[n-1]
+		copy(s[i+1:], s[i:n-1])
+		s[i] = last
+	}
+}
+
+// Delete removes cell i, moving the cells after it down one. A widened
+// column stays widened.
+func (c *Col) Delete(i int) {
+	c.tags = deleteAt(c.tags, i, c.n)
+	c.Ints = deleteAt(c.Ints, i, c.n)
+	c.Floats = deleteAt(c.Floats, i, c.n)
+	c.Bytes = deleteAt(c.Bytes, i, c.n)
+	c.n--
+}
+
+// deleteAt removes entry i of s when s is a live lane of n entries.
+func deleteAt[T any](s []T, i, n int) []T {
+	if len(s) == n {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
 // Truncate drops every cell from n on, keeping the lanes' capacity.
 func (c *Col) Truncate(n int) {
 	if c.tags != nil {
@@ -257,6 +297,20 @@ func (c *Col) Compare(i int, v tuple.Value) int {
 		return 1
 	}
 	return 0
+}
+
+// CompareCells orders cell i against cell j as tuple.Compare orders
+// their values.
+func (c *Col) CompareCells(i, j int) int {
+	switch t, u := c.Tag(i), c.Tag(j); {
+	case t != u:
+		return cmp.Compare(t, u)
+	case t == tuple.Int:
+		return cmp.Compare(c.Ints[i], c.Ints[j])
+	case t == tuple.Float:
+		return tuple.CompareFloat(c.Floats[i], c.Floats[j])
+	}
+	return bytes.Compare(c.Bytes[i], c.Bytes[j])
 }
 
 // Float64 converts cell i with tuple.Value.AsFloat semantics (strings
@@ -581,11 +635,17 @@ func (b *Batch) TupleAt(s, i int) tuple.Tuple {
 	if !b.slotSet[s] {
 		return tuple.Tuple{}
 	}
-	t := tuple.Tuple{ID: b.IDs[s][i]}
-	if len(b.Slots[s]) > 0 {
-		t.Vals = make([]tuple.Value, len(b.Slots[s]))
-		for c := range b.Slots[s] {
-			t.Vals[c] = b.Slots[s][c].Value(i)
+	return Row(b.IDs[s], b.Slots[s], i)
+}
+
+// Row boxes row i of an id lane and its columns as a tuple, its values
+// copied out of the lanes.
+func Row(ids []uint64, cols []Col, i int) tuple.Tuple {
+	t := tuple.Tuple{ID: ids[i]}
+	if len(cols) > 0 {
+		t.Vals = make([]tuple.Value, len(cols))
+		for c := range cols {
+			t.Vals[c] = cols[c].Value(i)
 		}
 	}
 	return t
