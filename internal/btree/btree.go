@@ -900,7 +900,7 @@ func (it *BatchIterator) reserve(b *vec.Batch, max int) error {
 		if it.rg.Hi != nil && pastHi(it.rg, tuple.Compare(z.Cols[it.tree.keyCol].Min, *it.rg.Hi)) {
 			break
 		}
-		rows += z.Rows
+		rows += z.N
 		if !e.HasNext {
 			break
 		}

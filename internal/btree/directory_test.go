@@ -85,7 +85,7 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	for pn := storage.PageNum(0); pn < tr.file.Extent(); pn++ {
 		_ = tr.file.View(pn, func(page []byte) error {
 			var z colpage.Zones
-			if page[0] == byte(leafPages) && colpage.ReadZones(page[colpage.DataPageHeader:], &z) == nil && z.Rows > 0 && !z.Cols[1].Present {
+			if page[0] == byte(leafPages) && colpage.ReadZones(page[colpage.DataPageHeader:], &z) == nil && z.N > 0 && !z.Cols[1].Present {
 				zoneless++
 			}
 			return nil

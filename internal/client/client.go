@@ -171,7 +171,10 @@ func (c *Client) QueryViewPlan(name string, rg *pred.Range, plan int) ([][]tuple
 		Op: proto.OpQueryView, Name: name,
 		Range: rg, Plan: plan,
 	}, proto.BodyRows)
-	return resp.Rows, err
+	if err != nil {
+		return nil, err
+	}
+	return core.GatherRows(*resp.Lanes, func(vals []tuple.Value) []tuple.Value { return vals }), nil
 }
 
 // QueryAggregate reads an aggregate view's value; ok is false when the

@@ -28,7 +28,7 @@
 // chain page share, with the chunk as its payload — is datapage.go. The
 // value lanes double as the wire form of a query answer: rows.go strings
 // them, without id lane or footer, into a row set that internal/proto
-// ships and decodes straight to tuple.Values.
+// ships and decodes back onto lanes with the same lane decoder.
 //
 // Every decode path is bounds-checked: corrupt or truncated chunks
 // return errors, never panic (see FuzzColPageCodec).
@@ -84,10 +84,10 @@ type ColZone struct {
 	Min, Max tuple.Value
 }
 
-// Zones is a chunk's footer: row count plus per-column zone maps,
+// Zones is a chunk's footer: row count N plus per-column zone maps,
 // decodable without touching the value lanes.
 type Zones struct {
-	Rows int
+	N    int
 	Cols []ColZone
 }
 
@@ -106,7 +106,7 @@ type Atom struct {
 // row of the page — i.e. the page can be skipped without reading it. A
 // column without a stored zone never prunes.
 func (z *Zones) Prunable(atoms []Atom) bool {
-	if z.Rows == 0 {
+	if z.N == 0 {
 		return false // empty pages carry chain links; let the scan read them
 	}
 	for _, a := range atoms {
@@ -196,7 +196,7 @@ func appendChunk(dst []byte, l *Lanes, rows, cols int, z *Zones, zones bool) []b
 	if z != nil {
 		// Growing keeps the zones already held, whose string bounds keep
 		// may reuse.
-		z.Rows, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
+		z.N, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
 	}
 	for c := range cols {
 		lo, hi := -1, -1 // absent
@@ -551,7 +551,7 @@ func ReadZones(chunk []byte, z *Zones) error {
 	if cols > len(chunk)-footOff { // a zone is at least its flags byte
 		return fmt.Errorf("colpage: truncated zone %d", len(chunk)-footOff)
 	}
-	z.Rows, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
+	z.N, z.Cols = rows, slices.Grow(z.Cols[:0], cols)[:cols]
 	off := footOff
 	for c := range z.Cols {
 		if off >= len(chunk) {
@@ -674,7 +674,7 @@ func (l *lane) locate(body []byte, off, rows int) (int, error) {
 		}
 	case encBytesRaw:
 		var err error
-		if off, _, err = scanStrings(body, off, rows); err != nil {
+		if off, err = scanStrings(body, off, rows); err != nil {
 			return 0, err
 		}
 	case encBytesDict:
@@ -686,7 +686,7 @@ func (l *lane) locate(body []byte, off, rows int) (int, error) {
 		if l.n > maxDict {
 			return 0, fmt.Errorf("dict of %d entries", l.n)
 		}
-		end, _, err := scanStrings(body, l.off, l.n)
+		end, err := scanStrings(body, l.off, l.n)
 		if err != nil {
 			return 0, err
 		}
@@ -882,6 +882,23 @@ func gatherFOR[T int64 | uint64](dst []T, src []byte, ref uint64, w int, sel []i
 }
 
 // --- little helpers ------------------------------------------------------
+
+// scanStrings walks n [4 len][bytes] strings starting at off, returning
+// the offset just past the last.
+func scanStrings(body []byte, off, n int) (int, error) {
+	for i := 0; i < n; i++ {
+		if off+4 > len(body) {
+			return 0, fmt.Errorf("truncated string length %d", i)
+		}
+		l := int(binary.BigEndian.Uint32(body[off:]))
+		off += 4
+		if off+l > len(body) {
+			return 0, fmt.Errorf("truncated string %d", i)
+		}
+		off += l
+	}
+	return off, nil
+}
 
 // bytesFor returns the minimal byte width representing v (0 for 0).
 func bytesFor(v uint64) int {

@@ -219,8 +219,8 @@ func TestZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.Rows != 3 || len(z.Cols) != 3 {
-		t.Fatalf("zones %d rows %d cols", z.Rows, len(z.Cols))
+	if z.N != 3 || len(z.Cols) != 3 {
+		t.Fatalf("zones %d rows %d cols", z.N, len(z.Cols))
 	}
 	if !z.Cols[0].Present || z.Cols[0].Min.Int() != 10 || z.Cols[0].Max.Int() != 30 {
 		t.Fatalf("int zone = %+v", z.Cols[0])
@@ -238,7 +238,7 @@ func TestZones(t *testing.T) {
 }
 
 func TestPrunable(t *testing.T) {
-	z := &Zones{Rows: 5, Cols: []ColZone{{Present: true, Min: tuple.I(10), Max: tuple.I(20)}}}
+	z := &Zones{N: 5, Cols: []ColZone{{Present: true, Min: tuple.I(10), Max: tuple.I(20)}}}
 	cases := []struct {
 		op   pred.Op
 		val  int64
@@ -257,7 +257,7 @@ func TestPrunable(t *testing.T) {
 		}
 	}
 	// Single-value zone disproves Ne.
-	point := &Zones{Rows: 5, Cols: []ColZone{{Present: true, Min: tuple.I(7), Max: tuple.I(7)}}}
+	point := &Zones{N: 5, Cols: []ColZone{{Present: true, Min: tuple.I(7), Max: tuple.I(7)}}}
 	if !point.Prunable([]Atom{{Col: 0, Op: pred.Ne, Val: tuple.I(7)}}) {
 		t.Error("point zone did not disprove Ne")
 	}
@@ -266,7 +266,7 @@ func TestPrunable(t *testing.T) {
 		t.Error("conjunction with one disproved atom did not prune")
 	}
 	// Empty pages and out-of-range columns never prune.
-	empty := &Zones{Rows: 0, Cols: []ColZone{{Present: true, Min: tuple.I(0), Max: tuple.I(0)}}}
+	empty := &Zones{N: 0, Cols: []ColZone{{Present: true, Min: tuple.I(0), Max: tuple.I(0)}}}
 	if empty.Prunable([]Atom{{Col: 0, Op: pred.Eq, Val: tuple.I(9)}}) {
 		t.Error("empty page pruned")
 	}
@@ -354,7 +354,7 @@ func zoneReuse(chunk []byte) error {
 
 // zoneBytes is the equality form of zones (bit-exact for NaN bounds).
 func zoneBytes(z *Zones) []byte {
-	out := binary.BigEndian.AppendUint64(nil, uint64(z.Rows))
+	out := binary.BigEndian.AppendUint64(nil, uint64(z.N))
 	out = binary.BigEndian.AppendUint64(out, uint64(len(z.Cols)))
 	for _, cz := range z.Cols {
 		if cz.Present {
@@ -454,14 +454,14 @@ func FuzzColPageCodec(f *testing.F) {
 		if err := checkSelected(data); err != nil {
 			t.Fatal(err)
 		}
-		// The row-set decoder accepts exactly the lanes the chunk decoder
-		// accepts, and reads them to the same values. (A row set has no
-		// way to say "no rows, some columns".)
+		// The row-set decode (DecodeLanes) accepts exactly the lanes the
+		// chunk decode (DecodeInto) accepts, and reads them to the same
+		// values. (A row set has no way to say "no rows, some columns".)
 		if rows, cols, footOff, err := header(data); err == nil && rows*cols <= 1<<20 && (rows > 0 || cols == 0) {
 			if off, err := (&lane{}).locateFOR(data[:footOff], chunkHeader, rows); err == nil {
 				set := binary.BigEndian.AppendUint32(nil, uint32(rows))
 				set = binary.BigEndian.AppendUint16(set, uint16(cols))
-				vals, verr := DecodeRows(append(set, data[off:footOff]...), 1<<20)
+				vals, verr := decodeSet(append(set, data[off:footOff]...), 1<<20)
 				if (verr == nil) != (terr == nil) {
 					t.Fatalf("chunk decoder: %v; row-set decoder on the same lanes: %v", terr, verr)
 				}

@@ -183,7 +183,7 @@ func (e *DirEntry) same(o *DirEntry) bool {
 	if e.kind != entryCol {
 		return true
 	}
-	return e.zones.Rows == o.zones.Rows && slices.EqualFunc(e.zones.Cols, o.zones.Cols, func(a, b ColZone) bool {
+	return e.zones.N == o.zones.N && slices.EqualFunc(e.zones.Cols, o.zones.Cols, func(a, b ColZone) bool {
 		return a.Present == b.Present && (!a.Present || tuple.Equal(a.Min, b.Min) && tuple.Equal(a.Max, b.Max))
 	})
 }

@@ -66,19 +66,23 @@ type Answer struct {
 	Cols []vec.Col
 }
 
-// Rows gathers the answer into rows, each row's values carved out of one
-// flat array filled column by column.
+// Rows gathers the answer into ResultRows (GatherRows).
 func (a Answer) Rows() []ResultRow {
+	return GatherRows(a, func(vals []tuple.Value) ResultRow { return ResultRow{Vals: vals} })
+}
+
+// GatherRows gathers an answer into rows, each row's values carved out
+// of one flat array filled column by column and handed to row: the one
+// row gather of an answer, the engine's and a client's.
+func GatherRows[R any](a Answer, row func([]tuple.Value) R) []R {
 	w := len(a.Cols)
 	flat := make([]tuple.Value, a.N*w)
 	for c := 0; c < w && a.N > 0; c++ {
 		a.Cols[c].GatherValues(flat[c:], w, nil)
 	}
-	out := make([]ResultRow, a.N)
+	out := make([]R, a.N)
 	for i := range out {
-		if w > 0 {
-			out[i].Vals = flat[i*w : (i+1)*w : (i+1)*w]
-		}
+		out[i] = row(flat[i*w : (i+1)*w : (i+1)*w])
 	}
 	return out
 }

@@ -42,9 +42,8 @@ func WriteRequest(w io.Writer, req *Request) error {
 // is written.
 func WriteResponse(w io.Writer, resp *Response) error {
 	// Room for two-byte cells; append grows it for wider ones.
-	rows, cols := resp.answerShape()
-	size := 256 + 2*rows*cols
-	payload, err := encode(size, resp, codeResponse)
+	a := resp.answer()
+	payload, err := encode(256+2*a.N*len(a.Cols), resp, codeResponse)
 	if err != nil {
 		return fmt.Errorf("proto: encoding response: %w", err)
 	}
@@ -164,16 +163,16 @@ func codeBody(c *tuple.Coder, resp *Response) {
 		if c.Decoding() {
 			var src []byte
 			c.Rest(&src)
-			rows, err := colpage.DecodeRows(src, maxCells)
-			if resp.Rows = rows; err != nil {
+			a := new(core.Answer)
+			var err error
+			if a.N, a.Cols, err = colpage.DecodeLanes(src, maxCells); err != nil {
 				c.Fail("%v", err)
 			}
-		} else if rows, cols := resp.answerShape(); rows*max(cols, 1) > maxCells {
-			c.Fail("%w: result of %d rows × %d columns exceeds %d cells", frame.ErrTooLarge, rows, cols, maxCells)
-		} else if resp.Lanes != nil {
-			c.Append(func(b []byte) ([]byte, error) { return colpage.AppendLanes(b, resp.Lanes.N, resp.Lanes.Cols) })
+			resp.Lanes = a
+		} else if a := resp.answer(); a.N*max(len(a.Cols), 1) > maxCells {
+			c.Fail("%w: result of %d rows × %d columns exceeds %d cells", frame.ErrTooLarge, a.N, len(a.Cols), maxCells)
 		} else {
-			c.Append(func(b []byte) ([]byte, error) { return colpage.AppendRows(b, resp.Rows) })
+			c.Append(func(b []byte) ([]byte, error) { return colpage.AppendLanes(b, a.N, a.Cols) })
 		}
 	case BodyAgg:
 		c.Bool(&resp.AggOK)
@@ -197,16 +196,13 @@ func codeBody(c *tuple.Coder, resp *Response) {
 	}
 }
 
-// answerShape is the rows × columns of the query answer the encoder
-// writes: Lanes when set, else Rows.
-func (resp *Response) answerShape() (rows, cols int) {
-	switch {
-	case resp.Lanes != nil:
-		return resp.Lanes.N, len(resp.Lanes.Cols)
-	case len(resp.Rows) > 0:
-		return len(resp.Rows), len(resp.Rows[0])
+// answer is the query answer the encoder writes: Lanes, or the empty
+// answer when Lanes is nil.
+func (resp *Response) answer() core.Answer {
+	if resp.Lanes == nil {
+		return core.Answer{}
 	}
-	return 0, 0
+	return *resp.Lanes
 }
 
 // codeHealth walks a Health answer: six 8-byte ints (relations, views,

@@ -181,7 +181,8 @@ const (
 	BodyNone Body = iota
 	// BodyIDs carries IDs (OpCommit).
 	BodyIDs
-	// BodyRows carries Rows (OpQueryView).
+	// BodyRows carries Lanes, a query answer as a colpage row set
+	// (OpQueryView).
 	BodyRows
 	// BodyAgg carries Agg and AggOK (OpQueryAggregate).
 	BodyAgg
@@ -207,15 +208,9 @@ type Response struct {
 	// update op, in op order.
 	IDs []uint64
 
-	// Rows is OpQueryView's result as rows: what the decoder builds, each
-	// row slicing one flat value array, and what a caller holding rows
-	// hands the encoder.
-	Rows [][]tuple.Value
-
-	// Lanes, when non-nil, is OpQueryView's result as the engine answers
-	// it, in column lanes; the encoder writes it in place of Rows, to the
-	// same bytes the same rows in Rows would make. Only the encoder reads
-	// it.
+	// Lanes is OpQueryView's result in column lanes, as the engine
+	// answers it: what the encoder writes (nil is the empty answer) and
+	// what the decoder fills, one dense column per output column.
 	Lanes *core.Answer
 
 	// Agg and AggOK are OpQueryAggregate's result (AggOK false = the

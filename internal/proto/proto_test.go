@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 func encodeRequest(t testing.TB, req *Request) []byte {
@@ -46,6 +49,26 @@ func framed(t testing.TB, payload []byte) []byte {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// answer is rows, which share an arity, as the column lanes a query
+// answer travels in, built cell by cell.
+func answer(rows ...[]tuple.Value) *core.Answer {
+	a := &core.Answer{N: len(rows), Cols: []vec.Col{}}
+	if len(rows) > 0 {
+		a.Cols = make([]vec.Col, len(rows[0]))
+	}
+	for _, r := range rows {
+		for c, v := range r {
+			a.Cols[c].Append(v)
+		}
+	}
+	return a
+}
+
+// gatherRows is a decoded answer gathered to rows, as the client does.
+func gatherRows(resp *Response) [][]tuple.Value {
+	return core.GatherRows(*resp.Lanes, func(vals []tuple.Value) []tuple.Value { return vals })
 }
 
 func joinDef() core.Def {
@@ -131,8 +154,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Code: CodeShutdown, Err: ""},
 		{Code: CodeOK, Body: BodyIDs, IDs: []uint64{3, 9, math.MaxUint64}},
 		{Code: CodeOK, Body: BodyIDs},
-		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.I(1), tuple.S("a")}, {tuple.I(2), tuple.S("")}}},
-		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{}},
+		{Code: CodeOK, Body: BodyRows, Lanes: answer([]tuple.Value{tuple.I(1), tuple.S("a")}, []tuple.Value{tuple.I(2), tuple.S("")})},
+		{Code: CodeOK, Body: BodyRows, Lanes: answer()},
 		{Code: CodeOK, Body: BodyAgg, Agg: -2.5, AggOK: true},
 		{Code: CodeOK, Body: BodyAgg},
 		{Code: CodeOK, Body: BodyHealth, Health: &core.Health{Relations: 2, Views: 3, Durable: true, RefreshWaiters: 7}},
@@ -209,7 +232,8 @@ func TestReadRequestRejectsGarbagePayload(t *testing.T) {
 		}
 	}
 
-	rows, err := colpage.AppendRows(nil, [][]tuple.Value{{tuple.I(1)}, {tuple.I(300)}})
+	one := answer([]tuple.Value{tuple.I(1)}, []tuple.Value{tuple.I(300)})
+	rows, err := colpage.AppendLanes(nil, one.N, one.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +293,7 @@ func TestEncodeRejectsUnknownKinds(t *testing.T) {
 		{Code: CodeShutdown + 1},
 		{Code: CodeOK, Body: BodyFlips + 1},
 		{Code: CodeOK, Body: BodyHealth},
-		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.I(1)}, {}}},
+		{Code: CodeOK, Body: BodyRows, Lanes: answer([]tuple.Value{tuple.I(1)}, []tuple.Value{})}, // ragged
 	} {
 		if err := WriteResponse(&sink, resp); err == nil {
 			t.Errorf("WriteResponse(%+v) succeeded", resp)
@@ -285,15 +309,12 @@ func TestEncodeRejectsUnknownKinds(t *testing.T) {
 // bytes or the cell count that is over.
 func TestOversizeResponseIsTooLarge(t *testing.T) {
 	var sink bytes.Buffer
-	big := &Response{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.S(strings.Repeat("x", MaxFrame))}}}
+	big := &Response{Code: CodeOK, Body: BodyRows, Lanes: answer([]tuple.Value{tuple.S(strings.Repeat("x", MaxFrame))})}
 	if err := WriteResponse(&sink, big); !errors.Is(err, frame.ErrTooLarge) {
 		t.Errorf("over-cap string cell: err = %v, want frame.ErrTooLarge", err)
 	}
-	wide := &Response{Code: CodeOK, Body: BodyRows, Rows: make([][]tuple.Value, maxCells+1)}
-	one := []tuple.Value{tuple.I(1)}
-	for i := range wide.Rows {
-		wide.Rows[i] = one
-	}
+	wide := &Response{Code: CodeOK, Body: BodyRows, Lanes: &core.Answer{N: maxCells + 1, Cols: make([]vec.Col, 1)}}
+	wide.Lanes.Cols[0].GrowInts(maxCells + 1)
 	if err := WriteResponse(&sink, wide); !errors.Is(err, frame.ErrTooLarge) {
 		t.Errorf("over-cap cell count: err = %v, want frame.ErrTooLarge", err)
 	}
@@ -355,20 +376,21 @@ func TestRowsBoundaries(t *testing.T) {
 			if runs := (len(tc.rows) + colpage.MaxChunkRows - 1) / colpage.MaxChunkRows; runs != tc.runs {
 				t.Fatalf("case needs %d runs, table says %d", runs, tc.runs)
 			}
-			got, err := ReadResponse(bytes.NewReader(encodeResponse(t, &Response{Code: CodeOK, Body: BodyRows, Rows: tc.rows})))
+			resp, err := ReadResponse(bytes.NewReader(encodeResponse(t, &Response{Code: CodeOK, Body: BodyRows, Lanes: answer(tc.rows...)})))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Rows) != len(tc.rows) {
-				t.Fatalf("%d rows came back, want %d", len(got.Rows), len(tc.rows))
+			got := gatherRows(resp)
+			if len(got) != len(tc.rows) {
+				t.Fatalf("%d rows came back, want %d", len(got), len(tc.rows))
 			}
 			for i, want := range tc.rows {
-				if len(got.Rows[i]) != len(want) {
-					t.Fatalf("row %d has %d cells, want %d", i, len(got.Rows[i]), len(want))
+				if len(got[i]) != len(want) {
+					t.Fatalf("row %d has %d cells, want %d", i, len(got[i]), len(want))
 				}
 				for c := range want {
-					if g, w := tuple.AppendValue(nil, got.Rows[i][c]), tuple.AppendValue(nil, want[c]); !bytes.Equal(g, w) {
-						t.Fatalf("row %d column %d: got %v (%x), want %v (%x)", i, c, got.Rows[i][c], g, want[c], w)
+					if g, w := tuple.AppendValue(nil, got[i][c]), tuple.AppendValue(nil, want[c]); !bytes.Equal(g, w) {
+						t.Fatalf("row %d column %d: got %v (%x), want %v (%x)", i, c, got[i][c], g, want[c], w)
 					}
 				}
 			}
@@ -384,11 +406,12 @@ func benchMessages() (query *Request, rows *Response, commit *Request, ids *Resp
 	const n, lo = 100000, 4000
 	query = &Request{Op: OpQueryView, Name: "v1", Plan: -1,
 		Range: pred.NewRange(tuple.I(lo), tuple.I(lo+1000), true, false)}
-	rows = &Response{Code: CodeOK, Body: BodyRows, Rows: make([][]tuple.Value, 1000)}
-	for i := range rows.Rows {
+	vals := make([][]tuple.Value, 1000)
+	for i := range vals {
 		k := int64(lo + i)
-		rows.Rows[i] = []tuple.Value{tuple.I(k), tuple.I(1000 + k%1000)}
+		vals[i] = []tuple.Value{tuple.I(k), tuple.I(1000 + k%1000)}
 	}
+	rows = &Response{Code: CodeOK, Body: BodyRows, Lanes: answer(vals...)}
 	commit = &Request{Op: OpCommit}
 	ids = &Response{Code: CodeOK, Body: BodyIDs}
 	for i := 0; i < 4; i++ {
@@ -427,8 +450,68 @@ func TestWireSizes(t *testing.T) {
 
 var benchSink any
 
+// raceBuild reports whether the test binary runs under the race
+// detector, whose instrumentation moves stack buffers to the heap.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestReadRowsAllocations pins what a client's read of the benchmark's
+// 1000-row answer allocates once the frame is in: the row-set decode
+// onto lanes and the gather to rows (BenchmarkCodec's rows/decode).
+// While the decoder built the rows itself, without lanes, a read took
+// 6 objects and 111 KB by BenchmarkCodec (7 and 108 KiB by this test,
+// race detector or not); decoded onto lanes and gathered, 11 and 124.5
+// KiB (13 and 140.5 KiB under the race detector): the two int lanes.
+func TestReadRowsAllocations(t *testing.T) {
+	_, rows, _, _ := benchMessages()
+	frame := encodeResponse(t, rows)
+	src := bytes.NewReader(frame)
+	read := func() {
+		src.Reset(frame)
+		resp, err := ReadResponse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := gatherRows(resp)
+		if len(got) != 1000 {
+			t.Fatalf("%d rows came back, want 1000", len(got))
+		}
+		benchSink = got
+	}
+	allocs := testing.AllocsPerRun(20, read)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("%.0f allocations, %.1f KiB a decoded and gathered 1000-row answer (race detector: %v)", allocs, kib, raceBuild())
+	maxAllocs, maxKiB := 11.0, 125.0
+	if raceBuild() {
+		maxAllocs, maxKiB = 13, 141
+	}
+	if allocs > maxAllocs {
+		t.Errorf("a read allocated %.0f objects, want at most %.0f", allocs, maxAllocs)
+	}
+	if kib > maxKiB {
+		t.Errorf("a read allocated %.1f KiB, want at most %.0f", kib, maxKiB)
+	}
+}
+
 // BenchmarkCodec times encode and decode of the benchmark's four hot
-// messages; allocs/op repeat exactly.
+// messages; allocs/op repeat exactly. The answer is encoded from lanes,
+// as the server holds it, and decoded to rows, as the client hands it
+// out.
 func BenchmarkCodec(b *testing.B) {
 	query, rows, commit, ids := benchMessages()
 	for _, m := range []struct {
@@ -471,7 +554,10 @@ func BenchmarkCodec(b *testing.B) {
 				if m.req != nil {
 					benchSink, err = ReadRequest(src)
 				} else {
-					benchSink, err = ReadResponse(src)
+					var resp *Response
+					if resp, err = ReadResponse(src); err == nil && resp.Lanes != nil {
+						benchSink = gatherRows(resp)
+					}
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -491,9 +577,12 @@ func FuzzProtoCodec(f *testing.F) {
 		{Op: OpCreateRelHash, Name: "r", Schema: tuple.NewSchema(tuple.Col("k", tuple.Int)), Buckets: 8}} {
 		f.Add(encodeRequest(f, req)[frame.HeaderSize:])
 	}
-	rows.Rows = rows.Rows[:40]
+	for c := range rows.Lanes.Cols {
+		rows.Lanes.Cols[c].Truncate(40)
+	}
+	rows.Lanes.N = 40
 	for _, resp := range []*Response{rows, ids, {Code: CodeBusy, Err: "busy"}, {Code: CodeOK, Body: BodyAgg, Agg: math.NaN()},
-		{Code: CodeOK, Body: BodyRows, Rows: [][]tuple.Value{{tuple.S("a"), tuple.F(1)}, {tuple.S("a"), tuple.I(2)}}},
+		{Code: CodeOK, Body: BodyRows, Lanes: answer([]tuple.Value{tuple.S("a"), tuple.F(1)}, []tuple.Value{tuple.S("a"), tuple.I(2)})},
 		{Code: CodeOK, Body: BodyHealth, Health: &core.Health{Views: 1, Durable: true, Meter: storage.Stats{Reads: 9}}},
 		{Code: CodeOK, Body: BodyAdvisor, Advisor: []core.AdvisorViewStat{{View: "v", Strategy: "deferred",
 			Params: costmodel.Default(), Costs: map[string]float64{"deferred": 1, "immediate": math.NaN()}, Best: "deferred"}}},

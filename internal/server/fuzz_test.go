@@ -14,6 +14,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/proto"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // fuzzSeedFrames builds representative inputs, hostile first: a valid
@@ -40,8 +41,12 @@ func fuzzSeedFrames(t testing.TB) [][]byte {
 	binary.LittleEndian.PutUint32(huge, 1<<31)
 
 	var answer bytes.Buffer
-	rows := [][]tuple.Value{{tuple.I(1), tuple.S("a")}, {tuple.I(2), tuple.S("b")}}
-	if err := proto.WriteResponse(&answer, &proto.Response{Code: proto.CodeOK, Body: proto.BodyRows, Rows: rows}); err != nil {
+	rows := &core.Answer{N: 2, Cols: make([]vec.Col, 2)}
+	for i, s := range []string{"a", "b"} {
+		rows.Cols[0].Append(tuple.I(int64(i + 1)))
+		rows.Cols[1].Append(tuple.S(s))
+	}
+	if err := proto.WriteResponse(&answer, &proto.Response{Code: proto.CodeOK, Body: proto.BodyRows, Lanes: rows}); err != nil {
 		t.Fatal(err)
 	}
 	flipped := answer.Bytes()

@@ -94,7 +94,12 @@ func wireRows(t *testing.T, resp *proto.Response) [][]tuple.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return back.Rows
+	return lanesRows(back)
+}
+
+// lanesRows is a decoded answer gathered to rows, as the client does.
+func lanesRows(resp *proto.Response) [][]tuple.Value {
+	return core.GatherRows(*resp.Lanes, func(vals []tuple.Value) []tuple.Value { return vals })
 }
 
 // sameRows reports whether two answers hold the same rows in the same
@@ -281,8 +286,8 @@ func TestServedAnswersMatchQueryView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRows(resp.Rows, resultRowsToVals(ans.Rows())) {
-			t.Fatalf("served %v, the answer's rows %v", resp.Rows, ans.Rows())
+		if got := lanesRows(resp); !sameRows(got, resultRowsToVals(ans.Rows())) {
+			t.Fatalf("served %v, the answer's rows %v", got, ans.Rows())
 		}
 	})
 }

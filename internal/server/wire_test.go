@@ -19,8 +19,7 @@ import (
 // TestOversizeAnswerKeepsConnection: a result too large for one frame
 // used to fail the write, close the socket and leave the client a bare
 // EOF. It is answered CodeError, and the connection serves the next
-// request — whether the result is held as rows or, as the server's
-// handler answers, in lanes.
+// request.
 func TestOversizeAnswerKeepsConnection(t *testing.T) {
 	srv := New(core.NewDatabase(testDBOpts()), Config{})
 	peer, conn := net.Pipe()
@@ -30,36 +29,28 @@ func TestOversizeAnswerKeepsConnection(t *testing.T) {
 	huge := strings.Repeat("x", proto.MaxFrame)
 	lanes := &core.Answer{N: 1, Cols: make([]vec.Col, 1)}
 	lanes.Cols[0].Append(tuple.S(huge))
-	oversize := []*proto.Response{
-		{Code: proto.CodeOK, Body: proto.BodyRows, Rows: [][]tuple.Value{{tuple.S(huge)}}},
-		{Code: proto.CodeOK, Body: proto.BodyRows, Lanes: lanes},
-	}
-	usable := make(chan bool, 2*len(oversize))
+	usable := make(chan bool, 2)
 	go func() {
-		for _, resp := range oversize {
-			usable <- srv.writeResponse(conn, resp)
-			usable <- srv.writeResponse(conn, srv.process(&proto.Request{Op: proto.OpPing}))
-		}
+		usable <- srv.writeResponse(conn, &proto.Response{Code: proto.CodeOK, Body: proto.BodyRows, Lanes: lanes})
+		usable <- srv.writeResponse(conn, srv.process(&proto.Request{Op: proto.OpPing}))
 	}()
 
 	peer.SetDeadline(time.Now().Add(10 * time.Second))
-	for _, held := range []string{"rows", "lanes"} {
-		resp, err := proto.ReadResponse(peer)
-		if err != nil {
-			t.Fatalf("reading the answer to an oversize result in %s: %v", held, err)
-		}
-		if resp.Code != proto.CodeError || !strings.Contains(resp.Err, "16 MiB frame cap") {
-			t.Fatalf("oversize result in %s answered %+v, want CodeError naming the frame cap", held, resp)
-		}
-		if !<-usable {
-			t.Fatalf("writeResponse reported the connection unusable after the result in %s", held)
-		}
-		if resp, err = proto.ReadResponse(peer); err != nil || resp.Code != proto.CodeOK {
-			t.Fatalf("ping on the same connection after the result in %s: %+v, %v", held, resp, err)
-		}
-		if !<-usable {
-			t.Fatalf("writeResponse reported the connection unusable after the ping following %s", held)
-		}
+	resp, err := proto.ReadResponse(peer)
+	if err != nil {
+		t.Fatalf("reading the answer to an oversize result: %v", err)
+	}
+	if resp.Code != proto.CodeError || !strings.Contains(resp.Err, "16 MiB frame cap") {
+		t.Fatalf("oversize result answered %+v, want CodeError naming the frame cap", resp)
+	}
+	if !<-usable {
+		t.Fatal("writeResponse reported the connection unusable after the result")
+	}
+	if resp, err = proto.ReadResponse(peer); err != nil || resp.Code != proto.CodeOK {
+		t.Fatalf("ping on the same connection after the result: %+v, %v", resp, err)
+	}
+	if !<-usable {
+		t.Fatal("writeResponse reported the connection unusable after the ping")
 	}
 }
 
