@@ -47,6 +47,11 @@ type Tree struct {
 	height int      // levels including the leaf level
 	count  int      // live tuples
 	edit   leafNode // the leaf a write is editing, its lanes reused write to write
+
+	// An insert visit's descent: the internal pages it passed, root
+	// first, and its leaf's fence.
+	path  []storage.PageNum
+	fence fence
 }
 
 // key orders leaf entries: by column value, then by tuple id.
@@ -277,10 +282,12 @@ func sepAtMost(src []byte, k *key) (bool, int, error) {
 // route walks an encoded internal page in place and returns the child
 // covering k: the last child whose separator is ≤ k, the first for a nil
 // k. When alt is given, together reports whether alt is covered by that
-// child too. It allocates nothing, and it walks the whole page whatever
-// the probe, making every check decodeInternal makes, so a damaged page
-// fails every descent through it.
-func route(page []byte, k, alt *key) (child storage.PageNum, together bool, err error) {
+// child too. When f is given, route narrows it to that child's range,
+// decoding the separators on either side of it (fence.narrow). Without
+// f it allocates nothing, and either way it walks the whole page
+// whatever the probe, making every check decodeInternal makes, so a
+// damaged page fails every descent through it.
+func route(page []byte, k, alt *key, f *fence) (child storage.PageNum, together bool, err error) {
 	cnt, err := internalChildren(page)
 	if err != nil {
 		return 0, false, err
@@ -289,6 +296,7 @@ func route(page []byte, k, alt *key) (child storage.PageNum, together bool, err 
 	// child after the last of them covers it so far.
 	kOn, altOn := true, alt != nil
 	together = altOn
+	lo, hi := -1, -1 // the offsets of the separators on either side of child
 	off := internalHeader
 	for i := 0; i < cnt; i++ {
 		if i > 0 {
@@ -299,7 +307,14 @@ func route(page []byte, k, alt *key) (child storage.PageNum, together bool, err 
 			if altOn {
 				altOn, _, _ = sepAtMost(page[off:], alt) // the same bytes, checked above
 			}
-			if kOn = kOn && le; kOn != altOn {
+			switch {
+			case kOn && le:
+				lo = off
+			case kOn:
+				hi = off
+				kOn = false
+			}
+			if kOn != altOn {
 				together = false
 			}
 			off += n
@@ -312,7 +327,47 @@ func route(page []byte, k, alt *key) (child storage.PageNum, together bool, err 
 		}
 		off += 4
 	}
-	return child, together, nil
+	if f != nil {
+		err = f.narrow(page, lo, hi)
+	}
+	return child, together, err
+}
+
+// fence is the key range [lo, hi) a leaf covers, read off the separators
+// on either side of it on the way down: every key inside it is routed to
+// that leaf. A missing bound is −∞ (lo) or +∞ (hi).
+type fence struct {
+	lo, hi       key
+	hasLo, hasHi bool
+}
+
+// holds reports whether k lies inside the fence.
+func (f *fence) holds(k key) bool {
+	return (!f.hasLo || !k.less(f.lo)) && (!f.hasHi || k.less(f.hi))
+}
+
+// narrow intersects the fence with [the separator at offset lo, the one
+// at offset hi) of an internal page; −1 is no separator on that side.
+func (f *fence) narrow(page []byte, lo, hi int) error {
+	if lo >= 0 {
+		k, _, err := decodeKey(page[lo:])
+		if err != nil {
+			return err
+		}
+		if !f.hasLo || f.lo.less(k) {
+			f.lo, f.hasLo = k, true
+		}
+	}
+	if hi >= 0 {
+		k, _, err := decodeKey(page[hi:])
+		if err != nil {
+			return err
+		}
+		if !f.hasHi || k.less(f.hi) {
+			f.hi, f.hasHi = k, true
+		}
+	}
+	return nil
 }
 
 // leftmostLeafUncharged descends to the leftmost leaf via unmetered
@@ -327,7 +382,7 @@ func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 				return nil
 			}
 			var err error
-			child, _, err = route(page, nil, nil)
+			child, _, err = route(page, nil, nil, nil)
 			return err
 		})
 		if err != nil {
@@ -365,7 +420,7 @@ func (t *Tree) descend(k, alt *key) (leafPN storage.PageNum, together bool, err 
 			}
 			var same bool
 			var err error
-			child, same, err = route(page, k, alt)
+			child, same, err = route(page, k, alt, nil)
 			together = together && same
 			return err
 		})
@@ -375,6 +430,34 @@ func (t *Tree) descend(k, alt *key) (leafPN storage.PageNum, together bool, err 
 		if leaf {
 			return pn, together, nil
 		}
+		pn = child
+	}
+}
+
+// descendFenced is findLeaf for an insert visit: it notes the internal
+// pages it passes, root first, in t.path, and the leaf's fence in
+// t.fence.
+func (t *Tree) descendFenced(k key) (storage.PageNum, error) {
+	t.path, t.fence = t.path[:0], fence{}
+	pn := t.root
+	for {
+		leaf := false
+		var child storage.PageNum
+		err := t.pool.Read(t.file, pn, func(page []byte) error {
+			if leaf = page[0] == byte(leafPages); leaf {
+				return nil
+			}
+			var err error
+			child, _, err = route(page, &k, nil, &t.fence)
+			return err
+		})
+		if err != nil {
+			return 0, err
+		}
+		if leaf {
+			return pn, nil
+		}
+		t.path = append(t.path, pn)
 		pn = child
 	}
 }
@@ -408,94 +491,136 @@ func leafFind(leaf *leafNode, k key, keyCol int) (int, bool) {
 
 // --- insert --------------------------------------------------------------
 
-// Insert adds a tuple. Duplicate (value, id) pairs are rejected: ids
-// are unique engine-wide, so a collision indicates a bug upstream.
+// Insert adds a tuple: a run of one row (InsertRun). Duplicate (value,
+// id) pairs are rejected: ids are unique engine-wide, so a collision
+// indicates a bug upstream.
 func (t *Tree) Insert(tp tuple.Tuple) error {
-	if !colpage.FitsAlone(tp, t.pool.PageSize()) {
-		return fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), t.pool.PageSize())
-	}
-	k := keyOf(tp, t.keyCol)
-	for placed := false; !placed; {
-		sep, newChild, split, ok, err := t.insertAt(t.root, tp, k)
+	return t.InsertRun([]tuple.Tuple{tp})
+}
+
+// InsertRun inserts tps in order and leaves every page, the leaf
+// directory and the charges exactly as inserting them one at a time
+// would. It works a leaf at a time. A visit descends once, for its first
+// row, noting the internal pages it passes and the leaf's fence (the key
+// range the separators on either side give it, where a descent for any
+// key would end at the same leaf); decodes the leaf once; splices in
+// every following row whose key lies inside the fence; and encodes the
+// leaf once, when a row falls outside the fence or the run ends. A row
+// that overflows the leaf splits it, as it would split it alone, and
+// ends the visit. On an error the rows before the failing one stay
+// inserted, as they would one at a time.
+//
+// Charges stay per row (DESIGN §6). The descents a visit saves would be
+// hits on pages the first one left most recently used, and a visit that
+// places n rows releases its leaf n times, taking it again (a hit) in
+// between, so under write-through each row writes the leaf back, as its
+// own insert would have. This holds while the pool holds a root-to-leaf
+// path; in a pool smaller than the tree is high, every visit takes one
+// row.
+func (t *Tree) InsertRun(tps []tuple.Tuple) error {
+	for len(tps) > 0 {
+		n, err := t.visit(tps)
 		if err != nil {
 			return err
 		}
-		placed = ok
-		if split {
-			// Grow a new root.
-			fr, err := t.pool.Alloc(t.file)
-			if err != nil {
-				return err
-			}
-			root := &internalNode{children: []storage.PageNum{t.root, newChild}, seps: []key{sep}}
-			encodeInternal(fr.Data, root)
-			fr.MarkDirty()
-			rootPN := fr.PageNum() // read before the Release: the frame may be recycled
-			if err := t.pool.Release(fr); err != nil {
-				return err
-			}
-			t.root = rootPN
-			t.height++
-		}
+		tps = tps[n:]
 	}
-	t.count++
 	return nil
 }
 
-// insertAt inserts tp into the subtree rooted at pn and reports the
-// separator and right sibling a split of pn leaves for its parent, and
-// whether tp was placed: a leaf split that could not place it leaves the
-// caller to insert it again (insertLeaf). The way down routes on each
-// internal page in place; only a split decodes one (insertSep).
-func (t *Tree) insertAt(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, right storage.PageNum, split, placed bool, err error) {
-	leaf := false
-	var child storage.PageNum
-	if err := t.pool.Read(t.file, pn, func(page []byte) error {
-		if leaf = page[0] == byte(leafPages); leaf {
-			return nil
-		}
-		var err error
-		child, _, err = route(page, &k, nil)
-		return err
-	}); err != nil {
-		return key{}, 0, false, false, err
+// visit inserts a leading stretch of tps into the leaf the first of them
+// belongs in and returns how many it consumed: the rows it placed, plus
+// none for a row a split left unplaced (the next visit starts with it).
+func (t *Tree) visit(tps []tuple.Tuple) (int, error) {
+	if !colpage.FitsAlone(tps[0], t.pool.PageSize()) {
+		return 0, fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tps[0].EncodedSize(), t.pool.PageSize())
 	}
-	if leaf {
-		return t.insertLeaf(pn, tp, k)
-	}
-	if sep, right, split, placed, err = t.insertAt(child, tp, k); err != nil || !split {
-		return key{}, 0, false, placed, err
-	}
-	sep, right, split, err = t.insertSep(pn, sep, right)
-	return sep, right, split, placed, err
-}
-
-// insertLeaf inserts tp into leaf pn, splitting it when tp does not fit:
-// in the middle, or at the cut nearest it where both halves fit. When no
-// cut does — tp fits beside neither of its neighbours — the leaf splits
-// at tp's place without it, and tp is left unplaced: inserted again, it
-// lands last on the left half, which then splits it off.
-func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, right storage.PageNum, split, placed bool, err error) {
-	fr, err := t.pool.Get(t.file, pn)
+	k := keyOf(tps[0], t.keyCol)
+	leafPN, err := t.descendFenced(k)
 	if err != nil {
-		return key{}, 0, false, false, err
+		return 0, err
+	}
+	fr, err := t.pool.Get(t.file, leafPN)
+	if err != nil {
+		return 0, err
 	}
 	leaf := &t.edit
 	if err := t.decodeLeaf(fr.Data, leaf); err != nil {
 		t.pool.Release(fr)
-		return key{}, 0, false, false, err
+		return 0, err
 	}
-	idx, dup := leafFind(leaf, k, t.keyCol)
-	if dup {
-		t.pool.Release(fr)
-		return key{}, 0, false, false, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
+	alone := t.pool.Capacity() < t.height
+	n := 0 // rows placed
+	for ; n < len(tps); n++ {
+		tp := tps[n]
+		if n > 0 {
+			k = keyOf(tp, t.keyCol)
+			if alone || !t.fence.holds(k) || !colpage.FitsAlone(tp, t.pool.PageSize()) {
+				break // the next visit takes it
+			}
+		}
+		idx, dup := leafFind(leaf, k, t.keyCol)
+		if dup {
+			if n > 0 {
+				break // the next visit reports it
+			}
+			t.pool.Release(fr)
+			return 0, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
+		}
+		leaf.InsertRow(idx, tp)
+		if leaf.Size() <= len(fr.Data) {
+			continue
+		}
+		// tp overflows the leaf. Settle the rows placed before it, so the
+		// split starts from the page their inserts left, then split.
+		if n > 0 {
+			leaf.DeleteRow(idx)
+			if err := t.settle(fr, leafPN, n); err != nil {
+				return n, err
+			}
+			if fr, err = t.pool.Get(t.file, leafPN); err != nil {
+				return n, err
+			}
+			leaf.InsertRow(idx, tp)
+		}
+		placed, err := t.splitLeaf(fr, idx)
+		if placed {
+			n++
+		}
+		return n, err
 	}
-	leaf.InsertRow(idx, tp)
-	if leaf.Size() <= len(fr.Data) {
-		t.encodeLeaf(fr, leaf)
+	return n, t.settle(fr, leafPN, n)
+}
+
+// settle encodes the edited leaf over fr, the pinned frame of page pn,
+// and charges its n ≥ 1 placed rows what n one-row inserts would be
+// charged: it releases the frame dirty n times, taking it again (a hit)
+// in between.
+func (t *Tree) settle(fr *storage.Frame, pn storage.PageNum, n int) error {
+	t.encodeLeaf(fr, &t.edit)
+	t.count += n
+	for i := 1; ; i++ {
 		fr.MarkDirty()
-		return key{}, 0, false, true, t.pool.Release(fr)
+		if err := t.pool.Release(fr); err != nil || i == n {
+			return err
+		}
+		var err error
+		if fr, err = t.pool.Get(t.file, pn); err != nil {
+			return err
+		}
 	}
+}
+
+// splitLeaf splits the edited leaf, one row too many for fr, the pinned
+// frame of its page, after row idx was spliced in: in the middle, or at
+// the cut nearest it where both halves fit. When no cut does — the row
+// fits beside neither of its neighbours — the leaf splits at the row's
+// place without it, and the row is left unplaced: inserted again, it
+// lands last on the left half, which then splits it off. The separator
+// goes up the path descendFenced noted, splitting internal pages in turn
+// and growing a new root when the old one splits.
+func (t *Tree) splitLeaf(fr *storage.Frame, idx int) (placed bool, err error) {
+	leaf := &t.edit
 	mid, placed := splitPoint(&leaf.Lanes, len(fr.Data))
 	if !placed {
 		leaf.DeleteRow(idx)
@@ -505,19 +630,47 @@ func (t *Tree) insertLeaf(pn storage.PageNum, tp tuple.Tuple, k key) (sep key, r
 	rfr, err := t.pool.Alloc(t.file)
 	if err != nil {
 		t.pool.Release(fr)
-		return key{}, 0, false, false, err
+		return false, err
 	}
 	leaf.Next, leaf.HasNext = rfr.PageNum(), true
 	t.encodeLeaf(rfr, sib)
 	rfr.MarkDirty()
 	t.encodeLeaf(fr, leaf)
 	fr.MarkDirty()
-	sep = key{val: sib.Cols[t.keyCol].Value(0), id: sib.IDs[0]}
+	sep, right := key{val: sib.Cols[t.keyCol].Value(0), id: sib.IDs[0]}, leaf.Next
 	if err := t.pool.Release(rfr); err != nil {
 		t.pool.Release(fr)
-		return key{}, 0, false, false, err
+		return false, err
 	}
-	return sep, leaf.Next, true, placed, t.pool.Release(fr)
+	if err := t.pool.Release(fr); err != nil {
+		return false, err
+	}
+	if placed {
+		t.count++
+	}
+	split := true
+	for i := len(t.path) - 1; i >= 0 && split; i-- {
+		if sep, right, split, err = t.insertSep(t.path[i], sep, right); err != nil {
+			return placed, err
+		}
+	}
+	if !split {
+		return placed, nil
+	}
+	// Grow a new root.
+	rootFr, err := t.pool.Alloc(t.file)
+	if err != nil {
+		return placed, err
+	}
+	encodeInternal(rootFr.Data, &internalNode{children: []storage.PageNum{t.root, right}, seps: []key{sep}})
+	rootFr.MarkDirty()
+	rootPN := rootFr.PageNum() // read before the Release: the frame may be recycled
+	if err := t.pool.Release(rootFr); err != nil {
+		return placed, err
+	}
+	t.root = rootPN
+	t.height++
+	return placed, nil
 }
 
 // splitPoint returns where to cut rows, too many for one page of

@@ -513,16 +513,6 @@ func TestPropertyRangeScanAgreesWithFilter(t *testing.T) {
 	}
 }
 
-func BenchmarkInsertSequential(b *testing.B) {
-	tr, _ := newTestTree(b, 4000, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(mk(uint64(i+1), int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGetCold(b *testing.B) {
 	tr, _ := newTestTree(b, 4000, 256)
 	for i := 0; i < 100000; i++ {

@@ -11,9 +11,12 @@ import (
 	"viewmat/internal/tuple"
 )
 
-// FuzzBTree drives random insert/delete/update/range-scan sequences
-// against the tree and checks every observation against a flat
-// slice-and-sort oracle. Keys are drawn from a narrow space so duplicate
+// FuzzBTree drives random insert/insert-run/delete/update/range-scan
+// sequences against the tree and checks every observation against a
+// flat slice-and-sort oracle. A run op inserts the rows keyed by the
+// script's next 1–8 bytes through one InsertRun, so a run of rising
+// bytes fills a leaf in one visit and a run that crosses leaves ends one
+// visit and starts the next. Keys are drawn from a narrow space so duplicate
 // key values (distinguished only by tuple id, the tree's tiebreak) are
 // common, and the 256-byte page size forces splits early. A leading byte
 // with its high bit set is a mode byte: it selects string keys of varying
@@ -36,6 +39,10 @@ func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 0, 4, 0, 5, 1, 3, 0, 1, 0})
 	f.Add([]byte{0xE0, 0, 1, 0, 169, 0, 3, 0, 2, 0, 160, 4, 7, 5, 1, 0, 255, 1, 0, 3, 0})
 	f.Add([]byte{0xC0, 0, 10, 0, 170, 0, 11, 6, 169, 4, 2, 5, 3, 7, 0, 0, 9, 3, 1})
+	// Runs: rising keys that fill and split leaves, then a run that
+	// falls back across them, on short and on wide payloads.
+	f.Add([]byte{0, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 8, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 6, 7, 60, 50, 40, 30, 20, 10, 0, 250, 3, 0, 1, 4})
+	f.Add([]byte{0xE0, 6, 7, 10, 170, 11, 169, 12, 160, 13, 100, 14, 165, 6, 3, 12, 12, 12, 12, 4, 12, 3, 11})
 	// Wide keys: 60 inserts of 0-, 50- and 1 800–1 950-byte keys, then a
 	// scan, a delete and two updates. A split by count wrote an internal
 	// page of three wide separators, 5 554 bytes, over its frame.
@@ -133,13 +140,25 @@ func FuzzBTree(f *testing.F) {
 			op, arg := data[0], data[1]
 			data = data[2:]
 			switch op % 8 {
-			case 0, 6: // insert (dup-heavy key space)
+			case 0: // insert (dup-heavy key space)
 				r := rec{k: keyOfArg(arg), id: nextID, p: payload("p", arg, 0)}
 				nextID++
 				if err := tr.Insert(tuple.New(r.id, r.k, tuple.S(r.p))); err != nil {
 					t.Fatalf("insert %+v: %v", r, err)
 				}
 				live = append(live, r)
+			case 6: // insert a run keyed by the script's next 1–8 bytes
+				var run []tuple.Tuple
+				for n := int(arg%8) + 1; n > 0 && len(data) > 0; n-- {
+					r := rec{k: keyOfArg(data[0]), id: nextID, p: payload("p", data[0], 0)}
+					nextID++
+					data = data[1:]
+					run = append(run, tuple.New(r.id, r.k, tuple.S(r.p)))
+					live = append(live, r)
+				}
+				if err := tr.InsertRun(run); err != nil {
+					t.Fatalf("insert run %v: %v", run, err)
+				}
 			case 1, 7: // delete an existing tuple
 				if len(live) == 0 {
 					continue

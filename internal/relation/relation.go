@@ -125,22 +125,52 @@ func (r *Relation) IndexHeight() int {
 	return 1
 }
 
-// Insert adds a tuple after schema validation, maintaining secondaries.
+// Insert adds a tuple after schema validation, maintaining secondaries:
+// a run of one row (InsertRun).
 func (r *Relation) Insert(tp tuple.Tuple) error {
-	if err := r.schema.Validate(tp.Vals); err != nil {
-		return fmt.Errorf("relation %s: %w", r.name, err)
+	return r.InsertRun([]tuple.Tuple{tp})
+}
+
+// InsertRun adds tuples in order, after validating every one of them. A
+// B+-tree takes them as one run (btree.Tree.InsertRun), and then each
+// secondary index takes their pointer entries as a run of its own; a
+// hash-clustered relation takes them a row at a time. Every file's pages
+// end as inserting them one at a time leaves them.
+func (r *Relation) InsertRun(tps []tuple.Tuple) error {
+	for _, tp := range tps {
+		if err := r.schema.Validate(tp.Vals); err != nil {
+			return fmt.Errorf("relation %s: %w", r.name, err)
+		}
 	}
-	var err error
 	if r.kind == ClusteredBTree {
-		err = r.bt.Insert(tp)
-	} else {
-		err = r.hx.Insert(tp)
+		if err := r.bt.InsertRun(tps); err != nil {
+			return err
+		}
+		return r.insertPointers(tps)
 	}
-	if err != nil {
-		return err
+	for i := range tps {
+		if err := r.hx.Insert(tps[i]); err != nil {
+			return err
+		}
+		if err := r.insertPointers(tps[i : i+1]); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// insertPointers inserts the pointer entries of tps into each secondary
+// index, as one run per index.
+func (r *Relation) insertPointers(tps []tuple.Tuple) error {
+	if len(r.secondaries) == 0 {
+		return nil
+	}
+	ptrs := make([]tuple.Tuple, len(tps))
 	for _, sec := range r.secondaries {
-		if err := sec.bt.Insert(pointerEntry(tp, sec.col, r.keyCol)); err != nil {
+		for i, tp := range tps {
+			ptrs[i] = pointerEntry(tp, sec.col, r.keyCol)
+		}
+		if err := sec.bt.InsertRun(ptrs); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -332,6 +334,78 @@ func TestUpdateIsDeleteThenInsert(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInsertRunMatchesInsert: inserting rows as runs cut at random
+// points — into a B+-tree with a secondary index, where the clustering
+// index takes each run and then the secondary index its pointer entries,
+// and into a hash relation with one — leaves every file's pages as
+// inserting them one at a time does, at pools of 8 and 512 frames. In
+// the 512-frame pool nothing is evicted, so the charges match too: in
+// the small one the runs visit the files in another order.
+func TestInsertRunMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	var rows []tuple.Tuple
+	for k := int64(0); len(rows) < 500; k += int64(rng.Intn(40)) {
+		for n := rng.Intn(50); n > 0; n-- {
+			rows = append(rows, emp(uint64(len(rows)+1), k, fmt.Sprint("e", rng.Intn(100)), rng.Int63n(1000)))
+			k += int64(rng.Intn(2))
+		}
+	}
+	for _, kind := range []string{"btree", "hash"} {
+		for _, frames := range []int{8, 512} {
+			t.Run(fmt.Sprintf("%s/frames=%d", kind, frames), func(t *testing.T) {
+				build := func(runs [][]tuple.Tuple) (*Relation, *storage.Meter, *storage.Disk) {
+					d := storage.NewDisk(256)
+					m := storage.NewMeter()
+					p := storage.NewPool(d, m, frames)
+					var r *Relation
+					var err error
+					if kind == "hash" {
+						r, err = NewHash(d, p, "emp", empSchema(), 0, 4)
+					} else {
+						r, err = NewBTree(d, p, "emp", empSchema(), 0)
+					}
+					if err == nil {
+						err = r.AddSecondary(2)
+					}
+					for _, run := range runs {
+						if err == nil {
+							err = r.InsertRun(run)
+						}
+					}
+					if err == nil {
+						err = p.FlushAll()
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.AssertUnpinned(t)
+					return r, m, d
+				}
+				var one, cut [][]tuple.Tuple
+				for i := range rows {
+					one = append(one, rows[i:i+1])
+				}
+				for rest := rows; len(rest) > 0; {
+					n := 1 + rng.Intn(min(len(rest), 80))
+					cut, rest = append(cut, rest[:n]), rest[n:]
+				}
+				ref, refM, refD := build(one)
+				got, gotM, gotD := build(cut)
+				if got.Len() != ref.Len() {
+					t.Errorf("runs left %d tuples, one-row inserts %d", got.Len(), ref.Len())
+				}
+				want, gotFiles := refD.FullDelta(), gotD.FullDelta()
+				if !reflect.DeepEqual(gotFiles, want) {
+					t.Error("runs and one-row inserts left different pages")
+				}
+				if frames == 512 && gotM.Snapshot() != refM.Snapshot() {
+					t.Errorf("runs charged %v, one-row inserts %v", gotM.Snapshot(), refM.Snapshot())
+				}
+			})
+		}
 	}
 }
 
