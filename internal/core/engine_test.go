@@ -867,6 +867,51 @@ func TestDropView(t *testing.T) {
 	}
 }
 
+// TestTxRefusesRowsNoPageHolds: a row too wide for a 512-byte page to
+// hold alone is refused by Tx.Insert and Tx.Update, not halfway through
+// Commit. A commit of a short row and then such a row used to fail in
+// the B+-tree with the short row already in r: unlogged, and no view
+// maintained for it.
+func TestTxRefusesRowsNoPageHolds(t *testing.T) {
+	db := newSPDatabase(t, Immediate, 10)
+	wide := tuple.S(strings.Repeat("x", 600))
+	tx := db.Begin()
+	okID, err := tx.Insert("r", tuple.I(20), tuple.I(1), tuple.S("ok"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("r", tuple.I(21), tuple.I(2), wide); err == nil {
+		t.Error("Tx.Insert accepted a row no page holds")
+	}
+	commitErr := tx.Commit()
+	r, _ := db.Relation("r")
+	_, visible, err := r.Get(tuple.I(20), okID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commitErr != nil {
+		if visible {
+			t.Errorf("the failed commit (%v) left the row before it in r", commitErr)
+		}
+	} else if rows, err := db.QueryView("v", nil); err != nil || !visible || !containsKey(rows, 20) {
+		t.Errorf("the commit of the short row: in r %v, in v %v (%v)", visible, containsKey(rows, 20), err)
+	}
+	tx = db.Begin()
+	if _, err := tx.Update("r", tuple.I(20), okID, tuple.I(20), tuple.I(1), wide); err == nil {
+		t.Error("Tx.Update accepted a row no page holds")
+	}
+}
+
+// containsKey reports whether a row of rows has key k in column 0.
+func containsKey(rows []ResultRow, k int64) bool {
+	for _, r := range rows {
+		if r.Vals[0].Int() == k {
+			return true
+		}
+	}
+	return false
+}
+
 func TestTxErrors(t *testing.T) {
 	db := newSPDatabase(t, Immediate, 10)
 	tx := db.Begin()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"viewmat/internal/colpage"
 	"viewmat/internal/tuple"
 )
 
@@ -63,7 +64,9 @@ func CodeTxOp(c *tuple.Coder, kind *uint8, rel *string, key *tuple.Value, id *ui
 // Begin starts a transaction.
 func (db *Database) Begin() *Tx { return &Tx{db: db} }
 
-// checkRow holds a row bound for rel to its schema.
+// checkRow holds a row bound for rel to its schema, and refuses one too
+// wide for a page of the engine's to hold alone: the access method would
+// refuse it halfway through the commit, after the rows before it.
 func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -71,7 +74,13 @@ func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	if !ok {
 		return fmt.Errorf("core: unknown relation %q", rel)
 	}
-	return r.Schema().Validate(vals)
+	if err := r.Schema().Validate(vals); err != nil {
+		return err
+	}
+	if tp, size := (tuple.Tuple{Vals: vals}), db.pool.PageSize(); !colpage.FitsAlone(tp, size) {
+		return fmt.Errorf("core: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), size)
+	}
+	return nil
 }
 
 // Insert queues an insertion and returns the id the new tuple will
@@ -177,21 +186,30 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	// Apply writes (PhaseCommitWrite): an HR-wrapped relation's writes
 	// go to its AD file, every other relation's to its base file.
 	err := db.inPhase(PhaseCommitWrite, func() error {
-		for i := range ops {
+		for i := 0; i < len(ops); i++ {
 			op := &ops[i]
 			r := db.rels[op.rel]
 			h := db.hrs[op.rel]
 			switch op.kind {
 			case opInsert:
-				tp := tuple.Tuple{ID: op.id, Vals: op.vals}
-				if h != nil {
-					if err := h.Append(tp); err != nil {
+				// The stretch of inserts into op.rel from here goes in at
+				// once: a B+-tree takes it as one run, visiting each leaf
+				// once for it.
+				run := insertRun(ops[i:])
+				if h == nil {
+					if err := r.InsertRun(run); err != nil {
 						return err
 					}
-				} else if err := r.Insert(tp); err != nil {
-					return err
 				}
-				record(op.rel, &tp, nil)
+				for j := range run {
+					if h != nil {
+						if err := h.Append(run[j]); err != nil {
+							return err
+						}
+					}
+					record(op.rel, &run[j], nil)
+				}
+				i += len(run) - 1
 			case opDelete:
 				var old tuple.Tuple
 				var ok bool
@@ -307,6 +325,20 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	// Commit-triggered children of parents refreshed above consume the
 	// new log entries before the commit returns.
 	return db.cascadeImmediateChildrenLocked()
+}
+
+// insertRun returns the tuples of the inserts that lead ops, all into
+// the relation the first one names.
+func insertRun(ops []txOp) []tuple.Tuple {
+	n := 1
+	for n < len(ops) && ops[n].kind == opInsert && ops[n].rel == ops[0].rel {
+		n++
+	}
+	run := make([]tuple.Tuple, n)
+	for i := range run {
+		run[i] = tuple.Tuple{ID: ops[i].id, Vals: ops[i].vals}
+	}
+	return run
 }
 
 // addMarked files a marked tuple into the view's per-slot delta sets.
