@@ -519,7 +519,7 @@ func (t *Tree) Insert(tp tuple.Tuple) error {
 // row.
 func (t *Tree) InsertRun(tps []tuple.Tuple) error {
 	for len(tps) > 0 {
-		n, err := t.visit(tps)
+		n, err := t.visit(tps, -1)
 		if err != nil {
 			return err
 		}
@@ -528,15 +528,59 @@ func (t *Tree) InsertRun(tps []tuple.Tuple) error {
 	return nil
 }
 
+// InsertCountedRun places tps in order as counted rows, whose Int
+// column countCol counts the copies a row stands for. A row equal to a stored
+// row of its key value on every other column adds its count to that
+// row's; any other row is inserted. It stops at the first row it cannot
+// place inside a leaf visit and returns how many rows it placed: that
+// row is the caller's, to place with a point lookup (ScanBatches over
+// its key value) and then an Update of the row found or an Insert.
+//
+// Every page, the leaf directory and the charges end as that lookup and
+// that Update or Insert, row by row, would leave them. A visit descends
+// to the leaf the lookup of its first row would read first — the route
+// of the row's key value with id 0 — and answers each row's lookup from
+// the leaf it decoded: the lookup's reads, and the Update's or the
+// Insert's descent, are hits on the path the visit left most recently
+// used. A row whose count it raises is charged as the Update it stands
+// for (a Delete and an Insert, DESIGN §6): its leaf is released dirty
+// twice. A row leaves the visit — it is returned to the caller — when
+// the pool is smaller than the tree is high; when the fence does not
+// hold both its key and its key value with id 0; when its lookup would
+// read on past the leaf (no row of the leaf has a larger key value, and
+// the leaf has a right sibling); and when it would split the leaf. On
+// an error the rows before the failing one stay placed.
+func (t *Tree) InsertCountedRun(tps []tuple.Tuple, countCol int) (int, error) {
+	done := 0
+	for done < len(tps) {
+		n, err := t.visit(tps[done:], countCol)
+		if done += n; err != nil || n == 0 {
+			return done, err
+		}
+	}
+	return done, nil
+}
+
 // visit inserts a leading stretch of tps into the leaf the first of them
 // belongs in and returns how many it consumed: the rows it placed, plus
 // none for a row a split left unplaced (the next visit starts with it).
-func (t *Tree) visit(tps []tuple.Tuple) (int, error) {
-	if !colpage.FitsAlone(tps[0], t.pool.PageSize()) {
+// With a countCol ≥ 0 it places counted rows (InsertCountedRun) and
+// consumes none only for a row that leaves the visit.
+func (t *Tree) visit(tps []tuple.Tuple, countCol int) (int, error) {
+	counted := countCol >= 0
+	alone := t.pool.Capacity() < t.height
+	if counted && alone {
+		return 0, nil
+	}
+	if !counted && !colpage.FitsAlone(tps[0], t.pool.PageSize()) {
 		return 0, fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tps[0].EncodedSize(), t.pool.PageSize())
 	}
 	k := keyOf(tps[0], t.keyCol)
-	leafPN, err := t.descendFenced(k)
+	first := k
+	if counted {
+		first.id = 0 // where the lookup's descent goes
+	}
+	leafPN, err := t.descendFenced(first)
 	if err != nil {
 		return 0, err
 	}
@@ -549,33 +593,49 @@ func (t *Tree) visit(tps []tuple.Tuple) (int, error) {
 		t.pool.Release(fr)
 		return 0, err
 	}
-	alone := t.pool.Capacity() < t.height
-	n := 0 // rows placed
+	n, inserted, releases := 0, 0, 0 // rows placed, of them inserted; dirty releases owed
 	for ; n < len(tps); n++ {
 		tp := tps[n]
-		if n > 0 {
+		if n > 0 || counted {
 			k = keyOf(tp, t.keyCol)
 			if alone || !t.fence.holds(k) || !colpage.FitsAlone(tp, t.pool.PageSize()) {
 				break // the next visit takes it
 			}
 		}
+		if counted {
+			i, found, ok := findCounted(leaf, tp, t.keyCol, countCol)
+			if !ok || !t.fence.holds(key{val: k.val}) || readsPast(leaf, k.val, t.keyCol) {
+				break
+			}
+			if found {
+				leaf.Cols[countCol].Ints[i] += tp.Vals[countCol].Int()
+				releases += 2
+				continue
+			}
+		}
 		idx, dup := leafFind(leaf, k, t.keyCol)
 		if dup {
-			if n > 0 {
-				break // the next visit reports it
+			if n > 0 || counted {
+				break // the next visit, or the caller, reports it
 			}
 			t.pool.Release(fr)
 			return 0, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
 		}
 		leaf.InsertRow(idx, tp)
 		if leaf.Size() <= len(fr.Data) {
+			inserted++
+			releases++
 			continue
+		}
+		if counted {
+			leaf.DeleteRow(idx)
+			break
 		}
 		// tp overflows the leaf. Settle the rows placed before it, so the
 		// split starts from the page their inserts left, then split.
 		if n > 0 {
 			leaf.DeleteRow(idx)
-			if err := t.settle(fr, leafPN, n); err != nil {
+			if err := t.settle(fr, leafPN, inserted, releases); err != nil {
 				return n, err
 			}
 			if fr, err = t.pool.Get(t.file, leafPN); err != nil {
@@ -589,19 +649,61 @@ func (t *Tree) visit(tps []tuple.Tuple) (int, error) {
 		}
 		return n, err
 	}
-	return n, t.settle(fr, leafPN, n)
+	if n == 0 {
+		return 0, t.pool.Release(fr) // a counted row left; the leaf is untouched
+	}
+	return n, t.settle(fr, leafPN, inserted, releases)
+}
+
+// readsPast reports whether a point lookup of key value v that reads
+// leaf would read on to the next leaf: no row of the leaf has a larger
+// key value, and the leaf has a right sibling.
+func readsPast(leaf *leafNode, v tuple.Value, keyCol int) bool {
+	last := len(leaf.IDs) - 1
+	return leaf.HasNext && (last < 0 || leaf.Cols[keyCol].Compare(last, v) <= 0)
+}
+
+// findCounted returns the first row of leaf in key order that has tp's
+// key value and equals tp on every column but countCol. ok is false when
+// the leaf cannot answer: its rows, which reach the engine from snapshot
+// files, are not of tp's arity or their count lane holds more than Ints,
+// so a count could not be raised in place. Raising one leaves the leaf's
+// Size as it was: an Int lane costs the same bytes a row whatever it
+// holds.
+func findCounted(leaf *leafNode, tp tuple.Tuple, keyCol, countCol int) (i int, found, ok bool) {
+	if len(leaf.IDs) == 0 {
+		return 0, false, true
+	}
+	if len(leaf.Cols) != len(tp.Vals) {
+		return 0, false, false
+	}
+	if typ, uniform := leaf.Cols[countCol].Uniform(); !uniform || typ != tuple.Int {
+		return 0, false, false
+	}
+	v := tp.Vals[keyCol]
+	i, _ = leafFind(leaf, key{val: v}, keyCol)
+rows:
+	for ; i < len(leaf.IDs) && leaf.Cols[keyCol].Compare(i, v) == 0; i++ {
+		for c := range leaf.Cols {
+			if c != countCol && leaf.Cols[c].Compare(i, tp.Vals[c]) != 0 {
+				continue rows
+			}
+		}
+		return i, true, true
+	}
+	return 0, false, true
 }
 
 // settle encodes the edited leaf over fr, the pinned frame of page pn,
-// and charges its n ≥ 1 placed rows what n one-row inserts would be
-// charged: it releases the frame dirty n times, taking it again (a hit)
-// in between.
-func (t *Tree) settle(fr *storage.Frame, pn storage.PageNum, n int) error {
+// after inserted rows were added to it, and charges the releases ≥ 1 its
+// edits stand for one by one: it releases the frame dirty that many
+// times, taking it again (a hit) in between.
+func (t *Tree) settle(fr *storage.Frame, pn storage.PageNum, inserted, releases int) error {
 	t.encodeLeaf(fr, &t.edit)
-	t.count += n
+	t.count += inserted
 	for i := 1; ; i++ {
 		fr.MarkDirty()
-		if err := t.pool.Release(fr); err != nil || i == n {
+		if err := t.pool.Release(fr); err != nil || i == releases {
 			return err
 		}
 		var err error

@@ -84,7 +84,13 @@ func cellSize(col *vec.Col, i int) int {
 // FitsAlone reports whether a page holding tp alone fits pageSize bytes:
 // whether an access method can store tp at all.
 func FitsAlone(tp tuple.Tuple, pageSize int) bool {
-	return DataPageHeader+tp.EncodedSize()+chunkSlack(1, len(tp.Vals)) <= pageSize
+	return SizeFitsAlone(tp.EncodedSize(), len(tp.Vals), pageSize)
+}
+
+// SizeFitsAlone is FitsAlone for a row of cols columns whose
+// tuple.EncodedSize is size.
+func SizeFitsAlone(size, cols, pageSize int) bool {
+	return DataPageHeader+size+chunkSlack(1, cols) <= pageSize
 }
 
 // chunkSlack bounds how many bytes a chunk of r rows of c columns without

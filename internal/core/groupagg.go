@@ -188,31 +188,39 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 		}
 	}
 	filt := exec.NewFilter(db.execOpts(), vs.def.Name, src, singlePred(vs), false)
+	insert := func(row exec.Row) error {
+		tp := row.T0
+		group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
+		stored, found, err := vs.groups.get(group)
+		if err != nil {
+			return err
+		}
+		var s *agg.State
+		var oldRow *tuple.Tuple
+		var oldV float64
+		var oldOK bool
+		if found {
+			s = stateOf(kind, stored)
+			oldRow = &stored
+			oldV, oldOK = s.Value()
+		} else {
+			s = agg.NewState(kind)
+		}
+		s.Insert(tp.Vals[vs.def.AggCol].AsFloat())
+		if err := vs.groups.put(group, s, oldRow, db.nextID()); err != nil {
+			return err
+		}
+		newV, newOK := s.Value()
+		logGroupDelta(group, oldV, oldOK, newV, newOK)
+		return nil
+	}
 	apply := exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
-		func(row exec.Row) error {
-			tp := row.T0
-			group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
-			stored, found, err := vs.groups.get(group)
-			if err != nil {
-				return err
+		func(rows []exec.Row) error {
+			for _, row := range rows {
+				if err := insert(row); err != nil {
+					return err
+				}
 			}
-			var s *agg.State
-			var oldRow *tuple.Tuple
-			var oldV float64
-			var oldOK bool
-			if found {
-				s = stateOf(kind, stored)
-				oldRow = &stored
-				oldV, oldOK = s.Value()
-			} else {
-				s = agg.NewState(kind)
-			}
-			s.Insert(tp.Vals[vs.def.AggCol].AsFloat())
-			if err := vs.groups.put(group, s, oldRow, db.nextID()); err != nil {
-				return err
-			}
-			newV, newOK := s.Value()
-			logGroupDelta(group, oldV, oldOK, newV, newOK)
 			return nil
 		},
 		func(row exec.Row) error {

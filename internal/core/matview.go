@@ -105,11 +105,59 @@ func valsEqualPrefix(stored []tuple.Value, vals []tuple.Value) bool {
 
 // InsertDelta adds one source occurrence of the row: increments the
 // duplicate count of an identical stored row, or inserts it with count
-// 1. id supplies a fresh tuple id when a physical insert is needed.
+// 1. id supplies a fresh tuple id when a physical insert is needed. It
+// is a run of one row (InsertDeltaRun).
 func (v *MatView) InsertDelta(vals []tuple.Value, id uint64) error {
-	if err := v.out.Validate(vals); err != nil {
-		return fmt.Errorf("matview: %w", err)
+	_, err := v.InsertDeltaRun([][]tuple.Value{vals}, []uint64{id})
+	return err
+}
+
+// InsertDeltaRun adds one source occurrence of each row in order, as
+// InsertDelta does, ids[i] being row i's fresh id. It returns how many
+// rows it applied: all of them, or those before the one that failed.
+//
+// The stored copy takes the rows as counted rows
+// (relation.Relation.InsertCountedRun): a leaf visit answers each row's
+// lookup from the leaf it decoded and raises the count of the row found
+// or splices the row in. A row the visit leaves takes a point lookup and
+// then a count rewrite or an insert of its own (insertAlone). Either
+// way pages, directory and charges end as row-by-row lookups and writes
+// leave them (DESIGN §6).
+func (v *MatView) InsertDeltaRun(rows [][]tuple.Value, ids []uint64) (int, error) {
+	w := len(v.out.Cols) + 1
+	cells := make([]tuple.Value, len(rows)*w)
+	tps := make([]tuple.Tuple, 0, len(rows))
+	var bad error
+	for i, vals := range rows {
+		if err := v.out.Validate(vals); err != nil {
+			bad = fmt.Errorf("matview: %w", err)
+			break
+		}
+		stored := cells[i*w : (i+1)*w : (i+1)*w]
+		copy(stored, vals)
+		stored[w-1] = tuple.I(1)
+		tps = append(tps, tuple.Tuple{ID: ids[i], Vals: stored})
 	}
+	done := 0
+	for done < len(tps) {
+		n, err := v.rel.InsertCountedRun(tps[done:], w-1)
+		if done += n; err != nil {
+			return done, err
+		}
+		if done < len(tps) {
+			if err := v.insertAlone(tps[done]); err != nil {
+				return done, err
+			}
+			done++
+		}
+	}
+	return done, bad
+}
+
+// insertAlone adds stored row tp, of count 1, with a point lookup and
+// then a rewrite of the count of the row found or an insert.
+func (v *MatView) insertAlone(tp tuple.Tuple) error {
+	vals := tp.Vals[:len(tp.Vals)-1]
 	row, found, err := v.findRow(vals)
 	if err != nil {
 		return err
@@ -117,8 +165,7 @@ func (v *MatView) InsertDelta(vals []tuple.Value, id uint64) error {
 	if found {
 		return v.setCount(row, row.Vals[len(vals)].Int()+1)
 	}
-	stored := append(append([]tuple.Value(nil), vals...), tuple.I(1))
-	return v.rel.Insert(tuple.Tuple{ID: id, Vals: stored})
+	return v.rel.Insert(tp)
 }
 
 // DeleteDelta removes one source occurrence: decrements the duplicate

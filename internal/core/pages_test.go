@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -148,5 +149,64 @@ func TestNearFullStringPagesRecover(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("recovered engine saves %d bytes, the live one %d, and they differ", got.Len(), want.Len())
+	}
+}
+
+// TestCheckRowRefusesRowsTooWideToStore: a row that fits a page alone in
+// its relation but not in a form a commit stores it in — its AD entry
+// under an HR, one Int column wider; its row in a select-project view,
+// the projection and the duplicate count — is refused when it is queued,
+// not halfway through the commit after the rows before it. A row the
+// view's predicate keeps out is not held to the view's width.
+func TestCheckRowRefusesRowsTooWideToStore(t *testing.T) {
+	const page = 4000
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("s", tuple.String))
+	// w is the widest string a row (k, s) fits a page alone with; (k, s)
+	// and one Int more does not fit.
+	w := 0
+	for colpage.FitsAlone(tuple.New(1, tuple.I(0), tuple.S(strings.Repeat("s", w+1))), page) {
+		w++
+	}
+	if colpage.FitsAlone(tuple.New(1, tuple.I(0), tuple.S(strings.Repeat("s", w)), tuple.I(1)), page) {
+		t.Fatalf("a row of a %d-byte string and one Int more fits a page", w)
+	}
+	below := pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Lt, Val: tuple.I(100)})
+	for _, c := range []struct {
+		name     string
+		def      Def
+		strategy Strategy
+		want     string
+	}{
+		{"AD entry", Def{Name: "v", Kind: SelectProject, Relations: []string{"r"}, Pred: below, Project: [][]int{{0}}}, Deferred, "AD entry"},
+		{"immediate view", Def{Name: "v", Kind: SelectProject, Relations: []string{"r"}, Pred: below, Project: [][]int{{0, 1}}}, Immediate, `view "v"`},
+		{"query-modification view", Def{Name: "v", Kind: SelectProject, Relations: []string{"r"}, Pred: below, Project: [][]int{{0, 1}}}, QueryModification, `view "v"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := NewDatabase(Options{PageSize: page, PoolFrames: 64})
+			if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CreateView(c.def, c.strategy); err != nil {
+				t.Fatal(err)
+			}
+			tx := db.Begin()
+			if _, err := tx.Insert("r", tuple.I(1), tuple.S("a")); err != nil {
+				t.Fatal(err)
+			}
+			_, err := tx.Insert("r", tuple.I(2), tuple.S(strings.Repeat("s", w)))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("queueing a row of a %d-byte string: %v, want an error naming its %s", w, err, c.want)
+			}
+			if _, err := tx.Insert("r", tuple.I(200), tuple.S(strings.Repeat("s", w))); (err == nil) != (c.strategy != Deferred) {
+				t.Fatalf("queueing the row outside the view's predicate: %v", err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := db.QueryView("v", nil)
+			if err != nil || len(rows) != 1 || rows[0].Vals[0].Int() != 1 {
+				t.Fatalf("view answers %v, %v; want the one narrow row", rows, err)
+			}
+		})
 	}
 }

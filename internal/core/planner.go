@@ -168,9 +168,10 @@ func (db *Database) project(vs *viewState, input exec.Operator) exec.Operator {
 }
 
 // matApply is the materialized-store sink: polarity-routed duplicate
-// count maintenance. When child views are defined over this view, each
-// successfully applied row is also appended to the view's delta log —
-// the higher-order delta stream children drain (hierarchy.go). Logged
+// count maintenance, each stretch of inserts applied as one run
+// (MatView.InsertDeltaRun). When child views are defined over this view,
+// each successfully applied row is also appended to the view's delta log
+// — the higher-order delta stream children drain (hierarchy.go). Logged
 // after the apply so a failed write leaves no phantom log entry.
 func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
 	logDelta := func(row exec.Row, insert bool) {
@@ -183,12 +184,12 @@ func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
 		})
 	}
 	return exec.NewDeltaApply(db.execOpts(), vs.def.Name, input,
-		func(row exec.Row) error {
-			if err := vs.mat.InsertDelta(row.Vals, db.nextID()); err != nil {
-				return err
+		func(rows []exec.Row) error {
+			n, err := db.insertRun(vs, rows)
+			for _, row := range rows[:n] {
+				logDelta(row, true)
 			}
-			logDelta(row, true)
-			return nil
+			return err
 		},
 		func(row exec.Row) error {
 			if err := vs.mat.DeleteDelta(row.Vals); err != nil {
@@ -202,8 +203,24 @@ func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
 // matInsert is the populate-time sink: scan rows carry no delta
 // polarity, and every surviving row is an insert.
 func (db *Database) matInsert(vs *viewState, input exec.Operator) exec.Operator {
-	ins := func(row exec.Row) error { return vs.mat.InsertDelta(row.Vals, db.nextID()) }
-	return exec.NewDeltaApply(db.execOpts(), vs.def.Name, input, ins, ins)
+	return exec.NewDeltaApply(db.execOpts(), vs.def.Name, input,
+		func(rows []exec.Row) error {
+			_, err := db.insertRun(vs, rows)
+			return err
+		}, nil)
+}
+
+// insertRun applies a stretch of insert rows to vs's stored copy, each
+// row drawing a fresh id from the clock in stream order, and returns how
+// many it applied. The ids are drawn before the first row is applied, so
+// after an error the ids of the rows after the failing one go unused.
+func (db *Database) insertRun(vs *viewState, rows []exec.Row) (int, error) {
+	vals := make([][]tuple.Value, len(rows))
+	ids := make([]uint64, len(rows))
+	for i := range rows {
+		vals[i], ids[i] = rows[i].Vals, db.nextID()
+	}
+	return vs.mat.InsertDeltaRun(vals, ids)
 }
 
 // restrictedScan is the clustered scan over the view predicate's

@@ -64,9 +64,12 @@ func CodeTxOp(c *tuple.Coder, kind *uint8, rel *string, key *tuple.Value, id *ui
 // Begin starts a transaction.
 func (db *Database) Begin() *Tx { return &Tx{db: db} }
 
-// checkRow holds a row bound for rel to its schema, and refuses one too
-// wide for a page of the engine's to hold alone: the access method would
-// refuse it halfway through the commit, after the rows before it.
+// checkRow holds a row bound for rel to its schema, and refuses one a
+// page of the engine's cannot hold alone in any form a commit stores it
+// in: the access method would refuse it halfway through the commit,
+// after the rows before it. The forms are the row itself; its AD entry
+// when an HR wraps rel, the row and its role (hr.adTuple); and its row
+// in every select-project view it reaches (tooWideIn).
 func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -77,10 +80,49 @@ func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	if err := r.Schema().Validate(vals); err != nil {
 		return err
 	}
-	if tp, size := (tuple.Tuple{Vals: vals}), db.pool.PageSize(); !colpage.FitsAlone(tp, size) {
-		return fmt.Errorf("core: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), size)
+	tp, page := tuple.Tuple{Vals: vals}, db.pool.PageSize()
+	size := tp.EncodedSize()
+	if !colpage.FitsAlone(tp, page) {
+		return fmt.Errorf("core: tuple of %d bytes exceeds page capacity %d", size, page)
+	}
+	if _, ok := db.hrs[rel]; ok && !colpage.SizeFitsAlone(size+tuple.ValueSize(tuple.I(0)), len(vals)+1, page) {
+		return fmt.Errorf("core: tuple of %d bytes: its AD entry exceeds page capacity %d", size, page)
+	}
+	if view := db.tooWideIn(rel, vals, page); view != "" {
+		return fmt.Errorf("core: tuple of %d bytes: its row in view %q exceeds page capacity %d", size, view, page)
 	}
 	return nil
+}
+
+// tooWideIn returns the first in name order of the select-project views
+// that a row vals of src reaches — views over src whose predicate it
+// satisfies, and views over those — where its stored row, the
+// projection and the duplicate count (NewMatView), fits no page of page
+// bytes alone; "" when there is none. Every strategy counts: the advisor
+// may store a query-modification view later.
+func (db *Database) tooWideIn(src string, vals []tuple.Value, page int) string {
+	first := ""
+	for name, vs := range db.views {
+		d := &vs.def
+		if d.Kind != SelectProject || d.Relations[0] != src || !d.Pred.EvalSingle(0, tuple.Tuple{Vals: vals}) {
+			continue
+		}
+		size := 8 + 2 + tuple.ValueSize(tuple.I(1)) // id, arity and the count
+		for _, c := range d.Project[0] {
+			size += tuple.ValueSize(vals[c])
+		}
+		bad := name
+		if colpage.SizeFitsAlone(size, len(d.Project[0])+1, page) {
+			bad = ""
+			if len(db.children[name]) > 0 {
+				bad = db.tooWideIn(name, d.ProjectTuples(tuple.Tuple{Vals: vals}, tuple.Tuple{}), page)
+			}
+		}
+		if bad != "" && (first == "" || bad < first) {
+			first = bad
+		}
+	}
+	return first
 }
 
 // Insert queues an insertion and returns the id the new tuple will

@@ -243,7 +243,12 @@ func TestDeltaApplyRoutesByPolarity(t *testing.T) {
 	var ins, del []uint64
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 1)}, []tuple.Tuple{tp(2, 2)})
 	da := NewDeltaApply(Options{}, "v", src,
-		func(r Row) error { ins = append(ins, r.T0.ID); return nil },
+		func(rows []Row) error {
+			for _, r := range rows {
+				ins = append(ins, r.T0.ID)
+			}
+			return nil
+		},
 		func(r Row) error { del = append(del, r.T0.ID); return nil })
 	if err := Run(da); err != nil {
 		t.Fatal(err)
@@ -257,11 +262,13 @@ func TestDeltaApplyStopsAtFirstError(t *testing.T) {
 	var applied []uint64
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 1), tp(2, 2), tp(3, 3)}, nil)
 	da := NewDeltaApply(Options{}, "v", src,
-		func(r Row) error {
-			if r.T0.ID == 2 {
-				return fmt.Errorf("boom")
+		func(rows []Row) error {
+			for _, r := range rows {
+				if r.T0.ID == 2 {
+					return fmt.Errorf("boom")
+				}
+				applied = append(applied, r.T0.ID)
 			}
-			applied = append(applied, r.T0.ID)
 			return nil
 		},
 		func(Row) error { return nil })

@@ -159,6 +159,23 @@ func (r *Relation) InsertRun(tps []tuple.Tuple) error {
 	return nil
 }
 
+// InsertCountedRun places tuples as counted rows, whose column countCol
+// counts the copies a row stands for, after validating every one of
+// them: btree.Tree.InsertCountedRun, which returns how many it placed
+// before the first row it leaves to the caller. A relation it does not
+// serve — hash-clustered, or with a secondary index — places none.
+func (r *Relation) InsertCountedRun(tps []tuple.Tuple, countCol int) (int, error) {
+	if r.kind != ClusteredBTree || len(r.secondaries) > 0 {
+		return 0, nil
+	}
+	for _, tp := range tps {
+		if err := r.schema.Validate(tp.Vals); err != nil {
+			return 0, fmt.Errorf("relation %s: %w", r.name, err)
+		}
+	}
+	return r.bt.InsertCountedRun(tps, countCol)
+}
+
 // insertPointers inserts the pointer entries of tps into each secondary
 // index, as one run per index.
 func (r *Relation) insertPointers(tps []tuple.Tuple) error {
