@@ -14,6 +14,7 @@ package btree
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -44,14 +45,20 @@ type Tree struct {
 	dir    *colpage.Directory // every leaf's link and zone maps
 	keyCol int
 	root   storage.PageNum
-	height int      // levels including the leaf level
-	count  int      // live tuples
-	edit   leafNode // the leaf a write is editing, its lanes reused write to write
+	height int // levels including the leaf level
+	count  int // live tuples
 
-	// An insert visit's descent: the internal pages it passed, root
-	// first, and its leaf's fence.
-	path  []storage.PageNum
-	fence fence
+	// An apply visit's leaves, their buffers reused visit to visit; the
+	// open leaf each row it applied went to, in stream order; and the
+	// pages its replay touches for one row.
+	open    []openLeaf
+	rowLeaf []int
+	touch   []storage.PageNum
+
+	// A Delete's row, of its key value alone, and the row its visit cuts.
+	key  []tuple.Value
+	keep bool
+	gone tuple.Tuple
 }
 
 // key orders leaf entries: by column value, then by tuple id.
@@ -434,11 +441,10 @@ func (t *Tree) descend(k, alt *key) (leafPN storage.PageNum, together bool, err 
 	}
 }
 
-// descendFenced is findLeaf for an insert visit: it notes the internal
-// pages it passes, root first, in t.path, and the leaf's fence in
-// t.fence.
-func (t *Tree) descendFenced(k key) (storage.PageNum, error) {
-	t.path, t.fence = t.path[:0], fence{}
+// descendInto is findLeaf for an apply visit: it notes in o the leaf's
+// page, the internal pages it passes, root first, and the leaf's fence.
+func (t *Tree) descendInto(o *openLeaf, k key) error {
+	o.path, o.fence = o.path[:0], fence{}
 	pn := t.root
 	for {
 		leaf := false
@@ -448,16 +454,17 @@ func (t *Tree) descendFenced(k key) (storage.PageNum, error) {
 				return nil
 			}
 			var err error
-			child, _, err = route(page, &k, nil, &t.fence)
+			child, _, err = route(page, &k, nil, &o.fence)
 			return err
 		})
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if leaf {
-			return pn, nil
+			o.pn = pn
+			return nil
 		}
-		t.path = append(t.path, pn)
+		o.path = append(o.path, pn)
 		pn = child
 	}
 }
@@ -489,170 +496,347 @@ func leafFind(leaf *leafNode, k key, keyCol int) (int, bool) {
 	return i, i < len(leaf.IDs) && at(i) == 0
 }
 
-// --- insert --------------------------------------------------------------
+// --- apply ---------------------------------------------------------------
 
-// Insert adds a tuple: a run of one row (InsertRun). Duplicate (value,
+// ErrAbsent reports a delete whose row the tree does not hold.
+var ErrAbsent = errors.New("btree: delete of an absent row")
+
+// minus is the signs of a one-row delete.
+var minus = []int8{-1}
+
+// openLeaf is a leaf an apply visit holds: its page, pinned, and its rows
+// decoded; the internal pages above it, root first, and its fence; and
+// what the rows applied to it owe: the rows they added (less those they
+// cut) and the dirty releases they stand for.
+type openLeaf struct {
+	pn       storage.PageNum
+	fr       *storage.Frame
+	leaf     leafNode
+	path     []storage.PageNum
+	fence    fence
+	added    int
+	releases int
+}
+
+// slot returns the i-th open-leaf slot, its buffers kept visit to visit.
+func (t *Tree) slot(i int) *openLeaf {
+	for len(t.open) <= i {
+		t.open = append(t.open, openLeaf{})
+	}
+	return &t.open[i]
+}
+
+// Insert adds a tuple: a run of one row (ApplyRun). Duplicate (value,
 // id) pairs are rejected: ids are unique engine-wide, so a collision
 // indicates a bug upstream.
 func (t *Tree) Insert(tp tuple.Tuple) error {
 	return t.InsertRun([]tuple.Tuple{tp})
 }
 
-// InsertRun inserts tps in order and leaves every page, the leaf
-// directory and the charges exactly as inserting them one at a time
-// would. It works a leaf at a time. A visit descends once, for its first
-// row, noting the internal pages it passes and the leaf's fence (the key
-// range the separators on either side give it, where a descent for any
-// key would end at the same leaf); decodes the leaf once; splices in
-// every following row whose key lies inside the fence; and encodes the
-// leaf once, when a row falls outside the fence or the run ends. A row
-// that overflows the leaf splits it, as it would split it alone, and
-// ends the visit. On an error the rows before the failing one stay
-// inserted, as they would one at a time.
-//
-// Charges stay per row (DESIGN §6). The descents a visit saves would be
-// hits on pages the first one left most recently used, and a visit that
-// places n rows releases its leaf n times, taking it again (a hit) in
-// between, so under write-through each row writes the leaf back, as its
-// own insert would have. This holds while the pool holds a root-to-leaf
-// path; in a pool smaller than the tree is high, every visit takes one
-// row.
+// InsertRun inserts tps in order: an ApplyRun of inserts only.
 func (t *Tree) InsertRun(tps []tuple.Tuple) error {
-	for len(tps) > 0 {
-		n, err := t.visit(tps, -1)
-		if err != nil {
-			return err
-		}
-		tps = tps[n:]
-	}
-	return nil
+	_, err := t.ApplyRun(tps, nil, -1)
+	return err
 }
 
-// InsertCountedRun places tps in order as counted rows, whose Int
-// column countCol counts the copies a row stands for. A row equal to a stored
-// row of its key value on every other column adds its count to that
-// row's; any other row is inserted. It stops at the first row it cannot
-// place inside a leaf visit and returns how many rows it placed: that
-// row is the caller's, to place with a point lookup (ScanBatches over
-// its key value) and then an Update of the row found or an Insert.
+// Delete removes the tuple with the given key value and id and returns
+// it, reporting whether it was found: an ApplyRun of one delete, so one
+// descent and one leaf decode. Leaves are allowed to underflow (no
+// merging): the linked leaf chain and separators stay valid, which is
+// all the scan and search paths require. Space is reclaimed when a
+// relation is rebuilt; the paper's workloads keep relation sizes
+// stationary (paired inserts and deletes), so underflow stays bounded in
+// practice.
+func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	if len(t.key) <= t.keyCol {
+		t.key = make([]tuple.Value, t.keyCol+1)
+	}
+	t.key[t.keyCol] = val
+	t.keep = true
+	_, err := t.ApplyRun([]tuple.Tuple{{ID: id, Vals: t.key}}, minus, -1)
+	gone := t.gone
+	t.keep, t.key[t.keyCol], t.gone = false, tuple.Value{}, tuple.Tuple{}
+	if errors.Is(err, ErrAbsent) {
+		return tuple.Tuple{}, false, nil
+	}
+	if err != nil {
+		return tuple.Tuple{}, false, err
+	}
+	return gone, true, nil
+}
+
+// ApplyRun applies a signed batch of rows in stream order: row i is
+// deleted when signs[i] is negative and inserted otherwise (nil signs:
+// every row is inserted). It leaves every page, the leaf directory and
+// the charges exactly as applying the rows one at a time would, and
+// returns how many rows it applied.
 //
-// Every page, the leaf directory and the charges end as that lookup and
-// that Update or Insert, row by row, would leave them. A visit descends
-// to the leaf the lookup of its first row would read first — the route
-// of the row's key value with id 0 — and answers each row's lookup from
-// the leaf it decoded: the lookup's reads, and the Update's or the
-// Insert's descent, are hits on the path the visit left most recently
-// used. A row whose count it raises is charged as the Update it stands
-// for (a Delete and an Insert, DESIGN §6): its leaf is released dirty
-// twice. A row leaves the visit — it is returned to the caller — when
-// the pool is smaller than the tree is high; when the fence does not
-// hold both its key and its key value with id 0; when its lookup would
-// read on past the leaf (no row of the leaf has a larger key value, and
-// the leaf has a right sibling); and when it would split the leaf. On
-// an error the rows before the failing one stay placed.
-func (t *Tree) InsertCountedRun(tps []tuple.Tuple, countCol int) (int, error) {
+// With countCol < 0 the rows are plain: an insert splices its row in (a
+// duplicate (value, id) is an error), a delete cuts the row of its
+// (value, id), the rest of its columns unread (an absent one is
+// ErrAbsent), and ApplyRun applies every row or stops at the error.
+//
+// With countCol ≥ 0 the rows are counted: their Int column countCol
+// counts the copies a row stands for. A row is matched with the first
+// stored row of its key value equal to it on every other column, as a
+// point lookup (ScanBatches over the key value) would find it. An insert
+// raises the match's count by its own, or splices the row in when there
+// is none; a delete lowers the match's count, or cuts the row when the
+// count would reach zero. ApplyRun stops at the first row it cannot apply
+// inside a leaf visit: that row is the caller's, to apply with the
+// lookup and then an Update, Delete or Insert of its own — and a delete
+// with no match is the caller's underflow to report.
+//
+// Each visit descends to a leaf once (for a counted row, to where its
+// lookup goes: the route of its key value with id 0), decodes the leaf
+// once, applies every following row whose key lies inside the leaf's
+// fence, and encodes it once. A row the visit's leaves do not cover opens
+// another leaf while the batch's rows × (height + 1) fit in the pool;
+// otherwise, the visit ends there and the next one starts with the row.
+// Rows are applied in stream order either way; only the encodes and the
+// releases wait for the visit's end. Charges stay per row (DESIGN §6):
+// each leaf is released dirty once per write its rows stand for, a
+// counted raise or lower twice (the Update it replaces), and the pages
+// are then touched again in stream order, so the pool's recency order
+// ends as row-by-row writes leave it. A row leaves the visit — it starts
+// the next one, or for counted rows it is the caller's — when it would
+// split its leaf, its lookup would read on past the leaf (no row of it
+// has a larger key value, and it has a right sibling), the fence does not
+// hold both its key and its key value with id 0, it would fail, or the
+// pool is smaller than the tree is high (every visit then takes one row).
+// On an error the rows before the failing one stay applied.
+func (t *Tree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int) (int, error) {
 	done := 0
-	for done < len(tps) {
-		n, err := t.visit(tps[done:], countCol)
-		if done += n; err != nil || n == 0 {
+	for done < len(rows) {
+		sg := signs
+		if sg != nil {
+			sg = sg[done:]
+		}
+		n, err := t.visit(rows[done:], sg, countCol)
+		if done += n; err != nil || (n == 0 && countCol >= 0) {
 			return done, err
 		}
 	}
 	return done, nil
 }
 
-// visit inserts a leading stretch of tps into the leaf the first of them
-// belongs in and returns how many it consumed: the rows it placed, plus
-// none for a row a split left unplaced (the next visit starts with it).
-// With a countCol ≥ 0 it places counted rows (InsertCountedRun) and
+// visit applies a leading stretch of rows and returns how many it
+// consumed: the rows it applied, plus none for a row a split left
+// unplaced (the next visit starts with it). With a countCol ≥ 0 it
 // consumes none only for a row that leaves the visit.
-func (t *Tree) visit(tps []tuple.Tuple, countCol int) (int, error) {
+func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int) (int, error) {
 	counted := countCol >= 0
-	alone := t.pool.Capacity() < t.height
+	frames := t.pool.Capacity()
+	alone := frames < t.height
 	if counted && alone {
 		return 0, nil
 	}
-	if !counted && !colpage.FitsAlone(tps[0], t.pool.PageSize()) {
-		return 0, fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tps[0].EncodedSize(), t.pool.PageSize())
-	}
-	k := keyOf(tps[0], t.keyCol)
-	first := k
-	if counted {
-		first.id = 0 // where the lookup's descent goes
-	}
-	leafPN, err := t.descendFenced(first)
-	if err != nil {
-		return 0, err
-	}
-	fr, err := t.pool.Get(t.file, leafPN)
-	if err != nil {
-		return 0, err
-	}
-	leaf := &t.edit
-	if err := t.decodeLeaf(fr.Data, leaf); err != nil {
-		t.pool.Release(fr)
-		return 0, err
-	}
-	n, inserted, releases := 0, 0, 0 // rows placed, of them inserted; dirty releases owed
-	for ; n < len(tps); n++ {
-		tp := tps[n]
-		if n > 0 || counted {
-			k = keyOf(tp, t.keyCol)
-			if alone || !t.fence.holds(k) || !colpage.FitsAlone(tp, t.pool.PageSize()) {
-				break // the next visit takes it
+	// More than one leaf stays open only while every page the rows could
+	// touch fits in the pool at once.
+	group := len(rows)*(t.height+1) <= frames
+	t.rowLeaf = t.rowLeaf[:0]
+	open, edited := 0, 0
+	n := 0
+	var err error
+	for ; n < len(rows) && !(n > 0 && alone); n++ {
+		tp := rows[n]
+		plus := signs == nil || signs[n] >= 0
+		if plus && !colpage.FitsAlone(tp, t.pool.PageSize()) {
+			if n == 0 && !counted {
+				err = fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), t.pool.PageSize())
 			}
-		}
-		if counted {
-			i, found, ok := findCounted(leaf, tp, t.keyCol, countCol)
-			if !ok || !t.fence.holds(key{val: k.val}) || readsPast(leaf, k.val, t.keyCol) {
-				break
-			}
-			if found {
-				leaf.Cols[countCol].Ints[i] += tp.Vals[countCol].Int()
-				releases += 2
-				continue
-			}
-		}
-		idx, dup := leafFind(leaf, k, t.keyCol)
-		if dup {
-			if n > 0 || counted {
-				break // the next visit, or the caller, reports it
-			}
-			t.pool.Release(fr)
-			return 0, fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
-		}
-		leaf.InsertRow(idx, tp)
-		if leaf.Size() <= len(fr.Data) {
-			inserted++
-			releases++
-			continue
-		}
-		if counted {
-			leaf.DeleteRow(idx)
 			break
 		}
-		// tp overflows the leaf. Settle the rows placed before it, so the
-		// split starts from the page their inserts left, then split.
-		if n > 0 {
-			leaf.DeleteRow(idx)
-			if err := t.settle(fr, leafPN, inserted, releases); err != nil {
-				return n, err
-			}
-			if fr, err = t.pool.Get(t.file, leafPN); err != nil {
-				return n, err
-			}
-			leaf.InsertRow(idx, tp)
+		k := keyOf(tp, t.keyCol)
+		probe := k
+		if counted {
+			probe.id = 0 // where the lookup's descent goes
 		}
-		placed, err := t.splitLeaf(fr, idx)
-		if placed {
-			n++
+		o := 0
+		for o < open && !t.open[o].fence.holds(probe) {
+			o++
 		}
-		return n, err
+		if o == open {
+			if n > 0 && !group {
+				break // the next visit takes it
+			}
+			if err = t.openLeaf(t.slot(o), probe); err != nil {
+				break
+			}
+			open++
+		}
+		ol := &t.open[o]
+		writes, added, why, idx := t.edit(ol, tp, k, plus, countCol)
+		if why == applies {
+			if ol.releases == 0 {
+				edited++
+			}
+			ol.releases += writes
+			ol.added += added
+			t.rowLeaf = append(t.rowLeaf, o)
+			continue
+		}
+		if n > 0 || counted {
+			break // the next visit, or the caller, takes it
+		}
+		switch why {
+		case absent:
+			err = fmt.Errorf("%w (%s, id %d)", ErrAbsent, k.val, k.id)
+		case duplicate:
+			err = fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
+		case overflows:
+			ol.leaf.InsertRow(idx, tp)
+			placed, err := t.splitLeaf(ol, idx)
+			if placed {
+				return 1, err
+			}
+			return 0, err
+		}
+		break
 	}
-	if n == 0 {
-		return 0, t.pool.Release(fr) // a counted row left; the leaf is untouched
+	if cerr := t.close(open); err == nil {
+		err = cerr
 	}
-	return n, t.settle(fr, leafPN, inserted, releases)
+	if err == nil && edited > 1 {
+		err = t.replay()
+	}
+	return n, err
+}
+
+// openLeaf descends to the leaf covering k, pins it and decodes it into o.
+func (t *Tree) openLeaf(o *openLeaf, k key) error {
+	if err := t.descendInto(o, k); err != nil {
+		return err
+	}
+	fr, err := t.pool.Get(t.file, o.pn)
+	if err != nil {
+		return err
+	}
+	if err := t.decodeLeaf(fr.Data, &o.leaf); err != nil {
+		t.pool.Release(fr)
+		return err
+	}
+	o.fr, o.added, o.releases = fr, 0, 0
+	return nil
+}
+
+// outcome is what edit made of a row.
+type outcome int
+
+const (
+	applies   outcome = iota
+	leaves            // the row is for another visit or the caller
+	absent            // a plain delete of a row the leaf does not hold
+	duplicate         // a plain insert of a (value, id) the leaf holds
+	overflows         // an insert that would split the leaf
+)
+
+// edit applies row tp, of key k, to open leaf o's decoded rows and
+// returns the writes it stands for and the rows it adds (−1: cuts); or
+// why it cannot, leaving the rows as they were (an overflowing insert's
+// place in idx).
+func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int) (writes, added int, why outcome, idx int) {
+	leaf := &o.leaf
+	if countCol >= 0 {
+		i, found, ok := findCounted(leaf, tp, t.keyCol, countCol)
+		if !ok || !o.fence.holds(k) || readsPast(leaf, k.val, t.keyCol) {
+			return 0, 0, leaves, 0
+		}
+		if found {
+			cnt, d := &leaf.Cols[countCol].Ints[i], tp.Vals[countCol].Int()
+			switch {
+			case plus:
+				*cnt += d
+			case *cnt > d:
+				*cnt -= d
+			default:
+				leaf.DeleteRow(i)
+				return 1, -1, applies, 0 // the Delete that cuts it
+			}
+			return 2, 0, applies, 0 // the Update that rewrites it
+		}
+		if !plus {
+			return 0, 0, leaves, 0 // an underflow, the caller's to report
+		}
+	}
+	idx, hit := leafFind(leaf, k, t.keyCol)
+	switch {
+	case !plus && !hit:
+		return 0, 0, absent, 0
+	case !plus:
+		if t.keep {
+			t.gone = leaf.Row(idx)
+		}
+		leaf.DeleteRow(idx)
+		return 1, -1, applies, 0
+	case hit:
+		return 0, 0, duplicate, 0
+	}
+	leaf.InsertRow(idx, tp)
+	if leaf.Size() <= len(o.fr.Data) {
+		return 1, 1, applies, 0
+	}
+	leaf.DeleteRow(idx)
+	return 0, 0, overflows, idx
+}
+
+// close settles the visit's open leaves, in the order they were opened:
+// each one its rows edited is encoded over its frame and released dirty
+// once per write the rows stand for, taken again (a hit) in between, so
+// under write-through each write reaches the disk as its own would; one
+// no row edited is released clean. Every leaf is released, whatever
+// fails.
+func (t *Tree) close(open int) error {
+	var first error
+	for i := range open {
+		o := &t.open[i]
+		var err error
+		if o.releases > 0 {
+			err = t.settle(o)
+		} else {
+			err = t.pool.Release(o.fr)
+		}
+		o.fr = nil
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// settle encodes o's leaf over its pinned frame and releases the frame
+// dirty o.releases times, taking it again (a hit) in between.
+func (t *Tree) settle(o *openLeaf) error {
+	t.encodeLeaf(o.fr, &o.leaf)
+	t.count += o.added
+	fr := o.fr
+	for i := 1; ; i++ {
+		fr.MarkDirty()
+		if err := t.pool.Release(fr); err != nil || i == o.releases {
+			return err
+		}
+		var err error
+		if fr, err = t.pool.Get(t.file, o.pn); err != nil {
+			return err
+		}
+	}
+}
+
+// replay touches, row by row in stream order, the pages the visit's
+// applied rows would each have touched last one at a time — the
+// internal pages above its leaf, then the leaf — so the pool's recency
+// order ends as theirs would. The visit's pages all fit in the pool, so
+// every touch is a hit, and the pages are clean or held dirty by a bulk
+// write: nothing is charged.
+func (t *Tree) replay() error {
+	for _, o := range t.rowLeaf {
+		ol := &t.open[o]
+		t.touch = append(append(t.touch[:0], ol.path...), ol.pn)
+		if err := t.pool.ReadBatch(t.file, t.touch, func(int, []byte) error { return nil }); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readsPast reports whether a point lookup of key value v that reads
@@ -694,35 +878,17 @@ rows:
 	return 0, false, true
 }
 
-// settle encodes the edited leaf over fr, the pinned frame of page pn,
-// after inserted rows were added to it, and charges the releases ≥ 1 its
-// edits stand for one by one: it releases the frame dirty that many
-// times, taking it again (a hit) in between.
-func (t *Tree) settle(fr *storage.Frame, pn storage.PageNum, inserted, releases int) error {
-	t.encodeLeaf(fr, &t.edit)
-	t.count += inserted
-	for i := 1; ; i++ {
-		fr.MarkDirty()
-		if err := t.pool.Release(fr); err != nil || i == releases {
-			return err
-		}
-		var err error
-		if fr, err = t.pool.Get(t.file, pn); err != nil {
-			return err
-		}
-	}
-}
-
-// splitLeaf splits the edited leaf, one row too many for fr, the pinned
-// frame of its page, after row idx was spliced in: in the middle, or at
+// splitLeaf splits open leaf o, one row too many for its pinned frame,
+// after row idx was spliced in: in the middle, or at
 // the cut nearest it where both halves fit. When no cut does — the row
 // fits beside neither of its neighbours — the leaf splits at the row's
 // place without it, and the row is left unplaced: inserted again, it
 // lands last on the left half, which then splits it off. The separator
-// goes up the path descendFenced noted, splitting internal pages in turn
+// goes up the path descendInto noted, splitting internal pages in turn
 // and growing a new root when the old one splits.
-func (t *Tree) splitLeaf(fr *storage.Frame, idx int) (placed bool, err error) {
-	leaf := &t.edit
+func (t *Tree) splitLeaf(o *openLeaf, idx int) (placed bool, err error) {
+	fr, leaf := o.fr, &o.leaf
+	o.fr = nil
 	mid, placed := splitPoint(&leaf.Lanes, len(fr.Data))
 	if !placed {
 		leaf.DeleteRow(idx)
@@ -751,8 +917,8 @@ func (t *Tree) splitLeaf(fr *storage.Frame, idx int) (placed bool, err error) {
 		t.count++
 	}
 	split := true
-	for i := len(t.path) - 1; i >= 0 && split; i-- {
-		if sep, right, split, err = t.insertSep(t.path[i], sep, right); err != nil {
+	for i := len(o.path) - 1; i >= 0 && split; i-- {
+		if sep, right, split, err = t.insertSep(o.path[i], sep, right); err != nil {
 			return placed, err
 		}
 	}
@@ -874,18 +1040,7 @@ func (n *internalNode) childFor(k key) int {
 	return lo
 }
 
-// --- delete and update ---------------------------------------------------
-
-// Delete removes the tuple with the given key value and id and returns
-// it, reporting whether it was found: one descent, one leaf decode.
-// Leaves are allowed to underflow (no merging): the linked leaf chain
-// and separators stay valid, which is all the scan and search paths
-// require. Space is reclaimed when a relation is rebuilt; the paper's
-// workloads keep relation sizes stationary (paired inserts and deletes),
-// so underflow stays bounded in practice.
-func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	return t.replace(key{val: val, id: id}, nil)
-}
+// --- update --------------------------------------------------------------
 
 // Update replaces the tuple with the given key value and id by tp and
 // returns the tuple it replaced, reporting whether that was found. When
@@ -896,14 +1051,10 @@ func (t *Tree) Update(val tuple.Value, id uint64, tp tuple.Tuple) (tuple.Tuple, 
 	return t.replace(key{val: val, id: id}, &tp)
 }
 
-// replace is Delete when tp is nil and Update otherwise.
+// replace is Update: one descent routing both keys.
 func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
-	var nk *key
-	if tp != nil {
-		x := keyOf(*tp, t.keyCol)
-		nk = &x
-	}
-	leafPN, together, err := t.descend(&k, nk)
+	nk := keyOf(*tp, t.keyCol)
+	leafPN, together, err := t.descend(&k, &nk)
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
@@ -911,7 +1062,7 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
-	leaf := &t.edit
+	leaf := &t.slot(0).leaf
 	if err := t.decodeLeaf(fr.Data, leaf); err != nil {
 		t.pool.Release(fr)
 		return tuple.Tuple{}, false, err
@@ -924,7 +1075,7 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 	leaf.DeleteRow(idx)
 	t.count--
 	if together {
-		if at, dup := leafFind(leaf, *nk, t.keyCol); !dup {
+		if at, dup := leafFind(leaf, nk, t.keyCol); !dup {
 			leaf.InsertRow(at, *tp)
 			if leaf.Size() <= len(fr.Data) {
 				t.encodeLeaf(fr, leaf)
@@ -951,10 +1102,8 @@ func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
 	if err := t.pool.Release(fr); err != nil {
 		return tuple.Tuple{}, false, err
 	}
-	if tp != nil {
-		if err := t.Insert(*tp); err != nil {
-			return tuple.Tuple{}, false, err
-		}
+	if err := t.Insert(*tp); err != nil {
+		return tuple.Tuple{}, false, err
 	}
 	return old, true, nil
 }

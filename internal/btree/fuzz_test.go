@@ -11,12 +11,15 @@ import (
 	"viewmat/internal/tuple"
 )
 
-// FuzzBTree drives random insert/insert-run/delete/update/range-scan
-// sequences against the tree and checks every observation against a
-// flat slice-and-sort oracle. A run op inserts the rows keyed by the
-// script's next 1–8 bytes through one InsertRun, so a run of rising
-// bytes fills a leaf in one visit and a run that crosses leaves ends one
-// visit and starts the next. Keys are drawn from a narrow space so duplicate
+// FuzzBTree drives random insert/insert-run/signed-run/delete/update/
+// range-scan sequences against the tree and checks every observation
+// against a flat slice-and-sort oracle. A run op inserts the rows keyed
+// by the script's next 1–8 bytes through one InsertRun, so a run of
+// rising bytes fills a leaf in one visit and a run that crosses leaves
+// ends one visit and starts the next. A signed-run op hands the script's
+// next 1–8 bytes to one ApplyRun, each a delete of a live tuple (possibly
+// one the run inserted) or an insert, so a visit holds several leaves
+// open and applies deletes beside inserts. Keys are drawn from a narrow space so duplicate
 // key values (distinguished only by tuple id, the tree's tiebreak) are
 // common, and the 256-byte page size forces splits early. A leading byte
 // with its high bit set is a mode byte: it selects string keys of varying
@@ -39,6 +42,10 @@ func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 0, 4, 0, 5, 1, 3, 0, 1, 0})
 	f.Add([]byte{0xE0, 0, 1, 0, 169, 0, 3, 0, 2, 0, 160, 4, 7, 5, 1, 0, 255, 1, 0, 3, 0})
 	f.Add([]byte{0xC0, 0, 10, 0, 170, 0, 11, 6, 169, 4, 2, 5, 3, 7, 0, 0, 9, 3, 1})
+	// Signed runs: inserts beside deletes of rows stored earlier and of
+	// rows the same run inserted, on short and on wide payloads.
+	f.Add([]byte{0, 5, 0, 9, 0, 20, 0, 40, 7, 7, 9, 2, 11, 4, 40, 3, 13, 6, 3, 0})
+	f.Add([]byte{0xC0, 0, 10, 0, 170, 0, 11, 7, 6, 1, 160, 12, 3, 5, 169, 7, 3, 2, 4, 3, 3, 0})
 	// Runs: rising keys that fill and split leaves, then a run that
 	// falls back across them, on short and on wide payloads.
 	f.Add([]byte{0, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 8, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 6, 7, 60, 50, 40, 30, 20, 10, 0, 250, 3, 0, 1, 4})
@@ -159,7 +166,29 @@ func FuzzBTree(f *testing.F) {
 				if err := tr.InsertRun(run); err != nil {
 					t.Fatalf("insert run %v: %v", run, err)
 				}
-			case 1, 7: // delete an existing tuple
+			case 7: // a signed run: each of the script's next 1–8 bytes deletes a live tuple (odd) or inserts one keyed by it (even)
+				var run []tuple.Tuple
+				var signs []int8
+				for n := int(arg%8) + 1; n > 0 && len(data) > 0; n-- {
+					b := data[0]
+					data = data[1:]
+					if b&1 == 1 && len(live) > 0 {
+						j := int(b>>1) % len(live)
+						run = append(run, tuple.New(live[j].id, live[j].k, tuple.S(live[j].p)))
+						signs = append(signs, -1)
+						live = append(live[:j], live[j+1:]...)
+						continue
+					}
+					r := rec{k: keyOfArg(b), id: nextID, p: payload("s", b, 1)}
+					nextID++
+					run = append(run, tuple.New(r.id, r.k, tuple.S(r.p)))
+					signs = append(signs, 1)
+					live = append(live, r)
+				}
+				if n, err := tr.ApplyRun(run, signs, -1); err != nil || n != len(run) {
+					t.Fatalf("signed run %v %v: applied %d: %v", run, signs, n, err)
+				}
+			case 1: // delete an existing tuple
 				if len(live) == 0 {
 					continue
 				}

@@ -27,6 +27,13 @@ type commitImm struct {
 
 func newCommitImm(tb testing.TB, n int64) *commitImm {
 	tb.Helper()
+	return newCommitViews(tb, n, Immediate)
+}
+
+// newCommitViews is newCommitImm with the views under strategy: Deferred
+// gives the mixed-def workload's data and views.
+func newCommitViews(tb testing.TB, n int64, strategy Strategy) *commitImm {
+	tb.Helper()
 	const aMul = 40503
 	c := &commitImm{db: NewDatabase(Options{PageSize: 4000, PoolFrames: 256}), n: n, ids: make([]uint64, n), p: make([]int64, n)}
 	r := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("p", tuple.Int))
@@ -68,7 +75,7 @@ func newCommitImm(tb testing.TB, n int64) *commitImm {
 			Project: [][]int{{0, 2}, {1}}, ViewKeyCol: 0},
 		{Name: "v3", Kind: Aggregate, Relations: []string{"R"}, Pred: pred.New(inView), AggKind: agg.Sum, AggCol: 2},
 	} {
-		if err := c.db.CreateView(d, Immediate); err != nil {
+		if err := c.db.CreateView(d, strategy); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -615,7 +615,9 @@ func runCrashPair(t *testing.T, steps []crashStep, plan *storage.CrashPlan, ckpt
 		}
 		return n
 	}
-	start := size(walDev)
+	// The durable size is read before the pair runs: after it, the
+	// second commit's checkpoint may already have truncated the log.
+	start, durable := size(walDev), size(walDev.DurableDevice())
 	held, release := walDev.HoldSyncs()
 	defer release()
 	a := make(chan error, 1)
@@ -627,7 +629,7 @@ func runCrashPair(t *testing.T, steps []crashStep, plan *storage.CrashPlan, ckpt
 	waitFor(t, "the second commit's append", func() bool { return size(walDev) > mid })
 	end := size(walDev)
 	release()
-	pending = [3]int64{start - size(walDev.DurableDevice()), mid - start, end - mid}
+	pending = [3]int64{start - durable, mid - start, end - mid}
 	return walDev, snapDev, prefixSyncs, pending, [2]error{<-a, <-b}
 }
 

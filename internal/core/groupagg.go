@@ -214,40 +214,43 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 		logGroupDelta(group, oldV, oldOK, newV, newOK)
 		return nil
 	}
-	apply := exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
+	remove := func(row exec.Row) error {
+		tp := row.T0
+		group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
+		stored, found, err := vs.groups.get(group)
+		if err != nil {
+			return err
+		}
+		if !found {
+			return fmt.Errorf("core: delete for unknown group %v in %q", group, vs.def.Name)
+		}
+		s := stateOf(kind, stored)
+		oldV, oldOK := s.Value()
+		if s.Delete(tp.Vals[vs.def.AggCol].AsFloat()) {
+			if s, err = db.recomputeGroup(vs, group); err != nil {
+				return err
+			}
+		}
+		if err := vs.groups.put(group, s, &stored, 0); err != nil {
+			return err
+		}
+		newV, newOK := s.Value()
+		logGroupDelta(group, oldV, oldOK, newV, newOK)
+		return nil
+	}
+	return exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
 		func(rows []exec.Row) error {
 			for _, row := range rows {
-				if err := insert(row); err != nil {
+				apply := remove
+				if row.Insert {
+					apply = insert
+				}
+				if err := apply(row); err != nil {
 					return err
 				}
 			}
-			return nil
-		},
-		func(row exec.Row) error {
-			tp := row.T0
-			group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
-			stored, found, err := vs.groups.get(group)
-			if err != nil {
-				return err
-			}
-			if !found {
-				return fmt.Errorf("core: delete for unknown group %v in %q", group, vs.def.Name)
-			}
-			s := stateOf(kind, stored)
-			oldV, oldOK := s.Value()
-			if s.Delete(tp.Vals[vs.def.AggCol].AsFloat()) {
-				if s, err = db.recomputeGroup(vs, group); err != nil {
-					return err
-				}
-			}
-			if err := vs.groups.put(group, s, &stored, 0); err != nil {
-				return err
-			}
-			newV, newOK := s.Value()
-			logGroupDelta(group, oldV, oldOK, newV, newOK)
 			return nil
 		})
-	return apply
 }
 
 // recomputeGroup rebuilds one group's state after a MIN/MAX extreme

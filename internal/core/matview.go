@@ -106,24 +106,37 @@ func valsEqualPrefix(stored []tuple.Value, vals []tuple.Value) bool {
 // InsertDelta adds one source occurrence of the row: increments the
 // duplicate count of an identical stored row, or inserts it with count
 // 1. id supplies a fresh tuple id when a physical insert is needed. It
-// is a run of one row (InsertDeltaRun).
+// is a run of one row (ApplyDeltaRun).
 func (v *MatView) InsertDelta(vals []tuple.Value, id uint64) error {
-	_, err := v.InsertDeltaRun([][]tuple.Value{vals}, []uint64{id})
+	_, err := v.ApplyDeltaRun([][]tuple.Value{vals}, nil, []uint64{id})
 	return err
 }
 
-// InsertDeltaRun adds one source occurrence of each row in order, as
-// InsertDelta does, ids[i] being row i's fresh id. It returns how many
-// rows it applied: all of them, or those before the one that failed.
+// DeleteDelta removes one source occurrence: decrements the duplicate
+// count, physically deleting the row at zero. A missing row is an
+// error — the differential algorithm never deletes what it did not
+// insert, so a miss means the caller used an incorrect expansion
+// (see Appendix A) or corrupted state. It is a run of one row.
+func (v *MatView) DeleteDelta(vals []tuple.Value) error {
+	_, err := v.ApplyDeltaRun([][]tuple.Value{vals}, []int8{-1}, []uint64{0})
+	return err
+}
+
+// ApplyDeltaRun applies a signed batch of source occurrences in stream
+// order, as InsertDelta (signs[i] ≥ 0, or nil signs) and DeleteDelta
+// (signs[i] < 0) do row by row; ids[i] is insert row i's fresh id. It
+// returns how many rows it applied: all of them, or those before the one
+// that failed. Every row is validated before any is applied, so a batch
+// with an invalid row applies the rows before it.
 //
 // The stored copy takes the rows as counted rows
-// (relation.Relation.InsertCountedRun): a leaf visit answers each row's
-// lookup from the leaf it decoded and raises the count of the row found
-// or splices the row in. A row the visit leaves takes a point lookup and
-// then a count rewrite or an insert of its own (insertAlone). Either
-// way pages, directory and charges end as row-by-row lookups and writes
-// leave them (DESIGN §6).
-func (v *MatView) InsertDeltaRun(rows [][]tuple.Value, ids []uint64) (int, error) {
+// (relation.Relation.ApplyCountedRun): a leaf visit answers each row's
+// lookup from the leaf it decoded and raises or lowers the count of the
+// row found, splices the row in or cuts it. A row the visit leaves takes
+// a point lookup and then a write of its own (insertAlone, deleteAlone).
+// Either way pages, directory and charges end as row-by-row lookups and
+// writes leave them (DESIGN §6).
+func (v *MatView) ApplyDeltaRun(rows [][]tuple.Value, signs []int8, ids []uint64) (int, error) {
 	w := len(v.out.Cols) + 1
 	cells := make([]tuple.Value, len(rows)*w)
 	tps := make([]tuple.Tuple, 0, len(rows))
@@ -138,14 +151,22 @@ func (v *MatView) InsertDeltaRun(rows [][]tuple.Value, ids []uint64) (int, error
 		stored[w-1] = tuple.I(1)
 		tps = append(tps, tuple.Tuple{ID: ids[i], Vals: stored})
 	}
+	var sg []int8
 	done := 0
 	for done < len(tps) {
-		n, err := v.rel.InsertCountedRun(tps[done:], w-1)
+		if signs != nil {
+			sg = signs[done:]
+		}
+		n, err := v.rel.ApplyCountedRun(tps[done:], sg, w-1)
 		if done += n; err != nil {
 			return done, err
 		}
 		if done < len(tps) {
-			if err := v.insertAlone(tps[done]); err != nil {
+			alone := v.insertAlone
+			if signs != nil && signs[done] < 0 {
+				alone = v.deleteAlone
+			}
+			if err := alone(tps[done]); err != nil {
 				return done, err
 			}
 			done++
@@ -168,15 +189,10 @@ func (v *MatView) insertAlone(tp tuple.Tuple) error {
 	return v.rel.Insert(tp)
 }
 
-// DeleteDelta removes one source occurrence: decrements the duplicate
-// count, physically deleting the row at zero. A missing row is an
-// error — the differential algorithm never deletes what it did not
-// insert, so a miss means the caller used an incorrect expansion
-// (see Appendix A) or corrupted state.
-func (v *MatView) DeleteDelta(vals []tuple.Value) error {
-	if err := v.out.Validate(vals); err != nil {
-		return fmt.Errorf("matview: %w", err)
-	}
+// deleteAlone removes one occurrence of stored row tp with a point
+// lookup and then a rewrite of the count of the row found or its delete.
+func (v *MatView) deleteAlone(tp tuple.Tuple) error {
+	vals := tp.Vals[:len(tp.Vals)-1]
 	row, found, err := v.findRow(vals)
 	if err != nil {
 		return err

@@ -167,36 +167,26 @@ func (db *Database) project(vs *viewState, input exec.Operator) exec.Operator {
 	return exec.NewProjectCols(db.execOpts(), vs.def.Name, input, vs.def.ProjectSpec())
 }
 
-// matApply is the materialized-store sink: polarity-routed duplicate
-// count maintenance, each stretch of inserts applied as one run
-// (MatView.InsertDeltaRun). When child views are defined over this view,
-// each successfully applied row is also appended to the view's delta log
-// — the higher-order delta stream children drain (hierarchy.go). Logged
-// after the apply so a failed write leaves no phantom log entry.
+// matApply is the materialized-store sink: duplicate count maintenance,
+// each batch applied as one signed run (MatView.ApplyDeltaRun). When
+// child views are defined over this view, each successfully applied row
+// is also appended to the view's delta log — the higher-order delta
+// stream children drain (hierarchy.go). Logged after the apply so a
+// failed write leaves no phantom log entry.
 func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
-	logDelta := func(row exec.Row, insert bool) {
-		if len(db.children[vs.def.Name]) == 0 {
-			return
-		}
-		vs.deltaLog = append(vs.deltaLog, viewDelta{
-			vals:   append([]tuple.Value(nil), row.Vals...),
-			insert: insert,
-		})
-	}
 	return exec.NewDeltaApply(db.execOpts(), vs.def.Name, input,
 		func(rows []exec.Row) error {
-			n, err := db.insertRun(vs, rows)
-			for _, row := range rows[:n] {
-				logDelta(row, true)
-			}
-			return err
-		},
-		func(row exec.Row) error {
-			if err := vs.mat.DeleteDelta(row.Vals); err != nil {
+			n, err := db.applyRun(vs, rows, true)
+			if len(db.children[vs.def.Name]) == 0 {
 				return err
 			}
-			logDelta(row, false)
-			return nil
+			for _, row := range rows[:n] {
+				vs.deltaLog = append(vs.deltaLog, viewDelta{
+					vals:   append([]tuple.Value(nil), row.Vals...),
+					insert: row.Insert,
+				})
+			}
+			return err
 		})
 }
 
@@ -205,22 +195,33 @@ func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
 func (db *Database) matInsert(vs *viewState, input exec.Operator) exec.Operator {
 	return exec.NewDeltaApply(db.execOpts(), vs.def.Name, input,
 		func(rows []exec.Row) error {
-			_, err := db.insertRun(vs, rows)
+			_, err := db.applyRun(vs, rows, false)
 			return err
-		}, nil)
+		})
 }
 
-// insertRun applies a stretch of insert rows to vs's stored copy, each
-// row drawing a fresh id from the clock in stream order, and returns how
-// many it applied. The ids are drawn before the first row is applied, so
-// after an error the ids of the rows after the failing one go unused.
-func (db *Database) insertRun(vs *viewState, rows []exec.Row) (int, error) {
+// applyRun applies a batch of rows to vs's stored copy — with their
+// polarities when signed, all as inserts otherwise — and returns how
+// many it applied. Each insert row draws a fresh id from the clock, in
+// stream order, before the first row is applied, so after an error the
+// ids of the inserts after the failing row go unused.
+func (db *Database) applyRun(vs *viewState, rows []exec.Row, signed bool) (int, error) {
 	vals := make([][]tuple.Value, len(rows))
 	ids := make([]uint64, len(rows))
-	for i := range rows {
-		vals[i], ids[i] = rows[i].Vals, db.nextID()
+	var signs []int8
+	if signed {
+		signs = make([]int8, len(rows))
 	}
-	return vs.mat.InsertDeltaRun(vals, ids)
+	for i := range rows {
+		vals[i] = rows[i].Vals
+		switch {
+		case !signed || rows[i].Insert:
+			ids[i] = db.nextID()
+		default:
+			signs[i] = -1
+		}
+	}
+	return vs.mat.ApplyDeltaRun(vals, signs, ids)
 }
 
 // restrictedScan is the clustered scan over the view predicate's

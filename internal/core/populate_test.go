@@ -275,7 +275,7 @@ func BenchmarkPopulate(b *testing.B) {
 }
 
 // TestInsertDeltaRunMatchesRowByRow: applying random streams of insert
-// stretches and deletes with InsertDeltaRun leaves every page, the
+// stretches (ApplyDeltaRun batches of inserts) and deletes leaves every page, the
 // directory entry each page gives, Len, the tree's metadata and the
 // meter as applying each insert alone — a point lookup, then a count
 // rewrite or an insert — does. The streams mix duplicates of rows stored
@@ -347,7 +347,7 @@ func deltaScript(rng *rand.Rand, out *tuple.Schema, pageSize int) []deltaStep {
 }
 
 // applyDeltaScript applies steps to a new view clustered on keyCol, its
-// inserts as InsertDeltaRun stretches or one insertAlone a row, and
+// inserts as ApplyDeltaRun stretches or one insertAlone a row, and
 // returns the digest of what they leave.
 func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames int, bulk bool, steps []deltaStep, runs bool) string {
 	t.Helper()
@@ -373,7 +373,7 @@ func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames 
 				ids[i] = id
 			}
 			var n int
-			if n, err = mv.InsertDeltaRun(s.rows, ids); err == nil && n != len(s.rows) {
+			if n, err = mv.ApplyDeltaRun(s.rows, nil, ids); err == nil && n != len(s.rows) {
 				err = fmt.Errorf("applied %d of %d rows", n, len(s.rows))
 			}
 		default:
@@ -459,4 +459,150 @@ func TestDeltaApplyStretchOrderAndPrefix(t *testing.T) {
 			t.Errorf("key %d: %d stored rows (%v), want %d", k, len(rows), err, want)
 		}
 	}
+}
+
+// TestApplyRunMatchesRowByRow: applying random signed batches with
+// ApplyDeltaRun leaves every page, the directory entry each page gives,
+// Len, the tree's metadata, the meter and each batch's error and applied
+// count as applying the rows one at a time — a point lookup, then a count
+// rewrite, a delete or an insert — does. Each batch is a refresh's shape:
+// inserts of new rows and of rows stored before, deletes of rows stored
+// before or inserted earlier in the batch, the delete of an updated row
+// beside the insert of its new version, and now and then a delete of a
+// row never stored (an underflow, which stops the batch). Views clustered
+// on an Int and on a String column, on pages of 256 and 4 000 bytes,
+// through pools of 2, 8 and 256 frames, writing through and inside
+// BeginBulk/EndBulk.
+func TestApplyRunMatchesRowByRow(t *testing.T) {
+	out := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("s", tuple.String))
+	for _, ps := range []int{256, 4000} {
+		for _, keyCol := range []int{0, 1} {
+			for _, frames := range []int{2, 8, 256} {
+				for _, bulk := range []bool{false, true} {
+					name := fmt.Sprintf("page=%d/key=%d/frames=%d/bulk=%v", ps, keyCol, frames, bulk)
+					t.Run(name, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(ps + 10*keyCol + frames)))
+						batches := signedDeltaScript(rng, ps)
+						run := applySignedScript(t, out, keyCol, ps, frames, bulk, batches, true)
+						alone := applySignedScript(t, out, keyCol, ps, frames, bulk, batches, false)
+						if run != alone {
+							t.Errorf("signed runs leave %s, rows one at a time %s", run, alone)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// signedDelta is a batch of view rows and their signs.
+type signedDelta struct {
+	rows  [][]tuple.Value
+	signs []int8
+}
+
+// signedDeltaScript returns random signed batches of rows (k, s): keys in
+// stretches that ascend or repeat, strings of a few widths (most short,
+// so rows recur and counts rise above 1), each batch's deletes of rows
+// inserted before or earlier in it, and the rewrites of updated rows.
+func signedDeltaScript(rng *rand.Rand, pageSize int) []signedDelta {
+	w := 0
+	for colpage.FitsAlone(tuple.New(1, tuple.I(0), tuple.S(strings.Repeat("x", w+1)), tuple.I(1)), pageSize) {
+		w++
+	}
+	row := func(k int64) []tuple.Value {
+		width := []int{0, 2, w / 10, w / 3, w}[rng.Intn(5)]
+		if rng.Intn(3) > 0 {
+			width %= 3
+		}
+		return []tuple.Value{tuple.I(k), tuple.S(strings.Repeat("s", width))}
+	}
+	var live [][]tuple.Value
+	var out []signedDelta
+	for len(out) < 40 {
+		var b signedDelta
+		add := func(r []tuple.Value, sign int8) {
+			b.rows = append(b.rows, r)
+			b.signs = append(b.signs, sign)
+		}
+		k, step := int64(rng.Intn(60)), int64(rng.Intn(2))
+		for n := rng.Intn(30); n > 0; n-- {
+			switch r := rng.Intn(12); {
+			case r == 0:
+				add([]tuple.Value{tuple.I(k), tuple.S("never")}, -1)
+			case r < 5 && len(live) > 0:
+				i := rng.Intn(len(live))
+				old := live[i]
+				live = append(live[:i], live[i+1:]...)
+				add(old, -1)
+				if r < 3 {
+					nu := []tuple.Value{old[0], tuple.S(old[1].Str() + "'")}
+					add(nu, 1)
+					live = append(live, nu)
+				}
+			default:
+				r := row(k)
+				add(r, 1)
+				live = append(live, r)
+				k += step
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// applySignedScript applies batches to a new view clustered on keyCol, as
+// ApplyDeltaRun batches or one insertAlone or deleteAlone a row (stopping
+// a batch at its first error), and returns the digest of what they leave.
+func applySignedScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames int, bulk bool, batches []signedDelta, runs bool) string {
+	t.Helper()
+	d := storage.NewDisk(pageSize)
+	m := storage.NewMeter()
+	p := storage.NewPool(d, m, frames)
+	mv, err := NewMatView(d, p, "v", out, keyCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bulk {
+		p.BeginBulk()
+	}
+	h := sha256.New()
+	id := uint64(0)
+	for _, b := range batches {
+		ids := make([]uint64, len(b.rows))
+		for i := range ids {
+			if b.signs[i] > 0 {
+				id++
+				ids[i] = id
+			}
+		}
+		var n int
+		var err error
+		if runs {
+			n, err = mv.ApplyDeltaRun(b.rows, b.signs, ids)
+		} else {
+			for ; n < len(b.rows); n++ {
+				tp := tuple.Tuple{ID: ids[n], Vals: append(append([]tuple.Value(nil), b.rows[n]...), tuple.I(1))}
+				alone := mv.insertAlone
+				if b.signs[n] < 0 {
+					alone = mv.deleteAlone
+				}
+				if err = alone(tp); err != nil {
+					break
+				}
+			}
+		}
+		fmt.Fprintf(h, "applied %d: %v\n", n, err)
+	}
+	if bulk {
+		p.EndBulk()
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	p.AssertUnpinned(t)
+	fmt.Fprintf(h, "len %d meta %+v %v\n", mv.DistinctRows(), mv.rel.Meta().BTree, m.Snapshot())
+	writeFileState(t, h, d.Open("v.view.btree"))
+	return fmt.Sprintf("%x (%d rows, height %d, %v)", h.Sum(nil), mv.DistinctRows(), mv.rel.IndexHeight()+1, m.Snapshot())
 }

@@ -241,20 +241,28 @@ func TestMatchDeltasFlatScreensAndPolarity(t *testing.T) {
 
 func TestDeltaApplyRoutesByPolarity(t *testing.T) {
 	var ins, del []uint64
+	calls := 0
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 1)}, []tuple.Tuple{tp(2, 2)})
 	da := NewDeltaApply(Options{}, "v", src,
 		func(rows []Row) error {
+			calls++
 			for _, r := range rows {
-				ins = append(ins, r.T0.ID)
+				if r.Insert {
+					ins = append(ins, r.T0.ID)
+				} else {
+					del = append(del, r.T0.ID)
+				}
 			}
 			return nil
-		},
-		func(r Row) error { del = append(del, r.T0.ID); return nil })
+		})
 	if err := Run(da); err != nil {
 		t.Fatal(err)
 	}
 	if len(ins) != 1 || ins[0] != 1 || len(del) != 1 || del[0] != 2 {
 		t.Errorf("ins=%v del=%v, want ins=[1] del=[2]", ins, del)
+	}
+	if calls != 1 {
+		t.Errorf("%d apply calls, want 1: a batch's rows go to one call, both polarities", calls)
 	}
 }
 
@@ -270,8 +278,7 @@ func TestDeltaApplyStopsAtFirstError(t *testing.T) {
 				applied = append(applied, r.T0.ID)
 			}
 			return nil
-		},
-		func(Row) error { return nil })
+		})
 	if err := Run(da); err == nil {
 		t.Fatal("expected error")
 	}

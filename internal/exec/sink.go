@@ -11,27 +11,24 @@ import (
 // the materialized store with its polarity (insert increments the
 // duplicate count, delete decrements it). The store I/O is bracketed,
 // so the view-side C2·(3+Hvi)·X term lands on this operator. Each
-// maximal stretch of consecutive insert rows of a batch goes to one
-// insert call, and each delete row to a delete call of its own, so rows
-// are applied strictly in stream order; the first error stops the
-// pipeline with the prefix applied (the duplicate-count underflow of the
-// uncorrected Blakeley expansion depends on exactly this), an insert
-// call applying its stretch in order up to the row that failed. Batches
-// pass through so sequenced pipelines compose.
+// batch's live rows, both polarities, go to one apply call, which
+// applies them strictly in stream order; the first error stops the
+// pipeline with the prefix before the failing row applied (the
+// duplicate-count underflow of the uncorrected Blakeley expansion
+// depends on exactly this). Batches pass through so sequenced pipelines
+// compose.
 type DeltaApply struct {
 	base
-	label  string
-	input  Operator
-	insert func([]Row) error
-	delete func(Row) error
-	rows   []Row // a batch's live rows, reused batch to batch
+	label string
+	input Operator
+	apply func([]Row) error
+	rows  []Row // a batch's live rows, reused batch to batch
 }
 
-// NewDeltaApply builds the materialization sink from the caller's
-// insert/delete effects. A nil delete makes every row an insert: a
-// populate's scan rows carry no delta polarity.
-func NewDeltaApply(o Options, label string, input Operator, insert func([]Row) error, delete func(Row) error) *DeltaApply {
-	return &DeltaApply{base: base{meter: o.Meter}, label: label, input: input, insert: insert, delete: delete}
+// NewDeltaApply builds the materialization sink from the caller's apply
+// effect.
+func NewDeltaApply(o Options, label string, input Operator, apply func([]Row) error) *DeltaApply {
+	return &DeltaApply{base: base{meter: o.Meter}, label: label, input: input, apply: apply}
 }
 
 func (d *DeltaApply) Open() error { return d.input.Open() }
@@ -43,23 +40,10 @@ func (d *DeltaApply) NextBatch() (*vec.Batch, error) {
 	}
 	err = d.bracket(func() error {
 		d.rows = appendLiveRows(d.rows[:0], b)
-		rows := d.rows
-		for len(rows) > 0 {
-			n := 0
-			for n < len(rows) && (rows[n].Insert || d.delete == nil) {
-				n++
-			}
-			if n == 0 {
-				if err := d.delete(rows[0]); err != nil {
-					return err
-				}
-				n = 1
-			} else if err := d.insert(rows[:n]); err != nil {
-				return err
-			}
-			rows = rows[n:]
+		if len(d.rows) == 0 {
+			return nil
 		}
-		return nil
+		return d.apply(d.rows)
 	})
 	clear(d.rows) // keep no batch's values alive
 	if err != nil {

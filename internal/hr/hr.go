@@ -14,9 +14,11 @@
 package hr
 
 import (
+	"errors"
 	"fmt"
 
 	"viewmat/internal/bloom"
+	"viewmat/internal/btree"
 	"viewmat/internal/hashidx"
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
@@ -325,19 +327,22 @@ func (h *HR) Fold() error {
 // FoldWith is Fold with net changes the caller already computed via
 // NetChanges, so the AD file is read once per refresh — the model
 // charges C_ADread a single time even when several views share the
-// relation (§4's shared-refresh observation).
+// relation (§4's shared-refresh observation). D-net (each row named by
+// its key and id) and then A-net go to the base as one signed batch
+// (relation.Relation.ApplyRun), so an updated row's delete and insert
+// share one visit to its leaf.
 func (h *HR) FoldWith(anet, dnet []tuple.Tuple) error {
-	for _, tp := range dnet {
-		if _, ok, err := h.base.Delete(tp.Vals[h.base.KeyCol()], tp.ID); err != nil {
-			return err
-		} else if !ok {
-			return fmt.Errorf("hr %s: D-net tuple %v missing from base", h.base.Name(), tp)
-		}
+	rows := append(append(make([]tuple.Tuple, 0, len(dnet)+len(anet)), dnet...), anet...)
+	signs := make([]int8, len(rows))
+	for i := range dnet {
+		signs[i] = -1
 	}
-	for _, tp := range anet {
-		if err := h.base.Insert(tp); err != nil {
-			return err
-		}
+	n, err := h.base.ApplyRun(rows, signs)
+	if errors.Is(err, btree.ErrAbsent) {
+		return fmt.Errorf("hr %s: D-net tuple %v missing from base", h.base.Name(), rows[n])
+	}
+	if err != nil {
+		return err
 	}
 	if err := h.ad.Truncate(); err != nil {
 		return err

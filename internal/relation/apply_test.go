@@ -1,0 +1,169 @@
+package relation
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"viewmat/internal/btree"
+	"viewmat/internal/storage"
+	"viewmat/internal/tuple"
+)
+
+// TestApplyRunMatchesRowByRow: applying random signed batches with
+// ApplyRun leaves every page of every file, Len, the meter's stats and
+// each batch's error as applying the rows one at a time with Insert and
+// Delete does — B+-tree and hash-clustered relations, each without and
+// with a secondary index, on pages of 256 and 4 000 bytes, through pools
+// of 2, 8 and 256 frames, writing through and inside BeginBulk/EndBulk.
+// The batches put each updated row's delete beside its insert, as a fold
+// does, move rows across leaves, delete rows inserted earlier in the
+// batch, repeat key values across leaves, split leaves with wide rows,
+// and now and then delete a row that is not there.
+func TestApplyRunMatchesRowByRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, ps := range []int{256, 4000} {
+		stream := foldStream(rng, ps)
+		for _, kind := range []string{"btree", "btree+sec", "hash", "hash+sec"} {
+			for _, frames := range []int{2, 8, 256} {
+				for _, bulk := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%d/%s/frames=%d/bulk=%v", ps, kind, frames, bulk), func(t *testing.T) {
+						run := func(batch func(r *Relation, rows []tuple.Tuple, signs []int8) error) (*Relation, storage.Stats, *storage.DiskDelta, []string) {
+							d := storage.NewDisk(ps)
+							m := storage.NewMeter()
+							p := storage.NewPool(d, m, frames)
+							var r *Relation
+							var err error
+							if strings.HasPrefix(kind, "hash") {
+								r, err = NewHash(d, p, "emp", empSchema(), 0, 4)
+							} else {
+								r, err = NewBTree(d, p, "emp", empSchema(), 0)
+							}
+							if err == nil && strings.HasSuffix(kind, "+sec") {
+								err = r.AddSecondary(2)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							if bulk {
+								p.BeginBulk()
+							}
+							var errs []string
+							for _, b := range stream {
+								errs = append(errs, fmt.Sprint(batch(r, b.rows, b.signs)))
+							}
+							if bulk {
+								p.EndBulk()
+							}
+							if err := p.FlushAll(); err != nil {
+								t.Fatal(err)
+							}
+							p.AssertUnpinned(t)
+							return r, m.Snapshot(), d.FullDelta(), errs
+						}
+						ref, refM, refFiles, refErrs := run(func(r *Relation, rows []tuple.Tuple, signs []int8) error {
+							for i, tp := range rows {
+								var err error
+								if signs[i] > 0 {
+									err = r.Insert(tp)
+								} else if _, ok, derr := r.Delete(tp.Vals[0], tp.ID); derr != nil || !ok {
+									err = derr
+									if err == nil {
+										err = btree.ErrAbsent
+									}
+								}
+								if err != nil {
+									return fmt.Errorf("row %d: %w", i, err)
+								}
+							}
+							return nil
+						})
+						got, gotM, gotFiles, gotErrs := run(func(r *Relation, rows []tuple.Tuple, signs []int8) error {
+							n, err := r.ApplyRun(rows, signs)
+							if errors.Is(err, btree.ErrAbsent) {
+								err = btree.ErrAbsent // its message names the row; a lone Delete's does not
+							}
+							if err != nil {
+								return fmt.Errorf("row %d: %w", n, err)
+							}
+							return nil
+						})
+						if got.Len() != ref.Len() {
+							t.Errorf("ApplyRun left %d tuples, rows one at a time %d", got.Len(), ref.Len())
+						}
+						if !reflect.DeepEqual(gotFiles, refFiles) {
+							t.Error("ApplyRun and rows one at a time left different pages")
+						}
+						if gotM != refM {
+							t.Errorf("ApplyRun charged %v, rows one at a time %v", gotM, refM)
+						}
+						if fmt.Sprint(gotErrs) != fmt.Sprint(refErrs) {
+							t.Errorf("ApplyRun errors %v, rows one at a time %v", gotErrs, refErrs)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// foldBatch is a signed batch for Relation.ApplyRun.
+type foldBatch struct {
+	rows  []tuple.Tuple
+	signs []int8
+}
+
+// foldStream returns random batches of emp rows shaped like folds: a few
+// fresh rows, then updates — each the delete of a live row (rarely of
+// one never stored) followed, after the batch's other deletes, by the
+// insert of its new version under a fresh id, most at the same dept, some
+// moved to another — and now and then a delete of a row inserted earlier
+// in the same batch. Names run up to a third of a page, so inserts split
+// leaves.
+func foldStream(rng *rand.Rand, pageSize int) []foldBatch {
+	var live []tuple.Tuple
+	id := uint64(0)
+	fresh := func(dept int64) tuple.Tuple {
+		id++
+		return emp(id, dept, strings.Repeat("n", rng.Intn(pageSize/3)), rng.Int63n(50))
+	}
+	var out []foldBatch
+	for ops := 0; ops < 600; {
+		var b foldBatch
+		var adds []tuple.Tuple
+		for n := rng.Intn(6); n > 0; n-- {
+			adds = append(adds, fresh(rng.Int63n(300)))
+		}
+		for n := rng.Intn(12); n > 0 && len(live) > 0; n-- {
+			i := rng.Intn(len(live))
+			old := live[i]
+			live = append(live[:i], live[i+1:]...)
+			if rng.Intn(15) == 0 {
+				old = emp(1<<40+id, old.Vals[0].Int(), "gone", 0)
+			}
+			b.rows = append(b.rows, old)
+			b.signs = append(b.signs, -1)
+			dept := old.Vals[0].Int()
+			if rng.Intn(4) == 0 {
+				dept = rng.Int63n(300)
+			}
+			adds = append(adds, fresh(dept))
+		}
+		for _, a := range adds {
+			b.rows = append(b.rows, a)
+			b.signs = append(b.signs, 1)
+			if rng.Intn(10) == 0 {
+				b.rows = append(b.rows, a)
+				b.signs = append(b.signs, -1)
+				continue
+			}
+			live = append(live, a)
+		}
+		ops += len(b.rows)
+		out = append(out, b)
+	}
+	return out
+}

@@ -131,40 +131,87 @@ func (r *Relation) Insert(tp tuple.Tuple) error {
 	return r.InsertRun([]tuple.Tuple{tp})
 }
 
-// InsertRun adds tuples in order, after validating every one of them. A
-// B+-tree takes them as one run (btree.Tree.InsertRun), and then each
-// secondary index takes their pointer entries as a run of its own; a
-// hash-clustered relation takes them a row at a time. Every file's pages
-// end as inserting them one at a time leaves them.
+// InsertRun adds tuples in order: an ApplyRun of inserts only.
 func (r *Relation) InsertRun(tps []tuple.Tuple) error {
-	for _, tp := range tps {
-		if err := r.schema.Validate(tp.Vals); err != nil {
-			return fmt.Errorf("relation %s: %w", r.name, err)
-		}
-	}
-	if r.kind == ClusteredBTree {
-		if err := r.bt.InsertRun(tps); err != nil {
-			return err
-		}
-		return r.insertPointers(tps)
-	}
-	for i := range tps {
-		if err := r.hx.Insert(tps[i]); err != nil {
-			return err
-		}
-		if err := r.insertPointers(tps[i : i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := r.ApplyRun(tps, nil)
+	return err
 }
 
-// InsertCountedRun places tuples as counted rows, whose column countCol
-// counts the copies a row stands for, after validating every one of
-// them: btree.Tree.InsertCountedRun, which returns how many it placed
+// ApplyRun applies a signed batch in stream order — row i deleted when
+// signs[i] is negative (its clustering key and id name it; it must be
+// stored as given), inserted otherwise; nil signs insert every row —
+// after validating every insert, and returns how many rows it applied:
+// all of them, or those before the one that failed. A delete of a row
+// the relation does not hold is btree.ErrAbsent.
+//
+// A B+-tree without secondary indexes takes the batch as one
+// btree.Tree.ApplyRun. With secondary indexes, a batch of inserts runs
+// the clustering tree and then one run of pointer entries per index; any
+// other batch, and a hash-clustered relation's, goes a row at a time,
+// the clustering file and then each index, as Delete and Insert do.
+func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8) (int, error) {
+	for i, tp := range tps {
+		if signs != nil && signs[i] < 0 {
+			continue
+		}
+		if err := r.schema.Validate(tp.Vals); err != nil {
+			return 0, fmt.Errorf("relation %s: %w", r.name, err)
+		}
+	}
+	if r.kind == ClusteredBTree && len(r.secondaries) == 0 {
+		return r.bt.ApplyRun(tps, signs, -1)
+	}
+	if r.kind == ClusteredBTree && signs == nil {
+		if n, err := r.bt.ApplyRun(tps, nil, -1); err != nil {
+			return n, err
+		}
+		return len(tps), r.insertPointers(tps)
+	}
+	for i := range tps {
+		var err error
+		if signs != nil && signs[i] < 0 {
+			err = r.deleteRow(tps[i])
+		} else {
+			err = r.insertRow(tps[i])
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(tps), nil
+}
+
+// insertRow inserts tp into the clustering file and then its pointer
+// entries into each secondary index.
+func (r *Relation) insertRow(tp tuple.Tuple) error {
+	var err error
+	if r.kind == ClusteredBTree {
+		err = r.bt.Insert(tp)
+	} else {
+		err = r.hx.Insert(tp)
+	}
+	if err != nil {
+		return err
+	}
+	return r.insertPointers([]tuple.Tuple{tp})
+}
+
+// deleteRow deletes the row of tp's clustering key and id, ErrAbsent when
+// there is none.
+func (r *Relation) deleteRow(tp tuple.Tuple) error {
+	key := tp.Vals[r.keyCol]
+	if _, ok, err := r.Delete(key, tp.ID); err != nil || ok {
+		return err
+	}
+	return fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
+}
+
+// ApplyCountedRun applies a signed batch of counted rows, whose column
+// countCol counts the copies a row stands for, after validating every
+// one of them: btree.Tree.ApplyRun, which returns how many it applied
 // before the first row it leaves to the caller. A relation it does not
-// serve — hash-clustered, or with a secondary index — places none.
-func (r *Relation) InsertCountedRun(tps []tuple.Tuple, countCol int) (int, error) {
+// serve — hash-clustered, or with a secondary index — applies none.
+func (r *Relation) ApplyCountedRun(tps []tuple.Tuple, signs []int8, countCol int) (int, error) {
 	if r.kind != ClusteredBTree || len(r.secondaries) > 0 {
 		return 0, nil
 	}
@@ -173,7 +220,7 @@ func (r *Relation) InsertCountedRun(tps []tuple.Tuple, countCol int) (int, error
 			return 0, fmt.Errorf("relation %s: %w", r.name, err)
 		}
 	}
-	return r.bt.InsertCountedRun(tps, countCol)
+	return r.bt.ApplyRun(tps, signs, countCol)
 }
 
 // insertPointers inserts the pointer entries of tps into each secondary
