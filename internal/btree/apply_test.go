@@ -97,14 +97,18 @@ func countedStream(rng *rand.Rand, pageSize int) []signedBatch {
 	return out
 }
 
-// applyPlainAlone applies one plain row as Insert or Delete does.
-func applyPlainAlone(tr *Tree, tp tuple.Tuple, sign int8) error {
+// applyPlainAlone applies one plain row as Insert or Delete does,
+// appending the row a delete cuts to *cut.
+func applyPlainAlone(tr *Tree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
 	if sign > 0 {
 		return tr.Insert(tp)
 	}
-	_, ok, err := tr.Delete(tp.Vals[tr.keyCol], tp.ID)
+	old, ok, err := tr.Delete(tp.Vals[tr.keyCol], tp.ID)
 	if err == nil && !ok {
 		err = ErrAbsent
+	}
+	if ok {
+		*cut = append(*cut, old)
 	}
 	return err
 }
@@ -114,9 +118,11 @@ var errUnderflow = errors.New("underflow")
 
 // applyCountedAlone applies one counted row, its count in column
 // countCol, as a view maintains it row by row: a point lookup of its key
-// value, then an Update of the count of the first row equal to it on
-// every other column, its Delete at a count of zero, or its Insert.
-func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countCol int) error {
+// value, then a rewrite of the count of the first row equal to it on
+// every other column (the pair of its delete and its insert, same key and
+// id), its Delete at a count of zero, or its Insert. The row a Delete
+// cuts is appended to *cut.
+func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countCol int, cut *[]tuple.Tuple) error {
 	it, err := tr.ScanBatches(pred.PointRange(tp.Vals[tr.keyCol]), nil)
 	if err != nil {
 		return err
@@ -134,12 +140,13 @@ func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countC
 		}
 		cnt := row.Vals[countCol].Int() + int64(sign)*tp.Vals[countCol].Int()
 		if cnt <= 0 {
-			_, _, err := tr.Delete(row.Vals[tr.keyCol], row.ID)
+			old, _, err := tr.Delete(row.Vals[tr.keyCol], row.ID)
+			*cut = append(*cut, old)
 			return err
 		}
 		vals := append([]tuple.Value(nil), row.Vals...)
 		vals[countCol] = tuple.I(cnt)
-		_, _, err := tr.Update(row.Vals[tr.keyCol], row.ID, tuple.Tuple{ID: row.ID, Vals: vals})
+		_, err := tr.ApplyRun([]tuple.Tuple{row, {ID: row.ID, Vals: vals}}, []int8{-1, 1}, -1, nil)
 		return err
 	}
 	if sign < 0 {
@@ -151,10 +158,11 @@ func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countC
 // TestApplyRunMatchesRowByRow: applying random signed batches with
 // ApplyRun — plain rows, and counted rows whose leavers the test applies
 // alone as a view does — leaves every page byte, the root, height, Len,
-// extent and leaf directory, the meter's stats and each batch's error as
-// applying the rows one at a time does: at pages of 256 and 4 000 bytes,
-// through pools of 2 (smaller than most trees are high), 8 and 256
-// frames, writing through and inside BeginBulk/EndBulk.
+// extent and leaf directory, the meter's stats, each batch's error and
+// the rows its deletes cut as applying the rows one at a time does: at
+// pages of 256 and 4 000 bytes, through pools of 2 (smaller than most
+// trees are high), 8 and 256 frames, writing through and inside
+// BeginBulk/EndBulk.
 func TestApplyRunMatchesRowByRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, ps := range []int{256, 4000} {
@@ -167,77 +175,147 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 				for _, frames := range []int{2, 8, 16, 256} {
 					for _, bulk := range []bool{false, true} {
 						t.Run(fmt.Sprintf("%d/counted=%v/%d/frames=%d/bulk=%v", ps, counted, i, frames, bulk), func(t *testing.T) {
-							run := func(batch func(tr *Tree, b signedBatch) error) (string, []string) {
-								d := storage.NewDisk(ps)
-								m := storage.NewMeter()
-								tr, err := New(storage.NewPool(d, m, frames), d.Open("t"), 0)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if bulk {
-									tr.pool.BeginBulk()
-								}
-								var errs []string
-								for i, b := range stream {
-									errs = append(errs, fmt.Sprint(batch(tr, b)))
-									// Point reads after each batch: what they miss depends
-									// on the recency order the batch left.
-									for j := 0; j < 3; j++ {
-										if _, _, err := tr.Get(tuple.I(int64((i*7+j*61)%200)), 1); err != nil {
-											t.Fatal(err)
-										}
-									}
-								}
-								if bulk {
-									tr.pool.EndBulk()
-								}
-								tr.pool.AssertUnpinned(t)
-								return treeDigest(t, tr, m), errs
-							}
-							alone := func(tr *Tree, tp tuple.Tuple, sign int8) error {
-								if counted {
-									return applyCountedAlone(t, tr, tp, sign, countCol)
-								}
-								return applyPlainAlone(tr, tp, sign)
-							}
-							want, wantErrs := run(func(tr *Tree, b signedBatch) error {
-								for i, tp := range b.rows {
-									if err := alone(tr, tp, b.signs[i]); err != nil {
-										return fmt.Errorf("row %d: %w", i, err)
-									}
-								}
-								return nil
-							})
-							got, gotErrs := run(func(tr *Tree, b signedBatch) error {
-								for done := 0; done < len(b.rows); {
-									n, err := tr.ApplyRun(b.rows[done:], b.signs[done:], countCol)
-									if done += n; errors.Is(err, ErrAbsent) {
-										err = ErrAbsent // its message names the row; the lone delete's does not
-									}
-									if err != nil {
-										return fmt.Errorf("row %d: %w", done, err)
-									}
-									if done < len(b.rows) {
-										if err := alone(tr, b.rows[done], b.signs[done]); err != nil {
-											return fmt.Errorf("row %d: %w", done, err)
-										}
-										done++
-									}
-								}
-								return nil
-							})
-							if got != want {
-								t.Errorf("ApplyRun left digest %s, rows one at a time %s", got, want)
-							}
-							if fmt.Sprint(gotErrs) != fmt.Sprint(wantErrs) {
-								t.Errorf("ApplyRun errors %v, rows one at a time %v", gotErrs, wantErrs)
-							}
+							matchesRowByRow(t, ps, frames, bulk, nil, stream, countCol)
 						})
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestUpdateChargesDeleteThenInsert: an update is the pair of its old
+// row's delete and its new row's insert, one ApplyRun batch, and is
+// charged and leaves the bytes Delete then Insert do — when the
+// replacement keeps the key and takes a new id, keeps the key and id,
+// belongs in another leaf or below the old row's leaf, no longer fits and
+// splits the leaf, and when the old row is absent. Each runs from a cold
+// pool of 256 frames, and of 2 frames through a tree of height ≥ 3, where
+// every visit takes one row.
+func TestUpdateChargesDeleteThenInsert(t *testing.T) {
+	wide := func(id uint64, k int64) tuple.Tuple {
+		return tuple.New(id, tuple.I(k), tuple.S(strings.Repeat("w", 120)))
+	}
+	var load []tuple.Tuple
+	for i := int64(0); i < 200; i++ {
+		load = append(load, mk(uint64(i+1), i))
+	}
+	cases := []struct {
+		name    string
+		k       int64
+		id      uint64
+		replace tuple.Tuple
+		split   bool
+	}{
+		{"same key, new id", 40, 41, mk(5000, 40), false},
+		{"same key and id", 40, 41, tuple.New(41, tuple.I(40), tuple.S("rewritten")), false},
+		{"another leaf", 40, 41, mk(5000, 190), false},
+		{"a key below the leaf", 120, 121, mk(5000, 3), false},
+		{"no room: the leaf splits", 40, 41, wide(5000, 40), true},
+		{"absent", 40, 999, mk(5000, 40), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pair := []signedBatch{{rows: []tuple.Tuple{tuple.New(c.id, tuple.I(c.k)), c.replace}, signs: []int8{-1, 1}}}
+			for _, frames := range []int{256, 2} {
+				t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+					tr, leaves := matchesRowByRow(t, 200, frames, false, load, pair, -1)
+					if frames < 256 && tr.Height() < 3 {
+						t.Fatalf("height %d, want ≥ 3", tr.Height())
+					}
+					if split := tr.LeafPages() > leaves; split != c.split {
+						t.Errorf("leaves %d → %d: split = %v, want %v", leaves, tr.LeafPages(), split, c.split)
+					}
+				})
+			}
+		})
+	}
+}
+
+// matchesRowByRow applies stream to a tree of ps-byte pages in a pool of
+// frames, after loading it with load and emptying the pool, twice: with
+// ApplyRun, handing the rows it leaves to the row-by-row steps, and one
+// row at a time with Insert, Delete and the counted rewrite. It fails t
+// unless both leave the same digest (treeDigest), errors and cut rows,
+// and returns the ApplyRun tree and its leaf count after the load.
+func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple, stream []signedBatch, countCol int) (*Tree, int) {
+	t.Helper()
+	run := func(batch func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error) (*Tree, int, string, []string, []tuple.Tuple) {
+		d := storage.NewDisk(ps)
+		m := storage.NewMeter()
+		tr, err := New(storage.NewPool(d, m, frames), d.Open("t"), 0)
+		if err == nil && load != nil {
+			if err = tr.InsertRun(load); err == nil {
+				err = tr.pool.EvictAll()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := tr.LeafPages()
+		if bulk {
+			tr.pool.BeginBulk()
+		}
+		var errs []string
+		var cut []tuple.Tuple
+		for i, b := range stream {
+			errs = append(errs, fmt.Sprint(batch(tr, b, &cut)))
+			// Point reads after each batch: what they miss depends
+			// on the recency order the batch left.
+			for j := 0; j < 3; j++ {
+				if _, _, err := tr.Get(tuple.I(int64((i*7+j*61)%200)), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if bulk {
+			tr.pool.EndBulk()
+		}
+		tr.pool.AssertUnpinned(t)
+		return tr, leaves, treeDigest(t, tr, m), errs, cut
+	}
+	alone := func(tr *Tree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
+		if countCol >= 0 {
+			return applyCountedAlone(t, tr, tp, sign, countCol, cut)
+		}
+		return applyPlainAlone(tr, tp, sign, cut)
+	}
+	_, _, want, wantErrs, wantCut := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
+		for i, tp := range b.rows {
+			if err := alone(tr, tp, b.signs[i], cut); err != nil {
+				return fmt.Errorf("row %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+	tr, leaves, got, gotErrs, gotCut := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
+		for done := 0; done < len(b.rows); {
+			n, err := tr.ApplyRun(b.rows[done:], b.signs[done:], countCol, cut)
+			if done += n; errors.Is(err, ErrAbsent) {
+				err = ErrAbsent // its message names the row; the lone delete's does not
+			}
+			if err != nil {
+				return fmt.Errorf("row %d: %w", done, err)
+			}
+			if done < len(b.rows) {
+				if err := alone(tr, b.rows[done], b.signs[done], cut); err != nil {
+					return fmt.Errorf("row %d: %w", done, err)
+				}
+				done++
+			}
+		}
+		return nil
+	})
+	if got != want {
+		t.Errorf("ApplyRun left digest %s, rows one at a time %s", got, want)
+	}
+	if fmt.Sprint(gotErrs) != fmt.Sprint(wantErrs) {
+		t.Errorf("ApplyRun errors %v, rows one at a time %v", gotErrs, wantErrs)
+	}
+	if fmt.Sprint(gotCut) != fmt.Sprint(wantCut) {
+		t.Errorf("ApplyRun cut rows %v, rows one at a time %v", gotCut, wantCut)
+	}
+	return tr, leaves
 }
 
 // TestApplyRunKeepsRecencyOrder: a batch whose rows visit leaf A, then B
@@ -285,7 +363,7 @@ func TestApplyRunKeepsRecencyOrder(t *testing.T) {
 			}
 		})
 		got := run(func(tr *Tree) {
-			if n, err := tr.ApplyRun(rows, signs, -1); err != nil || n != len(rows) {
+			if n, err := tr.ApplyRun(rows, signs, -1, nil); err != nil || n != len(rows) {
 				t.Fatalf("applied %d of %d: %v", n, len(rows), err)
 			}
 		})

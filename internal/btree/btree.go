@@ -55,10 +55,9 @@ type Tree struct {
 	rowLeaf []int
 	touch   []storage.PageNum
 
-	// A Delete's row, of its key value alone, and the row its visit cuts.
-	key  []tuple.Value
-	keep bool
-	gone tuple.Tuple
+	// A Delete's row, of its key value alone, and the row it cut.
+	key []tuple.Value
+	cut []tuple.Tuple
 }
 
 // key orders leaf entries: by column value, then by tuple id.
@@ -288,48 +287,40 @@ func sepAtMost(src []byte, k *key) (bool, int, error) {
 
 // route walks an encoded internal page in place and returns the child
 // covering k: the last child whose separator is ≤ k, the first for a nil
-// k. When alt is given, together reports whether alt is covered by that
-// child too. When f is given, route narrows it to that child's range,
-// decoding the separators on either side of it (fence.narrow). Without
-// f it allocates nothing, and either way it walks the whole page
-// whatever the probe, making every check decodeInternal makes, so a
-// damaged page fails every descent through it.
-func route(page []byte, k, alt *key, f *fence) (child storage.PageNum, together bool, err error) {
+// k. When f is given, route narrows it to that child's range, decoding
+// the separators on either side of it (fence.narrow). Without f it
+// allocates nothing, and either way it walks the whole page whatever the
+// probe, making every check decodeInternal makes, so a damaged page fails
+// every descent through it.
+func route(page []byte, k *key, f *fence) (child storage.PageNum, err error) {
 	cnt, err := internalChildren(page)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	// kOn (altOn): the probe is ≥ every separator walked so far, so the
-	// child after the last of them covers it so far.
-	kOn, altOn := true, alt != nil
-	together = altOn
+	// on: the probe is ≥ every separator walked so far, so the child
+	// after the last of them covers it so far.
+	on := true
 	lo, hi := -1, -1 // the offsets of the separators on either side of child
 	off := internalHeader
 	for i := 0; i < cnt; i++ {
 		if i > 0 {
 			le, n, err := sepAtMost(page[off:], k)
 			if err != nil {
-				return 0, false, fmt.Errorf("btree: internal sep %d: %w", i, err)
-			}
-			if altOn {
-				altOn, _, _ = sepAtMost(page[off:], alt) // the same bytes, checked above
+				return 0, fmt.Errorf("btree: internal sep %d: %w", i, err)
 			}
 			switch {
-			case kOn && le:
+			case on && le:
 				lo = off
-			case kOn:
+			case on:
 				hi = off
-				kOn = false
-			}
-			if kOn != altOn {
-				together = false
+				on = false
 			}
 			off += n
 		}
 		if len(page)-off < 4 {
-			return 0, false, fmt.Errorf("btree: internal page truncated at child %d", i)
+			return 0, fmt.Errorf("btree: internal page truncated at child %d", i)
 		}
-		if kOn {
+		if on {
 			child = storage.PageNum(binary.BigEndian.Uint32(page[off:]))
 		}
 		off += 4
@@ -337,7 +328,7 @@ func route(page []byte, k, alt *key, f *fence) (child storage.PageNum, together 
 	if f != nil {
 		err = f.narrow(page, lo, hi)
 	}
-	return child, together, err
+	return child, err
 }
 
 // fence is the key range [lo, hi) a leaf covers, read off the separators
@@ -389,7 +380,7 @@ func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 				return nil
 			}
 			var err error
-			child, _, err = route(page, nil, nil, nil)
+			child, err = route(page, nil, nil)
 			return err
 		})
 		if err != nil {
@@ -407,44 +398,18 @@ func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
 // findLeaf descends from the root to the leaf covering k — a nil k is
 // −∞, the leftmost leaf — and returns its page number (metered: one
 // read per level unless cached).
-func (t *Tree) findLeaf(k *key) (storage.PageNum, error) {
-	pn, _, err := t.descend(k, nil)
-	return pn, err
-}
+func (t *Tree) findLeaf(k *key) (storage.PageNum, error) { return t.descend(k, nil) }
 
-// descend is findLeaf routing a second key, alt, alongside k: together
-// reports whether the leaf covering k covers alt as well. Each internal
-// page is routed on in place (route), so a descent allocates nothing.
-func (t *Tree) descend(k, alt *key) (leafPN storage.PageNum, together bool, err error) {
-	pn := t.root
-	together = alt != nil
-	for {
-		leaf := false
-		var child storage.PageNum
-		err := t.pool.Read(t.file, pn, func(page []byte) error {
-			if leaf = page[0] == byte(leafPages); leaf {
-				return nil
-			}
-			var same bool
-			var err error
-			child, same, err = route(page, k, alt, nil)
-			together = together && same
-			return err
-		})
-		if err != nil {
-			return 0, false, err
-		}
-		if leaf {
-			return pn, together, nil
-		}
-		pn = child
+// descend is findLeaf. Each internal page is routed on in place (route),
+// so without o it allocates nothing; with o, an apply visit's leaf, it
+// notes there the internal pages it passes, root first, and the leaf's
+// fence.
+func (t *Tree) descend(k *key, o *openLeaf) (storage.PageNum, error) {
+	var f *fence
+	if o != nil {
+		o.path, o.fence = o.path[:0], fence{}
+		f = &o.fence
 	}
-}
-
-// descendInto is findLeaf for an apply visit: it notes in o the leaf's
-// page, the internal pages it passes, root first, and the leaf's fence.
-func (t *Tree) descendInto(o *openLeaf, k key) error {
-	o.path, o.fence = o.path[:0], fence{}
 	pn := t.root
 	for {
 		leaf := false
@@ -454,17 +419,18 @@ func (t *Tree) descendInto(o *openLeaf, k key) error {
 				return nil
 			}
 			var err error
-			child, _, err = route(page, &k, nil, &o.fence)
+			child, err = route(page, k, f)
 			return err
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if leaf {
-			o.pn = pn
-			return nil
+			return pn, nil
 		}
-		o.path = append(o.path, pn)
+		if o != nil {
+			o.path = append(o.path, pn)
+		}
 		pn = child
 	}
 }
@@ -535,7 +501,7 @@ func (t *Tree) Insert(tp tuple.Tuple) error {
 
 // InsertRun inserts tps in order: an ApplyRun of inserts only.
 func (t *Tree) InsertRun(tps []tuple.Tuple) error {
-	_, err := t.ApplyRun(tps, nil, -1)
+	_, err := t.ApplyRun(tps, nil, -1, nil)
 	return err
 }
 
@@ -552,16 +518,17 @@ func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 		t.key = make([]tuple.Value, t.keyCol+1)
 	}
 	t.key[t.keyCol] = val
-	t.keep = true
-	_, err := t.ApplyRun([]tuple.Tuple{{ID: id, Vals: t.key}}, minus, -1)
-	gone := t.gone
-	t.keep, t.key[t.keyCol], t.gone = false, tuple.Value{}, tuple.Tuple{}
+	t.cut = t.cut[:0]
+	_, err := t.ApplyRun([]tuple.Tuple{{ID: id, Vals: t.key}}, minus, -1, &t.cut)
+	t.key[t.keyCol] = tuple.Value{}
 	if errors.Is(err, ErrAbsent) {
 		return tuple.Tuple{}, false, nil
 	}
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
+	gone := t.cut[0]
+	t.cut[0] = tuple.Tuple{}
 	return gone, true, nil
 }
 
@@ -574,7 +541,10 @@ func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // With countCol < 0 the rows are plain: an insert splices its row in (a
 // duplicate (value, id) is an error), a delete cuts the row of its
 // (value, id), the rest of its columns unread (an absent one is
-// ErrAbsent), and ApplyRun applies every row or stops at the error.
+// ErrAbsent), and ApplyRun applies every row or stops at the error. An
+// update is the pair of its old row's delete and its new row's insert.
+// With a non-nil cut, every row a delete cuts out of a leaf is appended
+// to *cut, whole, in stream order.
 //
 // With countCol ≥ 0 the rows are counted: their Int column countCol
 // counts the copies a row stands for. A row is matched with the first
@@ -584,8 +554,8 @@ func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // is none; a delete lowers the match's count, or cuts the row when the
 // count would reach zero. ApplyRun stops at the first row it cannot apply
 // inside a leaf visit: that row is the caller's, to apply with the
-// lookup and then an Update, Delete or Insert of its own — and a delete
-// with no match is the caller's underflow to report.
+// lookup and then a write of its own — and a delete with no match is the
+// caller's underflow to report.
 //
 // Each visit descends to a leaf once (for a counted row, to where its
 // lookup goes: the route of its key value with id 0), decodes the leaf
@@ -596,23 +566,24 @@ func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // Rows are applied in stream order either way; only the encodes and the
 // releases wait for the visit's end. Charges stay per row (DESIGN §6):
 // each leaf is released dirty once per write its rows stand for, a
-// counted raise or lower twice (the Update it replaces), and the pages
-// are then touched again in stream order, so the pool's recency order
-// ends as row-by-row writes leave it. A row leaves the visit — it starts
-// the next one, or for counted rows it is the caller's — when it would
-// split its leaf, its lookup would read on past the leaf (no row of it
-// has a larger key value, and it has a right sibling), the fence does not
-// hold both its key and its key value with id 0, it would fail, or the
-// pool is smaller than the tree is high (every visit then takes one row).
-// On an error the rows before the failing one stay applied.
-func (t *Tree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int) (int, error) {
+// counted raise or lower twice (the delete and insert it stands for), and
+// the pages are then touched again in stream order, so the pool's
+// recency order ends as row-by-row writes leave it. A row leaves the
+// visit — it starts the next one, or for counted rows it is the caller's
+// — when it would split its leaf, its lookup would read on past the leaf
+// (no row of it has a larger key value, and it has a right sibling), the
+// fence does not hold both its key and its key value with id 0, it would
+// fail, or the pool is smaller than the tree is high (every visit then
+// takes one row). On an error the rows before the failing one stay
+// applied.
+func (t *Tree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
 	done := 0
 	for done < len(rows) {
 		sg := signs
 		if sg != nil {
 			sg = sg[done:]
 		}
-		n, err := t.visit(rows[done:], sg, countCol)
+		n, err := t.visit(rows[done:], sg, countCol, cut)
 		if done += n; err != nil || (n == 0 && countCol >= 0) {
 			return done, err
 		}
@@ -624,7 +595,7 @@ func (t *Tree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int) (int, er
 // consumed: the rows it applied, plus none for a row a split left
 // unplaced (the next visit starts with it). With a countCol ≥ 0 it
 // consumes none only for a row that leaves the visit.
-func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int) (int, error) {
+func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
 	counted := countCol >= 0
 	frames := t.pool.Capacity()
 	alone := frames < t.height
@@ -666,7 +637,7 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int) (int, error
 			open++
 		}
 		ol := &t.open[o]
-		writes, added, why, idx := t.edit(ol, tp, k, plus, countCol)
+		writes, added, why, idx := t.edit(ol, tp, k, plus, countCol, cut)
 		if why == applies {
 			if ol.releases == 0 {
 				edited++
@@ -705,10 +676,11 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int) (int, error
 
 // openLeaf descends to the leaf covering k, pins it and decodes it into o.
 func (t *Tree) openLeaf(o *openLeaf, k key) error {
-	if err := t.descendInto(o, k); err != nil {
+	pn, err := t.descend(&k, o)
+	if err != nil {
 		return err
 	}
-	fr, err := t.pool.Get(t.file, o.pn)
+	fr, err := t.pool.Get(t.file, pn)
 	if err != nil {
 		return err
 	}
@@ -716,7 +688,7 @@ func (t *Tree) openLeaf(o *openLeaf, k key) error {
 		t.pool.Release(fr)
 		return err
 	}
-	o.fr, o.added, o.releases = fr, 0, 0
+	o.pn, o.fr, o.added, o.releases = pn, fr, 0, 0
 	return nil
 }
 
@@ -732,10 +704,10 @@ const (
 )
 
 // edit applies row tp, of key k, to open leaf o's decoded rows and
-// returns the writes it stands for and the rows it adds (−1: cuts); or
-// why it cannot, leaving the rows as they were (an overflowing insert's
-// place in idx).
-func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int) (writes, added int, why outcome, idx int) {
+// returns the writes it stands for and the rows it adds (−1: cuts, a row
+// appended to a non-nil *cut); or why it cannot, leaving the rows as they
+// were (an overflowing insert's place in idx).
+func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int, cut *[]tuple.Tuple) (writes, added int, why outcome, idx int) {
 	leaf := &o.leaf
 	if countCol >= 0 {
 		i, found, ok := findCounted(leaf, tp, t.keyCol, countCol)
@@ -750,10 +722,10 @@ func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int)
 			case *cnt > d:
 				*cnt -= d
 			default:
-				leaf.DeleteRow(i)
+				cutRow(leaf, i, cut)
 				return 1, -1, applies, 0 // the Delete that cuts it
 			}
-			return 2, 0, applies, 0 // the Update that rewrites it
+			return 2, 0, applies, 0 // the delete and insert that rewrite it
 		}
 		if !plus {
 			return 0, 0, leaves, 0 // an underflow, the caller's to report
@@ -764,10 +736,7 @@ func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int)
 	case !plus && !hit:
 		return 0, 0, absent, 0
 	case !plus:
-		if t.keep {
-			t.gone = leaf.Row(idx)
-		}
-		leaf.DeleteRow(idx)
+		cutRow(leaf, idx, cut)
 		return 1, -1, applies, 0
 	case hit:
 		return 0, 0, duplicate, 0
@@ -778,6 +747,14 @@ func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int)
 	}
 	leaf.DeleteRow(idx)
 	return 0, 0, overflows, idx
+}
+
+// cutRow cuts row i out of leaf, appending it to a non-nil *cut first.
+func cutRow(leaf *leafNode, i int, cut *[]tuple.Tuple) {
+	if cut != nil {
+		*cut = append(*cut, leaf.Row(i))
+	}
+	leaf.DeleteRow(i)
 }
 
 // close settles the visit's open leaves, in the order they were opened:
@@ -884,7 +861,7 @@ rows:
 // fits beside neither of its neighbours — the leaf splits at the row's
 // place without it, and the row is left unplaced: inserted again, it
 // lands last on the left half, which then splits it off. The separator
-// goes up the path descendInto noted, splitting internal pages in turn
+// goes up the path descend noted, splitting internal pages in turn
 // and growing a new root when the old one splits.
 func (t *Tree) splitLeaf(o *openLeaf, idx int) (placed bool, err error) {
 	fr, leaf := o.fr, &o.leaf
@@ -1038,74 +1015,6 @@ func (n *internalNode) childFor(k key) int {
 		}
 	}
 	return lo
-}
-
-// --- update --------------------------------------------------------------
-
-// Update replaces the tuple with the given key value and id by tp and
-// returns the tuple it replaced, reporting whether that was found. When
-// tp belongs in the same leaf and fits there, the leaf is decoded and
-// encoded once; otherwise the update is the Delete and the Insert it
-// stands for. Either way it is charged what they would be charged.
-func (t *Tree) Update(val tuple.Value, id uint64, tp tuple.Tuple) (tuple.Tuple, bool, error) {
-	return t.replace(key{val: val, id: id}, &tp)
-}
-
-// replace is Update: one descent routing both keys.
-func (t *Tree) replace(k key, tp *tuple.Tuple) (tuple.Tuple, bool, error) {
-	nk := keyOf(*tp, t.keyCol)
-	leafPN, together, err := t.descend(&k, &nk)
-	if err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	fr, err := t.pool.Get(t.file, leafPN)
-	if err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	leaf := &t.slot(0).leaf
-	if err := t.decodeLeaf(fr.Data, leaf); err != nil {
-		t.pool.Release(fr)
-		return tuple.Tuple{}, false, err
-	}
-	idx, found := leafFind(leaf, k, t.keyCol)
-	if !found {
-		return tuple.Tuple{}, false, t.pool.Release(fr)
-	}
-	old := leaf.Row(idx)
-	leaf.DeleteRow(idx)
-	t.count--
-	if together {
-		if at, dup := leafFind(leaf, nk, t.keyCol); !dup {
-			leaf.InsertRow(at, *tp)
-			if leaf.Size() <= len(fr.Data) {
-				t.encodeLeaf(fr, leaf)
-				fr.MarkDirty()
-				// Delete then Insert would each release this leaf dirty, and
-				// under write-through each release writes it back: release it
-				// for the delete, then take it again, clean and resident (a
-				// hit), and release it dirty for the insert.
-				if err := t.pool.Release(fr); err != nil {
-					return tuple.Tuple{}, false, err
-				}
-				if fr, err = t.pool.Get(t.file, leafPN); err != nil {
-					return tuple.Tuple{}, false, err
-				}
-				fr.MarkDirty()
-				t.count++
-				return old, true, t.pool.Release(fr)
-			}
-			leaf.DeleteRow(at)
-		}
-	}
-	t.encodeLeaf(fr, leaf)
-	fr.MarkDirty()
-	if err := t.pool.Release(fr); err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	if err := t.Insert(*tp); err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	return old, true, nil
 }
 
 // Get returns the tuple with the exact (value, id) key, if present.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -659,8 +658,8 @@ func TestDescentRejectsCorruptInternalPages(t *testing.T) {
 			check("Insert", tr.Insert(mk(1000, 7)))
 			_, _, err = tr.Delete(tuple.I(99), 100)
 			check("Delete", err)
-			_, _, err = tr.Update(tuple.I(0), 1, mk(1001, 0))
-			check("Update", err)
+			_, err = tr.ApplyRun([]tuple.Tuple{mk(1, 0), mk(1001, 0)}, []int8{-1, 1}, -1, nil)
+			check("ApplyRun", err)
 			_, err = tr.leftmostLeafUncharged()
 			check("leftmostLeafUncharged", err)
 			tr.pool.AssertUnpinned(t)
@@ -693,9 +692,10 @@ func TestFindLeafAllocations(t *testing.T) {
 }
 
 // TestLeafEditAllocations pins what one leaf edit allocates on a warm
-// tree — an insert, a delete, and an update that stays in its leaf, none
-// of them splitting one: the edit decodes the leaf onto lanes the tree
-// reuses, splices one row and encodes the lanes back. An edit that boxed
+// tree — an insert, a delete, and an update that stays in its leaf (the
+// pair of its delete and insert, one ApplyRun), none of them splitting
+// one: the edit decodes the leaf onto lanes the tree reuses, splices one
+// row and encodes the lanes back. An edit that boxed
 // the whole page again would show here: while edits decoded the leaf to
 // tuples, the three allocated 12, 11 and 15 objects. The bounds are
 // today's counts: they may fall, and must not rise.
@@ -727,10 +727,7 @@ func TestLeafEditAllocations(t *testing.T) {
 		}},
 		{"update", 10, 17, func() error {
 			upd++
-			_, ok, err := tr.Update(tuple.I(1000), 1001, tuple.New(1001, tuple.I(1000), tuple.S(fmt.Sprint("payload", upd%2))))
-			if err == nil && !ok {
-				err = fmt.Errorf("row 1001 not found")
-			}
+			_, err := tr.ApplyRun([]tuple.Tuple{tuple.New(1001, tuple.I(1000)), tuple.New(1001, tuple.I(1000), tuple.S(fmt.Sprint("payload", upd%2)))}, []int8{-1, 1}, -1, nil)
 			return err
 		}},
 	} {
@@ -766,87 +763,4 @@ func raceEnabled() bool {
 		}
 	}
 	return false
-}
-
-// TestUpdateChargesDeleteThenInsert: Update is charged what Delete then
-// Insert are charged and leaves the same bytes on disk — when the
-// replacement lands in the old tuple's leaf (one decode, one encode),
-// when it belongs in another leaf, when it no longer fits and the leaf
-// splits, and when the old tuple is absent.
-func TestUpdateChargesDeleteThenInsert(t *testing.T) {
-	wide := func(id uint64, k int64) tuple.Tuple {
-		return tuple.New(id, tuple.I(k), tuple.S(strings.Repeat("w", 120)))
-	}
-	cases := []struct {
-		name    string
-		k       int64
-		id      uint64
-		replace tuple.Tuple
-		split   bool
-	}{
-		{"same key, new id", 40, 41, mk(5000, 40), false},
-		{"same key and id", 40, 41, tuple.New(41, tuple.I(40), tuple.S("rewritten")), false},
-		{"another leaf", 40, 41, mk(5000, 190), false},
-		{"a key below the leaf", 120, 121, mk(5000, 3), false},
-		{"no room: the leaf splits", 40, 41, wide(5000, 40), true},
-		{"absent", 40, 999, mk(5000, 40), false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			build := func() (*Tree, *storage.Meter, *storage.Disk) {
-				d := storage.NewDisk(200)
-				m := storage.NewMeter()
-				tr, err := New(storage.NewPool(d, m, 256), d.Open("t"), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := int64(0); i < 200; i++ {
-					if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := tr.pool.EvictAll(); err != nil {
-					t.Fatal(err)
-				}
-				return tr, m, d
-			}
-			up, upM, upD := build()
-			ref, refM, refD := build()
-			leaves := up.LeafPages()
-
-			before := upM.Snapshot()
-			old, ok, err := up.Update(tuple.I(c.k), c.id, c.replace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			upCost := upM.Snapshot().Sub(before)
-
-			before = refM.Snapshot()
-			want, wantOK, err := ref.Delete(tuple.I(c.k), c.id)
-			if err == nil && wantOK {
-				err = ref.Insert(c.replace)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			refCost := refM.Snapshot().Sub(before)
-
-			if ok != wantOK || old.ID != want.ID || !tuple.ValsEqual(old, want) {
-				t.Errorf("Update returned %v, %v; Delete returned %v, %v", old, ok, want, wantOK)
-			}
-			if upCost != refCost {
-				t.Errorf("Update charged %+v, Delete then Insert %+v", upCost, refCost)
-			}
-			if up.Len() != ref.Len() || up.Height() != ref.Height() {
-				t.Errorf("Update left %d tuples at height %d, Delete then Insert %d at %d", up.Len(), up.Height(), ref.Len(), ref.Height())
-			}
-			if split := up.LeafPages() > leaves; split != c.split {
-				t.Errorf("leaves %d → %d: split = %v, want %v", leaves, up.LeafPages(), split, c.split)
-			}
-			if !reflect.DeepEqual(upD.FullDelta(), refD.FullDelta()) {
-				t.Error("Update and Delete then Insert left different pages")
-			}
-			up.pool.AssertUnpinned(t)
-		})
-	}
 }

@@ -74,7 +74,8 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	}
 	for i := int64(100); i < 150; i++ {
 		k := i * 7919 % 400
-		if _, _, err := tr.Update(tuple.I(k), uint64(i+1), tuple.New(uint64(i+1), tuple.I(k), tuple.S("zz"))); err != nil {
+		pair := []tuple.Tuple{tuple.New(uint64(i+1), tuple.I(k)), tuple.New(uint64(i+1), tuple.I(k), tuple.S("zz"))}
+		if _, err := tr.ApplyRun(pair, []int8{-1, 1}, -1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

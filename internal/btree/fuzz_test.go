@@ -167,15 +167,16 @@ func FuzzBTree(f *testing.F) {
 					t.Fatalf("insert run %v: %v", run, err)
 				}
 			case 7: // a signed run: each of the script's next 1–8 bytes deletes a live tuple (odd) or inserts one keyed by it (even)
-				var run []tuple.Tuple
+				var run, gone []tuple.Tuple
 				var signs []int8
 				for n := int(arg%8) + 1; n > 0 && len(data) > 0; n-- {
 					b := data[0]
 					data = data[1:]
 					if b&1 == 1 && len(live) > 0 {
 						j := int(b>>1) % len(live)
-						run = append(run, tuple.New(live[j].id, live[j].k, tuple.S(live[j].p)))
+						run = append(run, tuple.New(live[j].id, live[j].k))
 						signs = append(signs, -1)
+						gone = append(gone, tuple.New(live[j].id, live[j].k, tuple.S(live[j].p)))
 						live = append(live[:j], live[j+1:]...)
 						continue
 					}
@@ -185,8 +186,12 @@ func FuzzBTree(f *testing.F) {
 					signs = append(signs, 1)
 					live = append(live, r)
 				}
-				if n, err := tr.ApplyRun(run, signs, -1); err != nil || n != len(run) {
+				var cut []tuple.Tuple
+				if n, err := tr.ApplyRun(run, signs, -1, &cut); err != nil || n != len(run) {
 					t.Fatalf("signed run %v %v: applied %d: %v", run, signs, n, err)
+				}
+				if fmt.Sprint(cut) != fmt.Sprint(gone) {
+					t.Fatalf("signed run %v %v cut %v, want %v", run, signs, cut, gone)
 				}
 			case 1: // delete an existing tuple
 				if len(live) == 0 {
@@ -220,7 +225,7 @@ func FuzzBTree(f *testing.F) {
 					hi = tuple.S(lo.Str() + "~")
 				}
 				checkScan(&pred.Range{Lo: &lo, LoInc: true, Hi: &hi, HiInc: false})
-			case 4, 5: // update an existing tuple: to a new key and id, or in place
+			case 4, 5: // update an existing tuple, the pair of its delete and an insert: to a new key and id, or in place
 				if len(live) == 0 {
 					continue
 				}
@@ -232,15 +237,13 @@ func FuzzBTree(f *testing.F) {
 				} else {
 					nextID++
 				}
-				old, ok, err := tr.Update(victim.k, victim.id, tuple.New(r.id, r.k, tuple.S(r.p)))
-				if err != nil {
+				var cut []tuple.Tuple
+				pair := []tuple.Tuple{tuple.New(victim.id, victim.k), tuple.New(r.id, r.k, tuple.S(r.p))}
+				if _, err := tr.ApplyRun(pair, []int8{-1, 1}, -1, &cut); err != nil {
 					t.Fatalf("update %+v to %+v: %v", victim, r, err)
 				}
-				if !ok {
-					t.Fatalf("update %+v: tree says absent, oracle says live", victim)
-				}
-				if !same(recOf(old), victim) {
-					t.Fatalf("update %+v returned %+v", victim, recOf(old))
+				if len(cut) != 1 || !same(recOf(cut[0]), victim) {
+					t.Fatalf("update %+v cut %v", victim, cut)
 				}
 				live[j] = r
 			}

@@ -78,23 +78,19 @@ func (g *groupStore) get(group tuple.Value) (tuple.Tuple, bool, error) {
 }
 
 // put replaces (or inserts) a group's row; an empty state removes it. A
-// replaced row keeps its key and id, so one visit to its leaf.
+// replaced row keeps its key and id: the pair of its delete and its
+// insert, one ApplyRun, so one visit to its leaf.
 func (g *groupStore) put(group tuple.Value, s *agg.State, old *tuple.Tuple, id uint64) error {
-	if old == nil {
-		if s.Count() == 0 {
-			return nil
-		}
-		return g.rel.Insert(tuple.Tuple{ID: id, Vals: rowOf(group, s)})
+	var rows []tuple.Tuple
+	var signs []int8
+	if old != nil {
+		rows, signs, id = append(rows, *old), append(signs, -1), old.ID
 	}
-	var ok bool
-	var err error
-	if s.Count() == 0 {
-		_, ok, err = g.rel.Delete(group, old.ID)
-	} else {
-		_, ok, err = g.rel.Update(group, old.ID, tuple.Tuple{ID: old.ID, Vals: rowOf(group, s)})
+	if s.Count() > 0 {
+		rows, signs = append(rows, tuple.Tuple{ID: id, Vals: rowOf(group, s)}), append(signs, 1)
 	}
-	if err != nil || !ok {
-		return fmt.Errorf("core: group row rewrite lost %v: ok=%v err=%v", group, ok, err)
+	if _, err := g.rel.ApplyRun(rows, signs, -1, nil); err != nil {
+		return fmt.Errorf("core: group row rewrite of %v: %w", group, err)
 	}
 	return nil
 }

@@ -17,9 +17,9 @@ const dupCountCol = "__dup"
 // MatView is a materialized view stored as a clustered B+-tree with a
 // hidden duplicate count per distinct row (§2.1): projection can map
 // several source tuples to one view row, and without a count a deletion
-// could not tell whether the row must disappear. InsertDelta increments
-// the count (inserting at 1); DeleteDelta decrements it (physically
-// removing at 0) and fails on underflow — underflow is how the
+// could not tell whether the row must disappear. ApplyDeltaRun's inserts
+// increment the count (inserting at 1); its deletes decrement it
+// (physically removing at 0) and fail on underflow — underflow is how the
 // Appendix A anomaly in Blakeley's delete expansion manifests.
 type MatView struct {
 	name   string
@@ -103,39 +103,25 @@ func valsEqualPrefix(stored []tuple.Value, vals []tuple.Value) bool {
 	return true
 }
 
-// InsertDelta adds one source occurrence of the row: increments the
-// duplicate count of an identical stored row, or inserts it with count
-// 1. id supplies a fresh tuple id when a physical insert is needed. It
-// is a run of one row (ApplyDeltaRun).
-func (v *MatView) InsertDelta(vals []tuple.Value, id uint64) error {
-	_, err := v.ApplyDeltaRun([][]tuple.Value{vals}, nil, []uint64{id})
-	return err
-}
-
-// DeleteDelta removes one source occurrence: decrements the duplicate
-// count, physically deleting the row at zero. A missing row is an
-// error — the differential algorithm never deletes what it did not
-// insert, so a miss means the caller used an incorrect expansion
-// (see Appendix A) or corrupted state. It is a run of one row.
-func (v *MatView) DeleteDelta(vals []tuple.Value) error {
-	_, err := v.ApplyDeltaRun([][]tuple.Value{vals}, []int8{-1}, []uint64{0})
-	return err
-}
-
 // ApplyDeltaRun applies a signed batch of source occurrences in stream
-// order, as InsertDelta (signs[i] ≥ 0, or nil signs) and DeleteDelta
-// (signs[i] < 0) do row by row; ids[i] is insert row i's fresh id. It
-// returns how many rows it applied: all of them, or those before the one
-// that failed. Every row is validated before any is applied, so a batch
-// with an invalid row applies the rows before it.
+// order and returns how many rows it applied: all of them, or those
+// before the one that failed. An insert (signs[i] ≥ 0, or nil signs)
+// adds one occurrence of its row: it increments the duplicate count of an
+// identical stored row, or inserts it with count 1 under ids[i], a fresh
+// id. A delete removes one: it decrements the count, physically deleting
+// the row at zero. A missing row is an error — the differential
+// algorithm never deletes what it did not insert, so a miss means the
+// caller used an incorrect expansion (see Appendix A) or corrupted state.
+// Every row is validated before any is applied, so a batch with an
+// invalid row applies the rows before it.
 //
 // The stored copy takes the rows as counted rows
-// (relation.Relation.ApplyCountedRun): a leaf visit answers each row's
-// lookup from the leaf it decoded and raises or lowers the count of the
-// row found, splices the row in or cuts it. A row the visit leaves takes
-// a point lookup and then a write of its own (insertAlone, deleteAlone).
-// Either way pages, directory and charges end as row-by-row lookups and
-// writes leave them (DESIGN §6).
+// (relation.Relation.ApplyRun with the count column): a leaf visit
+// answers each row's lookup from the leaf it decoded and raises or lowers
+// the count of the row found, splices the row in or cuts it. A row the
+// visit leaves takes a point lookup and then a write of its own
+// (applyAlone). Either way pages, directory and charges end as row-by-row
+// lookups and writes leave them (DESIGN §6).
 func (v *MatView) ApplyDeltaRun(rows [][]tuple.Value, signs []int8, ids []uint64) (int, error) {
 	w := len(v.out.Cols) + 1
 	cells := make([]tuple.Value, len(rows)*w)
@@ -157,16 +143,12 @@ func (v *MatView) ApplyDeltaRun(rows [][]tuple.Value, signs []int8, ids []uint64
 		if signs != nil {
 			sg = signs[done:]
 		}
-		n, err := v.rel.ApplyCountedRun(tps[done:], sg, w-1)
+		n, err := v.rel.ApplyRun(tps[done:], sg, w-1, nil)
 		if done += n; err != nil {
 			return done, err
 		}
 		if done < len(tps) {
-			alone := v.insertAlone
-			if signs != nil && signs[done] < 0 {
-				alone = v.deleteAlone
-			}
-			if err := alone(tps[done]); err != nil {
+			if err := v.applyAlone(tps[done], signs == nil || signs[done] >= 0); err != nil {
 				return done, err
 			}
 			done++
@@ -175,48 +157,35 @@ func (v *MatView) ApplyDeltaRun(rows [][]tuple.Value, signs []int8, ids []uint64
 	return done, bad
 }
 
-// insertAlone adds stored row tp, of count 1, with a point lookup and
-// then a rewrite of the count of the row found or an insert.
-func (v *MatView) insertAlone(tp tuple.Tuple) error {
+// applyAlone adds (plus) or removes one occurrence of stored row tp, of
+// count 1, with a point lookup and then one write: the row's insert when
+// none is found, else the pair that cuts the row found and puts it back
+// with its new count (same key and id), or at a count of zero its cut
+// alone.
+func (v *MatView) applyAlone(tp tuple.Tuple, plus bool) error {
 	vals := tp.Vals[:len(tp.Vals)-1]
 	row, found, err := v.findRow(vals)
 	if err != nil {
 		return err
 	}
-	if found {
-		return v.setCount(row, row.Vals[len(vals)].Int()+1)
-	}
-	return v.rel.Insert(tp)
-}
-
-// deleteAlone removes one occurrence of stored row tp with a point
-// lookup and then a rewrite of the count of the row found or its delete.
-func (v *MatView) deleteAlone(tp tuple.Tuple) error {
-	vals := tp.Vals[:len(tp.Vals)-1]
-	row, found, err := v.findRow(vals)
-	if err != nil {
-		return err
-	}
-	if !found {
+	if !found && !plus {
 		return fmt.Errorf("matview: delete of absent row %v (duplicate-count underflow)", vals)
 	}
-	cnt := row.Vals[len(vals)].Int()
-	if cnt > 1 {
-		return v.setCount(row, cnt-1)
+	rows, signs := []tuple.Tuple{tp}, []int8(nil)
+	if found {
+		cnt := row.Vals[len(vals)].Int() - 1
+		if plus {
+			cnt = row.Vals[len(vals)].Int() + 1
+		}
+		rows, signs = []tuple.Tuple{row}, []int8{-1}
+		if cnt > 0 {
+			counted := append([]tuple.Value(nil), row.Vals...)
+			counted[len(vals)] = tuple.I(cnt)
+			rows, signs = append(rows, tuple.Tuple{ID: row.ID, Vals: counted}), append(signs, 1)
+		}
 	}
-	_, _, err = v.rel.Delete(row.Vals[v.keyCol], row.ID)
+	_, err = v.rel.ApplyRun(rows, signs, -1, nil)
 	return err
-}
-
-// setCount rewrites a stored row with a new duplicate count: the same
-// key and id, so one visit to its leaf.
-func (v *MatView) setCount(row tuple.Tuple, count int64) error {
-	vals := append([]tuple.Value(nil), row.Vals...)
-	vals[len(vals)-1] = tuple.I(count)
-	if _, ok, err := v.rel.Update(row.Vals[v.keyCol], row.ID, tuple.Tuple{ID: row.ID, Vals: vals}); err != nil || !ok {
-		return fmt.Errorf("matview: rewrite lost row: ok=%v err=%v", ok, err)
-	}
-	return nil
 }
 
 // scanOp is the charged leaf over the stored copy restricted to rg on

@@ -27,6 +27,20 @@ type matRow struct {
 	Count int64
 }
 
+// insertDelta adds one source occurrence of row: an ApplyDeltaRun of one
+// insert under the fresh id id.
+func insertDelta(mv *MatView, row []tuple.Value, id uint64) error {
+	_, err := mv.ApplyDeltaRun([][]tuple.Value{row}, nil, []uint64{id})
+	return err
+}
+
+// deleteDelta removes one source occurrence of row: an ApplyDeltaRun of
+// one delete.
+func deleteDelta(mv *MatView, row []tuple.Value) error {
+	_, err := mv.ApplyDeltaRun([][]tuple.Value{row}, []int8{-1}, []uint64{0})
+	return err
+}
+
 // scanMat drains the view's stored-copy scan: distinct rows with their
 // counts, or with expand one row per logical duplicate.
 func scanMat(t testing.TB, mv *MatView, rg *pred.Range, expand bool) []matRow {
@@ -47,7 +61,7 @@ func TestMatViewInsertIncrementsDupCount(t *testing.T) {
 	mv := newTestMatView(t)
 	row := []tuple.Value{tuple.I(1), tuple.S("x")}
 	for i := 0; i < 3; i++ {
-		if err := mv.InsertDelta(row, uint64(i+1)); err != nil {
+		if err := insertDelta(mv, row, uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,16 +80,16 @@ func TestMatViewInsertIncrementsDupCount(t *testing.T) {
 func TestMatViewDeleteDecrementsAndRemoves(t *testing.T) {
 	mv := newTestMatView(t)
 	row := []tuple.Value{tuple.I(1), tuple.S("x")}
-	mv.InsertDelta(row, 1)
-	mv.InsertDelta(row, 2)
-	if err := mv.DeleteDelta(row); err != nil {
+	insertDelta(mv, row, 1)
+	insertDelta(mv, row, 2)
+	if err := deleteDelta(mv, row); err != nil {
 		t.Fatal(err)
 	}
 	rows := scanMat(t, mv, nil, false)
 	if len(rows) != 1 || rows[0].Count != 1 {
 		t.Errorf("after one delete rows = %v", rows)
 	}
-	if err := mv.DeleteDelta(row); err != nil {
+	if err := deleteDelta(mv, row); err != nil {
 		t.Fatal(err)
 	}
 	rows = scanMat(t, mv, nil, false)
@@ -87,12 +101,12 @@ func TestMatViewDeleteDecrementsAndRemoves(t *testing.T) {
 func TestMatViewDeleteUnderflowErrors(t *testing.T) {
 	mv := newTestMatView(t)
 	row := []tuple.Value{tuple.I(1), tuple.S("x")}
-	if err := mv.DeleteDelta(row); err == nil {
+	if err := deleteDelta(mv, row); err == nil {
 		t.Error("delete of absent row succeeded")
 	}
-	mv.InsertDelta(row, 1)
-	mv.DeleteDelta(row)
-	if err := mv.DeleteDelta(row); err == nil {
+	insertDelta(mv, row, 1)
+	deleteDelta(mv, row)
+	if err := deleteDelta(mv, row); err == nil {
 		t.Error("duplicate-count underflow not detected")
 	}
 }
@@ -101,9 +115,9 @@ func TestMatViewDistinguishesRowsSharingKey(t *testing.T) {
 	mv := newTestMatView(t)
 	a := []tuple.Value{tuple.I(1), tuple.S("a")}
 	b := []tuple.Value{tuple.I(1), tuple.S("b")}
-	mv.InsertDelta(a, 1)
-	mv.InsertDelta(b, 2)
-	mv.InsertDelta(a, 3)
+	insertDelta(mv, a, 1)
+	insertDelta(mv, b, 2)
+	insertDelta(mv, a, 3)
 	rows := scanMat(t, mv, pred.PointRange(tuple.I(1)), false)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
@@ -115,10 +129,10 @@ func TestMatViewDistinguishesRowsSharingKey(t *testing.T) {
 	if counts["a"] != 2 || counts["b"] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
-	if err := mv.DeleteDelta(b); err != nil {
+	if err := deleteDelta(mv, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := mv.DeleteDelta(b); err == nil {
+	if err := deleteDelta(mv, b); err == nil {
 		t.Error("second delete of b should underflow")
 	}
 }
@@ -126,7 +140,7 @@ func TestMatViewDistinguishesRowsSharingKey(t *testing.T) {
 func TestMatViewScanRange(t *testing.T) {
 	mv := newTestMatView(t)
 	for i := int64(0); i < 20; i++ {
-		if err := mv.InsertDelta([]tuple.Value{tuple.I(i), tuple.S("r")}, uint64(i+1)); err != nil {
+		if err := insertDelta(mv, []tuple.Value{tuple.I(i), tuple.S("r")}, uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,10 +155,10 @@ func TestMatViewScanRange(t *testing.T) {
 
 func TestMatViewValidatesSchema(t *testing.T) {
 	mv := newTestMatView(t)
-	if err := mv.InsertDelta([]tuple.Value{tuple.I(1)}, 1); err == nil {
+	if err := insertDelta(mv, []tuple.Value{tuple.I(1)}, 1); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if err := mv.DeleteDelta([]tuple.Value{tuple.S("x"), tuple.S("y")}); err == nil {
+	if err := deleteDelta(mv, []tuple.Value{tuple.S("x"), tuple.S("y")}); err == nil {
 		t.Error("wrong types accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"viewmat/internal/agg"
 	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
@@ -206,6 +207,63 @@ func TestCheckRowRefusesRowsTooWideToStore(t *testing.T) {
 			rows, err := db.QueryView("v", nil)
 			if err != nil || len(rows) != 1 || rows[0].Vals[0].Int() != 1 {
 				t.Fatalf("view answers %v, %v; want the one narrow row", rows, err)
+			}
+		})
+	}
+}
+
+// TestCheckRowRefusesTooWideGroupRows: a row whose group value fits its
+// relation's page but not the group row a grouped aggregate stores for
+// it — the group value, the count, three Floats and the row's id — is
+// refused when it is queued, under Immediate and Deferred, so the commit
+// applies the rows before it and nothing of it; a group one byte
+// narrower is taken. The commit once accepted a 134-byte group on
+// 256-byte pages and then failed inside the view's refresh, after the
+// relation held both rows.
+func TestCheckRowRefusesTooWideGroupRows(t *testing.T) {
+	const page = 256
+	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("g", tuple.String))
+	// w is the widest group whose group row fits a page alone.
+	w := 0
+	for colpage.FitsAlone(tuple.New(1, tuple.S(strings.Repeat("g", w+1)), tuple.I(0), tuple.F(0), tuple.F(0), tuple.F(0)), page) {
+		w++
+	}
+	wide, widest := strings.Repeat("g", w+1), strings.Repeat("w", w)
+	if w+1 > 134 || !colpage.FitsAlone(tuple.New(1, tuple.I(2), tuple.S(wide)), page) {
+		t.Fatalf("the widest group is %d bytes; its row in r must fit a page of %d bytes", w, page)
+	}
+	for _, strategy := range []Strategy{Immediate, Deferred} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			db := NewDatabase(Options{PageSize: page, PoolFrames: 64})
+			if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
+				t.Fatal(err)
+			}
+			def := Def{Name: "g", Kind: GroupedAggregate, Relations: []string{"r"}, Pred: pred.True(), AggKind: agg.Count, AggCol: 0, GroupBy: 1}
+			if err := db.CreateView(def, strategy); err != nil {
+				t.Fatal(err)
+			}
+			tx := db.Begin()
+			if _, err := tx.Insert("r", tuple.I(1), tuple.S("a")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Insert("r", tuple.I(2), tuple.S(wide)); err == nil || !strings.Contains(err.Error(), `view "g"`) {
+				t.Fatalf("queueing a row of a %d-byte group: %v, want an error naming view \"g\"", len(wide), err)
+			}
+			if _, err := tx.Insert("r", tuple.I(3), tuple.S(widest)); err != nil {
+				t.Fatalf("queueing a row of a %d-byte group: %v", len(widest), err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			groups, err := db.QueryGroups("g", nil)
+			if err != nil || len(groups) != 2 || groups[0].Group.Str() != "a" || groups[1].Group.Str() != widest {
+				t.Fatalf("view answers %v, %v; want the narrow and the widest group", groups, err)
+			}
+			if n := db.rels["r"].Len(); n != 2 { // a deferred query folded the AD file first
+				t.Errorf("r holds %d rows, want the two it took", n)
+			}
+			if _, err := db.Begin().Update("r", tuple.I(1), 1, tuple.I(1), tuple.S(wide)); err == nil {
+				t.Error("queueing an update to a too-wide group succeeded")
 			}
 		})
 	}

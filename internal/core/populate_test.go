@@ -347,7 +347,7 @@ func deltaScript(rng *rand.Rand, out *tuple.Schema, pageSize int) []deltaStep {
 }
 
 // applyDeltaScript applies steps to a new view clustered on keyCol, its
-// inserts as ApplyDeltaRun stretches or one insertAlone a row, and
+// inserts as ApplyDeltaRun stretches or one applyAlone a row, and
 // returns the digest of what they leave.
 func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames int, bulk bool, steps []deltaStep, runs bool) string {
 	t.Helper()
@@ -365,7 +365,7 @@ func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames 
 	for _, s := range steps {
 		switch {
 		case s.del:
-			err = mv.DeleteDelta(s.rows[0])
+			_, err = mv.ApplyDeltaRun(s.rows[:1], []int8{-1}, []uint64{0})
 		case runs:
 			ids := make([]uint64, len(s.rows))
 			for i := range ids {
@@ -379,7 +379,7 @@ func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames 
 		default:
 			for _, row := range s.rows {
 				id++
-				if err = mv.insertAlone(tuple.Tuple{ID: id, Vals: append(append([]tuple.Value(nil), row...), tuple.I(1))}); err != nil {
+				if err = mv.applyAlone(tuple.Tuple{ID: id, Vals: append(append([]tuple.Value(nil), row...), tuple.I(1))}, true); err != nil {
 					break
 				}
 			}
@@ -553,7 +553,7 @@ func signedDeltaScript(rng *rand.Rand, pageSize int) []signedDelta {
 }
 
 // applySignedScript applies batches to a new view clustered on keyCol, as
-// ApplyDeltaRun batches or one insertAlone or deleteAlone a row (stopping
+// ApplyDeltaRun batches or one applyAlone a row (stopping
 // a batch at its first error), and returns the digest of what they leave.
 func applySignedScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames int, bulk bool, batches []signedDelta, runs bool) string {
 	t.Helper()
@@ -584,11 +584,7 @@ func applySignedScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames
 		} else {
 			for ; n < len(b.rows); n++ {
 				tp := tuple.Tuple{ID: ids[n], Vals: append(append([]tuple.Value(nil), b.rows[n]...), tuple.I(1))}
-				alone := mv.insertAlone
-				if b.signs[n] < 0 {
-					alone = mv.deleteAlone
-				}
-				if err = alone(tp); err != nil {
+				if err = mv.applyAlone(tp, b.signs[n] >= 0); err != nil {
 					break
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"viewmat/internal/colpage"
 	"viewmat/internal/tuple"
@@ -69,7 +70,8 @@ func (db *Database) Begin() *Tx { return &Tx{db: db} }
 // in: the access method would refuse it halfway through the commit,
 // after the rows before it. The forms are the row itself; its AD entry
 // when an HR wraps rel, the row and its role (hr.adTuple); and its row
-// in every select-project view it reaches (tooWideIn).
+// in every select-project or grouped-aggregate view it reaches
+// (tooWideIn).
 func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -94,27 +96,36 @@ func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	return nil
 }
 
-// tooWideIn returns the first in name order of the select-project views
-// that a row vals of src reaches — views over src whose predicate it
-// satisfies, and views over those — where its stored row, the
-// projection and the duplicate count (NewMatView), fits no page of page
-// bytes alone; "" when there is none. Every strategy counts: the advisor
-// may store a query-modification view later.
+// tooWideIn returns the first in name order of the views that a row vals
+// of src reaches — select-project and grouped-aggregate views over src
+// whose predicate it satisfies, and views over those select-project
+// views — where its stored row fits no page of page bytes alone; "" when
+// there is none. A select-project view stores the projection and the
+// duplicate count (NewMatView), a grouped aggregate the row's group
+// value, the count, three Floats (groupStoreSchema). Every strategy
+// counts: the advisor may store a query-modification view later.
 func (db *Database) tooWideIn(src string, vals []tuple.Value, page int) string {
 	first := ""
 	for name, vs := range db.views {
 		d := &vs.def
-		if d.Kind != SelectProject || d.Relations[0] != src || !d.Pred.EvalSingle(0, tuple.Tuple{Vals: vals}) {
+		if (d.Kind != SelectProject && d.Kind != GroupedAggregate) || d.Relations[0] != src || !d.Pred.EvalSingle(0, tuple.Tuple{Vals: vals}) {
 			continue
 		}
-		size := 8 + 2 + tuple.ValueSize(tuple.I(1)) // id, arity and the count
-		for _, c := range d.Project[0] {
-			size += tuple.ValueSize(vals[c])
+		size, cols := 8+2, 0 // id and arity
+		if d.Kind == GroupedAggregate {
+			size += tuple.ValueSize(tuple.Canonical(vals[d.GroupBy])) + tuple.ValueSize(tuple.I(0)) + 3*tuple.ValueSize(tuple.F(0))
+			cols = 5
+		} else {
+			size += tuple.ValueSize(tuple.I(1)) // the count
+			for _, c := range d.Project[0] {
+				size += tuple.ValueSize(vals[c])
+			}
+			cols = len(d.Project[0]) + 1
 		}
 		bad := name
-		if colpage.SizeFitsAlone(size, len(d.Project[0])+1, page) {
+		if colpage.SizeFitsAlone(size, cols, page) {
 			bad = ""
-			if len(db.children[name]) > 0 {
+			if d.Kind == SelectProject && len(db.children[name]) > 0 {
 				bad = db.tooWideIn(name, d.ProjectTuples(tuple.Tuple{Vals: vals}, tuple.Tuple{}), page)
 			}
 		}
@@ -210,82 +221,49 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	}
 	db.bumpCommits()
 
+	// Apply writes (PhaseCommitWrite): each stretch of consecutive ops on
+	// one relation goes to its store as one signed batch — an HR-wrapped
+	// relation's to its AD file, every other relation's to its base file.
+	// Inserts make stretches of their own, deletes and updates others: a
+	// relation with secondary indexes takes a batch of inserts as one run
+	// per file, and any other batch a row at a time. The rows a batch's
+	// inserts carry are the relation's adds, and the rows its deletes cut
+	// are its dels, the tuples they had.
 	perRel := map[string]*deltas{}
-	record := func(rel string, add *tuple.Tuple, del *tuple.Tuple) {
-		d := perRel[rel]
-		if d == nil {
-			d = &deltas{}
-			perRel[rel] = d
-		}
-		if add != nil {
-			d.adds = append(d.adds, *add)
-		}
-		if del != nil {
-			d.dels = append(d.dels, *del)
-		}
-	}
-
-	// Apply writes (PhaseCommitWrite): an HR-wrapped relation's writes
-	// go to its AD file, every other relation's to its base file.
 	err := db.inPhase(PhaseCommitWrite, func() error {
-		for i := 0; i < len(ops); i++ {
-			op := &ops[i]
-			r := db.rels[op.rel]
-			h := db.hrs[op.rel]
-			switch op.kind {
-			case opInsert:
-				// The stretch of inserts into op.rel from here goes in at
-				// once: a B+-tree takes it as one run, visiting each leaf
-				// once for it.
-				run := insertRun(ops[i:])
-				if h == nil {
-					if err := r.InsertRun(run); err != nil {
-						return err
-					}
-				}
-				for j := range run {
-					if h != nil {
-						if err := h.Append(run[j]); err != nil {
-							return err
-						}
-					}
-					record(op.rel, &run[j], nil)
-				}
-				i += len(run) - 1
-			case opDelete:
-				var old tuple.Tuple
-				var ok bool
-				var err error
-				if h != nil {
-					old, ok, err = h.Delete(op.key, op.id)
-				} else {
-					old, ok, err = r.Delete(op.key, op.id)
-				}
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("core: delete of absent tuple (%s, id %d) in %q", op.key, op.id, op.rel)
-				}
-				record(op.rel, nil, &old)
-			case opUpdate:
-				newTp := tuple.Tuple{ID: op.newID, Vals: op.vals}
-				var old tuple.Tuple
-				var ok bool
-				var err error
-				if h != nil {
-					old, ok, err = h.Update(op.key, op.id, newTp)
-				} else {
-					old, ok, err = r.Update(op.key, op.id, newTp)
-				}
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("core: update of absent tuple (%s, id %d) in %q", op.key, op.id, op.rel)
-				}
-				record(op.rel, &newTp, &old)
+		for i := 0; i < len(ops); {
+			rel, ins := ops[i].rel, ops[i].kind == opInsert
+			j := i + 1
+			for j < len(ops) && ops[j].rel == rel && (ops[j].kind == opInsert) == ins {
+				j++
 			}
+			r, h := db.rels[rel], db.hrs[rel]
+			rows, signs := signedRows(ops[i:j], r.KeyCol())
+			d := perRel[rel]
+			if d == nil {
+				d = &deltas{}
+				perRel[rel] = d
+			}
+			dels := 0 // room for the stretch's rows: recording them allocates once
+			if !ins {
+				dels = j - i
+			}
+			d.adds, d.dels = slices.Grow(d.adds, len(rows)-dels), slices.Grow(d.dels, dels)
+			var err error
+			if h != nil {
+				_, err = h.ApplyRun(rows, signs, &d.dels)
+			} else {
+				_, err = r.ApplyRun(rows, signs, -1, &d.dels)
+			}
+			if err != nil {
+				return fmt.Errorf("core: %q: %w", rel, err)
+			}
+			for k, tp := range rows {
+				if signs == nil || signs[k] > 0 {
+					d.adds = append(d.adds, tp)
+				}
+			}
+			i = j
 		}
 		return nil
 	})
@@ -369,18 +347,30 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	return db.cascadeImmediateChildrenLocked()
 }
 
-// insertRun returns the tuples of the inserts that lead ops, all into
-// the relation the first one names.
-func insertRun(ops []txOp) []tuple.Tuple {
-	n := 1
-	for n < len(ops) && ops[n].kind == opInsert && ops[n].rel == ops[0].rel {
-		n++
+// signedRows returns ops, all on one relation clustered on keyCol and
+// either all inserts or all deletes and updates, as one signed batch: an
+// insert is its row (a batch of inserts has nil signs), a delete a row of
+// its target's key and id, and an update the pair of the two.
+func signedRows(ops []txOp, keyCol int) ([]tuple.Tuple, []int8) {
+	if ops[0].kind == opInsert {
+		rows := make([]tuple.Tuple, len(ops))
+		for i, op := range ops {
+			rows[i] = tuple.Tuple{ID: op.id, Vals: op.vals}
+		}
+		return rows, nil
 	}
-	run := make([]tuple.Tuple, n)
-	for i := range run {
-		run[i] = tuple.Tuple{ID: ops[i].id, Vals: ops[i].vals}
+	rows, signs := make([]tuple.Tuple, 0, 2*len(ops)), make([]int8, 0, 2*len(ops))
+	keys := make([]tuple.Value, len(ops)*(keyCol+1))
+	for _, op := range ops {
+		key := keys[: keyCol+1 : keyCol+1]
+		keys = keys[keyCol+1:]
+		key[keyCol] = op.key
+		rows, signs = append(rows, tuple.Tuple{ID: op.id, Vals: key}), append(signs, -1)
+		if op.kind == opUpdate {
+			rows, signs = append(rows, tuple.Tuple{ID: op.newID, Vals: op.vals}), append(signs, 1)
+		}
 	}
-	return run
+	return rows, signs
 }
 
 // addMarked files a marked tuple into the view's per-slot delta sets.

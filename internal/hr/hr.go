@@ -172,22 +172,45 @@ func (h *HR) Delete(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	return cur, true, nil
 }
 
-// Update replaces the visible tuple (keyVal, id) with newTp (which must
-// carry a fresh id): old value to D, new value to A. With clustered
-// hashing on an unchanged key, both AD entries land on the same chain,
-// which is the ≤3-I/O update walkthrough of §2.2.2.
-func (h *HR) Update(keyVal tuple.Value, id uint64, newTp tuple.Tuple) (tuple.Tuple, bool, error) {
-	if err := h.base.Schema().Validate(newTp.Vals); err != nil {
-		return tuple.Tuple{}, false, fmt.Errorf("hr %s: %w", h.base.Name(), err)
+// ApplyRun is the HR's one write: it records a signed batch in stream
+// order, after validating every insert, and returns how many rows it
+// recorded: all of them, or those before the one that failed. Row i is
+// an insertion (Append) when signs[i] is non-negative or signs is nil,
+// and otherwise the deletion (Delete) of the visible tuple its key value
+// and id name; one not visible is btree.ErrAbsent. With a non-nil cut,
+// each deleted version is appended to *cut. An update is the pair of its
+// old row's delete and its new row's insert: with clustered hashing on
+// an unchanged key, both AD entries land on the same chain, the ≤3-I/O
+// update walkthrough of §2.2.2.
+func (h *HR) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
+	for i, tp := range rows {
+		if signs != nil && signs[i] < 0 {
+			continue
+		}
+		if err := h.base.Schema().Validate(tp.Vals); err != nil {
+			return 0, fmt.Errorf("hr %s: %w", h.base.Name(), err)
+		}
 	}
-	old, ok, err := h.Delete(keyVal, id)
-	if err != nil || !ok {
-		return tuple.Tuple{}, ok, err
+	for i, tp := range rows {
+		if signs == nil || signs[i] >= 0 {
+			if err := h.Append(tp); err != nil {
+				return i, err
+			}
+			continue
+		}
+		key := tp.Vals[h.base.KeyCol()]
+		old, ok, err := h.Delete(key, tp.ID)
+		if err == nil && !ok {
+			err = fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
+		}
+		if err != nil {
+			return i, err
+		}
+		if cut != nil {
+			*cut = append(*cut, old)
+		}
 	}
-	if err := h.Append(newTp); err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	return old, true, nil
+	return len(rows), nil
 }
 
 // getVisible fetches the current version of (keyVal, id) from the true
@@ -337,7 +360,7 @@ func (h *HR) FoldWith(anet, dnet []tuple.Tuple) error {
 	for i := range dnet {
 		signs[i] = -1
 	}
-	n, err := h.base.ApplyRun(rows, signs)
+	n, err := h.base.ApplyRun(rows, signs, -1, nil)
 	if errors.Is(err, btree.ErrAbsent) {
 		return fmt.Errorf("hr %s: D-net tuple %v missing from base", h.base.Name(), rows[n])
 	}

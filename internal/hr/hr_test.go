@@ -32,6 +32,18 @@ func row(id uint64, k, v int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.I(v))
 }
 
+// update replaces the visible tuple (key, id) with newTp as the pair of
+// its delete and newTp's insert, one ApplyRun, and returns the version
+// the delete recorded.
+func update(h *HR, key tuple.Value, id uint64, newTp tuple.Tuple) (tuple.Tuple, error) {
+	var cut []tuple.Tuple
+	_, err := h.ApplyRun([]tuple.Tuple{tuple.New(id, key), newTp}, []int8{-1, 1}, &cut)
+	if err != nil {
+		return tuple.Tuple{}, err
+	}
+	return cut[0], nil
+}
+
 func TestAppendVisibleThroughHR(t *testing.T) {
 	h, base, _, _ := testHR(t)
 	if err := h.Append(row(1, 10, 100)); err != nil {
@@ -106,9 +118,9 @@ func TestUpdateOldToDNewToA(t *testing.T) {
 	if err := h.Base().Insert(row(1, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
-	old, ok, err := h.Update(tuple.I(10), 1, row(2, 10, 200))
-	if err != nil || !ok {
-		t.Fatalf("Update: ok=%v err=%v", ok, err)
+	old, err := update(h, tuple.I(10), 1, row(2, 10, 200))
+	if err != nil {
+		t.Fatalf("update: %v", err)
 	}
 	if old.Vals[1].Int() != 100 {
 		t.Errorf("old = %v", old)
@@ -152,8 +164,8 @@ func TestAppendThenDeleteCancels(t *testing.T) {
 func TestUpdateOfEpochAppendedTuple(t *testing.T) {
 	h, _, _, _ := testHR(t)
 	h.Append(row(1, 10, 100))
-	if _, ok, err := h.Update(tuple.I(10), 1, row(2, 10, 200)); err != nil || !ok {
-		t.Fatalf("update of epoch append: ok=%v err=%v", ok, err)
+	if _, err := update(h, tuple.I(10), 1, row(2, 10, 200)); err != nil {
+		t.Fatalf("update of epoch append: %v", err)
 	}
 	anet, dnet, _ := h.NetChanges()
 	if len(anet) != 1 || anet[0].ID != 2 {
@@ -170,7 +182,7 @@ func TestFoldAppliesAndResets(t *testing.T) {
 	base.Insert(row(2, 2, 20))
 	h.Append(row(3, 3, 30))
 	h.Delete(tuple.I(1), 1)
-	h.Update(tuple.I(2), 2, row(4, 2, 25))
+	update(h, tuple.I(2), 2, row(4, 2, 25))
 
 	if err := h.Fold(); err != nil {
 		t.Fatal(err)
@@ -201,7 +213,7 @@ func TestBloomFastPathSkipsAD(t *testing.T) {
 		base.Insert(row(uint64(i+1), i, i))
 	}
 	// Touch key 1 only.
-	h.Update(tuple.I(1), 2, row(100, 1, 99))
+	update(h, tuple.I(1), 2, row(100, 1, 99))
 
 	p.EvictAll()
 	before := m.Snapshot()
@@ -292,7 +304,7 @@ func TestPropertyFoldPreservesVisibleState(t *testing.T) {
 			case 2: // update some live tuple with key k
 				for id, lk := range live {
 					if lk == k {
-						if _, ok, err := h.Update(tuple.I(k), id, row(nextID, k, int64(op)+1000)); err != nil || !ok {
+						if _, err := update(h, tuple.I(k), id, row(nextID, k, int64(op)+1000)); err != nil {
 							return false
 						}
 						delete(live, id)
@@ -354,8 +366,8 @@ func BenchmarkHRUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % n
-		if _, ok, err := h.Update(tuple.I(int64(k)), cur[k], row(id, int64(k), int64(i))); err != nil || !ok {
-			b.Fatal(fmt.Sprintf("update: ok=%v err=%v", ok, err))
+		if _, err := update(h, tuple.I(int64(k)), cur[k], row(id, int64(k), int64(i))); err != nil {
+			b.Fatal(fmt.Sprintf("update: %v", err))
 		}
 		cur[k] = id
 		id++
@@ -391,8 +403,14 @@ func TestHRAppendValidatesSchema(t *testing.T) {
 	if err := h.Append(tuple.New(1, tuple.I(1))); err == nil {
 		t.Error("wrong-arity append accepted")
 	}
-	if _, _, err := h.Update(tuple.I(1), 1, tuple.New(2, tuple.I(1))); err == nil {
+	if err := h.Base().Insert(row(1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := update(h, tuple.I(1), 1, tuple.New(2, tuple.I(1))); err == nil {
 		t.Error("wrong-arity update accepted")
+	}
+	if h.ADLen() != 0 {
+		t.Errorf("a refused update recorded %d AD entries", h.ADLen())
 	}
 }
 

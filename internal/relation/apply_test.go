@@ -14,9 +14,9 @@ import (
 )
 
 // TestApplyRunMatchesRowByRow: applying random signed batches with
-// ApplyRun leaves every page of every file, Len, the meter's stats and
-// each batch's error as applying the rows one at a time with Insert and
-// Delete does — B+-tree and hash-clustered relations, each without and
+// ApplyRun leaves every page of every file, Len, the meter's stats, each
+// batch's error and the rows its deletes cut as applying the rows one at
+// a time with Insert and Delete does — B+-tree and hash-clustered relations, each without and
 // with a secondary index, on pages of 256 and 4 000 bytes, through pools
 // of 2, 8 and 256 frames, writing through and inside BeginBulk/EndBulk.
 // The batches put each updated row's delete beside its insert, as a fold
@@ -31,7 +31,7 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 			for _, frames := range []int{2, 8, 256} {
 				for _, bulk := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%d/%s/frames=%d/bulk=%v", ps, kind, frames, bulk), func(t *testing.T) {
-						run := func(batch func(r *Relation, rows []tuple.Tuple, signs []int8) error) (*Relation, storage.Stats, *storage.DiskDelta, []string) {
+						run := func(batch func(r *Relation, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error) (*Relation, storage.Stats, *storage.DiskDelta, []string, []tuple.Tuple) {
 							d := storage.NewDisk(ps)
 							m := storage.NewMeter()
 							p := storage.NewPool(d, m, frames)
@@ -52,8 +52,9 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 								p.BeginBulk()
 							}
 							var errs []string
+							var cut []tuple.Tuple
 							for _, b := range stream {
-								errs = append(errs, fmt.Sprint(batch(r, b.rows, b.signs)))
+								errs = append(errs, fmt.Sprint(batch(r, b.rows, b.signs, &cut)))
 							}
 							if bulk {
 								p.EndBulk()
@@ -62,18 +63,20 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 								t.Fatal(err)
 							}
 							p.AssertUnpinned(t)
-							return r, m.Snapshot(), d.FullDelta(), errs
+							return r, m.Snapshot(), d.FullDelta(), errs, cut
 						}
-						ref, refM, refFiles, refErrs := run(func(r *Relation, rows []tuple.Tuple, signs []int8) error {
+						ref, refM, refFiles, refErrs, refCut := run(func(r *Relation, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error {
 							for i, tp := range rows {
 								var err error
 								if signs[i] > 0 {
 									err = r.Insert(tp)
-								} else if _, ok, derr := r.Delete(tp.Vals[0], tp.ID); derr != nil || !ok {
+								} else if old, ok, derr := r.Delete(tp.Vals[0], tp.ID); derr != nil || !ok {
 									err = derr
 									if err == nil {
 										err = btree.ErrAbsent
 									}
+								} else {
+									*cut = append(*cut, old)
 								}
 								if err != nil {
 									return fmt.Errorf("row %d: %w", i, err)
@@ -81,8 +84,8 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 							}
 							return nil
 						})
-						got, gotM, gotFiles, gotErrs := run(func(r *Relation, rows []tuple.Tuple, signs []int8) error {
-							n, err := r.ApplyRun(rows, signs)
+						got, gotM, gotFiles, gotErrs, gotCut := run(func(r *Relation, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error {
+							n, err := r.ApplyRun(rows, signs, -1, cut)
 							if errors.Is(err, btree.ErrAbsent) {
 								err = btree.ErrAbsent // its message names the row; a lone Delete's does not
 							}
@@ -102,6 +105,9 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 						}
 						if fmt.Sprint(gotErrs) != fmt.Sprint(refErrs) {
 							t.Errorf("ApplyRun errors %v, rows one at a time %v", gotErrs, refErrs)
+						}
+						if fmt.Sprint(gotCut) != fmt.Sprint(refCut) {
+							t.Errorf("ApplyRun cut %v, rows one at a time %v", gotCut, refCut)
 						}
 					})
 				}

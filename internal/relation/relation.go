@@ -126,30 +126,35 @@ func (r *Relation) IndexHeight() int {
 }
 
 // Insert adds a tuple after schema validation, maintaining secondaries:
-// a run of one row (InsertRun).
+// an ApplyRun of one row.
 func (r *Relation) Insert(tp tuple.Tuple) error {
-	return r.InsertRun([]tuple.Tuple{tp})
-}
-
-// InsertRun adds tuples in order: an ApplyRun of inserts only.
-func (r *Relation) InsertRun(tps []tuple.Tuple) error {
-	_, err := r.ApplyRun(tps, nil)
+	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
 	return err
 }
 
-// ApplyRun applies a signed batch in stream order — row i deleted when
-// signs[i] is negative (its clustering key and id name it; it must be
-// stored as given), inserted otherwise; nil signs insert every row —
-// after validating every insert, and returns how many rows it applied:
-// all of them, or those before the one that failed. A delete of a row
-// the relation does not hold is btree.ErrAbsent.
+// ApplyRun is the relation's one write: it applies a signed batch in
+// stream order — row i deleted when signs[i] is negative (its clustering
+// key and id name it; its other columns are not read), inserted
+// otherwise; nil signs insert every row — after validating every insert,
+// and returns how many rows it applied: all of them, or those before the
+// one that failed. A delete of a row the relation does not hold is
+// btree.ErrAbsent. An update is the pair of its old row's delete and its
+// new row's insert. With a non-nil cut, every row a delete removes is
+// appended to *cut, whole, in stream order.
 //
 // A B+-tree without secondary indexes takes the batch as one
-// btree.Tree.ApplyRun. With secondary indexes, a batch of inserts runs
-// the clustering tree and then one run of pointer entries per index; any
-// other batch, and a hash-clustered relation's, goes a row at a time,
-// the clustering file and then each index, as Delete and Insert do.
-func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8) (int, error) {
+// btree.Tree.ApplyRun, plain (countCol < 0) or counted (countCol ≥ 0;
+// see there: it returns at the first row it leaves to the caller). With
+// secondary indexes, a batch of nil signs runs the clustering tree and
+// then one run of pointer entries per index; any other plain batch, and a
+// hash-clustered relation's, goes a row at a time, the clustering file
+// and then each index. A counted batch such a relation does not serve
+// applies no row.
+func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+	bt := r.kind == ClusteredBTree && len(r.secondaries) == 0
+	if countCol >= 0 && !bt {
+		return 0, nil
+	}
 	for i, tp := range tps {
 		if signs != nil && signs[i] < 0 {
 			continue
@@ -158,11 +163,11 @@ func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8) (int, error) {
 			return 0, fmt.Errorf("relation %s: %w", r.name, err)
 		}
 	}
-	if r.kind == ClusteredBTree && len(r.secondaries) == 0 {
-		return r.bt.ApplyRun(tps, signs, -1)
+	if bt {
+		return r.bt.ApplyRun(tps, signs, countCol, cut)
 	}
 	if r.kind == ClusteredBTree && signs == nil {
-		if n, err := r.bt.ApplyRun(tps, nil, -1); err != nil {
+		if n, err := r.bt.ApplyRun(tps, nil, -1, nil); err != nil {
 			return n, err
 		}
 		return len(tps), r.insertPointers(tps)
@@ -170,7 +175,7 @@ func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8) (int, error) {
 	for i := range tps {
 		var err error
 		if signs != nil && signs[i] < 0 {
-			err = r.deleteRow(tps[i])
+			err = r.deleteRow(tps[i], cut)
 		} else {
 			err = r.insertRow(tps[i])
 		}
@@ -196,31 +201,21 @@ func (r *Relation) insertRow(tp tuple.Tuple) error {
 	return r.insertPointers([]tuple.Tuple{tp})
 }
 
-// deleteRow deletes the row of tp's clustering key and id, ErrAbsent when
-// there is none.
-func (r *Relation) deleteRow(tp tuple.Tuple) error {
+// deleteRow deletes the row of tp's clustering key and id, appending it
+// to a non-nil *cut; ErrAbsent when there is none.
+func (r *Relation) deleteRow(tp tuple.Tuple, cut *[]tuple.Tuple) error {
 	key := tp.Vals[r.keyCol]
-	if _, ok, err := r.Delete(key, tp.ID); err != nil || ok {
+	old, ok, err := r.Delete(key, tp.ID)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
-}
-
-// ApplyCountedRun applies a signed batch of counted rows, whose column
-// countCol counts the copies a row stands for, after validating every
-// one of them: btree.Tree.ApplyRun, which returns how many it applied
-// before the first row it leaves to the caller. A relation it does not
-// serve — hash-clustered, or with a secondary index — applies none.
-func (r *Relation) ApplyCountedRun(tps []tuple.Tuple, signs []int8, countCol int) (int, error) {
-	if r.kind != ClusteredBTree || len(r.secondaries) > 0 {
-		return 0, nil
+	if !ok {
+		return fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
 	}
-	for _, tp := range tps {
-		if err := r.schema.Validate(tp.Vals); err != nil {
-			return 0, fmt.Errorf("relation %s: %w", r.name, err)
-		}
+	if cut != nil {
+		*cut = append(*cut, old)
 	}
-	return r.bt.ApplyRun(tps, signs, countCol)
+	return nil
 }
 
 // insertPointers inserts the pointer entries of tps into each secondary
@@ -241,10 +236,10 @@ func (r *Relation) insertPointers(tps []tuple.Tuple) error {
 	return nil
 }
 
-// Delete removes the tuple with the clustering-key value and id. The
-// full tuple is returned so callers (HR, views) can record what was
-// deleted: the access method hands back what it removed, so the tuple's
-// page is visited once.
+// Delete removes the tuple with the clustering-key value and id from the
+// clustering file and then its pointer entries from each secondary index,
+// and returns it: the access method hands back the row it cut, so the
+// tuple's page is visited once.
 func (r *Relation) Delete(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	var tp tuple.Tuple
 	var ok bool
@@ -263,28 +258,6 @@ func (r *Relation) Delete(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, err
 		}
 	}
 	return tp, true, nil
-}
-
-// Update replaces the tuple with the clustering-key value and id by tp
-// and returns the tuple it replaced. It is Delete then Insert, charged
-// as they are; on a B+-tree without secondary indexes the clustering
-// index does both in one visit to the leaf when tp belongs there
-// (btree.Tree.Update).
-func (r *Relation) Update(keyVal tuple.Value, id uint64, tp tuple.Tuple) (tuple.Tuple, bool, error) {
-	if r.kind != ClusteredBTree || len(r.secondaries) > 0 {
-		old, ok, err := r.Delete(keyVal, id)
-		if err == nil && ok {
-			err = r.Insert(tp)
-		}
-		if err != nil {
-			return tuple.Tuple{}, false, err
-		}
-		return old, ok, nil
-	}
-	if err := r.schema.Validate(tp.Vals); err != nil {
-		return tuple.Tuple{}, false, fmt.Errorf("relation %s: %w", r.name, err)
-	}
-	return r.bt.Update(keyVal, id, tp)
 }
 
 // Get fetches the tuple with the clustering-key value and id.

@@ -1,11 +1,13 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"viewmat/internal/btree"
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -255,11 +257,12 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 	}
 }
 
-// TestUpdateIsDeleteThenInsert: Relation.Update returns the tuple it
-// replaced and is charged, and leaves, what Delete then Insert would —
-// on a B+-tree (where the clustering index does it in one leaf visit), on
-// a B+-tree with a secondary index and on a hash relation (where it is
-// Delete then Insert).
+// TestUpdateIsDeleteThenInsert: an update, the pair of the old row's
+// delete and the new row's insert as one ApplyRun, cuts the tuple it
+// replaces and is charged, and leaves, what Delete then Insert would — on
+// a B+-tree (where the clustering index applies the pair in one leaf
+// visit), on a B+-tree with a secondary index and on a hash relation
+// (where it goes a row at a time).
 func TestUpdateIsDeleteThenInsert(t *testing.T) {
 	for _, kind := range []string{"btree", "btree+secondary", "hash"} {
 		t.Run(kind, func(t *testing.T) {
@@ -303,9 +306,16 @@ func TestUpdateIsDeleteThenInsert(t *testing.T) {
 				{40, 999, emp(103, 40, "ghost", 0)},   // absent
 			} {
 				before := upM.Snapshot()
-				old, ok, err := up.Update(tuple.I(c.key), c.id, c.to)
-				if err != nil {
+				var cut []tuple.Tuple
+				pair := []tuple.Tuple{tuple.New(c.id, tuple.I(c.key)), c.to}
+				_, err := up.ApplyRun(pair, []int8{-1, 1}, -1, &cut)
+				if err != nil && !errors.Is(err, btree.ErrAbsent) {
 					t.Fatal(err)
+				}
+				ok := len(cut) == 1
+				var old tuple.Tuple
+				if ok {
+					old = cut[0]
 				}
 				upCost := upM.Snapshot().Sub(before)
 				before = refM.Snapshot()
@@ -318,14 +328,14 @@ func TestUpdateIsDeleteThenInsert(t *testing.T) {
 				}
 				refCost := refM.Snapshot().Sub(before)
 				if ok != wantOK || old.ID != want.ID || !tuple.ValsEqual(old, want) {
-					t.Errorf("update %d returned %v, %v; Delete returned %v, %v", i, old, ok, want, wantOK)
+					t.Errorf("update %d cut %v (%v); Delete returned %v, %v", i, old, ok, want, wantOK)
 				}
 				if upCost != refCost {
 					t.Errorf("update %d charged %+v, Delete then Insert %+v", i, upCost, refCost)
 				}
 			}
 			if !reflect.DeepEqual(upD.FullDelta(), refD.FullDelta()) {
-				t.Error("Update and Delete then Insert left different pages")
+				t.Error("the pair and Delete then Insert left different pages")
 			}
 			if kind == "btree+secondary" {
 				got, err := up.LookupSecondary(2, pred.PointRange(tuple.I(5)))
@@ -372,7 +382,7 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 					}
 					for _, run := range runs {
 						if err == nil {
-							err = r.InsertRun(run)
+							_, err = r.ApplyRun(run, nil, -1, nil)
 						}
 					}
 					if err == nil {
