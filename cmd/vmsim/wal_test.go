@@ -20,7 +20,10 @@ import (
 // restored from, and the recovered engine answers the demo view exactly
 // like an engine that ran the same seeded workload and never stopped.
 func TestWALThenRecover(t *testing.T) {
-	const ckptEvery, n, commits, perTx, seed = 4, 200, 40, 5, 1
+	// Forty commits make the demo's last checkpoint a full rewrite (the
+	// deltas since the last full frame outweigh two of it); four more end
+	// the chain on a delta frame, which recovery must then apply.
+	const ckptEvery, n, commits, perTx, seed = 4, 200, 44, 5, 1
 	dir := t.TempDir()
 	if err := runWAL(io.Discard, dir, ckptEvery, n, commits, perTx, seed); err != nil {
 		t.Fatal(err)

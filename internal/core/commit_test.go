@@ -152,30 +152,42 @@ func TestCommitAllocations(t *testing.T) {
 // take it).
 func BenchmarkCommitImmediate(b *testing.B) {
 	c := newCommitImm(b, 20000)
-	dir := b.TempDir()
-	walDev, err := wal.OpenFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer walDev.Close()
-	snapDev, err := wal.OpenFile(filepath.Join(dir, "snapshots.log"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer snapDev.Close()
-	if err := c.db.EnableDurability(walDev, snapDev, DurabilityOptions{CheckpointEvery: 8}); err != nil {
-		b.Fatal(err)
-	}
-	bl := c.n / 8
-	var keys [4]int64
+	c.durable(b, b.TempDir(), DurabilityOptions{CheckpointEvery: 8})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for pair := int64(0); pair < 2; pair++ {
-			base := (pair*4 + int64(i)%4) * bl // blocks 0–3 are in view, 4–7 out
-			k1 := int64(i*7919) % bl
-			keys[2*pair], keys[2*pair+1] = base+k1, base+(k1+1+int64(i*104729)%(bl-1))%bl
-		}
-		c.commit(b, keys)
+		c.commit(b, c.benchKeys(i))
+	}
+}
+
+// benchKeys draws transaction i's keys as the benchmark draws them: a
+// pair from an in-view block of n/8 keys and a pair from an out-of-view
+// one.
+func (c *commitImm) benchKeys(i int) (keys [4]int64) {
+	bl := c.n / 8
+	for pair := int64(0); pair < 2; pair++ {
+		base := (pair*4 + int64(i)%4) * bl // blocks 0–3 are in view, 4–7 out
+		k1 := int64(i*7919) % bl
+		keys[2*pair], keys[2*pair+1] = base+k1, base+(k1+1+int64(i*104729)%(bl-1))%bl
+	}
+	return keys
+}
+
+// durable attaches the WAL and checkpoint store on files under dir,
+// as viewmatd -wal does.
+func (c *commitImm) durable(tb testing.TB, dir string, opts DurabilityOptions) {
+	tb.Helper()
+	walDev, err := wal.OpenFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { walDev.Close() })
+	snapDev, err := wal.OpenFile(filepath.Join(dir, "snapshots.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { snapDev.Close() })
+	if err := c.db.EnableDurability(walDev, snapDev, opts); err != nil {
+		tb.Fatal(err)
 	}
 }
 

@@ -46,12 +46,16 @@ import (
 //     under the checkpoint mutex alone: append the frame to the
 //     append-only snapshot store, sync it, and truncate the log if its
 //     tail is still where the frame's last record ended. The frame is
-//     the catalog header plus the pages, extents and free lists the
-//     disk recorded as changed — since the previous frame (a delta
-//     frame, the usual case) or since the empty disk (a full frame,
+//     the catalog header plus the extents and free lists the disk
+//     recorded as changed and a patch of each changed page: the runs of
+//     bytes where it differs from its base — the page as the previous
+//     frame left it (a delta frame, the usual case; the disk copied it
+//     at the page's first mutation since), or zeros (a full frame,
 //     exactly Save's output: the first frame, whenever the deltas since
-//     the last full frame outweigh fullRewriteFactor images, and after
-//     a frame that failed to land). A commit crossing CheckpointEvery
+//     the last full frame outweigh fullRewriteFactor of it, and after a
+//     frame that failed to land). Under the lock, then, the encode is a
+//     diff of the dirty pages against their pre-images, writing a few
+//     dozen bytes a page. A commit crossing CheckpointEvery
 //     writes its frame after releasing the lock; explicit Checkpoint,
 //     DDL and EnableDurability run both halves back to back. Records
 //     left in the log — a crash between the frame's sync and the
@@ -96,9 +100,12 @@ type durability struct {
 
 	// ckptMu is taken when a frame is encoded, under Database.mu, and
 	// released once it is written, so frames land in encode order. It
-	// guards snaps and chained.
+	// guards snaps, chained and frameBuf.
 	ckptMu sync.Mutex
 	snaps  *wal.SnapshotStore
+	// frameBuf is the last frame's buffer, which the next frame is
+	// encoded into once it has been written.
+	frameBuf []byte
 	// chained is set while the disk's recorded changes are relative to
 	// the snapshot store's last frame — after this engine's frame
 	// landed, or after Recover restored from the store — and a
@@ -116,10 +123,13 @@ type DurabilityOptions struct {
 
 // fullRewriteFactor sets when a checkpoint writes a full frame instead
 // of a delta: once the delta frames since the last full frame exceed
-// this many disk images. A rewrite of size S thus follows at least 2S
-// of deltas, so full frames add at most half again to the delta stream
-// (amortised ≤ 1.5× what changed), and recovery never reads more than
-// one image plus two images' worth of deltas.
+// this many times its bytes (wal.SnapshotStore.FullBytes) — the image
+// as the store holds it, every page patched against zeros, which
+// pages × page size would overstate several times over. A rewrite of
+// size S thus follows at least 2S of deltas, so full frames add at most
+// half again to the delta stream (amortised ≤ 1.5× what changed), and
+// recovery never reads more than one image plus two images' worth of
+// deltas.
 const fullRewriteFactor = 2
 
 // WAL record kinds. 2 and 3 were the per-trigger refresh record and the
@@ -259,11 +269,10 @@ func (db *Database) encodeFrameLocked() (ckptFrame, error) {
 	d := db.dur
 	d.ckptMu.Lock()
 	kind := wal.FrameDelta
-	imageBytes := int64(db.disk.TotalPages()) * int64(db.disk.PageSize())
-	if !d.chained || d.snaps.DeltaBytes() > fullRewriteFactor*imageBytes {
+	if !d.chained || d.snaps.DeltaBytes() > fullRewriteFactor*d.snaps.FullBytes() {
 		kind = wal.FrameFull
 	}
-	buf, err := db.snapshotBodyLocked(kind == wal.FrameFull, wal.FrameReserve)
+	buf, err := db.snapshotBodyLocked(kind == wal.FrameFull, d.frameBuf, wal.FrameReserve)
 	if err != nil {
 		d.ckptMu.Unlock()
 		return ckptFrame{}, fmt.Errorf("core: checkpoint snapshot: %w", err)
@@ -278,7 +287,9 @@ func (db *Database) encodeFrameLocked() (ckptFrame, error) {
 // record arrived since the encode. It releases ckptMu.
 func (d *durability) writeFrame(f ckptFrame) error {
 	defer d.ckptMu.Unlock()
-	if err := d.snaps.AppendFramed(f.seq, f.kind, f.buf); err != nil {
+	err := d.snaps.AppendFramed(f.seq, f.kind, f.buf)
+	d.frameBuf = f.buf
+	if err != nil {
 		// The disk already forgot what this frame carried, and a delta
 		// against a frame that never landed cannot be applied: the next
 		// frame is full.

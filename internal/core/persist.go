@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"viewmat/internal/agg"
@@ -26,7 +27,7 @@ import (
 func (db *Database) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	body, err := db.snapshotBodyLocked(true, 0)
+	body, err := db.snapshotBodyLocked(true, nil, 0)
 	if err != nil {
 		return err
 	}
@@ -37,12 +38,13 @@ func (db *Database) Save(w io.Writer) error {
 // snapshotBodyLocked flushes the pool and encodes a checkpoint frame's
 // body: the catalog header with the disk beside it as a DiskDelta —
 // against the empty disk (full: Save, and a full frame), or against the
-// disk's last ResetChanges (a delta frame). The header is the same
-// either way, so a delta frame restores exactly what a Save at the same
-// moment would. The body starts reserve bytes into the buffer returned,
-// the room a checkpoint's frame headers are written into
-// (wal.FrameReserve). Caller holds db.mu.
-func (db *Database) snapshotBodyLocked(full bool, reserve int) ([]byte, error) {
+// disk's last ResetChanges (a delta frame), each page a patch against
+// its base. The header is the same either way, so a delta frame
+// restores exactly what a Save at the same moment would. The body starts
+// reserve bytes into the buffer returned, the room a checkpoint's frame
+// headers are written into (wal.FrameReserve); the buffer is buf's
+// array when it has room. Caller holds db.mu.
+func (db *Database) snapshotBodyLocked(full bool, buf []byte, reserve int) ([]byte, error) {
 	if err := db.pool.FlushAll(); err != nil {
 		return nil, err
 	}
@@ -57,9 +59,10 @@ func (db *Database) snapshotBodyLocked(full bool, reserve int) ([]byte, error) {
 		db.adv.mu.Lock()
 		defer db.adv.mu.Unlock()
 	}
-	// One buffer for the frame: the header is small, and the delta's pages
+	// One buffer for the frame: the header is small, and the delta's runs
 	// are encoded once, straight into the room made for them.
-	enc := tuple.NewEncoder(make([]byte, reserve, reserve+delta.EncodedSize()+1024)).Compact()
+	buf = slices.Grow(buf[:0], reserve+delta.EncodedSize()+1024)[:reserve]
+	enc := tuple.NewEncoder(buf).Compact()
 	codeSnapshot(&enc, &header, delta, nil)
 	return enc.Done()
 }
@@ -132,8 +135,10 @@ func Load(r io.Reader) (*Database, error) {
 // and 3), which no decoder reads any more; version 4's advisor header
 // carried four options the advisor no longer has; version 5's Float
 // keys ordered NaN equal to every value and hashed −0 apart from +0, so
-// its trees and hash chains need not hold under tuple.CompareFloat.
-const snapshotMagic = "VMS\x06"
+// its trees and hash chains need not hold under tuple.CompareFloat;
+// version 6's disk delta carried whole pages where version 7 carries
+// each page as a patch against its base.
+const snapshotMagic = "VMS\x07"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
@@ -146,7 +151,7 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, delta *storage.DiskDelta, di
 		c.U8(&magic[i])
 	}
 	if string(magic) != snapshotMagic {
-		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-5 snapshots are not readable)",
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-6 snapshots are not readable)",
 			snapshotMagic[3], magic, snapshotMagic)
 		return
 	}

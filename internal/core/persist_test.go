@@ -234,6 +234,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// from tuple.CompareFloat.
 	version5 := append([]byte(nil), img...)
 	version5[len(snapshotMagic)-1] = 5
+	// Version 6: this layout, but every page of the disk delta whole.
+	version6 := append([]byte(nil), img...)
+	version6[len(snapshotMagic)-1] = 6
 	// The parent commit's format: one encoding/gob value of a struct
 	// whose first field is Version = 1.
 	type dbSnapshot struct{ Version, PageSize, PoolFrames int }
@@ -280,9 +283,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt, "version-2"},
 		{"wrong version", wrongVersion, ErrSnapshotCorrupt, "version-2"},
 		{"version-2 body", version2, ErrSnapshotCorrupt, "version-2"},
-		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-6 snapshot"},
-		{"version-4 body", version4, ErrSnapshotCorrupt, "not a version-6 snapshot"},
-		{"version-5 body", version5, ErrSnapshotCorrupt, "not a version-6 snapshot"},
+		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-7 snapshot"},
+		{"version-4 body", version4, ErrSnapshotCorrupt, "not a version-7 snapshot"},
+		{"version-5 body", version5, ErrSnapshotCorrupt, "not a version-7 snapshot"},
+		{"version-6 body", version6, ErrSnapshotCorrupt, "not a version-7 snapshot"},
 		{"parent-format gob stream", version1.Bytes(), ErrSnapshotCorrupt, "version 1"},
 		{"bad page size", encodeSnapshot(t, catalogHeader{poolFrames: 4}, &storage.DiskDelta{}), ErrSnapshotCorrupt, ""},
 		{"HR without relation", encode(catalogHeader{poolFrames: 4, hrs: map[string]hr.ADMeta{"ghost": {}}}), ErrSnapshotCorrupt, ""},

@@ -125,7 +125,8 @@ func TestHistoryChildOthersFirst(t *testing.T) {
 // not of what the process encoded before them. Two fresh processes
 // encode the same trio, one of them after encoding every other kind of
 // value first. Under encoding/gob, which numbers types per process in
-// order of first use, the two disagreed.
+// order of first use, the two disagreed. Both must also agree with the
+// trio this process encodes.
 func TestEncodingIsHistoryIndependent(t *testing.T) {
 	trio := regexp.MustCompile(`TRIO:([0-9a-f]+)`)
 	child := func(name string) string {
@@ -140,7 +141,9 @@ func TestEncodingIsHistoryIndependent(t *testing.T) {
 	if plain != after {
 		t.Fatalf("the same values encode differently after other values were encoded first:\n%s\n%s", plain, after)
 	}
-	if len(plain) < 2*1000 {
-		t.Fatalf("trio of %d bytes: the children did not encode what they should", len(plain)/2)
+	// And what they encoded is the trio, byte for byte as this process
+	// encodes it after whatever it ran before.
+	if want := hex.EncodeToString(historyTrio(t)); plain != want {
+		t.Fatalf("the children encoded a trio of %d bytes, this process one of %d: the children did not encode what they should", len(plain)/2, len(want)/2)
 	}
 }

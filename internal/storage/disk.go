@@ -127,11 +127,16 @@ type File struct {
 	// which only disables readahead, never corrupts it.
 	dirtyFrames atomic.Int64
 	// Change tracking (delta.go). fresh marks a file created since the
-	// last ResetChanges; dirty holds the pages written, allocated or
-	// freed since then. Both are written under disk.mu and mu together
-	// (fresh) or mu (dirty), and stay zero while tracking is off.
+	// last ResetChanges. dirty maps each page written, allocated or freed
+	// since then to its pre-image: a copy of its bytes as the reset left
+	// them, or nil where the reset left no such page (or the file is
+	// fresh), whose base is zeros. spare holds the pre-image buffers
+	// ResetChanges recycled. fresh is written under disk.mu and mu
+	// together, dirty and spare under mu; all stay zero while tracking
+	// is off.
 	fresh bool
-	dirty map[PageNum]struct{}
+	dirty map[PageNum][]byte
+	spare [][]byte
 	// frames is the buffer pool's entry table for this file, indexed by
 	// page number: the pool's entry for each resident page, nil for the
 	// rest. It is guarded by the pool's lock, not mu, and grown by the
@@ -139,16 +144,29 @@ type File struct {
 	frames []*Frame
 }
 
-// markDirty records a page mutation for the next delta. Caller holds
-// f.mu for writing.
+// markDirty records a page mutation for the next delta; it runs before
+// the mutation, so a page's first mutation since ResetChanges captures
+// the page as the reset left it — its pre-image, the base the next
+// delta's patch is taken against. Caller holds f.mu for writing.
 func (f *File) markDirty(pn PageNum) {
 	if !f.disk.tracking.Load() {
 		return
 	}
 	if f.dirty == nil {
-		f.dirty = map[PageNum]struct{}{}
+		f.dirty = map[PageNum][]byte{}
+	} else if _, ok := f.dirty[pn]; ok {
+		return
 	}
-	f.dirty[pn] = struct{}{}
+	var pre []byte
+	if !f.fresh && int(pn) < len(f.pages) && f.pages[pn] != nil {
+		if n := len(f.spare); n > 0 {
+			pre, f.spare = f.spare[n-1], f.spare[:n-1]
+		} else {
+			pre = make([]byte, f.disk.pageSize)
+		}
+		copy(pre, f.pages[pn])
+	}
+	f.dirty[pn] = pre
 }
 
 // HasDirtyFrames reports whether any pool frame of this file holds
@@ -179,14 +197,14 @@ func (f *File) Alloc() PageNum {
 	defer f.mu.Unlock()
 	if n := len(f.free); n > 0 {
 		pn := f.free[n-1]
+		f.markDirty(pn)
 		f.free = f.free[:n-1]
 		f.pages[pn] = make([]byte, f.disk.pageSize)
-		f.markDirty(pn)
 		return pn
 	}
-	f.pages = append(f.pages, make([]byte, f.disk.pageSize))
-	pn := PageNum(len(f.pages) - 1)
+	pn := PageNum(len(f.pages))
 	f.markDirty(pn)
+	f.pages = append(f.pages, make([]byte, f.disk.pageSize))
 	return pn
 }
 
@@ -197,9 +215,9 @@ func (f *File) Free(pn PageNum) {
 	if int(pn) >= len(f.pages) || f.pages[pn] == nil {
 		return
 	}
+	f.markDirty(pn)
 	f.pages[pn] = nil
 	f.free = append(f.free, pn)
-	f.markDirty(pn)
 }
 
 // View runs fn on the page's on-disk image under the file's read lock,
@@ -253,7 +271,7 @@ func (f *File) writePage(pn PageNum, data []byte) error {
 	if len(data) != f.disk.pageSize {
 		return fmt.Errorf("storage: page size %d != %d", len(data), f.disk.pageSize)
 	}
-	copy(f.pages[pn], data)
 	f.markDirty(pn)
+	copy(f.pages[pn], data)
 	return nil
 }

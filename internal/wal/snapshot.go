@@ -140,6 +140,16 @@ func (s *SnapshotStore) AppendFramed(seq uint64, kind FrameKind, buf []byte) err
 // since the last full frame — what a new full frame would supersede.
 func (s *SnapshotStore) DeltaBytes() int64 { return s.deltaBytes }
 
+// FullBytes returns the payload bytes of the chain's full frame (0 with
+// no chain): what the disk's image costs to store, which the deltas
+// after it are weighed against.
+func (s *SnapshotStore) FullBytes() int64 {
+	if len(s.chain) == 0 {
+		return 0
+	}
+	return int64(s.chain[0].n)
+}
+
 // Chain reads the recovery chain: the newest fully-written full frame
 // and the delta frames after it, in order. Only these frames are read;
 // each is checksummed again. ErrNoSnapshot if no full frame survived.

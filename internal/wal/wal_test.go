@@ -371,6 +371,9 @@ func TestSnapshotStoreChain(t *testing.T) {
 		if got, want := s.DeltaBytes(), int64(2*snapHeaderSize+len("d5-longer")+len("d6")); got != want {
 			t.Errorf("%s: DeltaBytes = %d, want %d", where, got, want)
 		}
+		if got, want := s.FullBytes(), int64(snapHeaderSize+len("f4")); got != want {
+			t.Errorf("%s: FullBytes = %d, want %d", where, got, want)
+		}
 	}
 	check(s, "live store")
 	reopened, err := OpenSnapshotStore(dev.DurableDevice())
