@@ -97,13 +97,13 @@ func countedStream(rng *rand.Rand, pageSize int) []signedBatch {
 	return out
 }
 
-// applyPlainAlone applies one plain row as Insert or Delete does,
+// applyPlainAlone applies one plain row alone, as Insert or deleteRow,
 // appending the row a delete cuts to *cut.
 func applyPlainAlone(tr *Tree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
 	if sign > 0 {
 		return tr.Insert(tp)
 	}
-	old, ok, err := tr.Delete(tp.Vals[tr.keyCol], tp.ID)
+	old, ok, err := deleteRow(tr, tp.Vals[tr.keyCol], tp.ID)
 	if err == nil && !ok {
 		err = ErrAbsent
 	}
@@ -120,7 +120,7 @@ var errUnderflow = errors.New("underflow")
 // countCol, as a view maintains it row by row: a point lookup of its key
 // value, then a rewrite of the count of the first row equal to it on
 // every other column (the pair of its delete and its insert, same key and
-// id), its Delete at a count of zero, or its Insert. The row a Delete
+// id), its deleteRow at a count of zero, or its Insert. The row deleteRow
 // cuts is appended to *cut.
 func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countCol int, cut *[]tuple.Tuple) error {
 	it, err := tr.ScanBatches(pred.PointRange(tp.Vals[tr.keyCol]), nil)
@@ -140,7 +140,7 @@ func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countC
 		}
 		cnt := row.Vals[countCol].Int() + int64(sign)*tp.Vals[countCol].Int()
 		if cnt <= 0 {
-			old, _, err := tr.Delete(row.Vals[tr.keyCol], row.ID)
+			old, _, err := deleteRow(tr, row.Vals[tr.keyCol], row.ID)
 			*cut = append(*cut, old)
 			return err
 		}
@@ -186,7 +186,7 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 
 // TestUpdateChargesDeleteThenInsert: an update is the pair of its old
 // row's delete and its new row's insert, one ApplyRun batch, and is
-// charged and leaves the bytes Delete then Insert do — when the
+// charged and leaves the bytes deleteRow then Insert do — when the
 // replacement keeps the key and takes a new id, keeps the key and id,
 // belongs in another leaf or below the old row's leaf, no longer fits and
 // splits the leaf, and when the old row is absent. Each runs from a cold
@@ -235,7 +235,7 @@ func TestUpdateChargesDeleteThenInsert(t *testing.T) {
 // matchesRowByRow applies stream to a tree of ps-byte pages in a pool of
 // frames, after loading it with load and emptying the pool, twice: with
 // ApplyRun, handing the rows it leaves to the row-by-row steps, and one
-// row at a time with Insert, Delete and the counted rewrite. It fails t
+// row at a time with Insert, deleteRow and the counted rewrite. It fails t
 // unless both leave the same digest (treeDigest), errors and cut rows,
 // and returns the ApplyRun tree and its leaf count after the load.
 func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple, stream []signedBatch, countCol int) (*Tree, int) {
@@ -245,7 +245,7 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		m := storage.NewMeter()
 		tr, err := New(storage.NewPool(d, m, frames), d.Open("t"), 0)
 		if err == nil && load != nil {
-			if err = tr.InsertRun(load); err == nil {
+			if err = insertRun(tr, load); err == nil {
 				err = tr.pool.EvictAll()
 			}
 		}

@@ -54,10 +54,6 @@ type Tree struct {
 	open    []openLeaf
 	rowLeaf []int
 	touch   []storage.PageNum
-
-	// A Delete's row, of its key value alone, and the row it cut.
-	key []tuple.Value
-	cut []tuple.Tuple
 }
 
 // key orders leaf entries: by column value, then by tuple id.
@@ -467,9 +463,6 @@ func leafFind(leaf *leafNode, k key, keyCol int) (int, bool) {
 // ErrAbsent reports a delete whose row the tree does not hold.
 var ErrAbsent = errors.New("btree: delete of an absent row")
 
-// minus is the signs of a one-row delete.
-var minus = []int8{-1}
-
 // openLeaf is a leaf an apply visit holds: its page, pinned, and its rows
 // decoded; the internal pages above it, root first, and its fence; and
 // what the rows applied to it owe: the rows they added (less those they
@@ -492,44 +485,12 @@ func (t *Tree) slot(i int) *openLeaf {
 	return &t.open[i]
 }
 
-// Insert adds a tuple: a run of one row (ApplyRun). Duplicate (value,
-// id) pairs are rejected: ids are unique engine-wide, so a collision
+// Insert adds a tuple: an ApplyRun of one row. Duplicate (value, id)
+// pairs are rejected: ids are unique engine-wide, so a collision
 // indicates a bug upstream.
 func (t *Tree) Insert(tp tuple.Tuple) error {
-	return t.InsertRun([]tuple.Tuple{tp})
-}
-
-// InsertRun inserts tps in order: an ApplyRun of inserts only.
-func (t *Tree) InsertRun(tps []tuple.Tuple) error {
-	_, err := t.ApplyRun(tps, nil, -1, nil)
+	_, err := t.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
 	return err
-}
-
-// Delete removes the tuple with the given key value and id and returns
-// it, reporting whether it was found: an ApplyRun of one delete, so one
-// descent and one leaf decode. Leaves are allowed to underflow (no
-// merging): the linked leaf chain and separators stay valid, which is
-// all the scan and search paths require. Space is reclaimed when a
-// relation is rebuilt; the paper's workloads keep relation sizes
-// stationary (paired inserts and deletes), so underflow stays bounded in
-// practice.
-func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	if len(t.key) <= t.keyCol {
-		t.key = make([]tuple.Value, t.keyCol+1)
-	}
-	t.key[t.keyCol] = val
-	t.cut = t.cut[:0]
-	_, err := t.ApplyRun([]tuple.Tuple{{ID: id, Vals: t.key}}, minus, -1, &t.cut)
-	t.key[t.keyCol] = tuple.Value{}
-	if errors.Is(err, ErrAbsent) {
-		return tuple.Tuple{}, false, nil
-	}
-	if err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	gone := t.cut[0]
-	t.cut[0] = tuple.Tuple{}
-	return gone, true, nil
 }
 
 // ApplyRun applies a signed batch of rows in stream order: row i is
@@ -543,6 +504,10 @@ func (t *Tree) Delete(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // (value, id), the rest of its columns unread (an absent one is
 // ErrAbsent), and ApplyRun applies every row or stops at the error. An
 // update is the pair of its old row's delete and its new row's insert.
+// A delete may leave its leaf underfull (leaves are never merged): the
+// leaf chain and the separators stay valid, which is all the scans and
+// searches need, and the paper's workloads pair their deletes with
+// inserts, so relation sizes stay stationary.
 // With a non-nil cut, every row a delete cuts out of a leaf is appended
 // to *cut, whole, in stream order.
 //

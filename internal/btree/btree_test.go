@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -30,6 +31,29 @@ func newTestTree(t testing.TB, pageSize, poolCap int) (*Tree, *storage.Meter) {
 
 func mk(id uint64, k int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.S("payload"))
+}
+
+// insertRun inserts tps in order: an ApplyRun of inserts only.
+func insertRun(tr *Tree, tps []tuple.Tuple) error {
+	_, err := tr.ApplyRun(tps, nil, -1, nil)
+	return err
+}
+
+// deleteRow deletes the row of key value val and id, an ApplyRun of one
+// delete whose row carries the key value alone, and returns the row it
+// cut, reporting whether there was one.
+func deleteRow(tr *Tree, val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	vals := make([]tuple.Value, tr.keyCol+1)
+	vals[tr.keyCol] = val
+	var cut []tuple.Tuple
+	_, err := tr.ApplyRun([]tuple.Tuple{{ID: id, Vals: vals}}, []int8{-1}, -1, &cut)
+	if errors.Is(err, ErrAbsent) {
+		return tuple.Tuple{}, false, nil
+	}
+	if err != nil {
+		return tuple.Tuple{}, false, err
+	}
+	return cut[0], true, nil
 }
 
 func collect(t testing.TB, it *BatchIterator) []tuple.Tuple {
@@ -96,7 +120,7 @@ func TestDuplicateValuesDifferentIDs(t *testing.T) {
 		t.Errorf("scan found %d duplicates, want 40", len(got))
 	}
 	// Each individually deletable by id.
-	_, ok, err := tr.Delete(tuple.I(42), 17)
+	_, ok, err := deleteRow(tr, tuple.I(42), 17)
 	if err != nil || !ok {
 		t.Fatalf("delete dup: ok=%v err=%v", ok, err)
 	}
@@ -180,12 +204,12 @@ func TestDeleteThenScan(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 200; i += 2 {
-		_, ok, err := tr.Delete(tuple.I(i), uint64(i+1))
+		_, ok, err := deleteRow(tr, tuple.I(i), uint64(i+1))
 		if err != nil || !ok {
 			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if _, ok, _ := tr.Delete(tuple.I(0), 1); ok {
+	if _, ok, _ := deleteRow(tr, tuple.I(0), 1); ok {
 		t.Error("second delete of same tuple succeeded")
 	}
 	it, _ := tr.ScanBatches(nil, nil)
@@ -208,7 +232,7 @@ func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 150; i++ {
-		if _, ok, err := tr.Delete(tuple.I(i), uint64(i+1)); err != nil || !ok {
+		if _, ok, err := deleteRow(tr, tuple.I(i), uint64(i+1)); err != nil || !ok {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
@@ -440,7 +464,7 @@ func TestPropertyInsertDeleteScan(t *testing.T) {
 			} else { // delete a random live tuple with this key, if any
 				for id, lk := range live {
 					if lk == k {
-						_, ok, err := tr.Delete(tuple.I(k), id)
+						_, ok, err := deleteRow(tr, tuple.I(k), id)
 						if err != nil || !ok {
 							return false
 						}
@@ -656,7 +680,7 @@ func TestDescentRejectsCorruptInternalPages(t *testing.T) {
 				check(fmt.Sprintf("findLeaf(%v)", k), err)
 			}
 			check("Insert", tr.Insert(mk(1000, 7)))
-			_, _, err = tr.Delete(tuple.I(99), 100)
+			_, _, err = deleteRow(tr, tuple.I(99), 100)
 			check("Delete", err)
 			_, err = tr.ApplyRun([]tuple.Tuple{mk(1, 0), mk(1001, 0)}, []int8{-1, 1}, -1, nil)
 			check("ApplyRun", err)
@@ -711,6 +735,8 @@ func TestLeafEditAllocations(t *testing.T) {
 	// land in its leaf: eleven of them (AllocsPerRun's warm-up and ten
 	// runs) fit beside its rows.
 	ins, del, upd := uint64(100000), uint64(100000), 0
+	gone, minus := []tuple.Tuple{tuple.New(0, tuple.I(1000))}, []int8{-1}
+	var cut []tuple.Tuple
 	for _, op := range []struct {
 		name      string
 		max, race float64 // the race detector's count, which wanders by one
@@ -719,10 +745,9 @@ func TestLeafEditAllocations(t *testing.T) {
 		{"insert", 4, 10, func() error { ins++; return tr.Insert(mk(ins, 1000)) }},
 		{"delete", 5, 9, func() error {
 			del++
-			_, ok, err := tr.Delete(tuple.I(1000), del)
-			if err == nil && !ok {
-				err = fmt.Errorf("row %d not found", del)
-			}
+			gone[0].ID = del
+			_, err := tr.ApplyRun(gone, minus, -1, &cut)
+			cut = cut[:0]
 			return err
 		}},
 		{"update", 10, 17, func() error {

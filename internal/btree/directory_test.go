@@ -68,7 +68,7 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	}
 	for i := int64(0); i < 100; i++ {
 		k := i * 7919 % 400
-		if _, _, err := tr.Delete(tuple.I(k), uint64(i+1)); err != nil {
+		if _, _, err := deleteRow(tr, tuple.I(k), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}

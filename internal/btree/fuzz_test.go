@@ -14,7 +14,7 @@ import (
 // FuzzBTree drives random insert/insert-run/signed-run/delete/update/
 // range-scan sequences against the tree and checks every observation
 // against a flat slice-and-sort oracle. A run op inserts the rows keyed
-// by the script's next 1–8 bytes through one InsertRun, so a run of
+// by the script's next 1–8 bytes through one ApplyRun, so a run of
 // rising bytes fills a leaf in one visit and a run that crosses leaves
 // ends one visit and starts the next. A signed-run op hands the script's
 // next 1–8 bytes to one ApplyRun, each a delete of a live tuple (possibly
@@ -163,7 +163,7 @@ func FuzzBTree(f *testing.F) {
 					run = append(run, tuple.New(r.id, r.k, tuple.S(r.p)))
 					live = append(live, r)
 				}
-				if err := tr.InsertRun(run); err != nil {
+				if err := insertRun(tr, run); err != nil {
 					t.Fatalf("insert run %v: %v", run, err)
 				}
 			case 7: // a signed run: each of the script's next 1–8 bytes deletes a live tuple (odd) or inserts one keyed by it (even)
@@ -199,7 +199,7 @@ func FuzzBTree(f *testing.F) {
 				}
 				j := int(arg) % len(live)
 				victim := live[j]
-				old, ok, err := tr.Delete(victim.k, victim.id)
+				old, ok, err := deleteRow(tr, victim.k, victim.id)
 				if err != nil {
 					t.Fatalf("delete %+v: %v", victim, err)
 				}
@@ -211,7 +211,7 @@ func FuzzBTree(f *testing.F) {
 				}
 				live = append(live[:j], live[j+1:]...)
 			case 2: // delete a tuple that was never inserted
-				_, ok, err := tr.Delete(keyOfArg(arg), nextID+1<<40)
+				_, ok, err := deleteRow(tr, keyOfArg(arg), nextID+1<<40)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -278,7 +278,7 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 								tr.pool.BeginBulk()
 							}
 							for _, run := range runs {
-								if err := tr.InsertRun(run); err != nil {
+								if err := insertRun(tr, run); err != nil {
 									t.Fatal(err)
 								}
 							}
@@ -343,7 +343,7 @@ func TestInsertRunErrors(t *testing.T) {
 				}
 				return nil
 			})
-			got, err := build(func(tr *Tree) error { return tr.InsertRun(run) })
+			got, err := build(func(tr *Tree) error { return insertRun(tr, run) })
 			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("run failed with %v, one-row inserts with %v", err, wantErr)
 			}
@@ -369,7 +369,7 @@ func TestInsertRunAllocations(t *testing.T) {
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := tr.InsertRun(rows[next : next+n]); err != nil {
+		if err := insertRun(tr, rows[next:next+n]); err != nil {
 			t.Fatal(err)
 		}
 		next += n
@@ -400,7 +400,7 @@ func BenchmarkInsertRun(b *testing.B) {
 				tr, _ := newTestTree(b, 4000, 256)
 				b.StartTimer()
 				for lo := 0; lo < len(rows); lo += n {
-					if err := tr.InsertRun(rows[lo : lo+n]); err != nil {
+					if err := insertRun(tr, rows[lo:lo+n]); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -222,32 +222,27 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	db.bumpCommits()
 
 	// Apply writes (PhaseCommitWrite): each stretch of consecutive ops on
-	// one relation goes to its store as one signed batch — an HR-wrapped
-	// relation's to its AD file, every other relation's to its base file.
-	// Inserts make stretches of their own, deletes and updates others: a
-	// relation with secondary indexes takes a batch of inserts as one run
-	// per file, and any other batch a row at a time. The rows a batch's
-	// inserts carry are the relation's adds, and the rows its deletes cut
-	// are its dels, the tuples they had.
+	// one relation goes to its store as one signed batch, whatever the op
+	// kinds — an HR-wrapped relation's to its AD file, every other
+	// relation's to its base files, in the order Relation.ApplyRun gives
+	// them. The rows a batch's inserts carry are the relation's adds, and
+	// the rows its deletes cut are its dels, the tuples they had.
 	perRel := map[string]*deltas{}
 	err := db.inPhase(PhaseCommitWrite, func() error {
 		for i := 0; i < len(ops); {
-			rel, ins := ops[i].rel, ops[i].kind == opInsert
+			rel := ops[i].rel
 			j := i + 1
-			for j < len(ops) && ops[j].rel == rel && (ops[j].kind == opInsert) == ins {
+			for j < len(ops) && ops[j].rel == rel {
 				j++
 			}
 			r, h := db.rels[rel], db.hrs[rel]
-			rows, signs := signedRows(ops[i:j], r.KeyCol())
+			rows, signs, dels := signedRows(ops[i:j], r.KeyCol())
 			d := perRel[rel]
 			if d == nil {
 				d = &deltas{}
 				perRel[rel] = d
 			}
-			dels := 0 // room for the stretch's rows: recording them allocates once
-			if !ins {
-				dels = j - i
-			}
+			// Room for the stretch's rows: recording them allocates once.
 			d.adds, d.dels = slices.Grow(d.adds, len(rows)-dels), slices.Grow(d.dels, dels)
 			var err error
 			if h != nil {
@@ -259,7 +254,7 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 				return fmt.Errorf("core: %q: %w", rel, err)
 			}
 			for k, tp := range rows {
-				if signs == nil || signs[k] > 0 {
+				if signs[k] > 0 {
 					d.adds = append(d.adds, tp)
 				}
 			}
@@ -347,21 +342,27 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	return db.cascadeImmediateChildrenLocked()
 }
 
-// signedRows returns ops, all on one relation clustered on keyCol and
-// either all inserts or all deletes and updates, as one signed batch: an
-// insert is its row (a batch of inserts has nil signs), a delete a row of
-// its target's key and id, and an update the pair of the two.
-func signedRows(ops []txOp, keyCol int) ([]tuple.Tuple, []int8) {
-	if ops[0].kind == opInsert {
-		rows := make([]tuple.Tuple, len(ops))
-		for i, op := range ops {
-			rows[i] = tuple.Tuple{ID: op.id, Vals: op.vals}
-		}
-		return rows, nil
-	}
-	rows, signs := make([]tuple.Tuple, 0, 2*len(ops)), make([]int8, 0, 2*len(ops))
-	keys := make([]tuple.Value, len(ops)*(keyCol+1))
+// signedRows returns ops, all on one relation clustered on keyCol, as one
+// signed batch, and how many of its rows are deletes: an insert is its
+// row, a delete a row of its target's key and id, and an update the pair
+// of the two.
+func signedRows(ops []txOp, keyCol int) (rows []tuple.Tuple, signs []int8, dels int) {
+	n := len(ops)
 	for _, op := range ops {
+		if op.kind != opInsert {
+			dels++
+		}
+		if op.kind == opUpdate {
+			n++
+		}
+	}
+	rows, signs = make([]tuple.Tuple, 0, n), make([]int8, 0, n)
+	keys := make([]tuple.Value, dels*(keyCol+1))
+	for _, op := range ops {
+		if op.kind == opInsert {
+			rows, signs = append(rows, tuple.Tuple{ID: op.id, Vals: op.vals}), append(signs, 1)
+			continue
+		}
 		key := keys[: keyCol+1 : keyCol+1]
 		keys = keys[keyCol+1:]
 		key[keyCol] = op.key
@@ -370,7 +371,7 @@ func signedRows(ops []txOp, keyCol int) ([]tuple.Tuple, []int8) {
 			rows, signs = append(rows, tuple.Tuple{ID: op.newID, Vals: op.vals}), append(signs, 1)
 		}
 	}
-	return rows, signs
+	return rows, signs, dels
 }
 
 // addMarked files a marked tuple into the view's per-slot delta sets.

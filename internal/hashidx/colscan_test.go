@@ -48,7 +48,7 @@ func TestScanAllBatchesPruning(t *testing.T) {
 	}
 	const rows = 24
 	for i := int64(0); i < rows; i++ {
-		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 24; i++ {
-		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	}
 	pool.EvictAll()
 	pool.BeginBulk()
-	if err := ix.Insert(mk(100, 5)); err != nil {
+	if err := insert(ix, mk(100, 5)); err != nil {
 		t.Fatal(err)
 	}
 	out, pruned, err := ix.ScanAllBatches(0, []colpage.Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(1000)}})
@@ -170,7 +170,7 @@ func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 24; i++ {
-		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestScanAllBatchesCutsBatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < c.rows; i++ {
-				if err := ix.Insert(mk(uint64(i+1), int64(i))); err != nil {
+				if err := insert(ix, mk(uint64(i+1), int64(i))); err != nil {
 					t.Fatal(err)
 				}
 			}

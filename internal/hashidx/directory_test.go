@@ -28,7 +28,7 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	}
 	fill := func(from, to int64) {
 		for i := from; i < to; i++ {
-			if err := ix.Insert(tuple.New(uint64(i+1), tuple.I(i%23), tuple.S(string(rune('a'+i%26))))); err != nil {
+			if err := insert(ix, tuple.New(uint64(i+1), tuple.I(i%23), tuple.S(string(rune('a'+i%26))))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -39,7 +39,7 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	}
 	fill(200, 260)
 	for i := int64(200); i < 230; i += 3 {
-		if _, _, err := ix.Delete(tuple.I(i%23), uint64(i+1)); err != nil {
+		if _, _, err := deleteRow(ix, tuple.I(i%23), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}

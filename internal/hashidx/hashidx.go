@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"viewmat/internal/btree"
 	"viewmat/internal/colpage"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -127,39 +128,64 @@ func (ix *Index) decode(page []byte, n *node) error {
 	return nil
 }
 
-// Insert adds a tuple, placing it on the first chain page with space
-// (allocating an overflow page if the chain is full). Each chain page
-// inspected costs one metered read; the modified page costs one write.
-func (ix *Index) Insert(tp tuple.Tuple) error {
-	if !colpage.FitsAlone(tp, ix.pool.PageSize()) {
+// ApplyRun applies a signed batch of rows in stream order, one chain
+// walk a row: row i is deleted when signs[i] is negative (its key column
+// and id name it; its other columns are not read) and inserted otherwise
+// (nil signs: every row is inserted). It returns how many rows it
+// applied: all of them, or those before the one that failed. An insert
+// goes on the first page of its bucket's chain with room for it, or on
+// an overflow page linked to the chain's end; a delete cuts its row from
+// the page that holds it, and a row the index does not hold is
+// btree.ErrAbsent. With a non-nil cut, every row a delete cuts is
+// appended to *cut, whole. Each chain page a walk inspects costs one
+// metered read, the page it edits one write.
+func (ix *Index) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
+	for i, tp := range rows {
+		if err := ix.walk(tp, signs == nil || signs[i] >= 0, cut); err != nil {
+			return i, err
+		}
+	}
+	return len(rows), nil
+}
+
+// walk applies one row, an insert when plus: it decodes the pages of
+// the row's bucket chain in turn onto the reused lanes until one takes
+// the row, and encodes that page back.
+func (ix *Index) walk(tp tuple.Tuple, plus bool, cut *[]tuple.Tuple) error {
+	if plus && !colpage.FitsAlone(tp, ix.pool.PageSize()) {
 		return fmt.Errorf("hashidx: tuple of %d bytes exceeds page capacity", tp.EncodedSize())
 	}
-	pn := ix.buckets[ix.bucketFor(tp.Vals[ix.keyCol])]
+	v := tp.Vals[ix.keyCol]
+	n := &ix.edit
+	pn := ix.buckets[ix.bucketFor(v)]
 	for {
 		fr, err := ix.pool.Get(ix.file, pn)
 		if err != nil {
 			return err
 		}
-		n := &ix.edit
 		if err := ix.decode(fr.Data, n); err != nil {
 			ix.pool.Release(fr)
 			return err
 		}
-		last := len(n.IDs)
-		n.InsertRow(last, tp)
-		if n.Size() <= len(fr.Data) {
+		if ix.take(n, tp, plus, len(fr.Data), cut) {
 			ix.encodeNode(fr, n)
 			fr.MarkDirty()
-			ix.count++
 			return ix.pool.Release(fr)
 		}
-		n.DeleteRow(last)
 		if n.HasNext {
 			pn = n.Next
 			if err := ix.pool.Release(fr); err != nil {
 				return err
 			}
 			continue
+		}
+		if !plus {
+			if err := ix.pool.Release(fr); err != nil {
+				return err
+			}
+			// The key value stays out of the message: boxing it would
+			// move every caller's rows to the heap.
+			return fmt.Errorf("%w (id %d)", btree.ErrAbsent, tp.ID)
 		}
 		// Allocate an overflow page and link it.
 		ofr, err := ix.pool.Alloc(ix.file)
@@ -181,6 +207,35 @@ func (ix *Index) Insert(tp tuple.Tuple) error {
 		}
 		return ix.pool.Release(fr)
 	}
+}
+
+// take applies row tp to the decoded chain page n when the page can take
+// it — an insert that keeps the page within pageSize bytes, or a delete
+// of a row the page holds — and reports whether it did; n is as it was
+// when it did not.
+func (ix *Index) take(n *node, tp tuple.Tuple, plus bool, pageSize int, cut *[]tuple.Tuple) bool {
+	if plus {
+		last := len(n.IDs)
+		n.InsertRow(last, tp)
+		if n.Size() > pageSize {
+			n.DeleteRow(last)
+			return false
+		}
+		ix.count++
+		return true
+	}
+	v := tp.Vals[ix.keyCol]
+	for i := range n.IDs {
+		if n.IDs[i] == tp.ID && n.Cols[ix.keyCol].Compare(i, v) == 0 {
+			if cut != nil {
+				*cut = append(*cut, n.Row(i))
+			}
+			n.DeleteRow(i)
+			ix.count--
+			return true
+		}
+	}
+	return false
 }
 
 // matches walks the chain of v's bucket (one metered read per chain
@@ -236,41 +291,6 @@ func (ix *Index) Get(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 		return tuple.Tuple{}, false, err
 	}
 	return found, ok, nil
-}
-
-// Delete removes the tuple with key value v and the given id and
-// returns it, reporting whether it was found.
-func (ix *Index) Delete(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	pn := ix.buckets[ix.bucketFor(v)]
-	for {
-		fr, err := ix.pool.Get(ix.file, pn)
-		if err != nil {
-			return tuple.Tuple{}, false, err
-		}
-		n := &ix.edit
-		if err := ix.decode(fr.Data, n); err != nil {
-			ix.pool.Release(fr)
-			return tuple.Tuple{}, false, err
-		}
-		for i := range n.IDs {
-			if n.IDs[i] == id && n.Cols[ix.keyCol].Compare(i, v) == 0 {
-				tp := n.Row(i)
-				n.DeleteRow(i)
-				ix.encodeNode(fr, n)
-				fr.MarkDirty()
-				ix.count--
-				return tp, true, ix.pool.Release(fr)
-			}
-		}
-		hasNext, next := n.HasNext, n.Next
-		if err := ix.pool.Release(fr); err != nil {
-			return tuple.Tuple{}, false, err
-		}
-		if !hasNext {
-			return tuple.Tuple{}, false, nil
-		}
-		pn = next
-	}
 }
 
 // Pages returns the total chain pages (primary + overflow), unmetered.

@@ -1,6 +1,7 @@
 package hashidx
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"viewmat/internal/btree"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
@@ -41,10 +43,33 @@ func mk(id uint64, k int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.S("pay"))
 }
 
+// insert adds tp: an ApplyRun of one insert.
+func insert(ix *Index, tp tuple.Tuple) error {
+	_, err := ix.ApplyRun([]tuple.Tuple{tp}, nil, nil)
+	return err
+}
+
+// deleteRow deletes the row of key value v and id, an ApplyRun of one
+// delete whose row carries the key value alone, and returns the row it
+// cut, reporting whether there was one.
+func deleteRow(ix *Index, v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	vals := make([]tuple.Value, ix.keyCol+1)
+	vals[ix.keyCol] = v
+	var cut []tuple.Tuple
+	_, err := ix.ApplyRun([]tuple.Tuple{{ID: id, Vals: vals}}, []int8{-1}, &cut)
+	if errors.Is(err, btree.ErrAbsent) {
+		return tuple.Tuple{}, false, nil
+	}
+	if err != nil {
+		return tuple.Tuple{}, false, err
+	}
+	return cut[0], true, nil
+}
+
 func TestInsertLookup(t *testing.T) {
 	ix, _ := newTestIndex(t, 256, 64, 8)
 	for i := int64(0); i < 100; i++ {
-		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -66,7 +91,7 @@ func TestInsertLookup(t *testing.T) {
 func TestDuplicateKeys(t *testing.T) {
 	ix, _ := newTestIndex(t, 256, 64, 4)
 	for id := uint64(1); id <= 30; id++ {
-		if err := ix.Insert(mk(id, 7)); err != nil {
+		if err := insert(ix, mk(id, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +112,7 @@ func TestOverflowChains(t *testing.T) {
 	// One bucket, tiny pages: everything chains.
 	ix, _ := newTestIndex(t, 96, 64, 1)
 	for i := int64(0); i < 60; i++ {
-		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,16 +131,16 @@ func TestOverflowChains(t *testing.T) {
 func TestDelete(t *testing.T) {
 	ix, _ := newTestIndex(t, 128, 64, 4)
 	for i := int64(0); i < 50; i++ {
-		ix.Insert(mk(uint64(i+1), i))
+		insert(ix, mk(uint64(i+1), i))
 	}
-	old, ok, err := ix.Delete(tuple.I(20), 21)
+	old, ok, err := deleteRow(ix, tuple.I(20), 21)
 	if err != nil || !ok {
 		t.Fatalf("delete: ok=%v err=%v", ok, err)
 	}
 	if want := mk(21, 20); old.ID != want.ID || !tuple.ValsEqual(old, want) {
 		t.Errorf("delete returned %v, want the removed tuple %v", old, want)
 	}
-	if _, ok, _ := ix.Delete(tuple.I(20), 21); ok {
+	if _, ok, _ := deleteRow(ix, tuple.I(20), 21); ok {
 		t.Error("second delete succeeded")
 	}
 	if got, _ := ix.Lookup(tuple.I(20)); len(got) != 0 {
@@ -129,10 +154,10 @@ func TestDelete(t *testing.T) {
 func TestDeleteFromOverflowPage(t *testing.T) {
 	ix, _ := newTestIndex(t, 96, 64, 1)
 	for i := int64(0); i < 40; i++ {
-		ix.Insert(mk(uint64(i+1), i))
+		insert(ix, mk(uint64(i+1), i))
 	}
 	// The last-inserted tuples live deep in the chain.
-	_, ok, err := ix.Delete(tuple.I(39), 40)
+	_, ok, err := deleteRow(ix, tuple.I(39), 40)
 	if err != nil || !ok {
 		t.Fatalf("delete from overflow: ok=%v err=%v", ok, err)
 	}
@@ -150,17 +175,17 @@ func TestSameKeyUpdateStaysOnSamePage(t *testing.T) {
 	// touches a single chain page (when there is room).
 	ix, m := newTestIndex(t, 512, 64, 16)
 	old := mk(1, 5)
-	if err := ix.Insert(old); err != nil {
+	if err := insert(ix, old); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Snapshot()
-	if _, ok, err := ix.Delete(tuple.I(5), 1); err != nil || !ok {
+	if _, ok, err := deleteRow(ix, tuple.I(5), 1); err != nil || !ok {
 		t.Fatal("delete failed")
 	}
-	if err := ix.Insert(mk(2, 5)); err != nil {
+	if err := insert(ix, mk(2, 5)); err != nil {
 		t.Fatal(err)
 	}
 	diff := m.Snapshot().Sub(before)
@@ -173,7 +198,7 @@ func TestSameKeyUpdateStaysOnSamePage(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	ix, _ := newTestIndex(t, 96, 64, 2)
 	for i := int64(0); i < 50; i++ {
-		ix.Insert(mk(uint64(i+1), i))
+		insert(ix, mk(uint64(i+1), i))
 	}
 	pagesBefore := ix.Pages()
 	if pagesBefore <= 2 {
@@ -197,7 +222,7 @@ func TestTruncate(t *testing.T) {
 	}
 	// Index stays usable and reuses freed pages.
 	for i := int64(0); i < 50; i++ {
-		if err := ix.Insert(mk(uint64(100+i), i)); err != nil {
+		if err := insert(ix, mk(uint64(100+i), i)); err != nil {
 			t.Fatalf("insert after truncate: %v", err)
 		}
 	}
@@ -216,7 +241,7 @@ func TestStringKeyedIndex(t *testing.T) {
 	}
 	names := []string{"alice", "bob", "carol", "dave"}
 	for i, n := range names {
-		if err := ix.Insert(tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.S(n))); err != nil {
+		if err := insert(ix, tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.S(n))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +263,7 @@ func TestFloatKeyClassesShareABucket(t *testing.T) {
 		for _, buckets := range []int{3, 7, 13, 100} {
 			ix, _ := newTestIndex(t, 256, 64, buckets)
 			stored, probe := tuple.F(pair[0]), tuple.F(pair[1])
-			if err := ix.Insert(tuple.New(1, stored, tuple.S("pay"))); err != nil {
+			if err := insert(ix, tuple.New(1, stored, tuple.S("pay"))); err != nil {
 				t.Fatal(err)
 			}
 			if got, err := ix.Lookup(probe); err != nil || len(got) != 1 {
@@ -247,7 +272,7 @@ func TestFloatKeyClassesShareABucket(t *testing.T) {
 			if _, ok, err := ix.Get(probe, 1); err != nil || !ok {
 				t.Errorf("%d buckets: Get(%v, 1) of a stored %v missed: %v", buckets, probe, stored, err)
 			}
-			if _, ok, err := ix.Delete(probe, 1); err != nil || !ok || ix.Len() != 0 {
+			if _, ok, err := deleteRow(ix, probe, 1); err != nil || !ok || ix.Len() != 0 {
 				t.Errorf("%d buckets: Delete(%v, 1) of a stored %v missed: %v", buckets, probe, stored, err)
 			}
 		}
@@ -257,7 +282,7 @@ func TestFloatKeyClassesShareABucket(t *testing.T) {
 func TestOversizedTupleRejected(t *testing.T) {
 	ix, _ := newTestIndex(t, 64, 16, 1)
 	big := tuple.New(1, tuple.I(1), tuple.S(string(make([]byte, 100))))
-	if err := ix.Insert(big); err == nil {
+	if err := insert(ix, big); err == nil {
 		t.Error("oversized tuple accepted")
 	}
 }
@@ -273,7 +298,7 @@ func TestPropertyMatchesModel(t *testing.T) {
 		for _, op := range ops {
 			k := int64(op % 16)
 			if op >= 0 {
-				if err := ix.Insert(mk(nextID, k)); err != nil {
+				if err := insert(ix, mk(nextID, k)); err != nil {
 					return false
 				}
 				model[nextID] = k
@@ -281,7 +306,7 @@ func TestPropertyMatchesModel(t *testing.T) {
 			} else {
 				for id, mk2 := range model {
 					if mk2 == k {
-						_, ok, err := ix.Delete(tuple.I(k), id)
+						_, ok, err := deleteRow(ix, tuple.I(k), id)
 						if err != nil || !ok {
 							return false
 						}
@@ -326,8 +351,9 @@ func TestPropertyMatchesModel(t *testing.T) {
 }
 
 // TestChainEditAllocations pins what one chain page edit or point read
-// allocates on a warm index — an insert, a delete and a Get, none of them
-// growing a chain: the edit decodes the page onto lanes the index
+// allocates on a warm index — an insert and a delete, each an ApplyRun of
+// one row, and a Get, none of them growing a chain: the edit decodes the
+// page onto lanes the index
 // reuses, splices one row and encodes the lanes back, and a Get boxes the
 // one row it returns. An edit that boxed the whole page again
 // would show here: while pages decoded to tuples and a Get cloned every
@@ -336,7 +362,7 @@ func TestPropertyMatchesModel(t *testing.T) {
 func TestChainEditAllocations(t *testing.T) {
 	ix, _ := newTestIndex(t, 1024, 64, 16)
 	for i := int64(0); i < 200; i++ {
-		if err := ix.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,12 +370,14 @@ func TestChainEditAllocations(t *testing.T) {
 	// Eleven rows of key 7 (AllocsPerRun's warm-up and ten runs) fit on
 	// its bucket's page beside its rows.
 	ins, del := uint64(100000), uint64(100000)
+	row, key, minus := make([]tuple.Tuple, 1), []tuple.Value{tuple.I(7)}, []int8{-1}
+	var cut []tuple.Tuple
 	for _, op := range []struct {
 		name      string
 		max, race float64 // the race detector's count, which wanders by one
 		run       func() error
 	}{
-		{"insert", 6, 12, func() error { ins++; return ix.Insert(mk(ins, 7)) }},
+		{"insert", 6, 12, func() error { ins++; return insert(ix, mk(ins, 7)) }},
 		{"get", 10, 14, func() error {
 			if _, ok, err := ix.Get(tuple.I(7), 100005); err != nil || !ok {
 				return fmt.Errorf("row 100005: %v, %v", ok, err)
@@ -358,10 +386,10 @@ func TestChainEditAllocations(t *testing.T) {
 		}},
 		{"delete", 7, 11, func() error {
 			del++
-			if _, ok, err := ix.Delete(tuple.I(7), del); err != nil || !ok {
-				return fmt.Errorf("row %d: %v, %v", del, ok, err)
-			}
-			return nil
+			row[0] = tuple.Tuple{ID: del, Vals: key}
+			_, err := ix.ApplyRun(row, minus, &cut)
+			cut = cut[:0]
+			return err
 		}},
 	} {
 		allocs := testing.AllocsPerRun(10, func() {
@@ -402,7 +430,7 @@ func BenchmarkInsert(b *testing.B) {
 	ix, _ := newTestIndex(b, 4000, 256, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := ix.Insert(mk(uint64(i+1), int64(i))); err != nil {
+		if err := insert(ix, mk(uint64(i+1), int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -412,7 +440,7 @@ func BenchmarkLookup(b *testing.B) {
 	ix, _ := newTestIndex(b, 4000, 256, 256)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
-		ix.Insert(mk(uint64(i+1), int64(rng.Intn(10000))))
+		insert(ix, mk(uint64(i+1), int64(rng.Intn(10000))))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,6 +54,20 @@ type Config struct {
 	BloomFPRate float64
 }
 
+// withDefaults returns c with each field left unset given its default.
+func (c Config) withDefaults() Config {
+	if c.ADBuckets <= 0 {
+		c.ADBuckets = 4
+	}
+	if c.BloomKeys <= 0 {
+		c.BloomKeys = 1024
+	}
+	if c.BloomFPRate <= 0 {
+		c.BloomFPRate = 0.01
+	}
+	return c
+}
+
 // ADMeta is the persistent metadata of the differential file.
 type ADMeta = hashidx.Meta
 
@@ -64,12 +78,7 @@ func (h *HR) ADMeta() ADMeta { return h.ad.Meta() }
 // filter is rebuilt by scanning the AD contents (a metered scan —
 // loading is setup, so callers reset the meter afterwards).
 func Open(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg Config, m ADMeta) (*HR, error) {
-	if cfg.BloomKeys <= 0 {
-		cfg.BloomKeys = 1024
-	}
-	if cfg.BloomFPRate <= 0 {
-		cfg.BloomFPRate = 0.01
-	}
+	cfg = cfg.withDefaults()
 	ad, err := hashidx.Open(pool, disk.Open(base.Name()+".ad"), base.KeyCol(), m)
 	if err != nil {
 		return nil, err
@@ -88,15 +97,7 @@ func Open(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg C
 // New wraps a base relation in HR change capture. The AD file lives in
 // the same disk under "<name>.ad".
 func New(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg Config) (*HR, error) {
-	if cfg.ADBuckets <= 0 {
-		cfg.ADBuckets = 4
-	}
-	if cfg.BloomKeys <= 0 {
-		cfg.BloomKeys = 1024
-	}
-	if cfg.BloomFPRate <= 0 {
-		cfg.BloomFPRate = 0.01
-	}
+	cfg = cfg.withDefaults()
 	ad, err := hashidx.New(pool, disk.Open(base.Name()+".ad"), base.KeyCol(), cfg.ADBuckets)
 	if err != nil {
 		return nil, err
@@ -141,46 +142,21 @@ func role(tp tuple.Tuple) int64 { return tp.Vals[len(tp.Vals)-1].Int() }
 // −0 and +0 (which tuple.Equal matches) are one key.
 func (h *HR) bloomKey(v tuple.Value) string { return tuple.Canonical(v).String() }
 
-// Append records the insertion of tp: one AD entry with role appended.
-// The tuple's id must be fresh (engine-assigned from the monotonic
-// clock).
-func (h *HR) Append(tp tuple.Tuple) error {
-	if err := h.base.Schema().Validate(tp.Vals); err != nil {
-		return fmt.Errorf("hr %s: %w", h.base.Name(), err)
-	}
-	if err := h.ad.Insert(adTuple(tp, RoleAppended)); err != nil {
-		return err
-	}
-	h.filter.Add(h.bloomKey(tp.Vals[h.base.KeyCol()]))
-	return nil
-}
-
-// Delete records the deletion of the visible tuple with the given key
-// value and id. The tuple's current version is located (through the
-// Bloom filter) and its value is recorded in AD with role deleted, per
-// §2.2.1: "a copy of its value, including the id it had in R or A, is
-// placed in D".
-func (h *HR) Delete(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	cur, ok, err := h.getVisible(keyVal, id)
-	if err != nil || !ok {
-		return tuple.Tuple{}, ok, err
-	}
-	if err := h.ad.Insert(adTuple(cur, RoleDeleted)); err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	h.filter.Add(h.bloomKey(keyVal))
-	return cur, true, nil
-}
-
 // ApplyRun is the HR's one write: it records a signed batch in stream
 // order, after validating every insert, and returns how many rows it
 // recorded: all of them, or those before the one that failed. Row i is
-// an insertion (Append) when signs[i] is non-negative or signs is nil,
-// and otherwise the deletion (Delete) of the visible tuple its key value
-// and id name; one not visible is btree.ErrAbsent. With a non-nil cut,
-// each deleted version is appended to *cut. An update is the pair of its
-// old row's delete and its new row's insert: with clustered hashing on
-// an unchanged key, both AD entries land on the same chain, the ≤3-I/O
+// an insertion when signs[i] is non-negative or signs is nil: one AD
+// entry with role appended, whose id must be fresh (engine-assigned from
+// the monotonic clock). Otherwise it is the deletion of the visible
+// tuple its key value and id name: that tuple's current version is
+// located (through the Bloom filter) and recorded in AD with role
+// deleted, per §2.2.1 ("a copy of its value, including the id it had in
+// R or A, is placed in D"); one not visible is btree.ErrAbsent. Each
+// entry goes to AD as its own hashidx.Index.ApplyRun, so a deletion sees
+// the entries the batch recorded before it. With a non-nil cut, each
+// deleted version is appended to *cut. An update is the pair of its old
+// row's delete and its new row's insert: with clustered hashing on an
+// unchanged key, both AD entries land on the same chain, the ≤3-I/O
 // update walkthrough of §2.2.2.
 func (h *HR) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
 	for i, tp := range rows {
@@ -192,22 +168,24 @@ func (h *HR) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int
 		}
 	}
 	for i, tp := range rows {
-		if signs == nil || signs[i] >= 0 {
-			if err := h.Append(tp); err != nil {
+		key := tp.Vals[h.base.KeyCol()]
+		entry, entryRole := tp, RoleAppended
+		if signs != nil && signs[i] < 0 {
+			cur, ok, err := h.getVisible(key, tp.ID)
+			if err == nil && !ok {
+				err = fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
+			}
+			if err != nil {
 				return i, err
 			}
-			continue
+			entry, entryRole = cur, RoleDeleted
 		}
-		key := tp.Vals[h.base.KeyCol()]
-		old, ok, err := h.Delete(key, tp.ID)
-		if err == nil && !ok {
-			err = fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
-		}
-		if err != nil {
+		if _, err := h.ad.ApplyRun([]tuple.Tuple{adTuple(entry, entryRole)}, nil, nil); err != nil {
 			return i, err
 		}
-		if cut != nil {
-			*cut = append(*cut, old)
+		h.filter.Add(h.bloomKey(key))
+		if entryRole == RoleDeleted && cut != nil {
+			*cut = append(*cut, entry)
 		}
 	}
 	return len(rows), nil

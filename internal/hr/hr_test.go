@@ -1,11 +1,13 @@
 package hr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"viewmat/internal/btree"
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -32,6 +34,27 @@ func row(id uint64, k, v int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.I(v))
 }
 
+// appendRow records the insertion of tp: an ApplyRun of one insert.
+func appendRow(h *HR, tp tuple.Tuple) error {
+	_, err := h.ApplyRun([]tuple.Tuple{tp}, nil, nil)
+	return err
+}
+
+// deleteRow records the deletion of the visible tuple (key, id), an
+// ApplyRun of one delete, and returns the version it recorded, reporting
+// whether the tuple was visible.
+func deleteRow(h *HR, key tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	var cut []tuple.Tuple
+	_, err := h.ApplyRun([]tuple.Tuple{tuple.New(id, key)}, []int8{-1}, &cut)
+	if errors.Is(err, btree.ErrAbsent) {
+		return tuple.Tuple{}, false, nil
+	}
+	if err != nil {
+		return tuple.Tuple{}, false, err
+	}
+	return cut[0], true, nil
+}
+
 // update replaces the visible tuple (key, id) with newTp as the pair of
 // its delete and newTp's insert, one ApplyRun, and returns the version
 // the delete recorded.
@@ -46,7 +69,7 @@ func update(h *HR, key tuple.Value, id uint64, newTp tuple.Tuple) (tuple.Tuple, 
 
 func TestAppendVisibleThroughHR(t *testing.T) {
 	h, base, _, _ := testHR(t)
-	if err := h.Append(row(1, 10, 100)); err != nil {
+	if err := appendRow(h, row(1, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// Not yet in the base...
@@ -74,13 +97,13 @@ func TestSignedZeroKeyThroughBloom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Append(tuple.New(1, tuple.F(math.Copysign(0, -1)), tuple.I(100))); err != nil {
+	if err := appendRow(h, tuple.New(1, tuple.F(math.Copysign(0, -1)), tuple.I(100))); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := h.ReadKey(tuple.F(0)); err != nil || len(got) != 1 {
 		t.Errorf("ReadKey(+0) of a row keyed −0 = %v, %v", got, err)
 	}
-	if _, ok, err := h.Delete(tuple.F(0), 1); err != nil || !ok {
+	if _, ok, err := deleteRow(h, tuple.F(0), 1); err != nil || !ok {
 		t.Errorf("Delete(+0, 1) of a row keyed −0: ok=%v err=%v", ok, err)
 	}
 }
@@ -90,7 +113,7 @@ func TestDeleteHidesBaseTuple(t *testing.T) {
 	if err := base.Insert(row(1, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
-	old, ok, err := h.Delete(tuple.I(10), 1)
+	old, ok, err := deleteRow(h, tuple.I(10), 1)
 	if err != nil || !ok {
 		t.Fatalf("Delete: ok=%v err=%v", ok, err)
 	}
@@ -108,7 +131,7 @@ func TestDeleteHidesBaseTuple(t *testing.T) {
 
 func TestDeleteOfAbsentTuple(t *testing.T) {
 	h, _, _, _ := testHR(t)
-	if _, ok, err := h.Delete(tuple.I(99), 1); err != nil || ok {
+	if _, ok, err := deleteRow(h, tuple.I(99), 1); err != nil || ok {
 		t.Errorf("delete of absent: ok=%v err=%v", ok, err)
 	}
 }
@@ -143,10 +166,10 @@ func TestUpdateOldToDNewToA(t *testing.T) {
 
 func TestAppendThenDeleteCancels(t *testing.T) {
 	h, _, _, _ := testHR(t)
-	if err := h.Append(row(1, 10, 100)); err != nil {
+	if err := appendRow(h, row(1, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := h.Delete(tuple.I(10), 1); err != nil || !ok {
+	if _, ok, err := deleteRow(h, tuple.I(10), 1); err != nil || !ok {
 		t.Fatalf("delete of epoch-appended tuple: ok=%v err=%v", ok, err)
 	}
 	anet, dnet, err := h.NetChanges()
@@ -163,7 +186,7 @@ func TestAppendThenDeleteCancels(t *testing.T) {
 
 func TestUpdateOfEpochAppendedTuple(t *testing.T) {
 	h, _, _, _ := testHR(t)
-	h.Append(row(1, 10, 100))
+	appendRow(h, row(1, 10, 100))
 	if _, err := update(h, tuple.I(10), 1, row(2, 10, 200)); err != nil {
 		t.Fatalf("update of epoch append: %v", err)
 	}
@@ -180,8 +203,8 @@ func TestFoldAppliesAndResets(t *testing.T) {
 	h, base, _, _ := testHR(t)
 	base.Insert(row(1, 1, 10))
 	base.Insert(row(2, 2, 20))
-	h.Append(row(3, 3, 30))
-	h.Delete(tuple.I(1), 1)
+	appendRow(h, row(3, 3, 30))
+	deleteRow(h, tuple.I(1), 1)
 	update(h, tuple.I(2), 2, row(4, 2, 25))
 
 	if err := h.Fold(); err != nil {
@@ -250,7 +273,7 @@ func TestRepeatedEpochs(t *testing.T) {
 	id := uint64(1)
 	for epoch := 0; epoch < 5; epoch++ {
 		for i := 0; i < 10; i++ {
-			if err := h.Append(row(id, int64(id), int64(epoch))); err != nil {
+			if err := appendRow(h, row(id, int64(id), int64(epoch))); err != nil {
 				t.Fatal(err)
 			}
 			id++
@@ -286,7 +309,7 @@ func TestPropertyFoldPreservesVisibleState(t *testing.T) {
 			k := int64(op % 8)
 			switch op % 3 {
 			case 0: // append
-				if err := h.Append(row(nextID, k, int64(op))); err != nil {
+				if err := appendRow(h, row(nextID, k, int64(op))); err != nil {
 					return false
 				}
 				live[nextID] = k
@@ -294,7 +317,7 @@ func TestPropertyFoldPreservesVisibleState(t *testing.T) {
 			case 1: // delete some live tuple with key k
 				for id, lk := range live {
 					if lk == k {
-						if _, ok, err := h.Delete(tuple.I(k), id); err != nil || !ok {
+						if _, ok, err := deleteRow(h, tuple.I(k), id); err != nil || !ok {
 							return false
 						}
 						delete(live, id)
@@ -389,7 +412,7 @@ func TestHRADPagesAndBase(t *testing.T) {
 	}
 	before := h.ADPages()
 	for i := int64(0); i < 100; i++ {
-		if err := h.Append(row(uint64(i+1), i, i)); err != nil {
+		if err := appendRow(h, row(uint64(i+1), i, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,7 +423,7 @@ func TestHRADPagesAndBase(t *testing.T) {
 
 func TestHRAppendValidatesSchema(t *testing.T) {
 	h, _, _, _ := testHR(t)
-	if err := h.Append(tuple.New(1, tuple.I(1))); err == nil {
+	if err := appendRow(h, tuple.New(1, tuple.I(1))); err == nil {
 		t.Error("wrong-arity append accepted")
 	}
 	if err := h.Base().Insert(row(1, 1, 1)); err != nil {

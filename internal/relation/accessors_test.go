@@ -59,14 +59,14 @@ func TestAccessorsHash(t *testing.T) {
 		t.Errorf("Pages = %d", r.Pages())
 	}
 	// Delete and Get through the hash paths.
-	tp, ok, err := r.Delete(tuple.I(5), 6)
+	tp, ok, err := deleteRow(r, tuple.I(5), 6)
 	if err != nil || !ok || tp.Vals[0].Int() != 5 {
 		t.Errorf("hash Delete = %v ok=%v err=%v", tp, ok, err)
 	}
 	if _, ok, _ := r.Get(tuple.I(5), 6); ok {
 		t.Error("hash Get found deleted tuple")
 	}
-	if _, ok, _ := r.Delete(tuple.I(5), 6); ok {
+	if _, ok, _ := deleteRow(r, tuple.I(5), 6); ok {
 		t.Error("hash double delete succeeded")
 	}
 }
@@ -119,7 +119,7 @@ func TestIterStreams(t *testing.T) {
 func TestDeleteOfAbsent(t *testing.T) {
 	d, p, _ := testEnv(t)
 	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
-	if _, ok, err := r.Delete(tuple.I(1), 1); ok || err != nil {
+	if _, ok, err := deleteRow(r, tuple.I(1), 1); ok || err != nil {
 		t.Errorf("delete of absent: ok=%v err=%v", ok, err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // TestApplyRunMatchesRowByRow: applying random signed batches with
 // ApplyRun leaves every page of every file, Len, the meter's stats, each
 // batch's error and the rows its deletes cut as applying the rows one at
-// a time with Insert and Delete does — B+-tree and hash-clustered relations, each without and
+// a time with Insert and deleteRow does — B+-tree and hash-clustered relations, each without and
 // with a secondary index, on pages of 256 and 4 000 bytes, through pools
 // of 2, 8 and 256 frames, writing through and inside BeginBulk/EndBulk.
 // The batches put each updated row's delete beside its insert, as a fold
@@ -70,7 +70,7 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 								var err error
 								if signs[i] > 0 {
 									err = r.Insert(tp)
-								} else if old, ok, derr := r.Delete(tp.Vals[0], tp.ID); derr != nil || !ok {
+								} else if old, ok, derr := deleteRow(r, tp.Vals[0], tp.ID); derr != nil || !ok {
 									err = derr
 									if err == nil {
 										err = btree.ErrAbsent
@@ -87,7 +87,7 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 						got, gotM, gotFiles, gotErrs, gotCut := run(func(r *Relation, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error {
 							n, err := r.ApplyRun(rows, signs, -1, cut)
 							if errors.Is(err, btree.ErrAbsent) {
-								err = btree.ErrAbsent // its message names the row; a lone Delete's does not
+								err = btree.ErrAbsent // its message names the row; deleteRow's does not
 							}
 							if err != nil {
 								return fmt.Errorf("row %d: %w", n, err)

@@ -29,8 +29,8 @@ func (r *Relation) Meta() Meta {
 	} else {
 		m.Hash = r.hx.Meta()
 	}
-	for col, sec := range r.secondaries {
-		m.Secondaries[col] = sec.bt.Meta()
+	for _, sec := range r.secondaries {
+		m.Secondaries[sec.col] = sec.bt.Meta()
 	}
 	return m
 }
@@ -42,7 +42,7 @@ func Open(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.Sch
 	}
 	r := &Relation{
 		name: name, schema: schema, keyCol: m.KeyCol, kind: m.Kind,
-		pool: pool, disk: disk, secondaries: map[int]*Secondary{},
+		pool: pool, disk: disk,
 	}
 	var err error
 	switch m.Kind {
@@ -66,7 +66,7 @@ func Open(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.Sch
 		if err != nil {
 			return nil, err
 		}
-		r.secondaries[col] = &Secondary{col: col, bt: bt}
+		r.secondaries = append(r.secondaries, &Secondary{col: col, bt: bt})
 	}
 	return r, nil
 }

@@ -11,6 +11,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 
 	"viewmat/internal/btree"
 	"viewmat/internal/colpage"
@@ -43,7 +44,8 @@ type Relation struct {
 
 	pool        *storage.Pool
 	disk        *storage.Disk
-	secondaries map[int]*Secondary
+	secondaries []*Secondary  // in column order
+	cut         []tuple.Tuple // the row a delete cut, for its pointer entries
 }
 
 // Secondary is an unclustered index: a B+-tree of pointer entries
@@ -67,7 +69,7 @@ func NewBTree(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple
 	}
 	return &Relation{
 		name: name, schema: schema, keyCol: keyCol, kind: ClusteredBTree,
-		bt: bt, pool: pool, disk: disk, secondaries: map[int]*Secondary{},
+		bt: bt, pool: pool, disk: disk,
 	}, nil
 }
 
@@ -83,7 +85,7 @@ func NewHash(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.
 	}
 	return &Relation{
 		name: name, schema: schema, keyCol: keyCol, kind: ClusteredHash,
-		hx: hx, pool: pool, disk: disk, secondaries: map[int]*Secondary{},
+		hx: hx, pool: pool, disk: disk,
 	}, nil
 }
 
@@ -142,17 +144,16 @@ func (r *Relation) Insert(tp tuple.Tuple) error {
 // new row's insert. With a non-nil cut, every row a delete removes is
 // appended to *cut, whole, in stream order.
 //
-// A B+-tree without secondary indexes takes the batch as one
-// btree.Tree.ApplyRun, plain (countCol < 0) or counted (countCol ≥ 0;
-// see there: it returns at the first row it leaves to the caller). With
-// secondary indexes, a batch of nil signs runs the clustering tree and
-// then one run of pointer entries per index; any other plain batch, and a
-// hash-clustered relation's, goes a row at a time, the clustering file
-// and then each index. A counted batch such a relation does not serve
-// applies no row.
+// The files take the batch by one rule. Without secondary indexes the
+// clustering store takes it whole: a B+-tree as one btree.Tree.ApplyRun,
+// plain (countCol < 0) or counted (countCol ≥ 0; see there: it returns
+// at the first row it leaves to the caller), a hash file as one
+// hashidx.Index.ApplyRun. With them, each row goes to the clustering
+// store and then, as its pointer entry, to each index in column order. A
+// counted batch only a B+-tree without secondary indexes serves; any
+// other relation applies none of its rows.
 func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
-	bt := r.kind == ClusteredBTree && len(r.secondaries) == 0
-	if countCol >= 0 && !bt {
+	if countCol >= 0 && (r.kind != ClusteredBTree || len(r.secondaries) > 0) {
 		return 0, nil
 	}
 	for i, tp := range tps {
@@ -163,101 +164,52 @@ func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *
 			return 0, fmt.Errorf("relation %s: %w", r.name, err)
 		}
 	}
-	if bt {
-		return r.bt.ApplyRun(tps, signs, countCol, cut)
-	}
-	if r.kind == ClusteredBTree && signs == nil {
-		if n, err := r.bt.ApplyRun(tps, nil, -1, nil); err != nil {
-			return n, err
-		}
-		return len(tps), r.insertPointers(tps)
+	if len(r.secondaries) == 0 {
+		return r.cluster(tps, signs, countCol, cut)
 	}
 	for i := range tps {
-		var err error
-		if signs != nil && signs[i] < 0 {
-			err = r.deleteRow(tps[i], cut)
-		} else {
-			err = r.insertRow(tps[i])
+		var sign []int8
+		if signs != nil {
+			sign = signs[i : i+1]
 		}
-		if err != nil {
+		if err := r.applyRow(tps[i:i+1], sign, cut); err != nil {
 			return i, err
 		}
 	}
 	return len(tps), nil
 }
 
-// insertRow inserts tp into the clustering file and then its pointer
-// entries into each secondary index.
-func (r *Relation) insertRow(tp tuple.Tuple) error {
-	var err error
+// cluster hands rows to the clustering store.
+func (r *Relation) cluster(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
 	if r.kind == ClusteredBTree {
-		err = r.bt.Insert(tp)
-	} else {
-		err = r.hx.Insert(tp)
+		return r.bt.ApplyRun(rows, signs, countCol, cut)
 	}
-	if err != nil {
-		return err
-	}
-	return r.insertPointers([]tuple.Tuple{tp})
+	return r.hx.ApplyRun(rows, signs, cut)
 }
 
-// deleteRow deletes the row of tp's clustering key and id, appending it
-// to a non-nil *cut; ErrAbsent when there is none.
-func (r *Relation) deleteRow(tp tuple.Tuple, cut *[]tuple.Tuple) error {
-	key := tp.Vals[r.keyCol]
-	old, ok, err := r.Delete(key, tp.ID)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
-	}
-	if cut != nil {
-		*cut = append(*cut, old)
-	}
-	return nil
-}
-
-// insertPointers inserts the pointer entries of tps into each secondary
-// index, as one run per index.
-func (r *Relation) insertPointers(tps []tuple.Tuple) error {
-	if len(r.secondaries) == 0 {
-		return nil
-	}
-	ptrs := make([]tuple.Tuple, len(tps))
-	for _, sec := range r.secondaries {
-		for i, tp := range tps {
-			ptrs[i] = pointerEntry(tp, sec.col, r.keyCol)
+// applyRow applies the one row of row, signed by sign, to the clustering
+// store and then its pointer entry to each secondary index: a delete's
+// entry is built from the row the clustering store cut.
+func (r *Relation) applyRow(row []tuple.Tuple, sign []int8, cut *[]tuple.Tuple) error {
+	tp := row[0]
+	if sign != nil && sign[0] < 0 {
+		r.cut = r.cut[:0]
+		if _, err := r.cluster(row, sign, -1, &r.cut); err != nil {
+			return err
 		}
-		if err := sec.bt.InsertRun(ptrs); err != nil {
+		tp, r.cut[0] = r.cut[0], tuple.Tuple{}
+		if cut != nil {
+			*cut = append(*cut, tp)
+		}
+	} else if _, err := r.cluster(row, sign, -1, nil); err != nil {
+		return err
+	}
+	for _, sec := range r.secondaries {
+		if _, err := sec.bt.ApplyRun([]tuple.Tuple{pointerEntry(tp, sec.col, r.keyCol)}, sign, -1, nil); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Delete removes the tuple with the clustering-key value and id from the
-// clustering file and then its pointer entries from each secondary index,
-// and returns it: the access method hands back the row it cut, so the
-// tuple's page is visited once.
-func (r *Relation) Delete(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	var tp tuple.Tuple
-	var ok bool
-	var err error
-	if r.kind == ClusteredBTree {
-		tp, ok, err = r.bt.Delete(keyVal, id)
-	} else {
-		tp, ok, err = r.hx.Delete(keyVal, id)
-	}
-	if err != nil || !ok {
-		return tuple.Tuple{}, false, err
-	}
-	for _, sec := range r.secondaries {
-		if _, _, err := sec.bt.Delete(tp.Vals[sec.col], id); err != nil {
-			return tuple.Tuple{}, false, err
-		}
-	}
-	return tp, true, nil
 }
 
 // Get fetches the tuple with the clustering-key value and id.
@@ -340,48 +292,58 @@ func pointerEntry(tp tuple.Tuple, col, keyCol int) tuple.Tuple {
 }
 
 // AddSecondary builds an unclustered index on col from the current
-// contents. It is an error to index the clustering column (use the
-// clustered index) or to index a column twice.
+// contents, as one batch of their pointer entries. It is an error to
+// index the clustering column (use the clustered index) or to index a
+// column twice.
 func (r *Relation) AddSecondary(col int) error {
 	if col == r.keyCol {
 		return fmt.Errorf("relation %s: column %d is the clustering key", r.name, col)
 	}
-	if _, dup := r.secondaries[col]; dup {
+	if r.HasSecondary(col) {
 		return fmt.Errorf("relation %s: column %d already has a secondary index", r.name, col)
 	}
 	bt, err := btree.New(r.pool, r.disk.Open(fmt.Sprintf("%s.sec%d", r.name, col)), 0)
 	if err != nil {
 		return err
 	}
-	sec := &Secondary{col: col, bt: bt}
 	all, _, err := r.ScanAllBatches(0, nil)
 	if err != nil {
 		return err
 	}
+	var ptrs []tuple.Tuple
 	for _, b := range all {
 		for i := 0; i < b.NumRows(); i++ {
-			if err := bt.Insert(pointerEntry(b.TupleAt(0, i), col, r.keyCol)); err != nil {
-				return err
-			}
+			ptrs = append(ptrs, pointerEntry(b.TupleAt(0, i), col, r.keyCol))
 		}
 	}
-	r.secondaries[col] = sec
+	if _, err := bt.ApplyRun(ptrs, nil, -1, nil); err != nil {
+		return err
+	}
+	r.secondaries = append(r.secondaries, &Secondary{col: col, bt: bt})
+	slices.SortFunc(r.secondaries, func(a, b *Secondary) int { return a.col - b.col })
+	return nil
+}
+
+// secondary returns the secondary index on col, or nil.
+func (r *Relation) secondary(col int) *Secondary {
+	for _, sec := range r.secondaries {
+		if sec.col == col {
+			return sec
+		}
+	}
 	return nil
 }
 
 // HasSecondary reports whether col has a secondary index.
-func (r *Relation) HasSecondary(col int) bool {
-	_, ok := r.secondaries[col]
-	return ok
-}
+func (r *Relation) HasSecondary(col int) bool { return r.secondary(col) != nil }
 
 // LookupSecondary finds tuples whose col value lies in rg via the
 // unclustered index: a range scan of pointer entries followed by one
 // clustered fetch per pointer — the per-tuple random I/O the paper's
 // unclustered plan pays.
 func (r *Relation) LookupSecondary(col int, rg *pred.Range) ([]tuple.Tuple, error) {
-	sec, ok := r.secondaries[col]
-	if !ok {
+	sec := r.secondary(col)
+	if sec == nil {
 		return nil, fmt.Errorf("relation %s: no secondary index on column %d", r.name, col)
 	}
 	ptrs, err := gather(sec.bt.ScanBatches(rg, nil))
