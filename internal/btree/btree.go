@@ -24,14 +24,13 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
-	"viewmat/internal/vec"
 )
 
 const pageInternal = 2
 
 // leafPages is the type byte of a leaf, which is a colpage data page:
-// the codec, the page→lanes decode and the leaf directory live there,
-// shared with hashidx's chain pages.
+// the codec, the page→lanes decode, the page directory and the scan
+// that walks it live there, shared with hashidx's chain pages.
 const leafPages colpage.PageType = 4
 
 // leafNode is the decoded form of a leaf page.
@@ -1006,69 +1005,11 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 
 // --- scans ---------------------------------------------------------------
 
-// BatchIterator walks the tree in key order over a range, decoding
-// leaves straight to columnar form. It holds no pins between Fill
-// calls; each leaf is fetched (and charged) once per visit. Full scans
-// (nil range) prefetch leaves in windows: every leaf of the chain is
-// read eventually anyway, so fetching a window through Pool.ReadBatch
-// meters the same one read per leaf while paying the simulated I/O
-// latency once per window instead of once per page. Range scans never
-// prefetch — early termination at Hi means a prefetched leaf could be a
-// read the plain walk never charges.
-//
-// A leaf the scan wants whole — any leaf of a full scan, an interior
-// leaf of a range scan — decodes straight onto the batch being filled
-// when it fits. Every other leaf (the rest of a window once the batch
-// is full, the leaves a range cuts) decodes onto the iterator's staging
-// lanes, and Fill moves it on in runs of rows.
-//
-// A range scan works per leaf, not per row: the rows a leaf keeps are
-// found by binary search over its sorted key lane (keptRun), and a Fill
-// that starts an empty batch sizes the batch's lanes once for the rows
-// the range can still hand it, read from the leaf directory (reserve).
-// A full scan does neither.
-//
-// On full scans with prune atoms the walk also consults the zone maps
-// of upcoming columnar leaves and skips pages whose footer disproves
-// the predicate for every row. The walk reads links and zone maps from
-// the tree's leaf directory, not from the pages. Pruned pages are never
-// pinned and never charged; they are counted so plans can report them.
-// The charged chain-following path (range scans, dirty files, tiny
-// pools) never prunes. Every leaf a full scan does read, on either path,
-// has its rows tested against the atoms before they are decoded
-// (colpage.DecodeWhere).
-// The test reads the page the pool hands the read — the frame's bytes
-// for a page a writer holds dirty, the image otherwise — so dirty frames
-// do not disarm it.
-// Only the rows that pass are filled; the count of the rest rides on the
-// filled batch (vec.Batch.Dropped).
-type BatchIterator struct {
-	tree    *Tree
-	rg      *pred.Range
-	prune   []colpage.Atom // full scans: zone-map pruning and the row test
-	dropped int            // rows the atoms dropped, not yet on a filled batch
-	pn      storage.PageNum
-	hasPage bool
-	done    bool
-	ra      bool          // readahead allowed (full scan)
-	all     bool          // the range keeps every row: no key is looked at
-	stage   colpage.Lanes // rows read but not handed out: those from idx on
-	idx     int
-	pruned  int64
-	// The pages walkAhead found to fetch, reused window to window; not
-	// referenced once the loadPage call that filled it returns.
-	fetch []storage.PageNum
-}
-
-// ScanBatches returns a columnar iterator over tuples whose key-column
-// value lies in rg (nil means all). Prune atoms apply only to full
-// scans: a range scan already terminates early, and pruning mid-range
-// could skip the page holding the range's end.
-func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*BatchIterator, error) {
-	it := &BatchIterator{tree: t, rg: rg, ra: rg == nil, all: rg == nil || rg.Unbounded(), hasPage: true}
-	if it.ra {
-		it.prune = prune
-	}
+// ScanBatches returns a columnar scan, in key order, of the tuples whose
+// key-column value lies in rg (nil means all): the leaf chain read from
+// the leaf a descent finds for the range's Lo (colpage.Scan). Prune
+// atoms apply only to full scans.
+func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
 	var start *key
 	if rg != nil && rg.Lo != nil {
 		start = &key{val: *rg.Lo} // id 0: before all ids of that value
@@ -1076,329 +1017,12 @@ func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*BatchIterator
 			start.id = ^uint64(0)
 		}
 	}
-	var err error
-	if it.pn, err = t.findLeaf(start); err != nil {
+	leaf, err := t.findLeaf(start)
+	if err != nil {
 		return nil, err
 	}
-	// Fill skips the first leaf's entries below the range.
-	return it, it.loadPage(nil, 0)
+	return t.dir.Scan(t.pool, leaf, nil, t.keyCol, rg, prune)
 }
 
-// Pruned returns the number of pages skipped via zone maps so far.
-func (it *BatchIterator) Pruned() int64 { return it.pruned }
-
-// Fill appends rows to b (slot-0-only shape) until the batch holds max
-// rows or the scan is exhausted; check Done afterwards. Whenever the
-// rows read so far run out it reads on at once, full batch or not, so
-// the pool sees the page requests at the same points of the scan
-// whatever the batch size. The rows the prune atoms dropped since the
-// last Fill are added to b.Dropped.
-func (it *BatchIterator) Fill(b *vec.Batch, max int) error {
-	defer func() { b.Dropped, it.dropped = b.Dropped+it.dropped, 0 }()
-	if !it.all && b.NumRows() == 0 {
-		if err := it.reserve(b, max); err != nil {
-			return err
-		}
-	}
-	for !it.done {
-		n := len(it.stage.IDs)
-		if it.idx >= n {
-			if err := it.loadPage(b, max); err != nil {
-				return err
-			}
-			continue
-		}
-		lo, hi, past := it.idx, n, false
-		if !it.all {
-			keys, err := it.keys(it.stage.Cols)
-			if err != nil {
-				return err
-			}
-			lo, hi, past = keptRun(keys, it.rg, it.idx, n)
-		}
-		if lo < hi {
-			room := max - b.NumRows()
-			if room <= 0 {
-				it.idx = lo
-				return nil // batch full; resume here next call
-			}
-			take := min(hi-lo, room)
-			if err := it.stage.MoveRows(b, lo, lo+take); err != nil {
-				return err
-			}
-			if take < hi-lo {
-				it.idx = lo + take
-				return nil
-			}
-		}
-		it.idx, it.done = hi, past
-	}
-	return nil
-}
-
-// keys returns the key column of scanned rows, which stored bytes may
-// not have.
-func (it *BatchIterator) keys(cols []vec.Col) (*vec.Col, error) {
-	if it.tree.keyCol >= len(cols) {
-		return nil, fmt.Errorf("btree: rows of %d columns have no key column %d", len(cols), it.tree.keyCol)
-	}
-	return &cols[it.tree.keyCol], nil
-}
-
-// reserve sizes an empty batch's lanes, on a bounded range scan, for
-// the rows this Fill can hand it: the staged rows not yet handed out
-// plus the rows of the leaves after them whose key zone does not start
-// beyond Hi, at most max — read from the leaf directory, not the pages.
-// It reserves nothing unless the range runs on past the staged leaf, so
-// a point lookup allocates what it did without it. The count is a hint:
-// a dirty frame's entry can make it loose, never wrong, and it moves no
-// page request.
-func (it *BatchIterator) reserve(b *vec.Batch, max int) error {
-	n := len(it.stage.IDs)
-	if it.idx >= n || !it.hasPage {
-		return nil
-	}
-	keys, err := it.keys(it.stage.Cols)
-	if err != nil || beyondHi(keys, it.rg, n-1) {
-		return err
-	}
-	rows := 0
-	for pn := it.pn; n-it.idx+rows < max; {
-		e, err := it.tree.dir.Lookup(pn)
-		if err != nil {
-			return err
-		}
-		if e == nil {
-			break
-		}
-		z, ok := e.Zones()
-		if !ok || it.tree.keyCol >= len(z.Cols) || !z.Cols[it.tree.keyCol].Present {
-			break
-		}
-		if it.rg.Hi != nil && pastHi(it.rg, tuple.Compare(z.Cols[it.tree.keyCol].Min, *it.rg.Hi)) {
-			break
-		}
-		rows += z.N
-		if !e.HasNext {
-			break
-		}
-		pn = e.Next
-	}
-	if rows > 0 {
-		b.Reserve(it.stage.Cols, min(n-it.idx+rows, max))
-	}
-	return nil
-}
-
-// keptRun finds in key cells [from, to) the next run of rows the range
-// keeps, rows [lo, hi): those in [from, lo) it excludes (below Lo on
-// the scan's first leaf, or equal to a ≠ constant). past reports that
-// row hi lies beyond Hi, which ends the scan.
-//
-// A leaf's key lane is sorted under tuple.Compare, a total order, so
-// without ≠ constants the kept rows are one run, found by two binary
-// searches: lo is the first row not below Lo, hi the first beyond Hi. A
-// leaf whose first and last rows both lie in the range — every interior
-// leaf — is kept whole after two compares.
-func keptRun(keys *vec.Col, rg *pred.Range, from, to int) (lo, hi int, past bool) {
-	if from >= to || rg.HasExclusions() {
-		return keptRunRows(keys, rg, from, to)
-	}
-	if !belowLo(keys, rg, from) && !beyondHi(keys, rg, to-1) {
-		return from, to, false
-	}
-	lo = from + sort.Search(to-from, func(k int) bool { return !belowLo(keys, rg, from+k) })
-	hi = from + sort.Search(to-from, func(k int) bool { return beyondHi(keys, rg, from+k) })
-	// An empty range (Lo beyond Hi) can put a row beyond Hi before the
-	// first not below Lo: the scan ends there.
-	return min(lo, hi), hi, hi < to
-}
-
-// keptRunRows is keptRun row by row, boxing every key: any lane, any
-// range.
-func keptRunRows(keys *vec.Col, rg *pred.Range, from, to int) (lo, hi int, past bool) {
-	beyond := func(v tuple.Value) bool {
-		if rg.Hi == nil {
-			return false
-		}
-		c := tuple.Compare(v, *rg.Hi)
-		return c > 0 || (c == 0 && !rg.HiInc)
-	}
-	for lo = from; lo < to; lo++ {
-		v := keys.Value(lo)
-		if beyond(v) {
-			return lo, lo, true
-		}
-		if rg.Contains(v) {
-			break
-		}
-	}
-	for hi = lo; hi < to; hi++ {
-		v := keys.Value(hi)
-		if beyond(v) {
-			return lo, hi, true
-		}
-		if !rg.Contains(v) {
-			break
-		}
-	}
-	return lo, hi, false
-}
-
-// belowLo reports whether key cell i lies below the range's Lo.
-func belowLo(keys *vec.Col, rg *pred.Range, i int) bool {
-	if rg.Lo == nil {
-		return false
-	}
-	c := keys.Compare(i, *rg.Lo)
-	return c < 0 || (c == 0 && !rg.LoInc)
-}
-
-// beyondHi reports whether key cell i lies beyond the range's Hi.
-func beyondHi(keys *vec.Col, rg *pred.Range, i int) bool {
-	return rg.Hi != nil && pastHi(rg, keys.Compare(i, *rg.Hi))
-}
-
-// pastHi reports whether a value that compares c against the range's Hi
-// lies beyond it.
-func pastHi(rg *pred.Range, c int) bool { return c > 0 || (c == 0 && !rg.HiInc) }
-
-// Done reports exhaustion.
-func (it *BatchIterator) Done() bool { return it.done }
-
-// loadPage reads the next leaf — on a full scan, the next readahead
-// window of leaves — once every row read before it has been handed
-// out. b is the batch being filled (nil at open), max its row limit.
-func (it *BatchIterator) loadPage(b *vec.Batch, max int) error {
-	it.stage.Reset()
-	it.idx = 0
-	for {
-		if !it.hasPage {
-			it.done = true
-			return nil
-		}
-		if it.ra {
-			cont, hasCont, ok, err := it.walkAhead()
-			if err != nil {
-				return err
-			}
-			if ok {
-				// The walk owns the cursor: the fetched leaves' own next
-				// pointers may point at pruned pages and must not steer
-				// the scan.
-				it.pn, it.hasPage = cont, hasCont
-				if len(it.fetch) == 0 {
-					continue // whole window pruned; maybe exhausted now
-				}
-				return it.fetchLeaves(it.fetch, b, max)
-			}
-		}
-		// Charged, chain-following load: the fallback when readahead is
-		// unsafe (dirty frames, tiny pool) and the range-scan path.
-		next, hasNext, err := it.getLeaf(it.pn, b, max)
-		it.pn, it.hasPage = next, hasNext
-		return err
-	}
-}
-
-// takeLeaf decodes a leaf page the pool is reading — on a full scan, the
-// rows the prune atoms keep: straight onto b when the data page rule
-// allows it and the range keeps every row of the leaf; onto the staging
-// lanes otherwise.
-func (it *BatchIterator) takeLeaf(page []byte, b *vec.Batch, max int) error {
-	mark := 0
-	if b != nil {
-		mark = b.NumRows()
-	}
-	direct, dropped, err := leafPages.Take(page, it.prune, b, max, &it.stage)
-	it.dropped += dropped
-	if err != nil || !direct || it.all || b.NumRows() == mark {
-		return err
-	}
-	keys, err := it.keys(b.Slots[0])
-	if err != nil {
-		return err
-	}
-	if lo, hi, past := keptRun(keys, it.rg, mark, b.NumRows()); lo != mark || hi != b.NumRows() || past {
-		// The range cuts this leaf (its last, usually): take it back
-		// and let Fill move the kept runs.
-		b.Truncate(mark)
-		_, _, err = leafPages.Take(page, nil, nil, 0, &it.stage)
-	}
-	return err
-}
-
-// getLeaf reads one leaf with a plain charged Read and returns its
-// forward link.
-func (it *BatchIterator) getLeaf(pn storage.PageNum, b *vec.Batch, max int) (next storage.PageNum, hasNext bool, err error) {
-	err = it.tree.pool.Read(it.tree.file, pn, func(page []byte) error {
-		next, hasNext = colpage.PageLink(page)
-		return it.takeLeaf(page, b, max)
-	})
-	return next, hasNext, err
-}
-
-// walkAhead walks the leaf chain from the cursor in the tree's leaf
-// directory — links and zone maps in memory, no page opened — splitting
-// the upcoming window into pages to fetch (it.fetch) and pages whose zone
-// maps disprove the prune atoms (skipped, counted, never read). It runs
-// only while the file has no dirty frame, as it did when it peeked the
-// images: the directory does hold a dirty frame's zones, but pruning on
-// them would skip pages the image walk read, and so move the metered
-// count. On return with ok, the cursor continuation
-// (cont, hasCont) is owned by the walk: it points past every examined
-// page. A walk that meets a page the directory has no leaf for, or whose
-// zone maps do not parse, before committing any prune returns !ok so the
-// charged chain-following path takes over from the cursor; after a
-// prune, it stops at that page and lets the charged path surface the real
-// error there. err is a test binary's directory check failing.
-func (it *BatchIterator) walkAhead() (cont storage.PageNum, hasCont, ok bool, err error) {
-	w := colpage.Window(it.tree.pool)
-	if w == 0 || it.tree.file.HasDirtyFrames() {
-		return 0, false, false, nil
-	}
-	pn := it.pn
-	prunedN := 0
-	it.fetch = it.fetch[:0]
-	for {
-		e, err := it.tree.dir.Lookup(pn)
-		if err != nil {
-			return 0, false, false, err
-		}
-		skip := false
-		if e != nil {
-			skip, err = e.Prunable(it.prune)
-		}
-		if e == nil || err != nil {
-			// Truncated or foreign chain, or a footer that does not parse.
-			return pn, true, prunedN > 0, nil
-		}
-		if skip {
-			prunedN++
-			it.pruned++
-		} else {
-			it.fetch = append(it.fetch, pn)
-		}
-		if !e.HasNext {
-			return 0, false, true, nil
-		}
-		if len(it.fetch) == w {
-			return e.Next, true, true, nil
-		}
-		pn = e.Next
-	}
-}
-
-// fetchLeaves reads the walked window — one pool batch when it spans
-// multiple pages (one combined latency sleep, identical metered reads),
-// a plain Read when a single page survived. Each page is released as
-// soon as its leaf is decoded, so the window holds no pins afterwards.
-func (it *BatchIterator) fetchLeaves(pns []storage.PageNum, b *vec.Batch, max int) error {
-	if len(pns) == 1 {
-		_, _, err := it.getLeaf(pns[0], b, max)
-		return err
-	}
-	return it.tree.pool.ReadBatch(it.tree.file, pns, func(_ int, page []byte) error {
-		return it.takeLeaf(page, b, max)
-	})
-}
+// ScanAll returns a full scan of the tree, ScanBatches over no range.
+func (t *Tree) ScanAll(prune []colpage.Atom) (*colpage.Scan, error) { return t.ScanBatches(nil, prune) }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -56,7 +57,7 @@ func deleteRow(tr *Tree, val tuple.Value, id uint64) (tuple.Tuple, bool, error) 
 	return cut[0], true, nil
 }
 
-func collect(t testing.TB, it *BatchIterator) []tuple.Tuple {
+func collect(t testing.TB, it *colpage.Scan) []tuple.Tuple {
 	t.Helper()
 	var out []tuple.Tuple
 	for !it.Done() {

@@ -35,9 +35,9 @@ func newColTree(t testing.TB, pageSize, poolCap, rows int) (*Tree, *storage.Disk
 	return tr, d, p, m
 }
 
-// drainBatches pulls a BatchIterator dry, returning the slot-0 key
+// drainBatches pulls a scan dry, returning the slot-0 key
 // values in emission order and the rows the prune atoms dropped.
-func drainBatches(t testing.TB, it *BatchIterator) (keys []int64, dropped int) {
+func drainBatches(t testing.TB, it *colpage.Scan) (keys []int64, dropped int) {
 	t.Helper()
 	for !it.Done() {
 		b := &vec.Batch{}

@@ -160,26 +160,6 @@ func TestRestoredLeafWithUnreadableZonesStopsTheWalk(t *testing.T) {
 	back.pool.AssertUnpinned(t)
 }
 
-// TestWalkWindowAllocations: one readahead walk window — a window's
-// lookups in the leaf directory and the zone-map tests on them — allocates
-// nothing, in a test binary with the directory check on too.
-func TestWalkWindowAllocations(t *testing.T) {
-	tr, _, _, _ := newColTree(t, 256, 64, 2000)
-	it, err := tr.ScanBatches(nil, []colpage.Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(1000)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, ok, err := it.walkAhead(); err != nil || !ok || len(it.fetch) == 0 && it.pruned == 0 {
-			t.Fatalf("walk: ok %v, err %v, %d fetched, %d pruned", ok, err, len(it.fetch), it.pruned)
-		}
-	})
-	t.Logf("%.0f allocations a walk window", allocs)
-	if allocs != 0 {
-		t.Errorf("a walk window allocated %.0f objects, want 0", allocs)
-	}
-}
-
 // TestConcurrentPrunedScans: scans read the directory from several
 // goroutines at once — as queries do under the engine's read lock — and
 // each sees what a lone scan sees.

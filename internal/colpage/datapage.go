@@ -298,7 +298,7 @@ func (pt PageType) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage 
 // disprove the atoms for every row, so a scan may skip it unread. It
 // reads the header and footer only, into z (reusable page after page). A
 // footer that does not parse is an error (and not prunable). This is the
-// rule on an image; the walks answer it from the leaf directory
+// rule on an image; the chain scan answers it from the page directory
 // (DirEntry.Prunable) without reading the page.
 func (pt PageType) Prunable(page []byte, atoms []Atom, z *Zones) (bool, error) {
 	if len(atoms) == 0 || len(page) < DataPageHeader || page[0] != byte(pt) {
@@ -308,17 +308,4 @@ func (pt PageType) Prunable(page []byte, atoms []Atom, z *Zones) (bool, error) {
 		return false, err
 	}
 	return z.Prunable(atoms), nil
-}
-
-// Window is how many linked data pages a scan may prefetch per pool
-// batch. Well under the pool capacity so the briefly-pinned window can
-// never force out its own pages or exhaust eviction candidates (the
-// batch eviction pass then picks exactly the victims an incremental walk
-// would); zero disables readahead on tiny pools.
-func Window(pool *storage.Pool) int {
-	w := min(pool.Capacity()/4, 32)
-	if w < 2 {
-		return 0
-	}
-	return w
 }

@@ -12,12 +12,13 @@ import (
 	"viewmat/internal/tuple"
 )
 
-// This file is the leaf directory: what the header and footer of each of
+// This file is the page directory: what the header and footer of each of
 // an access method's data pages say — the forward link and the zone maps —
 // kept in memory beside the pages, the way a column store keeps page
-// ranges as metadata rather than inside each page. The readahead walks
-// (btree.BatchIterator, hashidx.ScanAllBatches) read it instead of opening
-// every page of the chain to find the ones worth fetching.
+// ranges as metadata rather than inside each page. The one chain scan
+// (Scan, scan.go) walks it, down a B+-tree's leaf chain or a hash file's
+// bucket chains, instead of opening every page of the chains to find the
+// ones worth fetching.
 
 // Directory holds one entry per data page of one file, by page number.
 // Writers keep it: every data page is encoded through Encode, which
@@ -29,10 +30,10 @@ import (
 // It has no lock of its own. An entry is written only where its page's
 // frame bytes are written, which the engine's write lock serializes
 // against every reader; walks read it under the read lock. A walk
-// consults it only while the file has no dirty frame, so the entry it
-// reads says what the page's image says: the last encode of every page
-// has been written back. Every test binary checks exactly that, per
-// lookup (checkDirectory).
+// consults it only while the file has no dirty frame (Scan.window), so
+// the entry it reads says what the page's image says: the last encode
+// of every page has been written back. Every test binary checks exactly
+// that, per lookup (checkDirectory).
 type Directory struct {
 	typ     PageType
 	file    *storage.File

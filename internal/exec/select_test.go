@@ -208,7 +208,7 @@ func TestSeqScanSelectionMatchesFullScan(t *testing.T) {
 					prunedAny = prunedAny || sel.pruned > 0
 				}
 			}
-			armed := !fx.dirty && fx.frames >= 8 && fx.hash != 4
+			armed := !fx.dirty && fx.frames >= 8
 			if prunedAny != armed {
 				t.Errorf("pages pruned: %v; pruning armed: %v", prunedAny, armed)
 			}

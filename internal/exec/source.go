@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"viewmat/internal/btree"
 	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/relation"
@@ -21,7 +20,7 @@ type Scan struct {
 	base
 	rel  *relation.Relation
 	rg   *pred.Range
-	it   *btree.BatchIterator
+	it   *colpage.Scan
 	size int
 }
 

@@ -198,10 +198,10 @@ func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 }
 
 // TestScanAllBatchesCutsBatches: chain pages scan into batches of the
-// requested size — on the bucket-run fast path and down overflow chains,
-// whole pages and pages that straddle a batch boundary — keeping exactly
-// the rows the atoms hold for. Only the fast path prunes; a pruned page's
-// rows are neither returned nor dropped.
+// requested size — over buckets alone and down overflow chains, whole
+// pages and pages that straddle a batch boundary — keeping exactly the
+// rows the atoms hold for. Every chain page is read or pruned, once; a
+// pruned page's rows are neither returned nor dropped.
 func TestScanAllBatchesCutsBatches(t *testing.T) {
 	for _, c := range []struct {
 		name          string
@@ -213,7 +213,8 @@ func TestScanAllBatchesCutsBatches(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d := storage.NewDisk(256)
-			pool := storage.NewPool(d, storage.NewMeter(), 64)
+			m := storage.NewMeter()
+			pool := storage.NewPool(d, m, 64)
 			ix, err := New(pool, d.Open("h"), 0, c.buckets)
 			if err != nil {
 				t.Fatal(err)
@@ -232,12 +233,13 @@ func TestScanAllBatchesCutsBatches(t *testing.T) {
 			pool.EvictAll()
 			const size = 5
 			const cut = 10
+			before := m.Snapshot()
 			out, pruned, err := ix.ScanAllBatches(size, []colpage.Atom{{Col: 0, Op: pred.Ge, Val: tuple.I(cut)}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.overflow && pruned != 0 {
-				t.Errorf("scan down overflow chains pruned %d pages", pruned)
+			if reads := m.Snapshot().Sub(before).Reads; reads+pruned != int64(ix.Pages()) {
+				t.Errorf("reads %d + pruned %d != %d chain pages", reads, pruned, ix.Pages())
 			}
 			for i, b := range out {
 				if b.NumRows() == 0 || b.NumRows() > size {

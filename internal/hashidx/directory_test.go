@@ -1,9 +1,11 @@
 package hashidx
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"viewmat/internal/colpage"
+	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
@@ -46,6 +48,20 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	if err := checkDirectory(ix); err != nil {
 		t.Fatal(err)
 	}
+	back, _ := restored(t, ix, d)
+	if err := back.dir.Diff(ix.dir); err != nil {
+		t.Errorf("rebuilt directory differs from the kept one: %v", err)
+	}
+}
+
+// restored reopens ix over a copy of its disk carried through a full
+// delta, the way restoring a checkpoint reopens every index, with a cold
+// pool of its own, and returns that pool's meter.
+func restored(t *testing.T, ix *Index, d *storage.Disk) (*Index, *storage.Meter) {
+	t.Helper()
+	if err := ix.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	img := &storage.DiskImage{PageSize: d.PageSize()}
 	if err := img.Apply(d.FullDelta()); err != nil {
 		t.Fatal(err)
@@ -54,11 +70,91 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Open(storage.NewPool(d2, storage.NewMeter(), 64), d2.Open("h"), 0, ix.Meta())
+	m := storage.NewMeter()
+	back, err := Open(storage.NewPool(d2, m, 64), d2.Open(ix.file.Name()), ix.keyCol, ix.Meta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.dir.Diff(ix.dir); err != nil {
-		t.Errorf("rebuilt directory differs from the kept one: %v", err)
+	return back, m
+}
+
+// TestRestoredChainPageWithUnreadableZonesStopsTheWalk is the B+-tree
+// test's twin on a hash file: a restored chain page whose footer does
+// not parse opens, and a pruning scan stops its walk there and reads it
+// on the charged path. The page is the last of the last bucket's chain,
+// so nothing past it is left to prune: the scan prunes one page fewer
+// than over the intact image, reads or prunes every chain page once,
+// and returns every row the atom keeps.
+func TestRestoredChainPageWithUnreadableZonesStopsTheWalk(t *testing.T) {
+	d := storage.NewDisk(256)
+	p := storage.NewPool(d, storage.NewMeter(), 64)
+	ix, err := New(p, d.Open("h"), 0, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := int64(0); i < 200; i++ {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.Pages() == ix.Buckets() {
+		t.Fatal("the fixture needs overflow chains")
+	}
+	atoms := []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(50)}}
+	scan := func(ix *Index, m *storage.Meter) (rows int, reads, pruned int64) {
+		out, pruned, err := ix.ScanAllBatches(0, atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range out {
+			rows += b.NumRows()
+		}
+		return rows, m.Snapshot().Reads, pruned
+	}
+	_, _, intact := scan(restored(t, ix, d))
+
+	// Damage the first zone of the last page of the last chain, one every
+	// scan prunes: its min bound's value tag names no type.
+	pn := ix.buckets[len(ix.buckets)-1]
+	for {
+		page, err := ix.file.Peek(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, ok, err := chainPages.Link(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		pn = next
+	}
+	fr, err := p.Get(ix.file, pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := fr.Data[colpage.DataPageHeader:]
+	foot := binary.BigEndian.Uint32(chunk[4:])
+	if chunk[foot]&1 == 0 {
+		t.Fatalf("last chain page: first zone flags %d; want a zone", chunk[foot])
+	}
+	chunk[foot+1] = 0xEE
+	fr.MarkDirty()
+	if err := p.Release(fr); err != nil {
+		t.Fatal(err)
+	}
+
+	back, m := restored(t, ix, d)
+	rows, reads, pruned := scan(back, m)
+	if pruned != intact-1 {
+		t.Errorf("scan pruned %d pages, want %d: one fewer than over the intact image", pruned, intact-1)
+	}
+	if pages := int64(back.Pages()); reads+pruned != pages {
+		t.Errorf("reads %d + pruned %d != %d chain pages", reads, pruned, pages)
+	}
+	if rows != 50 {
+		t.Errorf("scan returned %d rows, want 50", rows)
+	}
+	back.pool.AssertUnpinned(t)
 }

@@ -22,8 +22,8 @@ import (
 )
 
 // chainPages is the type byte of a chain page, which is a colpage data
-// page: the codec, the page→lanes decode and the page directory live
-// there, shared with btree's leaves.
+// page: the codec, the page→lanes decode, the page directory and the
+// scan that walks it live there, shared with btree's leaves.
 const chainPages colpage.PageType = 5
 
 // Index is a clustered hash index storing full tuples. Not safe for
@@ -358,163 +358,23 @@ func (ix *Index) Truncate() error {
 	return nil
 }
 
-// --- batch scans ---------------------------------------------------------
+// --- scans ---------------------------------------------------------------
 
-// batchFiller packs the rows of scanned chain pages that the atoms keep
-// into batches of up to size rows: a page that fits the current batch
-// whole decodes straight onto it, one that straddles a batch boundary
-// decodes onto the staging lanes and moves on in runs. The count of rows
-// the atoms drop rides on the batch being filled.
-type batchFiller struct {
-	size  int
-	atoms []colpage.Atom
-	out   []*vec.Batch
-	cur   *vec.Batch
-	stage colpage.Lanes // reused from page to page
+// ScanAll returns a scan of every tuple in the index, bucket chain after
+// bucket chain (colpage.Scan): one metered read per page, except the
+// pages the prune atoms' zone maps disprove, which a readahead walk
+// skips unread. Order is arbitrary but deterministic.
+func (ix *Index) ScanAll(prune []colpage.Atom) (*colpage.Scan, error) {
+	return ix.dir.Scan(ix.pool, ix.buckets[0], ix.buckets[1:], ix.keyCol, nil, prune)
 }
 
-func (f *batchFiller) addPage(page []byte) error {
-	direct, dropped, err := chainPages.Take(page, f.atoms, f.cur, f.size, &f.stage)
-	f.cur.Dropped += dropped
-	if err != nil || direct {
-		return err
-	}
-	for lo, n := 0, len(f.stage.IDs); lo < n; {
-		if f.cur.NumRows() >= f.size {
-			f.out = append(f.out, f.cur)
-			f.cur = &vec.Batch{}
-		}
-		hi := min(n, lo+f.size-f.cur.NumRows())
-		if err := f.stage.MoveRows(f.cur, lo, hi); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	f.stage.Reset()
-	return nil
-}
-
-// batches returns everything packed so far.
-func (f *batchFiller) batches() []*vec.Batch { return vec.AppendFilled(f.out, f.cur) }
-
-// ScanAllBatches returns every tuple in the index decoded straight into
-// columnar batches of up to size rows, bucket by bucket (one metered
-// read per page). Order is arbitrary but deterministic. When the index
-// has no overflow chains, buckets are fetched in batched runs of
-// consecutive pages (primary buckets are allocated sequentially by
-// New), which meters identically — one read per page, in the same page
-// order — but pays the simulated I/O latency once per run instead of
-// once per page. The HR differential file is scanned this way by every
-// deferred refresh (NetChanges), so delta scans get the readahead too.
-//
-// Pages a prune atom's zone map disproves are skipped unread and
-// uncharged (counted in pruned). Pruning applies only on the batched
-// no-overflow fast path against a clean on-disk image; the chain-
-// following fallback reads (and charges) every page. Either walk tests
-// the rows of every page it reads against the atoms before decoding
-// them, and fills only those that pass (see batchFiller).
+// ScanAllBatches drains ScanAll into columnar batches of up to size
+// rows and reports the pages it pruned. The HR differential file is
+// scanned this way by every deferred refresh (NetChanges).
 func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
-	if size < 1 {
-		size = vec.DefaultBatchSize
-	}
-	if out, pruned, ok, err := ix.scanBatchedCols(size, prune); err != nil {
+	s, err := ix.ScanAll(prune)
+	if err != nil {
 		return nil, 0, err
-	} else if ok {
-		return out, pruned, nil
 	}
-	fill := batchFiller{size: size, atoms: prune, cur: &vec.Batch{}}
-	for _, bpn := range ix.buckets {
-		pn := bpn
-		for {
-			var next storage.PageNum
-			hasNext := false
-			if err := ix.pool.Read(ix.file, pn, func(page []byte) error {
-				next, hasNext = colpage.PageLink(page)
-				return fill.addPage(page)
-			}); err != nil {
-				return nil, 0, err
-			}
-			if !hasNext {
-				break
-			}
-			pn = next
-		}
-	}
-	return fill.batches(), 0, nil
-}
-
-// scanBatchedCols is the readahead fast path of ScanAllBatches. It
-// applies only when the file holds exactly the primary buckets (no
-// overflow pages anywhere — overflow would interleave chain walks
-// between bucket reads, changing the access order the plain walk
-// produces) and the pool is large enough that a briefly-pinned window
-// cannot starve eviction. ok reports whether the fast path ran. When
-// prune atoms are given and the on-disk image is clean, each run's
-// pages are looked up in the page directory first and pages whose zone
-// maps disprove the atoms are excluded from the batch read — the run
-// never speculatively pins them. The row test reads the page the pool
-// hands the read (a dirty frame's bytes, or the image), so it stays armed
-// over dirty frames.
-func (ix *Index) scanBatchedCols(size int, prune []colpage.Atom) (out []*vec.Batch, pruned int64, ok bool, err error) {
-	w := colpage.Window(ix.pool)
-	if w == 0 || len(ix.buckets) < 2 || ix.file.NumPages() != len(ix.buckets) {
-		return nil, 0, false, nil
-	}
-	fill := batchFiller{size: size, atoms: prune, cur: &vec.Batch{}}
-	if ix.file.HasDirtyFrames() {
-		prune = nil // the on-disk zone maps may be stale; read everything
-	}
-	fetch := make([]storage.PageNum, 0, w)
-	for start := 0; start < len(ix.buckets); {
-		// Maximal run of consecutive bucket pages, clamped to the window.
-		end := start + 1
-		for end < len(ix.buckets) && end-start < w && ix.buckets[end] == ix.buckets[end-1]+1 {
-			end++
-		}
-		fetch = fetch[:0]
-		for _, pn := range ix.buckets[start:end] {
-			skip := false
-			if len(prune) > 0 {
-				// Only overflow-free columnar pages prune; anything odd
-				// (a page the directory has none for, a footer that does
-				// not parse) is read on the charged path instead.
-				e, err := ix.dir.Lookup(pn)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				if e != nil && !e.HasNext {
-					skip, _ = e.Prunable(prune)
-				}
-			}
-			if skip {
-				pruned++
-			} else {
-				fetch = append(fetch, pn)
-			}
-		}
-		start = end
-		if len(fetch) == 0 {
-			continue
-		}
-		fallback := false
-		if err := ix.pool.ReadBatch(ix.file, fetch, func(_ int, page []byte) error {
-			if fallback {
-				return nil
-			}
-			if _, hasNext := colpage.PageLink(page); hasNext && page[0] == byte(chainPages) {
-				// Metadata said no overflow but the page links onward;
-				// retry as a plain walk (fetched pages stay resident, so
-				// its reads mostly hit).
-				fallback = true
-				return nil
-			}
-			return fill.addPage(page)
-		}); err != nil {
-			return nil, 0, false, err
-		}
-		if fallback {
-			return nil, 0, false, nil
-		}
-	}
-	return fill.batches(), pruned, true, nil
+	return s.Drain(size)
 }

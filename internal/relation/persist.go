@@ -48,8 +48,10 @@ func Open(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.Sch
 	switch m.Kind {
 	case ClusteredBTree:
 		r.bt, err = btree.Open(pool, disk.Open(name+".btree"), m.KeyCol, m.BTree)
+		r.full = r.bt.ScanAll
 	case ClusteredHash:
 		r.hx, err = hashidx.Open(pool, disk.Open(name+".hash"), m.KeyCol, m.Hash)
+		r.full = r.hx.ScanAll
 	default:
 		return nil, fmt.Errorf("relation %s: unknown kind %d", name, m.Kind)
 	}

@@ -41,6 +41,9 @@ type Relation struct {
 
 	bt *btree.Tree
 	hx *hashidx.Index
+	// full is the clustering store's ScanAll: the leaf chain, or every
+	// bucket chain.
+	full func(prune []colpage.Atom) (*colpage.Scan, error)
 
 	pool        *storage.Pool
 	disk        *storage.Disk
@@ -69,7 +72,7 @@ func NewBTree(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple
 	}
 	return &Relation{
 		name: name, schema: schema, keyCol: keyCol, kind: ClusteredBTree,
-		bt: bt, pool: pool, disk: disk,
+		bt: bt, full: bt.ScanAll, pool: pool, disk: disk,
 	}, nil
 }
 
@@ -85,7 +88,7 @@ func NewHash(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.
 	}
 	return &Relation{
 		name: name, schema: schema, keyCol: keyCol, kind: ClusteredHash,
-		hx: hx, pool: pool, disk: disk,
+		hx: hx, full: hx.ScanAll, pool: pool, disk: disk,
 	}, nil
 }
 
@@ -230,7 +233,7 @@ func (r *Relation) LookupKey(v tuple.Value) ([]tuple.Tuple, error) {
 
 // gather drains a range scan into tuples, for the callers that act on
 // whole rows: point lookups and the secondary-index pointer walk.
-func gather(it *btree.BatchIterator, err error) ([]tuple.Tuple, error) {
+func gather(it *colpage.Scan, err error) ([]tuple.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +251,7 @@ func gather(it *btree.BatchIterator, err error) ([]tuple.Tuple, error) {
 // IterBatches returns a columnar iterator over the clustering range
 // (B+-tree only); rg nil means everything. Prune atoms let full scans
 // skip pages whose zone maps disprove them (see btree.ScanBatches).
-func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*btree.BatchIterator, error) {
+func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
 	if r.kind != ClusteredBTree {
 		return nil, fmt.Errorf("relation %s: iterator requires B+-tree clustering", r.name)
 	}
@@ -262,25 +265,11 @@ func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*btree.Bat
 // read that the atoms reject, which are counted on the batches
 // (vec.Batch.Dropped) instead of decoded.
 func (r *Relation) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
-	if size < 1 {
-		size = vec.DefaultBatchSize
-	}
-	if r.kind != ClusteredBTree {
-		return r.hx.ScanAllBatches(size, prune)
-	}
-	it, err := r.bt.ScanBatches(nil, prune)
+	s, err := r.full(prune)
 	if err != nil {
 		return nil, 0, err
 	}
-	var out []*vec.Batch
-	for !it.Done() {
-		b := &vec.Batch{}
-		if err := it.Fill(b, size); err != nil {
-			return nil, 0, err
-		}
-		out = vec.AppendFilled(out, b)
-	}
-	return out, it.Pruned(), nil
+	return s.Drain(size)
 }
 
 // --- secondary indexes ----------------------------------------------------

@@ -35,23 +35,32 @@ type scanFixture struct {
 	model []tuple.Tuple
 }
 
+// scanShape is an access method and the file shape it scans.
+type scanShape struct {
+	name     string
+	kind     Kind
+	pageSize int
+	buckets  int  // a hash file's primary pages
+	overflow bool // whether the hash file's chains overflow their buckets
+}
+
 // newScanFixture builds 300 rows (every third key duplicated) and puts
 // pool and file in the requested state.
-func newScanFixture(t *testing.T, kind Kind, state scanState) *scanFixture {
+func newScanFixture(t *testing.T, shape scanShape, state scanState) *scanFixture {
 	t.Helper()
 	frames := 512
 	if state == stateTinyPool {
 		frames = 4
 	}
-	d := storage.NewDisk(256)
+	d := storage.NewDisk(shape.pageSize)
 	m := storage.NewMeter()
 	p := storage.NewPool(d, m, frames)
 	var r *Relation
 	var err error
-	if kind == ClusteredBTree {
+	if shape.kind == ClusteredBTree {
 		r, err = NewBTree(d, p, "s", empSchema(), 0)
 	} else {
-		r, err = NewHash(d, p, "s", empSchema(), 0, 16)
+		r, err = NewHash(d, p, "s", empSchema(), 0, shape.buckets)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +93,9 @@ func newScanFixture(t *testing.T, kind Kind, state scanState) *scanFixture {
 			add(k)
 		}
 	}
+	if shape.kind == ClusteredHash && (r.Pages() > shape.buckets) != shape.overflow {
+		t.Fatalf("%d chain pages for %d buckets: want overflow %v", r.Pages(), shape.buckets, shape.overflow)
+	}
 	sort.Slice(fx.model, func(i, j int) bool {
 		a, b := fx.model[i], fx.model[j]
 		if c := tuple.Compare(a.Vals[0], b.Vals[0]); c != 0 {
@@ -108,7 +120,8 @@ func (fx *scanFixture) scan(rg *pred.Range) ([]tuple.Tuple, error) {
 // model, every page visited must be metered exactly once (a miss) or not
 // at all (already resident), the charged chain-following walk (dirty
 // frames, tiny pool) must meter what the readahead walk does, and no case
-// may leak a pin. "col" names the one page format.
+// may leak a pin. "col" names the one page format. Hash files come in
+// both shapes: chains that overflow their buckets, and buckets alone.
 func TestScanPathTable(t *testing.T) {
 	ranges := []struct {
 		name string
@@ -120,10 +133,11 @@ func TestScanPathTable(t *testing.T) {
 		{"empty", pred.NewRange(tuple.I(50), tuple.I(40), true, true)},
 		{"beyond-last-key", pred.NewRange(tuple.I(5000), tuple.I(6000), true, true)},
 	}
-	kinds := []struct {
-		name string
-		kind Kind
-	}{{"btree", ClusteredBTree}, {"hash", ClusteredHash}}
+	kinds := []scanShape{
+		{name: "btree", kind: ClusteredBTree, pageSize: 256},
+		{name: "hash", kind: ClusteredHash, pageSize: 256, buckets: 16, overflow: true},
+		{name: "hash-no-overflow", kind: ClusteredHash, pageSize: 4096, buckets: 8},
+	}
 
 	for _, k := range kinds {
 		for _, rc := range ranges {
@@ -132,7 +146,7 @@ func TestScanPathTable(t *testing.T) {
 			var cleanReads int64
 			for _, state := range []scanState{stateClean, stateDirty, stateTinyPool} {
 				t.Run(fmt.Sprintf("%s/col/%s/%s", k.name, rc.name, state), func(t *testing.T) {
-					fx := newScanFixture(t, k.kind, state)
+					fx := newScanFixture(t, k, state)
 					defer fx.pool.AssertUnpinned(t)
 					residentBefore := fx.pool.Resident()
 					before := fx.meter.Snapshot()

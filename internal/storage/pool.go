@@ -356,7 +356,7 @@ func (p *Pool) Read(f *File, pn PageNum, fn func(page []byte) error) error {
 // they are never candidates, and the least-recently-used unpinned
 // entries are evicted in the same order either way.
 func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) error) error {
-	var window [32]held // colpage.Window's cap: a scan's window stays on the stack
+	var window [32]held // a scan window's cap (colpage.Scan): it stays on the stack
 	pinned := window[:0]
 	misses, wrote := 0, 0
 	var err error
