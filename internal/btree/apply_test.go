@@ -101,7 +101,7 @@ func countedStream(rng *rand.Rand, pageSize int) []signedBatch {
 // appending the row a delete cuts to *cut.
 func applyPlainAlone(tr *Tree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
 	if sign > 0 {
-		return tr.Insert(tp)
+		return insert(tr, tp)
 	}
 	old, ok, err := deleteRow(tr, tp.Vals[tr.keyCol], tp.ID)
 	if err == nil && !ok {
@@ -152,7 +152,7 @@ func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countC
 	if sign < 0 {
 		return errUnderflow
 	}
-	return tr.Insert(tp)
+	return insert(tr, tp)
 }
 
 // TestApplyRunMatchesRowByRow: applying random signed batches with
@@ -331,7 +331,7 @@ func TestApplyRunKeepsRecencyOrder(t *testing.T) {
 		run := func(apply func(tr *Tree)) storage.Stats {
 			tr, m := newTestTree(t, 1024, frames)
 			for i := int64(0); i < 2000; i++ {
-				if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+				if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -357,7 +357,7 @@ func TestApplyRunKeepsRecencyOrder(t *testing.T) {
 		}
 		want := run(func(tr *Tree) {
 			for _, tp := range rows {
-				if err := tr.Insert(tp); err != nil {
+				if err := insert(tr, tp); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -99,7 +99,7 @@ func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Tree, er
 	if m.Height < 1 || m.Count < 0 {
 		return nil, fmt.Errorf("btree: invalid metadata %+v", m)
 	}
-	if _, err := file.Peek(m.Root); err != nil {
+	if err := file.View(m.Root, func([]byte) error { return nil }); err != nil {
 		return nil, fmt.Errorf("btree: root page missing: %w", err)
 	}
 	return &Tree{pool: pool, file: file, dir: colpage.NewDirectory(leafPages, file), keyCol: keyCol, root: m.Root, height: m.Height, count: m.Count}, nil
@@ -127,26 +127,9 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) Len() int { return t.count }
 
 // LeafPages returns the number of leaf pages (the paper's view size in
-// blocks) by walking the leaf chain via unmetered views; it is a
-// statistics accessor, not a query, and charges nothing.
-func (t *Tree) LeafPages() int {
-	pn, err := t.leftmostLeafUncharged()
-	if err != nil {
-		return 0
-	}
-	for n := 1; ; n++ {
-		var next storage.PageNum
-		hasNext := false
-		err := t.file.View(pn, func(page []byte) error {
-			next, hasNext = colpage.PageLink(page)
-			return nil
-		})
-		if err != nil || !hasNext {
-			return n
-		}
-		pn = next
-	}
-}
+// blocks), the leaf directory's count; it reads no page and charges
+// nothing.
+func (t *Tree) LeafPages() int { return t.dir.Pages() }
 
 // KeyCol returns the clustering column.
 func (t *Tree) KeyCol() int { return t.keyCol }
@@ -363,31 +346,6 @@ func (f *fence) narrow(page []byte, lo, hi int) error {
 	return nil
 }
 
-// leftmostLeafUncharged descends to the leftmost leaf via unmetered
-// views (statistics walks only).
-func (t *Tree) leftmostLeafUncharged() (storage.PageNum, error) {
-	pn := t.root
-	for {
-		leaf := false
-		var child storage.PageNum
-		err := t.file.View(pn, func(page []byte) error {
-			if leaf = page[0] == byte(leafPages); leaf {
-				return nil
-			}
-			var err error
-			child, err = route(page, nil, nil)
-			return err
-		})
-		if err != nil {
-			return 0, err
-		}
-		if leaf {
-			return pn, nil
-		}
-		pn = child
-	}
-}
-
 // --- descent -------------------------------------------------------------
 
 // findLeaf descends from the root to the leaf covering k — a nil k is
@@ -482,14 +440,6 @@ func (t *Tree) slot(i int) *openLeaf {
 		t.open = append(t.open, openLeaf{})
 	}
 	return &t.open[i]
-}
-
-// Insert adds a tuple: an ApplyRun of one row. Duplicate (value, id)
-// pairs are rejected: ids are unique engine-wide, so a collision
-// indicates a bug upstream.
-func (t *Tree) Insert(tp tuple.Tuple) error {
-	_, err := t.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
-	return err
 }
 
 // ApplyRun applies a signed batch of rows in stream order: row i is

@@ -34,6 +34,12 @@ func mk(id uint64, k int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.S("payload"))
 }
 
+// insert adds tp: an ApplyRun of one row.
+func insert(tr *Tree, tp tuple.Tuple) error {
+	_, err := tr.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
+	return err
+}
+
 // insertRun inserts tps in order: an ApplyRun of inserts only.
 func insertRun(tr *Tree, tps []tuple.Tuple) error {
 	_, err := tr.ApplyRun(tps, nil, -1, nil)
@@ -73,7 +79,7 @@ func collect(t testing.TB, it *colpage.Scan) []tuple.Tuple {
 func TestInsertAndGet(t *testing.T) {
 	tr, _ := newTestTree(t, 256, 64)
 	for i := int64(0); i < 50; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i*3)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i*3)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -97,10 +103,10 @@ func TestInsertAndGet(t *testing.T) {
 
 func TestDuplicateIDRejected(t *testing.T) {
 	tr, _ := newTestTree(t, 256, 64)
-	if err := tr.Insert(mk(7, 5)); err != nil {
+	if err := insert(tr, mk(7, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(mk(7, 5)); err == nil {
+	if err := insert(tr, mk(7, 5)); err == nil {
 		t.Error("duplicate (value, id) accepted")
 	}
 }
@@ -108,7 +114,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 func TestDuplicateValuesDifferentIDs(t *testing.T) {
 	tr, _ := newTestTree(t, 256, 64)
 	for id := uint64(1); id <= 40; id++ {
-		if err := tr.Insert(mk(id, 42)); err != nil {
+		if err := insert(tr, mk(id, 42)); err != nil {
 			t.Fatalf("insert dup value id=%d: %v", id, err)
 		}
 	}
@@ -135,7 +141,7 @@ func TestScanOrderAfterRandomInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(500)
 	for i, k := range keys {
-		if err := tr.Insert(mk(uint64(i+1), int64(k))); err != nil {
+		if err := insert(tr, mk(uint64(i+1), int64(k))); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 	}
@@ -160,7 +166,7 @@ func TestScanOrderAfterRandomInserts(t *testing.T) {
 func TestRangeScanBounds(t *testing.T) {
 	tr, _ := newTestTree(t, 200, 128)
 	for i := int64(0); i < 300; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +206,7 @@ func TestRangeScanBounds(t *testing.T) {
 func TestDeleteThenScan(t *testing.T) {
 	tr, _ := newTestTree(t, 200, 128)
 	for i := int64(0); i < 200; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +234,7 @@ func TestDeleteThenScan(t *testing.T) {
 func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 	tr, _ := newTestTree(t, 200, 128)
 	for i := int64(0); i < 150; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +252,7 @@ func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 	}
 	// Tree must remain usable.
 	for i := int64(0); i < 50; i++ {
-		if err := tr.Insert(mk(uint64(1000+i), i)); err != nil {
+		if err := insert(tr, mk(uint64(1000+i), i)); err != nil {
 			t.Fatalf("reinsert: %v", err)
 		}
 	}
@@ -262,7 +268,7 @@ func TestHeightGrowth(t *testing.T) {
 		t.Errorf("empty tree height = %d", tr.Height())
 	}
 	for i := int64(0); i < 2000; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +283,7 @@ func TestHeightGrowth(t *testing.T) {
 func TestSearchChargesHeightReads(t *testing.T) {
 	tr, m := newTestTree(t, 128, 256)
 	for i := int64(0); i < 2000; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,7 +305,7 @@ func TestSearchChargesHeightReads(t *testing.T) {
 func TestLeafPagesChargesNothing(t *testing.T) {
 	tr, m := newTestTree(t, 128, 256)
 	for i := int64(0); i < 500; i++ {
-		tr.Insert(mk(uint64(i+1), i))
+		insert(tr, mk(uint64(i+1), i))
 	}
 	tr.pool.EvictAll()
 	before := m.Snapshot()
@@ -312,7 +318,7 @@ func TestLeafPagesChargesNothing(t *testing.T) {
 func TestOversizedTupleRejected(t *testing.T) {
 	tr, _ := newTestTree(t, 64, 16)
 	big := tuple.New(1, tuple.I(1), tuple.S(string(make([]byte, 100))))
-	if err := tr.Insert(big); err == nil {
+	if err := insert(tr, big); err == nil {
 		t.Error("oversized tuple accepted")
 	}
 }
@@ -335,7 +341,7 @@ func TestSplitFitsBothHalves(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tr, _ := newTestTree(t, 4000, 16)
 			for i, k := range c.order {
-				if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(k), tuple.S(strings.Repeat("s", c.width[k])))); err != nil {
+				if err := insert(tr, tuple.New(uint64(i+1), tuple.I(k), tuple.S(strings.Repeat("s", c.width[k])))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -383,7 +389,7 @@ func TestInternalSplitFitsBothHalves(t *testing.T) {
 			width = 1800 + rng.Intn(151)
 		}
 		k := string(rune('a'+rng.Intn(26))) + strings.Repeat("k", width)
-		if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.S(k))); err != nil {
+		if err := insert(tr, tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.S(k))); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, k)
@@ -432,7 +438,7 @@ func TestStringKeys(t *testing.T) {
 	}
 	words := []string{"pear", "apple", "fig", "banana", "cherry", "date", "elderberry", "grape"}
 	for i, w := range words {
-		if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.S(w))); err != nil {
+		if err := insert(tr, tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.S(w))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,7 +463,7 @@ func TestPropertyInsertDeleteScan(t *testing.T) {
 		for _, op := range ops {
 			k := int64(op % 64)
 			if op >= 0 { // insert
-				if err := tr.Insert(mk(nextID, k)); err != nil {
+				if err := insert(tr, mk(nextID, k)); err != nil {
 					return false
 				}
 				live[nextID] = k
@@ -507,7 +513,7 @@ func TestPropertyRangeScanAgreesWithFilter(t *testing.T) {
 	tr, _ := newTestTree(t, 160, 256)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 400; i++ {
-		if err := tr.Insert(mk(uint64(i+1), int64(rng.Intn(100)))); err != nil {
+		if err := insert(tr, mk(uint64(i+1), int64(rng.Intn(100)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -540,7 +546,7 @@ func TestPropertyRangeScanAgreesWithFilter(t *testing.T) {
 func BenchmarkGetCold(b *testing.B) {
 	tr, _ := newTestTree(b, 4000, 256)
 	for i := 0; i < 100000; i++ {
-		if err := tr.Insert(mk(uint64(i+1), int64(i))); err != nil {
+		if err := insert(tr, mk(uint64(i+1), int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -584,7 +590,7 @@ func TestDecodeInternalRejectsDamage(t *testing.T) {
 
 	tr, _ := newTestTree(t, 256, 64)
 	for i := int64(0); i < 100; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -650,7 +656,7 @@ func TestDescentRejectsCorruptInternalPages(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tr, _ := newTestTree(t, 256, 64)
 			for i := int64(0); i < 100; i++ {
-				if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+				if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -680,13 +686,11 @@ func TestDescentRejectsCorruptInternalPages(t *testing.T) {
 				_, err := tr.findLeaf(k)
 				check(fmt.Sprintf("findLeaf(%v)", k), err)
 			}
-			check("Insert", tr.Insert(mk(1000, 7)))
+			check("Insert", insert(tr, mk(1000, 7)))
 			_, _, err = deleteRow(tr, tuple.I(99), 100)
 			check("Delete", err)
 			_, err = tr.ApplyRun([]tuple.Tuple{mk(1, 0), mk(1001, 0)}, []int8{-1, 1}, -1, nil)
 			check("ApplyRun", err)
-			_, err = tr.leftmostLeafUncharged()
-			check("leftmostLeafUncharged", err)
 			tr.pool.AssertUnpinned(t)
 		})
 	}
@@ -697,7 +701,7 @@ func TestDescentRejectsCorruptInternalPages(t *testing.T) {
 func TestFindLeafAllocations(t *testing.T) {
 	tr, _ := newTestTree(t, 256, 1024)
 	for i := int64(0); i < 2000; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -727,7 +731,7 @@ func TestFindLeafAllocations(t *testing.T) {
 func TestLeafEditAllocations(t *testing.T) {
 	tr, _ := newTestTree(t, 1024, 256)
 	for i := int64(0); i < 2000; i++ {
-		if err := tr.Insert(mk(uint64(i+1), i)); err != nil {
+		if err := insert(tr, mk(uint64(i+1), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -743,7 +747,7 @@ func TestLeafEditAllocations(t *testing.T) {
 		max, race float64 // the race detector's count, which wanders by one
 		run       func() error
 	}{
-		{"insert", 4, 10, func() error { ins++; return tr.Insert(mk(ins, 1000)) }},
+		{"insert", 4, 10, func() error { ins++; return insert(tr, mk(ins, 1000)) }},
 		{"delete", 5, 9, func() error {
 			del++
 			gone[0].ID = del

@@ -24,7 +24,7 @@ func newColTree(t testing.TB, pageSize, poolCap, rows int) (*Tree, *storage.Disk
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		if err := tr.Insert(mk(uint64(i+1), int64(i))); err != nil {
+		if err := insert(tr, mk(uint64(i+1), int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestScanBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 		tr, _, pool, m := newColTree(t, 256, 512, 500)
 		pool.BeginBulk()
 		// Dirty a page: an insert rewrites its leaf in the pool only.
-		if err := tr.Insert(mk(9001, 9001)); err != nil {
+		if err := insert(tr, mk(9001, 9001)); err != nil {
 			t.Fatal(err)
 		}
 		before := m.Snapshot()
@@ -198,7 +198,7 @@ func TestScanBatchesRangeIgnoresPrune(t *testing.T) {
 // colpage.TestDataPageRejectsDamage; this is the way there from a scan).
 func TestScanBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	tr, _, p, _ := newColTree(t, 256, 64, 200)
-	pn, err := tr.leftmostLeafUncharged()
+	pn, err := tr.findLeaf(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

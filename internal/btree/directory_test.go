@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -14,12 +15,43 @@ import (
 )
 
 // checkDirectory flushes the tree's pool and compares the leaf directory
-// its writers kept with one rebuilt from the page images.
+// its writers kept with one rebuilt from the page images, and its leaf
+// count with a walk of the leaf chain over the images.
 func checkDirectory(tr *Tree) error {
 	if err := tr.pool.FlushAll(); err != nil {
 		return err
 	}
-	return tr.dir.Diff(colpage.NewDirectory(leafPages, tr.file))
+	if err := tr.dir.Diff(colpage.NewDirectory(leafPages, tr.file)); err != nil {
+		return err
+	}
+	walked, err := leafChainPages(tr)
+	if err != nil {
+		return err
+	}
+	if n := tr.LeafPages(); n != walked {
+		return fmt.Errorf("LeafPages = %d, the leaf chain has %d", n, walked)
+	}
+	return nil
+}
+
+// leafChainPages counts the leaves down the chain from the leftmost one,
+// following each image's link: the oracle of the directory's count,
+// which it does not consult.
+func leafChainPages(tr *Tree) (int, error) {
+	pn, err := tr.findLeaf(nil)
+	if err != nil {
+		return 0, err
+	}
+	for n := 1; ; n++ {
+		hasNext := false
+		err := tr.file.View(pn, func(page []byte) error {
+			pn, hasNext = colpage.PageLink(page)
+			return nil
+		})
+		if err != nil || !hasNext {
+			return n, err
+		}
+	}
 }
 
 // restored reopens tr over a copy of its disk carried through a full
@@ -62,7 +94,7 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 			// fill a leaf, whose zone maps then do not fit it.
 			k, s = i+100, strings.Repeat(s, 35)
 		}
-		if err := tr.Insert(tuple.New(uint64(i+1), tuple.I(k), tuple.S(s))); err != nil {
+		if err := insert(tr, tuple.New(uint64(i+1), tuple.I(k), tuple.S(s))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +151,7 @@ func TestRestoredLeafWithUnreadableZonesStopsTheWalk(t *testing.T) {
 
 	// Damage the first zone of the last leaf, one every scan prunes: its
 	// min bound's value tag names no type.
-	pn, err := tr.leftmostLeafUncharged()
+	pn, err := tr.findLeaf(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func FuzzBTree(f *testing.F) {
 			case 0: // insert (dup-heavy key space)
 				r := rec{k: keyOfArg(arg), id: nextID, p: payload("p", arg, 0)}
 				nextID++
-				if err := tr.Insert(tuple.New(r.id, r.k, tuple.S(r.p))); err != nil {
+				if err := insert(tr, tuple.New(r.id, r.k, tuple.S(r.p))); err != nil {
 					t.Fatalf("insert %+v: %v", r, err)
 				}
 				live = append(live, r)

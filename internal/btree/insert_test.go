@@ -190,7 +190,7 @@ func TestInsertPagesPinned(t *testing.T) {
 				}
 				rows := s.rows(ps)
 				for _, tp := range rows {
-					if err := tr.Insert(tp); err != nil {
+					if err := insert(tr, tp); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -337,7 +337,7 @@ func TestInsertRunErrors(t *testing.T) {
 			}
 			want, wantErr := build(func(tr *Tree) error {
 				for _, tp := range run {
-					if err := tr.Insert(tp); err != nil {
+					if err := insert(tr, tp); err != nil {
 						return err
 					}
 				}

@@ -23,7 +23,8 @@ import (
 // Directory holds one entry per data page of one file, by page number.
 // Writers keep it: every data page is encoded through Encode, which
 // records the link it writes and the zone maps the encoder computed, and
-// a freed page is dropped. It is derived state — in no snapshot — and is
+// a freed page is dropped. It also answers how many data pages the file
+// holds (Pages). It is derived state — in no snapshot — and is
 // built from the file's images when the access method attaches to the
 // file (NewDirectory), one unmetered pass.
 //
@@ -38,6 +39,7 @@ type Directory struct {
 	typ     PageType
 	file    *storage.File
 	entries []DirEntry
+	pages   int // entries that are not entryNone
 
 	// The check's image-side entry, reused lookup to lookup.
 	checkMu sync.Mutex
@@ -78,9 +80,16 @@ func NewDirectory(typ PageType, f *storage.File) *Directory {
 			typ.readEntry(page, e)
 			return nil
 		}) // a freed page keeps entryNone
+		if e.kind != entryNone {
+			d.pages++
+		}
 	}
 	return d
 }
+
+// Pages returns the number of data pages the file holds: a B+-tree's
+// leaves, a hash file's chain pages. It reads no page.
+func (d *Directory) Pages() int { return d.pages }
 
 // Encode writes n over page, the frame bytes of page pn, as EncodePage
 // does, and records the page's link and zone maps. A rewrite of a page
@@ -90,6 +99,9 @@ func (d *Directory) Encode(pn storage.PageNum, page []byte, n *DataPage) {
 		d.entries = slices.Grow(d.entries, int(pn)+1-len(d.entries))[:pn+1]
 	}
 	e := &d.entries[pn]
+	if e.kind == entryNone {
+		d.pages++
+	}
 	d.typ.encodePage(page, n, &e.zones)
 	e.kind, e.Next, e.HasNext = entryCol, 0, n.HasNext
 	if n.HasNext {
@@ -99,8 +111,9 @@ func (d *Directory) Encode(pn storage.PageNum, page []byte, n *DataPage) {
 
 // Drop forgets a freed page.
 func (d *Directory) Drop(pn storage.PageNum) {
-	if int(pn) < len(d.entries) {
+	if int(pn) < len(d.entries) && d.entries[pn].kind != entryNone {
 		d.entries[pn] = DirEntry{}
+		d.pages--
 	}
 }
 

@@ -35,7 +35,10 @@ func TestWalkWindowAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fixture(tr.Insert, p)
+			fixture(func(tp tuple.Tuple) error {
+				_, err := tr.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
+				return err
+			}, p)
 			s, err := tr.ScanBatches(nil, atoms)
 			if err != nil {
 				t.Fatal(err)

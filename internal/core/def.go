@@ -305,18 +305,3 @@ func (d *Def) ProjectTuples(t0, t1 tuple.Tuple) []tuple.Value {
 	}
 	return out
 }
-
-// TargetColumns returns, for a relation slot, the base columns the
-// view's target list projects (used for RIU registration).
-func (d *Def) TargetColumns(slot int) []int {
-	if d.Kind == Aggregate {
-		return []int{d.AggCol}
-	}
-	if d.Kind == GroupedAggregate {
-		return []int{d.AggCol, d.GroupBy}
-	}
-	if slot < len(d.Project) {
-		return append([]int(nil), d.Project[slot]...)
-	}
-	return nil
-}

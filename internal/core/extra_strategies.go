@@ -11,13 +11,14 @@ import "fmt"
 //     contract — which is why the paper analyzes it separately from
 //     the always-consistent strategies.
 //
-//   - Buneman–Clemons recompute-on-demand [Bune79]: each update
-//     command is analyzed *before execution*; if the system cannot
-//     rule out that the command changes the view (the
-//     readily-ignorable-update test plus per-tuple screening), the
-//     view is marked dirty and completely recomputed before its next
-//     read. Updates are as cheap as possible; refreshes are as
-//     expensive as possible.
+//   - Buneman–Clemons recompute-on-demand [Bune79]: every tuple a
+//     commit writes is screened (the per-tuple two-stage test); when
+//     screening cannot rule out that one changes the view, the view is
+//     marked dirty and completely recomputed before its next read.
+//     [Bune79]'s per-command readily-ignorable-update test has no
+//     input here: a Tx writes whole rows, naming no written columns.
+//     Updates are as cheap as possible; refreshes are as expensive as
+//     possible.
 //
 // Both reuse the materialized store and the screening machinery; they
 // differ from immediate/deferred only in when and how the copy is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"viewmat/internal/tuple"
@@ -148,19 +149,36 @@ func TestOnDemandRefreshBeatsPeriodic(t *testing.T) {
 }
 
 // dbCurrentID finds the current id of the tuple with clustering key k
-// by reading through the HR (test helper; charges are reset by the
-// caller's accounting expectations).
+// as the HR shows it, (R ∪ A) − D: its A-net version, else its base
+// version that D-net does not delete (test helper; charges are reset by
+// the caller's accounting expectations).
 func dbCurrentID(t *testing.T, db *Database, k int64) uint64 {
 	t.Helper()
 	h, ok := db.HR("r")
 	if !ok {
 		t.Fatal("no HR on r")
 	}
-	tuples, err := h.ReadKey(tuple.I(k))
-	if err != nil || len(tuples) == 0 {
-		t.Fatalf("ReadKey(%d): %v (%d tuples)", k, err, len(tuples))
+	r := db.rels["r"]
+	anet, dnet, err := h.NetChanges()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tuples[0].ID
+	for _, tp := range anet {
+		if tp.Vals[r.KeyCol()].Int() == k {
+			return tp.ID
+		}
+	}
+	base, err := r.LookupKey(tuple.I(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range base {
+		if !slices.ContainsFunc(dnet, func(d tuple.Tuple) bool { return d.ID == tp.ID }) {
+			return tp.ID
+		}
+	}
+	t.Fatalf("no visible tuple of key %d", k)
+	return 0
 }
 
 // newChildDatabase is newSPDatabase plus a child c = σ(12 ≤ k < 20)(v)

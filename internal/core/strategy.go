@@ -199,7 +199,7 @@ func (db *Database) placeLocksLocked(vs *viewState) {
 		return
 	}
 	for slot, rn := range vs.def.Relations {
-		db.locks.Register(vs.def.Name, rn, slot, db.rels[rn].KeyCol(), vs.def.Pred, vs.def.TargetColumns(slot))
+		db.locks.Register(vs.def.Name, rn, slot, db.rels[rn].KeyCol(), vs.def.Pred)
 	}
 }
 
@@ -349,7 +349,7 @@ func (db *Database) refreshStaleLocked(vs *viewState, force bool) error {
 // whose trigger counts: every-n views, and deferred views with a refresh
 // period (§4), count commits that touched their lineage; dirty-at-read
 // views go dirty only when the screened tuples actually threaten the
-// view (the per-tuple second stage after the RIU test).
+// view (per-tuple two-stage screening alone decides).
 func (db *Database) noteCommitLocked(marked map[string]map[int]*deltas, touched map[string]bool) {
 	for _, vs := range db.views {
 		switch vs.row().trigger {

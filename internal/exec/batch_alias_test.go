@@ -39,7 +39,7 @@ func aliasEnv(t *testing.T, frames int, name func(i int) string) (rel *relation.
 	}
 	for i := 0; i < 300; i++ {
 		tp := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%7)), tuple.S(name(i)))
-		if err := rel.Insert(tp); err != nil {
+		if err := insert(rel, tp); err != nil {
 			t.Fatal(err)
 		}
 	}

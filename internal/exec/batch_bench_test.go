@@ -33,7 +33,7 @@ func benchEnv(b *testing.B, name string, n int) (*relation.Relation, *storage.Me
 	}
 	for i := 0; i < n; i++ {
 		t := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.S(fmt.Sprintf("n%02d", i%64)))
-		if err := r.Insert(t); err != nil {
+		if err := insert(r, t); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func flushedEnv(b testing.TB, name string, n int) (*relation.Relation, *storage.
 	}
 	for i := 0; i < n; i++ {
 		t := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.S(fmt.Sprintf("n%02d", i%64)))
-		if err := r.Insert(t); err != nil {
+		if err := insert(r, t); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func scatteredEnv(b testing.TB, name string, n int) (*relation.Relation, *storag
 		b.Fatal(err)
 	}
 	for k := int64(0); k < int64(n); k++ {
-		if err := r.Insert(tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*40503%int64(n)), tuple.I((k*7919+17)%1000))); err != nil {
+		if err := insert(r, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*40503%int64(n)), tuple.I((k*7919+17)%1000))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestColdScanAllocations(t *testing.T) {
 	}
 	p.BeginBulk()
 	for k := int64(0); k < n; k++ {
-		if err := rel.Insert(tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000))); err != nil {
+		if err := insert(rel, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestStoredRangeReadAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := rel.Insert(tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
+		if err := insert(rel, tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +340,7 @@ func TestPointLookupAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := rel.Insert(tuple.New(uint64(i+1), tuple.I(int64(i/4)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
+		if err := insert(rel, tuple.New(uint64(i+1), tuple.I(int64(i/4)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,6 +24,12 @@ import (
 // and the screens still equal the rows the scan tested. Both answers are
 // the relation's rows the whole predicate holds for.
 
+// insert adds tp to r: an ApplyRun of one row.
+func insert(r *relation.Relation, tp tuple.Tuple) error {
+	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
+	return err
+}
+
 // selectFixture is one relation under one storage configuration.
 type selectFixture struct {
 	name   string
@@ -62,7 +68,7 @@ func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, 
 		t.Fatal(err)
 	}
 	for k := int64(0); k < selectRows; k++ {
-		if err := rel.Insert(selectRow(k)); err != nil {
+		if err := insert(rel, selectRow(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +80,7 @@ func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, 
 	}
 	if fx.dirty {
 		p.BeginBulk()
-		if err := rel.Insert(selectRow(selectRows)); err != nil {
+		if err := insert(rel, selectRow(selectRows)); err != nil {
 			t.Fatal(err)
 		}
 	}

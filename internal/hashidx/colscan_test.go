@@ -34,10 +34,11 @@ func batchDropped(bs []*vec.Batch) int {
 	return n
 }
 
-// TestScanAllBatchesPruning: the batched bucket-run fast path must not
-// pin or charge pages whose zone maps disprove the prune atoms — the
-// Pool.ReadBatch run is built from surviving pages only. Empty bucket
-// pages carry no zones and are always read.
+// TestScanAllBatchesPruning: the one chain scan's readahead walk down
+// the bucket chains (colpage.Scan) must not pin or charge pages whose
+// zone maps disprove the prune atoms — each Pool.ReadBatch window is
+// built from surviving pages only. Empty bucket pages carry no zones and
+// are always read.
 func TestScanAllBatchesPruning(t *testing.T) {
 	d := storage.NewDisk(256)
 	m := storage.NewMeter()

@@ -2,6 +2,7 @@ package hashidx
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"viewmat/internal/colpage"
@@ -11,12 +12,43 @@ import (
 )
 
 // checkDirectory flushes the index's pool and compares the page directory
-// its writers kept with one rebuilt from the page images.
+// its writers kept with one rebuilt from the page images, and its page
+// count with a walk of every bucket chain over the images.
 func checkDirectory(ix *Index) error {
 	if err := ix.pool.FlushAll(); err != nil {
 		return err
 	}
-	return ix.dir.Diff(colpage.NewDirectory(chainPages, ix.file))
+	if err := ix.dir.Diff(colpage.NewDirectory(chainPages, ix.file)); err != nil {
+		return err
+	}
+	walked, err := chainWalkPages(ix)
+	if err != nil {
+		return err
+	}
+	if n := ix.Pages(); n != walked {
+		return fmt.Errorf("Pages = %d, the bucket chains have %d", n, walked)
+	}
+	return nil
+}
+
+// chainWalkPages counts the pages of every bucket chain, following each
+// image's link: the oracle of the directory's count, which it does not
+// consult.
+func chainWalkPages(ix *Index) (int, error) {
+	total := 0
+	for _, pn := range ix.buckets {
+		for hasNext := true; hasNext; total++ {
+			err := ix.file.View(pn, func(page []byte) error {
+				var err error
+				pn, hasNext, err = chainPages.Link(page)
+				return err
+			})
+			if err != nil {
+				return 0, err
+			}
+		}
+	}
+	return total, nil
 }
 
 // TestRestoreRebuildsTheDirectoryWritersKept: the directory Open rebuilds
@@ -51,6 +83,55 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	back, _ := restored(t, ix, d)
 	if err := back.dir.Diff(ix.dir); err != nil {
 		t.Errorf("rebuilt directory differs from the kept one: %v", err)
+	}
+}
+
+// TestOpenRefusesABucketThatIsNoChainPage: Open checks each primary
+// bucket against the directory it builds, so metadata naming a page that
+// holds no chain page — one allocated and never written, one a truncate
+// freed, one past the file's end — is refused there, not at the bucket's
+// first decode; metadata naming the chain pages opens.
+func TestOpenRefusesABucketThatIsNoChainPage(t *testing.T) {
+	ix, _ := newTestIndex(t, 128, 64, 2)
+	for i := int64(0); i < 40; i++ {
+		if err := insert(ix, mk(uint64(i+1), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.Pages() == ix.Buckets() {
+		t.Fatal("the fixture has no overflow page for a truncate to free")
+	}
+	overflow := storage.PageNum(ix.file.Extent() - 1)
+	if err := ix.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := ix.pool.Alloc(ix.file) // reuses a freed page, left zeroed
+	if err != nil {
+		t.Fatal(err)
+	}
+	blank := fr.PageNum()
+	fr.MarkDirty()
+	if err := ix.pool.Release(fr); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if overflow == blank {
+		overflow-- // the page Alloc reused: take another freed one
+	}
+	if ix.file.View(overflow, func([]byte) error { return nil }) == nil {
+		t.Fatalf("page %d is not free", overflow)
+	}
+	for name, pn := range map[string]storage.PageNum{"never written": blank, "freed": overflow, "past the end": ix.file.Extent()} {
+		m := ix.Meta()
+		m.Buckets[1] = pn
+		if _, err := Open(ix.pool, ix.file, ix.keyCol, m); err == nil {
+			t.Errorf("bucket page %d (%s) opened", pn, name)
+		}
+	}
+	if _, err := Open(ix.pool, ix.file, ix.keyCol, ix.Meta()); err != nil {
+		t.Errorf("intact metadata: %v", err)
 	}
 }
 

@@ -55,17 +55,23 @@ func (ix *Index) Meta() Meta {
 
 // Open attaches to an existing index stored in file, trusting
 // caller-supplied metadata (from a prior Meta call), and rebuilds the
-// page directory from the file's images.
+// page directory from the file's images. A bucket the directory holds
+// no chain page for is refused.
 func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Index, error) {
 	if len(m.Buckets) == 0 || m.Count < 0 {
 		return nil, fmt.Errorf("hashidx: invalid metadata %+v", m)
 	}
+	dir := colpage.NewDirectory(chainPages, file)
 	for _, pn := range m.Buckets {
-		if _, err := file.Peek(pn); err != nil {
-			return nil, fmt.Errorf("hashidx: bucket page %d missing: %w", pn, err)
+		e, err := dir.Lookup(pn)
+		if err != nil {
+			return nil, fmt.Errorf("hashidx: bucket page %d: %w", pn, err)
+		}
+		if e == nil {
+			return nil, fmt.Errorf("hashidx: bucket page %d is no chain page", pn)
 		}
 	}
-	return &Index{pool: pool, file: file, dir: colpage.NewDirectory(chainPages, file), keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}, nil
+	return &Index{pool: pool, file: file, dir: dir, keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}, nil
 }
 
 // New creates an index with the given number of primary bucket pages,
@@ -293,30 +299,9 @@ func (ix *Index) Get(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	return found, ok, nil
 }
 
-// Pages returns the total chain pages (primary + overflow), unmetered.
-// A page whose header is not a chain page's ends its chain.
-func (ix *Index) Pages() int {
-	total := 0
-	for _, bpn := range ix.buckets {
-		pn := bpn
-		for {
-			total++
-			var next storage.PageNum
-			hasNext := false
-			if err := ix.file.View(pn, func(page []byte) error {
-				next, hasNext, _ = chainPages.Link(page)
-				return nil
-			}); err != nil {
-				return total
-			}
-			if !hasNext {
-				break
-			}
-			pn = next
-		}
-	}
-	return total
-}
+// Pages returns the total chain pages (primary + overflow), the page
+// directory's count; it reads no page and charges nothing.
+func (ix *Index) Pages() int { return ix.dir.Pages() }
 
 // Truncate removes every tuple but keeps the primary buckets, freeing
 // overflow pages. This is the HR reset (A := ∅, D := ∅) fast path. The

@@ -2,10 +2,10 @@
 // change-capture substrate of deferred view maintenance: every update
 // to a base relation is recorded in a combined differential file AD
 // (clustered hashing on the relation key, one "role" attribute marking
-// appended vs. deleted), reads go through a Bloom filter so tuples not
-// touched since the last refresh cost no extra I/O, and the net change
-// sets A-net and D-net are computed on demand for the differential
-// view-update algorithm.
+// appended vs. deleted), a deletion finds the version it deletes through
+// a Bloom filter so tuples not touched since the last refresh cost no
+// extra I/O, and the net change sets A-net and D-net are computed on
+// demand for the differential view-update algorithm.
 //
 // The true value of the relation is (R ∪ A) − D. After a deferred
 // refresh consumes the net changes, the HR is reset:
@@ -110,14 +110,8 @@ func New(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg Co
 	}, nil
 }
 
-// Base returns the wrapped base relation.
-func (h *HR) Base() *relation.Relation { return h.base }
-
 // ADLen returns the number of entries in the differential file.
 func (h *HR) ADLen() int { return h.ad.Len() }
-
-// ADPages returns the AD file's page count (unmetered).
-func (h *HR) ADPages() int { return h.ad.Pages() }
 
 // Filter exposes the Bloom filter (for diagnostics and tests).
 func (h *HR) Filter() *bloom.Filter { return h.filter }
@@ -222,44 +216,6 @@ func (h *HR) getVisible(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error
 	return h.base.Get(keyVal, id)
 }
 
-// ReadKey returns all visible tuples with the given key value:
-// (base ∪ A) − D restricted to the key. When the Bloom filter proves
-// the key untouched, only the base is read — the [Seve76] fast path.
-func (h *HR) ReadKey(keyVal tuple.Value) ([]tuple.Tuple, error) {
-	baseTuples, err := h.base.LookupKey(keyVal)
-	if err != nil {
-		return nil, err
-	}
-	if !h.filter.MayContain(h.bloomKey(keyVal)) {
-		return baseTuples, nil
-	}
-	entries, err := h.ad.Lookup(keyVal)
-	if err != nil {
-		return nil, err
-	}
-	deleted := map[uint64]bool{}
-	var appended []tuple.Tuple
-	for _, e := range entries {
-		if role(e) == RoleDeleted {
-			deleted[e.ID] = true
-		} else {
-			appended = append(appended, stripRole(e))
-		}
-	}
-	out := make([]tuple.Tuple, 0, len(baseTuples)+len(appended))
-	for _, tp := range baseTuples {
-		if !deleted[tp.ID] {
-			out = append(out, tp)
-		}
-	}
-	for _, tp := range appended {
-		if !deleted[tp.ID] {
-			out = append(out, tp)
-		}
-	}
-	return out, nil
-}
-
 // NetChanges reads the whole AD file (the C_ADread of the cost model)
 // and returns the net change sets:
 //
@@ -313,22 +269,13 @@ func (h *HR) adEntries() ([]tuple.Tuple, error) {
 	return out, nil
 }
 
-// Fold applies the differential file to the base relation and resets
-// the HR: R := (R ∪ A) − D, A := ∅, D := ∅, Bloom filter cleared. The
-// deferred strategy calls this right after a refresh has consumed
-// NetChanges, so the next epoch starts empty.
-func (h *HR) Fold() error {
-	anet, dnet, err := h.NetChanges()
-	if err != nil {
-		return err
-	}
-	return h.FoldWith(anet, dnet)
-}
-
-// FoldWith is Fold with net changes the caller already computed via
-// NetChanges, so the AD file is read once per refresh — the model
-// charges C_ADread a single time even when several views share the
-// relation (§4's shared-refresh observation). D-net (each row named by
+// FoldWith applies the differential file to the base relation and
+// resets the HR: R := (R ∪ A) − D, A := ∅, D := ∅, Bloom filter
+// cleared. The deferred strategy calls it right after a refresh has
+// consumed NetChanges, with those net changes, so the next epoch starts
+// empty and the AD file is read once per refresh — the model charges
+// C_ADread a single time even when several views share the relation
+// (§4's shared-refresh observation). D-net (each row named by
 // its key and id) and then A-net go to the base as one signed batch
 // (relation.Relation.ApplyRun), so an updated row's delete and insert
 // share one visit to its leaf.

@@ -34,6 +34,23 @@ func row(id uint64, k, v int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.I(v))
 }
 
+// insertBase inserts tp straight into the base relation: an ApplyRun
+// of one insert.
+func insertBase(r *relation.Relation, tp tuple.Tuple) error {
+	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
+	return err
+}
+
+// scanBase returns every tuple the base relation stores.
+func scanBase(r *relation.Relation) ([]tuple.Tuple, error) {
+	batches, _, err := r.ScanAllBatches(0, nil)
+	var out []tuple.Tuple
+	for _, b := range batches {
+		out = b.AppendTuples(out, 0)
+	}
+	return out, err
+}
+
 // appendRow records the insertion of tp: an ApplyRun of one insert.
 func appendRow(h *HR, tp tuple.Tuple) error {
 	_, err := h.ApplyRun([]tuple.Tuple{tp}, nil, nil)
@@ -53,6 +70,16 @@ func deleteRow(h *HR, key tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 		return tuple.Tuple{}, false, err
 	}
 	return cut[0], true, nil
+}
+
+// fold applies the epoch's net changes to the base and resets the HR,
+// as a deferred refresh does after consuming them.
+func fold(h *HR) error {
+	anet, dnet, err := h.NetChanges()
+	if err != nil {
+		return err
+	}
+	return h.FoldWith(anet, dnet)
 }
 
 // update replaces the visible tuple (key, id) with newTp as the pair of
@@ -76,10 +103,15 @@ func TestAppendVisibleThroughHR(t *testing.T) {
 	if _, ok, _ := base.Get(tuple.I(10), 1); ok {
 		t.Error("append leaked into base before fold")
 	}
-	// ...but visible through the HR.
-	got, err := h.ReadKey(tuple.I(10))
-	if err != nil || len(got) != 1 || got[0].Vals[1].Int() != 100 {
-		t.Errorf("ReadKey = %v err=%v", got, err)
+	// ...but visible through the HR: the version a delete would find,
+	// and A-net.
+	got, ok, err := h.getVisible(tuple.I(10), 1)
+	if err != nil || !ok || got.Vals[1].Int() != 100 {
+		t.Errorf("getVisible = %v, %v err=%v", got, ok, err)
+	}
+	anet, dnet, err := h.NetChanges()
+	if err != nil || len(anet) != 1 || anet[0].ID != 1 || len(dnet) != 0 {
+		t.Errorf("A-net = %v, D-net = %v, err=%v", anet, dnet, err)
 	}
 }
 
@@ -100,8 +132,8 @@ func TestSignedZeroKeyThroughBloom(t *testing.T) {
 	if err := appendRow(h, tuple.New(1, tuple.F(math.Copysign(0, -1)), tuple.I(100))); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := h.ReadKey(tuple.F(0)); err != nil || len(got) != 1 {
-		t.Errorf("ReadKey(+0) of a row keyed −0 = %v, %v", got, err)
+	if got, ok, err := h.getVisible(tuple.F(0), 1); err != nil || !ok {
+		t.Errorf("getVisible(+0, 1) of a row keyed −0 = %v, %v, %v", got, ok, err)
 	}
 	if _, ok, err := deleteRow(h, tuple.F(0), 1); err != nil || !ok {
 		t.Errorf("Delete(+0, 1) of a row keyed −0: ok=%v err=%v", ok, err)
@@ -110,7 +142,7 @@ func TestSignedZeroKeyThroughBloom(t *testing.T) {
 
 func TestDeleteHidesBaseTuple(t *testing.T) {
 	h, base, _, _ := testHR(t)
-	if err := base.Insert(row(1, 10, 100)); err != nil {
+	if err := insertBase(base, row(1, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
 	old, ok, err := deleteRow(h, tuple.I(10), 1)
@@ -120,10 +152,13 @@ func TestDeleteHidesBaseTuple(t *testing.T) {
 	if old.Vals[1].Int() != 100 {
 		t.Errorf("deleted value = %v", old)
 	}
-	if got, _ := h.ReadKey(tuple.I(10)); len(got) != 0 {
-		t.Errorf("deleted tuple still visible: %v", got)
+	if got, ok, err := h.getVisible(tuple.I(10), 1); err != nil || ok {
+		t.Errorf("deleted tuple still visible: %v err=%v", got, err)
 	}
-	// Base still physically holds it until Fold.
+	if _, ok, err := deleteRow(h, tuple.I(10), 1); err != nil || ok {
+		t.Errorf("second delete of the tuple: ok=%v err=%v", ok, err)
+	}
+	// Base still physically holds it until the fold.
 	if _, ok, _ := base.Get(tuple.I(10), 1); !ok {
 		t.Error("base tuple physically removed before fold")
 	}
@@ -138,7 +173,7 @@ func TestDeleteOfAbsentTuple(t *testing.T) {
 
 func TestUpdateOldToDNewToA(t *testing.T) {
 	h, _, _, _ := testHR(t)
-	if err := h.Base().Insert(row(1, 10, 100)); err != nil {
+	if err := insertBase(h.base, row(1, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
 	old, err := update(h, tuple.I(10), 1, row(2, 10, 200))
@@ -148,9 +183,11 @@ func TestUpdateOldToDNewToA(t *testing.T) {
 	if old.Vals[1].Int() != 100 {
 		t.Errorf("old = %v", old)
 	}
-	got, _ := h.ReadKey(tuple.I(10))
-	if len(got) != 1 || got[0].Vals[1].Int() != 200 || got[0].ID != 2 {
-		t.Errorf("post-update visible = %v", got)
+	if got, ok, err := h.getVisible(tuple.I(10), 2); err != nil || !ok || got.Vals[1].Int() != 200 {
+		t.Errorf("post-update new version = %v, %v, %v", got, ok, err)
+	}
+	if got, ok, err := h.getVisible(tuple.I(10), 1); err != nil || ok {
+		t.Errorf("post-update old version still visible: %v err=%v", got, err)
 	}
 	anet, dnet, err := h.NetChanges()
 	if err != nil {
@@ -179,8 +216,8 @@ func TestAppendThenDeleteCancels(t *testing.T) {
 	if len(anet) != 0 || len(dnet) != 0 {
 		t.Errorf("append+delete should cancel: A-net=%v D-net=%v", anet, dnet)
 	}
-	if got, _ := h.ReadKey(tuple.I(10)); len(got) != 0 {
-		t.Errorf("cancelled tuple visible: %v", got)
+	if got, ok, err := h.getVisible(tuple.I(10), 1); err != nil || ok {
+		t.Errorf("cancelled tuple visible: %v err=%v", got, err)
 	}
 }
 
@@ -201,13 +238,13 @@ func TestUpdateOfEpochAppendedTuple(t *testing.T) {
 
 func TestFoldAppliesAndResets(t *testing.T) {
 	h, base, _, _ := testHR(t)
-	base.Insert(row(1, 1, 10))
-	base.Insert(row(2, 2, 20))
+	insertBase(base, row(1, 1, 10))
+	insertBase(base, row(2, 2, 20))
 	appendRow(h, row(3, 3, 30))
 	deleteRow(h, tuple.I(1), 1)
 	update(h, tuple.I(2), 2, row(4, 2, 25))
 
-	if err := h.Fold(); err != nil {
+	if err := fold(h); err != nil {
 		t.Fatal(err)
 	}
 	if h.ADLen() != 0 {
@@ -230,30 +267,31 @@ func TestFoldAppliesAndResets(t *testing.T) {
 	}
 }
 
+// TestBloomFastPathSkipsAD: the version a delete finds for a key the
+// Bloom filter proves untouched is read from the base alone — the
+// [Seve76] fast path; a touched key's lookup reads AD first.
 func TestBloomFastPathSkipsAD(t *testing.T) {
 	h, base, m, p := testHR(t)
 	for i := int64(0); i < 50; i++ {
-		base.Insert(row(uint64(i+1), i, i))
+		insertBase(base, row(uint64(i+1), i, i))
 	}
+	insertBase(base, row(51, 1, 1)) // a second base tuple of key 1
 	// Touch key 1 only.
 	update(h, tuple.I(1), 2, row(100, 1, 99))
 
-	p.EvictAll()
-	before := m.Snapshot()
-	if _, err := h.ReadKey(tuple.I(30)); err != nil { // untouched key
-		t.Fatal(err)
+	reads := func(k int64, id uint64) int64 {
+		t.Helper()
+		p.EvictAll()
+		before := m.Snapshot()
+		if _, ok, err := h.getVisible(tuple.I(k), id); err != nil || !ok {
+			t.Fatalf("getVisible(%d, %d): ok=%v err=%v", k, id, ok, err)
+		}
+		return m.Snapshot().Sub(before).Reads
 	}
-	cold := m.Snapshot().Sub(before)
-
-	p.EvictAll()
-	before = m.Snapshot()
-	if _, err := h.ReadKey(tuple.I(1)); err != nil { // touched key
-		t.Fatal(err)
-	}
-	touched := m.Snapshot().Sub(before)
-
-	if cold.Reads >= touched.Reads {
-		t.Errorf("bloom fast path: untouched key %d reads, touched key %d reads", cold.Reads, touched.Reads)
+	untouched := reads(30, 31)
+	touched := reads(1, 51) // not in AD: the base is read after it
+	if untouched >= touched {
+		t.Errorf("bloom fast path: untouched key %d reads, touched key %d reads", untouched, touched)
 	}
 }
 
@@ -263,7 +301,7 @@ func TestNetChangesEmptyEpoch(t *testing.T) {
 	if err != nil || len(anet) != 0 || len(dnet) != 0 {
 		t.Errorf("empty epoch: A=%v D=%v err=%v", anet, dnet, err)
 	}
-	if err := h.Fold(); err != nil {
+	if err := fold(h); err != nil {
 		t.Errorf("fold of empty epoch: %v", err)
 	}
 }
@@ -278,7 +316,7 @@ func TestRepeatedEpochs(t *testing.T) {
 			}
 			id++
 		}
-		if err := h.Fold(); err != nil {
+		if err := fold(h); err != nil {
 			t.Fatalf("fold %d: %v", epoch, err)
 		}
 	}
@@ -288,22 +326,24 @@ func TestRepeatedEpochs(t *testing.T) {
 }
 
 // Property: for any interleaving of appends, deletes and updates, the
-// visible contents through the HR before Fold equal the base contents
-// after Fold.
+// visible contents through the HR before the fold equal the base
+// contents after it.
 func TestPropertyFoldPreservesVisibleState(t *testing.T) {
 	fn := func(ops []uint8) bool {
 		h, base, _, _ := testHR(t)
 		nextID := uint64(1)
 		// Seed base.
 		for i := int64(0); i < 8; i++ {
-			if err := base.Insert(row(nextID, i, i*10)); err != nil {
+			if err := insertBase(base, row(nextID, i, i*10)); err != nil {
 				return false
 			}
 			nextID++
 		}
 		live := map[uint64]int64{} // id -> key
+		keys := map[uint64]int64{} // every id used -> its key
 		for i := int64(0); i < 8; i++ {
 			live[uint64(i+1)] = i
+			keys[uint64(i+1)] = i
 		}
 		for _, op := range ops {
 			k := int64(op % 8)
@@ -312,7 +352,7 @@ func TestPropertyFoldPreservesVisibleState(t *testing.T) {
 				if err := appendRow(h, row(nextID, k, int64(op))); err != nil {
 					return false
 				}
-				live[nextID] = k
+				live[nextID], keys[nextID] = k, k
 				nextID++
 			case 1: // delete some live tuple with key k
 				for id, lk := range live {
@@ -331,23 +371,39 @@ func TestPropertyFoldPreservesVisibleState(t *testing.T) {
 							return false
 						}
 						delete(live, id)
-						live[nextID] = k
+						live[nextID], keys[nextID] = k, k
 						nextID++
 						break
 					}
 				}
 			}
 		}
-		// Visible state before fold.
-		visible := map[uint64]bool{}
-		for k := int64(0); k < 8; k++ {
-			tuples, err := h.ReadKey(tuple.I(k))
-			if err != nil {
+		// Visible state before the fold: every id ever used is visible
+		// exactly while it is live, and the base overlaid with the net
+		// changes holds the live ids.
+		for id := uint64(1); id < nextID; id++ {
+			_, ok, err := h.getVisible(tuple.I(keys[id]), id)
+			if _, live := live[id]; err != nil || ok != live {
 				return false
 			}
-			for _, tp := range tuples {
-				visible[tp.ID] = true
-			}
+		}
+		anet, dnet, err := h.NetChanges()
+		if err != nil {
+			return false
+		}
+		stored, err := scanBase(base)
+		if err != nil {
+			return false
+		}
+		visible := map[uint64]bool{}
+		for _, tp := range stored {
+			visible[tp.ID] = true
+		}
+		for _, tp := range dnet {
+			delete(visible, tp.ID)
+		}
+		for _, tp := range anet {
+			visible[tp.ID] = true
 		}
 		if len(visible) != len(live) {
 			return false
@@ -357,7 +413,7 @@ func TestPropertyFoldPreservesVisibleState(t *testing.T) {
 				return false
 			}
 		}
-		if err := h.Fold(); err != nil {
+		if err := h.FoldWith(anet, dnet); err != nil {
 			return false
 		}
 		if base.Len() != len(live) {
@@ -379,7 +435,7 @@ func BenchmarkHRUpdate(b *testing.B) {
 	h, base, _, _ := testHR(b)
 	n := 1000
 	for i := 0; i < n; i++ {
-		base.Insert(row(uint64(i+1), int64(i), 0))
+		insertBase(base, row(uint64(i+1), int64(i), 0))
 	}
 	id := uint64(n + 1)
 	cur := make([]uint64, n)
@@ -395,29 +451,10 @@ func BenchmarkHRUpdate(b *testing.B) {
 		cur[k] = id
 		id++
 		if (i+1)%500 == 0 {
-			if err := h.Fold(); err != nil {
+			if err := fold(h); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-func TestHRADPagesAndBase(t *testing.T) {
-	h, base, _, _ := testHR(t)
-	if h.Base() != base {
-		t.Error("Base() mismatch")
-	}
-	if h.ADPages() < 1 {
-		t.Errorf("ADPages = %d", h.ADPages())
-	}
-	before := h.ADPages()
-	for i := int64(0); i < 100; i++ {
-		if err := appendRow(h, row(uint64(i+1), i, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.ADPages() <= before {
-		t.Error("AD did not grow")
 	}
 }
 
@@ -426,7 +463,7 @@ func TestHRAppendValidatesSchema(t *testing.T) {
 	if err := appendRow(h, tuple.New(1, tuple.I(1))); err == nil {
 		t.Error("wrong-arity append accepted")
 	}
-	if err := h.Base().Insert(row(1, 1, 1)); err != nil {
+	if err := insertBase(h.base, row(1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := update(h, tuple.I(1), 1, tuple.New(2, tuple.I(1))); err == nil {

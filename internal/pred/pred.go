@@ -299,30 +299,6 @@ func (p *P) IntervalFor(rel, col int) (rg Range, constrained bool) {
 	return *r, constrained
 }
 
-// ColumnsRead returns, for the given relation slot, the set of column
-// positions the predicate reads. This is the compile-time half of the
-// readily-ignorable-update (RIU) test of [Bune79]: a command that
-// writes none of these columns cannot change the view.
-func (p *P) ColumnsRead(rel int) map[int]bool {
-	out := map[int]bool{}
-	for _, a := range p.Atoms {
-		switch at := a.(type) {
-		case Cmp:
-			if at.Rel == rel {
-				out[at.Col] = true
-			}
-		case JoinEq:
-			if at.LRel == rel {
-				out[at.LCol] = true
-			}
-			if at.RRel == rel {
-				out[at.RCol] = true
-			}
-		}
-	}
-	return out
-}
-
 // --- ranges --------------------------------------------------------------
 
 // Range is a (possibly half-open) interval over tuple values, with

@@ -158,21 +158,6 @@ func TestIntervalFor(t *testing.T) {
 	}
 }
 
-func TestColumnsRead(t *testing.T) {
-	p := New(
-		Cmp{Rel: 0, Col: 2, Op: Eq, Val: tuple.I(1)},
-		JoinEq{LRel: 0, LCol: 1, RRel: 1, RCol: 0},
-	)
-	got := p.ColumnsRead(0)
-	if !got[2] || !got[1] || len(got) != 2 {
-		t.Errorf("ColumnsRead(0) = %v", got)
-	}
-	got1 := p.ColumnsRead(1)
-	if !got1[0] || len(got1) != 1 {
-		t.Errorf("ColumnsRead(1) = %v", got1)
-	}
-}
-
 func TestRangeRestrict(t *testing.T) {
 	r := FullRange()
 	if !r.Restrict(Ge, tuple.I(0)) || !r.Restrict(Lt, tuple.I(10)) {

@@ -48,7 +48,7 @@ func TestAccessorsHash(t *testing.T) {
 		t.Errorf("hash IndexHeight = %d, want 1 (directory probe)", r.IndexHeight())
 	}
 	for i := int64(0); i < 12; i++ {
-		if err := r.Insert(emp(uint64(i+1), i, "d", i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i, "d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestLookupKeyOnBTree(t *testing.T) {
 	d, p, _ := testEnv(t)
 	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
 	for i := int64(0); i < 9; i++ {
-		if err := r.Insert(emp(uint64(i+1), i%3, "e", i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i%3, "e", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestIterStreams(t *testing.T) {
 	d, p, _ := testEnv(t)
 	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
 	for i := int64(0); i < 25; i++ {
-		if err := r.Insert(emp(uint64(i+1), i, "e", i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i, "e", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,7 +69,7 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 							for i, tp := range rows {
 								var err error
 								if signs[i] > 0 {
-									err = r.Insert(tp)
+									err = insert(r, tp)
 								} else if old, ok, derr := deleteRow(r, tp.Vals[0], tp.ID); derr != nil || !ok {
 									err = derr
 									if err == nil {

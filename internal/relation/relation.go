@@ -130,13 +130,6 @@ func (r *Relation) IndexHeight() int {
 	return 1
 }
 
-// Insert adds a tuple after schema validation, maintaining secondaries:
-// an ApplyRun of one row.
-func (r *Relation) Insert(tp tuple.Tuple) error {
-	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
-	return err
-}
-
 // ApplyRun is the relation's one write: it applies a signed batch in
 // stream order — row i deleted when signs[i] is negative (its clustering
 // key and id name it; its other columns are not read), inserted

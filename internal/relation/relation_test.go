@@ -28,6 +28,13 @@ func emp(id uint64, dept int64, name string, sal int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(dept), tuple.S(name), tuple.I(sal))
 }
 
+// insert adds tp after schema validation, maintaining secondaries: an
+// ApplyRun of one row.
+func insert(r *Relation, tp tuple.Tuple) error {
+	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
+	return err
+}
+
 // deleteRow deletes the row of clustering-key value key and id, an
 // ApplyRun of one delete whose row carries the key value alone, and
 // returns the row it cut, reporting whether there was one.
@@ -65,7 +72,7 @@ func TestBTreeRelationCRUD(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 30; i++ {
-		if err := r.Insert(emp(uint64(i+1), i%5, "e", 1000+i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i%5, "e", 1000+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,10 +104,10 @@ func TestBTreeRelationCRUD(t *testing.T) {
 func TestSchemaValidationOnInsert(t *testing.T) {
 	d, p, _ := testEnv(t)
 	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
-	if err := r.Insert(tuple.New(1, tuple.I(1))); err == nil {
+	if err := insert(r, tuple.New(1, tuple.I(1))); err == nil {
 		t.Error("wrong-arity tuple accepted")
 	}
-	if err := r.Insert(tuple.New(1, tuple.S("x"), tuple.S("y"), tuple.I(3))); err == nil {
+	if err := insert(r, tuple.New(1, tuple.S("x"), tuple.S("y"), tuple.I(3))); err == nil {
 		t.Error("wrong-typed tuple accepted")
 	}
 }
@@ -112,7 +119,7 @@ func TestHashRelationCRUD(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 20; i++ {
-		if err := r.Insert(emp(uint64(i+1), i, "d", i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i, "d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +150,7 @@ func TestSecondaryIndexLookup(t *testing.T) {
 	d, p, _ := testEnv(t)
 	r, _ := NewBTree(d, p, "emp", empSchema(), 0) // clustered on dept
 	for i := int64(0); i < 40; i++ {
-		if err := r.Insert(emp(uint64(i+1), i%4, "e", 1000+i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i%4, "e", 1000+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +182,7 @@ func TestSecondaryMaintainedByInsertDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 10; i++ {
-		if err := r.Insert(emp(uint64(i+1), i, "e", 100*i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i, "e", 100*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +223,7 @@ func TestIndexHeightAndPages(t *testing.T) {
 	d, p, _ := testEnv(t)
 	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
 	for i := int64(0); i < 500; i++ {
-		if err := r.Insert(emp(uint64(i+1), i, "e", i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i, "e", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +249,7 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 	// Clustered on dept; salary correlates inversely so a salary range
 	// is scattered across dept order.
 	for i := int64(0); i < 400; i++ {
-		if err := r.Insert(emp(uint64(i+1), i, "e", (i*797)%400)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i, "e", (i*797)%400)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +304,7 @@ func TestUpdateIsDeleteThenInsert(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := int64(0); i < 60; i++ {
-					if err := r.Insert(emp(uint64(i+1), i, "e", 100*i)); err != nil {
+					if err := insert(r, emp(uint64(i+1), i, "e", 100*i)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -339,7 +346,7 @@ func TestUpdateIsDeleteThenInsert(t *testing.T) {
 				before = refM.Snapshot()
 				want, wantOK, err := deleteRow(ref, tuple.I(c.key), c.id)
 				if err == nil && wantOK {
-					err = ref.Insert(c.to)
+					err = insert(ref, c.to)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -447,7 +454,7 @@ func TestHashDeleteReadsTheChainUpToItsTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 60; i++ {
-		if err := r.Insert(emp(uint64(i+1), i, "e", 100*i)); err != nil {
+		if err := insert(r, emp(uint64(i+1), i, "e", 100*i)); err != nil {
 			t.Fatal(err)
 		}
 	}

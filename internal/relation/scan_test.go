@@ -70,7 +70,7 @@ func newScanFixture(t *testing.T, shape scanShape, state scanState) *scanFixture
 	add := func(key int64) {
 		id++
 		tp := emp(id, key, fmt.Sprintf("n%d", id), key*10)
-		if err := r.Insert(tp); err != nil {
+		if err := insert(r, tp); err != nil {
 			t.Fatal(err)
 		}
 		fx.model = append(fx.model, tp)
@@ -250,7 +250,7 @@ func testRangeEnds(t *testing.T) {
 		for i := 0; i < reps; i++ {
 			id++
 			tp := emp(id, k*2, fmt.Sprintf("n%d", id), k)
-			if err := r.Insert(tp); err != nil {
+			if err := insert(r, tp); err != nil {
 				t.Fatal(err)
 			}
 			model = append(model, tp) // ascending (key, id): already scan order
@@ -336,7 +336,7 @@ func TestFloatKeyRangeScans(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	rnd.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 	for i, v := range vals {
-		if err := r.Insert(tuple.New(uint64(i+1), tuple.F(v), tuple.S(fmt.Sprintf("n%d", i)))); err != nil {
+		if err := insert(r, tuple.New(uint64(i+1), tuple.F(v), tuple.S(fmt.Sprintf("n%d", i)))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,15 +14,9 @@
 // used to refresh it; a tuple failing either stage provably cannot
 // change the view. Stage 1 can produce false drops (the interval is a
 // superset of the predicate), which is exactly why stage 2 exists.
-//
-// The package also implements the compile-time readily-ignorable-update
-// (RIU) test of [Bune79]: a command that writes no column read by the
-// view definition cannot affect the view, at per-transaction rather
-// than per-tuple cost.
 package rules
 
 import (
-	"fmt"
 	"sort"
 
 	"viewmat/internal/pred"
@@ -39,11 +33,6 @@ type Lock struct {
 	Col      int // indexed column guarded
 	Rg       pred.Range
 	Pred     *pred.P
-	// readCols caches the predicate's column footprint for the RIU test.
-	readCols map[int]bool
-	// targetCols are columns the view's target list projects; writes to
-	// them also defeat the RIU test even if the predicate ignores them.
-	targetCols map[int]bool
 }
 
 // Table holds every registered t-lock, bucketed by relation name.
@@ -61,26 +50,19 @@ func NewTable(meter *storage.Meter) *Table {
 // Register places a t-lock for view on (relation, col), deriving the
 // guarded interval from the predicate's restriction of relSlot.col. An
 // unconstrained column yields a whole-index lock (every tuple disturbs
-// it). targetCols lists the columns of relSlot that the view's target
-// list projects.
-func (t *Table) Register(view, relName string, relSlot, col int, p *pred.P, targetCols []int) {
+// it).
+func (t *Table) Register(view, relName string, relSlot, col int, p *pred.P) {
 	rg, constrained := p.IntervalFor(relSlot, col)
 	if !constrained {
 		rg = *pred.FullRange()
 	}
-	tc := map[int]bool{}
-	for _, c := range targetCols {
-		tc[c] = true
-	}
 	t.locks[relName] = append(t.locks[relName], &Lock{
-		View:       view,
-		Relation:   relName,
-		RelSlot:    relSlot,
-		Col:        col,
-		Rg:         rg,
-		Pred:       p,
-		readCols:   p.ColumnsRead(relSlot),
-		targetCols: tc,
+		View:     view,
+		Relation: relName,
+		RelSlot:  relSlot,
+		Col:      col,
+		Rg:       rg,
+		Pred:     p,
 	})
 }
 
@@ -100,9 +82,6 @@ func (t *Table) Unregister(view string) {
 		}
 	}
 }
-
-// LocksOn returns the number of t-locks on a relation.
-func (t *Table) LocksOn(relName string) int { return len(t.locks[relName]) }
 
 // Views returns the sorted set of views holding locks anywhere.
 func (t *Table) Views() []string {
@@ -148,24 +127,4 @@ func (t *Table) ScreenBatch(relName string, tp tuple.Tuple, b *storage.MeterBatc
 		}
 	}
 	return hits
-}
-
-// IsRIU reports whether a command writing the given columns of relName
-// is a readily ignorable update for the view: none of the written
-// columns is read by the view's predicate or projected by its target
-// list. This is the per-transaction compile-time screen of [Bune79];
-// it charges nothing.
-func (t *Table) IsRIU(view, relName string, writtenCols []int) (bool, error) {
-	for _, l := range t.locks[relName] {
-		if l.View != view {
-			continue
-		}
-		for _, c := range writtenCols {
-			if l.readCols[c] || l.targetCols[c] {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	return false, fmt.Errorf("rules: view %q holds no lock on %q", view, relName)
 }

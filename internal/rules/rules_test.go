@@ -19,7 +19,7 @@ func selPred() *pred.P {
 func TestScreenTwoStages(t *testing.T) {
 	m := storage.NewMeter()
 	tab := NewTable(m)
-	tab.Register("v", "r", 0, 0, selPred(), []int{0, 1})
+	tab.Register("v", "r", 0, 0, selPred())
 
 	// Outside the interval: fails stage 1, no C1 charged.
 	before := m.Snapshot()
@@ -47,7 +47,7 @@ func TestScreenFalseDrop(t *testing.T) {
 	m := storage.NewMeter()
 	tab := NewTable(m)
 	p := selPred().And(pred.Cmp{Rel: 0, Col: 1, Op: pred.Eq, Val: tuple.S("x")})
-	tab.Register("v", "r", 0, 0, p, nil)
+	tab.Register("v", "r", 0, 0, p)
 
 	before := m.Snapshot()
 	hits := tab.Screen("r", tuple.New(1, tuple.I(15), tuple.S("y")))
@@ -64,7 +64,7 @@ func TestScreenUnconstrainedColumnLocksWholeIndex(t *testing.T) {
 	tab := NewTable(m)
 	// Predicate constrains col 1; lock placed on col 0 → full range.
 	p := pred.New(pred.Cmp{Rel: 0, Col: 1, Op: pred.Eq, Val: tuple.I(7)})
-	tab.Register("v", "r", 0, 0, p, nil)
+	tab.Register("v", "r", 0, 0, p)
 	hits := tab.Screen("r", tuple.New(1, tuple.I(12345), tuple.I(7)))
 	if len(hits) != 1 {
 		t.Errorf("whole-index lock missed a tuple: %v", hits)
@@ -77,8 +77,8 @@ func TestScreenUnconstrainedColumnLocksWholeIndex(t *testing.T) {
 func TestScreenMultipleViews(t *testing.T) {
 	m := storage.NewMeter()
 	tab := NewTable(m)
-	tab.Register("low", "r", 0, 0, pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Lt, Val: tuple.I(50)}), nil)
-	tab.Register("high", "r", 0, 0, pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Ge, Val: tuple.I(40)}), nil)
+	tab.Register("low", "r", 0, 0, pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Lt, Val: tuple.I(50)}))
+	tab.Register("high", "r", 0, 0, pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Ge, Val: tuple.I(40)}))
 	hits := tab.Screen("r", tuple.New(1, tuple.I(45)))
 	if len(hits) != 2 {
 		t.Errorf("overlap tuple hits = %v, want both views", hits)
@@ -91,7 +91,7 @@ func TestScreenMultipleViews(t *testing.T) {
 
 func TestScreenOtherRelationUnaffected(t *testing.T) {
 	tab := NewTable(storage.NewMeter())
-	tab.Register("v", "r1", 0, 0, selPred(), nil)
+	tab.Register("v", "r1", 0, 0, selPred())
 	if hits := tab.Screen("r2", tuple.New(1, tuple.I(15))); len(hits) != 0 {
 		t.Errorf("lock leaked to another relation: %v", hits)
 	}
@@ -99,45 +99,21 @@ func TestScreenOtherRelationUnaffected(t *testing.T) {
 
 func TestUnregister(t *testing.T) {
 	tab := NewTable(storage.NewMeter())
-	tab.Register("a", "r", 0, 0, selPred(), nil)
-	tab.Register("b", "r", 0, 0, selPred(), nil)
+	tab.Register("a", "r", 0, 0, selPred())
+	tab.Register("b", "r", 0, 0, selPred())
 	if got := tab.Views(); len(got) != 2 {
 		t.Fatalf("Views = %v", got)
 	}
 	tab.Unregister("a")
-	if got := tab.LocksOn("r"); got != 1 {
-		t.Errorf("LocksOn = %d, want 1", got)
+	if got := len(tab.locks["r"]); got != 1 {
+		t.Errorf("%d locks on r, want 1", got)
 	}
 	if hits := tab.Screen("r", tuple.New(1, tuple.I(15))); len(hits) != 1 || hits[0] != "b" {
 		t.Errorf("hits after unregister = %v", hits)
 	}
 	tab.Unregister("b")
-	if got := tab.LocksOn("r"); got != 0 {
-		t.Errorf("LocksOn after unregistering all = %d", got)
-	}
-}
-
-func TestIsRIU(t *testing.T) {
-	tab := NewTable(storage.NewMeter())
-	// Predicate reads col 0; target list projects cols 0 and 1.
-	tab.Register("v", "r", 0, 0, selPred(), []int{0, 1})
-
-	// Writing col 2 (neither read nor projected): ignorable.
-	riu, err := tab.IsRIU("v", "r", []int{2})
-	if err != nil || !riu {
-		t.Errorf("write to col 2: riu=%v err=%v, want true", riu, err)
-	}
-	// Writing the predicate column: not ignorable.
-	if riu, _ := tab.IsRIU("v", "r", []int{0}); riu {
-		t.Error("write to predicate column reported ignorable")
-	}
-	// Writing a projected column: not ignorable.
-	if riu, _ := tab.IsRIU("v", "r", []int{1}); riu {
-		t.Error("write to projected column reported ignorable")
-	}
-	// Unknown view/relation pairing errors.
-	if _, err := tab.IsRIU("v", "other", []int{0}); err == nil {
-		t.Error("IsRIU on unlocked relation succeeded")
+	if got, ok := tab.locks["r"]; ok {
+		t.Errorf("locks on r after unregistering all: %v", got)
 	}
 }
 
@@ -148,8 +124,8 @@ func TestJoinViewScreening(t *testing.T) {
 	m := storage.NewMeter()
 	tab := NewTable(m)
 	p := selPred().And(pred.JoinEq{LRel: 0, LCol: 1, RRel: 1, RCol: 0})
-	tab.Register("v", "r1", 0, 0, p, nil)
-	tab.Register("v", "r2", 1, 0, p, nil)
+	tab.Register("v", "r1", 0, 0, p)
+	tab.Register("v", "r2", 1, 0, p)
 
 	if hits := tab.Screen("r2", tuple.New(1, tuple.I(999))); len(hits) != 1 {
 		t.Errorf("r2 tuple should pass (join always satisfiable): %v", hits)
