@@ -10,7 +10,6 @@ package viewmat_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -398,92 +397,6 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 }
 
 // --- concurrency ------------------------------------------------------------
-
-// benchConcurrentMix runs updater goroutines hammering the base
-// relation while the benchmark loop issues parallel view queries — the
-// paper's update/query mix as an actual concurrent workload rather
-// than a simulated alternation. Updaters delete what they insert, so
-// the relation stays near its seeded size for the whole run.
-func benchConcurrentMix(b *testing.B, strategy core.Strategy, updaters int) {
-	db := core.NewDatabase(core.Options{PageSize: 512, PoolFrames: 128})
-	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("s", tuple.String))
-	if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
-		b.Fatal(err)
-	}
-	tx := db.Begin()
-	for i := 0; i < 200; i++ {
-		if _, err := tx.Insert("r", tuple.I(int64(i%40)), tuple.I(int64(i)), tuple.S("s")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	def := core.Def{
-		Name:      "v",
-		Kind:      core.SelectProject,
-		Relations: []string{"r"},
-		Pred: pred.New(
-			pred.Cmp{Rel: 0, Col: 0, Op: pred.Ge, Val: tuple.I(10)},
-			pred.Cmp{Rel: 0, Col: 0, Op: pred.Lt, Val: tuple.I(30)},
-		),
-		Project:    [][]int{{0, 2}},
-		ViewKeyCol: 0,
-	}
-	if err := db.CreateView(def, strategy); err != nil {
-		b.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for u := 0; u < updaters; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			var prevKey int64
-			var prevID uint64
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				utx := db.Begin()
-				key := int64((u*37 + i*13) % 40)
-				id, err := utx.Insert("r", tuple.I(key), tuple.I(int64(i)), tuple.S("u"))
-				if err != nil {
-					return
-				}
-				if i > 0 {
-					if err := utx.Delete("r", tuple.I(prevKey), prevID); err != nil {
-						return
-					}
-				}
-				if utx.Commit() != nil {
-					return
-				}
-				prevKey, prevID = key, id
-			}
-		}(u)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := db.QueryView("v", nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-}
-
-func BenchmarkConcurrentMixQueryModification(b *testing.B) {
-	benchConcurrentMix(b, core.QueryModification, 4)
-}
-func BenchmarkConcurrentMixImmediate(b *testing.B) { benchConcurrentMix(b, core.Immediate, 4) }
-func BenchmarkConcurrentMixDeferred(b *testing.B)  { benchConcurrentMix(b, core.Deferred, 4) }
 
 // benchRefreshAll measures RefreshAll over nViews independent stale
 // views with the given worker bound. A snapshot view refreshes by full

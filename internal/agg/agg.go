@@ -65,16 +65,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Incremental reports whether the kind supports deletion of a finite
-// value without ever needing recomputation.
-func (k Kind) Incremental() bool {
-	switch k {
-	case Count, Sum, Avg, Var, StdDev:
-		return true
-	}
-	return false
-}
-
 // State is an aggregate's running state.
 type State struct {
 	kind    Kind

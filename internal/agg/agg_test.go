@@ -114,19 +114,6 @@ func TestDeleteToEmpty(t *testing.T) {
 	}
 }
 
-func TestIncrementalFlag(t *testing.T) {
-	for _, k := range []Kind{Count, Sum, Avg} {
-		if !k.Incremental() {
-			t.Errorf("%s should be incremental", k)
-		}
-	}
-	for _, k := range []Kind{Min, Max} {
-		if k.Incremental() {
-			t.Errorf("%s should not be fully incremental", k)
-		}
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := NewState(Avg)
 	s.Insert(3.5)

@@ -793,6 +793,73 @@ func TestQMViewSeesUnfoldedHRChanges(t *testing.T) {
 	}
 }
 
+// TestQMPendingOverlayScreens pins what a query-modification read
+// beside a deferred sibling pays at C1: one screen for each row the
+// base scan yields and one for each pending add, under the one charged
+// screen. A pending delete costs no screen of its own: the scan still
+// yields its base row, which the screen skips by id. The deletes'
+// screens went with the select-project overlay that screened pending
+// deletes apart from the scan (k pending deletes, k screens fewer).
+func TestQMPendingOverlayScreens(t *testing.T) {
+	for _, def := range []Def{spDef("v"), aggDef("v", agg.Sum), gaDef("v", agg.Min)} {
+		db := newTestDB(t)
+		if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		ids := map[int64]uint64{}
+		for i := int64(0); i < 60; i++ {
+			id, err := tx.Insert("r", tuple.I(i), tuple.I(i%5), tuple.S(sName(int(i))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = id
+		}
+		tx.MustCommit()
+		if err := db.CreateView(def, QueryModification); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateView(spDef("d"), Deferred); err != nil {
+			t.Fatal(err)
+		}
+		screens := func() int64 {
+			t.Helper()
+			before := db.Meter().Snapshot().Screens
+			if _, err := readView(db, def); err != nil {
+				t.Fatal(err)
+			}
+			return db.Meter().Snapshot().Screens - before
+		}
+		base := screens()
+
+		// Net changes: adds at keys 15, 45 and 22 (the update's new row);
+		// deletes of keys 12, 25, 50 and 22's old row.
+		tx = db.Begin()
+		for _, k := range []int64{15, 45} {
+			if _, err := tx.Insert("r", tuple.I(k), tuple.I(1), tuple.S("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range []int64{12, 25, 50} {
+			if err := tx.Delete("r", tuple.I(k), ids[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Update("r", tuple.I(22), ids[22], tuple.I(22), tuple.I(4), tuple.S("y")); err != nil {
+			t.Fatal(err)
+		}
+		tx.MustCommit()
+		if h, _ := db.HR("r"); h.ADLen() == 0 {
+			t.Fatal("the commit was folded; nothing is pending")
+		}
+		const adds = 3
+		if got := screens(); got != base+adds {
+			t.Errorf("%s: read over 3 pending adds and 4 pending deletes screened %d, want %d (the %d base rows and the adds)",
+				def.Kind, got, base+adds, base)
+		}
+	}
+}
+
 func TestSharedHRRefreshesAllDeferredViews(t *testing.T) {
 	db := newTestDB(t)
 	db.CreateRelationBTree("r", spSchema(), 0)

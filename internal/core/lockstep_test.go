@@ -253,7 +253,10 @@ type fixture struct {
 	keys        []int64  // when set, keys cycle through this stream instead
 	views       []Def
 	drawn       []Strategy // per-view strategies of configs that ask for them
-	describe    string     // printed with a failure
+	// siblings are created beside the views under their own strategies
+	// and never read, so a query point folds nothing they leave pending.
+	siblings []ViewSpec
+	describe string // printed with a failure
 }
 
 func spFx(name string, n int, keySpace int64, views ...Def) *fixture {
@@ -283,6 +286,16 @@ func groupedFx(kind agg.Kind, n int) *fixture {
 }
 
 func model1Fx() *fixture { return spFx("model1", 30, 40, spDef("v")) }
+
+// qmPendingFx is every kind that query modification reads through the
+// pending overlay — select-project, SUM, MIN, grouped SUM — beside a
+// deferred sibling that parks every commit in r's AD file. Nothing reads
+// the sibling, so nothing folds: each query point reads (R ∪ A) − D.
+func qmPendingFx() *fixture {
+	fx := spFx("qm-pending", 30, 40, spDef("qsp"), aggDef("qsum", agg.Sum), aggDef("qmin", agg.Min), gaDef("qg", agg.Sum))
+	fx.siblings = []ViewSpec{{Def: spDef("def"), Strategy: Deferred}}
+	return fx
+}
 
 // chainFx is v over r and two children over v, which stand at one
 // position of its delta log whenever they were refreshed together.
@@ -544,6 +557,7 @@ func (fx *fixture) build(cfg *engineConfig) (*engine, error) {
 			specs[i].Strategy = fx.drawn[i]
 		}
 	}
+	specs = append(specs, fx.siblings...)
 	if err := db.CreateViews(specs); err != nil {
 		return nil, err
 	}
@@ -1239,6 +1253,13 @@ func lockstepTable() []row {
 	}
 	rows = append(rows, row{test: "TestPropertyModel1StrategiesEquivalent/regression/one-commit-splits-a-leaf-and-updates-a-key-twice",
 		fixture: static(model1Fx()), configs: plain(fiveStrategies...), seeds: [2]int64{0, 0}, script: splitCommit})
+	// Query modification beside a deferred sibling, on the batch executor
+	// and the one-row one, over inserts, updates and deletes that pile up
+	// unfolded: pending adds, pending deletes and updates of pending rows.
+	qmBatch1 := engineConfig{name: "query-modification+batch1", strategy: QueryModification, seams: []func(*Database){setBatch1}}
+	rows = append(rows, row{test: "TestPropertyQMReadsPendingAD", fixture: static(qmPendingFx()),
+		configs: append(plain(QueryModification), qmBatch1), seeds: [2]int64{5300, 5305},
+		phases: []phaseMix{{rounds: 10, txEvery: 1, ops: [2]int{1, 4}, queries: 1}}})
 	// ...and like the plain-Go reference, which unlike the engines'
 	// oracles of each other shares no code with any of them.
 	for i := range rows {
@@ -1408,6 +1429,7 @@ func TestPropertyModel3StrategiesEquivalent(t *testing.T)  { runRows(t) }
 func TestPropertyGroupedStrategiesEquivalent(t *testing.T) { runRows(t) }
 func TestPropertyJoinStrategiesEquivalent(t *testing.T)    { runRows(t) }
 func TestPropertyStrategiesEquivalent(t *testing.T)        { runRows(t) }
+func TestPropertyQMReadsPendingAD(t *testing.T)            { runRows(t) }
 func TestPropertySharedDeltaEquivalent(t *testing.T)       { runRows(t) }
 func TestPropertyBatchRowIdentityModel1(t *testing.T)      { runRows(t) }
 func TestPropertyBatchRowIdentityModel2(t *testing.T)      { runRows(t) }

@@ -75,9 +75,10 @@ var planScenarios = []struct {
 		return db, "v"
 	}},
 	{"qm-sp-pending-overlay", func(t *testing.T) (*Database, string) {
-		// A QM view sharing a relation with a deferred sibling answers
-		// through the pending-overlay operator after a commit parks net
-		// changes in the HR.
+		// A QM view sharing a relation with a deferred sibling reads the
+		// hypothetical relation after a commit parks net changes in the
+		// HR: pending adds ahead of the scan, under the charged screen,
+		// as the fold kinds read it (qm-agg-pending-overlay).
 		db := newTestDB(t)
 		if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 			t.Fatal(err)

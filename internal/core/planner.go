@@ -279,11 +279,8 @@ func (db *Database) derive(vs *viewState, d derivation) (*derived, error) {
 	if err != nil {
 		return nil, err
 	}
-	folds := def.Kind == Aggregate || def.Kind == GroupedAggregate
 	var skip map[uint64]bool
-	if d.pending && folds {
-		// The folds are order-independent, so pending adds may stream
-		// ahead of the base scan.
+	if d.pending {
 		source, skip = db.withPendingAD(def.Relations[0], source)
 	}
 	label := def.Name
@@ -297,9 +294,6 @@ func (db *Database) derive(vs *viewState, d derivation) (*derived, error) {
 	switch def.Kind {
 	case SelectProject:
 		out.root = db.project(vs, screen)
-		if d.pending {
-			out.root = db.overlayPendingSP(vs, d.rg, col, out.root)
-		}
 	case Join:
 		// Nested loops: each surviving outer tuple hash-probes the inner
 		// R2, whose pages stay in the buffer pool (§3.4.3's large-memory
@@ -367,40 +361,20 @@ func (db *Database) deriveSource(vs *viewState, d derivation, col int) (exec.Ope
 	return nil, fmt.Errorf("core: plan %v not applicable to %s view", d.plan, vs.def.Kind)
 }
 
-// overlayPendingSP stacks the MergePending operator over a
-// select-project derivation when un-folded HR changes exist, so QM
-// views sharing a relation with deferred views stay correct. Relations
-// without a live HR (the common case) pay nothing and keep the plain
-// pipeline.
-func (db *Database) overlayPendingSP(vs *viewState, rg *pred.Range, col int, input exec.Operator) exec.Operator {
-	h, hasHR := db.hrs[vs.def.Relations[0]]
-	if !hasHR || h.ADLen() == 0 {
-		return input
-	}
-	return exec.NewMergePending(db.execOpts(), vs.def.Name, input,
-		func() ([]tuple.Tuple, []tuple.Tuple, error) { return h.NetChanges() },
-		func(tp tuple.Tuple) bool {
-			return vs.def.Pred.EvalSingle(0, tp) && (rg == nil || rg.Contains(tp.Vals[col]))
-		},
-		func(tp tuple.Tuple) []tuple.Value {
-			return vs.def.ProjectTuples(tp, tuple.Tuple{})
-		},
-		func(vals []tuple.Value) string { return tuple.Tuple{Vals: vals}.ValueKey() },
-	)
-}
-
 // withPendingAD overlays a relation's un-folded HR changes on a scan of
-// it feeding a fold, so QM aggregates sharing the relation with
-// deferred views stay correct: pending adds stream ahead of the base
-// scan, which fills the returned skip set with the pending deletes
-// before any base row is screened; the derivation's screen consults it
-// (exec.Pred.SkipIDs).
+// it, so QM views sharing the relation with deferred views read the
+// hypothetical relation (R ∪ A) − D: pending adds stream ahead of the
+// base scan, and running them fills the returned skip set with the
+// pending deletes' ids before any base row is screened; the
+// derivation's screen consults it (exec.Pred.SkipIDs). A read's answer
+// is a multiset, so the adds may come first. With no HR or an empty AD
+// file the scan comes back as it was and the skip set is nil.
 func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator, map[uint64]bool) {
-	skip := map[uint64]bool{}
 	h, ok := db.hrs[rel]
 	if !ok || h.ADLen() == 0 {
-		return base, skip
+		return base, nil
 	}
+	skip := map[uint64]bool{}
 	pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", rel), func() ([]exec.Row, error) {
 		anet, dnet, err := h.NetChanges()
 		if err != nil {

@@ -48,15 +48,6 @@ type Row struct {
 	Dup    int64         // duplicate count carried by materialized-store rows (0 = 1)
 }
 
-// Slot returns the tuple bound to relation slot i (0 or 1) — the
-// allocation-free successor of the old map-building Binding accessor.
-func (r Row) Slot(i int) tuple.Tuple {
-	if i == 1 {
-		return r.T1
-	}
-	return r.T0
-}
-
 // Options configures a plan's operators: the meter charges are issued
 // against, and the batch size rows are vectorized in. BatchSize 0
 // means vec.DefaultBatchSize; BatchSize 1 forces the row-at-a-time

@@ -54,7 +54,7 @@ func TestFilterChargesOneScreenPerInputRow(t *testing.T) {
 		m := storage.NewMeter()
 		o := Options{Meter: m, BatchSize: bs}
 		src := NewDeltaSource(o, "r", []tuple.Tuple{tp(1, 5), tp(2, 15), tp(3, 25)}, nil)
-		f := NewFilter(o, "keep>10", src, Pred{Fn: func(r Row) bool { return r.T0.Vals[0].Int() > 10 }}, true)
+		f := NewFilter(o, "keep>10", src, Pred{P: pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Gt, Val: tuple.I(10)})}, true)
 		rows, err := gathered(Drain(f))
 		if err != nil {
 			t.Fatal(err)
@@ -152,43 +152,6 @@ func TestSeqOpensInputsLazily(t *testing.T) {
 	}
 	if err := seq.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMergePendingCancelsAndAppends(t *testing.T) {
-	m := storage.NewMeter()
-	o := Options{Meter: m}
-	// Input stream carries projected values 10 and 20; pending deletes
-	// cancel the 10, pending adds append a 30.
-	input := NewFuncSource(o, "base", func() ([]Row, error) {
-		return []Row{
-			{Vals: []tuple.Value{tuple.I(10)}},
-			{Vals: []tuple.Value{tuple.I(20)}},
-		}, nil
-	})
-	mp := NewMergePending(o, "v", input,
-		func() ([]tuple.Tuple, []tuple.Tuple, error) {
-			return []tuple.Tuple{tp(7, 30)}, []tuple.Tuple{tp(8, 10)}, nil
-		},
-		func(tuple.Tuple) bool { return true },
-		func(t tuple.Tuple) []tuple.Value { return t.Vals },
-		func(vals []tuple.Value) string { return tuple.Tuple{Vals: vals}.ValueKey() },
-	)
-	rows, err := gathered(Drain(mp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, r := range rows {
-		got = append(got, r.Vals[0].String())
-	}
-	want := []string{"20", "30"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("rows = %v, want %v", got, want)
-	}
-	// One screen per pending tuple (1 add + 1 del).
-	if screens := mp.Stats().Cost.Screens; screens != 2 {
-		t.Errorf("pending screens = %d, want 2", screens)
 	}
 }
 

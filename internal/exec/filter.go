@@ -13,8 +13,8 @@ import (
 // Pred describes a filter's predicate declaratively so the operator
 // can evaluate it either as tight typed loops over column vectors or —
 // in row mode — per gathered row with semantics identical to the old
-// closure chain. Conditions are ANDed: SkipIDs, then P, then Range,
-// then Fn. The zero Pred passes everything (a pure screening charge).
+// closure chain. Conditions are ANDed: SkipIDs, then P, then Range.
+// The zero Pred passes everything (a pure screening charge).
 type Pred struct {
 	// P evaluates the view predicate. With Full unset only comparison
 	// atoms on relation slot 0 are considered (pred.P.EvalSingle); with
@@ -28,13 +28,11 @@ type Pred struct {
 	// Range.
 	Range    *pred.Range
 	RangeCol int
-	// Fn is an arbitrary residual predicate over the gathered row.
-	Fn func(Row) bool
 }
 
 // empty reports whether the predicate passes everything.
 func (p Pred) empty() bool {
-	return p.P == nil && p.SkipIDs == nil && p.Range == nil && p.Fn == nil
+	return p.P == nil && p.SkipIDs == nil && p.Range == nil
 }
 
 // row evaluates the predicate against one gathered row — the row-mode
@@ -52,10 +50,7 @@ func (p Pred) row(r Row) bool {
 			return false
 		}
 	}
-	if p.Range != nil && !p.Range.Contains(r.T0.Vals[p.RangeCol]) {
-		return false
-	}
-	return p.Fn == nil || p.Fn(r)
+	return p.Range == nil || p.Range.Contains(r.T0.Vals[p.RangeCol])
 }
 
 // Filter screens rows with a predicate. When charge is set, every
@@ -101,7 +96,7 @@ func (f *Filter) NextBatch() (*vec.Batch, error) {
 			return f.emitBatch(b), nil
 		}
 		sel := liveSel(b)
-		if f.rowMode || f.p.Fn != nil {
+		if f.rowMode {
 			sel = f.rowFilter(b, sel)
 		} else {
 			sel = f.vecFilter(b, sel)

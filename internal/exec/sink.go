@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"viewmat/internal/tuple"
 	"viewmat/internal/vec"
 )
 
@@ -143,103 +142,3 @@ func (w *StateWrite) Close() error         { return nil }
 func (w *StateWrite) Children() []Operator { return nil }
 func (w *StateWrite) Stats() OpStats       { return w.stats() }
 func (w *StateWrite) Describe() string     { return fmt.Sprintf("StateWrite(%s)", w.label) }
-
-// MergePending overlays un-folded HR net changes onto a
-// query-modification result stream, so QM views sharing a relation
-// with deferred views answer from end-of-epoch state without forcing a
-// fold. Pending runs bracketed at Open (the AD-file read); each
-// pending tuple then pays one C1 screen through Match. Input rows
-// cancelled by a matching pending delete are swallowed; matching
-// pending inserts are appended after the input drains.
-type MergePending struct {
-	base
-	label   string
-	input   Operator
-	pending func() (adds, dels []tuple.Tuple, err error)
-	match   func(tuple.Tuple) bool
-	project func(tuple.Tuple) []tuple.Value
-	key     func([]tuple.Value) string
-
-	removed map[string]int
-	extra   rowPacker
-	drained bool
-}
-
-// NewMergePending builds the pending-overlay operator. match reports
-// whether a pending tuple affects the result (screened at one C1
-// each); project maps a matching tuple to its row values; key gives
-// the multiset identity used to cancel input rows.
-func NewMergePending(o Options, label string, input Operator,
-	pending func() ([]tuple.Tuple, []tuple.Tuple, error),
-	match func(tuple.Tuple) bool,
-	project func(tuple.Tuple) []tuple.Value,
-	key func([]tuple.Value) string) *MergePending {
-	return &MergePending{
-		base: base{meter: o.Meter}, label: label, input: input,
-		pending: pending, match: match, project: project, key: key,
-		extra: rowPacker{size: o.size()},
-	}
-}
-
-func (mp *MergePending) Open() error {
-	var adds, dels []tuple.Tuple
-	err := mp.bracket(func() error {
-		var e error
-		adds, dels, e = mp.pending()
-		return e
-	})
-	if err != nil {
-		return err
-	}
-	mp.removed = map[string]int{}
-	for _, tp := range dels {
-		mp.screen(1)
-		if mp.match(tp) {
-			mp.removed[mp.key(mp.project(tp))]++
-		}
-	}
-	for _, tp := range adds {
-		mp.screen(1)
-		if mp.match(tp) {
-			mp.extra.rows = append(mp.extra.rows, Row{T0: tp, Vals: mp.project(tp), Insert: true})
-		}
-	}
-	return mp.input.Open()
-}
-
-func (mp *MergePending) NextBatch() (*vec.Batch, error) {
-	for !mp.drained {
-		b, err := mp.input.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			mp.drained = true
-			break
-		}
-		keep := make([]int, 0, b.LiveCount())
-		for k := 0; k < b.LiveCount(); k++ {
-			i := b.LiveIndex(k)
-			key := mp.key(b.OutAt(i))
-			if mp.removed[key] > 0 {
-				mp.removed[key]--
-				continue
-			}
-			keep = append(keep, i)
-		}
-		if len(keep) == 0 {
-			continue
-		}
-		b.Sel = keep
-		return mp.emitBatch(b), nil
-	}
-	if eb := mp.extra.next(); eb != nil {
-		return mp.emitBatch(eb), nil
-	}
-	return nil, nil
-}
-
-func (mp *MergePending) Close() error         { return mp.input.Close() }
-func (mp *MergePending) Children() []Operator { return []Operator{mp.input} }
-func (mp *MergePending) Stats() OpStats       { return mp.stats() }
-func (mp *MergePending) Describe() string     { return fmt.Sprintf("MergePending(%s)", mp.label) }

@@ -160,33 +160,11 @@ func (p *P) EvalSingle(rel int, t tuple.Tuple) bool {
 	return true
 }
 
-// Eval evaluates the full predicate given a binding of relation slots
-// to tuples. All atoms must be decidable under the binding; an atom
-// referencing an unbound slot makes Eval return false.
-func (p *P) Eval(binding map[int]tuple.Tuple) bool {
-	for _, a := range p.Atoms {
-		switch at := a.(type) {
-		case Cmp:
-			t, ok := binding[at.Rel]
-			if !ok || !at.Op.holds(t.Vals[at.Col], at.Val) {
-				return false
-			}
-		case JoinEq:
-			l, lok := binding[at.LRel]
-			r, rok := binding[at.RRel]
-			if !lok || !rok || !tuple.Equal(l.Vals[at.LCol], r.Vals[at.RCol]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // EvalJoined evaluates the full predicate against a two-slot binding
-// (slot 0 = t0, slot 1 = t1) without building the map Eval takes —
-// the allocation-free form joined-row screening uses. Atoms
-// referencing slots outside 0..1 make it false, matching Eval over an
-// unbound slot.
+// (slot 0 = t0, slot 1 = t1): the one joined evaluator, which the
+// executor's filter kernels reproduce and the second screening stage
+// runs a Residual with. An atom referencing a slot outside 0..1 is
+// unbound and makes it false.
 func (p *P) EvalJoined(t0, t1 tuple.Tuple) bool {
 	slot := func(i int) (tuple.Tuple, bool) {
 		switch i {
@@ -215,69 +193,74 @@ func (p *P) EvalJoined(t0, t1 tuple.Tuple) bool {
 	return true
 }
 
-// SatisfiableWith is the second-stage screening test: substitute tuple
-// t for relation slot rel and report whether the residual predicate is
-// still satisfiable. Comparison atoms on rel are decided directly; the
-// residual conjunction over the remaining slots is checked by interval
-// intersection per (relation, column), with join atoms propagating the
-// substituted tuple's value onto the partner column.
+// Residual compiles the second screening stage for tuples bound to
+// relation slot rel: the predicate with such a tuple t substituted, as
+// a predicate over t alone at slot 0 (EvalJoined(t, tuple.Tuple{})).
+// It holds for t exactly when the predicate stays satisfiable with t
+// in slot rel. Its atoms are
+//   - rel's own comparisons;
+//   - the comparisons of each column a join atom equates with a column
+//     of rel, carried across the atom onto rel's column;
+//   - each join atom between two columns of rel, and one equating two
+//     columns of rel that join atoms tie to the same partner column.
 //
-// The test is complete for this atom language: a conjunction of
-// comparisons is satisfiable iff every column's interval is nonempty
-// and no Ne atom pins an Eq-pinned value.
-func (p *P) SatisfiableWith(rel int, t tuple.Tuple) bool {
-	// Stage 1: decide atoms fully bound by t.
-	for _, a := range p.Atoms {
-		if c, ok := a.(Cmp); ok && c.Rel == rel {
-			if !c.Op.holds(t.Vals[c.Col], c.Val) {
-				return false
-			}
-		}
-	}
-	// Stage 2: build intervals for unbound columns. Join atoms against
-	// the bound relation pin the partner column to the tuple's value.
+// Residual is nil — no tuple passes — when the other slots'
+// comparisons alone leave a column's interval empty. The test is
+// complete for this atom language: a conjunction of comparisons is
+// satisfiable iff every column's interval is nonempty and no Ne atom
+// pins an Eq-pinned value, and pinning an interval to a value leaves
+// it nonempty iff it contains the value. Join atoms between two other
+// slots constrain nothing the intervals track.
+func (p *P) Residual(rel int) *P {
 	type colRef struct{ rel, col int }
 	ranges := map[colRef]*Range{}
-	rangeFor := func(r, c int) *Range {
-		key := colRef{r, c}
-		rg, ok := ranges[key]
-		if !ok {
-			rg = FullRange()
-			ranges[key] = rg
-		}
-		return rg
-	}
+	var out []Atom
 	for _, a := range p.Atoms {
-		switch at := a.(type) {
-		case Cmp:
-			if at.Rel == rel {
-				continue
+		c, ok := a.(Cmp)
+		switch {
+		case !ok:
+		case c.Rel == rel:
+			out = append(out, Cmp{Col: c.Col, Op: c.Op, Val: c.Val})
+		default:
+			key := colRef{c.Rel, c.Col}
+			if ranges[key] == nil {
+				ranges[key] = FullRange()
 			}
-			if !rangeFor(at.Rel, at.Col).Restrict(at.Op, at.Val) {
-				return false
-			}
-		case JoinEq:
-			switch {
-			case at.LRel == rel && at.RRel != rel:
-				if !rangeFor(at.RRel, at.RCol).Restrict(Eq, t.Vals[at.LCol]) {
-					return false
-				}
-			case at.RRel == rel && at.LRel != rel:
-				if !rangeFor(at.LRel, at.LCol).Restrict(Eq, t.Vals[at.RCol]) {
-					return false
-				}
-			case at.LRel == rel && at.RRel == rel:
-				if !tuple.Equal(t.Vals[at.LCol], t.Vals[at.RCol]) {
-					return false
-				}
-			default:
-				// Join between two unbound relations: satisfiable as
-				// long as each side's interval stays nonempty, which
-				// the per-column ranges already track conservatively.
+			if !ranges[key].Restrict(c.Op, c.Val) {
+				return nil
 			}
 		}
 	}
-	return true
+	pinned := map[colRef]int{} // partner column → the first column of rel pinning it
+	for _, a := range p.Atoms {
+		j, ok := a.(JoinEq)
+		var own int
+		var partner colRef
+		switch {
+		case !ok:
+			continue
+		case j.LRel == rel && j.RRel == rel:
+			out = append(out, JoinEq{LCol: j.LCol, RCol: j.RCol})
+			continue
+		case j.LRel == rel:
+			own, partner = j.LCol, colRef{j.RRel, j.RCol}
+		case j.RRel == rel:
+			own, partner = j.RCol, colRef{j.LRel, j.LCol}
+		default:
+			continue
+		}
+		if first, ok := pinned[partner]; ok {
+			out = append(out, JoinEq{LCol: first, RCol: own})
+			continue
+		}
+		pinned[partner] = own
+		for _, b := range p.Atoms {
+			if c, ok := b.(Cmp); ok && c.Rel == partner.rel && c.Col == partner.col {
+				out = append(out, Cmp{Col: own, Op: c.Op, Val: c.Val})
+			}
+		}
+	}
+	return New(out...)
 }
 
 // IntervalFor extracts the closed-open value interval implied by the
@@ -420,30 +403,6 @@ func (r *Range) Contains(v tuple.Value) bool {
 	}
 	for _, ex := range r.excluded {
 		if tuple.Equal(ex, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// Overlaps reports whether two ranges share at least one point
-// (conservatively: exclusions are ignored unless they empty a point
-// range, which Empty already handles).
-func (r *Range) Overlaps(o *Range) bool {
-	if r.Empty() || o.Empty() {
-		return false
-	}
-	// r ends before o starts?
-	if r.Hi != nil && o.Lo != nil {
-		c := tuple.Compare(*r.Hi, *o.Lo)
-		if c < 0 || (c == 0 && (!r.HiInc || !o.LoInc)) {
-			return false
-		}
-	}
-	// o ends before r starts?
-	if o.Hi != nil && r.Lo != nil {
-		c := tuple.Compare(*o.Hi, *r.Lo)
-		if c < 0 || (c == 0 && (!o.HiInc || !r.LoInc)) {
 			return false
 		}
 	}

@@ -61,13 +61,13 @@ func TestEvalFullBinding(t *testing.T) {
 	r0 := tuple.New(1, tuple.I(7), tuple.I(42))
 	r1match := tuple.New(2, tuple.I(42), tuple.S("x"))
 	r1miss := tuple.New(3, tuple.I(43), tuple.S("y"))
-	if !p.Eval(map[int]tuple.Tuple{0: r0, 1: r1match}) {
+	if !p.EvalJoined(r0, r1match) {
 		t.Error("joining pair rejected")
 	}
-	if p.Eval(map[int]tuple.Tuple{0: r0, 1: r1miss}) {
+	if p.EvalJoined(r0, r1miss) {
 		t.Error("non-joining pair accepted")
 	}
-	if p.Eval(map[int]tuple.Tuple{0: r0}) {
+	if p.And(JoinEq{LRel: 0, LCol: 0, RRel: 2, RCol: 0}).EvalJoined(r0, r1match) {
 		t.Error("unbound join slot must not evaluate true")
 	}
 }
@@ -75,10 +75,10 @@ func TestEvalFullBinding(t *testing.T) {
 func TestSatisfiableWithSelection(t *testing.T) {
 	// Single-relation predicate: substitution decides everything.
 	p := New(Cmp{Rel: 0, Col: 0, Op: Eq, Val: tuple.I(5)})
-	if !p.SatisfiableWith(0, tuple.New(1, tuple.I(5))) {
+	if !screens(t, p, 0, tuple.New(1, tuple.I(5))) {
 		t.Error("matching tuple screened out")
 	}
-	if p.SatisfiableWith(0, tuple.New(2, tuple.I(6))) {
+	if screens(t, p, 0, tuple.New(2, tuple.I(6))) {
 		t.Error("non-matching tuple passed screen")
 	}
 }
@@ -91,30 +91,30 @@ func TestSatisfiableWithJoinResidual(t *testing.T) {
 	)
 	// Tuple satisfying its own clauses: residual r1.b = const is
 	// satisfiable, so the tuple passes.
-	if !p.SatisfiableWith(0, tuple.New(1, tuple.I(5), tuple.I(9))) {
+	if !screens(t, p, 0, tuple.New(1, tuple.I(5), tuple.I(9))) {
 		t.Error("screening rejected a tuple that could join")
 	}
 	// Tuple failing its restriction is screened out immediately.
-	if p.SatisfiableWith(0, tuple.New(2, tuple.I(4), tuple.I(9))) {
+	if screens(t, p, 0, tuple.New(2, tuple.I(4), tuple.I(9))) {
 		t.Error("screening passed a tuple failing its restriction")
 	}
 	// Substituting on the other side: residual pins r0.b; combined with
 	// a contradictory restriction on r0.b the residual is unsatisfiable.
 	p2 := p.And(Cmp{Rel: 0, Col: 1, Op: Lt, Val: tuple.I(3)})
-	if p2.SatisfiableWith(1, tuple.New(3, tuple.I(9))) {
+	if screens(t, p2, 1, tuple.New(3, tuple.I(9))) {
 		t.Error("residual r0.b=9 and r0.b<3 should be unsatisfiable")
 	}
-	if !p2.SatisfiableWith(1, tuple.New(4, tuple.I(2))) {
+	if !screens(t, p2, 1, tuple.New(4, tuple.I(2))) {
 		t.Error("residual r0.b=2 and r0.b<3 should be satisfiable")
 	}
 }
 
 func TestSatisfiableWithSelfJoinAtom(t *testing.T) {
 	p := New(JoinEq{LRel: 0, LCol: 0, RRel: 0, RCol: 1})
-	if !p.SatisfiableWith(0, tuple.New(1, tuple.I(4), tuple.I(4))) {
+	if !screens(t, p, 0, tuple.New(1, tuple.I(4), tuple.I(4))) {
 		t.Error("equal columns rejected")
 	}
-	if p.SatisfiableWith(0, tuple.New(2, tuple.I(4), tuple.I(5))) {
+	if screens(t, p, 0, tuple.New(2, tuple.I(4), tuple.I(5))) {
 		t.Error("unequal columns accepted")
 	}
 }
@@ -125,7 +125,7 @@ func TestSatisfiableContradictoryResidual(t *testing.T) {
 		Cmp{Rel: 1, Col: 0, Op: Gt, Val: tuple.I(10)},
 		Cmp{Rel: 1, Col: 0, Op: Lt, Val: tuple.I(5)},
 	)
-	if p.SatisfiableWith(0, tuple.New(1, tuple.I(1))) {
+	if screens(t, p, 0, tuple.New(1, tuple.I(1))) {
 		t.Error("contradictory residual reported satisfiable")
 	}
 }
@@ -204,26 +204,6 @@ func TestRangeExclusiveBoundsAtPoint(t *testing.T) {
 	}
 }
 
-func TestRangeOverlaps(t *testing.T) {
-	a := NewRange(tuple.I(0), tuple.I(10), true, false)
-	b := NewRange(tuple.I(10), tuple.I(20), true, false)
-	c := NewRange(tuple.I(5), tuple.I(7), true, true)
-	if a.Overlaps(b) {
-		t.Error("[0,10) and [10,20) must not overlap")
-	}
-	if !a.Overlaps(c) || !c.Overlaps(a) {
-		t.Error("[0,10) and [5,7] must overlap")
-	}
-	closedA := NewRange(tuple.I(0), tuple.I(10), true, true)
-	if !closedA.Overlaps(b) {
-		t.Error("[0,10] and [10,20) must overlap at 10")
-	}
-	full := FullRange()
-	if !full.Overlaps(a) || !a.Overlaps(full) {
-		t.Error("full range overlaps everything")
-	}
-}
-
 func TestPointRange(t *testing.T) {
 	r := PointRange(tuple.I(7))
 	if !r.Contains(tuple.I(7)) || r.Contains(tuple.I(8)) {
@@ -231,7 +211,7 @@ func TestPointRange(t *testing.T) {
 	}
 }
 
-// Property: SatisfiableWith agrees with Eval on fully-bound
+// Property: the screen agrees with EvalSingle on fully-bound
 // single-relation predicates (substitution decides everything, so
 // satisfiability == truth).
 func TestPropertySatisfiableMatchesEvalSingleRel(t *testing.T) {
@@ -241,7 +221,7 @@ func TestPropertySatisfiableMatchesEvalSingleRel(t *testing.T) {
 			Cmp{Rel: 0, Col: 0, Op: Lt, Val: tuple.I(hi)},
 		)
 		tp := tuple.New(1, tuple.I(v))
-		return p.SatisfiableWith(0, tp) == p.EvalSingle(0, tp)
+		return screens(t, p, 0, tp) == p.EvalSingle(0, tp)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -257,24 +237,6 @@ func TestPropertyRestrictContains(t *testing.T) {
 		r := FullRange()
 		r.Restrict(op, tuple.I(v))
 		return r.Contains(tuple.I(w)) == op.holds(tuple.I(w), tuple.I(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Overlaps is symmetric.
-func TestPropertyOverlapsSymmetric(t *testing.T) {
-	f := func(a1, a2, b1, b2 int64, inc uint8) bool {
-		if a1 > a2 {
-			a1, a2 = a2, a1
-		}
-		if b1 > b2 {
-			b1, b2 = b2, b1
-		}
-		ra := NewRange(tuple.I(a1), tuple.I(a2), inc&1 == 0, inc&2 == 0)
-		rb := NewRange(tuple.I(b1), tuple.I(b2), inc&4 == 0, inc&8 == 0)
-		return ra.Overlaps(rb) == rb.Overlaps(ra)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -10,6 +10,10 @@
 //	stage 2 (C1):    is the view predicate, with the tuple substituted,
 //	                 still satisfiable?
 //
+// Stage 2 depends on the tuple only through its own values, so
+// Register compiles it once per lock into a residual predicate over the
+// written tuple alone (pred.P.Residual), and screening evaluates that.
+//
 // A tuple that passes both stages is marked for the view and must be
 // used to refresh it; a tuple failing either stage provably cannot
 // change the view. Stage 1 can produce false drops (the interval is a
@@ -32,7 +36,10 @@ type Lock struct {
 	RelSlot  int // the view predicate's slot for this relation
 	Col      int // indexed column guarded
 	Rg       pred.Range
-	Pred     *pred.P
+	// Residual is stage 2: the view predicate with a tuple of RelSlot
+	// substituted, over that tuple bound at slot 0; nil when no tuple
+	// can satisfy the view.
+	Residual *pred.P
 }
 
 // Table holds every registered t-lock, bucketed by relation name.
@@ -48,9 +55,9 @@ func NewTable(meter *storage.Meter) *Table {
 }
 
 // Register places a t-lock for view on (relation, col), deriving the
-// guarded interval from the predicate's restriction of relSlot.col. An
-// unconstrained column yields a whole-index lock (every tuple disturbs
-// it).
+// guarded interval from the predicate's restriction of relSlot.col and
+// compiling stage 2 into the lock's residual. An unconstrained column
+// yields a whole-index lock (every tuple disturbs it).
 func (t *Table) Register(view, relName string, relSlot, col int, p *pred.P) {
 	rg, constrained := p.IntervalFor(relSlot, col)
 	if !constrained {
@@ -62,7 +69,7 @@ func (t *Table) Register(view, relName string, relSlot, col int, p *pred.P) {
 		RelSlot:  relSlot,
 		Col:      col,
 		Rg:       rg,
-		Pred:     p,
+		Residual: p.Residual(relSlot),
 	})
 }
 
@@ -122,7 +129,7 @@ func (t *Table) ScreenBatch(relName string, tp tuple.Tuple, b *storage.MeterBatc
 		}
 		// Stage 2: substitution + satisfiability, at C1.
 		b.Screen(1)
-		if l.Pred.SatisfiableWith(l.RelSlot, tp) {
+		if l.Residual != nil && l.Residual.EvalJoined(tp, tuple.Tuple{}) {
 			hits = append(hits, l.View)
 		}
 	}

@@ -74,44 +74,12 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// MustColIndex is ColIndex that panics on an unknown column; it is used
-// when schemas are constructed programmatically and a miss is a bug.
-func (s *Schema) MustColIndex(name string) int {
-	i := s.ColIndex(name)
-	if i < 0 {
-		panic(fmt.Sprintf("tuple: schema has no column %q", name))
-	}
-	return i
-}
-
 // Project returns the schema consisting of the given column positions.
 func (s *Schema) Project(idx []int) *Schema {
 	out := &Schema{Cols: make([]Column, len(idx))}
 	for i, j := range idx {
 		out.Cols[i] = s.Cols[j]
 	}
-	return out
-}
-
-// Concat returns the schema of s followed by t, prefixing duplicate
-// names the way a natural-join result does.
-func (s *Schema) Concat(t *Schema, leftPrefix, rightPrefix string) *Schema {
-	seen := map[string]bool{}
-	for _, c := range s.Cols {
-		seen[c.Name] = true
-	}
-	out := &Schema{Cols: make([]Column, 0, len(s.Cols)+len(t.Cols))}
-	for _, c := range s.Cols {
-		out.Cols = append(out.Cols, c)
-	}
-	for _, c := range t.Cols {
-		name := c.Name
-		if seen[name] {
-			name = rightPrefix + "." + name
-		}
-		out.Cols = append(out.Cols, Column{Name: name, Type: c.Type})
-	}
-	_ = leftPrefix
 	return out
 }
 
@@ -322,8 +290,9 @@ func ValsEqual(a, b Tuple) bool {
 	return true
 }
 
-// ValueKey renders the tuple's values as a canonical string key, used
-// for duplicate-count bookkeeping and for hashing into Bloom filters.
+// ValueKey renders the tuple's values, each as Value.String renders
+// it, joined by a unit separator: a string key to sort and compare rows
+// by.
 func (t Tuple) ValueKey() string {
 	var b strings.Builder
 	for i, v := range t.Vals {

@@ -23,15 +23,6 @@ func TestSchemaBasics(t *testing.T) {
 	}
 }
 
-func TestSchemaMustColIndexPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unknown column")
-		}
-	}()
-	NewSchema(Col("a", Int)).MustColIndex("b")
-}
-
 func TestSchemaValidate(t *testing.T) {
 	s := NewSchema(Col("a", Int), Col("b", String))
 	if err := s.Validate([]Value{I(1), S("x")}); err != nil {
@@ -42,18 +33,6 @@ func TestSchemaValidate(t *testing.T) {
 	}
 	if err := s.Validate([]Value{S("x"), S("y")}); err == nil {
 		t.Error("type mismatch accepted")
-	}
-}
-
-func TestSchemaConcatRenamesDuplicates(t *testing.T) {
-	a := NewSchema(Col("id", Int), Col("dept", Int))
-	b := NewSchema(Col("dept", Int), Col("floor", Int))
-	j := a.Concat(b, "emp", "dept")
-	want := []string{"id", "dept", "dept.dept", "floor"}
-	for i, w := range want {
-		if j.Cols[i].Name != w {
-			t.Errorf("col %d = %q, want %q", i, j.Cols[i].Name, w)
-		}
 	}
 }
 
