@@ -20,6 +20,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/report"
 	"viewmat/internal/sim"
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/workload"
 )
@@ -224,21 +225,32 @@ func BenchmarkSimSweepFigure1(b *testing.B) {
 
 // BenchmarkAblationPeriodicRefreshMeasured compares deferred refresh
 // policies on the engine: pure on-demand vs refresh-every-commit. The
-// §4 claim is that on-demand pays no more refresh I/O.
+// §4 claim is that on-demand pays no more refresh I/O: one refresh of
+// the whole backlog writes each page it dirties once where per-commit
+// refreshes write it once each, y(n, m, a+b) ≤ y(n, m, a) + y(n, m, b).
+// Reads and writes are reported apart. The writes must obey the
+// inequality, and so must the total; the reads need not, because a
+// per-commit refresh runs inside its commit and hits the pages the
+// commit left in the pool, where an on-demand one starts cold.
 func BenchmarkAblationPeriodicRefreshMeasured(b *testing.B) {
-	var onDemand, periodic float64
+	var onDemand, periodic storage.Stats
 	for i := 0; i < b.N; i++ {
-		onDemand = measureRefreshIOs(b, 0)
-		periodic = measureRefreshIOs(b, 1)
+		onDemand = measureRefreshIO(b, 0)
+		periodic = measureRefreshIO(b, 1)
 	}
-	b.ReportMetric(onDemand, "onDemandRefreshIOs")
-	b.ReportMetric(periodic, "perCommitRefreshIOs")
-	if onDemand > periodic {
+	b.ReportMetric(float64(onDemand.Reads), "onDemandRefreshReads")
+	b.ReportMetric(float64(onDemand.Writes), "onDemandRefreshWrites")
+	b.ReportMetric(float64(periodic.Reads), "perCommitRefreshReads")
+	b.ReportMetric(float64(periodic.Writes), "perCommitRefreshWrites")
+	if onDemand.IOs() > periodic.IOs() || onDemand.Writes > periodic.Writes {
 		b.Fatalf("on-demand (%v) exceeded per-commit (%v)", onDemand, periodic)
 	}
 }
 
-func measureRefreshIOs(b *testing.B, every int) float64 {
+// measureRefreshIO runs five 4-row update commits under a Deferred view
+// refreshed every `every` commits (0: on demand) and one query, and
+// returns what the AD read, the fold and the refreshes charged.
+func measureRefreshIO(b *testing.B, every int) storage.Stats {
 	b.Helper()
 	db := core.NewDatabase(core.Options{PageSize: 512, PoolFrames: 64})
 	schema := tupleSchema3()
@@ -294,7 +306,7 @@ func measureRefreshIOs(b *testing.B, every int) float64 {
 		b.Fatal(err)
 	}
 	bd := db.Breakdown()
-	return float64(bd[core.PhaseADRead].IOs() + bd[core.PhaseDefRefresh].IOs() + bd[core.PhaseFold].IOs())
+	return bd[core.PhaseADRead].Add(bd[core.PhaseDefRefresh]).Add(bd[core.PhaseFold])
 }
 
 func tupleSchema3() *tuple.Schema {

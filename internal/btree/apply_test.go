@@ -1,15 +1,21 @@
 package btree
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/yao"
 )
 
 // signedBatch is a batch of rows for ApplyRun and their signs.
@@ -158,11 +164,12 @@ func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countC
 // TestApplyRunMatchesRowByRow: applying random signed batches with
 // ApplyRun — plain rows, and counted rows whose leavers the test applies
 // alone as a view does — leaves every page byte, the root, height, Len,
-// extent and leaf directory, the meter's stats, each batch's error and
-// the rows its deletes cut as applying the rows one at a time does: at
-// pages of 256 and 4 000 bytes, through pools of 2 (smaller than most
-// trees are high), 8 and 256 frames, writing through and inside
-// BeginBulk/EndBulk.
+// extent and leaf directory, each batch's error and the rows its deletes
+// cut as applying the rows one at a time does: at pages of 256 and
+// 4 000 bytes, through pools of 2 (smaller than most trees are high), 8,
+// 16 and 256 frames, each batch one write scope and (bulk) the whole
+// stream one. Where no scope evicts, both charge the same reads and
+// writes, scope by scope (matchesRowByRow).
 func TestApplyRunMatchesRowByRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, ps := range []int{256, 4000} {
@@ -233,46 +240,77 @@ func TestUpdateChargesDeleteThenInsert(t *testing.T) {
 }
 
 // matchesRowByRow applies stream to a tree of ps-byte pages in a pool of
-// frames, after loading it with load and emptying the pool, twice: with
-// ApplyRun, handing the rows it leaves to the row-by-row steps, and one
-// row at a time with Insert, deleteRow and the counted rewrite. It fails t
-// unless both leave the same digest (treeDigest), errors and cut rows,
-// and returns the ApplyRun tree and its leaf count after the load.
+// frames, after loading it with load, twice: with ApplyRun, handing the
+// rows it leaves to the row-by-row steps, and one row at a time with
+// Insert, deleteRow and the counted rewrite. Each batch with its three
+// point reads is one write scope, from a cold pool to a flush; with bulk,
+// the whole stream is one. It fails t unless both leave the same pages and directory
+// (writeTreeState), errors and cut rows; and, when neither tree outgrew
+// the pool (so no scope evicted), the same reads and writes in every
+// scope, and no more writes than the pages the scope loaded (each a
+// read, the pool being cold) or allocated, nor fewer than the pages it
+// changed: a page its rows edited back to its old bytes is dirtied, and
+// written, all the same. It returns the ApplyRun tree and its leaf count
+// after the load.
 func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple, stream []signedBatch, countCol int) (*Tree, int) {
 	t.Helper()
-	run := func(batch func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error) (*Tree, int, string, []string, []tuple.Tuple) {
+	type result struct {
+		tr      *Tree
+		leaves  int
+		digest  string
+		errs    []string
+		cut     []tuple.Tuple
+		scopes  []storage.Stats
+		changed []int // pages each scope changed
+		born    []int // pages each scope allocated
+	}
+	run := func(batch func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error) result {
 		d := storage.NewDisk(ps)
 		m := storage.NewMeter()
 		tr, err := New(storage.NewPool(d, m, frames), d.Open("t"), 0)
 		if err == nil && load != nil {
-			if err = insertRun(tr, load); err == nil {
-				err = tr.pool.EvictAll()
-			}
+			err = insertRun(tr, load)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaves := tr.LeafPages()
-		if bulk {
-			tr.pool.BeginBulk()
-		}
-		var errs []string
-		var cut []tuple.Tuple
+		res := result{tr: tr, leaves: tr.LeafPages()}
+		var before storage.Stats
+		var extent storage.PageNum
 		for i, b := range stream {
-			errs = append(errs, fmt.Sprint(batch(tr, b, &cut)))
-			// Point reads after each batch: what they miss depends
-			// on the recency order the batch left.
+			if i == 0 || !bulk {
+				if err := tr.pool.EvictAll(); err != nil {
+					t.Fatal(err)
+				}
+				d.ResetChanges()
+				before, extent = m.Snapshot(), tr.file.Extent()
+			}
+			res.errs = append(res.errs, fmt.Sprint(batch(tr, b, &res.cut)))
+			// Point reads inside the scope, over the pages it dirtied.
 			for j := 0; j < 3; j++ {
 				if _, _, err := tr.Get(tuple.I(int64((i*7+j*61)%200)), 1); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		if bulk {
-			tr.pool.EndBulk()
+			if bulk && i < len(stream)-1 {
+				continue
+			}
+			if err := tr.pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			res.scopes = append(res.scopes, m.Snapshot().Sub(before))
+			changed := 0
+			for _, f := range d.Delta().Files {
+				changed += len(f.Pages)
+			}
+			res.changed = append(res.changed, changed)
+			res.born = append(res.born, int(tr.file.Extent()-extent))
 		}
 		tr.pool.AssertUnpinned(t)
-		return tr, leaves, treeDigest(t, tr, m), errs, cut
+		h := sha256.New()
+		writeTreeState(t, h, tr)
+		res.digest = hex.EncodeToString(h.Sum(nil))
+		return res
 	}
 	alone := func(tr *Tree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
 		if countCol >= 0 {
@@ -280,7 +318,7 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		}
 		return applyPlainAlone(tr, tp, sign, cut)
 	}
-	_, _, want, wantErrs, wantCut := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
+	want := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
 		for i, tp := range b.rows {
 			if err := alone(tr, tp, b.signs[i], cut); err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
@@ -288,7 +326,7 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		}
 		return nil
 	})
-	tr, leaves, got, gotErrs, gotCut := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
+	got := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
 		for done := 0; done < len(b.rows); {
 			n, err := tr.ApplyRun(b.rows[done:], b.signs[done:], countCol, cut)
 			if done += n; errors.Is(err, ErrAbsent) {
@@ -306,69 +344,87 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		}
 		return nil
 	})
-	if got != want {
-		t.Errorf("ApplyRun left digest %s, rows one at a time %s", got, want)
+	if got.digest != want.digest {
+		t.Errorf("ApplyRun left digest %s, rows one at a time %s", got.digest, want.digest)
 	}
-	if fmt.Sprint(gotErrs) != fmt.Sprint(wantErrs) {
-		t.Errorf("ApplyRun errors %v, rows one at a time %v", gotErrs, wantErrs)
+	if fmt.Sprint(got.errs) != fmt.Sprint(want.errs) {
+		t.Errorf("ApplyRun errors %v, rows one at a time %v", got.errs, want.errs)
 	}
-	if fmt.Sprint(gotCut) != fmt.Sprint(wantCut) {
-		t.Errorf("ApplyRun cut rows %v, rows one at a time %v", gotCut, wantCut)
+	if fmt.Sprint(got.cut) != fmt.Sprint(want.cut) {
+		t.Errorf("ApplyRun cut rows %v, rows one at a time %v", got.cut, want.cut)
 	}
-	return tr, leaves
+	if int(got.tr.file.Extent()) > frames || int(want.tr.file.Extent()) > frames {
+		return got.tr, got.leaves
+	}
+	for i := range got.scopes {
+		if got.scopes[i] != want.scopes[i] {
+			t.Errorf("scope %d: ApplyRun charged %v, rows one at a time %v", i, got.scopes[i], want.scopes[i])
+		}
+		sc := got.scopes[i]
+		if sc.Writes < int64(got.changed[i]) || sc.Writes > sc.Reads+int64(got.born[i]) {
+			t.Errorf("scope %d: %d writes for %d changed pages, %d loaded and %d allocated", i, sc.Writes, got.changed[i], sc.Reads, got.born[i])
+		}
+	}
+	return got.tr, got.leaves
 }
 
-// TestApplyRunKeepsRecencyOrder: a batch whose rows visit leaf A, then B
-// twice, then A again leaves the pool's recency order as its rows one at
-// a time do — A last — so the pages later reads evict, and then miss,
-// are theirs. Each case reads a different number of other leaves after
-// the batch before reading A and B again.
-func TestApplyRunKeepsRecencyOrder(t *testing.T) {
-	const frames = 16
-	rows := []tuple.Tuple{mk(3001, 10), mk(3002, 1000), mk(3003, 1001), mk(3004, 11)}
-	signs := []int8{1, 1, 1, 1}
-	for reads := 0; reads < 24; reads++ {
-		run := func(apply func(tr *Tree)) storage.Stats {
-			tr, m := newTestTree(t, 1024, frames)
-			for i := int64(0); i < 2000; i++ {
-				if err := insert(tr, mk(uint64(i+1), i)); err != nil {
-					t.Fatal(err)
-				}
+// TestApplyRunWritesMatchYao: one ApplyRun of k deletes drawn uniformly
+// without replacement from the n rows of a tree on m leaves, in key
+// order and inside one write scope, writes each leaf it edits once, so
+// its writes are the number of distinct leaves k draws touch — what
+// Yao's y(n, m, k) prices a batch's block accesses at. y is an
+// expectation and one batch is one draw (DESIGN §6), so the test
+// averages the writes of 200 draws per k and holds the mean within 2 %
+// of yao.Y. An ascending load leaves every leaf but the last half full,
+// the even blocking Yao assumes. The pool holds the whole tree, so
+// nothing is written at an eviction.
+func TestApplyRunWritesMatchYao(t *testing.T) {
+	const n, draws, tolerance = 10000, 200, 0.02
+	tr, m := newTestTree(t, 4000, 1024)
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = mk(uint64(i+1), int64(i))
+	}
+	if err := insertRun(tr, rows); err != nil {
+		t.Fatal(err)
+	}
+	leaves := tr.LeafPages()
+	if tr.file.Extent() > 1024 {
+		t.Fatalf("the tree of %d pages outgrows the pool", tr.file.Extent())
+	}
+	rng := rand.New(rand.NewSource(54))
+	for _, k := range []int{5, 50, 500} {
+		total := int64(0)
+		for range draws {
+			batch := make([]tuple.Tuple, k)
+			signs := make([]int8, k)
+			for i, r := range rng.Perm(n)[:k] {
+				batch[i], signs[i] = rows[r], -1
 			}
-			if len(rows)*(tr.Height()+1) > frames {
-				t.Fatalf("height %d: the batch would not group", tr.Height())
-			}
+			slices.SortFunc(batch, func(a, b tuple.Tuple) int { return cmp.Compare(a.ID, b.ID) })
 			if err := tr.pool.EvictAll(); err != nil {
 				t.Fatal(err)
 			}
-			m.Reset()
-			apply(tr)
-			for i := 0; i < reads; i++ {
-				if _, _, err := tr.Get(tuple.I(int64(1200+40*i)), uint64(1201+40*i)); err != nil {
-					t.Fatal(err)
-				}
+			before := m.Snapshot()
+			if got, err := tr.ApplyRun(batch, signs, -1, nil); err != nil || got != k {
+				t.Fatalf("applied %d of %d deletes: %v", got, k, err)
 			}
-			for _, k := range []int64{10, 1000} {
-				if _, _, err := tr.Get(tuple.I(k), uint64(k+1)); err != nil {
-					t.Fatal(err)
-				}
+			if err := tr.pool.FlushAll(); err != nil {
+				t.Fatal(err)
 			}
-			return m.Snapshot()
+			total += m.Snapshot().Sub(before).Writes
+			// Put the rows back, outside the measured scope.
+			if err := insertRun(tr, batch); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want := run(func(tr *Tree) {
-			for _, tp := range rows {
-				if err := insert(tr, tp); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		got := run(func(tr *Tree) {
-			if n, err := tr.ApplyRun(rows, signs, -1, nil); err != nil || n != len(rows) {
-				t.Fatalf("applied %d of %d: %v", n, len(rows), err)
-			}
-		})
-		if got != want {
-			t.Errorf("%d reads after the batch: ApplyRun then reads charged %v, rows one at a time %v", reads, got, want)
+		mean, want := float64(total)/draws, yao.Y(n, float64(leaves), float64(k))
+		t.Logf("k=%d: %.2f leaf writes a batch, y(%d, %d, %d) = %.2f", k, mean, n, leaves, k, want)
+		if math.Abs(mean-want) > tolerance*want {
+			t.Errorf("k=%d: %.2f leaf writes a batch, y(%d, %d, %d) = %.2f, off by more than %.0f %%", k, mean, n, leaves, k, want, 100*tolerance)
 		}
+	}
+	if tr.LeafPages() != leaves {
+		t.Fatalf("the reinserts moved the leaf count from %d to %d", leaves, tr.LeafPages())
 	}
 }

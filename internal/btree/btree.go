@@ -47,12 +47,8 @@ type Tree struct {
 	height int // levels including the leaf level
 	count  int // live tuples
 
-	// An apply visit's leaves, their buffers reused visit to visit; the
-	// open leaf each row it applied went to, in stream order; and the
-	// pages its replay touches for one row.
-	open    []openLeaf
-	rowLeaf []int
-	touch   []storage.PageNum
+	// An apply visit's leaves, their buffers reused visit to visit.
+	open []openLeaf
 }
 
 // key orders leaf entries: by column value, then by tuple id.
@@ -423,15 +419,15 @@ var ErrAbsent = errors.New("btree: delete of an absent row")
 // openLeaf is a leaf an apply visit holds: its page, pinned, and its rows
 // decoded; the internal pages above it, root first, and its fence; and
 // what the rows applied to it owe: the rows they added (less those they
-// cut) and the dirty releases they stand for.
+// cut), and whether any edited it.
 type openLeaf struct {
-	pn       storage.PageNum
-	fr       *storage.Frame
-	leaf     leafNode
-	path     []storage.PageNum
-	fence    fence
-	added    int
-	releases int
+	pn     storage.PageNum
+	fr     *storage.Frame
+	leaf   leafNode
+	path   []storage.PageNum
+	fence  fence
+	added  int
+	edited bool
 }
 
 // slot returns the i-th open-leaf slot, its buffers kept visit to visit.
@@ -444,9 +440,12 @@ func (t *Tree) slot(i int) *openLeaf {
 
 // ApplyRun applies a signed batch of rows in stream order: row i is
 // deleted when signs[i] is negative and inserted otherwise (nil signs:
-// every row is inserted). It leaves every page, the leaf directory and
-// the charges exactly as applying the rows one at a time would, and
-// returns how many rows it applied.
+// every row is inserted). It leaves every page and the leaf directory
+// exactly as applying the rows one at a time would, and returns how many
+// rows it applied. Each leaf a visit edits is released dirty once, so
+// within one write scope (storage.Pool.FlushAll) the batch and its rows
+// one at a time are charged alike, one write per page dirtied, in a pool
+// that does not evict inside the scope.
 //
 // With countCol < 0 the rows are plain: an insert splices its row in (a
 // duplicate (value, id) is an error), a delete cuts the row of its
@@ -478,11 +477,7 @@ func (t *Tree) slot(i int) *openLeaf {
 // another leaf while the batch's rows × (height + 1) fit in the pool;
 // otherwise, the visit ends there and the next one starts with the row.
 // Rows are applied in stream order either way; only the encodes and the
-// releases wait for the visit's end. Charges stay per row (DESIGN §6):
-// each leaf is released dirty once per write its rows stand for, a
-// counted raise or lower twice (the delete and insert it stands for), and
-// the pages are then touched again in stream order, so the pool's
-// recency order ends as row-by-row writes leave it. A row leaves the
+// releases wait for the visit's end (DESIGN §6). A row leaves the
 // visit — it starts the next one, or for counted rows it is the caller's
 // — when it would split its leaf, its lookup would read on past the leaf
 // (no row of it has a larger key value, and it has a right sibling), the
@@ -519,9 +514,7 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tupl
 	// More than one leaf stays open only while every page the rows could
 	// touch fits in the pool at once.
 	group := len(rows)*(t.height+1) <= frames
-	t.rowLeaf = t.rowLeaf[:0]
-	open, edited := 0, 0
-	n := 0
+	open, n := 0, 0
 	var err error
 	for ; n < len(rows) && !(n > 0 && alone); n++ {
 		tp := rows[n]
@@ -551,14 +544,10 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tupl
 			open++
 		}
 		ol := &t.open[o]
-		writes, added, why, idx := t.edit(ol, tp, k, plus, countCol, cut)
+		added, why, idx := t.edit(ol, tp, k, plus, countCol, cut)
 		if why == applies {
-			if ol.releases == 0 {
-				edited++
-			}
-			ol.releases += writes
+			ol.edited = true
 			ol.added += added
-			t.rowLeaf = append(t.rowLeaf, o)
 			continue
 		}
 		if n > 0 || counted {
@@ -582,9 +571,6 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tupl
 	if cerr := t.close(open); err == nil {
 		err = cerr
 	}
-	if err == nil && edited > 1 {
-		err = t.replay()
-	}
 	return n, err
 }
 
@@ -602,7 +588,7 @@ func (t *Tree) openLeaf(o *openLeaf, k key) error {
 		t.pool.Release(fr)
 		return err
 	}
-	o.pn, o.fr, o.added, o.releases = pn, fr, 0, 0
+	o.pn, o.fr, o.added, o.edited = pn, fr, 0, false
 	return nil
 }
 
@@ -618,15 +604,15 @@ const (
 )
 
 // edit applies row tp, of key k, to open leaf o's decoded rows and
-// returns the writes it stands for and the rows it adds (−1: cuts, a row
-// appended to a non-nil *cut); or why it cannot, leaving the rows as they
-// were (an overflowing insert's place in idx).
-func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int, cut *[]tuple.Tuple) (writes, added int, why outcome, idx int) {
+// returns the rows it adds (−1: cuts, a row appended to a non-nil *cut);
+// or why it cannot, leaving the rows as they were (an overflowing
+// insert's place in idx).
+func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int, cut *[]tuple.Tuple) (added int, why outcome, idx int) {
 	leaf := &o.leaf
 	if countCol >= 0 {
 		i, found, ok := findCounted(leaf, tp, t.keyCol, countCol)
 		if !ok || !o.fence.holds(k) || readsPast(leaf, k.val, t.keyCol) {
-			return 0, 0, leaves, 0
+			return 0, leaves, 0
 		}
 		if found {
 			cnt, d := &leaf.Cols[countCol].Ints[i], tp.Vals[countCol].Int()
@@ -637,30 +623,30 @@ func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int,
 				*cnt -= d
 			default:
 				cutRow(leaf, i, cut)
-				return 1, -1, applies, 0 // the Delete that cuts it
+				return -1, applies, 0 // the Delete that cuts it
 			}
-			return 2, 0, applies, 0 // the delete and insert that rewrite it
+			return 0, applies, 0
 		}
 		if !plus {
-			return 0, 0, leaves, 0 // an underflow, the caller's to report
+			return 0, leaves, 0 // an underflow, the caller's to report
 		}
 	}
 	idx, hit := leafFind(leaf, k, t.keyCol)
 	switch {
 	case !plus && !hit:
-		return 0, 0, absent, 0
+		return 0, absent, 0
 	case !plus:
 		cutRow(leaf, idx, cut)
-		return 1, -1, applies, 0
+		return -1, applies, 0
 	case hit:
-		return 0, 0, duplicate, 0
+		return 0, duplicate, 0
 	}
 	leaf.InsertRow(idx, tp)
 	if leaf.Size() <= len(o.fr.Data) {
-		return 1, 1, applies, 0
+		return 1, applies, 0
 	}
 	leaf.DeleteRow(idx)
-	return 0, 0, overflows, idx
+	return 0, overflows, idx
 }
 
 // cutRow cuts row i out of leaf, appending it to a non-nil *cut first.
@@ -671,63 +657,25 @@ func cutRow(leaf *leafNode, i int, cut *[]tuple.Tuple) {
 	leaf.DeleteRow(i)
 }
 
-// close settles the visit's open leaves, in the order they were opened:
-// each one its rows edited is encoded over its frame and released dirty
-// once per write the rows stand for, taken again (a hit) in between, so
-// under write-through each write reaches the disk as its own would; one
-// no row edited is released clean. Every leaf is released, whatever
-// fails.
+// close releases the visit's open leaves, in the order they were opened:
+// each one its rows edited is encoded over its frame and released dirty,
+// once; one no row edited is released clean. Every leaf is released,
+// whatever fails.
 func (t *Tree) close(open int) error {
 	var first error
 	for i := range open {
 		o := &t.open[i]
-		var err error
-		if o.releases > 0 {
-			err = t.settle(o)
-		} else {
-			err = t.pool.Release(o.fr)
+		if o.edited {
+			t.encodeLeaf(o.fr, &o.leaf)
+			t.count += o.added
+			o.fr.MarkDirty()
 		}
-		o.fr = nil
-		if first == nil {
+		if err := t.pool.Release(o.fr); first == nil {
 			first = err
 		}
+		o.fr = nil
 	}
 	return first
-}
-
-// settle encodes o's leaf over its pinned frame and releases the frame
-// dirty o.releases times, taking it again (a hit) in between.
-func (t *Tree) settle(o *openLeaf) error {
-	t.encodeLeaf(o.fr, &o.leaf)
-	t.count += o.added
-	fr := o.fr
-	for i := 1; ; i++ {
-		fr.MarkDirty()
-		if err := t.pool.Release(fr); err != nil || i == o.releases {
-			return err
-		}
-		var err error
-		if fr, err = t.pool.Get(t.file, o.pn); err != nil {
-			return err
-		}
-	}
-}
-
-// replay touches, row by row in stream order, the pages the visit's
-// applied rows would each have touched last one at a time — the
-// internal pages above its leaf, then the leaf — so the pool's recency
-// order ends as theirs would. The visit's pages all fit in the pool, so
-// every touch is a hit, and the pages are clean or held dirty by a bulk
-// write: nothing is charged.
-func (t *Tree) replay() error {
-	for _, o := range t.rowLeaf {
-		ol := &t.open[o]
-		t.touch = append(append(t.touch[:0], ol.path...), ol.pn)
-		if err := t.pool.ReadBatch(t.file, t.touch, func(int, []byte) error { return nil }); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // readsPast reports whether a point lookup of key value v that reads

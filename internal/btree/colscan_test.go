@@ -135,7 +135,6 @@ func TestScanBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	// every call, and returns its keys, dropped rows and page reads.
 	scan := func(atoms []colpage.Atom) (keys []int64, dropped int, reads int64) {
 		tr, _, pool, m := newColTree(t, 256, 512, 500)
-		pool.BeginBulk()
 		// Dirty a page: an insert rewrites its leaf in the pool only.
 		if err := insert(tr, mk(9001, 9001)); err != nil {
 			t.Fatal(err)

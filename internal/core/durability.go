@@ -308,11 +308,13 @@ func (d *durability) writeFrame(f ckptFrame) error {
 
 // catalogCheckpointLocked is the catalog-change hook: DDL and tuning
 // changes are snapshotted eagerly instead of logged, so WAL records
-// never reference catalog state the recovery snapshot lacks. A no-op
-// when durability is off.
+// never reference catalog state the recovery snapshot lacks. It closes
+// the change's write scope first — the checkpoint's own flush, or a
+// flush alone when durability is off — so every page a DDL wrote
+// outside a phase is written, and charged, by the change that wrote it.
 func (db *Database) catalogCheckpointLocked() error {
 	if db.dur == nil {
-		return nil
+		return db.pool.FlushAll()
 	}
 	return db.checkpointLocked()
 }

@@ -18,8 +18,8 @@ import (
 // argument: the WAL and snapshot devices live outside the metered
 // simulated disk, so running the identical workload with durability on
 // and off yields byte-identical meter totals and per-phase breakdowns.
-// (A checkpoint's FlushAll only pre-pays page writes the next EvictAll
-// would have charged; both flush points are outside any phase.)
+// (Every phase writes back the pages it dirtied when it closes, so a
+// checkpoint's flush finds none left to charge.)
 func TestRecoverFidelityMeterUnchanged(t *testing.T) {
 	fx := model1Fx()
 	rng := rand.New(rand.NewSource(77))

@@ -342,10 +342,16 @@ func (db *Database) nextID() uint64 {
 	return db.clock.Add(1)
 }
 
-// inPhase runs fn and attributes its metered cost to the phase.
+// inPhase runs fn as one write scope and attributes its metered cost
+// to the phase: every page fn dirtied is written back once, when the
+// scope closes, inside the phase (a phase that dirtied nothing walks
+// no frame).
 func (db *Database) inPhase(p Phase, fn func() error) error {
 	before := db.meter.Snapshot()
 	err := fn()
+	if ferr := db.pool.FlushAll(); err == nil {
+		err = ferr
+	}
 	delta := db.meter.Snapshot().Sub(before)
 	db.statsMu.Lock()
 	db.breakdown[p] = db.breakdown[p].Add(delta)

@@ -10,6 +10,7 @@ import (
 	"viewmat/internal/agg"
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
+	"viewmat/internal/tuple/tupletest"
 )
 
 func testOpts() Options {
@@ -80,7 +81,7 @@ func sName(i int) string { return string(rune('a' + i%7)) }
 func rowKeys(rows []ResultRow) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		out[i] = tuple.Tuple{Vals: r.Vals}.ValueKey()
+		out[i] = tupletest.Key(r.Vals)
 	}
 	sort.Strings(out)
 	return out

@@ -75,22 +75,6 @@ func (db *Database) SnapshotStaleness(view string) (int, error) {
 	return vs.staleCommits, nil
 }
 
-// bulkWrite runs fn with the buffer pool in write-back mode and
-// flushes once at the end, so a rebuild that touches each page many
-// times (one row insert at a time) is charged one write per dirty
-// page — the page-level accounting the cost model's rebuild terms
-// assume (f·b/2 writes, not one write per row). Bulk mode nests and is
-// counted, not toggled, so parallel refresh workers can overlap.
-func (db *Database) bulkWrite(fn func() error) error {
-	db.pool.BeginBulk()
-	err := fn()
-	if flushErr := db.pool.FlushAll(); err == nil {
-		err = flushErr
-	}
-	db.pool.EndBulk()
-	return err
-}
-
 // recomputeView rebuilds a view's stored copy from the current
 // contents of its source: truncate, then repopulate — every page of the
 // old copy is dropped and the new copy written out, which is exactly

@@ -15,6 +15,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/tuple/tupletest"
 )
 
 // The property harness. The paper's comparison rests on the strategies
@@ -920,8 +921,8 @@ func diffRowsExact(a, b []ResultRow) error {
 		return fmt.Errorf("%d vs %d rows", len(a), len(b))
 	}
 	for i := range a {
-		ka := tuple.Tuple{Vals: a[i].Vals}.ValueKey()
-		kb := tuple.Tuple{Vals: b[i].Vals}.ValueKey()
+		ka := tupletest.Key(a[i].Vals)
+		kb := tupletest.Key(b[i].Vals)
 		if ka != kb {
 			return fmt.Errorf("row %d differs: %q vs %q", i, ka, kb)
 		}

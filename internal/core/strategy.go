@@ -267,17 +267,15 @@ func (db *Database) dropStoreLocked(vs *viewState) {
 func (db *Database) fillStoreLocked(vs *viewState) error {
 	switch vs.def.Kind {
 	case GroupedAggregate:
-		return db.bulkWrite(func() error { return db.fillGroupStore(vs) })
+		return db.fillGroupStore(vs)
 	case Aggregate:
 		return db.rebuildAggregate(vs)
 	}
-	return db.bulkWrite(func() error {
-		all, err := db.derive(vs, derivation{})
-		if err != nil {
-			return err
-		}
-		return db.runPlan(vs, PlanPathPopulate, db.matInsert(vs, all.root))
-	})
+	all, err := db.derive(vs, derivation{})
+	if err != nil {
+		return err
+	}
+	return db.runPlan(vs, PlanPathPopulate, db.matInsert(vs, all.root))
 }
 
 // --- triggers ----------------------------------------------------------------

@@ -125,13 +125,11 @@ func TestColdScanAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.BeginBulk()
 	for k := int64(0); k < n; k++ {
 		if err := insert(rel, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.EndBulk()
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,6 @@ func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, 
 		t.Fatal(err)
 	}
 	if fx.dirty {
-		p.BeginBulk()
 		if err := insert(rel, selectRow(selectRows)); err != nil {
 			t.Fatal(err)
 		}

@@ -142,7 +142,6 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.EvictAll()
-	pool.BeginBulk()
 	if err := insert(ix, mk(100, 5)); err != nil {
 		t.Fatal(err)
 	}

@@ -446,7 +446,7 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 // is one walk of the bucket's chain that stops at the page holding the
 // tuple — not a lookup of the whole chain first. On one bucket of 60
 // rows (a chain of several pages) a cold delete of the first row reads
-// one page and writes it.
+// one page and, when its scope closes, writes it.
 func TestHashDeleteReadsTheChainUpToItsTuple(t *testing.T) {
 	d, p, m := testEnv(t)
 	r, err := NewHash(d, p, "emp", empSchema(), 0, 1)
@@ -468,6 +468,9 @@ func TestHashDeleteReadsTheChainUpToItsTuple(t *testing.T) {
 	old, ok, err := deleteRow(r, tuple.I(0), 1)
 	if err != nil || !ok || old.Vals[2].Int() != 0 {
 		t.Fatalf("delete: %v, %v, %v", old, ok, err)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
 	}
 	if got := m.Snapshot().Sub(before); got.Reads != 1 || got.Writes != 1 {
 		t.Errorf("delete from the chain's first page charged %+v, want 1 read and 1 write", got)

@@ -88,7 +88,6 @@ func newScanFixture(t *testing.T, shape scanShape, state scanState) *scanFixture
 		t.Fatal(err)
 	}
 	if state == stateDirty {
-		p.BeginBulk()
 		for _, k := range []int64{7, 301, 599} {
 			add(k)
 		}

@@ -15,6 +15,7 @@ import (
 	"viewmat/internal/core"
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
+	"viewmat/internal/tuple/tupletest"
 )
 
 // --- shared fixtures ---------------------------------------------------------
@@ -370,7 +371,7 @@ func installCatalogLocal(db *core.Database, totalKeys int64) error {
 func sortedKeys(rows [][]tuple.Value) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		out[i] = tuple.Tuple{Vals: r}.ValueKey()
+		out[i] = tupletest.Key(r)
 	}
 	sort.Strings(out)
 	return out

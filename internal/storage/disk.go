@@ -121,10 +121,11 @@ type File struct {
 	free  []PageNum // freed page numbers available for reuse
 	// dirtyFrames counts pool frames of this file whose image is newer
 	// than the on-disk page (maintained by Frame.MarkDirty and the
-	// pool's write-back/discard paths). When zero, the on-disk image is
-	// exact and unmetered View walks (readahead chain discovery) are
-	// safe; orphaned frames may leave the count conservatively high,
-	// which only disables readahead, never corrupts it.
+	// pool's write-back, discard and recycle paths). When zero, the
+	// on-disk image is exact and unmetered View walks (readahead chain
+	// discovery) are safe; an orphan its holder dirties keeps the count
+	// conservatively high until its final Release, which only disables
+	// readahead, never corrupts it.
 	dirtyFrames atomic.Int64
 	// Change tracking (delta.go). fresh marks a file created since the
 	// last ResetChanges. dirty maps each page written, allocated or freed

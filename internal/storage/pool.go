@@ -16,6 +16,14 @@ import (
 // engine goes through a Pool, which charges the Meter: one read per
 // miss, one write per dirty page written back.
 //
+// Write policy: write-back, and nothing else. A release never writes;
+// a dirty frame is written back when it is evicted, at EvictAll, or at
+// FlushAll, which is how a caller closes a write scope: every page the
+// scope dirtied is written once, however many times its rows touched it
+// — one write per block, the charge Yao's y(n, m, k) prices a batch at.
+// A pool-wide dirty count makes the FlushAll of a scope that dirtied
+// nothing free: it walks no entry.
+//
 // Cost-model fidelity: Hanson's formulas count *distinct* pages touched
 // per operation (that is what the Yao function estimates) and assume
 // pages read for one phase of an operation stay resident for the rest
@@ -88,17 +96,19 @@ type Pool struct {
 
 	// mu guards every file's entry table (File.frames), resident, the
 	// list, the loading set, every entry's pins, inPlace, orphan and
-	// links, bulkDepth and spare.
+	// links, and spare.
 	mu       sync.Mutex
 	resident int    // entries in the tables, the list's length
 	mru, lru *Frame // the recency list runs from mru through Frame.older to lru
 	// loading holds the pages a writer's miss is fetching; missers of
 	// the same page wait on loaded (whose lock is mu), which each fetch
 	// broadcasts when it ends, and re-enter the hit path.
-	loading   map[loadKey]struct{}
-	loaded    sync.Cond
-	bulkDepth int      // >0 suspends write-through (nested bulk writes)
-	spare     []*Frame // recycled entries, at most capacity
+	loading map[loadKey]struct{}
+	loaded  sync.Cond
+	spare   []*Frame // recycled entries, at most capacity
+	// dirty counts the dirty frames in the tables, as every file's
+	// dirtyFrames counts its own; FlushAll reads it without the lock.
+	dirty atomic.Int64
 
 	slotMu sync.Mutex // innermost; guards slots, live and peak
 	slots  [][]byte   // recycled page buffers, at most capacity
@@ -149,6 +159,7 @@ type loadKey struct {
 // past its Release (both are recycled once the frame leaves the table
 // unpinned). A reader's entry has no Data.
 type Frame struct {
+	pool  *Pool
 	file  *File
 	pn    PageNum
 	Data  []byte
@@ -172,10 +183,7 @@ type Frame struct {
 const DefaultPoolCapacity = 256
 
 // NewPool creates a pool over the disk charging the meter. capacity
-// ≤ 0 selects DefaultPoolCapacity. The pool writes through — a dirty
-// frame is written back when its last pin is released, matching the
-// model's read+write charge per updated page — except inside
-// BeginBulk/EndBulk.
+// ≤ 0 selects DefaultPoolCapacity.
 func NewPool(disk *Disk, meter *Meter, capacity int) *Pool {
 	if capacity <= 0 {
 		capacity = DefaultPoolCapacity
@@ -250,28 +258,6 @@ func (p *Pool) unlink(fr *Frame) {
 	fr.newer, fr.older = nil, nil
 }
 
-// BeginBulk suspends write-through until the matching EndBulk — dirty
-// pages are then written at eviction or FlushAll — so a rebuild that
-// touches each page many times is charged one write per dirty page at
-// the closing flush. Calls nest; concurrent bulk writers (parallel
-// refresh workers) each hold the suspension without toggling each
-// other's mode — the reason this is a depth counter rather than a flag.
-func (p *Pool) BeginBulk() {
-	p.mu.Lock()
-	p.bulkDepth++
-	p.mu.Unlock()
-}
-
-// EndBulk closes a BeginBulk. The caller is expected to FlushAll (or
-// let eviction flush) afterwards; EndBulk itself writes nothing.
-func (p *Pool) EndBulk() {
-	p.mu.Lock()
-	if p.bulkDepth > 0 {
-		p.bulkDepth--
-	}
-	p.mu.Unlock()
-}
-
 // Capacity returns the pool's frame capacity.
 func (p *Pool) Capacity() int { return p.capacity }
 
@@ -327,8 +313,8 @@ func (p *Pool) Get(f *File, pn PageNum) (*Frame, error) {
 //
 // Reading an image in place is sound because a pin holds two things
 // still. No write-back happens while the in-place pin is held: write-
-// backs happen only at a frame's last unpin, at eviction and at a flush,
-// all of which skip pinned frames. And a page with a dirty frame is
+// backs happen only at eviction and at a flush, both of which skip
+// pinned frames. And a page with a dirty frame is
 // never read from its image: the frame has bytes (only writers dirty a
 // frame, and they get bytes), so the read runs on them. Every test
 // binary checks both (checkInPlace).
@@ -386,16 +372,13 @@ func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) err
 	if err == nil {
 		err = p.viewWindow(f, pinned, fn)
 	}
-	wrote = 0
 	p.mu.Lock()
 	for _, h := range pinned {
-		w, rerr := p.unpinLocked(h.fr, h.inPlace)
-		if wrote += w; err == nil {
+		if rerr := p.unpinLocked(h.fr, h.inPlace); err == nil {
 			err = rerr
 		}
 	}
 	p.mu.Unlock()
-	p.sleepIO(wrote)
 	return err
 }
 
@@ -544,8 +527,8 @@ func (p *Pool) viewLocked(fr *Frame, inPlace bool, i int, fn func(i int, page []
 
 // Alloc allocates a fresh page in the file and returns it pinned. The
 // page is born dirty (it must eventually be written) but its first
-// write is charged like any other: on unpin (write-through) or
-// eviction (write-back). No read is charged for a newborn page, which
+// write is charged like any other: at its eviction or the flush that
+// closes its scope. No read is charged for a newborn page, which
 // is zeroed like the disk's, whatever its slot held before.
 func (p *Pool) Alloc(f *File) (*Frame, error) {
 	pn := f.Alloc()
@@ -584,50 +567,47 @@ func (fr *Frame) key() frameKey {
 
 // MarkDirty records that the frame's data has been modified. The first
 // marking also bumps the file's dirty-frame count, which gates the
-// unmetered readahead walks (see File.HasDirtyFrames).
+// unmetered readahead walks (see File.HasDirtyFrames), and the pool's.
 func (fr *Frame) MarkDirty() {
 	if fr.dirty.CompareAndSwap(false, true) {
 		fr.file.dirtyFrames.Add(1)
+		fr.pool.dirty.Add(1)
 	}
 }
 
-// Release unpins a frame obtained from Get or Alloc. In write-through
-// mode the final unpin of a dirty frame writes it back (one metered
-// write).
+// clean clears the frame's dirty bit and both counts it bumped.
+func (fr *Frame) clean() {
+	if fr.dirty.CompareAndSwap(true, false) {
+		fr.file.dirtyFrames.Add(-1)
+		fr.pool.dirty.Add(-1)
+	}
+}
+
+// Release unpins a frame obtained from Get or Alloc. It writes nothing:
+// a dirty frame stays dirty until its eviction or the next flush.
 func (p *Pool) Release(fr *Frame) error {
 	p.mu.Lock()
-	wrote, err := p.unpinLocked(fr, false)
+	err := p.unpinLocked(fr, false)
 	p.mu.Unlock()
-	p.sleepIO(wrote)
 	return err
 }
 
 // unpinLocked drops one pin of fr — an in-place read's when inPlace is
-// set — and reports whether it wrote the frame back.
-func (p *Pool) unpinLocked(fr *Frame, inPlace bool) (wrote int, err error) {
+// set.
+func (p *Pool) unpinLocked(fr *Frame, inPlace bool) error {
 	if fr.pins <= 0 {
-		return 0, fmt.Errorf("storage: release of unpinned frame %v", fr.key())
+		return fmt.Errorf("storage: release of unpinned frame %v", fr.key())
 	}
 	if inPlace {
 		fr.inPlace--
 	}
-	if fr.pins--; fr.pins > 0 {
-		return 0, nil
-	}
-	if fr.orphan {
+	if fr.pins--; fr.pins == 0 && fr.orphan {
 		// Discarded while pinned: the page may be freed or reallocated,
 		// so the stale image must never be written. This was the last
 		// holder; the entry is free now.
 		p.recycle(fr)
-		return 0, nil
 	}
-	if fr.dirty.Load() && p.bulkDepth == 0 {
-		if err := p.writeBack(fr); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
-	return 0, nil
+	return nil
 }
 
 // writeBack flushes a dirty frame to disk, charging one write. The
@@ -646,9 +626,7 @@ func (p *Pool) writeBack(fr *Frame) error {
 	if p.traceIO != nil {
 		p.traceIO(true, fr.key())
 	}
-	if fr.dirty.CompareAndSwap(true, false) {
-		fr.file.dirtyFrames.Add(-1)
-	}
+	fr.clean()
 	return nil
 }
 
@@ -729,7 +707,7 @@ func (p *Pool) pinnedFullError() error {
 // disk, so a stale dirty frame can never be written to a reallocated
 // page. If the entry is pinned by a concurrent reader it is orphaned
 // instead: the holders keep their (now detached) frame, and its final
-// Release skips the write-back.
+// Release recycles it.
 func (p *Pool) Discard(f *File, pn PageNum) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -737,31 +715,37 @@ func (p *Pool) Discard(f *File, pn PageNum) {
 	if fr == nil {
 		return
 	}
-	if fr.dirty.CompareAndSwap(true, false) {
-		fr.file.dirtyFrames.Add(-1)
-	}
+	fr.clean()
 	p.drop(fr)
 }
 
 // FlushAll writes back every dirty unpinned frame (charging writes)
-// without evicting. Pinned dirty frames are skipped: their owner is
-// still mutating them and will trigger the write-back at release or
-// eviction.
+// without evicting, newest first, and sleeps their latency after
+// unlocking: the close of a write scope. Pinned dirty frames are
+// skipped: their owner is still mutating them, and the flush that
+// closes its own scope, or an eviction, writes them. When no frame is
+// dirty it takes no lock and walks nothing.
 func (p *Pool) FlushAll() error {
+	if p.dirty.Load() == 0 {
+		return nil
+	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushLocked()
+	wrote, err := p.flushLocked()
+	p.mu.Unlock()
+	p.sleepIO(wrote)
+	return err
 }
 
-func (p *Pool) flushLocked() error {
-	for fr := p.mru; fr != nil; fr = fr.older {
+func (p *Pool) flushLocked() (wrote int, err error) {
+	for fr := p.mru; fr != nil && p.dirty.Load() > 0; fr = fr.older {
 		if fr.pins == 0 && fr.dirty.Load() {
 			if err := p.writeBack(fr); err != nil {
-				return err
+				return wrote, err
 			}
+			wrote++
 		}
 	}
-	return nil
+	return wrote, nil
 }
 
 // EvictAll flushes and drops every unpinned entry. The engine calls
@@ -772,18 +756,19 @@ func (p *Pool) flushLocked() error {
 // in-use page would be unsound.
 func (p *Pool) EvictAll() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
-	for fr := p.mru; fr != nil; {
-		older := fr.older
-		if fr.pins == 0 {
-			p.drop(fr)
+	wrote, err := p.flushLocked()
+	if err == nil {
+		for fr := p.mru; fr != nil; {
+			older := fr.older
+			if fr.pins == 0 {
+				p.drop(fr)
+			}
+			fr = older
 		}
-		fr = older
 	}
-	return nil
+	p.mu.Unlock()
+	p.sleepIO(wrote)
+	return err
 }
 
 // newFrame returns an entry for (f, pn), recycled when the arena has
@@ -797,7 +782,7 @@ func (p *Pool) newFrame(f *File, pn PageNum, data []byte) *Frame {
 	} else {
 		fr = new(Frame)
 	}
-	fr.file, fr.pn, fr.Data = f, pn, data
+	fr.pool, fr.file, fr.pn, fr.Data = p, f, pn, data
 	fr.dirty.Store(false)
 	fr.pins, fr.orphan, fr.inPlace = 0, false, 0
 	return fr
@@ -824,6 +809,7 @@ func (p *Pool) takeSlot() []byte {
 // after this: its Data and file are nil until it is handed out again.
 // The pool lock is held.
 func (p *Pool) recycle(fr *Frame) {
+	fr.clean() // an orphan its holder dirtied after the Discard
 	if fr.Data != nil {
 		p.putSlot(fr.Data)
 		fr.Data = nil

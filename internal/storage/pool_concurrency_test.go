@@ -315,7 +315,8 @@ func TestPoolDiscardGetRaceStress(t *testing.T) {
 // so each reader's eviction pass writes back and recycles the writer's
 // frames and the writer's misses evict the readers' entries. Every read
 // must see its page's bytes, every writer Get the value it last wrote
-// (write-through put it on the image before any Discard), and the pool
+// (each write is its own scope, flushed to the image before any Discard
+// can drop it), and the pool
 // must end unpinned and within capacity, its entry table agreeing with
 // its list. Run under -race.
 func TestPoolReadBatchDiscardRaceStress(t *testing.T) {
@@ -386,6 +387,10 @@ func TestPoolReadBatchDiscardRaceStress(t *testing.T) {
 				errs <- err
 				return
 			}
+			if err := p.FlushAll(); err != nil {
+				errs <- err
+				return
+			}
 			if i%3 == 0 {
 				p.Discard(f, pn)
 			}
@@ -435,7 +440,6 @@ func TestPoolArenaBounded(t *testing.T) {
 				stage, peak, capacity+scanners*window, free, capacity)
 		}
 	}
-	p.BeginBulk()
 	for i := 0; i < pages; i++ {
 		fr, err := p.Alloc(f)
 		if err != nil {
@@ -447,7 +451,6 @@ func TestPoolArenaBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.EndBulk()
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

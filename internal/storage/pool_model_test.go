@@ -21,7 +21,6 @@ type refLRU struct {
 	capacity int
 	lru      []*refEntry // oldest first
 	disk     []byte      // each page's first byte
-	bulk     int
 	stats    Stats
 	events   []string // "r<pn>" per charged read, "w<pn>" per write-back
 }
@@ -75,10 +74,16 @@ func (r *refLRU) evict() error {
 	return nil
 }
 
-func (r *refLRU) release(e *refEntry) {
-	e.pins--
-	if e.pins == 0 && !e.orphan && e.dirty && r.bulk == 0 {
-		r.writeBack(e)
+func (r *refLRU) release(e *refEntry) { e.pins-- }
+
+// flush writes back every dirty unpinned entry, newest first.
+func (r *refLRU) flush() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := len(r.lru) - 1; i >= 0; i-- {
+		if e := r.lru[i]; e.pins == 0 && e.dirty {
+			r.writeBack(e)
+		}
 	}
 }
 
@@ -236,7 +241,7 @@ func (mp *modelPool) diskState() []byte {
 
 // The pool is the reference's one-list LRU: on random serial scripts of
 // every pool operation — Get, Read, ReadBatch, Alloc, writes with
-// MarkDirty, Release, EvictAll, BeginBulk/EndBulk, Discard — it charges
+// MarkDirty, Release, EvictAll, FlushAll, Discard — it charges
 // the same hits and misses in the same order, evicts the same victims,
 // writes back in the same order (EvictAll in the same set), reads the
 // same bytes, keeps the same entries in the same recency order and
@@ -326,15 +331,11 @@ func TestPoolMatchesOneListLRU(t *testing.T) {
 				if err := mp.p.EvictAll(); err != nil {
 					fail("%v", err)
 				}
-			case op == 5: // BeginBulk or EndBulk
-				if rng.Intn(2) == 0 {
-					log = append(log, "beginbulk")
-					ref.bulk++
-					mp.p.BeginBulk()
-				} else {
-					log = append(log, "endbulk")
-					ref.bulk = max(ref.bulk-1, 0)
-					mp.p.EndBulk()
+			case op == 5: // FlushAll
+				log = append(log, "flush")
+				ref.flush()
+				if err := mp.p.FlushAll(); err != nil {
+					fail("%v", err)
 				}
 			case op == 6: // Discard
 				pn := pagePick()
@@ -409,6 +410,24 @@ func TestPoolMatchesOneListLRU(t *testing.T) {
 			if err := mp.p.checkTable(mp.f); err != nil {
 				fail("%v", err)
 			}
+			// The pool's dirty count: the reference's dirty entries, and
+			// any orphan a holder dirtied after its Discard.
+			dirty := int64(0)
+			for _, e := range ref.lru {
+				if e.dirty {
+					dirty++
+				}
+			}
+			orphans := map[*Frame]bool{} // two handles may hold one frame
+			for _, h := range held {
+				if h.ref.orphan && h.frame.dirty.Load() && !orphans[h.frame] {
+					orphans[h.frame] = true
+					dirty++
+				}
+			}
+			if got := mp.p.dirty.Load(); got != dirty {
+				fail("dirty count %d, want %d", got, dirty)
+			}
 		}
 		for _, h := range held {
 			if err := mp.p.Release(h.frame); err != nil {
@@ -416,6 +435,12 @@ func TestPoolMatchesOneListLRU(t *testing.T) {
 			}
 		}
 		mp.p.AssertUnpinned(t)
+		if err := mp.p.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mp.p.dirty.Load(); got != 0 {
+			t.Fatalf("seed %d: dirty count %d after EvictAll, want 0", seed, got)
+		}
 	}
 	if repeats == 0 || overflows == 0 {
 		t.Fatalf("the scripts ran %d windows repeating a page and %d overflowing by more than one; want both", repeats, overflows)
@@ -481,7 +506,7 @@ func TestPoolInPlaceReadOfDirtyFrameCaught(t *testing.T) {
 	p.AssertUnpinned(t)
 }
 
-// A page a bulk writer left dirty — its image stale until the flush —
+// A page a writer released dirty — its image stale until the flush —
 // reads as the frame's bytes through Read and ReadBatch, and through
 // either as the image once EvictAll has flushed it and dropped the frame.
 func TestPoolInPlaceReadOfBulkDirtyPage(t *testing.T) {
@@ -490,7 +515,6 @@ func TestPoolInPlaceReadOfBulkDirtyPage(t *testing.T) {
 	p := NewPool(d, m, 8)
 	f := d.Open("r")
 	pn, other := f.Alloc(), f.Alloc()
-	p.BeginBulk()
 	fr, err := p.Get(f, pn)
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +525,7 @@ func TestPoolInPlaceReadOfBulkDirtyPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if page, _ := f.Peek(pn); page[0] != 0 {
-		t.Fatal("a bulk write reached the image before the flush")
+		t.Fatal("a released write reached the image before the flush")
 	}
 	first := func(want byte) func(int, []byte) error {
 		return func(i int, page []byte) error {
@@ -521,7 +545,6 @@ func TestPoolInPlaceReadOfBulkDirtyPage(t *testing.T) {
 		}
 	}
 	check("dirty frame", 7)
-	p.EndBulk()
 	if err := p.EvictAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -121,52 +121,35 @@ func TestPoolChargesReadOnMissOnly(t *testing.T) {
 	}
 }
 
-func TestPoolWriteThroughChargesOnUnpin(t *testing.T) {
-	d := NewDisk(64)
-	m := NewMeter()
-	p := NewPool(d, m, 8)
-	f := d.Open("r")
-	pn := f.Alloc()
-
-	fr, _ := p.Get(f, pn)
-	fr.Data[0] = 0xAB
-	fr.MarkDirty()
-	if m.Snapshot().Writes != 0 {
-		t.Error("write charged before unpin")
-	}
-	if err := p.Release(fr); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Snapshot().Writes; got != 1 {
-		t.Errorf("writes after unpin = %d, want 1", got)
-	}
-	// Durability: the byte is on disk.
-	b, _ := f.Peek(pn)
-	if b[0] != 0xAB {
-		t.Error("write-through did not persist data")
-	}
-}
-
+// A release writes nothing; the flush that closes the scope writes each
+// dirty page once, however often it was dirtied, and persists its bytes.
 func TestPoolWriteBackDefersWrites(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
 	p := NewPool(d, m, 8)
-	p.BeginBulk()
 	f := d.Open("r")
 	pn := f.Alloc()
 
-	fr, _ := p.Get(f, pn)
-	fr.Data[0] = 1
-	fr.MarkDirty()
-	p.Release(fr)
+	for i := byte(1); i <= 3; i++ {
+		fr, _ := p.Get(f, pn)
+		fr.Data[0] = i
+		fr.MarkDirty()
+		p.Release(fr)
+	}
 	if m.Snapshot().Writes != 0 {
-		t.Error("write-back mode charged a write at unpin")
+		t.Error("a release charged a write")
+	}
+	if b, _ := f.Peek(pn); b[0] != 0 {
+		t.Error("a release reached the image before the flush")
 	}
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Snapshot().Writes; got != 1 {
 		t.Errorf("writes after flush = %d, want 1", got)
+	}
+	if b, _ := f.Peek(pn); b[0] != 3 {
+		t.Errorf("flushed image reads %d, want 3", b[0])
 	}
 	// Flushing twice must not double-charge.
 	p.FlushAll()
@@ -179,7 +162,6 @@ func TestPoolEvictionWritesDirtyAndRechargesRead(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
 	p := NewPool(d, m, 2)
-	p.BeginBulk()
 	f := d.Open("r")
 	pns := []PageNum{f.Alloc(), f.Alloc(), f.Alloc()}
 
@@ -265,6 +247,9 @@ func TestPoolAllocBornDirtyNoReadCharge(t *testing.T) {
 	}
 	fr.Data[0] = 7
 	p.Release(fr)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	if m.Snapshot().Writes != 1 {
 		t.Errorf("writes = %d, want 1 (newborn dirty page)", m.Snapshot().Writes)
 	}
@@ -397,6 +382,9 @@ func TestFileExtentAndPeek(t *testing.T) {
 	fr.Data[0] = 0xCD
 	fr.MarkDirty()
 	p.Release(fr)
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	page, err := f.Peek(b)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +424,6 @@ func TestDiscard(t *testing.T) {
 	d := NewDisk(32)
 	m := NewMeter()
 	p := NewPool(d, m, 4)
-	p.BeginBulk()
 	f := d.Open("x")
 	pn := f.Alloc()
 	fr, _ := p.Get(f, pn)
@@ -455,7 +442,6 @@ func TestDiscard(t *testing.T) {
 	p.Discard(f, pn)
 	// Discard of a pinned frame orphans it: the holder keeps the
 	// frame, but the final release must not write the stale image.
-	p.EndBulk()
 	fr2, _ := p.Get(f, pn)
 	fr2.Data[0] = 0x55
 	fr2.MarkDirty()
@@ -499,6 +485,9 @@ func TestDiskSnapshotRestore(t *testing.T) {
 	fr.Data[3] = 0x7E
 	fr.MarkDirty()
 	pool.Release(fr)
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 
 	img := d.Snapshot()
 	// Mutating the image must not alias the live disk.

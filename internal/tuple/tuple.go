@@ -290,20 +290,6 @@ func ValsEqual(a, b Tuple) bool {
 	return true
 }
 
-// ValueKey renders the tuple's values, each as Value.String renders
-// it, joined by a unit separator: a string key to sort and compare rows
-// by.
-func (t Tuple) ValueKey() string {
-	var b strings.Builder
-	for i, v := range t.Vals {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.String())
-	}
-	return b.String()
-}
-
 // String renders the tuple for diagnostics.
 func (t Tuple) String() string {
 	var b strings.Builder

@@ -107,14 +107,6 @@ func TestValsEqualIgnoresID(t *testing.T) {
 	}
 }
 
-func TestValueKeyDistinguishes(t *testing.T) {
-	a := New(1, S("ab"), S("c"))
-	b := New(1, S("a"), S("bc"))
-	if a.ValueKey() == b.ValueKey() {
-		t.Error("ValueKey must not collide across field boundaries")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tp := New(123456789, I(-42), F(3.14159), S("hello, world"), S(""))
 	buf := tp.Encode(nil)
