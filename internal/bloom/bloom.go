@@ -114,9 +114,6 @@ func (f *Filter) Len() int { return f.n }
 // Bits returns the filter's bit capacity.
 func (f *Filter) Bits() uint64 { return f.m }
 
-// Hashes returns the number of hash probes per key.
-func (f *Filter) Hashes() int { return f.k }
-
 // FillRatio returns the fraction of bits set.
 func (f *Filter) FillRatio() float64 {
 	var set int
@@ -124,12 +121,6 @@ func (f *Filter) FillRatio() float64 {
 		set += popcount(w)
 	}
 	return float64(set) / float64(f.m)
-}
-
-// EstimatedFPRate returns the expected false-positive probability for
-// the current fill: (fraction of bits set)^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
 }
 
 // String summarizes the filter state.

@@ -320,9 +320,9 @@ func (db *Database) siblingParentLocked(views []*viewState) *viewState {
 	if parent == nil || db.viewStale(parent) {
 		return nil
 	}
-	at, _ := logPositionOf(views[0])
+	at := logPositionOf(views[0])
 	for _, vs := range views {
-		if pos, _ := logPositionOf(vs); !vs.row().delta || pos != at {
+		if pos := logPositionOf(vs); !vs.row().delta || pos != at {
 			return nil
 		}
 	}

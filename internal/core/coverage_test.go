@@ -374,57 +374,3 @@ func TestAggregateOverHashRelation(t *testing.T) {
 		t.Errorf("MIN after extreme delete = %v ok=%v err=%v, want 1", v, ok, err)
 	}
 }
-
-func TestBlakeleyInsertPathStillCorrect(t *testing.T) {
-	// The Blakeley variant's insert side is correct; only deletes
-	// over-count. A pure-insert transaction must behave identically
-	// under both variants.
-	correct := newJoinDatabase(t, Immediate, 10, 10)
-	buggy := newJoinDatabase(t, Immediate, 10, 10)
-	if err := setJoinVariantBlakeley(buggy, "j", true); err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(db *Database) {
-		tx := db.Begin()
-		if _, err := tx.Insert("r1", tuple.I(50), tuple.I(4), tuple.S("n")); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mutate(correct)
-	mutate(buggy)
-	a, err := correct.QueryView("j", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := buggy.QueryView("j", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "blakeley insert path", a, b)
-}
-
-func TestBlakeleyDeleteOnlyR1IsCorrect(t *testing.T) {
-	// Deleting from only one relation does not trigger the anomaly:
-	// D1×D2 and R1×D2 are empty, so D1×R2 deletes exactly once.
-	buggy := newJoinDatabase(t, Immediate, 10, 10)
-	if err := setJoinVariantBlakeley(buggy, "j", true); err != nil {
-		t.Fatal(err)
-	}
-	tx := buggy.Begin()
-	if err := tx.Delete("r1", tuple.I(3), 14); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := buggy.QueryView("j", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 9 {
-		t.Errorf("rows = %d, want 9", len(rows))
-	}
-}

@@ -1,10 +1,10 @@
 // Package core implements the paper's subject matter: view definitions
 // over the storage substrates, materialized views with duplicate
 // counts, the differential (incremental) view-update algorithm in its
-// corrected form (§2.1) and in Blakeley's original form (Appendix A),
-// and the three maintenance strategies compared by the performance
-// analysis — query modification, immediate maintenance, and the
-// proposed deferred maintenance — behind a single Database engine.
+// corrected form (§2.1), and the three maintenance strategies compared
+// by the performance analysis — query modification, immediate
+// maintenance, and the proposed deferred maintenance — behind a single
+// Database engine.
 package core
 
 import (

@@ -169,11 +169,6 @@ type viewState struct {
 
 	plan QueryPlan // default plan for QueryModification
 
-	// blakeley selects the uncorrected delete expansion of [Blak86]
-	// for join refresh — the Appendix A anomaly demonstration. Only
-	// tests set it (setJoinVariantBlakeley); it persists with the catalog.
-	blakeley bool
-
 	// snapshotEvery is the staleness budget (in commits) of a
 	// Snapshot view; refreshEvery is a Deferred view's periodic
 	// refresh interval (0 = on demand); staleCommits counts commits

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -530,26 +533,30 @@ func TestAppendixAAnomaly(t *testing.T) {
 	// three times (D1×D2, D1×R2, R1×D2). With duplicate counts the
 	// second decrement underflows. The corrected expansion deletes it
 	// exactly once.
-	build := func() *Database {
-		return newJoinDatabase(t, Immediate, 10, 10)
+	fx := joinFx("appendix-a", 10, 10, 90, joinDef("j"))
+	ref, err := fx.build(&referenceConfig)
+	if err != nil {
+		t.Fatal(err)
 	}
-	deletePair := func(db *Database) error {
-		// r2 id for jv=3 is 4; r1 tuple k=3 (jv=3) has id 14.
-		tx := db.Begin()
-		if err := tx.Delete("r1", tuple.I(3), 14); err != nil {
-			return err
-		}
-		if err := tx.Delete("r2", tuple.I(3), 4); err != nil {
-			return err
-		}
-		return tx.Commit()
-	}
+	// The pair: r1's k=3 and r2's jv=3, which it joins.
+	r1, r2 := ref.ref.rels["r1"], ref.ref.rels["r2"]
+	d1, d2 := r1[3:4], r2[3:4]
 
-	correct := build()
-	if err := deletePair(correct); err != nil {
+	correct, err := fx.build(&engineConfig{name: "immediate", strategy: Immediate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := correct.db.Begin()
+	if err := tx.Delete("r1", d1[0].Vals[0], d1[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("r2", d2[0].Vals[0], d2[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatalf("corrected algorithm failed: %v", err)
 	}
-	rows, err := correct.QueryView("j", nil)
+	rows, err := correct.db.QueryView("j", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,27 +564,98 @@ func TestAppendixAAnomaly(t *testing.T) {
 		t.Errorf("corrected: rows = %d, want 9", len(rows))
 	}
 
-	buggy := build()
-	if err := setJoinVariantBlakeley(buggy, "j", true); err != nil {
+	// The foil's delete rows, handed to the start-state view's own store.
+	foil := blakeleyDeletes(fx.views[0], r1, r2, d1, d2)
+	if len(foil) != 3 {
+		t.Fatalf("foil deletes %d rows, want the pair's one row three times", len(foil))
+	}
+	buggy, err := fx.build(&engineConfig{name: "immediate", strategy: Immediate})
+	if err != nil {
 		t.Fatal(err)
 	}
-	err = deletePair(buggy)
-	if err == nil {
-		t.Fatal("Blakeley expansion did not surface the over-deletion anomaly")
+	vals, signs := make([][]tuple.Value, len(foil)), make([]int8, len(foil))
+	for i, r := range foil {
+		vals[i], signs[i] = r.Vals, -1
 	}
-	if !strings.Contains(err.Error(), "underflow") {
+	applied, err := buggy.db.views["j"].mat.ApplyDeltaRun(vals, signs, make([]uint64, len(foil)))
+	if err == nil {
+		t.Fatal("the view's store took Blakeley's over-deletion")
+	}
+	if !strings.Contains(err.Error(), "duplicate-count underflow") {
 		t.Errorf("unexpected error: %v", err)
+	}
+	if applied != 1 {
+		t.Errorf("store applied %d of the foil's deletes, want 1 (the second underflows)", applied)
 	}
 }
 
-func TestSetJoinVariantErrors(t *testing.T) {
-	db := newSPDatabase(t, Immediate, 10)
-	if err := setJoinVariantBlakeley(db, "v", true); err == nil {
-		t.Error("variant set on non-join view")
+// TestPropertyBlakeleyOverDeletesJoiningPairs holds Appendix A's claim
+// on the reference side, over seeded random transactions on both
+// relations of the Model-2 fixture: the foil's delete rows are the
+// corrected expansion's — the view rows the plain-Go reference loses
+// when the transaction's deletes leave the start state — exactly when
+// no pair deleted together joins, and otherwise those and two more
+// copies of each such pair's row (D1×D2 again inside D1×R2 and R1×D2).
+func TestPropertyBlakeleyOverDeletesJoiningPairs(t *testing.T) {
+	fx := twoSidedFx()
+	d := fx.views[0]
+	// minus is rel without the tuples of gone (by id).
+	minus := func(rel, gone []tuple.Tuple) (out []tuple.Tuple) {
+		ids := idSet(gone)
+		for _, tp := range rel {
+			if !ids[tp.ID] {
+				out = append(out, tp)
+			}
+		}
+		return out
 	}
-	if err := setJoinVariantBlakeley(db, "missing", true); err == nil {
-		t.Error("variant set on missing view")
+	count := func(into map[string]int, rows []ResultRow, times int) {
+		for _, r := range rows {
+			into[tupletest.Key(r.Vals)] += times
+		}
 	}
+	var clean, paired int
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, err := fx.build(&referenceConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script, _ := genScript(rng, fx.keyStream(rng), len(fx.rels),
+			phaseMix{rounds: 10, txEvery: 1, ops: [2]int{2, 6}, queries: 1})
+		r1, r2 := slices.Clone(e.ref.rels["r1"]), slices.Clone(e.ref.rels["r2"])
+		for i, s := range script {
+			if err := e.apply(fx, s); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+			if s.op != "commit" {
+				continue
+			}
+			end1, end2 := e.ref.rels["r1"], e.ref.rels["r2"]
+			d1, d2 := minus(r1, end1), minus(r2, end2)
+			pairs := refJoin(d, d1, d2)
+			want, got := map[string]int{}, map[string]int{}
+			count(want, refJoin(d, r1, r2), 1)
+			count(want, refJoin(d, minus(r1, d1), minus(r2, d2)), -1)
+			count(want, pairs, 2)
+			count(got, blakeleyDeletes(d, r1, r2, d1, d2), 1)
+			maps.DeleteFunc(want, func(_ string, n int) bool { return n == 0 })
+			if !maps.Equal(got, want) {
+				t.Fatalf("seed %d step %d (|D1| %d, |D2| %d, %d joining pairs): foil deletes %v, want %v",
+					seed, i, len(d1), len(d2), len(pairs), got, want)
+			}
+			if len(pairs) == 0 {
+				clean++
+			} else {
+				paired++
+			}
+			r1, r2 = slices.Clone(end1), slices.Clone(end2)
+		}
+	}
+	if clean == 0 || paired == 0 {
+		t.Fatalf("%d transactions without a joining pair deleted, %d with: the property needs both", clean, paired)
+	}
+	t.Logf("%d transactions without a joining pair deleted, %d with", clean, paired)
 }
 
 // --- aggregates --------------------------------------------------------------

@@ -303,8 +303,8 @@ type logPosition struct {
 	pos    int64
 }
 
-func logPositionOf(vs *viewState) (logPosition, bool) {
-	return logPosition{vs.def.Relations[0], vs.parentGen, vs.parentPos}, true
+func logPositionOf(vs *viewState) logPosition {
+	return logPosition{vs.def.Relations[0], vs.parentGen, vs.parentPos}
 }
 
 // drainChildrenLocked brings children standing at one position of their

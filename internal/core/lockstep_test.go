@@ -34,9 +34,9 @@ import (
 // The test-only switches of the engine. Production code reads the fields
 // they set; nothing outside this package's tests can reach them.
 
-// setBatch1 pins a fresh engine to the row-at-a-time executor: every
-// batch carries one row and filters evaluate their per-row reference
-// semantics.
+// setBatch1 caps a fresh engine's batches at one row: every operator,
+// filter kernels included, runs its vectorized code over one-row
+// batches.
 func setBatch1(db *Database) { db.batchSize = 1 }
 
 // Settings of the share gate: the engine's own cost-model choice, every
@@ -65,26 +65,6 @@ func setHierarchyFailpoint(db *Database, fn func(view string) error) {
 	db.mu.Lock()
 	db.hierarchyFail = fn
 	db.mu.Unlock()
-}
-
-// setJoinVariantBlakeley switches a join view's refresh between the
-// corrected differential expansion (§2.1, the default) and Blakeley's
-// original expansion, which Appendix A shows can over-decrement
-// duplicate counts.
-func setJoinVariantBlakeley(db *Database, view string, on bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	vs, ok := db.views[view]
-	if !ok {
-		return fmt.Errorf("core: unknown view %q", view)
-	}
-	if vs.def.Kind != Join {
-		return fmt.Errorf("core: view %q is not a join view", view)
-	}
-	vs.blakeley = on
-	// The variant changes future refresh results, so it must be in the
-	// recovery snapshot before any logged refresh depends on it.
-	return db.catalogCheckpointLocked()
 }
 
 // --- steps, generator, shrinker ------------------------------------------------
@@ -410,7 +390,6 @@ type engineConfig struct {
 
 	// Applied once the catalog exists.
 	snapshotEvery int  // staleness budget of Snapshot views; 0 keeps them comparable to the consistent strategies
-	blakeley      bool // join views refresh by Blakeley's uncorrected expansion
 	adaptive      bool // the online advisor; tick steps act on this engine, and refresh steps on it and on wal engines
 	wal           bool // durability on in-memory devices, checkpointing every ckptEvery commits (0 = never)
 	ckptEvery     int
@@ -565,11 +544,6 @@ func (fx *fixture) build(cfg *engineConfig) (*engine, error) {
 	for _, sp := range specs {
 		if sp.Strategy == Snapshot {
 			if err := db.SetSnapshotInterval(sp.Def.Name, cfg.snapshotEvery); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.blakeley && sp.Def.Kind == Join {
-			if err := setJoinVariantBlakeley(db, sp.Def.Name, true); err != nil {
 				return nil, err
 			}
 		}
@@ -741,13 +715,6 @@ func (r *reference) answer(d Def) (a answer, err error) {
 	if !ok {
 		return a, fmt.Errorf("reference: view %s reads %s, not a base relation", d.Name, d.Relations[0])
 	}
-	pick := func(t tuple.Tuple, cols []int) []tuple.Value {
-		out := make([]tuple.Value, len(cols))
-		for i, c := range cols {
-			out[i] = t.Vals[c]
-		}
-		return out
-	}
 	var kept []tuple.Tuple // σ over slot 0
 	for _, t := range outer {
 		if d.Pred.EvalSingle(0, t) {
@@ -757,16 +724,10 @@ func (r *reference) answer(d Def) (a answer, err error) {
 	switch d.Kind {
 	case SelectProject:
 		for _, t := range kept {
-			a.rows = append(a.rows, ResultRow{Vals: pick(t, d.Project[0])})
+			a.rows = append(a.rows, ResultRow{Vals: refPick(t, d.Project[0])})
 		}
 	case Join:
-		for _, t1 := range kept {
-			for _, t2 := range r.rels[d.Relations[1]] {
-				if d.Pred.EvalJoined(t1, t2) {
-					a.rows = append(a.rows, ResultRow{Vals: append(pick(t1, d.Project[0]), pick(t2, d.Project[1])...)})
-				}
-			}
-		}
+		a.rows = refJoin(d, kept, r.rels[d.Relations[1]])
 	case Aggregate:
 		a.val, a.ok, err = refFold(d.AggKind, kept, d.AggCol)
 	case GroupedAggregate:
@@ -793,6 +754,43 @@ func (r *reference) answer(d Def) (a answer, err error) {
 		}
 	}
 	return a, err
+}
+
+// refPick projects t onto cols.
+func refPick(t tuple.Tuple, cols []int) []tuple.Value {
+	out := make([]tuple.Value, len(cols))
+	for i, c := range cols {
+		out[i] = t.Vals[c]
+	}
+	return out
+}
+
+// refJoin is join view d's rows over outer × inner by definition: every
+// pair its whole predicate holds on, projected.
+func refJoin(d Def, outer, inner []tuple.Tuple) (rows []ResultRow) {
+	for _, t1 := range outer {
+		for _, t2 := range inner {
+			if d.Pred.EvalJoined(t1, t2) {
+				rows = append(rows, ResultRow{Vals: append(refPick(t1, d.Project[0]), refPick(t2, d.Project[1])...)})
+			}
+		}
+	}
+	return rows
+}
+
+// blakeleyDeletes is Appendix A's foil: the delete rows Blakeley's
+// original expansion [Blak86] derives for join view d from a
+// transaction that deletes d1 from r1 and d2 from r2, where r1 and r2
+// are the relations' start-state rows. The corrected expansion (§2.1)
+// joins each D set against the other relation less its deletes; this
+// one joins them against the whole start state — D1×D2, D1×R2, R1×D2 —
+// so the view row of a joining pair deleted together is deleted three
+// times. The engine has no such path; TestAppendixAAnomaly hands these
+// rows to a view's store, which refuses them.
+func blakeleyDeletes(d Def, r1, r2, d1, d2 []tuple.Tuple) []ResultRow {
+	rows := refJoin(d, d1, d2)
+	rows = append(rows, refJoin(d, d1, r2)...)
+	return append(rows, refJoin(d, r1, d2)...)
 }
 
 // refFold is the aggregate by its textbook definition.
@@ -1200,13 +1198,8 @@ func lockstepTable() []row {
 	rows = append(rows,
 		row{test: "TestPropertyModel1StrategiesEquivalent", fixture: static(model1Fx()),
 			configs: plain(fiveStrategies...), seeds: [2]int64{500, 505}, phases: churn(5)},
-		// Updates on R1 only: with R2 untouched the A2/D2 delta terms are
-		// empty, exactly the regime where Blakeley's original expansion and
-		// the corrected one coincide, so the variant runs as a fourth equal
-		// strategy (TestAppendixAAnomaly covers where they part).
 		row{test: "TestPropertyModel2StrategiesEquivalent", fixture: static(model2Fx()),
-			configs: append(plain(paperThree...), engineConfig{name: "deferred-blakeley", strategy: Deferred, blakeley: true}),
-			seeds:   [2]int64{900, 905}, phases: churn(5)},
+			configs: plain(paperThree...), seeds: [2]int64{900, 905}, phases: churn(5)},
 		row{test: "TestPropertyJoinStrategiesEquivalent", fixture: static(twoSidedFx()),
 			configs: plain(paperThree...), seeds: [2]int64{100, 104},
 			phases: []phaseMix{{rounds: 6, txEvery: 1, ops: [2]int{1, 3}, queries: 1}}},
@@ -1254,8 +1247,8 @@ func lockstepTable() []row {
 	}
 	rows = append(rows, row{test: "TestPropertyModel1StrategiesEquivalent/regression/one-commit-splits-a-leaf-and-updates-a-key-twice",
 		fixture: static(model1Fx()), configs: plain(fiveStrategies...), seeds: [2]int64{0, 0}, script: splitCommit})
-	// Query modification beside a deferred sibling, on the batch executor
-	// and the one-row one, over inserts, updates and deletes that pile up
+	// Query modification beside a deferred sibling, at the default batch
+	// cap and at one row a batch, over inserts, updates and deletes that pile up
 	// unfolded: pending adds, pending deletes and updates of pending rows.
 	qmBatch1 := engineConfig{name: "query-modification+batch1", strategy: QueryModification, seams: []func(*Database){setBatch1}}
 	rows = append(rows, row{test: "TestPropertyQMReadsPendingAD", fixture: static(qmPendingFx()),
@@ -1281,8 +1274,8 @@ func lockstepTable() []row {
 			seeds: [2]int64{2100, 2103}, phases: churn(5)})
 	}
 
-	// Twins: the one-row executor changes neither a stored byte nor a
-	// charge, under any strategy.
+	// Twins: one-row batches change neither a stored byte nor a charge,
+	// under any strategy.
 	twins := func(test string, fx *fixture, st Strategy, lo, hi int64, rounds int) {
 		cfgs := plain(st, st)
 		cfgs[1].name, cfgs[1].seams = st.String()+"+batch1", []func(*Database){setBatch1}
@@ -1303,8 +1296,8 @@ func lockstepTable() []row {
 
 	// Hierarchy: a random view DAG under skewed updates. The subject runs
 	// the drawn strategies with the cost-model share gate and vectorized
-	// batches; sharing and vectorization must not change stored bytes
-	// (vectorization not a charge either), and everything must mean what
+	// batches; sharing and the batch cap must not change stored bytes
+	// (the batch cap not a charge either), and everything must mean what
 	// full recomputation means.
 	four := testOpts()
 	four.MaxRefreshWorkers = 4

@@ -74,9 +74,6 @@ func (v *MatView) DistinctRows() int { return v.rel.Len() }
 // Pages returns the view's data pages (unmetered).
 func (v *MatView) Pages() int { return v.rel.Pages() }
 
-// IndexHeight returns the view index height above the leaves (Hvi).
-func (v *MatView) IndexHeight() int { return v.rel.IndexHeight() }
-
 // findRow locates the stored row with exactly these values, if any.
 func (v *MatView) findRow(vals []tuple.Value) (tuple.Tuple, bool, error) {
 	matches, err := v.rel.LookupKey(vals[v.keyCol])

@@ -148,7 +148,7 @@ func TestMatViewScanRange(t *testing.T) {
 	if len(rows) != 5 {
 		t.Errorf("range scan rows = %d, want 5", len(rows))
 	}
-	if mv.Pages() < 1 || mv.IndexHeight() < 0 {
+	if mv.Pages() < 1 || mv.rel.IndexHeight() < 0 {
 		t.Error("statistics accessors misbehaved")
 	}
 }

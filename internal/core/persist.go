@@ -137,8 +137,10 @@ func Load(r io.Reader) (*Database, error) {
 // keys ordered NaN equal to every value and hashed −0 apart from +0, so
 // its trees and hash chains need not hold under tuple.CompareFloat;
 // version 6's disk delta carried whole pages where version 7 carries
-// each page as a patch against its base.
-const snapshotMagic = "VMS\x07"
+// each page as a patch against its base; version 7's view entries
+// carried a flag selecting Blakeley's uncorrected join expansion, which
+// the engine no longer has.
+const snapshotMagic = "VMS\x08"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
@@ -151,7 +153,7 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, delta *storage.DiskDelta, di
 		c.U8(&magic[i])
 	}
 	if string(magic) != snapshotMagic {
-		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-6 snapshots are not readable)",
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-7 snapshots are not readable)",
 			snapshotMagic[3], magic, snapshotMagic)
 		return
 	}
@@ -391,7 +393,6 @@ func codeViewEntry(c *tuple.Coder, ve *viewEntry) {
 	vs.def.Code(c)
 	c.Int((*int)(&vs.strategy))
 	c.Int((*int)(&vs.plan))
-	c.Bool(&vs.blakeley)
 	c.Int(&vs.snapshotEvery)
 	c.Int(&vs.refreshEvery)
 	c.Int(&vs.staleCommits)

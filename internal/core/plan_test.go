@@ -176,27 +176,6 @@ var planScenarios = []struct {
 		tx.MustCommit()
 		return db, "j"
 	}},
-	{"blakeley-join", func(t *testing.T) (*Database, string) {
-		db := newJoinDatabase(t, Immediate, 60, 12)
-		if err := setJoinVariantBlakeley(db, "j", true); err != nil {
-			t.Fatal(err)
-		}
-		tx := db.Begin()
-		id, err := tx.Insert("r1", tuple.I(70), tuple.I(5), tuple.S("px"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Insert("r2", tuple.I(12), tuple.S("infox")); err != nil {
-			t.Fatal(err)
-		}
-		tx.MustCommit()
-		tx = db.Begin()
-		if err := tx.Delete("r1", tuple.I(70), id); err != nil {
-			t.Fatal(err)
-		}
-		tx.MustCommit()
-		return db, "j"
-	}},
 	{"immediate-agg", func(t *testing.T) (*Database, string) {
 		db := newAggDatabase(t, Immediate, agg.Sum, 50)
 		tx := db.Begin()
@@ -678,26 +657,6 @@ func TestOperatorStatsMatchMeter(t *testing.T) {
 			})
 		})
 	}
-
-	t.Run("join-blakeley", func(t *testing.T) {
-		db := newJoinDatabase(t, Immediate, 60, 12)
-		if err := setJoinVariantBlakeley(db, "j", true); err != nil {
-			t.Fatal(err)
-		}
-		check(t, db, func() {
-			tx := db.Begin()
-			id, err := tx.Insert("r1", tuple.I(70), tuple.I(5), tuple.S("px"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tx.MustCommit()
-			tx = db.Begin()
-			if err := tx.Delete("r1", tuple.I(70), id); err != nil {
-				t.Fatal(err)
-			}
-			tx.MustCommit()
-		})
-	})
 
 	t.Run("aggregates", func(t *testing.T) {
 		db := newAggDatabase(t, Deferred, agg.Max, 50)

@@ -394,9 +394,9 @@ func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator
 
 // --- join delta expansion ---------------------------------------------------
 
-// joinPlanCtx carries what the corrected and Blakeley expansions
-// share: join columns, relations, and the predicate/projection
-// closures — the one place the delta-expansion plumbing lives.
+// joinPlanCtx carries what the join refresh's pipelines share: join
+// columns, relations, and the predicate/projection closures — the one
+// place the delta-expansion plumbing lives.
 type joinPlanCtx struct {
 	vs         *viewState
 	col1, col2 int
@@ -434,42 +434,4 @@ func (c joinPlanCtx) outerVal(row exec.Row) tuple.Value { return row.T0.Vals[c.c
 // joined bindings and fold them into the materialized store.
 func (db *Database) applyJoin(c joinPlanCtx, input exec.Operator) exec.Operator {
 	return db.matApply(c.vs, db.project(c.vs, input))
-}
-
-// probeDeltas builds the delta-side probe pipeline shared by both
-// expansions: stream d, filter by the slot-0 restriction (charged per
-// the corrected expansion's per-tuple handling cost, uncharged for
-// Blakeley), probe R2 by join value. skipIDs recovers R2' (or the
-// start-state R2 together with addBack).
-func (db *Database) probeDeltas(c joinPlanCtx, label string, d *deltas, charge bool,
-	skipIDs map[uint64]bool, addBack []tuple.Tuple) exec.Operator {
-	src := exec.NewDeltaSource(db.execOpts(), label, d.adds, d.dels)
-	filt := exec.NewFilter(db.execOpts(), label+".r1pred", src, singlePred(c.vs), charge)
-	probe := exec.NewLoopJoin(db.execOpts(), exec.LoopJoinSpec{
-		Input:      filt,
-		Inner:      c.r2,
-		JoinVal:    c.outerVal,
-		On:         c.onFull,
-		SkipIDs:    skipIDs,
-		AddBack:    addBack,
-		AddBackCol: c.col2,
-	})
-	return db.applyJoin(c, probe)
-}
-
-// matchR2Deltas builds the R2-delta-side pipeline shared by both
-// expansions: a restricted scan of R1 recovered to the wanted epoch
-// state, matched against the in-memory A2/D2 sets. flatScreens charges
-// the corrected expansion's C1·(|A2|+|D2|) handling term.
-func (db *Database) matchR2Deltas(c joinPlanCtx, outer exec.Operator,
-	adds, dels []tuple.Tuple, flatScreens int64) exec.Operator {
-	md := exec.NewMatchDeltas(db.execOpts(), outer, adds, dels, c.outerVal, c.col2, c.onFull, flatScreens)
-	return db.applyJoin(c, md)
-}
-
-// crossDeltas builds the A1×A2-insert / D1×D2-delete cross-term
-// pipeline shared by both expansions.
-func (db *Database) crossDeltas(c joinPlanCtx, a1, a2, d1, d2 []tuple.Tuple) exec.Operator {
-	cross := exec.NewCrossDeltas(db.execOpts(), a1, a2, d1, d2, c.col1, c.col2, c.onFull)
-	return db.applyJoin(c, cross)
 }

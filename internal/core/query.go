@@ -406,10 +406,7 @@ func (db *Database) refreshDeferredLocked(rel string) error {
 		}
 		feeds[vs] = baseFeed(vs, slots, true)
 	}
-	groups := groupViews(views, func(vs *viewState) (exec.DeltaFingerprint, bool) {
-		fp := feeds[vs].fp
-		return fp, fp.Shareable()
-	})
+	groups := groupViews(views, func(vs *viewState) exec.DeltaFingerprint { return feeds[vs].fp })
 	return db.inPhase(PhaseDefRefresh, func() error {
 		for _, g := range groups {
 			if err := db.refreshGroup(g, feeds[g[0]]); err != nil {

@@ -32,17 +32,17 @@ import (
 // fold ran first), so R' is reconstructed by skipping A-set ids when
 // probing, and every D-set tuple is available in memory.
 //
-// Blakeley's original expansion (Appendix A) is implemented alongside
-// for the anomaly demonstration: it joins the D sets against the full
-// start-of-epoch relations, deleting the same view row up to three
-// times when a joining pair is deleted together.
+// Blakeley's original expansion [Blak86] (Appendix A) joins the D sets
+// against the full start-of-epoch relations and deletes a view row up
+// to three times when a joining pair is deleted together. It is not an
+// engine path: the tests keep it as a plain-Go foil and hand its delete
+// rows to a view's store, which refuses them (TestAppendixAAnomaly).
 
 // deltaFeed is where one refresh's A and D sets come from. There are
 // three sources, named by the fingerprint's kind: "delta" streams one
 // base relation's A/D sets as they are; "join" evaluates the corrected
 // expansion over two relations' A/D sets; "viewdelta" replays the
-// unseen suffix of a parent view's delta log. The zero fingerprint is
-// the Blakeley foil, which only ever runs privately.
+// unseen suffix of a parent view's delta log.
 //
 // Views whose feeds carry equal fingerprints over the same input drain
 // the same delta rows, which is what lets refreshGroup build them once.
@@ -66,21 +66,21 @@ type deltaFeed struct {
 }
 
 // baseFeed is the feed of a top-level view over base-relation A/D sets.
-// Blakeley-foil joins get the zero fingerprint: the foil reproduces the
-// original algorithm's (buggy) expansion, which has no place in a
-// shared build.
+// A join view's definition holds exactly one join atom (Def validation),
+// which names its fingerprint's columns.
 func baseFeed(vs *viewState, slots map[int]*deltas, counted bool) deltaFeed {
 	f := deltaFeed{slots: slots, counted: counted}
 	if vs.def.Kind != Join {
 		f.fp = exec.DeltaFingerprint{Kind: "delta", Rel1: vs.def.Relations[0]}
-	} else if ja, ok := vs.def.JoinAtom(); ok && !vs.blakeley {
-		f.fp = exec.DeltaFingerprint{
-			Kind: "join",
-			Rel1: vs.def.Relations[0],
-			Rel2: vs.def.Relations[1],
-			Col1: joinCol(ja, 0),
-			Col2: joinCol(ja, 1),
-		}
+		return f
+	}
+	ja, _ := vs.def.JoinAtom()
+	f.fp = exec.DeltaFingerprint{
+		Kind: "join",
+		Rel1: vs.def.Relations[0],
+		Rel2: vs.def.Relations[1],
+		Col1: joinCol(ja, 0),
+		Col2: joinCol(ja, 1),
 	}
 	return f
 }
@@ -137,9 +137,6 @@ func (db *Database) privateTree(vs *viewState, f deltaFeed) (exec.Operator, erro
 		return nil, err
 	}
 	db.deltaScans.Add(1)
-	if vs.blakeley {
-		return db.blakeleyRefreshTree(c, f.slot(0), f.slot(1)), nil
-	}
 	return db.joinRefreshTree(c, f.slot(0), f.slot(1)), nil
 }
 
@@ -237,16 +234,12 @@ func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
 
 // groupViews partitions views, kept in their given order, by the delta
 // input they drain: views with equal keys share a group (groups in
-// first-appearance order); ok = false keeps a view on its own.
-func groupViews[K comparable](views []*viewState, key func(*viewState) (K, bool)) [][]*viewState {
+// first-appearance order).
+func groupViews[K comparable](views []*viewState, key func(*viewState) K) [][]*viewState {
 	var groups [][]*viewState
 	idx := map[K]int{}
 	for _, vs := range views {
-		k, ok := key(vs)
-		if !ok {
-			groups = append(groups, []*viewState{vs})
-			continue
-		}
+		k := key(vs)
 		i, seen := idx[k]
 		if !seen {
 			i = len(groups)
@@ -264,9 +257,6 @@ func groupViews[K comparable](views []*viewState, key func(*viewState) (K, bool)
 // it is always shared. Join groups weigh the probe/scan build against
 // per-consumer screening.
 func (db *Database) sharePays(f deltaFeed, views []*viewState) bool {
-	if !f.fp.Shareable() {
-		return false
-	}
 	if db.shareGate != nil {
 		return db.shareGate()
 	}
@@ -304,81 +294,48 @@ func (db *Database) sharePays(f deltaFeed, views []*viewState) bool {
 // --- join expansions ---------------------------------------------------------
 
 // joinRefreshTree applies Model-2 deltas with the corrected expansion,
-// built as a sequence of three pipelines over the shared delta-
-// expansion fragments. Each handled R1-delta tuple charges one C1 unit
+// built as a sequence of three pipelines, each projected and folded
+// into the stored copy. Each handled R1-delta tuple charges one C1 unit
 // (the model's C1·2u / C1·2l per-tuple join-handling cost).
 func (db *Database) joinRefreshTree(c joinPlanCtx, d1, d2 *deltas) exec.Operator {
-	vs := c.vs
+	vs, o := c.vs, db.execOpts()
 	a1IDs := idSet(d1.adds)
 	a2IDs := idSet(d2.adds)
 
 	var phases []exec.Operator
 
-	// A1×R2' and D1×R2': probe R2 (end state) by join value through its
+	// A1×R2' and D1×R2': screen the R1 deltas by the slot-0 restriction
+	// (charged), then probe R2 (end state) by join value through its
 	// clustered hash index, skipping A2 ids to recover R2'.
-	phases = append(phases, db.probeDeltas(c, vs.def.Relations[0], d1, true, a2IDs, nil))
+	r1 := vs.def.Relations[0]
+	handled := exec.NewFilter(o, r1+".r1pred", exec.NewDeltaSource(o, r1, d1.adds, d1.dels), singlePred(vs), true)
+	phases = append(phases, db.applyJoin(c, exec.NewLoopJoin(o, exec.LoopJoinSpec{
+		Input:   handled,
+		Inner:   c.r2,
+		JoinVal: c.outerVal,
+		On:      c.onFull,
+		SkipIDs: a2IDs,
+	})))
 
 	// R1'×A2 and R1'×D2: R1 has no index on the join column, so the
 	// R2-side deltas are matched with one restricted scan of R1 (end
 	// state), skipping A1 ids to recover R1'. The paper's Model 2
 	// never updates R2; this path generalizes it. The flat screen is
 	// the per-delta handling term, C1·(|A2|+|D2|).
-	if len(d2.adds)+len(d2.dels) > 0 {
-		outer := exec.NewFilter(db.execOpts(), "r1'", db.restrictedScan(vs, 0),
+	if n2 := len(d2.adds) + len(d2.dels); n2 > 0 {
+		outer := exec.NewFilter(o, "r1'", db.restrictedScan(vs, 0),
 			exec.Pred{P: vs.def.Pred, SkipIDs: a1IDs}, false)
-		phases = append(phases, db.matchR2Deltas(c, outer, d2.adds, d2.dels, int64(len(d2.adds)+len(d2.dels))))
+		phases = append(phases, db.applyJoin(c,
+			exec.NewMatchDeltas(o, outer, d2.adds, d2.dels, c.outerVal, c.col2, c.onFull, int64(n2))))
 	}
 
 	// A1×A2, A1×D2 is impossible (a tuple cannot be inserted into R2'
 	// and deleted from it in the same net set), D1×A2 likewise; the
 	// remaining cross terms are A1×A2 (insert) and D1×D2 (delete).
-	phases = append(phases, db.crossDeltas(c, d1.adds, d2.adds, d1.dels, d2.dels))
+	phases = append(phases, db.applyJoin(c,
+		exec.NewCrossDeltas(o, d1.adds, d2.adds, d1.dels, d2.dels, c.col1, c.col2, c.onFull)))
 
 	return exec.NewSeq("refresh-join("+vs.def.Name+")", phases...)
-}
-
-// blakeleyRefreshTree is the Appendix A foil: the expansion of [Blak86]
-// which joins D sets against the full relations (not R1', R2'). With
-// end-state base files, the start-of-epoch relation R2 is recovered by
-// skipping A2 ids and adding back D2 tuples. Deleting a joining pair
-// (t1, t2) in one epoch decrements the view row for each of D1×D2,
-// D1×R2 and R1×D2 — three times instead of once — which surfaces as a
-// duplicate-count underflow error from the materialized view.
-func (db *Database) blakeleyRefreshTree(c joinPlanCtx, d1, d2 *deltas) exec.Operator {
-	vs := c.vs
-	a2IDs := idSet(d2.adds)
-	var phases []exec.Operator
-
-	// Insert terms: A1×R2start ∪ A1×A2. (The insert side of the
-	// original algorithm is correct; only deletions misbehave. R1×A2 is
-	// omitted here because the anomaly demonstration updates only the
-	// paper's example transaction shape: deletes on both relations and
-	// inserts on R1.) Start-of-epoch R2 is recovered from the end-state
-	// file by skipping A2 ids and adding back D2 tuples. None of the
-	// Blakeley pipelines charge screens — the foil reproduces the
-	// algorithm's effects, not the corrected expansion's cost terms.
-	phases = append(phases,
-		db.probeDeltas(c, "A1", &deltas{adds: d1.adds}, false, a2IDs, d2.dels),
-		db.crossDeltas(c, d1.adds, d2.adds, nil, nil))
-
-	// Delete terms against FULL start-state relations — the bug.
-	// D1×D2:
-	phases = append(phases, db.crossDeltas(c, nil, nil, d1.dels, d2.dels))
-	// D1×R2start (R2 including D2 — over-deletes):
-	phases = append(phases, db.probeDeltas(c, "D1", &deltas{dels: d1.dels}, false, a2IDs, d2.dels))
-	// R1start×D2 (R1 including D1 — over-deletes): one restricted scan
-	// skipping A1 ids, with the D1 tuples streamed back in.
-	if len(d2.dels) > 0 {
-		a1IDs := idSet(d1.adds)
-		surviving := exec.NewFilter(db.execOpts(), "r1 minus A1", db.restrictedScan(vs, 0),
-			exec.Pred{SkipIDs: a1IDs}, false)
-		r1Start := exec.NewSeq("R1 start-state",
-			surviving, exec.NewDeltaSource(db.execOpts(), "D1 add-back", nil, d1.dels))
-		outer := exec.NewFilter(db.execOpts(), "r1pred", r1Start, singlePred(vs), false)
-		phases = append(phases, db.matchR2Deltas(c, outer, nil, d2.dels, 0))
-	}
-
-	return exec.NewSeq("refresh-blakeley("+vs.def.Name+")", phases...)
 }
 
 // sharedJoinExpansion is the corrected delta expansion of §2.1 run once

@@ -50,10 +50,9 @@ type Row struct {
 
 // Options configures a plan's operators: the meter charges are issued
 // against, and the batch size rows are vectorized in. BatchSize 0
-// means vec.DefaultBatchSize; BatchSize 1 forces the row-at-a-time
-// adapter everywhere (each batch carries one row and filters evaluate
-// their per-row fallback), which is the reference the batch-vs-row
-// property tests compare against.
+// means vec.DefaultBatchSize; any other value caps every batch at that
+// many rows (1 is one row a batch, the cap the batch-vs-row property
+// tests hold the kernels to).
 type Options struct {
 	Meter     *storage.Meter
 	BatchSize int
@@ -66,9 +65,6 @@ func (o Options) size() int {
 	}
 	return o.BatchSize
 }
-
-// rowMode reports whether vectorized fast paths are disabled.
-func (o Options) rowMode() bool { return o.BatchSize == 1 }
 
 // OpStats is one operator's instrumentation: rows and batches it
 // emitted and the metered charges it issued (page I/O, C1 screens, C3

@@ -11,10 +11,10 @@ import (
 )
 
 // Pred describes a filter's predicate declaratively so the operator
-// can evaluate it either as tight typed loops over column vectors or —
-// in row mode — per gathered row with semantics identical to the old
-// closure chain. Conditions are ANDed: SkipIDs, then P, then Range.
-// The zero Pred passes everything (a pure screening charge).
+// can evaluate it as tight typed loops over column vectors, atom by
+// atom, with the semantics of pred.P's per-tuple evaluation.
+// Conditions are ANDed: SkipIDs, then P, then Range. The zero Pred
+// passes everything (a pure screening charge).
 type Pred struct {
 	// P evaluates the view predicate. With Full unset only comparison
 	// atoms on relation slot 0 are considered (pred.P.EvalSingle); with
@@ -35,24 +35,6 @@ func (p Pred) empty() bool {
 	return p.P == nil && p.SkipIDs == nil && p.Range == nil
 }
 
-// row evaluates the predicate against one gathered row — the row-mode
-// path and the reference semantics the vectorized kernels must match.
-func (p Pred) row(r Row) bool {
-	if p.SkipIDs != nil && p.SkipIDs[r.T0.ID] {
-		return false
-	}
-	if p.P != nil {
-		if p.Full {
-			if !p.P.EvalJoined(r.T0, r.T1) {
-				return false
-			}
-		} else if !p.P.EvalSingle(0, r.T0) {
-			return false
-		}
-	}
-	return p.Range == nil || p.Range.Contains(r.T0.Vals[p.RangeCol])
-}
-
 // Filter screens rows with a predicate. When charge is set, every
 // input row costs one C1 screen — the model's per-tuple screening /
 // handling cost — whether or not it passes; uncharged filters
@@ -62,16 +44,15 @@ func (p Pred) row(r Row) bool {
 // screened here, and go no further.
 type Filter struct {
 	base
-	label   string
-	input   Operator
-	p       Pred
-	charge  bool
-	rowMode bool
+	label  string
+	input  Operator
+	p      Pred
+	charge bool
 }
 
 // NewFilter builds a charged or uncharged predicate filter.
 func NewFilter(o Options, label string, input Operator, p Pred, charge bool) *Filter {
-	return &Filter{base: base{meter: o.Meter}, label: label, input: input, p: p, charge: charge, rowMode: o.rowMode()}
+	return &Filter{base: base{meter: o.Meter}, label: label, input: input, p: p, charge: charge}
 }
 
 func (f *Filter) Open() error { return f.input.Open() }
@@ -95,12 +76,7 @@ func (f *Filter) NextBatch() (*vec.Batch, error) {
 		if f.p.empty() {
 			return f.emitBatch(b), nil
 		}
-		sel := liveSel(b)
-		if f.rowMode {
-			sel = f.rowFilter(b, sel)
-		} else {
-			sel = f.vecFilter(b, sel)
-		}
+		sel := f.vecFilter(b, liveSel(b))
 		if len(sel) == 0 {
 			continue
 		}
@@ -111,17 +87,6 @@ func (f *Filter) NextBatch() (*vec.Batch, error) {
 		}
 		return f.emitBatch(b), nil
 	}
-}
-
-// rowFilter applies the reference per-row semantics over gathered rows.
-func (f *Filter) rowFilter(b *vec.Batch, sel []int) []int {
-	out := sel[:0]
-	for _, i := range sel {
-		if f.p.row(rowAt(b, i)) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // vecFilter applies the predicate atom by atom as selection-narrowing
@@ -203,7 +168,7 @@ func liveSel(b *vec.Batch) []int {
 }
 
 // slotID returns row i's slot-s tuple id, 0 when the slot is absent —
-// the id the zero tuple carried on the row path.
+// the id of the zero tuple rowAt gathers there.
 func slotID(b *vec.Batch, s, i int) uint64 {
 	if !b.HasSlot(s) {
 		return 0

@@ -49,11 +49,10 @@ func (e *joinEmitter) pending() bool { return e.out != nil && e.out.NumRows() > 
 // probes the inner relation's clustering index by join value (the
 // inner's pages stay resident per §3.4.3) and emits one joined row per
 // surviving match. SkipIDs recovers R2' from end-of-epoch files by
-// skipping this epoch's A-set ids; AddBack recovers start-of-epoch R2
-// (Blakeley's uncorrected expansion) by adding this epoch's D-set
-// tuples back in. When chargeMatch is set every probed match costs one
-// C1 unit (the query plan's per-match handling); refresh pipelines
-// leave it unset because their per-tuple cost is charged upstream.
+// skipping this epoch's A-set ids. When chargeMatch is set every probed
+// match costs one C1 unit (the query plan's per-match handling);
+// refresh pipelines leave it unset because their per-tuple cost is
+// charged upstream.
 type LoopJoin struct {
 	base
 	input       Operator
@@ -61,8 +60,6 @@ type LoopJoin struct {
 	joinVal     func(Row) tuple.Value
 	on          func(Row) bool
 	skipIDs     map[uint64]bool
-	addBack     []tuple.Tuple
-	addBackCol  int
 	chargeMatch bool
 
 	em      joinEmitter
@@ -81,9 +78,6 @@ type LoopJoinSpec struct {
 	JoinVal func(Row) tuple.Value // outer row → join value probed
 	On      func(Row) bool        // joined-binding predicate (nil = all)
 	SkipIDs map[uint64]bool       // inner ids skipped (recover R2')
-	AddBack []tuple.Tuple         // inner tuples added back (recover start-state R2)
-	// AddBackCol is the join column within AddBack tuples.
-	AddBackCol int
 	// ChargeMatch charges one C1 per probed match.
 	ChargeMatch bool
 }
@@ -92,8 +86,7 @@ type LoopJoinSpec struct {
 func NewLoopJoin(o Options, spec LoopJoinSpec) *LoopJoin {
 	return &LoopJoin{
 		base: base{meter: o.Meter}, input: spec.Input, inner: spec.Inner,
-		joinVal: spec.JoinVal, on: spec.On, skipIDs: spec.SkipIDs,
-		addBack: spec.AddBack, addBackCol: spec.AddBackCol, chargeMatch: spec.ChargeMatch,
+		joinVal: spec.JoinVal, on: spec.On, skipIDs: spec.SkipIDs, chargeMatch: spec.ChargeMatch,
 		em: joinEmitter{size: o.size()},
 	}
 }
@@ -128,11 +121,10 @@ func (j *LoopJoin) NextBatch() (*vec.Batch, error) {
 			return nil, nil
 		}
 		j.cur, j.hasCur = cur, true
-		v := j.joinVal(cur)
 		var probed []tuple.Tuple
 		err = j.bracket(func() error {
 			var e error
-			probed, e = j.inner.LookupKey(v)
+			probed, e = j.inner.LookupKey(j.joinVal(cur))
 			return e
 		})
 		if err != nil {
@@ -144,11 +136,6 @@ func (j *LoopJoin) NextBatch() (*vec.Batch, error) {
 				continue
 			}
 			j.matches = append(j.matches, t2)
-		}
-		for _, t2 := range j.addBack {
-			if tuple.Equal(t2.Vals[j.addBackCol], v) {
-				j.matches = append(j.matches, t2)
-			}
 		}
 		j.mi = 0
 	}
@@ -178,9 +165,6 @@ func (j *LoopJoin) Describe() string {
 	mode := ""
 	if len(j.skipIDs) > 0 {
 		mode = " skip-A"
-	}
-	if j.addBack != nil {
-		mode += " addback-D"
 	}
 	return fmt.Sprintf("LoopJoin(%s%s)", j.inner.Name(), mode)
 }

@@ -23,8 +23,7 @@ type DeltaFingerprint struct {
 	// Kind is "delta" for a single-relation net-change stream
 	// (select-project and aggregate views), "join" for the corrected
 	// two-relation delta expansion, or "viewdelta" for a parent view's
-	// materialized delta log consumed by child views. The zero value
-	// marks an unshareable plan.
+	// materialized delta log consumed by child views.
 	Kind string
 	// Rel1 is the updated relation; Rel2 the probed inner relation
 	// (join only).
@@ -32,10 +31,6 @@ type DeltaFingerprint struct {
 	// Col1, Col2 are the join columns per slot (join only).
 	Col1, Col2 int
 }
-
-// Shareable reports whether the fingerprint identifies a sub-plan that
-// can be shared at all.
-func (fp DeltaFingerprint) Shareable() bool { return fp.Kind != "" }
 
 // String renders the fingerprint for plan display.
 func (fp DeltaFingerprint) String() string {

@@ -7,15 +7,8 @@ import (
 	"viewmat/internal/tuple"
 )
 
-func TestDeltaFingerprintShareableAndString(t *testing.T) {
-	var zero DeltaFingerprint
-	if zero.Shareable() {
-		t.Fatal("zero fingerprint must be unshareable")
-	}
+func TestDeltaFingerprintString(t *testing.T) {
 	fp := DeltaFingerprint{Kind: "delta", Rel1: "r"}
-	if !fp.Shareable() {
-		t.Fatal("delta fingerprint must be shareable")
-	}
 	if got, want := fp.String(), "delta r"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}

@@ -12,10 +12,9 @@ import (
 // so the view-side C2·(3+Hvi)·X term lands on this operator. Each
 // batch's live rows, both polarities, go to one apply call, which
 // applies them strictly in stream order; the first error stops the
-// pipeline with the prefix before the failing row applied (the
-// duplicate-count underflow of the uncorrected Blakeley expansion
-// depends on exactly this). Batches pass through so sequenced pipelines
-// compose.
+// pipeline with the prefix before the failing row applied (a
+// duplicate-count underflow stops it there). Batches pass through so
+// sequenced pipelines compose.
 type DeltaApply struct {
 	base
 	label string

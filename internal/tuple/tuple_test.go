@@ -8,12 +8,6 @@ import (
 
 func TestSchemaBasics(t *testing.T) {
 	s := NewSchema(Col("id", Int), Col("name", String), Col("salary", Float))
-	if got := s.ColIndex("name"); got != 1 {
-		t.Errorf("ColIndex(name) = %d, want 1", got)
-	}
-	if got := s.ColIndex("missing"); got != -1 {
-		t.Errorf("ColIndex(missing) = %d, want -1", got)
-	}
 	if got := s.String(); got != "(id INT, name STRING, salary FLOAT)" {
 		t.Errorf("String() = %q", got)
 	}

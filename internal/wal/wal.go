@@ -141,14 +141,6 @@ func (l *Log) appendFrame(f []byte) error {
 // Frames appended while it runs may or may not be covered.
 func (l *Log) Sync() error { return l.dev.Sync() }
 
-// AppendSync appends one frame and syncs.
-func (l *Log) AppendSync(payload []byte) error {
-	if err := l.Append(payload); err != nil {
-		return err
-	}
-	return l.Sync()
-}
-
 // ResetAt truncates the log to empty if its tail is still at off: the
 // checkpoint's log-truncation step, where off is where the frame's last
 // record ended. A record appended since then is newer than the

@@ -128,18 +128,6 @@ func Generate(spec Spec) ([]Operation, error) {
 	return ops, nil
 }
 
-// Counts reports the number of update and query operations in a stream.
-func Counts(ops []Operation) (updates, queries int) {
-	for _, op := range ops {
-		if op.Kind == OpUpdate {
-			updates++
-		} else {
-			queries++
-		}
-	}
-	return
-}
-
 // Phase is one segment of a phase-shifted workload: a full Spec-shaped
 // parameter set active for its own k+q operations. A mid-script shift
 // between phases with different k/q mixes is the scenario an adaptive
