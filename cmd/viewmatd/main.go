@@ -16,6 +16,14 @@
 //
 //	viewmatd -addr 127.0.0.1:7117 -wal /var/lib/viewmat
 //
+// With -debug-addr (off by default) a second listener serves
+// net/http/pprof under /debug/pprof/ and expvar under /debug/vars, where
+// "viewmat" holds what the engine already keeps: its Health, the meter's
+// stats by phase, the advisor's per-view stats and the WAL sync count:
+//
+//	viewmatd -debug-addr 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
+//
 // SIGINT/SIGTERM trigger a graceful shutdown: in-flight requests
 // finish and their responses flush before the process exits.
 package main
@@ -25,6 +33,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -51,29 +61,46 @@ func main() {
 	refreshWorkers := flag.Int("refresh-workers", 4, "RefreshAll worker pool bound")
 	adaptive := flag.Bool("adaptive", false, "enable the online adaptive strategy advisor")
 	adaptEvery := flag.Duration("adapt-every", 2*time.Second, "interval between advisor decision rounds (with -adaptive)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address; empty = off")
 	flag.Parse()
 
-	if err := run(*addr, *walDir, *ckptEvery, *maxInflight, *pageSize, *poolFrames, *refreshWorkers, *adaptive, *adaptEvery); err != nil {
+	if err := run(*addr, *walDir, *ckptEvery, *maxInflight, *pageSize, *poolFrames, *refreshWorkers, *adaptive, *adaptEvery, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "viewmatd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refreshWorkers int, adaptive bool, adaptEvery time.Duration) error {
-	var db *core.Database
+func run(addr, walDir string, ckptEvery, maxInflight, pageSize, poolFrames, refreshWorkers int, adaptive bool, adaptEvery time.Duration, debugAddr string) error {
+	var (
+		db       *core.Database
+		walSyncs func() int // nil on a volatile engine
+	)
 	if walDir == "" {
 		db = core.NewDatabase(core.Options{PageSize: pageSize, PoolFrames: poolFrames, MaxRefreshWorkers: refreshWorkers})
 		fmt.Println("volatile engine (no -wal): state dies with the process")
 	} else {
 		var (
+			walDev    *wal.FileDevice
 			closeDevs func()
 			err       error
 		)
-		db, closeDevs, err = openDurable(walDir, ckptEvery, pageSize, poolFrames, refreshWorkers)
+		db, walDev, closeDevs, err = openDurable(walDir, ckptEvery, pageSize, poolFrames, refreshWorkers)
 		if err != nil {
 			return err
 		}
 		defer closeDevs()
+		walSyncs = walDev.Syncs
+	}
+
+	if debugAddr != "" {
+		ln, err := net.Listen("tcp", debugAddr)
+		if err != nil {
+			return fmt.Errorf("debug listener: %w", err)
+		}
+		dbg := &http.Server{Handler: debugHandler(db, walSyncs), ReadHeaderTimeout: 10 * time.Second}
+		go dbg.Serve(ln)
+		defer dbg.Close()
+		fmt.Printf("debug listener (pprof, expvar) on %s\n", ln.Addr())
 	}
 
 	if err := setAdaptive(db, adaptive); err != nil {
@@ -150,20 +177,21 @@ func setAdaptive(db *core.Database, on bool) error {
 
 // openDurable recovers an engine from dir's WAL and snapshot store, or
 // creates a fresh durable engine when the directory holds no usable
-// snapshot yet. The returned function closes the two files; the engine
-// must not commit after it.
-func openDurable(dir string, ckptEvery, pageSize, poolFrames, refreshWorkers int) (*core.Database, func(), error) {
+// snapshot yet. It returns the WAL's device with the engine; the returned
+// function closes the two files, and the engine must not commit after
+// it.
+func openDurable(dir string, ckptEvery, pageSize, poolFrames, refreshWorkers int) (*core.Database, *wal.FileDevice, func(), error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	walDev, err := wal.OpenFile(filepath.Join(dir, walFileName))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	snapDev, err := wal.OpenFile(filepath.Join(dir, snapFileName))
 	if err != nil {
 		walDev.Close()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	closeDevs := func() {
 		walDev.Close()
@@ -180,17 +208,17 @@ func openDurable(dir string, ckptEvery, pageSize, poolFrames, refreshWorkers int
 			fmt.Printf(", %s tail truncated", info.TailDamage)
 		}
 		fmt.Println()
-		return db, closeDevs, nil
+		return db, walDev, closeDevs, nil
 	case errors.Is(err, wal.ErrNoSnapshot):
 		db = core.NewDatabase(core.Options{PageSize: pageSize, PoolFrames: poolFrames, MaxRefreshWorkers: refreshWorkers})
 		if err := db.EnableDurability(walDev, snapDev, opts); err != nil {
 			closeDevs()
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		fmt.Printf("fresh durable engine under %s (checkpoint every %d commits)\n", dir, ckptEvery)
-		return db, closeDevs, nil
+		return db, walDev, closeDevs, nil
 	default:
 		closeDevs()
-		return nil, nil, fmt.Errorf("recovering from %s: %w", dir, err)
+		return nil, nil, nil, fmt.Errorf("recovering from %s: %w", dir, err)
 	}
 }

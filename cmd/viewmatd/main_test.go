@@ -21,7 +21,7 @@ const (
 
 func reopen(t *testing.T, dir string, ckptEvery int) (*core.Database, func()) {
 	t.Helper()
-	db, closeDevs, err := openDurable(dir, ckptEvery, testPageSize, 64, 1)
+	db, _, closeDevs, err := openDurable(dir, ckptEvery, testPageSize, 64, 1)
 	if err != nil {
 		t.Fatalf("openDurable: %v", err)
 	}

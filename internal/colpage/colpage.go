@@ -107,7 +107,7 @@ type Atom struct {
 // column without a stored zone never prunes.
 func (z *Zones) Prunable(atoms []Atom) bool {
 	if z.N == 0 {
-		return false // empty pages carry chain links; let the scan read them
+		return false // no row to disprove; a directory walk skips it (DirEntry.Empty)
 	}
 	for _, a := range atoms {
 		if a.Col < 0 || a.Col >= len(z.Cols) {
@@ -384,8 +384,17 @@ func appendBytesLane(dst []byte, vals [][]byte) []byte {
 }
 
 // zoneOf finds the cells holding col's bounds under tuple.Compare, the
-// first of each: -1, -1 (absent) unless both fit the zone budget.
+// first of each: -1, -1 (absent) unless both fit the zone budget. A
+// uniform Int lane, whose cells always fit it, is compared in place.
 func zoneOf(col *vec.Col) (lo, hi int) {
+	if t, ok := col.Uniform(); ok && t == tuple.Int {
+		return intZoneOf(col.Ints[:col.Len()])
+	}
+	return cellZoneOf(col)
+}
+
+// cellZoneOf is zoneOf over any lane, cell compared against cell.
+func cellZoneOf(col *vec.Col) (lo, hi int) {
 	for i := 1; i < col.Len(); i++ {
 		if col.CompareCells(i, lo) < 0 {
 			lo = i
@@ -396,6 +405,20 @@ func zoneOf(col *vec.Col) (lo, hi int) {
 	}
 	if cellSize(col, lo) > maxZoneValue || cellSize(col, hi) > maxZoneValue {
 		return -1, -1
+	}
+	return lo, hi
+}
+
+// intZoneOf is zoneOf over an int lane of at least one cell.
+func intZoneOf(vals []int64) (lo, hi int) {
+	vlo, vhi := vals[0], vals[0]
+	for i, v := range vals[1:] {
+		if v < vlo {
+			lo, vlo = i+1, v
+		}
+		if v > vhi {
+			hi, vhi = i+1, v
+		}
 	}
 	return lo, hi
 }

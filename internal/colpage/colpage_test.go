@@ -237,6 +237,35 @@ func TestZones(t *testing.T) {
 	}
 }
 
+// TestIntZoneOfMatchesCellZoneOf holds the int lane's zone kernel to the
+// cell-by-cell loop every other lane takes: the same bound cells, the
+// first of each among ties.
+func TestIntZoneOfMatchesCellZoneOf(t *testing.T) {
+	for _, vals := range [][]int64{
+		{7},
+		{-3},
+		{5, 5, 5, 5},
+		{2, 9, 2, 9, 1, 1, 9},
+		{-1, -8, 0, -8, 4, 4},
+		{math.MinInt64, math.MaxInt64, 0, math.MinInt64, math.MaxInt64},
+		{3, 2, 1, 0, -1, -2},
+		{-2, -1, 0, 1, 2, 3},
+	} {
+		var col vec.Col
+		for _, v := range vals {
+			col.Append(tuple.I(v))
+		}
+		if typ, ok := col.Uniform(); !ok || typ != tuple.Int {
+			t.Fatalf("%v: not a uniform int lane", vals)
+		}
+		lo, hi := zoneOf(&col)
+		wlo, whi := cellZoneOf(&col)
+		if lo != wlo || hi != whi {
+			t.Errorf("%v: zone cells (%d, %d), the cell loop finds (%d, %d)", vals, lo, hi, wlo, whi)
+		}
+	}
+}
+
 func TestPrunable(t *testing.T) {
 	z := &Zones{N: 5, Cols: []ColZone{{Present: true, Min: tuple.I(10), Max: tuple.I(20)}}}
 	cases := []struct {

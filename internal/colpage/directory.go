@@ -13,20 +13,20 @@ import (
 )
 
 // This file is the page directory: what the header and footer of each of
-// an access method's data pages say — the forward link and the zone maps —
-// kept in memory beside the pages, the way a column store keeps page
-// ranges as metadata rather than inside each page. The one chain scan
-// (Scan, scan.go) walks it, down a B+-tree's leaf chain or a hash file's
-// bucket chains, instead of opening every page of the chains to find the
-// ones worth fetching.
+// an access method's data pages say — the forward link, the row count and
+// the zone maps — kept in memory beside the pages, the way a column store
+// keeps page ranges as metadata rather than inside each page. The one
+// chain scan (Scan, scan.go) walks it, down a B+-tree's leaf chain or a
+// hash file's bucket chains, instead of opening every page of the chains
+// to find the ones worth fetching.
 
 // Directory holds one entry per data page of one file, by page number.
 // Writers keep it: every data page is encoded through Encode, which
-// records the link it writes and the zone maps the encoder computed, and
-// a freed page is dropped. It also answers how many data pages the file
-// holds (Pages). It is derived state — in no snapshot — and is
-// built from the file's images when the access method attaches to the
-// file (NewDirectory), one unmetered pass.
+// records the link and row count it writes and the zone maps the encoder
+// computed, and a freed page is dropped. It also answers how many data
+// pages the file holds (Pages). It is derived state — in no snapshot —
+// and is built from the file's images when the access method attaches to
+// the file (NewDirectory), one unmetered pass.
 //
 // It has no lock of its own. An entry is written only where its page's
 // frame bytes are written, which the engine's write lock serializes
@@ -92,8 +92,9 @@ func NewDirectory(typ PageType, f *storage.File) *Directory {
 func (d *Directory) Pages() int { return d.pages }
 
 // Encode writes n over page, the frame bytes of page pn, as EncodePage
-// does, and records the page's link and zone maps. A rewrite of a page
-// reuses its entry: it allocates nothing unless a string bound moved.
+// does, and records the page's link, row count and zone maps. A rewrite of
+// a page reuses its entry: it allocates nothing unless a string bound
+// moved.
 func (d *Directory) Encode(pn storage.PageNum, page []byte, n *DataPage) {
 	if int(pn) >= len(d.entries) {
 		d.entries = slices.Grow(d.entries, int(pn)+1-len(d.entries))[:pn+1]
@@ -203,6 +204,11 @@ func (e *DirEntry) same(o *DirEntry) bool {
 }
 
 func (e *DirEntry) none() bool { return e == nil || e.kind == entryNone }
+
+// Empty reports whether the entry is a data page whose footer parses and
+// says it holds no row (Zones.N, the chunk's row count): a page a chain
+// walk has nothing to read from but its link, which the entry carries.
+func (e *DirEntry) Empty() bool { return !e.none() && e.kind == entryCol && e.zones.N == 0 }
 
 // String renders the entry for a check's error.
 func (e *DirEntry) String() string {

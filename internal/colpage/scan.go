@@ -23,13 +23,14 @@ import (
 // fetches each window through Pool.ReadBatch: every page of the chains
 // is read eventually anyway, so the window meters the same one read per
 // page while paying the simulated I/O latency once per window instead of
-// once per page. Pages whose zone maps disprove the prune atoms are
-// skipped there: never pinned, never charged, counted so plans can
-// report them. Every other scan — a range scan, whose early end at Hi
-// would make a prefetched page a read the plain walk never charges; a
-// scan over dirty frames, whose directory entries the images do not yet
-// say; a scan in a tiny pool — follows the links of the pages it reads,
-// one charged Read a page, and prunes nothing.
+// once per page. Pages that hold no row, and pages whose zone maps
+// disprove the prune atoms, are skipped there: never pinned, never
+// charged, counted as pruned so plans can report them. Every other scan
+// — a range scan, whose early end at Hi would make a prefetched page a
+// read the plain walk never charges; a scan over dirty frames, whose
+// directory entries the images do not yet say; a scan in a tiny pool —
+// follows the links of the pages it reads, one charged Read a page, and
+// prunes nothing.
 //
 // A page the scan wants whole — any page of a full scan, an interior
 // leaf of a range scan — decodes straight onto the batch being filled
@@ -391,13 +392,14 @@ func (s *Scan) readPage(pn storage.PageNum, b *vec.Batch, max int) (next storage
 	return next, hasNext, err
 }
 
-// walkAhead walks the chains from the cursor in the directory — links
-// and zone maps in memory, no page opened — splitting the next window of
-// up to w pages into pages to fetch (s.fetch) and pages whose zone maps
-// disprove the prune atoms (skipped, counted, never read). A window runs
-// on from the end of one chain to the head of the next. On return with
-// ok, the cursor continuation cont is owned by the walk: it points past
-// every examined page. A walk that meets a page the directory has no
+// walkAhead walks the chains from the cursor in the directory — links,
+// row counts and zone maps in memory, no page opened — splitting the next
+// window of up to w pages into pages to fetch (s.fetch) and pages that
+// hold no row or whose zone maps disprove the prune atoms (skipped,
+// counted as pruned, never read). A window runs on from the end of one
+// chain to the head of the next. On return with ok, the cursor
+// continuation cont is owned by the walk: it points past every examined
+// page. A walk that meets a page the directory has no
 // data page for, or whose zone maps do not parse, before committing any
 // prune returns !ok so the charged chain-following path takes over from
 // the cursor; after a prune, it stops at that page and lets the charged
@@ -414,7 +416,9 @@ func (s *Scan) walkAhead(w int) (cont cursor, ok bool, err error) {
 		}
 		skip := false
 		if e != nil {
-			skip, err = e.Prunable(s.prune)
+			if skip = e.Empty(); !skip {
+				skip, err = e.Prunable(s.prune)
+			}
 		}
 		if e == nil || err != nil {
 			// Truncated or foreign chain, or a footer that does not parse.

@@ -1,6 +1,7 @@
 package colpage_test
 
 import (
+	"slices"
 	"testing"
 
 	"viewmat/internal/btree"
@@ -78,5 +79,84 @@ func TestWalkWindowAllocations(t *testing.T) {
 				t.Errorf("a walk window allocated %.0f objects, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestWalkSkipsEmptyChainPage: a chain page that holds no row, mid-chain,
+// is skipped by the directory walk — never read, counted as pruned — and
+// the scan hands out the rows the page-by-page walk of the same chain
+// does, which reads every page.
+func TestWalkSkipsEmptyChainPage(t *testing.T) {
+	const typ colpage.PageType = 5
+	d := storage.NewDisk(256)
+	p := storage.NewPool(d, storage.NewMeter(), 64)
+	f := d.Open("c")
+	dir := colpage.NewDirectory(typ, f)
+	pages := [][]tuple.Tuple{
+		{tuple.New(1, tuple.I(10), tuple.S("a")), tuple.New(2, tuple.I(11), tuple.S("b"))},
+		nil, // the empty page
+		{tuple.New(3, tuple.I(12), tuple.S("c"))},
+	}
+	var frs []*storage.Frame
+	for range pages {
+		fr, err := p.Alloc(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frs = append(frs, fr)
+	}
+	for i, fr := range frs {
+		var n colpage.DataPage
+		for j, tp := range pages[i] {
+			n.InsertRow(j, tp)
+		}
+		if i+1 < len(frs) {
+			n.Next, n.HasNext = frs[i+1].PageNum(), true
+		}
+		dir.Encode(fr.PageNum(), fr.Data, &n)
+		fr.MarkDirty()
+	}
+	first := frs[0].PageNum()
+	for _, fr := range frs {
+		if err := p.Release(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// scan drains the chain through a fresh pool of the given frames and
+	// directory read from the images, and reports its ids, pages pruned
+	// and pages read.
+	scan := func(frames int) (ids []uint64, pruned, reads int64) {
+		m := storage.NewMeter()
+		sp := storage.NewPool(d, m, frames)
+		s, err := colpage.NewDirectory(typ, f).Scan(sp, first, nil, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, pruned, err := s.Drain(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			ids = append(ids, b.IDs[0][:b.NumRows()]...)
+		}
+		return ids, pruned, m.Snapshot().Reads
+	}
+	walked, pruned, reads := scan(64)
+	if pruned != 1 || reads != 2 {
+		t.Errorf("directory walk pruned %d pages and read %d, want 1 and 2", pruned, reads)
+	}
+	followed, fpruned, freads := scan(4) // too small a pool for a window
+	if fpruned != 0 || freads != 3 {
+		t.Errorf("page-by-page walk pruned %d pages and read %d, want 0 and 3", fpruned, freads)
+	}
+	if !slices.Equal(walked, followed) || !slices.Equal(walked, []uint64{1, 2, 3}) {
+		t.Errorf("directory walk handed out ids %v, the page-by-page walk %v, want [1 2 3]", walked, followed)
 	}
 }

@@ -367,7 +367,7 @@ func (db *Database) staleUnitsLocked() []refreshUnit {
 			for _, other := range component {
 				seen[other] = true
 			}
-			if pending {
+			if len(pending) > 0 {
 				units = append(units, refreshUnit{views: []*viewState{vs}})
 			}
 		case row.rebuilds() && db.viewStale(vs):

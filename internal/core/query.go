@@ -311,8 +311,8 @@ func (db *Database) foldRelationsLocked(relNames []string) error {
 // hrComponentLocked returns everything connected to the HR-wrapped
 // relation rel: every deferred view over it, the other relations those
 // views read, and so on — relations and views both sorted by name —
-// and whether any of those relations' AD files holds pending changes.
-func (db *Database) hrComponentLocked(rel string) (rels []string, views []*viewState, pending bool) {
+// and those of the relations whose AD files hold pending changes.
+func (db *Database) hrComponentLocked(rel string) (rels []string, views []*viewState, pending []string) {
 	relSet := map[string]bool{rel: true}
 	inSet := map[*viewState]bool{}
 	for changed := true; changed; {
@@ -331,12 +331,16 @@ func (db *Database) hrComponentLocked(rel string) (rels []string, views []*viewS
 		}
 	}
 	for rn := range relSet {
-		if h, ok := db.hrs[rn]; ok {
+		if _, ok := db.hrs[rn]; ok {
 			rels = append(rels, rn)
-			pending = pending || h.ADLen() > 0
 		}
 	}
 	sort.Strings(rels)
+	for _, rn := range rels {
+		if db.hrs[rn].ADLen() > 0 {
+			pending = append(pending, rn)
+		}
+	}
 	for vs := range inSet {
 		views = append(views, vs)
 	}
@@ -358,17 +362,22 @@ func anyIn(names []string, set map[string]bool) bool {
 // relation rel and every deferred view connected to it (§4's
 // shared-refresh optimization): each HR's net changes are read once
 // (PhaseADRead) and folded into the base relations (PhaseFold); the
-// net changes are then the feed the views drain (PhaseDefRefresh).
+// net changes are then the feed the views drain (PhaseDefRefresh). An
+// HR whose AD file holds no entry is neither read nor folded: its feed
+// is empty deltas, the 2u/T pages C_ADread prices are none.
 func (db *Database) refreshDeferredLocked(rel string) error {
 	rels, views, pending := db.hrComponentLocked(rel)
-	if !pending {
+	if len(pending) == 0 {
 		return nil
 	}
+	nets := make(map[string]*deltas, len(rels))
+	for _, rn := range rels {
+		nets[rn] = &deltas{}
+	}
 
-	// Read net changes once per HR (C_ADread).
-	nets := map[string]*deltas{}
+	// Read net changes once per HR that holds any (C_ADread).
 	err := db.inPhase(PhaseADRead, func() error {
-		for _, rn := range rels {
+		for _, rn := range pending {
 			anet, dnet, err := db.hrs[rn].NetChanges()
 			if err != nil {
 				return err
@@ -384,7 +393,7 @@ func (db *Database) refreshDeferredLocked(rel string) error {
 
 	// Fold AD into the bases so files reach end-of-epoch state.
 	err = db.inPhase(PhaseFold, func() error {
-		for _, rn := range rels {
+		for _, rn := range pending {
 			if err := db.hrs[rn].FoldWith(nets[rn].adds, nets[rn].dels); err != nil {
 				return err
 			}

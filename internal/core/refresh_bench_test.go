@@ -33,8 +33,7 @@ func (c *commitImm) refreshAll(tb testing.TB) {
 // TestDeferredRefreshAllocations pins what one mixed-def refresh
 // allocates — the fold of a 4-row update transaction's net changes into R
 // and the refresh of the three deferred views — at n = 400, without the
-// WAL. The bound is the count measured while the fold and each view's
-// apply took a visit per row: it may fall, and must not rise.
+// WAL. The bound is today's count: it may fall, and must not rise.
 func TestDeferredRefreshAllocations(t *testing.T) {
 	c := newCommitViews(t, 400, Deferred)
 	const runs = 50
@@ -52,10 +51,13 @@ func TestDeferredRefreshAllocations(t *testing.T) {
 	}
 	allocs := float64(total) / runs
 	// 498 (race detector 793–794) while the fold and each view's apply
-	// took a visit per row.
-	max := 498.0
+	// took a visit per row; 426 (race detector 655) while a refresh read
+	// and folded every AD file of its component, empty or not, and
+	// Truncate rewrote empty buckets. The count since is 423.1–423.2 (race
+	// detector 652.6–654.3, which wanders as TestCommitAllocations says).
+	max := 424.0
 	if raceEnabled() {
-		max = 800
+		max = 660
 	}
 	t.Logf("%.0f allocations a deferred refresh (race detector: %v)", allocs, raceEnabled())
 	if allocs > max {

@@ -89,8 +89,10 @@ func sameRowsExact(t *testing.T, label string, got, want []ResultRow) {
 // commits through a sharing engine, a non-sharing engine, and a
 // recompute-on-demand oracle, checking all three agree after every
 // epoch — including an R2-side epoch that exercises the shared union
-// scan — and that the shared engine expanded the delta once per group
-// where the unshared engine paid once per view.
+// scan, and one that changes both sides — that the shared engine
+// expanded the delta once per group where the unshared engine paid once
+// per view, and that a refresh read each AD file that held changes once
+// and no other.
 func TestSharedDeltaJoinGroupMatchesUnsharedAndOracle(t *testing.T) {
 	shared := newFanJoinDatabase(t, gateModel, Deferred, 60, 10)
 	unshared := newFanJoinDatabase(t, gatePrivate, Deferred, 60, 10)
@@ -150,8 +152,8 @@ func TestSharedDeltaJoinGroupMatchesUnsharedAndOracle(t *testing.T) {
 	if got := unshared.DeltaScanCount() - unsharedBefore; got != 3 {
 		t.Errorf("unshared engine ran %d delta expansions, want 3 (one per view)", got)
 	}
-	if got := shared.ADScanCount(); got != 2 {
-		t.Errorf("shared engine read %d AD files, want 2 (r1, r2 once each)", got)
+	if got := shared.ADScanCount(); got != 1 {
+		t.Errorf("shared engine read %d AD files, want 1 (r1's; r2's is empty)", got)
 	}
 
 	// Epoch 2: R2-side churn — forces the R1' scan over the union of
@@ -171,10 +173,36 @@ func TestSharedDeltaJoinGroupMatchesUnsharedAndOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sharedBefore = shared.DeltaScanCount()
+	sharedBefore, adBefore := shared.DeltaScanCount(), shared.ADScanCount()
 	checkAgreement("epoch2")
 	if got := shared.DeltaScanCount() - sharedBefore; got != 1 {
 		t.Errorf("epoch2: shared engine ran %d delta expansions, want 1", got)
+	}
+	if got := shared.ADScanCount() - adBefore; got != 1 {
+		t.Errorf("epoch2: shared engine read %d AD files, want 1 (r2's; r1's is empty)", got)
+	}
+
+	// Epoch 3: both sides change — a new r2 row and an r1 row that joins
+	// it, so the refresh reads both AD files.
+	mutate3 := func(db *Database) error {
+		tx := db.Begin()
+		if _, err := tx.Insert("r2", tuple.I(10), tuple.S("info-new")); err != nil {
+			return err
+		}
+		if _, err := tx.Insert("r1", tuple.I(46), tuple.I(10), tuple.S("joins-new")); err != nil {
+			return err
+		}
+		return tx.Commit()
+	}
+	for _, db := range all {
+		if err := mutate3(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	adBefore = shared.ADScanCount()
+	checkAgreement("epoch3")
+	if got := shared.ADScanCount() - adBefore; got != 2 {
+		t.Errorf("epoch3: shared engine read %d AD files, want 2 (r1, r2 once each)", got)
 	}
 }
 

@@ -305,9 +305,18 @@ func (ix *Index) Pages() int { return ix.dir.Pages() }
 
 // Truncate removes every tuple but keeps the primary buckets, freeing
 // overflow pages. This is the HR reset (A := ∅, D := ∅) fast path. The
-// chains are walked by their pages' links; no row is decoded.
+// chains are walked by their pages' links; no row is decoded. A bucket
+// whose primary page the directory says holds no row and links nowhere
+// is already empty: it is left alone, neither read nor rewritten.
 func (ix *Index) Truncate() error {
 	for _, bpn := range ix.buckets {
+		e, err := ix.dir.Lookup(bpn)
+		if err != nil {
+			return err
+		}
+		if e.Empty() && !e.HasNext {
+			continue
+		}
 		fr, err := ix.pool.Get(ix.file, bpn)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package hashidx
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -229,6 +230,82 @@ func TestTruncate(t *testing.T) {
 	all, _ = scanAll(ix)
 	if len(all) != 50 {
 		t.Errorf("after refill ScanAll = %d, want 50", len(all))
+	}
+}
+
+// TestTruncateLeavesEmptyBucketsAlone: Truncate rewrites a bucket's
+// primary page only when it holds rows or links to overflow — here one
+// bucket with rows and overflow, one with rows only, one whose primary
+// page its deletes emptied but whose overflow still holds rows, and one
+// never written. Afterwards every bucket's image is an empty chain
+// page's, byte for byte, and a second Truncate costs nothing.
+func TestTruncateLeavesEmptyBucketsAlone(t *testing.T) {
+	ix, m := newTestIndex(t, 96, 64, 4)
+	var byBucket [4][]int64
+	for k := int64(0); len(byBucket[0]) < 12 || len(byBucket[1]) < 1 || len(byBucket[2]) < 12; k++ {
+		if b := ix.bucketFor(tuple.I(k)); b < 3 {
+			byBucket[b] = append(byBucket[b], k)
+		}
+	}
+	for _, keys := range byBucket {
+		for _, k := range keys {
+			if err := insert(ix, mk(uint64(k+1), k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Empty bucket 2's primary page, which took its first rows.
+	for _, k := range byBucket[2] {
+		if e, _ := ix.dir.Lookup(ix.buckets[2]); e.Empty() {
+			break
+		}
+		if _, ok, err := deleteRow(ix, tuple.I(k), uint64(k+1)); err != nil || !ok {
+			t.Fatalf("delete key %d: ok %v, err %v", k, ok, err)
+		}
+	}
+	if e, _ := ix.dir.Lookup(ix.buckets[2]); !e.Empty() || !e.HasNext {
+		t.Fatalf("bucket 2's primary page %v: the fixture needs it empty with overflow", e)
+	}
+	if e, _ := ix.dir.Lookup(ix.buckets[0]); e.Empty() || !e.HasNext {
+		t.Fatalf("bucket 0's primary page %v: the fixture needs rows and overflow", e)
+	}
+	if err := ix.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	m.Reset()
+	if err := ix.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().Writes; got != 3 {
+		t.Errorf("Truncate wrote %d pages, want 3 (buckets 0–2; bucket 3 was empty)", got)
+	}
+	empty := make([]byte, ix.pool.PageSize())
+	chainPages.EncodePage(empty, &node{})
+	for b, pn := range ix.buckets {
+		ix.file.View(pn, func(page []byte) error {
+			if !bytes.Equal(page, empty) {
+				t.Errorf("bucket %d's image after Truncate is not an empty chain page's", b)
+			}
+			return nil
+		})
+	}
+	if err := checkDirectory(ix); err != nil {
+		t.Errorf("after truncate: %v", err)
+	}
+
+	m.Reset()
+	if err := ix.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot(); got.Reads != 0 || got.Writes != 0 {
+		t.Errorf("Truncate of an empty index charged %+v, want nothing", got)
 	}
 }
 

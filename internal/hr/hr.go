@@ -216,8 +216,9 @@ func (h *HR) getVisible(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error
 	return h.base.Get(keyVal, id)
 }
 
-// NetChanges reads the whole AD file (the C_ADread of the cost model)
-// and returns the net change sets:
+// NetChanges reads the AD file — each page that holds entries, the
+// C_ADread of the cost model; a walk of the page directory skips an empty
+// bucket page unread — and returns the net change sets:
 //
 //	A-net = appended entries whose id was not subsequently deleted
 //	D-net = deleted entries whose id was not appended this epoch
@@ -255,8 +256,8 @@ func (h *HR) NetChanges() (anet, dnet []tuple.Tuple, err error) {
 	return anet, dnet, nil
 }
 
-// adEntries reads the whole AD file (one metered read per page) and
-// gathers its entries.
+// adEntries reads the AD file (one metered read per page that holds
+// entries) and gathers its entries.
 func (h *HR) adEntries() ([]tuple.Tuple, error) {
 	batches, _, err := h.ad.ScanAllBatches(0, nil)
 	if err != nil {
@@ -273,12 +274,14 @@ func (h *HR) adEntries() ([]tuple.Tuple, error) {
 // resets the HR: R := (R ∪ A) − D, A := ∅, D := ∅, Bloom filter
 // cleared. The deferred strategy calls it right after a refresh has
 // consumed NetChanges, with those net changes, so the next epoch starts
-// empty and the AD file is read once per refresh — the model charges
-// C_ADread a single time even when several views share the relation
-// (§4's shared-refresh observation). D-net (each row named by
-// its key and id) and then A-net go to the base as one signed batch
-// (relation.Relation.ApplyRun), so an updated row's delete and insert
-// share one visit to its leaf.
+// empty and an AD file that holds entries is read once per refresh —
+// the model charges C_ADread a single time even when several views
+// share the relation (§4's shared-refresh observation). An HR whose AD
+// file holds none (ADLen 0) is neither read nor folded: the refresh
+// skips it, and the reset's Truncate leaves each empty bucket page
+// unwritten. D-net (each row named by its key and id) and then A-net go
+// to the base as one signed batch (relation.Relation.ApplyRun), so an
+// updated row's delete and insert share one visit to its leaf.
 func (h *HR) FoldWith(anet, dnet []tuple.Tuple) error {
 	rows := append(append(make([]tuple.Tuple, 0, len(dnet)+len(anet)), dnet...), anet...)
 	signs := make([]int8, len(rows))

@@ -74,6 +74,14 @@ func (d *FileDevice) Sync() error {
 	return d.f.Sync()
 }
 
+// Syncs returns how many Sync calls the device has taken, injected
+// failures included.
+func (d *FileDevice) Syncs() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.syncCalls
+}
+
 func (d *FileDevice) Truncate(size int64) error { return d.f.Truncate(size) }
 
 func (d *FileDevice) Size() (int64, error) {
