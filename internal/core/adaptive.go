@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"viewmat/internal/costmodel"
-	"viewmat/internal/relation"
 )
 
 // Online adaptive strategy selection. The paper's tables say which
@@ -474,31 +473,25 @@ func (db *Database) strategyCostsLocked(vs *viewState, p costmodel.Params) map[S
 }
 
 // qmAlgLocked returns the query-modification algorithm the engine
-// would actually run for this view — the same physical-design
-// dispatch as queryModified's PlanAuto.
+// would actually run for this view: a select-project view's access path
+// (accessPath, at its default plan), any other kind's own path.
 func (db *Database) qmAlgLocked(vs *viewState) costmodel.Algorithm {
+	plan := vs.plan
 	switch vs.def.Kind {
 	case Join:
 		return costmodel.AlgLoopJoin
 	case Aggregate:
 		return costmodel.AlgClustered
+	case GroupedAggregate:
+		plan = PlanAuto // a grouped read ignores the default plan
 	}
-	slot, col := vs.keySource()
-	if slot != 0 {
-		return costmodel.AlgSequential
-	}
-	r, ok := db.rels[vs.def.Relations[0]]
-	if !ok {
-		return costmodel.AlgSequential
-	}
-	switch {
-	case r.Kind() == relation.ClusteredBTree && r.KeyCol() == col:
+	switch db.accessPath(vs, plan) {
+	case PlanClustered:
 		return costmodel.AlgClustered
-	case r.HasSecondary(col):
+	case PlanUnclustered:
 		return costmodel.AlgUnclustered
-	default:
-		return costmodel.AlgSequential
 	}
+	return costmodel.AlgSequential
 }
 
 // algStrategy is the one algorithm↔strategy mapping: the cost tables'

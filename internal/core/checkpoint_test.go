@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -65,8 +66,26 @@ func TestDeltaFrameBytes(t *testing.T) {
 // the 8 commits a frame covers and counts the explicit checkpoint after
 // them alone. The bound is today's count: it may fall, and must not
 // rise. (A frame's runs go into one byte buffer and one run slice,
-// which grow by doubling: nothing is allocated a page.)
+// which grow by doubling: nothing is allocated a page.) The count is
+// process-wide, and a garbage collection that falls inside a checkpoint
+// adds a few allocations to it, so the test runs the same 20 rounds on
+// three fresh databases and takes the lowest average: a real regression
+// raises all three.
 func TestCheckpointAllocations(t *testing.T) {
+	allocs := math.Inf(1)
+	for pass := 0; pass < 3; pass++ {
+		allocs = min(allocs, checkpointAllocs(t))
+	}
+	const max = 71 // with the race detector too
+	t.Logf("%.2f allocations a delta checkpoint (race detector: %v)", allocs, raceEnabled())
+	if allocs > max {
+		t.Errorf("a delta checkpoint allocated %.2f objects, want at most %d", allocs, max)
+	}
+}
+
+// checkpointAllocs returns the mean allocations of 20 delta checkpoints
+// of a fresh commit-imm database, after two that size the reused buffers.
+func checkpointAllocs(t *testing.T) float64 {
 	const rounds = 20
 	c := newCommitImm(t, 20000)
 	c.durable(t, t.TempDir(), DurabilityOptions{})
@@ -82,16 +101,11 @@ func TestCheckpointAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)
-		if r >= 2 { // the first frames size the reused buffers
+		if r >= 2 {
 			total += ms.Mallocs - before
 		}
 	}
-	allocs := float64(total) / rounds
-	const max = 71 // with the race detector too
-	t.Logf("%.0f allocations a delta checkpoint (race detector: %v)", allocs, raceEnabled())
-	if allocs > max {
-		t.Errorf("a delta checkpoint allocated %.0f objects, want at most %d", allocs, max)
-	}
+	return float64(total) / rounds
 }
 
 // TestRecoverLongChain: patches make delta frames small, so the same

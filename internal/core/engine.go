@@ -161,7 +161,7 @@ type viewState struct {
 
 	mat *MatView // SelectProject/Join with Immediate or Deferred
 
-	groups *groupStore // GroupedAggregate materialization
+	groups *relation.Relation // GroupedAggregate materialization (groupStoreSchema)
 
 	aggState *agg.State // Aggregate with Immediate or Deferred
 	aggFile  *storage.File

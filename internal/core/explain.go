@@ -71,7 +71,7 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 	} else if parent.mat != nil {
 		pages = parent.mat.Pages()
 	} else {
-		pages = parent.groups.rel.Pages()
+		pages = parent.groups.Pages()
 	}
 	// The derivation's source and uncharged screen, with no shape on top:
 	// the whole file, so the rows the predicate rejects are counted too.

@@ -186,6 +186,34 @@ func TestExplainPricesTheRunnablePath(t *testing.T) {
 	}
 }
 
+// TestExplainPricesTheDefaultPlan: a view's default plan is the access
+// path its queries run, and so the one Explain prices. Here r is
+// clustered on the view's key column, so PlanAuto would scan the clustering
+// index; after SetDefaultPlan(PlanSequential) the query scans
+// sequentially, and Costs holds sequential, not clustered.
+func TestExplainPricesTheDefaultPlan(t *testing.T) {
+	db := newSPDatabase(t, QueryModification, 300)
+	if err := db.SetDefaultPlan("v", PlanSequential); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.QueryView("v", nil); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := db.Explain("v", WorkloadHints{UpdateTxns: 5, Queries: 100, TuplesPerTxn: 4, QueryFraction: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree := ex.PlanTrees[PlanPathQuery]; !strings.Contains(tree, "SeqScan") {
+		t.Fatalf("query plan is not a sequential scan:\n%s", tree)
+	}
+	if _, ok := ex.Costs["sequential"]; !ok || ex.CurrentKey != "sequential" {
+		t.Errorf("Costs %v, CurrentKey %q: want the sequential row current", ex.Costs, ex.CurrentKey)
+	}
+	if c, ok := ex.Costs["clustered"]; ok {
+		t.Errorf("Costs holds the clustered path (%.1f) the default plan does not run", c)
+	}
+}
+
 // TestStrategyCostKeyMapping: Explain's CurrentKey names the cost-table
 // row of the view's strategy. Each maintenance strategy reads its own
 // row; query modification reads the access path the physical design

@@ -8,7 +8,6 @@ import (
 	"viewmat/internal/exec"
 	"viewmat/internal/pred"
 	"viewmat/internal/relation"
-	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
 
@@ -25,15 +24,9 @@ import (
 // uses AggKind/AggCol as for Aggregate, plus GroupBy.
 const GroupedAggregate Kind = 3
 
-// groupStore is the materialization: a B+-tree relation keyed on the
-// group value, one row per live group.
-type groupStore struct {
-	rel      *relation.Relation
-	groupTyp tuple.Type
-}
-
-// groupStoreSchema lays out a group row: group value, count, sum,
-// sum-of-squares, extreme.
+// groupStoreSchema lays out a row of the materialization, a B+-tree
+// relation keyed on the group value with one row per live group: group
+// value, count, sum, sum-of-squares, extreme.
 func groupStoreSchema(groupTyp tuple.Type) *tuple.Schema {
 	return tuple.NewSchema(
 		tuple.Col("group", groupTyp),
@@ -42,14 +35,6 @@ func groupStoreSchema(groupTyp tuple.Type) *tuple.Schema {
 		tuple.Col("sumsq", tuple.Float),
 		tuple.Col("extreme", tuple.Float),
 	)
-}
-
-func newGroupStore(disk *storage.Disk, pool *storage.Pool, name string, groupTyp tuple.Type) (*groupStore, error) {
-	rel, err := relation.NewBTree(disk, pool, name+".groups", groupStoreSchema(groupTyp), 0)
-	if err != nil {
-		return nil, err
-	}
-	return &groupStore{rel: rel, groupTyp: groupTyp}, nil
 }
 
 // stateOf decodes a stored group row into an aggregate state.
@@ -63,36 +48,6 @@ func stateOf(kind agg.Kind, row tuple.Tuple) *agg.State {
 func rowOf(group tuple.Value, s *agg.State) []tuple.Value {
 	count, sum, sumSq, extreme := s.Components()
 	return []tuple.Value{group, tuple.I(count), tuple.F(sum), tuple.F(sumSq), tuple.F(extreme)}
-}
-
-// get fetches a group's row.
-func (g *groupStore) get(group tuple.Value) (tuple.Tuple, bool, error) {
-	matches, err := g.rel.LookupKey(group)
-	if err != nil {
-		return tuple.Tuple{}, false, err
-	}
-	if len(matches) == 0 {
-		return tuple.Tuple{}, false, nil
-	}
-	return matches[0], true, nil
-}
-
-// put replaces (or inserts) a group's row; an empty state removes it. A
-// replaced row keeps its key and id: the pair of its delete and its
-// insert, one ApplyRun, so one visit to its leaf.
-func (g *groupStore) put(group tuple.Value, s *agg.State, old *tuple.Tuple, id uint64) error {
-	var rows []tuple.Tuple
-	var signs []int8
-	if old != nil {
-		rows, signs, id = append(rows, *old), append(signs, -1), old.ID
-	}
-	if s.Count() > 0 {
-		rows, signs = append(rows, tuple.Tuple{ID: id, Vals: rowOf(group, s)}), append(signs, 1)
-	}
-	if _, err := g.rel.ApplyRun(rows, signs, -1, nil); err != nil {
-		return fmt.Errorf("core: group row rewrite of %v: %w", group, err)
-	}
-	return nil
 }
 
 // GroupRow is one grouped-aggregate result.
@@ -157,12 +112,18 @@ func groupRows(groups []groupState) []GroupRow {
 // --- engine integration -----------------------------------------------------
 
 // groupAggRefreshTree applies Model-3 deltas per group through a
-// Filter→DeltaApply pipeline whose sink updates exactly the affected
-// group's row (a MIN/MAX extreme delete recomputes that group from the
-// source inside the sink's bracket). When child views hang off this
-// view, each group-row change is also logged
-// as a logical output delta — delete(old value), insert(new value) in
-// the view's (group, value) output schema — the stream children drain.
+// Filter→DeltaApply pipeline whose sink writes each batch to the group
+// store as one signed ApplyRun. The sink reads each group the batch
+// touches once, at its first touch, and folds the batch's rows into it in
+// stream order: an insert draws a row id, which the group's row takes
+// when the insert fills an empty group, and a MIN/MAX extreme delete
+// recomputes the group from the source inside the sink's bracket. It then
+// writes the net of the rows it folded — each touched group's row at
+// batch start deleted and its final row inserted, in first-touch order —
+// even when a row fails. When child views hang off this view, each row's
+// change to its group is also logged as a logical output delta —
+// delete(old value), insert(new value) in the view's (group, value)
+// output schema — the stream children drain.
 func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.Operator {
 	kind := vs.def.AggKind
 	logGroupDelta := func(group tuple.Value, oldV float64, oldOK bool, newV float64, newOK bool) {
@@ -183,69 +144,95 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 			})
 		}
 	}
-	filt := exec.NewFilter(db.execOpts(), vs.def.Name, src, singlePred(vs), false)
-	insert := func(row exec.Row) error {
+	// touched is a group the batch touched: its stored row at batch start
+	// (Vals nil: it had none), and its state and row id now (live false:
+	// it holds no row).
+	type touched struct {
+		group tuple.Value
+		start tuple.Tuple
+		state agg.State
+		id    uint64
+		live  bool
+	}
+	var groups []touched
+	at := map[string]int{} // groupKey → index in groups
+	touch := func(group tuple.Value) (*touched, error) {
+		k := groupKey(group)
+		if i, ok := at[k]; ok {
+			return &groups[i], nil
+		}
+		stored, err := vs.groups.LookupKey(group)
+		if err != nil {
+			return nil, err
+		}
+		g := touched{group: group}
+		if len(stored) > 0 {
+			g.start, g.state, g.id, g.live = stored[0], *stateOf(kind, stored[0]), stored[0].ID, true
+		}
+		at[k] = len(groups)
+		groups = append(groups, g)
+		return &groups[len(groups)-1], nil
+	}
+	fold := func(row exec.Row) error {
 		tp := row.T0
-		group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
-		stored, found, err := vs.groups.get(group)
+		g, err := touch(tuple.Canonical(tp.Vals[vs.def.GroupBy]))
 		if err != nil {
 			return err
 		}
-		var s *agg.State
-		var oldRow *tuple.Tuple
 		var oldV float64
 		var oldOK bool
-		if found {
-			s = stateOf(kind, stored)
-			oldRow = &stored
-			oldV, oldOK = s.Value()
-		} else {
-			s = agg.NewState(kind)
+		if g.live {
+			oldV, oldOK = g.state.Value()
 		}
-		s.Insert(tp.Vals[vs.def.AggCol].AsFloat())
-		if err := vs.groups.put(group, s, oldRow, db.nextID()); err != nil {
-			return err
-		}
-		newV, newOK := s.Value()
-		logGroupDelta(group, oldV, oldOK, newV, newOK)
-		return nil
-	}
-	remove := func(row exec.Row) error {
-		tp := row.T0
-		group := tuple.Canonical(tp.Vals[vs.def.GroupBy])
-		stored, found, err := vs.groups.get(group)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return fmt.Errorf("core: delete for unknown group %v in %q", group, vs.def.Name)
-		}
-		s := stateOf(kind, stored)
-		oldV, oldOK := s.Value()
-		if s.Delete(tp.Vals[vs.def.AggCol].AsFloat()) {
-			if s, err = db.recomputeGroup(vs, group); err != nil {
-				return err
+		v := tp.Vals[vs.def.AggCol].AsFloat()
+		if row.Insert {
+			if id := db.nextID(); !g.live {
+				g.state, g.id, g.live = *agg.NewState(kind), id, true
 			}
-		}
-		if err := vs.groups.put(group, s, &stored, 0); err != nil {
-			return err
-		}
-		newV, newOK := s.Value()
-		logGroupDelta(group, oldV, oldOK, newV, newOK)
-		return nil
-	}
-	return exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
-		func(rows []exec.Row) error {
-			for _, row := range rows {
-				apply := remove
-				if row.Insert {
-					apply = insert
-				}
-				if err := apply(row); err != nil {
+			g.state.Insert(v)
+		} else {
+			if !g.live {
+				return fmt.Errorf("core: delete for unknown group %v in %q", g.group, vs.def.Name)
+			}
+			s := g.state
+			if s.Delete(v) {
+				r, err := db.recomputeGroup(vs, g.group)
+				if err != nil {
 					return err
 				}
+				s = *r
 			}
-			return nil
+			g.state, g.live = s, s.Count() > 0
+		}
+		newV, newOK := g.state.Value()
+		logGroupDelta(g.group, oldV, oldOK, newV, newOK)
+		return nil
+	}
+	var rows []tuple.Tuple
+	var signs []int8
+	filt := exec.NewFilter(db.execOpts(), vs.def.Name, src, singlePred(vs), false)
+	return exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
+		func(batch []exec.Row) error {
+			groups, rows, signs = groups[:0], rows[:0], signs[:0]
+			clear(at)
+			var err error
+			for _, row := range batch {
+				if err = fold(row); err != nil {
+					break
+				}
+			}
+			for _, g := range groups {
+				if g.start.Vals != nil {
+					rows, signs = append(rows, g.start), append(signs, -1)
+				}
+				if g.live {
+					rows, signs = append(rows, tuple.Tuple{ID: g.id, Vals: rowOf(g.group, &g.state)}), append(signs, 1)
+				}
+			}
+			if _, werr := vs.groups.ApplyRun(rows, signs, -1, nil); werr != nil {
+				return fmt.Errorf("core: group rows of %q: %w", vs.def.Name, werr)
+			}
+			return err
 		})
 }
 
@@ -283,10 +270,13 @@ func (db *Database) fillGroupStore(vs *viewState) error {
 		return err
 	}
 	flush := exec.NewStateWrite(db.execOpts(), vs.def.Name+".groups", func() error {
-		for _, g := range all.groups.sorted() {
-			if err := vs.groups.put(g.group, g.state, nil, db.nextID()); err != nil {
-				return err
-			}
+		groups := all.groups.sorted()
+		rows := make([]tuple.Tuple, len(groups))
+		for i, g := range groups {
+			rows[i] = tuple.Tuple{ID: db.nextID(), Vals: rowOf(g.group, g.state)}
+		}
+		if _, err := vs.groups.ApplyRun(rows, nil, -1, nil); err != nil {
+			return fmt.Errorf("core: group rows of %q: %w", vs.def.Name, err)
 		}
 		return nil
 	})
@@ -302,7 +292,7 @@ func (db *Database) QueryGroups(name string, rg *pred.Range) ([]GroupRow, error)
 
 // groupsRead plans a read of the stored group rows.
 func (db *Database) groupsRead(vs *viewState, rg *pred.Range) *derived {
-	scan := exec.NewScan(db.execOpts(), vs.groups.rel, orFull(rg))
+	scan := exec.NewScan(db.execOpts(), vs.groups, orFull(rg))
 	return &derived{root: exec.NewFilter(db.execOpts(), vs.def.Name+".groups", scan, exec.Pred{}, true)}
 }
 

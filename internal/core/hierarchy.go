@@ -292,7 +292,7 @@ func (db *Database) parentScanOp(p *viewState) exec.Operator {
 		}
 		return []vec.Col{cols[0], vals}, mult, nil
 	}
-	return exec.NewStoredScan(db.execOpts(), label, p.groups.rel, nil, groupValues, true)
+	return exec.NewStoredScan(db.execOpts(), label, p.groups, nil, groupValues, true)
 }
 
 // logPosition is what sibling children must agree on to drain one
@@ -353,8 +353,8 @@ func (db *Database) childDrainEstimateLocked(parent *viewState, deltaRows int) c
 		est.ParentRows = parent.mat.DistinctRows()
 		est.ParentPages = float64(parent.mat.Pages())
 	} else if parent.groups != nil {
-		est.ParentRows = parent.groups.rel.Len()
-		est.ParentPages = float64(parent.groups.rel.Pages())
+		est.ParentRows = parent.groups.Len()
+		est.ParentPages = float64(parent.groups.Pages())
 	}
 	return est
 }

@@ -1293,6 +1293,14 @@ func lockstepTable() []row {
 			twins("Model3/"+kind.String(), model3Fx(kind), st, 2700, 2702, 4)
 		}
 	}
+	// A grouped view's sink folds each batch into the groups it touches and
+	// writes their rows as one ApplyRun; at one row a batch it writes each
+	// row's group on its own.
+	for _, kind := range []agg.Kind{agg.Sum, agg.Min, agg.Max} {
+		for _, st := range fiveStrategies {
+			twins("Grouped/"+kind.String(), groupedFx(kind, 30), st, 2800, 2805, 5)
+		}
+	}
 
 	// Hierarchy: a random view DAG under skewed updates. The subject runs
 	// the drawn strategies with the cost-model share gate and vectorized
@@ -1428,6 +1436,7 @@ func TestPropertySharedDeltaEquivalent(t *testing.T)       { runRows(t) }
 func TestPropertyBatchRowIdentityModel1(t *testing.T)      { runRows(t) }
 func TestPropertyBatchRowIdentityModel2(t *testing.T)      { runRows(t) }
 func TestPropertyBatchRowIdentityModel3(t *testing.T)      { runRows(t) }
+func TestPropertyBatchRowIdentityGrouped(t *testing.T)     { runRows(t) }
 func TestPropertyHierarchyRecomputeOracle(t *testing.T)    { runRows(t) }
 func TestPropertyRecoverEquivalentToSaveLoad(t *testing.T) { runRows(t) }
 func TestLockstepRecover(t *testing.T)                     { runRows(t) }

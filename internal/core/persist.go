@@ -99,7 +99,7 @@ func (db *Database) catalogHeaderLocked() catalogHeader {
 			e.mat = &m
 		}
 		if vs.groups != nil {
-			m := vs.groups.rel.Meta()
+			m := vs.groups.Meta()
 			e.groups = &m
 		}
 		h.views = append(h.views, e)
@@ -139,8 +139,9 @@ func Load(r io.Reader) (*Database, error) {
 // version 6's disk delta carried whole pages where version 7 carries
 // each page as a patch against its base; version 7's view entries
 // carried a flag selecting Blakeley's uncorrected join expansion, which
-// the engine no longer has.
-const snapshotMagic = "VMS\x08"
+// the engine no longer has; version 8's catalog header carried the HR
+// Bloom filters' false-positive rate, which is a constant now.
+const snapshotMagic = "VMS\x09"
 
 // codeSnapshot walks one checkpoint frame's body (all of Save's output):
 // the magic, the catalog header, and the disk's changes — a
@@ -153,7 +154,7 @@ func codeSnapshot(c *tuple.Coder, h *catalogHeader, delta *storage.DiskDelta, di
 		c.U8(&magic[i])
 	}
 	if string(magic) != snapshotMagic {
-		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-7 snapshots are not readable)",
+		c.Fail("not a version-%d snapshot: it opens %q, not %q (version 1, an encoding/gob stream, and version-2 to version-8 snapshots are not readable)",
 			snapshotMagic[3], magic, snapshotMagic)
 		return
 	}
@@ -287,11 +288,9 @@ func restoreDatabase(h *catalogHeader, disk *storage.Disk) (_ *Database, err err
 				return nil, fmt.Errorf("%s view %q has a group store", def.Kind, def.Name)
 			}
 			groupTyp := vs.schemas[0].Cols[def.GroupBy].Type
-			rel, err := relation.Open(disk, db.pool, def.Name+".groups", groupStoreSchema(groupTyp), *ve.groups)
-			if err != nil {
+			if vs.groups, err = relation.Open(disk, db.pool, def.Name+".groups", groupStoreSchema(groupTyp), *ve.groups); err != nil {
 				return nil, fmt.Errorf("core: reopening groups of %q: %w", def.Name, err)
 			}
-			vs.groups = &groupStore{rel: rel, groupTyp: groupTyp}
 		}
 		if ve.hasAgg {
 			vs.aggFile = disk.Open(def.Name + ".agg")
@@ -356,7 +355,6 @@ func (h *catalogHeader) code(c *tuple.Coder) {
 	c.Int(&h.poolFrames)
 	c.Int(&h.hrConfig.ADBuckets)
 	c.Int(&h.hrConfig.BloomKeys)
-	c.Float(&h.hrConfig.BloomFPRate)
 	c.U64(&h.clock)
 	tuple.Map(c, &h.relations, minRelationSize, (*tuple.Coder).Str, func(c *tuple.Coder, re *relationEntry) {
 		if c.Decoding() {

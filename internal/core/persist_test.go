@@ -240,6 +240,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Version 7: this layout, but a Blakeley flag in every view entry.
 	version7 := append([]byte(nil), img...)
 	version7[len(snapshotMagic)-1] = 7
+	// Version 8: this layout, but a Bloom false-positive rate in the
+	// catalog header.
+	version8 := append([]byte(nil), img...)
+	version8[len(snapshotMagic)-1] = 8
 	// The parent commit's format: one encoding/gob value of a struct
 	// whose first field is Version = 1.
 	type dbSnapshot struct{ Version, PageSize, PoolFrames int }
@@ -286,11 +290,12 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"type garbage", []byte{0x01, 0x02, 'g', 'a', 'r', 'b'}, ErrSnapshotCorrupt, "version-2"},
 		{"wrong version", wrongVersion, ErrSnapshotCorrupt, "version-2"},
 		{"version-2 body", version2, ErrSnapshotCorrupt, "version-2"},
-		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-8 snapshot"},
-		{"version-4 body", version4, ErrSnapshotCorrupt, "not a version-8 snapshot"},
-		{"version-5 body", version5, ErrSnapshotCorrupt, "not a version-8 snapshot"},
-		{"version-6 body", version6, ErrSnapshotCorrupt, "not a version-8 snapshot"},
-		{"version-7 body", version7, ErrSnapshotCorrupt, "not a version-8 snapshot"},
+		{"version-3 body", version3, ErrSnapshotCorrupt, "not a version-9 snapshot"},
+		{"version-4 body", version4, ErrSnapshotCorrupt, "not a version-9 snapshot"},
+		{"version-5 body", version5, ErrSnapshotCorrupt, "not a version-9 snapshot"},
+		{"version-6 body", version6, ErrSnapshotCorrupt, "not a version-9 snapshot"},
+		{"version-7 body", version7, ErrSnapshotCorrupt, "not a version-9 snapshot"},
+		{"version-8 body", version8, ErrSnapshotCorrupt, "not a version-9 snapshot"},
 		{"parent-format gob stream", version1.Bytes(), ErrSnapshotCorrupt, "version 1"},
 		{"bad page size", encodeSnapshot(t, catalogHeader{poolFrames: 4}, &storage.DiskDelta{}), ErrSnapshotCorrupt, ""},
 		{"HR without relation", encode(catalogHeader{poolFrames: 4, hrs: map[string]hr.ADMeta{"ghost": {}}}), ErrSnapshotCorrupt, ""},

@@ -239,9 +239,9 @@ func answerOf(view string, batches []*vec.Batch, stored, byDup bool) (Answer, er
 	return a, nil
 }
 
-// planRead picks a read's cell of readTable. A select-project query's
-// access path is its plan (nil: the view's default), PlanAuto resolved
-// against the base relation's physical design as PlanAuto documents.
+// planRead picks a read's cell of readTable. A select-project query
+// takes the access path accessPath gives its plan (nil: the view's
+// default).
 func (db *Database) planRead(vs *viewState, rg *pred.Range, plan *QueryPlan) (*derived, error) {
 	how := readTable[vs.def.Kind]
 	if vs.row().stores {
@@ -253,19 +253,28 @@ func (db *Database) planRead(vs *viewState, rg *pred.Range, plan *QueryPlan) (*d
 		if d.plan = vs.plan; plan != nil {
 			d.plan = *plan
 		}
-		r, base := db.rels[vs.def.Relations[0]]
-		_, col := vs.keySource()
-		switch {
-		case d.plan != PlanAuto || !base:
-		case r.Kind() == relation.ClusteredBTree && r.KeyCol() == col:
-			d.plan = PlanClustered
-		case r.HasSecondary(col):
-			d.plan = PlanUnclustered
-		default:
-			d.plan = PlanSequential
-		}
+		d.plan = db.accessPath(vs, d.plan)
 	}
 	return db.derive(vs, d)
+}
+
+// accessPath is the one physical-design decision of a query-modification
+// read, which planRead runs and Explain and AdaptTick price (qmAlgLocked):
+// plan, PlanAuto resolved against the base relation as PlanAuto
+// documents. A view over a parent view, or keyed on a column of its
+// inner relation, keeps PlanAuto: its source has one path.
+func (db *Database) accessPath(vs *viewState, plan QueryPlan) QueryPlan {
+	r, base := db.rels[vs.def.Relations[0]]
+	slot, col := vs.keySource()
+	switch {
+	case plan != PlanAuto || !base || slot != 0:
+		return plan
+	case r.Kind() == relation.ClusteredBTree && r.KeyCol() == col:
+		return PlanClustered
+	case r.HasSecondary(col):
+		return PlanUnclustered
+	}
+	return PlanSequential
 }
 
 // matRead plans a read of the stored rows through a MatScan→Screen

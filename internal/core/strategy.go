@@ -5,6 +5,7 @@ import (
 
 	"viewmat/internal/agg"
 	"viewmat/internal/hr"
+	"viewmat/internal/relation"
 )
 
 // The paper's strategies run the same differential algorithm; they
@@ -213,7 +214,7 @@ func (db *Database) newStoreLocked(vs *viewState) error {
 		db.dropStoreLocked(vs)
 		// schemas[0] is the base relation's schema, or the parent view's
 		// output schema for hierarchy children.
-		gs, err := newGroupStore(db.disk, db.pool, name, vs.schemas[0].Cols[vs.def.GroupBy].Type)
+		gs, err := relation.NewBTree(db.disk, db.pool, name+".groups", groupStoreSchema(vs.schemas[0].Cols[vs.def.GroupBy].Type), 0)
 		if err != nil {
 			return err
 		}

@@ -49,10 +49,11 @@ type Config struct {
 	// BloomKeys is the expected number of distinct keys in AD between
 	// refreshes (used to size the filter). Defaults to 1024.
 	BloomKeys int
-	// BloomFPRate is the target false-positive rate. Defaults to 0.01,
-	// the "arbitrarily small by increasing m" knob of [Seve76].
-	BloomFPRate float64
 }
+
+// bloomFPRate is the Bloom filter's target false-positive rate, the
+// "arbitrarily small by increasing m" knob of [Seve76].
+const bloomFPRate = 0.01
 
 // withDefaults returns c with each field left unset given its default.
 func (c Config) withDefaults() Config {
@@ -61,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BloomKeys <= 0 {
 		c.BloomKeys = 1024
-	}
-	if c.BloomFPRate <= 0 {
-		c.BloomFPRate = 0.01
 	}
 	return c
 }
@@ -83,7 +81,7 @@ func Open(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg C
 	if err != nil {
 		return nil, err
 	}
-	h := &HR{base: base, ad: ad, filter: bloom.NewForRate(cfg.BloomKeys, cfg.BloomFPRate), pool: pool}
+	h := &HR{base: base, ad: ad, filter: bloom.NewForRate(cfg.BloomKeys, bloomFPRate), pool: pool}
 	entries, err := h.adEntries()
 	if err != nil {
 		return nil, err
@@ -105,7 +103,7 @@ func New(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg Co
 	return &HR{
 		base:   base,
 		ad:     ad,
-		filter: bloom.NewForRate(cfg.BloomKeys, cfg.BloomFPRate),
+		filter: bloom.NewForRate(cfg.BloomKeys, bloomFPRate),
 		pool:   pool,
 	}, nil
 }

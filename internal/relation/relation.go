@@ -47,8 +47,7 @@ type Relation struct {
 
 	pool        *storage.Pool
 	disk        *storage.Disk
-	secondaries []*Secondary  // in column order
-	cut         []tuple.Tuple // the row a delete cut, for its pointer entries
+	secondaries []*Secondary // in column order
 }
 
 // Secondary is an unclustered index: a B+-tree of pointer entries
@@ -140,14 +139,16 @@ func (r *Relation) IndexHeight() int {
 // new row's insert. With a non-nil cut, every row a delete removes is
 // appended to *cut, whole, in stream order.
 //
-// The files take the batch by one rule. Without secondary indexes the
-// clustering store takes it whole: a B+-tree as one btree.Tree.ApplyRun,
-// plain (countCol < 0) or counted (countCol ≥ 0; see there: it returns
-// at the first row it leaves to the caller), a hash file as one
-// hashidx.Index.ApplyRun. With them, each row goes to the clustering
-// store and then, as its pointer entry, to each index in column order. A
-// counted batch only a B+-tree without secondary indexes serves; any
-// other relation applies none of its rows.
+// Each file takes the batch whole. The clustering store goes first: a
+// B+-tree as one btree.Tree.ApplyRun, plain (countCol < 0) or counted
+// (countCol ≥ 0; see there: it returns at the first row it leaves to the
+// caller), a hash file as one hashidx.Index.ApplyRun. Then each secondary
+// index, in column order, takes one ApplyRun of the pointer entries of
+// the rows the store applied, a delete's built from the row it cut. A
+// pointer entry is a subset of a row that already fit a page, so an index
+// cannot refuse a row its clustering store took. A counted batch only a
+// B+-tree without secondary indexes serves; any other relation applies
+// none of its rows.
 func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
 	if countCol >= 0 && (r.kind != ClusteredBTree || len(r.secondaries) > 0) {
 		return 0, nil
@@ -160,52 +161,38 @@ func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *
 			return 0, fmt.Errorf("relation %s: %w", r.name, err)
 		}
 	}
-	if len(r.secondaries) == 0 {
-		return r.cluster(tps, signs, countCol, cut)
+	if r.secondaries != nil && cut == nil {
+		cut = new([]tuple.Tuple) // the rows the indexes' deletes name
 	}
-	for i := range tps {
-		var sign []int8
-		if signs != nil {
-			sign = signs[i : i+1]
-		}
-		if err := r.applyRow(tps[i:i+1], sign, cut); err != nil {
-			return i, err
-		}
+	from := 0
+	if cut != nil {
+		from = len(*cut)
 	}
-	return len(tps), nil
-}
-
-// cluster hands rows to the clustering store.
-func (r *Relation) cluster(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+	var n int
+	var err error
 	if r.kind == ClusteredBTree {
-		return r.bt.ApplyRun(rows, signs, countCol, cut)
+		n, err = r.bt.ApplyRun(tps, signs, countCol, cut)
+	} else {
+		n, err = r.hx.ApplyRun(tps, signs, cut)
 	}
-	return r.hx.ApplyRun(rows, signs, cut)
-}
-
-// applyRow applies the one row of row, signed by sign, to the clustering
-// store and then its pointer entry to each secondary index: a delete's
-// entry is built from the row the clustering store cut.
-func (r *Relation) applyRow(row []tuple.Tuple, sign []int8, cut *[]tuple.Tuple) error {
-	tp := row[0]
-	if sign != nil && sign[0] < 0 {
-		r.cut = r.cut[:0]
-		if _, err := r.cluster(row, sign, -1, &r.cut); err != nil {
-			return err
-		}
-		tp, r.cut[0] = r.cut[0], tuple.Tuple{}
-		if cut != nil {
-			*cut = append(*cut, tp)
-		}
-	} else if _, err := r.cluster(row, sign, -1, nil); err != nil {
-		return err
+	if signs != nil {
+		signs = signs[:n]
 	}
+	var ptrs []tuple.Tuple
 	for _, sec := range r.secondaries {
-		if _, err := sec.bt.ApplyRun([]tuple.Tuple{pointerEntry(tp, sec.col, r.keyCol)}, sign, -1, nil); err != nil {
-			return err
+		ptrs = ptrs[:0]
+		cuts := (*cut)[from:]
+		for i, tp := range tps[:n] {
+			if signs != nil && signs[i] < 0 {
+				tp, cuts = cuts[0], cuts[1:]
+			}
+			ptrs = append(ptrs, pointerEntry(tp, sec.col, r.keyCol))
+		}
+		if _, err := sec.bt.ApplyRun(ptrs, signs, -1, nil); err != nil {
+			return n, err
 		}
 	}
-	return nil
+	return n, err
 }
 
 // Get fetches the tuple with the clustering-key value and id.

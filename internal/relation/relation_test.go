@@ -285,9 +285,9 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 // delete and the new row's insert as one ApplyRun, cuts the tuple it
 // replaces and is charged, and leaves, what deleteRow then Insert would —
 // on a B+-tree (where the clustering index applies the pair in one leaf
-// visit), on a B+-tree with a secondary index (where each row goes to the
-// clustering index and then to the secondary) and on a hash relation
-// (where each row walks its bucket's chain).
+// visit), on a B+-tree with a secondary index (where the pair goes to the
+// clustering index and then, as pointer entries, to the secondary) and on
+// a hash relation (where each row walks its bucket's chain).
 func TestUpdateIsDeleteThenInsert(t *testing.T) {
 	for _, kind := range []string{"btree", "btree+secondary", "hash"} {
 		t.Run(kind, func(t *testing.T) {
@@ -374,9 +374,12 @@ func TestUpdateIsDeleteThenInsert(t *testing.T) {
 
 // TestInsertRunMatchesInsert: inserting rows as runs cut at random
 // points — into a B+-tree with a secondary index and into a hash relation
-// with one, where each row goes to the clustering file and then to the
-// secondary index — leaves every file's pages, and the charges, as
-// inserting them one at a time does, at pools of 8 and 512 frames.
+// with one, where each run goes to the clustering file whole and then to
+// the secondary index — leaves every file's pages as inserting them one
+// at a time does, at pools of 8 and 512 frames. At 512 frames nothing is
+// evicted and the charges are equal too; at 8, where a one-row insert
+// evicts the clustering file's pages to reach the index's and back, a run
+// may only be charged less.
 func TestInsertRunMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	var rows []tuple.Tuple
@@ -434,8 +437,9 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 				if !reflect.DeepEqual(gotFiles, want) {
 					t.Error("runs and one-row inserts left different pages")
 				}
-				if gotM.Snapshot() != refM.Snapshot() {
-					t.Errorf("runs charged %v, one-row inserts %v", gotM.Snapshot(), refM.Snapshot())
+				g, w := gotM.Snapshot(), refM.Snapshot()
+				if frames == 8 && (g.Reads > w.Reads || g.Writes > w.Writes) || frames != 8 && g != w {
+					t.Errorf("runs charged %v, one-row inserts %v", g, w)
 				}
 			})
 		}
