@@ -919,7 +919,7 @@ func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan,
 	if err != nil {
 		return nil, err
 	}
-	return t.dir.Scan(t.pool, leaf, nil, t.keyCol, rg, prune)
+	return t.dir.Scan(t.pool, leaf, t.keyCol, rg, prune)
 }
 
 // ScanAll returns a full scan of the tree, ScanBatches over no range.

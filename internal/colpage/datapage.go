@@ -141,16 +141,6 @@ func PageLink(page []byte) (next storage.PageNum, hasNext bool) {
 	return 0, false
 }
 
-// Link reads a data page's forward link, checking the header as every
-// decode does — for a walk of a chain that needs no row of it.
-func (pt PageType) Link(page []byte) (next storage.PageNum, hasNext bool, err error) {
-	if _, err := pt.rows(page); err != nil {
-		return 0, false, err
-	}
-	next, hasNext = PageLink(page)
-	return next, hasNext, nil
-}
-
 // rows validates the header — pages reach the engine from snapshot
 // files, i.e. from outside — and returns its tuple count.
 func (pt PageType) rows(page []byte) (int, error) {

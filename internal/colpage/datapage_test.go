@@ -260,8 +260,7 @@ func TestTakeStagesOrDecodesDirect(t *testing.T) {
 // TestDataPageRejectsDamage: every decode checks the type byte against
 // the access method's — a leaf is not a chain page, an internal B+-tree
 // page (type 2) and the retired row-major pages (types 1 and 3) are
-// neither — and the header count against the chunk; Link checks the
-// type byte too.
+// neither — and the header count against the chunk.
 func TestDataPageRejectsDamage(t *testing.T) {
 	decoders := map[string]func(PageType, []byte) error{
 		"page":   func(pt PageType, page []byte) error { _, err := decodePage(pt, page); return err },
@@ -292,18 +291,6 @@ func TestDataPageRejectsDamage(t *testing.T) {
 					t.Error("short page decoded")
 				}
 			})
-		}
-		// Link reads no row, but checks the header as every decode does.
-		page := pinnedPage(t, pt, 0)
-		if next, hasNext, err := pt.Link(page); err != nil || next != 5 || !hasNext {
-			t.Errorf("%s: Link = %d, %v, %v", name, next, hasNext, err)
-		}
-		if _, _, err := pt.Link(page[:DataPageHeader-1]); err == nil {
-			t.Errorf("%s: Link read a short page", name)
-		}
-		page[0] = byte(pt) ^ 1
-		if _, _, err := pt.Link(page); err == nil || !strings.Contains(err.Error(), "not a data page") {
-			t.Errorf("%s: Link of the other owner's page: err = %v", name, err)
 		}
 	}
 }
@@ -410,8 +397,8 @@ func fuzzDataPage(pt PageType, data []byte, atoms []Atom) error {
 	if serr != nil || berr != nil {
 		return fmt.Errorf("the page decode accepted a page a scan rejects: staged %v, direct %v", serr, berr)
 	}
-	if next, hasNext, err := pt.Link(data); err != nil || next != n.Next || hasNext != n.HasNext {
-		return fmt.Errorf("Link = %d, %v, %v; the page decode says %d, %v", next, hasNext, err, n.Next, n.HasNext)
+	if next, hasNext := PageLink(data); next != n.Next || hasNext != n.HasNext {
+		return fmt.Errorf("PageLink = %d, %v; the page decode says %d, %v", next, hasNext, n.Next, n.HasNext)
 	}
 	want := refBytes(lanesTuples(n.IDs, n.Cols))
 	if !direct || !bytes.Equal(refBytes(lanesTuples(staged.IDs, staged.Cols)), want) ||

@@ -11,8 +11,9 @@ import (
 )
 
 // Scan reads chains of an access method's data pages — a B+-tree's leaf
-// chain from the leaf a descent found, a hash file's bucket chains from
-// their primary pages — chain after chain, each page down its forward
+// chain from the leaf a descent found (Directory.Scan), a hash file's
+// bucket chains from the head of each bucket that has a page
+// (Directory.ScanChains) — chain after chain, each page down its forward
 // link, decoding the pages straight to columnar form. It holds no pins
 // between Fill calls; each page is fetched (and charged) once per visit.
 //
@@ -89,17 +90,32 @@ func (c *cursor) follow(next storage.PageNum, hasNext bool) {
 	}
 }
 
-// Scan opens a scan of the chains headed by first and then by each page
-// of more, in order, over rows whose column keyCol lies in rg (nil means
-// all; a range needs one chain, sorted on keyCol, and first the leaf
-// that may hold its Lo). Prune atoms apply only to full scans: a range
-// scan already ends early, and pruning mid-range could skip the page
-// holding the range's end. It reads the first page (on a full scan, the
-// first window) before it returns; Fill skips that leaf's rows below
-// the range.
-func (d *Directory) Scan(pool *storage.Pool, first storage.PageNum, more []storage.PageNum, keyCol int, rg *pred.Range, prune []Atom) (*Scan, error) {
-	s := &Scan{dir: d, pool: pool, keyCol: keyCol, rg: rg, all: rg == nil || rg.Unbounded(),
-		cur: cursor{pn: first, more: true, heads: more}}
+// Scan opens a scan of the chain from page first over rows whose column
+// keyCol lies in rg (nil means all; a range needs the chain sorted on
+// keyCol, and first the leaf that may hold its Lo). Prune atoms apply
+// only to full scans: a range scan already ends early, and pruning
+// mid-range could skip the page holding the range's end. It reads the
+// first page (on a full scan, the first window) before it returns; Fill
+// skips that leaf's rows below the range.
+func (d *Directory) Scan(pool *storage.Pool, first storage.PageNum, keyCol int, rg *pred.Range, prune []Atom) (*Scan, error) {
+	return d.open(pool, cursor{pn: first, more: true}, keyCol, rg, prune)
+}
+
+// ScanChains opens a full scan of the chains headed by each page of
+// heads, in order, pruned by the atoms; with no head it reads nothing
+// and is done. The scan reads heads as it goes and keeps no copy: the
+// caller leaves the list alone while the scan is open.
+func (d *Directory) ScanChains(pool *storage.Pool, heads []storage.PageNum, keyCol int, prune []Atom) (*Scan, error) {
+	var c cursor
+	if len(heads) > 0 {
+		c = cursor{pn: heads[0], more: true, heads: heads[1:]}
+	}
+	return d.open(pool, c, keyCol, nil, prune)
+}
+
+// open starts a scan at cursor c.
+func (d *Directory) open(pool *storage.Pool, c cursor, keyCol int, rg *pred.Range, prune []Atom) (*Scan, error) {
+	s := &Scan{dir: d, pool: pool, keyCol: keyCol, rg: rg, all: rg == nil || rg.Unbounded(), cur: c}
 	if rg == nil {
 		s.prune = prune
 	}

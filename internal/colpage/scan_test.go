@@ -132,7 +132,7 @@ func TestWalkSkipsEmptyChainPage(t *testing.T) {
 	scan := func(frames int) (ids []uint64, pruned, reads int64) {
 		m := storage.NewMeter()
 		sp := storage.NewPool(d, m, frames)
-		s, err := colpage.NewDirectory(typ, f).Scan(sp, first, nil, 0, nil, nil)
+		s, err := colpage.NewDirectory(typ, f).Scan(sp, first, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -204,7 +204,11 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 			}
 			g.state, g.live = s, s.Count() > 0
 		}
-		newV, newOK := g.state.Value()
+		var newV float64
+		var newOK bool
+		if g.live { // an emptied SUM or COUNT still has a value, 0, but no row
+			newV, newOK = g.state.Value()
+		}
 		logGroupDelta(g.group, oldV, oldOK, newV, newOK)
 		return nil
 	}

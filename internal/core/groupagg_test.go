@@ -149,6 +149,59 @@ func TestGroupedAggregateGroupVanishes(t *testing.T) {
 	}
 }
 
+// TestGroupVanishesFromStoredChildren: when a SUM or COUNT group loses
+// its last row, the parent's group row goes, and so must the child row
+// it logged: an emptied SUM or COUNT has the value 0, which no row
+// carries. An Immediate and a Deferred stored child of the grouped view
+// answer what a query-modification child does after a new group's one
+// row is inserted, and again after it is deleted.
+func TestGroupVanishesFromStoredChildren(t *testing.T) {
+	for _, kind := range []agg.Kind{agg.Sum, agg.Count} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db := newGroupDatabase(t, Immediate, kind, 50)
+			for name, st := range map[string]Strategy{"ci": Immediate, "cd": Deferred, "cq": QueryModification} {
+				if err := db.CreateView(childSPDef(name, "g", -1000, 1000), st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agree := func(label string, groups int) {
+				t.Helper()
+				want, err := db.QueryView("cq", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) != groups {
+					t.Fatalf("%s: the QM child answers %d rows %v, want %d", label, len(want), want, groups)
+				}
+				for _, child := range []string{"ci", "cd"} {
+					got, err := db.QueryView(child, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameRows(t, label+" "+child, got, want)
+				}
+			}
+			tx := db.Begin()
+			id, err := tx.Insert("r", tuple.I(55), tuple.I(9), tuple.S("new"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			agree("group 9 inserted", 6)
+			tx = db.Begin()
+			if err := tx.Delete("r", tuple.I(55), id); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			agree("group 9 deleted", 5)
+		})
+	}
+}
+
 func TestGroupedMinRecomputePerGroup(t *testing.T) {
 	db := newGroupDatabase(t, Immediate, agg.Min, 50)
 	// Group 2's members are {2, 7, ..., 47}; min = 2 (key 2, id 3).

@@ -373,7 +373,9 @@ func anyIn(names []string, set map[string]bool) bool {
 // (PhaseADRead) and folded into the base relations (PhaseFold); the
 // net changes are then the feed the views drain (PhaseDefRefresh). An
 // HR whose AD file holds no entry is neither read nor folded: its feed
-// is empty deltas, the 2u/T pages C_ADread prices are none.
+// is empty deltas, the 2u/T pages C_ADread prices are none. A fold's
+// reset of the HR frees its AD pages unread and unwritten, so
+// PhaseFold charges the base relation's pages alone.
 func (db *Database) refreshDeferredLocked(rel string) error {
 	rels, views, pending := db.hrComponentLocked(rel)
 	if len(pending) == 0 {

@@ -229,26 +229,45 @@ func refreshDigest(t testing.TB, db *Database) string {
 //	                 writes 4 151→3 927, 4 358→4 134, 4 633→4 409
 //	immediate/8/0–2: reads 4 975→4 954, 7 448→7 427, 8 042→8 021;
 //	                 writes 2 016→1 997, 2 218→2 199, 2 268→2 249
+//
+// The deferred cells from the first refresh on (deferred/*/1–5) were
+// pinned again, AD pages and the meter only, when a fold's Truncate
+// came to free the AD file's pages, neither read nor written, and the
+// next commit to allocate a bucket's page unread. With the meter and the
+// AD files left out of the digest, every cell's digest equalled the one
+// before; no immediate cell moved. The cumulative reads and writes went,
+// cell by cell:
+//
+//	deferred/2/1–5:   reads 14 410→14 406, 14 436→14 429, 17 263→17 251,
+//	                  17 299→17 286, 18 856→18 836;
+//	                  writes 3 948→3 944, 3 953→3 949, 4 164→4 156,
+//	                  4 179→4 171, 4 455→4 446
+//	deferred/8/1–5:   reads 4 997→4 993, 5 014→5 007, 7 488→7 477,
+//	                  7 489→7 477, 8 091→8 075;
+//	                  writes 2 025→2 021, 2 029→2 025, 2 235→2 227,
+//	                  2 239→2 231, 2 290→2 281
+//	deferred/256/1–5: reads 142→142, 159→156, 352→349, 353→349, 430→426;
+//	                  writes 505→501, 509→505, 567→559, 571→563, 596→587
 func TestRefreshPagesPinned(t *testing.T) {
 	want := map[string]string{
 		"deferred/2/0":    "2b203fbaf80df64401df1585d0685be779a4cdec6f3f0376e0c3f6327a8a3c3a",
-		"deferred/2/1":    "d51581addca15dfe1dfa7f6ba90efdf3b04ea98870ac99a47e9b2469f7fd0f21",
-		"deferred/2/2":    "ffa0711a979c8236f91af2747fef2e9ed8d06b2cefdd48ecc8885cb6e1682537",
-		"deferred/2/3":    "e9aaf19345e04c32018317de103f1b257210abe44398f25b2c40e85d7eda8635",
-		"deferred/2/4":    "9238430a898f84231f7b99083157709c35067ec8c9ffe42cb691d6f2df1144ef",
-		"deferred/2/5":    "404404b91d34a41bb8e5c2994d2bfaff423291a13bbaf6031e2602ddf47737e8",
+		"deferred/2/1":    "c017d39d757892fd935ab8cd8b69d1f1d5e002f9a6c76d77a1bf4cb0a39cb202",
+		"deferred/2/2":    "0ee8583da2cafa7d88dcdd9bb9551dadd254c1bb57be2c8d1e5fcbb29ee47653",
+		"deferred/2/3":    "da2b3a05fb339bb837532e91ff261d568498c75f7771afce952624ec81037a1d",
+		"deferred/2/4":    "7277bfe5cfb2ba0eaac2c9487e6b8bf6b0c82a9e7dbeb32e969cf9817a5bdb59",
+		"deferred/2/5":    "f4069b18b2ac628d6c68c9807c9f601fffedd11d5603c2e89c2f9976b515c61f",
 		"deferred/8/0":    "0c88ccb9785db42b75b8f23053bc10e65995cc5885cb9f6aa432760111b7a39a",
-		"deferred/8/1":    "88e102a002d6cac44f8e6dd39c38450caf78f57d51a320c2a5e74cb58a72c077",
-		"deferred/8/2":    "f7435707974eb307b38c9349da7b46a25af0648b18169ea683983134db96ad58",
-		"deferred/8/3":    "ec16b1710537229343a4f25fdad01a1904ab5a48b1c38f48709a1cdbfa04aad2",
-		"deferred/8/4":    "a72c78f9d43b0920ea8423035cd1c0bd4917af1f15b893a8aef70ef2ff6d49e7",
-		"deferred/8/5":    "d91c4fec08aedadfc5ec38bfc2b86db24e8c7d31e53c48cbbb258fba875fabcf",
+		"deferred/8/1":    "6ee77b1bb78384d1a855ae2755393c12d5edc5b497c7be59bada91e8fe382995",
+		"deferred/8/2":    "f90ac002ee9a05ded54749641f92ef34c921a44420412c5ac92ba36d5bba5b07",
+		"deferred/8/3":    "da5a427535272c521050043b769f27804e50831568b48cbb8c5d11a313a425cc",
+		"deferred/8/4":    "fc995d997c8768aaa92eb165969a8e20d280603a9ad13d4f72d6f0bba0a366d1",
+		"deferred/8/5":    "a87520c3ed07cb39eba6580806cb71313b1863132487b9e45844cc13f1c3b41e",
 		"deferred/256/0":  "ef9d0439b12581a964cee2b942eecd969e19e84e43b0e1666ea3fb4e3d6ad7d8",
-		"deferred/256/1":  "d2fba003e3cea2f9c163715d81051c9d3c142a816ba85349e06269194c077307",
-		"deferred/256/2":  "21372572bfca23591813d20d312735b3e0385c16de7f92537a0d44013c051994",
-		"deferred/256/3":  "b36780356d510b05f1937e5d2903918251cfdf497d10a08cbc44943a98970f37",
-		"deferred/256/4":  "e95a1c1585e7329266795e51ad7aef4e68cd774904edd320eb8aa7bf3411989a",
-		"deferred/256/5":  "0ee4db4c19087887e3dd64b05771e017027d2292389b628de1c2e1cb294344a9",
+		"deferred/256/1":  "7431be9991db802bf05837bf1304897a10e61c438620486dd1ee3529830668d6",
+		"deferred/256/2":  "216369bda2fe2b3346113ed1a5190af0e51af67cb0e5571147b998ab450729c3",
+		"deferred/256/3":  "d67dc1c2a38e769482038180cf04a41df76308a5a04543cdf5dd867f0e49e75a",
+		"deferred/256/4":  "415d0e2122feda72dc877d9aded47ca4de3f45aa814c77a80f339804fc5afde6",
+		"deferred/256/5":  "77f696e5ba01296b4b90f8dcd896b5676cd373f54e6ca751e514d5568b8c2692",
 		"immediate/2/0":   "52062836388185fc06b42e50d18fcb199cce6869345d948cfd797b4b4e8d950c",
 		"immediate/2/1":   "f3e2292d87dc1e72e4a163afd78c79b579e5a2c7259068d41e108971987b1ed4",
 		"immediate/2/2":   "f47841963a5d7dc7ab7aa29a91a836956d7bb87cf3aad22fcba0396051a71a11",

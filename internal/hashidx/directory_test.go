@@ -31,29 +31,36 @@ func checkDirectory(ix *Index) error {
 	return nil
 }
 
-// chainWalkPages counts the pages of every bucket chain, following each
-// image's link: the oracle of the directory's count, which it does not
-// consult.
+// chainWalkPages counts the pages of every bucket chain, decoding each
+// image and following its link from each bucket that has a page: the oracle of the
+// directory's count, which it does not consult. Every page the file
+// holds must be on one chain, once: a bucket with no page hides none.
 func chainWalkPages(ix *Index) (int, error) {
-	total := 0
-	for _, pn := range ix.buckets {
-		for hasNext := true; hasNext; total++ {
-			err := ix.file.View(pn, func(page []byte) error {
-				var err error
-				pn, hasNext, err = chainPages.Link(page)
-				return err
-			})
-			if err != nil {
+	seen := map[storage.PageNum]bool{}
+	var n node
+	for b, pn := range ix.buckets {
+		for hasNext := pn != noPage; hasNext; pn, hasNext = n.Next, n.HasNext {
+			if seen[pn] {
+				return 0, fmt.Errorf("bucket %d's chain reaches page %d twice", b, pn)
+			}
+			seen[pn] = true
+			if err := ix.file.View(pn, func(page []byte) error { return chainPages.DecodePage(page, &n) }); err != nil {
 				return 0, err
 			}
 		}
 	}
-	return total, nil
+	if n := ix.file.NumPages(); n != len(seen) {
+		return 0, fmt.Errorf("the bucket chains reach %d pages, the file holds %d", len(seen), n)
+	}
+	return len(seen), nil
 }
 
 // TestRestoreRebuildsTheDirectoryWritersKept: the directory Open rebuilds
 // from a restored disk is the one the writers kept — over overflow chains,
-// deletes, and the pages a truncate freed and a refill reused.
+// deletes, and the pages a truncate freed and a refill reused — and so
+// are the index's rows, on a disk saved right after the truncate, when
+// no bucket had a page, and on one saved while a refill had reached some
+// buckets only.
 func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	d := storage.NewDisk(128)
 	ix, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("h"), 0, 4)
@@ -67,11 +74,47 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 			}
 		}
 	}
+	// same restores the disk and fails the test unless the reopened index
+	// has the kept directory and rows, and buckets with no page where the
+	// index has them.
+	same := func(label string) {
+		t.Helper()
+		back, _ := restored(t, ix, d)
+		if err := back.dir.Diff(ix.dir); err != nil {
+			t.Errorf("%s: rebuilt directory differs from the kept one: %v", label, err)
+		}
+		got, err := scanAll(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := scanAll(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || back.Len() != ix.Len() {
+			t.Errorf("%s: restored index holds %d rows %v, the kept one %d %v", label, back.Len(), got, ix.Len(), want)
+		}
+		if err := checkDirectory(back); err != nil {
+			t.Errorf("%s: restored index: %v", label, err)
+		}
+	}
 	fill(0, 120)
 	if err := ix.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	fill(200, 260)
+	same("truncated")
+	fill(200, 202)
+	none := 0
+	for _, pn := range ix.Meta().Buckets {
+		if pn == noPage {
+			none++
+		}
+	}
+	if none == 0 {
+		t.Fatal("the fixture needs a bucket the refill has not reached")
+	}
+	same("partly refilled")
+	fill(202, 260)
 	for i := int64(200); i < 230; i += 3 {
 		if _, _, err := deleteRow(ix, tuple.I(i%23), uint64(i+1)); err != nil {
 			t.Fatal(err)
@@ -80,17 +123,15 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	if err := checkDirectory(ix); err != nil {
 		t.Fatal(err)
 	}
-	back, _ := restored(t, ix, d)
-	if err := back.dir.Diff(ix.dir); err != nil {
-		t.Errorf("rebuilt directory differs from the kept one: %v", err)
-	}
+	same("refilled")
 }
 
 // TestOpenRefusesABucketThatIsNoChainPage: Open checks each primary
 // bucket against the directory it builds, so metadata naming a page that
 // holds no chain page — one allocated and never written, one a truncate
 // freed, one past the file's end — is refused there, not at the bucket's
-// first decode; metadata naming the chain pages opens.
+// first decode; metadata whose buckets have no page, as a truncate
+// leaves them, opens.
 func TestOpenRefusesABucketThatIsNoChainPage(t *testing.T) {
 	ix, _ := newTestIndex(t, 128, 64, 2)
 	for i := int64(0); i < 40; i++ {
@@ -202,10 +243,7 @@ func TestRestoredChainPageWithUnreadableZonesStopsTheWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, ok, err := chainPages.Link(page)
-		if err != nil {
-			t.Fatal(err)
-		}
+		next, ok := colpage.PageLink(page)
 		if !ok {
 			break
 		}

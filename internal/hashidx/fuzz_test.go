@@ -24,10 +24,13 @@ import (
 // run there with btree.ErrAbsent and leaves the rows before it applied.
 // Keys are drawn from a narrow space, so duplicate key values are
 // common, and payloads of 0 to 60 bytes on 256-byte pages grow overflow
-// chains quickly. After every op the index's row count must match the
-// model, the page directory the writers kept must equal one rebuilt
-// from the flushed images, and its page count a walk of every bucket
-// chain over those images.
+// chains quickly. A truncate must charge nothing, not even at the flush
+// after it, and leave buckets with no page that the ops after it read,
+// delete from and refill. After every op the index's row count must
+// match the model, the page directory the writers kept must equal one
+// rebuilt from the flushed images, and its page count a walk of every
+// bucket chain over those images, which must reach every page the file
+// holds.
 func FuzzHashIndex(f *testing.F) {
 	f.Add([]byte{2, 0, 5, 1, 3, 2, 7, 3, 0, 0, 4})
 	f.Add([]byte{1, 0, 7, 0, 2, 4, 6, 8, 10, 12, 14, 0, 7, 1, 3, 5, 7, 9, 11, 13, 15, 3, 9, 2, 0})
@@ -35,6 +38,10 @@ func FuzzHashIndex(f *testing.F) {
 	// A run that deletes a row it inserted, then one stopped by a delete
 	// of a row never held, then the model is read back key by key.
 	f.Add([]byte{3, 0, 3, 10, 12, 1, 1, 0, 4, 20, 22, 7, 24, 26, 2, 10, 2, 20, 1, 0, 3, 6})
+	// A truncate of a full index; then a Get, a Lookup and a delete of a
+	// row never held in buckets with no page, a refill, deletes from it,
+	// scans, and a second truncate.
+	f.Add([]byte{3, 0, 5, 8, 12, 16, 20, 24, 28, 4, 0, 1, 0, 2, 3, 0, 0, 3, 0, 3, 8, 12, 16, 20, 1, 0, 0, 1, 1, 5, 3, 0, 4, 0, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -42,7 +49,8 @@ func FuzzHashIndex(f *testing.F) {
 		buckets := int(data[0]%4) + 1
 		data = data[1:]
 		d := storage.NewDisk(256)
-		pool := storage.NewPool(d, storage.NewMeter(), 64)
+		meter := storage.NewMeter()
+		pool := storage.NewPool(d, meter, 64)
 		ix, err := New(pool, d.Open("h"), 0, buckets)
 		if err != nil {
 			t.Fatal(err)
@@ -191,9 +199,16 @@ func FuzzHashIndex(f *testing.F) {
 					}
 				}
 				checkRows(fmt.Sprintf("pruned ScanAll(key < %d)", arg%13), kept, want)
-			case 4: // truncate
+			case 4: // truncate, which reads and writes nothing
+				before := meter.Snapshot()
 				if err := ix.Truncate(); err != nil {
 					t.Fatal(err)
+				}
+				if err := pool.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				if got := meter.Snapshot().Sub(before); got != (storage.Stats{}) {
+					t.Fatalf("truncate charged %+v, want nothing", got)
 				}
 				clear(model)
 			}

@@ -8,6 +8,14 @@
 // an update which does not change the key lands on the same page as the
 // old tuple, which is what caps HR maintenance at three I/Os per update
 // (§2.2.2's I/O walkthrough).
+//
+// New allocates every primary bucket page up front, as a statically
+// hashed file is built. Truncate, the differential file's reset after a
+// refresh, works like a file truncation: it frees every chain page
+// without reading or writing one, and leaves each bucket with no page.
+// The first insert into such a bucket allocates its page, which is born
+// dirty and never read; a read or a delete of such a bucket reads
+// nothing.
 package hashidx
 
 import (
@@ -26,6 +34,11 @@ import (
 // scan that walks it live there, shared with btree's leaves.
 const chainPages colpage.PageType = 5
 
+// noPage is the page number of a bucket that has no chain page: every
+// bucket after a Truncate, until an insert allocates its page. Meta
+// carries it like any page number.
+const noPage = ^storage.PageNum(0)
+
 // Index is a clustered hash index storing full tuples. Not safe for
 // concurrent use.
 type Index struct {
@@ -33,7 +46,8 @@ type Index struct {
 	file    *storage.File
 	dir     *colpage.Directory // every chain page's link and zone maps
 	keyCol  int
-	buckets []storage.PageNum
+	buckets []storage.PageNum // each bucket's first page, or noPage
+	heads   []storage.PageNum // the buckets' pages that are not noPage, in bucket order
 	count   int
 	edit    node // the page a write is editing, its lanes reused write to write
 }
@@ -42,7 +56,7 @@ type Index struct {
 type node = colpage.DataPage
 
 // Meta is an index's persistent metadata: the primary bucket page
-// numbers and the live tuple count.
+// numbers (noPage for a bucket with none) and the live tuple count.
 type Meta struct {
 	Buckets []storage.PageNum
 	Count   int
@@ -55,14 +69,17 @@ func (ix *Index) Meta() Meta {
 
 // Open attaches to an existing index stored in file, trusting
 // caller-supplied metadata (from a prior Meta call), and rebuilds the
-// page directory from the file's images. A bucket the directory holds
-// no chain page for is refused.
+// page directory from the file's images. A bucket may have no page; one
+// that names a page the directory holds no chain page for is refused.
 func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Index, error) {
 	if len(m.Buckets) == 0 || m.Count < 0 {
 		return nil, fmt.Errorf("hashidx: invalid metadata %+v", m)
 	}
 	dir := colpage.NewDirectory(chainPages, file)
 	for _, pn := range m.Buckets {
+		if pn == noPage {
+			continue
+		}
 		e, err := dir.Lookup(pn)
 		if err != nil {
 			return nil, fmt.Errorf("hashidx: bucket page %d: %w", pn, err)
@@ -71,7 +88,9 @@ func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Index, e
 			return nil, fmt.Errorf("hashidx: bucket page %d is no chain page", pn)
 		}
 	}
-	return &Index{pool: pool, file: file, dir: dir, keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}, nil
+	ix := &Index{pool: pool, file: file, dir: dir, keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}
+	ix.findHeads()
+	return ix, nil
 }
 
 // New creates an index with the given number of primary bucket pages,
@@ -94,7 +113,19 @@ func New(pool *storage.Pool, file *storage.File, keyCol, numBuckets int) (*Index
 			return nil, err
 		}
 	}
+	ix.findHeads()
 	return ix, nil
+}
+
+// findHeads lists the buckets' pages, skipping the buckets with none, in
+// the list's own array once it has grown to hold them all.
+func (ix *Index) findHeads() {
+	ix.heads = ix.heads[:0]
+	for _, pn := range ix.buckets {
+		if pn != noPage {
+			ix.heads = append(ix.heads, pn)
+		}
+	}
 }
 
 // Len returns the number of tuples stored.
@@ -140,11 +171,13 @@ func (ix *Index) decode(page []byte, n *node) error {
 // (nil signs: every row is inserted). It returns how many rows it
 // applied: all of them, or those before the one that failed. An insert
 // goes on the first page of its bucket's chain with room for it, or on
-// an overflow page linked to the chain's end; a delete cuts its row from
-// the page that holds it, and a row the index does not hold is
+// an overflow page linked to the chain's end, or, in a bucket with no
+// page, on a page it allocates for the bucket; a delete cuts its row
+// from the page that holds it, and a row the index does not hold is
 // btree.ErrAbsent. With a non-nil cut, every row a delete cuts is
 // appended to *cut, whole. Each chain page a walk inspects costs one
-// metered read, the page it edits one write.
+// metered read, the page it edits or allocates one write when its scope
+// closes.
 func (ix *Index) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
 	for i, tp := range rows {
 		if err := ix.walk(tp, signs == nil || signs[i] >= 0, cut); err != nil {
@@ -163,7 +196,20 @@ func (ix *Index) walk(tp tuple.Tuple, plus bool, cut *[]tuple.Tuple) error {
 	}
 	v := tp.Vals[ix.keyCol]
 	n := &ix.edit
-	pn := ix.buckets[ix.bucketFor(v)]
+	b := ix.bucketFor(v)
+	pn := ix.buckets[b]
+	if pn == noPage {
+		if !plus {
+			return fmt.Errorf("%w (id %d)", btree.ErrAbsent, tp.ID)
+		}
+		fr, err := ix.newPage(tp)
+		if err != nil {
+			return err
+		}
+		ix.buckets[b] = fr.PageNum()
+		ix.findHeads()
+		return ix.pool.Release(fr)
+	}
 	for {
 		fr, err := ix.pool.Get(ix.file, pn)
 		if err != nil {
@@ -194,25 +240,35 @@ func (ix *Index) walk(tp tuple.Tuple, plus bool, cut *[]tuple.Tuple) error {
 			return fmt.Errorf("%w (id %d)", btree.ErrAbsent, tp.ID)
 		}
 		// Allocate an overflow page and link it.
-		ofr, err := ix.pool.Alloc(ix.file)
+		ofr, err := ix.newPage(tp)
 		if err != nil {
 			ix.pool.Release(fr)
 			return err
 		}
-		var o node
-		o.InsertRow(0, tp)
-		ix.encodeNode(ofr, &o)
-		ofr.MarkDirty()
 		n.Next, n.HasNext = ofr.PageNum(), true
 		ix.encodeNode(fr, n)
 		fr.MarkDirty()
-		ix.count++
 		if err := ix.pool.Release(ofr); err != nil {
 			ix.pool.Release(fr)
 			return err
 		}
 		return ix.pool.Release(fr)
 	}
+}
+
+// newPage allocates a chain page that holds tp alone and links nowhere,
+// and returns it pinned: born dirty, never read.
+func (ix *Index) newPage(tp tuple.Tuple) (*storage.Frame, error) {
+	fr, err := ix.pool.Alloc(ix.file)
+	if err != nil {
+		return nil, err
+	}
+	var o node
+	o.InsertRow(0, tp)
+	ix.encodeNode(fr, &o)
+	fr.MarkDirty()
+	ix.count++
+	return fr, nil
 }
 
 // take applies row tp to the decoded chain page n when the page can take
@@ -245,11 +301,14 @@ func (ix *Index) take(n *node, tp tuple.Tuple, plus bool, pageSize int, cut *[]t
 }
 
 // matches walks the chain of v's bucket (one metered read per chain
-// page) and hands fn each row whose key column equals v, on the page's
-// decoded lanes, which fn must not keep.
+// page, none for a bucket with no page) and hands fn each row whose key
+// column equals v, on the page's decoded lanes, which fn must not keep.
 func (ix *Index) matches(v tuple.Value, fn func(rows *colpage.Lanes, i int)) error {
-	var n node // not ix.edit: a read may run beside another
 	pn := ix.buckets[ix.bucketFor(v)]
+	if pn == noPage {
+		return nil
+	}
+	var n node // not ix.edit: a read may run beside another
 	for {
 		var next storage.PageNum
 		hasNext := false
@@ -303,51 +362,30 @@ func (ix *Index) Get(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // directory's count; it reads no page and charges nothing.
 func (ix *Index) Pages() int { return ix.dir.Pages() }
 
-// Truncate removes every tuple but keeps the primary buckets, freeing
-// overflow pages. This is the HR reset (A := ∅, D := ∅) fast path. The
-// chains are walked by their pages' links; no row is decoded. A bucket
-// whose primary page the directory says holds no row and links nowhere
-// is already empty: it is left alone, neither read nor rewritten.
+// Truncate removes every tuple: the HR reset (A := ∅, D := ∅). Like a
+// file truncation it reads and writes no page. It follows each bucket's
+// chain by the links in the page directory and frees every page of it:
+// the page's frame is discarded unwritten, the page freed on disk and
+// dropped from the directory. Every bucket is then left with no page.
 func (ix *Index) Truncate() error {
-	for _, bpn := range ix.buckets {
-		e, err := ix.dir.Lookup(bpn)
-		if err != nil {
-			return err
-		}
-		if e.Empty() && !e.HasNext {
-			continue
-		}
-		fr, err := ix.pool.Get(ix.file, bpn)
-		if err != nil {
-			return err
-		}
-		next, hasNext, err := chainPages.Link(fr.Data)
-		if err != nil {
-			ix.pool.Release(fr)
-			return err
-		}
-		overflow := []storage.PageNum{}
-		ix.encodeNode(fr, &node{})
-		fr.MarkDirty()
-		if err := ix.pool.Release(fr); err != nil {
-			return err
-		}
-		for hasNext {
-			overflow = append(overflow, next)
-			if err := ix.pool.Read(ix.file, next, func(page []byte) error {
-				var err error
-				next, hasNext, err = chainPages.Link(page)
-				return err
-			}); err != nil {
+	for b, pn := range ix.buckets {
+		for more := pn != noPage; more; {
+			e, err := ix.dir.Lookup(pn)
+			if err != nil {
 				return err
 			}
-		}
-		for _, pn := range overflow {
+			if e == nil {
+				return fmt.Errorf("hashidx: bucket %d's chain reaches page %d, which is no chain page", b, pn)
+			}
+			next, hasNext := e.Next, e.HasNext
 			ix.pool.Discard(ix.file, pn)
 			ix.file.Free(pn)
 			ix.dir.Drop(pn)
+			pn, more = next, hasNext
 		}
+		ix.buckets[b] = noPage
 	}
+	ix.heads = ix.heads[:0]
 	ix.count = 0
 	return nil
 }
@@ -355,11 +393,13 @@ func (ix *Index) Truncate() error {
 // --- scans ---------------------------------------------------------------
 
 // ScanAll returns a scan of every tuple in the index, bucket chain after
-// bucket chain (colpage.Scan): one metered read per page, except the
-// pages the prune atoms' zone maps disprove, which a readahead walk
-// skips unread. Order is arbitrary but deterministic.
+// bucket chain (colpage.Scan) over the buckets that have a page: one
+// metered read per page, except the pages the prune atoms' zone maps
+// disprove, which a readahead walk skips unread. Order is arbitrary but
+// deterministic. The scan must be drained or dropped before the index is
+// written again.
 func (ix *Index) ScanAll(prune []colpage.Atom) (*colpage.Scan, error) {
-	return ix.dir.Scan(ix.pool, ix.buckets[0], ix.buckets[1:], ix.keyCol, nil, prune)
+	return ix.dir.ScanChains(ix.pool, ix.heads, ix.keyCol, prune)
 }
 
 // ScanAllBatches drains ScanAll into columnar batches of up to size

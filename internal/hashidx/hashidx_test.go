@@ -1,7 +1,6 @@
 package hashidx
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -196,23 +195,48 @@ func TestSameKeyUpdateStaysOnSamePage(t *testing.T) {
 	}
 }
 
+// TestTruncate: Truncate frees every chain page, overflow chains
+// included, and charges nothing; it leaves every bucket with no page and
+// the index empty; and a refill of the same rows reuses the freed pages
+// without growing the file.
 func TestTruncate(t *testing.T) {
-	ix, _ := newTestIndex(t, 96, 64, 2)
-	for i := int64(0); i < 50; i++ {
-		insert(ix, mk(uint64(i+1), i))
+	ix, m := newTestIndex(t, 96, 64, 2)
+	fill := func(id0 uint64) {
+		t.Helper()
+		for i := int64(0); i < 50; i++ {
+			if err := insert(ix, mk(id0+uint64(i), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	pagesBefore := ix.Pages()
+	fill(1)
+	pagesBefore, extent := ix.Pages(), ix.file.Extent()
 	if pagesBefore <= 2 {
 		t.Fatalf("expected overflow before truncate, pages=%d", pagesBefore)
 	}
+	if err := ix.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	m.Reset()
 	if err := ix.Truncate(); err != nil {
 		t.Fatal(err)
+	}
+	if err := ix.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot(); got != (storage.Stats{}) {
+		t.Errorf("Truncate charged %+v, want nothing", got)
 	}
 	if ix.Len() != 0 {
 		t.Errorf("Len after truncate = %d", ix.Len())
 	}
-	if got := ix.Pages(); got != 2 {
-		t.Errorf("Pages after truncate = %d, want 2 primaries", got)
+	if got, n := ix.Pages(), ix.file.NumPages(); got != 0 || n != 0 {
+		t.Errorf("after truncate: Pages = %d, the file holds %d pages, want 0 and 0", got, n)
+	}
+	for b, pn := range ix.Meta().Buckets {
+		if pn != noPage {
+			t.Errorf("bucket %d has page %d after truncate, want none", b, pn)
+		}
 	}
 	all, _ := scanAll(ix)
 	if len(all) != 0 {
@@ -222,24 +246,27 @@ func TestTruncate(t *testing.T) {
 		t.Errorf("after truncate: %v", err)
 	}
 	// Index stays usable and reuses freed pages.
-	for i := int64(0); i < 50; i++ {
-		if err := insert(ix, mk(uint64(100+i), i)); err != nil {
-			t.Fatalf("insert after truncate: %v", err)
-		}
-	}
+	fill(100)
 	all, _ = scanAll(ix)
 	if len(all) != 50 {
 		t.Errorf("after refill ScanAll = %d, want 50", len(all))
 	}
+	if got, e := ix.Pages(), ix.file.Extent(); got != pagesBefore || e != extent {
+		t.Errorf("after refill: %d pages in a file of extent %d, want %d in %d: the freed pages reused", got, e, pagesBefore, extent)
+	}
+	if err := checkDirectory(ix); err != nil {
+		t.Errorf("after refill: %v", err)
+	}
 }
 
-// TestTruncateLeavesEmptyBucketsAlone: Truncate rewrites a bucket's
-// primary page only when it holds rows or links to overflow — here one
-// bucket with rows and overflow, one with rows only, one whose primary
-// page its deletes emptied but whose overflow still holds rows, and one
-// never written. Afterwards every bucket's image is an empty chain
-// page's, byte for byte, and a second Truncate costs nothing.
-func TestTruncateLeavesEmptyBucketsAlone(t *testing.T) {
+// TestTruncateFreesChainsUnread: Truncate frees every bucket's chain
+// without reading or writing a page — here one bucket with rows and
+// overflow, one with rows only, one whose primary page its deletes
+// emptied but whose overflow still holds rows, and one never written —
+// and a second Truncate costs nothing either. A bucket with no page
+// answers a lookup, a delete and a scan without a read. The first insert into
+// it allocates its page: no read, and one write when its scope closes.
+func TestTruncateFreesChainsUnread(t *testing.T) {
 	ix, m := newTestIndex(t, 96, 64, 4)
 	var byBucket [4][]int64
 	for k := int64(0); len(byBucket[0]) < 12 || len(byBucket[1]) < 1 || len(byBucket[2]) < 12; k++ {
@@ -272,40 +299,73 @@ func TestTruncateLeavesEmptyBucketsAlone(t *testing.T) {
 	if err := ix.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	// charged runs op and a flush, and returns what they charged.
+	charged := func(op func() error) storage.Stats {
+		t.Helper()
+		m.Reset()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot()
+	}
+	pages := ix.file.NumPages()
+	for round := range 2 {
+		if got := charged(ix.Truncate); got != (storage.Stats{}) {
+			t.Errorf("Truncate %d charged %+v, want nothing", round, got)
+		}
+		if n := ix.file.NumPages(); n != 0 {
+			t.Errorf("Truncate %d left %d of %d pages", round, n, pages)
+		}
+		if err := checkDirectory(ix); err != nil {
+			t.Errorf("after truncate %d: %v", round, err)
+		}
+	}
 
-	m.Reset()
-	if err := ix.Truncate(); err != nil {
-		t.Fatal(err)
+	k := byBucket[0][0]
+	if got := charged(func() error {
+		rows, err := ix.Lookup(tuple.I(k))
+		if err == nil && len(rows) > 0 {
+			err = fmt.Errorf("Lookup(%d) = %v", k, rows)
+		}
+		return err
+	}); got != (storage.Stats{}) {
+		t.Errorf("a lookup of a bucket with no page charged %+v, want nothing", got)
 	}
-	if err := ix.pool.FlushAll(); err != nil {
-		t.Fatal(err)
+	if got := charged(func() error {
+		_, ok, err := deleteRow(ix, tuple.I(k), uint64(k+1))
+		if err == nil && ok {
+			err = fmt.Errorf("deleted key %d from a truncated index", k)
+		}
+		return err
+	}); got != (storage.Stats{}) {
+		t.Errorf("a delete in a bucket with no page charged %+v, want nothing", got)
 	}
-	if got := m.Snapshot().Writes; got != 3 {
-		t.Errorf("Truncate wrote %d pages, want 3 (buckets 0–2; bucket 3 was empty)", got)
+	if got := charged(func() error {
+		rows, err := scanAll(ix)
+		if err == nil && len(rows) > 0 {
+			err = fmt.Errorf("ScanAll of a truncated index = %v", rows)
+		}
+		return err
+	}); got != (storage.Stats{}) {
+		t.Errorf("a scan of buckets with no page charged %+v, want nothing", got)
 	}
-	empty := make([]byte, ix.pool.PageSize())
-	chainPages.EncodePage(empty, &node{})
-	for b, pn := range ix.buckets {
-		ix.file.View(pn, func(page []byte) error {
-			if !bytes.Equal(page, empty) {
-				t.Errorf("bucket %d's image after Truncate is not an empty chain page's", b)
-			}
-			return nil
-		})
+	if got := charged(func() error { return insert(ix, mk(uint64(k+1), k)) }); got != (storage.Stats{Writes: 1}) {
+		t.Errorf("the first insert into a bucket with no page charged %+v, want one write", got)
+	}
+	if got := charged(func() error { return insert(ix, mk(uint64(k+2), k)) }); got != (storage.Stats{Writes: 1}) {
+		t.Errorf("the second insert charged %+v, want one write and no read: its page is in the pool", got)
+	}
+	if got, n := ix.Pages(), ix.file.NumPages(); got != 1 || n != 1 {
+		t.Errorf("after the refill: Pages = %d, the file holds %d, want 1 and 1", got, n)
+	}
+	if rows, err := ix.Lookup(tuple.I(k)); err != nil || len(rows) != 2 {
+		t.Errorf("Lookup(%d) = %v, %v; want the two rows", k, rows, err)
 	}
 	if err := checkDirectory(ix); err != nil {
-		t.Errorf("after truncate: %v", err)
-	}
-
-	m.Reset()
-	if err := ix.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Snapshot(); got.Reads != 0 || got.Writes != 0 {
-		t.Errorf("Truncate of an empty index charged %+v, want nothing", got)
+		t.Errorf("after the refill: %v", err)
 	}
 }
 

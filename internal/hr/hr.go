@@ -11,6 +11,10 @@
 // refresh consumes the net changes, the HR is reset:
 //
 //	R := (R ∪ A) − D,  A := ∅,  D := ∅
+//
+// The reset of A and D frees the AD file's pages and writes none
+// (hashidx.Index.Truncate); the next epoch's first entry in each bucket
+// allocates the bucket's page without reading it.
 package hr
 
 import (
@@ -215,8 +219,9 @@ func (h *HR) getVisible(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error
 }
 
 // NetChanges reads the AD file — each page that holds entries, the
-// C_ADread of the cost model; a walk of the page directory skips an empty
-// bucket page unread — and returns the net change sets:
+// C_ADread of the cost model; a bucket with no page costs nothing, and a
+// walk of the page directory skips an empty bucket page unread — and
+// returns the net change sets:
 //
 //	A-net = appended entries whose id was not subsequently deleted
 //	D-net = deleted entries whose id was not appended this epoch
@@ -276,10 +281,11 @@ func (h *HR) adEntries() ([]tuple.Tuple, error) {
 // the model charges C_ADread a single time even when several views
 // share the relation (§4's shared-refresh observation). An HR whose AD
 // file holds none (ADLen 0) is neither read nor folded: the refresh
-// skips it, and the reset's Truncate leaves each empty bucket page
-// unwritten. D-net (each row named by its key and id) and then A-net go
+// skips it. D-net (each row named by its key and id) and then A-net go
 // to the base as one signed batch (relation.Relation.ApplyRun), so an
-// updated row's delete and insert share one visit to its leaf.
+// updated row's delete and insert share one visit to its leaf. The
+// reset frees every page of the AD file and reads or writes none: the
+// fold's I/O is the base relation's alone.
 func (h *HR) FoldWith(anet, dnet []tuple.Tuple) error {
 	rows := append(append(make([]tuple.Tuple, 0, len(dnet)+len(anet)), dnet...), anet...)
 	signs := make([]int8, len(rows))
