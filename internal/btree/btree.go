@@ -15,10 +15,13 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"testing"
 
 	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
@@ -207,102 +210,48 @@ func internalChildren(page []byte) (int, error) {
 	return cnt, nil
 }
 
-// decodeInternal decodes an internal page, for a split to edit it.
-// Descents route on the encoded page instead (route).
+// decodeInternal decodes an internal page, checking every read. A split
+// edits the node it returns; a descent reads the one Pool.Derive keeps
+// beside the page's image (deriveNode).
 func decodeInternal(page []byte) (*internalNode, error) {
-	cnt, err := internalChildren(page)
-	if err != nil {
+	n := &internalNode{}
+	if err := n.decode(page); err != nil {
 		return nil, err
 	}
-	n := &internalNode{children: make([]storage.PageNum, 0, cnt), seps: make([]key, 0, cnt-1)}
+	return n, nil
+}
+
+// decode decodes an internal page into n, reusing its slices.
+func (n *internalNode) decode(page []byte) error {
+	cnt, err := internalChildren(page)
+	if err != nil {
+		return err
+	}
+	n.children, n.seps = slices.Grow(n.children[:0], cnt), slices.Grow(n.seps[:0], cnt-1)
 	off := internalHeader
 	for i := 0; i < cnt; i++ {
 		if i > 0 {
 			k, used, err := decodeKey(page[off:])
 			if err != nil {
-				return nil, fmt.Errorf("btree: internal sep %d: %w", i, err)
+				return fmt.Errorf("btree: internal sep %d: %w", i, err)
 			}
 			off += used
 			n.seps = append(n.seps, k)
 		}
 		if len(page)-off < 4 {
-			return nil, fmt.Errorf("btree: internal page truncated at child %d", i)
+			return fmt.Errorf("btree: internal page truncated at child %d", i)
 		}
 		n.children = append(n.children, storage.PageNum(binary.BigEndian.Uint32(page[off:])))
 		off += 4
 	}
-	return n, nil
+	return nil
 }
 
-// sepAtMost reports whether the separator key encoded at the front of src
-// is ≤ k — never, for a nil k (−∞) — and returns the bytes it spans,
-// checked as decodeKey checks them. Nothing is decoded: the value is
-// compared where it lies.
-func sepAtMost(src []byte, k *key) (bool, int, error) {
-	var v tuple.Value
-	if k != nil {
-		v = k.val
-	}
-	c, n, err := tuple.CompareEncoded(src, v)
-	if err != nil {
-		return false, 0, err
-	}
-	if len(src) < n+8 {
-		return false, 0, fmt.Errorf("btree: truncated key id")
-	}
-	if k == nil {
-		return false, n + 8, nil
-	}
-	if c == 0 {
-		c = cmp.Compare(binary.BigEndian.Uint64(src[n:]), k.id)
-	}
-	return c <= 0, n + 8, nil
-}
-
-// route walks an encoded internal page in place and returns the child
-// covering k: the last child whose separator is ≤ k, the first for a nil
-// k. When f is given, route narrows it to that child's range, decoding
-// the separators on either side of it (fence.narrow). Without f it
-// allocates nothing, and either way it walks the whole page whatever the
-// probe, making every check decodeInternal makes, so a damaged page fails
-// every descent through it.
-func route(page []byte, k *key, f *fence) (child storage.PageNum, err error) {
-	cnt, err := internalChildren(page)
-	if err != nil {
-		return 0, err
-	}
-	// on: the probe is ≥ every separator walked so far, so the child
-	// after the last of them covers it so far.
-	on := true
-	lo, hi := -1, -1 // the offsets of the separators on either side of child
-	off := internalHeader
-	for i := 0; i < cnt; i++ {
-		if i > 0 {
-			le, n, err := sepAtMost(page[off:], k)
-			if err != nil {
-				return 0, fmt.Errorf("btree: internal sep %d: %w", i, err)
-			}
-			switch {
-			case on && le:
-				lo = off
-			case on:
-				hi = off
-				on = false
-			}
-			off += n
-		}
-		if len(page)-off < 4 {
-			return 0, fmt.Errorf("btree: internal page truncated at child %d", i)
-		}
-		if on {
-			child = storage.PageNum(binary.BigEndian.Uint32(page[off:]))
-		}
-		off += 4
-	}
-	if f != nil {
-		err = f.narrow(page, lo, hi)
-	}
-	return child, err
+// equal reports whether n and o route every key alike: the same children
+// behind separators that compare equal.
+func (n *internalNode) equal(o *internalNode) bool {
+	return slices.Equal(n.children, o.children) &&
+		slices.EqualFunc(n.seps, o.seps, func(a, b key) bool { return a.compare(b) == 0 })
 }
 
 // fence is the key range [lo, hi) a leaf covers, read off the separators
@@ -318,30 +267,6 @@ func (f *fence) holds(k key) bool {
 	return (!f.hasLo || !k.less(f.lo)) && (!f.hasHi || k.less(f.hi))
 }
 
-// narrow intersects the fence with [the separator at offset lo, the one
-// at offset hi) of an internal page; −1 is no separator on that side.
-func (f *fence) narrow(page []byte, lo, hi int) error {
-	if lo >= 0 {
-		k, _, err := decodeKey(page[lo:])
-		if err != nil {
-			return err
-		}
-		if !f.hasLo || f.lo.less(k) {
-			f.lo, f.hasLo = k, true
-		}
-	}
-	if hi >= 0 {
-		k, _, err := decodeKey(page[hi:])
-		if err != nil {
-			return err
-		}
-		if !f.hasHi || k.less(f.hi) {
-			f.hi, f.hasHi = k, true
-		}
-	}
-	return nil
-}
-
 // --- descent -------------------------------------------------------------
 
 // findLeaf descends from the root to the leaf covering k — a nil k is
@@ -349,39 +274,95 @@ func (f *fence) narrow(page []byte, lo, hi int) error {
 // read per level unless cached).
 func (t *Tree) findLeaf(k *key) (storage.PageNum, error) { return t.descend(k, nil) }
 
-// descend is findLeaf. Each internal page is routed on in place (route),
-// so without o it allocates nothing; with o, an apply visit's leaf, it
-// notes there the internal pages it passes, root first, and the leaf's
-// fence.
+// descend is findLeaf. Each internal page is decoded and checked once per
+// image: the node is kept beside the page's bytes (storage.Pool.Derive)
+// and every later descent binary-searches it, so once the nodes are kept a
+// descent allocates nothing. With o, an apply visit's leaf, it notes there
+// the internal pages it passes, root first, and the leaf's fence.
 func (t *Tree) descend(k *key, o *openLeaf) (storage.PageNum, error) {
-	var f *fence
 	if o != nil {
 		o.path, o.fence = o.path[:0], fence{}
-		f = &o.fence
 	}
 	pn := t.root
 	for {
-		leaf := false
-		var child storage.PageNum
-		err := t.pool.Read(t.file, pn, func(page []byte) error {
-			if leaf = page[0] == byte(leafPages); leaf {
-				return nil
-			}
-			var err error
-			child, err = route(page, k, f)
-			return err
-		})
+		v, err := t.pool.Derive(t.file, pn, deriveNode)
 		if err != nil {
 			return 0, err
 		}
-		if leaf {
+		n, _ := v.(*internalNode)
+		if n == nil {
 			return pn, nil
+		}
+		i := 0 // a nil k goes to the first child
+		if k != nil {
+			i = n.childFor(*k)
 		}
 		if o != nil {
 			o.path = append(o.path, pn)
+			// Intersect the fence with [seps[i-1], seps[i]).
+			f := &o.fence
+			if i > 0 && (!f.hasLo || f.lo.less(n.seps[i-1])) {
+				f.lo, f.hasLo = n.seps[i-1], true
+			}
+			if i < len(n.seps) && (!f.hasHi || n.seps[i].less(f.hi)) {
+				f.hi, f.hasHi = n.seps[i], true
+			}
 		}
-		pn = child
+		pn = n.children[i]
 	}
+}
+
+// deriveNode is descend's storage.Pool.Derive function: the node of an
+// internal page, kept, or none for a leaf. A page that fails to decode
+// fails the descent and keeps nothing, so it fails every descent after.
+func deriveNode(page []byte, d any) (any, error) {
+	if d != nil {
+		if checkDerived() {
+			return d, checkNode(d.(*internalNode), page)
+		}
+		return d, nil
+	}
+	if page[0] == byte(leafPages) {
+		return nil, nil
+	}
+	n, err := decodeInternal(page)
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// checkDerived turns on, in every test binary that is not running
+// benchmarks, the check that each kept node a descent is handed equals a
+// fresh decode of the bytes it stands for — that whatever changed those
+// bytes dropped it. A benchmark leaves it off, so its profile shows the
+// descent a server runs.
+var checkDerived = sync.OnceValue(func() bool {
+	if !testing.Testing() {
+		return false
+	}
+	bench := flag.Lookup("test.bench")
+	return bench == nil || bench.Value.String() == ""
+})
+
+// fresh is checkNode's node, its slices reused so that the check
+// allocates nothing on Int and Float keys.
+var fresh struct {
+	sync.Mutex
+	n internalNode
+}
+
+// checkNode decodes page afresh and compares n, the node kept for it.
+func checkNode(n *internalNode, page []byte) error {
+	fresh.Lock()
+	defer fresh.Unlock()
+	if err := fresh.n.decode(page); err != nil {
+		return fmt.Errorf("btree: a kept node stands for an internal page that does not decode: %w", err)
+	}
+	if !n.equal(&fresh.n) {
+		return fmt.Errorf("btree: kept node %v disagrees with its image's %v", *n, fresh.n)
+	}
+	return nil
 }
 
 // decodeLeaf decodes a leaf page into leaf, for an edit or a point read.

@@ -696,8 +696,10 @@ func TestDescentRejectsCorruptInternalPages(t *testing.T) {
 	}
 }
 
-// TestFindLeafAllocations: a descent through a tree of height ≥ 3 routes
-// on the encoded internal pages in place, so it allocates nothing.
+// TestFindLeafAllocations: a descent through a tree of height ≥ 3
+// binary-searches the nodes kept beside its internal pages' images, so
+// once they are kept it allocates nothing — the check every test binary
+// makes of each kept node included.
 func TestFindLeafAllocations(t *testing.T) {
 	tr, _ := newTestTree(t, 256, 1024)
 	for i := int64(0); i < 2000; i++ {

@@ -1,0 +1,195 @@
+package btree
+
+import (
+	"encoding/binary"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"viewmat/internal/storage"
+	"viewmat/internal/tuple"
+)
+
+// TestDescentRejectsDamagedImages damages the root's image after descents
+// have kept its node: once through a frame written back over it, once in
+// a snapshot restored with storage.RestoreDisk. Either way the kept node
+// must go, and every descent after — each one, not just the first — must
+// fail with the page's own error, since a failed decode keeps nothing.
+func TestDescentRejectsDamagedImages(t *testing.T) {
+	damages := []struct {
+		name   string
+		damage func(page []byte)
+		want   string
+	}{
+		{"not an internal page", func(page []byte) { page[0] = 9 }, "not an internal page"},
+		{"zero children", func(page []byte) { binary.BigEndian.PutUint16(page[1:], 0) }, "with 0 children"},
+		{"bad value tag", func(page []byte) { page[internalHeader+4] = 0xEE }, "unknown value tag"},
+	}
+	build := func(t *testing.T) (*storage.Disk, *Tree) {
+		t.Helper()
+		d := storage.NewDisk(256)
+		tr, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("t"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 100; i++ {
+			if err := insert(tr, mk(uint64(i+1), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tr.Height() < 2 {
+			t.Fatal("fixture has no internal page")
+		}
+		// Every page to its image, then descents that read in place keep
+		// the root's node there.
+		if err := tr.pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 100; i += 10 {
+			if _, err := tr.findLeaf(&key{val: tuple.I(i), id: uint64(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d, tr
+	}
+	// The page's own error, not the test binary's check of a node kept
+	// past the change (checkNode): that one would mean the node outlived
+	// its image, and a server, which runs no check, would descend on it.
+	own := func(err error, want string) bool {
+		return err != nil && strings.Contains(err.Error(), want) && !strings.Contains(err.Error(), "kept node")
+	}
+	descents := func(t *testing.T, tr *Tree, want string) {
+		t.Helper()
+		for round := range 3 {
+			for _, k := range []*key{nil, {val: tuple.I(-1)}, {val: tuple.I(50), id: 51}, {val: tuple.I(1 << 40)}} {
+				if _, err := tr.findLeaf(k); !own(err, want) {
+					t.Errorf("round %d, findLeaf(%v): err = %v, want the page's own, naming %q", round, k, err, want)
+				}
+			}
+			if err := insert(tr, mk(1000, 7)); !own(err, want) {
+				t.Errorf("round %d, insert: err = %v, want the page's own, naming %q", round, err, want)
+			}
+		}
+		tr.pool.AssertUnpinned(t)
+	}
+	for _, c := range damages {
+		t.Run("written back/"+c.name, func(t *testing.T) {
+			_, tr := build(t)
+			fr, err := tr.pool.Get(tr.file, tr.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.damage(fr.Data)
+			fr.MarkDirty()
+			if err := tr.pool.Release(fr); err != nil {
+				t.Fatal(err)
+			}
+			// The write-back puts the damage on the image the node was kept
+			// for; the eviction sends every descent to that image.
+			if err := tr.pool.EvictAll(); err != nil {
+				t.Fatal(err)
+			}
+			descents(t, tr, c.want)
+		})
+		t.Run("restored/"+c.name, func(t *testing.T) {
+			d, tr := build(t)
+			img := &storage.DiskImage{PageSize: d.PageSize()}
+			if err := img.Apply(d.FullDelta()); err != nil {
+				t.Fatal(err)
+			}
+			c.damage(img.Files[0].Pages[tr.root])
+			rd, err := storage.RestoreDisk(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := Open(storage.NewPool(rd, storage.NewMeter(), 64), rd.Open("t"), 0, tr.Meta())
+			if err != nil {
+				t.Fatal(err)
+			}
+			descents(t, rt, c.want)
+		})
+	}
+}
+
+// keptNodeBytes is what a kept node holds: the node, its slices, its
+// String keys' bytes, and the pool's box around it (one interface).
+func keptNodeBytes(n *internalNode) int {
+	b := int(unsafe.Sizeof(*n)) + cap(n.children)*int(unsafe.Sizeof(storage.PageNum(0))) +
+		cap(n.seps)*int(unsafe.Sizeof(key{})) + int(unsafe.Sizeof(any(nil)))
+	for _, k := range n.seps {
+		if k.val.Type() == tuple.String {
+			b += len(k.val.Str())
+		}
+	}
+	return b
+}
+
+// keptNode returns the node kept beside internal page pn's bytes, nil
+// when there is none, and keeps nothing new.
+func keptNode(tr *Tree, pn storage.PageNum) (*internalNode, error) {
+	v, err := tr.pool.Derive(tr.file, pn, func(_ []byte, d any) (any, error) { return d, nil })
+	n, _ := v.(*internalNode)
+	return n, err
+}
+
+// TestKeptNodeBytes counts the bytes the kept nodes of a tree the size of
+// the benchmark's R at its smaller N take: 20 000 rows of three Int
+// columns on 4 000-byte pages, loaded in ascending 2 000-row runs as the
+// benchmark loads them. Descents to every leaf keep every internal page's
+// node, which then stays as long as its image does; the count bounds what
+// keeping them adds to a server's memory per tree of that size.
+func TestKeptNodeBytes(t *testing.T) {
+	d := storage.NewDisk(4000)
+	tr, err := New(storage.NewPool(d, storage.NewMeter(), 256), d.Open("t"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	rows := make([]tuple.Tuple, 0, 2000)
+	for lo := int64(0); lo < n; lo += 2000 {
+		rows = rows[:0]
+		for k := lo; k < lo+2000; k++ {
+			rows = append(rows, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*40503%n), tuple.I(k%1000)))
+		}
+		if err := insertRun(tr, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.pool.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < n; k += 10 {
+		if _, err := tr.findLeaf(&key{val: tuple.I(k), id: uint64(k + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Walk the internal levels through the kept nodes alone.
+	bytes, pages := 0, 0
+	level := []storage.PageNum{tr.root}
+	for h := tr.Height(); h > 1; h-- {
+		var next []storage.PageNum
+		for _, pn := range level {
+			node, err := keptNode(tr, pn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if node == nil {
+				t.Fatalf("internal page %d kept no node after descents to every leaf", pn)
+			}
+			bytes += keptNodeBytes(node)
+			pages++
+			next = append(next, node.children...)
+		}
+		level = next
+	}
+	leaves := tr.LeafPages()
+	t.Logf("%d internal pages keep %d bytes (%.1f KiB) over %d leaves of %d bytes",
+		pages, bytes, float64(bytes)/1024, leaves, d.PageSize())
+	if tree := (leaves + pages) * d.PageSize(); bytes*20 > tree {
+		t.Errorf("kept nodes take %d bytes, more than 5%% of the tree's %d", bytes, tree)
+	}
+	if err := tr.pool.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	tr.pool.AssertUnpinned(t)
+}

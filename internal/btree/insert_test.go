@@ -389,9 +389,9 @@ func TestInsertRunErrors(t *testing.T) {
 // TestInsertRunAllocations: a 2 000-row ascending run on 4 000-byte pages
 // visits each leaf once, so it allocates far less than 2 000 one-row
 // inserts did, 8 516 objects (18 609 under the race detector), before
-// inserts ran leaf by leaf; the bounds are those counts. The visits
-// route their descents on the encoded internal pages in place and
-// decode only the separators of each leaf's fence.
+// inserts ran leaf by leaf; the bounds are those counts. The visits'
+// descents binary-search the nodes kept beside the internal pages'
+// images, decoding an internal page again only after a split changed it.
 func TestInsertRunAllocations(t *testing.T) {
 	tr, _ := newTestTree(t, 4000, 256)
 	const n = 2000

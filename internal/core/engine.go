@@ -207,7 +207,7 @@ type viewState struct {
 	// plans retains the last executed operator tree per path ("query",
 	// "refresh", "populate"); guarded by Database.statsMu because query
 	// paths record under the engine read lock.
-	plans map[string]*PlanCapture
+	plans map[string]executed
 }
 
 // Options configures a Database.

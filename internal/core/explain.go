@@ -154,13 +154,7 @@ func (db *Database) Explain(view string, hints WorkloadHints) (*Explanation, err
 	}
 
 	ex.PlanTrees = map[string]string{}
-	db.statsMu.Lock()
-	captures := make(map[string]*PlanCapture, len(vs.plans))
-	for path, pc := range vs.plans {
-		captures[path] = &PlanCapture{Root: copyPlanNode(pc.Root), Meter: pc.Meter}
-	}
-	db.statsMu.Unlock()
-	for path, pc := range captures {
+	for path, pc := range db.capturePlans(vs) {
 		if path == PlanPathQuery {
 			annotatePredictions(pc.Root, p)
 		}

@@ -19,14 +19,28 @@ import (
 // run those trees, capture their instrumentation, and retain the last
 // executed plan per (view, path) for Explain.
 
-// PlanCapture is the retained snapshot of one executed plan: the
-// operator tree with per-operator stats, and the storage.Meter delta
-// that spanned the execution. By the exec attribution invariant the
-// tree's TotalCost equals Meter (exactly in serial runs, approximately
-// when other goroutines charge the meter concurrently).
+// PlanCapture is the snapshot of one executed plan: the operator tree
+// with per-operator stats, and the storage.Meter delta that spanned the
+// execution. By the exec attribution invariant the tree's TotalCost
+// equals Meter (exactly in serial runs, approximately when other
+// goroutines charge the meter concurrently).
 type PlanCapture struct {
 	Root  *exec.PlanNode
 	Meter storage.Stats
+}
+
+// executed is one executed plan as a view keeps it: the operator tree
+// after its run, and the meter delta that spanned the run. Its operators
+// are described and captured (exec.Capture) only when someone reads the
+// plan — CapturedPlans, Explain — or a plan observer is installed.
+type executed struct {
+	root  exec.Operator
+	meter storage.Stats
+}
+
+// capture snapshots the plan.
+func (e executed) capture() *PlanCapture {
+	return &PlanCapture{Root: exec.Capture(e.root), Meter: e.meter}
 }
 
 // Plan paths under which captures are retained.
@@ -41,12 +55,13 @@ const (
 	PlanPathPopulate = "populate"
 )
 
-// runTree executes an operator tree to completion, capturing the plan
-// and the meter delta spanning the run. keep retains the produced
-// batches (query paths and the shared feed build); maintenance paths
-// discard them as they stream. The capture is taken even when execution
-// fails, so a partial plan is still inspectable.
-func (db *Database) runTree(root exec.Operator, keep bool) (*exec.PlanNode, storage.Stats, []*vec.Batch, error) {
+// runTree executes an operator tree to completion and returns the meter
+// delta spanning the run; the tree, run, is the caller's to record. keep
+// retains the produced batches (query paths and the shared feed build);
+// maintenance paths discard them as they stream. A tree whose execution
+// fails is recorded all the same, so a partial plan is still
+// inspectable.
+func (db *Database) runTree(root exec.Operator, keep bool) (storage.Stats, []*vec.Batch, error) {
 	before := db.meter.Snapshot()
 	var batches []*vec.Batch
 	var err error
@@ -55,44 +70,34 @@ func (db *Database) runTree(root exec.Operator, keep bool) (*exec.PlanNode, stor
 	} else {
 		err = exec.Run(root)
 	}
-	delta := db.meter.Snapshot().Sub(before)
-	return exec.Capture(root), delta, batches, err
+	return db.meter.Snapshot().Sub(before), batches, err
 }
 
-// recordPlan retains a capture as the view's last executed plan on the
-// given path. Query paths run under the engine read lock, so the plan
-// table is guarded by statsMu like the other concurrently-bumped
-// bookkeeping.
-// treePruned sums zone-map-pruned pages over a captured tree.
-func treePruned(n *exec.PlanNode) int64 {
-	total := n.Stats.Pruned
-	for _, c := range n.Children {
-		total += treePruned(c)
-	}
-	return total
-}
-
-func (db *Database) recordPlan(vs *viewState, path string, node *exec.PlanNode, delta storage.Stats) {
-	if p := treePruned(node); p > 0 {
+// recordPlan keeps an executed tree as the view's last plan on the given
+// path, and counts the pages its scans pruned. Query paths run under the
+// engine read lock, so the plan table is guarded by statsMu like the
+// other concurrently-bumped bookkeeping.
+func (db *Database) recordPlan(vs *viewState, path string, root exec.Operator, delta storage.Stats) {
+	if p := exec.Pruned(root); p > 0 {
 		db.pagesPruned.Add(p)
 	}
 	db.statsMu.Lock()
 	if vs.plans == nil {
-		vs.plans = map[string]*PlanCapture{}
+		vs.plans = map[string]executed{}
 	}
-	vs.plans[path] = &PlanCapture{Root: node, Meter: delta}
+	vs.plans[path] = executed{root: root, meter: delta}
 	obs := db.planObserver
 	db.statsMu.Unlock()
 	if obs != nil {
-		obs(vs.def.Name, path, node, delta)
+		obs(vs.def.Name, path, exec.Capture(root), delta)
 	}
 }
 
 // runPlan is runTree + recordPlan for maintenance paths (rows
 // discarded).
 func (db *Database) runPlan(vs *viewState, path string, root exec.Operator) error {
-	node, delta, _, err := db.runTree(root, false)
-	db.recordPlan(vs, path, node, delta)
+	delta, _, err := db.runTree(root, false)
+	db.recordPlan(vs, path, root, delta)
 	return err
 }
 
@@ -107,8 +112,8 @@ func (db *Database) SetPlanObserver(fn func(view, path string, root *exec.PlanNo
 	db.statsMu.Unlock()
 }
 
-// CapturedPlans returns deep copies of a view's retained plan captures
-// keyed by path.
+// CapturedPlans captures a view's kept plans, keyed by path: each call
+// makes fresh PlanNodes, the caller's to keep or change.
 func (db *Database) CapturedPlans(view string) (map[string]*PlanCapture, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -116,13 +121,18 @@ func (db *Database) CapturedPlans(view string) (map[string]*PlanCapture, error) 
 	if !ok {
 		return nil, fmt.Errorf("core: unknown view %q", view)
 	}
+	return db.capturePlans(vs), nil
+}
+
+// capturePlans captures every plan vs keeps, under statsMu.
+func (db *Database) capturePlans(vs *viewState) map[string]*PlanCapture {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
 	out := make(map[string]*PlanCapture, len(vs.plans))
-	for path, pc := range vs.plans {
-		out[path] = &PlanCapture{Root: copyPlanNode(pc.Root), Meter: pc.Meter}
+	for path, e := range vs.plans {
+		out[path] = e.capture()
 	}
-	return out, nil
+	return out
 }
 
 // RenderPlans renders every captured plan tree for a view at the given
@@ -138,17 +148,6 @@ func (db *Database) RenderPlans(view string, c1, c2, c3 float64) (map[string]str
 		out[path] = exec.Render(pc.Root, c1, c2, c3)
 	}
 	return out, nil
-}
-
-func copyPlanNode(n *exec.PlanNode) *exec.PlanNode {
-	if n == nil {
-		return nil
-	}
-	cp := &exec.PlanNode{Name: n.Name, Stats: n.Stats, Predicted: n.Predicted}
-	for _, c := range n.Children {
-		cp.Children = append(cp.Children, copyPlanNode(c))
-	}
-	return cp
 }
 
 // --- shared plan fragments --------------------------------------------------

@@ -180,8 +180,8 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 		}
 		// The folds leave their answer in p; the other trees answer with
 		// the batches they produce.
-		node, delta, batches, err := db.runTree(p.root, p.state == nil && p.groups == nil)
-		db.recordPlan(vs, PlanPathQuery, node, delta)
+		delta, batches, err := db.runTree(p.root, p.state == nil && p.groups == nil)
+		db.recordPlan(vs, PlanPathQuery, p.root, delta)
 		if err != nil {
 			return err
 		}

@@ -205,7 +205,8 @@ func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
 		}
 		return nil
 	}
-	buildNode, buildDelta, batches, err := db.runTree(db.feedSource(f, views), true)
+	build := db.feedSource(f, views)
+	buildDelta, batches, err := db.runTree(build, true)
 	if err != nil {
 		return err
 	}
@@ -216,13 +217,13 @@ func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
 		if err != nil {
 			return err
 		}
-		node, delta, _, runErr := db.runTree(tree, false)
+		delta, _, runErr := db.runTree(tree, false)
 		shared := exec.SharedDeltaRef(f.fp, leader)
 		if i == 0 {
-			shared = exec.SharedDeltaNode(f.fp, len(views), buildNode)
+			shared = exec.SharedDeltaNode(f.fp, len(views), build)
 			delta = delta.Add(buildDelta)
 		}
-		db.recordPlan(vs, PlanPathRefresh, exec.Node("shared-refresh("+vs.def.Name+")", shared, node), delta)
+		db.recordPlan(vs, PlanPathRefresh, exec.SharedRefresh(vs.def.Name, shared, tree), delta)
 		if runErr != nil {
 			return runErr
 		}
@@ -381,7 +382,7 @@ func (db *Database) sharedJoinExpansion(f deltaFeed, views []*viewState) exec.Op
 	// A1×A2 insert and D1×D2 delete cross terms.
 	phases = append(phases, exec.NewCrossDeltas(db.execOpts(), d1.adds, d2.adds, d1.dels, d2.dels, fp.Col1, fp.Col2, nil))
 
-	return exec.NewSeq("shared-delta("+fp.String()+")", phases...)
+	return exec.NewSharedDeltaBuild(fp, phases...)
 }
 
 // unionInterval widens the views' slot-0 restriction intervals on the

@@ -45,21 +45,21 @@ func (p Pred) empty() bool {
 type Filter struct {
 	base
 	label  string
-	input  Operator
+	in     [1]Operator // the input: Children hands it out unallocated
 	p      Pred
 	charge bool
 }
 
 // NewFilter builds a charged or uncharged predicate filter.
 func NewFilter(o Options, label string, input Operator, p Pred, charge bool) *Filter {
-	return &Filter{base: base{meter: o.Meter}, label: label, input: input, p: p, charge: charge}
+	return &Filter{base: base{meter: o.Meter}, label: label, in: [1]Operator{input}, p: p, charge: charge}
 }
 
-func (f *Filter) Open() error { return f.input.Open() }
+func (f *Filter) Open() error { return f.in[0].Open() }
 
 func (f *Filter) NextBatch() (*vec.Batch, error) {
 	for {
-		b, err := f.input.NextBatch()
+		b, err := f.in[0].NextBatch()
 		if err != nil {
 			return nil, err
 		}
@@ -142,8 +142,8 @@ func (f *Filter) vecFilter(b *vec.Batch, sel []int) []int {
 	return sel
 }
 
-func (f *Filter) Close() error         { return f.input.Close() }
-func (f *Filter) Children() []Operator { return []Operator{f.input} }
+func (f *Filter) Close() error         { return f.in[0].Close() }
+func (f *Filter) Children() []Operator { return f.in[:] }
 func (f *Filter) Stats() OpStats       { return f.stats() }
 func (f *Filter) Describe() string {
 	kind := "Filter"
@@ -271,21 +271,21 @@ func compareInt(a, b int64) int {
 type Project struct {
 	base
 	label string
-	input Operator
-	cols  [][2]int // (slot, column) per output value
+	in    [1]Operator // the input: Children hands it out unallocated
+	cols  [][2]int    // (slot, column) per output value
 }
 
 // NewProjectCols builds a projection that copies (slot, column) pairs
 // from the bindings in output order — the vectorized form of a view
 // definition's target list.
 func NewProjectCols(o Options, label string, input Operator, cols [][2]int) *Project {
-	return &Project{label: label, input: input, cols: cols}
+	return &Project{label: label, in: [1]Operator{input}, cols: cols}
 }
 
-func (p *Project) Open() error { return p.input.Open() }
+func (p *Project) Open() error { return p.in[0].Open() }
 
 func (p *Project) NextBatch() (*vec.Batch, error) {
-	b, err := p.input.NextBatch()
+	b, err := p.in[0].NextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -298,8 +298,8 @@ func (p *Project) NextBatch() (*vec.Batch, error) {
 	return p.emitBatch(out), nil
 }
 
-func (p *Project) Close() error         { return p.input.Close() }
-func (p *Project) Children() []Operator { return []Operator{p.input} }
+func (p *Project) Close() error         { return p.in[0].Close() }
+func (p *Project) Children() []Operator { return p.in[:] }
 func (p *Project) Stats() OpStats       { return p.stats() }
 func (p *Project) Describe() string     { return fmt.Sprintf("Project(%s)", p.label) }
 

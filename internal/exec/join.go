@@ -55,7 +55,7 @@ func (e *joinEmitter) pending() bool { return e.out != nil && e.out.NumRows() > 
 // charged upstream.
 type LoopJoin struct {
 	base
-	input       Operator
+	in          [1]Operator // the input: Children hands it out unallocated
 	inner       *relation.Relation
 	joinVal     func(Row) tuple.Value
 	on          func(Row) bool
@@ -85,13 +85,13 @@ type LoopJoinSpec struct {
 // NewLoopJoin builds an index nested-loop join.
 func NewLoopJoin(o Options, spec LoopJoinSpec) *LoopJoin {
 	return &LoopJoin{
-		base: base{meter: o.Meter}, input: spec.Input, inner: spec.Inner,
+		base: base{meter: o.Meter}, in: [1]Operator{spec.Input}, inner: spec.Inner,
 		joinVal: spec.JoinVal, on: spec.On, skipIDs: spec.SkipIDs, chargeMatch: spec.ChargeMatch,
 		em: joinEmitter{size: o.size()},
 	}
 }
 
-func (j *LoopJoin) Open() error { return j.input.Open() }
+func (j *LoopJoin) Open() error { return j.in[0].Open() }
 
 func (j *LoopJoin) NextBatch() (*vec.Batch, error) {
 	for {
@@ -150,7 +150,7 @@ func (j *LoopJoin) nextOuter() (Row, bool, error) {
 			j.k++
 			return rowAt(j.inb, i), true, nil
 		}
-		b, err := j.input.NextBatch()
+		b, err := j.in[0].NextBatch()
 		if err != nil || b == nil {
 			return Row{}, false, err
 		}
@@ -158,8 +158,8 @@ func (j *LoopJoin) nextOuter() (Row, bool, error) {
 	}
 }
 
-func (j *LoopJoin) Close() error         { return j.input.Close() }
-func (j *LoopJoin) Children() []Operator { return []Operator{j.input} }
+func (j *LoopJoin) Close() error         { return j.in[0].Close() }
+func (j *LoopJoin) Children() []Operator { return j.in[:] }
 func (j *LoopJoin) Stats() OpStats       { return j.stats() }
 func (j *LoopJoin) Describe() string {
 	mode := ""
@@ -176,7 +176,7 @@ func (j *LoopJoin) Describe() string {
 // C1·(|A2|+|D2|) term) at Open.
 type MatchDeltas struct {
 	base
-	input       Operator
+	in          [1]Operator // the input: Children hands it out unallocated
 	adds, dels  []tuple.Tuple
 	outerVal    func(Row) tuple.Value
 	deltaCol    int
@@ -196,7 +196,7 @@ type MatchDeltas struct {
 func NewMatchDeltas(o Options, input Operator, adds, dels []tuple.Tuple,
 	outerVal func(Row) tuple.Value, deltaCol int, on func(Row) bool, flatScreens int64) *MatchDeltas {
 	return &MatchDeltas{
-		base: base{meter: o.Meter}, input: input, adds: adds, dels: dels,
+		base: base{meter: o.Meter}, in: [1]Operator{input}, adds: adds, dels: dels,
 		outerVal: outerVal, deltaCol: deltaCol, on: on, flatScreens: flatScreens,
 		em: joinEmitter{size: o.size()},
 	}
@@ -206,7 +206,7 @@ func (md *MatchDeltas) Open() error {
 	if md.flatScreens > 0 {
 		md.screen(md.flatScreens)
 	}
-	return md.input.Open()
+	return md.in[0].Open()
 }
 
 func (md *MatchDeltas) NextBatch() (*vec.Batch, error) {
@@ -258,7 +258,7 @@ func (md *MatchDeltas) nextOuter() (Row, bool, error) {
 			md.k++
 			return rowAt(md.inb, i), true, nil
 		}
-		b, err := md.input.NextBatch()
+		b, err := md.in[0].NextBatch()
 		if err != nil || b == nil {
 			return Row{}, false, err
 		}
@@ -266,8 +266,8 @@ func (md *MatchDeltas) nextOuter() (Row, bool, error) {
 	}
 }
 
-func (md *MatchDeltas) Close() error         { return md.input.Close() }
-func (md *MatchDeltas) Children() []Operator { return []Operator{md.input} }
+func (md *MatchDeltas) Close() error         { return md.in[0].Close() }
+func (md *MatchDeltas) Children() []Operator { return md.in[:] }
 func (md *MatchDeltas) Stats() OpStats       { return md.stats() }
 func (md *MatchDeltas) Describe() string {
 	return fmt.Sprintf("MatchDeltas(a=%d d=%d)", len(md.adds), len(md.dels))

@@ -18,7 +18,8 @@ type PlanNode struct {
 	Children  []*PlanNode
 }
 
-// Capture snapshots an operator tree after execution.
+// Capture snapshots an operator tree after execution: the one place an
+// operator is described, so that a tree no one reads is never labelled.
 func Capture(op Operator) *PlanNode {
 	n := &PlanNode{Name: op.Describe(), Stats: op.Stats(), Predicted: -1}
 	for _, c := range op.Children() {
@@ -27,10 +28,14 @@ func Capture(op Operator) *PlanNode {
 	return n
 }
 
-// Node builds a synthetic grouping node over already-captured subtrees
-// (planners use it to compose multi-tree refresh paths into one plan).
-func Node(name string, children ...*PlanNode) *PlanNode {
-	return &PlanNode{Name: name, Predicted: -1, Children: children}
+// Pruned sums the pages the tree's scans skipped by their zone maps
+// (OpStats.Pruned) — what a capture of it would sum, without making one.
+func Pruned(op Operator) int64 {
+	total := op.Stats().Pruned
+	for _, c := range op.Children() {
+		total += Pruned(c)
+	}
+	return total
 }
 
 // TotalCost sums the metered charges over the whole tree — by the

@@ -1,6 +1,10 @@
 package exec
 
-import "fmt"
+import (
+	"fmt"
+
+	"viewmat/internal/vec"
+)
 
 // Shared-delta plan nodes: when several views in one refresh unit have
 // differential plans whose delta sub-expression is identical (same base
@@ -49,20 +53,74 @@ func (fp DeltaFingerprint) String() string {
 // this source charges nothing — the consumer's own screening and apply
 // costs accrue downstream.
 func NewSharedDeltaScan(o Options, fp DeltaFingerprint, rows []Row) *MemSource {
-	return NewMemSource(o, fmt.Sprintf("SharedDeltaScan(%s rows=%d)", fp, len(rows)), rows)
+	s := NewMemSource(o, "", rows)
+	s.kind, s.fp, s.n = sharedDeltaScan, fp, [2]int{len(rows)}
+	return s
+}
+
+// NewSharedDeltaBuild is the build a group materializes once: the
+// phases of its delta expansion, run in order (a Seq).
+func NewSharedDeltaBuild(fp DeltaFingerprint, phases ...Operator) *Seq {
+	s := NewSeq("", phases...)
+	s.fp = fp
+	return s
 }
 
 // SharedDeltaNode wraps the executed build subtree for the one view
 // that carries the group's shared-scan charges (the first consumer, by
 // name). TotalCost over the wrapper equals the build's metered cost.
-func SharedDeltaNode(fp DeltaFingerprint, views int, build *PlanNode) *PlanNode {
-	return Node(fmt.Sprintf("SharedDelta(%s views=%d)", fp, views), build)
+func SharedDeltaNode(fp DeltaFingerprint, views int, build Operator) Operator {
+	return &group{kind: sharedDelta, fp: fp, views: views, in: [2]Operator{build}, n: 1}
 }
 
 // SharedDeltaRef is the zero-cost plan node every other consumer
 // renders in place of the build subtree, naming the view the build was
 // charged to — the "attributed once, split visibly" half of the meter
 // contract.
-func SharedDeltaRef(fp DeltaFingerprint, chargedTo string) *PlanNode {
-	return Node(fmt.Sprintf("SharedDeltaRef(%s charged-to=%s)", fp, chargedTo))
+func SharedDeltaRef(fp DeltaFingerprint, chargedTo string) Operator {
+	return &group{kind: sharedDeltaRef, fp: fp, name: chargedTo}
+}
+
+// SharedRefresh is one consumer's refresh plan in a shared group: its
+// share of the build (SharedDeltaNode or SharedDeltaRef) beside the
+// apply tree it ran.
+func SharedRefresh(view string, shared, tree Operator) Operator {
+	return &group{kind: sharedRefresh, name: view, in: [2]Operator{shared, tree}, n: 2}
+}
+
+// groupKind names what a group node shows.
+type groupKind uint8
+
+const (
+	sharedDelta groupKind = iota
+	sharedDeltaRef
+	sharedRefresh
+)
+
+// group is a plan node over trees that have already run: it groups them
+// for display and runs nothing, so it streams no row and charges nothing.
+// It keeps what its name is made of, and makes the name only when a plan
+// is read.
+type group struct {
+	kind  groupKind
+	fp    DeltaFingerprint
+	name  string // the view charged (SharedDeltaRef) or refreshed (SharedRefresh)
+	views int
+	in    [2]Operator
+	n     int
+}
+
+func (g *group) Open() error                    { return nil }
+func (g *group) NextBatch() (*vec.Batch, error) { return nil, nil }
+func (g *group) Close() error                   { return nil }
+func (g *group) Children() []Operator           { return g.in[:g.n] }
+func (g *group) Stats() OpStats                 { return OpStats{} }
+func (g *group) Describe() string {
+	switch g.kind {
+	case sharedDelta:
+		return fmt.Sprintf("SharedDelta(%s views=%d)", g.fp, g.views)
+	case sharedDeltaRef:
+		return fmt.Sprintf("SharedDeltaRef(%s charged-to=%s)", g.fp, g.name)
+	}
+	return "shared-refresh(" + g.name + ")"
 }

@@ -58,15 +58,15 @@ func TestSharedDeltaScanReplaysRowsUncharged(t *testing.T) {
 
 func TestSharedDeltaPlanNodes(t *testing.T) {
 	fp := DeltaFingerprint{Kind: "join", Rel1: "r1", Rel2: "r2", Col1: 1}
-	build := Node("build")
-	n := SharedDeltaNode(fp, 3, build)
-	if len(n.Children) != 1 || n.Children[0] != build {
+	build := NewSharedDeltaBuild(fp, NewMemSource(Options{}, "phase", nil))
+	n := Capture(SharedDeltaNode(fp, 3, build))
+	if len(n.Children) != 1 || n.Children[0].Name != "Seq(shared-delta(join r1.1=r2.0))" {
 		t.Fatal("SharedDeltaNode must wrap the build subtree")
 	}
 	if want := "SharedDelta(join r1.1=r2.0 views=3)"; n.Name != want {
 		t.Fatalf("node name = %q, want %q", n.Name, want)
 	}
-	ref := SharedDeltaRef(fp, "leader")
+	ref := Capture(SharedDeltaRef(fp, "leader"))
 	if len(ref.Children) != 0 {
 		t.Fatal("SharedDeltaRef must be a leaf")
 	}
@@ -75,5 +75,10 @@ func TestSharedDeltaPlanNodes(t *testing.T) {
 	}
 	if c := ref.TotalCost(); c != (storage.Stats{}) {
 		t.Fatalf("SharedDeltaRef must be zero-cost, got %+v", c)
+	}
+	tree := NewMemSource(Options{}, "apply", nil)
+	sr := Capture(SharedRefresh("v1", SharedDeltaRef(fp, "leader"), tree))
+	if want := "shared-refresh(v1)"; sr.Name != want || len(sr.Children) != 2 || sr.Children[1].Name != "apply" {
+		t.Fatalf("shared refresh node = %q over %d children, want %q over the ref and the tree", sr.Name, len(sr.Children), want)
 	}
 }

@@ -18,7 +18,7 @@ import (
 type DeltaApply struct {
 	base
 	label string
-	input Operator
+	in    [1]Operator // the input: Children hands it out unallocated
 	apply func([]Row) error
 	rows  []Row // a batch's live rows, reused batch to batch
 }
@@ -26,13 +26,13 @@ type DeltaApply struct {
 // NewDeltaApply builds the materialization sink from the caller's apply
 // effect.
 func NewDeltaApply(o Options, label string, input Operator, apply func([]Row) error) *DeltaApply {
-	return &DeltaApply{base: base{meter: o.Meter}, label: label, input: input, apply: apply}
+	return &DeltaApply{base: base{meter: o.Meter}, label: label, in: [1]Operator{input}, apply: apply}
 }
 
-func (d *DeltaApply) Open() error { return d.input.Open() }
+func (d *DeltaApply) Open() error { return d.in[0].Open() }
 
 func (d *DeltaApply) NextBatch() (*vec.Batch, error) {
-	b, err := d.input.NextBatch()
+	b, err := d.in[0].NextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -50,8 +50,8 @@ func (d *DeltaApply) NextBatch() (*vec.Batch, error) {
 	return d.emitBatch(b), nil
 }
 
-func (d *DeltaApply) Close() error         { return d.input.Close() }
-func (d *DeltaApply) Children() []Operator { return []Operator{d.input} }
+func (d *DeltaApply) Close() error         { return d.in[0].Close() }
+func (d *DeltaApply) Children() []Operator { return d.in[:] }
 func (d *DeltaApply) Stats() OpStats       { return d.stats() }
 func (d *DeltaApply) Describe() string     { return fmt.Sprintf("DeltaApply(%s)", d.label) }
 
@@ -74,19 +74,19 @@ type Fold struct {
 type AggFold struct {
 	base
 	label string
-	input Operator
+	in    [1]Operator // the input: Children hands it out unallocated
 	fold  Fold
 }
 
 // NewAggFold builds the aggregate-fold sink.
 func NewAggFold(o Options, label string, input Operator, fold Fold) *AggFold {
-	return &AggFold{label: label, input: input, fold: fold}
+	return &AggFold{label: label, in: [1]Operator{input}, fold: fold}
 }
 
-func (a *AggFold) Open() error { return a.input.Open() }
+func (a *AggFold) Open() error { return a.in[0].Open() }
 
 func (a *AggFold) NextBatch() (*vec.Batch, error) {
-	b, err := a.input.NextBatch()
+	b, err := a.in[0].NextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -104,8 +104,8 @@ func (a *AggFold) NextBatch() (*vec.Batch, error) {
 	return a.emitBatch(b), nil
 }
 
-func (a *AggFold) Close() error         { return a.input.Close() }
-func (a *AggFold) Children() []Operator { return []Operator{a.input} }
+func (a *AggFold) Close() error         { return a.in[0].Close() }
+func (a *AggFold) Children() []Operator { return a.in[:] }
 func (a *AggFold) Stats() OpStats       { return a.stats() }
 func (a *AggFold) Describe() string     { return fmt.Sprintf("AggFold(%s)", a.label) }
 

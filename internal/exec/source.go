@@ -300,7 +300,23 @@ type MemSource struct {
 	label string
 	gen   func() ([]Row, error)
 	pack  rowPacker
+	// A source one of the constructors below built keeps what its name is
+	// made of — kind, its fingerprint and its counts — and Describe makes
+	// the name only when a plan is read.
+	kind memKind
+	fp   DeltaFingerprint
+	n    [2]int
 }
+
+// memKind names the constructor that built a MemSource, for Describe;
+// the zero kind, NewMemSource's and NewFuncSource's, is named by label.
+type memKind uint8
+
+const (
+	deltaSource     memKind = iota + 1 // NewDeltaSource: label, n = (adds, dels)
+	viewDeltaScan                      // NewViewDeltaScan: label the parent, n[0] rows
+	sharedDeltaScan                    // NewSharedDeltaScan: fp, n[0] rows
+)
 
 // NewMemSource builds a source over rows, emitted in the order given.
 func NewMemSource(o Options, label string, rows []Row) *MemSource {
@@ -322,7 +338,9 @@ func NewDeltaSource(o Options, label string, adds, dels []tuple.Tuple) *MemSourc
 	for _, tp := range dels {
 		rows = append(rows, Row{T0: tp})
 	}
-	return NewMemSource(o, fmt.Sprintf("DeltaSource(%s a=%d d=%d)", label, len(adds), len(dels)), rows)
+	s := NewMemSource(o, label, rows)
+	s.kind, s.n = deltaSource, [2]int{len(adds), len(dels)}
+	return s
 }
 
 // NewViewDeltaScan replays a parent view's materialized delta log to one
@@ -338,7 +356,9 @@ func NewDeltaSource(o Options, label string, adds, dels []tuple.Tuple) *MemSourc
 // one refresh would underflow the child's duplicate counts if the
 // polarities were regrouped.
 func NewViewDeltaScan(o Options, parent string, rows []Row) *MemSource {
-	return NewMemSource(o, fmt.Sprintf("ViewDeltaScan(%s rows=%d)", parent, len(rows)), rows)
+	s := NewMemSource(o, parent, rows)
+	s.kind, s.n = viewDeltaScan, [2]int{len(rows)}
+	return s
 }
 
 func (s *MemSource) Open() error {
@@ -369,7 +389,17 @@ func (s *MemSource) Close() error {
 }
 func (s *MemSource) Children() []Operator { return nil }
 func (s *MemSource) Stats() OpStats       { return s.stats() }
-func (s *MemSource) Describe() string     { return s.label }
+func (s *MemSource) Describe() string {
+	switch s.kind {
+	case deltaSource:
+		return fmt.Sprintf("DeltaSource(%s a=%d d=%d)", s.label, s.n[0], s.n[1])
+	case viewDeltaScan:
+		return fmt.Sprintf("ViewDeltaScan(%s rows=%d)", s.label, s.n[0])
+	case sharedDeltaScan:
+		return fmt.Sprintf("SharedDeltaScan(%s rows=%d)", s.fp, s.n[0])
+	}
+	return s.label
+}
 
 // Seq streams each input in order, opening an input only when the
 // previous one is exhausted. It serves two roles: concatenating
@@ -380,6 +410,7 @@ func (s *MemSource) Describe() string     { return s.label }
 type Seq struct {
 	base
 	label  string
+	fp     DeltaFingerprint // a shared delta build's (NewSharedDeltaBuild), named for it
 	inputs []Operator
 	i      int
 	opened bool
@@ -429,7 +460,12 @@ func (s *Seq) Close() error {
 
 func (s *Seq) Children() []Operator { return s.inputs }
 func (s *Seq) Stats() OpStats       { return s.stats() }
-func (s *Seq) Describe() string     { return fmt.Sprintf("Seq(%s)", s.label) }
+func (s *Seq) Describe() string {
+	if s.fp.Kind != "" {
+		return fmt.Sprintf("Seq(shared-delta(%s))", s.fp)
+	}
+	return fmt.Sprintf("Seq(%s)", s.label)
+}
 
 // rangeSuffix renders a scan range for plan display.
 func rangeSuffix(rg *pred.Range) string {

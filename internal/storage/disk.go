@@ -143,7 +143,17 @@ type File struct {
 	// rest. It is guarded by the pool's lock, not mu, and grown by the
 	// pool; a file's pages are cached by one pool.
 	frames []*Frame
+	// derived holds, by page number, the value the first in-place reader
+	// since the image last changed derived from it (Pool.Derive), nil
+	// where there is none. Every change to an image clears its value, under
+	// mu held for writing; readers publish under mu held for reading, so a
+	// value never straddles a change. The slice is at least as long as
+	// pages and is grown under mu held for writing.
+	derived []atomic.Pointer[derivation]
 }
+
+// derivation boxes a value derived from a page's bytes (Pool.Derive).
+type derivation struct{ v any }
 
 // markDirty records a page mutation for the next delta; it runs before
 // the mutation, so a page's first mutation since ResetChanges captures
@@ -201,11 +211,21 @@ func (f *File) Alloc() PageNum {
 		f.markDirty(pn)
 		f.free = f.free[:n-1]
 		f.pages[pn] = make([]byte, f.disk.pageSize)
+		f.derived[pn].Store(nil)
 		return pn
 	}
 	pn := PageNum(len(f.pages))
 	f.markDirty(pn)
 	f.pages = append(f.pages, make([]byte, f.disk.pageSize))
+	if len(f.derived) < len(f.pages) {
+		// Double, carrying the published values over: a value is cleared
+		// only by a change to its image.
+		grown := make([]atomic.Pointer[derivation], 2*len(f.pages))
+		for i := range f.derived {
+			grown[i].Store(f.derived[i].Load())
+		}
+		f.derived = grown
+	}
 	return pn
 }
 
@@ -218,6 +238,7 @@ func (f *File) Free(pn PageNum) {
 	}
 	f.markDirty(pn)
 	f.pages[pn] = nil
+	f.derived[pn].Store(nil)
 	f.free = append(f.free, pn)
 }
 
@@ -274,5 +295,6 @@ func (f *File) writePage(pn PageNum, data []byte) error {
 	}
 	f.markDirty(pn)
 	copy(f.pages[pn], data)
+	f.derived[pn].Store(nil)
 	return nil
 }

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // DiskImage is a Disk's state as plain data: page size plus every
 // file's pages and free list. Recovery builds one by applying
@@ -68,6 +71,7 @@ func RestoreDisk(img *DiskImage) (*Disk, error) {
 			}
 		}
 		f.free = append([]PageNum(nil), fi.Free...)
+		f.derived = make([]atomic.Pointer[derivation], len(f.pages))
 	}
 	return d, nil
 }

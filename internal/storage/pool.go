@@ -173,6 +173,11 @@ type Frame struct {
 	// inPlace counts the pins of reads running on the image rather than
 	// on Data.
 	inPlace int32
+	// derived is the value a reader derived from Data (Derive), nil where
+	// there is none: cleared by every Get, every MarkDirty and recycling,
+	// so it never outlives the bytes it stands for. A reader's entry reads
+	// the image and keeps none here; the image carries its own.
+	derived atomic.Pointer[derivation]
 	// newer and older link the entry into the recency list.
 	newer, older *Frame
 }
@@ -342,6 +347,41 @@ func (p *Pool) Read(f *File, pn PageNum, fn func(page []byte) error) error {
 // they are never candidates, and the least-recently-used unpinned
 // entries are evicted in the same order either way.
 func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) error) error {
+	return p.readBatch(f, pns, func(i int, page []byte, _ *atomic.Pointer[derivation]) error { return fn(i, page) })
+}
+
+// Derive runs fn on page (f, pn) as Read does, and keeps what fn makes of
+// the page's bytes beside them, so that the next reader of the same bytes
+// is handed it instead of deriving it again. d is the value published for
+// the bytes fn reads, nil when there is none; fn returns the value they
+// derive — d itself, when it has one — and Derive returns it. A value fn
+// returns for a nil d is published unless fn fails; a nil one publishes
+// nothing. The value must depend on the page's bytes alone, and no one may
+// change it once published: concurrent readers share it.
+//
+// An in-place read publishes on the image, where the value lasts until
+// the image changes (File.writePage, a freed page's reuse, Free; a
+// restored disk starts with none), across operations and evictions. A
+// read of a writer's bytes publishes on its frame, where every Get, every
+// MarkDirty and the frame's recycling clear it.
+func (p *Pool) Derive(f *File, pn PageNum, fn func(page []byte, d any) (any, error)) (v any, err error) {
+	err = p.readBatch(f, []PageNum{pn}, func(_ int, page []byte, slot *atomic.Pointer[derivation]) error {
+		var d any
+		if pub := slot.Load(); pub != nil {
+			d = pub.v
+		}
+		var err error
+		if v, err = fn(page, d); err == nil && d == nil && v != nil {
+			slot.Store(&derivation{v})
+		}
+		return err
+	})
+	return v, err
+}
+
+// readBatch is ReadBatch, handing fn each page's derived-value slot too:
+// its frame's, or its image's for an in-place read.
+func (p *Pool) readBatch(f *File, pns []PageNum, fn func(i int, page []byte, slot *atomic.Pointer[derivation]) error) error {
 	var window [32]held // a scan window's cap (colpage.Scan): it stays on the stack
 	pinned := window[:0]
 	misses, wrote := 0, 0
@@ -436,6 +476,8 @@ func (p *Pool) pinWriteLocked(f *File, pn PageNum) (fr *Frame, err error) {
 					return nil, err
 				}
 			}
+			// The writer may change the bytes a reader derived from.
+			hit.derived.Store(nil)
 			p.touch(hit)
 			hit.pins++
 			return hit, nil
@@ -491,10 +533,10 @@ type held struct {
 	inPlace bool
 }
 
-// viewWindow runs fn(i, page) on each page of a pinned window of f, in
-// order, under one hold of f's read lock (released even if fn panics),
-// until fn fails.
-func (p *Pool) viewWindow(f *File, pinned []held, fn func(i int, page []byte) error) error {
+// viewWindow runs fn(i, page, slot) on each page of a pinned window of
+// f, in order, under one hold of f's read lock (released even if fn
+// panics), until fn fails.
+func (p *Pool) viewWindow(f *File, pinned []held, fn func(i int, page []byte, slot *atomic.Pointer[derivation]) error) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	for i, h := range pinned {
@@ -505,16 +547,17 @@ func (p *Pool) viewWindow(f *File, pinned []held, fn func(i int, page []byte) er
 	return nil
 }
 
-// viewLocked runs fn(i, page) on a pinned entry's page, with its file's
-// read lock held: on its bytes, or in place on the image when the pin is
-// an in-place one.
-func (p *Pool) viewLocked(fr *Frame, inPlace bool, i int, fn func(i int, page []byte) error) error {
+// viewLocked runs fn(i, page, slot) on a pinned entry's page, with its
+// file's read lock held: on its bytes and with its frame's slot, or in
+// place on the image, with the image's slot, when the pin is an in-place
+// one.
+func (p *Pool) viewLocked(fr *Frame, inPlace bool, i int, fn func(i int, page []byte, slot *atomic.Pointer[derivation]) error) error {
 	if !inPlace {
-		return fn(i, fr.Data)
+		return fn(i, fr.Data, &fr.derived)
 	}
 	page, err := fr.file.pageLocked(fr.pn)
 	if err == nil {
-		err = fn(i, page)
+		err = fn(i, page, &fr.file.derived[fr.pn])
 	}
 	// The pin keeps the frame from being written back, so a dirty bit
 	// seen now was set while the image was being read: a writer changed
@@ -565,10 +608,12 @@ func (fr *Frame) key() frameKey {
 	return frameKey{name, fr.pn}
 }
 
-// MarkDirty records that the frame's data has been modified. The first
-// marking also bumps the file's dirty-frame count, which gates the
-// unmetered readahead walks (see File.HasDirtyFrames), and the pool's.
+// MarkDirty records that the frame's data has been modified, and drops
+// the value a reader derived from it. The first marking also bumps the
+// file's dirty-frame count, which gates the unmetered readahead walks
+// (see File.HasDirtyFrames), and the pool's.
 func (fr *Frame) MarkDirty() {
+	fr.derived.Store(nil)
 	if fr.dirty.CompareAndSwap(false, true) {
 		fr.file.dirtyFrames.Add(1)
 		fr.pool.dirty.Add(1)
@@ -814,6 +859,7 @@ func (p *Pool) recycle(fr *Frame) {
 		p.putSlot(fr.Data)
 		fr.Data = nil
 	}
+	fr.derived.Store(nil)
 	fr.file = nil
 	if len(p.spare) < p.capacity {
 		p.spare = append(p.spare, fr)
