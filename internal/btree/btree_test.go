@@ -623,11 +623,11 @@ func TestDecodeInternalRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestDescentRejectsCorruptInternalPages: a descent routes on the
-// encoded internal page where it lies, and makes every check
-// decodeInternal makes over the whole page, whatever the probe — so a
-// damaged root fails every descent through it with an error, never a
-// panic, and leaves no pin behind.
+// TestDescentRejectsCorruptInternalPages: a descent binary-searches the
+// node kept beside an internal page's image (childFor), and the node is
+// made by decodeInternal, which checks the whole page before any probe
+// is searched — so a damaged root fails every descent through it with
+// an error, whatever the probe, never a panic, and leaves no pin behind.
 func TestDescentRejectsCorruptInternalPages(t *testing.T) {
 	// The root's first separator starts after the header and child 0.
 	const sep0 = internalHeader + 4

@@ -214,8 +214,8 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 	}
 	var rows []tuple.Tuple
 	var signs []int8
-	filt := exec.NewFilter(db.execOpts(), vs.def.Name, src, singlePred(vs), false)
-	return exec.NewDeltaApply(db.execOpts(), vs.def.Name+".groups", filt,
+	filt := exec.NewFilter(db.execOpts(), exec.Label{vs.def.Name}, src, singlePred(vs), false)
+	return exec.NewDeltaApply(db.execOpts(), exec.Label{vs.def.Name, ".groups"}, filt,
 		func(batch []exec.Row) error {
 			groups, rows, signs = groups[:0], rows[:0], signs[:0]
 			clear(at)
@@ -273,7 +273,7 @@ func (db *Database) fillGroupStore(vs *viewState) error {
 	if err != nil {
 		return err
 	}
-	flush := exec.NewStateWrite(db.execOpts(), vs.def.Name+".groups", func() error {
+	flush := exec.NewStateWrite(db.execOpts(), exec.Label{vs.def.Name, ".groups"}, func() error {
 		groups := all.groups.sorted()
 		rows := make([]tuple.Tuple, len(groups))
 		for i, g := range groups {
@@ -284,7 +284,7 @@ func (db *Database) fillGroupStore(vs *viewState) error {
 		}
 		return nil
 	})
-	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq("rebuild-groups("+vs.def.Name+")", all.root, flush))
+	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq(exec.Label{"rebuild-groups(", vs.def.Name, ")"}, all.root, flush))
 }
 
 // QueryGroups answers a grouped-aggregate query restricted to a group
@@ -297,7 +297,7 @@ func (db *Database) QueryGroups(name string, rg *pred.Range) ([]GroupRow, error)
 // groupsRead plans a read of the stored group rows.
 func (db *Database) groupsRead(vs *viewState, rg *pred.Range) *derived {
 	scan := exec.NewScan(db.execOpts(), vs.groups, orFull(rg))
-	return &derived{root: exec.NewFilter(db.execOpts(), vs.def.Name+".groups", scan, exec.Pred{}, true)}
+	return &derived{root: exec.NewFilter(db.execOpts(), exec.Label{vs.def.Name, ".groups"}, scan, exec.Pred{}, true)}
 }
 
 // storedGroups decodes stored group rows, which the scan yields in

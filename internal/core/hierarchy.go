@@ -264,7 +264,7 @@ func (db *Database) childPending(vs *viewState) bool {
 // grouped-aggregate parents (a group whose aggregate is undefined
 // stands for no row).
 func (db *Database) parentScanOp(p *viewState) exec.Operator {
-	label := fmt.Sprintf("ParentScan(%s)", p.def.Name)
+	label := exec.Label{"ParentScan(", p.def.Name, ")"}
 	if p.mat != nil {
 		return p.mat.scanOp(db.execOpts(), label, nil, true)
 	}

@@ -189,7 +189,7 @@ func (v *MatView) applyAlone(tp tuple.Tuple, plus bool) error {
 // the clustering column (nil for all), in key order: the trailing
 // duplicate-count column becomes each row's multiplicity — carried in
 // the batch's Dup lane, or with expand the row repeated that many times.
-func (v *MatView) scanOp(o exec.Options, label string, rg *pred.Range, expand bool) exec.Operator {
+func (v *MatView) scanOp(o exec.Options, label exec.Label, rg *pred.Range, expand bool) exec.Operator {
 	return exec.NewStoredScan(o, label, v.rel, orFull(rg), v.splitDupCount, expand)
 }
 

@@ -45,7 +45,7 @@ func deleteDelta(mv *MatView, row []tuple.Value) error {
 // counts, or with expand one row per logical duplicate.
 func scanMat(t testing.TB, mv *MatView, rg *pred.Range, expand bool) []matRow {
 	t.Helper()
-	batches, err := exec.Drain(mv.scanOp(exec.Options{}, "MatScan", rg, expand))
+	batches, err := exec.Drain(mv.scanOp(exec.Options{}, exec.Label{"MatScan"}, rg, expand))
 	if err != nil {
 		t.Fatal(err)
 	}

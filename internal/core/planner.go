@@ -163,7 +163,7 @@ func singlePred(vs *viewState) exec.Pred {
 // project projects the (one- or two-slot) binding through the view's
 // target list in column-gather form.
 func (db *Database) project(vs *viewState, input exec.Operator) exec.Operator {
-	return exec.NewProjectCols(db.execOpts(), vs.def.Name, input, vs.def.ProjectSpec())
+	return exec.NewProjectCols(db.execOpts(), exec.Label{vs.def.Name}, input, vs.def.ProjectSpec())
 }
 
 // matApply is the materialized-store sink: duplicate count maintenance,
@@ -173,7 +173,7 @@ func (db *Database) project(vs *viewState, input exec.Operator) exec.Operator {
 // stream children drain (hierarchy.go). Logged after the apply so a
 // failed write leaves no phantom log entry.
 func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
-	return exec.NewDeltaApply(db.execOpts(), vs.def.Name, input,
+	return exec.NewDeltaApply(db.execOpts(), exec.Label{vs.def.Name}, input,
 		func(rows []exec.Row) error {
 			n, err := db.applyRun(vs, rows, true)
 			if len(db.children[vs.def.Name]) == 0 {
@@ -192,7 +192,7 @@ func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
 // matInsert is the populate-time sink: scan rows carry no delta
 // polarity, and every surviving row is an insert.
 func (db *Database) matInsert(vs *viewState, input exec.Operator) exec.Operator {
-	return exec.NewDeltaApply(db.execOpts(), vs.def.Name, input,
+	return exec.NewDeltaApply(db.execOpts(), exec.Label{vs.def.Name}, input,
 		func(rows []exec.Row) error {
 			_, err := db.applyRun(vs, rows, false)
 			return err
@@ -223,14 +223,6 @@ func (db *Database) applyRun(vs *viewState, rows []exec.Row, signed bool) (int, 
 	return vs.mat.ApplyDeltaRun(vals, signs, ids)
 }
 
-// restrictedScan is the clustered scan over the view predicate's
-// interval on the relation's clustering column — the R1-side scan both
-// join-refresh expansions and the derivation's rebuild source share.
-func (db *Database) restrictedScan(vs *viewState, slot int) exec.Operator {
-	r := db.rels[vs.def.Relations[slot]]
-	return exec.NewScan(db.execOpts(), r, combineRange(vs.def.Pred, slot, r.KeyCol(), nil))
-}
-
 // --- the derivation ---------------------------------------------------------
 
 // derivation is what a consumer asks of derive; consumers differ in
@@ -240,10 +232,11 @@ type derivation struct {
 	// rg restricts the view's key column (keySource); nil = whole view.
 	rg *pred.Range
 	// plan is the access path to the base relation. PlanAuto is the
-	// rebuild source: restrictedScan, or a sequential scan of a hash
-	// relation, which offers no ordered path (planRead resolves a
-	// query's PlanAuto before it gets here). A child has one path, its
-	// parent's rows, and ignores plan and wholeFile.
+	// rebuild source: the clustered scan over the predicate's interval on
+	// the clustering column, or a sequential scan of a hash relation,
+	// which offers no ordered path (planRead resolves a query's PlanAuto
+	// before it gets here). A child has one path, its parent's rows, and
+	// ignores plan and wholeFile.
 	plan QueryPlan
 	// wholeFile scans the base relation sequentially, skipping nothing:
 	// the grouped kind, and the profiler, which counts rejected rows too.
@@ -282,9 +275,9 @@ func (db *Database) derive(vs *viewState, d derivation) (*derived, error) {
 	if d.pending {
 		source, skip = db.withPendingAD(def.Relations[0], source)
 	}
-	label := def.Name
+	label := exec.Label{def.Name}
 	if def.Kind == Join {
-		label += ".outer"
+		label[1] = ".outer"
 	}
 	screen := exec.NewFilter(db.execOpts(), label, source,
 		exec.Pred{P: def.Pred, SkipIDs: skip, Range: d.rg, RangeCol: col}, d.charged)
@@ -296,27 +289,28 @@ func (db *Database) derive(vs *viewState, d derivation) (*derived, error) {
 	case Join:
 		// Nested loops: each surviving outer tuple hash-probes the inner
 		// R2, whose pages stay in the buffer pool (§3.4.3's large-memory
-		// assumption).
-		c, err := db.joinCtx(vs)
-		if err != nil {
-			return nil, err
+		// assumption), and the joined binding is tested above the join.
+		ja, ok := def.JoinAtom()
+		if !ok {
+			return nil, fmt.Errorf("core: join view %q lost its join atom", def.Name)
 		}
-		out.root = db.project(vs, exec.NewLoopJoin(db.execOpts(), exec.LoopJoinSpec{
+		join := exec.NewLoopJoin(db.execOpts(), exec.LoopJoinSpec{
 			Input:       screen,
-			Inner:       c.r2,
-			JoinVal:     c.outerVal,
-			On:          c.onFull,
+			Inner:       db.rels[def.Relations[1]],
+			JoinCol:     joinCol(ja, 0),
 			ChargeMatch: d.charged,
-		}))
+		})
+		out.root = db.project(vs, exec.NewFilter(db.execOpts(), exec.Label{def.Name}, join,
+			exec.Pred{P: def.Pred, Full: true}, false))
 	case Aggregate:
 		out.state = agg.NewState(def.AggKind)
-		out.root = exec.NewAggFold(db.execOpts(), def.Name, screen, exec.Fold{
+		out.root = exec.NewAggFold(db.execOpts(), exec.Label{def.Name}, screen, exec.Fold{
 			Col: def.AggCol,
 			Val: func(v float64, _ bool) { out.state.Insert(v) },
 		})
 	case GroupedAggregate:
 		out.groups = groupFold{}
-		out.root = exec.NewAggFold(db.execOpts(), def.Name+".groups", screen, exec.Fold{Row: func(row exec.Row) {
+		out.root = exec.NewAggFold(db.execOpts(), exec.Label{def.Name, ".groups"}, screen, exec.Fold{Row: func(row exec.Row) {
 			out.groups.add(def.AggKind, row.T0.Vals[def.GroupBy], row.T0.Vals[def.AggCol].AsFloat())
 		}})
 	default:
@@ -340,7 +334,7 @@ func (db *Database) deriveSource(vs *viewState, d derivation, col int) (exec.Ope
 	case d.wholeFile, d.plan == PlanAuto && !clustered:
 		return exec.NewSeqScan(db.execOpts(), r), nil
 	case d.plan == PlanAuto:
-		return db.restrictedScan(vs, 0), nil
+		return exec.NewScan(db.execOpts(), r, combineRange(vs.def.Pred, 0, r.KeyCol(), nil)), nil
 	case d.plan == PlanClustered:
 		if !clustered || r.KeyCol() != col {
 			return nil, fmt.Errorf("core: clustered plan needs clustering on column %d of %q", col, r.Name())
@@ -374,7 +368,7 @@ func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator
 		return base, nil
 	}
 	skip := map[uint64]bool{}
-	pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", rel), func() ([]exec.Row, error) {
+	pending := exec.NewFuncSource(db.execOpts(), exec.Label{"PendingAD(", rel, ")"}, func() ([]exec.Row, error) {
 		anet, dnet, err := h.NetChanges()
 		if err != nil {
 			return nil, err
@@ -388,49 +382,5 @@ func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator
 		}
 		return rows, nil
 	})
-	return exec.NewSeq("pending+base", pending, base), skip
-}
-
-// --- join delta expansion ---------------------------------------------------
-
-// joinPlanCtx carries what the join refresh's pipelines share: join
-// columns, relations, and the predicate/projection closures — the one
-// place the delta-expansion plumbing lives.
-type joinPlanCtx struct {
-	vs         *viewState
-	col1, col2 int
-	r2         *relation.Relation
-}
-
-func (db *Database) joinCtx(vs *viewState) (joinPlanCtx, error) {
-	ja, ok := vs.def.JoinAtom()
-	if !ok {
-		return joinPlanCtx{}, fmt.Errorf("core: join view %q lost its join atom", vs.def.Name)
-	}
-	return joinPlanCtx{
-		vs:   vs,
-		col1: joinCol(ja, 0),
-		col2: joinCol(ja, 1),
-		r2:   db.rels[vs.def.Relations[1]],
-	}, nil
-}
-
-// onFull is the full joined-binding predicate.
-func (c joinPlanCtx) onFull(row exec.Row) bool {
-	return c.vs.def.Pred.EvalJoined(row.T0, row.T1)
-}
-
-// onFullPred is onFull as a Filter spec (Full evaluates join atoms
-// and both slots' restrictions, vectorized per atom).
-func (c joinPlanCtx) onFullPred() exec.Pred {
-	return exec.Pred{P: c.vs.def.Pred, Full: true}
-}
-
-// outerVal extracts the outer row's join value.
-func (c joinPlanCtx) outerVal(row exec.Row) tuple.Value { return row.T0.Vals[c.col1] }
-
-// applyJoin finishes a join-delta pipeline: project the surviving
-// joined bindings and fold them into the materialized store.
-func (db *Database) applyJoin(c joinPlanCtx, input exec.Operator) exec.Operator {
-	return db.matApply(c.vs, db.project(c.vs, input))
+	return exec.NewSeq(exec.Label{"pending+base"}, pending, base), skip
 }

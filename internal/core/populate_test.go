@@ -472,7 +472,7 @@ func TestDeltaApplyStretchOrderAndPrefix(t *testing.T) {
 	vs := db.views["p"]
 	logged := len(vs.deltaLog)
 	db.mu.Lock()
-	src := exec.NewMemSource(db.execOpts(), "stream", stream)
+	src := exec.NewMemSource(db.execOpts(), exec.Label{"stream"}, stream)
 	err := exec.Run(db.matApply(vs, db.project(vs, src)))
 	db.mu.Unlock()
 	if err == nil {

@@ -282,19 +282,19 @@ func (db *Database) accessPath(vs *viewState, plan QueryPlan) QueryPlan {
 // screened against the query predicate at C1 (the model's C1·f·fv·N
 // term).
 func (db *Database) matRead(vs *viewState, rg *pred.Range) *derived {
-	label := "MatScan(" + vs.def.Name + ")"
+	label := exec.Label{"MatScan(", vs.def.Name, ")"}
 	if rg != nil {
-		label = "MatScan(" + vs.def.Name + " restricted)"
+		label[2] = " restricted)"
 	}
 	scan := vs.mat.scanOp(db.execOpts(), label, rg, false)
-	return &derived{root: exec.NewFilter(db.execOpts(), vs.def.Name, scan, exec.Pred{}, true)}
+	return &derived{root: exec.NewFilter(db.execOpts(), exec.Label{vs.def.Name}, scan, exec.Pred{}, true)}
 }
 
 // aggRead plans the read of the one-page aggregate state (C_query3 =
 // C2). The in-memory state is authoritative and identical to the page;
 // the page read is the charged operation.
 func (db *Database) aggRead(vs *viewState, _ *pred.Range) *derived {
-	read := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("AggRead(%s)", vs.def.Name), func() ([]exec.Row, error) {
+	read := exec.NewFuncSource(db.execOpts(), exec.Label{"AggRead(", vs.def.Name, ")"}, func() ([]exec.Row, error) {
 		return nil, db.pool.Read(vs.aggFile, vs.aggPage, func([]byte) error { return nil })
 	})
 	return &derived{root: read, state: vs.aggState}

@@ -106,11 +106,10 @@ func (f deltaFeed) consumed(vs *viewState) {
 	}
 }
 
-// feedSource is the feed's delta rows as an operator: the whole private
-// input of a "delta" or "viewdelta" consumer, and the build a group
-// materializes once. For "join" it is the expansion with the per-view
-// restriction lifted (private join plans restrict inside the expansion
-// instead, see joinRefreshTree).
+// feedSource is the feed's delta rows as an operator, built for the
+// given views: the whole input of a private plan (one view), and the
+// build a group materializes once. Only a "join" feed depends on the
+// views — see joinExpansion.
 func (db *Database) feedSource(f deltaFeed, views []*viewState) exec.Operator {
 	switch f.fp.Kind {
 	case "viewdelta":
@@ -121,49 +120,41 @@ func (db *Database) feedSource(f deltaFeed, views []*viewState) exec.Operator {
 		}
 		return exec.NewViewDeltaScan(db.execOpts(), f.parent.def.Name, rows)
 	case "join":
-		return db.sharedJoinExpansion(f, views)
+		return db.joinExpansion(f, views)
 	}
 	d := f.slot(0)
 	return exec.NewDeltaSource(db.execOpts(), f.fp.Rel1, d.adds, d.dels)
 }
 
-// privateTree is one view's whole refresh plan over the feed.
+// privateTree is one view's whole refresh plan over the feed: its apply
+// tree over the feed built for it alone.
 func (db *Database) privateTree(vs *viewState, f deltaFeed) (exec.Operator, error) {
-	if vs.def.Kind != Join {
-		return db.applyTree(vs, db.feedSource(f, nil))
-	}
-	c, err := db.joinCtx(vs)
-	if err != nil {
-		return nil, err
-	}
-	db.deltaScans.Add(1)
-	return db.joinRefreshTree(c, f.slot(0), f.slot(1)), nil
+	return db.applyTree(vs, db.feedSource(f, []*viewState{vs}), false)
 }
 
 // applyTree is one view's apply pipeline over a stream of delta rows:
 // its predicate screen, projection, and the fold into its stored copy.
-func (db *Database) applyTree(vs *viewState, src exec.Operator) (exec.Operator, error) {
+// replay marks a shared build's rows replayed to the view.
+func (db *Database) applyTree(vs *viewState, src exec.Operator, replay bool) (exec.Operator, error) {
 	switch vs.def.Kind {
-	case SelectProject:
-		// The screening CPU was charged when the tuples were marked, so
-		// the filter is uncharged; only the view I/O lands on the
-		// DeltaApply sink (the model's C2·(3+Hvi)·X term).
-		filt := exec.NewFilter(db.execOpts(), vs.def.Name, src, singlePred(vs), false)
+	case SelectProject, Join:
+		// The screening CPU was charged when the tuples were marked, or,
+		// for a join, as the expansion handled its deltas, so the filter
+		// is uncharged and only the view I/O lands on the DeltaApply sink
+		// (the model's C2·(3+Hvi)·X term). A join's filter tests the
+		// joined binding, the one place it is tested. On a replayed
+		// shared expansion that test is charged per replayed row (the
+		// k·apply term of the share-vs-rescan estimate).
+		p, charge := singlePred(vs), false
+		if vs.def.Kind == Join {
+			p.Full, charge = true, replay
+		}
+		filt := exec.NewFilter(db.execOpts(), exec.Label{vs.def.Name}, src, p, charge)
 		return db.matApply(vs, db.project(vs, filt)), nil
 	case Aggregate:
 		return db.aggRefreshTree(vs, src), nil
 	case GroupedAggregate:
 		return db.groupAggRefreshTree(vs, src), nil
-	case Join:
-		// Only a replayed shared expansion reaches a join view as a row
-		// stream: its full predicate screen is charged per replayed row
-		// (the k·apply term of the share-vs-rescan estimate).
-		c, err := db.joinCtx(vs)
-		if err != nil {
-			return nil, err
-		}
-		filt := exec.NewFilter(db.execOpts(), vs.def.Name+".screen", src, c.onFullPred(), true)
-		return db.applyJoin(c, filt), nil
 	}
 	return nil, fmt.Errorf("core: refresh of unknown view kind %v", vs.def.Kind)
 }
@@ -175,15 +166,18 @@ func (db *Database) applyTree(vs *viewState, src exec.Operator) (exec.Operator, 
 // work collapses from O(views · delta-expansion) to O(delta-expansion +
 // views · apply).
 //
-// Equivalence argument (what the recompute-oracle test layer checks):
-// the shared build runs the same operator pipeline as a private refresh
-// with the per-view restriction removed; each consumer then applies its
-// full view predicate to every replayed row. A row the private plan
-// would have dropped before probing is instead produced and dropped at
-// the consumer's screen, and a row the private plan kept survives with
-// the same polarity in the same relative position — the pipelines are
-// order-preserving — so the applied delta sequence per view is
-// identical and the stored view bytes match the private path.
+// Equivalence argument (what the recompute-oracle test layer and
+// TestJoinExpansionTerms check): a private plan is the one-view case of
+// the build — the same builder (feedSource) over the same feed, then
+// the view's apply tree. For a join the builder takes the view set: for
+// one view it screens the handled deltas by the view's slot-0
+// restriction and the R1' scan by its predicate; for a group it screens
+// nothing and scans the union of the views' intervals. Both only drop
+// rows the apply tree's filter of the joined binding would drop, and
+// the pipelines are order-preserving, so the rows each view keeps after
+// that filter are the same rows with the same polarities in the same
+// order, the applied delta sequence per view is identical and the
+// stored view bytes match the private path.
 //
 // Meter attribution: the build's charges land once, inside the plan
 // tree of the group's first consumer, wrapped in a SharedDelta node;
@@ -213,7 +207,7 @@ func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
 	rows := exec.LiveRows(batches)
 	leader := views[0].def.Name
 	for i, vs := range views {
-		tree, err := db.applyTree(vs, exec.NewSharedDeltaScan(db.execOpts(), f.fp, rows))
+		tree, err := db.applyTree(vs, exec.NewSharedDeltaScan(db.execOpts(), f.fp, rows), true)
 		if err != nil {
 			return err
 		}
@@ -294,94 +288,60 @@ func (db *Database) sharePays(f deltaFeed, views []*viewState) bool {
 
 // --- join expansions ---------------------------------------------------------
 
-// joinRefreshTree applies Model-2 deltas with the corrected expansion,
-// built as a sequence of three pipelines, each projected and folded
-// into the stored copy. Each handled R1-delta tuple charges one C1 unit
-// (the model's C1·2u / C1·2l per-tuple join-handling cost).
-func (db *Database) joinRefreshTree(c joinPlanCtx, d1, d2 *deltas) exec.Operator {
-	vs, o := c.vs, db.execOpts()
-	a1IDs := idSet(d1.adds)
-	a2IDs := idSet(d2.adds)
-
-	var phases []exec.Operator
-
-	// A1×R2' and D1×R2': screen the R1 deltas by the slot-0 restriction
-	// (charged), then probe R2 (end state) by join value through its
-	// clustered hash index, skipping A2 ids to recover R2'.
-	r1 := vs.def.Relations[0]
-	handled := exec.NewFilter(o, r1+".r1pred", exec.NewDeltaSource(o, r1, d1.adds, d1.dels), singlePred(vs), true)
-	phases = append(phases, db.applyJoin(c, exec.NewLoopJoin(o, exec.LoopJoinSpec{
-		Input:   handled,
-		Inner:   c.r2,
-		JoinVal: c.outerVal,
-		On:      c.onFull,
-		SkipIDs: a2IDs,
-	})))
-
-	// R1'×A2 and R1'×D2: R1 has no index on the join column, so the
-	// R2-side deltas are matched with one restricted scan of R1 (end
-	// state), skipping A1 ids to recover R1'. The paper's Model 2
-	// never updates R2; this path generalizes it. The flat screen is
-	// the per-delta handling term, C1·(|A2|+|D2|).
-	if n2 := len(d2.adds) + len(d2.dels); n2 > 0 {
-		outer := exec.NewFilter(o, "r1'", db.restrictedScan(vs, 0),
-			exec.Pred{P: vs.def.Pred, SkipIDs: a1IDs}, false)
-		phases = append(phases, db.applyJoin(c,
-			exec.NewMatchDeltas(o, outer, d2.adds, d2.dels, c.outerVal, c.col2, c.onFull, int64(n2))))
-	}
-
-	// A1×A2, A1×D2 is impossible (a tuple cannot be inserted into R2'
-	// and deleted from it in the same net set), D1×A2 likewise; the
-	// remaining cross terms are A1×A2 (insert) and D1×D2 (delete).
-	phases = append(phases, db.applyJoin(c,
-		exec.NewCrossDeltas(o, d1.adds, d2.adds, d1.dels, d2.dels, c.col1, c.col2, c.onFull)))
-
-	return exec.NewSeq("refresh-join("+vs.def.Name+")", phases...)
-}
-
-// sharedJoinExpansion is the corrected delta expansion of §2.1 run once
-// for a whole group, with the per-view restriction lifted: every
-// R1-delta tuple is handled (charged C1) and probed, the R1' scan
-// covers the union of the consumers' predicate intervals, and the
-// joined rows carry both slots so each consumer can evaluate its full
-// predicate downstream.
-func (db *Database) sharedJoinExpansion(f deltaFeed, views []*viewState) exec.Operator {
-	fp := f.fp
+// joinExpansion is the corrected delta expansion of §2.1 over a join
+// feed, built for a set of views that share it: a sequence of its
+// terms, each a pipeline of joined rows with the polarity they apply
+// with. It tests join values only; each view's apply tree tests the
+// joined binding. For one view (a private plan) the R1 deltas are
+// screened by the view's slot-0 restriction and the R1' scan by its
+// predicate; for a group (the shared build) every R1 delta is handled
+// and the scan covers the union of the views' intervals. Each handled
+// R1-delta tuple charges one C1 unit (the model's C1·2u / C1·2l
+// per-tuple join-handling cost).
+func (db *Database) joinExpansion(f deltaFeed, views []*viewState) exec.Operator {
+	fp, o := f.fp, db.execOpts()
 	d1, d2 := f.slot(0), f.slot(1)
-	r1, r2 := db.rels[fp.Rel1], db.rels[fp.Rel2]
-	a1IDs := idSet(d1.adds)
-	a2IDs := idSet(d2.adds)
-	outerVal := func(row exec.Row) tuple.Value { return row.T0.Vals[fp.Col1] }
+	var restrict *pred.P // one view's predicate; a group's R1 side is unscreened
+	label := exec.Label{fp.Rel1, ".handling"}
+	if len(views) == 1 {
+		restrict, label[1] = views[0].def.Pred, ".r1pred"
+	}
 	db.deltaScans.Add(1)
 
-	var phases []exec.Operator
-
-	// A1×R2' and D1×R2': every delta tuple charges its handling screen
-	// here (the private plans charge it at their restriction filter),
-	// then probes R2 skipping A2 ids.
-	handled := exec.NewFilter(db.execOpts(), fp.Rel1+".handling",
-		exec.NewDeltaSource(db.execOpts(), fp.Rel1, d1.adds, d1.dels), exec.Pred{}, true)
-	phases = append(phases, exec.NewLoopJoin(db.execOpts(), exec.LoopJoinSpec{
+	// A1×R2' and D1×R2': screen the R1 deltas (charged), then probe R2
+	// (end state) by join value through its clustered hash index,
+	// skipping A2 ids to recover R2'.
+	deltas1 := exec.NewDeltaSource(o, fp.Rel1, d1.adds, d1.dels)
+	handled := exec.NewFilter(o, label, deltas1, exec.Pred{P: restrict}, true)
+	phases := []exec.Operator{exec.NewLoopJoin(o, exec.LoopJoinSpec{
 		Input:   handled,
-		Inner:   r2,
-		JoinVal: outerVal,
-		SkipIDs: a2IDs,
-	}))
+		Inner:   db.rels[fp.Rel2],
+		JoinCol: fp.Col1,
+		SkipIDs: idSet(d2.adds),
+	})}
 
-	// R1'×A2 and R1'×D2: one restricted scan over the union of the
-	// consumers' intervals on R1's clustering column, skipping A1 ids —
-	// predicate subsumption: every consumer's restriction interval is
-	// contained in the union, so one scan feeds them all.
-	if len(d2.adds)+len(d2.dels) > 0 {
-		scan := exec.NewScan(db.execOpts(), r1, unionInterval(views, r1.KeyCol()))
-		outer := exec.NewFilter(db.execOpts(), fp.Rel1+"'", scan, exec.Pred{SkipIDs: a1IDs}, false)
-		phases = append(phases, exec.NewMatchDeltas(db.execOpts(), outer, d2.adds, d2.dels,
-			outerVal, fp.Col2, nil, int64(len(d2.adds)+len(d2.dels))))
+	// The terms with an R2-side delta. The paper's Model 2 never updates
+	// R2; these generalize it.
+	if n2 := len(d2.adds) + len(d2.dels); n2 > 0 {
+		// R1'×A2 and R1'×D2: R1 has no index on the join column, so the
+		// R2 deltas are matched with one scan of R1 (end state) over the
+		// views' interval on its clustering column, skipping A1 ids to
+		// recover R1'. The flat screen is the per-delta handling term,
+		// C1·(|A2|+|D2|).
+		r1 := db.rels[fp.Rel1]
+		scan := exec.NewScan(o, r1, unionInterval(views, r1.KeyCol()))
+		r1p := exec.NewFilter(o, exec.Label{fp.Rel1, "'"}, scan, exec.Pred{P: restrict, SkipIDs: idSet(d1.adds)}, false)
+		phases = append(phases, exec.NewMatchDeltas(o, r1p, d2.adds, d2.dels, fp.Col1, fp.Col2, int64(n2)))
+		// A1×A2 (insert) and D1×D2 (delete). A1×D2 and D1×A2 are no
+		// terms: a tuple cannot be inserted into R2' and deleted from it
+		// in the same net set.
+		phases = append(phases,
+			exec.NewMatchDeltas(o, exec.NewDeltaSource(o, fp.Rel1, d1.adds, nil), d2.adds, nil, fp.Col1, fp.Col2, 0),
+			exec.NewMatchDeltas(o, exec.NewDeltaSource(o, fp.Rel1, nil, d1.dels), nil, d2.dels, fp.Col1, fp.Col2, 0))
 	}
-
-	// A1×A2 insert and D1×D2 delete cross terms.
-	phases = append(phases, exec.NewCrossDeltas(db.execOpts(), d1.adds, d2.adds, d1.dels, d2.dels, fp.Col1, fp.Col2, nil))
-
+	if len(views) == 1 {
+		return exec.NewSeq(exec.Label{"refresh-join(", views[0].def.Name, ")"}, phases...)
+	}
 	return exec.NewSharedDeltaBuild(fp, phases...)
 }
 
@@ -417,7 +377,11 @@ func unionInterval(views []*viewState, keyCol int) *pred.Range {
 	return out
 }
 
+// idSet is the set of the tuples' ids; nil, which holds none, for none.
 func idSet(tuples []tuple.Tuple) map[uint64]bool {
+	if len(tuples) == 0 {
+		return nil
+	}
 	out := make(map[uint64]bool, len(tuples))
 	for _, tp := range tuples {
 		out[tp.ID] = true
@@ -434,8 +398,8 @@ func idSet(tuples []tuple.Tuple) map[uint64]bool {
 func (db *Database) aggRefreshTree(vs *viewState, src exec.Operator) exec.Operator {
 	changed := false
 	needRecompute := false
-	filt := exec.NewFilter(db.execOpts(), vs.def.Name, src, singlePred(vs), false)
-	fold := exec.NewAggFold(db.execOpts(), vs.def.Name, filt, exec.Fold{
+	filt := exec.NewFilter(db.execOpts(), exec.Label{vs.def.Name}, src, singlePred(vs), false)
+	fold := exec.NewAggFold(db.execOpts(), exec.Label{vs.def.Name}, filt, exec.Fold{
 		Col: vs.def.AggCol,
 		Val: func(v float64, insert bool) {
 			if insert {
@@ -450,19 +414,19 @@ func (db *Database) aggRefreshTree(vs *viewState, src exec.Operator) exec.Operat
 	// The later phases are planned lazily inside StateWrites, because
 	// whether the fold tripped a MIN/MAX recompute is only known after
 	// it ran; Seq's lazy opening keeps the ordering correct.
-	phases = append(phases, exec.NewStateWrite(db.execOpts(), "rebuild-if-needed", func() error {
+	phases = append(phases, exec.NewStateWrite(db.execOpts(), exec.Label{"rebuild-if-needed"}, func() error {
 		if !needRecompute {
 			return nil
 		}
 		return db.rebuildAggregate(vs)
 	}))
-	phases = append(phases, exec.NewStateWrite(db.execOpts(), vs.def.Name+".aggpage", func() error {
+	phases = append(phases, exec.NewStateWrite(db.execOpts(), exec.Label{vs.def.Name, ".aggpage"}, func() error {
 		if !changed {
 			return nil
 		}
 		return db.writeAggState(vs)
 	}))
-	return exec.NewSeq("refresh-agg("+vs.def.Name+")", phases...)
+	return exec.NewSeq(exec.Label{"refresh-agg(", vs.def.Name, ")"}, phases...)
 }
 
 // rebuildAggregate recomputes the aggregate state from the (end-state)
@@ -474,11 +438,11 @@ func (db *Database) rebuildAggregate(vs *viewState) error {
 	if err != nil {
 		return err
 	}
-	write := exec.NewStateWrite(db.execOpts(), vs.def.Name+".aggpage", func() error {
+	write := exec.NewStateWrite(db.execOpts(), exec.Label{vs.def.Name, ".aggpage"}, func() error {
 		*vs.aggState = *all.state
 		return db.writeAggState(vs)
 	})
-	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq("rebuild-agg("+vs.def.Name+")", all.root, write))
+	return db.runPlan(vs, PlanPathRefresh, exec.NewSeq(exec.Label{"rebuild-agg(", vs.def.Name, ")"}, all.root, write))
 }
 
 // writeAggState persists the aggregate state to its single page.

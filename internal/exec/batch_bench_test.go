@@ -83,7 +83,7 @@ func BenchmarkExecBatchVsRow(b *testing.B) {
 				o := Options{Meter: m, BatchSize: mode.bs}
 				want := -1
 				for i := 0; i < b.N; i++ {
-					f := NewFilter(o, "val<500", NewScan(o, rel, nil), Pred{P: p}, true)
+					f := NewFilter(o, Label{"val<500"}, NewScan(o, rel, nil), Pred{P: p}, true)
 					got := drainRows(b, f)
 					if want == -1 {
 						want = got
@@ -117,7 +117,7 @@ func BenchmarkExecBatchVsRow(b *testing.B) {
 					j := NewLoopJoin(o, LoopJoinSpec{
 						Input:       NewDeltaSource(o, "d1", adds, dels),
 						Inner:       rel,
-						JoinVal:     func(r Row) tuple.Value { return r.T0.Vals[0] },
+						JoinCol:     0,
 						ChargeMatch: true,
 					})
 					got := drainRows(b, j)
@@ -142,8 +142,8 @@ func BenchmarkExecBatchVsRow(b *testing.B) {
 				var want float64
 				for i := 0; i < b.N; i++ {
 					var sum float64
-					filt := NewFilter(o, "val<750", NewScan(o, rel, nil), Pred{P: p}, true)
-					fold := NewAggFold(o, "sum", filt, Fold{Col: 1, Val: func(v float64, insert bool) {
+					filt := NewFilter(o, Label{"val<750"}, NewScan(o, rel, nil), Pred{P: p}, true)
+					fold := NewAggFold(o, Label{"sum"}, filt, Fold{Col: 1, Val: func(v float64, insert bool) {
 						if insert {
 							sum += v
 						} else {

@@ -203,8 +203,8 @@ func TestStoredRangeReadAllocations(t *testing.T) {
 	rg := pred.NewRange(tuple.I(lo), tuple.I(lo+rows), true, false)
 	split := func(cols []vec.Col) ([]vec.Col, []int64, error) { return cols[:2], cols[2].Ints, nil }
 	allocs := testing.AllocsPerRun(20, func() {
-		scan := NewStoredScan(o, "MatScan", rel, rg, split, false)
-		got, err := Drain(NewFilter(o, "view", scan, Pred{}, true))
+		scan := NewStoredScan(o, Label{"MatScan"}, rel, rg, split, false)
+		got, err := Drain(NewFilter(o, Label{"view"}, scan, Pred{}, true))
 		if err != nil || len(got) == 0 {
 			t.Fatalf("read %d batches, err %v", len(got), err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkScanCol(b *testing.B) {
 			pruned := int64(0)
 			for i := 0; i < b.N; i++ {
 				scan := NewSeqScanPruned(o, rel, prune)
-				f := NewFilter(o, "key<400", scan, Pred{P: p}, true)
+				f := NewFilter(o, Label{"key<400"}, scan, Pred{P: p}, true)
 				got := drainRows(b, f)
 				if got != cut {
 					b.Fatalf("drained %d rows, want %d", got, cut)
@@ -279,7 +279,7 @@ func BenchmarkScanCol(b *testing.B) {
 		run := func(b *testing.B, rel *relation.Relation, m *storage.Meter, prune []colpage.Atom) {
 			o := Options{Meter: m}
 			for i := 0; i < b.N; i++ {
-				f := NewFilter(o, "a<n/100", NewSeqScanPruned(o, rel, prune), Pred{P: p}, true)
+				f := NewFilter(o, Label{"a<n/100"}, NewSeqScanPruned(o, rel, prune), Pred{P: p}, true)
 				if got := drainRows(b, f); got != cut {
 					b.Fatalf("drained %d rows, want %d", got, cut)
 				}
@@ -299,8 +299,8 @@ func BenchmarkScanCol(b *testing.B) {
 			var want float64
 			for i := 0; i < b.N; i++ {
 				var sum float64
-				filt := NewFilter(o, "val<750", NewSeqScan(o, rel), Pred{P: p}, true)
-				fold := NewAggFold(o, "sum", filt, Fold{Col: 1, Val: func(v float64, insert bool) {
+				filt := NewFilter(o, Label{"val<750"}, NewSeqScan(o, rel), Pred{P: p}, true)
+				fold := NewAggFold(o, Label{"sum"}, filt, Fold{Col: 1, Val: func(v float64, insert bool) {
 					if insert {
 						sum += v
 					} else {

@@ -58,6 +58,13 @@ type Options struct {
 	BatchSize int
 }
 
+// Label names an operator in plan trees. It keeps the parts the name is
+// made of, and Describe joins them, so a tree no one reads is never
+// labelled: Label{"refresh-agg(", view, ")"} reads refresh-agg(view).
+type Label [3]string
+
+func (l Label) String() string { return l[0] + l[1] + l[2] }
+
 // size returns the effective batch capacity.
 func (o Options) size() int {
 	if o.BatchSize <= 0 {

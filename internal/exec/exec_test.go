@@ -54,7 +54,7 @@ func TestFilterChargesOneScreenPerInputRow(t *testing.T) {
 		m := storage.NewMeter()
 		o := Options{Meter: m, BatchSize: bs}
 		src := NewDeltaSource(o, "r", []tuple.Tuple{tp(1, 5), tp(2, 15), tp(3, 25)}, nil)
-		f := NewFilter(o, "keep>10", src, Pred{P: pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Gt, Val: tuple.I(10)})}, true)
+		f := NewFilter(o, Label{"keep>10"}, src, Pred{P: pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Gt, Val: tuple.I(10)})}, true)
 		rows, err := gathered(Drain(f))
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestUnchargedFilterChargesNothing(t *testing.T) {
 	m := storage.NewMeter()
 	o := Options{Meter: m}
 	src := NewDeltaSource(o, "r", []tuple.Tuple{tp(1, 5)}, nil)
-	f := NewFilter(o, "pass", src, Pred{}, false)
+	f := NewFilter(o, Label{"pass"}, src, Pred{}, false)
 	if _, err := Drain(f); err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestUnchargedFilterChargesNothing(t *testing.T) {
 func TestSeqOpensInputsLazily(t *testing.T) {
 	var order []string
 	gen := func(name string, n int) *MemSource {
-		return NewFuncSource(Options{BatchSize: 1}, name, func() ([]Row, error) {
+		return NewFuncSource(Options{BatchSize: 1}, Label{name}, func() ([]Row, error) {
 			order = append(order, name)
 			rows := make([]Row, n)
 			return rows, nil
 		})
 	}
-	seq := NewSeq("phases", gen("first", 2), gen("second", 1))
+	seq := NewSeq(Label{"phases"}, gen("first", 2), gen("second", 1))
 	if err := seq.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,18 @@ func TestSeqOpensInputsLazily(t *testing.T) {
 	}
 }
 
-func TestCrossDeltasEmitsInsertThenDeletePairs(t *testing.T) {
-	cd := NewCrossDeltas(Options{},
-		[]tuple.Tuple{tp(1, 5)}, []tuple.Tuple{tp(2, 5), tp(3, 6)},
-		[]tuple.Tuple{tp(4, 6)}, []tuple.Tuple{tp(5, 6)},
-		0, 0, nil)
-	rows, err := gathered(Drain(cd))
+// The corrected expansion's cross terms are two MatchDeltas: the A1 rows
+// against adds = A2 (inserts), then the D1 rows against dels = D2
+// (deletes). An A1 row matching a D2 tuple, or a D1 row an A2 tuple,
+// joins nothing, whatever its polarity.
+func TestMatchDeltasEmitsCrossTermPairs(t *testing.T) {
+	a1, a2 := []tuple.Tuple{tp(1, 5)}, []tuple.Tuple{tp(2, 5), tp(3, 6)}
+	d1, d2 := []tuple.Tuple{tp(4, 6)}, []tuple.Tuple{tp(5, 6), tp(6, 5)}
+	o := Options{}
+	cross := NewSeq(Label{"cross"},
+		NewMatchDeltas(o, NewDeltaSource(o, "a1", a1, nil), a2, nil, 0, 0, 0),
+		NewMatchDeltas(o, NewDeltaSource(o, "d1", nil, d1), nil, d2, 0, 0, 0))
+	rows, err := gathered(Drain(cross))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +160,19 @@ func TestCrossDeltasEmitsInsertThenDeletePairs(t *testing.T) {
 	if rows[1].Insert || rows[1].T0.ID != 4 || rows[1].T1.ID != 5 {
 		t.Errorf("second row = %+v, want D1×D2 delete", rows[1])
 	}
+	if c := Capture(cross).TotalCost(); c != (storage.Stats{}) {
+		t.Errorf("cross terms charged %+v, want nothing", c)
+	}
 }
 
 func TestMatchDeltasFlatScreensAndPolarity(t *testing.T) {
 	m := storage.NewMeter()
 	o := Options{Meter: m}
-	outer := NewFuncSource(o, "r1", func() ([]Row, error) {
+	outer := NewFuncSource(o, Label{"r1"}, func() ([]Row, error) {
 		return []Row{{T0: tp(1, 7)}}, nil
 	})
 	md := NewMatchDeltas(o, outer,
-		[]tuple.Tuple{tp(2, 7)}, []tuple.Tuple{tp(3, 7), tp(4, 8)},
-		func(r Row) tuple.Value { return r.T0.Vals[0] }, 0, nil, 5)
+		[]tuple.Tuple{tp(2, 7)}, []tuple.Tuple{tp(3, 7), tp(4, 8)}, 0, 0, 5)
 	rows, err := gathered(Drain(md))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +195,7 @@ func TestDeltaApplyRoutesByPolarity(t *testing.T) {
 	var ins, del []uint64
 	calls := 0
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 1)}, []tuple.Tuple{tp(2, 2)})
-	da := NewDeltaApply(Options{}, "v", src,
+	da := NewDeltaApply(Options{}, Label{"v"}, src,
 		func(rows []Row) error {
 			calls++
 			for _, r := range rows {
@@ -213,7 +221,7 @@ func TestDeltaApplyRoutesByPolarity(t *testing.T) {
 func TestDeltaApplyStopsAtFirstError(t *testing.T) {
 	var applied []uint64
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 1), tp(2, 2), tp(3, 3)}, nil)
-	da := NewDeltaApply(Options{}, "v", src,
+	da := NewDeltaApply(Options{}, Label{"v"}, src,
 		func(rows []Row) error {
 			for _, r := range rows {
 				if r.T0.ID == 2 {
@@ -234,7 +242,7 @@ func TestDeltaApplyStopsAtFirstError(t *testing.T) {
 
 func TestProjectColsGathersFromSlots(t *testing.T) {
 	src := NewDeltaSource(Options{}, "r", []tuple.Tuple{tp(1, 10, 11), tp(2, 20, 21)}, nil)
-	p := NewProjectCols(Options{}, "v", src, [][2]int{{0, 1}, {0, 0}})
+	p := NewProjectCols(Options{}, Label{"v"}, src, [][2]int{{0, 1}, {0, 0}})
 	rows, err := gathered(Drain(p))
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +262,8 @@ func TestTreeStatsSumEqualsMeterDelta(t *testing.T) {
 	m := storage.NewMeter()
 	o := Options{Meter: m}
 	src := NewDeltaSource(o, "r", []tuple.Tuple{tp(1, 5), tp(2, 15)}, []tuple.Tuple{tp(3, 25)})
-	f := NewFilter(o, "all", src, Pred{}, true)
-	md := NewMatchDeltas(o, f, nil, nil, func(r Row) tuple.Value { return r.T0.Vals[0] }, 0, nil, 4)
+	f := NewFilter(o, Label{"all"}, src, Pred{}, true)
+	md := NewMatchDeltas(o, f, nil, nil, 0, 0, 4)
 	before := m.Snapshot()
 	if err := Run(md); err != nil {
 		t.Fatal(err)
@@ -271,7 +279,7 @@ func TestCaptureAndRender(t *testing.T) {
 	m := storage.NewMeter()
 	o := Options{Meter: m}
 	src := NewDeltaSource(o, "r", []tuple.Tuple{tp(1, 5)}, nil)
-	f := NewFilter(o, "v", src, Pred{}, true)
+	f := NewFilter(o, Label{"v"}, src, Pred{}, true)
 	if err := Run(f); err != nil {
 		t.Fatal(err)
 	}

@@ -44,14 +44,14 @@ func (p Pred) empty() bool {
 // screened here, and go no further.
 type Filter struct {
 	base
-	label  string
+	label  Label
 	in     [1]Operator // the input: Children hands it out unallocated
 	p      Pred
 	charge bool
 }
 
 // NewFilter builds a charged or uncharged predicate filter.
-func NewFilter(o Options, label string, input Operator, p Pred, charge bool) *Filter {
+func NewFilter(o Options, label Label, input Operator, p Pred, charge bool) *Filter {
 	return &Filter{base: base{meter: o.Meter}, label: label, in: [1]Operator{input}, p: p, charge: charge}
 }
 
@@ -270,7 +270,7 @@ func compareInt(a, b int64) int {
 // (projection as metadata).
 type Project struct {
 	base
-	label string
+	label Label
 	in    [1]Operator // the input: Children hands it out unallocated
 	cols  [][2]int    // (slot, column) per output value
 }
@@ -278,7 +278,7 @@ type Project struct {
 // NewProjectCols builds a projection that copies (slot, column) pairs
 // from the bindings in output order — the vectorized form of a view
 // definition's target list.
-func NewProjectCols(o Options, label string, input Operator, cols [][2]int) *Project {
+func NewProjectCols(o Options, label Label, input Operator, cols [][2]int) *Project {
 	return &Project{label: label, in: [1]Operator{input}, cols: cols}
 }
 

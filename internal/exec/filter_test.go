@@ -164,8 +164,8 @@ func checkFilter(t *testing.T, c filterCase) []uint64 {
 	for _, size := range filterCaps {
 		m := storage.NewMeter()
 		o := Options{Meter: m, BatchSize: size}
-		src := &droppingSource{Operator: NewMemSource(o, "rows", c.rows), dropped: c.dropped}
-		f := NewFilter(o, "p", src, c.p, c.charge)
+		src := &droppingSource{Operator: NewMemSource(o, Label{"rows"}, c.rows), dropped: c.dropped}
+		f := NewFilter(o, Label{"p"}, src, c.p, c.charge)
 		batches, err := Drain(f)
 		if err != nil {
 			t.Fatal(err)

@@ -140,7 +140,7 @@ func runSelect(t *testing.T, rel *relation.Relation, o Options, full *pred.P, pu
 	} else {
 		scan = NewSeqScanPruned(o, rel, PruneAtoms(pred.New(pushed...), nil, 0))
 	}
-	f := NewFilter(o, "sel", scan, Pred{P: full}, true)
+	f := NewFilter(o, Label{"sel"}, scan, Pred{P: full}, true)
 	rows, err := gathered(Drain(f))
 	if err != nil {
 		t.Fatal(err)

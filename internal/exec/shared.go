@@ -53,7 +53,7 @@ func (fp DeltaFingerprint) String() string {
 // this source charges nothing — the consumer's own screening and apply
 // costs accrue downstream.
 func NewSharedDeltaScan(o Options, fp DeltaFingerprint, rows []Row) *MemSource {
-	s := NewMemSource(o, "", rows)
+	s := NewMemSource(o, Label{}, rows)
 	s.kind, s.fp, s.n = sharedDeltaScan, fp, [2]int{len(rows)}
 	return s
 }
@@ -61,7 +61,7 @@ func NewSharedDeltaScan(o Options, fp DeltaFingerprint, rows []Row) *MemSource {
 // NewSharedDeltaBuild is the build a group materializes once: the
 // phases of its delta expansion, run in order (a Seq).
 func NewSharedDeltaBuild(fp DeltaFingerprint, phases ...Operator) *Seq {
-	s := NewSeq("", phases...)
+	s := NewSeq(Label{}, phases...)
 	s.fp = fp
 	return s
 }

@@ -58,7 +58,7 @@ func TestSharedDeltaScanReplaysRowsUncharged(t *testing.T) {
 
 func TestSharedDeltaPlanNodes(t *testing.T) {
 	fp := DeltaFingerprint{Kind: "join", Rel1: "r1", Rel2: "r2", Col1: 1}
-	build := NewSharedDeltaBuild(fp, NewMemSource(Options{}, "phase", nil))
+	build := NewSharedDeltaBuild(fp, NewMemSource(Options{}, Label{"phase"}, nil))
 	n := Capture(SharedDeltaNode(fp, 3, build))
 	if len(n.Children) != 1 || n.Children[0].Name != "Seq(shared-delta(join r1.1=r2.0))" {
 		t.Fatal("SharedDeltaNode must wrap the build subtree")
@@ -76,7 +76,7 @@ func TestSharedDeltaPlanNodes(t *testing.T) {
 	if c := ref.TotalCost(); c != (storage.Stats{}) {
 		t.Fatalf("SharedDeltaRef must be zero-cost, got %+v", c)
 	}
-	tree := NewMemSource(Options{}, "apply", nil)
+	tree := NewMemSource(Options{}, Label{"apply"}, nil)
 	sr := Capture(SharedRefresh("v1", SharedDeltaRef(fp, "leader"), tree))
 	if want := "shared-refresh(v1)"; sr.Name != want || len(sr.Children) != 2 || sr.Children[1].Name != "apply" {
 		t.Fatalf("shared refresh node = %q over %d children, want %q over the ref and the tree", sr.Name, len(sr.Children), want)

@@ -17,7 +17,7 @@ import (
 // sequenced pipelines compose.
 type DeltaApply struct {
 	base
-	label string
+	label Label
 	in    [1]Operator // the input: Children hands it out unallocated
 	apply func([]Row) error
 	rows  []Row // a batch's live rows, reused batch to batch
@@ -25,7 +25,7 @@ type DeltaApply struct {
 
 // NewDeltaApply builds the materialization sink from the caller's apply
 // effect.
-func NewDeltaApply(o Options, label string, input Operator, apply func([]Row) error) *DeltaApply {
+func NewDeltaApply(o Options, label Label, input Operator, apply func([]Row) error) *DeltaApply {
 	return &DeltaApply{base: base{meter: o.Meter}, label: label, in: [1]Operator{input}, apply: apply}
 }
 
@@ -73,13 +73,13 @@ type Fold struct {
 // screening was paid upstream).
 type AggFold struct {
 	base
-	label string
+	label Label
 	in    [1]Operator // the input: Children hands it out unallocated
 	fold  Fold
 }
 
 // NewAggFold builds the aggregate-fold sink.
-func NewAggFold(o Options, label string, input Operator, fold Fold) *AggFold {
+func NewAggFold(o Options, label Label, input Operator, fold Fold) *AggFold {
 	return &AggFold{label: label, in: [1]Operator{input}, fold: fold}
 }
 
@@ -114,13 +114,13 @@ func (a *AggFold) Describe() string     { return fmt.Sprintf("AggFold(%s)", a.la
 // rows; sequence it after the fold that produced the state.
 type StateWrite struct {
 	base
-	label string
+	label Label
 	fn    func() error
 	done  bool
 }
 
 // NewStateWrite builds the side-effect step.
-func NewStateWrite(o Options, label string, fn func() error) *StateWrite {
+func NewStateWrite(o Options, label Label, fn func() error) *StateWrite {
 	return &StateWrite{base: base{meter: o.Meter}, label: label, fn: fn}
 }
 

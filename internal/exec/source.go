@@ -138,7 +138,7 @@ func (s *SeqScan) Describe() string { return fmt.Sprintf("SeqScan(%s)", s.rel.Na
 // the pool.
 type StoredScan struct {
 	base
-	label  string
+	label  Label
 	rel    *relation.Relation
 	rg     *pred.Range
 	split  func([]vec.Col) ([]vec.Col, []int64, error)
@@ -149,7 +149,7 @@ type StoredScan struct {
 }
 
 // NewStoredScan builds a stored-copy scan named label in plan trees.
-func NewStoredScan(o Options, label string, rel *relation.Relation, rg *pred.Range,
+func NewStoredScan(o Options, label Label, rel *relation.Relation, rg *pred.Range,
 	split func([]vec.Col) ([]vec.Col, []int64, error), expand bool) *StoredScan {
 	return &StoredScan{base: base{meter: o.Meter}, label: label, rel: rel, rg: rg,
 		split: split, expand: expand, size: o.size()}
@@ -229,7 +229,7 @@ func (s *StoredScan) NextBatch() (*vec.Batch, error) {
 func (s *StoredScan) Close() error         { s.bufs = nil; return nil }
 func (s *StoredScan) Children() []Operator { return nil }
 func (s *StoredScan) Stats() OpStats       { return s.stats() }
-func (s *StoredScan) Describe() string     { return s.label }
+func (s *StoredScan) Describe() string     { return s.label.String() }
 
 // IndexFetch fetches tuples through an unclustered secondary index: a
 // pointer-entry range scan followed by one clustered fetch per pointer
@@ -297,7 +297,7 @@ func packTuples(buf []tuple.Tuple, i *int, size int) *vec.Batch {
 // every Open replays them from the start.
 type MemSource struct {
 	base
-	label string
+	label Label
 	gen   func() ([]Row, error)
 	pack  rowPacker
 	// A source one of the constructors below built keeps what its name is
@@ -319,12 +319,12 @@ const (
 )
 
 // NewMemSource builds a source over rows, emitted in the order given.
-func NewMemSource(o Options, label string, rows []Row) *MemSource {
+func NewMemSource(o Options, label Label, rows []Row) *MemSource {
 	return &MemSource{label: label, pack: rowPacker{rows: rows, size: o.size()}}
 }
 
 // NewFuncSource builds a generator-backed source.
-func NewFuncSource(o Options, label string, gen func() ([]Row, error)) *MemSource {
+func NewFuncSource(o Options, label Label, gen func() ([]Row, error)) *MemSource {
 	return &MemSource{base: base{meter: o.Meter}, label: label, gen: gen, pack: rowPacker{size: o.size()}}
 }
 
@@ -338,7 +338,7 @@ func NewDeltaSource(o Options, label string, adds, dels []tuple.Tuple) *MemSourc
 	for _, tp := range dels {
 		rows = append(rows, Row{T0: tp})
 	}
-	s := NewMemSource(o, label, rows)
+	s := NewMemSource(o, Label{label}, rows)
 	s.kind, s.n = deltaSource, [2]int{len(adds), len(dels)}
 	return s
 }
@@ -356,7 +356,7 @@ func NewDeltaSource(o Options, label string, adds, dels []tuple.Tuple) *MemSourc
 // one refresh would underflow the child's duplicate counts if the
 // polarities were regrouped.
 func NewViewDeltaScan(o Options, parent string, rows []Row) *MemSource {
-	s := NewMemSource(o, parent, rows)
+	s := NewMemSource(o, Label{parent}, rows)
 	s.kind, s.n = viewDeltaScan, [2]int{len(rows)}
 	return s
 }
@@ -398,7 +398,7 @@ func (s *MemSource) Describe() string {
 	case sharedDeltaScan:
 		return fmt.Sprintf("SharedDeltaScan(%s rows=%d)", s.fp, s.n[0])
 	}
-	return s.label
+	return s.label.String()
 }
 
 // Seq streams each input in order, opening an input only when the
@@ -409,7 +409,7 @@ func (s *MemSource) Describe() string {
 // rows have been applied.
 type Seq struct {
 	base
-	label  string
+	label  Label
 	fp     DeltaFingerprint // a shared delta build's (NewSharedDeltaBuild), named for it
 	inputs []Operator
 	i      int
@@ -417,7 +417,7 @@ type Seq struct {
 }
 
 // NewSeq builds an ordered concatenation/sequence of inputs.
-func NewSeq(label string, inputs ...Operator) *Seq {
+func NewSeq(label Label, inputs ...Operator) *Seq {
 	return &Seq{label: label, inputs: inputs}
 }
 
