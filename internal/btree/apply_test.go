@@ -105,7 +105,7 @@ func countedStream(rng *rand.Rand, pageSize int) []signedBatch {
 
 // applyPlainAlone applies one plain row alone, as Insert or deleteRow,
 // appending the row a delete cuts to *cut.
-func applyPlainAlone(tr *Tree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
+func applyPlainAlone(tr *testTree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
 	if sign > 0 {
 		return insert(tr, tp)
 	}
@@ -128,7 +128,7 @@ var errUnderflow = errors.New("underflow")
 // every other column (the pair of its delete and its insert, same key and
 // id), its deleteRow at a count of zero, or its Insert. The row deleteRow
 // cuts is appended to *cut.
-func applyCountedAlone(t testing.TB, tr *Tree, tp tuple.Tuple, sign int8, countCol int, cut *[]tuple.Tuple) error {
+func applyCountedAlone(t testing.TB, tr *testTree, tp tuple.Tuple, sign int8, countCol int, cut *[]tuple.Tuple) error {
 	it, err := tr.ScanBatches(pred.PointRange(tp.Vals[tr.keyCol]), nil)
 	if err != nil {
 		return err
@@ -252,10 +252,10 @@ func TestUpdateChargesDeleteThenInsert(t *testing.T) {
 // changed: a page its rows edited back to its old bytes is dirtied, and
 // written, all the same. It returns the ApplyRun tree and its leaf count
 // after the load.
-func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple, stream []signedBatch, countCol int) (*Tree, int) {
+func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple, stream []signedBatch, countCol int) (*testTree, int) {
 	t.Helper()
 	type result struct {
-		tr      *Tree
+		tr      *testTree
 		leaves  int
 		digest  string
 		errs    []string
@@ -264,10 +264,10 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		changed []int // pages each scope changed
 		born    []int // pages each scope allocated
 	}
-	run := func(batch func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error) result {
+	run := func(batch func(tr *testTree, b signedBatch, cut *[]tuple.Tuple) error) result {
 		d := storage.NewDisk(ps)
 		m := storage.NewMeter()
-		tr, err := New(storage.NewPool(d, m, frames), d.Open("t"), 0)
+		tr, err := newTree(storage.NewArena(d, frames).NewPool(m), d.Open("t"), 0)
 		if err == nil && load != nil {
 			err = insertRun(tr, load)
 		}
@@ -279,7 +279,7 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		var extent storage.PageNum
 		for i, b := range stream {
 			if i == 0 || !bulk {
-				if err := tr.pool.EvictAll(); err != nil {
+				if err := tr.pool.Close(); err != nil {
 					t.Fatal(err)
 				}
 				d.ResetChanges()
@@ -312,13 +312,13 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		res.digest = hex.EncodeToString(h.Sum(nil))
 		return res
 	}
-	alone := func(tr *Tree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
+	alone := func(tr *testTree, tp tuple.Tuple, sign int8, cut *[]tuple.Tuple) error {
 		if countCol >= 0 {
 			return applyCountedAlone(t, tr, tp, sign, countCol, cut)
 		}
 		return applyPlainAlone(tr, tp, sign, cut)
 	}
-	want := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
+	want := run(func(tr *testTree, b signedBatch, cut *[]tuple.Tuple) error {
 		for i, tp := range b.rows {
 			if err := alone(tr, tp, b.signs[i], cut); err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
@@ -326,7 +326,7 @@ func matchesRowByRow(t *testing.T, ps, frames int, bulk bool, load []tuple.Tuple
 		}
 		return nil
 	})
-	got := run(func(tr *Tree, b signedBatch, cut *[]tuple.Tuple) error {
+	got := run(func(tr *testTree, b signedBatch, cut *[]tuple.Tuple) error {
 		for done := 0; done < len(b.rows); {
 			n, err := tr.ApplyRun(b.rows[done:], b.signs[done:], countCol, cut)
 			if done += n; errors.Is(err, ErrAbsent) {
@@ -402,7 +402,7 @@ func TestApplyRunWritesMatchYao(t *testing.T) {
 				batch[i], signs[i] = rows[r], -1
 			}
 			slices.SortFunc(batch, func(a, b tuple.Tuple) int { return cmp.Compare(a.ID, b.ID) })
-			if err := tr.pool.EvictAll(); err != nil {
+			if err := tr.pool.Close(); err != nil {
 				t.Fatal(err)
 			}
 			before := m.Snapshot()

@@ -42,7 +42,6 @@ type leafNode = colpage.DataPage
 // Tree is a clustered B+-tree. Not safe for concurrent use; the engine
 // serializes operations (the paper's model is single-user).
 type Tree struct {
-	pool   *storage.Pool
 	file   *storage.File
 	dir    *colpage.Directory // every leaf's link and zone maps
 	keyCol int
@@ -94,19 +93,19 @@ func (t *Tree) Meta() Meta {
 // Open attaches to an existing tree stored in file, trusting the
 // caller-supplied metadata (from a prior Meta call), and rebuilds the leaf
 // directory from the file's images.
-func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Tree, error) {
+func Open(file *storage.File, keyCol int, m Meta) (*Tree, error) {
 	if m.Height < 1 || m.Count < 0 {
 		return nil, fmt.Errorf("btree: invalid metadata %+v", m)
 	}
 	if err := file.View(m.Root, func([]byte) error { return nil }); err != nil {
 		return nil, fmt.Errorf("btree: root page missing: %w", err)
 	}
-	return &Tree{pool: pool, file: file, dir: colpage.NewDirectory(leafPages, file), keyCol: keyCol, root: m.Root, height: m.Height, count: m.Count}, nil
+	return &Tree{file: file, dir: colpage.NewDirectory(leafPages, file), keyCol: keyCol, root: m.Root, height: m.Height, count: m.Count}, nil
 }
 
 // New creates an empty tree whose leaves are clustered on keyCol.
 func New(pool *storage.Pool, file *storage.File, keyCol int) (*Tree, error) {
-	t := &Tree{pool: pool, file: file, dir: colpage.NewDirectory(leafPages, file), keyCol: keyCol, height: 1}
+	t := &Tree{file: file, dir: colpage.NewDirectory(leafPages, file), keyCol: keyCol, height: 1}
 	fr, err := pool.Alloc(file)
 	if err != nil {
 		return nil, err
@@ -272,20 +271,22 @@ func (f *fence) holds(k key) bool {
 // findLeaf descends from the root to the leaf covering k — a nil k is
 // −∞, the leftmost leaf — and returns its page number (metered: one
 // read per level unless cached).
-func (t *Tree) findLeaf(k *key) (storage.PageNum, error) { return t.descend(k, nil) }
+func (t *Tree) findLeaf(p *storage.Pool, k *key) (storage.PageNum, error) {
+	return t.descend(p, k, nil)
+}
 
 // descend is findLeaf. Each internal page is decoded and checked once per
 // image: the node is kept beside the page's bytes (storage.Pool.Derive)
 // and every later descent binary-searches it, so once the nodes are kept a
 // descent allocates nothing. With o, an apply visit's leaf, it notes there
 // the internal pages it passes, root first, and the leaf's fence.
-func (t *Tree) descend(k *key, o *openLeaf) (storage.PageNum, error) {
+func (t *Tree) descend(p *storage.Pool, k *key, o *openLeaf) (storage.PageNum, error) {
 	if o != nil {
 		o.path, o.fence = o.path[:0], fence{}
 	}
 	pn := t.root
 	for {
-		v, err := t.pool.Derive(t.file, pn, deriveNode)
+		v, err := p.Derive(t.file, pn, deriveNode)
 		if err != nil {
 			return 0, err
 		}
@@ -466,14 +467,14 @@ func (t *Tree) slot(i int) *openLeaf {
 // fail, or the pool is smaller than the tree is high (every visit then
 // takes one row). On an error the rows before the failing one stay
 // applied.
-func (t *Tree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+func (t *Tree) ApplyRun(p *storage.Pool, rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
 	done := 0
 	for done < len(rows) {
 		sg := signs
 		if sg != nil {
 			sg = sg[done:]
 		}
-		n, err := t.visit(rows[done:], sg, countCol, cut)
+		n, err := t.visit(p, rows[done:], sg, countCol, cut)
 		if done += n; err != nil || (n == 0 && countCol >= 0) {
 			return done, err
 		}
@@ -485,9 +486,9 @@ func (t *Tree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int, cut *[]t
 // consumed: the rows it applied, plus none for a row a split left
 // unplaced (the next visit starts with it). With a countCol ≥ 0 it
 // consumes none only for a row that leaves the visit.
-func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+func (t *Tree) visit(p *storage.Pool, rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
 	counted := countCol >= 0
-	frames := t.pool.Capacity()
+	frames := p.Capacity()
 	alone := frames < t.height
 	if counted && alone {
 		return 0, nil
@@ -500,9 +501,9 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tupl
 	for ; n < len(rows) && !(n > 0 && alone); n++ {
 		tp := rows[n]
 		plus := signs == nil || signs[n] >= 0
-		if plus && !colpage.FitsAlone(tp, t.pool.PageSize()) {
+		if plus && !colpage.FitsAlone(tp, p.PageSize()) {
 			if n == 0 && !counted {
-				err = fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), t.pool.PageSize())
+				err = fmt.Errorf("btree: tuple of %d bytes exceeds page capacity %d", tp.EncodedSize(), p.PageSize())
 			}
 			break
 		}
@@ -519,7 +520,7 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tupl
 			if n > 0 && !group {
 				break // the next visit takes it
 			}
-			if err = t.openLeaf(t.slot(o), probe); err != nil {
+			if err = t.openLeaf(p, t.slot(o), probe); err != nil {
 				break
 			}
 			open++
@@ -541,7 +542,7 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tupl
 			err = fmt.Errorf("btree: duplicate key (%s, id %d)", k.val, k.id)
 		case overflows:
 			ol.leaf.InsertRow(idx, tp)
-			placed, err := t.splitLeaf(ol, idx)
+			placed, err := t.splitLeaf(p, ol, idx)
 			if placed {
 				return 1, err
 			}
@@ -549,24 +550,24 @@ func (t *Tree) visit(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tupl
 		}
 		break
 	}
-	if cerr := t.close(open); err == nil {
+	if cerr := t.close(p, open); err == nil {
 		err = cerr
 	}
 	return n, err
 }
 
 // openLeaf descends to the leaf covering k, pins it and decodes it into o.
-func (t *Tree) openLeaf(o *openLeaf, k key) error {
-	pn, err := t.descend(&k, o)
+func (t *Tree) openLeaf(p *storage.Pool, o *openLeaf, k key) error {
+	pn, err := t.descend(p, &k, o)
 	if err != nil {
 		return err
 	}
-	fr, err := t.pool.Get(t.file, pn)
+	fr, err := p.Get(t.file, pn)
 	if err != nil {
 		return err
 	}
 	if err := t.decodeLeaf(fr.Data, &o.leaf); err != nil {
-		t.pool.Release(fr)
+		p.Release(fr)
 		return err
 	}
 	o.pn, o.fr, o.added, o.edited = pn, fr, 0, false
@@ -642,7 +643,7 @@ func cutRow(leaf *leafNode, i int, cut *[]tuple.Tuple) {
 // each one its rows edited is encoded over its frame and released dirty,
 // once; one no row edited is released clean. Every leaf is released,
 // whatever fails.
-func (t *Tree) close(open int) error {
+func (t *Tree) close(p *storage.Pool, open int) error {
 	var first error
 	for i := range open {
 		o := &t.open[i]
@@ -651,7 +652,7 @@ func (t *Tree) close(open int) error {
 			t.count += o.added
 			o.fr.MarkDirty()
 		}
-		if err := t.pool.Release(o.fr); first == nil {
+		if err := p.Release(o.fr); first == nil {
 			first = err
 		}
 		o.fr = nil
@@ -706,7 +707,7 @@ rows:
 // lands last on the left half, which then splits it off. The separator
 // goes up the path descend noted, splitting internal pages in turn
 // and growing a new root when the old one splits.
-func (t *Tree) splitLeaf(o *openLeaf, idx int) (placed bool, err error) {
+func (t *Tree) splitLeaf(p *storage.Pool, o *openLeaf, idx int) (placed bool, err error) {
 	fr, leaf := o.fr, &o.leaf
 	o.fr = nil
 	mid, placed := splitPoint(&leaf.Lanes, len(fr.Data))
@@ -715,9 +716,9 @@ func (t *Tree) splitLeaf(o *openLeaf, idx int) (placed bool, err error) {
 		mid = idx
 	}
 	sib := &leafNode{Next: leaf.Next, HasNext: leaf.HasNext, Lanes: leaf.Cut(mid)}
-	rfr, err := t.pool.Alloc(t.file)
+	rfr, err := p.Alloc(t.file)
 	if err != nil {
-		t.pool.Release(fr)
+		p.Release(fr)
 		return false, err
 	}
 	leaf.Next, leaf.HasNext = rfr.PageNum(), true
@@ -726,11 +727,11 @@ func (t *Tree) splitLeaf(o *openLeaf, idx int) (placed bool, err error) {
 	t.encodeLeaf(fr, leaf)
 	fr.MarkDirty()
 	sep, right := key{val: sib.Cols[t.keyCol].Value(0), id: sib.IDs[0]}, leaf.Next
-	if err := t.pool.Release(rfr); err != nil {
-		t.pool.Release(fr)
+	if err := p.Release(rfr); err != nil {
+		p.Release(fr)
 		return false, err
 	}
-	if err := t.pool.Release(fr); err != nil {
+	if err := p.Release(fr); err != nil {
 		return false, err
 	}
 	if placed {
@@ -738,7 +739,7 @@ func (t *Tree) splitLeaf(o *openLeaf, idx int) (placed bool, err error) {
 	}
 	split := true
 	for i := len(o.path) - 1; i >= 0 && split; i-- {
-		if sep, right, split, err = t.insertSep(o.path[i], sep, right); err != nil {
+		if sep, right, split, err = t.insertSep(p, o.path[i], sep, right); err != nil {
 			return placed, err
 		}
 	}
@@ -746,14 +747,16 @@ func (t *Tree) splitLeaf(o *openLeaf, idx int) (placed bool, err error) {
 		return placed, nil
 	}
 	// Grow a new root.
-	rootFr, err := t.pool.Alloc(t.file)
+	rootFr, err := p.Alloc(t.file)
 	if err != nil {
 		return placed, err
 	}
-	encodeInternal(rootFr.Data, &internalNode{children: []storage.PageNum{t.root, right}, seps: []key{sep}})
+	root := &internalNode{children: []storage.PageNum{t.root, right}, seps: []key{sep}}
+	encodeInternal(rootFr.Data, root)
 	rootFr.MarkDirty()
+	rootFr.Keep(root)
 	rootPN := rootFr.PageNum() // read before the Release: the frame may be recycled
-	if err := t.pool.Release(rootFr); err != nil {
+	if err := p.Release(rootFr); err != nil {
 		return placed, err
 	}
 	t.root = rootPN
@@ -778,15 +781,17 @@ func splitPoint(rows *colpage.Lanes, pageSize int) (int, bool) {
 }
 
 // insertSep inserts (sep, newChild), a child's split, into internal page
-// pn, splitting pn in turn when it overflows.
-func (t *Tree) insertSep(pn storage.PageNum, sep key, newChild storage.PageNum) (key, storage.PageNum, bool, error) {
-	fr, err := t.pool.Get(t.file, pn)
+// pn, splitting pn in turn when it overflows. Each node it encodes is
+// kept on its frame (storage.Frame.Keep), so the next descent through
+// the page is handed the node instead of decoding the bytes again.
+func (t *Tree) insertSep(p *storage.Pool, pn storage.PageNum, sep key, newChild storage.PageNum) (key, storage.PageNum, bool, error) {
+	fr, err := p.Get(t.file, pn)
 	if err != nil {
 		return key{}, 0, false, err
 	}
 	in, err := decodeInternal(fr.Data)
 	if err != nil {
-		t.pool.Release(fr)
+		p.Release(fr)
 		return key{}, 0, false, err
 	}
 	childIdx := in.childFor(sep)
@@ -796,7 +801,8 @@ func (t *Tree) insertSep(pn storage.PageNum, sep key, newChild storage.PageNum) 
 	if internalSize(in) <= len(fr.Data) {
 		encodeInternal(fr.Data, in)
 		fr.MarkDirty()
-		return key{}, 0, false, t.pool.Release(fr)
+		fr.Keep(in)
+		return key{}, 0, false, p.Release(fr)
 	}
 	// Split internal node: the separator cutSep picks moves up.
 	cut := in.cutSep(childIdx, len(fr.Data))
@@ -807,21 +813,23 @@ func (t *Tree) insertSep(pn storage.PageNum, sep key, newChild storage.PageNum) 
 	}
 	in.children = in.children[:cut+1]
 	in.seps = in.seps[:cut]
-	rfr, err := t.pool.Alloc(t.file)
+	rfr, err := p.Alloc(t.file)
 	if err != nil {
-		t.pool.Release(fr)
+		p.Release(fr)
 		return key{}, 0, false, err
 	}
 	encodeInternal(rfr.Data, right)
 	rfr.MarkDirty()
+	rfr.Keep(right)
 	encodeInternal(fr.Data, in)
 	fr.MarkDirty()
+	fr.Keep(in)
 	rightPN := rfr.PageNum() // read before the Release: the frame may be recycled
-	if err := t.pool.Release(rfr); err != nil {
-		t.pool.Release(fr)
+	if err := p.Release(rfr); err != nil {
+		p.Release(fr)
 		return key{}, 0, false, err
 	}
-	return upKey, rightPN, true, t.pool.Release(fr)
+	return upKey, rightPN, true, p.Release(fr)
 }
 
 // cutSep returns the separator of n, a node too large for one page of
@@ -861,15 +869,15 @@ func (n *internalNode) childFor(k key) int {
 }
 
 // Get returns the tuple with the exact (value, id) key, if present.
-func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func (t *Tree) Get(p *storage.Pool, val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	k := key{val: val, id: id}
-	leafPN, err := t.findLeaf(&k)
+	leafPN, err := t.findLeaf(p, &k)
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
 	var found tuple.Tuple
 	ok := false
-	err = t.pool.Read(t.file, leafPN, func(page []byte) error {
+	err = p.Read(t.file, leafPN, func(page []byte) error {
 		var leaf leafNode // not t.edit: a read may run beside another
 		if err := t.decodeLeaf(page, &leaf); err != nil {
 			return err
@@ -888,7 +896,7 @@ func (t *Tree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 // key-column value lies in rg (nil means all): the leaf chain read from
 // the leaf a descent finds for the range's Lo (colpage.Scan). Prune
 // atoms apply only to full scans.
-func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
+func (t *Tree) ScanBatches(p *storage.Pool, rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
 	var start *key
 	if rg != nil && rg.Lo != nil {
 		start = &key{val: *rg.Lo} // id 0: before all ids of that value
@@ -896,12 +904,14 @@ func (t *Tree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan,
 			start.id = ^uint64(0)
 		}
 	}
-	leaf, err := t.findLeaf(start)
+	leaf, err := t.findLeaf(p, start)
 	if err != nil {
 		return nil, err
 	}
-	return t.dir.Scan(t.pool, leaf, t.keyCol, rg, prune)
+	return t.dir.Scan(p, leaf, t.keyCol, rg, prune)
 }
 
 // ScanAll returns a full scan of the tree, ScanBatches over no range.
-func (t *Tree) ScanAll(prune []colpage.Atom) (*colpage.Scan, error) { return t.ScanBatches(nil, prune) }
+func (t *Tree) ScanAll(p *storage.Pool, prune []colpage.Atom) (*colpage.Scan, error) {
+	return t.ScanBatches(p, nil, prune)
+}

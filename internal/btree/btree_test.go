@@ -18,12 +18,12 @@ import (
 	"viewmat/internal/vec"
 )
 
-func newTestTree(t testing.TB, pageSize, poolCap int) (*Tree, *storage.Meter) {
+func newTestTree(t testing.TB, pageSize, poolCap int) (*testTree, *storage.Meter) {
 	t.Helper()
 	d := storage.NewDisk(pageSize)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, poolCap)
-	tr, err := New(p, d.Open("t"), 0)
+	p := storage.NewArena(d, poolCap).NewPool(m)
+	tr, err := newTree(p, d.Open("t"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +35,13 @@ func mk(id uint64, k int64) tuple.Tuple {
 }
 
 // insert adds tp: an ApplyRun of one row.
-func insert(tr *Tree, tp tuple.Tuple) error {
+func insert(tr *testTree, tp tuple.Tuple) error {
 	_, err := tr.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
 	return err
 }
 
 // insertRun inserts tps in order: an ApplyRun of inserts only.
-func insertRun(tr *Tree, tps []tuple.Tuple) error {
+func insertRun(tr *testTree, tps []tuple.Tuple) error {
 	_, err := tr.ApplyRun(tps, nil, -1, nil)
 	return err
 }
@@ -49,7 +49,7 @@ func insertRun(tr *Tree, tps []tuple.Tuple) error {
 // deleteRow deletes the row of key value val and id, an ApplyRun of one
 // delete whose row carries the key value alone, and returns the row it
 // cut, reporting whether there was one.
-func deleteRow(tr *Tree, val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func deleteRow(tr *testTree, val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	vals := make([]tuple.Value, tr.keyCol+1)
 	vals[tr.keyCol] = val
 	var cut []tuple.Tuple
@@ -289,7 +289,7 @@ func TestSearchChargesHeightReads(t *testing.T) {
 	}
 	// Cool the cache so the descent is cold, then count reads.
 	pool := tr.pool
-	if err := pool.EvictAll(); err != nil {
+	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Snapshot()
@@ -307,7 +307,7 @@ func TestLeafPagesChargesNothing(t *testing.T) {
 	for i := int64(0); i < 500; i++ {
 		insert(tr, mk(uint64(i+1), i))
 	}
-	tr.pool.EvictAll()
+	tr.pool.Close()
 	before := m.Snapshot()
 	tr.LeafPages()
 	if diff := m.Snapshot().Sub(before); diff != (storage.Stats{}) {
@@ -377,7 +377,7 @@ func TestSplitFitsBothHalves(t *testing.T) {
 // the frame.
 func TestInternalSplitFitsBothHalves(t *testing.T) {
 	d := storage.NewDisk(4000)
-	tr, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("s"), 1)
+	tr, err := newTree(storage.NewArena(d, 64).NewPool(storage.NewMeter()), d.Open("s"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +431,8 @@ func TestInternalSizeCountsFitTheHeader(t *testing.T) {
 
 func TestStringKeys(t *testing.T) {
 	d := storage.NewDisk(256)
-	p := storage.NewPool(d, storage.NewMeter(), 64)
-	tr, err := New(p, d.Open("s"), 1) // cluster on column 1 (string)
+	p := storage.NewArena(d, 64).NewPool(storage.NewMeter())
+	tr, err := newTree(p, d.Open("s"), 1) // cluster on column 1 (string)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func BenchmarkGetCold(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.pool.EvictAll()
+		tr.pool.Close()
 		k := int64(i % 100000)
 		if _, ok, err := tr.Get(tuple.I(k), uint64(k+1)); err != nil || !ok {
 			b.Fatal("miss")
@@ -796,3 +796,44 @@ func raceEnabled() bool {
 	}
 	return false
 }
+
+// testTree is a Tree driven through one pool, as one operation drives
+// it: the page-touching methods take the pool the test gave the tree.
+type testTree struct {
+	*Tree
+	pool *storage.Pool
+}
+
+func newTree(p *storage.Pool, file *storage.File, keyCol int) (*testTree, error) {
+	tr, err := New(p, file, keyCol)
+	if err != nil {
+		return nil, err
+	}
+	return &testTree{tr, p}, nil
+}
+
+func openTree(p *storage.Pool, file *storage.File, keyCol int, m Meta) (*testTree, error) {
+	tr, err := Open(file, keyCol, m)
+	if err != nil {
+		return nil, err
+	}
+	return &testTree{tr, p}, nil
+}
+
+func (t *testTree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+	return t.Tree.ApplyRun(t.pool, rows, signs, countCol, cut)
+}
+
+func (t *testTree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	return t.Tree.Get(t.pool, val, id)
+}
+
+func (t *testTree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
+	return t.Tree.ScanBatches(t.pool, rg, prune)
+}
+
+func (t *testTree) ScanAll(prune []colpage.Atom) (*colpage.Scan, error) {
+	return t.Tree.ScanAll(t.pool, prune)
+}
+
+func (t *testTree) findLeaf(k *key) (storage.PageNum, error) { return t.Tree.findLeaf(t.pool, k) }

@@ -14,12 +14,12 @@ import (
 
 // newColTree is newTestTree exposing the disk and pool, with the
 // on-disk image flushed clean so zone-map pruning is armed.
-func newColTree(t testing.TB, pageSize, poolCap, rows int) (*Tree, *storage.Disk, *storage.Pool, *storage.Meter) {
+func newColTree(t testing.TB, pageSize, poolCap, rows int) (*testTree, *storage.Disk, *storage.Pool, *storage.Meter) {
 	t.Helper()
 	d := storage.NewDisk(pageSize)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, poolCap)
-	tr, err := New(p, d.Open("t"), 0)
+	p := storage.NewArena(d, poolCap).NewPool(m)
+	tr, err := newTree(p, d.Open("t"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func newColTree(t testing.TB, pageSize, poolCap, rows int) (*Tree, *storage.Disk
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	p.EvictAll()
+	p.Close()
 	return tr, d, p, m
 }
 
@@ -85,7 +85,7 @@ func TestScanBatchesPrunedPagesNeverPinned(t *testing.T) {
 		t.Fatal("scan pruned nothing; fixture too small to exercise pruning")
 	}
 
-	pool.EvictAll()
+	pool.Close()
 	before = m.Snapshot()
 	full, err := tr.ScanBatches(nil, nil)
 	if err != nil {
@@ -216,7 +216,7 @@ func TestScanBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	p.EvictAll()
+	p.Close()
 	it, err := tr.ScanBatches(nil, nil)
 	for err == nil && !it.Done() {
 		err = it.Fill(&vec.Batch{}, vec.DefaultBatchSize)

@@ -25,10 +25,10 @@ func TestDescentRejectsDamagedImages(t *testing.T) {
 		{"zero children", func(page []byte) { binary.BigEndian.PutUint16(page[1:], 0) }, "with 0 children"},
 		{"bad value tag", func(page []byte) { page[internalHeader+4] = 0xEE }, "unknown value tag"},
 	}
-	build := func(t *testing.T) (*storage.Disk, *Tree) {
+	build := func(t *testing.T) (*storage.Disk, *testTree) {
 		t.Helper()
 		d := storage.NewDisk(256)
-		tr, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("t"), 0)
+		tr, err := newTree(storage.NewArena(d, 64).NewPool(storage.NewMeter()), d.Open("t"), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestDescentRejectsDamagedImages(t *testing.T) {
 		}
 		// Every page to its image, then descents that read in place keep
 		// the root's node there.
-		if err := tr.pool.EvictAll(); err != nil {
+		if err := tr.pool.Close(); err != nil {
 			t.Fatal(err)
 		}
 		for i := int64(0); i < 100; i += 10 {
@@ -58,7 +58,7 @@ func TestDescentRejectsDamagedImages(t *testing.T) {
 	own := func(err error, want string) bool {
 		return err != nil && strings.Contains(err.Error(), want) && !strings.Contains(err.Error(), "kept node")
 	}
-	descents := func(t *testing.T, tr *Tree, want string) {
+	descents := func(t *testing.T, tr *testTree, want string) {
 		t.Helper()
 		for round := range 3 {
 			for _, k := range []*key{nil, {val: tuple.I(-1)}, {val: tuple.I(50), id: 51}, {val: tuple.I(1 << 40)}} {
@@ -86,7 +86,7 @@ func TestDescentRejectsDamagedImages(t *testing.T) {
 			}
 			// The write-back puts the damage on the image the node was kept
 			// for; the eviction sends every descent to that image.
-			if err := tr.pool.EvictAll(); err != nil {
+			if err := tr.pool.Close(); err != nil {
 				t.Fatal(err)
 			}
 			descents(t, tr, c.want)
@@ -102,7 +102,7 @@ func TestDescentRejectsDamagedImages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := Open(storage.NewPool(rd, storage.NewMeter(), 64), rd.Open("t"), 0, tr.Meta())
+			rt, err := openTree(storage.NewArena(rd, 64).NewPool(storage.NewMeter()), rd.Open("t"), 0, tr.Meta())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func keptNodeBytes(n *internalNode) int {
 
 // keptNode returns the node kept beside internal page pn's bytes, nil
 // when there is none, and keeps nothing new.
-func keptNode(tr *Tree, pn storage.PageNum) (*internalNode, error) {
+func keptNode(tr *testTree, pn storage.PageNum) (*internalNode, error) {
 	v, err := tr.pool.Derive(tr.file, pn, func(_ []byte, d any) (any, error) { return d, nil })
 	n, _ := v.(*internalNode)
 	return n, err
@@ -140,7 +140,7 @@ func keptNode(tr *Tree, pn storage.PageNum) (*internalNode, error) {
 // keeping them adds to a server's memory per tree of that size.
 func TestKeptNodeBytes(t *testing.T) {
 	d := storage.NewDisk(4000)
-	tr, err := New(storage.NewPool(d, storage.NewMeter(), 256), d.Open("t"), 0)
+	tr, err := newTree(storage.NewArena(d, 256).NewPool(storage.NewMeter()), d.Open("t"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestKeptNodeBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.pool.EvictAll(); err != nil {
+	if err := tr.pool.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < n; k += 10 {
@@ -188,7 +188,7 @@ func TestKeptNodeBytes(t *testing.T) {
 	if tree := (leaves + pages) * d.PageSize(); bytes*20 > tree {
 		t.Errorf("kept nodes take %d bytes, more than 5%% of the tree's %d", bytes, tree)
 	}
-	if err := tr.pool.EvictAll(); err != nil {
+	if err := tr.pool.Close(); err != nil {
 		t.Fatal(err)
 	}
 	tr.pool.AssertUnpinned(t)

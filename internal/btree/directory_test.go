@@ -17,7 +17,7 @@ import (
 // checkDirectory flushes the tree's pool and compares the leaf directory
 // its writers kept with one rebuilt from the page images, and its leaf
 // count with a walk of the leaf chain over the images.
-func checkDirectory(tr *Tree) error {
+func checkDirectory(tr *testTree) error {
 	if err := tr.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -37,7 +37,7 @@ func checkDirectory(tr *Tree) error {
 // leafChainPages counts the leaves down the chain from the leftmost one,
 // following each image's link: the oracle of the directory's count,
 // which it does not consult.
-func leafChainPages(tr *Tree) (int, error) {
+func leafChainPages(tr *testTree) (int, error) {
 	pn, err := tr.findLeaf(nil)
 	if err != nil {
 		return 0, err
@@ -56,7 +56,7 @@ func leafChainPages(tr *Tree) (int, error) {
 
 // restored reopens tr over a copy of its disk carried through a full
 // delta, the way restoring a checkpoint reopens every tree.
-func restored(t *testing.T, tr *Tree, d *storage.Disk) *Tree {
+func restored(t *testing.T, tr *testTree, d *storage.Disk) *testTree {
 	t.Helper()
 	if err := tr.pool.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func restored(t *testing.T, tr *Tree, d *storage.Disk) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Open(storage.NewPool(d2, storage.NewMeter(), 64), d2.Open(tr.file.Name()), tr.keyCol, tr.Meta())
+	back, err := openTree(storage.NewArena(d2, 64).NewPool(storage.NewMeter()), d2.Open(tr.file.Name()), tr.keyCol, tr.Meta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func restored(t *testing.T, tr *Tree, d *storage.Disk) *Tree {
 // maps.
 func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	d := storage.NewDisk(256)
-	tr, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("t"), 0)
+	tr, err := newTree(storage.NewArena(d, 64).NewPool(storage.NewMeter()), d.Open("t"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 func TestRestoredLeafWithUnreadableZonesStopsTheWalk(t *testing.T) {
 	tr, d, p, _ := newColTree(t, 256, 64, 500)
 	atoms := []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(50)}}
-	scan := func(tr *Tree) (keys []int64, pruned int64) {
+	scan := func(tr *testTree) (keys []int64, pruned int64) {
 		it, err := tr.ScanBatches(nil, atoms)
 		if err != nil {
 			t.Fatal(err)
@@ -193,18 +193,23 @@ func TestRestoredLeafWithUnreadableZonesStopsTheWalk(t *testing.T) {
 }
 
 // TestConcurrentPrunedScans: scans read the directory from several
-// goroutines at once — as queries do under the engine's read lock — and
-// each sees what a lone scan sees.
+// goroutines at once, each on a pool of its own — as queries do under
+// the engine's read lock — and each sees what a lone scan sees.
 func TestConcurrentPrunedScans(t *testing.T) {
-	tr, _, p, _ := newColTree(t, 256, 256, 2000)
+	tr, d, p, _ := newColTree(t, 256, 256, 2000)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 	atoms := []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(300)}}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			q := storage.NewArena(d, 256).NewPool(storage.NewMeter())
+			defer q.AssertUnpinned(t)
 			for i := 0; i < 5; i++ {
-				it, err := tr.ScanBatches(nil, atoms)
+				it, err := tr.Tree.ScanBatches(q, nil, atoms)
 				if err != nil {
 					t.Error(err)
 					return
@@ -228,5 +233,4 @@ func TestConcurrentPrunedScans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	p.AssertUnpinned(t)
 }

@@ -93,8 +93,8 @@ func FuzzBTree(f *testing.F) {
 			pageSize = 4000
 		}
 		d := storage.NewDisk(pageSize)
-		pool := storage.NewPool(d, storage.NewMeter(), 64)
-		tr, err := New(pool, d.Open("t"), 0)
+		pool := storage.NewArena(d, 64).NewPool(storage.NewMeter())
+		tr, err := newTree(pool, d.Open("t"), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

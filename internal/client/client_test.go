@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"reflect"
@@ -33,7 +34,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
-		srv.DB().Pool().AssertUnpinned(t)
+		assertIdle(t, srv.DB())
 	})
 	return srv, lis.Addr().String()
 }
@@ -108,10 +109,9 @@ func TestTxReturnsServerIDsInOpOrder(t *testing.T) {
 		t.Error("second Commit of one Tx succeeded")
 	}
 	// Each id addresses the tuple queued at its position.
-	r, _ := srv.DB().Relation("r")
 	for i, key := range []int64{11, 12, 13} {
-		if tp, ok, err := r.Get(tuple.I(key), ids[i]); err != nil || !ok || tp.Vals[1].Int() != int64(i+1) {
-			t.Errorf("id %d does not address the insert queued at position %d: %v ok=%v err=%v", ids[i], i, tp, ok, err)
+		if err := addresses(srv.DB(), key, ids[i]); err != nil {
+			t.Errorf("id %d does not address the insert queued at position %d: %v", ids[i], i, err)
 		}
 	}
 
@@ -128,11 +128,11 @@ func TestTxReturnsServerIDsInOpOrder(t *testing.T) {
 	if len(ids2) != 2 || !(ids[2] < ids2[0] && ids2[0] < ids2[1]) {
 		t.Fatalf("second commit ids = %v, want fresh ids for the update then the insert", ids2)
 	}
-	if tp, ok, _ := r.Get(tuple.I(22), ids2[0]); !ok || tp.Vals[2].Str() != "moved" {
-		t.Errorf("first id of the second commit is not the update's replacement: %v ok=%v", tp, ok)
+	if err := addresses(srv.DB(), 22, ids2[0]); err != nil {
+		t.Errorf("first id of the second commit is not the update's replacement: %v", err)
 	}
-	if _, ok, _ := r.Get(tuple.I(14), ids2[1]); !ok {
-		t.Error("second id of the second commit is not the trailing insert's")
+	if err := addresses(srv.DB(), 14, ids2[1]); err != nil {
+		t.Errorf("second id of the second commit is not the trailing insert's: %v", err)
 	}
 	rows, err := c.QueryView("v", nil)
 	if err != nil {
@@ -141,6 +141,29 @@ func TestTxReturnsServerIDsInOpOrder(t *testing.T) {
 	if got := keysOf(rows); !reflect.DeepEqual(got, []int64{13, 14, 22}) {
 		t.Errorf("view after both commits = %v, want keys 13 14 22", got)
 	}
+	for _, row := range rows {
+		if row[0].Int() == 22 && row[1].Str() != "moved" {
+			t.Errorf("the update's replacement reads %v in the view, want \"moved\"", row[1])
+		}
+	}
+}
+
+// addresses reports whether r holds a row of key and id, by deleting it
+// on a copy of the engine: the delete finds the row under its id alone.
+func addresses(db *core.Database, key int64, id uint64) error {
+	var saved bytes.Buffer
+	if err := db.Save(&saved); err != nil {
+		return err
+	}
+	cp, err := core.Load(&saved)
+	if err != nil {
+		return err
+	}
+	del := cp.Begin()
+	if err := del.Delete("r", tuple.I(key), id); err != nil {
+		return err
+	}
+	return del.Commit()
 }
 
 // leafOf returns the name of a captured plan's source operator.
@@ -311,5 +334,14 @@ func TestCallOnClosedConnectionErrors(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("connection %s: calls hung instead of returning an error", name)
 		}
+	}
+}
+
+// assertIdle fails the test if db's operation pools hold any frame once
+// no operation runs: an operation ended with a pin still held.
+func assertIdle(t *testing.T, db *core.Database) {
+	t.Helper()
+	if n := db.Health().PoolResident; n != 0 {
+		t.Errorf("pin leak: %d frame(s) held with no operation running", n)
 	}
 }

@@ -28,7 +28,7 @@ func TestWalkWindowAllocations(t *testing.T) {
 		if err := p.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		p.EvictAll()
+		p.Close()
 	}
 	scans := map[string]func(d *storage.Disk, p *storage.Pool) *colpage.Scan{
 		"btree": func(d *storage.Disk, p *storage.Pool) *colpage.Scan {
@@ -37,10 +37,10 @@ func TestWalkWindowAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			fixture(func(tp tuple.Tuple) error {
-				_, err := tr.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
+				_, err := tr.ApplyRun(p, []tuple.Tuple{tp}, nil, -1, nil)
 				return err
 			}, p)
-			s, err := tr.ScanBatches(nil, atoms)
+			s, err := tr.ScanBatches(p, nil, atoms)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,13 +52,13 @@ func TestWalkWindowAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			fixture(func(tp tuple.Tuple) error {
-				_, err := ix.ApplyRun([]tuple.Tuple{tp}, nil, nil)
+				_, err := ix.ApplyRun(p, []tuple.Tuple{tp}, nil, nil)
 				return err
 			}, p)
 			if ix.Pages() < 4*ix.Buckets() {
 				t.Fatalf("%d pages for %d buckets: the fixture needs overflow chains", ix.Pages(), ix.Buckets())
 			}
-			s, err := ix.ScanAll(atoms)
+			s, err := ix.ScanAll(p, atoms)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestWalkWindowAllocations(t *testing.T) {
 	for name, open := range scans {
 		t.Run(name, func(t *testing.T) {
 			d := storage.NewDisk(256)
-			s := open(d, storage.NewPool(d, storage.NewMeter(), 64))
+			s := open(d, storage.NewArena(d, 64).NewPool(storage.NewMeter()))
 			allocs := testing.AllocsPerRun(100, func() {
 				if fetch, pruned, ok, err := s.WalkWindow(); err != nil || !ok || fetch == 0 && pruned == 0 {
 					t.Fatalf("walk: ok %v, err %v, %d fetched, %d pruned", ok, err, fetch, pruned)
@@ -89,7 +89,7 @@ func TestWalkWindowAllocations(t *testing.T) {
 func TestWalkSkipsEmptyChainPage(t *testing.T) {
 	const typ colpage.PageType = 5
 	d := storage.NewDisk(256)
-	p := storage.NewPool(d, storage.NewMeter(), 64)
+	p := storage.NewArena(d, 64).NewPool(storage.NewMeter())
 	f := d.Open("c")
 	dir := colpage.NewDirectory(typ, f)
 	pages := [][]tuple.Tuple{
@@ -122,7 +122,7 @@ func TestWalkSkipsEmptyChainPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.EvictAll(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +131,7 @@ func TestWalkSkipsEmptyChainPage(t *testing.T) {
 	// and pages read.
 	scan := func(frames int) (ids []uint64, pruned, reads int64) {
 		m := storage.NewMeter()
-		sp := storage.NewPool(d, m, frames)
+		sp := storage.NewArena(d, frames).NewPool(m)
 		s, err := colpage.NewDirectory(typ, f).Scan(sp, first, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +140,7 @@ func TestWalkSkipsEmptyChainPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.EvictAll(); err != nil {
+		if err := sp.Close(); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range batches {

@@ -115,7 +115,7 @@ func (a *advisor) view(name string) *advView {
 // call it at chosen boundaries). An advisor already on, restored or
 // not, is kept: ErrAdaptiveEnabled.
 func (db *Database) EnableAdaptive(opts AdvisorOptions) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.adv != nil {
 		return ErrAdaptiveEnabled
@@ -126,7 +126,7 @@ func (db *Database) EnableAdaptive(opts AdvisorOptions) error {
 
 // DisableAdaptive stops observation and discards advisor state.
 func (db *Database) DisableAdaptive() {
-	db.mu.Lock()
+	db.lock()
 	db.adv = nil
 	db.mu.Unlock()
 }
@@ -248,7 +248,7 @@ var strategyOrder = []Strategy{QueryModification, Immediate, Deferred, Snapshot,
 // entirely under the engine write lock — a safe flip boundary by
 // construction.
 func (db *Database) AdaptTick() ([]FlipReport, error) {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.adv == nil {
 		return nil, ErrAdaptiveDisabled
@@ -326,41 +326,40 @@ func (db *Database) AdaptTick() ([]FlipReport, error) {
 	}
 
 	var reports []FlipReport
-	evicted := false
-	for _, c := range cands {
-		from := c.vs.strategy
-		if c.assigned == from {
-			continue
-		}
-		if !evicted {
-			if err := db.pool.EvictAll(); err != nil {
-				return reports, err
-			}
-			evicted = true
-		}
-		if err := db.setStrategyLocked(c.vs, c.assigned); err != nil {
-			// A flip earlier in this tick can invalidate a later one
-			// (conflict rule); skip it, the next tick re-decides.
-			if errors.Is(err, ErrStrategyConflict) || errors.Is(err, ErrHasChildren) || errors.Is(err, ErrFlipUnsupported) {
+	err := db.run(opWhat{kind: "flip"}, func(o *op) error {
+		for _, c := range cands {
+			from := c.vs.strategy
+			if c.assigned == from {
 				continue
 			}
-			return reports, err
+			if err := o.setStrategyLocked(c.vs, c.assigned); err != nil {
+				// A flip earlier in this tick can invalidate a later one
+				// (conflict rule); skip it, the next tick re-decides.
+				if errors.Is(err, ErrStrategyConflict) || errors.Is(err, ErrHasChildren) || errors.Is(err, ErrFlipUnsupported) {
+					continue
+				}
+				return err
+			}
+			gain := 0.0
+			if cur, ok := c.costs[from]; ok && cur > 0 {
+				gain = (cur - c.costs[c.assigned]) / cur
+			}
+			reason := fmt.Sprintf("model cost %.1f→%.1f per period (k=%.1f q=%.1f l=%.1f f=%.3f fv=%.3f)",
+				c.costs[from], c.costs[c.assigned], c.params.K, c.params.Q, c.params.L, c.params.F, c.params.FV)
+			db.adv.mu.Lock()
+			c.av.flipScore++
+			c.av.flips++
+			c.av.lastFrom, c.av.lastTo, c.av.lastReason = from, c.assigned, reason
+			db.adv.mu.Unlock()
+			reports = append(reports, FlipReport{
+				View: c.vs.def.Name, From: from.String(), To: c.assigned.String(),
+				PredictedGain: gain, Reason: reason,
+			})
 		}
-		gain := 0.0
-		if cur, ok := c.costs[from]; ok && cur > 0 {
-			gain = (cur - c.costs[c.assigned]) / cur
-		}
-		reason := fmt.Sprintf("model cost %.1f→%.1f per period (k=%.1f q=%.1f l=%.1f f=%.3f fv=%.3f)",
-			c.costs[from], c.costs[c.assigned], c.params.K, c.params.Q, c.params.L, c.params.F, c.params.FV)
-		db.adv.mu.Lock()
-		c.av.flipScore++
-		c.av.flips++
-		c.av.lastFrom, c.av.lastTo, c.av.lastReason = from, c.assigned, reason
-		db.adv.mu.Unlock()
-		reports = append(reports, FlipReport{
-			View: c.vs.def.Name, From: from.String(), To: c.assigned.String(),
-			PredictedGain: gain, Reason: reason,
-		})
+		return nil
+	})
+	if err != nil {
+		return reports, err
 	}
 	if len(reports) > 0 {
 		if err := db.catalogCheckpointLocked(); err != nil {
@@ -408,7 +407,7 @@ func (db *Database) measuredParamsLocked(vs *viewState, av *advView) (costmodel.
 		if f, ok := av.est.ScreenedSelectivity(); ok {
 			av.fCache = clampSelectivity(f, p.N)
 		} else if av.fCache == 0 {
-			if prof, err := db.profileViewLocked(vs.def.Name, WorkloadHints{}); err == nil {
+			if prof, err := db.profileLocked(vs.def.Name, WorkloadHints{}); err == nil {
 				av.fCache = clampSelectivity(prof.F, p.N)
 			}
 		}

@@ -379,7 +379,7 @@ func TestFlipDuringSharedDeltaRefresh(t *testing.T) {
 	opts.MaxRefreshWorkers = 4
 	db := NewDatabase(opts)
 	setShareGate(db, gateForced)
-	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { db.assertUnpinned(t) })
 	if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 		t.Fatal(err)
 	}

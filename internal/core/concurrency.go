@@ -38,29 +38,45 @@ type refreshFlight struct {
 }
 
 // acquireFresh returns the view with the engine read lock held,
-// refreshing it first (through the single-flight path) if it is stale.
-// On success the caller holds db.mu's read lock and must release it.
-// The bool reports whether a refresh ran on the way in: the leader
-// evicted the pool before refreshing, so the query then reads the warm
-// frames the refresh left behind — the same accounting the serial
-// engine produced with its evict-refresh-read sequence.
-func (db *Database) acquireFresh(name string) (*viewState, bool, error) {
-	refreshed := false
+// refreshing it first (through the single-flight path) if it is stale,
+// and the operation the read runs in. On success the caller holds db.mu's
+// read lock and must release it and end the operation. A read that led
+// the refresh goes on on the refresh's pool, whose frames are the
+// refresh's pages — the accounting of the paper's refresh-then-read
+// query — unless a writer took the lock in between: then the refresh
+// ends as an operation of its own, and the read starts on a cold pool,
+// so a carried pool never holds a page a later writer changed.
+func (db *Database) acquireFresh(name string) (*viewState, *op, error) {
+	var led *op
 	for {
 		db.mu.RLock()
 		vs, ok := db.views[name]
-		if !ok {
-			db.mu.RUnlock()
-			return nil, false, fmt.Errorf("core: unknown view %q", name)
+		fresh := ok && !db.viewStale(vs)
+		if led != nil && (!fresh || led.gen != db.writes) {
+			if _, err := led.end(opWhat{kind: "refresh", view: name}); err != nil {
+				db.mu.RUnlock()
+				return nil, nil, err
+			}
+			led = nil
 		}
-		if !db.viewStale(vs) {
-			return vs, refreshed, nil
+		if fresh {
+			if led == nil {
+				led = db.begin()
+			}
+			led.locked()
+			return vs, led, nil
 		}
 		db.mu.RUnlock()
-		if err := db.refreshStale(name); err != nil {
-			return nil, false, err
+		if !ok {
+			return nil, nil, fmt.Errorf("core: unknown view %q", name)
 		}
-		refreshed = true
+		var err error
+		if led, err = db.refreshStale(name); err != nil {
+			return nil, nil, err
+		}
+		if led != nil && db.afterLead != nil {
+			db.afterLead()
+		}
 	}
 }
 
@@ -68,58 +84,68 @@ func (db *Database) acquireFresh(name string) (*viewState, bool, error) {
 // lock, coalescing concurrent callers: the first caller becomes the
 // leader and performs the refresh; callers arriving while it runs wait
 // on its latch and share its error instead of queueing for the write
-// lock to redo work that is already done.
-func (db *Database) refreshStale(name string) error {
+// lock to redo work that is already done. The leader gets the refresh's
+// operation back, not yet ended; a waiter, and a leader that found
+// nothing to refresh, get nil.
+func (db *Database) refreshStale(name string) (*op, error) {
 	db.flightMu.Lock()
 	if fl, ok := db.inflight[name]; ok {
 		db.flightMu.Unlock()
 		db.flightWaiters.Add(1)
 		<-fl.done
-		return fl.err
+		return nil, fl.err
 	}
 	fl := &refreshFlight{done: make(chan struct{})}
 	db.inflight[name] = fl
 	db.flightMu.Unlock()
 
-	fl.err = db.leaderRefresh(name)
+	o, err := db.leaderRefresh(name)
+	fl.err = err
 
 	db.flightMu.Lock()
 	delete(db.inflight, name)
 	db.flightMu.Unlock()
 	close(fl.done)
-	return fl.err
+	return o, err
 }
 
 // leaderRefresh is the single-flight leader's work: take the write
 // lock, re-check staleness (a commit-time periodic refresh or an
-// earlier leader may have run meanwhile), and refresh. The pool is
-// evicted first so the refresh is charged from a cold cache, the same
-// accounting posture the serial engine had.
-func (db *Database) leaderRefresh(name string) error {
-	db.mu.Lock()
+// earlier leader may have run meanwhile), and refresh, on a cold pool.
+// The pool's dirty frames are written back before the lock is let go,
+// so the images other readers read in place are current.
+func (db *Database) leaderRefresh(name string) (*op, error) {
+	db.lock()
 	defer db.mu.Unlock()
 	vs, ok := db.views[name]
 	if !ok {
-		return fmt.Errorf("core: unknown view %q", name)
+		return nil, fmt.Errorf("core: unknown view %q", name)
 	}
 	if !db.viewStale(vs) {
 		// A caller that saw the view stale but reached the latch only after
 		// the refresh it would have joined was over has led nothing.
-		return nil
+		return nil, nil
 	}
 	db.flightLeaders.Add(1)
-	if err := db.pool.EvictAll(); err != nil {
-		return err
+	o := db.begin()
+	o.locked()
+	err := o.runUnitLocked(refreshUnit{views: []*viewState{vs}})
+	if err == nil {
+		err = o.pool.FlushAll()
 	}
-	return db.runUnitLocked(refreshUnit{views: []*viewState{vs}})
+	if err != nil {
+		o.end(opWhat{kind: "refresh", view: name})
+		return nil, err
+	}
+	return o, nil
 }
 
 // refreshNow is an explicit refresh of one view of the given strategy
-// (RefreshSnapshot, RefreshDeferredNow): charged from a cold cache like
-// a query-triggered one, and forced — the caller's say-so stands in for
+// (RefreshSnapshot, RefreshDeferredNow): an operation of its own, like a
+// query-triggered one, and forced — the caller's say-so stands in for
 // the strategy's trigger.
 func (db *Database) refreshNow(view string, want Strategy) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	vs, ok := db.views[view]
 	if !ok {
@@ -128,10 +154,9 @@ func (db *Database) refreshNow(view string, want Strategy) error {
 	if vs.strategy != want {
 		return fmt.Errorf("core: view %q is not a %s view", view, want)
 	}
-	if err := db.pool.EvictAll(); err != nil {
-		return err
-	}
-	return db.runUnitLocked(refreshUnit{views: []*viewState{vs}, force: true})
+	return db.run(opWhat{kind: "refresh", view: view}, func(o *op) error {
+		return o.runUnitLocked(refreshUnit{views: []*viewState{vs}, force: true})
+	})
 }
 
 // refreshUnit is one refresh outside a commit, and exactly what a
@@ -159,10 +184,10 @@ func (u refreshUnit) names() []string {
 }
 
 // RefreshUnitStat records one RefreshAll unit's work: the views it was
-// scheduled under, the metered I/O spanning its refresh (exact in
-// serial runs, approximate when workers interleave on the shared
-// meter), and the join delta-expansion passes it ran. Tests and the
-// scheduler-quality assertions consume this instead of wall-clock time.
+// scheduled under, the metered I/O spanning its refresh, and the join
+// delta-expansion passes it ran — its own, however workers interleave.
+// Tests and the scheduler-quality assertions consume this instead of
+// wall-clock time.
 type RefreshUnitStat struct {
 	Views      []string
 	IO         storage.Stats
@@ -183,22 +208,21 @@ func (db *Database) LastRefreshUnits() []RefreshUnitStat {
 // idle-time refresh for the whole catalog, so subsequent queries find
 // their views fresh and pay only the read. Independent stale units
 // (views sharing no base relation, directly or transitively) are
-// refreshed in parallel by up to MaxRefreshWorkers workers; deferred
-// views connected through shared hypothetical relations refresh
-// together as one unit — and share delta sub-plans within it — exactly
-// as a query-triggered refresh would. Child views then drain their
-// parents' delta logs level by level, serially: each level depends on
-// the one above, so the topological barrier is inherent, and parents'
-// logs mutate as children drain.
+// refreshed in parallel by up to MaxRefreshWorkers workers, each unit an
+// operation of its own; refreshed serially, they share the RefreshAll's
+// operation, as they share its cold start. Deferred views connected
+// through shared hypothetical relations refresh together as one unit —
+// and share delta sub-plans within it — exactly as a query-triggered
+// refresh would. Child views then drain their parents' delta logs level
+// by level, serially, in the RefreshAll's operation: each level depends
+// on the one above, so the topological barrier is inherent, and
+// parents' logs mutate as children drain.
 func (db *Database) RefreshAll() error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	units := db.staleUnitsLocked()
 	if len(units) == 0 && !db.anyStaleChildLocked() {
 		return nil
-	}
-	if err := db.pool.EvictAll(); err != nil {
-		return err
 	}
 	var stats []RefreshUnitStat
 	defer func() {
@@ -213,42 +237,51 @@ func (db *Database) RefreshAll() error {
 		// the recovered state (see durability.go).
 		workers = 1
 	}
-	if err := db.runUnitsLocked(units, workers, &stats); err != nil {
-		return err
-	}
-	for _, level := range db.childLevelsLocked() {
-		if err := db.runUnitsLocked(db.staleChildUnitsLocked(level), 1, &stats); err != nil {
+	return db.run(opWhat{kind: "refresh-all"}, func(o *op) error {
+		o.locked()
+		if err := o.runUnitsLocked(units, workers, &stats); err != nil {
 			return err
 		}
-	}
-	return nil
+		for _, level := range db.childLevelsLocked() {
+			if err := o.runUnitsLocked(db.staleChildUnitsLocked(level), 1, &stats); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// runUnitsLocked refreshes the units on up to workers goroutines (≤ 1 =
-// in order on the caller's), appending one stat per unit. After a
-// failure no further unit starts on that schedule.
-func (db *Database) runUnitsLocked(units []refreshUnit, workers int, stats *[]RefreshUnitStat) error {
+// runUnitsLocked refreshes the units on up to workers goroutines, each
+// unit an operation of its own, or in order in the caller's operation
+// (workers ≤ 1), appending one stat per unit. After a failure no further
+// unit starts on that schedule.
+func (db *op) runUnitsLocked(units []refreshUnit, workers int, stats *[]RefreshUnitStat) error {
 	out := make([]RefreshUnitStat, len(units))
 	errs := make([]error, len(units))
-	run := func(i int) bool {
-		out[i].Views = units[i].names()
-		before := db.meter.Snapshot()
-		scansBefore := db.deltaScans.Load()
-		errs[i] = db.runUnitLocked(units[i])
-		out[i].IO = db.meter.Snapshot().Sub(before)
-		out[i].DeltaScans = db.deltaScans.Load() - scansBefore
-		return errs[i] == nil
-	}
 	if workers > len(units) {
 		workers = len(units)
 	}
 	if workers <= 1 {
-		for i := range units {
-			if !run(i) {
+		for i, u := range units {
+			before, scans := db.scope.Snapshot(), db.scans
+			errs[i] = db.runUnitLocked(u)
+			out[i] = RefreshUnitStat{Views: u.names(), IO: db.scope.Snapshot().Sub(before), DeltaScans: db.scans - scans}
+			if errs[i] != nil {
 				break
 			}
 		}
 	} else {
+		run := func(i int) bool {
+			u := db.begin()
+			errs[i] = u.runUnitLocked(units[i])
+			out[i] = RefreshUnitStat{Views: units[i].names(), DeltaScans: u.scans}
+			var err error
+			out[i].IO, err = u.end(opWhat{kind: "unit", view: strings.Join(out[i].Views, ",")})
+			if errs[i] == nil {
+				errs[i] = err
+			}
+			return errs[i] == nil
+		}
 		jobs := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -292,7 +325,7 @@ func (db *Database) runUnitsLocked(units []refreshUnit, workers int, stats *[]Re
 // it together, as one refresh group sharing one replay of the suffix;
 // anything else is brought current view by view, in order, by the
 // strategy's rule.
-func (db *Database) runUnitLocked(u refreshUnit) error {
+func (db *op) runUnitLocked(u refreshUnit) error {
 	clockBefore := db.clock.Load()
 	if parent := db.siblingParentLocked(u.views); parent != nil {
 		err := db.inPhase(PhaseDefRefresh, func() error { return db.drainChildrenLocked(u.views, parent) })
@@ -387,39 +420,40 @@ func (db *Database) staleUnitsLocked() []refreshUnit {
 // SetMaxRefreshWorkers rebounds RefreshAll's worker pool (≤ 1 =
 // serial); see Options.MaxRefreshWorkers.
 func (db *Database) SetMaxRefreshWorkers(n int) {
-	db.mu.Lock()
+	db.lock()
 	db.maxRefreshWorkers = n
 	db.mu.Unlock()
 }
 
-// ViewIsStale reports whether a query against the view would trigger
-// refresh work right now.
-func (db *Database) ViewIsStale(name string) (bool, error) {
+// ViewStats is what a view reports about its maintenance.
+type ViewStats struct {
+	// Stale reports whether a query against the view would trigger
+	// refresh work right now.
+	Stale bool
+	// Refreshes counts the materialization refreshes (deferred
+	// differential refreshes or full recomputes) the view has undergone.
+	Refreshes int
+	// DeltaLogLen is how many unconsumed entries the view's delta log
+	// holds for the views defined over it.
+	DeltaLogLen int
+	// StaleCommits counts the commits that touched the view's base
+	// relations since its last refresh: a snapshot view's staleness, a
+	// periodically refreshed deferred view's progress to its next one.
+	StaleCommits int
+}
+
+// ViewStats reports the named view's maintenance state.
+func (db *Database) ViewStats(name string) (ViewStats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	vs, ok := db.views[name]
 	if !ok {
-		return false, fmt.Errorf("core: unknown view %q", name)
+		return ViewStats{}, fmt.Errorf("core: unknown view %q", name)
 	}
-	return db.viewStale(vs), nil
-}
-
-// ViewRefreshes returns how many materialization refreshes (deferred
-// differential refreshes or full recomputes) the view has undergone;
-// tests use it to assert single-flight coalescing.
-func (db *Database) ViewRefreshes(name string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	vs, ok := db.views[name]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown view %q", name)
-	}
-	return vs.refreshes, nil
-}
-
-// RefreshFlightStats returns how many single-flight refreshes this
-// engine led and how many callers joined an in-flight refresh instead
-// of starting their own.
-func (db *Database) RefreshFlightStats() (leaders, waiters int64) {
-	return db.flightLeaders.Load(), db.flightWaiters.Load()
+	return ViewStats{
+		Stale:        db.viewStale(vs),
+		Refreshes:    vs.refreshes,
+		DeltaLogLen:  len(vs.deltaLog),
+		StaleCommits: vs.staleCommits,
+	}, nil
 }

@@ -204,8 +204,7 @@ func TestSingleFlightDeferredRefresh(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("view refreshed %d times under concurrent readers, want exactly 1", n)
 	}
-	leaders, _ := db.RefreshFlightStats()
-	if leaders != 1 {
+	if leaders := db.Health().RefreshLeaders; leaders != 1 {
 		t.Fatalf("single-flight led %d refreshes, want 1", leaders)
 	}
 }

@@ -38,7 +38,7 @@ func TestStringers(t *testing.T) {
 
 func TestEngineAccessors(t *testing.T) {
 	db := newSPDatabase(t, Immediate, 10)
-	if db.Meter() == nil || db.Pool() == nil || db.Disk() == nil {
+	if db.Meter() == nil || db.Disk() == nil {
 		t.Error("accessors returned nil")
 	}
 	def, st, ok := db.View("v")

@@ -11,9 +11,9 @@ import (
 
 // TestDeferredCycleSkipsEmptyDifferentials: a deferred refresh of Model-2
 // join views after an epoch that updated only R1 reads and folds R1's
-// differential file alone. With the pool emptied before it, the refresh's
-// AD read charges exactly R1's AD pages that hold entries, and every page
-// of R2's AD file is still cold afterwards: the refresh neither read nor
+// differential file alone. The refresh's AD read charges exactly R1's
+// AD pages that hold entries, and every page of R2's AD file is still
+// cold in the refresh's pool afterwards: the refresh neither read nor
 // wrote one. The views' answers equal the recompute oracle's before and
 // after the refresh, and after Recover — and again after a second R1-only
 // epoch on the recovered engine.
@@ -60,9 +60,6 @@ func TestDeferredCycleSkipsEmptyDifferentials(t *testing.T) {
 
 	updateR1(db, 1)
 	updateR1(oracle, 1)
-	if err := db.pool.EvictAll(); err != nil {
-		t.Fatal(err)
-	}
 	r1AD, r2AD := db.disk.Open("r1.ad"), db.disk.Open("r2.ad")
 	holding := 0
 	dir := colpage.NewDirectory(5, r1AD) // hashidx's chain page type
@@ -79,23 +76,31 @@ func TestDeferredCycleSkipsEmptyDifferentials(t *testing.T) {
 		t.Fatalf("fixture: R1's AD file holds %d pages of entries, R2's %d entries", holding, db.hrs["r2"].ADLen())
 	}
 	db.ResetStats()
-	if err := db.RefreshDeferredNow(fanViews[0]); err != nil {
+	// RefreshDeferredNow's unit, run in an operation the test ends itself,
+	// so that the refresh's pool can be read before it is dropped.
+	db.lock()
+	o := db.begin()
+	if err := o.runUnitLocked(refreshUnit{views: []*viewState{db.views[fanViews[0]]}, force: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Breakdown()[PhaseADRead]; got.Reads != int64(holding) || got.Writes != 0 {
 		t.Errorf("ad-read charged %+v, want %d reads (R1's AD pages that hold entries) and no write", got, holding)
 	}
-	if got := db.ADScanCount(); got != 1 {
-		t.Errorf("the refresh read %d AD files, want 1 (R1's)", got)
-	}
-	before := db.meter.Snapshot().Reads
+	before := o.scope.Snapshot().Reads
 	for pn := storage.PageNum(0); pn < r2AD.Extent(); pn++ {
-		if err := db.pool.Read(r2AD, pn, func([]byte) error { return nil }); err != nil {
+		if err := o.pool.Read(r2AD, pn, func([]byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cold := db.meter.Snapshot().Reads - before; cold != int64(r2AD.Extent()) {
+	if cold := o.scope.Snapshot().Reads - before; cold != int64(r2AD.Extent()) {
 		t.Errorf("%d of R2's %d AD pages were cold after the refresh, want all: it touched R2's AD file", cold, r2AD.Extent())
+	}
+	if _, err := o.end(opWhat{kind: "refresh"}); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Unlock()
+	if got := db.ADScanCount(); got != 1 {
+		t.Errorf("the refresh read %d AD files, want 1 (R1's)", got)
 	}
 	agree("refreshed", db)
 
@@ -177,9 +182,6 @@ func TestDeferredCycleFreesTheDifferentialFile(t *testing.T) {
 	// images returns the base file's page images (nil for a free page).
 	images := func() [][]byte {
 		t.Helper()
-		if err := db.pool.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
 		var out [][]byte
 		for pn := storage.PageNum(0); pn < base.Extent(); pn++ {
 			page, err := base.Peek(pn)

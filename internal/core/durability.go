@@ -40,8 +40,8 @@ import (
 //     an eager checkpoint instead, so every WAL record replays over a
 //     snapshot that already contains the catalog it references.
 //
-//   - A checkpoint has two halves. Under the engine lock: flush the
-//     pool, encode one frame (tagged with the last record's sequence
+//   - A checkpoint has two halves. Under the engine lock, with every
+//     operation's pages written back: encode one frame (tagged with the last record's sequence
 //     number) and let the disk forget its recorded changes. Then,
 //     under the checkpoint mutex alone: append the frame to the
 //     append-only snapshot store, sync it, and truncate the log if its
@@ -203,7 +203,7 @@ func (rec *walRecord) code(c *tuple.Coder) {
 // tuple ids allocated by racing transactions need not replay
 // identically).
 func (db *Database) EnableDurability(walDev, snapDev storage.Device, opts DurabilityOptions) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.dur != nil {
 		return fmt.Errorf("core: durability already enabled")
@@ -224,16 +224,9 @@ func (db *Database) EnableDurability(walDev, snapDev storage.Device, opts Durabi
 	return nil
 }
 
-// DurabilityEnabled reports whether the engine has a WAL attached.
-func (db *Database) DurabilityEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.dur != nil
-}
-
 // Checkpoint forces a snapshot + log-truncation checkpoint now.
 func (db *Database) Checkpoint() error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	if db.dur == nil {
 		return fmt.Errorf("core: durability not enabled")
@@ -308,13 +301,12 @@ func (d *durability) writeFrame(f ckptFrame) error {
 
 // catalogCheckpointLocked is the catalog-change hook: DDL and tuning
 // changes are snapshotted eagerly instead of logged, so WAL records
-// never reference catalog state the recovery snapshot lacks. It closes
-// the change's write scope first — the checkpoint's own flush, or a
-// flush alone when durability is off — so every page a DDL wrote
-// outside a phase is written, and charged, by the change that wrote it.
+// never reference catalog state the recovery snapshot lacks. The
+// change's operation has ended first, so every page it wrote is written,
+// and charged, by the change that wrote it.
 func (db *Database) catalogCheckpointLocked() error {
 	if db.dur == nil {
-		return db.pool.FlushAll()
+		return nil
 	}
 	return db.checkpointLocked()
 }
@@ -484,7 +476,7 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 		return nil, nil, err
 	}
 	lastSeq := snapSeq
-	db.mu.Lock()
+	db.lock()
 	for {
 		payload, err := r.Next()
 		if err != nil {
@@ -534,7 +526,7 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	d := &durability{log: log, snaps: snaps, checkpointEvery: opts.CheckpointEvery, chained: true}
 	d.seq.Store(lastSeq)
 	d.durable.Store(lastSeq)
-	db.mu.Lock()
+	db.lock()
 	db.dur = d
 	db.mu.Unlock()
 	db.ResetStats()
@@ -553,7 +545,7 @@ func (db *Database) applyRecordLocked(rec *walRecord) error {
 				return fmt.Errorf("core: WAL op references unknown relation %q", op.rel)
 			}
 		}
-		err = db.applyOpsLocked(rec.ops)
+		err = db.run(opWhat{kind: "commit", tx: rec.ops}, func(o *op) error { return o.applyOpsLocked(rec.ops) })
 	case recRefresh:
 		u := refreshUnit{force: rec.force}
 		for _, name := range rec.views {
@@ -563,7 +555,7 @@ func (db *Database) applyRecordLocked(rec *walRecord) error {
 			}
 			u.views = append(u.views, vs)
 		}
-		err = db.runUnitLocked(u)
+		err = db.run(opWhat{kind: "refresh"}, func(o *op) error { return o.runUnitLocked(u) })
 	}
 	if err != nil {
 		return err

@@ -31,21 +31,13 @@ func TestRecoverFidelityMeterUnchanged(t *testing.T) {
 			return storage.Stats{}, nil, nil, err
 		}
 		db := e.db
-		// Equalize setup residue: the baseline checkpoint flushed the
-		// WAL-on pool; flush the WAL-off pool too, then zero the meters.
-		if err := db.Pool().FlushAll(); err != nil {
-			return storage.Stats{}, nil, nil, err
-		}
+		// Every operation wrote its pages back as it ended, with the WAL
+		// or without: zero the meters.
 		db.ResetStats()
 		for _, s := range steps {
 			if err := e.apply(fx, s); err != nil {
 				return storage.Stats{}, nil, nil, err
 			}
-		}
-		// Flush trailing dirty pages so both runs have charged every
-		// write they owe before the meters are read.
-		if err := db.Pool().FlushAll(); err != nil {
-			return storage.Stats{}, nil, nil, err
 		}
 		rows, err := db.QueryView("v", nil)
 		if err != nil {
@@ -473,7 +465,7 @@ func TestRefreshRecordRidesNextSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover after power cut: %v", err)
 	}
-	t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { rec.assertUnpinned(t) })
 	if info.Replayed != 1 {
 		t.Errorf("replayed %d records, want the commit alone", info.Replayed)
 	}
@@ -491,7 +483,7 @@ func TestRefreshRecordRidesNextSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover after the next commit: %v", err)
 	}
-	t.Cleanup(func() { rec2.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { rec2.assertUnpinned(t) })
 	if info2.Replayed != 3 {
 		t.Errorf("replayed %d records, want commit, refresh, commit", info2.Replayed)
 	}
@@ -533,7 +525,7 @@ func TestRefreshRecordRidesNextSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover after the shared sync: %v", err)
 	}
-	t.Cleanup(func() { rec3.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { rec3.assertUnpinned(t) })
 	if info3.Replayed != 5 {
 		t.Errorf("replayed %d records, want commit, refresh, commit, commit, refresh", info3.Replayed)
 	}
@@ -669,7 +661,7 @@ func TestCheckpointWriteErrorKeepsChanges(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Recover: %v", stage, err)
 				}
-				t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+				t.Cleanup(func() { rec.assertUnpinned(t) })
 				if info.Deltas != wantDeltas {
 					t.Errorf("%s: recovered through %d delta frames, want %d", stage, info.Deltas, wantDeltas)
 				}

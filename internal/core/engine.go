@@ -65,15 +65,38 @@ const (
 // view trigger exactly one differential refresh. RefreshAll refreshes
 // independent stale views in parallel with up to MaxRefreshWorkers
 // workers. One Tx must not be shared between goroutines.
+//
+// Every operation runs on a buffer pool of its own (op), so what it is
+// charged depends on its own page accesses alone: the meter, Breakdown,
+// plan captures and RefreshAll's per-unit stats are exact however
+// operations interleave.
 type Database struct {
 	disk  *storage.Disk
-	pool  *storage.Pool
+	arena *storage.Arena
 	meter *storage.Meter
 	locks *rules.Table
 
 	// mu is the engine lock: RLock for read-only query paths, Lock for
-	// transactions, catalog changes and every refresh.
-	mu sync.RWMutex
+	// transactions, catalog changes and every refresh. writes counts the
+	// times it was taken for writing (lock), so a read can tell that no
+	// writer ran since its refresh; it is written under the write lock.
+	mu     sync.RWMutex
+	writes uint64
+
+	// idle holds ended operations, each with its cold pool, for begin to
+	// hand out again; guarded by idleMu.
+	idleMu sync.Mutex
+	idle   []*op
+
+	// onLock and onEnd, set only by tests, hear a read, commit or
+	// refresh as it takes the engine lock, and every operation as it
+	// ends, with what it was and what it was charged.
+	onLock func(o *op)
+	onEnd  func(o *op, what opWhat, charged storage.Stats)
+	// afterLead, set only by tests, runs when a read has led a refresh of
+	// its view and let go of the write lock, before it takes the read
+	// lock back.
+	afterLead func()
 
 	// dur, when non-nil, is the engine's WAL attachment (durability.go);
 	// guarded by mu. All record appends happen under the write lock.
@@ -120,9 +143,8 @@ type Database struct {
 	pagesPruned atomic.Int64
 
 	// statsMu guards breakdown and the operation counters, which are
-	// bumped from concurrent readers. Phase attribution windows overlap
-	// when operations run concurrently, so Breakdown is exact in serial
-	// runs and approximate under concurrent load.
+	// bumped from concurrent readers. Each phase's charges are its own
+	// operation's (op.inPhase), so Breakdown is exact under any load.
 	statsMu   sync.Mutex
 	breakdown map[Phase]storage.Stats
 
@@ -214,9 +236,9 @@ type viewState struct {
 type Options struct {
 	// PageSize in bytes (the paper's B). Default 4000.
 	PageSize int
-	// PoolFrames is the buffer-pool capacity in pages. Default 256
-	// (~1 MB at the default page size, the paper's "very large main
-	// memory" that keeps R2 resident during a join).
+	// PoolFrames is each operation's buffer-pool capacity in pages.
+	// Default 256 (~1 MB at the default page size, the paper's "very
+	// large main memory" that keeps R2 resident during a join).
 	PoolFrames int
 	// HR sizes the hypothetical relations created for deferred views.
 	HR hr.Config
@@ -226,7 +248,7 @@ type Options struct {
 	// by a query is unaffected.
 	MaxRefreshWorkers int
 	// SimulatedIOLatency, when non-zero, is slept per physical page
-	// transfer (outside the buffer-pool lock), turning metered I/O
+	// transfer (under no lock), turning metered I/O
 	// counts into wall-clock time. Parallel refresh workers then
 	// overlap their I/O waits as they would on a real device. Zero
 	// (the default) leaves all operations CPU-bound.
@@ -247,9 +269,9 @@ func newDatabase(disk *storage.Disk, poolFrames int, hrConfig hr.Config) *Databa
 	meter := storage.NewMeter()
 	return &Database{
 		disk:      disk,
-		pool:      storage.NewPool(disk, meter, poolFrames),
+		arena:     storage.NewArena(disk, poolFrames),
 		meter:     meter,
-		locks:     rules.NewTable(meter),
+		locks:     rules.NewTable(),
 		rels:      map[string]*relation.Relation{},
 		hrs:       map[string]*hr.HR{},
 		views:     map[string]*viewState{},
@@ -277,22 +299,110 @@ func (db *Database) PagesPruned() int64 { return db.pagesPruned.Load() }
 // Meter exposes the cost meter.
 func (db *Database) Meter() *storage.Meter { return db.meter }
 
-// execOpts is the executor configuration every planned tree runs
-// under: the engine meter plus the configured batch cap.
-func (db *Database) execOpts() exec.Options {
-	return exec.Options{Meter: db.meter, BatchSize: db.batchSize}
+// --- operations --------------------------------------------------------------
+
+// op is one operation as the engine runs it — a read with the refresh it
+// led, a commit, a refresh unit, a flip, a DDL change, a profile — the
+// database with the buffer pool the operation's pages go through and the
+// meter scope its charges go to. The pool is cold when the operation
+// begins; when it ends, the pool writes back its dirty frames and drops
+// every entry, and the scope's counts go to the engine's meter. So each
+// operation is charged for the distinct pages it touches, with nothing
+// carried over from another, whether operations run one at a time or at
+// once: the per-operation accounting of Hanson's formulas
+// (storage.Pool). The methods that touch pages are op's; they keep the
+// receiver name db, for the database as the operation sees it.
+type op struct {
+	*Database
+	pool  *storage.Pool
+	scope storage.Meter
+	// scans counts the delta-expansion passes the operation ran, added
+	// to the engine's count at its end.
+	scans int64
+	// gen is the engine's write count when the operation began, under
+	// the engine lock: a read's refresh compares it with the count when
+	// the read takes the read lock (acquireFresh).
+	gen uint64
 }
 
-// Pool exposes the buffer pool: tests assert it holds no pins, flush it
-// and reach pages through it. The engine offers no write-policy knob.
-func (db *Database) Pool() *storage.Pool { return db.pool }
+// opWhat names an operation for the test hook: its kind, the view of a
+// read or refresh (a unit's views, comma-separated), a commit's ops.
+type opWhat struct {
+	kind, view string
+	tx         []txOp
+}
 
-// Disk exposes the simulated disk.
-func (db *Database) Disk() *storage.Disk { return db.disk }
+// begin starts an operation on a cold pool: an ended operation's, when
+// one is idle.
+func (db *Database) begin() *op {
+	db.idleMu.Lock()
+	var o *op
+	if n := len(db.idle); n > 0 {
+		o, db.idle = db.idle[n-1], db.idle[:n-1]
+	}
+	db.idleMu.Unlock()
+	if o == nil {
+		o = &op{Database: db}
+		o.pool = db.arena.NewPool(&o.scope)
+	}
+	o.gen = db.writes
+	return o
+}
 
-// Breakdown returns a copy of per-phase cost attribution. Attribution
-// windows overlap when operations run concurrently, so the breakdown is
-// exact for serial runs and approximate under concurrent load.
+// end closes the operation and returns what it was charged: the pool
+// writes back its dirty frames, charged to the scope, and drops every
+// entry; the scope's counts go to the engine's meter; and the operation
+// is idle for the next begin. A pool that still holds a pin is a leak,
+// reported, and is not used again.
+func (o *op) end(what opWhat) (storage.Stats, error) {
+	err := o.pool.Close()
+	charged := o.scope.Snapshot()
+	o.meter.Add(charged)
+	o.deltaScans.Add(o.scans)
+	if o.onEnd != nil {
+		o.onEnd(o, what, charged)
+	}
+	o.scope.Reset()
+	o.scans = 0
+	if err == nil {
+		o.idleMu.Lock()
+		o.idle = append(o.idle, o)
+		o.idleMu.Unlock()
+	}
+	return charged, err
+}
+
+// run runs fn as one operation.
+func (db *Database) run(what opWhat, fn func(o *op) error) error {
+	o := db.begin()
+	err := fn(o)
+	if _, eerr := o.end(what); err == nil {
+		err = eerr
+	}
+	return err
+}
+
+// lock takes the engine lock for writing, and counts it.
+func (db *Database) lock() {
+	db.mu.Lock()
+	db.writes++
+}
+
+// locked tells the test hook that o holds the engine lock.
+func (o *op) locked() {
+	if o.onLock != nil {
+		o.onLock(o)
+	}
+}
+
+// execOpts is the executor configuration every planned tree runs
+// under: the operation's pool and meter scope, and the configured batch
+// cap.
+func (db *op) execOpts() exec.Options {
+	return exec.Options{Pool: db.pool, Meter: &db.scope, BatchSize: db.batchSize}
+}
+
+// Breakdown returns a copy of per-phase cost attribution.
 func (db *Database) Breakdown() map[Phase]storage.Stats {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()
@@ -317,21 +427,6 @@ func (db *Database) ResetStats() {
 	db.statsMu.Unlock()
 }
 
-// bumpQueries increments the query counter (called from concurrent
-// read paths).
-func (db *Database) bumpQueries() {
-	db.statsMu.Lock()
-	db.Queries++
-	db.statsMu.Unlock()
-}
-
-// bumpCommits increments the commit counter.
-func (db *Database) bumpCommits() {
-	db.statsMu.Lock()
-	db.Commits++
-	db.statsMu.Unlock()
-}
-
 // nextID returns a fresh monotone tuple id (the HR scheme's clock).
 func (db *Database) nextID() uint64 {
 	return db.clock.Add(1)
@@ -341,13 +436,13 @@ func (db *Database) nextID() uint64 {
 // to the phase: every page fn dirtied is written back once, when the
 // scope closes, inside the phase (a phase that dirtied nothing walks
 // no frame).
-func (db *Database) inPhase(p Phase, fn func() error) error {
-	before := db.meter.Snapshot()
+func (db *op) inPhase(p Phase, fn func() error) error {
+	before := db.scope.Snapshot()
 	err := fn()
 	if ferr := db.pool.FlushAll(); err == nil {
 		err = ferr
 	}
-	delta := db.meter.Snapshot().Sub(before)
+	delta := db.scope.Snapshot().Sub(before)
 	db.statsMu.Lock()
 	db.breakdown[p] = db.breakdown[p].Add(delta)
 	db.statsMu.Unlock()
@@ -359,29 +454,28 @@ func (db *Database) inPhase(p Phase, fn func() error) error {
 // CreateRelationBTree creates a base relation clustered by B+-tree on
 // keyCol.
 func (db *Database) CreateRelationBTree(name string, schema *tuple.Schema, keyCol int) (*relation.Relation, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.rels[name]; dup {
-		return nil, fmt.Errorf("core: relation %q exists", name)
-	}
-	r, err := relation.NewBTree(db.disk, db.pool, name, schema, keyCol)
-	if err != nil {
-		return nil, err
-	}
-	db.rels[name] = r
-	return r, db.catalogCheckpointLocked()
+	return db.createRelation(name, func(p *storage.Pool) (*relation.Relation, error) {
+		return relation.NewBTree(db.disk, p, name, schema, keyCol)
+	})
 }
 
 // CreateRelationHash creates a base relation clustered by hashing on
 // keyCol with the given primary bucket count.
 func (db *Database) CreateRelationHash(name string, schema *tuple.Schema, keyCol, buckets int) (*relation.Relation, error) {
-	db.mu.Lock()
+	return db.createRelation(name, func(p *storage.Pool) (*relation.Relation, error) {
+		return relation.NewHash(db.disk, p, name, schema, keyCol, buckets)
+	})
+}
+
+// createRelation registers the relation create makes, its first pages
+// written in an operation of its own.
+func (db *Database) createRelation(name string, create func(p *storage.Pool) (*relation.Relation, error)) (r *relation.Relation, err error) {
+	db.lock()
 	defer db.mu.Unlock()
 	if _, dup := db.rels[name]; dup {
 		return nil, fmt.Errorf("core: relation %q exists", name)
 	}
-	r, err := relation.NewHash(db.disk, db.pool, name, schema, keyCol, buckets)
-	if err != nil {
+	if err := db.run(opWhat{kind: "ddl"}, func(o *op) (err error) { r, err = create(o.pool); return err }); err != nil {
 		return nil, err
 	}
 	db.rels[name] = r
@@ -392,13 +486,13 @@ func (db *Database) CreateRelationHash(name string, schema *tuple.Schema, keyCol
 // relation. Existing tuples are indexed immediately; the index
 // persists through checkpoints like the rest of the physical design.
 func (db *Database) CreateSecondaryIndex(rel string, col int) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	r, ok := db.rels[rel]
 	if !ok {
 		return fmt.Errorf("core: unknown relation %q", rel)
 	}
-	if err := r.AddSecondary(col); err != nil {
+	if err := db.run(opWhat{kind: "ddl"}, func(o *op) error { return r.AddSecondary(o.pool, col) }); err != nil {
 		return err
 	}
 	return db.catalogCheckpointLocked()
@@ -430,12 +524,24 @@ func (db *Database) HR(name string) (*hr.HR, bool) {
 // whose single source names another materialized view becomes a child
 // in a view hierarchy (see hierarchy.go).
 func (db *Database) CreateView(def Def, strategy Strategy) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	return db.createViewLocked(def, strategy)
 }
 
+// createViewLocked is CreateView under the caller's write lock: the
+// view attached in an operation of its own, then the catalog
+// checkpointed.
 func (db *Database) createViewLocked(def Def, strategy Strategy) error {
+	if err := db.run(opWhat{kind: "ddl"}, func(o *op) error { return o.addViewLocked(def, strategy) }); err != nil {
+		return err
+	}
+	// Catalog changes are checkpointed, not logged: every later WAL
+	// record replays over a snapshot that already knows this view.
+	return db.catalogCheckpointLocked()
+}
+
+func (db *op) addViewLocked(def Def, strategy Strategy) error {
 	if _, dup := db.views[def.Name]; dup {
 		return fmt.Errorf("%w: view %q exists", ErrDuplicateView, def.Name)
 	}
@@ -469,9 +575,7 @@ func (db *Database) createViewLocked(def Def, strategy Strategy) error {
 	vs.baseRels = db.baseRelsOfLocked(def)
 	db.views[def.Name] = vs
 	db.rebuildChildrenLocked()
-	// Catalog changes are checkpointed, not logged: every later WAL
-	// record replays over a snapshot that already knows this view.
-	return db.catalogCheckpointLocked()
+	return nil
 }
 
 func dependsOn(vs *viewState, rel string) bool {
@@ -520,7 +624,7 @@ func sortViewsByName(views []*viewState) {
 
 // SetDefaultPlan sets the default query-modification plan for a view.
 func (db *Database) SetDefaultPlan(view string, plan QueryPlan) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	vs, ok := db.views[view]
 	if !ok {
@@ -535,7 +639,7 @@ func (db *Database) SetDefaultPlan(view string, plan QueryPlan) error {
 // relation no other deferred view still needs (pending AD changes are
 // folded into the base file first).
 func (db *Database) DropView(name string) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	vs, ok := db.views[name]
 	if !ok {
@@ -544,7 +648,7 @@ func (db *Database) DropView(name string) error {
 	if kids := db.children[name]; len(kids) > 0 {
 		return fmt.Errorf("%w: %q has children %v", ErrHasChildren, name, kids)
 	}
-	if err := db.detachLocked(vs, strategyRow{}); err != nil {
+	if err := db.run(opWhat{kind: "ddl"}, func(o *op) error { return o.detachLocked(vs, strategyRow{}) }); err != nil {
 		return err
 	}
 	delete(db.views, name)

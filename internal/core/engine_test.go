@@ -12,6 +12,7 @@ import (
 
 	"viewmat/internal/agg"
 	"viewmat/internal/pred"
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/tuple/tupletest"
 )
@@ -25,7 +26,7 @@ func testOpts() Options {
 func newTestDB(t testing.TB) *Database {
 	t.Helper()
 	db := NewDatabase(testOpts())
-	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { db.assertUnpinned(t) })
 	return db
 }
 
@@ -268,8 +269,7 @@ func TestScreeningCostCharged(t *testing.T) {
 
 func TestQueryModificationPlans(t *testing.T) {
 	db := newSPDatabase(t, QueryModification, 200)
-	r, _ := db.Relation("r")
-	if err := r.AddSecondary(1); err != nil {
+	if err := db.CreateSecondaryIndex("r", 1); err != nil {
 		t.Fatal(err)
 	}
 	want, err := queryPlan(db, "v", nil, PlanClustered)
@@ -577,7 +577,11 @@ func TestAppendixAAnomaly(t *testing.T) {
 	for i, r := range foil {
 		vals[i], signs[i] = r.Vals, -1
 	}
-	applied, err := buggy.db.views["j"].mat.ApplyDeltaRun(vals, signs, make([]uint64, len(foil)))
+	var applied int
+	err = buggy.db.withPool(func(p *storage.Pool) (err error) {
+		applied, err = buggy.db.views["j"].mat.ApplyDeltaRun(p, vals, signs, make([]uint64, len(foil)))
+		return err
+	})
 	if err == nil {
 		t.Fatal("the view's store took Blakeley's over-deletion")
 	}
@@ -1031,7 +1035,11 @@ func TestTxRefusesRowsNoPageHolds(t *testing.T) {
 	}
 	commitErr := tx.Commit()
 	r, _ := db.Relation("r")
-	_, visible, err := r.Get(tuple.I(20), okID)
+	var visible bool
+	err = db.withPool(func(p *storage.Pool) (err error) {
+		_, visible, err = r.Get(p, tuple.I(20), okID)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"viewmat/internal/exec"
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // TestJoinExpansionTerms holds the join expansion to §2.1 term by term,
@@ -50,7 +52,8 @@ func TestJoinExpansionTerms(t *testing.T) {
 		end := baseRows(t, db)
 		d1, d2 := netChange(start[0], end[0]), netChange(start[1], end[1])
 		f := baseFeed(views[0], map[int]*deltas{0: d1, 1: d2}, false)
-		build, err := exec.Drain(db.feedSource(f, views))
+		o := db.begin() // the test's reads, between the script's operations
+		build, err := exec.Drain(o.feedSource(f, views))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,8 +62,8 @@ func TestJoinExpansionTerms(t *testing.T) {
 		r1p, r2p := without(start[0], d1.dels), without(end[1], d2.adds)
 		for _, vs := range views {
 			d := vs.def
-			private := keptRows(t, db, vs, db.feedSource(f, []*viewState{vs}), false)
-			shared := keptRows(t, db, vs, exec.NewSharedDeltaScan(db.execOpts(), f.fp, replay), true)
+			private := keptRows(t, o, vs, o.feedSource(f, []*viewState{vs}), false)
+			shared := keptRows(t, o, vs, exec.NewSharedDeltaScan(o.execOpts(), f.fp, replay), true)
 			if len(private) != len(shared) {
 				t.Fatalf("txn %d view %s: private plan keeps %d rows, shared replay %d", txn, d.Name, len(private), len(shared))
 			}
@@ -94,6 +97,9 @@ func TestJoinExpansionTerms(t *testing.T) {
 				}
 			}
 		}
+		if _, err := o.end(opWhat{kind: "test"}); err != nil {
+			t.Fatal(err)
+		}
 		start, txn = end, txn+1
 	}
 	for i, n := range reached {
@@ -108,7 +114,11 @@ func baseRows(t *testing.T, db *Database) [2][]tuple.Tuple {
 	t.Helper()
 	var out [2][]tuple.Tuple
 	for i, name := range []string{"r1", "r2"} {
-		batches, _, err := db.rels[name].ScanAllBatches(0, nil)
+		var batches []*vec.Batch
+		err := db.withPool(func(p *storage.Pool) (err error) {
+			batches, _, err = db.rels[name].ScanAllBatches(p, 0, nil)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +149,7 @@ func without(rows, minus []tuple.Tuple) []tuple.Tuple {
 
 // keptRows builds vs's apply tree over src and drains it below the sink:
 // the rows its filter of the joined binding keeps.
-func keptRows(t *testing.T, db *Database, vs *viewState, src exec.Operator, replay bool) []exec.Row {
+func keptRows(t *testing.T, db *op, vs *viewState, src exec.Operator, replay bool) []exec.Row {
 	t.Helper()
 	tree, err := db.applyTree(vs, src, replay)
 	if err != nil {

@@ -35,12 +35,13 @@ type WorkloadHints struct {
 func (db *Database) ProfileView(view string, hints WorkloadHints) (costmodel.Params, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.profileViewLocked(view, hints)
+	return db.profileLocked(view, hints)
 }
 
-// profileViewLocked is ProfileView under a caller-held engine lock, so
-// Explain can profile without re-entering the non-reentrant RWMutex.
-func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmodel.Params, error) {
+// profileLocked is ProfileView under a caller-held engine lock, so
+// Explain and the advisor can profile without re-entering the
+// non-reentrant RWMutex. The metered pass is an operation of its own.
+func (db *Database) profileLocked(view string, hints WorkloadHints) (costmodel.Params, error) {
 	vs, ok := db.views[view]
 	if !ok {
 		return costmodel.Params{}, fmt.Errorf("core: unknown view %q", view)
@@ -75,11 +76,14 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 	}
 	// The derivation's source and uncharged screen, with no shape on top:
 	// the whole file, so the rows the predicate rejects are counted too.
-	all, err := db.derive(vs, derivation{wholeFile: true})
+	var all *derived
+	err := db.run(opWhat{kind: "profile", view: view}, func(o *op) (err error) {
+		if all, err = o.derive(vs, derivation{wholeFile: true}); err == nil {
+			err = exec.Run(all.screen)
+		}
+		return err
+	})
 	if err != nil {
-		return costmodel.Params{}, err
-	}
-	if err := exec.Run(all.screen); err != nil {
 		return costmodel.Params{}, err
 	}
 	n := all.source.Stats().RowsOut
@@ -128,7 +132,7 @@ func (db *Database) Explain(view string, hints WorkloadHints) (*Explanation, err
 	if !ok {
 		return nil, fmt.Errorf("core: unknown view %q", view)
 	}
-	p, err := db.profileViewLocked(view, hints)
+	p, err := db.profileLocked(view, hints)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ const (
 // making it a full-recompute analogue of deferred maintenance).
 // Applies only to Snapshot views.
 func (db *Database) SetSnapshotInterval(view string, commits int) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	vs, ok := db.views[view]
 	if !ok {
@@ -63,23 +63,11 @@ func (db *Database) RefreshSnapshot(view string) error {
 	return db.refreshNow(view, Snapshot)
 }
 
-// SnapshotStaleness returns how many commits have modified the
-// snapshot view's base relations since its last refresh.
-func (db *Database) SnapshotStaleness(view string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	vs, ok := db.views[view]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown view %q", view)
-	}
-	return vs.staleCommits, nil
-}
-
 // recomputeView rebuilds a view's stored copy from the current
 // contents of its source: truncate, then repopulate — every page of the
 // old copy is dropped and the new copy written out, which is exactly
 // the "completely recomputed" cost profile of [Bune79].
-func (db *Database) recomputeView(vs *viewState) error {
+func (db *op) recomputeView(vs *viewState) error {
 	defer func() { vs.refreshes++ }()
 	if err := db.newStoreLocked(vs); err != nil {
 		return err

@@ -124,7 +124,7 @@ func groupRows(groups []groupState) []GroupRow {
 // change to its group is also logged as a logical output delta —
 // delete(old value), insert(new value) in the view's (group, value)
 // output schema — the stream children drain.
-func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.Operator {
+func (db *op) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.Operator {
 	kind := vs.def.AggKind
 	logGroupDelta := func(group tuple.Value, oldV float64, oldOK bool, newV float64, newOK bool) {
 		if len(db.children[vs.def.Name]) == 0 {
@@ -161,7 +161,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 		if i, ok := at[k]; ok {
 			return &groups[i], nil
 		}
-		stored, err := vs.groups.LookupKey(group)
+		stored, err := vs.groups.LookupKey(db.pool, group)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +233,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 					rows, signs = append(rows, tuple.Tuple{ID: g.id, Vals: rowOf(g.group, &g.state)}), append(signs, 1)
 				}
 			}
-			if _, werr := vs.groups.ApplyRun(rows, signs, -1, nil); werr != nil {
+			if _, werr := vs.groups.ApplyRun(db.pool, rows, signs, -1, nil); werr != nil {
 				return fmt.Errorf("core: group rows of %q: %w", vs.def.Name, werr)
 			}
 			return err
@@ -246,7 +246,7 @@ func (db *Database) groupAggRefreshTree(vs *viewState, src exec.Operator) exec.O
 // column, the rebuild source otherwise. It runs inside the apply sink's
 // bracket, so its reads and its one screen per scanned row land on that
 // operator.
-func (db *Database) recomputeGroup(vs *viewState, group tuple.Value) (*agg.State, error) {
+func (db *op) recomputeGroup(vs *viewState, group tuple.Value) (*agg.State, error) {
 	d := derivation{rg: pred.PointRange(group), charged: true}
 	if r, ok := db.rels[vs.def.Relations[0]]; ok && r.Kind() == relation.ClusteredBTree && r.KeyCol() == vs.def.GroupBy {
 		d.plan = PlanClustered
@@ -268,7 +268,7 @@ func (db *Database) recomputeGroup(vs *viewState, group tuple.Value) (*agg.State
 // relation or parent view) and flushes the group rows into a fresh group
 // store (populate at CreateView, and the recompute path of Snapshot /
 // RecomputeOnDemand strategies).
-func (db *Database) fillGroupStore(vs *viewState) error {
+func (db *op) fillGroupStore(vs *viewState) error {
 	all, err := db.derive(vs, derivation{wholeFile: true, charged: true})
 	if err != nil {
 		return err
@@ -279,7 +279,7 @@ func (db *Database) fillGroupStore(vs *viewState) error {
 		for i, g := range groups {
 			rows[i] = tuple.Tuple{ID: db.nextID(), Vals: rowOf(g.group, g.state)}
 		}
-		if _, err := vs.groups.ApplyRun(rows, nil, -1, nil); err != nil {
+		if _, err := vs.groups.ApplyRun(db.pool, rows, nil, -1, nil); err != nil {
 			return fmt.Errorf("core: group rows of %q: %w", vs.def.Name, err)
 		}
 		return nil
@@ -295,7 +295,7 @@ func (db *Database) QueryGroups(name string, rg *pred.Range) ([]GroupRow, error)
 }
 
 // groupsRead plans a read of the stored group rows.
-func (db *Database) groupsRead(vs *viewState, rg *pred.Range) *derived {
+func (db *op) groupsRead(vs *viewState, rg *pred.Range) *derived {
 	scan := exec.NewScan(db.execOpts(), vs.groups, orFull(rg))
 	return &derived{root: exec.NewFilter(db.execOpts(), exec.Label{vs.def.Name, ".groups"}, scan, exec.Pred{}, true)}
 }

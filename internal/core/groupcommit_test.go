@@ -65,7 +65,7 @@ func recoverDurable(t *testing.T, db *Database, walDev, snapDev *storage.FaultDi
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { rec.assertUnpinned(t) })
 	want, err := db.QueryView("v", nil)
 	if err != nil {
 		t.Fatal(err)

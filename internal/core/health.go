@@ -18,13 +18,15 @@ type Health struct {
 	Commits int
 	// Meter is the current metered cost snapshot.
 	Meter storage.Stats
-	// PoolResident and PoolCapacity describe buffer-pool occupancy.
+	// PoolResident is the frames held by the pools of the operations
+	// running now, 0 when the engine is idle; PoolCapacity is the frame
+	// capacity of one operation's pool.
 	PoolResident int
 	PoolCapacity int
 	// Durable reports whether a WAL is attached.
 	Durable bool
 	// RefreshLeaders and RefreshWaiters count single-flight refreshes
-	// led vs joined (see RefreshFlightStats).
+	// led vs joined.
 	RefreshLeaders int64
 	RefreshWaiters int64
 }
@@ -33,10 +35,10 @@ type Health struct {
 func (db *Database) Health() Health {
 	h := Health{
 		Meter:        db.meter.Snapshot(),
-		PoolResident: db.pool.Resident(),
-		PoolCapacity: db.pool.Capacity(),
+		PoolResident: db.arena.Resident(),
+		PoolCapacity: db.arena.Capacity(),
 	}
-	h.RefreshLeaders, h.RefreshWaiters = db.RefreshFlightStats()
+	h.RefreshLeaders, h.RefreshWaiters = db.flightLeaders.Load(), db.flightWaiters.Load()
 	db.mu.RLock()
 	h.Relations = len(db.rels)
 	h.Views = len(db.views)

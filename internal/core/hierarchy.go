@@ -79,7 +79,7 @@ type ViewSpec struct {
 // batch with ErrHierarchyCycle before anything is registered. A
 // mid-batch failure leaves the views already created in place.
 func (db *Database) CreateViews(specs []ViewSpec) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	order, err := topoSpecOrder(specs)
 	if err != nil {
@@ -263,7 +263,7 @@ func (db *Database) childPending(vs *viewState) bool {
 // matview rows, or one (group, value) row per live group for
 // grouped-aggregate parents (a group whose aggregate is undefined
 // stands for no row).
-func (db *Database) parentScanOp(p *viewState) exec.Operator {
+func (db *op) parentScanOp(p *viewState) exec.Operator {
 	label := exec.Label{"ParentScan(", p.def.Name, ")"}
 	if p.mat != nil {
 		return p.mat.scanOp(db.execOpts(), label, nil, true)
@@ -312,7 +312,7 @@ func logPositionOf(vs *viewState) logPosition {
 // each child's apply tree as one refresh group, or recompute when the
 // log restarted (generation bump) or the cost model says a fresh scan
 // of the parent is cheaper. Caller holds the write lock.
-func (db *Database) drainChildrenLocked(views []*viewState, parent *viewState) error {
+func (db *op) drainChildrenLocked(views []*viewState, parent *viewState) error {
 	if db.hierarchyFail != nil {
 		for _, vs := range views {
 			if err := db.hierarchyFail(vs.def.Name); err != nil {
@@ -365,7 +365,7 @@ func (db *Database) childDrainEstimateLocked(parent *viewState, deltaRows int) c
 // commit, and its immediate children consume it before the commit
 // returns. Runs inside applyOps, so WAL replay reproduces it from the
 // commit record alone.
-func (db *Database) cascadeImmediateChildrenLocked() error {
+func (db *op) cascadeImmediateChildrenLocked() error {
 	for _, level := range db.childLevelsLocked() {
 		for _, n := range level {
 			vs := db.views[n]
@@ -443,16 +443,4 @@ func (db *Database) ViewChildren(name string) ([]string, error) {
 		return nil, fmt.Errorf("core: unknown view %q", name)
 	}
 	return append([]string(nil), db.children[name]...), nil
-}
-
-// ViewDeltaLogLen returns how many unconsumed entries the named view's
-// delta log currently holds (observability for tests and vmsim).
-func (db *Database) ViewDeltaLogLen(name string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	vs, ok := db.views[name]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown view %q", name)
-	}
-	return len(vs.deltaLog), nil
 }

@@ -89,7 +89,7 @@ func FuzzHierarchyDDL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs := decodeDDLBatch(data)
 		db := NewDatabase(testOpts())
-		defer db.Pool().AssertUnpinned(t)
+		defer db.assertUnpinned(t)
 		for _, rel := range []string{"r", "r2"} {
 			if _, err := db.CreateRelationBTree(rel, spSchema(), 0); err != nil {
 				t.Fatal(err)

@@ -414,7 +414,7 @@ func TestHierarchySharedChildDrain(t *testing.T) {
 		t.Helper()
 		db := NewDatabase(testOpts())
 		setShareGate(db, gate)
-		t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+		t.Cleanup(func() { db.assertUnpinned(t) })
 		if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +520,7 @@ func TestHierarchyFailpointLeavesCleanState(t *testing.T) {
 	if err := db.RefreshAll(); !errors.Is(err, boom) {
 		t.Fatalf("RefreshAll with failpoint: got %v, want injected error", err)
 	}
-	db.Pool().AssertUnpinned(t)
+	db.assertUnpinned(t)
 
 	// The parent chain above the failure is fresh; the failed child is
 	// still pending and untouched.
@@ -564,7 +564,7 @@ func TestHierarchyFailpointInSharedGroup(t *testing.T) {
 	if err := db.RefreshAll(); !errors.Is(err, boom) {
 		t.Fatalf("RefreshAll with group failpoint: got %v, want injected error", err)
 	}
-	db.Pool().AssertUnpinned(t)
+	db.assertUnpinned(t)
 	for _, name := range []string{"c0", "c1"} {
 		if stale, err := db.ViewIsStale(name); err != nil || !stale {
 			t.Errorf("%s stale=%v err=%v, want stale (group aborts before applying)", name, stale, err)
@@ -621,7 +621,7 @@ func TestHierarchyPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db2.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { db2.assertUnpinned(t) })
 
 	for _, name := range []string{"v", "c", "gc"} {
 		a, err := db.QueryView(name, nil)

@@ -75,8 +75,8 @@ func (v *MatView) DistinctRows() int { return v.rel.Len() }
 func (v *MatView) Pages() int { return v.rel.Pages() }
 
 // findRow locates the stored row with exactly these values, if any.
-func (v *MatView) findRow(vals []tuple.Value) (tuple.Tuple, bool, error) {
-	matches, err := v.rel.LookupKey(vals[v.keyCol])
+func (v *MatView) findRow(p *storage.Pool, vals []tuple.Value) (tuple.Tuple, bool, error) {
+	matches, err := v.rel.LookupKey(p, vals[v.keyCol])
 	if err != nil {
 		return tuple.Tuple{}, false, err
 	}
@@ -119,7 +119,7 @@ func valsEqualPrefix(stored []tuple.Value, vals []tuple.Value) bool {
 // visit leaves takes a point lookup and then a write of its own
 // (applyAlone). Either way pages, directory and charges end as row-by-row
 // lookups and writes leave them (DESIGN §6).
-func (v *MatView) ApplyDeltaRun(rows [][]tuple.Value, signs []int8, ids []uint64) (int, error) {
+func (v *MatView) ApplyDeltaRun(p *storage.Pool, rows [][]tuple.Value, signs []int8, ids []uint64) (int, error) {
 	w := len(v.out.Cols) + 1
 	cells := make([]tuple.Value, len(rows)*w)
 	tps := make([]tuple.Tuple, 0, len(rows))
@@ -140,12 +140,12 @@ func (v *MatView) ApplyDeltaRun(rows [][]tuple.Value, signs []int8, ids []uint64
 		if signs != nil {
 			sg = signs[done:]
 		}
-		n, err := v.rel.ApplyRun(tps[done:], sg, w-1, nil)
+		n, err := v.rel.ApplyRun(p, tps[done:], sg, w-1, nil)
 		if done += n; err != nil {
 			return done, err
 		}
 		if done < len(tps) {
-			if err := v.applyAlone(tps[done], signs == nil || signs[done] >= 0); err != nil {
+			if err := v.applyAlone(p, tps[done], signs == nil || signs[done] >= 0); err != nil {
 				return done, err
 			}
 			done++
@@ -159,9 +159,9 @@ func (v *MatView) ApplyDeltaRun(rows [][]tuple.Value, signs []int8, ids []uint64
 // none is found, else the pair that cuts the row found and puts it back
 // with its new count (same key and id), or at a count of zero its cut
 // alone.
-func (v *MatView) applyAlone(tp tuple.Tuple, plus bool) error {
+func (v *MatView) applyAlone(p *storage.Pool, tp tuple.Tuple, plus bool) error {
 	vals := tp.Vals[:len(tp.Vals)-1]
-	row, found, err := v.findRow(vals)
+	row, found, err := v.findRow(p, vals)
 	if err != nil {
 		return err
 	}
@@ -181,7 +181,7 @@ func (v *MatView) applyAlone(tp tuple.Tuple, plus bool) error {
 			rows, signs = append(rows, tuple.Tuple{ID: row.ID, Vals: counted}), append(signs, 1)
 		}
 	}
-	_, err = v.rel.ApplyRun(rows, signs, -1, nil)
+	_, err = v.rel.ApplyRun(p, rows, signs, -1, nil)
 	return err
 }
 

@@ -12,14 +12,21 @@ import (
 func newTestMatView(t testing.TB) *MatView {
 	t.Helper()
 	d := storage.NewDisk(512)
-	p := storage.NewPool(d, storage.NewMeter(), 128)
+	p := storage.NewArena(d, 128).NewPool(storage.NewMeter())
 	out := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("v", tuple.String))
 	mv, err := NewMatView(d, p, "v", out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	matPools[mv] = p
 	return mv
 }
+
+// matPools holds the pool each test's MatView is driven through.
+var matPools = map[*MatView]*storage.Pool{}
+
+// testPool returns the pool the test drives mv through.
+func testPool(mv *MatView) *storage.Pool { return matPools[mv] }
 
 // matRow is a distinct stored row and its duplicate count.
 type matRow struct {
@@ -30,14 +37,14 @@ type matRow struct {
 // insertDelta adds one source occurrence of row: an ApplyDeltaRun of one
 // insert under the fresh id id.
 func insertDelta(mv *MatView, row []tuple.Value, id uint64) error {
-	_, err := mv.ApplyDeltaRun([][]tuple.Value{row}, nil, []uint64{id})
+	_, err := mv.ApplyDeltaRun(testPool(mv), [][]tuple.Value{row}, nil, []uint64{id})
 	return err
 }
 
 // deleteDelta removes one source occurrence of row: an ApplyDeltaRun of
 // one delete.
 func deleteDelta(mv *MatView, row []tuple.Value) error {
-	_, err := mv.ApplyDeltaRun([][]tuple.Value{row}, []int8{-1}, []uint64{0})
+	_, err := mv.ApplyDeltaRun(testPool(mv), [][]tuple.Value{row}, []int8{-1}, []uint64{0})
 	return err
 }
 
@@ -45,7 +52,7 @@ func deleteDelta(mv *MatView, row []tuple.Value) error {
 // counts, or with expand one row per logical duplicate.
 func scanMat(t testing.TB, mv *MatView, rg *pred.Range, expand bool) []matRow {
 	t.Helper()
-	batches, err := exec.Drain(mv.scanOp(exec.Options{}, exec.Label{"MatScan"}, rg, expand))
+	batches, err := exec.Drain(mv.scanOp(exec.Options{Pool: testPool(mv)}, exec.Label{"MatScan"}, rg, expand))
 	if err != nil {
 		t.Fatal(err)
 	}

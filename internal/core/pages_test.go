@@ -24,7 +24,7 @@ import (
 func stringDB(t *testing.T) *Database {
 	t.Helper()
 	db := NewDatabase(Options{PageSize: 4000, PoolFrames: 64})
-	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { db.assertUnpinned(t) })
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("s", tuple.String))
 	if _, err := db.CreateRelationBTree("r", schema, 0); err != nil {
 		t.Fatal(err)

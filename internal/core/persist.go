@@ -20,9 +20,9 @@ import (
 )
 
 // Save serializes the whole database — catalog, view state and the
-// disk — to w, as the body of a full checkpoint frame. Dirty
-// buffer-pool frames are flushed first so the image is consistent. A
-// database restored with Load answers every query identically and
+// disk — to w, as the body of a full checkpoint frame. Every operation
+// writes its pages back before it lets go of the engine lock, so the
+// images are consistent under the read lock. A database restored with Load answers every query identically and
 // continues from the same tuple-id clock.
 func (db *Database) Save(w io.Writer) error {
 	db.mu.RLock()
@@ -35,7 +35,7 @@ func (db *Database) Save(w io.Writer) error {
 	return err
 }
 
-// snapshotBodyLocked flushes the pool and encodes a checkpoint frame's
+// snapshotBodyLocked encodes a checkpoint frame's
 // body: the catalog header with the disk beside it as a DiskDelta —
 // against the empty disk (full: Save, and a full frame), or against the
 // disk's last ResetChanges (a delta frame), each page a patch against
@@ -45,9 +45,6 @@ func (db *Database) Save(w io.Writer) error {
 // headers are written into (wal.FrameReserve); the buffer is buf's
 // array when it has room. Caller holds db.mu.
 func (db *Database) snapshotBodyLocked(full bool, buf []byte, reserve int) ([]byte, error) {
-	if err := db.pool.FlushAll(); err != nil {
-		return nil, err
-	}
 	var delta *storage.DiskDelta
 	if full {
 		delta = db.disk.FullDelta()
@@ -72,7 +69,7 @@ func (db *Database) snapshotBodyLocked(full bool, buf []byte, reserve int) ([]by
 // encoded before the lock is released.
 func (db *Database) catalogHeaderLocked() catalogHeader {
 	h := catalogHeader{
-		poolFrames: db.pool.Capacity(),
+		poolFrames: db.arena.Capacity(),
 		hrConfig:   db.hrConfig,
 		clock:      db.clock.Load(),
 		relations:  make(map[string]relationEntry, len(db.rels)),
@@ -239,18 +236,20 @@ func restoreDatabase(h *catalogHeader, disk *storage.Disk) (_ *Database, err err
 
 	for _, name := range sortedKeys(h.relations) {
 		re := h.relations[name]
-		rel, err := relation.Open(disk, db.pool, name, re.schema, re.meta)
+		rel, err := relation.Open(disk, name, re.schema, re.meta)
 		if err != nil {
 			return nil, fmt.Errorf("core: reopening relation %q: %w", name, err)
 		}
 		db.rels[name] = rel
 	}
+	o := db.begin() // reopening an HR scans its AD file
+	defer o.end(opWhat{kind: "restore"})
 	for _, name := range sortedKeys(h.hrs) {
 		base, ok := db.rels[name]
 		if !ok {
 			return nil, fmt.Errorf("HR for unknown relation %q", name)
 		}
-		if db.hrs[name], err = hr.Open(disk, db.pool, base, h.hrConfig, h.hrs[name]); err != nil {
+		if db.hrs[name], err = hr.Open(disk, o.pool, base, h.hrConfig, h.hrs[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -279,7 +278,7 @@ func restoreDatabase(h *catalogHeader, disk *storage.Disk) (_ *Database, err err
 			return nil, fmt.Errorf("view %q has unknown strategy %d", def.Name, int(vs.strategy))
 		}
 		if ve.mat != nil {
-			if vs.mat, err = OpenMatView(disk, db.pool, def.Name, def.OutputSchema(vs.schemas), def.ViewKeyCol, *ve.mat); err != nil {
+			if vs.mat, err = OpenMatView(disk, def.Name, def.OutputSchema(vs.schemas), def.ViewKeyCol, *ve.mat); err != nil {
 				return nil, fmt.Errorf("core: reopening view %q: %w", def.Name, err)
 			}
 		}
@@ -288,7 +287,7 @@ func restoreDatabase(h *catalogHeader, disk *storage.Disk) (_ *Database, err err
 				return nil, fmt.Errorf("%s view %q has a group store", def.Kind, def.Name)
 			}
 			groupTyp := vs.schemas[0].Cols[def.GroupBy].Type
-			if vs.groups, err = relation.Open(disk, db.pool, def.Name+".groups", groupStoreSchema(groupTyp), *ve.groups); err != nil {
+			if vs.groups, err = relation.Open(disk, def.Name+".groups", groupStoreSchema(groupTyp), *ve.groups); err != nil {
 				return nil, fmt.Errorf("core: reopening groups of %q: %w", def.Name, err)
 			}
 		}
@@ -490,10 +489,10 @@ func codeRelationMeta(c *tuple.Coder, m *relation.Meta) {
 
 // OpenMatView reattaches a materialized view's backing store from a
 // restored disk.
-func OpenMatView(disk *storage.Disk, pool *storage.Pool, name string, out *tuple.Schema, keyCol int, m relation.Meta) (*MatView, error) {
+func OpenMatView(disk *storage.Disk, name string, out *tuple.Schema, keyCol int, m relation.Meta) (*MatView, error) {
 	cols := append(append([]tuple.Column(nil), out.Cols...), tuple.Col(dupCountCol, tuple.Int))
 	stored := tuple.NewSchema(cols...)
-	rel, err := relation.Open(disk, pool, name+".view", stored, m)
+	rel, err := relation.Open(disk, name+".view", stored, m)
 	if err != nil {
 		return nil, err
 	}

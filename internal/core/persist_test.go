@@ -177,8 +177,7 @@ func TestSaveLoadSnapshotState(t *testing.T) {
 
 func TestSaveLoadSecondaryIndexes(t *testing.T) {
 	db := newSPDatabase(t, QueryModification, 80)
-	r, _ := db.Relation("r")
-	if err := r.AddSecondary(1); err != nil {
+	if err := db.CreateSecondaryIndex("r", 1); err != nil {
 		t.Fatal(err)
 	}
 	restored := saveLoad(t, db)

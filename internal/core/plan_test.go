@@ -33,8 +33,7 @@ func newUnclusteredSPDatabase(t *testing.T, n int) *Database {
 		}
 	}
 	tx.MustCommit()
-	r, _ := db.Relation("r")
-	if err := r.AddSecondary(0); err != nil {
+	if err := db.CreateSecondaryIndex("r", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CreateView(spDef("v"), QueryModification); err != nil {
@@ -192,8 +191,7 @@ var planScenarios = []struct {
 		// Deleting a contributor to a MAX forces the fold to fall back
 		// to a full rebuild — the nested rebuild-agg pipeline.
 		db := newAggDatabase(t, Deferred, agg.Max, 50)
-		r, _ := db.Relation("r")
-		tps, err := r.LookupKey(tuple.I(29))
+		tps, err := db.lookupKey("r", tuple.I(29))
 		if err != nil || len(tps) == 0 {
 			t.Fatalf("lookup k=29: %v (%d tuples)", err, len(tps))
 		}
@@ -660,8 +658,7 @@ func TestOperatorStatsMatchMeter(t *testing.T) {
 
 	t.Run("aggregates", func(t *testing.T) {
 		db := newAggDatabase(t, Deferred, agg.Max, 50)
-		r, _ := db.Relation("r")
-		tps, err := r.LookupKey(tuple.I(29))
+		tps, err := db.lookupKey("r", tuple.I(29))
 		if err != nil || len(tps) == 0 {
 			t.Fatalf("lookup: %v", err)
 		}

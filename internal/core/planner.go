@@ -20,10 +20,9 @@ import (
 // executed plan per (view, path) for Explain.
 
 // PlanCapture is the snapshot of one executed plan: the operator tree
-// with per-operator stats, and the storage.Meter delta that spanned the
-// execution. By the exec attribution invariant the tree's TotalCost
-// equals Meter (exactly in serial runs, approximately when other
-// goroutines charge the meter concurrently).
+// with per-operator stats, and the delta of its operation's meter scope
+// that spanned the execution. By the exec attribution invariant the
+// tree's TotalCost equals Meter, however operations interleave.
 type PlanCapture struct {
 	Root  *exec.PlanNode
 	Meter storage.Stats
@@ -61,8 +60,8 @@ const (
 // maintenance paths discard them as they stream. A tree whose execution
 // fails is recorded all the same, so a partial plan is still
 // inspectable.
-func (db *Database) runTree(root exec.Operator, keep bool) (storage.Stats, []*vec.Batch, error) {
-	before := db.meter.Snapshot()
+func (db *op) runTree(root exec.Operator, keep bool) (storage.Stats, []*vec.Batch, error) {
+	before := db.scope.Snapshot()
 	var batches []*vec.Batch
 	var err error
 	if keep {
@@ -70,7 +69,7 @@ func (db *Database) runTree(root exec.Operator, keep bool) (storage.Stats, []*ve
 	} else {
 		err = exec.Run(root)
 	}
-	return db.meter.Snapshot().Sub(before), batches, err
+	return db.scope.Snapshot().Sub(before), batches, err
 }
 
 // recordPlan keeps an executed tree as the view's last plan on the given
@@ -95,7 +94,7 @@ func (db *Database) recordPlan(vs *viewState, path string, root exec.Operator, d
 
 // runPlan is runTree + recordPlan for maintenance paths (rows
 // discarded).
-func (db *Database) runPlan(vs *viewState, path string, root exec.Operator) error {
+func (db *op) runPlan(vs *viewState, path string, root exec.Operator) error {
 	delta, _, err := db.runTree(root, false)
 	db.recordPlan(vs, path, root, delta)
 	return err
@@ -162,7 +161,7 @@ func singlePred(vs *viewState) exec.Pred {
 
 // project projects the (one- or two-slot) binding through the view's
 // target list in column-gather form.
-func (db *Database) project(vs *viewState, input exec.Operator) exec.Operator {
+func (db *op) project(vs *viewState, input exec.Operator) exec.Operator {
 	return exec.NewProjectCols(db.execOpts(), exec.Label{vs.def.Name}, input, vs.def.ProjectSpec())
 }
 
@@ -172,7 +171,7 @@ func (db *Database) project(vs *viewState, input exec.Operator) exec.Operator {
 // is also appended to the view's delta log — the higher-order delta
 // stream children drain (hierarchy.go). Logged after the apply so a
 // failed write leaves no phantom log entry.
-func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
+func (db *op) matApply(vs *viewState, input exec.Operator) exec.Operator {
 	return exec.NewDeltaApply(db.execOpts(), exec.Label{vs.def.Name}, input,
 		func(rows []exec.Row) error {
 			n, err := db.applyRun(vs, rows, true)
@@ -191,7 +190,7 @@ func (db *Database) matApply(vs *viewState, input exec.Operator) exec.Operator {
 
 // matInsert is the populate-time sink: scan rows carry no delta
 // polarity, and every surviving row is an insert.
-func (db *Database) matInsert(vs *viewState, input exec.Operator) exec.Operator {
+func (db *op) matInsert(vs *viewState, input exec.Operator) exec.Operator {
 	return exec.NewDeltaApply(db.execOpts(), exec.Label{vs.def.Name}, input,
 		func(rows []exec.Row) error {
 			_, err := db.applyRun(vs, rows, false)
@@ -204,7 +203,7 @@ func (db *Database) matInsert(vs *viewState, input exec.Operator) exec.Operator 
 // many it applied. Each insert row draws a fresh id from the clock, in
 // stream order, before the first row is applied, so after an error the
 // ids of the inserts after the failing row go unused.
-func (db *Database) applyRun(vs *viewState, rows []exec.Row, signed bool) (int, error) {
+func (db *op) applyRun(vs *viewState, rows []exec.Row, signed bool) (int, error) {
 	vals := make([][]tuple.Value, len(rows))
 	ids := make([]uint64, len(rows))
 	var signs []int8
@@ -220,7 +219,7 @@ func (db *Database) applyRun(vs *viewState, rows []exec.Row, signed bool) (int, 
 			signs[i] = -1
 		}
 	}
-	return vs.mat.ApplyDeltaRun(vals, signs, ids)
+	return vs.mat.ApplyDeltaRun(db.pool, vals, signs, ids)
 }
 
 // --- the derivation ---------------------------------------------------------
@@ -261,7 +260,7 @@ type derived struct {
 
 // derive plans vs's logical content from its sources — the one place
 // a view's source, predicate screen and shape are assembled.
-func (db *Database) derive(vs *viewState, d derivation) (*derived, error) {
+func (db *op) derive(vs *viewState, d derivation) (*derived, error) {
 	def := &vs.def
 	slot, col := vs.keySource()
 	if slot != 0 && d.plan != PlanAuto {
@@ -321,7 +320,7 @@ func (db *Database) derive(vs *viewState, d derivation) (*derived, error) {
 
 // deriveSource is the bottom of a derivation: the scan the rows come
 // from. col is the column d.rg restricts.
-func (db *Database) deriveSource(vs *viewState, d derivation, col int) (exec.Operator, error) {
+func (db *op) deriveSource(vs *viewState, d derivation, col int) (exec.Operator, error) {
 	if p := db.parentOf(vs); p != nil {
 		// Access paths are a base-file concept; a child scans its
 		// parent's current rows.
@@ -362,14 +361,14 @@ func (db *Database) deriveSource(vs *viewState, d derivation, col int) (exec.Ope
 // derivation's screen consults it (exec.Pred.SkipIDs). A read's answer
 // is a multiset, so the adds may come first. With no HR or an empty AD
 // file the scan comes back as it was and the skip set is nil.
-func (db *Database) withPendingAD(rel string, base exec.Operator) (exec.Operator, map[uint64]bool) {
+func (db *op) withPendingAD(rel string, base exec.Operator) (exec.Operator, map[uint64]bool) {
 	h, ok := db.hrs[rel]
 	if !ok || h.ADLen() == 0 {
 		return base, nil
 	}
 	skip := map[uint64]bool{}
 	pending := exec.NewFuncSource(db.execOpts(), exec.Label{"PendingAD(", rel, ")"}, func() ([]exec.Row, error) {
-		anet, dnet, err := h.NetChanges()
+		anet, dnet, err := h.NetChanges(db.pool)
 		if err != nil {
 			return nil, err
 		}

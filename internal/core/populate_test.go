@@ -102,21 +102,18 @@ func populateCommit(t testing.TB, db *Database) {
 // sourceID returns the id of the row of rel whose key is k.
 func sourceID(t testing.TB, db *Database, rel string, k int64) uint64 {
 	t.Helper()
-	rows, err := db.rels[rel].LookupKey(tuple.I(k))
+	rows, err := db.lookupKey(rel, tuple.I(k))
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("%s key %d: %d rows, %v", rel, k, len(rows), err)
 	}
 	return rows[0].ID
 }
 
-// viewsDigest flushes the pool and returns a SHA-256 over every stored
-// view's page images, the directory entry each image gives, its
-// metadata and Len, the next id and the meter.
+// viewsDigest returns a SHA-256 over every stored view's page images,
+// the directory entry each image gives, its metadata and Len, the next id
+// and the meter.
 func viewsDigest(t testing.TB, db *Database) string {
 	t.Helper()
-	if err := db.pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
 	h := sha256.New()
 	fmt.Fprintf(h, "clock %d %v\n", db.clock.Load(), db.meter.Snapshot())
 	for _, d := range populateViews {
@@ -168,15 +165,22 @@ func writeFileState(t testing.TB, h hash.Hash, f *storage.File) {
 // rather than once per row: the pages, entries, metadata, ids and reads
 // stayed as they were, and the cumulative writes went 3 394→3 264 and
 // 3 795→3 568 (2 frames), 2 183→1 423 and 2 584→1 586 (8), and 1 167→402
-// and 1 568→510 (256), populate and commit.
+// and 1 568→510 (256), populate and commit. Every cell but populate/2
+// was pinned again, reads only, when each operation came to run on a
+// pool of its own: creating a view populates it from a cold pool, where
+// it read what the load had left in the one shared pool, and sourceID's
+// lookups are operations of their own. With the meter left out of the
+// digest every cell's digest equalled the one before; the cumulative
+// reads went 4 277→4 278 and 5 463→5 487 (8 frames), 18→458 and 326→791
+// (256), populate and commit.
 func TestPopulatePagesPinned(t *testing.T) {
 	want := map[string]string{
 		"populate/2":   "790b0c17204965f173532b318ada5be82416344b9dcaeb3bfd69d1acf9f1855c",
 		"commit/2":     "340e4c1894f4428605e0e2c24aaa12cfbc2f042888d42b7fc8efafd1aa5ced7b",
-		"populate/8":   "e5a7b1dd8b75f742f86045211af79ec4cc993a9a7073a6d8ff658a3dac9d6f06",
-		"commit/8":     "a49edb6ebee7029aacf4bf4f7448c9d7c4368316dfee7ddecd61bcfc22fcca35",
-		"populate/256": "f0b625b5778f5795826d8ad5624cedc3d67c8ae1dbfdd38e3c96c19ad4eb8bb7",
-		"commit/256":   "eb38b505ea18f86b04a40a305b67e75716d39abf923b42c4ba4ed0eb7f143ecb",
+		"populate/8":   "0a9d3c367a89c20228b1c34acf6d2b2581d6d37af1bdcc52b4fc68c7ef273900",
+		"commit/8":     "16c5bae372c683d3b33bda2ce9d453a5cd0430fdfec1bcc57e20956e8b940d36",
+		"populate/256": "e4473ae4afe55d6c6bf62bafcafea4535fc1f54a43921d9add8189e13371d1b8",
+		"commit/256":   "1ec07509c8a6980583c4f32c313fdd77b2cd26b17ffe8990937254405eead08e",
 	}
 	for _, frames := range []int{2, 8, 256} {
 		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
@@ -195,7 +199,7 @@ func TestPopulatePagesPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			db.Pool().AssertUnpinned(t)
+			db.assertUnpinned(t)
 		})
 	}
 }
@@ -240,10 +244,13 @@ func newPopulateWide(tb testing.TB) *populateWide {
 func (p *populateWide) populate(tb testing.TB) {
 	p.db.mu.Lock()
 	defer p.db.mu.Unlock()
-	if err := p.db.newStoreLocked(p.vs); err != nil {
-		tb.Fatal(err)
-	}
-	if err := p.db.fillStoreLocked(p.vs); err != nil {
+	err := p.db.run(opWhat{kind: "ddl"}, func(o *op) error {
+		if err := o.newStoreLocked(p.vs); err != nil {
+			return err
+		}
+		return o.fillStoreLocked(p.vs)
+	})
+	if err != nil {
 		tb.Fatal(err)
 	}
 	if got := p.vs.mat.DistinctRows(); got != 10000 {
@@ -258,7 +265,9 @@ func TestPopulateAllocations(t *testing.T) {
 	p := newPopulateWide(t)
 	allocs := testing.AllocsPerRun(3, func() { p.populate(t) })
 	// 122 407 (race detector: 233 955) while each row took a point lookup
-	// and a one-row insert of its own.
+	// and a one-row insert of its own; 4 161 while a split's parent was
+	// decoded again by the next descent through it, 3 787 since a split
+	// keeps the nodes it encodes on their frames.
 	max := 122407.0
 	if raceEnabled() {
 		max = 234000
@@ -381,7 +390,7 @@ func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames 
 	t.Helper()
 	d := storage.NewDisk(pageSize)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, frames)
+	p := storage.NewArena(d, frames).NewPool(m)
 	mv, err := NewMatView(d, p, "v", out, keyCol)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +401,7 @@ func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames 
 	for i, s := range steps {
 		switch {
 		case s.del:
-			_, err = mv.ApplyDeltaRun(s.rows[:1], []int8{-1}, []uint64{0})
+			_, err = mv.ApplyDeltaRun(p, s.rows[:1], []int8{-1}, []uint64{0})
 		case runs:
 			ids := make([]uint64, len(s.rows))
 			for i := range ids {
@@ -400,13 +409,13 @@ func applyDeltaScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames 
 				ids[i] = id
 			}
 			var n int
-			if n, err = mv.ApplyDeltaRun(s.rows, nil, ids); err == nil && n != len(s.rows) {
+			if n, err = mv.ApplyDeltaRun(p, s.rows, nil, ids); err == nil && n != len(s.rows) {
 				err = fmt.Errorf("applied %d of %d rows", n, len(s.rows))
 			}
 		default:
 			for _, row := range s.rows {
 				id++
-				if err = mv.applyAlone(tuple.Tuple{ID: id, Vals: append(append([]tuple.Value(nil), row...), tuple.I(1))}, true); err != nil {
+				if err = mv.applyAlone(p, tuple.Tuple{ID: id, Vals: append(append([]tuple.Value(nil), row...), tuple.I(1))}, true); err != nil {
 					break
 				}
 			}
@@ -472,8 +481,10 @@ func TestDeltaApplyStretchOrderAndPrefix(t *testing.T) {
 	vs := db.views["p"]
 	logged := len(vs.deltaLog)
 	db.mu.Lock()
-	src := exec.NewMemSource(db.execOpts(), exec.Label{"stream"}, stream)
-	err := exec.Run(db.matApply(vs, db.project(vs, src)))
+	err := db.run(opWhat{kind: "ddl"}, func(o *op) error {
+		src := exec.NewMemSource(o.execOpts(), exec.Label{"stream"}, stream)
+		return exec.Run(o.matApply(vs, o.project(vs, src)))
+	})
 	db.mu.Unlock()
 	if err == nil {
 		t.Fatal("applying a row too wide for a page succeeded")
@@ -486,7 +497,12 @@ func TestDeltaApplyStretchOrderAndPrefix(t *testing.T) {
 		t.Errorf("delta log %v, want %s", got, want)
 	}
 	for k, want := range map[int64]int{50: 1, 51: 1, 52: 1, 7: 0, 53: 0, 54: 0, 8: 1, 55: 0} {
-		if rows, err := vs.mat.rel.LookupKey(tuple.I(k)); err != nil || len(rows) != want {
+		var rows []tuple.Tuple
+		err := db.withPool(func(p *storage.Pool) (err error) {
+			rows, err = vs.mat.rel.LookupKey(p, tuple.I(k))
+			return err
+		})
+		if err != nil || len(rows) != want {
 			t.Errorf("key %d: %d stored rows (%v), want %d", k, len(rows), err, want)
 		}
 	}
@@ -589,7 +605,7 @@ func applySignedScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames
 	t.Helper()
 	d := storage.NewDisk(pageSize)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, frames)
+	p := storage.NewArena(d, frames).NewPool(m)
 	mv, err := NewMatView(d, p, "v", out, keyCol)
 	if err != nil {
 		t.Fatal(err)
@@ -609,11 +625,11 @@ func applySignedScript(t *testing.T, out *tuple.Schema, keyCol, pageSize, frames
 		var n int
 		var err error
 		if runs {
-			n, err = mv.ApplyDeltaRun(b.rows, b.signs, ids)
+			n, err = mv.ApplyDeltaRun(p, b.rows, b.signs, ids)
 		} else {
 			for ; n < len(b.rows); n++ {
 				tp := tuple.Tuple{ID: ids[n], Vals: append(append([]tuple.Value(nil), b.rows[n]...), tuple.I(1))}
-				if err = mv.applyAlone(tp, b.signs[n] >= 0); err != nil {
+				if err = mv.applyAlone(p, tp, b.signs[n] >= 0); err != nil {
 					break
 				}
 			}

@@ -129,23 +129,24 @@ type viewAnswer struct {
 // query's range and a select-project query's access path to derive.
 var readTable = map[Kind]struct {
 	method string // the query method that answers this kind
-	stored func(*Database, *viewState, *pred.Range) *derived
+	stored func(*op, *viewState, *pred.Range) *derived
 	derive derivation
 }{
-	SelectProject:    {"QueryView", (*Database).matRead, derivation{charged: true, pending: true}},
-	Join:             {"QueryView", (*Database).matRead, derivation{plan: PlanLoopJoin, charged: true}},
-	Aggregate:        {"QueryAggregate", (*Database).aggRead, derivation{charged: true, pending: true}},
-	GroupedAggregate: {"QueryGroups", (*Database).groupsRead, derivation{wholeFile: true, charged: true, pending: true}},
+	SelectProject:    {"QueryView", (*op).matRead, derivation{charged: true, pending: true}},
+	Join:             {"QueryView", (*op).matRead, derivation{plan: PlanLoopJoin, charged: true}},
+	Aggregate:        {"QueryAggregate", (*op).aggRead, derivation{charged: true, pending: true}},
+	GroupedAggregate: {"QueryGroups", (*op).groupsRead, derivation{wholeFile: true, charged: true, pending: true}},
 }
 
 // read is the one read entry: every query of every view kind under
-// every strategy. It takes the view fresh under the read lock, refuses
-// a query method that does not answer the view's kind, starts from a
-// cold pool unless a refresh just ran, runs the planned tree in
-// PhaseQuery, retains the plan and gathers the answer; after releasing
-// the lock it waits until the last commit it saw is durable.
+// every strategy. It takes the view fresh under the read lock, on the
+// pool of the refresh it led when no writer ran since, on a cold one
+// otherwise, refuses a query method that does not answer the view's
+// kind, runs the planned tree in PhaseQuery, retains the plan and
+// gathers the answer; after releasing the lock it waits until the last
+// commit it saw is durable.
 func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (ans viewAnswer, err error) {
-	vs, refreshed, err := db.acquireFresh(name)
+	vs, o, err := db.acquireFresh(name)
 	if err != nil {
 		return viewAnswer{}, err
 	}
@@ -157,6 +158,9 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 		seen = d.lastCommit
 	}
 	defer func() {
+		if _, eerr := o.end(opWhat{kind: "read", view: name}); err == nil {
+			err = eerr
+		}
 		db.mu.RUnlock()
 		if err == nil {
 			err = d.awaitDurable(seen)
@@ -166,21 +170,18 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 	if answers := readTable[kind].method; answers != method {
 		return viewAnswer{}, fmt.Errorf("core: view %q is a %s view; use %s", name, kind, answers)
 	}
-	if !refreshed {
-		if err := db.pool.EvictAll(); err != nil {
-			return viewAnswer{}, err
-		}
-	}
-	db.bumpQueries()
+	db.statsMu.Lock()
+	db.Queries++
+	db.statsMu.Unlock()
 
-	err = db.inPhase(PhaseQuery, func() error {
-		p, err := db.planRead(vs, rg, plan)
+	err = o.inPhase(PhaseQuery, func() error {
+		p, err := o.planRead(vs, rg, plan)
 		if err != nil {
 			return err
 		}
 		// The folds leave their answer in p; the other trees answer with
 		// the batches they produce.
-		delta, batches, err := db.runTree(p.root, p.state == nil && p.groups == nil)
+		delta, batches, err := o.runTree(p.root, p.state == nil && p.groups == nil)
 		db.recordPlan(vs, PlanPathQuery, p.root, delta)
 		if err != nil {
 			return err
@@ -242,7 +243,7 @@ func answerOf(view string, batches []*vec.Batch, stored, byDup bool) (Answer, er
 // planRead picks a read's cell of readTable. A select-project query
 // takes the access path accessPath gives its plan (nil: the view's
 // default).
-func (db *Database) planRead(vs *viewState, rg *pred.Range, plan *QueryPlan) (*derived, error) {
+func (db *op) planRead(vs *viewState, rg *pred.Range, plan *QueryPlan) (*derived, error) {
 	how := readTable[vs.def.Kind]
 	if vs.row().stores {
 		return how.stored(db, vs, rg), nil
@@ -281,7 +282,7 @@ func (db *Database) accessPath(vs *viewState, plan QueryPlan) QueryPlan {
 // plan: the scan's page reads land on the source, and each stored row is
 // screened against the query predicate at C1 (the model's C1·f·fv·N
 // term).
-func (db *Database) matRead(vs *viewState, rg *pred.Range) *derived {
+func (db *op) matRead(vs *viewState, rg *pred.Range) *derived {
 	label := exec.Label{"MatScan(", vs.def.Name, ")"}
 	if rg != nil {
 		label[2] = " restricted)"
@@ -293,7 +294,7 @@ func (db *Database) matRead(vs *viewState, rg *pred.Range) *derived {
 // aggRead plans the read of the one-page aggregate state (C_query3 =
 // C2). The in-memory state is authoritative and identical to the page;
 // the page read is the charged operation.
-func (db *Database) aggRead(vs *viewState, _ *pred.Range) *derived {
+func (db *op) aggRead(vs *viewState, _ *pred.Range) *derived {
 	read := exec.NewFuncSource(db.execOpts(), exec.Label{"AggRead(", vs.def.Name, ")"}, func() ([]exec.Row, error) {
 		return nil, db.pool.Read(vs.aggFile, vs.aggPage, func([]byte) error { return nil })
 	})
@@ -305,7 +306,7 @@ func (db *Database) aggRead(vs *viewState, _ *pred.Range) *derived {
 // foldRelationsLocked brings the base files of the named relations to
 // end-of-epoch state: each one behind a hypothetical relation runs the
 // deferred cycle of the views sharing it, so no pending change is lost.
-func (db *Database) foldRelationsLocked(relNames []string) error {
+func (db *op) foldRelationsLocked(relNames []string) error {
 	for _, rn := range relNames {
 		if _, ok := db.hrs[rn]; !ok {
 			continue
@@ -376,7 +377,7 @@ func anyIn(names []string, set map[string]bool) bool {
 // is empty deltas, the 2u/T pages C_ADread prices are none. A fold's
 // reset of the HR frees its AD pages unread and unwritten, so
 // PhaseFold charges the base relation's pages alone.
-func (db *Database) refreshDeferredLocked(rel string) error {
+func (db *op) refreshDeferredLocked(rel string) error {
 	rels, views, pending := db.hrComponentLocked(rel)
 	if len(pending) == 0 {
 		return nil
@@ -389,7 +390,7 @@ func (db *Database) refreshDeferredLocked(rel string) error {
 	// Read net changes once per HR that holds any (C_ADread).
 	err := db.inPhase(PhaseADRead, func() error {
 		for _, rn := range pending {
-			anet, dnet, err := db.hrs[rn].NetChanges()
+			anet, dnet, err := db.hrs[rn].NetChanges(db.pool)
 			if err != nil {
 				return err
 			}
@@ -405,7 +406,7 @@ func (db *Database) refreshDeferredLocked(rel string) error {
 	// Fold AD into the bases so files reach end-of-epoch state.
 	err = db.inPhase(PhaseFold, func() error {
 		for _, rn := range pending {
-			if err := db.hrs[rn].FoldWith(nets[rn].adds, nets[rn].dels); err != nil {
+			if err := db.hrs[rn].FoldWith(db.pool, nets[rn].adds, nets[rn].dels); err != nil {
 				return err
 			}
 		}

@@ -110,7 +110,7 @@ func (f deltaFeed) consumed(vs *viewState) {
 // given views: the whole input of a private plan (one view), and the
 // build a group materializes once. Only a "join" feed depends on the
 // views — see joinExpansion.
-func (db *Database) feedSource(f deltaFeed, views []*viewState) exec.Operator {
+func (db *op) feedSource(f deltaFeed, views []*viewState) exec.Operator {
 	switch f.fp.Kind {
 	case "viewdelta":
 		pending := f.parent.deltaLog[f.from-f.parent.logStart:]
@@ -128,14 +128,14 @@ func (db *Database) feedSource(f deltaFeed, views []*viewState) exec.Operator {
 
 // privateTree is one view's whole refresh plan over the feed: its apply
 // tree over the feed built for it alone.
-func (db *Database) privateTree(vs *viewState, f deltaFeed) (exec.Operator, error) {
+func (db *op) privateTree(vs *viewState, f deltaFeed) (exec.Operator, error) {
 	return db.applyTree(vs, db.feedSource(f, []*viewState{vs}), false)
 }
 
 // applyTree is one view's apply pipeline over a stream of delta rows:
 // its predicate screen, projection, and the fold into its stored copy.
 // replay marks a shared build's rows replayed to the view.
-func (db *Database) applyTree(vs *viewState, src exec.Operator, replay bool) (exec.Operator, error) {
+func (db *op) applyTree(vs *viewState, src exec.Operator, replay bool) (exec.Operator, error) {
 	switch vs.def.Kind {
 	case SelectProject, Join:
 		// The screening CPU was charged when the tuples were marked, or,
@@ -184,7 +184,7 @@ func (db *Database) applyTree(vs *viewState, src exec.Operator, replay bool) (ex
 // every other consumer records a zero-cost SharedDeltaRef naming the
 // charged view. Each recorded per-view meter delta therefore still
 // equals its tree's TotalCost exactly.
-func (db *Database) refreshGroup(views []*viewState, f deltaFeed) error {
+func (db *op) refreshGroup(views []*viewState, f deltaFeed) error {
 	if len(views) < 2 || !db.sharePays(f, views) {
 		for _, vs := range views {
 			tree, err := db.privateTree(vs, f)
@@ -298,7 +298,7 @@ func (db *Database) sharePays(f deltaFeed, views []*viewState) bool {
 // and the scan covers the union of the views' intervals. Each handled
 // R1-delta tuple charges one C1 unit (the model's C1·2u / C1·2l
 // per-tuple join-handling cost).
-func (db *Database) joinExpansion(f deltaFeed, views []*viewState) exec.Operator {
+func (db *op) joinExpansion(f deltaFeed, views []*viewState) exec.Operator {
 	fp, o := f.fp, db.execOpts()
 	d1, d2 := f.slot(0), f.slot(1)
 	var restrict *pred.P // one view's predicate; a group's R1 side is unscreened
@@ -306,7 +306,7 @@ func (db *Database) joinExpansion(f deltaFeed, views []*viewState) exec.Operator
 	if len(views) == 1 {
 		restrict, label[1] = views[0].def.Pred, ".r1pred"
 	}
-	db.deltaScans.Add(1)
+	db.scans++
 
 	// A1×R2' and D1×R2': screen the R1 deltas (charged), then probe R2
 	// (end state) by join value through its clustered hash index,
@@ -395,7 +395,7 @@ func idSet(tuples []tuple.Tuple) map[uint64]bool {
 // rewrites its one-page store when anything changed. A Min/Max delete
 // of the current extreme triggers a recomputation scan of the source (a
 // charged clustered scan).
-func (db *Database) aggRefreshTree(vs *viewState, src exec.Operator) exec.Operator {
+func (db *op) aggRefreshTree(vs *viewState, src exec.Operator) exec.Operator {
 	changed := false
 	needRecompute := false
 	filt := exec.NewFilter(db.execOpts(), exec.Label{vs.def.Name}, src, singlePred(vs), false)
@@ -433,7 +433,7 @@ func (db *Database) aggRefreshTree(vs *viewState, src exec.Operator) exec.Operat
 // source — the base relation, or the parent view's materialization for
 // hierarchy children — with the view derived whole and charged, a scan
 // restricted to the predicate interval, then persists it.
-func (db *Database) rebuildAggregate(vs *viewState) error {
+func (db *op) rebuildAggregate(vs *viewState) error {
 	all, err := db.derive(vs, derivation{charged: true})
 	if err != nil {
 		return err
@@ -446,7 +446,7 @@ func (db *Database) rebuildAggregate(vs *viewState) error {
 }
 
 // writeAggState persists the aggregate state to its single page.
-func (db *Database) writeAggState(vs *viewState) error {
+func (db *op) writeAggState(vs *viewState) error {
 	fr, err := db.pool.Get(vs.aggFile, vs.aggPage)
 	if err != nil {
 		return err

@@ -19,7 +19,7 @@ import "fmt"
 // refresh) and exists mostly for the ablation benchmarks; small n > 1
 // trades extra refresh I/O for bounded AD size and faster queries.
 func (db *Database) SetDeferredRefreshEvery(view string, n int) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	vs, ok := db.views[view]
 	if !ok {
@@ -47,7 +47,7 @@ func (db *Database) RefreshDeferredNow(view string) error {
 // views whose refresh period has elapsed (noteCommitLocked counted this
 // commit) refresh — in name order, like every other commit-time
 // refresh, so replay reproduces the ids they draw.
-func (db *Database) runPeriodicDeferredRefresh() error {
+func (db *op) runPeriodicDeferredRefresh() error {
 	var due []*viewState
 	for _, vs := range db.views {
 		if vs.strategy == Deferred && vs.refreshEvery != 0 && vs.staleCommits >= vs.refreshEvery {

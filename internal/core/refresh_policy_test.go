@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
 
@@ -159,7 +160,11 @@ func dbCurrentID(t *testing.T, db *Database, k int64) uint64 {
 		t.Fatal("no HR on r")
 	}
 	r := db.rels["r"]
-	anet, dnet, err := h.NetChanges()
+	var anet, dnet []tuple.Tuple
+	err := db.withPool(func(p *storage.Pool) (err error) {
+		anet, dnet, err = h.NetChanges(p)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +173,7 @@ func dbCurrentID(t *testing.T, db *Database, k int64) uint64 {
 			return tp.ID
 		}
 	}
-	base, err := r.LookupKey(tuple.I(k))
+	base, err := db.lookupKey("r", tuple.I(k))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func newFanJoinDatabase(t testing.TB, gate func() bool, strategy Strategy, n, m 
 	t.Helper()
 	db := NewDatabase(testOpts())
 	setShareGate(db, gate)
-	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { db.assertUnpinned(t) })
 	s1, s2 := joinSchemas()
 	if _, err := db.CreateRelationBTree("r1", s1, 0); err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestSharedDeltaSPGroupSharesStream(t *testing.T) {
 	build := func(gate func() bool) *Database {
 		db := NewDatabase(testOpts())
 		setShareGate(db, gate)
-		t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+		t.Cleanup(func() { db.assertUnpinned(t) })
 		if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
 			t.Fatal(err)
 		}

@@ -25,34 +25,37 @@ func rewriteLeaves(t *testing.T, db *Database, file string, edit func(tuple.Tupl
 	const leafCol colpage.PageType = 4 // btree's leaf, a colpage data page
 	f := db.Disk().Open(file)
 	edited := 0
-	for pn := storage.PageNum(0); pn < f.Extent(); pn++ {
-		fr, err := db.Pool().Get(f, pn)
-		if err != nil {
-			continue // a freed page
-		}
-		if fr.Data[0] == byte(leafCol) {
-			leaf := &colpage.DataPage{}
-			if err := leafCol.DecodePage(fr.Data, leaf); err != nil {
-				t.Fatal(err)
+	err := db.withPool(func(p *storage.Pool) error {
+		for pn := storage.PageNum(0); pn < f.Extent(); pn++ {
+			fr, err := p.Get(f, pn)
+			if err != nil {
+				continue // a freed page
 			}
-			var rows colpage.Lanes
-			for i := range leaf.IDs {
-				rows.InsertRow(i, edit(leaf.Row(i)))
+			if fr.Data[0] == byte(leafCol) {
+				leaf := &colpage.DataPage{}
+				if err := leafCol.DecodePage(fr.Data, leaf); err != nil {
+					return err
+				}
+				var rows colpage.Lanes
+				for i := range leaf.IDs {
+					rows.InsertRow(i, edit(leaf.Row(i)))
+				}
+				leaf.Lanes = rows
+				leafCol.EncodePage(fr.Data, leaf)
+				fr.MarkDirty()
+				edited += len(rows.IDs)
 			}
-			leaf.Lanes = rows
-			leafCol.EncodePage(fr.Data, leaf)
-			fr.MarkDirty()
-			edited += len(rows.IDs)
+			if err := p.Release(fr); err != nil {
+				return err
+			}
 		}
-		if err := db.Pool().Release(fr); err != nil {
-			t.Fatal(err)
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if edited == 0 {
 		t.Fatalf("file %q has no columnar leaf rows to damage", file)
-	}
-	if err := db.Pool().FlushAll(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -97,14 +100,14 @@ func TestCorruptStoredViewIsATypedError(t *testing.T) {
 				t.Fatalf("query of the damaged copy answered %d rows", len(rows))
 			}
 			wantStoredCorrupt(t, err, "v")
-			restored.Pool().AssertUnpinned(t)
+			restored.assertUnpinned(t)
 
 			// A bounded read goes through the key lane first; whatever it
 			// finds there, it must fail, not panic or answer.
 			if rows, err := restored.QueryView("v", pred.NewRange(tuple.I(12), tuple.I(20), true, true)); err == nil {
 				t.Fatalf("range query of the damaged copy answered %d rows", len(rows))
 			}
-			restored.Pool().AssertUnpinned(t)
+			restored.assertUnpinned(t)
 		})
 	}
 }
@@ -146,7 +149,7 @@ func TestCorruptGroupRowsAreATypedError(t *testing.T) {
 				t.Fatalf("child query over damaged group rows answered %d rows", len(rows))
 			}
 			wantStoredCorrupt(t, err, "g")
-			restored.Pool().AssertUnpinned(t)
+			restored.assertUnpinned(t)
 		})
 	}
 }

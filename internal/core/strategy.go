@@ -115,7 +115,7 @@ func (db *Database) strategyConflictLocked(vs *viewState, s Strategy) error {
 // did not already provide: a stored copy filled from the current
 // source contents, t-locks, hypothetical relations. Creating a view is
 // attaching over the empty row.
-func (db *Database) attachLocked(vs *viewState, prev strategyRow) error {
+func (db *op) attachLocked(vs *viewState, prev strategyRow) error {
 	row := vs.row()
 	parent := db.parentOf(vs)
 	if row.stores && !prev.stores {
@@ -155,7 +155,7 @@ func (db *Database) attachLocked(vs *viewState, prev strategyRow) error {
 // are folded into the base files before an HR is retired, which
 // refreshes the deferred views over it — vs included, so its stored
 // copy goes last.
-func (db *Database) detachLocked(vs *viewState, next strategyRow) error {
+func (db *op) detachLocked(vs *viewState, next strategyRow) error {
 	row := vs.row()
 	name := vs.def.Name
 	if db.parentOf(vs) == nil {
@@ -207,7 +207,7 @@ func (db *Database) placeLocksLocked(vs *viewState) {
 // newStoreLocked replaces vs's stored copy with an empty one of its
 // kind. A scalar aggregate's one page is kept when it exists: a rebuild
 // rewrites it in place.
-func (db *Database) newStoreLocked(vs *viewState) error {
+func (db *op) newStoreLocked(vs *viewState) error {
 	name := vs.def.Name
 	switch vs.def.Kind {
 	case GroupedAggregate:
@@ -265,7 +265,7 @@ func (db *Database) dropStoreLocked(vs *viewState) {
 // child: the view derived whole, with the kind's sink on top. A store
 // over existing contents initializes from a scan (setup cost; callers
 // usually ResetStats after).
-func (db *Database) fillStoreLocked(vs *viewState) error {
+func (db *op) fillStoreLocked(vs *viewState) error {
 	switch vs.def.Kind {
 	case GroupedAggregate:
 		return db.fillGroupStore(vs)
@@ -320,7 +320,7 @@ func (db *Database) viewStale(vs *viewState) bool {
 // callers that refresh on a person's say-so rather than the trigger's;
 // a fold and a drain find out for themselves whether anything is
 // pending. Caller holds the engine write lock.
-func (db *Database) refreshStaleLocked(vs *viewState, force bool) error {
+func (db *op) refreshStaleLocked(vs *viewState, force bool) error {
 	parent := db.parentOf(vs)
 	if parent != nil && db.viewStale(parent) {
 		if err := db.refreshStaleLocked(parent, false); err != nil {
@@ -382,7 +382,7 @@ func (db *Database) noteCommitLocked(marked map[string]map[int]*deltas, touched 
 // checkpointed atomically — a crash recovers to either the pre-flip or
 // the post-flip catalog, never a hybrid.
 func (db *Database) SetStrategy(view string, to Strategy) error {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	vs, ok := db.views[view]
 	if !ok {
@@ -391,16 +391,14 @@ func (db *Database) SetStrategy(view string, to Strategy) error {
 	if vs.strategy == to {
 		return nil
 	}
-	if err := db.pool.EvictAll(); err != nil {
-		return err
-	}
-	if err := db.setStrategyLocked(vs, to); err != nil {
+	err := db.run(opWhat{kind: "flip", view: view}, func(o *op) error { return o.setStrategyLocked(vs, to) })
+	if err != nil {
 		return err
 	}
 	return db.catalogCheckpointLocked()
 }
 
-func (db *Database) setStrategyLocked(vs *viewState, to Strategy) error {
+func (db *op) setStrategyLocked(vs *viewState, to Strategy) error {
 	if vs.strategy == to {
 		return nil
 	}

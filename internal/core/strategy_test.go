@@ -134,7 +134,7 @@ func TestStrategyLifecycleTable(t *testing.T) {
 					t.Fatal(err)
 				}
 				loaded := saveLoad(t, created)
-				t.Cleanup(func() { loaded.Pool().AssertUnpinned(t) })
+				t.Cleanup(func() { loaded.assertUnpinned(t) })
 				if got := attachedTo(loaded, "v"); got != want {
 					t.Fatalf("Save→Load: attached %s, want %s", got, want)
 				}
@@ -347,7 +347,7 @@ func TestCommitRefreshOrderDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { rec.assertUnpinned(t) })
 	if info.Replayed != 5 {
 		t.Fatalf("replayed %d records, want the 5 commits", info.Replayed)
 	}
@@ -394,7 +394,7 @@ func TestRefreshAllCompactionIsReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rec.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { rec.assertUnpinned(t) })
 	if n, _ := rec.ViewDeltaLogLen("v"); n != 0 {
 		t.Errorf("recovered parent log holds %d rows; replay did not trim it", n)
 	}

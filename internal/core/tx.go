@@ -82,7 +82,7 @@ func (db *Database) checkRow(rel string, vals []tuple.Value) error {
 	if err := r.Schema().Validate(vals); err != nil {
 		return err
 	}
-	tp, page := tuple.Tuple{Vals: vals}, db.pool.PageSize()
+	tp, page := tuple.Tuple{Vals: vals}, db.disk.PageSize()
 	size := tp.EncodedSize()
 	if !colpage.FitsAlone(tp, page) {
 		return fmt.Errorf("core: tuple of %d bytes exceeds page capacity %d", size, page)
@@ -180,9 +180,9 @@ type deltas struct {
 // Commit applies the transaction: writes reach the base relations (or
 // the AD differential file for HR-wrapped relations), written tuples
 // are screened against every registered view, and immediate views are
-// refreshed with the transaction's marked deltas. The buffer pool is
-// evicted first so each transaction is charged from a cold cache, the
-// accounting posture of the cost model.
+// refreshed with the transaction's marked deltas. The transaction is an
+// operation of its own, charged from a cold pool, the accounting
+// posture of the cost model.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return fmt.Errorf("core: transaction already finished")
@@ -201,25 +201,28 @@ func (tx *Tx) Commit() error {
 // commit applies and logs a transaction under the engine write lock,
 // and returns what it still owes once the lock is released.
 func (db *Database) commit(ops []txOp) (commitWait, error) {
-	db.mu.Lock()
+	db.lock()
 	defer db.mu.Unlock()
 	clockBefore := db.clock.Load()
-	if err := db.applyOpsLocked(ops); err != nil {
+	err := db.run(opWhat{kind: "commit", tx: ops}, func(o *op) error {
+		o.locked()
+		return o.applyOpsLocked(ops)
+	})
+	if err != nil {
 		return commitWait{}, err
 	}
 	return db.logCommitLocked(ops, clockBefore)
 }
 
 // applyOpsLocked runs a transaction's queued ops through the full
-// commit pipeline: cold-cache eviction, base/AD writes, screening,
-// immediate refresh, periodic deferred refresh. It is the body of
-// Commit, split out so WAL replay can re-execute a logged transaction
-// through the identical code path. Caller holds the engine write lock.
-func (db *Database) applyOpsLocked(ops []txOp) error {
-	if err := db.pool.EvictAll(); err != nil {
-		return err
-	}
-	db.bumpCommits()
+// commit pipeline: base/AD writes, screening, immediate refresh,
+// periodic deferred refresh. It is the body of Commit, split out so WAL
+// replay can re-execute a logged transaction through the identical code
+// path. Caller holds the engine write lock.
+func (db *op) applyOpsLocked(ops []txOp) error {
+	db.statsMu.Lock()
+	db.Commits++
+	db.statsMu.Unlock()
 
 	// Apply writes (PhaseCommitWrite): each stretch of consecutive ops on
 	// one relation goes to its store as one signed batch, whatever the op
@@ -246,9 +249,9 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 			d.adds, d.dels = slices.Grow(d.adds, len(rows)-dels), slices.Grow(d.dels, dels)
 			var err error
 			if h != nil {
-				_, err = h.ApplyRun(rows, signs, &d.dels)
+				_, err = h.ApplyRun(db.pool, rows, signs, &d.dels)
 			} else {
-				_, err = r.ApplyRun(rows, signs, -1, &d.dels)
+				_, err = r.ApplyRun(db.pool, rows, signs, -1, &d.dels)
 			}
 			if err != nil {
 				return fmt.Errorf("core: %q: %w", rel, err)
@@ -271,20 +274,14 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 	// per-view delta sets.
 	marked := map[string]map[int]*deltas{} // view -> slot -> deltas
 	err = db.inPhase(PhaseScreen, func() error {
-		// One meter batch for the whole screening loop: the deferred
-		// flush runs before inPhase takes its closing snapshot, so the
-		// phase attribution sees every screen while the loop itself
-		// pays one atomic update instead of one per candidate tuple.
-		sb := db.meter.Batch()
-		defer sb.Close()
 		for rel, d := range perRel {
 			for _, tp := range d.adds {
-				for _, view := range db.locks.ScreenBatch(rel, tp, sb) {
+				for _, view := range db.locks.Screen(rel, tp, &db.scope) {
 					addMarked(marked, db.views[view], rel, tp, true)
 				}
 			}
 			for _, tp := range d.dels {
-				for _, view := range db.locks.ScreenBatch(rel, tp, sb) {
+				for _, view := range db.locks.Screen(rel, tp, &db.scope) {
 					addMarked(marked, db.views[view], rel, tp, false)
 				}
 			}
@@ -321,7 +318,7 @@ func (db *Database) applyOpsLocked(ops []txOp) error {
 			if total == 0 {
 				continue
 			}
-			db.meter.ADTouch(total)
+			db.scope.ADTouch(total)
 			if err := db.refreshGroup([]*viewState{vs}, baseFeed(vs, slots, false)); err != nil {
 				return err
 			}

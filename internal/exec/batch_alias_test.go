@@ -27,11 +27,12 @@ import (
 // frames whose string column holds name(i) for row i. scribble
 // overwrites every page image of the relation with 0xA5 through the
 // pool's writer API.
-func aliasEnv(t *testing.T, frames int, name func(i int) string) (rel *relation.Relation, m *storage.Meter, scribble func()) {
+func aliasEnv(t *testing.T, frames int, name func(i int) string) (rel *relation.Relation, o Options, scribble func()) {
 	t.Helper()
 	d := storage.NewDisk(512)
-	m = storage.NewMeter()
-	p := storage.NewPool(d, m, frames)
+	m := storage.NewMeter()
+	p := storage.NewArena(d, frames).NewPool(m)
+	o = Options{Pool: p, Meter: m, BatchSize: 64}
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("name", tuple.String))
 	rel, err := relation.NewBTree(d, p, "a", schema, 0)
 	if err != nil {
@@ -39,7 +40,7 @@ func aliasEnv(t *testing.T, frames int, name func(i int) string) (rel *relation.
 	}
 	for i := 0; i < 300; i++ {
 		tp := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%7)), tuple.S(name(i)))
-		if err := insert(rel, tp); err != nil {
+		if err := insert(p, rel, tp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +60,7 @@ func aliasEnv(t *testing.T, frames int, name func(i int) string) (rel *relation.
 			}
 		}
 	}
-	return rel, m, scribble
+	return rel, o, scribble
 }
 
 // testBytesLaneStability drains root (small batches force several
@@ -124,8 +125,7 @@ func TestBatchBytesLaneStableAcrossRefills(t *testing.T) {
 	// unnoticed; a raw bytes lane on columnar leaves.
 	distinct := func(i int) string { return fmt.Sprintf("cell-%04d", i) }
 	t.Run("col", func(t *testing.T) {
-		rel, m, _ := aliasEnv(t, 1024, distinct)
-		o := Options{Meter: m, BatchSize: 64}
+		rel, o, _ := aliasEnv(t, 1024, distinct)
 		t.Run("seqscan", func(t *testing.T) { testBytesLaneStability(t, NewSeqScan(o, rel), distinct, nil) })
 		t.Run("scan", func(t *testing.T) { testBytesLaneStability(t, NewScan(o, rel, nil), distinct, nil) })
 		// Frames recycled under the scan, under both string lanes a
@@ -135,8 +135,7 @@ func TestBatchBytesLaneStableAcrossRefills(t *testing.T) {
 			"dict": func(i int) string { return []string{"red", "green", "blue"}[i%3] },
 		} {
 			t.Run("recycled-frames/"+lane, func(t *testing.T) {
-				rel, m, _ := aliasEnv(t, 8, name)
-				o := Options{Meter: m, BatchSize: 64}
+				rel, o, _ := aliasEnv(t, 8, name)
 				testBytesLaneStability(t, NewSeqScan(o, rel), name, nil)
 				testBytesLaneStability(t, NewScan(o, rel, nil), name, nil)
 			})
@@ -148,8 +147,8 @@ func TestBatchBytesLaneStableAcrossRefills(t *testing.T) {
 				"scan":    func(rel *relation.Relation, o Options) Operator { return NewScan(o, rel, nil) },
 			} {
 				t.Run("in-place/"+lane+"/"+scan, func(t *testing.T) {
-					rel, m, scribble := aliasEnv(t, 8, name)
-					testBytesLaneStability(t, open(rel, Options{Meter: m, BatchSize: 64}), name, scribble)
+					rel, o, scribble := aliasEnv(t, 8, name)
+					testBytesLaneStability(t, open(rel, o), name, scribble)
 				})
 			}
 		}

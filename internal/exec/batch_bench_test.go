@@ -21,11 +21,11 @@ import (
 // benchEnv builds a hot-pool B+-tree relation of n rows clustered on
 // col 0, schema (key Int, val Int, name String), sharing one meter
 // with the exec options so scan brackets see their own charges.
-func benchEnv(b *testing.B, name string, n int) (*relation.Relation, *storage.Meter) {
+func benchEnv(b *testing.B, name string, n int) (*relation.Relation, Options) {
 	b.Helper()
 	d := storage.NewDisk(4096)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 1<<14)
+	p := storage.NewArena(d, 1<<14).NewPool(m)
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("name", tuple.String))
 	r, err := relation.NewBTree(d, p, name, schema, 0)
 	if err != nil {
@@ -33,11 +33,11 @@ func benchEnv(b *testing.B, name string, n int) (*relation.Relation, *storage.Me
 	}
 	for i := 0; i < n; i++ {
 		t := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.S(fmt.Sprintf("n%02d", i%64)))
-		if err := insert(r, t); err != nil {
+		if err := insert(p, r, t); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return r, m
+	return r, Options{Pool: p, Meter: m}
 }
 
 // drainRows pulls a tree to end of stream and returns the live-row
@@ -76,11 +76,11 @@ func BenchmarkExecBatchVsRow(b *testing.B) {
 	const n = 20000
 
 	b.Run("scan-filter", func(b *testing.B) {
-		rel, m := benchEnv(b, "r", n)
+		rel, env := benchEnv(b, "r", n)
 		p := pred.New(pred.Cmp{Col: 1, Op: pred.Lt, Val: tuple.I(500)})
 		for _, mode := range benchModes {
 			b.Run(mode.name, func(b *testing.B) {
-				o := Options{Meter: m, BatchSize: mode.bs}
+				o := Options{Pool: env.Pool, Meter: env.Meter, BatchSize: mode.bs}
 				want := -1
 				for i := 0; i < b.N; i++ {
 					f := NewFilter(o, Label{"val<500"}, NewScan(o, rel, nil), Pred{P: p}, true)
@@ -99,7 +99,7 @@ func BenchmarkExecBatchVsRow(b *testing.B) {
 
 	b.Run("join-delta", func(b *testing.B) {
 		const inner, deltas = 4096, 2000
-		rel, m := benchEnv(b, "r2", inner)
+		rel, env := benchEnv(b, "r2", inner)
 		var adds, dels []tuple.Tuple
 		for i := 0; i < deltas; i++ {
 			t := tuple.New(uint64(inner+i+1), tuple.I(int64(i%inner)), tuple.I(int64(i)), tuple.S("d"))
@@ -111,7 +111,7 @@ func BenchmarkExecBatchVsRow(b *testing.B) {
 		}
 		for _, mode := range benchModes {
 			b.Run(mode.name, func(b *testing.B) {
-				o := Options{Meter: m, BatchSize: mode.bs}
+				o := Options{Pool: env.Pool, Meter: env.Meter, BatchSize: mode.bs}
 				want := -1
 				for i := 0; i < b.N; i++ {
 					j := NewLoopJoin(o, LoopJoinSpec{
@@ -134,11 +134,11 @@ func BenchmarkExecBatchVsRow(b *testing.B) {
 	})
 
 	b.Run("agg-fold", func(b *testing.B) {
-		rel, m := benchEnv(b, "r3", n)
+		rel, env := benchEnv(b, "r3", n)
 		p := pred.New(pred.Cmp{Col: 1, Op: pred.Lt, Val: tuple.I(750)})
 		for _, mode := range benchModes {
 			b.Run(mode.name, func(b *testing.B) {
-				o := Options{Meter: m, BatchSize: mode.bs}
+				o := Options{Pool: env.Pool, Meter: env.Meter, BatchSize: mode.bs}
 				var want float64
 				for i := 0; i < b.N; i++ {
 					var sum float64

@@ -20,11 +20,11 @@ import (
 
 // flushedEnv is benchEnv flushed so the on-disk pages are current
 // (zone-map pruning disables itself while dirty frames exist).
-func flushedEnv(b testing.TB, name string, n int) (*relation.Relation, *storage.Meter) {
+func flushedEnv(b testing.TB, name string, n int) (*relation.Relation, Options) {
 	b.Helper()
 	d := storage.NewDisk(4096)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 1<<14)
+	p := storage.NewArena(d, 1<<14).NewPool(m)
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("name", tuple.String))
 	r, err := relation.NewBTree(d, p, name, schema, 0)
 	if err != nil {
@@ -32,38 +32,38 @@ func flushedEnv(b testing.TB, name string, n int) (*relation.Relation, *storage.
 	}
 	for i := 0; i < n; i++ {
 		t := tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.S(fmt.Sprintf("n%02d", i%64)))
-		if err := insert(r, t); err != nil {
+		if err := insert(p, r, t); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if err := p.FlushAll(); err != nil {
 		b.Fatal(err)
 	}
-	return r, m
+	return r, Options{Pool: p, Meter: m}
 }
 
 // scatteredEnv is flushedEnv over the bench's scan-qm shape: rows (k, a,
 // p) with a = k·40503 mod n a permutation of [0, n) scattered across the
 // key-ordered leaves, so zone maps on a rarely prune a page.
-func scatteredEnv(b testing.TB, name string, n int) (*relation.Relation, *storage.Meter) {
+func scatteredEnv(b testing.TB, name string, n int) (*relation.Relation, Options) {
 	b.Helper()
 	d := storage.NewDisk(4096)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 1<<14)
+	p := storage.NewArena(d, 1<<14).NewPool(m)
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("p", tuple.Int))
 	r, err := relation.NewBTree(d, p, name, schema, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for k := int64(0); k < int64(n); k++ {
-		if err := insert(r, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*40503%int64(n)), tuple.I((k*7919+17)%1000))); err != nil {
+		if err := insert(p, r, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*40503%int64(n)), tuple.I((k*7919+17)%1000))); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if err := p.FlushAll(); err != nil {
 		b.Fatal(err)
 	}
-	return r, m
+	return r, Options{Pool: p, Meter: m}
 }
 
 // The allocation guards pin what the benchmark above measures where no
@@ -86,8 +86,8 @@ func allocBound(max, raceMax float64) float64 {
 // A full columnar scan of the benchmark's 20 000-row, 354-leaf relation.
 func TestFullScanAllocations(t *testing.T) {
 	const n = 20000
-	rel, m := flushedEnv(t, "alloc-fs", n)
-	o := Options{Meter: m}
+	rel, env := flushedEnv(t, "alloc-fs", n)
+	o := env
 	allocs := testing.AllocsPerRun(5, func() {
 		if got := drainRows(t, NewSeqScan(o, rel)); got != n {
 			t.Fatalf("drained %d rows, want %d", got, n)
@@ -119,21 +119,21 @@ func TestColdScanAllocations(t *testing.T) {
 	const n, aMul = 100000, 40503
 	d := storage.NewDisk(4000)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 256)
+	p := storage.NewArena(d, 256).NewPool(m)
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("p", tuple.Int))
 	rel, err := relation.NewBTree(d, p, "alloc-cold", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < n; k++ {
-		if err := insert(rel, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000))); err != nil {
+		if err := insert(p, rel, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Meter: m}
+	o := Options{Pool: p, Meter: m}
 	for _, c := range []struct {
 		name         string
 		atoms        []colpage.Atom
@@ -144,7 +144,7 @@ func TestColdScanAllocations(t *testing.T) {
 	} {
 		var pruned int64
 		allocs := testing.AllocsPerRun(3, func() {
-			if err := p.EvictAll(); err != nil {
+			if err := p.Close(); err != nil {
 				t.Fatal(err)
 			}
 			scan := NewSeqScanPruned(o, rel, c.atoms)
@@ -185,21 +185,21 @@ func TestStoredRangeReadAllocations(t *testing.T) {
 	const n, lo, rows = 20000, 5000, 1000
 	d := storage.NewDisk(4096)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 1<<14)
+	p := storage.NewArena(d, 1<<14).NewPool(m)
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("__dup", tuple.Int))
 	rel, err := relation.NewBTree(d, p, "alloc-view", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := insert(rel, tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
+		if err := insert(p, rel, tuple.New(uint64(i+1), tuple.I(int64(i)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Meter: m}
+	o := Options{Pool: p, Meter: m}
 	rg := pred.NewRange(tuple.I(lo), tuple.I(lo+rows), true, false)
 	split := func(cols []vec.Col) ([]vec.Col, []int64, error) { return cols[:2], cols[2].Ints, nil }
 	allocs := testing.AllocsPerRun(20, func() {
@@ -227,9 +227,9 @@ func BenchmarkScanCol(b *testing.B) {
 	const n = 20000
 
 	b.Run("full-scan", func(b *testing.B) {
-		rel, m := flushedEnv(b, "fs", n)
+		rel, env := flushedEnv(b, "fs", n)
 		b.Run("col", func(b *testing.B) {
-			o := Options{Meter: m}
+			o := env
 			for i := 0; i < b.N; i++ {
 				if got := drainRows(b, NewSeqScan(o, rel)); got != n {
 					b.Fatalf("drained %d rows, want %d", got, n)
@@ -247,8 +247,7 @@ func BenchmarkScanCol(b *testing.B) {
 		const cut = 400
 		p := pred.New(pred.Cmp{Col: 0, Op: pred.Lt, Val: tuple.I(cut)})
 		atoms := []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(cut)}}
-		run := func(b *testing.B, rel *relation.Relation, m *storage.Meter, prune []colpage.Atom) {
-			o := Options{Meter: m}
+		run := func(b *testing.B, rel *relation.Relation, o Options, prune []colpage.Atom) {
 			pruned := int64(0)
 			for i := 0; i < b.N; i++ {
 				scan := NewSeqScanPruned(o, rel, prune)
@@ -262,9 +261,9 @@ func BenchmarkScanCol(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 			b.ReportMetric(float64(pruned), "pruned-pages")
 		}
-		rel, m := flushedEnv(b, "sel", n)
-		b.Run("col", func(b *testing.B) { run(b, rel, m, atoms) })
-		b.Run("col-noprune", func(b *testing.B) { run(b, rel, m, nil) })
+		rel, env := flushedEnv(b, "sel", n)
+		b.Run("col", func(b *testing.B) { run(b, rel, env, atoms) })
+		b.Run("col-noprune", func(b *testing.B) { run(b, rel, env, nil) })
 	})
 
 	// Scattered filter: a < n/100 keeps 1 % of rows, spread over nearly
@@ -276,8 +275,7 @@ func BenchmarkScanCol(b *testing.B) {
 		const cut = n / 100
 		p := pred.New(pred.Cmp{Col: 1, Op: pred.Lt, Val: tuple.I(cut)})
 		atoms := []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(cut)}}
-		run := func(b *testing.B, rel *relation.Relation, m *storage.Meter, prune []colpage.Atom) {
-			o := Options{Meter: m}
+		run := func(b *testing.B, rel *relation.Relation, o Options, prune []colpage.Atom) {
 			for i := 0; i < b.N; i++ {
 				f := NewFilter(o, Label{"a<n/100"}, NewSeqScanPruned(o, rel, prune), Pred{P: p}, true)
 				if got := drainRows(b, f); got != cut {
@@ -286,16 +284,16 @@ func BenchmarkScanCol(b *testing.B) {
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		}
-		rel, m := scatteredEnv(b, "scat", n)
-		b.Run("col", func(b *testing.B) { run(b, rel, m, atoms) })
-		b.Run("col-noprune", func(b *testing.B) { run(b, rel, m, nil) })
+		rel, env := scatteredEnv(b, "scat", n)
+		b.Run("col", func(b *testing.B) { run(b, rel, env, atoms) })
+		b.Run("col-noprune", func(b *testing.B) { run(b, rel, env, nil) })
 	})
 
 	b.Run("agg-fold", func(b *testing.B) {
 		p := pred.New(pred.Cmp{Col: 1, Op: pred.Lt, Val: tuple.I(750)})
-		rel, m := flushedEnv(b, "agg", n)
+		rel, env := flushedEnv(b, "agg", n)
 		b.Run("col", func(b *testing.B) {
-			o := Options{Meter: m}
+			o := env
 			var want float64
 			for i := 0; i < b.N; i++ {
 				var sum float64
@@ -331,14 +329,14 @@ func BenchmarkScanCol(b *testing.B) {
 func TestPointLookupAllocations(t *testing.T) {
 	const n, first, keys = 20000, 1000, 100
 	d := storage.NewDisk(4096)
-	p := storage.NewPool(d, storage.NewMeter(), 1<<14)
+	p := storage.NewArena(d, 1<<14).NewPool(storage.NewMeter())
 	schema := tuple.NewSchema(tuple.Col("key", tuple.Int), tuple.Col("val", tuple.Int), tuple.Col("__dup", tuple.Int))
 	rel, err := relation.NewBTree(d, p, "lookups", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := insert(rel, tuple.New(uint64(i+1), tuple.I(int64(i/4)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
+		if err := insert(p, rel, tuple.New(uint64(i+1), tuple.I(int64(i/4)), tuple.I(int64(i%997)), tuple.I(1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +345,7 @@ func TestPointLookupAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for k := int64(first); k < first+keys; k++ {
-			if got, err := rel.LookupKey(tuple.I(k)); err != nil || len(got) != 4 {
+			if got, err := rel.LookupKey(p, tuple.I(k)); err != nil || len(got) != 4 {
 				t.Fatalf("key %d: %d rows, err %v", k, len(got), err)
 			}
 		}

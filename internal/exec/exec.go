@@ -20,11 +20,10 @@
 // OpStats.RowsOut still counts logical rows — only the new
 // OpStats.Batches differs from the serial row path.
 //
-// Operators share one Meter; when trees run concurrently (parallel
-// refresh workers) a bracket can absorb another goroutine's charges, so
-// per-operator attribution is exact in serial runs and approximate
-// under concurrent load — the same caveat core.Database.Breakdown
-// carries.
+// A tree's operators share its Options' Meter, which in the engine is
+// the meter scope of the one operation the tree runs in; no other
+// goroutine charges it, so the attribution is exact however trees run
+// concurrently.
 package exec
 
 import (
@@ -48,15 +47,21 @@ type Row struct {
 	Dup    int64         // duplicate count carried by materialized-store rows (0 = 1)
 }
 
-// Options configures a plan's operators: the meter charges are issued
-// against, and the batch size rows are vectorized in. BatchSize 0
+// Options configures a plan's operators: the pool their pages are read
+// and written through, the meter charges are issued against (the pool's,
+// in the engine: the one operation's meter scope), and the batch size
+// rows are vectorized in. BatchSize 0
 // means vec.DefaultBatchSize; any other value caps every batch at that
 // many rows (1 is one row a batch, the cap the batch-vs-row property
 // tests hold the kernels to).
 type Options struct {
+	Pool      *storage.Pool
 	Meter     *storage.Meter
 	BatchSize int
 }
+
+// base returns an operator's instrumentation for the options.
+func (o Options) base() base { return base{meter: o.Meter, pool: o.Pool} }
 
 // Label names an operator in plan trees. It keeps the parts the name is
 // made of, and Describe joins them, so a tree no one reads is never
@@ -105,9 +110,11 @@ type Operator interface {
 	Stats() OpStats
 }
 
-// base carries the instrumentation shared by every operator.
+// base carries what every operator shares: the pool its pages go
+// through, and its instrumentation.
 type base struct {
 	meter   *storage.Meter
+	pool    *storage.Pool
 	rows    int64
 	batches int64
 	cost    storage.Stats

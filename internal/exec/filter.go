@@ -52,7 +52,7 @@ type Filter struct {
 
 // NewFilter builds a charged or uncharged predicate filter.
 func NewFilter(o Options, label Label, input Operator, p Pred, charge bool) *Filter {
-	return &Filter{base: base{meter: o.Meter}, label: label, in: [1]Operator{input}, p: p, charge: charge}
+	return &Filter{base: o.base(), label: label, in: [1]Operator{input}, p: p, charge: charge}
 }
 
 func (f *Filter) Open() error { return f.in[0].Open() }

@@ -106,7 +106,7 @@ type LoopJoinSpec struct {
 // NewLoopJoin builds an index nested-loop join.
 func NewLoopJoin(o Options, spec LoopJoinSpec) *LoopJoin {
 	return &LoopJoin{
-		base: base{meter: o.Meter}, outer: outerCursor{in: [1]Operator{spec.Input}}, inner: spec.Inner,
+		base: o.base(), outer: outerCursor{in: [1]Operator{spec.Input}}, inner: spec.Inner,
 		joinCol: spec.JoinCol, skipIDs: spec.SkipIDs, chargeMatch: spec.ChargeMatch,
 		em: joinEmitter{size: o.size()},
 	}
@@ -142,7 +142,7 @@ func (j *LoopJoin) NextBatch() (*vec.Batch, error) {
 		var probed []tuple.Tuple
 		err = j.bracket(func() error {
 			var e error
-			probed, e = j.inner.LookupKey(cur.T0.Vals[j.joinCol])
+			probed, e = j.inner.LookupKey(j.pool, cur.T0.Vals[j.joinCol])
 			return e
 		})
 		if err != nil {
@@ -196,7 +196,7 @@ type MatchDeltas struct {
 // NewMatchDeltas builds a delta-matching join against the outer stream.
 func NewMatchDeltas(o Options, input Operator, adds, dels []tuple.Tuple, outerCol, deltaCol int, flatScreens int64) *MatchDeltas {
 	return &MatchDeltas{
-		base: base{meter: o.Meter}, outer: outerCursor{in: [1]Operator{input}}, adds: adds, dels: dels,
+		base: o.base(), outer: outerCursor{in: [1]Operator{input}}, adds: adds, dels: dels,
 		outerCol: outerCol, deltaCol: deltaCol, flatScreens: flatScreens,
 		em: joinEmitter{size: o.size()},
 	}

@@ -40,7 +40,7 @@ func Pruned(op Operator) int64 {
 
 // TotalCost sums the metered charges over the whole tree — by the
 // attribution invariant, equal to the storage.Meter delta spanning the
-// tree's execution (exact in serial runs).
+// tree's execution in its operation's meter scope.
 func (n *PlanNode) TotalCost() storage.Stats {
 	total := n.Stats.Cost
 	for _, c := range n.Children {

@@ -24,9 +24,9 @@ import (
 // and the screens still equal the rows the scan tested. Both answers are
 // the relation's rows the whole predicate holds for.
 
-// insert adds tp to r: an ApplyRun of one row.
-func insert(r *relation.Relation, tp tuple.Tuple) error {
-	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
+// insert adds tp to r through p: an ApplyRun of one row.
+func insert(p *storage.Pool, r *relation.Relation, tp tuple.Tuple) error {
+	_, err := r.ApplyRun(p, []tuple.Tuple{tp}, nil, -1, nil)
 	return err
 }
 
@@ -55,7 +55,7 @@ func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, 
 	t.Helper()
 	d := storage.NewDisk(512)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, fx.frames)
+	p := storage.NewArena(d, fx.frames).NewPool(m)
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("a", tuple.Int), tuple.Col("s", tuple.String), tuple.Col("f", tuple.Float))
 	var rel *relation.Relation
 	var err error
@@ -68,18 +68,18 @@ func (fx selectFixture) build(t *testing.T) (*relation.Relation, *storage.Pool, 
 		t.Fatal(err)
 	}
 	for k := int64(0); k < selectRows; k++ {
-		if err := insert(rel, selectRow(k)); err != nil {
+		if err := insert(p, rel, selectRow(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.EvictAll(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if fx.dirty {
-		if err := insert(rel, selectRow(selectRows)); err != nil {
+		if err := insert(p, rel, selectRow(selectRows)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,11 +186,11 @@ func TestSeqScanSelectionMatchesFullScan(t *testing.T) {
 				full := pred.New(append(append([]pred.Atom(nil), pushed...), drawAtom(rng))...) // one atom the scan never sees
 				for _, bs := range []int{1, 7, 1024} {
 					if !fx.dirty { // eviction would write the dirty frame back
-						poolSel.EvictAll()
-						poolAll.EvictAll()
+						poolSel.Close()
+						poolAll.Close()
 					}
-					sel := runSelect(t, relSel, Options{Meter: mSel, BatchSize: bs}, full, pushed)
-					all := runSelect(t, relAll, Options{Meter: mAll, BatchSize: bs}, full, nil)
+					sel := runSelect(t, relSel, Options{Pool: poolSel, Meter: mSel, BatchSize: bs}, full, pushed)
+					all := runSelect(t, relAll, Options{Pool: poolAll, Meter: mAll, BatchSize: bs}, full, nil)
 					where := fmt.Sprintf("draw %d (pushed %v, filter %v), batch %d", draw, pushed, full.Atoms, bs)
 					if !bytes.Equal(sel.rows, all.rows) {
 						t.Fatalf("%s: the selecting scan's answer differs", where)

@@ -26,7 +26,7 @@ type DeltaApply struct {
 // NewDeltaApply builds the materialization sink from the caller's apply
 // effect.
 func NewDeltaApply(o Options, label Label, input Operator, apply func([]Row) error) *DeltaApply {
-	return &DeltaApply{base: base{meter: o.Meter}, label: label, in: [1]Operator{input}, apply: apply}
+	return &DeltaApply{base: o.base(), label: label, in: [1]Operator{input}, apply: apply}
 }
 
 func (d *DeltaApply) Open() error { return d.in[0].Open() }
@@ -121,7 +121,7 @@ type StateWrite struct {
 
 // NewStateWrite builds the side-effect step.
 func NewStateWrite(o Options, label Label, fn func() error) *StateWrite {
-	return &StateWrite{base: base{meter: o.Meter}, label: label, fn: fn}
+	return &StateWrite{base: o.base(), label: label, fn: fn}
 }
 
 func (w *StateWrite) Open() error { return nil }

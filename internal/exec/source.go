@@ -26,12 +26,12 @@ type Scan struct {
 
 // NewScan builds a clustered range scan.
 func NewScan(o Options, rel *relation.Relation, rg *pred.Range) *Scan {
-	return &Scan{base: base{meter: o.Meter}, rel: rel, rg: rg, size: o.size()}
+	return &Scan{base: o.base(), rel: rel, rg: rg, size: o.size()}
 }
 
 func (s *Scan) Open() error {
 	return s.bracket(func() error {
-		it, err := s.rel.IterBatches(s.rg, nil)
+		it, err := s.rel.IterBatches(s.pool, s.rg, nil)
 		s.it = it
 		return err
 	})
@@ -82,7 +82,7 @@ type SeqScan struct {
 
 // NewSeqScan builds a full sequential scan.
 func NewSeqScan(o Options, rel *relation.Relation) *SeqScan {
-	return &SeqScan{base: base{meter: o.Meter}, rel: rel, size: o.size()}
+	return &SeqScan{base: o.base(), rel: rel, size: o.size()}
 }
 
 // NewSeqScanPruned builds a full sequential scan that may skip pages
@@ -98,7 +98,7 @@ func NewSeqScanPruned(o Options, rel *relation.Relation, prune []colpage.Atom) *
 func (s *SeqScan) Open() error {
 	s.i = 0
 	return s.bracket(func() error {
-		bufs, pruned, err := s.rel.ScanAllBatches(s.size, s.prune)
+		bufs, pruned, err := s.rel.ScanAllBatches(s.pool, s.size, s.prune)
 		s.bufs, s.pruned = bufs, pruned
 		return err
 	})
@@ -151,14 +151,14 @@ type StoredScan struct {
 // NewStoredScan builds a stored-copy scan named label in plan trees.
 func NewStoredScan(o Options, label Label, rel *relation.Relation, rg *pred.Range,
 	split func([]vec.Col) ([]vec.Col, []int64, error), expand bool) *StoredScan {
-	return &StoredScan{base: base{meter: o.Meter}, label: label, rel: rel, rg: rg,
+	return &StoredScan{base: o.base(), label: label, rel: rel, rg: rg,
 		split: split, expand: expand, size: o.size()}
 }
 
 func (s *StoredScan) Open() error {
 	s.i, s.bufs = 0, nil
 	return s.bracket(func() error {
-		it, err := s.rel.IterBatches(s.rg, nil)
+		it, err := s.rel.IterBatches(s.pool, s.rg, nil)
 		if err != nil {
 			return err
 		}
@@ -246,13 +246,13 @@ type IndexFetch struct {
 
 // NewIndexFetch builds a secondary-index fetch on rel.col over rg.
 func NewIndexFetch(o Options, rel *relation.Relation, col int, rg *pred.Range) *IndexFetch {
-	return &IndexFetch{base: base{meter: o.Meter}, rel: rel, col: col, rg: rg, size: o.size()}
+	return &IndexFetch{base: o.base(), rel: rel, col: col, rg: rg, size: o.size()}
 }
 
 func (s *IndexFetch) Open() error {
 	s.i = 0
 	return s.bracket(func() error {
-		buf, err := s.rel.LookupSecondary(s.col, s.rg)
+		buf, err := s.rel.LookupSecondary(s.pool, s.col, s.rg)
 		s.buf = buf
 		return err
 	})
@@ -325,7 +325,7 @@ func NewMemSource(o Options, label Label, rows []Row) *MemSource {
 
 // NewFuncSource builds a generator-backed source.
 func NewFuncSource(o Options, label Label, gen func() ([]Row, error)) *MemSource {
-	return &MemSource{base: base{meter: o.Meter}, label: label, gen: gen, pack: rowPacker{size: o.size()}}
+	return &MemSource{base: o.base(), label: label, gen: gen, pack: rowPacker{size: o.size()}}
 }
 
 // NewDeltaSource streams a transaction's (or epoch's) net change sets as

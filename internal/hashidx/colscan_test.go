@@ -42,8 +42,8 @@ func batchDropped(bs []*vec.Batch) int {
 func TestScanAllBatchesPruning(t *testing.T) {
 	d := storage.NewDisk(256)
 	m := storage.NewMeter()
-	pool := storage.NewPool(d, m, 64)
-	ix, err := New(pool, d.Open("h"), 0, 8)
+	pool := storage.NewArena(d, 64).NewPool(m)
+	ix, err := newIndex(pool, d.Open("h"), 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestScanAllBatchesPruning(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	pool.EvictAll()
+	pool.Close()
 
 	// Every stored key is < 24: the atom disproves every non-empty
 	// page, so only empty bucket pages (no zones) are read.
@@ -80,7 +80,7 @@ func TestScanAllBatchesPruning(t *testing.T) {
 	}
 
 	// Unpruned control: every page read, every row returned.
-	pool.EvictAll()
+	pool.Close()
 	before = m.Snapshot()
 	out, pruned, err = ix.ScanAllBatches(0, nil)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestScanAllBatchesPruning(t *testing.T) {
 	// Selective prune: pages whose whole key range is >= 12 are
 	// skipped, and the rows >= 12 of the pages read are dropped: the
 	// survivors are exactly the keys < 12.
-	pool.EvictAll()
+	pool.Close()
 	out, pruned, err = ix.ScanAllBatches(0, []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(12)}})
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +128,8 @@ func TestScanAllBatchesPruning(t *testing.T) {
 func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	d := storage.NewDisk(256)
 	m := storage.NewMeter()
-	pool := storage.NewPool(d, m, 64)
-	ix, err := New(pool, d.Open("h"), 0, 8)
+	pool := storage.NewArena(d, 64).NewPool(m)
+	ix, err := newIndex(pool, d.Open("h"), 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	pool.EvictAll()
+	pool.Close()
 	if err := insert(ix, mk(100, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestScanAllBatchesPruningDisarmedByDirtyFrames(t *testing.T) {
 // colpage.TestDataPageRejectsDamage; this is the way there from a scan).
 func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	d := storage.NewDisk(256)
-	pool := storage.NewPool(d, storage.NewMeter(), 64)
-	ix, err := New(pool, d.Open("h"), 0, 8)
+	pool := storage.NewArena(d, 64).NewPool(storage.NewMeter())
+	ix, err := newIndex(pool, d.Open("h"), 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestScanAllBatchesRejectsHeaderCountMismatch(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	pool.EvictAll()
+	pool.Close()
 	_, _, err = ix.ScanAllBatches(0, nil)
 	if err == nil || !strings.Contains(err.Error(), "header says") {
 		t.Errorf("scan over a page with a wrong header count: err = %v", err)
@@ -214,8 +214,8 @@ func TestScanAllBatchesCutsBatches(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d := storage.NewDisk(256)
 			m := storage.NewMeter()
-			pool := storage.NewPool(d, m, 64)
-			ix, err := New(pool, d.Open("h"), 0, c.buckets)
+			pool := storage.NewArena(d, 64).NewPool(m)
+			ix, err := newIndex(pool, d.Open("h"), 0, c.buckets)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestScanAllBatchesCutsBatches(t *testing.T) {
 			if err := pool.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-			pool.EvictAll()
+			pool.Close()
 			const size = 5
 			const cut = 10
 			before := m.Snapshot()

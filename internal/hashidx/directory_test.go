@@ -14,7 +14,7 @@ import (
 // checkDirectory flushes the index's pool and compares the page directory
 // its writers kept with one rebuilt from the page images, and its page
 // count with a walk of every bucket chain over the images.
-func checkDirectory(ix *Index) error {
+func checkDirectory(ix *testIndex) error {
 	if err := ix.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -35,7 +35,7 @@ func checkDirectory(ix *Index) error {
 // image and following its link from each bucket that has a page: the oracle of the
 // directory's count, which it does not consult. Every page the file
 // holds must be on one chain, once: a bucket with no page hides none.
-func chainWalkPages(ix *Index) (int, error) {
+func chainWalkPages(ix *testIndex) (int, error) {
 	seen := map[storage.PageNum]bool{}
 	var n node
 	for b, pn := range ix.buckets {
@@ -63,7 +63,7 @@ func chainWalkPages(ix *Index) (int, error) {
 // buckets only.
 func TestRestoreRebuildsTheDirectoryWritersKept(t *testing.T) {
 	d := storage.NewDisk(128)
-	ix, err := New(storage.NewPool(d, storage.NewMeter(), 64), d.Open("h"), 0, 4)
+	ix, err := newIndex(storage.NewArena(d, 64).NewPool(storage.NewMeter()), d.Open("h"), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestOpenRefusesABucketThatIsNoChainPage(t *testing.T) {
 	for name, pn := range map[string]storage.PageNum{"never written": blank, "freed": overflow, "past the end": ix.file.Extent()} {
 		m := ix.Meta()
 		m.Buckets[1] = pn
-		if _, err := Open(ix.pool, ix.file, ix.keyCol, m); err == nil {
+		if _, err := openIndex(ix.pool, ix.file, ix.keyCol, m); err == nil {
 			t.Errorf("bucket page %d (%s) opened", pn, name)
 		}
 	}
-	if _, err := Open(ix.pool, ix.file, ix.keyCol, ix.Meta()); err != nil {
+	if _, err := openIndex(ix.pool, ix.file, ix.keyCol, ix.Meta()); err != nil {
 		t.Errorf("intact metadata: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestOpenRefusesABucketThatIsNoChainPage(t *testing.T) {
 // restored reopens ix over a copy of its disk carried through a full
 // delta, the way restoring a checkpoint reopens every index, with a cold
 // pool of its own, and returns that pool's meter.
-func restored(t *testing.T, ix *Index, d *storage.Disk) (*Index, *storage.Meter) {
+func restored(t *testing.T, ix *testIndex, d *storage.Disk) (*testIndex, *storage.Meter) {
 	t.Helper()
 	if err := ix.pool.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func restored(t *testing.T, ix *Index, d *storage.Disk) (*Index, *storage.Meter)
 		t.Fatal(err)
 	}
 	m := storage.NewMeter()
-	back, err := Open(storage.NewPool(d2, m, 64), d2.Open(ix.file.Name()), ix.keyCol, ix.Meta())
+	back, err := openIndex(storage.NewArena(d2, 64).NewPool(m), d2.Open(ix.file.Name()), ix.keyCol, ix.Meta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func restored(t *testing.T, ix *Index, d *storage.Disk) (*Index, *storage.Meter)
 // and returns every row the atom keeps.
 func TestRestoredChainPageWithUnreadableZonesStopsTheWalk(t *testing.T) {
 	d := storage.NewDisk(256)
-	p := storage.NewPool(d, storage.NewMeter(), 64)
-	ix, err := New(p, d.Open("h"), 0, 8)
+	p := storage.NewArena(d, 64).NewPool(storage.NewMeter())
+	ix, err := newIndex(p, d.Open("h"), 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRestoredChainPageWithUnreadableZonesStopsTheWalk(t *testing.T) {
 		t.Fatal("the fixture needs overflow chains")
 	}
 	atoms := []colpage.Atom{{Col: 0, Op: pred.Lt, Val: tuple.I(50)}}
-	scan := func(ix *Index, m *storage.Meter) (rows int, reads, pruned int64) {
+	scan := func(ix *testIndex, m *storage.Meter) (rows int, reads, pruned int64) {
 		out, pruned, err := ix.ScanAllBatches(0, atoms)
 		if err != nil {
 			t.Fatal(err)

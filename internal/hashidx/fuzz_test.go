@@ -50,8 +50,8 @@ func FuzzHashIndex(f *testing.F) {
 		data = data[1:]
 		d := storage.NewDisk(256)
 		meter := storage.NewMeter()
-		pool := storage.NewPool(d, meter, 64)
-		ix, err := New(pool, d.Open("h"), 0, buckets)
+		pool := storage.NewArena(d, 64).NewPool(meter)
+		ix, err := newIndex(pool, d.Open("h"), 0, buckets)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,6 @@ const noPage = ^storage.PageNum(0)
 // Index is a clustered hash index storing full tuples. Not safe for
 // concurrent use.
 type Index struct {
-	pool    *storage.Pool
 	file    *storage.File
 	dir     *colpage.Directory // every chain page's link and zone maps
 	keyCol  int
@@ -71,7 +70,7 @@ func (ix *Index) Meta() Meta {
 // caller-supplied metadata (from a prior Meta call), and rebuilds the
 // page directory from the file's images. A bucket may have no page; one
 // that names a page the directory holds no chain page for is refused.
-func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Index, error) {
+func Open(file *storage.File, keyCol int, m Meta) (*Index, error) {
 	if len(m.Buckets) == 0 || m.Count < 0 {
 		return nil, fmt.Errorf("hashidx: invalid metadata %+v", m)
 	}
@@ -88,7 +87,7 @@ func Open(pool *storage.Pool, file *storage.File, keyCol int, m Meta) (*Index, e
 			return nil, fmt.Errorf("hashidx: bucket page %d is no chain page", pn)
 		}
 	}
-	ix := &Index{pool: pool, file: file, dir: dir, keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}
+	ix := &Index{file: file, dir: dir, keyCol: keyCol, buckets: append([]storage.PageNum(nil), m.Buckets...), count: m.Count}
 	ix.findHeads()
 	return ix, nil
 }
@@ -100,7 +99,7 @@ func New(pool *storage.Pool, file *storage.File, keyCol, numBuckets int) (*Index
 	if numBuckets < 1 {
 		numBuckets = 1
 	}
-	ix := &Index{pool: pool, file: file, dir: colpage.NewDirectory(chainPages, file), keyCol: keyCol, buckets: make([]storage.PageNum, numBuckets)}
+	ix := &Index{file: file, dir: colpage.NewDirectory(chainPages, file), keyCol: keyCol, buckets: make([]storage.PageNum, numBuckets)}
 	for i := range ix.buckets {
 		fr, err := pool.Alloc(file)
 		if err != nil {
@@ -178,9 +177,9 @@ func (ix *Index) decode(page []byte, n *node) error {
 // appended to *cut, whole. Each chain page a walk inspects costs one
 // metered read, the page it edits or allocates one write when its scope
 // closes.
-func (ix *Index) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
+func (ix *Index) ApplyRun(p *storage.Pool, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
 	for i, tp := range rows {
-		if err := ix.walk(tp, signs == nil || signs[i] >= 0, cut); err != nil {
+		if err := ix.walk(p, tp, signs == nil || signs[i] >= 0, cut); err != nil {
 			return i, err
 		}
 	}
@@ -190,8 +189,8 @@ func (ix *Index) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) 
 // walk applies one row, an insert when plus: it decodes the pages of
 // the row's bucket chain in turn onto the reused lanes until one takes
 // the row, and encodes that page back.
-func (ix *Index) walk(tp tuple.Tuple, plus bool, cut *[]tuple.Tuple) error {
-	if plus && !colpage.FitsAlone(tp, ix.pool.PageSize()) {
+func (ix *Index) walk(p *storage.Pool, tp tuple.Tuple, plus bool, cut *[]tuple.Tuple) error {
+	if plus && !colpage.FitsAlone(tp, p.PageSize()) {
 		return fmt.Errorf("hashidx: tuple of %d bytes exceeds page capacity", tp.EncodedSize())
 	}
 	v := tp.Vals[ix.keyCol]
@@ -202,37 +201,37 @@ func (ix *Index) walk(tp tuple.Tuple, plus bool, cut *[]tuple.Tuple) error {
 		if !plus {
 			return fmt.Errorf("%w (id %d)", btree.ErrAbsent, tp.ID)
 		}
-		fr, err := ix.newPage(tp)
+		fr, err := ix.newPage(p, tp)
 		if err != nil {
 			return err
 		}
 		ix.buckets[b] = fr.PageNum()
 		ix.findHeads()
-		return ix.pool.Release(fr)
+		return p.Release(fr)
 	}
 	for {
-		fr, err := ix.pool.Get(ix.file, pn)
+		fr, err := p.Get(ix.file, pn)
 		if err != nil {
 			return err
 		}
 		if err := ix.decode(fr.Data, n); err != nil {
-			ix.pool.Release(fr)
+			p.Release(fr)
 			return err
 		}
 		if ix.take(n, tp, plus, len(fr.Data), cut) {
 			ix.encodeNode(fr, n)
 			fr.MarkDirty()
-			return ix.pool.Release(fr)
+			return p.Release(fr)
 		}
 		if n.HasNext {
 			pn = n.Next
-			if err := ix.pool.Release(fr); err != nil {
+			if err := p.Release(fr); err != nil {
 				return err
 			}
 			continue
 		}
 		if !plus {
-			if err := ix.pool.Release(fr); err != nil {
+			if err := p.Release(fr); err != nil {
 				return err
 			}
 			// The key value stays out of the message: boxing it would
@@ -240,26 +239,26 @@ func (ix *Index) walk(tp tuple.Tuple, plus bool, cut *[]tuple.Tuple) error {
 			return fmt.Errorf("%w (id %d)", btree.ErrAbsent, tp.ID)
 		}
 		// Allocate an overflow page and link it.
-		ofr, err := ix.newPage(tp)
+		ofr, err := ix.newPage(p, tp)
 		if err != nil {
-			ix.pool.Release(fr)
+			p.Release(fr)
 			return err
 		}
 		n.Next, n.HasNext = ofr.PageNum(), true
 		ix.encodeNode(fr, n)
 		fr.MarkDirty()
-		if err := ix.pool.Release(ofr); err != nil {
-			ix.pool.Release(fr)
+		if err := p.Release(ofr); err != nil {
+			p.Release(fr)
 			return err
 		}
-		return ix.pool.Release(fr)
+		return p.Release(fr)
 	}
 }
 
 // newPage allocates a chain page that holds tp alone and links nowhere,
 // and returns it pinned: born dirty, never read.
-func (ix *Index) newPage(tp tuple.Tuple) (*storage.Frame, error) {
-	fr, err := ix.pool.Alloc(ix.file)
+func (ix *Index) newPage(p *storage.Pool, tp tuple.Tuple) (*storage.Frame, error) {
+	fr, err := p.Alloc(ix.file)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +302,7 @@ func (ix *Index) take(n *node, tp tuple.Tuple, plus bool, pageSize int, cut *[]t
 // matches walks the chain of v's bucket (one metered read per chain
 // page, none for a bucket with no page) and hands fn each row whose key
 // column equals v, on the page's decoded lanes, which fn must not keep.
-func (ix *Index) matches(v tuple.Value, fn func(rows *colpage.Lanes, i int)) error {
+func (ix *Index) matches(p *storage.Pool, v tuple.Value, fn func(rows *colpage.Lanes, i int)) error {
 	pn := ix.buckets[ix.bucketFor(v)]
 	if pn == noPage {
 		return nil
@@ -312,7 +311,7 @@ func (ix *Index) matches(v tuple.Value, fn func(rows *colpage.Lanes, i int)) err
 	for {
 		var next storage.PageNum
 		hasNext := false
-		err := ix.pool.Read(ix.file, pn, func(page []byte) error {
+		err := p.Read(ix.file, pn, func(page []byte) error {
 			if err := ix.decode(page, &n); err != nil {
 				return err
 			}
@@ -333,9 +332,9 @@ func (ix *Index) matches(v tuple.Value, fn func(rows *colpage.Lanes, i int)) err
 
 // Lookup returns all tuples whose key column equals v, walking the
 // bucket's chain (one metered read per chain page).
-func (ix *Index) Lookup(v tuple.Value) ([]tuple.Tuple, error) {
+func (ix *Index) Lookup(p *storage.Pool, v tuple.Value) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
-	err := ix.matches(v, func(rows *colpage.Lanes, i int) { out = append(out, rows.Row(i)) })
+	err := ix.matches(p, v, func(rows *colpage.Lanes, i int) { out = append(out, rows.Row(i)) })
 	if err != nil {
 		return nil, err
 	}
@@ -344,10 +343,10 @@ func (ix *Index) Lookup(v tuple.Value) ([]tuple.Tuple, error) {
 
 // Get returns the tuple with key value v and the given id: a walk of the
 // whole chain, as Lookup's, that boxes that row alone.
-func (ix *Index) Get(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func (ix *Index) Get(p *storage.Pool, v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	var found tuple.Tuple
 	ok := false
-	err := ix.matches(v, func(rows *colpage.Lanes, i int) {
+	err := ix.matches(p, v, func(rows *colpage.Lanes, i int) {
 		if !ok && rows.IDs[i] == id {
 			found, ok = rows.Row(i), true
 		}
@@ -367,7 +366,7 @@ func (ix *Index) Pages() int { return ix.dir.Pages() }
 // chain by the links in the page directory and frees every page of it:
 // the page's frame is discarded unwritten, the page freed on disk and
 // dropped from the directory. Every bucket is then left with no page.
-func (ix *Index) Truncate() error {
+func (ix *Index) Truncate(p *storage.Pool) error {
 	for b, pn := range ix.buckets {
 		for more := pn != noPage; more; {
 			e, err := ix.dir.Lookup(pn)
@@ -378,7 +377,7 @@ func (ix *Index) Truncate() error {
 				return fmt.Errorf("hashidx: bucket %d's chain reaches page %d, which is no chain page", b, pn)
 			}
 			next, hasNext := e.Next, e.HasNext
-			ix.pool.Discard(ix.file, pn)
+			p.Discard(ix.file, pn)
 			ix.file.Free(pn)
 			ix.dir.Drop(pn)
 			pn, more = next, hasNext
@@ -398,15 +397,15 @@ func (ix *Index) Truncate() error {
 // disprove, which a readahead walk skips unread. Order is arbitrary but
 // deterministic. The scan must be drained or dropped before the index is
 // written again.
-func (ix *Index) ScanAll(prune []colpage.Atom) (*colpage.Scan, error) {
-	return ix.dir.ScanChains(ix.pool, ix.heads, ix.keyCol, prune)
+func (ix *Index) ScanAll(p *storage.Pool, prune []colpage.Atom) (*colpage.Scan, error) {
+	return ix.dir.ScanChains(p, ix.heads, ix.keyCol, prune)
 }
 
 // ScanAllBatches drains ScanAll into columnar batches of up to size
 // rows and reports the pages it pruned. The HR differential file is
 // scanned this way by every deferred refresh (NetChanges).
-func (ix *Index) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
-	s, err := ix.ScanAll(prune)
+func (ix *Index) ScanAllBatches(p *storage.Pool, size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
+	s, err := ix.ScanAll(p, prune)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -10,12 +10,14 @@ import (
 	"testing/quick"
 
 	"viewmat/internal/btree"
+	"viewmat/internal/colpage"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // scanAll gathers every tuple of the index through ScanAllBatches.
-func scanAll(ix *Index) ([]tuple.Tuple, error) {
+func scanAll(ix *testIndex) ([]tuple.Tuple, error) {
 	batches, _, err := ix.ScanAllBatches(0, nil)
 	if err != nil {
 		return nil, err
@@ -27,12 +29,12 @@ func scanAll(ix *Index) ([]tuple.Tuple, error) {
 	return out, nil
 }
 
-func newTestIndex(t testing.TB, pageSize, poolCap, buckets int) (*Index, *storage.Meter) {
+func newTestIndex(t testing.TB, pageSize, poolCap, buckets int) (*testIndex, *storage.Meter) {
 	t.Helper()
 	d := storage.NewDisk(pageSize)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, poolCap)
-	ix, err := New(p, d.Open("h"), 0, buckets)
+	p := storage.NewArena(d, poolCap).NewPool(m)
+	ix, err := newIndex(p, d.Open("h"), 0, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func mk(id uint64, k int64) tuple.Tuple {
 }
 
 // insert adds tp: an ApplyRun of one insert.
-func insert(ix *Index, tp tuple.Tuple) error {
+func insert(ix *testIndex, tp tuple.Tuple) error {
 	_, err := ix.ApplyRun([]tuple.Tuple{tp}, nil, nil)
 	return err
 }
@@ -52,7 +54,7 @@ func insert(ix *Index, tp tuple.Tuple) error {
 // deleteRow deletes the row of key value v and id, an ApplyRun of one
 // delete whose row carries the key value alone, and returns the row it
 // cut, reporting whether there was one.
-func deleteRow(ix *Index, v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func deleteRow(ix *testIndex, v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	vals := make([]tuple.Value, ix.keyCol+1)
 	vals[ix.keyCol] = v
 	var cut []tuple.Tuple
@@ -178,7 +180,7 @@ func TestSameKeyUpdateStaysOnSamePage(t *testing.T) {
 	if err := insert(ix, old); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.pool.EvictAll(); err != nil {
+	if err := ix.pool.Close(); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Snapshot()
@@ -371,8 +373,8 @@ func TestTruncateFreesChainsUnread(t *testing.T) {
 
 func TestStringKeyedIndex(t *testing.T) {
 	d := storage.NewDisk(256)
-	p := storage.NewPool(d, storage.NewMeter(), 64)
-	ix, err := New(p, d.Open("s"), 1, 4)
+	p := storage.NewArena(d, 64).NewPool(storage.NewMeter())
+	ix, err := newIndex(p, d.Open("s"), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +597,50 @@ func TestIndexAccessors(t *testing.T) {
 	if ix.KeyCol() != 0 {
 		t.Errorf("KeyCol = %d", ix.KeyCol())
 	}
-	if got, err := New(ix.pool, ix.file, 0, 0); err != nil || got.Buckets() != 1 {
+	if got, err := newIndex(ix.pool, ix.file, 0, 0); err != nil || got.Buckets() != 1 {
 		t.Errorf("bucket clamp: %v, %v", got, err)
 	}
+}
+
+// testIndex is an Index driven through one pool, as one operation drives
+// it: the page-touching methods take the pool the test gave the index.
+type testIndex struct {
+	*Index
+	pool *storage.Pool
+}
+
+func newIndex(p *storage.Pool, file *storage.File, keyCol, numBuckets int) (*testIndex, error) {
+	ix, err := New(p, file, keyCol, numBuckets)
+	if err != nil {
+		return nil, err
+	}
+	return &testIndex{ix, p}, nil
+}
+
+func openIndex(p *storage.Pool, file *storage.File, keyCol int, m Meta) (*testIndex, error) {
+	ix, err := Open(file, keyCol, m)
+	if err != nil {
+		return nil, err
+	}
+	return &testIndex{ix, p}, nil
+}
+
+func (ix *testIndex) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
+	return ix.Index.ApplyRun(ix.pool, rows, signs, cut)
+}
+
+func (ix *testIndex) Lookup(v tuple.Value) ([]tuple.Tuple, error) { return ix.Index.Lookup(ix.pool, v) }
+
+func (ix *testIndex) Get(v tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	return ix.Index.Get(ix.pool, v, id)
+}
+
+func (ix *testIndex) Truncate() error { return ix.Index.Truncate(ix.pool) }
+
+func (ix *testIndex) ScanAll(prune []colpage.Atom) (*colpage.Scan, error) {
+	return ix.Index.ScanAll(ix.pool, prune)
+}
+
+func (ix *testIndex) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
+	return ix.Index.ScanAllBatches(ix.pool, size, prune)
 }

@@ -41,7 +41,6 @@ type HR struct {
 	base   *relation.Relation
 	ad     *hashidx.Index
 	filter *bloom.Filter
-	pool   *storage.Pool
 }
 
 // Config sizes the differential machinery.
@@ -81,12 +80,12 @@ func (h *HR) ADMeta() ADMeta { return h.ad.Meta() }
 // loading is setup, so callers reset the meter afterwards).
 func Open(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg Config, m ADMeta) (*HR, error) {
 	cfg = cfg.withDefaults()
-	ad, err := hashidx.Open(pool, disk.Open(base.Name()+".ad"), base.KeyCol(), m)
+	ad, err := hashidx.Open(disk.Open(base.Name()+".ad"), base.KeyCol(), m)
 	if err != nil {
 		return nil, err
 	}
-	h := &HR{base: base, ad: ad, filter: bloom.NewForRate(cfg.BloomKeys, bloomFPRate), pool: pool}
-	entries, err := h.adEntries()
+	h := &HR{base: base, ad: ad, filter: bloom.NewForRate(cfg.BloomKeys, bloomFPRate)}
+	entries, err := h.adEntries(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +107,6 @@ func New(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg Co
 		base:   base,
 		ad:     ad,
 		filter: bloom.NewForRate(cfg.BloomKeys, bloomFPRate),
-		pool:   pool,
 	}, nil
 }
 
@@ -154,7 +152,7 @@ func (h *HR) bloomKey(v tuple.Value) string { return tuple.Canonical(v).String()
 // row's delete and its new row's insert: with clustered hashing on an
 // unchanged key, both AD entries land on the same chain, the ≤3-I/O
 // update walkthrough of §2.2.2.
-func (h *HR) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
+func (h *HR) ApplyRun(p *storage.Pool, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
 	for i, tp := range rows {
 		if signs != nil && signs[i] < 0 {
 			continue
@@ -167,7 +165,7 @@ func (h *HR) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int
 		key := tp.Vals[h.base.KeyCol()]
 		entry, entryRole := tp, RoleAppended
 		if signs != nil && signs[i] < 0 {
-			cur, ok, err := h.getVisible(key, tp.ID)
+			cur, ok, err := h.getVisible(p, key, tp.ID)
 			if err == nil && !ok {
 				err = fmt.Errorf("%w (%s, id %d)", btree.ErrAbsent, key, tp.ID)
 			}
@@ -176,7 +174,7 @@ func (h *HR) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int
 			}
 			entry, entryRole = cur, RoleDeleted
 		}
-		if _, err := h.ad.ApplyRun([]tuple.Tuple{adTuple(entry, entryRole)}, nil, nil); err != nil {
+		if _, err := h.ad.ApplyRun(p, []tuple.Tuple{adTuple(entry, entryRole)}, nil, nil); err != nil {
 			return i, err
 		}
 		h.filter.Add(h.bloomKey(key))
@@ -189,9 +187,9 @@ func (h *HR) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int
 
 // getVisible fetches the current version of (keyVal, id) from the true
 // relation (R ∪ A) − D, consulting the Bloom filter first.
-func (h *HR) getVisible(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func (h *HR) getVisible(p *storage.Pool, keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	if h.filter.MayContain(h.bloomKey(keyVal)) {
-		entries, err := h.ad.Lookup(keyVal)
+		entries, err := h.ad.Lookup(p, keyVal)
 		if err != nil {
 			return tuple.Tuple{}, false, err
 		}
@@ -215,7 +213,7 @@ func (h *HR) getVisible(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error
 			return *appended, true, nil
 		}
 	}
-	return h.base.Get(keyVal, id)
+	return h.base.Get(p, keyVal, id)
 }
 
 // NetChanges reads the AD file — each page that holds entries, the
@@ -230,8 +228,8 @@ func (h *HR) getVisible(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error
 // An append followed by a delete of the same id cancels out of both
 // sets; an update contributes its old value to D-net (or cancels an
 // epoch-local append) and its new value to A-net.
-func (h *HR) NetChanges() (anet, dnet []tuple.Tuple, err error) {
-	entries, err := h.adEntries()
+func (h *HR) NetChanges(p *storage.Pool) (anet, dnet []tuple.Tuple, err error) {
+	entries, err := h.adEntries(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,8 +259,8 @@ func (h *HR) NetChanges() (anet, dnet []tuple.Tuple, err error) {
 
 // adEntries reads the AD file (one metered read per page that holds
 // entries) and gathers its entries.
-func (h *HR) adEntries() ([]tuple.Tuple, error) {
-	batches, _, err := h.ad.ScanAllBatches(0, nil)
+func (h *HR) adEntries(p *storage.Pool) ([]tuple.Tuple, error) {
+	batches, _, err := h.ad.ScanAllBatches(p, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -286,20 +284,20 @@ func (h *HR) adEntries() ([]tuple.Tuple, error) {
 // updated row's delete and insert share one visit to its leaf. The
 // reset frees every page of the AD file and reads or writes none: the
 // fold's I/O is the base relation's alone.
-func (h *HR) FoldWith(anet, dnet []tuple.Tuple) error {
+func (h *HR) FoldWith(p *storage.Pool, anet, dnet []tuple.Tuple) error {
 	rows := append(append(make([]tuple.Tuple, 0, len(dnet)+len(anet)), dnet...), anet...)
 	signs := make([]int8, len(rows))
 	for i := range dnet {
 		signs[i] = -1
 	}
-	n, err := h.base.ApplyRun(rows, signs, -1, nil)
+	n, err := h.base.ApplyRun(p, rows, signs, -1, nil)
 	if errors.Is(err, btree.ErrAbsent) {
 		return fmt.Errorf("hr %s: D-net tuple %v missing from base", h.base.Name(), rows[n])
 	}
 	if err != nil {
 		return err
 	}
-	if err := h.ad.Truncate(); err != nil {
+	if err := h.ad.Truncate(p); err != nil {
 		return err
 	}
 	h.filter.Reset()

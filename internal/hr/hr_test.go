@@ -8,22 +8,24 @@ import (
 	"testing/quick"
 
 	"viewmat/internal/btree"
+	"viewmat/internal/colpage"
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
-func testHR(t testing.TB) (*HR, *relation.Relation, *storage.Meter, *storage.Pool) {
+func testHR(t testing.TB) (*testH, *baseRel, *storage.Meter, *storage.Pool) {
 	t.Helper()
 	d := storage.NewDisk(512)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 128)
+	p := storage.NewArena(d, 128).NewPool(m)
 	sch := tuple.NewSchema(tuple.Col("k", tuple.Int), tuple.Col("v", tuple.Int))
-	base, err := relation.NewBTree(d, p, "r", sch, 0)
+	base, err := newBase(d, p, "r", sch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(d, p, base, Config{ADBuckets: 2, BloomKeys: 256})
+	h, err := newHR(d, p, base, Config{ADBuckets: 2, BloomKeys: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +38,13 @@ func row(id uint64, k, v int64) tuple.Tuple {
 
 // insertBase inserts tp straight into the base relation: an ApplyRun
 // of one insert.
-func insertBase(r *relation.Relation, tp tuple.Tuple) error {
+func insertBase(r *baseRel, tp tuple.Tuple) error {
 	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
 	return err
 }
 
 // scanBase returns every tuple the base relation stores.
-func scanBase(r *relation.Relation) ([]tuple.Tuple, error) {
+func scanBase(r *baseRel) ([]tuple.Tuple, error) {
 	batches, _, err := r.ScanAllBatches(0, nil)
 	var out []tuple.Tuple
 	for _, b := range batches {
@@ -52,7 +54,7 @@ func scanBase(r *relation.Relation) ([]tuple.Tuple, error) {
 }
 
 // appendRow records the insertion of tp: an ApplyRun of one insert.
-func appendRow(h *HR, tp tuple.Tuple) error {
+func appendRow(h *testH, tp tuple.Tuple) error {
 	_, err := h.ApplyRun([]tuple.Tuple{tp}, nil, nil)
 	return err
 }
@@ -60,7 +62,7 @@ func appendRow(h *HR, tp tuple.Tuple) error {
 // deleteRow records the deletion of the visible tuple (key, id), an
 // ApplyRun of one delete, and returns the version it recorded, reporting
 // whether the tuple was visible.
-func deleteRow(h *HR, key tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func deleteRow(h *testH, key tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	var cut []tuple.Tuple
 	_, err := h.ApplyRun([]tuple.Tuple{tuple.New(id, key)}, []int8{-1}, &cut)
 	if errors.Is(err, btree.ErrAbsent) {
@@ -74,7 +76,7 @@ func deleteRow(h *HR, key tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 
 // fold applies the epoch's net changes to the base and resets the HR,
 // as a deferred refresh does after consuming them.
-func fold(h *HR) error {
+func fold(h *testH) error {
 	anet, dnet, err := h.NetChanges()
 	if err != nil {
 		return err
@@ -85,7 +87,7 @@ func fold(h *HR) error {
 // update replaces the visible tuple (key, id) with newTp as the pair of
 // its delete and newTp's insert, one ApplyRun, and returns the version
 // the delete recorded.
-func update(h *HR, key tuple.Value, id uint64, newTp tuple.Tuple) (tuple.Tuple, error) {
+func update(h *testH, key tuple.Value, id uint64, newTp tuple.Tuple) (tuple.Tuple, error) {
 	var cut []tuple.Tuple
 	_, err := h.ApplyRun([]tuple.Tuple{tuple.New(id, key), newTp}, []int8{-1, 1}, &cut)
 	if err != nil {
@@ -120,12 +122,12 @@ func TestAppendVisibleThroughHR(t *testing.T) {
 // matches; the Bloom filter once keyed −0 apart and hid the AD entry.
 func TestSignedZeroKeyThroughBloom(t *testing.T) {
 	d := storage.NewDisk(512)
-	p := storage.NewPool(d, storage.NewMeter(), 128)
-	base, err := relation.NewBTree(d, p, "r", tuple.NewSchema(tuple.Col("k", tuple.Float), tuple.Col("v", tuple.Int)), 0)
+	p := storage.NewArena(d, 128).NewPool(storage.NewMeter())
+	base, err := newBase(d, p, "r", tuple.NewSchema(tuple.Col("k", tuple.Float), tuple.Col("v", tuple.Int)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(d, p, base, Config{ADBuckets: 2, BloomKeys: 256})
+	h, err := newHR(d, p, base, Config{ADBuckets: 2, BloomKeys: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestDeleteOfAbsentTuple(t *testing.T) {
 
 func TestUpdateOldToDNewToA(t *testing.T) {
 	h, _, _, _ := testHR(t)
-	if err := insertBase(h.base, row(1, 10, 100)); err != nil {
+	if err := insertBase(&baseRel{h.base, h.pool}, row(1, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
 	old, err := update(h, tuple.I(10), 1, row(2, 10, 200))
@@ -281,7 +283,7 @@ func TestBloomFastPathSkipsAD(t *testing.T) {
 
 	reads := func(k int64, id uint64) int64 {
 		t.Helper()
-		p.EvictAll()
+		p.Close()
 		before := m.Snapshot()
 		if _, ok, err := h.getVisible(tuple.I(k), id); err != nil || !ok {
 			t.Fatalf("getVisible(%d, %d): ok=%v err=%v", k, id, ok, err)
@@ -463,7 +465,7 @@ func TestHRAppendValidatesSchema(t *testing.T) {
 	if err := appendRow(h, tuple.New(1, tuple.I(1))); err == nil {
 		t.Error("wrong-arity append accepted")
 	}
-	if err := insertBase(h.base, row(1, 1, 1)); err != nil {
+	if err := insertBase(&baseRel{h.base, h.pool}, row(1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := update(h, tuple.I(1), 1, tuple.New(2, tuple.I(1))); err == nil {
@@ -485,17 +487,70 @@ func TestHRFoldWithMissingBaseTuple(t *testing.T) {
 
 func TestHRConfigDefaults(t *testing.T) {
 	d := storage.NewDisk(256)
-	p := storage.NewPool(d, storage.NewMeter(), 32)
+	p := storage.NewArena(d, 32).NewPool(storage.NewMeter())
 	sch := tuple.NewSchema(tuple.Col("k", tuple.Int))
-	base, err := relation.NewBTree(d, p, "b", sch, 0)
+	base, err := newBase(d, p, "b", sch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(d, p, base, Config{})
+	h, err := newHR(d, p, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Filter().Bits() == 0 {
 		t.Error("default bloom not sized")
 	}
+}
+
+// testH is an HR driven through one pool, as one operation drives it:
+// the page-touching methods take the pool the test gave the HR.
+type testH struct {
+	*HR
+	pool *storage.Pool
+}
+
+func newHR(d *storage.Disk, p *storage.Pool, base *baseRel, cfg Config) (*testH, error) {
+	h, err := New(d, p, base.Relation, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &testH{h, p}, nil
+}
+
+func (h *testH) ApplyRun(rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) (int, error) {
+	return h.HR.ApplyRun(h.pool, rows, signs, cut)
+}
+
+func (h *testH) NetChanges() (anet, dnet []tuple.Tuple, err error) { return h.HR.NetChanges(h.pool) }
+
+func (h *testH) FoldWith(anet, dnet []tuple.Tuple) error { return h.HR.FoldWith(h.pool, anet, dnet) }
+
+func (h *testH) getVisible(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	return h.HR.getVisible(h.pool, keyVal, id)
+}
+
+// baseRel is the base relation under an HR, driven through the HR's pool.
+type baseRel struct {
+	*relation.Relation
+	pool *storage.Pool
+}
+
+func newBase(d *storage.Disk, p *storage.Pool, name string, schema *tuple.Schema, keyCol int) (*baseRel, error) {
+	r, err := relation.NewBTree(d, p, name, schema, keyCol)
+	if err != nil {
+		return nil, err
+	}
+	return &baseRel{r, p}, nil
+}
+
+func (r *baseRel) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+	return r.Relation.ApplyRun(r.pool, tps, signs, countCol, cut)
+}
+
+func (r *baseRel) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
+	return r.Relation.ScanAllBatches(r.pool, size, prune)
+}
+
+func (r *baseRel) Get(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	return r.Relation.Get(r.pool, keyVal, id)
 }

@@ -67,7 +67,7 @@ func satisfiableWith(p *P, rel int, t tuple.Tuple) bool {
 }
 
 // screens runs the compiled second stage for a tuple of slot rel, as
-// rules.Table.ScreenBatch does, and fails the test where the reference
+// rules.Table.Screen does, and fails the test where the reference
 // disagrees.
 func screens(t testing.TB, p *P, rel int, tp tuple.Tuple) bool {
 	t.Helper()

@@ -11,7 +11,7 @@ import (
 
 func TestAccessorsBTree(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, err := NewBTree(d, p, "emp", empSchema(), 0)
+	r, err := newBTree(d, p, "emp", empSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestAccessorsBTree(t *testing.T) {
 
 func TestAccessorsHash(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, err := NewHash(d, p, "dept", empSchema(), 0, 4)
+	r, err := newHash(d, p, "dept", empSchema(), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAccessorsHash(t *testing.T) {
 
 func TestLookupKeyOnBTree(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
+	r, _ := newBTree(d, p, "emp", empSchema(), 0)
 	for i := int64(0); i < 9; i++ {
 		if err := insert(r, emp(uint64(i+1), i%3, "e", i)); err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestLookupKeyOnBTree(t *testing.T) {
 
 func TestIterStreams(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
+	r, _ := newBTree(d, p, "emp", empSchema(), 0)
 	for i := int64(0); i < 25; i++ {
 		if err := insert(r, emp(uint64(i+1), i, "e", i)); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestIterStreams(t *testing.T) {
 		t.Errorf("IterBatches yielded %d rows in %d fills, want 5 rows two at a time", n, fills)
 	}
 	// IterBatches on a hash relation errors.
-	h, _ := NewHash(d, p, "h", empSchema(), 0, 2)
+	h, _ := newHash(d, p, "h", empSchema(), 0, 2)
 	if _, err := h.IterBatches(nil, nil); err == nil {
 		t.Error("IterBatches on hash relation succeeded")
 	}
@@ -118,7 +118,7 @@ func TestIterStreams(t *testing.T) {
 
 func TestDeleteOfAbsent(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
+	r, _ := newBTree(d, p, "emp", empSchema(), 0)
 	if _, ok, err := deleteRow(r, tuple.I(1), 1); ok || err != nil {
 		t.Errorf("delete of absent: ok=%v err=%v", ok, err)
 	}

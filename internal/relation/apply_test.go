@@ -33,16 +33,16 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 			for _, frames := range []int{2, 8, 256} {
 				for _, bulk := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%d/%s/frames=%d/bulk=%v", ps, kind, frames, bulk), func(t *testing.T) {
-						run := func(batch func(r *Relation, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error) (*Relation, []storage.Stats, int, *storage.DiskDelta, []string, []tuple.Tuple) {
+						run := func(batch func(r *testRel, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error) (*testRel, []storage.Stats, int, *storage.DiskDelta, []string, []tuple.Tuple) {
 							d := storage.NewDisk(ps)
 							m := storage.NewMeter()
-							p := storage.NewPool(d, m, frames)
-							var r *Relation
+							p := storage.NewArena(d, frames).NewPool(m)
+							var r *testRel
 							var err error
 							if strings.HasPrefix(kind, "hash") {
-								r, err = NewHash(d, p, "emp", empSchema(), 0, 4)
+								r, err = newHash(d, p, "emp", empSchema(), 0, 4)
 							} else {
-								r, err = NewBTree(d, p, "emp", empSchema(), 0)
+								r, err = newBTree(d, p, "emp", empSchema(), 0)
 							}
 							if err == nil && strings.HasSuffix(kind, "+sec") {
 								err = r.AddSecondary(2)
@@ -68,7 +68,7 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 							p.AssertUnpinned(t)
 							return r, scopes, d.TotalPages(), d.FullDelta(), errs, cut
 						}
-						ref, refM, refPages, refFiles, refErrs, refCut := run(func(r *Relation, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error {
+						ref, refM, refPages, refFiles, refErrs, refCut := run(func(r *testRel, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error {
 							for i, tp := range rows {
 								var err error
 								if signs[i] > 0 {
@@ -87,7 +87,7 @@ func TestApplyRunMatchesRowByRow(t *testing.T) {
 							}
 							return nil
 						})
-						got, gotM, gotPages, gotFiles, gotErrs, gotCut := run(func(r *Relation, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error {
+						got, gotM, gotPages, gotFiles, gotErrs, gotCut := run(func(r *testRel, rows []tuple.Tuple, signs []int8, cut *[]tuple.Tuple) error {
 							n, err := r.ApplyRun(rows, signs, -1, cut)
 							if errors.Is(err, btree.ErrAbsent) {
 								err = btree.ErrAbsent // its message names the row; deleteRow's does not

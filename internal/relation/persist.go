@@ -36,21 +36,21 @@ func (r *Relation) Meta() Meta {
 }
 
 // Open reattaches a relation to its files on a restored disk.
-func Open(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.Schema, m Meta) (*Relation, error) {
+func Open(disk *storage.Disk, name string, schema *tuple.Schema, m Meta) (*Relation, error) {
 	if m.KeyCol < 0 || m.KeyCol >= len(schema.Cols) {
 		return nil, fmt.Errorf("relation %s: metadata key column %d out of range", name, m.KeyCol)
 	}
 	r := &Relation{
 		name: name, schema: schema, keyCol: m.KeyCol, kind: m.Kind,
-		pool: pool, disk: disk,
+		disk: disk,
 	}
 	var err error
 	switch m.Kind {
 	case ClusteredBTree:
-		r.bt, err = btree.Open(pool, disk.Open(name+".btree"), m.KeyCol, m.BTree)
+		r.bt, err = btree.Open(disk.Open(name+".btree"), m.KeyCol, m.BTree)
 		r.full = r.bt.ScanAll
 	case ClusteredHash:
-		r.hx, err = hashidx.Open(pool, disk.Open(name+".hash"), m.KeyCol, m.Hash)
+		r.hx, err = hashidx.Open(disk.Open(name+".hash"), m.KeyCol, m.Hash)
 		r.full = r.hx.ScanAll
 	default:
 		return nil, fmt.Errorf("relation %s: unknown kind %d", name, m.Kind)
@@ -64,7 +64,7 @@ func Open(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.Sch
 	}
 	sort.Ints(cols)
 	for _, col := range cols {
-		bt, err := btree.Open(pool, disk.Open(fmt.Sprintf("%s.sec%d", name, col)), 0, m.Secondaries[col])
+		bt, err := btree.Open(disk.Open(fmt.Sprintf("%s.sec%d", name, col)), 0, m.Secondaries[col])
 		if err != nil {
 			return nil, err
 		}

@@ -43,9 +43,8 @@ type Relation struct {
 	hx *hashidx.Index
 	// full is the clustering store's ScanAll: the leaf chain, or every
 	// bucket chain.
-	full func(prune []colpage.Atom) (*colpage.Scan, error)
+	full func(p *storage.Pool, prune []colpage.Atom) (*colpage.Scan, error)
 
-	pool        *storage.Pool
 	disk        *storage.Disk
 	secondaries []*Secondary // in column order
 }
@@ -71,7 +70,7 @@ func NewBTree(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple
 	}
 	return &Relation{
 		name: name, schema: schema, keyCol: keyCol, kind: ClusteredBTree,
-		bt: bt, full: bt.ScanAll, pool: pool, disk: disk,
+		bt: bt, full: bt.ScanAll, disk: disk,
 	}, nil
 }
 
@@ -87,7 +86,7 @@ func NewHash(disk *storage.Disk, pool *storage.Pool, name string, schema *tuple.
 	}
 	return &Relation{
 		name: name, schema: schema, keyCol: keyCol, kind: ClusteredHash,
-		hx: hx, full: hx.ScanAll, pool: pool, disk: disk,
+		hx: hx, full: hx.ScanAll, disk: disk,
 	}, nil
 }
 
@@ -149,7 +148,7 @@ func (r *Relation) IndexHeight() int {
 // cannot refuse a row its clustering store took. A counted batch only a
 // B+-tree without secondary indexes serves; any other relation applies
 // none of its rows.
-func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+func (r *Relation) ApplyRun(p *storage.Pool, tps []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
 	if countCol >= 0 && (r.kind != ClusteredBTree || len(r.secondaries) > 0) {
 		return 0, nil
 	}
@@ -171,9 +170,9 @@ func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *
 	var n int
 	var err error
 	if r.kind == ClusteredBTree {
-		n, err = r.bt.ApplyRun(tps, signs, countCol, cut)
+		n, err = r.bt.ApplyRun(p, tps, signs, countCol, cut)
 	} else {
-		n, err = r.hx.ApplyRun(tps, signs, cut)
+		n, err = r.hx.ApplyRun(p, tps, signs, cut)
 	}
 	if signs != nil {
 		signs = signs[:n]
@@ -188,7 +187,7 @@ func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *
 			}
 			ptrs = append(ptrs, pointerEntry(tp, sec.col, r.keyCol))
 		}
-		if _, err := sec.bt.ApplyRun(ptrs, signs, -1, nil); err != nil {
+		if _, err := sec.bt.ApplyRun(p, ptrs, signs, -1, nil); err != nil {
 			return n, err
 		}
 	}
@@ -196,19 +195,19 @@ func (r *Relation) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *
 }
 
 // Get fetches the tuple with the clustering-key value and id.
-func (r *Relation) Get(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func (r *Relation) Get(p *storage.Pool, keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	if r.kind == ClusteredBTree {
-		return r.bt.Get(keyVal, id)
+		return r.bt.Get(p, keyVal, id)
 	}
-	return r.hx.Get(keyVal, id)
+	return r.hx.Get(p, keyVal, id)
 }
 
 // LookupKey returns all tuples whose clustering key equals v.
-func (r *Relation) LookupKey(v tuple.Value) ([]tuple.Tuple, error) {
+func (r *Relation) LookupKey(p *storage.Pool, v tuple.Value) ([]tuple.Tuple, error) {
 	if r.kind == ClusteredHash {
-		return r.hx.Lookup(v)
+		return r.hx.Lookup(p, v)
 	}
-	return gather(r.bt.ScanBatches(pred.PointRange(v), nil))
+	return gather(r.bt.ScanBatches(p, pred.PointRange(v), nil))
 }
 
 // gather drains a range scan into tuples, for the callers that act on
@@ -231,11 +230,11 @@ func gather(it *colpage.Scan, err error) ([]tuple.Tuple, error) {
 // IterBatches returns a columnar iterator over the clustering range
 // (B+-tree only); rg nil means everything. Prune atoms let full scans
 // skip pages whose zone maps disprove them (see btree.ScanBatches).
-func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
+func (r *Relation) IterBatches(p *storage.Pool, rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
 	if r.kind != ClusteredBTree {
 		return nil, fmt.Errorf("relation %s: iterator requires B+-tree clustering", r.name)
 	}
-	return r.bt.ScanBatches(rg, prune)
+	return r.bt.ScanBatches(p, rg, prune)
 }
 
 // ScanAllBatches reads every tuple (sequential scan: every data page
@@ -244,8 +243,8 @@ func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.S
 // skipped unread and reported in pruned, and minus the rows of the pages
 // read that the atoms reject, which are counted on the batches
 // (vec.Batch.Dropped) instead of decoded.
-func (r *Relation) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
-	s, err := r.full(prune)
+func (r *Relation) ScanAllBatches(p *storage.Pool, size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
+	s, err := r.full(p, prune)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -264,18 +263,18 @@ func pointerEntry(tp tuple.Tuple, col, keyCol int) tuple.Tuple {
 // contents, as one batch of their pointer entries. It is an error to
 // index the clustering column (use the clustered index) or to index a
 // column twice.
-func (r *Relation) AddSecondary(col int) error {
+func (r *Relation) AddSecondary(p *storage.Pool, col int) error {
 	if col == r.keyCol {
 		return fmt.Errorf("relation %s: column %d is the clustering key", r.name, col)
 	}
 	if r.HasSecondary(col) {
 		return fmt.Errorf("relation %s: column %d already has a secondary index", r.name, col)
 	}
-	bt, err := btree.New(r.pool, r.disk.Open(fmt.Sprintf("%s.sec%d", r.name, col)), 0)
+	bt, err := btree.New(p, r.disk.Open(fmt.Sprintf("%s.sec%d", r.name, col)), 0)
 	if err != nil {
 		return err
 	}
-	all, _, err := r.ScanAllBatches(0, nil)
+	all, _, err := r.ScanAllBatches(p, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -285,7 +284,7 @@ func (r *Relation) AddSecondary(col int) error {
 			ptrs = append(ptrs, pointerEntry(b.TupleAt(0, i), col, r.keyCol))
 		}
 	}
-	if _, err := bt.ApplyRun(ptrs, nil, -1, nil); err != nil {
+	if _, err := bt.ApplyRun(p, ptrs, nil, -1, nil); err != nil {
 		return err
 	}
 	r.secondaries = append(r.secondaries, &Secondary{col: col, bt: bt})
@@ -310,18 +309,18 @@ func (r *Relation) HasSecondary(col int) bool { return r.secondary(col) != nil }
 // unclustered index: a range scan of pointer entries followed by one
 // clustered fetch per pointer — the per-tuple random I/O the paper's
 // unclustered plan pays.
-func (r *Relation) LookupSecondary(col int, rg *pred.Range) ([]tuple.Tuple, error) {
+func (r *Relation) LookupSecondary(p *storage.Pool, col int, rg *pred.Range) ([]tuple.Tuple, error) {
 	sec := r.secondary(col)
 	if sec == nil {
 		return nil, fmt.Errorf("relation %s: no secondary index on column %d", r.name, col)
 	}
-	ptrs, err := gather(sec.bt.ScanBatches(rg, nil))
+	ptrs, err := gather(sec.bt.ScanBatches(p, rg, nil))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]tuple.Tuple, 0, len(ptrs))
 	for _, ptr := range ptrs {
-		tp, found, err := r.Get(ptr.Vals[1], ptr.ID)
+		tp, found, err := r.Get(p, ptr.Vals[1], ptr.ID)
 		if err != nil {
 			return nil, err
 		}

@@ -8,16 +8,18 @@ import (
 	"testing"
 
 	"viewmat/internal/btree"
+	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 func testEnv(t testing.TB) (*storage.Disk, *storage.Pool, *storage.Meter) {
 	t.Helper()
 	d := storage.NewDisk(256)
 	m := storage.NewMeter()
-	return d, storage.NewPool(d, m, 128), m
+	return d, storage.NewArena(d, 128).NewPool(m), m
 }
 
 func empSchema() *tuple.Schema {
@@ -30,7 +32,7 @@ func emp(id uint64, dept int64, name string, sal int64) tuple.Tuple {
 
 // insert adds tp after schema validation, maintaining secondaries: an
 // ApplyRun of one row.
-func insert(r *Relation, tp tuple.Tuple) error {
+func insert(r *testRel, tp tuple.Tuple) error {
 	_, err := r.ApplyRun([]tuple.Tuple{tp}, nil, -1, nil)
 	return err
 }
@@ -38,7 +40,7 @@ func insert(r *Relation, tp tuple.Tuple) error {
 // deleteRow deletes the row of clustering-key value key and id, an
 // ApplyRun of one delete whose row carries the key value alone, and
 // returns the row it cut, reporting whether there was one.
-func deleteRow(r *Relation, key tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+func deleteRow(r *testRel, key tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	vals := make([]tuple.Value, r.keyCol+1)
 	vals[r.keyCol] = key
 	var cut []tuple.Tuple
@@ -53,7 +55,7 @@ func deleteRow(r *Relation, key tuple.Value, id uint64) (tuple.Tuple, bool, erro
 }
 
 // allTuples gathers a full sequential scan.
-func allTuples(r *Relation) ([]tuple.Tuple, error) {
+func allTuples(r *testRel) ([]tuple.Tuple, error) {
 	batches, _, err := r.ScanAllBatches(0, nil)
 	if err != nil {
 		return nil, err
@@ -67,7 +69,7 @@ func allTuples(r *Relation) ([]tuple.Tuple, error) {
 
 func TestBTreeRelationCRUD(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, err := NewBTree(d, p, "emp", empSchema(), 0)
+	r, err := newBTree(d, p, "emp", empSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestBTreeRelationCRUD(t *testing.T) {
 
 func TestSchemaValidationOnInsert(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
+	r, _ := newBTree(d, p, "emp", empSchema(), 0)
 	if err := insert(r, tuple.New(1, tuple.I(1))); err == nil {
 		t.Error("wrong-arity tuple accepted")
 	}
@@ -114,7 +116,7 @@ func TestSchemaValidationOnInsert(t *testing.T) {
 
 func TestHashRelationCRUD(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, err := NewHash(d, p, "dept", empSchema(), 0, 8)
+	r, err := newHash(d, p, "dept", empSchema(), 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +140,17 @@ func TestHashRelationCRUD(t *testing.T) {
 
 func TestKeyColValidation(t *testing.T) {
 	d, p, _ := testEnv(t)
-	if _, err := NewBTree(d, p, "x", empSchema(), 9); err == nil {
+	if _, err := newBTree(d, p, "x", empSchema(), 9); err == nil {
 		t.Error("out-of-range key column accepted")
 	}
-	if _, err := NewHash(d, p, "y", empSchema(), -1, 4); err == nil {
+	if _, err := newHash(d, p, "y", empSchema(), -1, 4); err == nil {
 		t.Error("negative key column accepted")
 	}
 }
 
 func TestSecondaryIndexLookup(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0) // clustered on dept
+	r, _ := newBTree(d, p, "emp", empSchema(), 0) // clustered on dept
 	for i := int64(0); i < 40; i++ {
 		if err := insert(r, emp(uint64(i+1), i%4, "e", 1000+i)); err != nil {
 			t.Fatal(err)
@@ -177,7 +179,7 @@ func TestSecondaryIndexLookup(t *testing.T) {
 
 func TestSecondaryMaintainedByInsertDelete(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
+	r, _ := newBTree(d, p, "emp", empSchema(), 0)
 	if err := r.AddSecondary(2); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestSecondaryMaintainedByInsertDelete(t *testing.T) {
 
 func TestSecondaryErrors(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
+	r, _ := newBTree(d, p, "emp", empSchema(), 0)
 	if err := r.AddSecondary(0); err == nil {
 		t.Error("secondary on clustering column accepted")
 	}
@@ -221,7 +223,7 @@ func TestSecondaryErrors(t *testing.T) {
 
 func TestIndexHeightAndPages(t *testing.T) {
 	d, p, _ := testEnv(t)
-	r, _ := NewBTree(d, p, "emp", empSchema(), 0)
+	r, _ := newBTree(d, p, "emp", empSchema(), 0)
 	for i := int64(0); i < 500; i++ {
 		if err := insert(r, emp(uint64(i+1), i, "e", i)); err != nil {
 			t.Fatal(err)
@@ -241,8 +243,8 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 	// per tuple; the clustered scan touches ~1 page per T tuples.
 	d := storage.NewDisk(512)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, 4) // tiny pool: per-fetch descents stay cold
-	r, err := NewBTree(d, p, "emp", empSchema(), 0)
+	p := storage.NewArena(d, 4).NewPool(m) // tiny pool: per-fetch descents stay cold
+	r, err := newBTree(d, p, "emp", empSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p.EvictAll()
+	p.Close()
 	before := m.Snapshot()
 	cl, err := gather(r.IterBatches(pred.NewRange(tuple.I(100), tuple.I(199), true, true), nil))
 	if err != nil {
@@ -265,7 +267,7 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 	}
 	clusteredReads := m.Snapshot().Sub(before).Reads
 
-	p.EvictAll()
+	p.Close()
 	before = m.Snapshot()
 	un, err := r.LookupSecondary(2, pred.NewRange(tuple.I(100), tuple.I(199), true, true))
 	if err != nil {
@@ -291,14 +293,14 @@ func TestUnclusteredCostsMoreThanClustered(t *testing.T) {
 func TestUpdateIsDeleteThenInsert(t *testing.T) {
 	for _, kind := range []string{"btree", "btree+secondary", "hash"} {
 		t.Run(kind, func(t *testing.T) {
-			build := func() (*Relation, *storage.Meter, *storage.Disk) {
+			build := func() (*testRel, *storage.Meter, *storage.Disk) {
 				d, p, m := testEnv(t)
-				var r *Relation
+				var r *testRel
 				var err error
 				if kind == "hash" {
-					r, err = NewHash(d, p, "emp", empSchema(), 0, 4)
+					r, err = newHash(d, p, "emp", empSchema(), 0, 4)
 				} else {
-					r, err = NewBTree(d, p, "emp", empSchema(), 0)
+					r, err = newBTree(d, p, "emp", empSchema(), 0)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -313,7 +315,7 @@ func TestUpdateIsDeleteThenInsert(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := p.EvictAll(); err != nil {
+				if err := p.Close(); err != nil {
 					t.Fatal(err)
 				}
 				return r, m, d
@@ -392,16 +394,16 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 	for _, kind := range []string{"btree", "hash"} {
 		for _, frames := range []int{8, 512} {
 			t.Run(fmt.Sprintf("%s/frames=%d", kind, frames), func(t *testing.T) {
-				build := func(runs [][]tuple.Tuple) (*Relation, *storage.Meter, *storage.Disk) {
+				build := func(runs [][]tuple.Tuple) (*testRel, *storage.Meter, *storage.Disk) {
 					d := storage.NewDisk(256)
 					m := storage.NewMeter()
-					p := storage.NewPool(d, m, frames)
-					var r *Relation
+					p := storage.NewArena(d, frames).NewPool(m)
+					var r *testRel
 					var err error
 					if kind == "hash" {
-						r, err = NewHash(d, p, "emp", empSchema(), 0, 4)
+						r, err = newHash(d, p, "emp", empSchema(), 0, 4)
 					} else {
-						r, err = NewBTree(d, p, "emp", empSchema(), 0)
+						r, err = newBTree(d, p, "emp", empSchema(), 0)
 					}
 					if err == nil {
 						err = r.AddSecondary(2)
@@ -453,7 +455,7 @@ func TestInsertRunMatchesInsert(t *testing.T) {
 // one page and, when its scope closes, writes it.
 func TestHashDeleteReadsTheChainUpToItsTuple(t *testing.T) {
 	d, p, m := testEnv(t)
-	r, err := NewHash(d, p, "emp", empSchema(), 0, 1)
+	r, err := newHash(d, p, "emp", empSchema(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +467,7 @@ func TestHashDeleteReadsTheChainUpToItsTuple(t *testing.T) {
 	if r.Pages() < 3 {
 		t.Fatalf("the bucket's chain has %d pages, want several", r.Pages())
 	}
-	if err := p.EvictAll(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Snapshot()
@@ -507,7 +509,7 @@ func TestSecondaryWriteOrderIsDeterministic(t *testing.T) {
 			for run := 0; run < 20; run++ {
 				d := storage.NewDisk(256)
 				m := storage.NewMeter()
-				r, err := NewBTree(d, storage.NewPool(d, m, frames), "emp", empSchema(), 0)
+				r, err := newBTree(d, storage.NewArena(d, frames).NewPool(m), "emp", empSchema(), 0)
 				for _, col := range []int{1, 2} {
 					if err == nil {
 						err = r.AddSecondary(col)
@@ -531,4 +533,61 @@ func TestSecondaryWriteOrderIsDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// testRel is a Relation driven through one pool, as one operation drives
+// it: the page-touching methods take the pool the test gave the relation.
+type testRel struct {
+	*Relation
+	pool *storage.Pool
+}
+
+func newBTree(d *storage.Disk, p *storage.Pool, name string, schema *tuple.Schema, keyCol int) (*testRel, error) {
+	r, err := NewBTree(d, p, name, schema, keyCol)
+	if err != nil {
+		return nil, err
+	}
+	return &testRel{r, p}, nil
+}
+
+func newHash(d *storage.Disk, p *storage.Pool, name string, schema *tuple.Schema, keyCol, buckets int) (*testRel, error) {
+	r, err := NewHash(d, p, name, schema, keyCol, buckets)
+	if err != nil {
+		return nil, err
+	}
+	return &testRel{r, p}, nil
+}
+
+func openRel(d *storage.Disk, p *storage.Pool, name string, schema *tuple.Schema, m Meta) (*testRel, error) {
+	r, err := Open(d, name, schema, m)
+	if err != nil {
+		return nil, err
+	}
+	return &testRel{r, p}, nil
+}
+
+func (r *testRel) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *[]tuple.Tuple) (int, error) {
+	return r.Relation.ApplyRun(r.pool, tps, signs, countCol, cut)
+}
+
+func (r *testRel) Get(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+	return r.Relation.Get(r.pool, keyVal, id)
+}
+
+func (r *testRel) LookupKey(v tuple.Value) ([]tuple.Tuple, error) {
+	return r.Relation.LookupKey(r.pool, v)
+}
+
+func (r *testRel) IterBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {
+	return r.Relation.IterBatches(r.pool, rg, prune)
+}
+
+func (r *testRel) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
+	return r.Relation.ScanAllBatches(r.pool, size, prune)
+}
+
+func (r *testRel) AddSecondary(col int) error { return r.Relation.AddSecondary(r.pool, col) }
+
+func (r *testRel) LookupSecondary(col int, rg *pred.Range) ([]tuple.Tuple, error) {
+	return r.Relation.LookupSecondary(r.pool, col, rg)
 }

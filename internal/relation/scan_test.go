@@ -29,7 +29,7 @@ func (s scanState) String() string {
 // scanFixture is one relation under one (kind, state) with the in-memory
 // model of its contents, sorted by (key, id).
 type scanFixture struct {
-	rel   *Relation
+	rel   *testRel
 	pool  *storage.Pool
 	meter *storage.Meter
 	model []tuple.Tuple
@@ -54,13 +54,13 @@ func newScanFixture(t *testing.T, shape scanShape, state scanState) *scanFixture
 	}
 	d := storage.NewDisk(shape.pageSize)
 	m := storage.NewMeter()
-	p := storage.NewPool(d, m, frames)
-	var r *Relation
+	p := storage.NewArena(d, frames).NewPool(m)
+	var r *testRel
 	var err error
 	if shape.kind == ClusteredBTree {
-		r, err = NewBTree(d, p, "s", empSchema(), 0)
+		r, err = newBTree(d, p, "s", empSchema(), 0)
 	} else {
-		r, err = NewHash(d, p, "s", empSchema(), 0, shape.buckets)
+		r, err = newHash(d, p, "s", empSchema(), 0, shape.buckets)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func newScanFixture(t *testing.T, shape scanShape, state scanState) *scanFixture
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.EvictAll(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if state == stateDirty {
@@ -230,8 +230,8 @@ func TestScanPathTable(t *testing.T) {
 // sweeping every key puts range ends on both sides of every boundary.
 func testRangeEnds(t *testing.T) {
 	d := storage.NewDisk(4096)
-	p := storage.NewPool(d, storage.NewMeter(), 64)
-	r, err := NewBTree(d, p, "ends", empSchema(), 0)
+	p := storage.NewArena(d, 64).NewPool(storage.NewMeter())
+	r, err := newBTree(d, p, "ends", empSchema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,9 +318,9 @@ func testRangeEnds(t *testing.T) {
 // and a range holding NaN finds its rows at the end of the chain.
 func TestFloatKeyRangeScans(t *testing.T) {
 	d := storage.NewDisk(256)
-	p := storage.NewPool(d, storage.NewMeter(), 64)
+	p := storage.NewArena(d, 64).NewPool(storage.NewMeter())
 	schema := tuple.NewSchema(tuple.Col("k", tuple.Float), tuple.Col("name", tuple.String))
-	r, err := NewBTree(d, p, "floats", schema, 0)
+	r, err := newBTree(d, p, "floats", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,13 @@ type Lock struct {
 }
 
 // Table holds every registered t-lock, bucketed by relation name.
-// Stage-2 tests are charged to the meter at C1 apiece.
 type Table struct {
-	meter *storage.Meter
 	locks map[string][]*Lock
 }
 
-// NewTable creates an empty t-lock table charging the meter.
-func NewTable(meter *storage.Meter) *Table {
-	return &Table{meter: meter, locks: map[string][]*Lock{}}
+// NewTable creates an empty t-lock table.
+func NewTable() *Table {
+	return &Table{locks: map[string][]*Lock{}}
 }
 
 // Register places a t-lock for view on (relation, col), deriving the
@@ -109,18 +107,9 @@ func (t *Table) Views() []string {
 // Screen runs the two-stage test for a tuple inserted into or deleted
 // from relName, returning the names of views the tuple may affect
 // (its "markers", in the paper's terms). Stage 1 is free; each stage-2
-// satisfiability test charges one C1 unit.
-func (t *Table) Screen(relName string, tp tuple.Tuple) []string {
-	b := t.meter.Batch()
-	defer b.Close()
-	return t.ScreenBatch(relName, tp, b)
-}
-
-// ScreenBatch is Screen charging its stage-2 tests to b instead of
-// directly to the meter. Commit loops that screen every written tuple
-// pass one batch for the whole transaction, replacing one atomic
-// meter update per candidate with a single flush.
-func (t *Table) ScreenBatch(relName string, tp tuple.Tuple, b *storage.MeterBatch) []string {
+// satisfiability test charges one C1 unit to m, the committing
+// operation's meter.
+func (t *Table) Screen(relName string, tp tuple.Tuple, m *storage.Meter) []string {
 	var hits []string
 	for _, l := range t.locks[relName] {
 		// Stage 1: does the tuple disturb the locked interval?
@@ -128,7 +117,7 @@ func (t *Table) ScreenBatch(relName string, tp tuple.Tuple, b *storage.MeterBatc
 			continue
 		}
 		// Stage 2: substitution + satisfiability, at C1.
-		b.Screen(1)
+		m.Screen(1)
 		if l.Residual != nil && l.Residual.EvalJoined(tp, tuple.Tuple{}) {
 			hits = append(hits, l.View)
 		}

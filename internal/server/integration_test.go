@@ -465,7 +465,7 @@ func TestIntegrationConcurrentClients(t *testing.T) {
 	totalKeys := int64(nClients * span)
 
 	db := core.NewDatabase(testDBOpts())
-	t.Cleanup(func() { db.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { assertIdle(t, db) })
 	_, addr := startServer(t, db, Config{MaxInflight: 64})
 
 	admin := dialClient(t, addr)
@@ -525,7 +525,7 @@ func TestIntegrationConcurrentClients(t *testing.T) {
 
 	// Oracle: one engine, same catalog, every script replayed serially.
 	oracle := core.NewDatabase(testDBOpts())
-	t.Cleanup(func() { oracle.Pool().AssertUnpinned(t) })
+	t.Cleanup(func() { assertIdle(t, oracle) })
 	if err := installCatalogLocal(oracle, totalKeys); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func writePageByte(t *testing.T, p *Pool, f *File, pn PageNum, b byte) {
 // nothing.
 func TestDeriveKeepsValueUntilImageChanges(t *testing.T) {
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 4)
+	p := NewArena(d, 4).NewPool(NewMeter())
 	f := d.Open("f")
 	fr, err := p.Alloc(f)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestDeriveKeepsValueUntilImageChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := NewPool(rd, NewMeter(), 4)
+	rp := NewArena(rd, 4).NewPool(NewMeter())
 	if _, err := c.derive(rp, rd.Open("f"), pn); err != nil || c.n != 6 {
 		t.Fatalf("restored disk: %d derives, err %v; want a fresh derive", c.n, err)
 	}
@@ -166,7 +166,7 @@ func TestDeriveKeepsValueUntilImageChanges(t *testing.T) {
 // TestDeriveAllocations: reading a kept value allocates nothing.
 func TestDeriveAllocations(t *testing.T) {
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 4)
+	p := NewArena(d, 4).NewPool(NewMeter())
 	f := d.Open("f")
 	fr, err := p.Alloc(f)
 	if err != nil {

@@ -25,7 +25,7 @@ type PageNum uint32
 type Disk struct {
 	pageSize int
 	// latencyNs, when non-zero, is slept per physical page transfer
-	// (by the buffer pool, outside its lock), turning the metered
+	// (by the buffer pools, under no lock), turning the metered
 	// counts into wall-clock time so concurrent operations overlap
 	// their I/O waits the way they would on a real device.
 	latencyNs atomic.Int64
@@ -138,11 +138,6 @@ type File struct {
 	fresh bool
 	dirty map[PageNum][]byte
 	spare [][]byte
-	// frames is the buffer pool's entry table for this file, indexed by
-	// page number: the pool's entry for each resident page, nil for the
-	// rest. It is guarded by the pool's lock, not mu, and grown by the
-	// pool; a file's pages are cached by one pool.
-	frames []*Frame
 	// derived holds, by page number, the value the first in-place reader
 	// since the image last changed derived from it (Pool.Derive), nil
 	// where there is none. Every change to an image clears its value, under

@@ -102,6 +102,15 @@ func (m *Meter) Snapshot() Stats {
 	}
 }
 
+// Add charges the counts of s: an operation's meter scope, added to the
+// engine's meter when the operation closes.
+func (m *Meter) Add(s Stats) {
+	m.reads.Add(s.Reads)
+	m.writes.Add(s.Writes)
+	m.screens.Add(s.Screens)
+	m.adTouches.Add(s.ADTouches)
+}
+
 // Reset zeroes the counters.
 func (m *Meter) Reset() {
 	m.reads.Store(0)
@@ -109,60 +118,3 @@ func (m *Meter) Reset() {
 	m.screens.Store(0)
 	m.adTouches.Store(0)
 }
-
-// Batch returns a handle that accumulates charges locally and pushes
-// them to the meter in one atomic add per touched counter when flushed.
-// Screen-heavy loops (commit screening runs the two-stage test for
-// every written tuple against every lock) use a batch to avoid one
-// atomic RMW per tuple. A batch belongs to a single goroutine; charges
-// parked in an unflushed batch are invisible to Snapshot, so callers
-// flush before any snapshot that must observe them (defer Close
-// inside the metered phase).
-func (m *Meter) Batch() *MeterBatch { return &MeterBatch{m: m} }
-
-// MeterBatch is a per-goroutine accumulator for a Meter. Not safe for
-// concurrent use.
-type MeterBatch struct {
-	m         *Meter
-	reads     int64
-	writes    int64
-	screens   int64
-	adTouches int64
-}
-
-// Read charges n page reads to the batch.
-func (b *MeterBatch) Read(n int64) { b.reads += n }
-
-// Write charges n page writes to the batch.
-func (b *MeterBatch) Write(n int64) { b.writes += n }
-
-// Screen charges n C1-unit CPU operations to the batch.
-func (b *MeterBatch) Screen(n int64) { b.screens += n }
-
-// ADTouch charges n C3-unit bookkeeping operations to the batch.
-func (b *MeterBatch) ADTouch(n int64) { b.adTouches += n }
-
-// Flush pushes the accumulated counts to the meter and zeroes the
-// batch, which remains usable.
-func (b *MeterBatch) Flush() {
-	if b.reads != 0 {
-		b.m.reads.Add(b.reads)
-		b.reads = 0
-	}
-	if b.writes != 0 {
-		b.m.writes.Add(b.writes)
-		b.writes = 0
-	}
-	if b.screens != 0 {
-		b.m.screens.Add(b.screens)
-		b.screens = 0
-	}
-	if b.adTouches != 0 {
-		b.m.adTouches.Add(b.adTouches)
-		b.adTouches = 0
-	}
-}
-
-// Close flushes the batch; use with defer so early returns cannot drop
-// charges.
-func (b *MeterBatch) Close() { b.Flush() }

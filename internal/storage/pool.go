@@ -3,7 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,13 +12,13 @@ import (
 	"time"
 )
 
-// Pool is an LRU buffer pool with pinning. All page access in the
-// engine goes through a Pool, which charges the Meter: one read per
-// miss, one write per dirty page written back.
+// Pool is an LRU buffer pool with pinning: one operation's. All page
+// access in the engine goes through a Pool, which charges its Meter: one
+// read per miss, one write per dirty page written back.
 //
 // Write policy: write-back, and nothing else. A release never writes;
-// a dirty frame is written back when it is evicted, at EvictAll, or at
-// FlushAll, which is how a caller closes a write scope: every page the
+// a dirty frame is written back when it is evicted, at FlushAll, which
+// is how a caller closes a write scope, or at Close: every page the
 // scope dirtied is written once, however many times its rows touched it
 // — one write per block, the charge Yao's y(n, m, k) prices a batch at.
 // A pool-wide dirty count makes the FlushAll of a scope that dirtied
@@ -28,9 +28,13 @@ import (
 // per operation (that is what the Yao function estimates) and assume
 // pages read for one phase of an operation stay resident for the rest
 // of it (e.g. R2's pages persist across the A-join and D-join of a
-// refresh, §3.4.1). A buffer pool that caches within an operation and
-// is evicted between operations reproduces exactly that accounting; the
-// engine calls EvictAll at operation boundaries.
+// refresh, §3.4.1), with nothing carried over from one operation to the
+// next. A pool belongs to one operation and is cold when the operation
+// takes it, so it reproduces exactly that accounting: what an operation
+// is charged depends on its own page accesses alone, never on another
+// operation's, whether the two run one after the other or at once. At
+// its end the operation Closes the pool — its dirty frames written back,
+// every entry dropped — and the next operation may take it again, cold.
 //
 // Readers pin page numbers; only writers get bytes. The charge depends
 // only on which pages are resident, in LRU order, so the pool keeps an
@@ -43,85 +47,80 @@ import (
 // otherwise. So a clean miss copies nothing, and a page whose frame is
 // newer than its image is never read from the image. Get and Alloc are
 // the writer API: they return a *Frame whose Data is the page, and a Get
-// that hits a reader's entry fills it from the image under the pool lock
-// — a hit, charged nothing.
+// that hits a reader's entry fills it from the image — a hit, charged
+// nothing.
 //
-// Entries are indexed by page number: each File carries the pool's
-// table of its resident pages (File.frames, a slice guarded by the pool
-// lock), so a lookup, an insert and a drop index an array and hash
-// nothing. A file's table is sized from its page count at first use and
-// doubles when the file outgrows it.
+// Entries are indexed by page number: the pool keeps one table per file
+// it has touched, a slice of its resident pages by page number, found by
+// comparing the file with the last one looked up and then with each
+// table in turn (an operation touches a handful of files). So a lookup,
+// an insert and a drop index an array and hash nothing. A table is sized
+// from its file's page count at first use and doubles when the file
+// outgrows it; Close keeps the arrays for the operation that takes the
+// pool next.
 //
-// Concurrency: one mutex guards the tables, the resident count and one
-// recency list, and every operation takes it once — a ReadBatch window
-// twice, once to pin the whole window and evict its overflow, once to
-// release it (the replacement bookkeeping of an access batch done under
-// one lock, as in BP-Wrapper, rather than a lock partitioned). The list
-// order is the LRU order, so eviction takes the unpinned entries off its
-// old end. No latency is slept under the lock. A reader's miss does no
-// I/O: it checks that the page exists, under the file's read lock that
-// the window's pin pass takes once (lock order: pool, then file), and
-// publishes a bytes-less entry; the window's misses are metered with one
-// charge, and their latency is slept after the unlock. The pin pass
-// drops the file lock before the eviction pass, whose write-backs take
-// files' write locks, and the window's pages are then read under one
-// more hold of the file's read lock, with no pool lock. A writer's miss
-// copies the image with no pool lock held: it marks the page as loading,
-// drops the lock, reads and sleeps, and publishes the entry; concurrent
-// missers of the same page wait on the pool's condition variable and are
-// charged nothing, so exactly one read is metered per physical fetch.
-// Frame *data* is not guarded here: the engine's reader/writer lock
-// guarantees that a frame's bytes are only mutated while its file is
-// owned by exactly one writer goroutine.
+// Concurrency: a pool serves one goroutine and takes no lock of its own.
+// Operations that run at once have pools of their own over the shared
+// page images, and the engine's reader/writer lock keeps a page's image
+// from changing while another operation reads it: writers run alone, or
+// on disjoint files. The file's read lock is taken for an in-place read,
+// so that the values kept beside images (Derive) never straddle a
+// change. No latency is slept under a lock.
 //
-// Frame arena: page buffers and entries are made on demand and
-// recycled, entries under the pool lock and buffers under their own. A
-// buffer goes back to the arena the moment its frame has left the table
-// and has no pin — eviction, EvictAll, Discard of an unpinned frame, the
-// final Release of an orphan, Alloc replacing a stale frame — and the
-// frame's Data is set to nil, so a writer that kept the frame past its
-// last unpin panics instead of reading whatever page the slot holds
-// next. In test binaries the buffer is also overwritten with a poison
-// pattern, so a caller that kept the slice itself reads garbage. Only
-// writers take buffers (Alloc, and a Get of a page with none), so the
-// arena holds write frames only. The free lists hold at most capacity
-// buffers and capacity entries: entries exceed the capacity only
-// transiently — a writer's miss publishes before it evicts, and a pool
-// full of pinned entries stays over until a release — and anything
-// freed beyond the cap is left to the garbage collector.
+// Frame arena: page buffers are shared by the pools of one disk (an
+// Arena), guarded by the arena's lock; entries are per pool. A buffer
+// goes back to the arena the moment its frame has left the table and has
+// no pin — eviction, Close, Discard of an unpinned frame, the final
+// Release of an orphan, Alloc replacing a stale frame — and the frame's
+// Data is set to nil, so a writer that kept the frame past its last
+// unpin panics instead of reading whatever page the slot holds next. In
+// test binaries the buffer is also overwritten with a poison pattern, so
+// a caller that kept the slice itself reads garbage. Only writers take
+// buffers (Alloc, and a Get of a page with none), so the arena holds
+// write frames only. The arena's free list and each pool's spare entries
+// hold at most capacity of each; anything freed beyond the cap is left to
+// the garbage collector.
 type Pool struct {
-	disk     *Disk
-	meter    *Meter
-	capacity int
+	arena *Arena
+	meter *Meter
 
-	// mu guards every file's entry table (File.frames), resident, the
-	// list, the loading set, every entry's pins, inPlace, orphan and
-	// links, and spare.
-	mu       sync.Mutex
 	resident int    // entries in the tables, the list's length
+	reported int    // resident as last added to the arena's count
 	mru, lru *Frame // the recency list runs from mru through Frame.older to lru
-	// loading holds the pages a writer's miss is fetching; missers of
-	// the same page wait on loaded (whose lock is mu), which each fetch
-	// broadcasts when it ends, and re-enter the hit path.
-	loading map[loadKey]struct{}
-	loaded  sync.Cond
-	spare   []*Frame // recycled entries, at most capacity
+	tables   []table
+	last     int      // the table looked up last
+	spare    []*Frame // recycled entries, at most capacity
 	// dirty counts the dirty frames in the tables, as every file's
-	// dirtyFrames counts its own; FlushAll reads it without the lock.
+	// dirtyFrames counts its own.
 	dirty atomic.Int64
-
-	slotMu sync.Mutex // innermost; guards slots, live and peak
-	slots  [][]byte   // recycled page buffers, at most capacity
-	poison []byte     // one page of poisonByte, copied over each recycled slot; never written
-
-	// Page buffers the pool holds — in frames, on their way into one,
-	// or free — now and at most (the arena tests read them).
-	live, peak int
 
 	// traceIO, set only by the package's tests, hears every charged page
 	// transfer in the order it is charged: a read per miss, a write per
 	// write-back.
 	traceIO func(write bool, key frameKey)
+}
+
+// table is a pool's entry table for one file: the entry of each resident
+// page by page number, nil for the rest.
+type table struct {
+	file   *File
+	frames []*Frame
+}
+
+// Arena is the page-buffer arena the pools of one disk share, and the
+// count of the entries the pools it made hold.
+type Arena struct {
+	disk     *Disk
+	capacity int
+
+	mu     sync.Mutex // guards slots, live and peak
+	slots  [][]byte   // recycled page buffers, at most capacity
+	poison []byte     // one page of poisonByte, copied over each recycled slot; never written
+	// Page buffers the arena holds — in frames, on their way into one,
+	// or free — now and at most (the arena tests read them).
+	live, peak int
+
+	resident atomic.Int64
 }
 
 // poisonSlots turns on poison-on-recycle in every test binary, so every
@@ -146,12 +145,6 @@ type frameKey struct {
 	pn   PageNum
 }
 
-// loadKey names a page a writer's miss is fetching.
-type loadKey struct {
-	file *File
-	pn   PageNum
-}
-
 // Frame is a page's entry in the pool. A writer's frame (from Get or
 // Alloc) has Data, the mutable page image, an arena slot: callers that
 // modify it must call MarkDirty, and every caller must keep the frame
@@ -161,11 +154,11 @@ type loadKey struct {
 type Frame struct {
 	pool  *Pool
 	file  *File
+	tab   int // the index of file's table in the pool
 	pn    PageNum
 	Data  []byte
 	dirty atomic.Bool
-	// The fields below are guarded by the pool lock.
-	pins int32
+	pins  int32
 	// orphan marks a frame discarded while pinned: it is no longer in
 	// the table and its final Release must not write it back (the page
 	// may have been freed and reallocated).
@@ -173,10 +166,11 @@ type Frame struct {
 	// inPlace counts the pins of reads running on the image rather than
 	// on Data.
 	inPlace int32
-	// derived is the value a reader derived from Data (Derive), nil where
-	// there is none: cleared by every Get, every MarkDirty and recycling,
-	// so it never outlives the bytes it stands for. A reader's entry reads
-	// the image and keeps none here; the image carries its own.
+	// derived is the value a reader derived from Data (Derive), or the
+	// one a writer kept for the bytes it wrote (Keep); nil where there is
+	// none: cleared by every Get, every MarkDirty and recycling, so it
+	// never outlives the bytes it stands for. A reader's entry reads the
+	// image and keeps none here; the image carries its own.
 	derived atomic.Pointer[derivation]
 	// newer and older link the entry into the recency list.
 	newer, older *Frame
@@ -187,30 +181,56 @@ type Frame struct {
 // that holds R2 during a nested-loop join (§3.4.3).
 const DefaultPoolCapacity = 256
 
-// NewPool creates a pool over the disk charging the meter. capacity
-// ≤ 0 selects DefaultPoolCapacity.
-func NewPool(disk *Disk, meter *Meter, capacity int) *Pool {
+// NewArena creates the page-buffer arena of pools of capacity frames
+// over the disk. capacity ≤ 0 selects DefaultPoolCapacity.
+func NewArena(disk *Disk, capacity int) *Arena {
 	if capacity <= 0 {
 		capacity = DefaultPoolCapacity
 	}
-	p := &Pool{
-		disk:     disk,
-		meter:    meter,
-		capacity: capacity,
-		loading:  map[loadKey]struct{}{},
-	}
-	p.loaded.L = &p.mu
+	a := &Arena{disk: disk, capacity: capacity}
 	if poisonSlots {
-		p.poison = bytes.Repeat([]byte{poisonByte}, disk.PageSize())
+		a.poison = bytes.Repeat([]byte{poisonByte}, disk.PageSize())
 	}
-	return p
+	return a
 }
 
-// entry returns f's entry for page pn, nil when the page is not
-// resident. The pool lock is held.
-func (f *File) entry(pn PageNum) *Frame {
-	if int(pn) < len(f.frames) {
-		return f.frames[pn]
+// NewPool returns a cold pool of the arena's capacity charging meter.
+func (a *Arena) NewPool(meter *Meter) *Pool {
+	return &Pool{arena: a, meter: meter}
+}
+
+// Capacity returns the frame capacity of the arena's pools.
+func (a *Arena) Capacity() int { return a.capacity }
+
+// Resident returns the entries the arena's pools hold now: 0 when no
+// operation is running.
+func (a *Arena) Resident() int { return int(a.resident.Load()) }
+
+// table returns the index of f's table, making one when the pool has
+// none — on a table array an earlier operation left, when there is one.
+// It compares f with the file looked up last, then with each table in
+// turn.
+func (p *Pool) table(f *File) int {
+	if p.last < len(p.tables) && p.tables[p.last].file == f {
+		return p.last
+	}
+	for i := range p.tables {
+		if p.tables[i].file == f {
+			p.last = i
+			return i
+		}
+	}
+	p.tables = slices.Grow(p.tables, 1)[:len(p.tables)+1]
+	p.last = len(p.tables) - 1
+	p.tables[p.last].file = f
+	return p.last
+}
+
+// entry returns the entry in table t for page pn, nil when the page is
+// not resident.
+func (p *Pool) entry(t int, pn PageNum) *Frame {
+	if frames := p.tables[t].frames; int(pn) < len(frames) {
+		return frames[pn]
 	}
 	return nil
 }
@@ -220,13 +240,13 @@ func (f *File) entry(pn PageNum) *Frame {
 // count, pages (a lower bound will do), and at least doubles, so a file
 // that grows a page at a time reallocates its table only O(log n) times.
 func (p *Pool) insert(fr *Frame, pages int) {
-	f := fr.file
-	if int(fr.pn) >= len(f.frames) {
-		grown := make([]*Frame, max(pages, int(fr.pn)+1, 2*len(f.frames)))
-		copy(grown, f.frames)
-		f.frames = grown
+	t := &p.tables[fr.tab]
+	if int(fr.pn) >= len(t.frames) {
+		grown := make([]*Frame, max(pages, int(fr.pn)+1, 2*len(t.frames)))
+		copy(grown, t.frames)
+		t.frames = grown
 	}
-	f.frames[fr.pn] = fr
+	t.frames[fr.pn] = fr
 	p.resident++
 	p.pushFront(fr)
 }
@@ -263,44 +283,44 @@ func (p *Pool) unlink(fr *Frame) {
 	fr.newer, fr.older = nil, nil
 }
 
-// Capacity returns the pool's frame capacity.
-func (p *Pool) Capacity() int { return p.capacity }
-
-// PageSize returns the underlying disk's page size.
-func (p *Pool) PageSize() int { return p.disk.PageSize() }
-
-// Resident returns the number of pages currently in the pool.
-func (p *Pool) Resident() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.resident
+// report adds the change in resident entries since the last report to
+// the arena's count: once a call, not once an entry.
+func (p *Pool) report() {
+	if d := p.resident - p.reported; d != 0 {
+		p.arena.resident.Add(int64(d))
+		p.reported = p.resident
+	}
 }
 
+// Capacity returns the pool's frame capacity.
+func (p *Pool) Capacity() int { return p.arena.capacity }
+
+// PageSize returns the underlying disk's page size.
+func (p *Pool) PageSize() int { return p.arena.disk.PageSize() }
+
+// Resident returns the number of pages currently in the pool.
+func (p *Pool) Resident() int { return p.resident }
+
 // sleepIO simulates the wall-clock cost of n physical page transfers.
-// Callers invoke it with no pool lock held, so concurrent operations
-// overlap their I/O waits instead of queueing on a lock.
 func (p *Pool) sleepIO(n int) {
 	if n <= 0 {
 		return
 	}
-	if d := p.disk.IOLatency(); d > 0 {
+	if d := p.arena.disk.IOLatency(); d > 0 {
 		time.Sleep(time.Duration(n) * d)
 	}
 }
 
 // Get pins and returns the frame for (file, pn) with the page's bytes,
 // reading it from disk (one metered read) on a miss — the writer's
-// access; readers use Read. The read and its simulated latency happen
-// without holding the pool lock, the eviction's write-back latency after
-// it.
+// access; readers use Read.
 func (p *Pool) Get(f *File, pn PageNum) (*Frame, error) {
-	p.mu.Lock()
-	fr, err := p.pinWriteLocked(f, pn)
+	fr, err := p.pinWrite(f, pn)
 	wrote := 0
 	if err == nil {
-		wrote, err = p.evictLocked()
+		wrote, err = p.evict()
 	}
-	p.mu.Unlock()
+	p.report()
 	p.sleepIO(wrote)
 	if err != nil {
 		return nil, err
@@ -337,12 +357,9 @@ func (p *Pool) Read(f *File, pn PageNum, fn func(page []byte) error) error {
 // page. Callers must keep the batch well under the pool capacity. After
 // the first error fn runs no more.
 //
-// The pool lock is taken twice: once to pin every page, charge its
-// misses and evict the overflow, once to release the window after fn
-// has run on each page. The file's read lock is taken twice too: inside
-// the first hold of the pool lock for the pin pass, where a miss checks
-// that its page exists, and with no pool lock for the pass that runs fn.
-// The victims are the same entries an insert-by-insert pass would have
+// The file's read lock is taken twice: for the pin pass, where a miss
+// checks that its page exists, and for the pass that runs fn. The
+// victims are the same entries an insert-by-insert pass would have
 // chosen: window entries are pinned and at the new end of the list, so
 // they are never candidates, and the least-recently-used unpinned
 // entries are evicted in the same order either way.
@@ -386,10 +403,10 @@ func (p *Pool) readBatch(f *File, pns []PageNum, fn func(i int, page []byte, slo
 	pinned := window[:0]
 	misses, wrote := 0, 0
 	var err error
-	p.mu.Lock()
+	t := p.table(f)
 	f.mu.RLock()
 	for _, pn := range pns {
-		fr, inPlace, missed, perr := p.pinReadLocked(f, pn)
+		fr, inPlace, missed, perr := p.pinRead(t, f, pn)
 		if perr != nil {
 			err = perr
 			break
@@ -405,48 +422,34 @@ func (p *Pool) readBatch(f *File, pns []PageNum, fn func(i int, page []byte, slo
 		p.meter.Read(int64(misses))
 	}
 	if err == nil {
-		wrote, err = p.evictLocked()
+		wrote, err = p.evict()
 	}
-	p.mu.Unlock()
+	p.report()
 	p.sleepIO(misses + wrote)
 	if err == nil {
 		err = p.viewWindow(f, pinned, fn)
 	}
-	p.mu.Lock()
 	for _, h := range pinned {
-		if rerr := p.unpinLocked(h.fr, h.inPlace); err == nil {
+		if rerr := p.unpin(h.fr, h.inPlace); err == nil {
 			err = rerr
 		}
 	}
-	p.mu.Unlock()
 	return err
 }
 
-// pinReadLocked pins a reader's entry for (f, pn), with the pool lock
-// and f's read lock held. A miss does no I/O: it publishes an entry
-// without bytes once the page is known to exist, and the caller charges
-// the read and sleeps its latency after unlocking. inPlace reports that
-// the pinned entry has no bytes, so the reader runs on the image. The
-// caller owns the eviction pass.
-func (p *Pool) pinReadLocked(f *File, pn PageNum) (fr *Frame, inPlace, missed bool, err error) {
-	for {
-		if hit := f.entry(pn); hit != nil {
-			p.touch(hit)
-			hit.pins++
-			if inPlace = hit.Data == nil; inPlace {
-				hit.inPlace++
-			}
-			return hit, inPlace, false, nil
+// pinRead pins a reader's entry for (f, pn), f's table t, with f's read
+// lock held. A miss does no I/O: it publishes an entry without bytes
+// once the page is known to exist, and the caller charges the read and
+// sleeps its latency. inPlace reports that the pinned entry has no bytes,
+// so the reader runs on the image. The caller owns the eviction pass.
+func (p *Pool) pinRead(t int, f *File, pn PageNum) (fr *Frame, inPlace, missed bool, err error) {
+	if hit := p.entry(t, pn); hit != nil {
+		p.touch(hit)
+		hit.pins++
+		if inPlace = hit.Data == nil; inPlace {
+			hit.inPlace++
 		}
-		if _, ok := p.loading[loadKey{f, pn}]; !ok {
-			break
-		}
-		// A writer is fetching this page, under the file's read lock: let
-		// go of it while waiting, so a writer queued on the file cannot
-		// hold up that fetch.
-		f.mu.RUnlock()
-		p.loaded.Wait()
-		f.mu.RLock()
+		return hit, inPlace, false, nil
 	}
 	if _, err := f.pageLocked(pn); err != nil {
 		return nil, false, false, err
@@ -454,60 +457,41 @@ func (p *Pool) pinReadLocked(f *File, pn PageNum) (fr *Frame, inPlace, missed bo
 	if p.traceIO != nil {
 		p.traceIO(false, frameKey{f.name, pn})
 	}
-	fr = p.newFrame(f, pn, nil)
+	fr = p.newFrame(f, t, pn, nil)
 	fr.pins, fr.inPlace = 1, 1
 	p.insert(fr, len(f.pages))
 	return fr, true, true, nil
 }
 
-// pinWriteLocked pins the frame for (f, pn) with the page's bytes, with
-// the pool lock held. A miss copies the image into an arena slot with
-// the lock dropped, charging one read and sleeping its latency; a hit on
-// a reader's entry fills it from the image, uncharged. The caller owns
-// the eviction pass.
-func (p *Pool) pinWriteLocked(f *File, pn PageNum) (fr *Frame, err error) {
-	key := loadKey{f, pn}
-	for {
-		if hit := f.entry(pn); hit != nil {
-			if hit.Data == nil {
-				// A reader's entry: fill it for the writer, charging
-				// nothing.
-				if hit.Data, err = p.readImage(f, pn); err != nil {
-					return nil, err
-				}
+// pinWrite pins the frame for (f, pn) with the page's bytes. A miss
+// copies the image into an arena slot, charging one read and sleeping
+// its latency; a hit on a reader's entry fills it from the image,
+// uncharged. The caller owns the eviction pass.
+func (p *Pool) pinWrite(f *File, pn PageNum) (fr *Frame, err error) {
+	t := p.table(f)
+	if hit := p.entry(t, pn); hit != nil {
+		if hit.Data == nil {
+			// A reader's entry: fill it for the writer, charging nothing.
+			if hit.Data, err = p.readImage(f, pn); err != nil {
+				return nil, err
 			}
-			// The writer may change the bytes a reader derived from.
-			hit.derived.Store(nil)
-			p.touch(hit)
-			hit.pins++
-			return hit, nil
 		}
-		if _, ok := p.loading[key]; !ok {
-			break
-		}
-		// A writer is already fetching this page: wait for it and
-		// re-enter the hit path. No additional read is charged — the
-		// leader's single read covers every waiter. (A leader that fails
-		// publishes nothing, and each waiter then tries for itself.)
-		p.loaded.Wait()
+		// The writer may change the bytes a reader derived from.
+		hit.derived.Store(nil)
+		p.touch(hit)
+		hit.pins++
+		return hit, nil
 	}
-	p.loading[key] = struct{}{}
-	p.mu.Unlock()
 	buf, err := p.readImage(f, pn)
-	if err == nil {
-		p.meter.Read(1)
-		if p.traceIO != nil {
-			p.traceIO(false, frameKey{f.name, pn})
-		}
-		p.sleepIO(1)
-	}
-	p.mu.Lock()
-	delete(p.loading, key)
-	p.loaded.Broadcast()
 	if err != nil {
 		return nil, err
 	}
-	fr = p.newFrame(f, pn, buf)
+	p.meter.Read(1)
+	if p.traceIO != nil {
+		p.traceIO(false, frameKey{f.name, pn})
+	}
+	p.sleepIO(1)
+	fr = p.newFrame(f, t, pn, buf)
 	fr.pins = 1
 	p.insert(fr, int(pn)+1)
 	return fr, nil
@@ -516,12 +500,12 @@ func (p *Pool) pinWriteLocked(f *File, pn PageNum) (fr *Frame, err error) {
 // readImage copies page pn's image into an arena slot, under the
 // file's read lock.
 func (p *Pool) readImage(f *File, pn PageNum) ([]byte, error) {
-	buf := p.takeSlot()
+	buf := p.arena.takeSlot()
 	if err := f.View(pn, func(src []byte) error {
 		copy(buf, src)
 		return nil
 	}); err != nil {
-		p.putSlot(buf)
+		p.arena.putSlot(buf)
 		return nil, err
 	}
 	return buf, nil
@@ -575,20 +559,20 @@ func (p *Pool) viewLocked(fr *Frame, inPlace bool, i int, fn func(i int, page []
 // is zeroed like the disk's, whatever its slot held before.
 func (p *Pool) Alloc(f *File) (*Frame, error) {
 	pn := f.Alloc()
-	buf := p.takeSlot()
+	buf := p.arena.takeSlot()
 	clear(buf)
-	p.mu.Lock()
-	fr := p.newFrame(f, pn, buf)
+	t := p.table(f)
+	fr := p.newFrame(f, t, pn, buf)
 	fr.pins = 1
 	fr.MarkDirty()
-	if stale := f.entry(pn); stale != nil {
+	if stale := p.entry(t, pn); stale != nil {
 		// A stale entry for a previously freed page number that was
 		// never discarded; drop it rather than leaking a list entry.
 		p.drop(stale)
 	}
 	p.insert(fr, int(pn)+1)
-	wrote, err := p.evictLocked()
-	p.mu.Unlock()
+	wrote, err := p.evict()
+	p.report()
 	p.sleepIO(wrote)
 	if err != nil {
 		return nil, err
@@ -620,6 +604,13 @@ func (fr *Frame) MarkDirty() {
 	}
 }
 
+// Keep publishes v as the value derived from the frame's bytes (see
+// Derive), for a writer that has just written them from v: the next
+// reader of the frame is handed v instead of deriving it. Call it after
+// the last MarkDirty of the write, which would drop it; the rules of
+// Derive's values hold for v.
+func (fr *Frame) Keep(v any) { fr.derived.Store(&derivation{v}) }
+
 // clean clears the frame's dirty bit and both counts it bumped.
 func (fr *Frame) clean() {
 	if fr.dirty.CompareAndSwap(true, false) {
@@ -630,16 +621,10 @@ func (fr *Frame) clean() {
 
 // Release unpins a frame obtained from Get or Alloc. It writes nothing:
 // a dirty frame stays dirty until its eviction or the next flush.
-func (p *Pool) Release(fr *Frame) error {
-	p.mu.Lock()
-	err := p.unpinLocked(fr, false)
-	p.mu.Unlock()
-	return err
-}
+func (p *Pool) Release(fr *Frame) error { return p.unpin(fr, false) }
 
-// unpinLocked drops one pin of fr — an in-place read's when inPlace is
-// set.
-func (p *Pool) unpinLocked(fr *Frame, inPlace bool) error {
+// unpin drops one pin of fr — an in-place read's when inPlace is set.
+func (p *Pool) unpin(fr *Frame, inPlace bool) error {
 	if fr.pins <= 0 {
 		return fmt.Errorf("storage: release of unpinned frame %v", fr.key())
 	}
@@ -655,11 +640,9 @@ func (p *Pool) unpinLocked(fr *Frame, inPlace bool) error {
 	return nil
 }
 
-// writeBack flushes a dirty frame to disk, charging one write. The
-// write is an in-memory copy on the simulated disk, so performing it
-// under the pool lock is cheap; the latency sleep is the caller's job,
-// after unlocking. Every caller writes back an unpinned frame, so no
-// in-place read of the page is pinned; a test binary checks it.
+// writeBack flushes a dirty frame to disk, charging one write. Every
+// caller writes back an unpinned frame, so no in-place read of the page
+// is pinned; a test binary checks it.
 func (p *Pool) writeBack(fr *Frame) error {
 	if checkInPlace && fr.inPlace > 0 {
 		return fmt.Errorf("storage: write-back of page %v under %d in-place read(s)", fr.key(), fr.inPlace)
@@ -675,25 +658,18 @@ func (p *Pool) writeBack(fr *Frame) error {
 	return nil
 }
 
-// evictLocked evicts the least-recently-used unpinned entries, oldest
-// first and each written back first when dirty, until the pool is within
-// capacity, returning how many it wrote back (the caller charges their
-// latency after unlocking). One walk from the list's old end serves the
-// whole overflow. When every entry is pinned — concurrent windows can
-// hold them all for a moment — it drops the lock briefly and walks
-// again, a few times, before declaring the pool stuck.
-func (p *Pool) evictLocked() (wrote int, err error) {
-	fr, stalls := p.lru, 0
-	for p.resident > p.capacity {
+// evict evicts the least-recently-used unpinned entries, oldest first
+// and each written back first when dirty, until the pool is within
+// capacity, returning how many it wrote back (the caller sleeps their
+// latency). One walk from the list's old end serves the whole overflow.
+func (p *Pool) evict() (wrote int, err error) {
+	fr := p.lru
+	for p.resident > p.arena.capacity {
 		if fr == nil {
-			if stalls++; stalls > 4 {
-				return wrote, p.pinnedFullError()
-			}
-			p.mu.Unlock()
-			runtime.Gosched()
-			p.mu.Lock()
-			fr = p.lru
-			continue
+			// Every entry is pinned: name them, so a pin leak is
+			// attributable.
+			return wrote, fmt.Errorf("storage: buffer pool full of pinned frames (capacity %d; pinned: %s)",
+				p.arena.capacity, strings.Join(p.PinnedFrames(), ", "))
 		}
 		victim := fr
 		fr = fr.newer
@@ -715,7 +691,7 @@ func (p *Pool) evictLocked() (wrote int, err error) {
 // orphaned otherwise (its slot returns at the final Release).
 func (p *Pool) drop(fr *Frame) {
 	p.unlink(fr)
-	fr.file.frames[fr.pn] = nil
+	p.tables[fr.tab].frames[fr.pn] = nil
 	p.resident--
 	if fr.pins > 0 {
 		fr.orphan = true
@@ -724,84 +700,61 @@ func (p *Pool) drop(fr *Frame) {
 	p.recycle(fr)
 }
 
-// pinnedFullError reports an over-capacity pool with no evictable
-// entry, naming the files holding pins so a pin leak is attributable.
-// The pool lock is held.
-func (p *Pool) pinnedFullError() error {
-	pins := map[string]int{}
-	for fr := p.mru; fr != nil; fr = fr.older {
-		if fr.pins > 0 {
-			pins[fr.file.name] += int(fr.pins)
-		}
-	}
-	names := make([]string, 0, len(pins))
-	for n := range pins {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s(%d pins)", n, pins[n]))
-	}
-	return fmt.Errorf("storage: buffer pool full of pinned frames (capacity %d; pinned: %s)",
-		p.capacity, strings.Join(parts, ", "))
-}
-
 // Discard drops the entry for (file, pn) without flushing, regardless
 // of dirtiness. Callers use it immediately before freeing a page on
 // disk, so a stale dirty frame can never be written to a reallocated
-// page. If the entry is pinned by a concurrent reader it is orphaned
-// instead: the holders keep their (now detached) frame, and its final
-// Release recycles it.
+// page. If the entry is pinned it is orphaned instead: the holders keep
+// their (now detached) frame, and its final Release recycles it.
 func (p *Pool) Discard(f *File, pn PageNum) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fr := f.entry(pn)
+	fr := p.entry(p.table(f), pn)
 	if fr == nil {
 		return
 	}
 	fr.clean()
 	p.drop(fr)
+	p.report()
 }
 
 // FlushAll writes back every dirty unpinned frame (charging writes)
-// without evicting, newest first, and sleeps their latency after
-// unlocking: the close of a write scope. Pinned dirty frames are
-// skipped: their owner is still mutating them, and the flush that
-// closes its own scope, or an eviction, writes them. When no frame is
-// dirty it takes no lock and walks nothing.
+// without evicting, newest first, and sleeps their latency: the close of
+// a write scope. Pinned dirty frames are skipped: their owner is still
+// mutating them, and the flush that closes its own scope, or an
+// eviction, writes them. When no frame is dirty it walks nothing.
 func (p *Pool) FlushAll() error {
-	if p.dirty.Load() == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	wrote, err := p.flushLocked()
-	p.mu.Unlock()
-	p.sleepIO(wrote)
-	return err
-}
-
-func (p *Pool) flushLocked() (wrote int, err error) {
+	wrote := 0
+	var err error
 	for fr := p.mru; fr != nil && p.dirty.Load() > 0; fr = fr.older {
 		if fr.pins == 0 && fr.dirty.Load() {
-			if err := p.writeBack(fr); err != nil {
-				return wrote, err
+			if err = p.writeBack(fr); err != nil {
+				break
 			}
 			wrote++
 		}
 	}
-	return wrote, nil
+	p.sleepIO(wrote)
+	return err
 }
 
-// EvictAll flushes and drops every unpinned entry. The engine calls
-// this at operation boundaries so each query/transaction starts cold,
-// matching the model's per-operation page accounting. Entries pinned by
-// a concurrent operation stay resident — under concurrent load the
-// cold-cache posture is necessarily approximate, and evicting an
-// in-use page would be unsound.
-func (p *Pool) EvictAll() error {
-	p.mu.Lock()
-	wrote, err := p.flushLocked()
+// Close ends the operation the pool served: it writes back every dirty
+// frame, charging the writes, and drops every entry, so the pool is cold
+// for the operation that takes it next. A frame still pinned is a leak:
+// Close drops the rest and fails, naming the pinned pages. A pool whose
+// Close failed must not be used again.
+func (p *Pool) Close() error {
+	err := p.evictAll()
+	if err == nil && p.resident > 0 {
+		err = fmt.Errorf("storage: pin leak at the end of an operation: %s", strings.Join(p.PinnedFrames(), ", "))
+	}
+	for i := range p.tables {
+		p.tables[i].file = nil // keep the array, not the file
+	}
+	p.tables, p.last = p.tables[:0], 0
+	return err
+}
+
+// evictAll flushes and drops every unpinned entry.
+func (p *Pool) evictAll() error {
+	err := p.FlushAll()
 	if err == nil {
 		for fr := p.mru; fr != nil; {
 			older := fr.older
@@ -811,15 +764,14 @@ func (p *Pool) EvictAll() error {
 			fr = older
 		}
 	}
-	p.mu.Unlock()
-	p.sleepIO(wrote)
+	p.report()
 	return err
 }
 
-// newFrame returns an entry for (f, pn), recycled when the arena has
-// one, holding data (nil for a reader's entry) and nothing else. The
-// pool lock is held.
-func (p *Pool) newFrame(f *File, pn PageNum, data []byte) *Frame {
+// newFrame returns an entry for (f, pn) in table t, recycled when the
+// pool has one, holding data (nil for a reader's entry) and nothing
+// else.
+func (p *Pool) newFrame(f *File, t int, pn PageNum, data []byte) *Frame {
 	var fr *Frame
 	if n := len(p.spare); n > 0 {
 		fr = p.spare[n-1]
@@ -827,65 +779,62 @@ func (p *Pool) newFrame(f *File, pn PageNum, data []byte) *Frame {
 	} else {
 		fr = new(Frame)
 	}
-	fr.pool, fr.file, fr.pn, fr.Data = p, f, pn, data
+	fr.pool, fr.file, fr.tab, fr.pn, fr.Data = p, f, t, pn, data
 	fr.dirty.Store(false)
 	fr.pins, fr.orphan, fr.inPlace = 0, false, 0
 	return fr
 }
 
-// takeSlot returns a page buffer for a frame about to enter the table:
-// a recycled one when the arena has one, a new one otherwise. Its bytes
-// are whatever the slot last held; the caller overwrites all of them.
-func (p *Pool) takeSlot() []byte {
-	p.slotMu.Lock()
-	defer p.slotMu.Unlock()
-	if n := len(p.slots); n > 0 {
-		buf := p.slots[n-1]
-		p.slots = p.slots[:n-1]
-		return buf
-	}
-	p.live++
-	p.peak = max(p.peak, p.live)
-	return make([]byte, p.disk.PageSize())
-}
-
 // recycle returns an entry that has left the table and has no pin to
-// the arena, with its buffer if it has one. Nothing may use the frame
+// the pool's spares, its buffer to the arena. Nothing may use the frame
 // after this: its Data and file are nil until it is handed out again.
-// The pool lock is held.
 func (p *Pool) recycle(fr *Frame) {
 	fr.clean() // an orphan its holder dirtied after the Discard
 	if fr.Data != nil {
-		p.putSlot(fr.Data)
+		p.arena.putSlot(fr.Data)
 		fr.Data = nil
 	}
 	fr.derived.Store(nil)
 	fr.file = nil
-	if len(p.spare) < p.capacity {
+	if len(p.spare) < p.arena.capacity {
 		p.spare = append(p.spare, fr)
 	}
 }
 
+// takeSlot returns a page buffer for a frame about to enter a table: a
+// recycled one when the arena has one, a new one otherwise. Its bytes
+// are whatever the slot last held; the caller overwrites all of them.
+func (a *Arena) takeSlot() []byte {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.slots); n > 0 {
+		buf := a.slots[n-1]
+		a.slots = a.slots[:n-1]
+		return buf
+	}
+	a.live++
+	a.peak = max(a.peak, a.live)
+	return make([]byte, a.disk.PageSize())
+}
+
 // putSlot adds a buffer no frame owns to the arena, poisoned under
 // test, or drops it when the arena already holds capacity buffers.
-func (p *Pool) putSlot(buf []byte) {
+func (a *Arena) putSlot(buf []byte) {
 	if poisonSlots {
-		copy(buf, p.poison)
+		copy(buf, a.poison)
 	}
-	p.slotMu.Lock()
-	if len(p.slots) < p.capacity {
-		p.slots = append(p.slots, buf)
+	a.mu.Lock()
+	if len(a.slots) < a.capacity {
+		a.slots = append(a.slots, buf)
 	} else {
-		p.live--
+		a.live--
 	}
-	p.slotMu.Unlock()
+	a.mu.Unlock()
 }
 
 // PinnedFrames describes every pinned entry ("file:page(pins=n)",
 // sorted), for diagnostics and the pin-leak test helper.
 func (p *Pool) PinnedFrames() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []string
 	for fr := p.mru; fr != nil; fr = fr.older {
 		if fr.pins > 0 {

@@ -164,25 +164,23 @@ func (p *Pool) modelState() string {
 	return b.String()
 }
 
-// checkTable checks that the entry tables of files and the recency list
-// agree: every list entry sits in its file's slot for its page, every
-// entry in the files' tables is on the list, and Resident is the list's
-// length. Every list entry must belong to one of files.
+// checkTable checks that the pool's entry tables and the recency list
+// agree: every list entry sits in its file's table at its page, every
+// entry in the tables of files is on the list, and Resident is the
+// list's length. Every list entry must belong to one of files.
 func (p *Pool) checkTable(files ...*File) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	listed := map[*Frame]bool{}
 	for fr := p.mru; fr != nil; fr = fr.older {
 		if !slices.Contains(files, fr.file) {
 			return fmt.Errorf("list entry %v belongs to no file checked", fr.key())
 		}
-		if fr.file.entry(fr.pn) != fr {
+		if p.lookup(fr.file, fr.pn) != fr {
 			return fmt.Errorf("list entry %v is not in its file's slot", fr.key())
 		}
 		listed[fr] = true
 	}
 	for _, f := range files {
-		for pn, fr := range f.frames {
+		for pn, fr := range p.tables[p.table(f)].frames {
 			if fr == nil {
 				continue
 			}
@@ -200,6 +198,15 @@ func (p *Pool) checkTable(files ...*File) error {
 	return nil
 }
 
+// lookup returns the pool's entry for (f, pn), nil when there is none.
+func (p *Pool) lookup(f *File, pn PageNum) *Frame { return p.entry(p.table(f), pn) }
+
+// EvictAll is the flush and drop Close runs, without Close's pin check
+// and table reset: it writes back every dirty unpinned frame and drops
+// every unpinned entry. The one-list scripts step through it with
+// frames still held; the reference's evictAll is its model.
+func (p *Pool) EvictAll() error { return p.evictAll() }
+
 // modelPool is a pool under a differential script with what it charged.
 type modelPool struct {
 	p      *Pool
@@ -211,7 +218,7 @@ type modelPool struct {
 func newModelPool(capacity, pages int) *modelPool {
 	d := NewDisk(16)
 	mp := &modelPool{m: NewMeter(), f: d.Open("r")}
-	mp.p = NewPool(d, mp.m, capacity)
+	mp.p = NewArena(d, capacity).NewPool(mp.m)
 	mp.p.traceIO = func(write bool, key frameKey) {
 		op := "r"
 		if write {
@@ -456,13 +463,11 @@ func TestPoolInPlaceWriteBackCaught(t *testing.T) {
 		t.Fatal("the in-place checks are off in a test binary")
 	}
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 4)
+	p := NewArena(d, 4).NewPool(NewMeter())
 	f := d.Open("r")
 	pn := f.Alloc()
 	err := p.Read(f, pn, func([]byte) error {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		fr := f.entry(pn)
+		fr := p.lookup(f, pn)
 		fr.Data = bytes.Repeat([]byte{9}, 64) // as if a writer had filled it
 		return p.writeBack(fr)
 	})
@@ -484,7 +489,7 @@ func TestPoolInPlaceReadOfDirtyFrameCaught(t *testing.T) {
 		t.Fatal("the in-place checks are off in a test binary")
 	}
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 4)
+	p := NewArena(d, 4).NewPool(NewMeter())
 	f := d.Open("r")
 	pn := f.Alloc()
 	var w *Frame
@@ -512,7 +517,7 @@ func TestPoolInPlaceReadOfDirtyFrameCaught(t *testing.T) {
 func TestPoolInPlaceReadOfBulkDirtyPage(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 8)
+	p := NewArena(d, 8).NewPool(m)
 	f := d.Open("r")
 	pn, other := f.Alloc(), f.Alloc()
 	fr, err := p.Get(f, pn)
@@ -562,7 +567,7 @@ func TestPoolInPlaceReadOfBulkDirtyPage(t *testing.T) {
 func TestPoolTableRemovedFileReopened(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 4)
+	p := NewArena(d, 4).NewPool(m)
 	old := d.Open("x")
 	if err := old.writePage(old.Alloc(), bytes.Repeat([]byte{1}, 64)); err != nil {
 		t.Fatal(err)
@@ -608,7 +613,7 @@ func TestPoolTableRemovedFileReopened(t *testing.T) {
 // window's pins stay, as they always have.
 func TestPoolReadPanicReleasesFileLock(t *testing.T) {
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 4)
+	p := NewArena(d, 4).NewPool(NewMeter())
 	f := d.Open("r")
 	pn := f.Alloc()
 	func() {

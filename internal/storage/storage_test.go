@@ -97,7 +97,7 @@ func TestDiskOpenIsIdempotent(t *testing.T) {
 func TestPoolChargesReadOnMissOnly(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 8)
+	p := NewArena(d, 8).NewPool(m)
 	f := d.Open("r")
 	pn := f.Alloc()
 
@@ -126,7 +126,7 @@ func TestPoolChargesReadOnMissOnly(t *testing.T) {
 func TestPoolWriteBackDefersWrites(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 8)
+	p := NewArena(d, 8).NewPool(m)
 	f := d.Open("r")
 	pn := f.Alloc()
 
@@ -161,7 +161,7 @@ func TestPoolWriteBackDefersWrites(t *testing.T) {
 func TestPoolEvictionWritesDirtyAndRechargesRead(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 2)
+	p := NewArena(d, 2).NewPool(m)
 	f := d.Open("r")
 	pns := []PageNum{f.Alloc(), f.Alloc(), f.Alloc()}
 
@@ -194,7 +194,7 @@ func TestPoolEvictionWritesDirtyAndRechargesRead(t *testing.T) {
 func TestPoolPinnedFramesAreNotEvicted(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 2)
+	p := NewArena(d, 2).NewPool(m)
 	f := d.Open("r")
 	a, b, c := f.Alloc(), f.Alloc(), f.Alloc()
 
@@ -204,11 +204,7 @@ func TestPoolPinnedFramesAreNotEvicted(t *testing.T) {
 	frC, _ := p.Get(f, c) // must evict b, not pinned a
 	p.Release(frC)
 
-	resident := func(pn PageNum) bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return f.entry(pn) != nil
-	}
+	resident := func(pn PageNum) bool { return p.lookup(f, pn) != nil }
 	if !resident(a) {
 		t.Error("pinned frame was evicted")
 	}
@@ -220,7 +216,7 @@ func TestPoolPinnedFramesAreNotEvicted(t *testing.T) {
 
 func TestPoolAllFramesPinnedErrors(t *testing.T) {
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 1)
+	p := NewArena(d, 1).NewPool(NewMeter())
 	f := d.Open("r")
 	a, b := f.Alloc(), f.Alloc()
 	frA, err := p.Get(f, a)
@@ -236,7 +232,7 @@ func TestPoolAllFramesPinnedErrors(t *testing.T) {
 func TestPoolAllocBornDirtyNoReadCharge(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 8)
+	p := NewArena(d, 8).NewPool(m)
 	f := d.Open("r")
 	fr, err := p.Alloc(f)
 	if err != nil {
@@ -258,7 +254,7 @@ func TestPoolAllocBornDirtyNoReadCharge(t *testing.T) {
 func TestPoolEvictAll(t *testing.T) {
 	d := NewDisk(64)
 	m := NewMeter()
-	p := NewPool(d, m, 8)
+	p := NewArena(d, 8).NewPool(m)
 	f := d.Open("r")
 	pn := f.Alloc()
 	fr, _ := p.Get(f, pn)
@@ -282,7 +278,7 @@ func TestPoolEvictAll(t *testing.T) {
 
 func TestPoolEvictAllKeepsPinnedFrames(t *testing.T) {
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 8)
+	p := NewArena(d, 8).NewPool(NewMeter())
 	f := d.Open("r")
 	fr, _ := p.Get(f, f.Alloc())
 	// A frame pinned by a concurrent operation must survive the
@@ -304,7 +300,7 @@ func TestPoolEvictAllKeepsPinnedFrames(t *testing.T) {
 
 func TestReleaseUnpinnedErrors(t *testing.T) {
 	d := NewDisk(64)
-	p := NewPool(d, NewMeter(), 8)
+	p := NewArena(d, 8).NewPool(NewMeter())
 	f := d.Open("r")
 	fr, _ := p.Get(f, f.Alloc())
 	p.Release(fr)
@@ -318,7 +314,7 @@ func TestReleaseUnpinnedErrors(t *testing.T) {
 func TestPropertyPoolDurability(t *testing.T) {
 	fn := func(ops []uint16) bool {
 		d := NewDisk(32)
-		p := NewPool(d, NewMeter(), 3)
+		p := NewArena(d, 3).NewPool(NewMeter())
 		f := d.Open("r")
 		const nPages = 8
 		want := make([][]byte, nPages)
@@ -355,7 +351,7 @@ func TestDiskDefaults(t *testing.T) {
 	if d.PageSize() != DefaultPageSize {
 		t.Errorf("default page size = %d, want %d", d.PageSize(), DefaultPageSize)
 	}
-	p := NewPool(d, NewMeter(), 0)
+	p := NewArena(d, 0).NewPool(NewMeter())
 	if p.Capacity() != DefaultPoolCapacity {
 		t.Errorf("default pool capacity = %d", p.Capacity())
 	}
@@ -377,7 +373,7 @@ func TestFileExtentAndPeek(t *testing.T) {
 		t.Errorf("Extent after free = %d (holes keep extent)", f.Extent())
 	}
 	m := NewMeter()
-	p := NewPool(d, m, 4)
+	p := NewArena(d, 4).NewPool(m)
 	fr, _ := p.Get(f, b)
 	fr.Data[0] = 0xCD
 	fr.MarkDirty()
@@ -408,7 +404,7 @@ func TestFileExtentAndPeek(t *testing.T) {
 
 func TestFrameAccessors(t *testing.T) {
 	d := NewDisk(32)
-	p := NewPool(d, NewMeter(), 4)
+	p := NewArena(d, 4).NewPool(NewMeter())
 	f := d.Open("x")
 	fr, err := p.Alloc(f)
 	if err != nil {
@@ -423,7 +419,7 @@ func TestFrameAccessors(t *testing.T) {
 func TestDiscard(t *testing.T) {
 	d := NewDisk(32)
 	m := NewMeter()
-	p := NewPool(d, m, 4)
+	p := NewArena(d, 4).NewPool(m)
 	f := d.Open("x")
 	pn := f.Alloc()
 	fr, _ := p.Get(f, pn)
@@ -480,7 +476,7 @@ func TestDiskSnapshotRestore(t *testing.T) {
 	p1 := f.Alloc()
 	f.Free(p0)
 	m := NewMeter()
-	pool := NewPool(d, m, 4)
+	pool := NewArena(d, 4).NewPool(m)
 	fr, _ := pool.Get(f, p1)
 	fr.Data[3] = 0x7E
 	fr.MarkDirty()

@@ -36,6 +36,13 @@
 //	tx.Commit()
 //	rows, _ := db.QueryView("eng", nil)
 //
+// Every operation — a read with the refresh it led, a commit, a refresh,
+// a strategy flip — runs on a buffer pool of its own, cold when it
+// begins, so it is charged for the distinct pages it touches whatever
+// runs beside it: Database.Meter, Breakdown and the captured plans are
+// exact under concurrent load. Database.ViewStats reports what a view
+// owes: whether it is stale, its refreshes, its delta log.
+//
 // See examples/ for runnable programs and DESIGN.md for the map from
 // the paper's sections to packages.
 package viewmat
