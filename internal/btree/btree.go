@@ -314,17 +314,20 @@ func (t *Tree) descend(p *storage.Pool, k *key, o *openLeaf) (storage.PageNum, e
 }
 
 // deriveNode is descend's storage.Pool.Derive function: the node of an
-// internal page, kept, or none for a leaf. A page that fails to decode
-// fails the descent and keeps nothing, so it fails every descent after.
+// internal page, kept, or none for a leaf. The page type is read first: a
+// leaf derives nothing here, whatever a scan keeps beside it (its lanes,
+// colpage.Scan), and a value on an internal page that is not a node is
+// not this deriver's to use. A page that fails to decode fails the
+// descent and keeps nothing, so it fails every descent after.
 func deriveNode(page []byte, d any) (any, error) {
-	if d != nil {
-		if checkDerived() {
-			return d, checkNode(d.(*internalNode), page)
-		}
-		return d, nil
-	}
 	if page[0] == byte(leafPages) {
 		return nil, nil
+	}
+	if n, ok := d.(*internalNode); ok {
+		if checkDerived() {
+			return n, checkNode(n, page)
+		}
+		return n, nil
 	}
 	n, err := decodeInternal(page)
 	if err != nil {

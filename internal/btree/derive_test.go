@@ -6,6 +6,8 @@ import (
 	"testing"
 	"unsafe"
 
+	"viewmat/internal/colpage"
+	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 )
@@ -192,4 +194,67 @@ func TestKeptNodeBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.pool.AssertUnpinned(t)
+}
+
+// TestKeptLaneBytes counts the bytes the lanes full scans keep beside the
+// leaves of scan-qm's R take: 100 000 rows (k, a = k·40503 mod N, p) of
+// three Int columns on 4 000-byte pages, loaded in ascending 2 000-row
+// runs, the way the benchmark loads them — 1 851 half-full leaves of 54
+// rows. A scan pruned by a < 1 000 keeps the lanes of the 1 000 leaves it
+// reads, 2.19 MB (the lanes' cells are 54 rows × 32 bytes a leaf, 1.7 MB;
+// the rest is each leaf's vec.Col headers and boxes), an unpruned one
+// those of every leaf, 4.06 MB; the lanes then stay as long as their
+// images do. The counts bound what keeping them adds to a server's
+// memory: the lanes of a leaf never take more than its page.
+func TestKeptLaneBytes(t *testing.T) {
+	const n, aMul = 100000, 40503
+	d := storage.NewDisk(4000)
+	tr, err := newTree(storage.NewArena(d, 256).NewPool(storage.NewMeter()), d.Open("t"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]tuple.Tuple, 0, 2000)
+	for lo := int64(0); lo < n; lo += 2000 {
+		rows = rows[:0]
+		for k := lo; k < lo+2000; k++ {
+			rows = append(rows, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000)))
+		}
+		if err := insertRun(tr, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		atoms []colpage.Atom
+	}{
+		{"a<1000", []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(1000)}}},
+		{"unpruned", nil},
+	} {
+		it, err := tr.ScanAll(c.atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		collect(t, it)
+		if err := tr.pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+		bytes, pages := 0, 0
+		for _, v := range keptValues(t, tr) {
+			if b := colpage.KeptLaneBytes(v); b > 0 {
+				bytes += b
+				pages++
+			}
+		}
+		t.Logf("%s: %d of %d leaves keep lanes of %d bytes (%.2f MB), %d bytes a leaf",
+			c.name, pages, tr.LeafPages(), bytes, float64(bytes)/1e6, bytes/max(pages, 1))
+		if want := tr.LeafPages() - int(it.Pruned()); pages != want {
+			t.Errorf("%s: %d leaves keep lanes, want the %d the scan read", c.name, pages, want)
+		}
+		if bytes > pages*d.PageSize() {
+			t.Errorf("%s: the lanes of %d leaves take %d bytes, more than their pages' %d", c.name, pages, bytes, pages*d.PageSize())
+		}
+	}
 }

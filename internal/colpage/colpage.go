@@ -551,7 +551,7 @@ func DecodeWhere(chunk []byte, atoms []Atom, ids []uint64, cols []vec.Col) ([]ui
 		}
 	}
 	if n > 0 {
-		ids = append(ids, make([]uint64, n)...)
+		ids = slices.Grow(ids, n)[:len(ids)+n] // gatherFOR writes every new cell
 		gatherFOR(ids[len(ids)-n:], body[idLane.off:], idLane.ref, idLane.w, sel)
 		for c := range cols {
 			lanes[c].gather(body, rows, sel, &cols[c])

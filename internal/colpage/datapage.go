@@ -270,15 +270,26 @@ func (pt PageType) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage 
 	if err != nil {
 		return false, 0, err
 	}
-	if b == nil || len(stage.IDs) > 0 || rows > max-b.NumRows() {
-		dropped, err = appendPage(page, rows, atoms, stage)
+	return take(page, rows, atoms, nil, nil, b, max, stage)
+}
+
+// take is Take for a page of rows tuples: the rows of page the atoms
+// select, or, when k is set, the rows of its kept lanes that sel selects.
+func take(page []byte, rows int, atoms []Atom, k *kept, sel []int, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
+	dst, slot0 := stage, Lanes{}
+	if direct = b != nil && len(stage.IDs) == 0 && rows <= max-b.NumRows(); direct {
+		slot0 = Lanes{IDs: b.IDs[0], Cols: b.Slots[0]}
+		dst = &slot0
+	}
+	if k != nil {
+		dropped, err = k.appendRows(sel, dst)
+	} else {
+		dropped, err = appendPage(page, rows, atoms, dst)
+	}
+	if err != nil || !direct {
 		return false, dropped, err
 	}
-	dst := Lanes{IDs: b.IDs[0], Cols: b.Slots[0]}
-	if dropped, err = appendPage(page, rows, atoms, &dst); err != nil {
-		return false, 0, err
-	}
-	if err := b.SetSlot0(dst.IDs, dst.Cols); err != nil {
+	if err := b.SetSlot0(slot0.IDs, slot0.Cols); err != nil {
 		return false, 0, fmt.Errorf("%w: %v", errMixedShape, err)
 	}
 	return true, dropped, nil

@@ -2,11 +2,9 @@ package colpage
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"slices"
 	"sync"
-	"testing"
 
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -138,7 +136,7 @@ func (pt PageType) readEntry(page []byte, e *DirEntry) {
 // against the page's image, and a disagreement is the error.
 func (d *Directory) Lookup(pn storage.PageNum) (*DirEntry, error) {
 	e := d.at(int(pn))
-	if checkDirectory() && !d.file.HasDirtyFrames() {
+	if checking() && !d.file.HasDirtyFrames() {
 		if err := d.check(pn, e); err != nil {
 			return nil, err
 		}
@@ -240,15 +238,3 @@ func (e *DirEntry) Prunable(atoms []Atom) (bool, error) {
 func (e *DirEntry) Zones() (*Zones, bool) {
 	return &e.zones, e.kind == entryCol
 }
-
-// checkDirectory turns on, in every test binary that is not running
-// benchmarks, the check that each directory lookup agrees with the page's
-// image while the file is clean. A benchmark leaves it off, so its
-// profile shows the walk a server runs.
-var checkDirectory = sync.OnceValue(func() bool {
-	if !testing.Testing() {
-		return false
-	}
-	bench := flag.Lookup("test.bench")
-	return bench == nil || bench.Value.String() == ""
-})

@@ -1,0 +1,289 @@
+package colpage
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+
+	"viewmat/internal/pred"
+	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
+)
+
+// Kept lanes. A full scan of a B+-tree's leaf chain keeps each leaf it
+// reads decoded — its rows as lanes, the id lane and one vec.Col per
+// column — beside the leaf's bytes, in the slot storage.Pool.DeriveBatch
+// keeps a value derived from a page in. Every later full scan of the same
+// bytes tests its prune atoms on those lanes and gathers the rows that
+// pass from them, instead of decoding the page again: a leaf is decoded
+// once per image, not once per query. The lanes go when the bytes do (a
+// write-back, a free, a freed page's reuse; a restored disk starts with
+// none), so a leaf a commit rewrote is decoded afresh by the next scan.
+//
+// Only a full scan's readahead windows keep lanes (Scan.fetchPages). A
+// range scan, a chain-following read and a hash file's bucket chains
+// decode as they did: the pages they read — the differential file's
+// above all — are mostly read once per image, so lanes kept for them
+// would be built and never used.
+
+// kept is a leaf's rows as lanes, kept beside its bytes. Its lanes are
+// never changed once it is published: concurrent scans share them, and
+// rows gathered from it share its string cells.
+type kept struct{ Lanes }
+
+// keep decodes the whole of a data page of pt onto lanes of their own.
+func (pt PageType) keep(page []byte) (*kept, error) {
+	rows, err := pt.rows(page)
+	if err != nil {
+		return nil, err
+	}
+	k := &kept{}
+	if _, err := appendPage(page, rows, nil, &k.Lanes); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// take is Take on the kept rows sel selects (ascending; nil selects
+// every row), gathered from the kept lanes onto b's slot-0 lanes or onto
+// the staging lanes by Take's rule.
+func (k *kept) take(sel []int, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
+	return take(nil, len(k.IDs), nil, k, sel, b, max, stage)
+}
+
+// appendRows appends onto l the kept rows sel selects (nil: every row)
+// and returns how many it left out, with DecodeWhere's rule for the
+// lanes' arity.
+func (k *kept) appendRows(sel []int, l *Lanes) (int, error) {
+	rows := len(k.IDs)
+	if len(l.Cols) != len(k.Cols) {
+		switch {
+		case len(l.IDs) == 0:
+			l.Cols = make([]vec.Col, len(k.Cols))
+		case rows == 0:
+			return 0, nil
+		default:
+			return 0, fmt.Errorf("colpage: kept lanes of %d columns appended to rows of %d", len(k.Cols), len(l.Cols))
+		}
+	}
+	if sel == nil {
+		l.IDs = append(l.IDs, k.IDs...)
+		for c := range l.Cols {
+			l.Cols[c].AppendRange(&k.Cols[c], 0, rows)
+		}
+		return 0, nil
+	}
+	if len(sel) > 0 {
+		for _, i := range sel {
+			l.IDs = append(l.IDs, k.IDs[i])
+		}
+		for c := range l.Cols {
+			l.Cols[c].AppendRows(&k.Cols[c], sel)
+		}
+	}
+	return rows - len(sel), nil
+}
+
+// selectRows is the kept lanes' selectRows: the ascending positions of the
+// rows every atom holds for, built in sel's storage (grown when it is too
+// short) — or nil when that is every row. An atom on a column the rows do
+// not have drops nothing.
+func (k *kept) selectRows(atoms []Atom, sel []int) []int {
+	rows := len(k.IDs)
+	if cap(sel) < rows {
+		sel = make([]int, rows)
+	}
+	sel = sel[:rows]
+	first := true
+	for _, a := range atoms {
+		switch {
+		case a.Col < 0 || a.Col >= len(k.Cols):
+		case first:
+			sel, first = narrowAll(&k.Cols[a.Col], a, sel), false
+		case len(sel) > 0:
+			sel = Narrow(&k.Cols[a.Col], a.Op, a.Val, sel)
+		}
+	}
+	if len(sel) == rows {
+		return nil
+	}
+	return sel
+}
+
+// narrowAll is Narrow over every row, sel's length: the first atom's
+// test. On an Int lane of the constant's type it reads the lane straight
+// through, not through a selection.
+func narrowAll(col *vec.Col, a Atom, sel []int) []int {
+	if t, ok := col.Uniform(); ok && t == tuple.Int && a.Val.Type() == tuple.Int {
+		band, ok := bandOf(a.Op, a.Val.Int())
+		if !ok {
+			return sel[:0]
+		}
+		k := 0
+		for i, x := range col.Ints[:len(sel)] {
+			if band.holds(uint64(x)) {
+				sel[k] = i
+				k++
+			}
+		}
+		return sel[:k]
+	}
+	for i := range sel {
+		sel[i] = i
+	}
+	return Narrow(col, a.Op, a.Val, sel)
+}
+
+// Narrow narrows sel, ascending cell positions, to the cells of col for
+// which "cell op v" holds, with pred.Op.Holds semantics (tuple.Compare
+// order, type tag first), in sel's storage. It is the kernel of the kept
+// lanes' row test and of the executor's Filter. A uniform lane whose type
+// is not the constant's compares by type tag alone: the atom keeps every
+// row of it or none. An Int lane is tested against the atom's band (one
+// subtraction and one compare a cell, as the frame-of-reference kernel
+// does on the bytes); every other cell is compared in place.
+func Narrow(col *vec.Col, op pred.Op, v tuple.Value, sel []int) []int {
+	t, uniform := col.Uniform()
+	if vt := v.Type(); uniform && t != vt {
+		c := 1
+		if t < vt {
+			c = -1
+		}
+		if op.HoldsCmp(c) {
+			return sel
+		}
+		return sel[:0]
+	}
+	k := 0
+	if uniform && t == tuple.Int {
+		band, ok := bandOf(op, v.Int())
+		if !ok {
+			return sel[:0]
+		}
+		for _, i := range sel {
+			if band.holds(uint64(col.Ints[i])) {
+				sel[k] = i
+				k++
+			}
+		}
+		return sel[:k]
+	}
+	for _, i := range sel {
+		if op.HoldsCmp(col.Compare(i, v)) {
+			sel[k] = i
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+// KeptLaneBytes returns the bytes held by v, a value a scan kept beside a
+// leaf — its lanes' backing arrays, the kept value, and the pool's box
+// around it — or 0 when v is no kept lanes (nil, or another deriver's
+// value). A string cell counts its bytes, once per cell, though the cells
+// of a dictionary lane share theirs.
+func KeptLaneBytes(v any) int {
+	k, ok := v.(*kept)
+	if !ok {
+		return 0
+	}
+	b := int(unsafe.Sizeof(*k)+unsafe.Sizeof(any(nil))) + cap(k.IDs)*int(unsafe.Sizeof(uint64(0))) +
+		cap(k.Cols)*int(unsafe.Sizeof(vec.Col{}))
+	for c := range k.Cols {
+		col := &k.Cols[c]
+		b += cap(col.Ints)*int(unsafe.Sizeof(int64(0))) + cap(col.Floats)*int(unsafe.Sizeof(float64(0))) +
+			cap(col.Bytes)*int(unsafe.Sizeof([]byte(nil)))
+		if _, uniform := col.Uniform(); !uniform {
+			b += col.Len() * int(unsafe.Sizeof(tuple.Type(0))) // a widened lane's tags
+		}
+		for i := range col.Bytes {
+			b += len(col.Bytes[i])
+		}
+	}
+	return b
+}
+
+// keptBuilt and keptReused count, over the process, the leaves full scans
+// kept lanes for and the leaves they read through lanes kept before:
+// KeptLanes.
+var keptBuilt, keptReused atomic.Int64
+
+// KeptLanes returns how many leaves full scans have kept lanes for and
+// how many reads of a leaf were answered from lanes kept before, since
+// the process started: a read of each leaf once per image builds every
+// leaf's lanes and reuses none.
+func KeptLanes() (built, reused int64) { return keptBuilt.Load(), keptReused.Load() }
+
+// checking turns on, in every test binary that is not running
+// benchmarks, the checks that what is kept beside the pages still says
+// what the pages say: each directory lookup while the file is clean
+// (Directory.Lookup), and each use of a leaf's kept lanes (kept.check). A
+// benchmark leaves them off, so its profile shows the scan a server runs.
+var checking = sync.OnceValue(func() bool {
+	if !testing.Testing() {
+		return false
+	}
+	bench := flag.Lookup("test.bench")
+	return bench == nil || bench.Value.String() == ""
+})
+
+// fresh is kept.check's decode, its lanes reused so that the check
+// allocates nothing on Int and Float lanes.
+var fresh struct {
+	sync.Mutex
+	l Lanes
+}
+
+// check decodes page, a data page of pt, afresh and compares the kept
+// lanes, which stand for it, with what it decodes to: a mismatch means
+// whatever changed the bytes left the lanes kept.
+func (k *kept) check(pt PageType, page []byte) error {
+	fresh.Lock()
+	defer fresh.Unlock()
+	f := &fresh.l
+	f.Reset()
+	rows, err := pt.rows(page)
+	if err == nil {
+		_, err = appendPage(page, rows, nil, f)
+	}
+	if err != nil {
+		return fmt.Errorf("colpage: kept lanes stand for a page that does not decode: %w", err)
+	}
+	if !k.equal(f) {
+		return fmt.Errorf("colpage: kept lanes %v disagree with their page's %v", k.Lanes, *f)
+	}
+	return nil
+}
+
+// equal reports whether the lanes hold the same rows as o: the same ids,
+// and cells of the same type and value, floats bit for bit.
+func (l *Lanes) equal(o *Lanes) bool {
+	if !slices.Equal(l.IDs, o.IDs) || len(l.Cols) != len(o.Cols) {
+		return false
+	}
+	for c := range l.Cols {
+		a, b := &l.Cols[c], &o.Cols[c]
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			t := a.Tag(i)
+			if b.Tag(i) != t {
+				return false
+			}
+			switch {
+			case t == tuple.Int && a.Ints[i] != b.Ints[i],
+				t == tuple.Float && math.Float64bits(a.Floats[i]) != math.Float64bits(b.Floats[i]),
+				t == tuple.String && !bytes.Equal(a.Bytes[i], b.Bytes[i]):
+				return false
+			}
+		}
+	}
+	return true
+}

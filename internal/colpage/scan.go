@@ -46,11 +46,17 @@ import (
 // from the directory (reserve). A full scan does neither.
 //
 // Every page a full scan reads, on either path, has its rows tested
-// against the atoms before they are decoded (DecodeWhere). The test
-// reads the page the pool hands the read — the frame's bytes for a page a
-// writer holds dirty, the image otherwise — so dirty frames do not
-// disarm it. Only the rows that pass are filled; the count of the rest
-// rides on the filled batch (vec.Batch.Dropped).
+// against the atoms before they are gathered. A B+-tree leaf read in a
+// readahead window is tested on its kept lanes (kept.go): decoded whole
+// by the first full scan to read its bytes and kept beside them
+// (storage.Pool.DeriveBatch), so every later one tests and gathers from
+// the lanes and opens no page byte. Any other page is tested on its
+// encoded lanes and only its survivors are decoded (DecodeWhere). Either
+// test reads the page the pool hands the read — the frame's bytes for a
+// page a writer holds dirty, the image otherwise — so dirty frames do not
+// disarm it; zone-map pruning comes first, so a pruned leaf is neither
+// read nor decoded. Only the rows that pass are filled; the count of the
+// rest rides on the filled batch (vec.Batch.Dropped).
 type Scan struct {
 	dir     *Directory
 	pool    *storage.Pool
@@ -61,6 +67,7 @@ type Scan struct {
 	cur     cursor
 	done    bool
 	all     bool  // the range keeps every row: no key is looked at
+	keep    bool  // a B+-tree's leaf chain: windows read through kept lanes
 	stage   Lanes // rows read but not handed out: those from idx on
 	idx     int
 	pruned  int64
@@ -98,7 +105,7 @@ func (c *cursor) follow(next storage.PageNum, hasNext bool) {
 // first page (on a full scan, the first window) before it returns; Fill
 // skips that leaf's rows below the range.
 func (d *Directory) Scan(pool *storage.Pool, first storage.PageNum, keyCol int, rg *pred.Range, prune []Atom) (*Scan, error) {
-	return d.open(pool, cursor{pn: first, more: true}, keyCol, rg, prune)
+	return d.open(pool, cursor{pn: first, more: true}, keyCol, rg, prune, true)
 }
 
 // ScanChains opens a full scan of the chains headed by each page of
@@ -110,12 +117,13 @@ func (d *Directory) ScanChains(pool *storage.Pool, heads []storage.PageNum, keyC
 	if len(heads) > 0 {
 		c = cursor{pn: heads[0], more: true, heads: heads[1:]}
 	}
-	return d.open(pool, c, keyCol, nil, prune)
+	return d.open(pool, c, keyCol, nil, prune, false)
 }
 
-// open starts a scan at cursor c.
-func (d *Directory) open(pool *storage.Pool, c cursor, keyCol int, rg *pred.Range, prune []Atom) (*Scan, error) {
-	s := &Scan{dir: d, pool: pool, keyCol: keyCol, rg: rg, all: rg == nil || rg.Unbounded(), cur: c}
+// open starts a scan at cursor c; keep has its readahead windows read
+// through kept lanes.
+func (d *Directory) open(pool *storage.Pool, c cursor, keyCol int, rg *pred.Range, prune []Atom, keep bool) (*Scan, error) {
+	s := &Scan{dir: d, pool: pool, keyCol: keyCol, rg: rg, all: rg == nil || rg.Unbounded(), keep: keep, cur: c}
 	if rg == nil {
 		s.prune = prune
 	}
@@ -453,16 +461,49 @@ func (s *Scan) walkAhead(w int) (cont cursor, ok bool, err error) {
 	}
 }
 
-// fetchPages reads the walked window — one pool batch when it spans
-// several pages (one combined latency sleep, identical metered reads), a
-// plain Read when a single page survived. Each page is released as soon
-// as it is decoded, so the window holds no pins afterwards.
+// fetchPages reads the walked window as one pool batch — one combined
+// latency sleep, the metered reads of a page-by-page walk. Each page is
+// released as soon as its rows are taken, so the window holds no pins
+// afterwards. A B+-tree's window is read through the leaves' kept lanes
+// (kept.go): each leaf's lanes are built on its first read, and reused
+// until its image changes.
 func (s *Scan) fetchPages(pns []storage.PageNum, b *vec.Batch, max int) error {
-	if len(pns) == 1 {
-		_, _, err := s.readPage(pns[0], b, max)
-		return err
+	if !s.keep {
+		return s.pool.ReadBatch(s.dir.file, pns, func(_ int, page []byte) error {
+			return s.takePage(page, b, max)
+		})
 	}
-	return s.pool.ReadBatch(s.dir.file, pns, func(_ int, page []byte) error {
-		return s.takePage(page, b, max)
+	var built, reused int64
+	var selBuf [256]int // a kept leaf's selection, reused leaf to leaf
+	check := checking()
+	err := s.pool.DeriveBatch(s.dir.file, pns, func(_ int, page []byte, d any) (any, error) {
+		k, ok := d.(*kept)
+		switch {
+		case ok:
+			reused++
+			if check {
+				if err := k.check(s.dir.typ, page); err != nil {
+					return nil, err
+				}
+			}
+		case d != nil: // not this deriver's: decode as any other page
+			return d, s.takePage(page, b, max)
+		default:
+			var err error
+			if k, err = s.dir.typ.keep(page); err != nil {
+				return nil, err
+			}
+			built++
+		}
+		var sel []int // nil: every row
+		if len(s.prune) > 0 {
+			sel = k.selectRows(s.prune, selBuf[:0])
+		}
+		_, dropped, err := k.take(sel, b, max, &s.stage)
+		s.dropped += dropped
+		return k, err
 	})
+	keptBuilt.Add(built)
+	keptReused.Add(reused)
+	return err
 }

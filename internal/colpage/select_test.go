@@ -112,6 +112,9 @@ func checkSelected(chunk []byte) error {
 		if dropped != len(rows)-len(want) {
 			return fmt.Errorf("atoms %v: %d dropped of %d rows, %d kept", atoms, dropped, len(rows), len(want))
 		}
+		if err := sameAsKept(&kept{Lanes{ids, cols}}, atoms, sids, scols, dropped); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -146,6 +149,9 @@ func checkSelectedPage(pt PageType, page []byte) error {
 		}
 		if kept := len(keepWhere(rows, atoms)); dropped != len(rows)-kept || bdropped != dropped {
 			return fmt.Errorf("atoms %v: dropped %d staged, %d direct; %d of %d rows kept", atoms, dropped, bdropped, kept, len(rows))
+		}
+		if err := keptTakes(pt, page, atoms, want, dropped); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -161,6 +161,7 @@ func BenchmarkCommitImmediate(b *testing.B) {
 	c := newCommitImm(b, 20000)
 	c.durable(b, b.TempDir(), DurabilityOptions{CheckpointEvery: 8})
 	b.ResetTimer()
+	defer reportKeptLanes(b)()
 	for i := 0; i < b.N; i++ {
 		c.commit(b, c.benchKeys(i))
 	}

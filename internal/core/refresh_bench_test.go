@@ -85,6 +85,7 @@ func BenchmarkDeferredRefresh(b *testing.B) {
 	c := newCommitViews(b, 20000, Deferred)
 	b.ReportAllocs()
 	b.ResetTimer()
+	defer reportKeptLanes(b)()
 	for i := 0; i < b.N; i++ {
 		c.commit(b, mixedDefKeys(c.n, i))
 		lo := (int64(i) % 4) * c.n / 8

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
 )
@@ -13,9 +14,13 @@ import (
 // (half-full leaves, ~1 850 of them) on 4 000-byte pages against a
 // 256-frame pool, and a query-modification view σ(a < N/100) π(a, p)
 // read whole — a full scan whose zone maps rule out 851 leaves and whose
-// 1 002 others are read and tested on the encoded a lane. It is the
-// workload's CPU profile without a socket (the verify skill says how to
-// take it). clients=1 issues the b.N queries from one goroutine;
+// 1 000 others are read, each through the lanes the first scan of its
+// image kept beside it (colpage's kept lanes): the atom is tested on the
+// kept a lane and only the survivors are gathered, with no page byte
+// decoded. kept-builds/op and kept-reuses/op count the leaves whose lanes
+// a query built and reused: 0 and 1 000, the lanes having been built by
+// the first query the benchmark ran. It is the workload's CPU profile
+// without a socket (the verify skill says how to take it). clients=1 issues the b.N queries from one goroutine;
 // clients=2 splits them between two goroutines querying at once — the
 // benchmark's two clients in process — so its ns/op is wall time per
 // query, comparable with clients=1's.
@@ -47,6 +52,7 @@ func BenchmarkScanQM(b *testing.B) {
 	}
 	for _, clients := range []int{1, 2} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			defer reportKeptLanes(b)()
 			errs := make(chan error, clients)
 			for c := 0; c < clients; c++ {
 				go func() {
@@ -69,5 +75,18 @@ func BenchmarkScanQM(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// reportKeptLanes reports, per op, the leaves whose lanes the ops' full
+// scans kept and the leaves they read through lanes kept before
+// (colpage.KeptLanes): call it where the timed loop starts, and what it
+// returns where the loop ends.
+func reportKeptLanes(b *testing.B) func() {
+	built, reused := colpage.KeptLanes()
+	return func() {
+		nb, nr := colpage.KeptLanes()
+		b.ReportMetric(float64(nb-built)/float64(b.N), "kept-builds/op")
+		b.ReportMetric(float64(nr-reused)/float64(b.N), "kept-reuses/op")
 	}
 }

@@ -69,11 +69,15 @@ func scatteredEnv(b testing.TB, name string, n int) (*relation.Relation, Options
 // The allocation guards pin what the benchmark above measures where no
 // clock is trusted: a scan allocates per batch and per page arena, never
 // per cell or per row, so the counts are small constants of the fixture.
-// The bounds sit a margin above today's counts (597 and 17; 2 087 and 106
+// The bounds sit a margin above today's counts (598 and 17; 1 649 and 78
 // under the race detector, whose instrumentation moves stack buffers to
 // the heap) and far below what per-cell and per-row work cost (31 790 and
 // 2 770 with four-lane columns and row-at-a-time fills): one allocation
-// per row, or a handful per leaf, already trips them.
+// per row, or a handful per leaf, already trips them. A warm full scan
+// reads every leaf through the lanes the first scan kept beside it and
+// allocates only its batches' lanes: 247 without the test binary's check
+// of each use of kept lanes against a fresh decode of the page, which
+// adds a string arena a leaf (597 while every scan decoded every leaf).
 
 // allocBound is a guard's bound: max, or raceMax under the race detector.
 func allocBound(max, raceMax float64) float64 {
@@ -108,8 +112,11 @@ func TestFullScanAllocations(t *testing.T) {
 // recycled scratch: it allocates nothing. The walk reads links and zone
 // maps from the tree's leaf directory and allocates nothing either.
 // Unpruned and with the atom a < 1000 (which prunes 851 leaves and, in
-// the 1 002 read, decodes only the rows it keeps): 1 086 / 95
-// allocations a scan, 9 128 / 4 204 under the race detector — against
+// the 1 002 read, gathers only the rows it keeps from the lanes the
+// warm-up run kept beside each leaf — a closed pool keeps no page, but
+// the images keep their lanes): 1 084 / 95 allocations a scan, 6 637 /
+// 3 131 under the race detector (9 128 / 4 204 while each leaf was
+// decoded on every scan) — against
 // 8 562 / 4 142 (16 422 / 8 151) when every miss copied the page into a
 // frame and allocated the frame, its recency entry and its single-flight
 // channel, 8 562 / 4 664 (16 420 / 8 910) when every read leaf was

@@ -90,9 +90,8 @@ func (f *Filter) NextBatch() (*vec.Batch, error) {
 }
 
 // vecFilter applies the predicate atom by atom as selection-narrowing
-// column kernels. Each kernel reproduces tuple.Compare semantics
-// exactly (mixed-type cells order by type tag) by falling back to the
-// boxed comparison when a column isn't uniformly the constant's type.
+// column kernels (colpage.Narrow, eqKernel), each with tuple.Compare
+// semantics exactly: mixed-type cells order by type tag.
 func (f *Filter) vecFilter(b *vec.Batch, sel []int) []int {
 	if f.p.SkipIDs != nil {
 		out := sel[:0]
@@ -117,7 +116,7 @@ func (f *Filter) vecFilter(b *vec.Batch, sel []int) []int {
 				} else if at.Rel < 0 || at.Rel > 1 {
 					return sel[:0] // Eval over an unbound slot is false
 				}
-				sel = cmpKernel(&b.Slots[at.Rel][at.Col], at.Op, at.Val, sel)
+				sel = colpage.Narrow(&b.Slots[at.Rel][at.Col], at.Op, at.Val, sel)
 			case pred.JoinEq:
 				if !f.p.Full {
 					continue
@@ -176,45 +175,6 @@ func slotID(b *vec.Batch, s, i int) uint64 {
 	return b.IDs[s][i]
 }
 
-// cmpKernel narrows sel to the rows where "col op val" holds.
-func cmpKernel(col *vec.Col, op pred.Op, val tuple.Value, sel []int) []int {
-	out := sel[:0]
-	if t, ok := col.Uniform(); ok && t == val.Type() {
-		switch t {
-		case tuple.Int:
-			v := val.Int()
-			for _, i := range sel {
-				if op.HoldsCmp(compareInt(col.Ints[i], v)) {
-					out = append(out, i)
-				}
-			}
-			return out
-		case tuple.Float:
-			v := val.Float()
-			for _, i := range sel {
-				if op.HoldsCmp(tuple.CompareFloat(col.Floats[i], v)) {
-					out = append(out, i)
-				}
-			}
-			return out
-		case tuple.String:
-			v := []byte(val.Str())
-			for _, i := range sel {
-				if op.HoldsCmp(bytes.Compare(col.Bytes[i], v)) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-	}
-	for _, i := range sel {
-		if op.Holds(col.Value(i), val) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // eqKernel narrows sel to the rows where two columns compare equal
 // under tuple.Equal.
 func eqKernel(l, r *vec.Col, sel []int) []int {
@@ -252,16 +212,6 @@ func eqKernel(l, r *vec.Col, sel []int) []int {
 		}
 	}
 	return out
-}
-
-func compareInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // Project computes each row's output values from its slot bindings.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/tuple"
 	"viewmat/internal/vec"
@@ -69,9 +70,9 @@ func TestKernelsMatchBoxedReference(t *testing.T) {
 							want = append(want, i)
 						}
 					}
-					got := cmpKernel(lc, op, val, append([]int(nil), sel...))
+					got := colpage.Narrow(lc, op, val, append([]int(nil), sel...))
 					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%s: cmpKernel(%v %v %v) kept %v, want %v", name, left, op, val, got, want)
+						t.Fatalf("%s: colpage.Narrow(%v %v %v) kept %v, want %v", name, left, op, val, got, want)
 					}
 				}
 			}

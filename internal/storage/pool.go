@@ -369,31 +369,50 @@ func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) err
 
 // Derive runs fn on page (f, pn) as Read does, and keeps what fn makes of
 // the page's bytes beside them, so that the next reader of the same bytes
-// is handed it instead of deriving it again. d is the value published for
-// the bytes fn reads, nil when there is none; fn returns the value they
-// derive — d itself, when it has one — and Derive returns it. A value fn
-// returns for a nil d is published unless fn fails; a nil one publishes
-// nothing. The value must depend on the page's bytes alone, and no one may
-// change it once published: concurrent readers share it.
+// is handed it instead of deriving it again: a DeriveBatch of one page. d
+// is the value published for the bytes fn reads, nil when there is none;
+// fn returns the value they derive — d itself, when it has one — and
+// Derive returns it. A value fn returns for a nil d is published unless fn
+// fails; a nil one publishes nothing. The value must depend on the page's
+// bytes alone, and no one may change it once published: concurrent
+// readers share it.
 //
 // An in-place read publishes on the image, where the value lasts until
 // the image changes (File.writePage, a freed page's reuse, Free; a
 // restored disk starts with none), across operations and evictions. A
 // read of a writer's bytes publishes on its frame, where every Get, every
 // MarkDirty and the frame's recycling clear it.
+//
+// Every deriver shares the one slot an image (or a frame) has: a B+-tree
+// descent keeps an internal page's node there, a full scan a leaf's lanes
+// (colpage.Scan). Each deriver ignores a value that is not its own — it
+// derives afresh and publishes nothing, since the slot is taken.
 func (p *Pool) Derive(f *File, pn PageNum, fn func(page []byte, d any) (any, error)) (v any, err error) {
-	err = p.readBatch(f, []PageNum{pn}, func(_ int, page []byte, slot *atomic.Pointer[derivation]) error {
+	err = p.DeriveBatch(f, []PageNum{pn}, func(_ int, page []byte, d any) (any, error) {
+		var err error
+		v, err = fn(page, d)
+		return v, err
+	})
+	return v, err
+}
+
+// DeriveBatch is Derive over a window: fn(i, page, d) runs on each page
+// pns[i] in turn, pinned and charged exactly as ReadBatch pins and charges
+// the window, with the value published for that page's bytes, and what it
+// returns is published as Derive publishes it. After the first error fn
+// runs no more.
+func (p *Pool) DeriveBatch(f *File, pns []PageNum, fn func(i int, page []byte, d any) (any, error)) error {
+	return p.readBatch(f, pns, func(i int, page []byte, slot *atomic.Pointer[derivation]) error {
 		var d any
 		if pub := slot.Load(); pub != nil {
 			d = pub.v
 		}
-		var err error
-		if v, err = fn(page, d); err == nil && d == nil && v != nil {
+		v, err := fn(i, page, d)
+		if err == nil && d == nil && v != nil {
 			slot.Store(&derivation{v})
 		}
 		return err
 	})
-	return v, err
 }
 
 // readBatch is ReadBatch, handing fn each page's derived-value slot too:
@@ -794,7 +813,9 @@ func (p *Pool) recycle(fr *Frame) {
 		p.arena.putSlot(fr.Data)
 		fr.Data = nil
 	}
-	fr.derived.Store(nil)
+	if fr.derived.Load() != nil {
+		fr.derived.Store(nil)
+	}
 	fr.file = nil
 	if len(p.spare) < p.arena.capacity {
 		p.spare = append(p.spare, fr)

@@ -154,13 +154,14 @@ func (c *Col) AppendRange(src *Col, lo, hi int) {
 		}
 		return
 	}
+	c.grow(src.typ, hi-lo)
 	switch src.typ {
 	case tuple.Int:
-		copy(c.GrowInts(hi-lo), src.Ints[lo:hi])
+		c.Ints = append(c.Ints, src.Ints[lo:hi]...)
 	case tuple.Float:
-		copy(c.GrowFloats(hi-lo), src.Floats[lo:hi])
+		c.Floats = append(c.Floats, src.Floats[lo:hi]...)
 	default:
-		copy(c.GrowBytes(hi-lo), src.Bytes[lo:hi])
+		c.Bytes = append(c.Bytes, src.Bytes[lo:hi]...)
 	}
 }
 
@@ -172,23 +173,28 @@ func (c *Col) AppendRows(src *Col, rows []int) {
 		}
 		return
 	}
+	c.grow(src.typ, len(rows))
 	switch src.typ {
 	case tuple.Int:
-		dst := c.GrowInts(len(rows))
-		for k, i := range rows {
-			dst[k] = src.Ints[i]
-		}
+		c.Ints = appendAt(c.Ints, src.Ints, rows)
 	case tuple.Float:
-		dst := c.GrowFloats(len(rows))
-		for k, i := range rows {
-			dst[k] = src.Floats[i]
-		}
+		c.Floats = appendAt(c.Floats, src.Floats, rows)
 	default:
-		dst := c.GrowBytes(len(rows))
-		for k, i := range rows {
-			dst[k] = src.Bytes[i]
-		}
+		c.Bytes = appendAt(c.Bytes, src.Bytes, rows)
 	}
+}
+
+// appendAt appends the entries of src the rows name, in order, onto dst,
+// growing it once. (The bulk appends append the source itself rather
+// than a made slice, which the race detector's build allocates even
+// when dst has room.)
+func appendAt[T any](dst, src []T, rows []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	for k, i := range rows {
+		dst[n+k] = src[i]
+	}
+	return dst
 }
 
 func (c *Col) appendCell(src *Col, i int) {
