@@ -369,13 +369,17 @@ func checkNode(n *internalNode, page []byte) error {
 	return nil
 }
 
-// decodeLeaf decodes a leaf page into leaf, for an edit or a point read.
-// Its rows, which reach the engine from snapshot files, must have the key
-// column.
+// decodeLeaf decodes a leaf page into leaf, for an edit.
 func (t *Tree) decodeLeaf(page []byte, leaf *leafNode) error {
 	if err := leafPages.DecodePage(page, leaf); err != nil {
 		return err
 	}
+	return t.hasKey(&leaf.Lanes)
+}
+
+// hasKey checks that a leaf's rows, which reach the engine from snapshot
+// files, have the key column.
+func (t *Tree) hasKey(leaf *colpage.Lanes) error {
 	if len(leaf.IDs) > 0 && t.keyCol >= len(leaf.Cols) {
 		return fmt.Errorf("btree: leaf rows of %d columns have no key column %d", len(leaf.Cols), t.keyCol)
 	}
@@ -385,7 +389,7 @@ func (t *Tree) decodeLeaf(page []byte, leaf *leafNode) error {
 // leafFind returns the index of the first row of the leaf whose key is
 // ≥ k, and whether that row's key is k: a binary search over the key and
 // id lanes.
-func leafFind(leaf *leafNode, k key, keyCol int) (int, bool) {
+func leafFind(leaf *colpage.Lanes, k key, keyCol int) (int, bool) {
 	at := func(i int) int {
 		if c := leaf.Cols[keyCol].Compare(i, k.val); c != 0 {
 			return c
@@ -616,7 +620,7 @@ func (t *Tree) edit(o *openLeaf, tp tuple.Tuple, k key, plus bool, countCol int,
 			return 0, leaves, 0 // an underflow, the caller's to report
 		}
 	}
-	idx, hit := leafFind(leaf, k, t.keyCol)
+	idx, hit := leafFind(&leaf.Lanes, k, t.keyCol)
 	switch {
 	case !plus && !hit:
 		return 0, absent, 0
@@ -689,7 +693,7 @@ func findCounted(leaf *leafNode, tp tuple.Tuple, keyCol, countCol int) (i int, f
 		return 0, false, false
 	}
 	v := tp.Vals[keyCol]
-	i, _ = leafFind(leaf, key{val: v}, keyCol)
+	i, _ = leafFind(&leaf.Lanes, key{val: v}, keyCol)
 rows:
 	for ; i < len(leaf.IDs) && leaf.Cols[keyCol].Compare(i, v) == 0; i++ {
 		for c := range leaf.Cols {
@@ -871,7 +875,10 @@ func (n *internalNode) childFor(k key) int {
 	return lo
 }
 
-// Get returns the tuple with the exact (value, id) key, if present.
+// Get returns the tuple with the exact (value, id) key, if present: a
+// binary search of the leaf a descent finds, read as a chain scan reads
+// it (colpage.Directory.ReadRows) — on its kept lanes while the file is
+// clean, so a leaf probed again and again is decoded once per image.
 func (t *Tree) Get(p *storage.Pool, val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
 	k := key{val: val, id: id}
 	leafPN, err := t.findLeaf(p, &k)
@@ -880,12 +887,11 @@ func (t *Tree) Get(p *storage.Pool, val tuple.Value, id uint64) (tuple.Tuple, bo
 	}
 	var found tuple.Tuple
 	ok := false
-	err = p.Read(t.file, leafPN, func(page []byte) error {
-		var leaf leafNode // not t.edit: a read may run beside another
-		if err := t.decodeLeaf(page, &leaf); err != nil {
+	err = t.dir.ReadRows(p, leafPN, func(leaf *colpage.Lanes) error {
+		if err := t.hasKey(leaf); err != nil {
 			return err
 		}
-		if idx, hit := leafFind(&leaf, k, t.keyCol); hit {
+		if idx, hit := leafFind(leaf, k, t.keyCol); hit {
 			found, ok = leaf.Row(idx), true
 		}
 		return nil

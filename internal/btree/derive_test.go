@@ -196,49 +196,117 @@ func TestKeptNodeBytes(t *testing.T) {
 	tr.pool.AssertUnpinned(t)
 }
 
-// TestKeptLaneBytes counts the bytes the lanes full scans keep beside the
-// leaves of scan-qm's R take: 100 000 rows (k, a = k·40503 mod N, p) of
-// three Int columns on 4 000-byte pages, loaded in ascending 2 000-row
-// runs, the way the benchmark loads them — 1 851 half-full leaves of 54
-// rows. A scan pruned by a < 1 000 keeps the lanes of the 1 000 leaves it
-// reads, 2.19 MB (the lanes' cells are 54 rows × 32 bytes a leaf, 1.7 MB;
-// the rest is each leaf's vec.Col headers and boxes), an unpruned one
-// those of every leaf, 4.06 MB; the lanes then stay as long as their
-// images do. The counts bound what keeping them adds to a server's
-// memory: the lanes of a leaf never take more than its page.
-func TestKeptLaneBytes(t *testing.T) {
-	const n, aMul = 100000, 40503
+// keptLaneTree loads rows into a tree on 4 000-byte pages, each run one
+// ApplyRun, every page written to its image.
+func keptLaneTree(t *testing.T, runs [][]tuple.Tuple) (*testTree, *storage.Disk, *storage.Meter) {
+	t.Helper()
 	d := storage.NewDisk(4000)
-	tr, err := newTree(storage.NewArena(d, 256).NewPool(storage.NewMeter()), d.Open("t"), 0)
+	m := storage.NewMeter()
+	tr, err := newTree(storage.NewArena(d, 256).NewPool(m), d.Open("t"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]tuple.Tuple, 0, 2000)
-	for lo := int64(0); lo < n; lo += 2000 {
-		rows = rows[:0]
-		for k := lo; k < lo+2000; k++ {
-			rows = append(rows, tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*aMul%n), tuple.I((k*7919+17)%1000)))
-		}
-		if err := insertRun(tr, rows); err != nil {
+	for _, run := range runs {
+		if err := insertRun(tr, run); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := tr.pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name  string
-		atoms []colpage.Atom
-	}{
-		{"a<1000", []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(1000)}}},
-		{"unpruned", nil},
-	} {
-		it, err := tr.ScanAll(c.atoms)
-		if err != nil {
-			t.Fatal(err)
+	return tr, d, m
+}
+
+// scanQMRow is row k of scan-qm's R at n rows: (k, a = k·40503 mod n, p).
+func scanQMRow(k, n int64) tuple.Tuple {
+	return tuple.New(uint64(k+1), tuple.I(k), tuple.I(k*40503%n), tuple.I((k*7919+17)%1000))
+}
+
+// rowRuns makes the rows row(k) for k in [0, n), cut into runs of size.
+func rowRuns(n, size int64, row func(k int64) tuple.Tuple) [][]tuple.Tuple {
+	var runs [][]tuple.Tuple
+	for lo := int64(0); lo < n; lo += size {
+		var run []tuple.Tuple
+		for k := lo; k < min(lo+size, n); k++ {
+			run = append(run, row(k))
 		}
-		collect(t, it)
-		if err := tr.pool.Close(); err != nil {
+		runs = append(runs, run)
+	}
+	return runs
+}
+
+// TestKeptLaneBytes counts the bytes the lanes reads keep beside the
+// leaves of the benchmark's relations take, on 4 000-byte pages:
+//
+//   - scan-qm's R: 100 000 rows (k, a = k·40503 mod N, p) of three Int
+//     columns loaded in ascending 2 000-row runs, the way the benchmark
+//     loads them — 1 851 half-full leaves of 54 rows. A full scan pruned
+//     by a < 1 000 keeps the lanes of the 1 000 leaves it reads, 2.19 MB
+//     (the lanes' cells are 54 rows × 32 bytes a leaf, 1.7 MB; the rest
+//     is each leaf's vec.Col headers and boxes), an unpruned one those
+//     of every leaf, 4.06 MB.
+//   - mixed-def's R2: 2 000 rows (jk, info) loaded in one run, after the
+//     Model-2 join populate's 10 000 point lookups, one for each a of R's
+//     rows with k < N/2 at N = 20 000: every leaf's lanes.
+//   - wide-mat's view: 10 000 rows (k, p, __dup) applied in 1 024-row
+//     runs as a populate applies them, after one 1 000-row range read.
+//
+// The lanes then stay as long as their images do. The counts bound what
+// keeping them adds to a server's memory: the lanes of a leaf never take
+// more than its page.
+func TestKeptLaneBytes(t *testing.T) {
+	const n, aMul = 100000, 40503
+	scanQM := rowRuns(n, 2000, func(k int64) tuple.Tuple { return scanQMRow(k, n) })
+	fullScan := func(atoms []colpage.Atom) func(tr *testTree, m *storage.Meter) (int, error) {
+		return func(tr *testTree, _ *storage.Meter) (int, error) {
+			it, err := tr.ScanAll(atoms)
+			if err != nil {
+				return 0, err
+			}
+			_, err = drain(it)
+			return tr.LeafPages() - int(it.Pruned()), err
+		}
+	}
+	const mixedN = 20000
+	for _, c := range []struct {
+		name string
+		runs [][]tuple.Tuple
+		// read reads the tree and returns how many leaves it read.
+		read func(tr *testTree, m *storage.Meter) (int, error)
+	}{
+		{"scan-qm R, a<1000", scanQM, fullScan([]colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(1000)}})},
+		{"scan-qm R, unpruned", scanQM, fullScan(nil)},
+		{"mixed-def R2, join populate", rowRuns(mixedN/10, mixedN/10, func(jk int64) tuple.Tuple {
+			return tuple.New(uint64(jk+1), tuple.I(jk), tuple.I(jk*31%977))
+		}), func(tr *testTree, _ *storage.Meter) (int, error) {
+			for k := int64(0); k < mixedN/2; k++ {
+				it, err := tr.ScanBatches(pred.PointRange(tuple.I(k*aMul%mixedN)), nil)
+				if err == nil {
+					_, err = drain(it)
+				}
+				if err != nil {
+					return 0, err
+				}
+			}
+			return tr.LeafPages(), nil // the probes' a values cover every key
+		}},
+		{"wide-mat view, 1000-row range read", rowRuns(mixedN/2, 1024, func(k int64) tuple.Tuple {
+			return tuple.New(uint64(k+1), tuple.I(k), tuple.I((k*7919+17)%1000), tuple.I(1))
+		}), func(tr *testTree, m *storage.Meter) (int, error) {
+			before := m.Snapshot()
+			it, err := tr.ScanBatches(pred.NewRange(tuple.I(4000), tuple.I(5000), true, false), nil)
+			if err == nil {
+				_, err = drain(it)
+			}
+			return int(m.Snapshot().Sub(before).Reads) - (tr.Height() - 1), err
+		}},
+	} {
+		tr, d, m := keptLaneTree(t, c.runs)
+		read, err := c.read(tr, m)
+		if err == nil {
+			err = tr.pool.Close()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		bytes, pages := 0, 0
@@ -250,8 +318,8 @@ func TestKeptLaneBytes(t *testing.T) {
 		}
 		t.Logf("%s: %d of %d leaves keep lanes of %d bytes (%.2f MB), %d bytes a leaf",
 			c.name, pages, tr.LeafPages(), bytes, float64(bytes)/1e6, bytes/max(pages, 1))
-		if want := tr.LeafPages() - int(it.Pruned()); pages != want {
-			t.Errorf("%s: %d leaves keep lanes, want the %d the scan read", c.name, pages, want)
+		if pages != read {
+			t.Errorf("%s: %d leaves keep lanes, want the %d the read read", c.name, pages, read)
 		}
 		if bytes > pages*d.PageSize() {
 			t.Errorf("%s: the lanes of %d leaves take %d bytes, more than their pages' %d", c.name, pages, bytes, pages*d.PageSize())

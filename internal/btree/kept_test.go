@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -13,13 +14,15 @@ import (
 	"viewmat/internal/vec"
 )
 
-// A full scan keeps each leaf it reads in a readahead window decoded
-// beside the leaf's image (colpage's kept lanes). These tests hold the
-// lanes to the image they stand for: built by the first scan of the
+// Every read of a leaf of a clean file — a full scan's readahead window,
+// a range scan or point lookup following the chain, a Get — keeps the
+// leaf decoded beside its image (colpage's kept lanes). These tests hold
+// the lanes to the image they stand for: built by the first read of the
 // bytes, reused by every later one, rebuilt where the bytes changed and
-// nowhere else, never outliving the bytes, and never changing an answer,
-// a charge or a prune. Every use of kept lanes in a test binary is also
-// checked against a fresh decode of the page (colpage's kept.check).
+// nowhere else, never built while the file holds a dirty frame, never
+// outliving the bytes, and never changing an answer, a charge or a
+// prune. Every use of kept lanes in a test binary is also checked
+// against a fresh decode of the page (colpage's kept.check).
 
 // keptRow is row k of the kept-lane fixtures: R(k, a, p) of scan-qm's
 // shape, with a string column so that lanes keep string cells too.
@@ -79,29 +82,49 @@ func scanKept(t *testing.T, tr *testTree, m *storage.Meter, atoms []colpage.Atom
 	return s
 }
 
-// freshAnswer is what a scan pruned by atoms must answer, from a fresh
-// decode of every leaf: a range scan, which follows the chain page by
-// page and keeps no lanes, filtered by the atoms.
-func freshAnswer(t *testing.T, tr *testTree, atoms []colpage.Atom) []tuple.Tuple {
+// imageRows decodes the leaf chain's images itself, from the leftmost
+// leaf, and returns their rows in key order. It reads through no pool but
+// the descent's, so it neither builds nor reuses kept lanes.
+func imageRows(t *testing.T, tr *testTree) []tuple.Tuple {
 	t.Helper()
-	it, err := tr.ScanBatches(&pred.Range{}, nil)
+	pn, err := tr.findLeaf(nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var out []tuple.Tuple
-	for _, tp := range collect(t, it) {
-		keep := true
-		for _, a := range atoms {
-			keep = keep && a.Op.Holds(tp.Vals[a.Col], a.Val)
-		}
-		if keep {
-			out = append(out, tp)
-		}
 	}
 	if err := tr.pool.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var out []tuple.Tuple
+	for more := true; more; {
+		var leaf leafNode
+		if err := tr.file.View(pn, func(page []byte) error { return leafPages.DecodePage(page, &leaf) }); err != nil {
+			t.Fatal(err)
+		}
+		for i := range leaf.IDs {
+			out = append(out, leaf.Row(i))
+		}
+		pn, more = leaf.Next, leaf.HasNext
+	}
 	return out
+}
+
+// freshAnswer is what a scan pruned by atoms must answer, from a fresh
+// decode of every leaf image, filtered by the atoms.
+func freshAnswer(t *testing.T, tr *testTree, atoms []colpage.Atom) []tuple.Tuple {
+	t.Helper()
+	return holding(imageRows(t, tr), atoms)
+}
+
+// holding returns the rows every atom holds for, in rows' storage.
+func holding(rows []tuple.Tuple, atoms []colpage.Atom) []tuple.Tuple {
+	return slices.DeleteFunc(rows, func(tp tuple.Tuple) bool {
+		for _, a := range atoms {
+			if !a.Op.Holds(tp.Vals[a.Col], a.Val) {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // sameRows reports whether two answers hold the same rows in order: ids,
@@ -264,15 +287,189 @@ func TestKeptLanesLifetime(t *testing.T) {
 	tr.pool.AssertUnpinned(t)
 }
 
+// chainRead is one of the reads that follow the leaf chain, or descend
+// to one leaf, rather than read ahead: it reads tr through pool p and
+// returns its answer, and want is that answer from rows, the leaves'
+// rows in key order.
+type chainRead struct {
+	name string
+	read func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error)
+	want func(rows []tuple.Tuple) []tuple.Tuple
+}
+
+// chainReads over keptRows of n: a 600-key range scan, point lookups
+// (relation.LookupKey's range scan of one key) of every seventh key of
+// it, and Gets of the same rows by key and id.
+func chainReads(n int64) []chainRead {
+	lo, hi := n/3, n/3+600
+	inRange := func(rows []tuple.Tuple, every int64) []tuple.Tuple {
+		var out []tuple.Tuple
+		for _, tp := range rows {
+			if k := tp.Vals[0].Int(); k >= lo && k < hi && (k-lo)%every == 0 {
+				out = append(out, tp)
+			}
+		}
+		return out
+	}
+	return []chainRead{
+		{"range", func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
+			it, err := tr.ScanBatches(p, pred.NewRange(tuple.I(lo), tuple.I(hi), true, false), nil)
+			if err != nil {
+				return nil, err
+			}
+			return drain(it)
+		}, func(rows []tuple.Tuple) []tuple.Tuple { return inRange(rows, 1) }},
+		{"point", func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
+			var out []tuple.Tuple
+			for k := lo; k < hi; k += 7 {
+				it, err := tr.ScanBatches(p, pred.PointRange(tuple.I(k)), nil)
+				if err != nil {
+					return nil, err
+				}
+				got, err := drain(it)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, got...)
+			}
+			return out, nil
+		}, func(rows []tuple.Tuple) []tuple.Tuple { return inRange(rows, 7) }},
+		{"get", func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
+			var out []tuple.Tuple
+			for k := lo; k < hi; k += 7 {
+				tp, ok, err := tr.Get(p, tuple.I(k), uint64(k+1))
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					out = append(out, tp)
+				}
+			}
+			return out, nil
+		}, func(rows []tuple.Tuple) []tuple.Tuple { return inRange(rows, 7) }},
+	}
+}
+
+// readKept runs one chain read on tr's pool and closes it, accounting it
+// as scanKept accounts a full scan.
+func readKept(t *testing.T, tr *testTree, m *storage.Meter, r chainRead) keptScan {
+	t.Helper()
+	built, reused := colpage.KeptLanes()
+	before := m.Snapshot()
+	rows, err := r.read(tr.Tree, tr.pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := keptScan{rows: rows, reads: m.Snapshot().Sub(before).Reads}
+	b, u := colpage.KeptLanes()
+	s.built, s.reused = b-built, u-reused
+	if err := tr.pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestKeptLanesOnChainReads follows the kept lanes of the leaves a range
+// scan, point lookups and Gets read: the first read of the images builds
+// them, a second reuses them all and charges what the first did, a
+// one-row update rebuilds its leaf's lanes and no other's, and a read
+// while the file holds a dirty frame keeps none and uses none.
+func TestKeptLanesOnChainReads(t *testing.T) {
+	const n = 3000
+	for _, r := range chainReads(n) {
+		t.Run(r.name, func(t *testing.T) {
+			tr, _, m := newKeptTree(t, n) // no lanes kept yet
+			want := r.want(imageRows(t, tr))
+			if len(want) == 0 {
+				t.Fatal("the read answers nothing")
+			}
+			first := readKept(t, tr, m, r)
+			second := readKept(t, tr, m, r)
+			switch {
+			case !sameRows(first.rows, want) || !sameRows(second.rows, want):
+				t.Fatalf("the reads answered %d and %d rows, the fresh decode %d", len(first.rows), len(second.rows), len(want))
+			case first.built == 0 || first.reads == 0:
+				t.Fatalf("first read: %d reads, built %d lanes", first.reads, first.built)
+			case second.built != 0 || second.reused != first.built+first.reused || second.reads != first.reads:
+				t.Fatalf("second read: %d reads, built %d, reused %d; the first read %d, built %d, reused %d",
+					second.reads, second.built, second.reused, first.reads, first.built, first.reused)
+			}
+
+			// Updating one leaf the read visits rebuilds its lanes alone.
+			before := keptValues(t, tr)
+			victim := want[len(want)/2]
+			if _, ok, err := deleteRow(tr, victim.Vals[0], victim.ID); err != nil || !ok {
+				t.Fatalf("delete: %v, %v", ok, err)
+			}
+			if err := tr.pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			gone := 0
+			for pn, v := range keptValues(t, tr) {
+				switch {
+				case v == nil && before[pn] != nil:
+					gone++
+				case v != before[pn]:
+					t.Errorf("leaf %d: its kept lanes changed without its bytes", pn)
+				}
+			}
+			want = r.want(imageRows(t, tr))
+			third := readKept(t, tr, m, r)
+			if gone != 1 || third.built != 1 || third.built+third.reused != second.reused || third.reads != first.reads || !sameRows(third.rows, want) {
+				t.Fatalf("after the update (%d leaves lost their lanes): %d reads, built %d, reused %d; %d rows, the fresh decode %d",
+					gone, third.reads, third.built, third.reused, len(third.rows), len(want))
+			}
+
+			// A dirty frame of the file — the last leaf's, held pinned so
+			// that no eviction writes it back — sends every read to the
+			// page bytes.
+			last, err := tr.findLeaf(&key{val: tuple.I(n - 1), id: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := tr.pool.Get(tr.file, last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr.MarkDirty()
+			b0, r0 := colpage.KeptLanes()
+			dirty, err := r.read(tr.Tree, tr.pool)
+			b1, r1 := colpage.KeptLanes()
+			if err != nil || !sameRows(dirty, want) || b1 != b0 || r1 != r0 {
+				t.Fatalf("read over a dirty frame: %d rows (want %d), err %v; built %d, reused %d lanes", len(dirty), len(want), err, b1-b0, r1-r0)
+			}
+			if err := tr.pool.Release(fr); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tr.pool.AssertUnpinned(t)
+		})
+	}
+}
+
 // TestKeptLanesUnderConcurrentScans: two operations, each on its own
-// pool, full-scan one relation at once while its lanes are first built —
+// pool, read one relation at once while its lanes are first built —
 // both may build a leaf's lanes and publish them — and each answers
-// exactly what a fresh decode does. The race detector runs it.
+// exactly what a fresh decode does: full scans, unpruned and pruned,
+// and the chain reads (range scans, point lookups, Gets). The race
+// detector runs it.
 func TestKeptLanesUnderConcurrentScans(t *testing.T) {
 	const n = 3000
+	reads := chainReads(n)
 	for _, atoms := range [][]colpage.Atom{nil, {{Col: 1, Op: pred.Lt, Val: tuple.I(n / 10)}}} {
+		reads = append(reads, chainRead{fmt.Sprintf("full scan %v", atoms), func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
+			it, err := tr.ScanAll(p, atoms)
+			if err != nil {
+				return nil, err
+			}
+			return drain(it)
+		}, func(rows []tuple.Tuple) []tuple.Tuple { return holding(rows, atoms) }})
+	}
+	for _, r := range reads {
 		tr, d, _ := newKeptTree(t, n) // no lanes kept yet
-		want := freshAnswer(t, tr, atoms)
+		want := r.want(imageRows(t, tr))
 		arena := storage.NewArena(d, 64)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -284,12 +481,7 @@ func TestKeptLanesUnderConcurrentScans(t *testing.T) {
 				p := arena.NewPool(storage.NewMeter())
 				<-start
 				for round := range 3 {
-					it, err := tr.Tree.ScanAll(p, atoms)
-					if err != nil {
-						errs <- err
-						return
-					}
-					got, err := drain(it)
+					got, err := r.read(tr.Tree, p)
 					if err == nil {
 						err = p.Close()
 					}
@@ -307,7 +499,72 @@ func TestKeptLanesUnderConcurrentScans(t *testing.T) {
 		wg.Wait()
 		close(errs)
 		for err := range errs {
-			t.Errorf("atoms %v: %v", atoms, err)
+			t.Errorf("%s: %v", r.name, err)
 		}
+	}
+}
+
+// TestKeptLaneBuildAllocations pins what building a leaf's kept lanes
+// allocates: full scans, unpruned, of images that hold no lanes — each
+// run scans a disk restored afresh from the same image, so every leaf it
+// reads builds its lanes — over scan-qm's R shape at N = 20 000 on
+// 4 000-byte pages (370 leaves), through a fresh 256-frame pool. A build
+// is the kept value, its id lane, its column headers, one lane per Int
+// column and the pool's box publishing it: 7 objects a leaf. The new
+// pool's frames and the scan's batches add 1.43 a leaf: 8.43 in all (a
+// garbage collection during the scans adds an object or two, so the
+// bound is 8.45). The warm scan guards (exec.TestFullScanAllocations,
+// TestColdScanAllocations) read lanes their warm-up kept, so this is the
+// guard on the build itself.
+func TestKeptLaneBuildAllocations(t *testing.T) {
+	const n, runs = 20000, 3
+	tr, d, _ := keptLaneTree(t, rowRuns(n, 2000, func(k int64) tuple.Tuple { return scanQMRow(k, n) }))
+	img := &storage.DiskImage{PageSize: d.PageSize()}
+	if err := img.Apply(d.FullDelta()); err != nil {
+		t.Fatal(err)
+	}
+	var total, built uint64
+	var ms runtime.MemStats
+	for range runs {
+		rd, err := storage.RestoreDisk(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := openTree(storage.NewArena(rd, 256).NewPool(storage.NewMeter()), rd.Open("t"), 0, tr.Meta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b0, _ := colpage.KeptLanes()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		it, err := rt.ScanAll(nil)
+		got := 0
+		for err == nil && !it.Done() {
+			b := &vec.Batch{}
+			err = it.Fill(b, vec.DefaultBatchSize)
+			got += b.NumRows()
+		}
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+		b1, _ := colpage.KeptLanes()
+		built += uint64(b1 - b0)
+		if err != nil || got != n {
+			t.Fatalf("the scan read %d rows, err %v", got, err)
+		}
+		if err := rt.pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if leaves := uint64(runs * tr.LeafPages()); built != leaves {
+		t.Fatalf("the scans built the lanes of %d leaves, want all %d they read", built, leaves)
+	}
+	perLeaf := float64(total) / float64(built)
+	t.Logf("%.4f allocations a leaf whose lanes a scan builds, %d leaves a scan (race detector: %v)", perLeaf, tr.LeafPages(), raceEnabled())
+	max := 8.45 // race detector: 12.44
+	if raceEnabled() {
+		max = 13
+	}
+	if perLeaf > max {
+		t.Errorf("a scan allocated %.2f objects a leaf whose lanes it built, want at most %.2f", perLeaf, max)
 	}
 }

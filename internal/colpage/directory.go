@@ -130,13 +130,18 @@ func (pt PageType) readEntry(page []byte, e *DirEntry) {
 	}
 }
 
+// clean reports whether the directory's file holds no dirty frame: the
+// clean-file rule, under which reads of a B+-tree's leaves go through
+// kept lanes and a full scan may read ahead (Scan.window).
+func (d *Directory) clean() bool { return !d.file.HasDirtyFrames() }
+
 // Lookup returns page pn's entry, or nil when pn is no data page of the
 // owner. The entry is the directory's own: the caller reads it and keeps
 // nothing. In a test binary a lookup while the file is clean is checked
 // against the page's image, and a disagreement is the error.
 func (d *Directory) Lookup(pn storage.PageNum) (*DirEntry, error) {
 	e := d.at(int(pn))
-	if checking() && !d.file.HasDirtyFrames() {
+	if checking() && d.clean() {
 		if err := d.check(pn, e); err != nil {
 			return nil, err
 		}

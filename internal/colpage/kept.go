@@ -12,28 +12,34 @@ import (
 	"unsafe"
 
 	"viewmat/internal/pred"
+	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/vec"
 )
 
-// Kept lanes. A full scan of a B+-tree's leaf chain keeps each leaf it
-// reads decoded — its rows as lanes, the id lane and one vec.Col per
-// column — beside the leaf's bytes, in the slot storage.Pool.DeriveBatch
-// keeps a value derived from a page in. Every later full scan of the same
-// bytes tests its prune atoms on those lanes and gathers the rows that
-// pass from them, instead of decoding the page again: a leaf is decoded
-// once per image, not once per query. The lanes go when the bytes do (a
-// write-back, a free, a freed page's reuse; a restored disk starts with
-// none), so a leaf a commit rewrote is decoded afresh by the next scan.
+// Kept lanes. A read of a B+-tree's leaf keeps the leaf decoded — its
+// rows as lanes, the id lane and one vec.Col per column — beside the
+// leaf's bytes, in the slot storage.Pool.Derive keeps a value derived
+// from a page in. Every later read of the same bytes works on those
+// lanes instead of decoding the page again: a full scan tests its prune
+// atoms on them and gathers the rows that pass, a range scan (and so a
+// point lookup) cuts its run of rows straight from them, and a
+// btree.Tree.Get binary-searches them. A leaf is decoded once per image,
+// not once per read. The lanes go when the bytes do (a write-back, a
+// free, a freed page's reuse; a restored disk starts with none), so a
+// leaf a commit rewrote is decoded afresh by the next read.
 //
-// Only a full scan's readahead windows keep lanes (Scan.fetchPages). A
-// range scan, a chain-following read and a hash file's bucket chains
-// decode as they did: the pages they read — the differential file's
-// above all — are mostly read once per image, so lanes kept for them
-// would be built and never used.
+// One rule decides which reads go through kept lanes, the clean-file
+// rule (Directory.read): a leaf of a B+-tree whose file holds no dirty
+// frame — the rule that also arms a full scan's readahead (Scan.window).
+// A hash file's bucket chains, and a file a writer holds dirty frames
+// of, decode as any page does: their pages — the differential file's
+// above all, and the leaves a writer is about to rewrite — are mostly
+// read about once per image, so lanes kept for them would be built and
+// never used.
 
 // kept is a leaf's rows as lanes, kept beside its bytes. Its lanes are
-// never changed once it is published: concurrent scans share them, and
+// never changed once it is published: concurrent reads share them, and
 // rows gathered from it share its string cells.
 type kept struct{ Lanes }
 
@@ -183,7 +189,7 @@ func Narrow(col *vec.Col, op pred.Op, v tuple.Value, sel []int) []int {
 	return sel[:k]
 }
 
-// KeptLaneBytes returns the bytes held by v, a value a scan kept beside a
+// KeptLaneBytes returns the bytes held by v, a value a read kept beside a
 // leaf — its lanes' backing arrays, the kept value, and the pool's box
 // around it — or 0 when v is no kept lanes (nil, or another deriver's
 // value). A string cell counts its bytes, once per cell, though the cells
@@ -209,16 +215,79 @@ func KeptLaneBytes(v any) int {
 	return b
 }
 
-// keptBuilt and keptReused count, over the process, the leaves full scans
-// kept lanes for and the leaves they read through lanes kept before:
-// KeptLanes.
+// keptBuilt and keptReused count, over the process, the leaves whose
+// lanes reads kept and the reads of a leaf answered from lanes kept
+// before: KeptLanes.
 var keptBuilt, keptReused atomic.Int64
 
-// KeptLanes returns how many leaves full scans have kept lanes for and
-// how many reads of a leaf were answered from lanes kept before, since
-// the process started: a read of each leaf once per image builds every
+// KeptLanes returns how many leaves reads have kept lanes for and how
+// many reads of a leaf were answered from lanes kept before, since the
+// process started: a read of each leaf once per image builds every
 // leaf's lanes and reuses none.
 func KeptLanes() (built, reused int64) { return keptBuilt.Load(), keptReused.Load() }
+
+// lanesOf is a storage.Pool.Derive function's reading of a data page of
+// pt through its kept lanes, d being the value published beside its
+// bytes: d itself when it is kept lanes (checked against a fresh decode
+// when check is set), lanes decoded now when d is nil (built), and nil
+// when d is another deriver's value, which leaves the page to be decoded
+// as any other.
+func (pt PageType) lanesOf(page []byte, d any, check bool) (k *kept, built bool, err error) {
+	k, ok := d.(*kept)
+	switch {
+	case ok:
+		if check {
+			err = k.check(pt, page)
+		}
+		return k, false, err
+	case d != nil:
+		return nil, false, nil
+	}
+	k, err = pt.keep(page)
+	return k, err == nil, err
+}
+
+// read reads data page pn through pool and runs fn on its bytes and, when
+// keep is set (the file is a B+-tree's) and the file is clean, on the
+// page's kept lanes — built and published by the first such read of the
+// bytes. fn gets nil lanes otherwise, and decodes the page itself.
+func (d *Directory) read(pool *storage.Pool, pn storage.PageNum, keep bool, fn func(page []byte, k *kept) error) error {
+	if !keep || !d.clean() {
+		return pool.Read(d.file, pn, func(page []byte) error { return fn(page, nil) })
+	}
+	_, err := pool.Derive(d.file, pn, func(page []byte, v any) (any, error) {
+		k, built, err := d.typ.lanesOf(page, v, checking())
+		switch {
+		case err != nil:
+			return nil, err
+		case k == nil:
+			return v, fn(page, nil)
+		case built:
+			keptBuilt.Add(1)
+		default:
+			keptReused.Add(1)
+		}
+		return k, fn(page, k)
+	})
+	return err
+}
+
+// ReadRows runs fn on the rows of B+-tree leaf pn, read through pool by
+// the clean-file rule: on the leaf's kept lanes while the file holds no
+// dirty frame, on a decode of its own otherwise. fn must neither change
+// the rows nor keep them: kept lanes are shared by every reader.
+func (d *Directory) ReadRows(pool *storage.Pool, pn storage.PageNum, fn func(rows *Lanes) error) error {
+	return d.read(pool, pn, true, func(page []byte, k *kept) error {
+		if k != nil {
+			return fn(&k.Lanes)
+		}
+		var n DataPage // a read may run beside another: lanes of its own
+		if err := d.typ.DecodePage(page, &n); err != nil {
+			return err
+		}
+		return fn(&n.Lanes)
+	})
+}
 
 // checking turns on, in every test binary that is not running
 // benchmarks, the checks that what is kept beside the pages still says
@@ -233,11 +302,13 @@ var checking = sync.OnceValue(func() bool {
 	return bench == nil || bench.Value.String() == ""
 })
 
-// fresh is kept.check's decode, its lanes reused so that the check
-// allocates nothing on Int and Float lanes.
+// fresh is kept.check's decode, its lanes reused — one set per column
+// count, so that checks of relations of several arities, one after the
+// other, do not regrow them — and the check allocates nothing on Int and
+// Float lanes.
 var fresh struct {
 	sync.Mutex
-	l Lanes
+	l []Lanes
 }
 
 // check decodes page, a data page of pt, afresh and compares the kept
@@ -246,7 +317,10 @@ var fresh struct {
 func (k *kept) check(pt PageType, page []byte) error {
 	fresh.Lock()
 	defer fresh.Unlock()
-	f := &fresh.l
+	if len(fresh.l) <= len(k.Cols) {
+		fresh.l = append(fresh.l, make([]Lanes, len(k.Cols)+1-len(fresh.l))...)
+	}
+	f := &fresh.l[len(k.Cols)]
 	f.Reset()
 	rows, err := pt.rows(page)
 	if err == nil {

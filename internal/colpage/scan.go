@@ -18,10 +18,10 @@ import (
 // between Fill calls; each page is fetched (and charged) once per visit.
 //
 // One rule arms readahead and pruning (window): a full scan (nil range)
-// of a file with no dirty frame, in a pool with room for a window. Such
-// a scan walks the chains in the file's page directory — links and zone
-// maps in memory, no page opened — a window of pages at a time, and
-// fetches each window through Pool.ReadBatch: every page of the chains
+// of a clean file — one with no dirty frame — in a pool with room for a
+// window. Such a scan walks the chains in the file's page directory —
+// links and zone maps in memory, no page opened — a window of pages at a
+// time, and fetches each window through Pool.ReadBatch: every page of the chains
 // is read eventually anyway, so the window meters the same one read per
 // page while paying the simulated I/O latency once per window instead of
 // once per page. Pages that hold no row, and pages whose zone maps
@@ -33,11 +33,17 @@ import (
 // follows the links of the pages it reads, one charged Read a page, and
 // prunes nothing.
 //
-// A page the scan wants whole — any page of a full scan, an interior
-// leaf of a range scan — decodes straight onto the batch being filled
-// when it fits. Every other page (the rest of a window once the batch is
-// full, the leaves a range cuts) decodes onto the scan's staging lanes,
-// and Fill moves it on in runs of rows.
+// A B+-tree's leaf chain in a clean file is read through the leaves'
+// kept lanes (kept.go): each leaf is decoded whole by the first read of
+// its bytes, on any path, and kept beside them (storage.Pool.Derive), so
+// every later read of the same image opens no page byte. A leaf a chain-
+// following read takes is not copied at all: Fill cuts its runs straight
+// from the kept lanes. A hash file's chains, and a file holding a dirty
+// frame, are decoded page by page: a page the scan wants whole — any
+// page of a full scan, an interior leaf of a range scan — straight onto
+// the batch being filled when it fits; every other page (the rest of a
+// window once the batch is full, the leaves a range cuts) onto the
+// scan's staging lanes, from which Fill moves it on in runs of rows.
 //
 // A range scan, over one chain sorted on its key column, works per leaf,
 // not per row: the rows a leaf keeps are found by binary search over its
@@ -46,17 +52,14 @@ import (
 // from the directory (reserve). A full scan does neither.
 //
 // Every page a full scan reads, on either path, has its rows tested
-// against the atoms before they are gathered. A B+-tree leaf read in a
-// readahead window is tested on its kept lanes (kept.go): decoded whole
-// by the first full scan to read its bytes and kept beside them
-// (storage.Pool.DeriveBatch), so every later one tests and gathers from
-// the lanes and opens no page byte. Any other page is tested on its
-// encoded lanes and only its survivors are decoded (DecodeWhere). Either
-// test reads the page the pool hands the read — the frame's bytes for a
-// page a writer holds dirty, the image otherwise — so dirty frames do not
-// disarm it; zone-map pruning comes first, so a pruned leaf is neither
-// read nor decoded. Only the rows that pass are filled; the count of the
-// rest rides on the filled batch (vec.Batch.Dropped).
+// against the atoms before they are gathered: a leaf read through kept
+// lanes on those lanes, any other page on its encoded lanes, only its
+// survivors then decoded (DecodeWhere). The encoded test reads the page
+// the pool hands the read — the frame's bytes for a page a writer holds
+// dirty, the image otherwise — so dirty frames do not disarm it;
+// zone-map pruning comes first, so a pruned leaf is neither read nor
+// decoded. Only the rows that pass are filled; the count of the rest
+// rides on the filled batch (vec.Batch.Dropped).
 type Scan struct {
 	dir     *Directory
 	pool    *storage.Pool
@@ -66,9 +69,10 @@ type Scan struct {
 	dropped int    // rows the atoms dropped, not yet on a filled batch
 	cur     cursor
 	done    bool
-	all     bool  // the range keeps every row: no key is looked at
-	keep    bool  // a B+-tree's leaf chain: windows read through kept lanes
-	stage   Lanes // rows read but not handed out: those from idx on
+	all     bool   // the range keeps every row: no key is looked at
+	keep    bool   // a B+-tree's leaf chain: read through kept lanes while clean
+	stage   Lanes  // rows a decode or a window gathered, not yet handed out
+	rows    *Lanes // the rows handed out from idx on: stage, or a leaf's kept lanes
 	idx     int
 	pruned  int64
 	// The pages walkAhead found to fetch, reused window to window; not
@@ -120,10 +124,11 @@ func (d *Directory) ScanChains(pool *storage.Pool, heads []storage.PageNum, keyC
 	return d.open(pool, c, keyCol, nil, prune, false)
 }
 
-// open starts a scan at cursor c; keep has its readahead windows read
+// open starts a scan at cursor c; keep has the clean file's pages read
 // through kept lanes.
 func (d *Directory) open(pool *storage.Pool, c cursor, keyCol int, rg *pred.Range, prune []Atom, keep bool) (*Scan, error) {
 	s := &Scan{dir: d, pool: pool, keyCol: keyCol, rg: rg, all: rg == nil || rg.Unbounded(), keep: keep, cur: c}
+	s.rows = &s.stage
 	if rg == nil {
 		s.prune = prune
 	}
@@ -150,7 +155,7 @@ func (s *Scan) Fill(b *vec.Batch, max int) error {
 		}
 	}
 	for !s.done {
-		n := len(s.stage.IDs)
+		n := len(s.rows.IDs)
 		if s.idx >= n {
 			if err := s.loadPage(b, max); err != nil {
 				return err
@@ -159,7 +164,7 @@ func (s *Scan) Fill(b *vec.Batch, max int) error {
 		}
 		lo, hi, past := s.idx, n, false
 		if !s.all {
-			keys, err := s.keys(s.stage.Cols)
+			keys, err := s.keys(s.rows.Cols)
 			if err != nil {
 				return err
 			}
@@ -172,7 +177,7 @@ func (s *Scan) Fill(b *vec.Batch, max int) error {
 				return nil // batch full; resume here next call
 			}
 			take := min(hi-lo, room)
-			if err := s.stage.MoveRows(b, lo, lo+take); err != nil {
+			if err := s.rows.MoveRows(b, lo, lo+take); err != nil {
 				return err
 			}
 			if take < hi-lo {
@@ -212,19 +217,19 @@ func (s *Scan) keys(cols []vec.Col) (*vec.Col, error) {
 }
 
 // reserve sizes an empty batch's lanes, on a bounded range scan, for
-// the rows this Fill can hand it: the staged rows not yet handed out
+// the rows this Fill can hand it: the read rows not yet handed out
 // plus the rows of the leaves after them whose key zone does not start
 // beyond Hi, at most max — read from the directory, not the pages. It
-// reserves nothing unless the range runs on past the staged leaf, so a
-// point lookup allocates what it did without it. The count is a hint: a
+// reserves nothing unless the range runs on past the leaf read last, so
+// a point lookup allocates what it did without it. The count is a hint: a
 // dirty frame's entry can make it loose, never wrong, and it moves no
 // page request.
 func (s *Scan) reserve(b *vec.Batch, max int) error {
-	n := len(s.stage.IDs)
+	n := len(s.rows.IDs)
 	if s.idx >= n || !s.cur.more {
 		return nil
 	}
-	keys, err := s.keys(s.stage.Cols)
+	keys, err := s.keys(s.rows.Cols)
 	if err != nil || beyondHi(keys, s.rg, n-1) {
 		return err
 	}
@@ -248,7 +253,7 @@ func (s *Scan) reserve(b *vec.Batch, max int) error {
 		c.follow(e.Next, e.HasNext)
 	}
 	if rows > 0 {
-		b.Reserve(s.stage.Cols, min(n-s.idx+rows, max))
+		b.Reserve(s.rows.Cols, min(n-s.idx+rows, max))
 	}
 	return nil
 }
@@ -331,7 +336,7 @@ func pastHi(rg *pred.Range, c int) bool { return c > 0 || (c == 0 && !rg.HiInc) 
 // the batch being filled (nil at open), max its row limit.
 func (s *Scan) loadPage(b *vec.Batch, max int) error {
 	s.stage.Reset()
-	s.idx = 0
+	s.rows, s.idx = &s.stage, 0
 	for {
 		if !s.cur.more {
 			s.done = true
@@ -361,11 +366,12 @@ func (s *Scan) loadPage(b *vec.Batch, max int) error {
 
 // window is the one rule that arms readahead and pruning: the number of
 // pages a walk may fetch at once, 0 when the scan must follow the chain
-// page by page instead. It arms only on a full scan of a file with no
-// dirty frame, in a pool large enough for a window. The directory does
-// hold a dirty frame's link and zones, but it is consulted only while
-// the file is clean (Directory): pruning on a dirty frame's zones would
-// skip pages an image walk read, and so move the metered count.
+// page by page instead. It arms only on a full scan of a clean file (the
+// clean-file rule, which also sends reads through kept lanes), in a pool
+// large enough for a window. The directory does hold a dirty frame's
+// link and zones, but it is consulted only while the file is clean
+// (Directory): pruning on a dirty frame's zones would skip pages an image
+// walk read, and so move the metered count.
 //
 // A window stays well under the pool capacity, so the briefly pinned
 // window can never force out its own pages or exhaust eviction
@@ -373,7 +379,7 @@ func (s *Scan) loadPage(b *vec.Batch, max int) error {
 // incremental walk would); a pool of under eight frames has no room.
 func (s *Scan) window() int {
 	w := min(s.pool.Capacity()/4, 32)
-	if w < 2 || s.rg != nil || s.dir.file.HasDirtyFrames() {
+	if w < 2 || s.rg != nil || !s.dir.clean() {
 		return 0
 	}
 	return w
@@ -406,14 +412,37 @@ func (s *Scan) takePage(page []byte, b *vec.Batch, max int) error {
 	return err
 }
 
-// readPage reads one page with a plain charged Read and returns its
-// forward link.
+// readPage reads one page with a plain charged Read — through its kept
+// lanes by the clean-file rule — and returns its forward link. A leaf's
+// kept lanes are handed out in place: Fill cuts its runs from them, and
+// only a full scan's atoms gather the rows they keep first.
 func (s *Scan) readPage(pn storage.PageNum, b *vec.Batch, max int) (next storage.PageNum, hasNext bool, err error) {
-	err = s.pool.Read(s.dir.file, pn, func(page []byte) error {
+	err = s.dir.read(s.pool, pn, s.keep, func(page []byte, k *kept) error {
 		next, hasNext = PageLink(page)
-		return s.takePage(page, b, max)
+		switch {
+		case k == nil:
+			return s.takePage(page, b, max)
+		case len(s.prune) > 0:
+			var selBuf [256]int
+			return s.takeKept(k, selBuf[:0], b, max)
+		}
+		s.rows = &k.Lanes
+		return nil
 	})
 	return next, hasNext, err
+}
+
+// takeKept takes a leaf's kept rows as takePage takes a page's: those
+// the prune atoms select (in buf's storage), gathered onto b or the
+// staging lanes.
+func (s *Scan) takeKept(k *kept, buf []int, b *vec.Batch, max int) error {
+	var sel []int // nil: every row
+	if len(s.prune) > 0 {
+		sel = k.selectRows(s.prune, buf)
+	}
+	_, dropped, err := k.take(sel, b, max, &s.stage)
+	s.dropped += dropped
+	return err
 }
 
 // walkAhead walks the chains from the cursor in the directory — links,
@@ -465,45 +494,32 @@ func (s *Scan) walkAhead(w int) (cont cursor, ok bool, err error) {
 // latency sleep, the metered reads of a page-by-page walk. Each page is
 // released as soon as its rows are taken, so the window holds no pins
 // afterwards. A B+-tree's window is read through the leaves' kept lanes
-// (kept.go): each leaf's lanes are built on its first read, and reused
-// until its image changes.
+// (a window arms only on a clean file): each leaf's lanes are built on
+// its first read, and reused until its image changes.
 func (s *Scan) fetchPages(pns []storage.PageNum, b *vec.Batch, max int) error {
 	if !s.keep {
 		return s.pool.ReadBatch(s.dir.file, pns, func(_ int, page []byte) error {
 			return s.takePage(page, b, max)
 		})
 	}
-	var built, reused int64
+	var builds, reuses int64
 	var selBuf [256]int // a kept leaf's selection, reused leaf to leaf
 	check := checking()
 	err := s.pool.DeriveBatch(s.dir.file, pns, func(_ int, page []byte, d any) (any, error) {
-		k, ok := d.(*kept)
+		k, built, err := s.dir.typ.lanesOf(page, d, check)
 		switch {
-		case ok:
-			reused++
-			if check {
-				if err := k.check(s.dir.typ, page); err != nil {
-					return nil, err
-				}
-			}
-		case d != nil: // not this deriver's: decode as any other page
+		case err != nil:
+			return nil, err
+		case k == nil: // not this deriver's: decode as any other page
 			return d, s.takePage(page, b, max)
+		case built:
+			builds++
 		default:
-			var err error
-			if k, err = s.dir.typ.keep(page); err != nil {
-				return nil, err
-			}
-			built++
+			reuses++
 		}
-		var sel []int // nil: every row
-		if len(s.prune) > 0 {
-			sel = k.selectRows(s.prune, selBuf[:0])
-		}
-		_, dropped, err := k.take(sel, b, max, &s.stage)
-		s.dropped += dropped
-		return k, err
+		return k, s.takeKept(k, selBuf[:0], b, max)
 	})
-	keptBuilt.Add(built)
-	keptReused.Add(reused)
+	keptBuilt.Add(builds)
+	keptReused.Add(reuses)
 	return err
 }

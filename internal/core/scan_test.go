@@ -78,8 +78,8 @@ func BenchmarkScanQM(b *testing.B) {
 	}
 }
 
-// reportKeptLanes reports, per op, the leaves whose lanes the ops' full
-// scans kept and the leaves they read through lanes kept before
+// reportKeptLanes reports, per op, the leaves whose lanes the ops' reads
+// kept and the leaves they read through lanes kept before
 // (colpage.KeptLanes): call it where the timed loop starts, and what it
 // returns where the loop ends.
 func reportKeptLanes(b *testing.B) func() {

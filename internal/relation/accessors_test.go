@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"fmt"
 	"testing"
 
+	"viewmat/internal/colpage"
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
@@ -129,4 +131,81 @@ func TestStatsStringer(t *testing.T) {
 	if got := s.String(); got != "reads=1 writes=2 screens=3 adTouches=4" {
 		t.Errorf("Stats.String() = %q", got)
 	}
+}
+
+// TestLookupsReadKeptLanes: point lookups and the secondary pointer walk
+// read a clean B+-tree's leaves through their kept lanes (colpage's
+// kept lanes): the first lookups build them, the same lookups again
+// build none, reuse every one and charge the same, and lookups while a
+// write holds a dirty frame of the files keep and use none. Every answer
+// is the one the inserted rows give.
+func TestLookupsReadKeptLanes(t *testing.T) {
+	d, p, m := testEnv(t)
+	r, err := newBTree(d, p, "emp", empSchema(), 0) // clustered on dept
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []tuple.Tuple
+	for i := int64(0); i < 400; i++ {
+		tp := emp(uint64(i+1), i%40, fmt.Sprintf("e%d", i%9), 1000+i)
+		if err := insert(r, tp); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, tp)
+	}
+	if err := r.AddSecondary(2); err != nil { // salary
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi = 1100, 1180 // salaries of the secondary lookup
+	count := func(dept int64, sal bool) (n int) {
+		for _, tp := range rows {
+			if s := tp.Vals[2].Int(); sal && s >= lo && s < hi || !sal && tp.Vals[0].Int() == dept {
+				n++
+			}
+		}
+		return n
+	}
+	type pass struct{ reads, built, reused int64 }
+	lookups := func() pass {
+		t.Helper()
+		b0, r0 := colpage.KeptLanes()
+		before := m.Snapshot()
+		for dept := int64(0); dept < 40; dept += 3 {
+			if got, err := r.LookupKey(tuple.I(dept)); err != nil || len(got) != count(dept, false) {
+				t.Fatalf("LookupKey(%d): %d rows, err %v; want %d", dept, len(got), err, count(dept, false))
+			}
+		}
+		if got, err := r.LookupSecondary(2, pred.NewRange(tuple.I(lo), tuple.I(hi), true, false)); err != nil || len(got) != count(0, true) {
+			t.Fatalf("LookupSecondary: %d rows, err %v; want %d", len(got), err, count(0, true))
+		}
+		b1, r1 := colpage.KeptLanes()
+		return pass{m.Snapshot().Sub(before).Reads, b1 - b0, r1 - r0}
+	}
+	first := lookups()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second := lookups()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if first.built == 0 || second.built != 0 || second.reused != first.built+first.reused || second.reads != first.reads {
+		t.Fatalf("first lookups: %+v; second: %+v", first, second)
+	}
+
+	extra := emp(401, 39, "x", 5000) // dirties a leaf of each file
+	if err := insert(r, extra); err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, extra)
+	if dirty := lookups(); dirty.built != 0 || dirty.reused != 0 {
+		t.Fatalf("lookups over dirty frames: %+v", dirty)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p.AssertUnpinned(t)
 }

@@ -384,8 +384,8 @@ func (p *Pool) ReadBatch(f *File, pns []PageNum, fn func(i int, page []byte) err
 // MarkDirty and the frame's recycling clear it.
 //
 // Every deriver shares the one slot an image (or a frame) has: a B+-tree
-// descent keeps an internal page's node there, a full scan a leaf's lanes
-// (colpage.Scan). Each deriver ignores a value that is not its own — it
+// descent keeps an internal page's node there, a read of a leaf its lanes
+// (colpage's kept lanes). Each deriver ignores a value that is not its own — it
 // derives afresh and publishes nothing, since the slot is taken.
 func (p *Pool) Derive(f *File, pn PageNum, fn func(page []byte, d any) (any, error)) (v any, err error) {
 	err = p.DeriveBatch(f, []PageNum{pn}, func(_ int, page []byte, d any) (any, error) {
