@@ -879,7 +879,11 @@ func (n *internalNode) childFor(k key) int {
 // binary search of the leaf a descent finds, read as a chain scan reads
 // it (colpage.Directory.ReadRows) — on its kept lanes while the file is
 // clean, so a leaf probed again and again is decoded once per image.
-func (t *Tree) Get(p *storage.Pool, val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+// Without build a leaf holding no kept lanes is decoded for this Get
+// alone: a caller whose next write rewrites the leaf (a hypothetical
+// relation's delete, which the next fold applies) passes false, so as to
+// build no lanes that the rewrite drops unread.
+func (t *Tree) Get(p *storage.Pool, val tuple.Value, id uint64, build bool) (tuple.Tuple, bool, error) {
 	k := key{val: val, id: id}
 	leafPN, err := t.findLeaf(p, &k)
 	if err != nil {
@@ -887,7 +891,7 @@ func (t *Tree) Get(p *storage.Pool, val tuple.Value, id uint64) (tuple.Tuple, bo
 	}
 	var found tuple.Tuple
 	ok := false
-	err = t.dir.ReadRows(p, leafPN, func(leaf *colpage.Lanes) error {
+	err = t.dir.ReadRows(p, leafPN, build, func(leaf *colpage.Lanes) error {
 		if err := t.hasKey(leaf); err != nil {
 			return err
 		}

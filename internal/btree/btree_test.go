@@ -825,7 +825,7 @@ func (t *testTree) ApplyRun(rows []tuple.Tuple, signs []int8, countCol int, cut 
 }
 
 func (t *testTree) Get(val tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	return t.Tree.Get(t.pool, val, id)
+	return t.Tree.Get(t.pool, val, id, true)
 }
 
 func (t *testTree) ScanBatches(rg *pred.Range, prune []colpage.Atom) (*colpage.Scan, error) {

@@ -334,19 +334,62 @@ func chainReads(n int64) []chainRead {
 			}
 			return out, nil
 		}, func(rows []tuple.Tuple) []tuple.Tuple { return inRange(rows, 7) }},
-		{"get", func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
-			var out []tuple.Tuple
-			for k := lo; k < hi; k += 7 {
-				tp, ok, err := tr.Get(p, tuple.I(k), uint64(k+1))
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					out = append(out, tp)
-				}
+		getRead(n, true),
+	}
+}
+
+// getRead is chainReads' Gets, of every seventh key of its range by key
+// and id, with Get's build.
+func getRead(n int64, build bool) chainRead {
+	lo, hi := n/3, n/3+600
+	name := "get"
+	if !build {
+		name = "get without building"
+	}
+	return chainRead{name, func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
+		var out []tuple.Tuple
+		for k := lo; k < hi; k += 7 {
+			tp, ok, err := tr.Get(p, tuple.I(k), uint64(k+1), build)
+			if err != nil {
+				return nil, err
 			}
-			return out, nil
-		}, func(rows []tuple.Tuple) []tuple.Tuple { return inRange(rows, 7) }},
+			if ok {
+				out = append(out, tp)
+			}
+		}
+		return out, nil
+	}, func(rows []tuple.Tuple) []tuple.Tuple {
+		return slices.DeleteFunc(rows, func(tp tuple.Tuple) bool {
+			k := tp.Vals[0].Int()
+			return k < lo || k >= hi || (k-lo)%7 != 0
+		})
+	}}
+}
+
+// TestGetWithoutBuild: a Get that does not build reads the kept lanes of
+// a leaf that has them, and decodes a leaf that has none for itself,
+// keeping nothing beside it; it answers and charges what a building Get
+// does either way.
+func TestGetWithoutBuild(t *testing.T) {
+	const n = 3000
+	tr, _, m := newKeptTree(t, n) // no lanes kept yet
+	peek, get := getRead(n, false), getRead(n, true)
+	want := peek.want(imageRows(t, tr))
+	cold := readKept(t, tr, m, peek)
+	if !sameRows(cold.rows, want) || cold.built != 0 || cold.reused != 0 {
+		t.Fatalf("over no kept lanes: %d rows (want %d), built %d, reused %d", len(cold.rows), len(want), cold.built, cold.reused)
+	}
+	for pn, v := range keptValues(t, tr) {
+		if v != nil {
+			t.Fatalf("leaf %d keeps %T after Gets that do not build", pn, v)
+		}
+	}
+	built := readKept(t, tr, m, get)
+	warm := readKept(t, tr, m, peek)
+	if !sameRows(warm.rows, want) || built.built == 0 || warm.built != 0 || warm.reused != built.built+built.reused ||
+		warm.reads != cold.reads || built.reads != cold.reads {
+		t.Fatalf("over kept lanes: %d rows (want %d), built %d, reused %d, %d reads; the building Gets built %d, reused %d, %d reads; cold %d reads",
+			len(warm.rows), len(want), warm.built, warm.reused, warm.reads, built.built, built.reused, built.reads, cold.reads)
 	}
 }
 
@@ -420,6 +463,10 @@ func TestKeptLanesOnChainReads(t *testing.T) {
 					gone, third.reads, third.built, third.reused, len(third.rows), len(want))
 			}
 
+			if r.name == "range" {
+				want = splitKeptLeaf(t, tr, m, r, want[len(want)/3].Vals[0], third)
+			}
+
 			// A dirty frame of the file — the last leaf's, held pinned so
 			// that no eviction writes it back — sends every read to the
 			// page bytes.
@@ -447,6 +494,47 @@ func TestKeptLanesOnChainReads(t *testing.T) {
 			tr.pool.AssertUnpinned(t)
 		})
 	}
+}
+
+// splitKeptLeaf splits the kept leaf holding key value k, which the chain
+// read r reads, by inserting rows of that value under new ids until it
+// overflows, and returns r's answer from the images afterwards. The split
+// rewrites the leaf and its forward link, so its kept lanes (and the link
+// kept with them) go, and the next read must build the lanes of the leaf
+// and of its new sibling, follow the new link to the sibling, and answer
+// the moved rows; last is the account of the read before the split.
+func splitKeptLeaf(t *testing.T, tr *testTree, m *storage.Meter, r chainRead, k tuple.Value, last keptScan) []tuple.Tuple {
+	t.Helper()
+	leaf, err := tr.findLeaf(&key{val: k, id: uint64(k.Int() + 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if keptValues(t, tr)[leaf] == nil {
+		t.Fatalf("leaf %d holds no kept lanes before the split", leaf)
+	}
+	var run []tuple.Tuple
+	for i := range int64(40) {
+		run = append(run, tuple.New(uint64(1<<20+i), k, tuple.I(i), tuple.S("split")))
+	}
+	if err := insertRun(tr, run); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := keptValues(t, tr)[leaf]; v != nil {
+		t.Fatalf("split leaf %d kept its lanes (%T) past the split", leaf, v)
+	}
+	want := r.want(imageRows(t, tr))
+	got := readKept(t, tr, m, r)
+	if !sameRows(got.rows, want) || got.built < 2 || got.reads <= last.reads || got.built+got.reused != last.built+last.reused+got.reads-last.reads {
+		t.Fatalf("after the split: %d reads, built %d, reused %d; %d rows, the fresh decode %d (before it: %d reads)",
+			got.reads, got.built, got.reused, len(got.rows), len(want), last.reads)
+	}
+	return want
 }
 
 // TestKeptLanesUnderConcurrentScans: two operations, each on its own

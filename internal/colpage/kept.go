@@ -18,16 +18,17 @@ import (
 )
 
 // Kept lanes. A read of a B+-tree's leaf keeps the leaf decoded — its
-// rows as lanes, the id lane and one vec.Col per column — beside the
-// leaf's bytes, in the slot storage.Pool.Derive keeps a value derived
-// from a page in. Every later read of the same bytes works on those
-// lanes instead of decoding the page again: a full scan tests its prune
-// atoms on them and gathers the rows that pass, a range scan (and so a
-// point lookup) cuts its run of rows straight from them, and a
-// btree.Tree.Get binary-searches them. A leaf is decoded once per image,
-// not once per read. The lanes go when the bytes do (a write-back, a
-// free, a freed page's reuse; a restored disk starts with none), so a
-// leaf a commit rewrote is decoded afresh by the next read.
+// rows as lanes, the id lane and one vec.Col per column, and its forward
+// link — beside the leaf's bytes, in the slot storage.Pool.Derive keeps a
+// value derived from a page in. Every later read of the same bytes works
+// on those lanes instead of decoding the page again: a full scan tests
+// its prune atoms on them and gathers the rows that pass, a range scan
+// (and so a point lookup) cuts its run of rows straight from them and
+// follows the kept link, and a btree.Tree.Get binary-searches them. A
+// leaf is decoded once per image, not once per read, and a read through
+// its kept lanes opens no page byte. The lanes go when the bytes do (a
+// write-back, a free, a freed page's reuse; a restored disk starts with
+// none), so a leaf a commit rewrote is decoded afresh by the next read.
 //
 // One rule decides which reads go through kept lanes, the clean-file
 // rule (Directory.read): a leaf of a B+-tree whose file holds no dirty
@@ -36,14 +37,21 @@ import (
 // of, decode as any page does: their pages — the differential file's
 // above all, and the leaves a writer is about to rewrite — are mostly
 // read about once per image, so lanes kept for them would be built and
-// never used.
+// never used. A read that knows its leaf is about to be rewritten (a
+// Get without build) likewise uses lanes kept there but builds none.
 
-// kept is a leaf's rows as lanes, kept beside its bytes. Its lanes are
-// never changed once it is published: concurrent reads share them, and
+// kept is a leaf's rows as lanes, kept beside its bytes, with the leaf's
+// forward link: a read through kept lanes opens no page byte. It is
+// never changed once it is published: concurrent reads share it, and
 // rows gathered from it share its string cells.
-type kept struct{ Lanes }
+type kept struct {
+	Lanes
+	next    storage.PageNum
+	hasNext bool
+}
 
-// keep decodes the whole of a data page of pt onto lanes of their own.
+// keep decodes the whole of a data page of pt onto lanes of their own,
+// and reads its link.
 func (pt PageType) keep(page []byte) (*kept, error) {
 	rows, err := pt.rows(page)
 	if err != nil {
@@ -53,6 +61,7 @@ func (pt PageType) keep(page []byte) (*kept, error) {
 	if _, err := appendPage(page, rows, nil, &k.Lanes); err != nil {
 		return nil, err
 	}
+	k.next, k.hasNext = PageLink(page)
 	return k, nil
 }
 
@@ -229,10 +238,10 @@ func KeptLanes() (built, reused int64) { return keptBuilt.Load(), keptReused.Loa
 // lanesOf is a storage.Pool.Derive function's reading of a data page of
 // pt through its kept lanes, d being the value published beside its
 // bytes: d itself when it is kept lanes (checked against a fresh decode
-// when check is set), lanes decoded now when d is nil (built), and nil
-// when d is another deriver's value, which leaves the page to be decoded
-// as any other.
-func (pt PageType) lanesOf(page []byte, d any, check bool) (k *kept, built bool, err error) {
+// when check is set), lanes decoded now when d is nil and build is set
+// (built), and nil when d is another deriver's value or nil without
+// build, which leaves the page to be decoded as any other.
+func (pt PageType) lanesOf(page []byte, d any, check, build bool) (k *kept, built bool, err error) {
 	k, ok := d.(*kept)
 	switch {
 	case ok:
@@ -240,7 +249,7 @@ func (pt PageType) lanesOf(page []byte, d any, check bool) (k *kept, built bool,
 			err = k.check(pt, page)
 		}
 		return k, false, err
-	case d != nil:
+	case d != nil || !build:
 		return nil, false, nil
 	}
 	k, err = pt.keep(page)
@@ -250,13 +259,14 @@ func (pt PageType) lanesOf(page []byte, d any, check bool) (k *kept, built bool,
 // read reads data page pn through pool and runs fn on its bytes and, when
 // keep is set (the file is a B+-tree's) and the file is clean, on the
 // page's kept lanes — built and published by the first such read of the
-// bytes. fn gets nil lanes otherwise, and decodes the page itself.
-func (d *Directory) read(pool *storage.Pool, pn storage.PageNum, keep bool, fn func(page []byte, k *kept) error) error {
+// bytes that has build set. fn gets nil lanes otherwise, and decodes the
+// page itself.
+func (d *Directory) read(pool *storage.Pool, pn storage.PageNum, keep, build bool, fn func(page []byte, k *kept) error) error {
 	if !keep || !d.clean() {
 		return pool.Read(d.file, pn, func(page []byte) error { return fn(page, nil) })
 	}
 	_, err := pool.Derive(d.file, pn, func(page []byte, v any) (any, error) {
-		k, built, err := d.typ.lanesOf(page, v, checking())
+		k, built, err := d.typ.lanesOf(page, v, checking(), build)
 		switch {
 		case err != nil:
 			return nil, err
@@ -274,10 +284,12 @@ func (d *Directory) read(pool *storage.Pool, pn storage.PageNum, keep bool, fn f
 
 // ReadRows runs fn on the rows of B+-tree leaf pn, read through pool by
 // the clean-file rule: on the leaf's kept lanes while the file holds no
-// dirty frame, on a decode of its own otherwise. fn must neither change
-// the rows nor keep them: kept lanes are shared by every reader.
-func (d *Directory) ReadRows(pool *storage.Pool, pn storage.PageNum, fn func(rows *Lanes) error) error {
-	return d.read(pool, pn, true, func(page []byte, k *kept) error {
+// dirty frame, on a decode of its own otherwise. A leaf holding no kept
+// lanes is given them by this read when build is set, and otherwise
+// decoded for it alone. fn must neither change the rows nor keep them:
+// kept lanes are shared by every reader.
+func (d *Directory) ReadRows(pool *storage.Pool, pn storage.PageNum, build bool, fn func(rows *Lanes) error) error {
+	return d.read(pool, pn, true, build, func(page []byte, k *kept) error {
 		if k != nil {
 			return fn(&k.Lanes)
 		}
@@ -312,8 +324,8 @@ var fresh struct {
 }
 
 // check decodes page, a data page of pt, afresh and compares the kept
-// lanes, which stand for it, with what it decodes to: a mismatch means
-// whatever changed the bytes left the lanes kept.
+// lanes and link, which stand for it, with what it decodes to: a mismatch
+// means whatever changed the bytes left the lanes kept.
 func (k *kept) check(pt PageType, page []byte) error {
 	fresh.Lock()
 	defer fresh.Unlock()
@@ -329,8 +341,9 @@ func (k *kept) check(pt PageType, page []byte) error {
 	if err != nil {
 		return fmt.Errorf("colpage: kept lanes stand for a page that does not decode: %w", err)
 	}
-	if !k.equal(f) {
-		return fmt.Errorf("colpage: kept lanes %v disagree with their page's %v", k.Lanes, *f)
+	if next, hasNext := PageLink(page); !k.equal(f) || next != k.next || hasNext != k.hasNext {
+		return fmt.Errorf("colpage: kept lanes %v, linked to (%d, %v), disagree with their page's %v, linked to (%d, %v)",
+			k.Lanes, k.next, k.hasNext, *f, next, hasNext)
 	}
 	return nil
 }

@@ -196,9 +196,8 @@ func FuzzRowSetLanes(f *testing.F) {
 			if src == nil {
 				src = make([]vec.Col, len(kinds)) // a batch of no rows
 			}
-			var got int
-			got, idx = b.AppendLive(lanes, src, byDup, idx)
-			n += got
+			n += b.LiveLen(byDup)
+			idx = b.AppendLive(lanes, src, byDup, idx)
 			for k := 0; k < b.LiveCount(); k++ {
 				i := b.LiveIndex(k)
 				reps := int64(1)
@@ -211,7 +210,7 @@ func FuzzRowSetLanes(f *testing.F) {
 			}
 		}
 		if n != len(want) {
-			t.Fatalf("AppendLive counted %d rows, the gather %d", n, len(want))
+			t.Fatalf("LiveLen counted %d rows, the gather %d", n, len(want))
 		}
 		set, err := AppendLanes(nil, n, lanes)
 		if err != nil {

@@ -414,15 +414,17 @@ func (s *Scan) takePage(page []byte, b *vec.Batch, max int) error {
 
 // readPage reads one page with a plain charged Read — through its kept
 // lanes by the clean-file rule — and returns its forward link. A leaf's
-// kept lanes are handed out in place: Fill cuts its runs from them, and
-// only a full scan's atoms gather the rows they keep first.
+// kept lanes are handed out in place, with the link kept beside them, so
+// a kept read opens no page byte: Fill cuts its runs from them, and only
+// a full scan's atoms gather the rows they keep first.
 func (s *Scan) readPage(pn storage.PageNum, b *vec.Batch, max int) (next storage.PageNum, hasNext bool, err error) {
-	err = s.dir.read(s.pool, pn, s.keep, func(page []byte, k *kept) error {
-		next, hasNext = PageLink(page)
-		switch {
-		case k == nil:
+	err = s.dir.read(s.pool, pn, s.keep, true, func(page []byte, k *kept) error {
+		if k == nil {
+			next, hasNext = PageLink(page)
 			return s.takePage(page, b, max)
-		case len(s.prune) > 0:
+		}
+		next, hasNext = k.next, k.hasNext
+		if len(s.prune) > 0 {
 			var selBuf [256]int
 			return s.takeKept(k, selBuf[:0], b, max)
 		}
@@ -506,7 +508,7 @@ func (s *Scan) fetchPages(pns []storage.PageNum, b *vec.Batch, max int) error {
 	var selBuf [256]int // a kept leaf's selection, reused leaf to leaf
 	check := checking()
 	err := s.pool.DeriveBatch(s.dir.file, pns, func(_ int, page []byte, d any) (any, error) {
-		k, built, err := s.dir.typ.lanesOf(page, d, check)
+		k, built, err := s.dir.typ.lanesOf(page, d, check, true)
 		switch {
 		case err != nil:
 			return nil, err

@@ -112,7 +112,7 @@ func checkSelected(chunk []byte) error {
 		if dropped != len(rows)-len(want) {
 			return fmt.Errorf("atoms %v: %d dropped of %d rows, %d kept", atoms, dropped, len(rows), len(want))
 		}
-		if err := sameAsKept(&kept{Lanes{ids, cols}}, atoms, sids, scols, dropped); err != nil {
+		if err := sameAsKept(&kept{Lanes: Lanes{ids, cols}}, atoms, sids, scols, dropped); err != nil {
 			return err
 		}
 	}

@@ -1037,7 +1037,7 @@ func TestTxRefusesRowsNoPageHolds(t *testing.T) {
 	r, _ := db.Relation("r")
 	var visible bool
 	err = db.withPool(func(p *storage.Pool) (err error) {
-		_, visible, err = r.Get(p, tuple.I(20), okID)
+		_, visible, err = r.Get(p, tuple.I(20), okID, true)
 		return err
 	})
 	if err != nil {

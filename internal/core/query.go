@@ -58,9 +58,16 @@ type ResultRow struct {
 
 // Answer is a select-project or join view's answer in the executor's
 // column lanes: Cols holds one dense column per output column of the
-// view, N cells each. A string cell owns its bytes (the scans copy them
-// out of the page image), so an answer stays valid after the read that
-// made it has released the engine.
+// view, N cells each. The answer owns its lanes: the read's scan filled
+// them by copying rows out of the pages, or out of the leaves' kept
+// lanes, and no engine structure refers to them once the read returns,
+// so an answer stays valid after the read has released the engine and a
+// caller may keep it or write its cells. A string cell's bytes are the
+// exception: they were copied out of the page image once, when the page
+// was decoded, and may be shared with a leaf's kept lanes and every
+// other answer holding the cell, so they are read-only. (A
+// query-modification view projecting one column twice answers with two
+// columns over one lane.)
 type Answer struct {
 	N    int
 	Cols []vec.Col
@@ -215,27 +222,37 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 	return ans, err
 }
 
-// answerOf gathers a read tree's batches into its answer's lanes. A
-// stored copy answers with slot 0, a derived view with its projection
-// (slot 0 when none ran). With byDup a stored row stands for Dup logical
+// answerOf makes a read tree's batches its answer's lanes. A stored
+// copy answers with slot 0, a derived view with its projection (slot 0
+// when none ran). With byDup a stored row stands for Dup logical
 // duplicates (§2.1) and is expanded, so materialized and query-modified
-// answers agree as multisets.
+// answers agree as multisets. One dense batch (vec.Batch.Dense), the
+// common answer, is taken as it is: its lanes become the answer's. Any
+// other shape is gathered once, onto lanes sized for its live rows.
 func answerOf(view string, batches []*vec.Batch, stored, byDup bool) (Answer, error) {
+	lanes := func(b *vec.Batch) []vec.Col {
+		if !stored && b.HasOut() {
+			return b.Out
+		}
+		return b.Slots[0]
+	}
 	var a Answer
+	for _, b := range batches {
+		if len(lanes(b)) != len(lanes(batches[0])) {
+			return Answer{}, fmt.Errorf("core: view %q answered rows of %d and of %d columns", view, len(lanes(batches[0])), len(lanes(b)))
+		}
+		a.N += b.LiveLen(byDup)
+	}
+	if len(batches) == 1 && batches[0].Dense(byDup) {
+		a.Cols = lanes(batches[0])
+		return a, nil
+	}
 	var idx []int
 	for _, b := range batches {
-		src := b.Slots[0]
-		if !stored && b.HasOut() {
-			src = b.Out
-		}
 		if a.Cols == nil {
-			a.Cols = make([]vec.Col, len(src))
-		} else if len(src) != len(a.Cols) {
-			return Answer{}, fmt.Errorf("core: view %q answered rows of %d and of %d columns", view, len(a.Cols), len(src))
+			a.Cols = vec.ReserveCols(lanes(b), a.N)
 		}
-		var n int
-		n, idx = b.AppendLive(a.Cols, src, byDup, idx)
-		a.N += n
+		idx = b.AppendLive(a.Cols, lanes(b), byDup, idx)
 	}
 	return a, nil
 }

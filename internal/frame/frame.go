@@ -5,11 +5,13 @@
 //	[4B little-endian payload length][4B CRC-32C of payload][payload]
 //
 // The codec itself is policy-free: it encodes and parses headers and
-// verifies checksums. The two consumers layer their own error taxonomy
-// on top — the WAL distinguishes torn from corrupt tails over a
-// storage.Device, while the stream helpers here classify damage on a
-// byte stream (a network connection) where "torn" means the peer hung
-// up mid-frame.
+// verifies checksums. A frame is built in one buffer: its writer lays
+// the payload out behind HeaderSize bytes of room, and the header is
+// filled into that room, so no payload is copied into a second buffer.
+// The two consumers layer their own error taxonomy on top — the WAL
+// distinguishes torn from corrupt tails over a storage.Device, while the
+// stream helpers here classify damage on a byte stream (a network
+// connection) where "torn" means the peer hung up mid-frame.
 package frame
 
 import (
@@ -56,29 +58,21 @@ func ParseHeader(hdr []byte) (length, crc uint32) {
 	return binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
 }
 
-// Encode returns a complete frame (header + payload) for the payload.
-// Empty payloads are rejected (see ErrEmpty).
-func Encode(payload []byte) ([]byte, error) {
-	if len(payload) == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]byte, HeaderSize+len(payload))
-	PutHeader(out, payload)
-	copy(out[HeaderSize:], payload)
-	return out, nil
-}
-
-// Write encodes the payload as one frame and writes it to w. max caps
-// the payload length (0 means no cap).
-func Write(w io.Writer, payload []byte, max uint32) error {
-	if max != 0 && uint32(len(payload)) > max {
+// Write writes f, a payload built in place behind HeaderSize bytes of
+// room, as one frame with one Write: the header goes into the room, so
+// the payload is not copied. max caps the payload length (0 means no
+// cap); empty payloads are rejected (see ErrEmpty). Nothing is written
+// on an error.
+func Write(w io.Writer, f []byte, max uint32) error {
+	payload := f[HeaderSize:]
+	switch {
+	case len(payload) == 0:
+		return ErrEmpty
+	case max != 0 && uint32(len(payload)) > max:
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), max)
 	}
-	f, err := Encode(payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(f)
+	PutHeader(f, payload)
+	_, err := w.Write(f)
 	return err
 }
 

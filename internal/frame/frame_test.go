@@ -7,11 +7,15 @@ import (
 	"testing"
 )
 
+// room lays payload out as a frame's writer does: behind HeaderSize
+// bytes of room for the header.
+func room(payload []byte) []byte { return append(make([]byte, HeaderSize), payload...) }
+
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{1}, []byte("hello"), bytes.Repeat([]byte{0xab}, 4096)}
 	for _, p := range payloads {
-		if err := Write(&buf, p, 1<<20); err != nil {
+		if err := Write(&buf, room(p), 1<<20); err != nil {
 			t.Fatalf("Write(%d bytes): %v", len(p), err)
 		}
 	}
@@ -31,19 +35,45 @@ func TestRoundTrip(t *testing.T) {
 
 func TestWriteRejectsEmptyAndOversize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, nil, 0); !errors.Is(err, ErrEmpty) {
+	if err := Write(&buf, room(nil), 0); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("empty payload: err = %v, want ErrEmpty", err)
 	}
-	if err := Write(&buf, make([]byte, 100), 99); !errors.Is(err, ErrTooLarge) {
+	if err := Write(&buf, room(make([]byte, 100)), 99); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize payload: err = %v, want ErrTooLarge", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a rejected frame wrote %d bytes", buf.Len())
+	}
+}
+
+// sink records the slices written to it.
+type sink [][]byte
+
+func (s *sink) Write(p []byte) (int, error) { *s = append(*s, p); return len(p), nil }
+
+// Write fills the header into the room in front of the payload and hands
+// the writer that one buffer: the payload is not copied.
+func TestWriteFillsTheRoomInPlace(t *testing.T) {
+	f := room([]byte("payload"))
+	var w sink
+	if err := Write(&w, f, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(w) != 1 || &w[0][0] != &f[0] || len(w[0]) != len(f) {
+		t.Fatalf("Write made %d writes, not one of the frame's own buffer", len(w))
+	}
+	length, crc := ParseHeader(f)
+	if int(length) != len("payload") || crc != Checksum([]byte("payload")) {
+		t.Fatalf("header (%d, %#x) in the room, want (%d, %#x)", length, crc, len("payload"), Checksum([]byte("payload")))
 	}
 }
 
 func TestReadClassifiesDamage(t *testing.T) {
-	whole, err := Encode([]byte("payload"))
-	if err != nil {
+	var framed bytes.Buffer
+	if err := Write(&framed, room([]byte("payload")), 0); err != nil {
 		t.Fatal(err)
 	}
+	whole := framed.Bytes()
 
 	cases := []struct {
 		name string

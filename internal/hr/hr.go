@@ -213,7 +213,7 @@ func (h *HR) getVisible(p *storage.Pool, keyVal tuple.Value, id uint64) (tuple.T
 			return *appended, true, nil
 		}
 	}
-	return h.base.Get(p, keyVal, id)
+	return h.base.Get(p, keyVal, id, false) // the fold rewrites the leaf
 }
 
 // NetChanges reads the AD file — each page that holds entries, the

@@ -552,5 +552,39 @@ func (r *baseRel) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, 
 }
 
 func (r *baseRel) Get(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	return r.Relation.Get(r.pool, keyVal, id)
+	return r.Relation.Get(r.pool, keyVal, id, true)
+}
+
+// TestDeleteBuildsNoKeptLanes: a delete finds its row's current version
+// in the base without giving the base leaf kept lanes — the fold that
+// applies the delete rewrites that leaf, so lanes built for it would go
+// unread — and reads the lanes a reader kept there before.
+func TestDeleteBuildsNoKeptLanes(t *testing.T) {
+	h, base, _, p := testHR(t)
+	for k := int64(0); k < 50; k++ {
+		if err := insertBase(base, row(uint64(k+1), k, 10*k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil { // written back: the base file is clean
+		t.Fatal(err)
+	}
+	del := func(k int64) (built, reused int64) {
+		t.Helper()
+		b0, r0 := colpage.KeptLanes()
+		if got, ok, err := deleteRow(h, tuple.I(k), uint64(k+1)); err != nil || !ok || got.Vals[1].Int() != 10*k {
+			t.Fatalf("delete of %d: %v, %v, %v", k, got, ok, err)
+		}
+		b1, r1 := colpage.KeptLanes()
+		return b1 - b0, r1 - r0
+	}
+	if built, reused := del(20); built != 0 || reused != 0 {
+		t.Fatalf("a delete over no kept lanes built %d and reused %d", built, reused)
+	}
+	if _, ok, err := base.Get(tuple.I(30), 31); err != nil || !ok { // a reader keeps the leaf's lanes
+		t.Fatalf("Get: %v, %v", ok, err)
+	}
+	if built, reused := del(30); built != 0 || reused != 1 {
+		t.Fatalf("a delete over kept lanes built %d and reused %d, want 0 and 1", built, reused)
+	}
 }

@@ -30,11 +30,11 @@ import (
 
 // WriteRequest frames req and writes it with one Write.
 func WriteRequest(w io.Writer, req *Request) error {
-	payload, err := encode(256, req, codeRequest)
+	f, err := encode(256, req, codeRequest)
 	if err != nil {
 		return fmt.Errorf("proto: encoding %v request: %w", req.Op, err)
 	}
-	return frame.Write(w, payload, MaxFrame)
+	return frame.Write(w, f, MaxFrame)
 }
 
 // WriteResponse frames resp and writes it with one Write. A response
@@ -43,11 +43,11 @@ func WriteRequest(w io.Writer, req *Request) error {
 func WriteResponse(w io.Writer, resp *Response) error {
 	// Room for two-byte cells; append grows it for wider ones.
 	a := resp.answer()
-	payload, err := encode(256+2*a.N*len(a.Cols), resp, codeResponse)
+	f, err := encode(256+2*a.N*len(a.Cols), resp, codeResponse)
 	if err != nil {
 		return fmt.Errorf("proto: encoding response: %w", err)
 	}
-	return frame.Write(w, payload, MaxFrame)
+	return frame.Write(w, f, MaxFrame)
 }
 
 // ReadRequest reads and decodes one request frame. Frame-level damage
@@ -60,9 +60,11 @@ func ReadRequest(r io.Reader) (*Request, error) { return read(r, codeRequest) }
 // error contract.
 func ReadResponse(r io.Reader) (*Response, error) { return read(r, codeResponse) }
 
-// encode walks msg into a payload buffer of the given capacity.
+// encode walks msg into a frame's one buffer: HeaderSize bytes of room
+// for the header frame.Write fills in, then the payload, with room made
+// for capacity bytes of it.
 func encode[T any](capacity int, msg *T, walk func(*tuple.Coder, *T)) ([]byte, error) {
-	enc := tuple.NewEncoder(make([]byte, 0, capacity))
+	enc := tuple.NewEncoder(make([]byte, frame.HeaderSize, frame.HeaderSize+capacity))
 	walk(&enc, msg)
 	return enc.Done()
 }

@@ -2,7 +2,9 @@
 // (internal/server) and its Go client (internal/client): request and
 // response messages in a fixed binary encoding (codec.go), carried in
 // the same length-prefixed CRC-32C frames the write-ahead log uses
-// (internal/frame). DESIGN.md §9 has the layout.
+// (internal/frame). DESIGN.md §9 has the layout. A frame is built in one
+// buffer: a message is encoded behind room for the frame header, which
+// frame.Write fills in place, so no payload is copied on its way out.
 //
 // The protocol is strictly request/response: a client writes one
 // request frame and reads exactly one response frame before sending

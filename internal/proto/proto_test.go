@@ -44,11 +44,11 @@ func encodeResponse(t testing.TB, resp *Response) []byte {
 // message decoder and not the checksum.
 func framed(t testing.TB, payload []byte) []byte {
 	t.Helper()
-	f, err := frame.Encode(payload)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := frame.Write(&buf, append(make([]byte, frame.HeaderSize), payload...), 0); err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return buf.Bytes()
 }
 
 // answer is rows, which share an arity, as the column lanes a query

@@ -194,10 +194,11 @@ func (r *Relation) ApplyRun(p *storage.Pool, tps []tuple.Tuple, signs []int8, co
 	return n, err
 }
 
-// Get fetches the tuple with the clustering-key value and id.
-func (r *Relation) Get(p *storage.Pool, keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
+// Get fetches the tuple with the clustering-key value and id; build is
+// btree.Tree.Get's (a hash chain keeps no lanes).
+func (r *Relation) Get(p *storage.Pool, keyVal tuple.Value, id uint64, build bool) (tuple.Tuple, bool, error) {
 	if r.kind == ClusteredBTree {
-		return r.bt.Get(p, keyVal, id)
+		return r.bt.Get(p, keyVal, id, build)
 	}
 	return r.hx.Get(p, keyVal, id)
 }
@@ -320,7 +321,7 @@ func (r *Relation) LookupSecondary(p *storage.Pool, col int, rg *pred.Range) ([]
 	}
 	out := make([]tuple.Tuple, 0, len(ptrs))
 	for _, ptr := range ptrs {
-		tp, found, err := r.Get(p, ptr.Vals[1], ptr.ID)
+		tp, found, err := r.Get(p, ptr.Vals[1], ptr.ID, true)
 		if err != nil {
 			return nil, err
 		}

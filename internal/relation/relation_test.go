@@ -571,7 +571,7 @@ func (r *testRel) ApplyRun(tps []tuple.Tuple, signs []int8, countCol int, cut *[
 }
 
 func (r *testRel) Get(keyVal tuple.Value, id uint64) (tuple.Tuple, bool, error) {
-	return r.Relation.Get(r.pool, keyVal, id)
+	return r.Relation.Get(r.pool, keyVal, id, true)
 }
 
 func (r *testRel) LookupKey(v tuple.Value) ([]tuple.Tuple, error) {

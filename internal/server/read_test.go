@@ -130,7 +130,10 @@ func sameRows(a, b [][]tuple.Value) bool {
 // regrew each batch's lanes leaf by leaf it stayed there; with the lanes
 // sized once from the leaf directory a read took 38 objects and 61 KiB
 // (130 and 138 KiB); cut from the leaves' kept lanes, with nothing
-// decoded, 23 and 59 KiB (80 and 84 KiB).
+// decoded, 23 and 59 KiB (80 and 84 KiB), against bounds of 46 and 75
+// (160 and 170). With the scan's batch taken as the answer rather than
+// copied again, and the frame built in one buffer, it takes 19 objects
+// and 38 KiB (76 and 63 KiB); the bounds keep the old margins.
 func TestServedRangeReadAllocations(t *testing.T) {
 	const n, lo = 20000, 4000
 	db := wideMat(t, n)
@@ -161,10 +164,10 @@ func TestServedRangeReadAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	kib := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
 	t.Logf("%.0f allocations, %.0f KiB a served 1000-row read (race detector: %v)", allocs, kib, raceBuild())
-	if max := allocBound(46, 160); allocs > max {
+	if max := allocBound(38, 152); allocs > max {
 		t.Errorf("served range read allocated %.0f objects, want at most %.0f", allocs, max)
 	}
-	if max := allocBound(75, 170); kib > max {
+	if max := allocBound(48, 128); kib > max {
 		t.Errorf("served range read allocated %.0f KiB, want at most %.0f", kib, max)
 	}
 }

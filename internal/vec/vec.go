@@ -537,18 +537,27 @@ func (b *Batch) Reserve(like []Col, rows int) {
 		return
 	}
 	b.IDs[0] = make([]uint64, 0, rows)
-	b.Slots[0] = make([]Col, len(like))
+	b.Slots[0] = ReserveCols(like, rows)
+}
+
+// ReserveCols returns empty columns, one per column of like, each with
+// the lane of the type its like column holds, when that is uniform,
+// allocated at a capacity of n cells: appending up to n cells of that
+// type grows it no more. It is a hint, as Reserve is.
+func ReserveCols(like []Col, n int) []Col {
+	cols := make([]Col, len(like))
 	for c := range like {
 		switch t, ok := like[c].Uniform(); {
 		case !ok:
 		case t == tuple.Int:
-			b.Slots[0][c].Ints = make([]int64, 0, rows)
+			cols[c].Ints = make([]int64, 0, n)
 		case t == tuple.Float:
-			b.Slots[0][c].Floats = make([]float64, 0, rows)
+			cols[c].Floats = make([]float64, 0, n)
 		default:
-			b.Slots[0][c].Bytes = make([][]byte, 0, rows)
+			cols[c].Bytes = make([][]byte, 0, n)
 		}
 	}
+	return cols
 }
 
 // SetSlot0 installs ids and cols — b.IDs[0] and b.Slots[0] with whole
@@ -679,12 +688,12 @@ func (b *Batch) OutAt(i int) []tuple.Value {
 }
 
 // AppendLive appends the batch's live rows of src — its Out columns or
-// one slot's — onto dst, column c onto dst[c], lane to lane, and returns
-// how many rows it appended. Each row goes once or, with byDup, Dup times
-// (a stored row standing for its duplicates; a count of 0 appends none).
-// idx is scratch for the row indexes and comes back for the next call.
-func (b *Batch) AppendLive(dst, src []Col, byDup bool, idx []int) (int, []int) {
-	rows, n, all := b.Sel, b.LiveCount(), b.Sel == nil
+// one slot's — onto dst, column c onto dst[c], lane to lane: LiveLen
+// rows. Each row goes once or, with byDup, Dup times (a stored row
+// standing for its duplicates; a count of 0 appends none). idx is
+// scratch for the row indexes and comes back for the next call.
+func (b *Batch) AppendLive(dst, src []Col, byDup bool, idx []int) []int {
+	rows, all := b.Sel, b.Sel == nil
 	if byDup && !b.liveOnce() {
 		idx = idx[:0]
 		for k := 0; k < b.LiveCount(); k++ {
@@ -693,7 +702,7 @@ func (b *Batch) AppendLive(dst, src []Col, byDup bool, idx []int) (int, []int) {
 				idx = append(idx, i)
 			}
 		}
-		rows, n, all = idx, len(idx), false
+		rows, all = idx, false
 	}
 	for c := range src {
 		if all {
@@ -702,8 +711,22 @@ func (b *Batch) AppendLive(dst, src []Col, byDup bool, idx []int) (int, []int) {
 			dst[c].AppendRows(&src[c], rows)
 		}
 	}
-	return n, idx
+	return idx
 }
+
+// LiveLen returns how many rows AppendLive appends: the live rows, each
+// Dup times with byDup.
+func (b *Batch) LiveLen(byDup bool) int {
+	n := b.LiveCount()
+	for k := 0; byDup && k < b.LiveCount(); k++ {
+		n += int(max(b.DupAt(b.LiveIndex(k)), 0)) - 1
+	}
+	return n
+}
+
+// Dense reports whether AppendLive appends every physical row once, in
+// order: no selection and, with byDup, every duplicate count 1.
+func (b *Batch) Dense(byDup bool) bool { return b.Sel == nil && (!byDup || b.liveOnce()) }
 
 // liveOnce reports whether every live row's duplicate count is 1.
 func (b *Batch) liveOnce() bool {
