@@ -143,7 +143,7 @@ func TestOpenDurable(t *testing.T) {
 	closeDevs()
 
 	// A crash while the checkpoint's frame was being written: the frame
-	// is cut short and the log was never truncated.
+	// is cut short and the log was never reset.
 	st, err := os.Stat(snapPath)
 	if err != nil {
 		t.Fatal(err)

@@ -153,3 +153,49 @@ func TestAnswerOfTakesOneDenseBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestAnswerRepeatedColumnOwnsItsLane: a view projecting one column
+// twice answers with two columns, each on a lane of its own, so a
+// caller writing one column's cells reads the other's unchanged — for
+// a query-modification view, whose projection names one executor lane
+// twice, as for a materialized one.
+func TestAnswerRepeatedColumnOwnsItsLane(t *testing.T) {
+	for _, strategy := range []Strategy{QueryModification, Immediate} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			db := newTestDB(t)
+			if _, err := db.CreateRelationBTree("r", spSchema(), 0); err != nil {
+				t.Fatal(err)
+			}
+			tx := db.Begin()
+			for i := 0; i < 40; i++ {
+				if _, err := tx.Insert("r", tuple.I(int64(i)), tuple.I(int64(i*2)), tuple.S(sName(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			def := Def{Name: "v", Kind: SelectProject, Relations: []string{"r"},
+				Pred:    pred.New(pred.Cmp{Rel: 0, Col: 0, Op: pred.Lt, Val: tuple.I(30)}),
+				Project: [][]int{{1, 1}}, ViewKeyCol: 0}
+			if err := db.CreateView(def, strategy); err != nil {
+				t.Fatal(err)
+			}
+			a, err := db.QueryViewLanes("v", pred.NewRange(tuple.I(40), tuple.I(48), true, false), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.N != 4 || len(a.Cols) != 2 {
+				t.Fatalf("the answer has %d rows of %d columns, want 4 of 2", a.N, len(a.Cols))
+			}
+			for i := range a.Cols[0].Ints {
+				a.Cols[0].Ints[i] = -1
+			}
+			for i := 0; i < a.N; i++ {
+				if got, want := a.Cols[1].Value(i), tuple.I(int64(2*(20+i))); tuple.Compare(got, want) != 0 {
+					t.Fatalf("row %d: the second column reads %v after the first was written over, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}

@@ -616,7 +616,7 @@ func runCrashPair(t *testing.T, steps []crashStep, plan *storage.CrashPlan, ckpt
 		return n
 	}
 	// The durable size is read before the pair runs: after it, the
-	// second commit's checkpoint may already have truncated the log.
+	// second commit's checkpoint may already have reset the log.
 	start, durable := size(walDev), size(walDev.DurableDevice())
 	held, release := walDev.HoldSyncs()
 	defer release()

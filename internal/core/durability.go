@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"viewmat/internal/frame"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/wal"
@@ -44,8 +45,10 @@ import (
 //     operation's pages written back: encode one frame (tagged with the last record's sequence
 //     number) and let the disk forget its recorded changes. Then,
 //     under the checkpoint mutex alone: append the frame to the
-//     append-only snapshot store, sync it, and truncate the log if its
-//     tail is still where the frame's last record ended. The frame is
+//     append-only snapshot store, sync it, and reset the log if its
+//     tail is still where the frame's last record ended — a rewind to
+//     offset 0, with no truncate and no sync, while the log fits one
+//     page (wal.Log.ResetAt). The frame is
 //     the catalog header plus the extents and free lists the disk
 //     recorded as changed and a patch of each changed page: the runs of
 //     bytes where it differs from its base — the page as the previous
@@ -59,13 +62,18 @@ import (
 //     writes its frame after releasing the lock; explicit Checkpoint,
 //     DDL and EnableDurability run both halves back to back. Records
 //     left in the log — a crash between the frame's sync and the
-//     truncate, or records appended while the frame was in flight —
-//     with sequence numbers ≤ the frame's are skipped by recovery.
+//     reset, records appended while the frame was in flight, or the
+//     stale frames a rewind left behind — with sequence numbers ≤ the
+//     frame's are skipped by recovery.
 //
 //   - Recovery applies the last full frame and the delta frames after
 //     it, in order, to an empty disk image in memory, restores the
 //     engine once from the last frame's header, and replays the WAL
-//     tail.
+//     tail. Seqs increase along a log, so a record whose seq does not
+//     exceed the one before it is a stale frame of a rewound log and
+//     ends it; and they increase by one past the image, so a record
+//     that skips a seq follows one the crash lost, and ends it too.
+//     The log is reopened where replay stopped.
 //
 // None of this touches the simulated Disk or the cost meter: WAL and
 // snapshot devices live outside the metered world, so enabling
@@ -116,7 +124,7 @@ type durability struct {
 // DurabilityOptions configures EnableDurability and Recover.
 type DurabilityOptions struct {
 	// CheckpointEvery is the number of committed transactions between
-	// automatic snapshot+truncate checkpoints. 0 disables automatic
+	// automatic snapshot+reset checkpoints. 0 disables automatic
 	// checkpoints; Checkpoint can always be called explicitly.
 	CheckpointEvery int
 }
@@ -208,6 +216,15 @@ func (db *Database) EnableDurability(walDev, snapDev storage.Device, opts Durabi
 	if db.dur != nil {
 		return fmt.Errorf("core: durability already enabled")
 	}
+	// The engine's history starts here: a used device's records have
+	// no frame to replay over, and a rewound log must not leave them
+	// behind its own.
+	if err := walDev.Truncate(0); err != nil {
+		return err
+	}
+	if err := walDev.Sync(); err != nil {
+		return err
+	}
 	log, err := wal.OpenLog(walDev)
 	if err != nil {
 		return err
@@ -224,7 +241,7 @@ func (db *Database) EnableDurability(walDev, snapDev storage.Device, opts Durabi
 	return nil
 }
 
-// Checkpoint forces a snapshot + log-truncation checkpoint now.
+// Checkpoint forces a snapshot + log-reset checkpoint now.
 func (db *Database) Checkpoint() error {
 	db.lock()
 	defer db.mu.Unlock()
@@ -276,8 +293,10 @@ func (db *Database) encodeFrameLocked() (ckptFrame, error) {
 }
 
 // writeFrame is the checkpoint's second half, which needs no engine
-// lock: append and sync the frame, then truncate the log unless a
-// record arrived since the encode. It releases ckptMu.
+// lock: append and sync the frame, then reset the log unless a record
+// arrived since the encode. The reset rewinds a log that fits one page
+// and truncates a larger one (wal.Log.ResetAt), so it is usually no
+// device call at all. It releases ckptMu.
 func (d *durability) writeFrame(f ckptFrame) error {
 	defer d.ckptMu.Unlock()
 	err := d.snaps.AppendFramed(f.seq, f.kind, f.buf)
@@ -291,10 +310,10 @@ func (d *durability) writeFrame(f ckptFrame) error {
 	}
 	d.chained = true
 	// Stale log records (all seq ≤ the frame's) can go. A crash before
-	// this truncate completes just leaves them to be skipped by seq at
+	// appends overwrite them just leaves them to be skipped by seq at
 	// recovery.
 	if err := d.log.ResetAt(f.logEnd); err != nil {
-		return fmt.Errorf("core: checkpoint log truncate: %w", err)
+		return fmt.Errorf("core: checkpoint log reset: %w", err)
 	}
 	return nil
 }
@@ -314,17 +333,20 @@ func (db *Database) catalogCheckpointLocked() error {
 // appendRecordLocked gives the record the next sequence number and the
 // current id clock as its ClockAfter, and appends it without a sync: a
 // commit waits for one in awaitDurable, a refresh record rides the
-// next (see the file comment). Caller holds the engine write lock.
+// next (see the file comment). The record is encoded behind room for
+// its frame header, with spare room for the zero header the log may
+// write behind it, and handed to the log as it is. Caller holds the
+// engine write lock.
 func (db *Database) appendRecordLocked(rec *walRecord) error {
 	d := db.dur
 	rec.seq, rec.clockAfter = d.seq.Load()+1, db.clock.Load()
-	enc := tuple.NewEncoder(make([]byte, 0, 256)).Compact()
+	enc := tuple.NewEncoder(make([]byte, frame.HeaderSize, frame.HeaderSize+256+frame.HeaderSize)).Compact()
 	rec.code(&enc)
-	payload, err := enc.Done()
+	f, err := enc.Done()
 	if err != nil {
 		return err
 	}
-	if err := d.log.Append(payload); err != nil {
+	if err := d.log.AppendFramed(f); err != nil {
 		return err
 	}
 	d.seq.Store(rec.seq)
@@ -437,22 +459,29 @@ type RecoverInfo struct {
 	Deltas  int
 	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int
-	// Skipped counts records older than the snapshot (residue of a
-	// crash between a checkpoint's snapshot sync and its log truncate).
+	// Skipped counts records older than the snapshot: the residue of a
+	// crash between a checkpoint's snapshot sync and the appends after
+	// its log reset, the stale frames of a rewound log.
 	Skipped int
-	// TailDamage is "" for a clean log end, "torn" when replay stopped
-	// at an incomplete record, "corrupt" at a checksum/decode failure.
+	// TailDamage is "" for a clean log end (the device's end, a zero
+	// header, or a record whose seq does not exceed the previous
+	// record's), "torn" when replay stopped at an incomplete record or
+	// at one whose seq skips past the next, "corrupt" at a
+	// checksum/decode failure.
 	TailDamage string
 }
 
 // Recover rebuilds a database from its durability devices: assemble
 // the newest image (the last full frame plus the delta frames after
-// it), replay every WAL record newer than it, and stop cleanly at the
-// first torn or corrupt record (the unsynced residue of
-// the crash — by the commit barrier, nothing that was acknowledged can
-// be in the damaged tail). The damaged tail is then truncated and the
-// returned engine continues logging on the same devices. The meter
-// starts at zero: recovery is setup, not workload.
+// it), replay every WAL record newer than it, and stop at the log's
+// end: the first torn or corrupt record (the unsynced residue of the
+// crash — by the commit barrier, nothing that was acknowledged can be
+// in the damaged tail), or the first record whose seq does not exceed
+// the previous record's (a stale frame of a rewound log, behind a
+// record whose zero header the crash tore off). The returned engine
+// continues logging on the same devices from where replay stopped, so
+// no later append lands behind a stale frame. The meter starts at
+// zero: recovery is setup, not workload.
 func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database, *RecoverInfo, error) {
 	snaps, err := wal.OpenSnapshotStore(snapDev)
 	if err != nil {
@@ -475,9 +504,11 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	if err != nil {
 		return nil, nil, err
 	}
-	lastSeq := snapSeq
+	lastSeq, prevSeq := snapSeq, uint64(0)
+	var end int64 // where replay stopped: the next append's offset
 	db.lock()
 	for {
+		end = r.Offset()
 		payload, err := r.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
@@ -504,6 +535,16 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 			info.TailDamage = "corrupt"
 			break
 		}
+		if rec.seq <= prevSeq {
+			break // a stale frame: the log ends here
+		}
+		if rec.seq > lastSeq+1 {
+			// A record past one that never landed: the crash kept a
+			// later write of an overwrite and lost an earlier one.
+			info.TailDamage = "torn"
+			break
+		}
+		prevSeq = rec.seq
 		if rec.seq <= snapSeq {
 			info.Skipped++
 			continue
@@ -517,9 +558,9 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	}
 	db.mu.Unlock()
 
-	// Reattach durability. OpenLog re-scans and truncates the damaged
-	// tail, so new appends land right after the last replayed record.
-	log, err := wal.OpenLog(walDev)
+	// Reattach durability where replay stopped, so new appends land
+	// right after the last record read.
+	log, err := wal.OpenLogAt(walDev, end)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -218,3 +218,52 @@ func TestRetiredRefreshKindsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverReopensBeforeUndecodableRecord: a record that passes its
+// checksum but does not decode ends replay, and the recovered log
+// continues where replay stopped, over that record: a commit made after
+// the recovery is replayed by the next one instead of lying unread
+// behind the record that stopped it.
+func TestRecoverReopensBeforeUndecodableRecord(t *testing.T) {
+	walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
+	db := newSPDatabase(t, Deferred, 20)
+	if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := insertKey(db, 15); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.dur.log.Append(retiredRefreshRecords[0]); err != nil {
+		t.Fatal(err)
+	}
+	wd, sd, err := cleanReboot(walDev, snapDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, info, err := Recover(wd, sd, DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.TailDamage != "corrupt" || info.Replayed != 1 {
+		t.Fatalf("first recovery %+v, want the commit replayed and a corrupt tail", info)
+	}
+	if err := insertKey(rec, 16); err != nil {
+		t.Fatal(err)
+	}
+	again, info, err := Recover(wd.DurableDevice(), sd.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.TailDamage != "" || info.Replayed != 2 {
+		t.Errorf("second recovery %+v, want both commits replayed and a clean end", info)
+	}
+	want, err := rec.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := again.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "recovered after a commit over the undecodable record", got, want)
+}

@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"testing"
 
 	"viewmat/internal/agg"
+	"viewmat/internal/frame"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
 	"viewmat/internal/wal"
@@ -75,7 +78,7 @@ func TestRecoverFidelityMeterUnchanged(t *testing.T) {
 }
 
 // TestRecoverSkipsRecordsOlderThanSnapshot rebuilds the state a crash
-// between a checkpoint's snapshot sync and its log truncate leaves
+// between a checkpoint's snapshot sync and its log reset leaves
 // behind: the log still holds records the snapshot already covers.
 // Recovery must skip them by sequence number, not replay them twice.
 func TestRecoverSkipsRecordsOlderThanSnapshot(t *testing.T) {
@@ -694,4 +697,225 @@ func TestCheckpointWriteErrorKeepsChanges(t *testing.T) {
 			recoverEqualsLive("after the retried checkpoint", 0)
 		})
 	}
+}
+
+// walSeqs returns the seqs of the records a reader of dev meets before
+// whatever ends the read.
+func walSeqs(t *testing.T, dev storage.Device) []uint64 {
+	t.Helper()
+	r, err := wal.NewReader(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	for {
+		payload, err := r.Next()
+		if err != nil {
+			return seqs
+		}
+		var rec walRecord
+		dec := tuple.NewDecoder(payload).Compact()
+		rec.code(&dec)
+		if _, err := dec.Done(); err != nil {
+			t.Fatalf("record %d: %v", len(seqs), err)
+		}
+		seqs = append(seqs, rec.seq)
+	}
+}
+
+// deviceBytes returns everything dev holds.
+func deviceBytes(t *testing.T, dev storage.Device) []byte {
+	t.Helper()
+	size, err := dev.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, size)
+	if _, err := dev.ReadAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCrashBetweenResetAndSync: a power cut after a checkpoint rewound
+// the log and before the next commit's sync recovers the checkpoint's
+// state, whatever prefix of that commit's append (its frame and the
+// zero header behind it, written over the frames the rewind made stale)
+// survives: the commit was never acknowledged. Only a prefix holding
+// the whole frame replays it.
+func TestCrashBetweenResetAndSync(t *testing.T) {
+	build := func(t *testing.T) (*Database, *storage.FaultDisk, *storage.FaultDisk) {
+		walDev, snapDev := storage.NewFaultDisk(), storage.NewFaultDisk()
+		db := newSPDatabase(t, Immediate, 20)
+		if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(20); k < 24; k++ {
+			if err := insertKey(db, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if off := db.dur.log.Offset(); off != 0 {
+			t.Fatalf("the checkpoint left the log's tail at %d, want 0", off)
+		}
+		return db, walDev, snapDev
+	}
+	ref, _, _ := build(t)
+	before, err := ref.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insertKey(ref, 24); err != nil {
+		t.Fatal(err)
+	}
+	after, err := ref.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameLen := int(ref.dur.log.Offset())
+	for _, torn := range []int{0, 1, 7, 8, 9, frameLen - 1, frameLen, frameLen + 3, frameLen + 8} {
+		db, walDev, snapDev := build(t)
+		walDev.CrashAtSync(walDev.Syncs()+1, torn)
+		if err := insertKey(db, 24); !errors.Is(err, storage.ErrCrashed) {
+			t.Fatalf("torn %d: the commit returned %v, want a crash", torn, err)
+		}
+		rec, info, err := Recover(walDev.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+		if err != nil {
+			t.Fatalf("torn %d: Recover: %v", torn, err)
+		}
+		want, replayed := before, 0
+		if torn >= frameLen {
+			want, replayed = after, 1
+		}
+		if info.SnapshotSeq != 4 || info.Replayed != replayed {
+			t.Errorf("torn %d of a %d-byte frame: %+v, want snapshot seq 4 and %d replayed", torn, frameLen, info, replayed)
+		}
+		got, err := rec.QueryView("v", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("torn %d: recovered view", torn), got, want)
+		if err := insertKey(rec, 25); err != nil {
+			t.Fatalf("torn %d: commit after recovery: %v", torn, err)
+		}
+	}
+}
+
+// rewoundLog is an engine whose log a checkpoint covering seqs 1–3
+// rewound, and which then committed seqs 4 and 5 over the stale frames.
+// It returns the durable log from before the checkpoint (seq 1's frame
+// first) and the offsets where seqs 4 and 5 end.
+func rewoundLog(t *testing.T) (db *Database, walDev, snapDev *storage.FaultDisk, old []byte, ends [2]int64) {
+	t.Helper()
+	walDev, snapDev = storage.NewFaultDisk(), storage.NewFaultDisk()
+	db = newSPDatabase(t, Immediate, 20)
+	if err := db.EnableDurability(walDev, snapDev, DurabilityOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(20); k < 23; k++ {
+		if err := insertKey(db, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old = deviceBytes(t, walDev.DurableDevice())
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ends {
+		if err := insertKey(db, int64(23+i)); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = db.dur.log.Offset()
+	}
+	return db, walDev, snapDev, old, ends
+}
+
+// firstFrame returns the first frame of a log image.
+func firstFrame(img []byte) []byte { return img[:frame.HeaderSize+binary.LittleEndian.Uint32(img)] }
+
+// TestRecoverEndsAtStaleFrame: a power cut can tear off the zero header
+// behind a record of a rewound log and leave a stale frame starting
+// exactly where that record ends. Recovery ends the log at the stale
+// frame, whose seq does not exceed the record's: it neither replays nor
+// skips it, and reports no damage. The log reopens there, so the next
+// commit's append lands over the stale frame and hides what follows.
+func TestRecoverEndsAtStaleFrame(t *testing.T) {
+	db, walDev, snapDev, old, ends := rewoundLog(t)
+	end := ends[1]
+	img := append(deviceBytes(t, walDev.DurableDevice())[:end:end], firstFrame(old)...)
+	wd := storage.NewFaultDiskBytes(img)
+	rec, info, err := Recover(wd, snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotSeq != 3 || info.Replayed != 2 || info.Skipped != 0 || info.TailDamage != "" {
+		t.Errorf("recovered %+v; want snapshot seq 3, 2 replayed, none skipped, a clean end", info)
+	}
+	if off := rec.dur.log.Offset(); off != end {
+		t.Errorf("the recovered log reopened at %d, want %d where its records end", off, end)
+	}
+	for _, d := range []*Database{db, rec} {
+		if err := insertKey(d, 25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seqs := walSeqs(t, wd.DurableDevice()); fmt.Sprint(seqs) != "[4 5 6]" {
+		t.Errorf("after the next commit the log reads seqs %v, want [4 5 6]", seqs)
+	}
+	rec2, info, err := Recover(wd.DurableDevice(), snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != 3 || info.TailDamage != "" {
+		t.Errorf("second recovery %+v; want 3 replayed and a clean end", info)
+	}
+	want, err := db.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec2.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "recovered over a stale frame", got, want)
+}
+
+// TestRecoverStopsAtSeqGap: an overwrite is not a prefix of its writes
+// on every device. If a crash keeps a later record of a rewound log and
+// loses the one before it, and a stale frame happens to end where the
+// kept record starts, the kept record follows the stale frame with a seq
+// past the next. Recovery must not replay it over the state that lacks
+// its predecessor: the log ends there, as at a torn record.
+func TestRecoverStopsAtSeqGap(t *testing.T) {
+	_, walDev, snapDev, old, ends := rewoundLog(t)
+	stale := firstFrame(old)
+	kept := deviceBytes(t, walDev.DurableDevice())[ends[0]:ends[1]] // seq 5's frame
+	img := append(append([]byte(nil), stale...), kept...)
+	rec, info, err := Recover(storage.NewFaultDiskBytes(img), snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SnapshotSeq != 3 || info.Skipped != 1 || info.Replayed != 0 || info.TailDamage != "torn" {
+		t.Errorf("recovered %+v; want snapshot seq 3, the stale frame skipped, nothing replayed, a torn end", info)
+	}
+	if off := rec.dur.log.Offset(); off != int64(len(stale)) {
+		t.Errorf("the recovered log reopened at %d, want %d", off, len(stale))
+	}
+	// The checkpoint's state: the snapshot with an empty log.
+	ckpt, _, err := Recover(storage.NewFaultDisk(), snapDev.DurableDevice(), DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ckpt.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.QueryView("v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "recovered over a lost record", got, want)
 }

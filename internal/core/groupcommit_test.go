@@ -183,9 +183,11 @@ func TestGroupCommitConcurrentCommitters(t *testing.T) {
 
 // TestCheckpointOutsideLockKeepsNewerRecords: a commit made while a
 // commit-triggered frame is in flight keeps its record, since the log
-// is truncated only if its tail has not moved since the frame was
-// encoded; recovery skips the records the frame covers and replays the
-// new one; and the next quiet checkpoint truncates the log.
+// is reset only if its tail has not moved since the frame was encoded;
+// recovery skips the records the frame covers and replays the new one;
+// and the next quiet checkpoint resets the log: the next append lands
+// at offset 0, a reboot before it reads only records the frame covers,
+// and one after it reads exactly that append.
 func TestCheckpointOutsideLockKeepsNewerRecords(t *testing.T) {
 	db, walDev, snapDev := groupCommitDB(t, Immediate, 2)
 	if err := insertKey(db, 20); err != nil {
@@ -202,8 +204,8 @@ func TestCheckpointOutsideLockKeepsNewerRecords(t *testing.T) {
 	if err := <-a; err != nil {
 		t.Fatalf("the checkpointing commit: %v", err)
 	}
-	if size, _ := walDev.Size(); size == 0 {
-		t.Fatal("the checkpoint truncated the log over a record newer than its frame")
+	if db.dur.log.Offset() == 0 {
+		t.Fatal("the checkpoint reset the log over a record newer than its frame")
 	}
 	info := recoverDurable(t, db, walDev, snapDev)
 	if info.SnapshotSeq != 2 || info.Skipped != 2 || info.Replayed != 1 {
@@ -212,10 +214,22 @@ func TestCheckpointOutsideLockKeepsNewerRecords(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if size, _ := walDev.Size(); size != 0 {
-		t.Errorf("the quiet checkpoint left %d log bytes, want 0", size)
+	if off := db.dur.log.Offset(); off != 0 {
+		t.Errorf("the quiet checkpoint left the log's tail at %d, want 0", off)
+	}
+	if seqs := walSeqs(t, walDev.DurableDevice()); len(seqs) == 0 || seqs[len(seqs)-1] > 3 {
+		t.Errorf("before the next append the log reads seqs %v, want only records the frame of seq 3 covers", seqs)
 	}
 	if info := recoverDurable(t, db, walDev, snapDev); info.SnapshotSeq != 3 || info.Replayed != 0 {
 		t.Errorf("after the quiet checkpoint: snapshot seq %d, replayed %d; want 3, 0", info.SnapshotSeq, info.Replayed)
+	}
+	if err := insertKey(db, 23); err != nil {
+		t.Fatal(err)
+	}
+	if seqs := walSeqs(t, walDev.DurableDevice()); len(seqs) != 1 || seqs[0] != 4 {
+		t.Errorf("after the next commit the log reads seqs %v, want [4]", seqs)
+	}
+	if info := recoverDurable(t, db, walDev, snapDev); info.Skipped != 0 || info.Replayed != 1 || info.TailDamage != "" {
+		t.Errorf("after the next commit: skipped %d, replayed %d, tail %q; want 0, 1, clean", info.Skipped, info.Replayed, info.TailDamage)
 	}
 }

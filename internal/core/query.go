@@ -65,9 +65,7 @@ type ResultRow struct {
 // caller may keep it or write its cells. A string cell's bytes are the
 // exception: they were copied out of the page image once, when the page
 // was decoded, and may be shared with a leaf's kept lanes and every
-// other answer holding the cell, so they are read-only. (A
-// query-modification view projecting one column twice answers with two
-// columns over one lane.)
+// other answer holding the cell, so they are read-only.
 type Answer struct {
 	N    int
 	Cols []vec.Col
@@ -227,8 +225,10 @@ func (db *Database) read(name, method string, rg *pred.Range, plan *QueryPlan) (
 // when none ran). With byDup a stored row stands for Dup logical
 // duplicates (§2.1) and is expanded, so materialized and query-modified
 // answers agree as multisets. One dense batch (vec.Batch.Dense), the
-// common answer, is taken as it is: its lanes become the answer's. Any
-// other shape is gathered once, onto lanes sized for its live rows.
+// common answer, is taken as it is: its lanes become the answer's, but
+// a lane an earlier column already holds (a projection naming one
+// column twice) is copied, so no two columns share one. Any other shape
+// is gathered once, onto lanes sized for its live rows.
 func answerOf(view string, batches []*vec.Batch, stored, byDup bool) (Answer, error) {
 	lanes := func(b *vec.Batch) []vec.Col {
 		if !stored && b.HasOut() {
@@ -245,6 +245,16 @@ func answerOf(view string, batches []*vec.Batch, stored, byDup bool) (Answer, er
 	}
 	if len(batches) == 1 && batches[0].Dense(byDup) {
 		a.Cols = lanes(batches[0])
+		for c := range a.Cols {
+			for d := range c {
+				if sameLane(&a.Cols[d], &a.Cols[c]) {
+					var own vec.Col
+					own.AppendRange(&a.Cols[c], 0, a.Cols[c].Len())
+					a.Cols[c] = own
+					break
+				}
+			}
+		}
 		return a, nil
 	}
 	var idx []int
@@ -256,6 +266,14 @@ func answerOf(view string, batches []*vec.Batch, stored, byDup bool) (Answer, er
 	}
 	return a, nil
 }
+
+// sameLane reports whether two columns hold their cells in one lane, as
+// two copies of one column header do.
+func sameLane(a, b *vec.Col) bool {
+	return sameArray(a.Ints, b.Ints) || sameArray(a.Floats, b.Floats) || sameArray(a.Bytes, b.Bytes)
+}
+
+func sameArray[T any](a, b []T) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // planRead picks a read's cell of readTable. A select-project query
 // takes the access path accessPath gives its plan (nil: the view's

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -71,4 +73,130 @@ func FuzzWALReader(f *testing.F) {
 			prev = r.Offset()
 		}
 	})
+}
+
+// FuzzLogRecycle drives one log through random appends, syncs and
+// resets, then a power cut that keeps a torn prefix of the unsynced
+// writes (FaultDisk.CrashNow). Every payload starts with its seq, which
+// increases across resets as the engine's do, and its length picks one
+// of two bands, under 64 bytes or just past 4 KiB, so that some resets
+// rewind the log and some truncate it. The durable image must read as
+// every record synced since the last reset, in order, then possibly
+// unsynced records complete, and then only frames the reset made stale
+// (seqs no greater than the last one before it), whatever ends the
+// read. A log reopened where the current records end, as recovery
+// reopens it, then takes an append that reads back right behind them.
+func FuzzLogRecycle(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 3, 0, 2, 5}, uint16(7))
+	f.Add([]byte{1, 2, 3, 0, 0, 2, 3, 0}, uint16(30))
+	f.Add([]byte{0, 0, 0, 2, 3, 1, 2, 3, 0, 0}, uint16(4100))
+	f.Add([]byte{0, 0, 2, 3, 0, 2, 0, 0, 0}, uint16(0))
+	f.Fuzz(func(t *testing.T, script []byte, torn uint16) {
+		if len(script) > 64 {
+			script = script[:64]
+		}
+		dev := storage.NewFaultDisk()
+		l, err := OpenLog(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			seq, resetSeq uint64
+			sizes         = map[uint64]int{}
+			cur           []uint64 // seqs appended since the last reset
+			synced        int      // how many of cur a sync covered
+		)
+		appendRec := func(l *Log, n int) {
+			seq++
+			if err := l.Append(recyclePayload(seq, n)); err != nil {
+				t.Fatal(err)
+			}
+			sizes[seq] = n
+			cur = append(cur, seq)
+		}
+		for i, op := range script {
+			switch op % 4 {
+			case 0, 1:
+				n := 8 + int(op)%56
+				if op%4 == 1 {
+					n = 4090 + int(op)%16
+				}
+				appendRec(l, n)
+			case 2:
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				synced = len(cur)
+			case 3:
+				if err := l.ResetAt(l.Offset()); err != nil {
+					t.Fatalf("op %d: ResetAt: %v", i, err)
+				}
+				cur, synced, resetSeq = nil, 0, seq
+			}
+		}
+		// read checks an image, returning the seqs of the current records
+		// it holds, where they end, whether a stale frame followed them
+		// and what ended the read.
+		read := func(img storage.Device) (found []uint64, end int64, stale bool, err error) {
+			r, err := NewReader(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				start := r.Offset()
+				p, err := r.Next()
+				if err != nil {
+					return found, end, stale, err
+				}
+				s := binary.LittleEndian.Uint64(p)
+				if n, ok := sizes[s]; !ok || !bytes.Equal(p, recyclePayload(s, n)) {
+					t.Fatalf("frame at %d: payload of %d bytes is no record's", start, len(p))
+				}
+				if !stale && len(found) < len(cur) && s == cur[len(found)] {
+					found, end = append(found, s), r.Offset()
+					continue
+				}
+				if s > resetSeq {
+					t.Fatalf("frame at %d holds seq %d after current records %v of %v; a stale frame's seq is at most %d", start, s, found, cur, resetSeq)
+				}
+				stale = true
+			}
+		}
+		// clean checks that an image whose writes all landed reads as the
+		// current records and then ends cleanly; only a log that took no
+		// append since its reset shows stale frames.
+		clean := func(img storage.Device, when string) {
+			if found, _, stale, err := read(img); len(found) != len(cur) || stale && len(cur) > 0 || !errors.Is(err, io.EOF) {
+				t.Fatalf("%s: the log reads current records %v of %v, stale frames %v, end %v; want all, none, EOF", when, found, cur, stale, err)
+			}
+		}
+		clean(dev, "before the crash")
+		dev.CrashNow(int(torn))
+		img := dev.DurableDevice()
+		found, end, _, _ := read(img)
+		if len(found) < synced {
+			t.Fatalf("durable image holds current records %v, want at least the synced %v", found, cur[:synced])
+		}
+		reopened, err := OpenLogAt(img, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = found
+		appendRec(reopened, 8+int(torn)%4100)
+		if err := reopened.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		clean(img, "after reopening where the current records end and appending")
+	})
+}
+
+// recyclePayload is FuzzLogRecycle's record of seq: n bytes, the seq
+// first, then a fill that depends on it.
+func recyclePayload(seq uint64, n int) []byte {
+	p := make([]byte, n)
+	binary.LittleEndian.PutUint64(p, seq)
+	for i := 8; i < n; i++ {
+		p[i] = byte(seq) + byte(i)
+	}
+	return p
 }

@@ -46,8 +46,8 @@ type frameRef struct {
 // kind prefixed to each payload. It is append-only: a new frame goes
 // after the previous one and only joins the recovery chain once it is
 // fully synced, so a crash mid-checkpoint leaves the prior chain intact
-// and Chain still finds it. The log is truncated only after the frame
-// is durable. The recovery chain is the last full frame and every delta
+// and Chain still finds it. The log is reset only after the frame is
+// durable. The recovery chain is the last full frame and every delta
 // frame after it; frames before the last full frame are dead weight the
 // store never reads again (it does not reclaim them).
 type SnapshotStore struct {
@@ -71,7 +71,9 @@ func OpenSnapshotStore(dev storage.Device) (*SnapshotStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.log = &Log{dev: dev, off: end}
+	if s.log, err = OpenLogAt(dev, end); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -123,7 +125,7 @@ func (s *SnapshotStore) AppendFramed(seq uint64, kind FrameKind, buf []byte) err
 	binary.LittleEndian.PutUint64(payload[:8], seq)
 	payload[8] = byte(kind)
 	start := s.log.Offset()
-	err := s.log.appendFrame(buf)
+	err := s.log.AppendFramed(buf)
 	if err == nil {
 		err = s.log.Sync()
 	}

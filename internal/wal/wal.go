@@ -9,12 +9,19 @@
 //	[4B little-endian payload length][4B CRC-32C of payload][payload]
 //
 // Replay reads frames in order and stops at the first sign of trouble:
-// a clean end (device boundary or zero fill), a torn record (length
+// a clean end (device boundary or a zero header), a torn record (length
 // runs past the device), or a corrupt record (checksum mismatch or an
-// absurd length). Torn and corrupt tails are the expected residue of a
-// crash mid-append; everything before them was synced and is valid.
-// Empty payloads are rejected on append so a zeroed region can never
-// masquerade as a record (length 0 + CRC 0 is the zero-fill pattern).
+// absurd length). A torn tail is the residue of a crash mid-append at
+// the device's end, a corrupt one that of a crash mid-append over the
+// stale frames of a rewound log; everything before either was synced
+// and is valid. Empty payloads are rejected on append so a zeroed
+// region can never masquerade as a record (length 0 + CRC 0 is the
+// zero header).
+//
+// A log is reset by rewinding it (Log.ResetAt): the next append lands
+// at offset 0 over the frames the checkpoint made stale, and an append
+// that ends short of the bytes the device holds writes a zero header
+// behind its frame, so the reader never runs on into them.
 package wal
 
 import (
@@ -33,6 +40,12 @@ const (
 	// are treated as corruption, which also keeps a fuzzer (or a bad
 	// disk) from tricking the reader into a giant allocation.
 	MaxRecordSize = 1 << 26
+	// rewindLimit is the largest log ResetAt rewinds in place; a larger
+	// one is truncated. An overwrite dirties the whole page-cache folio
+	// it lands in, and the folios a large log leaves behind are large:
+	// overwriting one small record then writes back far more than the
+	// record (see DESIGN §3).
+	rewindLimit = 4096
 )
 
 var (
@@ -54,29 +67,54 @@ func Checksum(payload []byte) uint32 { return frame.Checksum(payload) }
 // barrier is an Append plus a later Sync, by this or another caller.
 // Sync holds no lock across the device sync, so appends go on while
 // one is in flight. Safe for concurrent use.
+//
+// The log's frames end at its tail (off), but the device may hold
+// bytes past it (up to size): the stale frames of a rewound log, or
+// whatever recovery stopped at. An append that ends short of size
+// writes a zero header behind its frame, which ends every reader there.
 type Log struct {
 	mu  sync.Mutex
 	dev storage.Device
 	off int64
+	// size is how far the device may hold bytes: its size at open,
+	// raised by every write past it and lowered only by a truncate the
+	// device took.
+	size int64
 }
+
+// zeroHeader is the clean-end mark an append writes behind its frame
+// when stale bytes follow it.
+var zeroHeader [headerSize]byte
 
 // OpenLog opens a log for appending, scanning existing frames to find
 // the end of the valid prefix. A torn or corrupt tail (crash residue)
-// is truncated away so stale bytes can never follow a future append.
+// is truncated away.
 func OpenLog(dev storage.Device) (*Log, error) {
 	end, err := scanAndRepair(dev, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Log{dev: dev, off: end}, nil
+	return OpenLogAt(dev, end)
+}
+
+// OpenLogAt opens a log for appending at end, where a caller that reads
+// what the records say (recovery, which ends a log at a stale or missing
+// seq) found them to end. Nothing past end is read or cut: the next
+// append's zero header hides it.
+func OpenLogAt(dev storage.Device, end int64) (*Log, error) {
+	size, err := dev.Size()
+	if err != nil {
+		return nil, err
+	}
+	return &Log{dev: dev, off: end, size: size}, nil
 }
 
 // scanAndRepair reads and checksums every frame of dev once, handing
 // each payload (valid only during the call: the buffer is reused) and
 // its offset to visit, and returns where the valid prefix ends. The
 // prefix ends at a clean end, at a torn or corrupt frame, or before a
-// frame visit rejects with ErrCorrupt; whatever follows it is truncated
-// away.
+// frame visit rejects with ErrCorrupt; whatever follows a torn or
+// corrupt frame is truncated away.
 func scanAndRepair(dev storage.Device, visit func(off int64, payload []byte) error) (int64, error) {
 	r, err := NewReader(dev)
 	if err != nil {
@@ -111,15 +149,17 @@ func scanAndRepair(dev storage.Device, visit func(off int64, payload []byte) err
 
 // Append writes one frame at the tail without syncing.
 func (l *Log) Append(payload []byte) error {
-	f := make([]byte, headerSize+len(payload))
+	f := make([]byte, headerSize+len(payload), 2*headerSize+len(payload))
 	copy(f[headerSize:], payload)
-	return l.appendFrame(f)
+	return l.AppendFramed(f)
 }
 
-// appendFrame writes f, a payload behind headerSize bytes of room, as one
-// frame at the tail without syncing: the header goes into the room, and
-// the payload is not copied.
-func (l *Log) appendFrame(f []byte) error {
+// AppendFramed writes f, a payload behind headerSize bytes of room, as
+// one frame at the tail without syncing: the header goes into the room,
+// and the payload is not copied. When the frame ends short of the bytes
+// the device holds, a zero header follows it in the same write, in f's
+// spare capacity when it has headerSize bytes of it.
+func (l *Log) AppendFramed(f []byte) error {
 	payload := f[headerSize:]
 	if len(payload) == 0 {
 		return fmt.Errorf("wal: empty payload")
@@ -130,10 +170,16 @@ func (l *Log) appendFrame(f []byte) error {
 	frame.PutHeader(f, payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	end := l.off + int64(len(f))
+	if end < l.size {
+		f = append(f, zeroHeader[:]...)
+	}
+	// A write that fails may still have landed in part: size counts it.
+	l.size = max(l.size, l.off+int64(len(f)))
 	if _, err := l.dev.WriteAt(f, l.off); err != nil {
 		return err
 	}
-	l.off += int64(len(f))
+	l.off = end
 	return nil
 }
 
@@ -141,13 +187,24 @@ func (l *Log) appendFrame(f []byte) error {
 // Frames appended while it runs may or may not be covered.
 func (l *Log) Sync() error { return l.dev.Sync() }
 
-// ResetAt truncates the log to empty if its tail is still at off: the
-// checkpoint's log-truncation step, where off is where the frame's last
-// record ended. A record appended since then is newer than the
-// checkpoint, so the log keeps everything until the next checkpoint.
+// ResetAt empties the log if its tail is still at off: the checkpoint's
+// log-reset step, where off is where the frame's last record ended. A
+// record appended since then is newer than the checkpoint, so the log
+// keeps everything until the next checkpoint.
+//
+// A log whose device holds at most rewindLimit bytes is rewound: the
+// tail moves to 0, with no truncate and no sync, and the frames left
+// behind it are stale — all of them covered by the checkpoint, which
+// recovery skips — until appends overwrite them. A larger log is
+// truncated and synced.
 func (l *Log) ResetAt(off int64) error {
 	l.mu.Lock()
 	if l.off != off {
+		l.mu.Unlock()
+		return nil
+	}
+	if l.size <= rewindLimit {
+		l.off = 0
 		l.mu.Unlock()
 		return nil
 	}
@@ -155,7 +212,7 @@ func (l *Log) ResetAt(off int64) error {
 		l.mu.Unlock()
 		return err
 	}
-	l.off = 0
+	l.off, l.size = 0, 0
 	l.mu.Unlock()
 	// Appends may land at the new tail before this sync; it hardens
 	// them with the truncate.
@@ -164,7 +221,8 @@ func (l *Log) ResetAt(off int64) error {
 
 // rewind cuts the log back to off, dropping frames appended after it.
 // The offset moves back even when the device refuses the truncate, so
-// the next append overwrites what could not be cut.
+// the next append overwrites what could not be cut, and size stays, so
+// that append's zero header hides the rest.
 func (l *Log) rewind(off int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -172,6 +230,7 @@ func (l *Log) rewind(off int64) error {
 	if err := l.dev.Truncate(off); err != nil {
 		return err
 	}
+	l.size = off
 	return l.dev.Sync()
 }
 
@@ -203,7 +262,7 @@ func NewReader(dev storage.Device) (*Reader, error) {
 func (r *Reader) Offset() int64 { return r.off }
 
 // Next returns the next record's payload. It returns io.EOF at a clean
-// end (device boundary or zero fill), ErrTorn when a record runs past
+// end (device boundary or zero header), ErrTorn when a record runs past
 // the device, and ErrCorrupt on a checksum or length violation. After
 // any error the reader stays put: replay must stop, and Offset marks
 // the end of the valid prefix.
@@ -233,7 +292,7 @@ func (r *Reader) next(buf []byte) ([]byte, error) {
 	}
 	length, crc := frame.ParseHeader(hdr)
 	if length == 0 && crc == 0 {
-		return nil, io.EOF // zero fill: clean end
+		return nil, io.EOF // zero header: clean end
 	}
 	if length == 0 || length > MaxRecordSize {
 		return nil, fmt.Errorf("%w: record length %d", ErrCorrupt, length)

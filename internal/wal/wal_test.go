@@ -242,8 +242,12 @@ func TestAppendDuringSync(t *testing.T) {
 	}
 }
 
-// TestResetAt: ResetAt empties the log only when its tail is at the
-// given offset; otherwise it leaves every frame in place.
+// TestResetAt: ResetAt resets the log only when its tail is at the
+// given offset; otherwise it leaves every frame in place. A reset log
+// takes its next append at offset 0. Until then a reader of the durable
+// image sees only records from before the reset, all of them covered by
+// the checkpoint that reset it (recovery skips them), and once appends
+// are synced it sees exactly the records appended since the reset.
 func TestResetAt(t *testing.T) {
 	dev := storage.NewFaultDisk()
 	l, _ := OpenLog(dev)
@@ -263,16 +267,89 @@ func TestResetAt(t *testing.T) {
 	if err := l.ResetAt(l.Offset()); err != nil {
 		t.Fatal(err)
 	}
-	if size, _ := dev.DurableDevice().Size(); size != 0 || l.Offset() != 0 {
-		t.Fatalf("ResetAt at the tail left %d bytes, offset %d; want an empty log", size, l.Offset())
+	if l.Offset() != 0 {
+		t.Fatalf("ResetAt at the tail left the tail at %d, want 0", l.Offset())
 	}
-	if err := l.AppendSync([]byte("after")); err != nil {
-		t.Fatal(err)
+	if got, err := readAll(t, dev.DurableDevice()); !errors.Is(err, io.EOF) || len(got) != 2 || string(got[0]) != "covered" || string(got[1]) != "newer" {
+		t.Fatalf("before any append the durable log reads %q, err %v; want only the records the reset covers", got, err)
 	}
-	if got, err := readAll(t, dev); !errors.Is(err, io.EOF) || len(got) != 1 || string(got[0]) != "after" {
-		t.Fatalf("after the reset: records %q err %v", got, err)
+	for _, p := range []string{"after", "then"} {
+		if err := l.AppendSync([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := readAll(t, dev.DurableDevice()); !errors.Is(err, io.EOF) || len(got) != 2 || string(got[0]) != "after" || string(got[1]) != "then" {
+		t.Fatalf("after the reset: durable records %q err %v; want after, then", got, err)
 	}
 }
+
+// TestResetAtTruncatesPastOnePage: a log whose device holds more than
+// one page is truncated and synced at its reset instead of rewound, and
+// the truncate lowers the bytes its next append's zero header guards.
+func TestResetAtTruncatesPastOnePage(t *testing.T) {
+	for _, c := range []struct {
+		payload  int
+		truncate bool
+	}{
+		{rewindLimit - headerSize, false},
+		{rewindLimit - headerSize + 1, true},
+	} {
+		dev := storage.NewFaultDisk()
+		l, _ := OpenLog(dev)
+		if err := l.AppendSync(make([]byte, c.payload)); err != nil {
+			t.Fatal(err)
+		}
+		syncs := dev.Syncs()
+		if err := l.ResetAt(l.Offset()); err != nil {
+			t.Fatal(err)
+		}
+		size, _ := dev.DurableDevice().Size()
+		if truncated := size == 0; truncated != c.truncate || l.Offset() != 0 {
+			t.Errorf("%d-byte log: reset left %d durable bytes and the tail at %d; want truncated %v", headerSize+c.payload, size, l.Offset(), c.truncate)
+		}
+		if synced := dev.Syncs() > syncs; synced != c.truncate {
+			t.Errorf("%d-byte log: reset synced %v, want %v", headerSize+c.payload, synced, c.truncate)
+		}
+		if err := l.AppendSync([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(headerSize + 1)
+		if !c.truncate {
+			want = headerSize + int64(c.payload)
+		}
+		if size, _ := dev.Size(); size != want {
+			t.Errorf("%d-byte log: the append after the reset left %d bytes, want %d", headerSize+c.payload, size, want)
+		}
+		if got, err := readAll(t, dev.DurableDevice()); !errors.Is(err, io.EOF) || len(got) != 1 || string(got[0]) != "x" {
+			t.Errorf("%d-byte log: after the reset the log reads %q, err %v", headerSize+c.payload, got, err)
+		}
+	}
+}
+
+// TestRewindKeepsSizeWhenTruncateFails: a frame cut off by rewind on a
+// device that refuses the truncate stays on the device, and the next,
+// shorter frame over it hides the rest of it behind a zero header.
+func TestRewindKeepsSizeWhenTruncateFails(t *testing.T) {
+	dev := &refuseTruncate{FaultDisk: storage.NewFaultDisk()}
+	l, _ := OpenLog(dev)
+	if err := l.Append([]byte("a frame that fails")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.rewind(0); err == nil {
+		t.Fatal("rewind on a device that refuses the truncate returned nil")
+	}
+	if err := l.AppendSync([]byte("retry")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readAll(t, dev.DurableDevice()); !errors.Is(err, io.EOF) || len(got) != 1 || string(got[0]) != "retry" {
+		t.Fatalf("after the refused truncate the log reads %q, err %v; want the retry alone", got, err)
+	}
+}
+
+// refuseTruncate is a FaultDisk whose truncates fail.
+type refuseTruncate struct{ *storage.FaultDisk }
+
+func (refuseTruncate) Truncate(int64) error { return errors.New("truncate refused") }
 
 // lastFrame opens a store on dev and returns the tail of its recovery
 // chain and the chain's length.
