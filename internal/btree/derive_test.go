@@ -241,10 +241,12 @@ func rowRuns(n, size int64, row func(k int64) tuple.Tuple) [][]tuple.Tuple {
 //   - scan-qm's R: 100 000 rows (k, a = k·40503 mod N, p) of three Int
 //     columns loaded in ascending 2 000-row runs, the way the benchmark
 //     loads them — 1 851 half-full leaves of 54 rows. A full scan pruned
-//     by a < 1 000 keeps the lanes of the 1 000 leaves it reads, 2.19 MB
+//     by a < 1 000 keeps the lanes of the 1 000 leaves it reads, 2.27 MB
 //     (the lanes' cells are 54 rows × 32 bytes a leaf, 1.7 MB; the rest
-//     is each leaf's vec.Col headers and boxes), an unpruned one those
-//     of every leaf, 4.06 MB.
+//     is each leaf's vec.Col headers, selection slot and boxes, and the
+//     selections the scan published there, the 1 000 rows it kept: the
+//     slot's 56 bytes a leaf and those rows took it from 2.20 MB), an
+//     unpruned one those of every leaf, 4.18 MB (4.07 MB without slots).
 //   - mixed-def's R2: 2 000 rows (jk, info) loaded in one run, after the
 //     Model-2 join populate's 10 000 point lookups, one for each a of R's
 //     rows with k < N/2 at N = 20 000: every leaf's lanes.

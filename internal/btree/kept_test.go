@@ -55,27 +55,39 @@ func newKeptTree(t *testing.T, n int64) (*testTree, *storage.Disk, *storage.Mete
 	return tr, d, m
 }
 
-// keptScan is one full scan's account: its rows, reads, prunes, and the
-// leaves whose lanes it built and reused.
+// keptScan is one full scan's account: its rows, the rows its atoms
+// dropped, reads, prunes, the leaves whose lanes it built and reused, and
+// the leaves whose rows it took from their selection slot.
 type keptScan struct {
 	rows          []tuple.Tuple
+	dropped       int
 	reads, pruned int64
 	built, reused int64
+	selected      int64
 }
 
 // scanKept runs a full scan of tr pruned by atoms and closes its pool.
 func scanKept(t *testing.T, tr *testTree, m *storage.Meter, atoms []colpage.Atom) keptScan {
 	t.Helper()
 	built, reused := colpage.KeptLanes()
+	selected := colpage.KeptSelections()
 	before := m.Snapshot()
 	it, err := tr.ScanAll(atoms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := keptScan{rows: collect(t, it), pruned: it.Pruned()}
+	var s keptScan
+	for !it.Done() {
+		b := &vec.Batch{}
+		if err := it.Fill(b, vec.DefaultBatchSize); err != nil {
+			t.Fatal(err)
+		}
+		s.rows, s.dropped = b.AppendTuples(s.rows, 0), s.dropped+b.Dropped
+	}
+	s.pruned = it.Pruned()
 	s.reads = m.Snapshot().Sub(before).Reads
 	b, r := colpage.KeptLanes()
-	s.built, s.reused = b-built, r-reused
+	s.built, s.reused, s.selected = b-built, r-reused, colpage.KeptSelections()-selected
 	if err := tr.pool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +297,100 @@ func TestKeptLanesLifetime(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.pool.AssertUnpinned(t)
+}
+
+// TestKeptSelectionsLifetime follows the selection slots of one
+// relation's kept lanes: the first pruned full scan of an image tests its
+// atoms and publishes what each read leaf keeps, every later one with the
+// same atoms takes those rows and tests no cell, a scan with other atoms
+// selects for itself and leaves the slots alone, a one-row update drops
+// its leaf's selection with its lanes and no other leaf's, and a restored
+// disk starts with none. Reads, prunes, rows and the dropped count are
+// the same whether a slot answered or not.
+func TestKeptSelectionsLifetime(t *testing.T) {
+	const n = 3000
+	tr, d, m := newKeptTree(t, n)
+	atoms := []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(n / 10)}}
+	// other prunes the leaves atoms prunes, and keeps fewer rows of those
+	// it reads.
+	other := append(slices.Clone(atoms), colpage.Atom{Col: 2, Op: pred.Ne, Val: tuple.S("p0")})
+	same := func(what string, got, want keptScan, answer []tuple.Tuple) {
+		t.Helper()
+		if got.reads != want.reads || got.pruned != want.pruned || got.dropped != want.dropped || !sameRows(got.rows, answer) {
+			t.Fatalf("%s: %d reads, %d pruned, %d dropped, %d rows; want %d, %d, %d and the fresh decode's %d",
+				what, got.reads, got.pruned, got.dropped, len(got.rows), want.reads, want.pruned, want.dropped, len(answer))
+		}
+	}
+	want, wantOther := freshAnswer(t, tr, atoms), freshAnswer(t, tr, other)
+	first := scanKept(t, tr, m, atoms)
+	read := int64(tr.LeafPages()) - first.pruned
+	if first.built != read || first.selected != 0 {
+		t.Fatalf("first scan: built %d lanes of %d read leaves, %d from a selection slot", first.built, read, first.selected)
+	}
+	second := scanKept(t, tr, m, atoms)
+	if second.selected != read {
+		t.Fatalf("second scan: %d of %d read leaves from a selection slot", second.selected, read)
+	}
+	same("the second scan", second, first, want)
+	if first.dropped == 0 {
+		t.Fatalf("first scan dropped no row beside the %d it kept", len(want))
+	}
+	// Other atoms select for themselves, on every read, and publish nothing.
+	for round := range 2 {
+		o := scanKept(t, tr, m, other)
+		if o.selected != 0 || o.pruned != first.pruned || !sameRows(o.rows, wantOther) || len(wantOther) >= len(want) {
+			t.Fatalf("scan %d with other atoms: %d leaves from a selection slot, %d pruned; %d rows, the fresh decode %d",
+				round, o.selected, o.pruned, len(o.rows), len(wantOther))
+		}
+	}
+	same("a scan after the other atoms'", scanKept(t, tr, m, atoms), second, want)
+
+	// A one-row update drops the selection of its leaf alone.
+	victim := want[len(want)/2]
+	if _, ok, err := deleteRow(tr, victim.Vals[0], victim.ID); err != nil || !ok {
+		t.Fatalf("delete: %v, %v", ok, err)
+	}
+	if err := tr.pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want = freshAnswer(t, tr, atoms)
+	third := scanKept(t, tr, m, atoms)
+	if third.selected != read-1 || third.built != 1 {
+		t.Fatalf("after the update: %d of %d read leaves from a selection slot, %d lanes built; want all but the updated leaf", third.selected, read, third.built)
+	}
+	fourth := scanKept(t, tr, m, atoms)
+	if fourth.selected != read {
+		t.Fatalf("the scan after: %d of %d read leaves from a selection slot", fourth.selected, read)
+	}
+	same("after the update", fourth, third, want)
+	if third.dropped != first.dropped {
+		t.Fatalf("after deleting a kept row the scan dropped %d rows, before %d", third.dropped, first.dropped)
+	}
+
+	// A restored disk starts with no selection.
+	img := &storage.DiskImage{PageSize: d.PageSize()}
+	if err := img.Apply(d.FullDelta()); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := storage.RestoreDisk(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := storage.NewMeter()
+	rt, err := openTree(storage.NewArena(rd, 64).NewPool(rm), rd.Open("t"), 0, tr.Meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := scanKept(t, rt, rm, atoms)
+	if restored.selected != 0 || restored.built != read {
+		t.Fatalf("restored disk: %d leaves from a selection slot, %d lanes built of %d read", restored.selected, restored.built, read)
+	}
+	again := scanKept(t, rt, rm, atoms)
+	if again.selected != read {
+		t.Fatalf("restored disk, second scan: %d of %d read leaves from a selection slot", again.selected, read)
+	}
+	same("restored disk", restored, fourth, want)
+	same("restored disk, second scan", again, fourth, want)
 }
 
 // chainRead is one of the reads that follow the leaf chain, or descend
@@ -541,40 +647,58 @@ func splitKeptLeaf(t *testing.T, tr *testTree, m *storage.Meter, r chainRead, k 
 // pool, read one relation at once while its lanes are first built —
 // both may build a leaf's lanes and publish them — and each answers
 // exactly what a fresh decode does: full scans, unpruned and pruned,
-// and the chain reads (range scans, point lookups, Gets). The race
-// detector runs it.
+// and the chain reads (range scans, point lookups, Gets). Pruned full
+// scans race for the leaves' selection slots too: both with one atom
+// list, or each with its own, where the first to claim a slot keeps it
+// and the other selects for itself. The race detector runs it.
 func TestKeptLanesUnderConcurrentScans(t *testing.T) {
 	const n = 3000
-	reads := chainReads(n)
-	for _, atoms := range [][]colpage.Atom{nil, {{Col: 1, Op: pred.Lt, Val: tuple.I(n / 10)}}} {
-		reads = append(reads, chainRead{fmt.Sprintf("full scan %v", atoms), func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
+	type read struct {
+		name string
+		// ops are the two operations' reads: one read, or one each.
+		ops []chainRead
+	}
+	var reads []read
+	for _, r := range chainReads(n) {
+		reads = append(reads, read{r.name, []chainRead{r}})
+	}
+	fullScan := func(atoms []colpage.Atom) chainRead {
+		return chainRead{fmt.Sprintf("full scan %v", atoms), func(tr *Tree, p *storage.Pool) ([]tuple.Tuple, error) {
 			it, err := tr.ScanAll(p, atoms)
 			if err != nil {
 				return nil, err
 			}
 			return drain(it)
-		}, func(rows []tuple.Tuple) []tuple.Tuple { return holding(rows, atoms) }})
+		}, func(rows []tuple.Tuple) []tuple.Tuple { return holding(rows, atoms) }}
 	}
+	lt := []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(n / 10)}}
+	ge := []colpage.Atom{{Col: 1, Op: pred.Ge, Val: tuple.I(n / 20)}, {Col: 0, Op: pred.Lt, Val: tuple.I(n / 2)}}
+	for _, atoms := range [][]colpage.Atom{nil, lt} {
+		reads = append(reads, read{fmt.Sprintf("full scan %v", atoms), []chainRead{fullScan(atoms)}})
+	}
+	reads = append(reads, read{fmt.Sprintf("full scans %v and %v", lt, ge), []chainRead{fullScan(lt), fullScan(ge)}})
 	for _, r := range reads {
 		tr, d, _ := newKeptTree(t, n) // no lanes kept yet
-		want := r.want(imageRows(t, tr))
+		rows := imageRows(t, tr)
 		arena := storage.NewArena(d, 64)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		errs := make(chan error, 2)
-		for range 2 {
+		for op := range 2 {
+			rd := r.ops[op%len(r.ops)]
+			want := rd.want(slices.Clone(rows))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				p := arena.NewPool(storage.NewMeter())
 				<-start
 				for round := range 3 {
-					got, err := r.read(tr.Tree, p)
+					got, err := rd.read(tr.Tree, p)
 					if err == nil {
 						err = p.Close()
 					}
 					if err == nil && !sameRows(got, want) {
-						err = fmt.Errorf("round %d: %d rows, the fresh decode %d", round, len(got), len(want))
+						err = fmt.Errorf("%s, round %d: %d rows, the fresh decode %d", rd.name, round, len(got), len(want))
 					}
 					if err != nil {
 						errs <- err
@@ -599,7 +723,8 @@ func TestKeptLanesUnderConcurrentScans(t *testing.T) {
 // 4 000-byte pages (370 leaves), through a fresh 256-frame pool. A build
 // is the kept value, its id lane, its column headers, one lane per Int
 // column and the pool's box publishing it: 7 objects a leaf. The new
-// pool's frames and the scan's batches add 1.43 a leaf: 8.43 in all (a
+// pool's frames and the scan's batches add 1.25 a leaf: 8.25 in all
+// (8.43 while a window's rows grew the batch's lanes leaf by leaf; a
 // garbage collection during the scans adds an object or two, so the
 // bound is 8.45). The warm scan guards (exec.TestFullScanAllocations,
 // TestColdScanAllocations) read lanes their warm-up kept, so this is the
@@ -654,5 +779,84 @@ func TestKeptLaneBuildAllocations(t *testing.T) {
 	}
 	if perLeaf > max {
 		t.Errorf("a scan allocated %.2f objects a leaf whose lanes it built, want at most %.2f", perLeaf, max)
+	}
+}
+
+// TestKeptSelectionAllocations pins what a pruned full scan allocates for
+// its selections, over scan-qm's R shape at N = 20 000 on 4 000-byte
+// pages (370 leaves) pruned by a < N/100: a scan of images whose lanes an
+// unpruned scan kept but whose selection slots are free (a miss: each
+// read leaf's selection is tested and published), then the same scan
+// again (a hit: each read leaf's rows come from its slot). A published
+// selection is one object, its rows; a leaf whose selection is none of
+// its rows, or all, publishes no object at all; and the miss's own
+// selection storage grows a few times a scan (179 published selections
+// and 181.67 objects more than a hit, 183.33 under the race detector). A
+// hit tests no cell and allocates nothing for its selection: the hit scan
+// allocates what the miss scan does less one object a published
+// selection and that growth (216 and 34.33 objects; 776.67 and 593.33
+// under the race detector).
+func TestKeptSelectionAllocations(t *testing.T) {
+	const n, runs = 20000, 3
+	tr, d, _ := keptLaneTree(t, rowRuns(n, 2000, func(k int64) tuple.Tuple { return scanQMRow(k, n) }))
+	img := &storage.DiskImage{PageSize: d.PageSize()}
+	if err := img.Apply(d.FullDelta()); err != nil {
+		t.Fatal(err)
+	}
+	atoms := []colpage.Atom{{Col: 1, Op: pred.Lt, Val: tuple.I(n / 100)}}
+	var ms runtime.MemStats
+	scan := func(rt *testTree, atoms []colpage.Atom) (mallocs uint64, selected, read int64, published int) {
+		s0 := colpage.KeptSelections()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		it, err := rt.ScanAll(atoms)
+		for err == nil && !it.Done() {
+			err = it.Fill(&vec.Batch{}, vec.DefaultBatchSize)
+		}
+		runtime.ReadMemStats(&ms)
+		mallocs = ms.Mallocs - before
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range keptValues(t, rt) {
+			if colpage.KeptSelectionBytes(v) > 0 {
+				published++
+			}
+		}
+		return mallocs, colpage.KeptSelections() - s0, int64(rt.LeafPages()) - it.Pruned(), published
+	}
+	var miss, hit uint64
+	var leaves int64
+	var objects int
+	for range runs {
+		rd, err := storage.RestoreDisk(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := openTree(storage.NewArena(rd, 256).NewPool(storage.NewMeter()), rd.Open("t"), 0, tr.Meta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan(rt, nil) // keeps every leaf's lanes, and no selection
+		m, selected, read, published := scan(rt, atoms)
+		if selected != 0 || published == 0 {
+			t.Fatalf("the first pruned scan took %d leaves' rows from a selection slot and published %d selections", selected, published)
+		}
+		h, selected, _, _ := scan(rt, atoms)
+		if selected != read {
+			t.Fatalf("the second pruned scan took %d of %d read leaves' rows from a selection slot", selected, read)
+		}
+		miss, hit, leaves, objects = miss+m, hit+h, leaves+read, objects+published
+	}
+	t.Logf("a pruned scan of %d leaves, %d of them publishing a selection object: %.2f allocations on a miss, %.2f on a hit (race detector: %v)",
+		leaves/runs, objects/runs, float64(miss)/runs, float64(hit)/runs, raceEnabled())
+	if extra := float64(miss-hit) / runs; extra > float64(objects)/runs+8 {
+		t.Errorf("a miss allocated %.2f objects more than a hit, want at most the %d selections it published and 8 for its selection storage", extra, objects/runs)
+	}
+	if hit > miss-uint64(objects) {
+		t.Errorf("a hit allocated %.2f objects, a miss %.2f publishing %d selections", float64(hit)/runs, float64(miss)/runs, objects/runs)
 	}
 }

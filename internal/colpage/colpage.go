@@ -35,6 +35,7 @@
 package colpage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -104,21 +105,21 @@ type Atom struct {
 
 // Prunable reports whether the zones disprove the conjunction for every
 // row of the page — i.e. the page can be skipped without reading it. A
-// column without a stored zone never prunes.
+// column without a stored zone never prunes. Each zone is read in place.
 func (z *Zones) Prunable(atoms []Atom) bool {
 	if z.N == 0 {
 		return false // no row to disprove; a directory walk skips it (DirEntry.Empty)
 	}
-	for _, a := range atoms {
+	for i := range atoms {
+		a := &atoms[i]
 		if a.Col < 0 || a.Col >= len(z.Cols) {
 			continue
 		}
-		cz := z.Cols[a.Col]
+		cz := &z.Cols[a.Col]
 		if !cz.Present {
 			continue
 		}
-		cmin := tuple.Compare(cz.Min, a.Val)
-		cmax := tuple.Compare(cz.Max, a.Val)
+		cmin, cmax := cz.bounds(a.Val)
 		switch a.Op {
 		case pred.Eq:
 			if cmin > 0 || cmax < 0 {
@@ -147,6 +148,16 @@ func (z *Zones) Prunable(atoms []Atom) bool {
 		}
 	}
 	return false
+}
+
+// bounds compares the zone's min and max with v under tuple.Compare:
+// Int bounds against an Int constant directly.
+func (cz *ColZone) bounds(v tuple.Value) (cmin, cmax int) {
+	if v.Type() == tuple.Int && cz.Min.Type() == tuple.Int && cz.Max.Type() == tuple.Int {
+		x := v.Int()
+		return cmp.Compare(cz.Min.Int(), x), cmp.Compare(cz.Max.Int(), x)
+	}
+	return tuple.Compare(cz.Min, v), tuple.Compare(cz.Max, v)
 }
 
 // --- encode --------------------------------------------------------------

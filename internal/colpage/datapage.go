@@ -270,19 +270,20 @@ func (pt PageType) Take(page []byte, atoms []Atom, b *vec.Batch, max int, stage 
 	if err != nil {
 		return false, 0, err
 	}
-	return take(page, rows, atoms, nil, nil, b, max, stage)
+	return take(page, rows, atoms, nil, b, max, stage)
 }
 
-// take is Take for a page of rows tuples: the rows of page the atoms
-// select, or, when k is set, the rows of its kept lanes that sel selects.
-func take(page []byte, rows int, atoms []Atom, k *kept, sel []int, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
+// take is Take for rows rows: those of page the atoms select or, when
+// picks is set, the rows the picks take from their kept lanes, rows being
+// how many they take in all.
+func take(page []byte, rows int, atoms []Atom, picks []pick, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
 	dst, slot0 := stage, Lanes{}
 	if direct = b != nil && len(stage.IDs) == 0 && rows <= max-b.NumRows(); direct {
 		slot0 = Lanes{IDs: b.IDs[0], Cols: b.Slots[0]}
 		dst = &slot0
 	}
-	if k != nil {
-		dropped, err = k.appendRows(sel, dst)
+	if picks != nil {
+		dropped, err = appendPicks(picks, rows, dst)
 	} else {
 		dropped, err = appendPage(page, rows, atoms, dst)
 	}

@@ -41,13 +41,33 @@ import (
 // Get without build) likewise uses lanes kept there but builds none.
 
 // kept is a leaf's rows as lanes, kept beside its bytes, with the leaf's
-// forward link: a read through kept lanes opens no page byte. It is
-// never changed once it is published: concurrent reads share it, and
-// rows gathered from it share its string cells.
+// forward link: a read through kept lanes opens no page byte. The lanes
+// and the link never change once it is published: concurrent reads share
+// them, and rows gathered from it share its string cells. Its selection
+// slot is set once, by the first full scan to claim it (selected), and
+// never changed after; it goes with the lanes when the image changes.
 type kept struct {
 	Lanes
 	next    storage.PageNum
 	hasNext bool
+	slot    atomic.Uint32 // slotFree, slotClaimed, then slotSet
+	pick    selection     // read only once slot says slotSet
+}
+
+// A kept value's selection slot: free until a full scan claims it with
+// one CompareAndSwap, set once that scan has written its selection.
+const (
+	slotFree = iota
+	slotClaimed
+	slotSet
+)
+
+// selection is the rows of a leaf's kept lanes an atom list selects:
+// ascending positions, nil for every row. The atoms are the publishing
+// scan's, which never change them (Directory.Scan).
+type selection struct {
+	atoms []Atom
+	rows  []int
 }
 
 // keep decodes the whole of a data page of pt onto lanes of their own,
@@ -65,11 +85,122 @@ func (pt PageType) keep(page []byte) (*kept, error) {
 	return k, nil
 }
 
-// take is Take on the kept rows sel selects (ascending; nil selects
-// every row), gathered from the kept lanes onto b's slot-0 lanes or onto
-// the staging lanes by Take's rule.
-func (k *kept) take(sel []int, b *vec.Batch, max int, stage *Lanes) (direct bool, dropped int, err error) {
-	return take(nil, len(k.IDs), nil, k, sel, b, max, stage)
+// pick is a leaf's kept lanes and the rows of them a scan takes: sel,
+// ascending positions, or every row when sel is nil.
+type pick struct {
+	k   *kept
+	sel []int
+}
+
+// rows returns how many rows the pick takes.
+func (p pick) rows() int {
+	if p.sel == nil {
+		return len(p.k.IDs)
+	}
+	return len(p.sel)
+}
+
+// appendPicks appends onto l the rows the picks take, in order — rows in
+// all — and returns how many of their lanes' rows they left out. It
+// gathers lane by lane: the id lane, and each column whose cells share one
+// type in l and in every pick, grow once for all the picks and are filled
+// by one loop a pick. Lanes holding no rows take the first pick's arity;
+// picks of another arity go pick by pick, by appendRows' rule.
+func appendPicks(picks []pick, rows int, l *Lanes) (dropped int, err error) {
+	if len(picks) == 0 {
+		return 0, nil
+	}
+	arity := len(l.Cols)
+	if len(l.IDs) == 0 {
+		arity = len(picks[0].k.Cols)
+	}
+	if slices.ContainsFunc(picks, func(p pick) bool { return len(p.k.Cols) != arity }) {
+		for _, p := range picks {
+			d, err := p.k.appendRows(p.sel, l)
+			if err != nil {
+				return 0, err
+			}
+			dropped += d
+		}
+		return dropped, nil
+	}
+	if len(l.Cols) != arity {
+		l.Cols = make([]vec.Col, arity)
+	}
+	for _, p := range picks {
+		dropped += len(p.k.IDs) - p.rows()
+	}
+	if rows == 0 {
+		return dropped, nil
+	}
+	l.IDs = slices.Grow(l.IDs, rows)
+	for _, p := range picks {
+		if p.sel == nil {
+			l.IDs = append(l.IDs, p.k.IDs...)
+			continue
+		}
+		for _, i := range p.sel {
+			l.IDs = append(l.IDs, p.k.IDs[i])
+		}
+	}
+	for c := range l.Cols {
+		gatherCol(&l.Cols[c], c, picks, rows)
+	}
+	return dropped, nil
+}
+
+// gatherCol appends column c of the rows the picks take onto col, rows in
+// all: into one grown run of its lane when col and every pick's column
+// hold cells of one type, pick by pick otherwise.
+func gatherCol(col *vec.Col, c int, picks []pick, rows int) {
+	t, ok, first := tuple.Type(0), true, true
+	for _, p := range picks {
+		if p.rows() == 0 {
+			continue
+		}
+		pt, uniform := p.k.Cols[c].Uniform()
+		if !uniform || !first && pt != t {
+			ok = false
+			break
+		}
+		t, first = pt, false
+	}
+	if ct, uniform := col.Uniform(); !ok || col.Len() > 0 && (!uniform || ct != t) {
+		for _, p := range picks {
+			if src := &p.k.Cols[c]; p.sel == nil {
+				col.AppendRange(src, 0, len(p.k.IDs))
+			} else {
+				col.AppendRows(src, p.sel)
+			}
+		}
+		return
+	}
+	switch t {
+	case tuple.Int:
+		gatherLane(col.GrowInts(rows), picks, c, func(src *vec.Col) []int64 { return src.Ints })
+	case tuple.Float:
+		gatherLane(col.GrowFloats(rows), picks, c, func(src *vec.Col) []float64 { return src.Floats })
+	default:
+		gatherLane(col.GrowBytes(rows), picks, c, func(src *vec.Col) [][]byte { return src.Bytes })
+	}
+}
+
+// gatherLane fills dst with the cells the picks take from the lane of
+// their column c that lane names, in order: gatherCol found every pick's
+// column holding cells of dst's type alone.
+func gatherLane[T any](dst []T, picks []pick, c int, lane func(*vec.Col) []T) {
+	j := 0
+	for _, p := range picks {
+		src := lane(&p.k.Cols[c])
+		if p.sel == nil {
+			j += copy(dst[j:], src[:len(p.k.IDs)])
+			continue
+		}
+		for _, i := range p.sel {
+			dst[j] = src[i]
+			j++
+		}
+	}
 }
 
 // appendRows appends onto l the kept rows sel selects (nil: every row)
@@ -129,6 +260,56 @@ func (k *kept) selectRows(atoms []Atom, sel []int) []int {
 		return nil
 	}
 	return sel
+}
+
+// selection returns the rows of the kept lanes the atoms select, as
+// selectRows returns them, when the selection slot holds atoms equal to
+// these (sameAtoms): shared by every scan that reads the image, never to
+// be changed. With check set (the test binaries' check) it compares them
+// with a fresh selection first.
+func (k *kept) selection(atoms []Atom, check bool) (sel []int, ok bool, err error) {
+	if k.slot.Load() != slotSet || !sameAtoms(k.pick.atoms, atoms) {
+		return nil, false, nil
+	}
+	if check {
+		err = k.checkSelection(atoms)
+	}
+	return k.pick.rows, true, err
+}
+
+// publish offers sel, the rows of the kept lanes the atoms select, to the
+// selection slot, and returns the rows the caller goes on with: a copy of
+// sel's own, set in the slot, when the slot was free (won); sel itself
+// when another scan claimed the slot first, whatever its atoms. The first
+// atoms win, so two scans with different atoms do not take turns
+// rewriting it. The atoms are kept, not copied.
+func (k *kept) publish(atoms []Atom, sel []int) (rows []int, won bool) {
+	if !k.slot.CompareAndSwap(slotFree, slotClaimed) {
+		return sel, false
+	}
+	if sel != nil {
+		sel = append([]int{}, sel...) // non-nil when empty: no row, not every row
+	}
+	k.pick = selection{atoms: atoms, rows: sel}
+	k.slot.Store(slotSet)
+	return sel, true
+}
+
+// sameAtoms reports whether two atom lists select the same rows of any
+// lanes: atom by atom the same column, op and constant type, and
+// constants equal under tuple.Compare — the order the row test is defined
+// in, so −0 and +0, or two NaNs, are the same constant.
+func sameAtoms(a, b []Atom) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Col != y.Col || x.Op != y.Op || x.Val.Type() != y.Val.Type() || tuple.Compare(x.Val, y.Val) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // narrowAll is Narrow over every row, sel's length: the first atom's
@@ -199,10 +380,12 @@ func Narrow(col *vec.Col, op pred.Op, v tuple.Value, sel []int) []int {
 }
 
 // KeptLaneBytes returns the bytes held by v, a value a read kept beside a
-// leaf — its lanes' backing arrays, the kept value, and the pool's box
-// around it — or 0 when v is no kept lanes (nil, or another deriver's
-// value). A string cell counts its bytes, once per cell, though the cells
-// of a dictionary lane share theirs.
+// leaf — its lanes' backing arrays, the kept value, the selection a full
+// scan published in its slot, and the pool's box around it — or 0 when v
+// is no kept lanes (nil, or another deriver's value). A string cell
+// counts its bytes, once per cell, though the cells of a dictionary lane
+// share theirs; a selection's atoms are the scan's, shared by every leaf,
+// and not counted.
 func KeptLaneBytes(v any) int {
 	k, ok := v.(*kept)
 	if !ok {
@@ -210,6 +393,7 @@ func KeptLaneBytes(v any) int {
 	}
 	b := int(unsafe.Sizeof(*k)+unsafe.Sizeof(any(nil))) + cap(k.IDs)*int(unsafe.Sizeof(uint64(0))) +
 		cap(k.Cols)*int(unsafe.Sizeof(vec.Col{}))
+	b += KeptSelectionBytes(v)
 	for c := range k.Cols {
 		col := &k.Cols[c]
 		b += cap(col.Ints)*int(unsafe.Sizeof(int64(0))) + cap(col.Floats)*int(unsafe.Sizeof(float64(0))) +
@@ -224,16 +408,34 @@ func KeptLaneBytes(v any) int {
 	return b
 }
 
+// KeptSelectionBytes returns the bytes of the selection a full scan
+// published in the slot of v, a value a read kept beside a leaf: 0 when v
+// is no kept lanes, its slot is free, or the selection is none of the
+// leaf's rows or every one of them, which are stored as no array.
+func KeptSelectionBytes(v any) int {
+	k, ok := v.(*kept)
+	if !ok || k.slot.Load() != slotSet {
+		return 0
+	}
+	return cap(k.pick.rows) * int(unsafe.Sizeof(0))
+}
+
 // keptBuilt and keptReused count, over the process, the leaves whose
 // lanes reads kept and the reads of a leaf answered from lanes kept
-// before: KeptLanes.
-var keptBuilt, keptReused atomic.Int64
+// before: KeptLanes. keptSelected counts the full scans' reads of a leaf
+// answered from its selection slot: KeptSelections.
+var keptBuilt, keptReused, keptSelected atomic.Int64
 
 // KeptLanes returns how many leaves reads have kept lanes for and how
 // many reads of a leaf were answered from lanes kept before, since the
 // process started: a read of each leaf once per image builds every
 // leaf's lanes and reuses none.
 func KeptLanes() (built, reused int64) { return keptBuilt.Load(), keptReused.Load() }
+
+// KeptSelections returns how many reads of a leaf by a full scan took
+// the rows its atoms select from the leaf's selection slot, testing no
+// cell, since the process started.
+func KeptSelections() int64 { return keptSelected.Load() }
 
 // lanesOf is a storage.Pool.Derive function's reading of a data page of
 // pt through its kept lanes, d being the value published beside its
@@ -317,10 +519,28 @@ var checking = sync.OnceValue(func() bool {
 // fresh is kept.check's decode, its lanes reused — one set per column
 // count, so that checks of relations of several arities, one after the
 // other, do not regrow them — and the check allocates nothing on Int and
-// Float lanes.
+// Float lanes; sel is kept.checkSelection's, reused likewise.
 var fresh struct {
 	sync.Mutex
-	l []Lanes
+	l   []Lanes
+	sel []int
+}
+
+// checkSelection selects afresh the kept rows the atoms select and
+// compares them with the selection slot's, which the caller found set
+// for these atoms: a mismatch means the slot was written for other atoms
+// or other lanes, or changed after it was set.
+func (k *kept) checkSelection(atoms []Atom) error {
+	fresh.Lock()
+	defer fresh.Unlock()
+	want := k.selectRows(atoms, fresh.sel)
+	if want != nil {
+		fresh.sel = want[:0]
+	}
+	if got := k.pick.rows; (got == nil) != (want == nil) || !slices.Equal(got, want) {
+		return fmt.Errorf("colpage: kept selection %v for atoms %v disagrees with a fresh selection %v of the lanes", got, atoms, want)
+	}
+	return nil
 }
 
 // check decodes page, a data page of pt, afresh and compares the kept

@@ -2,6 +2,7 @@ package colpage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"viewmat/internal/pred"
@@ -78,6 +79,11 @@ type Scan struct {
 	// The pages walkAhead found to fetch, reused window to window; not
 	// referenced once the loadPage call that filled it returns.
 	fetch []storage.PageNum
+	// The kept leaves a load read and the rows of each it takes, gathered
+	// once the load has read them all (gather); sels holds the selections
+	// the load made itself. Both are reused load to load.
+	picks []pick
+	sels  []int
 }
 
 // cursor is a scan's place: the page it reads next, while more, and the
@@ -107,7 +113,9 @@ func (c *cursor) follow(next storage.PageNum, hasNext bool) {
 // only to full scans: a range scan already ends early, and pruning
 // mid-range could skip the page holding the range's end. It reads the
 // first page (on a full scan, the first window) before it returns; Fill
-// skips that leaf's rows below the range.
+// skips that leaf's rows below the range. The atoms may be kept beside
+// the leaves the scan selects on (kept.publish): the caller never changes
+// them.
 func (d *Directory) Scan(pool *storage.Pool, first storage.PageNum, keyCol int, rg *pred.Range, prune []Atom) (*Scan, error) {
 	return d.open(pool, cursor{pn: first, more: true}, keyCol, rg, prune, true)
 }
@@ -425,8 +433,14 @@ func (s *Scan) readPage(pn storage.PageNum, b *vec.Batch, max int) (next storage
 		}
 		next, hasNext = k.next, k.hasNext
 		if len(s.prune) > 0 {
-			var selBuf [256]int
-			return s.takeKept(k, selBuf[:0], b, max)
+			hit, err := s.pick(k, checking())
+			if hit {
+				keptSelected.Add(1)
+			}
+			if err != nil {
+				return err
+			}
+			return s.gather(b, max)
 		}
 		s.rows = &k.Lanes
 		return nil
@@ -434,16 +448,45 @@ func (s *Scan) readPage(pn storage.PageNum, b *vec.Batch, max int) (next storage
 	return next, hasNext, err
 }
 
-// takeKept takes a leaf's kept rows as takePage takes a page's: those
-// the prune atoms select (in buf's storage), gathered onto b or the
-// staging lanes.
-func (s *Scan) takeKept(k *kept, buf []int, b *vec.Batch, max int) error {
+// pick adds a leaf's kept lanes to the load's picks, with the rows of
+// them the prune atoms select: the leaf's selection slot's when it holds
+// these atoms, so no cell is tested; otherwise selected now, in the
+// load's selection storage, and offered to the slot (kept.publish). check
+// has a hit compared with a fresh selection.
+func (s *Scan) pick(k *kept, check bool) (hit bool, err error) {
 	var sel []int // nil: every row
 	if len(s.prune) > 0 {
-		sel = k.selectRows(s.prune, buf)
+		if sel, hit, err = k.selection(s.prune, check); err != nil {
+			return hit, err
+		}
+		if !hit {
+			n := len(s.sels)
+			s.sels = slices.Grow(s.sels, len(k.IDs))
+			var won bool
+			if sel, won = k.publish(s.prune, k.selectRows(s.prune, s.sels[n:])); !won {
+				s.sels = s.sels[:n+len(sel)]
+			}
+		}
 	}
-	_, dropped, err := k.take(sel, b, max, &s.stage)
+	s.picks = append(s.picks, pick{k: k, sel: sel})
+	return hit, nil
+}
+
+// gather takes the rows of the load's picks, in order, as takePage takes
+// a page's: onto b's slot-0 lanes when nothing is staged and all of them
+// fit below max rows, onto the staging lanes otherwise — each lane grown
+// once for all of them.
+func (s *Scan) gather(b *vec.Batch, max int) error {
+	if len(s.picks) == 0 {
+		return nil
+	}
+	rows := 0
+	for _, p := range s.picks {
+		rows += p.rows()
+	}
+	_, dropped, err := take(nil, rows, nil, s.picks, b, max, &s.stage)
 	s.dropped += dropped
+	s.picks, s.sels = s.picks[:0], s.sels[:0]
 	return err
 }
 
@@ -497,31 +540,43 @@ func (s *Scan) walkAhead(w int) (cont cursor, ok bool, err error) {
 // released as soon as its rows are taken, so the window holds no pins
 // afterwards. A B+-tree's window is read through the leaves' kept lanes
 // (a window arms only on a clean file): each leaf's lanes are built on
-// its first read, and reused until its image changes.
+// its first read, and reused until its image changes. The window's kept
+// leaves are selected first and gathered together once the window is
+// read, so the batch's lanes grow once a window, by the rows selected.
 func (s *Scan) fetchPages(pns []storage.PageNum, b *vec.Batch, max int) error {
 	if !s.keep {
 		return s.pool.ReadBatch(s.dir.file, pns, func(_ int, page []byte) error {
 			return s.takePage(page, b, max)
 		})
 	}
-	var builds, reuses int64
-	var selBuf [256]int // a kept leaf's selection, reused leaf to leaf
+	var builds, reuses, hits int64
 	check := checking()
 	err := s.pool.DeriveBatch(s.dir.file, pns, func(_ int, page []byte, d any) (any, error) {
 		k, built, err := s.dir.typ.lanesOf(page, d, check, true)
 		switch {
 		case err != nil:
 			return nil, err
-		case k == nil: // not this deriver's: decode as any other page
+		case k == nil: // not this deriver's: decode as any other page, in order
+			if err := s.gather(b, max); err != nil {
+				return d, err
+			}
 			return d, s.takePage(page, b, max)
 		case built:
 			builds++
 		default:
 			reuses++
 		}
-		return k, s.takeKept(k, selBuf[:0], b, max)
+		hit, err := s.pick(k, check)
+		if hit {
+			hits++
+		}
+		return k, err
 	})
 	keptBuilt.Add(builds)
 	keptReused.Add(reuses)
-	return err
+	keptSelected.Add(hits)
+	if err != nil {
+		return err
+	}
+	return s.gather(b, max)
 }

@@ -504,7 +504,7 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 	if err != nil {
 		return nil, nil, err
 	}
-	lastSeq, prevSeq := snapSeq, uint64(0)
+	seqs, lastSeq := wal.NewSeqs(snapSeq), snapSeq
 	var end int64 // where replay stopped: the next append's offset
 	db.lock()
 	for {
@@ -535,16 +535,15 @@ func Recover(walDev, snapDev storage.Device, opts DurabilityOptions) (*Database,
 			info.TailDamage = "corrupt"
 			break
 		}
-		if rec.seq <= prevSeq {
-			break // a stale frame: the log ends here
-		}
-		if rec.seq > lastSeq+1 {
-			// A record past one that never landed: the crash kept a
-			// later write of an overwrite and lost an earlier one.
-			info.TailDamage = "torn"
+		if ok, torn := seqs.Next(rec.seq); !ok {
+			// A stale frame ends the log cleanly; a record past one
+			// that never landed (the crash kept a later write of an
+			// overwrite and lost an earlier one) ends it torn.
+			if torn {
+				info.TailDamage = "torn"
+			}
 			break
 		}
-		prevSeq = rec.seq
 		if rec.seq <= snapSeq {
 			info.Skipped++
 			continue

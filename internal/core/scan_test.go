@@ -19,7 +19,9 @@ import (
 // kept a lane and only the survivors are gathered, with no page byte
 // decoded. kept-builds/op and kept-reuses/op count the leaves whose lanes
 // a query built and reused: 0 and 1 000, the lanes having been built by
-// the first query the benchmark ran. It is the workload's CPU profile
+// the first query the benchmark ran; kept-selects/op the leaves whose rows
+// it took from their selection slot, testing no cell: 1 000, the first
+// query having published each read leaf's selection for a < N/100. It is the workload's CPU profile
 // without a socket (the verify skill says how to take it). clients=1 issues the b.N queries from one goroutine;
 // clients=2 splits them between two goroutines querying at once — the
 // benchmark's two clients in process — so its ns/op is wall time per
@@ -80,13 +82,16 @@ func BenchmarkScanQM(b *testing.B) {
 
 // reportKeptLanes reports, per op, the leaves whose lanes the ops' reads
 // kept and the leaves they read through lanes kept before
-// (colpage.KeptLanes): call it where the timed loop starts, and what it
-// returns where the loop ends.
+// (colpage.KeptLanes), and the leaves whose rows a full scan took from
+// their selection slot (colpage.KeptSelections): call it where the timed
+// loop starts, and what it returns where the loop ends.
 func reportKeptLanes(b *testing.B) func() {
 	built, reused := colpage.KeptLanes()
+	selected := colpage.KeptSelections()
 	return func() {
 		nb, nr := colpage.KeptLanes()
 		b.ReportMetric(float64(nb-built)/float64(b.N), "kept-builds/op")
 		b.ReportMetric(float64(nr-reused)/float64(b.N), "kept-reuses/op")
+		b.ReportMetric(float64(colpage.KeptSelections()-selected)/float64(b.N), "kept-selects/op")
 	}
 }

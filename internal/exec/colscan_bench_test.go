@@ -69,7 +69,7 @@ func scatteredEnv(b testing.TB, name string, n int) (*relation.Relation, Options
 // The allocation guards pin what the benchmark above measures where no
 // clock is trusted: a scan allocates per batch and per page arena, never
 // per cell or per row, so the counts are small constants of the fixture.
-// The bounds sit a margin above today's counts (598 and 12; 1 649 and 72
+// The bounds sit a margin above today's counts (533 and 12; 1 617 and 72
 // under the race detector, whose instrumentation moves stack buffers to
 // the heap) and far below what per-cell and per-row work cost (31 790 and
 // 2 770 with four-lane columns and row-at-a-time fills): one allocation
@@ -113,10 +113,14 @@ func TestFullScanAllocations(t *testing.T) {
 // maps from the tree's leaf directory and allocates nothing either.
 // Unpruned and with the atom a < 1000 (which prunes 851 leaves and, in
 // the 1 002 read, gathers only the rows it keeps from the lanes the
-// warm-up run kept beside each leaf — a closed pool keeps no page, but
-// the images keep their lanes): 1 084 / 95 allocations a scan, 6 637 /
-// 3 131 under the race detector (9 128 / 4 204 while each leaf was
-// decoded on every scan) — against
+// warm-up run kept beside each leaf, by the selection it published in
+// each leaf's slot — a closed pool keeps no page, but the images keep
+// their lanes): 838 / 81 allocations a scan (1 084 / 95 while a window's
+// rows grew the batch's lanes leaf by leaf), 6 566 / 3 184 under the
+// race detector (6 637 / 3 131 then: a window's gather fills each lane
+// through one vec.Col.GrowInts, whose made slice the race build
+// allocates; 9 128 / 4 204 while each leaf was decoded on every scan) —
+// against
 // 8 562 / 4 142 (16 422 / 8 151) when every miss copied the page into a
 // frame and allocated the frame, its recency entry and its single-flight
 // channel, 8 562 / 4 664 (16 420 / 8 910) when every read leaf was

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -29,7 +30,9 @@ type span struct {
 //   - writes land in the cache immediately (reads see them),
 //   - Sync hardens everything written so far,
 //   - a crash discards unsynced writes except for a configurable byte
-//     prefix (the torn tail a power loss can leave behind),
+//     prefix (the torn tail a power loss can leave behind), or, by
+//     CrashSectors, except for a chosen subset of the sectors they
+//     touched (a cache written back out of order),
 //   - after a crash every operation fails with ErrCrashed; the
 //     survivor image is available via DurableDevice for recovery.
 //
@@ -175,6 +178,43 @@ func (d *FaultDisk) Syncs() int {
 	return d.syncCalls
 }
 
+// SectorSize is the unit CrashSectors keeps or loses whole.
+const SectorSize = 512
+
+// CrashSectors crashes the device now. Of the unsynced writes it keeps
+// the sectors that mask picks, each holding what the cache held there at
+// the crash, and loses the rest. It models a cache written back sector by
+// sector in no particular order, so a later sector of an overwrite can
+// survive without an earlier one, which a byte prefix (CrashNow) never
+// does. The i-th sector the pending writes touched, in ascending offset
+// order, survives when bit i mod 64 of mask is set. A lost sector keeps
+// its synced bytes, and reads as zeros past the synced end when a later
+// sector survives.
+func (d *FaultDisk) CrashSectors(mask uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.crashed {
+		return
+	}
+	var sectors []int64
+	for _, sp := range d.pending {
+		if len(sp.data) == 0 {
+			continue
+		}
+		for s := sp.off / SectorSize; s*SectorSize < sp.off+int64(len(sp.data)); s++ {
+			sectors = append(sectors, s)
+		}
+	}
+	slices.Sort(sectors)
+	img := append([]byte(nil), d.synced...)
+	for i, s := range slices.Compact(sectors) {
+		if mask&(1<<(i%64)) != 0 {
+			img = applyAt(img, s*SectorSize, d.data[s*SectorSize:min((s+1)*SectorSize, int64(len(d.data)))])
+		}
+	}
+	d.crashWith(img)
+}
+
 // crashLocked marks the device crashed and captures the survivor
 // image: the synced contents plus the first tornBytes bytes of the
 // pending writes, applied in write order.
@@ -182,7 +222,6 @@ func (d *FaultDisk) crashLocked(tornBytes int) {
 	if d.crashed {
 		return
 	}
-	d.crashed = true
 	img := append([]byte(nil), d.synced...)
 	budget := tornBytes
 	for _, sp := range d.pending {
@@ -196,6 +235,12 @@ func (d *FaultDisk) crashLocked(tornBytes int) {
 		img = applyAt(img, sp.off, sp.data[:k])
 		budget -= k
 	}
+	d.crashWith(img)
+}
+
+// crashWith marks the device crashed with img as its survivor image.
+func (d *FaultDisk) crashWith(img []byte) {
+	d.crashed = true
 	d.durable = img
 	d.pending = nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -68,6 +69,31 @@ func TestFaultDiskCrashKeepsTornPrefix(t *testing.T) {
 	}
 	if b := durableBytes(t, d); string(b) != "baseX" {
 		t.Fatalf("survivor = %q, want %q", b, "baseX")
+	}
+}
+
+// TestFaultDiskCrashSectors: a sector crash keeps the pending sectors
+// the mask picks, each with the cache's last bytes there, whatever order
+// they were written in, and leaves the others as synced: a lost sector
+// past the synced end reads as zeros before a kept one.
+func TestFaultDiskCrashSectors(t *testing.T) {
+	fill := func(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
+	d := NewFaultDisk()
+	mustWrite(t, d, fill('s', SectorSize+10), 0) // sectors 0 and 1, synced
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, d, fill('c', 3*SectorSize), SectorSize) // sectors 1–3
+	mustWrite(t, d, fill('a', 4), 0)                     // sector 0, written last
+	mustWrite(t, d, fill('b', 4), 2*SectorSize)          // sector 2 again
+	d.CrashSectors(0b1011)                               // keep the 1st, 2nd and 4th touched: 0, 1, 3
+	want := append(append(append(append(fill('a', 4), fill('s', SectorSize-4)...),
+		fill('c', SectorSize)...), fill(0, SectorSize)...), fill('c', SectorSize)...)
+	if b := durableBytes(t, d); !bytes.Equal(b, want) {
+		t.Fatalf("survivor of %d bytes differs from the %d bytes sectors 0, 1 and 3 of the cache over the synced image make", len(b), len(want))
+	}
+	if _, err := d.WriteAt([]byte("w"), 0); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("write after crash: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"viewmat/internal/storage"
@@ -76,22 +77,37 @@ func FuzzWALReader(f *testing.F) {
 }
 
 // FuzzLogRecycle drives one log through random appends, syncs and
-// resets, then a power cut that keeps a torn prefix of the unsynced
-// writes (FaultDisk.CrashNow). Every payload starts with its seq, which
-// increases across resets as the engine's do, and its length picks one
-// of two bands, under 64 bytes or just past 4 KiB, so that some resets
-// rewind the log and some truncate it. The durable image must read as
-// every record synced since the last reset, in order, then possibly
-// unsynced records complete, and then only frames the reset made stale
-// (seqs no greater than the last one before it), whatever ends the
-// read. A log reopened where the current records end, as recovery
-// reopens it, then takes an append that reads back right behind them.
+// resets, then a power cut. With sectors 0 the cut keeps a torn prefix
+// of the unsynced writes (FaultDisk.CrashNow), and the durable image must
+// read as every record synced since the last reset, in order, then
+// possibly unsynced records complete, and then only frames the reset made
+// stale (seqs no greater than the last one before it), whatever ends the
+// read. Otherwise it keeps the unsynced sectors the bits of sectors pick
+// (FaultDisk.CrashSectors), in no order: a later record can survive
+// without an earlier one, and stale frames where the first records were.
+// Every payload starts with its seq, which increases across resets as the
+// engine's do, and its length picks one of two bands, under 64 bytes or
+// just past 4 KiB, so that some resets rewind the log and some truncate
+// it. Either way the log read as recovery reads it — frames in order up
+// to where the seq rule (Seqs) ends it, past the reset's seq — must hold
+// the current records from the first, in order, every synced one among
+// them; a log reopened where that read ended, as recovery reopens it,
+// then takes the next record, which reads back right behind them.
+//
+// The last seed is the out-of-order overwrite: nine 64-byte records
+// rewound and overwritten by nine more, whose first sector is lost and
+// second kept, so the stale frames run into the ninth new record; only
+// the seq rule's gap stop keeps it from being read as current.
 func FuzzLogRecycle(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0, 3, 0, 2, 5}, uint16(7))
-	f.Add([]byte{1, 2, 3, 0, 0, 2, 3, 0}, uint16(30))
-	f.Add([]byte{0, 0, 0, 2, 3, 1, 2, 3, 0, 0}, uint16(4100))
-	f.Add([]byte{0, 0, 2, 3, 0, 2, 0, 0, 0}, uint16(0))
-	f.Fuzz(func(t *testing.T, script []byte, torn uint16) {
+	f.Add([]byte{0, 1, 2, 0, 3, 0, 2, 5}, uint16(7), uint64(0))
+	f.Add([]byte{1, 2, 3, 0, 0, 2, 3, 0}, uint16(30), uint64(0))
+	f.Add([]byte{0, 0, 0, 2, 3, 1, 2, 3, 0, 0}, uint16(4100), uint64(0))
+	f.Add([]byte{0, 0, 2, 3, 0, 2, 0, 0, 0}, uint16(0), uint64(0))
+	f.Add([]byte{0, 1, 2, 0, 3, 0, 2, 5, 1, 0}, uint16(7), uint64(0x5555))
+	f.Add([]byte{1, 2, 3, 0, 0, 2, 3, 0, 1}, uint16(30), ^uint64(0))
+	overwrite := append(append(bytes.Repeat([]byte{48}, 9), 2, 3), bytes.Repeat([]byte{48}, 9)...)
+	f.Add(overwrite, uint16(0), uint64(0b10))
+	f.Fuzz(func(t *testing.T, script []byte, torn uint16, sectors uint64) {
 		if len(script) > 64 {
 			script = script[:64]
 		}
@@ -170,23 +186,66 @@ func FuzzLogRecycle(f *testing.F) {
 				t.Fatalf("%s: the log reads current records %v of %v, stale frames %v, end %v; want all, none, EOF", when, found, cur, stale, err)
 			}
 		}
+		// recovered reads an image as recovery does, returning the
+		// current records the seq rule lets through, where the read
+		// ended and what ended it (nil: the seq rule).
+		recovered := func(img storage.Device) (replayed []uint64, end int64, err error) {
+			r, err := NewReader(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs := NewSeqs(resetSeq)
+			for {
+				end = r.Offset()
+				p, err := r.Next()
+				if err != nil {
+					return replayed, end, err
+				}
+				s := binary.LittleEndian.Uint64(p)
+				if n, ok := sizes[s]; !ok || !bytes.Equal(p, recyclePayload(s, n)) {
+					t.Fatalf("frame at %d: payload of %d bytes is no record's", end, len(p))
+				}
+				if ok, _ := seqs.Next(s); !ok {
+					return replayed, end, nil
+				}
+				if s > resetSeq {
+					replayed = append(replayed, s)
+				}
+			}
+		}
 		clean(dev, "before the crash")
-		dev.CrashNow(int(torn))
+		if sectors == 0 {
+			dev.CrashNow(int(torn))
+		} else {
+			dev.CrashSectors(sectors)
+		}
 		img := dev.DurableDevice()
-		found, end, _, _ := read(img)
-		if len(found) < synced {
-			t.Fatalf("durable image holds current records %v, want at least the synced %v", found, cur[:synced])
+		if sectors == 0 {
+			if found, _, _, _ := read(img); len(found) < synced {
+				t.Fatalf("durable image holds current records %v, want at least the synced %v", found, cur[:synced])
+			}
+		}
+		replayed, end, _ := recovered(img)
+		if len(replayed) < synced || len(replayed) > len(cur) || !slices.Equal(replayed, cur[:len(replayed)]) {
+			t.Fatalf("recovery reads records %v of the current %v, want the first of them, the %d synced among them", replayed, cur, synced)
 		}
 		reopened, err := OpenLogAt(img, end)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur = found
+		// The next record follows the last one recovered, as the engine's
+		// seq does after Recover.
+		cur, seq = replayed, resetSeq
+		if len(replayed) > 0 {
+			seq = replayed[len(replayed)-1]
+		}
 		appendRec(reopened, 8+int(torn)%4100)
 		if err := reopened.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		clean(img, "after reopening where the current records end and appending")
+		if got, _, err := recovered(img); !slices.Equal(got, cur) || !errors.Is(err, io.EOF) {
+			t.Fatalf("after reopening where recovery stopped and appending, recovery reads %v ending with %v; want %v and a clean end", got, err, cur)
+		}
 	})
 }
 

@@ -241,6 +241,34 @@ func (l *Log) Offset() int64 {
 	return l.off
 }
 
+// Seqs is where a log of sequence-numbered records ends for recovery,
+// beyond what the frames say. Seqs increase along a log and across its
+// rewinds, so a record whose seq does not exceed the previous record's is
+// a stale frame a rewind left behind, behind a record whose zero header
+// a crash tore off: the log's clean end. A record whose seq skips past
+// the next follows one a crash lost, a later write of an overwrite that
+// landed without an earlier one: the log's torn end.
+type Seqs struct{ prev, last uint64 }
+
+// NewSeqs starts the rule for a log replayed onto an image that holds
+// every record up to seq base: records up to base may come first, and the
+// first record past them must be base+1.
+func NewSeqs(base uint64) Seqs { return Seqs{last: base} }
+
+// Next judges the next record read, of sequence number seq: ok when the
+// log goes on with it; otherwise the log ends before it, torn when seq
+// skips past the next record.
+func (s *Seqs) Next(seq uint64) (ok, torn bool) {
+	switch {
+	case seq <= s.prev:
+		return false, false
+	case seq > s.last+1:
+		return false, true
+	}
+	s.prev, s.last = seq, max(s.last, seq)
+	return true, false
+}
+
 // Reader iterates the frames of a device from the start.
 type Reader struct {
 	dev  storage.Device
